@@ -68,8 +68,6 @@ func inspectOneTierDir(dir string, check bool) bool {
 	if len(man.Segments) == 0 {
 		return true
 	}
-	fmt.Printf("\n%16s %5s %10s %10s %20s %20s %12s %5s %6s %10s  %s\n",
-		"ID", "LVL", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "EPS", "MODEL", "BYTES", "STATUS")
 	metas := append([]segment.Meta(nil), man.Segments...)
 	sort.Slice(metas, func(i, j int) bool {
 		if metas[i].Seq != metas[j].Seq {
@@ -77,10 +75,25 @@ func inspectOneTierDir(dir string, check bool) bool {
 		}
 		return metas[i].ID > metas[j].ID
 	})
+	// Read order, newest first. A run is one L0 flush output or the level-1
+	// files one merge wrote (same SEQ); the oldest level-1 run is the base,
+	// the level-1 runs above it are deltas waiting to be worth merging down.
+	baseSeq := metas[len(metas)-1].Seq
+	role := func(m *segment.Meta) string {
+		switch {
+		case m.Level == 0:
+			return "L0"
+		case m.Seq == baseSeq:
+			return "base"
+		}
+		return "delta"
+	}
+	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %5s %6s %10s  %s\n",
+		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "EPS", "MODEL", "BYTES", "STATUS")
 	for i := range metas {
 		m := metas[i]
-		fmt.Printf("%16d %5d %10d %10d %20d %20d %12d %5d %6d %10d  %s\n",
-			m.ID, m.Level, m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq, m.Eps, m.ModelPieces,
+		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %5d %6d %10d  %s\n",
+			m.ID, m.Level, role(&m), m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq, m.Eps, m.ModelPieces,
 			m.Bytes, segStatus(dir, &m, check))
 	}
 	return true

@@ -73,7 +73,8 @@ type DirOptions struct {
 	// (default segment.DefaultEps): a cold lookup preads at most 2ε+1 keys.
 	SegmentEps int
 	// CompactL0 is how many L0 segments accumulate before a compaction
-	// merges them (plus overlapping L1 runs) into L1 (default 4).
+	// merges them (plus the older runs small enough to be worth rewriting;
+	// see pickCompaction) into a level-1 run (default 4).
 	CompactL0 int
 }
 

@@ -8,14 +8,14 @@ import (
 // HealthState is the durable index's operating state — the degraded-read-only
 // state machine of DESIGN.md §9.
 //
-//	       queue full → shed/block     disk full (retryable)
-//	  ┌────────── ok ────────────────────────→ degraded ──┐
-//	  │            ↑   space freed / checkpoint rotation   │
-//	  │            └───────────────────────────────────────┘
-//	  │ apply-after-durable-log failure,
-//	  │ commit-point fsync failure                Close()
-//	  └──────────→ poisoned ──────────┐      (any state) ──→ closed
-//	                reads still served┘
+//	     queue full → shed/block     disk full (retryable)
+//	┌────────── ok ────────────────────────→ degraded ──┐
+//	│            ↑   space freed / checkpoint rotation   │
+//	│            └───────────────────────────────────────┘
+//	│ apply-after-durable-log failure,
+//	│ commit-point fsync failure                Close()
+//	└──────────→ poisoned ──────────┐      (any state) ──→ closed
+//	              reads still served┘
 //
 // ok: writes and reads flow. degraded: the WAL cannot currently accept
 // appends (disk full or a sticky WAL error) but memory and disk have not
@@ -131,10 +131,13 @@ type Health struct {
 type TierHealth struct {
 	// Segments is the published segment-file count; L0Segments of those are
 	// level-0 flush outputs not yet compacted. SegmentBytes is their total
-	// on-disk size.
+	// on-disk size. Runs is how many sorted runs the files form — each L0
+	// file, each delta and the base — which bounds the filters a cold read
+	// consults.
 	Segments     int
 	L0Segments   int
 	SegmentBytes int64
+	Runs         int
 
 	// LiveKeys is the exact visible-key count across every tier.
 	// MemtableKeys and DeadKeys are the hot inserts and pending tombstones
@@ -258,7 +261,8 @@ func (t *tier) health() *TierHealth {
 	if fr := t.frozen.Load(); fr != nil {
 		th.FrozenKeys = len(fr.keys)
 	}
-	for _, r := range t.segs.Load().readers {
+	readers := t.segs.Load().readers
+	for _, r := range readers {
 		m := r.Meta()
 		th.Segments++
 		if m.Level == 0 {
@@ -266,6 +270,7 @@ func (t *tier) health() *TierHealth {
 		}
 		th.SegmentBytes += m.Bytes
 	}
+	th.Runs = len(groupRuns(readers))
 	if b, _ := t.lastFlushErrv.Load().(errBox); b.err != nil {
 		th.LastFlushErr = b.err
 	}
@@ -285,6 +290,7 @@ func mergeTierHealth(agg *TierHealth, th *TierHealth) *TierHealth {
 	agg.Segments += th.Segments
 	agg.L0Segments += th.L0Segments
 	agg.SegmentBytes += th.SegmentBytes
+	agg.Runs += th.Runs
 	agg.LiveKeys += th.LiveKeys
 	agg.MemtableKeys += th.MemtableKeys
 	agg.DeadKeys += th.DeadKeys

@@ -35,6 +35,9 @@ import (
 // File is the subset of *os.File the durability stack needs.
 type File interface {
 	io.Reader
+	// ReaderAt is the positional read the segment readers serve cold probes
+	// with: one pread(2), no shared file offset, safe from many goroutines.
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	Sync() error
@@ -338,7 +341,7 @@ func (c *CrashFS) SyncDir(name string) error {
 
 // crashFile buffers writes until Sync, modelling the page cache a crash
 // discards. Reads and seeks are pass-through: the durability stack only reads
-// during recovery, before it writes.
+// during recovery, before it writes, or from files it has synced and closed.
 type crashFile struct {
 	fs      *CrashFS
 	f       File
@@ -350,6 +353,13 @@ func (f *crashFile) Read(p []byte) (int, error) {
 		return 0, ErrCrashed
 	}
 	return f.f.Read(p)
+}
+
+func (f *crashFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.Crashed() {
+		return 0, ErrCrashed
+	}
+	return f.f.ReadAt(p, off)
 }
 
 func (f *crashFile) Seek(offset int64, whence int) (int64, error) {

@@ -123,6 +123,9 @@ type quotaFile struct {
 }
 
 func (f *quotaFile) Read(p []byte) (int, error) { return f.f.Read(p) }
+func (f *quotaFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.f.ReadAt(p, off)
+}
 func (f *quotaFile) Seek(offset int64, whence int) (int64, error) {
 	return f.f.Seek(offset, whence)
 }
@@ -217,6 +220,9 @@ type slowFile struct {
 }
 
 func (f *slowFile) Read(p []byte) (int, error) { return f.f.Read(p) }
+func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.f.ReadAt(p, off)
+}
 func (f *slowFile) Seek(offset int64, whence int) (int64, error) {
 	return f.f.Seek(offset, whence)
 }
@@ -324,6 +330,9 @@ type stallFile struct {
 }
 
 func (f *stallFile) Read(p []byte) (int, error) { return f.f.Read(p) }
+func (f *stallFile) ReadAt(p []byte, off int64) (int, error) {
+	return f.f.ReadAt(p, off)
+}
 func (f *stallFile) Seek(offset int64, whence int) (int64, error) {
 	return f.f.Seek(offset, whence)
 }

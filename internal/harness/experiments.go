@@ -39,7 +39,7 @@ var Experiments = []struct {
 	{"repl", "primary/follower replication: ack latency, lag, read-your-writes, failover time (emits BENCH_repl.json)", Repl},
 	{"failover", "automatic failover: crash the primary, detector promotes, pool client follows (emits BENCH_failover.json)", Failover},
 	{"read", "optimistic vs locked vs raw-map lookup percentiles, plus depth-16 pipelined remote GETs (emits BENCH_read.json)", Read},
-	{"tier", "tiered storage: flush latency vs delta size, cold-get percentiles, checkpoint-vs-flush write amplification (emits BENCH_tier.json)", Tier},
+	{"tier", "tiered storage: flush latency vs delta size, cold-get percentiles, checkpoint-vs-flush bytes, steady-state total write amplification (emits BENCH_tier.json)", Tier},
 }
 
 // Fig1Motivation reproduces Fig. 1(b): per-window insertion latency while

@@ -13,7 +13,7 @@ import (
 	"chameleon/internal/report"
 )
 
-// Tier measures what the tiered disk-resident layer buys and costs. Three
+// Tier measures what the tiered disk-resident layer buys and costs. Four
 // questions:
 //
 //  1. How does flush latency scale with the frozen delta's size? A flush
@@ -28,6 +28,11 @@ import (
 //     flush-every-K on the same insert stream? The legacy checkpoint
 //     serializes the whole index each time (bytes written grow
 //     quadratically in rounds); flushes write each entry roughly once.
+//  4. What does the tier write in the long run, compaction included? Five
+//     rounds never reach steady state, so the last sweep doubles a base 128
+//     memtables large and reports flush + compaction bytes per payload byte
+//     — the tier's write amplification — with the most runs a read ever had
+//     to consult and what a cold get cost with that ladder in place.
 //
 // Emits BENCH_tier.json (override the path with CHAMELEON_BENCH_JSON; "off"
 // skips the artifact).
@@ -43,6 +48,7 @@ func Tier(cfg Config) []*report.Table {
 		tierFlushLatency(cfg, out),
 		tierColdGet(cfg, out),
 		tierWriteAmp(cfg, out),
+		tierSteadyState(cfg, out),
 	}
 	path := os.Getenv("CHAMELEON_BENCH_JSON")
 	if path == "" {
@@ -80,6 +86,8 @@ type tierMetric struct {
 	WriteAmp float64 `json:"write_amp,omitempty"`
 	// RankErr is the mean learned-model rank error over the cold reads.
 	RankErr float64 `json:"rank_err,omitempty"`
+	// Runs is the most sorted runs (L0 files, deltas, base) published at once.
+	Runs int `json:"runs,omitempty"`
 }
 
 func openTier(opts chameleon.DirOptions) (*chameleon.DurableIndex, string) {
@@ -304,6 +312,103 @@ func tierWriteAmp(cfg Config, out *tierReport) *report.Table {
 		t.AddRow("flush every round", itoa(int(written+compacted)), itoa(int(logical)),
 			fmt.Sprintf("%.1fx", m.WriteAmp))
 	}
+	return t
+}
+
+// tierSteadyState bulk loads a base, then inserts as many uniformly spread
+// fresh keys again, flushing every 1/128 of the base so the default trigger
+// compacts on every fourth flush, and reports where the bytes went. Flush
+// alone is ~1× by construction; the figure that matters is the total.
+func tierSteadyState(cfg Config, out *tierReport) *report.Table {
+	n := min(cfg.N, 131_072)
+	per := max(n/128, 16)
+	t := &report.Table{
+		Title: fmt.Sprintf("Tier — steady-state write amplification, base %d keys doubled in flushes of %d (SyncNone WAL)", n, per),
+		Cols:  []string{"bytes of", "bytes written", "payload bytes", "write amp", "max runs", "cold get p50", "range(100) p50"},
+	}
+	d, dir := openTier(chameleon.DirOptions{
+		// The memtable's own structure search re-runs as it regrows from
+		// empty after every flush; it is not what this sweep measures.
+		Options: chameleon.Options{Seed: cfg.Seed, ReconstructThreshold: -1},
+		Sync:    chameleon.SyncNone,
+	})
+	defer os.RemoveAll(dir) //nolint:errcheck
+	defer d.Close()         //nolint:errcheck
+
+	base := make([]uint64, n)
+	for i := range base {
+		base[i] = uint64(i) * 1024
+	}
+	if err := d.BulkLoad(base, nil); err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewPCG(cfg.Seed, 0x57EAD))
+	seen := make(map[uint64]bool, n)
+	maxRuns := 0
+	for i := 0; i < n; i++ {
+		key := rng.Uint64N(uint64(n)*512)<<1 | 1 // odd: never a base key
+		for seen[key] {
+			key += 2
+		}
+		seen[key] = true
+		if err := d.Insert(key, uint64(i)); err != nil {
+			panic(err)
+		}
+		if i%per == per-1 {
+			if err := d.Flush(); err != nil {
+				panic(err)
+			}
+			maxRuns = max(maxRuns, d.Health().Tier.Runs)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		panic(err)
+	}
+	// With the ladder at its fullest: a point read asks each run's filter and
+	// reads one; a short range has to open every run that overlaps it.
+	probes := min(cfg.Ops, 30_000)
+	p50 := func(probe func(k uint64)) float64 {
+		samples := make([]float64, probes)
+		for i := range samples {
+			k := base[rng.IntN(n)]
+			t0 := time.Now()
+			probe(k)
+			samples[i] = float64(time.Since(t0).Nanoseconds())
+		}
+		mid, _ := pctAndMax(samples)
+		return mid
+	}
+	getP50 := p50(func(k uint64) {
+		if _, ok := d.Lookup(k); !ok {
+			panic("steady-state probe missed a base key")
+		}
+	})
+	rangeP50 := p50(func(k uint64) {
+		got := 0
+		d.Range(k, ^uint64(0), func(_, _ uint64) bool { got++; return got < 100 })
+	})
+
+	h := d.Health().Tier
+	payload := int64(n) * 16
+	amp := func(name string, bytes uint64) tierMetric {
+		return tierMetric{Name: name, Entries: n, Bytes: int64(bytes), WriteAmp: float64(bytes) / float64(payload)}
+	}
+	amps := []tierMetric{
+		amp("steady_flush_write_amp", h.FlushedBytes),
+		amp("steady_compact_write_amp", h.CompactBytes),
+		amp("total_write_amp", h.FlushedBytes+h.CompactBytes),
+	}
+	amps[2].Runs = maxRuns
+	for _, m := range amps {
+		row := []string{m.Name, itoa(int(m.Bytes)), itoa(int(payload)), fmt.Sprintf("%.1fx", m.WriteAmp), "", "", ""}
+		if m.Runs > 0 {
+			row[4], row[5], row[6] = itoa(m.Runs), report.NsF(getP50), report.NsF(rangeP50)
+		}
+		t.AddRow(row...)
+	}
+	out.Metrics = append(append(out.Metrics, amps...),
+		tierMetric{Name: "steady_cold_get", Entries: probes, P50Ns: getP50},
+		tierMetric{Name: "steady_range100", Entries: probes, P50Ns: rangeP50})
 	return t
 }
 

@@ -50,6 +50,8 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte(magic))
 	f.Add([]byte{})
+	// A Count far beyond the file's length: nothing may be sized from it.
+	f.Add(hostileCountSegment(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := openMem(data)

@@ -3,10 +3,12 @@
 // CRC-checked, versioned envelope, each carrying its own tiny learned model
 // — an ε-bounded piecewise-linear approximation of the run's rank function
 // (internal/pla) — so a cold point lookup is one model evaluation plus one
-// bounded pread and binary search, with no bloom filter and no full-run
-// scan. The SOSD line of work shows per-run models this small are accurate
-// enough to replace conventional per-block fence pointers; here the model
-// *is* the fence structure.
+// bounded pread and binary search, with no full-run scan. The SOSD line of
+// work shows per-run models this small are accurate enough to replace
+// conventional per-block fence pointers; here the model *is* the fence
+// structure. A model cannot say "absent" without that read, so each open
+// run also keeps an in-memory membership filter (filter.go) that is asked
+// first.
 //
 // File layout (CHAMSEG1, all little-endian):
 //
@@ -29,11 +31,11 @@
 //
 // Segments are immutable once written: the full-file CRC is verified by one
 // sequential pass at Open (which also retains the header, model, and
-// tombstone bitmap in memory — the keys and values stay on disk and are
-// fetched by pread). Durability ordering is the caller's job: segment files
-// are fsynced and their directory entry sealed with SyncDir *before* the
-// manifest that references them is written, so a manifest never names a
-// file that a crash could lose.
+// tombstone bitmap in memory and builds the membership filter — the keys and
+// values stay on disk and are fetched by pread). Durability ordering is the
+// caller's job: segment files are fsynced and their directory entry sealed
+// with SyncDir *before* the manifest that references them is written, so a
+// manifest never names a file that a crash could lose.
 package segment
 
 import (
@@ -46,7 +48,7 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"chameleon/internal/faultfs"
 	"chameleon/internal/pla"
@@ -56,12 +58,16 @@ const (
 	magic      = "CHAMSEG1"
 	version    = 1
 	headerSize = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 // 64
-	footerSize = 4 + 8                                  // CRC + end magic
-	pieceSize  = 24                                     // firstKey + slope bits + start
+	footerSize = 4 + 8                                 // CRC + end magic
+	pieceSize  = 24                                    // firstKey + slope bits + start
 
 	// DefaultEps is the model error bound used when the caller passes 0: a
 	// cold lookup preads at most 2ε+1 keys (520 bytes) — one page.
 	DefaultEps = 32
+
+	// stackWindow is the key window a probe reads into without allocating:
+	// enough for ε ≤ DefaultEps, larger ε falls back to the heap.
+	stackWindow = (2*DefaultEps + 1) * 8
 
 	// iterChunk is how many entries an iterator fetches per pread.
 	iterChunk = 1024
@@ -137,17 +143,20 @@ func ParseFileName(name string) (uint64, bool) {
 }
 
 // Reader serves point and range reads from one immutable segment file. The
-// header, learned model, and tombstone bitmap live in memory; keys and
-// values are fetched by pread (seek+read under a mutex — the faultfs.File
-// surface has no ReadAt). Safe for concurrent use.
+// header, learned model, tombstone bitmap, and membership filter live in
+// memory; keys and values are fetched by pread. Safe for concurrent use.
 type Reader struct {
-	meta  Meta
-	model []pla.Segment
-	tombs []byte
+	meta   Meta
+	model  []pla.Segment
+	tombs  []byte
+	filter filter
 
-	mu     sync.Mutex
-	f      faultfs.File
-	closed bool
+	f faultfs.File
+	// osf is f when f is a plain *os.File: calling ReadAt on the concrete
+	// type keeps a probe's stack window from escaping to the heap, which an
+	// interface call would force.
+	osf    *os.File
+	closed atomic.Bool
 }
 
 // Open reads path sequentially once — verifying the envelope, the CRC, key
@@ -204,8 +213,8 @@ func OpenBytes(data []byte, want *Meta) (*Reader, error) {
 }
 
 // WriteRaw copies the segment's exact on-disk bytes to w (the snapshot
-// bundle's segment-streaming path). The copy preads in chunks under the
-// reader mutex, so it is safe against concurrent Gets.
+// bundle's segment-streaming path). The copy preads in chunks, so it is safe
+// against concurrent Gets.
 func (r *Reader) WriteRaw(w io.Writer) (int64, error) {
 	var written int64
 	buf := make([]byte, 1<<16)
@@ -228,8 +237,9 @@ func (r *Reader) WriteRaw(w io.Writer) (int64, error) {
 
 // load performs the single verification pass. The file is read start to
 // finish in chunks: the CRC accumulates over everything before the footer,
-// keys are checked strictly ascending as they stream past, and the model
-// and tombstone bitmap are captured for retention.
+// keys are checked strictly ascending (and added to the membership filter)
+// as they stream past, and the model and tombstone bitmap are captured for
+// retention.
 func load(f faultfs.File, path string) (*Reader, error) {
 	corrupt := func(why string) error {
 		return fmt.Errorf("%w: %s: %s", ErrCorrupt, path, why)
@@ -272,10 +282,26 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	tombLen := int((m.Count + 7) / 8)
 	m.Bytes = headerSize + int64(m.Count)*16 + int64(tombLen) + int64(m.ModelPieces)*pieceSize + footerSize
 
+	// The header is not yet trusted (the CRC comes last), and everything
+	// sized from it below — the filter, the bitmap, the model — must not be
+	// allocated until the file has proved it is that long: a Count of 2⁵⁵
+	// in a 100-byte file is a corrupt file, not a 2⁵⁵-key filter.
+	end, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(headerSize, io.SeekStart)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
+	}
+	if end != m.Bytes {
+		return nil, corrupt("file length disagrees with header geometry")
+	}
+
 	crc := crc32.New(castagnoli)
 	crc.Write(hdr[:]) //nolint:errcheck
 
 	// Keys: stream, CRC, verify strictly ascending and within [min, max].
+	flt := newFilter(m.Count)
 	buf := make([]byte, iterChunk*8)
 	var prev uint64
 	first := true
@@ -290,6 +316,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 			return nil, corrupt("short key section")
 		}
 		crc.Write(b) //nolint:errcheck
+		region := flt.region(m.Count - remaining)
 		for i := uint64(0); i < n; i++ {
 			k := binary.LittleEndian.Uint64(b[i*8:])
 			if first {
@@ -301,6 +328,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 				return nil, corrupt("keys not strictly ascending")
 			}
 			prev = k
+			region.add(k)
 		}
 		remaining -= n
 	}
@@ -377,13 +405,10 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if string(foot[4:]) != magic {
 		return nil, corrupt("bad end magic")
 	}
-	// Exactly at EOF: trailing garbage would mean the file is not what the
-	// writer produced.
-	var one [1]byte
-	if _, err := f.Read(one[:]); err != io.EOF {
-		return nil, corrupt("trailing bytes after footer")
-	}
-	return &Reader{meta: m, model: model, tombs: tombs, f: f}, nil
+	// The length check above already pinned the footer to the file's end,
+	// so there are no trailing bytes to look for.
+	osf, _ := f.(*os.File)
+	return &Reader{meta: m, model: model, tombs: tombs, filter: flt, f: f, osf: osf}, nil
 }
 
 func popcount(b byte) int {
@@ -433,18 +458,40 @@ func (r *Reader) predict(key uint64) int {
 	return p
 }
 
-// pread fills b from the file at off (seek+read under the reader mutex).
+// pread fills b from the file at off with one positional read — no shared
+// offset, so concurrent probes of one run do not serialize. A read that
+// loses a race with Close fails with ErrClosed.
 func (r *Reader) pread(b []byte, off int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return ErrClosed
 	}
-	if _, err := r.f.Seek(off, io.SeekStart); err != nil {
-		return err
+	var n int
+	var err error
+	if r.osf != nil {
+		n, err = r.osf.ReadAt(b, off)
+	} else {
+		n, err = r.readAtCopy(b, off)
 	}
-	_, err := io.ReadFull(r.f, b)
+	if n == len(b) {
+		return nil
+	}
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
 	return err
+}
+
+// readAtCopy is pread for the files that are not *os.File (fault-injection
+// wrappers, in-memory bundles): it reads into a buffer of its own because
+// passing b to an interface method would make every caller's b escape.
+func (r *Reader) readAtCopy(b []byte, off int64) (int, error) {
+	tmp := make([]byte, len(b))
+	n, err := r.f.ReadAt(tmp, off)
+	copy(b, tmp[:n])
+	return n, err
 }
 
 func (r *Reader) keyOff(rank uint64) int64 { return headerSize + int64(rank)*8 }
@@ -457,27 +504,49 @@ func (r *Reader) tomb(rank uint64) bool {
 	return r.tombs[rank/8]&(1<<(rank%8)) != 0
 }
 
-// Get resolves key against this run: one model evaluation, one pread of the
-// ≤ 2ε+1 candidate keys, a binary search inside that window, and (on a hit)
-// one pread for the value. dist is |predicted − actual| rank error on hits
-// (the cold-read model-error signal Health aggregates); tomb reports a
-// tombstone hit — the key is authoritatively deleted as of this run.
-func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error) {
+// MayContain reports whether key can be in this run: false is exact (outside
+// [min, max], or rejected by the membership filter), true is right except
+// for the filter's ~1 % false positives. No I/O.
+func (r *Reader) MayContain(key uint64) bool {
+	_, _, _, ok := r.window(key)
+	return ok
+}
+
+// window is the in-memory part of a probe: the predicted rank of key and
+// the rank window [lo, hi] (at most 2ε+1 wide) a read must cover to find it.
+// ok false means key is not in this run and nothing needs reading: it is
+// outside [min, max], or the membership filter has no trace of it at any
+// rank of the window.
+func (r *Reader) window(key uint64) (pred, lo, hi int, ok bool) {
 	m := &r.meta
 	if m.Count == 0 || key < m.MinKey || key > m.MaxKey {
+		return 0, 0, 0, false
+	}
+	pred = r.predict(key)
+	lo = max(pred-m.Eps, 0)
+	hi = min(pred+m.Eps, int(m.Count)-1)
+	return pred, lo, hi, r.filter.has(uint64(lo), uint64(hi), key)
+}
+
+// Get resolves key against this run: the in-memory checks (min/max, model,
+// membership filter), then one pread of the ≤ 2ε+1 candidate keys, a binary
+// search inside that window, and (on a hit) one pread for the value. dist is
+// |predicted − actual| rank error on hits (the cold-read model-error signal
+// Health aggregates); tomb reports a tombstone hit — the key is
+// authoritatively deleted as of this run.
+func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error) {
+	pred, lo, hi, may := r.window(key)
+	if !may {
 		return 0, false, false, 0, nil
 	}
-	pred := r.predict(key)
-	lo := pred - m.Eps
-	if lo < 0 {
-		lo = 0
-	}
-	hi := pred + m.Eps
-	if max := int(m.Count) - 1; hi > max {
-		hi = max
-	}
 	n := hi - lo + 1
-	buf := make([]byte, n*8)
+	var win [stackWindow]byte
+	buf := win[:]
+	if n*8 <= len(win) {
+		buf = buf[:n*8]
+	} else {
+		buf = make([]byte, n*8)
+	}
 	if err := r.pread(buf, r.keyOff(uint64(lo))); err != nil {
 		return 0, false, false, 0, err
 	}
@@ -503,14 +572,11 @@ func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error
 	return binary.LittleEndian.Uint64(vb[:]), false, true, dist, nil
 }
 
-// Close releases the file. In-flight reads finish or fail cleanly.
+// Close releases the file. In-flight reads finish or fail with ErrClosed.
 func (r *Reader) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Swap(true) {
 		return nil
 	}
-	r.closed = true
 	return r.f.Close()
 }
 
@@ -550,7 +616,13 @@ func (r *Reader) startRank(lo uint64) (uint64, error) {
 	if n <= 0 {
 		return uint64(whi), nil
 	}
-	buf := make([]byte, n*8)
+	var win [stackWindow]byte
+	buf := win[:]
+	if n*8 <= len(win) {
+		buf = buf[:n*8]
+	} else {
+		buf = make([]byte, n*8)
+	}
 	if err := r.pread(buf, r.keyOff(uint64(wlo))); err != nil {
 		return 0, err
 	}

@@ -18,17 +18,18 @@ import (
 // in-memory EBH tier (the memtable, backed by the existing WAL/group-commit
 // path) and a background flusher periodically freezes it at a commit-sequence
 // watermark and writes a delta-sized immutable L0 segment
-// (internal/segment). A leveled compactor merges overlapping runs into L1
-// with tombstone elision. The manifest is the commit point for both; the WAL
-// is truncated only past the flushed watermark, so every crash point leaves
-// either the old manifest + a WAL that still covers the delta, or the new
-// manifest with the delta inside segments.
+// (internal/segment). A compactor merges the L0 runs with the older runs that
+// are small enough to be worth rewriting (pickCompaction), dropping the
+// tombstones nothing older needs. The manifest is the commit point for both;
+// the WAL is truncated only past the flushed watermark, so every crash point
+// leaves either the old manifest + a WAL that still covers the delta, or the
+// new manifest with the delta inside segments.
 //
 // Read path (newest wins): memtable → dead-set (tombstones awaiting flush) →
 // frozen run (flush in progress) → segments newest-to-oldest, pruned by
-// min/max and resolved by each run's learned model. Cold lookups are
-// lock-free and use a version counter (tierVer) to detect racing
-// memtable↔dead transitions: a key being re-inserted over a flushed
+// min/max and each run's membership filter, resolved by its learned model.
+// Cold lookups are lock-free and use a version counter (tierVer) to detect
+// racing memtable↔dead transitions: a key being re-inserted over a flushed
 // tombstone momentarily exists in neither the memtable nor the dead set, and
 // without the version check a reader could fall through to a segment and
 // resurrect the previous incarnation's value.
@@ -280,9 +281,9 @@ func (t *tier) lookupCold(key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// segGet probes the published segments newest-to-oldest with min/max
-// pruning. ok means some segment is authoritative for key (value or
-// tombstone).
+// segGet probes the published segments newest-to-oldest; a run whose
+// min/max or membership filter rules key out costs no I/O. ok means some
+// segment is authoritative for key (value or tombstone).
 func (t *tier) segGet(key uint64) (val uint64, tomb, ok bool, err error) {
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
@@ -656,11 +657,10 @@ func (t *tier) flushLocked() error {
 	t.gcLocked()
 
 	// Keep L0 bounded: compact synchronously once the pile is deep enough,
-	// the classic LSM write-stall tradeoff.
+	// the classic LSM write-stall tradeoff. A failure is counted
+	// (CompactErrs) and retried by the next flush; the flush itself stands.
 	if t.l0Count() >= t.compactL0 {
-		if err := t.compactLocked(); err != nil {
-			t.compactErrs.Add(1)
-		}
+		t.compactLocked(false) //nolint:errcheck
 	}
 	return nil
 }
@@ -686,81 +686,132 @@ func (t *tier) gcLocked() {
 // ---------------------------------------------------------------------------
 // Compaction
 
-// Compact merges every L0 segment, plus each L1 segment overlapping their
-// key range, into fresh L1 runs with tombstone elision, committing via a new
-// manifest generation. Including every overlapping older run is what makes
-// dropping tombstones safe: no shadowed version of an elided key can survive
-// below the output. Returns ErrNotTiered on a legacy directory; a no-op when
-// there is nothing at L0.
+// compactRatio is R in the size-ratio rule below: an older run joins a merge
+// only while it is at most R times the bytes already taken. Chosen by
+// measurement from {2, 4, 8} (DESIGN.md §15: bytes rewritten against how
+// many runs, holding how much unmerged data, sit above the base); not a
+// DirOptions field because no two callers want different values.
+const compactRatio = 4
+
+// sortedRun is one sorted run of the published set: a single L0 flush
+// output, or the level-1 files one compaction wrote (they share its Seq and
+// hold disjoint keys).
+type sortedRun struct {
+	files []*segment.Reader
+	bytes int64
+	l0    bool
+}
+
+// groupRuns splits a newest-first reader list into its runs, newest first.
+func groupRuns(readers []*segment.Reader) []sortedRun {
+	var runs []sortedRun
+	for _, r := range readers {
+		m := r.Meta()
+		if n := len(runs); n == 0 || m.Level == 0 || runs[n-1].l0 || runs[n-1].files[0].Meta().Seq != m.Seq {
+			runs = append(runs, sortedRun{l0: m.Level == 0})
+		}
+		run := &runs[len(runs)-1]
+		run.files = append(run.files, r)
+		run.bytes += m.Bytes
+	}
+	return runs
+}
+
+// pickCompaction applies the one input-selection rule to a newest-first
+// reader list. Every L0 run is taken; then the older runs are walked newest
+// first and the next one is taken only while its bytes ≤ compactRatio × the
+// bytes taken so far, stopping at the first that does not fit (full lifts
+// the bound: everything is taken). So a small delta is never the reason a
+// large run is rewritten, and the taken runs are always the newest ones —
+// which is what lets the output carry the newest input's Seq without
+// reordering anything against the runs left out.
+//
+// Within the taken runs a file stays where it is (in rest) when no file of
+// another taken run overlaps its key range and it carries no tombstone:
+// merging it would copy it verbatim. inputs come back newest first.
+func pickCompaction(readers []*segment.Reader, full bool) (inputs, rest []*segment.Reader) {
+	runs := groupRuns(readers)
+	taken, bytes := 0, int64(0)
+	for ; taken < len(runs); taken++ {
+		r := runs[taken]
+		if !r.l0 && !full && r.bytes > compactRatio*bytes {
+			break
+		}
+		bytes += r.bytes
+	}
+	overlapped := func(ri int, m segment.Meta) bool {
+		for oi, o := range runs[:taken] {
+			if oi == ri {
+				continue
+			}
+			for _, f := range o.files {
+				if om := f.Meta(); om.Count > 0 && om.MaxKey >= m.MinKey && om.MinKey <= m.MaxKey {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for ri, r := range runs[:taken] {
+		for _, f := range r.files {
+			if m := f.Meta(); r.l0 || m.Live < m.Count || overlapped(ri, m) {
+				inputs = append(inputs, f)
+			} else {
+				rest = append(rest, f)
+			}
+		}
+	}
+	for _, r := range runs[taken:] {
+		rest = append(rest, r.files...)
+	}
+	return inputs, rest
+}
+
+// Compact is the operator's full merge: every run — L0, delta and base — is
+// merged into one level-1 run and every tombstone dropped, committing via a
+// new manifest generation. (The compaction a flush triggers is the same
+// function with the size-ratio bound on; see pickCompaction.) Returns
+// ErrNotTiered on a legacy directory; a no-op when the tier is already one
+// tombstone-free run.
 func (d *DurableIndex) Compact() error {
 	if d.tier == nil {
 		return ErrNotTiered
 	}
 	d.tier.tmu.Lock()
 	defer d.tier.tmu.Unlock()
-	return d.tier.compactLocked()
+	return d.tier.compactLocked(true)
 }
 
-// compactLocked runs one compaction. Callers hold t.tmu.
-func (t *tier) compactLocked() error {
-	d := t.d
-	old := t.segs.Load()
-	var inputs, untouched []*segment.Reader
-	var lo, hi uint64
-	for _, r := range old.readers {
-		m := r.Meta()
-		if m.Level == 0 {
-			if len(inputs) == 0 || m.MinKey < lo {
-				lo = m.MinKey
-			}
-			if len(inputs) == 0 || m.MaxKey > hi {
-				hi = m.MaxKey
-			}
-			inputs = append(inputs, r)
+// compactLocked runs one compaction: pickCompaction chooses the inputs, a
+// k-way newest-wins merge streams them into level-1 files of at most
+// compactRunMax entries carrying the newest input's Seq, and one manifest
+// commit swaps inputs for outputs.
+//
+// A tombstone is dropped iff no run left out of the merge MayContain its
+// key. Every left-out run is older than every input (or shares no key range
+// with any), so a tombstone exists only to shadow versions in them; the
+// filter has no false negatives, so a dropped tombstone shadowed nothing,
+// and a false positive merely keeps one a merge longer. Callers hold t.tmu.
+func (t *tier) compactLocked(full bool) (err error) {
+	defer func() {
+		if err != nil {
+			t.compactErrs.Add(1)
 		}
-	}
+	}()
+	d := t.d
+	inputs, rest := pickCompaction(t.segs.Load().readers, full)
 	if len(inputs) == 0 {
 		return nil
 	}
-	for _, r := range old.readers {
-		m := r.Meta()
-		if m.Level == 0 {
-			continue
-		}
-		if m.Count > 0 && m.MaxKey >= lo && m.MinKey <= hi {
-			inputs = append(inputs, r)
-		} else {
-			untouched = append(untouched, r)
-		}
-	}
-	sortNewestFirst(inputs)
 	start := time.Now()
 
 	iters := make([]segment.Iterator, len(inputs))
-	outSeq := uint64(0)
 	total := uint64(0)
 	for i, r := range inputs {
 		iters[i] = r.Iter(0, ^uint64(0))
-		if m := r.Meta(); m.Seq > outSeq {
-			outSeq = m.Seq
-		}
 		total += r.Meta().Count
 	}
-	ks := make([]uint64, 0, total)
-	vs := make([]uint64, 0, total)
-	m := segment.NewMerge(iters...)
-	for m.Next() {
-		e := m.Entry()
-		if e.Tomb {
-			continue // elision: every older version of e.Key is an input
-		}
-		ks = append(ks, e.Key)
-		vs = append(vs, e.Val)
-	}
-	if err := m.Err(); err != nil {
-		return err
-	}
-
+	outSeq := inputs[0].Meta().Seq
 	id := t.nextID.Load()
 	var outs []segment.Meta
 	cleanup := func() {
@@ -768,20 +819,52 @@ func (t *tier) compactLocked() error {
 			d.fs.Remove(filepath.Join(d.dir, segment.FileName(o.ID))) //nolint:errcheck
 		}
 	}
-	for off := 0; off < len(ks); off += compactRunMax {
-		end := off + compactRunMax
-		if end > len(ks) {
-			end = len(ks)
-		}
-		meta, err := segment.Create(d.fs, d.dir, ks[off:end], vs[off:end], nil, id, 1, outSeq, t.eps)
+	// One output file's worth of entries is all the merge ever holds.
+	bufCap := min(total, compactRunMax)
+	ks := make([]uint64, 0, bufCap)
+	vs := make([]uint64, 0, bufCap)
+	ts := make([]bool, 0, bufCap)
+	cut := func() error {
+		meta, err := segment.Create(d.fs, d.dir, ks, vs, ts, id, 1, outSeq, t.eps)
 		if err != nil {
-			cleanup()
 			return err
 		}
 		outs = append(outs, meta)
 		id++
+		ks, vs, ts = ks[:0], vs[:0], ts[:0]
+		return nil
 	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
+	shadows := func(key uint64) bool {
+		for _, r := range rest {
+			if r.MayContain(key) {
+				return true
+			}
+		}
+		return false
+	}
+	m := segment.NewMerge(iters...)
+	for err == nil && m.Next() {
+		e := m.Entry()
+		if e.Tomb && !shadows(e.Key) {
+			continue
+		}
+		ks = append(ks, e.Key)
+		vs = append(vs, e.Val)
+		ts = append(ts, e.Tomb)
+		if len(ks) == compactRunMax {
+			err = cut()
+		}
+	}
+	if err == nil {
+		err = m.Err()
+	}
+	if err == nil && len(ks) > 0 {
+		err = cut()
+	}
+	if err == nil {
+		err = d.fs.SyncDir(d.dir)
+	}
+	if err != nil {
 		cleanup()
 		return err
 	}
@@ -791,7 +874,7 @@ func (t *tier) compactLocked() error {
 		LiveCount:  t.flushedLive.Load(),
 		NextID:     id,
 	}
-	for _, r := range untouched {
+	for _, r := range rest {
 		man.Segments = append(man.Segments, r.Meta())
 	}
 	man.Segments = append(man.Segments, outs...)
@@ -800,10 +883,13 @@ func (t *tier) compactLocked() error {
 		return err
 	}
 	// Committed. Open the outputs for serving; failure here poisons.
-	newReaders := append([]*segment.Reader(nil), untouched...)
+	newReaders := append([]*segment.Reader(nil), rest...)
 	for i := range outs {
 		r, err := segment.Open(d.fs, filepath.Join(d.dir, segment.FileName(outs[i].ID)), &outs[i])
 		if err != nil {
+			for _, o := range newReaders[len(rest):] {
+				o.Close() //nolint:errcheck // never published
+			}
 			d.mu.Lock()
 			d.poisonLocked(fmt.Errorf("compaction: reopen committed segment: %w", err))
 			d.mu.Unlock()
@@ -818,7 +904,7 @@ func (t *tier) compactLocked() error {
 	t.segMu.Lock()
 	t.segMu.Unlock() //nolint:staticcheck // empty critical section is the point
 	for _, r := range inputs {
-		r.Close()                                                   //nolint:errcheck
+		r.Close()                                                        //nolint:errcheck
 		d.fs.Remove(filepath.Join(d.dir, segment.FileName(r.Meta().ID))) //nolint:errcheck
 	}
 	t.gen.Store(man.Gen)

@@ -128,11 +128,12 @@ func TestTieredWriteToRefused(t *testing.T) {
 }
 
 // TestTieredCrashMatrix is the tiered twin of TestDurableCrashMatrix: the
-// workload exercises flush, the dead-set delete path, compaction, and
-// post-compaction writes, crashing at every filesystem step with all three
-// tear modes, then recovering through the manifest + WAL-delta path and
-// checking the same oracle (acked writes survive, acked deletes stay
-// deleted, no phantoms). Because flushes rotate the WAL and garbage-collect
+// workload exercises flush, the dead-set delete path, a flush-triggered
+// merge that stops above the base (carrying a tombstone the base still
+// needs), a full merge that reaches it, and post-compaction writes, crashing
+// at every filesystem step with all three tear modes, then recovering
+// through the manifest + WAL-delta path and checking the same oracle (acked
+// writes survive, acked deletes stay deleted, no phantoms). Because flushes rotate the WAL and garbage-collect
 // old logs keyed off the flushed watermark, the sweep covers every crash
 // point between a manifest commit and its WAL truncation — the coupling the
 // legacy checkpoint path got wrong.
@@ -153,11 +154,24 @@ func TestTieredCrashMatrix(t *testing.T) {
 	}
 }
 
+// crashBase is the crash workload's bulk load: eight keys the workload
+// deletes from, plus enough bulk that the base outweighs compactRatio × two
+// flushes, so the second flush's merge stops above it.
+func crashBase() []uint64 {
+	base := []uint64{100, 200, 300, 400, 500, 600, 700, 800}
+	for i := uint64(0); i < 256; i++ {
+		base = append(base, 10_000+10*i)
+	}
+	return base
+}
+
 func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState) int64 {
 	t.Helper()
 	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
 	cfs.Tear = tear
-	d, err := openDirFS(dir, tieredOpts(), cfs)
+	opts := tieredOpts()
+	opts.CompactL0 = 2 // the second flush merges L0 into a delta
+	d, err := openDirFS(dir, opts, cfs)
 	if err != nil {
 		return cfs.Steps()
 	}
@@ -174,7 +188,7 @@ func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, ac
 		}
 		acked[key] = ackState{val: val, present: present}
 	}
-	base := []uint64{100, 200, 300, 400, 500, 600, 700, 800}
+	base := crashBase()
 	if err := d.BulkLoad(base, nil); err == nil && acked != nil {
 		for _, k := range base {
 			acked[k] = ackState{val: k, present: true}
@@ -185,20 +199,33 @@ func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, ac
 		ack(k, i, true, d.Insert(k, i))
 	}
 	ack(200, 0, false, d.Delete(200)) // bulk-loaded key: segment-resident, dead-set path
-	d.Flush() //nolint:errcheck // a failed flush must not lose anything either
+	d.Flush()                         //nolint:errcheck // a failed flush must not lose anything either
 	for i := uint64(0); i < 6; i++ {
 		k := 2000 + i
 		ack(k, i+50, true, d.Insert(k, i+50))
 	}
 	ack(1002, 0, false, d.Delete(1002)) // flushed in the L0 segment above
 	ack(300, 0, false, d.Delete(300))
+	// Second L0 run: this flush also merges both into a delta run, leaving
+	// the base alone — the tombstones of 200 and 300 must ride along.
 	d.Flush() //nolint:errcheck
+	if acked == nil {
+		if th := d.Health().Tier; th.Compactions != 1 || th.Runs != 2 || th.L0Segments != 0 {
+			t.Fatalf("second flush: %d compactions, %d runs, %d L0 — want a delta above an untouched base",
+				th.Compactions, th.Runs, th.L0Segments)
+		}
+	}
 	for i := uint64(0); i < 3; i++ {
 		k := 3000 + i
 		ack(k, i+90, true, d.Insert(k, i+90))
 	}
 	d.Flush()   //nolint:errcheck
-	d.Compact() //nolint:errcheck
+	d.Compact() //nolint:errcheck // full merge: L0 + delta + base
+	if acked == nil {
+		if th := d.Health().Tier; th.Compactions != 2 || th.Runs != 1 {
+			t.Fatalf("full merge: %d compactions, %d runs — want one run", th.Compactions, th.Runs)
+		}
+	}
 	for i := uint64(0); i < 3; i++ {
 		k := 4000 + i
 		ack(k, i+70, true, d.Insert(k, i+70))
@@ -229,8 +256,9 @@ func verifyTieredRecovered(t *testing.T, dir string, k int64, acked map[uint64]a
 			t.Fatalf("crash@%d: acked delete of %d undone", k, key)
 		}
 	}
+	base := crashBase()
 	attempted := func(key uint64) bool {
-		for _, b := range []uint64{100, 200, 300, 400, 500, 600, 700, 800} {
+		for _, b := range base {
 			if key == b {
 				return true
 			}
@@ -582,8 +610,8 @@ func TestTieredReplicateBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d.ReplicateBatch(3, []wal.Record{
-		{Op: wal.OpDelete, Key: 1},           // segment-resident: dead-set path
-		{Op: wal.OpInsert, Key: 1, Val: 11},  // re-insert over the tombstone
+		{Op: wal.OpDelete, Key: 1},          // segment-resident: dead-set path
+		{Op: wal.OpInsert, Key: 1, Val: 11}, // re-insert over the tombstone
 		{Op: wal.OpDelete, Key: 2},
 	}); err != nil {
 		t.Fatal(err)
