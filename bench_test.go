@@ -17,6 +17,7 @@ import (
 	"chameleon"
 	"chameleon/internal/dataset"
 	"chameleon/internal/harness"
+	"chameleon/internal/report"
 	"chameleon/internal/workload"
 )
 
@@ -29,19 +30,18 @@ func benchCfg() harness.Config {
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	cfg := benchCfg()
-	var runner func(harness.Config) int
+	var run func(harness.Config) ([]*report.Table, any)
 	for _, e := range harness.Experiments {
 		if e.ID == id {
-			run := e.Run
-			runner = func(c harness.Config) int { return len(run(c)) }
+			run = e.Run
 		}
 	}
-	if runner == nil {
+	if run == nil {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if runner(cfg) == 0 {
+		if tables, _ := run(cfg); len(tables) == 0 {
 			b.Fatal("experiment produced no tables")
 		}
 	}
@@ -61,14 +61,14 @@ func BenchmarkFig15RetrainThread(b *testing.B) {
 }
 func BenchmarkConcThroughput(b *testing.B) { runExperiment(b, "conc") }
 
-// BenchmarkScaling runs the group-commit / parallel-build / parallel-recovery
-// experiment once per iteration; the run emits BENCH_scaling.json (CI's bench
-// smoke job uploads it as an artifact).
+// BenchmarkScaling runs the group-commit / parallel-build / recovery
+// experiment once per iteration. It writes no file: BENCH_scaling.json
+// comes from `chameleon-bench -exp scaling`.
 func BenchmarkScaling(b *testing.B) { runExperiment(b, "scaling") }
 
 // BenchmarkShard runs the shard-count sweep (insert and mixed throughput at
-// 1/2/4/8 range partitions); the run emits BENCH_shard.json, which CI's
-// bench smoke job uploads alongside the scaling artifact.
+// 1/2/4/8 range partitions) once per iteration. It writes no file:
+// BENCH_shard.json comes from `chameleon-bench -exp shard`.
 func BenchmarkShard(b *testing.B) { runExperiment(b, "shard") }
 
 // ---- per-operation micro-benchmarks ----

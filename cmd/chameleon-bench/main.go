@@ -11,6 +11,11 @@
 // The paper evaluates 50–200M keys on a 128 GB machine; defaults here are
 // laptop scale. Latency ratios between the indexes — not absolute numbers —
 // are the reproduced quantity (see EXPERIMENTS.md).
+//
+// An experiment that records results (scaling, overload, shard, repl,
+// failover, read, tier) also writes them to BENCH_<id>.json in the current
+// directory, under an environment block naming the run's size, machine, Go
+// version and commit.
 package main
 
 import (
@@ -22,11 +27,12 @@ import (
 	"time"
 
 	"chameleon/internal/harness"
+	"chameleon/internal/report"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment ID (fig1, fig8..fig15, table5, conc, durability, scaling, overload, serve, shard, repl, failover, read, tier) or 'all'")
+		exp     = flag.String("exp", "", "experiment ID (fig1, fig8..fig15, table5, conc, durability, scaling, overload, shard, repl, failover, read, tier) or 'all'")
 		n       = flag.Int("n", 400_000, "dataset cardinality")
 		ops     = flag.Int("ops", 200_000, "mixed-workload operation count")
 		seed    = flag.Uint64("seed", 42, "generator seed")
@@ -66,7 +72,8 @@ func main() {
 		}
 		fmt.Printf("\n### %s — %s (n=%d, ops=%d, seed=%d)\n", e.ID, e.Descr, *n, *ops, *seed)
 		start := time.Now()
-		for _, tb := range e.Run(cfg) {
+		tables, results := e.Run(cfg)
+		for _, tb := range tables {
 			if *csv {
 				tb.FprintCSV(os.Stdout)
 			} else {
@@ -74,6 +81,15 @@ func main() {
 			}
 		}
 		fmt.Printf("\n[%s completed in %.1fs]\n", e.ID, time.Since(start).Seconds())
+		if results != nil {
+			env := report.Env{Experiment: e.ID, N: *n, Ops: *ops, Seed: *seed, DurationS: dur.Seconds()}
+			path, err := report.WriteBench(".", env, results)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: writing results: %v\n", e.ID, err)
+				os.Exit(1)
+			}
+			fmt.Printf("[wrote %s]\n", path)
+		}
 		ran++
 	}
 	if ran == 0 {

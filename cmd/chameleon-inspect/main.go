@@ -101,13 +101,6 @@ func main() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "chameleon-inspect:", err)
 	os.Exit(1)

@@ -246,10 +246,10 @@ func main() {
 }
 
 // printStats dials addr and dumps the server's STATS JSON as one line — the
-// operator's health probe, sharing its schema with BENCH_serve.json. The
-// exit code is the probe's contract: 0 means reachable and serving; an
-// unreachable or draining server gets exactly one line on stderr and a
-// non-zero exit, so callers alarm on the code without parsing anything.
+// operator's health probe, and the counters the repo benchmark (bench/)
+// reads. The exit code is the probe's contract: 0 means reachable and
+// serving; an unreachable or draining server gets exactly one line on stderr
+// and a non-zero exit, so callers alarm on the code without parsing anything.
 func printStats(addr string) int {
 	c, err := client.Dial(addr, client.Options{DialTimeout: 3 * time.Second})
 	if err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"chameleon/internal/core"
@@ -10,14 +11,6 @@ import (
 	"chameleon/internal/report"
 	"chameleon/internal/rl"
 )
-
-func init() {
-	Experiments = append(Experiments, struct {
-		ID    string
-		Descr string
-		Run   func(Config) []*report.Table
-	}{"ablation", "design-choice ablations: τ sweep, α sweep, interval-lock overhead", Ablations})
-}
 
 // Ablations quantifies the design choices DESIGN.md calls out:
 //
@@ -48,7 +41,7 @@ func Ablations(cfg Config) []*report.Table {
 		ns, _ := MeasureLookupNs(ix, probes)
 		s := ix.Stats()
 		tau.AddRow(report.F2(t), report.NsF(ns),
-			report.F2(float64(ix.Bytes())/float64(len(keys))), itoa(s.MaxError))
+			report.F2(float64(ix.Bytes())/float64(len(keys))), strconv.Itoa(s.MaxError))
 	}
 
 	alpha := &report.Table{
@@ -66,7 +59,7 @@ func Ablations(cfg Config) []*report.Table {
 		}
 		ns, _ := MeasureLookupNs(ix, probes)
 		s := ix.Stats()
-		alpha.AddRow(report.F2(a), report.NsF(ns), itoa(s.MaxError), report.F2(s.AvgError))
+		alpha.AddRow(report.F2(a), report.NsF(ns), strconv.Itoa(s.MaxError), report.F2(s.AvgError))
 	}
 
 	lock := &report.Table{

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +71,7 @@ func ConcThroughput(cfg Config) []*report.Table {
 		if base == 0 {
 			base = res.lookups
 		}
-		t.AddRow(itoa(r), report.Mops(res.lookups), report.Mops(res.lookups/float64(max(1, r))),
+		t.AddRow(strconv.Itoa(r), report.Mops(res.lookups), report.Mops(res.lookups/float64(max(1, r))),
 			report.Mops(res.writes), report.F2(res.lookups/base))
 	}
 	return []*report.Table{t}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"chameleon"
@@ -131,9 +132,9 @@ func durabilityRecovery(cfg Config, base, rest []uint64) *report.Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(label, itoa(int(walBytes)),
+		t.AddRow(label, strconv.Itoa(int(walBytes)),
 			fmt.Sprintf("%.1fms", float64(time.Since(start).Microseconds())/1000),
-			itoa(d.Len()))
+			strconv.Itoa(d.Len()))
 	}
 	measure("0 (post-checkpoint)")
 	for round := 1; round <= 3; round++ {
@@ -141,7 +142,7 @@ func durabilityRecovery(cfg Config, base, rest []uint64) *report.Table {
 			d.Insert(k, k) //nolint:errcheck
 		}
 		written += batch
-		measure(itoa(written))
+		measure(strconv.Itoa(written))
 	}
 	if err := d.Checkpoint(); err != nil {
 		panic(err)

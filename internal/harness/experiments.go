@@ -3,7 +3,8 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"chameleon/internal/core"
@@ -14,32 +15,44 @@ import (
 	"chameleon/internal/workload"
 )
 
-// Experiments maps experiment IDs to their runners, in the paper's order.
-var Experiments = []struct {
+// Experiment is one reproduction: a paper figure or table, or one of the
+// repo's own sweeps beyond the paper.
+type Experiment struct {
 	ID    string
 	Descr string
-	Run   func(Config) []*report.Table
-}{
-	{"fig1", "motivation: insertion-latency oscillation (ALEX vs Chameleon)", Fig1Motivation},
-	{"fig8", "read-only query latency and index size vs cardinality", Fig8ReadOnly},
-	{"fig9", "latency ratio vs B+Tree as local skewness grows", Fig9Skewness},
-	{"fig10", "index construction time", Fig10Construction},
-	{"table5", "structure analysis of the ablations", Table5Structure},
-	{"fig11", "throughput vs read-write ratio", Fig11ReadWrite},
-	{"fig12", "throughput vs insert-delete ratio", Fig12UpdateRatio},
-	{"fig13", "read/write latency on batched workloads", Fig13Batched},
-	{"fig14", "insertion time and retraining share", Fig14Retraining},
-	{"fig15", "query latency with vs without the retraining thread", Fig15RetrainThread},
-	{"conc", "aggregate throughput vs concurrent reader count", ConcThroughput},
-	{"durability", "insert throughput vs WAL sync policy; recovery time vs WAL length", Durability},
+	// Run returns the report tables and, for the sweeps whose numbers are
+	// tracked from run to run, a JSON-encodable results value that
+	// cmd/chameleon-bench writes to BENCH_<ID>.json (nil for the rest).
+	Run func(Config) ([]*report.Table, any)
+}
+
+// Experiments lists every experiment, the paper's in its order first.
+var Experiments = []Experiment{
+	{"fig1", "motivation: insertion-latency oscillation (ALEX vs Chameleon)", tablesOnly(Fig1Motivation)},
+	{"fig8", "read-only query latency and index size vs cardinality", tablesOnly(Fig8ReadOnly)},
+	{"fig9", "latency ratio vs B+Tree as local skewness grows", tablesOnly(Fig9Skewness)},
+	{"fig10", "index construction time", tablesOnly(Fig10Construction)},
+	{"table5", "structure analysis of the ablations", tablesOnly(Table5Structure)},
+	{"fig11", "throughput vs read-write ratio", tablesOnly(Fig11ReadWrite)},
+	{"fig12", "throughput vs insert-delete ratio", tablesOnly(Fig12UpdateRatio)},
+	{"fig13", "read/write latency on batched workloads", tablesOnly(Fig13Batched)},
+	{"fig14", "insertion time and retraining share", tablesOnly(Fig14Retraining)},
+	{"fig15", "query latency with vs without the retraining thread", tablesOnly(Fig15RetrainThread)},
+	{"conc", "aggregate throughput vs concurrent reader count", tablesOnly(ConcThroughput)},
+	{"durability", "insert throughput vs WAL sync policy; recovery time vs WAL length", tablesOnly(Durability)},
 	{"scaling", "group-commit writers, parallel bulk load, snapshot load and WAL replay (emits BENCH_scaling.json)", Scaling},
 	{"overload", "bounded admission: shed/block/deadline behavior past disk saturation (emits BENCH_overload.json)", Overload},
-	{"serve", "remote serving over TCP: conns × pipeline-depth closed-loop sweep (emits BENCH_serve.json)", Serve},
 	{"shard", "range-partitioned shards: insert and mixed throughput vs shard count (emits BENCH_shard.json)", Shard},
 	{"repl", "primary/follower replication: ack latency, lag, read-your-writes, failover time (emits BENCH_repl.json)", Repl},
 	{"failover", "automatic failover: crash the primary, detector promotes, pool client follows (emits BENCH_failover.json)", Failover},
-	{"read", "optimistic vs locked vs raw-map lookup percentiles, plus depth-16 pipelined remote GETs (emits BENCH_read.json)", Read},
+	{"read", "optimistic vs locked vs raw-map lookup percentiles (emits BENCH_read.json)", Read},
 	{"tier", "tiered storage: flush latency vs delta size, cold-get percentiles, checkpoint-vs-flush bytes, steady-state total write amplification (emits BENCH_tier.json)", Tier},
+	{"ablation", "design-choice ablations: τ sweep, α sweep, interval-lock overhead", tablesOnly(Ablations)},
+}
+
+// tablesOnly adapts an experiment that records no results.
+func tablesOnly(run func(Config) []*report.Table) func(Config) ([]*report.Table, any) {
+	return func(cfg Config) ([]*report.Table, any) { return run(cfg), nil }
 }
 
 // Fig1Motivation reproduces Fig. 1(b): per-window insertion latency while
@@ -106,8 +119,8 @@ func Fig8ReadOnly(cfg Config) []*report.Table {
 			n := cfg.N * frac / 100
 			keys := full[:n]
 			probes := Probes(keys, min(cfg.Ops, 100_000), cfg.Seed^uint64(frac))
-			latRow := []string{ds, itoa(n)}
-			sizeRow := []string{ds, itoa(n)}
+			latRow := []string{ds, strconv.Itoa(n)}
+			sizeRow := []string{ds, strconv.Itoa(n)}
 			for _, name := range AllIndexes {
 				ix, _ := Build(name, keys, cfg.Seed)
 				ns, _ := MeasureLookupNs(ix, probes)
@@ -198,8 +211,8 @@ func Table5Structure(cfg Config) []*report.Table {
 				continue
 			}
 			s := sp.Stats()
-			t.AddRow(ds, name, itoa(s.MaxHeight), itoa(s.MaxError),
-				report.F2(s.AvgHeight), report.F2(s.AvgError), itoa(s.Nodes))
+			t.AddRow(ds, name, strconv.Itoa(s.MaxHeight), strconv.Itoa(s.MaxError),
+				report.F2(s.AvgHeight), report.F2(s.AvgError), strconv.Itoa(s.Nodes))
 			stopRetraining(ix)
 		}
 	}
@@ -355,12 +368,9 @@ func Fig14Retraining(cfg Config) []*report.Table {
 // spikeTime sums the insertion time spent in operations over 10× the
 // median — the inlined-retraining proxy for baselines.
 func spikeTime(samples []time.Duration) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	threshold := 10 * sorted[len(sorted)/2]
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	threshold := 10 * report.Percentile(sorted, 0.5)
 	var total time.Duration
 	for _, s := range samples {
 		if s > threshold {
@@ -432,7 +442,7 @@ func Fig15RetrainThread(cfg Config) []*report.Table {
 		for p := 0; p < phases; p++ {
 			t.AddRow(ds, fmt.Sprintf("insert wave %d/%d", p+1, phases),
 				report.NsF(qOff[p]), report.NsF(qOn[p]),
-				report.NsF(iOff[p]), report.NsF(iOn[p]), itoa(int(retrains)))
+				report.NsF(iOff[p]), report.NsF(iOn[p]), strconv.Itoa(int(retrains)))
 		}
 	}
 	return []*report.Table{t}
@@ -453,20 +463,6 @@ func splitShuffled(keys []uint64, baseN int, seed uint64) (base, rest []uint64) 
 			rest = append(rest, keys[p])
 		}
 	}
-	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
+	slices.Sort(base)
 	return base, rest
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"io"
+	"strconv"
 	"time"
 
 	"chameleon/internal/baselines/alex"
@@ -194,25 +195,11 @@ func startRetraining(ix index.Index, period time.Duration) {
 type datasetCache map[string][]uint64
 
 func (dc datasetCache) get(name string, n int, seed uint64) []uint64 {
-	k := name + ":" + itoa(n)
+	k := name + ":" + strconv.Itoa(n)
 	if keys, ok := dc[k]; ok {
 		return keys
 	}
 	keys := dataset.Generate(name, n, seed)
 	dc[k] = keys
 	return keys
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

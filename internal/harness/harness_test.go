@@ -2,19 +2,23 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"chameleon/internal/dataset"
+	"chameleon/internal/report"
 	"chameleon/internal/workload"
 )
 
-func smallCfg() Config {
+// toyCfg is the smoke-test size: large enough that every experiment runs
+// each of its phases, small enough that none measures anything.
+func toyCfg() Config {
 	return Config{
-		N: 20_000, Ops: 10_000, Seed: 7,
-		// Keep the conc scaling curve quick inside the experiment sweep.
-		Conc: ConcurrencyConfig{Readers: []int{1, 2}, Duration: 50 * time.Millisecond},
+		N: 2_000, Ops: 100, Seed: 7,
+		Conc: ConcurrencyConfig{Readers: []int{1, 2}, Duration: 10 * time.Millisecond},
 	}
 }
 
@@ -58,18 +62,21 @@ func TestThroughputPositive(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns smoke-tests each experiment at tiny scale and
-// checks the emitted tables are well formed.
+// TestEveryExperimentRuns smoke-tests each experiment at toy size: the
+// emitted tables are well formed, and results, where an experiment records
+// them, go through the BENCH file writer and parse back under the
+// environment block. At toy size nothing is measured, so the experiments
+// share the CPUs.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	t.Setenv("CHAMELEON_BENCH_JSON", "off") // don't drop BENCH_*.json in the package dir
-	cfg := smallCfg()
+	cfg := toyCfg()
 	for _, exp := range Experiments {
-		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
-			tables := exp.Run(cfg)
+			t.Parallel()
+			tables, results := exp.Run(cfg)
+			checkBenchFile(t, exp.ID, cfg, results)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -89,6 +96,32 @@ func TestEveryExperimentRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func checkBenchFile(t *testing.T, id string, cfg Config, results any) {
+	t.Helper()
+	if results == nil {
+		return
+	}
+	env := report.Env{Experiment: id, N: cfg.N, Ops: cfg.Ops, Seed: cfg.Seed, DurationS: cfg.Conc.Duration.Seconds()}
+	path, err := report.WriteBench(t.TempDir(), env, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f report.BenchFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("%s does not parse: %v", path, err)
+	}
+	if f.Env.Experiment != id || f.Env.N != cfg.N || f.Env.NumCPU == 0 || f.Env.Go == "" || f.Env.Commit == "" {
+		t.Fatalf("%s: environment block %+v", path, f.Env)
+	}
+	if f.Results == nil {
+		t.Fatalf("%s: no results", path)
 	}
 }
 

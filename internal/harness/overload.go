@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,41 +18,20 @@ import (
 // insert throughput, shed rate, and batch amortization as offered load
 // exceeds what the disk can absorb, across queue bounds and both full-queue
 // policies (fast-fail shedding vs blocking backpressure), plus the
-// deadline-write path (InsertCtx). Emits BENCH_overload.json alongside the
-// human tables; CHAMELEON_BENCH_JSON overrides the path ("off" skips it).
-func Overload(cfg Config) []*report.Table {
+// deadline-write path (InsertCtx). Its results are BENCH_overload.json's.
+func Overload(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	out := &overloadReport{
-		Experiment: "overload",
-		Ops:        min(cfg.Ops, 16_000), // fsync-bound: keep every row finite
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	tables := []*report.Table{
-		overloadAdmission(out),
-		overloadDeadlines(out),
-	}
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_overload.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "overload: saving %s: %v\n", path, err)
-		}
-	}
-	return tables
+	ops := min(cfg.Ops, 16_000) // fsync-bound: keep every row finite
+	out := &overloadReport{}
+	return []*report.Table{
+		overloadAdmission(ops, out),
+		overloadDeadlines(ops, out),
+	}, out
 }
 
-// overloadReport is the BENCH_overload.json schema.
+// overloadReport is BENCH_overload.json's results.
 type overloadReport struct {
-	Experiment string        `json:"experiment"`
-	Ops        int           `json:"ops"`
-	Seed       uint64        `json:"seed"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Rows       []overloadRow `json:"rows"`
+	Rows []overloadRow `json:"rows"`
 }
 
 type overloadRow struct {
@@ -140,36 +119,36 @@ func runOverload(mode string, opts chameleon.DirOptions, writers, offered, deadl
 // bounds under both full-queue policies. Tighter bounds shed more but keep
 // the queue (and so tail latency) short; blocking sheds nothing and converts
 // the excess into writer wait time.
-func overloadAdmission(out *overloadReport) *report.Table {
+func overloadAdmission(ops int, out *overloadReport) *report.Table {
 	const writers = 8
 	t := &report.Table{
 		Title: fmt.Sprintf("Overload — bounded admission under %d writers (SyncEveryOp, %d offered ops)",
-			writers, out.Ops),
+			writers, ops),
 		Cols: []string{"policy", "bound", "acked/s", "shed", "shed %", "mean batch", "queue high-water"},
 	}
 	addRow := func(mode string, row overloadRow) {
 		out.Rows = append(out.Rows, row)
 		bound := "∞"
 		if row.MaxPending > 0 {
-			bound = itoa(row.MaxPending)
+			bound = strconv.Itoa(row.MaxPending)
 		}
 		t.AddRow(mode, bound,
 			fmt.Sprintf("%.0f", row.AckedPerSec),
 			fmt.Sprintf("%d", row.Shed),
 			fmt.Sprintf("%.1f%%", 100*float64(row.Shed)/float64(row.Offered)),
 			fmt.Sprintf("%.1f", row.MeanBatch),
-			itoa(row.HighWater))
+			strconv.Itoa(row.HighWater))
 	}
 	// With w writers at most w ops are ever in flight, so bounds below the
 	// writer count are what force the admission decision.
 	insert := func(d *chameleon.DurableIndex, key uint64) error { return d.Insert(key, key) }
 	for _, bound := range []int{0, writers, writers / 2, 2} {
 		opts := chameleon.DirOptions{MaxPending: bound}
-		addRow("shed", runOverload("shed", opts, writers, out.Ops, 0, insert))
+		addRow("shed", runOverload("shed", opts, writers, ops, 0, insert))
 	}
 	for _, bound := range []int{writers / 2, 2} {
 		opts := chameleon.DirOptions{MaxPending: bound, BlockOnFull: true}
-		addRow("block", runOverload("block", opts, writers, out.Ops, 0, insert))
+		addRow("block", runOverload("block", opts, writers, ops, 0, insert))
 	}
 	return t
 }
@@ -179,17 +158,17 @@ func overloadAdmission(out *overloadReport) *report.Table {
 // reach the disk in time cancel cleanly (two-state: cancelled ops have no
 // durable effect). Generous deadlines behave like plain blocking writes;
 // aggressive ones trade completion rate for bounded per-op latency.
-func overloadDeadlines(out *overloadReport) *report.Table {
+func overloadDeadlines(ops int, out *overloadReport) *report.Table {
 	const writers = 8
 	const bound = 64
 	t := &report.Table{
 		Title: fmt.Sprintf("Overload — InsertCtx deadlines under %d writers (SyncEveryOp, bound %d, %d offered ops)",
-			writers, bound, out.Ops),
+			writers, bound, ops),
 		Cols: []string{"deadline", "acked/s", "completed %", "cancelled", "mean batch"},
 	}
 	for _, dl := range []time.Duration{500 * time.Microsecond, 2 * time.Millisecond, 20 * time.Millisecond} {
 		opts := chameleon.DirOptions{MaxPending: bound, BlockOnFull: true}
-		row := runOverload("deadline", opts, writers, out.Ops, int(dl/time.Microsecond),
+		row := runOverload("deadline", opts, writers, ops, int(dl/time.Microsecond),
 			func(d *chameleon.DurableIndex, key uint64) error {
 				ctx, cancel := context.WithTimeout(context.Background(), dl)
 				defer cancel()

@@ -1,20 +1,15 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"chameleon"
-	"chameleon/internal/client"
 	"chameleon/internal/dataset"
 	"chameleon/internal/report"
-	"chameleon/internal/server"
 )
 
 // Read measures the optimistic read path (DESIGN.md §13) against its two
@@ -22,26 +17,15 @@ import (
 // raw Go map as the no-structure floor. The local sweep crosses
 // {optimistic, locked, map} × {1, 4 readers} × {0, 2 writers} × {uniform,
 // hot-16 keys} and reports per-op p50/p99/p999 plus the retry-exhaustion
-// fallback count; the remote point pushes depth-16 pipelined GETs through a
-// real loopback server so the server-side GET coalescing shows up in both
-// the percentiles and the get_batches counters. Emits BENCH_read.json;
-// CHAMELEON_BENCH_JSON overrides the path ("off" skips it).
-func Read(cfg Config) []*report.Table {
+// fallback count. Its results are BENCH_read.json's. The remote read path
+// (GET coalescing over a real socket) is the repo benchmark's remote_get
+// workload (bench/).
+func Read(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	dur := cfg.Conc.Duration
-	if dur <= 0 {
-		dur = 400 * time.Millisecond
-	}
+	dur := cfg.Conc.Defaults().Duration
 	keys := dataset.Generate(dataset.FACE, cfg.N, cfg.Seed)
 
-	out := &readReport{
-		Experiment: "read",
-		Seed:       cfg.Seed,
-		N:          cfg.N,
-		DurationS:  dur.Seconds(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	out := &readReport{}
 	t := &report.Table{
 		Title: fmt.Sprintf("read — lookup path comparison (%s per point, N=%d)", dur, cfg.N),
 		Cols:  []string{"mode", "dist", "readers", "writers", "ops/s", "p50", "p99", "p999", "fallbacks"},
@@ -75,35 +59,12 @@ func Read(cfg Config) []*report.Table {
 		}
 	}
 
-	rt, remote := runRemoteGetPoint(keys, dur, cfg.Seed)
-	out.Remote = remote
-	saveRead(out)
-	return []*report.Table{t, rt}
+	return []*report.Table{t}, out
 }
 
-// saveRead writes BENCH_read.json (or CHAMELEON_BENCH_JSON's override).
-func saveRead(out *readReport) {
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_read.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "read: saving %s: %v\n", path, err)
-		}
-	}
-}
-
-// readReport is the BENCH_read.json schema.
+// readReport is BENCH_read.json's results.
 type readReport struct {
-	Experiment string     `json:"experiment"`
-	Seed       uint64     `json:"seed"`
-	N          int        `json:"n"`
-	DurationS  float64    `json:"duration_s"`
-	GoMaxProcs int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Rows       []readRow  `json:"rows"`
-	Remote     *remoteGet `json:"remote_get,omitempty"`
+	Rows []readRow `json:"rows"`
 }
 
 type readRow struct {
@@ -118,30 +79,6 @@ type readRow struct {
 	NsP99     float64 `json:"ns_p99"`
 	NsP999    float64 `json:"ns_p999"`
 	Fallbacks uint64  `json:"fallbacks"`
-}
-
-// remoteGet is the depth-16 pipelined remote GET point: the coalescing
-// counters come from the server's own STATS surface.
-type remoteGet struct {
-	Conns        int     `json:"conns"`
-	Depth        int     `json:"pipeline_depth"`
-	Ops          uint64  `json:"ops"`
-	Seconds      float64 `json:"seconds"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	P50US        float64 `json:"p50_us"`
-	P99US        float64 `json:"p99_us"`
-	P999US       float64 `json:"p999_us"`
-	GetBatches   uint64  `json:"get_batches"`
-	BatchedGets  uint64  `json:"batched_gets"`
-	MeanGetBatch float64 `json:"mean_get_batch"`
-}
-
-// pctNs computes a percentile (ns) over a sorted latency slice.
-func pctNs(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return float64(sorted[int(p*float64(len(sorted)-1))].Nanoseconds())
 }
 
 // readTarget is one mode's built lookup surface, shared across its sweep
@@ -256,122 +193,27 @@ func runReadPoint(tgt readTarget, keys []uint64, mode, dist string, readers, wri
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	return readRow{
 		Mode: mode, Dist: dist, Readers: readers, Writers: writers,
 		Ops: ops.Load(), Seconds: elapsed.Seconds(),
 		OpsPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		NsP50:     pctNs(all, 0.50), NsP99: pctNs(all, 0.99), NsP999: pctNs(all, 0.999),
+		NsP50:     float64(report.Percentile(all, 0.50)),
+		NsP99:     float64(report.Percentile(all, 0.99)),
+		NsP999:    float64(report.Percentile(all, 0.999)),
 		Fallbacks: fallbacks() - fb0,
 	}
 }
 
-// runRemoteGetPoint preloads a durable index, serves it over loopback TCP,
-// and drives 16 closed-loop GET workers down one connection — the shape
-// that exercises the server's GET coalescing (consecutive pipelined GETs
-// drained into one LookupBatch call).
-func runRemoteGetPoint(keys []uint64, dur time.Duration, seed uint64) (*report.Table, *remoteGet) {
-	dir, err := os.MkdirTemp("", "chameleon-read-*")
-	if err != nil {
-		panic(err)
+// splitmix returns a tiny deterministic generator (splitmix64) so the load
+// generator needs no shared state or locking.
+func splitmix(seed uint64) func() uint64 {
+	s := seed
+	return func() uint64 {
+		s += 0x9e3779b97f4a7c15
+		z := s
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
 	}
-	defer os.RemoveAll(dir) //nolint:errcheck
-	ix, err := chameleon.OpenDir(dir, chameleon.DirOptions{
-		Sync: chameleon.SyncNone, MaxPending: 4096, BlockOnFull: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	// Preload a slice of the dataset so GETs hit real resident keys.
-	n := len(keys)
-	if n > 100_000 {
-		n = 100_000
-	}
-	for _, k := range keys[:n] {
-		if err := ix.Insert(k, k^0x5bd1e995); err != nil {
-			panic(err)
-		}
-	}
-
-	srv := server.New(ix, server.Options{OwnsIndex: true})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		panic(err)
-	}
-	go srv.Serve() //nolint:errcheck
-
-	const depth = 16
-	c, err := client.Dial(srv.Addr().String(), client.Options{Conns: 1, MaxPipeline: depth})
-	if err != nil {
-		panic(err)
-	}
-	before, _, err := c.Stats(context.Background())
-	if err != nil {
-		panic(err)
-	}
-
-	stop := make(chan struct{})
-	time.AfterFunc(dur, func() { close(stop) })
-	var wg sync.WaitGroup
-	var ops atomic.Uint64
-	lats := make([][]time.Duration, depth)
-	start := time.Now()
-	for w := 0; w < depth; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := splitmix(seed + uint64(w)*13)
-			mine := make([]time.Duration, 0, 1<<12)
-			for {
-				select {
-				case <-stop:
-					lats[w] = mine
-					return
-				default:
-				}
-				t0 := time.Now()
-				if _, _, err := c.Get(context.Background(), keys[rng()%uint64(n)]); err != nil {
-					return
-				}
-				mine = append(mine, time.Since(t0))
-				ops.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	after, _, err := c.Stats(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	c.Close() //nolint:errcheck
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	srv.Shutdown(ctx) //nolint:errcheck
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	r := &remoteGet{
-		Conns: 1, Depth: depth,
-		Ops: ops.Load(), Seconds: elapsed.Seconds(),
-		OpsPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		P50US:     pctNs(all, 0.50) / 1e3, P99US: pctNs(all, 0.99) / 1e3, P999US: pctNs(all, 0.999) / 1e3,
-		GetBatches:  after.GetBatches - before.GetBatches,
-		BatchedGets: after.BatchedGets - before.BatchedGets,
-	}
-	if r.GetBatches > 0 {
-		r.MeanGetBatch = float64(r.BatchedGets) / float64(r.GetBatches)
-	}
-	t := &report.Table{
-		Title: "read — remote pipelined GETs (1 conn × depth 16, loopback TCP)",
-		Cols:  []string{"ops/s", "p50", "p99", "p999", "get batches", "batched gets", "mean batch"},
-	}
-	t.AddRow(
-		report.F2(r.OpsPerSec),
-		report.NsF(r.P50US*1e3), report.NsF(r.P99US*1e3), report.NsF(r.P999US*1e3),
-		fmt.Sprint(r.GetBatches), fmt.Sprint(r.BatchedGets), report.F2(r.MeanGetBatch),
-	)
-	return t, r
 }

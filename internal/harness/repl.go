@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"chameleon"
@@ -22,22 +21,11 @@ import (
 // replication lag the follower carries (sampled as primary seq − follower
 // seq); then a series of failover trials — partition the link, promote the
 // follower over the wire, and time until the new primary accepts a write.
-// Emits BENCH_repl.json alongside the human tables; CHAMELEON_BENCH_JSON
-// overrides the path ("off" skips it).
-func Repl(cfg Config) []*report.Table {
+// Its results are BENCH_repl.json's.
+func Repl(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	dur := cfg.Conc.Duration
-	if dur <= 0 {
-		dur = 500 * time.Millisecond
-	}
-
-	out := &replReport{
-		Experiment: "repl",
-		Seed:       cfg.Seed,
-		DurationS:  dur.Seconds(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	dur := cfg.Conc.Defaults().Duration
+	out := &replReport{}
 
 	lag := &report.Table{
 		Title: fmt.Sprintf("repl — primary/follower over TCP loopback (%s per mode)", dur),
@@ -58,34 +46,26 @@ func Repl(cfg Config) []*report.Table {
 		Title: "repl — failover: partition the link, promote the follower, first accepted write",
 		Cols:  []string{"trial", "keys behind", "failover time"},
 	}
-	const trials = 5
+	trials, load := failoverTrials(cfg)
 	for i := 0; i < trials; i++ {
-		row := runFailoverTrial(i)
+		row := runFailoverTrial(i, load)
 		out.Failover = append(out.Failover, row)
 		fo.AddRow(fmt.Sprint(i), fmt.Sprint(row.KeysBehind), report.NsF(row.FailoverUS*1e3))
 	}
-
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_repl.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "repl: saving %s: %v\n", path, err)
-		}
-	}
-	return []*report.Table{lag, fo}
+	return []*report.Table{lag, fo}, out
 }
 
-// replReport is the BENCH_repl.json schema.
+// failoverTrials sizes the repl and failover sweeps from cfg: five trials,
+// each preloading 1,000 fsynced writes, at the default scale; fewer and
+// lighter when cfg.Ops is small.
+func failoverTrials(cfg Config) (trials, load int) {
+	return min(5, max(1, cfg.Ops/2_000)), min(cfg.Ops, 1_000)
+}
+
+// replReport is BENCH_repl.json's results.
 type replReport struct {
-	Experiment string        `json:"experiment"`
-	Seed       uint64        `json:"seed"`
-	DurationS  float64       `json:"duration_s"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Lag        []replLagRow  `json:"lag"`
-	Failover   []failoverRow `json:"failover"`
+	Lag      []replLagRow  `json:"lag"`
+	Failover []failoverRow `json:"failover"`
 }
 
 type replLagRow struct {
@@ -252,38 +232,28 @@ func runReplLagPoint(dur time.Duration, semiSync bool) replLagRow {
 	if semiSync {
 		mode = "semi-sync"
 	}
-	row := replLagRow{
+	slices.Sort(ackLat)
+	slices.Sort(rywLat)
+	slices.Sort(lagSamples)
+	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
+	return replLagRow{
 		Mode: mode, Writes: writes, Seconds: elapsed.Seconds(),
 		AckedWPS: float64(writes) / elapsed.Seconds(),
+		AckP50US: us(report.Percentile(ackLat, 0.50)), AckP99US: us(report.Percentile(ackLat, 0.99)),
+		RYWP50US: us(report.Percentile(rywLat, 0.50)), RYWP99US: us(report.Percentile(rywLat, 0.99)),
+		LagP50: float64(report.Percentile(lagSamples, 0.50)),
+		LagP99: float64(report.Percentile(lagSamples, 0.99)),
+		LagMax: report.Percentile(lagSamples, 1),
 	}
-	row.AckP50US, row.AckP99US = durPcts(ackLat)
-	row.RYWP50US, row.RYWP99US = durPcts(rywLat)
-	sort.Slice(lagSamples, func(i, j int) bool { return lagSamples[i] < lagSamples[j] })
-	if n := len(lagSamples); n > 0 {
-		row.LagP50 = float64(lagSamples[n/2])
-		row.LagP99 = float64(lagSamples[int(0.99*float64(n-1))])
-		row.LagMax = lagSamples[n-1]
-	}
-	return row
 }
 
-// durPcts returns the p50/p99 of a latency sample set in microseconds.
-func durPcts(lats []time.Duration) (p50, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return float64(sorted[len(sorted)/2].Microseconds()),
-		float64(sorted[int(0.99*float64(len(sorted)-1))].Microseconds())
-}
-
-// runFailoverTrial stands up a fresh pair, loads it, cuts the link, and
-// times partition → promoted follower accepting its first write. KeysBehind
-// is how many records the follower still had to apply when the link died —
-// promotion does not wait for them (they are applied; promotion is an epoch
-// bump plus role flip), so failover time should not scale with it.
-func runFailoverTrial(trial int) failoverRow {
+// runFailoverTrial stands up a fresh pair, loads it with load writes, cuts
+// the link, and times partition → promoted follower accepting its first
+// write. KeysBehind is how many records the follower still had to apply when
+// the link died — promotion does not wait for them (they are applied;
+// promotion is an epoch bump plus role flip), so failover time should not
+// scale with it.
+func runFailoverTrial(trial, load int) failoverRow {
 	b := startReplBench(false)
 	defer b.close()
 
@@ -299,8 +269,7 @@ func runFailoverTrial(trial int) failoverRow {
 	defer fc.Close() //nolint:errcheck
 	ctx := context.Background()
 
-	const load = 1000
-	for k := uint64(1); k <= load; k++ {
+	for k := uint64(1); k <= uint64(load); k++ {
 		if err := pc.Insert(ctx, k, k); err != nil {
 			panic(fmt.Sprintf("failover trial %d insert: %v", trial, err))
 		}

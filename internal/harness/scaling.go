@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -14,48 +15,23 @@ import (
 )
 
 // Scaling measures concurrent durable inserts through group commit, parallel
-// bulk load, and recovery (snapshot load and pipelined WAL replay), and emits
-// both human tables and a machine-readable
-// BENCH_scaling.json so the performance trajectory is tracked from run to
-// run. Set CHAMELEON_BENCH_JSON to override the artifact path; set it to
-// "off" to skip the file.
-func Scaling(cfg Config) []*report.Table {
+// bulk load, and recovery (snapshot load and pipelined WAL replay). Its
+// results are BENCH_scaling.json's, so the performance trajectory is
+// tracked from run to run.
+func Scaling(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	out := &scalingReport{
-		Experiment: "scaling",
-		N:          cfg.N,
-		Ops:        cfg.Ops,
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	tables := []*report.Table{
+	out := &scalingReport{}
+	return []*report.Table{
 		scalingGroupCommit(cfg, out),
 		scalingBulkLoad(cfg, out),
 		scalingRecovery(cfg, out),
-	}
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_scaling.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "scaling: saving %s: %v\n", path, err)
-		}
-	}
-	return tables
+	}, out
 }
 
-// scalingReport is the BENCH_scaling.json schema. Every metric carries its
+// scalingReport is BENCH_scaling.json's results. Every metric carries its
 // raw inputs so downstream tooling can recompute speedups.
 type scalingReport struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Ops        int             `json:"ops"`
-	Seed       uint64          `json:"seed"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Metrics    []scalingMetric `json:"metrics"`
+	Metrics []scalingMetric `json:"metrics"`
 }
 
 type scalingMetric struct {
@@ -126,7 +102,7 @@ func scalingGroupCommit(cfg Config, out *scalingReport) *report.Table {
 		os.RemoveAll(dir)  //nolint:errcheck
 		n := per * writers // per-writer rounding may shave a few ops
 		m := out.add("durable_insert", writers, n, elapsed)
-		t.AddRow(itoa(writers),
+		t.AddRow(strconv.Itoa(writers),
 			fmt.Sprintf("%.0f", m.PerSecond),
 			report.Ns(elapsed/time.Duration(n)),
 			fmt.Sprintf("%.2fx", m.Speedup))
@@ -144,7 +120,7 @@ func scalingBulkLoad(cfg Config, out *scalingReport) *report.Table {
 		Cols:  []string{"workers", "build time", "keys/s", "speedup"},
 	}
 	for _, workers := range []int{1, 0} {
-		label := itoa(workers)
+		label := strconv.Itoa(workers)
 		if workers == 0 {
 			label = fmt.Sprintf("%d (auto)", runtime.GOMAXPROCS(0))
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
-	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -13,9 +13,9 @@ import (
 )
 
 // Shard measures what range partitioning buys: aggregate durable-insert and
-// mixed read/write throughput at 1/2/4/8 shards. One shard funnels every
-// write through a single WAL, commit queue, and apply mutex; N shards give
-// disjoint key ranges their own pipelines.
+// mixed read/write throughput at 1/2/4/8 shards (see shardCounts). One shard
+// funnels every write through a single WAL, commit queue, and apply mutex; N
+// shards give disjoint key ranges their own pipelines.
 //
 // Two insert geometries are reported because they answer different
 // questions. The writers-scale-with-shards sweep (one closed-loop writer per
@@ -25,49 +25,26 @@ import (
 // the shard count) exposes the countervailing force: a single shard batches
 // all 8 writers into one fsync (group commit at its best), while sharding
 // splits the pool into smaller batches — so on a device that serializes
-// flushes, more shards can mean MORE fsyncs per acked op. GoMaxProcs and
-// NumCPU ride along in the artifact: a single-core container (or a device
-// that serializes fsyncs) caps every speedup at ~1x no matter the layout,
-// and the artifact must say so rather than flatter the layer.
+// flushes, more shards can mean MORE fsyncs per acked op. The file's
+// environment block carries GOMAXPROCS and the CPU count: a single-core
+// container (or a device that serializes fsyncs) caps every speedup at ~1x
+// no matter the layout, and the artifact must say so rather than flatter the
+// layer.
 //
-// Emits BENCH_shard.json (override the path with CHAMELEON_BENCH_JSON; "off"
-// skips the artifact).
-func Shard(cfg Config) []*report.Table {
+// Its results are BENCH_shard.json's.
+func Shard(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	out := &shardReport{
-		Experiment: "shard",
-		N:          cfg.N,
-		Ops:        cfg.Ops,
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	tables := []*report.Table{
+	out := &shardReport{}
+	return []*report.Table{
 		shardInsertScaled(cfg, out),
 		shardInsertSharedPool(cfg, out),
 		shardMixed(cfg, out),
-	}
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_shard.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "shard: saving %s: %v\n", path, err)
-		}
-	}
-	return tables
+	}, out
 }
 
-// shardReport is the BENCH_shard.json schema.
+// shardReport is BENCH_shard.json's results.
 type shardReport struct {
-	Experiment string        `json:"experiment"`
-	N          int           `json:"n"`
-	Ops        int           `json:"ops"`
-	Seed       uint64        `json:"seed"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Metrics    []shardMetric `json:"metrics"`
+	Metrics []shardMetric `json:"metrics"`
 }
 
 type shardMetric struct {
@@ -96,6 +73,17 @@ func (r *shardReport) add(name string, shards, writers, units int, d time.Durati
 	}
 	r.Metrics = append(r.Metrics, m)
 	return m
+}
+
+// shardCounts is a sweep's shard counts: 1, 2, 4, 8, stopping early at toy
+// sizes so that no shard past the second gets fewer than 500 of the sweep's
+// ops (below that its throughput is noise).
+func shardCounts(ops int) []int {
+	var counts []int
+	for s := 1; s <= 8 && (s <= 2 || ops/s >= 500); s *= 2 {
+		counts = append(counts, s)
+	}
+	return counts
 }
 
 // shardKey spreads sequence numbers uniformly over the uint64 space (odd
@@ -147,13 +135,13 @@ func shardInsertScaled(cfg Config, out *shardReport) *report.Table {
 		Title: fmt.Sprintf("Shard — durable insert, writers scale with shards (SyncEveryOp, %d ops)", ops),
 		Cols:  []string{"shards", "writers", "inserts/s", "avg insert", "speedup vs 1 shard"},
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts(ops) {
 		s, dir := openSharded(shards, chameleon.DirOptions{})
 		n, elapsed := runShardInsert(s, shards, ops, 0)
 		s.Close()         //nolint:errcheck
 		os.RemoveAll(dir) //nolint:errcheck
 		m := out.add("durable_insert", shards, shards, n, elapsed)
-		t.AddRow(itoa(shards), itoa(shards),
+		t.AddRow(strconv.Itoa(shards), strconv.Itoa(shards),
 			fmt.Sprintf("%.0f", m.PerSecond),
 			report.Ns(elapsed/time.Duration(n)),
 			fmt.Sprintf("%.2fx", m.Speedup))
@@ -172,13 +160,13 @@ func shardInsertSharedPool(cfg Config, out *shardReport) *report.Table {
 		Title: fmt.Sprintf("Shard — durable insert, fixed pool of %d writers (SyncEveryOp, %d ops)", writers, ops),
 		Cols:  []string{"shards", "writers", "inserts/s", "avg insert", "speedup vs 1 shard"},
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts(ops) {
 		s, dir := openSharded(shards, chameleon.DirOptions{})
 		n, elapsed := runShardInsert(s, writers, ops, 1<<63)
 		s.Close()         //nolint:errcheck
 		os.RemoveAll(dir) //nolint:errcheck
 		m := out.add("durable_insert_shared_pool", shards, writers, n, elapsed)
-		t.AddRow(itoa(shards), itoa(writers),
+		t.AddRow(strconv.Itoa(shards), strconv.Itoa(writers),
 			fmt.Sprintf("%.0f", m.PerSecond),
 			report.Ns(elapsed/time.Duration(n)),
 			fmt.Sprintf("%.2fx", m.Speedup))
@@ -202,7 +190,7 @@ func shardMixed(cfg Config, out *shardReport) *report.Table {
 	for i := range keys {
 		keys[i] = uint64(i+1) * (^uint64(0) / uint64(preload+2)) // sorted, uniform
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts(ops) {
 		s, dir := openSharded(shards, chameleon.DirOptions{})
 		if err := s.BulkLoad(keys, nil); err != nil {
 			panic(err)
@@ -234,7 +222,7 @@ func shardMixed(cfg Config, out *shardReport) *report.Table {
 		os.RemoveAll(dir) //nolint:errcheck
 		n := per * writers
 		m := out.add("mixed_50_50", shards, writers, n, elapsed)
-		t.AddRow(itoa(shards), itoa(writers),
+		t.AddRow(strconv.Itoa(shards), strconv.Itoa(writers),
 			fmt.Sprintf("%.0f", m.PerSecond),
 			fmt.Sprintf("%.2fx", m.Speedup))
 	}

@@ -5,7 +5,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -29,46 +30,27 @@ import (
 //     serializes the whole index each time (bytes written grow
 //     quadratically in rounds); flushes write each entry roughly once.
 //  4. What does the tier write in the long run, compaction included? Five
-//     rounds never reach steady state, so the last sweep doubles a base 128
-//     memtables large and reports flush + compaction bytes per payload byte
-//     — the tier's write amplification — with the most runs a read ever had
-//     to consult and what a cold get cost with that ladder in place.
+//     rounds never reach steady state, so the last sweep doubles a base
+//     (128 memtables large at the default scale) and reports flush +
+//     compaction bytes per payload byte — the tier's write amplification —
+//     with the most runs a read ever had to consult and what a cold get cost
+//     with that ladder in place.
 //
-// Emits BENCH_tier.json (override the path with CHAMELEON_BENCH_JSON; "off"
-// skips the artifact).
-func Tier(cfg Config) []*report.Table {
+// Its results are BENCH_tier.json's.
+func Tier(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	out := &tierReport{
-		Experiment: "tier",
-		N:          cfg.N,
-		Ops:        cfg.Ops,
-		Seed:       cfg.Seed,
-	}
-	tables := []*report.Table{
+	out := &tierReport{}
+	return []*report.Table{
 		tierFlushLatency(cfg, out),
 		tierColdGet(cfg, out),
 		tierWriteAmp(cfg, out),
 		tierSteadyState(cfg, out),
-	}
-	path := os.Getenv("CHAMELEON_BENCH_JSON")
-	if path == "" {
-		path = "BENCH_tier.json"
-	}
-	if path != "off" {
-		if err := report.SaveJSON(path, out); err != nil {
-			fmt.Fprintf(os.Stderr, "tier: saving %s: %v\n", path, err)
-		}
-	}
-	return tables
+	}, out
 }
 
-// tierReport is the BENCH_tier.json schema.
+// tierReport is BENCH_tier.json's results.
 type tierReport struct {
-	Experiment string       `json:"experiment"`
-	N          int          `json:"n"`
-	Ops        int          `json:"ops"`
-	Seed       uint64       `json:"seed"`
-	Metrics    []tierMetric `json:"metrics"`
+	Metrics []tierMetric `json:"metrics"`
 }
 
 type tierMetric struct {
@@ -152,7 +134,7 @@ func tierFlushLatency(cfg Config, out *tierReport) *report.Table {
 			NsPerEntry: float64(elapsed.Nanoseconds()) / float64(delta),
 		}
 		out.Metrics = append(out.Metrics, m)
-		t.AddRow(itoa(delta),
+		t.AddRow(strconv.Itoa(delta),
 			fmt.Sprintf("%.2fms", float64(elapsed.Microseconds())/1000),
 			fmt.Sprintf("%.2f", segMB),
 			fmt.Sprintf("%.0f", m.NsPerEntry),
@@ -208,7 +190,7 @@ func tierColdGet(cfg Config, out *tierReport) *report.Table {
 		}
 		samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 	}
-	sort.Float64s(samples)
+	slices.Sort(samples)
 	var sum float64
 	for _, s := range samples {
 		sum += s
@@ -221,13 +203,13 @@ func tierColdGet(cfg Config, out *tierReport) *report.Table {
 	m := tierMetric{
 		Name:    "cold_get",
 		Entries: probes,
-		P50Ns:   samples[len(samples)/2],
-		P99Ns:   samples[len(samples)*99/100],
+		P50Ns:   report.Percentile(samples, 0.50),
+		P99Ns:   report.Percentile(samples, 0.99),
 		MeanNs:  sum / float64(len(samples)),
 		RankErr: rankErr,
 	}
 	out.Metrics = append(out.Metrics, m)
-	t.AddRow(itoa(h.Segments), itoa(probes),
+	t.AddRow(strconv.Itoa(h.Segments), strconv.Itoa(probes),
 		report.NsF(m.P50Ns), report.NsF(m.P99Ns), report.NsF(m.MeanNs),
 		fmt.Sprintf("%.1f", rankErr))
 	return t
@@ -279,7 +261,7 @@ func tierWriteAmp(cfg Config, out *tierReport) *report.Table {
 		m := tierMetric{Name: "checkpoint_write_amp", Entries: rounds * per,
 			Bytes: written, WriteAmp: float64(written) / float64(logical)}
 		out.Metrics = append(out.Metrics, m)
-		t.AddRow("checkpoint every round", itoa(int(written)), itoa(int(logical)),
+		t.AddRow("checkpoint every round", strconv.Itoa(int(written)), strconv.Itoa(int(logical)),
 			fmt.Sprintf("%.1fx", m.WriteAmp))
 	}
 
@@ -309,19 +291,20 @@ func tierWriteAmp(cfg Config, out *tierReport) *report.Table {
 		m := tierMetric{Name: "flush_write_amp", Entries: rounds * per,
 			Bytes: written + compacted, WriteAmp: float64(written+compacted) / float64(logical)}
 		out.Metrics = append(out.Metrics, m)
-		t.AddRow("flush every round", itoa(int(written+compacted)), itoa(int(logical)),
+		t.AddRow("flush every round", strconv.Itoa(int(written+compacted)), strconv.Itoa(int(logical)),
 			fmt.Sprintf("%.1fx", m.WriteAmp))
 	}
 	return t
 }
 
 // tierSteadyState bulk loads a base, then inserts as many uniformly spread
-// fresh keys again, flushing every 1/128 of the base so the default trigger
-// compacts on every fourth flush, and reports where the bytes went. Flush
-// alone is ~1× by construction; the figure that matters is the total.
+// fresh keys again in flushes of 1/128 of the base (fewer, larger flushes
+// below 64 k keys), so the default trigger compacts on every fourth flush,
+// and reports where the bytes went. Flush alone is ~1× by construction; the
+// figure that matters is the total.
 func tierSteadyState(cfg Config, out *tierReport) *report.Table {
 	n := min(cfg.N, 131_072)
-	per := max(n/128, 16)
+	per := max(1, n/min(128, max(4, n/512)))
 	t := &report.Table{
 		Title: fmt.Sprintf("Tier — steady-state write amplification, base %d keys doubled in flushes of %d (SyncNone WAL)", n, per),
 		Cols:  []string{"bytes of", "bytes written", "payload bytes", "write amp", "max runs", "cold get p50", "range(100) p50"},
@@ -375,8 +358,8 @@ func tierSteadyState(cfg Config, out *tierReport) *report.Table {
 			probe(k)
 			samples[i] = float64(time.Since(t0).Nanoseconds())
 		}
-		mid, _ := pctAndMax(samples)
-		return mid
+		slices.Sort(samples)
+		return report.Percentile(samples, 0.5)
 	}
 	getP50 := p50(func(k uint64) {
 		if _, ok := d.Lookup(k); !ok {
@@ -400,9 +383,9 @@ func tierSteadyState(cfg Config, out *tierReport) *report.Table {
 	}
 	amps[2].Runs = maxRuns
 	for _, m := range amps {
-		row := []string{m.Name, itoa(int(m.Bytes)), itoa(int(payload)), fmt.Sprintf("%.1fx", m.WriteAmp), "", "", ""}
+		row := []string{m.Name, strconv.Itoa(int(m.Bytes)), strconv.Itoa(int(payload)), fmt.Sprintf("%.1fx", m.WriteAmp), "", "", ""}
 		if m.Runs > 0 {
-			row[4], row[5], row[6] = itoa(m.Runs), report.NsF(getP50), report.NsF(rangeP50)
+			row[4], row[5], row[6] = strconv.Itoa(m.Runs), report.NsF(getP50), report.NsF(rangeP50)
 		}
 		t.AddRow(row...)
 	}

@@ -1,13 +1,12 @@
 // Package report renders the benchmark harness's results as aligned text
 // tables, one per paper figure or table, so cmd/chameleon-bench output can
-// be compared line-by-line with the paper's plots.
+// be compared line-by-line with the paper's plots, and writes the
+// machine-readable BENCH_<experiment>.json files under one environment block.
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 )
@@ -85,13 +84,6 @@ func Mops(opsPerSec float64) string {
 // F2 formats a float with two decimals.
 func F2(x float64) string { return fmt.Sprintf("%.2f", x) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FprintCSV writes the table as RFC-4180-ish CSV with a leading comment line
 // carrying the title, for plotting pipelines.
 func (t *Table) FprintCSV(w io.Writer) {
@@ -100,18 +92,6 @@ func (t *Table) FprintCSV(w io.Writer) {
 	for _, r := range t.Rows {
 		writeCSVRow(w, r)
 	}
-}
-
-// SaveJSON writes v as indented JSON to path — the machine-readable side of
-// an experiment (BENCH_*.json artifacts tracked by CI), alongside the human
-// tables. The file is written atomically enough for an artifact (full write,
-// then rename is unnecessary: a torn artifact fails JSON parsing loudly).
-func SaveJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func writeCSVRow(w io.Writer, cells []string) {

@@ -2,6 +2,10 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +52,62 @@ func TestRowWiderThanCols(t *testing.T) {
 	tb.Fprint(&buf) // must not panic
 	if !strings.Contains(buf.String(), "extra") {
 		t.Fatal("extra cell dropped")
+	}
+}
+
+func TestWriteBenchStampsEnvAndRoundTrips(t *testing.T) {
+	type row struct {
+		Name string  `json:"name"`
+		P50  float64 `json:"p50_us"`
+	}
+	type results struct {
+		Rows []row `json:"rows"`
+	}
+	in := results{Rows: []row{{"a", 1.5}, {"b", 2}}}
+	env := Env{Experiment: "probe", N: 1000, Ops: 200, Seed: 7, DurationS: 0.25}
+	path, err := WriteBench(t.TempDir(), env, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(path) != "BENCH_probe.json" {
+		t.Fatalf("path %s", path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Env     Env     `json:"environment"`
+		Results results `json:"results"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	// Every field is filled: the caller's five and the writer's four.
+	got := reflect.ValueOf(out.Env)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).IsZero() {
+			t.Errorf("environment field %s is empty", got.Type().Field(i).Name)
+		}
+	}
+	if out.Env.Experiment != env.Experiment || out.Env.N != env.N || out.Env.Ops != env.Ops ||
+		out.Env.Seed != env.Seed || out.Env.DurationS != env.DurationS {
+		t.Errorf("caller's fields changed: %+v", out.Env)
+	}
+	if !reflect.DeepEqual(out.Results, in) {
+		t.Errorf("results round-tripped to %+v, want %+v", out.Results, in)
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for p, want := range map[float64]time.Duration{0: 1, 0.5: 5, 0.99: 9, 1: 10} {
+		if got := Percentile(sorted, p); got != want {
+			t.Errorf("Percentile(%v) = %v, want %v", p, got, want)
+		}
+	}
+	if Percentile([]float64(nil), 0.5) != 0 {
+		t.Error("empty input must yield 0")
 	}
 }
 

@@ -3,8 +3,9 @@ package chameleon_test
 // Read-path micro-benchmarks for the optimistic seqlock lookup (DESIGN.md
 // §13): the versioned lock-free path vs the always-locked baseline
 // (Options.LockedReads) vs a raw Go map as the no-structure floor, serial
-// and with RunParallel. The full read experiment with percentiles, writer
-// interference, and remote pipelined GETs is `-exp read` (BENCH_read.json).
+// and with RunParallel. The full read experiment with percentiles and writer
+// interference is `-exp read` (BENCH_read.json); remote pipelined GETs are
+// the repo benchmark's remote_get workload (bench/).
 
 import (
 	"testing"

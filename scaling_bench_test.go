@@ -9,9 +9,9 @@ import (
 )
 
 // Scaling benchmarks for the group-commit write path, the parallel bulk
-// load and the recovery paths. Run with -cpu 1,2,4,8 to sweep core counts; the
-// harness "scaling" experiment runs the same measurements programmatically
-// and emits BENCH_scaling.json.
+// load and the recovery paths. Run with -cpu 1,2,4,8 to sweep core counts;
+// `chameleon-bench -exp scaling` runs the same measurements programmatically
+// and writes BENCH_scaling.json.
 
 // BenchmarkDurableInsertSerial is the pre-group-commit baseline shape: one
 // writer, so every op pays its own WAL append and fsync.
