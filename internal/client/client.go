@@ -56,9 +56,6 @@ type Options struct {
 	// RetryBackoffCap bounds the jitter window however many attempts have
 	// failed (default 250ms).
 	RetryBackoffCap time.Duration
-	// NoHello skips protocol negotiation and speaks legacy v1 (no commit-
-	// sequence tokens, no replication ops). Mostly for compatibility tests.
-	NoHello bool
 }
 
 func (o Options) withDefaults() Options {
@@ -143,19 +140,15 @@ type Client struct {
 	ids    atomic.Uint64 // request ids (never 0: 0 is the conn-level slot)
 	closed atomic.Bool
 
-	// legacy latches true once a HELLO is rejected as malformed — the server
-	// predates negotiation, so every (re)dial thereafter speaks v1.
-	legacy atomic.Bool
-	// features is the server-granted feature set from the latest successful
-	// HELLO (0 when legacy).
+	// features is the server-granted feature set from the latest HELLO.
 	features atomic.Uint64
 	// lastSeq is the highest commit-sequence token observed on any reply: the
 	// client's read-your-writes watermark (see LastSeq).
 	lastSeq atomic.Uint64
 	// role/epoch are the server's replication role and fencing epoch as
-	// announced in the latest successful HELLO (zero when legacy or
-	// replication is off). A snapshot from negotiation time, not live state —
-	// the failover pool re-dials to refresh it.
+	// announced in the latest HELLO (zero when replication is off). A
+	// snapshot from negotiation time, not live state — the failover pool
+	// re-dials to refresh it.
 	role  atomic.Uint32
 	epoch atomic.Uint64
 
@@ -206,22 +199,10 @@ func (c *Client) dialConn() (*conn, error) {
 		pending: make(map[uint64]chan *wire.Response),
 	}
 	go cn.readLoop()
-	if c.opts.NoHello || c.legacy.Load() {
-		return cn, nil
-	}
 	if err := c.hello(cn); err != nil {
+		// A rejected HELLO — a version mismatch, or a server too old to know
+		// the opcode — is a permanent incompatibility: surface it.
 		cn.nc.Close() //nolint:errcheck
-		var re *wire.RemoteError
-		if errors.As(err, &re) && re.Code == wire.ErrCodeMalformed {
-			// A pre-negotiation server: it saw an opcode it doesn't know and
-			// rejected (or hung up on) the HELLO frame. That is the one
-			// compatible failure — latch legacy mode and redial speaking v1.
-			c.legacy.Store(true)
-			c.features.Store(0)
-			return c.dialConn()
-		}
-		// Anything else — a version mismatch above all — is a real,
-		// permanent incompatibility and must surface, not degrade.
 		return nil, err
 	}
 	return cn, nil
@@ -248,7 +229,7 @@ func (c *Client) hello(cn *conn) error {
 }
 
 // ServerRole reports the server's replication role as of the latest HELLO
-// (RoleNone when legacy, negotiation is off, or replication is off).
+// (RoleNone when replication is off).
 func (c *Client) ServerRole() chameleon.ReplRole {
 	return chameleon.ReplRole(c.role.Load())
 }
@@ -256,8 +237,7 @@ func (c *Client) ServerRole() chameleon.ReplRole {
 // ServerEpoch reports the server's fencing epoch as of the latest HELLO.
 func (c *Client) ServerEpoch() uint64 { return c.epoch.Load() }
 
-// Features reports the server-granted feature bits from negotiation (0 when
-// the server is legacy or negotiation is disabled).
+// Features reports the server-granted feature bits from negotiation.
 func (c *Client) Features() uint64 { return c.features.Load() }
 
 // LastSeq is the highest commit-sequence token this client has observed on

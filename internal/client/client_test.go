@@ -160,55 +160,32 @@ func TestClientNoRetryOnFinal(t *testing.T) {
 	}
 }
 
-// TestClientLegacyFallback: an old server answers the unknown HELLO opcode
-// with a malformed rejection. The client must latch legacy mode, redial
-// speaking the pre-HELLO protocol, and carry on with zero features — the
-// documented new-client→old-server compatibility path.
-func TestClientLegacyFallback(t *testing.T) {
-	var hellos atomic.Int64
-	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
-		if req.Op == wire.OpHello {
-			hellos.Add(1)
-			return &wire.Response{Op: req.Op, Err: wire.ErrCodeMalformed}
-		}
-		return okFor(req)
-	})
-	c, err := Dial(fs.ln.Addr().String(), Options{})
-	if err != nil {
-		t.Fatalf("Dial against legacy server: %v", err)
-	}
-	defer c.Close() //nolint:errcheck
-	if got := c.Features(); got != 0 {
-		t.Fatalf("legacy fallback negotiated features %#x, want 0", got)
-	}
-	if err := c.Insert(context.Background(), 1, 2); err != nil {
-		t.Fatalf("Insert on legacy conn: %v", err)
-	}
-	if got := c.LastSeq(); got != 0 {
-		t.Fatalf("legacy conn produced a seq token %d, want none", got)
-	}
-	// Exactly one HELLO was ever attempted: the latch stops redials from
-	// re-probing a server already known to predate negotiation.
-	if got := hellos.Load(); got != 1 {
-		t.Fatalf("client sent %d HELLOs to a legacy server, want 1", got)
-	}
-}
-
-// TestClientVersionMismatchSurfaces: a server speaking a different protocol
-// version rejects HELLO with the typed mismatch code. The client must fail
-// the dial with that error — never silently degrade to the legacy protocol,
-// which would mean decoding frames from an incompatible peer.
+// TestClientVersionMismatchSurfaces: a server that rejects HELLO — with the
+// typed version-mismatch code (a different protocol version), or as a
+// malformed unknown opcode (a server that predates negotiation) — fails the
+// dial with that typed error after exactly one HELLO. The client never
+// degrades to the pre-HELLO protocol, which would mean decoding frames from
+// an incompatible peer.
 func TestClientVersionMismatchSurfaces(t *testing.T) {
-	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
-		if req.Op == wire.OpHello {
-			return &wire.Response{Op: req.Op, Err: wire.ErrCodeVersionMismatch, Msg: "server speaks protocol v3"}
-		}
-		return okFor(req)
-	})
-	_, err := Dial(fs.ln.Addr().String(), Options{})
-	var re *wire.RemoteError
-	if !errors.As(err, &re) || re.Code != wire.ErrCodeVersionMismatch {
-		t.Fatalf("Dial against mismatched server: %v, want ErrCodeVersionMismatch", err)
+	for _, code := range []wire.ErrCode{wire.ErrCodeVersionMismatch, wire.ErrCodeMalformed} {
+		t.Run(code.String(), func(t *testing.T) {
+			var hellos atomic.Int64
+			fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
+				if req.Op == wire.OpHello {
+					hellos.Add(1)
+					return &wire.Response{Op: req.Op, Err: code, Msg: "HELLO refused"}
+				}
+				return okFor(req)
+			})
+			_, err := Dial(fs.ln.Addr().String(), Options{})
+			var re *wire.RemoteError
+			if !errors.As(err, &re) || re.Code != code {
+				t.Fatalf("Dial against a HELLO-refusing server: %v, want %v", err, code)
+			}
+			if got, reqs := hellos.Load(), fs.requests.Load(); got != 1 || reqs != 1 {
+				t.Fatalf("client sent %d HELLOs and %d requests, want exactly one HELLO", got, reqs)
+			}
+		})
 	}
 }
 

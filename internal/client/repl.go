@@ -11,30 +11,29 @@ import (
 )
 
 // This file is the replication and read-your-writes call surface: what a
-// follower's pull loop uses to stream committed records off its primary
-// (ReplPull/ReplSnap), what an operator or failover controller uses to move
-// the primary role (Promote/Fence), and what an application uses to read its
-// own writes from a follower (WaitSeq/GetAtLeast). All of it requires a
-// FeatRepl/FeatSeqTokens server; against a legacy server these calls fail
-// with a typed malformed/unknown-op rejection rather than misbehaving.
+// follower's pull loop uses to stream one shard's committed records off its
+// primary (ReplPull/ReplSnap; an unsharded server is shard 0 of one), what
+// an operator or failover controller uses to move the primary role
+// (Promote/Fence), and what an application uses to read its own writes from
+// a follower (WaitSeq/GetAtLeast). The replication ops require a server that
+// granted FeatRepl at HELLO; any other server refuses them with a typed
+// malformed rejection rather than misbehaving.
 
-// PullResult is one REPL_PULL answer: Recs are committed records carrying
-// commit sequences FirstSeq, FirstSeq+1, …; UpstreamSeq is the primary's
-// commit clock at reply time (lag = UpstreamSeq − last applied); Epoch is the
-// primary's fencing epoch. SnapshotNeeded means the requested from-sequence
-// predates the primary's record retention and the puller must bootstrap from
-// a snapshot instead.
+// PullResult is one REPL_PULL answer for one shard: Recs are committed
+// records carrying the shard's commit sequences FirstSeq, FirstSeq+1, …;
+// UpstreamSeq is the shard's commit clock on the primary at reply time
+// (lag = UpstreamSeq − last applied); Epoch is the primary's fencing epoch.
+// SnapshotNeeded means the requested from-sequence predates the primary's
+// record retention and the puller must bootstrap from a snapshot instead.
+// Gen is the primary's shard-manifest generation; when ManifestChanged is set
+// the caller's view of the layout is stale and Bounds carries the primary's
+// boundary array (nil for a one-shard layout).
 type PullResult struct {
-	FirstSeq       uint64
-	UpstreamSeq    uint64
-	Epoch          uint64
-	SnapshotNeeded bool
-	Recs           []wal.Record
-
-	// Shard-pull extras (ReplShardPull only). Gen is the primary's shard
-	// manifest generation; when ManifestChanged is set the caller's view of
-	// the layout is stale and Bounds carries the primary's boundary array
-	// (possibly nil for a single-shard layout).
+	FirstSeq        uint64
+	UpstreamSeq     uint64
+	Epoch           uint64
+	SnapshotNeeded  bool
+	Recs            []wal.Record
 	Gen             uint64
 	Bounds          []uint64
 	ManifestChanged bool
@@ -66,12 +65,15 @@ func clampMS(d time.Duration) uint32 {
 	return uint32(ms)
 }
 
-// ReplPull long-polls the server for committed records from commit sequence
-// fromSeq onward: up to max records (0 = server default), waiting up to wait
-// for new data before returning an empty batch. epoch is the highest primary
-// epoch the caller has seen — the server fences itself if the caller knows a
-// newer one. Pulling from fromSeq acknowledges every sequence below it.
-func (c *Client) ReplPull(ctx context.Context, fromSeq uint64, max int, wait time.Duration, epoch uint64) (PullResult, error) {
+// ReplPull long-polls the server for shard's committed records from commit
+// sequence fromSeq onward: up to max records (0 = server default), waiting
+// up to wait for new data before returning an empty batch. epoch is the
+// highest primary epoch the caller has seen — the server fences itself if
+// the caller knows a newer one. gen is the caller's view of the shard
+// manifest generation; pass 0 to force the reply to carry the current
+// generation and boundary array (ManifestChanged set). Pulling from fromSeq
+// acknowledges every sequence below it.
+func (c *Client) ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (PullResult, error) {
 	if max < 0 {
 		max = 0
 	}
@@ -79,51 +81,7 @@ func (c *Client) ReplPull(ctx context.Context, fromSeq uint64, max int, wait tim
 	if uint64(max) <= math.MaxUint32 {
 		lim = uint32(max)
 	}
-	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplPull, Seq: fromSeq, Limit: lim,
-		WaitMS: clampMS(wait), Epoch: epoch})
-	if err != nil {
-		return PullResult{}, err
-	}
-	return PullResult{
-		FirstSeq:       res.FirstSeq,
-		UpstreamSeq:    res.UpstreamSeq,
-		Epoch:          res.Epoch,
-		SnapshotNeeded: res.SnapshotNeeded,
-		Recs:           res.Recs,
-	}, nil
-}
-
-// ReplSnap reads one chunk of a snapshot stream. snapID 0 opens a fresh
-// stream (the server snapshots its current state and returns the stream's
-// id); subsequent calls pass that id with a growing offset until
-// Offset+len(Data) == Total.
-func (c *Client) ReplSnap(ctx context.Context, snapID, offset uint64) (SnapChunk, error) {
-	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplSnap, SnapID: snapID, Seq: offset})
-	if err != nil {
-		return SnapChunk{}, err
-	}
-	return SnapChunk{
-		SnapID:  res.SnapID,
-		AsOfSeq: res.AsOfSeq,
-		Offset:  res.Offset,
-		Total:   res.Total,
-		Data:    res.Snap,
-	}, nil
-}
-
-// ReplShardPull is ReplPull against one shard's replication stream of a
-// sharded server (REPL_SHARD_PULL, FeatShardRepl). gen is the caller's view
-// of the shard manifest generation; pass 0 to force the reply to carry the
-// current generation and boundary array (ManifestChanged set).
-func (c *Client) ReplShardPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (PullResult, error) {
-	if max < 0 {
-		max = 0
-	}
-	lim := uint32(math.MaxUint32)
-	if uint64(max) <= math.MaxUint32 {
-		lim = uint32(max)
-	}
-	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplShardPull, Shard: uint32(shard),
+	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplPull, Shard: uint32(shard),
 		Seq: fromSeq, Limit: lim, WaitMS: clampMS(wait), Epoch: epoch, Gen: gen})
 	if err != nil {
 		return PullResult{}, err
@@ -140,10 +98,12 @@ func (c *Client) ReplShardPull(ctx context.Context, shard int, fromSeq uint64, m
 	}, nil
 }
 
-// ReplShardSnap is ReplSnap against one shard's snapshot stream of a sharded
-// server (REPL_SHARD_SNAP, FeatShardRepl).
-func (c *Client) ReplShardSnap(ctx context.Context, shard int, snapID, offset uint64) (SnapChunk, error) {
-	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplShardSnap, Shard: uint32(shard),
+// ReplSnap reads one chunk of shard's snapshot stream. snapID 0 opens a
+// fresh stream (the server snapshots the shard's current state and returns
+// the stream's id); subsequent calls pass that id with a growing offset
+// until Offset+len(Data) == Total.
+func (c *Client) ReplSnap(ctx context.Context, shard int, snapID, offset uint64) (SnapChunk, error) {
+	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplSnap, Shard: uint32(shard),
 		SnapID: snapID, Seq: offset})
 	if err != nil {
 		return SnapChunk{}, err

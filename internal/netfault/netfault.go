@@ -46,7 +46,8 @@ type Proxy struct {
 	conns map[net.Conn]struct{}
 
 	// Accepted counts connections accepted (including ones stranded by a
-	// partition); Dropped counts connections killed by DropConns.
+	// partition), bumped only after the partition check that decides the
+	// connection's fate; Dropped counts connections killed by DropConns.
 	Accepted atomic.Uint64
 	Dropped  atomic.Uint64
 }
@@ -120,8 +121,12 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// Decide before counting: once Accepted covers this connection, its
+		// fate is fixed, so a test that waits for the count before healing a
+		// partition knows the connection was stranded.
+		stranded := p.partitioned.Load()
 		p.Accepted.Add(1)
-		if p.partitioned.Load() {
+		if stranded {
 			// Partition semantics: the SYN handshake may complete (the
 			// kernel did that before Accept returned), but no byte ever
 			// flows and no close is sent until the partition heals or the

@@ -104,7 +104,9 @@ func TestPartitionStallsAndHeals(t *testing.T) {
 
 // TestPartitionStrandsNewConns: a connection dialed during a partition
 // handshakes (the kernel accepts) but never carries a byte, even after the
-// partition heals — the dialer must give up and redial.
+// partition heals — the dialer must give up and redial. The kernel completes
+// the handshake before the proxy's accept loop sees the connection, so the
+// test heals only once the proxy has counted (and so judged) it.
 func TestPartitionStrandsNewConns(t *testing.T) {
 	p, err := New(startEcho(t))
 	if err != nil {
@@ -115,6 +117,13 @@ func TestPartitionStrandsNewConns(t *testing.T) {
 	c := dialProxy(t, p)
 	if _, err := c.Write([]byte("into the void")); err != nil {
 		t.Fatalf("write: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Accepted.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("proxy never accepted the connection")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	p.Partition(false)
 	buf := make([]byte, 1)

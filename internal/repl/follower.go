@@ -27,8 +27,9 @@ func fatalf(format string, args ...any) error {
 }
 
 // errManifest signals a shard pull observed a layout the follower does not
-// hold: the sync loop adopts it and re-bootstraps every shard. Not a
-// failure — a coordination signal that unwinds the per-shard pullers.
+// hold: the sync loop adopts it and re-bootstraps every shard (or, when the
+// shard counts differ, fail-stops). Not a failure in itself — a coordination
+// signal that unwinds the per-shard pullers.
 type errManifest struct {
 	gen    uint64
 	bounds []uint64
@@ -50,11 +51,7 @@ func (n *Node) runFollower(ctx context.Context, done chan struct{}) {
 		if err == nil {
 			n.connected.Store(true)
 			n.opts.Logf("repl: following %s", n.opts.ReplicaOf)
-			if n.sharded {
-				err = n.shardSyncLoop(ctx, c)
-			} else {
-				err = n.pullLoop(ctx, c)
-			}
+			err = n.shardSyncLoop(ctx, c)
 			c.Close() //nolint:errcheck
 			n.connected.Store(false)
 		}
@@ -113,94 +110,29 @@ func (n *Node) adoptEpoch(peer uint64) error {
 	return nil
 }
 
-// pullLoop drives one connection for an unsharded follower: pull, validate,
-// apply, repeat. A nil return means the context ended; a plain error means
-// reconnect; an errFatal means divergence fail-stop.
-func (n *Node) pullLoop(ctx context.Context, c replClient) error {
-	healthy := false
-	for ctx.Err() == nil {
-		n.mu.Lock()
-		epoch := n.epoch
-		n.mu.Unlock()
-		from := n.ix.CommitSeq() + 1
-		pctx, cancel := context.WithTimeout(ctx, n.opts.PullWait+5*time.Second)
-		pr, err := c.ReplPull(pctx, from, n.opts.PullMax, n.opts.PullWait, epoch)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		n.lastProgress.Store(time.Now().UnixNano())
-
-		// The upstream's epoch may only grow (a new primary was promoted and
-		// the old address now hosts it, or fencing advanced it); a regression
-		// means the address is answered by something with amnesia.
-		if err := n.adoptEpoch(pr.Epoch); err != nil {
-			return err
-		}
-
-		// The upstream's commit clock may only grow, and must never be
-		// behind ours: either means committed history vanished upstream.
-		if prev := n.upstreamSeq.Load(); pr.UpstreamSeq < prev {
-			return fatalf("upstream commit seq regressed %d -> %d", prev, pr.UpstreamSeq)
-		}
-		if pr.UpstreamSeq < from-1 {
-			return fatalf("upstream commit seq %d behind local %d: local history is not a prefix of upstream's", pr.UpstreamSeq, from-1)
-		}
-		n.upstreamSeq.Store(pr.UpstreamSeq)
-
-		if pr.SnapshotNeeded {
-			if err := n.bootstrap(ctx, c); err != nil {
-				return err
-			}
-			healthy = true
-			continue
-		}
-		if len(pr.Recs) > 0 {
-			if err := n.ix.ReplicateShardBatch(0, pr.FirstSeq, pr.Recs); err != nil {
-				if errors.Is(err, chameleon.ErrReplDivergence) || errors.Is(err, wal.ErrSeqGap) {
-					return fatalf("replicated batch at seq %d: %w", pr.FirstSeq, err)
-				}
-				// Disk or shutdown trouble: reconnect-and-retry is safe
-				// because replay is idempotent; a dead index stops the loop
-				// in runFollower.
-				return err
-			}
-		}
-		if !healthy {
-			healthy = true
-			n.opts.Logf("repl: caught up to %s at seq %d (epoch %d)", n.opts.ReplicaOf, n.ix.CommitSeq(), pr.Epoch)
-		}
-	}
-	return nil
-}
-
-// replClient is the slice of the wire client the pull loop uses; an
+// replClient is the slice of the wire client the follower uses: per-shard
+// pulls carrying the manifest generation, per-shard snapshot streams. An
 // interface so repl tests can drive the loop without a TCP server.
 type replClient interface {
-	ReplPull(ctx context.Context, fromSeq uint64, max int, wait time.Duration, epoch uint64) (client.PullResult, error)
-	ReplSnap(ctx context.Context, snapID, offset uint64) (client.SnapChunk, error)
+	ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (client.PullResult, error)
+	ReplSnap(ctx context.Context, shard int, snapID, offset uint64) (client.SnapChunk, error)
 }
 
-// shardReplClient is replClient's sharded sibling: per-shard pulls carrying
-// the manifest generation, per-shard snapshot streams.
-type shardReplClient interface {
-	ReplShardPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (client.PullResult, error)
-	ReplShardSnap(ctx context.Context, shard int, snapID, offset uint64) (client.SnapChunk, error)
-}
-
-// shardSyncLoop drives one connection for a sharded follower: one pull loop
-// per shard over the pipelined connection, plus manifest coordination. When
-// any puller observes a layout change (errManifest), all pullers unwind, the
-// follower adopts the new boundary array, re-bootstraps every shard (an
-// upstream re-shard rewrote contents without advancing clocks — the streams
-// alone cannot express it), and the pullers restart. The very first round
-// pulls with gen 0 so the upstream always answers with its layout: a freshly
-// initialized follower's generation can collide with the primary's while the
-// boundary arrays differ.
-func (n *Node) shardSyncLoop(ctx context.Context, c shardReplClient) error {
+// shardSyncLoop drives one connection for every follower, sharded or not (an
+// unsharded node is one shard with generation 0 and no bounds): one pull
+// loop per shard over the pipelined connection, plus manifest coordination.
+// A nil return means the context ended; a plain error means reconnect; an
+// errFatal means divergence fail-stop. When any puller observes a layout
+// change (errManifest), all pullers unwind, the follower adopts the new
+// boundary array, re-bootstraps every shard (an upstream re-shard rewrote
+// contents without advancing clocks — the streams alone cannot express it),
+// and the pullers restart. Each shard's first pull on a connection carries
+// gen 0 so the upstream answers with its layout before any record is
+// applied: a freshly initialized follower's generation can collide with the
+// primary's while the boundary arrays differ, and a follower whose shard
+// count differs from the primary's must fail-stop, never apply a partial
+// copy and report itself caught up.
+func (n *Node) shardSyncLoop(ctx context.Context, c replClient) error {
 	forceManifest := true
 	for ctx.Err() == nil {
 		sctx, cancel := context.WithCancel(ctx)
@@ -208,7 +140,7 @@ func (n *Node) shardSyncLoop(ctx context.Context, c shardReplClient) error {
 		for i := range n.streams {
 			go func(i int, force bool) {
 				errc <- n.shardPullLoop(sctx, c, i, force)
-			}(i, forceManifest && i == 0)
+			}(i, forceManifest)
 		}
 		var first error
 		for range n.streams {
@@ -235,9 +167,9 @@ func (n *Node) shardSyncLoop(ctx context.Context, c shardReplClient) error {
 }
 
 // shardPullLoop replicates one shard's stream: pull, validate, apply,
-// repeat, mirroring pullLoop's checks per shard. Returns errManifest when
-// the upstream's layout view differs from the local one.
-func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, forceManifest bool) error {
+// repeat. Returns errManifest when the upstream's layout view differs from
+// the local one.
+func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, forceManifest bool) error {
 	st := n.streams[shard]
 	healthy := false
 	for ctx.Err() == nil {
@@ -251,7 +183,7 @@ func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, 
 		}
 		from := n.ix.ShardCommitSeq(shard) + 1
 		pctx, cancel := context.WithTimeout(ctx, n.opts.PullWait+5*time.Second)
-		pr, err := c.ReplShardPull(pctx, shard, from, n.opts.PullMax, n.opts.PullWait, epoch, peerGen)
+		pr, err := c.ReplPull(pctx, shard, from, n.opts.PullMax, n.opts.PullWait, epoch, peerGen)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -262,6 +194,9 @@ func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, 
 		forceManifest = false
 		n.lastProgress.Store(time.Now().UnixNano())
 
+		// The upstream's epoch may only grow (a new primary was promoted and
+		// the old address now hosts it, or fencing advanced it); a regression
+		// means the address is answered by something with amnesia.
 		if err := n.adoptEpoch(pr.Epoch); err != nil {
 			return err
 		}
@@ -270,6 +205,8 @@ func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, 
 			return &errManifest{gen: pr.Gen, bounds: pr.Bounds}
 		}
 
+		// The upstream's commit clock may only grow, and must never be
+		// behind ours: either means committed history vanished upstream.
 		if prev := st.upstream.Load(); pr.UpstreamSeq < prev {
 			return fatalf("shard %d: upstream commit seq regressed %d -> %d", shard, prev, pr.UpstreamSeq)
 		}
@@ -290,6 +227,9 @@ func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, 
 				if errors.Is(err, chameleon.ErrReplDivergence) || errors.Is(err, wal.ErrSeqGap) {
 					return fatalf("shard %d: replicated batch at seq %d: %w", shard, pr.FirstSeq, err)
 				}
+				// Disk or shutdown trouble: reconnect-and-retry is safe
+				// because replay is idempotent; a dead index stops the loop
+				// in runFollower.
 				return err
 			}
 		}
@@ -305,7 +245,7 @@ func (n *Node) shardPullLoop(ctx context.Context, c shardReplClient, shard int, 
 // shard from it. A shard-count mismatch is divergence-class: the processes
 // were configured with different -shards and no amount of retrying converges
 // them.
-func (n *Node) adoptLayout(ctx context.Context, c shardReplClient, mc *errManifest) error {
+func (n *Node) adoptLayout(ctx context.Context, c replClient, mc *errManifest) error {
 	if len(mc.bounds) != len(n.streams)-1 {
 		return fatalf("upstream has %d shards, local node has %d: shard counts must match", len(mc.bounds)+1, len(n.streams))
 	}
@@ -326,34 +266,17 @@ func (n *Node) adoptLayout(ctx context.Context, c shardReplClient, mc *errManife
 	return nil
 }
 
-// bootstrap streams a full snapshot from upstream and installs it, replacing
-// local state and jumping the commit clock to the snapshot's as-of sequence.
-func (n *Node) bootstrap(ctx context.Context, c replClient) error {
-	n.opts.Logf("repl: bootstrapping from snapshot (local seq %d)", n.ix.CommitSeq())
-	return n.bootstrapStream(ctx, 0,
-		func(ctx context.Context, id, offset uint64) (client.SnapChunk, error) {
-			return c.ReplSnap(ctx, id, offset)
-		})
-}
-
-// bootstrapShard is bootstrap for one shard of a sharded follower.
-func (n *Node) bootstrapShard(ctx context.Context, c shardReplClient, shard int) error {
+// bootstrapShard streams a full snapshot of one shard from upstream and
+// installs it, replacing the shard's local state and jumping its commit
+// clock to the snapshot's as-of sequence.
+func (n *Node) bootstrapShard(ctx context.Context, c replClient, shard int) error {
 	n.opts.Logf("repl: bootstrapping shard %d from snapshot (local seq %d)", shard, n.ix.ShardCommitSeq(shard))
-	return n.bootstrapStream(ctx, shard,
-		func(ctx context.Context, id, offset uint64) (client.SnapChunk, error) {
-			return c.ReplShardSnap(ctx, shard, id, offset)
-		})
-}
-
-// bootstrapStream drives one snapshot stream to completion and installs it
-// into shard. fetch abstracts over the solo and sharded snapshot ops.
-func (n *Node) bootstrapStream(ctx context.Context, shard int, fetch func(ctx context.Context, id, offset uint64) (client.SnapChunk, error)) error {
 	n.bootstraps.Add(1)
 	var buf bytes.Buffer
 	var id, offset, asOf uint64
 	for {
 		cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		ch, err := fetch(cctx, id, offset)
+		ch, err := c.ReplSnap(cctx, shard, id, offset)
 		cancel()
 		if err != nil {
 			return err // transport or expired stream: reconnect restarts fresh

@@ -4,7 +4,7 @@
 //
 //   - Primary: every committed group-commit batch enters a bounded in-memory
 //     record ring (via the index's commit hook); followers long-poll the ring
-//     through ServePull, and a pull *from* sequence S acknowledges every
+//     through ServeShardPull, and a pull *from* sequence S acknowledges every
 //     sequence below S. With SemiSync on, the commit hook blocks the batch's
 //     acks until a follower has acknowledged it (or AckTimeout passes, which
 //     surfaces chameleon.ErrReplicaLagging — the documented ambiguous-fate
@@ -26,18 +26,20 @@
 //     repl.meta sidecar) before they take effect, so a deposed primary that
 //     restarts stays fenced instead of resurrecting at a stale epoch.
 //
-// Sharded replication: a Node built with NewSharded drives one replication
-// stream per shard — per-shard rings on the primary, per-shard pull loops on
-// the follower — through the same state machine, with ONE role and ONE epoch
-// for the whole node (split-brain is a node-level property; shards fail over
-// together). The shard manifest travels the stream too: every shard-pull
-// reply carries the primary's layout generation, and a follower observing a
-// new generation adopts the boundary array and re-bootstraps every shard
-// (an upstream re-shard rewrote shard contents without advancing commit
-// clocks, so the per-shard streams alone cannot express it).
+// Streams: a Node drives one replication stream per shard — per-shard rings
+// on the primary, per-shard pull loops on the follower — with ONE role and
+// ONE epoch for the whole node (split-brain is a node-level property; shards
+// fail over together). An unsharded node is a one-shard node with manifest
+// generation 0 and no bounds; there is no separate unsharded path. The shard
+// manifest travels the stream too: every pull reply can carry the primary's
+// layout generation and bounds, and a follower observing a new layout adopts
+// the boundary array and re-bootstraps every shard (an upstream re-shard
+// rewrote shard contents without advancing commit clocks, so the per-shard
+// streams alone cannot express it). A follower whose shard count differs from
+// the primary's fail-stops.
 //
 // Topology is a star (v1): followers replicate from one primary; chained
-// followers are not supported (a follower answers ServePull with
+// followers are not supported (a follower answers ServeShardPull with
 // snapshot-needed only). Lock order: the index's internal lock is acquired
 // OUTSIDE Node.mu (the commit hook arrives holding it and takes Node.mu), so
 // Node methods must never call into the index while holding Node.mu — in
@@ -65,8 +67,9 @@ import (
 // requires operator surgery (wipe and re-follow), not an RPC.
 var ErrFencedNode = errors.New("repl: node is fenced; wipe and re-follow before promoting")
 
-// ErrUnknownSnapshot is returned by ServeSnap for an expired or never-opened
-// stream id; the puller restarts its bootstrap with a fresh stream.
+// ErrUnknownSnapshot is returned by ServeShardSnap for an expired or
+// never-opened stream id; the puller restarts its bootstrap with a fresh
+// stream.
 var ErrUnknownSnapshot = errors.New("repl: unknown or expired snapshot stream")
 
 // ErrNodeClosed is returned by operations on a closed Node.
@@ -171,13 +174,13 @@ type replIndex interface {
 // soloIndex adapts an unsharded DurableIndex to the one-shard view.
 type soloIndex struct{ d *chameleon.DurableIndex }
 
-func (s soloIndex) Shards() int                { return 1 }
-func (s soloIndex) ShardCommitSeq(int) uint64  { return s.d.CommitSeq() }
-func (s soloIndex) ManifestGen() uint64        { return 0 }
-func (s soloIndex) Bounds() []uint64           { return nil }
+func (s soloIndex) Shards() int                          { return 1 }
+func (s soloIndex) ShardCommitSeq(int) uint64            { return s.d.CommitSeq() }
+func (s soloIndex) ManifestGen() uint64                  { return 0 }
+func (s soloIndex) Bounds() []uint64                     { return nil }
 func (s soloIndex) AdoptManifest(uint64, []uint64) error { return nil }
-func (s soloIndex) CommitSeq() uint64          { return s.d.CommitSeq() }
-func (s soloIndex) Err() error                 { return s.d.Err() }
+func (s soloIndex) CommitSeq() uint64                    { return s.d.CommitSeq() }
+func (s soloIndex) Err() error                           { return s.d.Err() }
 func (s soloIndex) SetShardCommitHook(_ int, fn func(uint64, []wal.Record) error) {
 	s.d.SetCommitHook(fn)
 }
@@ -215,9 +218,8 @@ type shardStream struct {
 
 // Node is a server's replication controller. Safe for concurrent use.
 type Node struct {
-	ix      replIndex
-	sharded bool
-	opts    Options
+	ix   replIndex
+	opts Options
 
 	mu       sync.Mutex
 	closed   bool
@@ -243,32 +245,31 @@ type Node struct {
 	connected    atomic.Bool
 	reconnects   atomic.Uint64
 	bootstraps   atomic.Uint64
-	upstreamSeq  atomic.Uint64 // solo follower: upstream clock (sharded sums streams)
-	lastProgress atomic.Int64  // unixnano of the last successful pull
+	lastProgress atomic.Int64 // unixnano of the last successful pull
 }
 
-// New wires a Node to an unsharded index and starts it in its configured
-// role. A follower's pull loop starts immediately; stop it with Close or
-// Promote. A persisted fenced verdict (repl.meta) overrides the configured
-// role: a restarted deposed primary stays fenced.
+// New wires a Node to an unsharded index — a one-shard node — and starts it
+// in its configured role. A follower's pull loop starts immediately; stop it
+// with Close or Promote. A persisted fenced verdict (repl.meta) overrides the
+// configured role: a restarted deposed primary stays fenced. The follower's
+// upstream must be unsharded too; a sharded one fail-stops it.
 func New(ix *chameleon.DurableIndex, opts Options) *Node {
-	return newNode(soloIndex{ix}, false, opts)
+	return newNode(soloIndex{ix}, opts)
 }
 
 // NewSharded wires a Node to a sharded index: one replication stream per
 // shard behind one role and one epoch. The follower's upstream must be a
 // sharded primary with the same shard count.
 func NewSharded(ix *chameleon.ShardedIndex, opts Options) *Node {
-	return newNode(ix, true, opts)
+	return newNode(ix, opts)
 }
 
-func newNode(ix replIndex, sharded bool, opts Options) *Node {
+func newNode(ix replIndex, opts Options) *Node {
 	n := &Node{
-		ix:      ix,
-		sharded: sharded,
-		opts:    opts.withDefaults(),
-		ackCh:   make(chan struct{}),
-		snaps:   make(map[uint64]*snapshot),
+		ix:    ix,
+		opts:  opts.withDefaults(),
+		ackCh: make(chan struct{}),
+		snaps: make(map[uint64]*snapshot),
 	}
 	n.streams = make([]*shardStream, ix.Shards())
 	for i := range n.streams {
@@ -349,10 +350,6 @@ func (n *Node) AllowWrites() bool {
 // Shards reports how many replication streams the node drives.
 func (n *Node) Shards() int { return len(n.streams) }
 
-// Sharded reports whether the node replicates a sharded index (shard-tagged
-// wire ops, manifest shipping).
-func (n *Node) Sharded() bool { return n.sharded }
-
 // commitHook builds shard's commit hook: it runs under the index lock after
 // a batch is durable and applied, appends the batch to the shard's pull
 // ring, and (semi-sync) waits for a follower ack.
@@ -417,15 +414,14 @@ func (n *Node) waitAcked(shard int, seq uint64) error {
 	}
 }
 
-// PullReply is ServePull's answer; field semantics match client.PullResult.
+// PullReply is ServeShardPull's answer; field semantics match
+// client.PullResult. Bounds is set only when ManifestChanged.
 type PullReply struct {
-	FirstSeq       uint64
-	Recs           []wal.Record
-	UpstreamSeq    uint64
-	Epoch          uint64
-	SnapshotNeeded bool
-	// Shard-pull extras: the layout generation, and the boundary array when
-	// the peer's generation view is stale (ManifestChanged).
+	FirstSeq        uint64
+	Recs            []wal.Record
+	UpstreamSeq     uint64
+	Epoch           uint64
+	SnapshotNeeded  bool
 	Gen             uint64
 	Bounds          []uint64
 	ManifestChanged bool
@@ -453,26 +449,17 @@ func (n *Node) maybeFence(peerEpoch uint64) error {
 	return nil
 }
 
-// ServePull answers one REPL_PULL (the unsharded wire op): shard 0's stream,
-// with no manifest section. See ServeShardPull.
-func (n *Node) ServePull(ctx context.Context, fromSeq uint64, max int, wait time.Duration, peerEpoch uint64) (PullReply, error) {
-	pr, err := n.ServeShardPull(ctx, 0, fromSeq, max, wait, peerEpoch, n.ix.ManifestGen())
-	pr.Gen, pr.Bounds, pr.ManifestChanged = 0, nil, false
-	return pr, err
-}
-
-// ServeShardPull answers one pull against shard's stream: records from
+// ServeShardPull answers one REPL_PULL against shard's stream: records from
 // fromSeq (bounded by max), long-polling up to wait when the puller is
 // caught up. peerEpoch is the highest primary epoch the puller knows —
 // learning of a newer one fences this node (durably). peerGen is the
 // puller's view of the shard-manifest generation: when it is stale (or 0 =
 // unknown), the reply carries the current generation and boundary array so
-// layout changes ship through the stream. Pulling from fromSeq acknowledges
-// every sequence below it.
+// layout changes ship through the stream. A shard this node does not have
+// gets the layout and nothing else, so a puller with more shards than the
+// primary detects the mismatch instead of retrying. Pulling from fromSeq
+// acknowledges every sequence below it.
 func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, peerEpoch, peerGen uint64) (PullReply, error) {
-	if shard < 0 || shard >= len(n.streams) {
-		return PullReply{}, fmt.Errorf("repl: shard %d out of range (node has %d)", shard, len(n.streams))
-	}
 	if err := n.maybeFence(peerEpoch); err != nil {
 		// The fence stands in memory but is not durable; refuse the pull so
 		// the puller retries (and this path retries the persist) rather than
@@ -481,10 +468,15 @@ func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, ma
 	}
 	// Layout reads are index calls — resolved before taking Node.mu.
 	gen := n.ix.ManifestGen()
+	noShard := shard < 0 || shard >= len(n.streams)
 	var bounds []uint64
-	manifestChanged := peerGen != gen || peerGen == 0
+	manifestChanged := peerGen != gen || peerGen == 0 || noShard
 	if manifestChanged {
 		bounds = n.ix.Bounds()
+	}
+	if noShard {
+		_, epoch := n.Role()
+		return PullReply{Epoch: epoch, Gen: gen, Bounds: bounds, ManifestChanged: true}, nil
 	}
 	if fromSeq == 0 {
 		fromSeq = 1
@@ -548,7 +540,8 @@ func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, ma
 	}
 }
 
-// SnapReply is ServeSnap's answer; field semantics match client.SnapChunk.
+// SnapReply is ServeShardSnap's answer; field semantics match
+// client.SnapChunk.
 type SnapReply struct {
 	SnapID  uint64
 	AsOfSeq uint64
@@ -557,13 +550,7 @@ type SnapReply struct {
 	Data    []byte
 }
 
-// ServeSnap answers one REPL_SNAP (the unsharded wire op): shard 0's
-// snapshot stream. See ServeShardSnap.
-func (n *Node) ServeSnap(snapID, offset uint64) (SnapReply, error) {
-	return n.ServeShardSnap(0, snapID, offset)
-}
-
-// ServeShardSnap answers one snapshot-chunk request against shard. snapID 0
+// ServeShardSnap answers one REPL_SNAP chunk request against shard. snapID 0
 // opens a fresh stream — the node snapshots the shard's current state into
 // memory and serves it chunk by chunk; each shard's two most recent streams
 // stay cached so a concurrent second bootstrapper does not thrash.
@@ -805,18 +792,16 @@ func (n *Node) fenceLocked(epoch uint64) {
 }
 
 // Health snapshots replication health for the merged STATS surface. On a
-// sharded node ShardLags carries the per-shard staleness vector (follower:
-// upstream clock − applied; primary: ring head − acked).
+// node with more than one shard ShardLags carries the per-shard staleness
+// vector (follower: upstream clock − applied; primary: ring head − acked).
 func (n *Node) Health() chameleon.ReplHealth {
 	// Index calls outside n.mu.
 	applied := n.ix.CommitSeq()
-	var shardApplied []uint64
-	if n.sharded {
-		shardApplied = make([]uint64, len(n.streams))
-		for i := range shardApplied {
-			shardApplied[i] = n.ix.ShardCommitSeq(i)
-		}
+	shardApplied := make([]uint64, len(n.streams))
+	for i := range shardApplied {
+		shardApplied[i] = n.ix.ShardCommitSeq(i)
 	}
+	sharded := len(n.streams) > 1
 	now := time.Now()
 	n.mu.Lock()
 	var acked uint64
@@ -846,7 +831,7 @@ func (n *Node) Health() chameleon.ReplHealth {
 			ref := n.lastPull
 			h.Stalled = ref.IsZero() || now.Sub(ref) > n.opts.StallAfter
 		}
-		if n.sharded {
+		if sharded {
 			h.ShardLags = make([]uint64, len(n.streams))
 			for i, st := range n.streams {
 				if last := st.baseSeq + uint64(len(st.ring)); last > st.ackedSeq {
@@ -857,19 +842,15 @@ func (n *Node) Health() chameleon.ReplHealth {
 		h.Connected = !n.lastPull.IsZero() && now.Sub(n.lastPull) <= n.opts.StallAfter
 	case chameleon.RoleFollower:
 		h.LastApplied = applied
-		if n.sharded {
-			var up uint64
+		if sharded {
 			h.ShardLags = make([]uint64, len(n.streams))
-			for i, st := range n.streams {
-				u := st.upstream.Load()
-				up += u
-				if u > shardApplied[i] {
-					h.ShardLags[i] = u - shardApplied[i]
-				}
+		}
+		for i, st := range n.streams {
+			u := st.upstream.Load()
+			h.UpstreamSeq += u
+			if sharded && u > shardApplied[i] {
+				h.ShardLags[i] = u - shardApplied[i]
 			}
-			h.UpstreamSeq = up
-		} else {
-			h.UpstreamSeq = n.upstreamSeq.Load()
 		}
 		if h.UpstreamSeq > applied {
 			h.Lag = h.UpstreamSeq - applied

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ func openIx(t *testing.T) *chameleon.DurableIndex {
 	return d
 }
 
-// newFollowerShell builds a follower-role Node without starting the dial
-// loop, so tests can drive pullLoop with a scripted client.
+// newFollowerShell builds a one-shard follower-role Node without starting
+// the dial loop, so tests can drive shardSyncLoop with a scripted client.
 func newFollowerShell(ix *chameleon.DurableIndex, opts Options) *Node {
 	n := &Node{
 		ix:      soloIndex{ix},
@@ -38,25 +39,34 @@ func newFollowerShell(ix *chameleon.DurableIndex, opts Options) *Node {
 	return n
 }
 
-// fakeClient scripts ReplPull/ReplSnap answers for pullLoop tests.
+// fakeClient scripts shard 0's ReplPull/ReplSnap answers for follower-loop
+// tests, recording the manifest generation each pull carried.
 type fakeClient struct {
 	pulls []func(fromSeq, epoch uint64) (client.PullResult, error)
 	snap  func(snapID, offset uint64) (client.SnapChunk, error)
+	gens  []uint64
 	i     int
 }
 
 var errScriptDone = errors.New("script exhausted")
 
-func (f *fakeClient) ReplPull(_ context.Context, fromSeq uint64, _ int, _ time.Duration, epoch uint64) (client.PullResult, error) {
+func (f *fakeClient) ReplPull(_ context.Context, shard int, fromSeq uint64, _ int, _ time.Duration, epoch, gen uint64) (client.PullResult, error) {
+	if shard != 0 {
+		return client.PullResult{}, fmt.Errorf("one-shard follower pulled shard %d", shard)
+	}
 	if f.i >= len(f.pulls) {
 		return client.PullResult{}, errScriptDone
 	}
+	f.gens = append(f.gens, gen)
 	fn := f.pulls[f.i]
 	f.i++
 	return fn(fromSeq, epoch)
 }
 
-func (f *fakeClient) ReplSnap(_ context.Context, snapID, offset uint64) (client.SnapChunk, error) {
+func (f *fakeClient) ReplSnap(_ context.Context, shard int, snapID, offset uint64) (client.SnapChunk, error) {
+	if shard != 0 {
+		return client.SnapChunk{}, fmt.Errorf("one-shard follower bootstrapped shard %d", shard)
+	}
 	return f.snap(snapID, offset)
 }
 
@@ -76,7 +86,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		}
 	}
 
-	pr, err := n.ServePull(context.Background(), 1, 0, 0, 0)
+	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		t.Fatalf("record 3 is %+v", pr.Recs[2])
 	}
 	// Pulling from 6 acknowledges 1..5 and long-polls empty.
-	pr, err = n.ServePull(context.Background(), 6, 0, 10*time.Millisecond, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 6, 0, 10*time.Millisecond, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +108,21 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		t.Fatalf("acked seq %d, want 5 (pulls are acks)", h.AckedSeq)
 	}
 	// max bounds the batch.
-	pr, err = n.ServePull(context.Background(), 1, 2, 0, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 1, 2, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pr.Recs) != 2 || pr.FirstSeq != 1 {
 		t.Fatalf("bounded pull: %+v", pr)
+	}
+	// A shard this one-shard node does not have gets its layout, no records:
+	// that is how a puller holding more shards learns of the mismatch.
+	pr, err = n.ServeShardPull(context.Background(), 1, 1, 0, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pr.ManifestChanged || pr.Gen != 0 || pr.Bounds != nil || len(pr.Recs) != 0 || pr.Epoch != 1 {
+		t.Fatalf("pull of a missing shard: %+v", pr)
 	}
 }
 
@@ -116,7 +135,7 @@ func TestRingTrimForcesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pr, err := n.ServePull(context.Background(), 1, 0, 0, 0)
+	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +143,7 @@ func TestRingTrimForcesSnapshot(t *testing.T) {
 		t.Fatalf("trimmed ring served seq 1: %+v", pr)
 	}
 	// The retained tail is still pullable.
-	pr, err = n.ServePull(context.Background(), 7, 0, 0, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 7, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +178,7 @@ func TestSemiSyncAckAndLagging(t *testing.T) {
 				return
 			default:
 			}
-			n.ServePull(context.Background(), ix.CommitSeq()+1, 0, 20*time.Millisecond, 0) //nolint:errcheck
+			n.ServeShardPull(context.Background(), 0, ix.CommitSeq()+1, 0, 20*time.Millisecond, 0, 0) //nolint:errcheck
 		}
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -246,7 +265,7 @@ func TestServeSnapStreamRestores(t *testing.T) {
 	}
 
 	var blob bytes.Buffer
-	first, err := n.ServeSnap(0, 0)
+	first, err := n.ServeShardSnap(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +274,7 @@ func TestServeSnapStreamRestores(t *testing.T) {
 	}
 	blob.Write(first.Data)
 	for off := uint64(len(first.Data)); off < first.Total; {
-		ch, err := n.ServeSnap(first.SnapID, off)
+		ch, err := n.ServeShardSnap(0, first.SnapID, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +296,7 @@ func TestServeSnapStreamRestores(t *testing.T) {
 		t.Fatalf("restored lookup: %d %v", v, ok)
 	}
 
-	if _, err := n.ServeSnap(9999, 0); !errors.Is(err, ErrUnknownSnapshot) {
+	if _, err := n.ServeShardSnap(0, 9999, 0); !errors.Is(err, ErrUnknownSnapshot) {
 		t.Fatalf("unknown snap id: %v", err)
 	}
 }
@@ -285,7 +304,8 @@ func TestServeSnapStreamRestores(t *testing.T) {
 // TestPullLoopAppliesIdempotently drives the follower loop with a scripted
 // upstream: a batch, the same batch re-delivered, then script end. The
 // re-delivery must be a no-op (SeqTracker dedupe), not an error or a
-// double-apply.
+// double-apply. The first pull on the connection asks for the layout (gen
+// 0); later pulls carry the follower's own generation.
 func TestPullLoopAppliesIdempotently(t *testing.T) {
 	ix := openIx(t)
 	n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
@@ -294,7 +314,7 @@ func TestPullLoopAppliesIdempotently(t *testing.T) {
 			Recs: []wal.Record{{Op: wal.OpInsert, Key: 10, Val: 1}, {Op: wal.OpInsert, Key: 20, Val: 2}}}, nil
 	}
 	fc := &fakeClient{pulls: []func(uint64, uint64) (client.PullResult, error){batch, batch}}
-	err := n.pullLoop(context.Background(), fc)
+	err := n.shardSyncLoop(context.Background(), fc)
 	if !errors.Is(err, errScriptDone) {
 		t.Fatalf("pull loop ended with %v", err)
 	}
@@ -304,11 +324,18 @@ func TestPullLoopAppliesIdempotently(t *testing.T) {
 	if _, epoch := n.Role(); epoch != 1 {
 		t.Fatalf("adopted epoch %d, want 1", epoch)
 	}
+	if h := n.Health(); h.UpstreamSeq != 2 || h.Lag != 0 || h.ShardLags != nil {
+		t.Fatalf("one-shard follower health: %+v", h)
+	}
+	if len(fc.gens) != 2 || fc.gens[0] != 0 {
+		t.Fatalf("pull generations %v: the first pull must force a manifest reply", fc.gens)
+	}
 }
 
 // TestPullLoopFailsStopOnRegression: an upstream whose epoch or commit clock
-// moves backwards is divergence-class — the loop must return errFatal, and
-// failStop must mark health Diverged.
+// moves backwards, or whose shard count differs from the follower's, is
+// divergence-class — the loop must return errFatal, and failStop must mark
+// health Diverged.
 func TestPullLoopFailsStopOnRegression(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -336,14 +363,25 @@ func TestPullLoopFailsStopOnRegression(t *testing.T) {
 					Recs: []wal.Record{{Op: wal.OpInsert, Key: 1, Val: 1}}}, nil
 			},
 		}},
+		{"shard count mismatch", []func(uint64, uint64) (client.PullResult, error){
+			func(uint64, uint64) (client.PullResult, error) {
+				return client.PullResult{FirstSeq: 1, UpstreamSeq: 1, Epoch: 1, Gen: 1,
+					ManifestChanged: true, Bounds: []uint64{1 << 63},
+					Recs: []wal.Record{{Op: wal.OpInsert, Key: 1, Val: 1}}}, nil
+			},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newFollowerShell(openIx(t), Options{ReplicaOf: "scripted"})
-			err := n.pullLoop(context.Background(), &fakeClient{pulls: tc.pulls})
+			ix := openIx(t)
+			n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
+			err := n.shardSyncLoop(context.Background(), &fakeClient{pulls: tc.pulls})
 			var fe *errFatal
 			if !errors.As(err, &fe) {
 				t.Fatalf("want errFatal, got %v", err)
+			}
+			if ix.Len() != 0 {
+				t.Fatalf("fail-stopped follower applied %d records", ix.Len())
 			}
 			n.failStop(err)
 			if h := n.Health(); !h.Diverged || h.State() != chameleon.HealthPoisoned {
@@ -381,7 +419,7 @@ func TestPullLoopBootstraps(t *testing.T) {
 			},
 		},
 		snap: func(snapID, offset uint64) (client.SnapChunk, error) {
-			sr, err := pn.ServeSnap(snapID, offset)
+			sr, err := pn.ServeShardSnap(0, snapID, offset)
 			if err != nil {
 				return client.SnapChunk{}, err
 			}
@@ -389,7 +427,7 @@ func TestPullLoopBootstraps(t *testing.T) {
 				Offset: sr.Offset, Total: sr.Total, Data: sr.Data}, nil
 		},
 	}
-	err := n.pullLoop(context.Background(), fc)
+	err := n.shardSyncLoop(context.Background(), fc)
 	if !errors.Is(err, errScriptDone) {
 		t.Fatal(err)
 	}
@@ -536,7 +574,7 @@ func TestPromotePersistFailureStaysFollower(t *testing.T) {
 func TestFencePersistFailureSurfacesButFences(t *testing.T) {
 	hx := &hookedIx{replIndex: soloIndex{openIx(t)}}
 	hx.failSave.Store(true)
-	n := newNode(hx, false, Options{})
+	n := newNode(hx, Options{})
 	defer n.Close()
 
 	epoch, role, err := n.Fence(3)

@@ -3,7 +3,9 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,7 +134,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 // TestReplOpsRequireNegotiation: the REPL_* family is fenced twice — a
 // server without replication refuses outright, and a replication-enabled
 // server refuses connections that skipped HELLO. Both come back as typed
-// malformed rejections, not hangs or internal errors.
+// malformed rejections, not hangs or internal errors. A connection that
+// never sends HELLO is otherwise still served, with zero features.
 func TestReplOpsRequireNegotiation(t *testing.T) {
 	ctx := context.Background()
 
@@ -143,28 +146,52 @@ func TestReplOpsRequireNegotiation(t *testing.T) {
 	defer s.Close() //nolint:errcheck
 	c := dialClient(t, s, client.Options{})
 	defer c.Close() //nolint:errcheck
-	_, err := c.ReplPull(ctx, 1, 10, 0, 0)
+	_, err := c.ReplPull(ctx, 0, 1, 10, 0, 0, 0)
 	var re *wire.RemoteError
 	if !errors.As(err, &re) || re.Code != wire.ErrCodeMalformed {
 		t.Fatalf("REPL_PULL without replication: %v, want ErrCodeMalformed", err)
 	}
 
-	// Replication configured, but the connection never negotiated FeatRepl.
+	// Replication configured, but the connection never negotiated FeatRepl:
+	// raw frames, since the client always sends HELLO.
 	node := repl.New(ix, repl.Options{})
 	defer node.Close()
 	s2 := startServer(t, ix, server.Options{Repl: node})
 	defer s2.Close() //nolint:errcheck
-	legacy := dialClient(t, s2, client.Options{NoHello: true})
-	defer legacy.Close() //nolint:errcheck
-	_, err = legacy.ReplPull(ctx, 1, 10, 0, 0)
-	if !errors.As(err, &re) || re.Code != wire.ErrCodeMalformed {
-		t.Fatalf("REPL_PULL without HELLO: %v, want ErrCodeMalformed", err)
+	nc, err := net.Dial("tcp", s2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close() //nolint:errcheck
+	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rawCall := func(req *wire.Request) *wire.Response {
+		t.Helper()
+		if _, err := nc.Write(wire.AppendRequest(nil, req)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatalf("%s reply: %v", req.Op, err)
+		}
+		res, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := rawCall(&wire.Request{ID: 1, Op: wire.OpReplPull, Seq: 1, Limit: 10}); res.OK || res.Err != wire.ErrCodeMalformed {
+		t.Fatalf("REPL_PULL without HELLO answered %+v, want ErrCodeMalformed", res)
+	}
+	if res := rawCall(&wire.Request{ID: 2, Op: wire.OpInsert, Key: 5, Val: 6}); !res.OK || res.HasSeq {
+		t.Fatalf("INSERT without HELLO answered %+v, want OK with no sequence token", res)
 	}
 
 	// A negotiated client on the same server works.
 	good := dialClient(t, s2, client.Options{})
 	defer good.Close() //nolint:errcheck
-	if _, err := good.ReplPull(ctx, 1, 10, 0, 0); err != nil {
+	if _, err := good.ReplPull(ctx, 0, 1, 10, 0, 0, 0); err != nil {
 		t.Fatalf("negotiated REPL_PULL: %v", err)
 	}
 }
@@ -506,6 +533,108 @@ func TestShardedManifestReshardConvergence(t *testing.T) {
 			t.Fatal("post-reshard write never reached the follower")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// openLayout opens a fresh index with the given shard count — 1 is a plain
+// DurableIndex, as chameleon-serve opens it without -shards — and wires a
+// replication node to it.
+func openLayout(t *testing.T, shards int, opts repl.Options) (server.Index, *repl.Node) {
+	t.Helper()
+	if shards == 1 {
+		ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
+		return ix, repl.New(ix, opts)
+	}
+	ix, err := chameleon.OpenShardedDir(t.TempDir(), chameleon.ShardDirOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, repl.NewSharded(ix, opts)
+}
+
+// TestShardedReplicationLayoutMatrix: every pairing of an unsharded and a
+// 2-shard primary with an unsharded and a 2-shard follower, over real
+// servers. A matching pair converges to the primary's full contents. A
+// mismatched pair fail-stops (Diverged, "shard counts must match") without
+// ever applying a record, so it can never report itself caught up holding a
+// partial copy that a failover would then serve.
+func TestShardedReplicationLayoutMatrix(t *testing.T) {
+	const n = 200
+	for _, ps := range []int{1, 2} {
+		for _, fs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("primary=%d/follower=%d", ps, fs), func(t *testing.T) {
+				ctx := context.Background()
+				pix, pnode := openLayout(t, ps, repl.Options{})
+				primary := startServer(t, pix, server.Options{Repl: pnode})
+				for j := uint64(1); j <= n; j++ {
+					k := j * 0x9E3779B97F4A7C15 // spread over both halves of the key space
+					if err := pix.InsertCtx(ctx, k, valOf(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				var logMu sync.Mutex
+				var logs []string
+				fix, fnode := openLayout(t, fs, repl.Options{
+					ReplicaOf:    primary.Addr().String(),
+					PullWait:     50 * time.Millisecond,
+					ReconnectMin: 10 * time.Millisecond,
+					ReconnectMax: 100 * time.Millisecond,
+					Logf: func(format string, args ...any) {
+						logMu.Lock()
+						logs = append(logs, fmt.Sprintf(format, args...))
+						logMu.Unlock()
+					},
+				})
+				t.Cleanup(func() {
+					fnode.Close()
+					fix.Close()     //nolint:errcheck
+					primary.Close() //nolint:errcheck
+					pnode.Close()
+					pix.Close() //nolint:errcheck
+				})
+
+				deadline := time.Now().Add(15 * time.Second)
+				for {
+					h := fnode.Health()
+					got := fix.Len()
+					if ps != fs {
+						if got != 0 {
+							t.Fatalf("mismatched follower applied %d of %d keys (health %+v)", got, n, h)
+						}
+						if h.Diverged {
+							break
+						}
+					} else if got == n && h.Lag == 0 {
+						if h.Diverged {
+							t.Fatalf("matching follower diverged: %+v", h)
+						}
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("follower never settled: len %d of %d, health %+v", got, n, h)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+
+				if ps != fs {
+					logMu.Lock()
+					defer logMu.Unlock()
+					for _, l := range logs {
+						if strings.Contains(l, "DIVERGENCE") && strings.Contains(l, "shard counts must match") {
+							return
+						}
+					}
+					t.Fatalf("divergence cause is not the shard-count mismatch; log:\n%s", strings.Join(logs, "\n"))
+				}
+				for j := uint64(1); j <= n; j++ {
+					k := j * 0x9E3779B97F4A7C15
+					if v, ok := fix.Lookup(k); !ok || v != valOf(k) {
+						t.Fatalf("follower Lookup(%d) = %d,%v", k, v, ok)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -589,9 +589,6 @@ func (s *Server) handleHello(c *conn, req *wire.Request) *wire.Response {
 	granted := wire.FeatSeqTokens
 	if s.opts.Repl != nil {
 		granted |= wire.FeatRepl
-		if s.opts.Repl.Sharded() {
-			granted |= wire.FeatShardRepl
-		}
 	}
 	feats := req.Features & granted
 	c.features.Store(feats)
@@ -694,8 +691,7 @@ func (s *Server) dispatch(ctx context.Context, c *conn, req *wire.Request) *wire
 		return s.addSeqToken(c, res)
 	case wire.OpGetSeq:
 		return s.handleGetSeq(ctx, req, res)
-	case wire.OpReplPull, wire.OpReplSnap, wire.OpReplShardPull, wire.OpReplShardSnap,
-		wire.OpReplFence, wire.OpPromote:
+	case wire.OpReplPull, wire.OpReplSnap, wire.OpReplFence, wire.OpPromote:
 		return s.handleRepl(ctx, c, req, res)
 	default:
 		// DecodeRequest only emits known opcodes; this is future-proofing.
@@ -746,22 +742,8 @@ func (s *Server) handleRepl(ctx context.Context, c *conn, req *wire.Request, res
 	if c.features.Load()&wire.FeatRepl == 0 {
 		return s.fail(res, fmt.Errorf("%w: %s requires a HELLO negotiating FeatRepl", wire.ErrMalformed, req.Op))
 	}
-	if (req.Op == wire.OpReplShardPull || req.Op == wire.OpReplShardSnap) &&
-		c.features.Load()&wire.FeatShardRepl == 0 {
-		return s.fail(res, fmt.Errorf("%w: %s requires a HELLO negotiating FeatShardRepl", wire.ErrMalformed, req.Op))
-	}
 	switch req.Op {
 	case wire.OpReplPull:
-		wctx, cancel, wait := s.pollCtx(ctx, req.WaitMS)
-		pr, err := node.ServePull(wctx, req.Seq, int(req.Limit), wait, req.Epoch)
-		cancel()
-		if err != nil {
-			return s.fail(res, err)
-		}
-		res.FirstSeq, res.Recs = pr.FirstSeq, pr.Recs
-		res.UpstreamSeq, res.Epoch = pr.UpstreamSeq, pr.Epoch
-		res.SnapshotNeeded = pr.SnapshotNeeded
-	case wire.OpReplShardPull:
 		wctx, cancel, wait := s.pollCtx(ctx, req.WaitMS)
 		pr, err := node.ServeShardPull(wctx, int(req.Shard), req.Seq, int(req.Limit), wait, req.Epoch, req.Gen)
 		cancel()
@@ -773,13 +755,6 @@ func (s *Server) handleRepl(ctx context.Context, c *conn, req *wire.Request, res
 		res.SnapshotNeeded = pr.SnapshotNeeded
 		res.Gen, res.Bounds, res.ManifestChanged = pr.Gen, pr.Bounds, pr.ManifestChanged
 	case wire.OpReplSnap:
-		sr, err := node.ServeSnap(req.SnapID, req.Seq)
-		if err != nil {
-			return s.fail(res, err)
-		}
-		res.SnapID, res.AsOfSeq = sr.SnapID, sr.AsOfSeq
-		res.Offset, res.Total, res.Snap = sr.Offset, sr.Total, sr.Data
-	case wire.OpReplShardSnap:
 		sr, err := node.ServeShardSnap(int(req.Shard), req.SnapID, req.Seq)
 		if err != nil {
 			return s.fail(res, err)

@@ -18,6 +18,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, rs := range responseCases() {
 		f.Add(AppendResponse(nil, rs))
 	}
+	f.Add(appendFrame(nil, retiredReplRequests()[0]))
 	f.Add([]byte{})
 	f.Add(make([]byte, frameHeader))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

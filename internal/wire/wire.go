@@ -59,24 +59,14 @@ const (
 	// OpHello negotiates protocol version and features; see hello.go. Body:
 	// [2] version [8] feature bits. Reply body: [2] version [8] features
 	// [1] role [8] epoch. A pre-HELLO server answers with ErrCodeMalformed
-	// (unknown opcode), which clients treat as "no features".
+	// (unknown opcode), which fails the client's dial.
 	OpHello Op = 0x08
 
-	// The REPL_* family (0x10+) is the replication stream; see
-	// internal/repl. All of it is feature-gated behind FeatRepl.
+	// The REPL_* family is the replication stream; see internal/repl. All
+	// of it is feature-gated behind FeatRepl. The two bytes below
+	// OpReplFence carried protocol v2's unsharded pull and snapshot ops;
+	// they are retired and decode as unknown opcodes.
 
-	// OpReplPull asks the primary for committed records. Body: [8] fromSeq
-	// [4] max [4] waitMS [8] epoch (the puller's view of the primary epoch;
-	// 0 = unknown). The pull doubles as the acknowledgement: asking from
-	// fromSeq confirms everything below it is applied. Reply body:
-	// [8] firstSeq [8] upstreamSeq [8] epoch [1] flags (bit0 =
-	// snapshot-needed: fromSeq predates retention) [4] count,
-	// count × ([1] op [8] key [8] val).
-	OpReplPull Op = 0x10
-	// OpReplSnap streams a bootstrap snapshot chunk. Body: [8] snapID
-	// (0 = open a fresh snapshot) [8] offset. Reply body: [8] snapID
-	// [8] asOfSeq [8] offset [8] total [4] len, [len] chunk bytes.
-	OpReplSnap Op = 0x11
 	// OpReplFence tells a node a higher epoch exists: it must stop acting
 	// as primary. Body: [8] epoch. Reply body: [8] epoch [1] role.
 	OpReplFence Op = 0x12
@@ -88,21 +78,24 @@ const (
 	// (0 = no wait) [4] waitMS. Reply body: [8] seq.
 	OpGetSeq Op = 0x14
 
-	// OpReplShardPull is OpReplPull addressed to one shard of a sharded
-	// primary, feature-gated behind FeatShardRepl. Body: [4] shard
-	// [8] fromSeq [4] max [4] waitMS [8] epoch [8] gen (the puller's view of
-	// the shard-manifest generation; 0 = unknown, forces a manifest reply).
-	// Reply body: [8] firstSeq [8] upstreamSeq [8] epoch [8] gen [1] flags
-	// (bit0 = snapshot-needed, bit1 = manifest-changed) [4] count,
-	// count × ([1] op [8] key [8] val); when bit1 is set the records are
-	// followed by [4] nbounds, nbounds × [8] bound — the primary's current
-	// shard boundaries, shipped so re-sharding travels the stream.
-	OpReplShardPull Op = 0x15
-	// OpReplShardSnap streams a bootstrap snapshot chunk for one shard.
-	// Body: [4] shard [8] snapID (0 = open) [8] offset. Reply body is
-	// OpReplSnap's: [8] snapID [8] asOfSeq [8] offset [8] total [4] len,
-	// [len] chunk bytes.
-	OpReplShardSnap Op = 0x16
+	// OpReplPull asks the primary for one shard's committed records (an
+	// unsharded node is shard 0 of one). Body: [4] shard [8] fromSeq [4] max
+	// [4] waitMS [8] epoch (the puller's view of the primary epoch; 0 =
+	// unknown) [8] gen (the puller's view of the shard-manifest generation;
+	// 0 = unknown, forces a manifest reply). The pull doubles as the
+	// acknowledgement: asking from fromSeq confirms everything below it is
+	// applied. Reply body: [8] firstSeq [8] upstreamSeq [8] epoch [8] gen
+	// [1] flags (bit0 = snapshot-needed: fromSeq predates retention, bit1 =
+	// manifest-changed) [4] count, count × ([1] op [8] key [8] val); when
+	// bit1 is set the records are followed by [4] nbounds, nbounds × [8]
+	// bound — the primary's current shard boundaries, shipped so re-sharding
+	// and layout mismatches travel the stream.
+	OpReplPull Op = 0x15
+	// OpReplSnap streams a bootstrap snapshot chunk for one shard. Body:
+	// [4] shard [8] snapID (0 = open a fresh snapshot) [8] offset. Reply
+	// body: [8] snapID [8] asOfSeq [8] offset [8] total [4] len, [len] chunk
+	// bytes.
+	OpReplSnap Op = 0x16
 )
 
 // String names the opcode for errors and traces.
@@ -134,10 +127,6 @@ func (o Op) String() string {
 		return "PROMOTE"
 	case OpGetSeq:
 		return "GET_SEQ"
-	case OpReplShardPull:
-		return "REPL_SHARD_PULL"
-	case OpReplShardSnap:
-		return "REPL_SHARD_SNAP"
 	}
 	return fmt.Sprintf("Op(0x%02x)", byte(o))
 }
@@ -314,9 +303,9 @@ type Request struct {
 	WaitMS uint32
 	Epoch  uint64
 	SnapID uint64
-	// Shard addresses one partition of a sharded primary
-	// (REPL_SHARD_PULL, REPL_SHARD_SNAP); Gen is the puller's view of the
-	// shard-manifest generation (REPL_SHARD_PULL, 0 = unknown).
+	// Shard addresses one partition's stream (REPL_PULL, REPL_SNAP); Gen is
+	// the puller's view of the shard-manifest generation (REPL_PULL, 0 =
+	// unknown).
 	Shard uint32
 	Gen   uint64
 }
@@ -356,20 +345,18 @@ type Response struct {
 	Role     byte
 	Epoch    uint64
 
-	// REPL_PULL reply: Recs are the committed records starting at commit
-	// sequence FirstSeq; UpstreamSeq is the primary's commit sequence at
+	// REPL_PULL reply: Recs are the shard's committed records starting at
+	// commit sequence FirstSeq; UpstreamSeq is the shard's commit sequence at
 	// reply time (the lag reference); SnapshotNeeded means the requested
-	// from-sequence predates WAL retention and the puller must bootstrap via
-	// REPL_SNAP.
-	Recs           []wal.Record
-	FirstSeq       uint64
-	UpstreamSeq    uint64
-	SnapshotNeeded bool
-
-	// REPL_SHARD_PULL reply extras: Gen is the primary's shard-manifest
-	// generation; when ManifestChanged is set Bounds carries the primary's
-	// current shard boundaries (len = shards-1, possibly empty for one
-	// shard) and the puller must adopt them before applying more records.
+	// from-sequence predates retention and the puller must bootstrap via
+	// REPL_SNAP. Gen is the primary's shard-manifest generation; when
+	// ManifestChanged is set Bounds carries the primary's current shard
+	// boundaries (len = shards-1, empty for one shard) and the puller must
+	// adopt them before applying more records.
+	Recs            []wal.Record
+	FirstSeq        uint64
+	UpstreamSeq     uint64
+	SnapshotNeeded  bool
 	Gen             uint64
 	Bounds          []uint64
 	ManifestChanged bool
@@ -425,27 +412,19 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	case OpHello:
 		payload = binary.LittleEndian.AppendUint16(payload, r.Version)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Features)
-	case OpReplPull:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
-		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-	case OpReplSnap:
-		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
 	case OpReplFence:
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
 	case OpGetSeq:
 		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
 		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
-	case OpReplShardPull:
+	case OpReplPull:
 		payload = binary.LittleEndian.AppendUint32(payload, r.Shard)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
 		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
 		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Gen)
-	case OpReplShardSnap:
+	case OpReplSnap:
 		payload = binary.LittleEndian.AppendUint32(payload, r.Shard)
 		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
@@ -520,21 +499,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, r.FirstSeq)
 		payload = binary.LittleEndian.AppendUint64(payload, r.UpstreamSeq)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-		var flags byte
-		if r.SnapshotNeeded {
-			flags |= 1
-		}
-		payload = append(payload, flags)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Recs)))
-		for _, rec := range r.Recs {
-			payload = append(payload, byte(rec.Op))
-			payload = binary.LittleEndian.AppendUint64(payload, rec.Key)
-			payload = binary.LittleEndian.AppendUint64(payload, rec.Val)
-		}
-	case OpReplShardPull:
-		payload = binary.LittleEndian.AppendUint64(payload, r.FirstSeq)
-		payload = binary.LittleEndian.AppendUint64(payload, r.UpstreamSeq)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Gen)
 		var flags byte
 		if r.SnapshotNeeded {
@@ -556,7 +520,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 				payload = binary.LittleEndian.AppendUint64(payload, b)
 			}
 		}
-	case OpReplSnap, OpReplShardSnap:
+	case OpReplSnap:
 		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
 		payload = binary.LittleEndian.AppendUint64(payload, r.AsOfSeq)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Offset)
@@ -729,20 +693,6 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		r.Version = binary.LittleEndian.Uint16(body)
 		r.Features = binary.LittleEndian.Uint64(body[2:])
-	case OpReplPull:
-		if len(body) != 24 {
-			return nil, fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
-		}
-		r.Seq = binary.LittleEndian.Uint64(body)
-		r.Limit = binary.LittleEndian.Uint32(body[8:])
-		r.WaitMS = binary.LittleEndian.Uint32(body[12:])
-		r.Epoch = binary.LittleEndian.Uint64(body[16:])
-	case OpReplSnap:
-		if len(body) != 16 {
-			return nil, fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
-		}
-		r.SnapID = binary.LittleEndian.Uint64(body)
-		r.Seq = binary.LittleEndian.Uint64(body[8:])
 	case OpReplFence:
 		if len(body) != 8 {
 			return nil, fmt.Errorf("%w: REPL_FENCE body %d bytes", ErrMalformed, len(body))
@@ -754,9 +704,9 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		r.Seq = binary.LittleEndian.Uint64(body)
 		r.WaitMS = binary.LittleEndian.Uint32(body[8:])
-	case OpReplShardPull:
+	case OpReplPull:
 		if len(body) != 36 {
-			return nil, fmt.Errorf("%w: REPL_SHARD_PULL body %d bytes", ErrMalformed, len(body))
+			return nil, fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
 		}
 		r.Shard = binary.LittleEndian.Uint32(body)
 		r.Seq = binary.LittleEndian.Uint64(body[4:])
@@ -764,9 +714,9 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.WaitMS = binary.LittleEndian.Uint32(body[16:])
 		r.Epoch = binary.LittleEndian.Uint64(body[20:])
 		r.Gen = binary.LittleEndian.Uint64(body[28:])
-	case OpReplShardSnap:
+	case OpReplSnap:
 		if len(body) != 20 {
-			return nil, fmt.Errorf("%w: REPL_SHARD_SNAP body %d bytes", ErrMalformed, len(body))
+			return nil, fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
 		}
 		r.Shard = binary.LittleEndian.Uint32(body)
 		r.SnapID = binary.LittleEndian.Uint64(body[4:])
@@ -887,37 +837,8 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		r.Role = body[10]
 		r.Epoch = binary.LittleEndian.Uint64(body[11:])
 	case OpReplPull:
-		if len(body) < 29 || body[24] > 1 {
-			return nil, fmt.Errorf("%w: REPL_PULL reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.FirstSeq = binary.LittleEndian.Uint64(body)
-		r.UpstreamSeq = binary.LittleEndian.Uint64(body[8:])
-		r.Epoch = binary.LittleEndian.Uint64(body[16:])
-		r.SnapshotNeeded = body[24] == 1
-		count := binary.LittleEndian.Uint32(body[25:])
-		body = body[29:]
-		if int64(count)*batchOpSize != int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
-		}
-		if count == 0 {
-			break
-		}
-		r.Recs = make([]wal.Record, count)
-		for i := range r.Recs {
-			op := wal.Op(body[0])
-			if op != wal.OpInsert && op != wal.OpDelete {
-				return nil, fmt.Errorf("%w: REPL_PULL record op 0x%02x", ErrMalformed, byte(op))
-			}
-			r.Recs[i] = wal.Record{
-				Op:  op,
-				Key: binary.LittleEndian.Uint64(body[1:]),
-				Val: binary.LittleEndian.Uint64(body[9:]),
-			}
-			body = body[batchOpSize:]
-		}
-	case OpReplShardPull:
 		if len(body) < 37 || body[32] > 3 {
-			return nil, fmt.Errorf("%w: REPL_SHARD_PULL reply body %d bytes", ErrMalformed, len(body))
+			return nil, fmt.Errorf("%w: REPL_PULL reply body %d bytes", ErrMalformed, len(body))
 		}
 		r.FirstSeq = binary.LittleEndian.Uint64(body)
 		r.UpstreamSeq = binary.LittleEndian.Uint64(body[8:])
@@ -929,14 +850,14 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		body = body[37:]
 		recBytes := int64(count) * batchOpSize
 		if recBytes > int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_SHARD_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
+			return nil, fmt.Errorf("%w: REPL_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
 		}
 		if count > 0 {
 			r.Recs = make([]wal.Record, count)
 			for i := range r.Recs {
 				op := wal.Op(body[0])
 				if op != wal.OpInsert && op != wal.OpDelete {
-					return nil, fmt.Errorf("%w: REPL_SHARD_PULL record op 0x%02x", ErrMalformed, byte(op))
+					return nil, fmt.Errorf("%w: REPL_PULL record op 0x%02x", ErrMalformed, byte(op))
 				}
 				r.Recs[i] = wal.Record{
 					Op:  op,
@@ -948,17 +869,17 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		}
 		if !r.ManifestChanged {
 			if len(body) != 0 {
-				return nil, fmt.Errorf("%w: REPL_SHARD_PULL trailing %d bytes", ErrMalformed, len(body))
+				return nil, fmt.Errorf("%w: REPL_PULL trailing %d bytes", ErrMalformed, len(body))
 			}
 			break
 		}
 		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: REPL_SHARD_PULL bounds header %d bytes", ErrMalformed, len(body))
+			return nil, fmt.Errorf("%w: REPL_PULL bounds header %d bytes", ErrMalformed, len(body))
 		}
 		nbounds := binary.LittleEndian.Uint32(body)
 		body = body[4:]
 		if int64(nbounds)*8 != int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_SHARD_PULL bounds %d vs %d body bytes", ErrMalformed, nbounds, len(body))
+			return nil, fmt.Errorf("%w: REPL_PULL bounds %d vs %d body bytes", ErrMalformed, nbounds, len(body))
 		}
 		if nbounds > 0 {
 			r.Bounds = make([]uint64, nbounds)
@@ -967,9 +888,9 @@ func DecodeResponse(payload []byte) (*Response, error) {
 				body = body[8:]
 			}
 		}
-	case OpReplSnap, OpReplShardSnap:
+	case OpReplSnap:
 		if len(body) < 36 {
-			return nil, fmt.Errorf("%w: %s reply body %d bytes", ErrMalformed, r.Op, len(body))
+			return nil, fmt.Errorf("%w: REPL_SNAP reply body %d bytes", ErrMalformed, len(body))
 		}
 		r.SnapID = binary.LittleEndian.Uint64(body)
 		r.AsOfSeq = binary.LittleEndian.Uint64(body[8:])

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chameleon"
@@ -30,14 +31,26 @@ func requestCases() []*Request {
 		{ID: 7, Op: OpPing},
 		{ID: ^uint64(0), Op: OpGet, Key: ^uint64(0)},
 		{ID: 8, Op: OpHello, Version: ProtocolVersion, Features: LocalFeatures},
-		{ID: 9, Op: OpReplPull, Seq: 1000, Limit: 512, WaitMS: 250, Epoch: 3},
-		{ID: 10, Op: OpReplSnap, SnapID: 7, Seq: 1 << 20},
+		// A one-shard follower's steady-state pull and snapshot open.
+		{ID: 9, Op: OpReplPull, Shard: 0, Seq: 1000, Limit: 512, WaitMS: 250, Epoch: 3},
+		{ID: 10, Op: OpReplSnap, Shard: 0, SnapID: 7, Seq: 1 << 20},
 		{ID: 11, Op: OpReplFence, Epoch: 4},
 		{ID: 12, Op: OpPromote},
 		{ID: 13, Op: OpGetSeq, Seq: 999, WaitMS: 100},
-		{ID: 14, Op: OpReplShardPull, Shard: 3, Seq: 2000, Limit: 256, WaitMS: 100, Epoch: 5, Gen: 2},
-		{ID: 15, Op: OpReplShardPull, Shard: 0, Seq: 1, Gen: 0},
-		{ID: 16, Op: OpReplShardSnap, Shard: 2, SnapID: 9, Seq: 1 << 18},
+		{ID: 14, Op: OpReplPull, Shard: 3, Seq: 2000, Limit: 256, WaitMS: 100, Epoch: 5, Gen: 2},
+		{ID: 15, Op: OpReplPull, Shard: 0, Seq: 1, Gen: 0},
+		{ID: 16, Op: OpReplSnap, Shard: 2, SnapID: 9, Seq: 1 << 18},
+	}
+}
+
+// retiredReplRequests are protocol v2's unsharded REPL_PULL (0x10) and
+// REPL_SNAP (0x11) requests, byte for byte as a v2 follower framed them.
+// Both opcodes are retired and must decode as unknown.
+func retiredReplRequests() [][]byte {
+	id := make([]byte, 8)
+	return [][]byte{
+		append(append([]byte{0x10}, id...), make([]byte, 24)...), // fromSeq, max, waitMS, epoch
+		append(append([]byte{0x11}, id...), make([]byte, 16)...), // snapID, offset
 	}
 }
 
@@ -60,6 +73,7 @@ func responseCases() []*Response {
 		{ID: 14, Op: OpBatch, OK: true, BatchErrs: []ErrCode{ErrCodeNone, ErrCodeKeyNotFound}, Seq: 4250, HasSeq: true},
 		{ID: 15, Op: OpHello, OK: true, Version: ProtocolVersion, Features: FeatSeqTokens, Role: 1, Epoch: 2},
 		{ID: 16, Op: OpHello, Err: ErrCodeVersionMismatch, Msg: "speak v2"},
+		// A one-shard primary's replies: generation 0, no manifest section.
 		{ID: 17, Op: OpReplPull, OK: true, FirstSeq: 100, UpstreamSeq: 103, Epoch: 2, Recs: []wal.Record{
 			{Op: wal.OpInsert, Key: 1, Val: 2},
 			{Op: wal.OpDelete, Key: 3},
@@ -72,15 +86,15 @@ func responseCases() []*Response {
 		{ID: 22, Op: OpGetSeq, OK: true, Seq: 1234},
 		{ID: 23, Op: OpInsert, Err: ErrCodeNotPrimary, Msg: "fenced at epoch 4"},
 		{ID: 24, Op: OpInsert, Err: ErrCodeLagging, RetryAfterMS: 50},
-		{ID: 25, Op: OpReplShardPull, OK: true, FirstSeq: 50, UpstreamSeq: 60, Epoch: 3, Gen: 4, Recs: []wal.Record{
+		{ID: 25, Op: OpReplPull, OK: true, FirstSeq: 50, UpstreamSeq: 60, Epoch: 3, Gen: 4, Recs: []wal.Record{
 			{Op: wal.OpInsert, Key: 11, Val: 12},
 			{Op: wal.OpDelete, Key: 13},
 		}},
-		{ID: 26, Op: OpReplShardPull, OK: true, FirstSeq: 1, UpstreamSeq: 90, Epoch: 3, Gen: 5,
+		{ID: 26, Op: OpReplPull, OK: true, FirstSeq: 1, UpstreamSeq: 90, Epoch: 3, Gen: 5,
 			ManifestChanged: true, Bounds: []uint64{1000, 2000, 3000}},
-		{ID: 27, Op: OpReplShardPull, OK: true, FirstSeq: 7, UpstreamSeq: 7, Epoch: 2, Gen: 1,
+		{ID: 27, Op: OpReplPull, OK: true, FirstSeq: 7, UpstreamSeq: 7, Epoch: 2, Gen: 1,
 			SnapshotNeeded: true, ManifestChanged: true},
-		{ID: 28, Op: OpReplShardSnap, OK: true, SnapID: 9, AsOfSeq: 55, Offset: 0, Total: 128, Snap: []byte{9, 8, 7}},
+		{ID: 28, Op: OpReplSnap, OK: true, SnapID: 9, AsOfSeq: 55, Offset: 0, Total: 128, Snap: []byte{9, 8, 7}},
 	}
 }
 
@@ -218,10 +232,14 @@ func TestMalformedInputs(t *testing.T) {
 		{"BATCH count short of body", append(append(append([]byte{byte(OpBatch)}, id...), le32(2)...), make([]byte, batchOpSize)...)},
 		{"BATCH bad sub-op", append(append(append([]byte{byte(OpBatch)}, id...), le32(1)...),
 			append([]byte{byte(OpStats)}, make([]byte, 16)...)...)},
+		{"retired v2 REPL_PULL", retiredReplRequests()[0]},
+		{"retired v2 REPL_SNAP", retiredReplRequests()[1]},
 	}
 	for _, tc := range payloadCases {
 		if _, err := DecodeRequest(tc.payload); !errors.Is(err, ErrMalformed) {
 			t.Errorf("DecodeRequest %s: got %v, want ErrMalformed", tc.name, err)
+		} else if strings.HasPrefix(tc.name, "retired") && !strings.Contains(err.Error(), "unknown opcode") {
+			t.Errorf("DecodeRequest %s: got %v, want an unknown-opcode rejection", tc.name, err)
 		}
 		// Well-framed garbage must fail at decode, not at the frame layer.
 		payload, _, err := DecodeFrame(reframe(tc.payload))
@@ -245,6 +263,8 @@ func TestMalformedInputs(t *testing.T) {
 			p = binary.LittleEndian.AppendUint32(p, 0)
 			return binary.LittleEndian.AppendUint16(p, 500) // no message bytes follow
 		}()},
+		// A v2 primary's reply to the retired unsharded pull: empty record set.
+		{"reply for retired v2 REPL_PULL", append(append(append([]byte{statusOK}, id...), 0x10), make([]byte, 29)...)},
 	}
 	for _, tc := range respCases {
 		if _, err := DecodeResponse(tc.payload); !errors.Is(err, ErrMalformed) {
