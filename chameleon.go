@@ -50,7 +50,9 @@ type Options struct {
 	// Seed makes construction deterministic.
 	Seed uint64
 	// RetrainEvery, when positive, starts the background retrainer
-	// automatically after each BulkLoad with this period.
+	// automatically after each BulkLoad with this period. It does nothing
+	// for a tiered directory's memtable (DirOptions.Tiered), which runs no
+	// retrainer.
 	RetrainEvery time.Duration
 	// ReconstructThreshold triggers a full MARL reconstruction once
 	// cumulative updates exceed this multiple of the built size (the

@@ -135,7 +135,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 // WriteManifest durably commits m as its generation's file: write, fsync,
 // and one SyncDir sealing the directory entry. The caller must have made
 // every segment m references durable first (Create + SyncDir). On return
-// the new generation is the one recovery will load.
+// the new generation is the one recovery will load. On error the file is
+// removed, even past its fsync: callers abort by removing the files m
+// names, and a generation left behind would name files that are gone.
 func WriteManifest(fsys faultfs.FS, dir string, m *Manifest) error {
 	data, err := EncodeManifest(m)
 	if err != nil {
@@ -160,7 +162,11 @@ func WriteManifest(fsys faultfs.FS, dir string, m *Manifest) error {
 		fsys.Remove(path) //nolint:errcheck
 		return err
 	}
-	return fsys.SyncDir(dir)
+	if err := fsys.SyncDir(dir); err != nil {
+		fsys.Remove(path) //nolint:errcheck
+		return err
+	}
+	return nil
 }
 
 // LoadManifest finds the newest decodable manifest generation in dir. A nil

@@ -287,6 +287,24 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// syncDirFailFS fails every directory fsync.
+type syncDirFailFS struct{ faultfs.FS }
+
+func (syncDirFailFS) SyncDir(string) error { return errors.New("injected syncdir failure") }
+
+// TestManifestSyncDirFailureLeavesNoFile: a manifest whose directory fsync
+// fails is removed, so the generation cannot outlive the segment files the
+// caller removes when it aborts.
+func TestManifestSyncDirFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteManifest(syncDirFailFS{faultfs.OS}, dir, &Manifest{Gen: 1, NextID: 1}); err == nil {
+		t.Fatal("WriteManifest succeeded with a failing SyncDir")
+	}
+	if m, err := LoadManifest(faultfs.OS, dir); err != nil || m != nil {
+		t.Fatalf("after failed WriteManifest: m=%+v err=%v, want no manifest", m, err)
+	}
+}
+
 func TestManifestNewestDecodableWins(t *testing.T) {
 	dir := t.TempDir()
 

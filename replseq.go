@@ -373,8 +373,9 @@ func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err err
 // RestoreSnapshot replaces the index's contents with a snapshot streamed
 // from an upstream (the bootstrap half of SnapshotAt) and adopts asOfSeq as
 // the local commit sequence, making the restored state and its sequence
-// durable together (legacy: a checkpoint; tiered: a fresh L1 segment behind
-// a manifest commit — see tier.restoreFlat). The stream's leading 8 bytes
+// durable together (legacy: a checkpoint; tiered: the replace BulkLoad also
+// makes, one fresh L1 segment behind a manifest commit — see
+// tier.replaceLocked). The stream's leading 8 bytes
 // select the decoder, so a tiered follower can bootstrap from a legacy
 // primary and vice versa. On a decode failure the local state is unchanged;
 // on a durability failure after the in-memory install the handle is
@@ -401,11 +402,7 @@ func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
 		if err != nil {
 			return err
 		}
-		if err := d.tier.restoreFlat(keys, vals, asOfSeq); err != nil {
-			return err
-		}
-		d.broadcastSeq()
-		return nil
+		return d.tier.restore(keys, vals, asOfSeq)
 	}
 
 	d.mu.Lock()

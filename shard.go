@@ -107,61 +107,23 @@ func IsShardedDir(dir string) bool {
 // routes to the last shard.
 //
 // Routing is a binary search over at most Shards-1 boundaries. A learned
-// (linear-interpolation) router was measured against it (BenchmarkShardRouter,
-// equi-width and skewed equi-depth boundary shapes): at the default 4 shards
-// binary search wins both shapes (~2.8–3.0 vs ~3.1–3.2 ns/route); the learned
-// router pulls ahead only on equi-width boundaries at 16–64 shards (~1–1.7 ns
-// saved), and on skewed equi-depth boundaries — the shape locally skewed data
-// actually produces — its misprediction-correction scan makes it strictly
-// worse (11.1 vs 6.4 ns at 64 shards). Binary search is skew-independent and
-// ships; routeLearned is kept so the measurement stays reproducible.
+// (linear-interpolation) router was measured against it when sharding
+// landed (BenchmarkShardRouter, equi-width and skewed equi-depth boundary
+// shapes): at the default 4 shards binary search won both shapes (~2.8–3.0
+// vs ~3.1–3.2 ns/route); the learned router pulled ahead only on equi-width
+// boundaries at 16–64 shards (~1–1.7 ns saved), and on skewed equi-depth
+// boundaries — the shape locally skewed data actually produces — its
+// misprediction-correction scan made it strictly worse (11.1 vs 6.4 ns at
+// 64 shards). Binary search is skew-independent and is the only router.
 type shardRouter struct {
 	bounds []uint64
-	// learned-router fit: predicted = (key - bounds[0]) * slope.
-	slope float64
 }
 
-func newShardRouter(bounds []uint64) *shardRouter {
-	r := &shardRouter{bounds: bounds}
-	if n := len(bounds); n > 1 {
-		span := float64(bounds[n-1] - bounds[0])
-		if span > 0 {
-			r.slope = float64(n-1) / span
-		}
-	}
-	return r
-}
+func newShardRouter(bounds []uint64) *shardRouter { return &shardRouter{bounds: bounds} }
 
 // route returns the index of the shard owning key.
 func (r *shardRouter) route(key uint64) int {
 	return sort.Search(len(r.bounds), func(i int) bool { return key < r.bounds[i] })
-}
-
-// routeLearned is the linear-interpolation alternative: predict the boundary
-// slot from a fitted line, then correct with a local scan. Benchmarked, not
-// shipped (see shardRouter doc).
-func (r *shardRouter) routeLearned(key uint64) int {
-	n := len(r.bounds)
-	if n == 0 {
-		return 0
-	}
-	if key < r.bounds[0] {
-		return 0
-	}
-	if key >= r.bounds[n-1] {
-		return n
-	}
-	i := int(float64(key-r.bounds[0]) * r.slope)
-	if i > n-1 {
-		i = n - 1
-	}
-	for i > 0 && key < r.bounds[i] {
-		i--
-	}
-	for i < n && key >= r.bounds[i] {
-		i++
-	}
-	return i
 }
 
 // OpenShardedDir opens (or initializes) a sharded durable index rooted at

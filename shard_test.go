@@ -116,52 +116,13 @@ func TestShardRouterBoundaries(t *testing.T) {
 		if got := r.route(c.key); got != c.want {
 			t.Errorf("route(%d) = %d, want %d", c.key, got, c.want)
 		}
-		if got := r.routeLearned(c.key); got != c.want {
-			t.Errorf("routeLearned(%d) = %d, want %d", c.key, got, c.want)
-		}
 	}
 }
 
-// TestShardRouterEquivalence: the learned router must agree with binary
-// search everywhere — it is benchmarked as an alternative implementation of
-// the same function, so any disagreement voids the measurement.
-func TestShardRouterEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{2, 4, 16, 64, 256} {
-		bounds := make([]uint64, 0, n-1)
-		used := map[uint64]bool{}
-		for len(bounds) < n-1 {
-			b := rng.Uint64()
-			if b != 0 && !used[b] {
-				used[b] = true
-				bounds = append(bounds, b)
-			}
-		}
-		sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-		r := newShardRouter(bounds)
-		probe := func(key uint64) {
-			if a, b := r.route(key), r.routeLearned(key); a != b {
-				t.Fatalf("n=%d key=%d: route=%d routeLearned=%d", n, key, a, b)
-			}
-		}
-		probe(0)
-		probe(^uint64(0))
-		for _, b := range bounds {
-			probe(b)
-			probe(b - 1)
-			probe(b + 1)
-		}
-		for i := 0; i < 10000; i++ {
-			probe(rng.Uint64())
-		}
-	}
-}
-
-// BenchmarkShardRouter backs the router measurement quoted in the
-// shardRouter doc comment. Two boundary shapes: equi-width (the learned
-// router's best case — interpolation predicts exactly) and equi-depth over
-// locally skewed clusters (the shape this system actually produces, where
-// interpolation mispredicts and pays a linear correction scan).
+// BenchmarkShardRouter measures the binary-search router quoted in the
+// shardRouter doc comment over two boundary shapes: equi-width, and
+// equi-depth over locally skewed clusters (the shape this system actually
+// produces).
 func BenchmarkShardRouter(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{4, 16, 64} {
@@ -199,13 +160,6 @@ func BenchmarkShardRouter(b *testing.B) {
 				var sink int
 				for i := 0; i < b.N; i++ {
 					sink += bench.r.route(bench.probes[i&1023])
-				}
-				_ = sink
-			})
-			b.Run(fmt.Sprintf("learned/%s/%dshards", bench.shape, n), func(b *testing.B) {
-				var sink int
-				for i := 0; i < b.N; i++ {
-					sink += bench.r.routeLearned(bench.probes[i&1023])
 				}
 				_ = sink
 			})

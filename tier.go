@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
@@ -20,10 +21,12 @@ import (
 // watermark and writes a delta-sized immutable L0 segment
 // (internal/segment). A compactor merges the L0 runs with the older runs that
 // are small enough to be worth rewriting (pickCompaction), dropping the
-// tombstones nothing older needs. The manifest is the commit point for both;
-// the WAL is truncated only past the flushed watermark, so every crash point
-// leaves either the old manifest + a WAL that still covers the delta, or the
-// new manifest with the delta inside segments.
+// tombstones nothing older needs, and a replace (bulk load, snapshot restore)
+// swaps everything for one fresh run. The manifest is the commit point for
+// all three, and after it they share one tail (install); the WAL is
+// truncated only past the flushed watermark, so every crash point leaves
+// either the old manifest + a WAL that still covers the delta, or the new
+// manifest with the delta inside segments.
 //
 // Read path (newest wins): memtable → dead-set (tombstones awaiting flush) →
 // frozen run (flush in progress) → segments newest-to-oldest, pruned by
@@ -35,14 +38,14 @@ import (
 // resurrect the previous incarnation's value.
 //
 // Lock order: t.tmu → d.mu → d.qmu. t.segMu is independent and nests inside
-// anything: readers hold segMu.RLock across segment I/O; a compaction takes
-// segMu.Lock only as an empty barrier (Lock; Unlock) after publishing the
-// new segment set, so retired readers are closed only after every in-flight
+// anything: readers hold segMu.RLock across segment I/O; retire takes
+// segMu.Lock only as an empty barrier (Lock; Unlock) after a new segment set
+// is published, so retired readers are closed only after every in-flight
 // cold read has drained. Nobody acquires other locks while holding segMu.
 type tier struct {
 	d *DurableIndex
 
-	// tmu serializes flush, compaction, bulk load, and tier close — the
+	// tmu serializes flush, compaction, replace, and tier close — the
 	// operations that advance the manifest generation. It is taken before
 	// d.mu, never after.
 	tmu sync.Mutex
@@ -198,10 +201,7 @@ func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, 
 	sortNewestFirst(readers)
 	t.segs.Store(&segset{readers: readers})
 	if man != nil {
-		t.gen.Store(man.Gen)
-		t.nextID.Store(man.NextID)
-		t.flushedSeq.Store(man.FlushedSeq)
-		t.flushedLive.Store(man.LiveCount)
+		t.adopt(man)
 	} else {
 		t.nextID.Store(1)
 	}
@@ -458,52 +458,64 @@ func (t *tier) maybeSignalFlush() {
 }
 
 // ---------------------------------------------------------------------------
-// Flush
+// Commit pieces: the steps flush, compaction and replace share
 
-// rotateWALLocked opens wal-<seq+1> as the live log, recording the current
-// commit sequence as its base in the seq.meta sidecar. On failure the old
-// log stays live and authoritative — at worst a crash leaves a stray empty
-// wal file whose recorded base makes its (zero) records harmless to replay.
-// Callers hold d.mu.
-func (d *DurableIndex) rotateWALLocked() error {
-	newSeq := d.seq + 1
-	walPath := filepath.Join(d.dir, walName(newSeq))
-	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs), nil)
+// successorWALLocked creates wal-<seq+1> and records base as its commit
+// sequence in the seq sidecar, leaving the live log alone: the old log stays
+// live and authoritative until the caller's commit point has passed and
+// swapWALLocked makes the new one live, and abort undoes the creation. A
+// stray empty successor left by a crash is harmless — an empty log never
+// advances the recovered commit clock (openTieredDir). Callers hold d.mu.
+func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort func(), err error) {
+	seq := d.seq + 1
+	path := filepath.Join(d.dir, walName(seq))
+	next, _, err = wal.Open(path, walOptions(d.opts, d.fs), nil)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if d.seqMeta == nil {
 		d.seqMeta = make(map[uint64]uint64)
 	}
-	d.seqMeta[newSeq] = d.commitSeq.Load()
+	d.seqMeta[seq] = base
+	abort = func() {
+		delete(d.seqMeta, seq)
+		next.Close()           //nolint:errcheck
+		d.fs.Remove(path)      //nolint:errcheck
+		d.writeSeqMetaLocked() //nolint:errcheck // best-effort shrink; a stale entry names no file
+	}
 	if err := d.writeSeqMetaLocked(); err != nil {
-		delete(d.seqMeta, newSeq)
-		newLog.Close()       //nolint:errcheck
-		d.fs.Remove(walPath) //nolint:errcheck
-		return err
+		abort()
+		return nil, nil, err
 	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		delete(d.seqMeta, newSeq)
-		newLog.Close() //nolint:errcheck
-		return err
-	}
-	old := d.log
-	d.log = newLog
-	d.seq = newSeq
-	if old != nil {
-		old.Close() //nolint:errcheck
-	}
-	// A fresh, empty log clears a wedged-WAL degradation, same as the legacy
-	// checkpoint rotation.
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
-	return nil
+	return next, abort, nil
 }
 
-// mergeLiveDead merges live pairs and sorted dead-set tombstones into one
-// ascending run. The sets are disjoint by invariant; if they ever collide the
-// live value wins (failing open to data, not to loss).
-func mergeLiveDead(keys, vals, dk []uint64) (mk, mv []uint64, mt []bool) {
+// swapWALLocked makes next, from successorWALLocked, the live log. A fresh,
+// empty log clears a wedged-WAL degradation, same as the legacy checkpoint
+// rotation. Callers hold d.mu.
+func (d *DurableIndex) swapWALLocked(next *wal.Log) {
+	if d.log != nil {
+		d.log.Close() //nolint:errcheck
+	}
+	d.log = next
+	d.seq++
+	d.degraded.Store(false)
+	d.walErrv.Store(errBox{})
+}
+
+// captureLocked returns the memtable and the dead set as one ascending run,
+// tombstones flagged. The sets are disjoint by invariant; if they ever
+// collide the live value wins (failing open to data, not to loss). Callers
+// hold d.mu.
+func (t *tier) captureLocked() (mk, mv []uint64, mt []bool) {
+	keys, vals := t.d.ix.AppendPairs(nil, nil)
+	t.deadMu.RLock()
+	dk := make([]uint64, 0, len(t.dead))
+	for k := range t.dead {
+		dk = append(dk, k)
+	}
+	t.deadMu.RUnlock()
+	sort.Slice(dk, func(i, j int) bool { return dk[i] < dk[j] })
 	mk = make([]uint64, 0, len(keys)+len(dk))
 	mv = make([]uint64, 0, len(keys)+len(dk))
 	mt = make([]bool, 0, len(keys)+len(dk))
@@ -528,6 +540,83 @@ func mergeLiveDead(keys, vals, dk []uint64) (mk, mv []uint64, mt []bool) {
 	return mk, mv, mt
 }
 
+// resetMemtableLocked empties the memtable and the dead set. Resetting an
+// index to empty cannot fail; if it somehow does, memory no longer matches
+// what the caller just captured or committed, and the handle fails stop.
+// Callers hold d.mu.
+func (t *tier) resetMemtableLocked() error {
+	d := t.d
+	if err := d.ix.BulkLoad(nil, nil); err != nil {
+		d.poisonLocked(fmt.Errorf("tier memtable reset: %w", err))
+		return d.fail
+	}
+	t.deadMu.Lock()
+	t.dead = make(map[uint64]struct{})
+	t.deadMu.Unlock()
+	t.bumpVer()
+	return nil
+}
+
+// openSegments opens the files metas names, each checked strictly against
+// its recorded Meta. On failure it closes what it opened.
+func openSegments(fsys faultfs.FS, dir string, metas []segment.Meta) ([]*segment.Reader, error) {
+	readers := make([]*segment.Reader, 0, len(metas))
+	for i := range metas {
+		r, err := segment.Open(fsys, filepath.Join(dir, segment.FileName(metas[i].ID)), &metas[i])
+		if err != nil {
+			for _, o := range readers {
+				o.Close() //nolint:errcheck // never published
+			}
+			return nil, fmt.Errorf("%s: %w", segment.FileName(metas[i].ID), err)
+		}
+		readers = append(readers, r)
+	}
+	return readers, nil
+}
+
+// install is the tail every manifest commit shares: it opens the files in
+// add, publishes them with keep as the new segment set, retires drop, and
+// adopts man's counters. If a file fails to open nothing is published, and
+// the caller must poison the handle: the manifest is committed, so memory
+// can no longer match disk. Callers hold t.tmu.
+func (t *tier) install(man *segment.Manifest, add []segment.Meta, keep, drop []*segment.Reader) error {
+	readers, err := openSegments(t.d.fs, t.d.dir, add)
+	if err != nil {
+		return fmt.Errorf("reopen committed segment: %w", err)
+	}
+	readers = append(readers, keep...)
+	sortNewestFirst(readers)
+	t.segs.Store(&segset{readers: readers})
+	t.retire(drop)
+	t.adopt(man)
+	return nil
+}
+
+// retire closes readers that have left the published set, after an empty
+// segMu critical section has waited out every in-flight cold read that may
+// still hold them. Their files are gcInlineLocked's to remove.
+func (t *tier) retire(readers []*segment.Reader) {
+	if len(readers) == 0 {
+		return
+	}
+	t.segMu.Lock()
+	t.segMu.Unlock() //nolint:staticcheck // empty critical section is the point
+	for _, r := range readers {
+		r.Close() //nolint:errcheck
+	}
+}
+
+// adopt mirrors a committed manifest's counters.
+func (t *tier) adopt(man *segment.Manifest) {
+	t.gen.Store(man.Gen)
+	t.nextID.Store(man.NextID)
+	t.flushedSeq.Store(man.FlushedSeq)
+	t.flushedLive.Store(man.LiveCount)
+}
+
+// ---------------------------------------------------------------------------
+// Flush
+
 // freeze captures the memtable and dead set as an immutable frozen run at
 // the current commit sequence, rotates the WAL so the delta has a clean log
 // boundary, and resets the volatile tiers. Returns (nil, nil) when there is
@@ -539,37 +628,27 @@ func (t *tier) freeze() (*frozenRun, error) {
 	if err := d.usableLocked(); err != nil {
 		return nil, err
 	}
-	keys, vals := d.ix.AppendPairs(nil, nil)
-	t.deadMu.RLock()
-	dk := make([]uint64, 0, len(t.dead))
-	for k := range t.dead {
-		dk = append(dk, k)
-	}
-	t.deadMu.RUnlock()
-	if len(keys) == 0 && len(dk) == 0 {
+	keys, vals, tombs := t.captureLocked()
+	if len(keys) == 0 {
 		return nil, nil
 	}
-	sort.Slice(dk, func(i, j int) bool { return dk[i] < dk[j] })
-	mk, mv, mt := mergeLiveDead(keys, vals, dk)
-
-	fseq := d.commitSeq.Load()
-	live := t.liveCount.Load()
-	if err := d.rotateWALLocked(); err != nil {
-		return nil, err // clean abort: nothing captured, old log still live
+	fr := &frozenRun{keys: keys, vals: vals, tombs: tombs, seq: d.commitSeq.Load(), live: t.liveCount.Load()}
+	// The successor's dirent and base must be durable before it takes
+	// records. On failure nothing is captured and the old log stays live.
+	next, abort, err := d.successorWALLocked(fr.seq)
+	if err != nil {
+		return nil, err
 	}
-	fr := &frozenRun{keys: mk, vals: mv, tombs: mt, seq: fseq, live: live}
+	if err := d.fs.SyncDir(d.dir); err != nil {
+		abort()
+		return nil, err
+	}
+	d.swapWALLocked(next)
 	t.frozen.Store(fr)
 	t.bumpVer()
-	if err := d.ix.BulkLoad(nil, nil); err != nil {
-		// Resetting an index to empty cannot fail; if it somehow does, memory
-		// no longer matches the capture and the handle must fail stop.
-		d.poisonLocked(fmt.Errorf("tier freeze reset: %w", err))
-		return nil, d.fail
+	if err := t.resetMemtableLocked(); err != nil {
+		return nil, err
 	}
-	t.deadMu.Lock()
-	t.dead = make(map[uint64]struct{})
-	t.deadMu.Unlock()
-	t.bumpVer()
 	return fr, nil
 }
 
@@ -589,19 +668,18 @@ func (d *DurableIndex) Flush() error {
 }
 
 // flushLocked runs one flush attempt. Callers hold t.tmu.
-func (t *tier) flushLocked() error {
-	d := t.d
-	fr := t.frozen.Load()
-	if fr == nil {
-		var err error
-		fr, err = t.freeze()
+func (t *tier) flushLocked() (err error) {
+	defer func() {
 		if err != nil {
 			t.flushErrs.Add(1)
 			t.lastFlushErrv.Store(errBox{err})
-			return err
 		}
-		if fr == nil {
-			return nil // nothing to flush
+	}()
+	d := t.d
+	fr := t.frozen.Load()
+	if fr == nil {
+		if fr, err = t.freeze(); fr == nil {
+			return err // nil: nothing to flush
 		}
 	}
 	start := time.Now()
@@ -613,8 +691,6 @@ func (t *tier) flushLocked() error {
 		err = d.fs.SyncDir(d.dir)
 	}
 	if err != nil {
-		t.flushErrs.Add(1)
-		t.lastFlushErrv.Store(errBox{err})
 		return err
 	}
 	old := t.segs.Load()
@@ -626,29 +702,15 @@ func (t *tier) flushLocked() error {
 		Segments:   append(old.metas(), meta),
 	}
 	if err := segment.WriteManifest(d.fs, d.dir, man); err != nil {
-		t.flushErrs.Add(1)
-		t.lastFlushErrv.Store(errBox{err})
 		return err
 	}
-	// The manifest is committed: the segment is authoritative. A failure to
-	// open it for serving now means memory can no longer match disk.
-	r, err := segment.Open(d.fs, filepath.Join(d.dir, segment.FileName(id)), &meta)
-	if err != nil {
+	if err := t.install(man, []segment.Meta{meta}, old.readers, nil); err != nil {
 		d.mu.Lock()
-		d.poisonLocked(fmt.Errorf("flush: reopen committed segment: %w", err))
+		d.poisonLocked(fmt.Errorf("flush: %w", err))
 		d.mu.Unlock()
-		t.flushErrs.Add(1)
-		t.lastFlushErrv.Store(errBox{err})
 		return err
 	}
-	readers := append([]*segment.Reader{r}, old.readers...)
-	sortNewestFirst(readers)
-	t.segs.Store(&segset{readers: readers})
-	t.frozen.Store(nil) // after segs: a reader missing frozen finds the segment
-	t.gen.Store(man.Gen)
-	t.nextID.Store(man.NextID)
-	t.flushedSeq.Store(fr.seq)
-	t.flushedLive.Store(fr.live)
+	t.frozen.Store(nil) // after install: a reader missing frozen finds the segment
 	t.flushes.Add(1)
 	t.flushedBytes.Add(uint64(meta.Bytes))
 	t.lastFlushUS.Store(time.Since(start).Microseconds())
@@ -785,7 +847,8 @@ func (d *DurableIndex) Compact() error {
 // compactLocked runs one compaction: pickCompaction chooses the inputs, a
 // k-way newest-wins merge streams them into level-1 files of at most
 // compactRunMax entries carrying the newest input's Seq, and one manifest
-// commit swaps inputs for outputs.
+// commit swaps inputs for outputs (install retires the inputs; the GC pass
+// after it removes their files).
 //
 // A tombstone is dropped iff no run left out of the merge MayContain its
 // key. Every left-out run is older than every input (or shares no key range
@@ -882,33 +945,12 @@ func (t *tier) compactLocked(full bool) (err error) {
 		cleanup()
 		return err
 	}
-	// Committed. Open the outputs for serving; failure here poisons.
-	newReaders := append([]*segment.Reader(nil), rest...)
-	for i := range outs {
-		r, err := segment.Open(d.fs, filepath.Join(d.dir, segment.FileName(outs[i].ID)), &outs[i])
-		if err != nil {
-			for _, o := range newReaders[len(rest):] {
-				o.Close() //nolint:errcheck // never published
-			}
-			d.mu.Lock()
-			d.poisonLocked(fmt.Errorf("compaction: reopen committed segment: %w", err))
-			d.mu.Unlock()
-			return err
-		}
-		newReaders = append(newReaders, r)
+	if err := t.install(man, outs, rest, inputs); err != nil {
+		d.mu.Lock()
+		d.poisonLocked(fmt.Errorf("compaction: %w", err))
+		d.mu.Unlock()
+		return err
 	}
-	sortNewestFirst(newReaders)
-	t.segs.Store(&segset{readers: newReaders})
-	// Barrier: wait out every in-flight cold read that may still hold the
-	// retired readers, then close and remove them.
-	t.segMu.Lock()
-	t.segMu.Unlock() //nolint:staticcheck // empty critical section is the point
-	for _, r := range inputs {
-		r.Close()                                                        //nolint:errcheck
-		d.fs.Remove(filepath.Join(d.dir, segment.FileName(r.Meta().ID))) //nolint:errcheck
-	}
-	t.gen.Store(man.Gen)
-	t.nextID.Store(man.NextID)
 	t.compactions.Add(1)
 	t.lastCompactUS.Store(time.Since(start).Microseconds())
 	for _, o := range outs {
@@ -952,24 +994,12 @@ func (t *tier) stop() {
 	t.wg.Wait()
 }
 
-// closeReaders drains in-flight cold reads and closes every segment reader.
-// Called by DurableIndex.Close after readsClosed flips.
-func (t *tier) closeReaders() {
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
-	for _, r := range t.segs.Load().readers {
-		r.Close() //nolint:errcheck
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Bulk load
+// Replace: bulk load and snapshot restore
 
-// bulkLoadTiered rebuilds the tier from sorted keys: one fresh L1 segment
-// replaces every existing segment, the memtable and dead set reset, and the
-// WAL rotates so the (empty) delta has a clean boundary. Bulk data never
-// passes through the WAL; the manifest commit is its durability point, and a
-// failure before that commit leaves the previous state fully authoritative.
+// bulkLoad rebuilds the tier from sorted keys. It is a replace as of the
+// local commit sequence: bulk data never passes through the WAL, so the
+// manifest commit is its durability point.
 func (t *tier) bulkLoad(keys, vals []uint64) error {
 	if vals != nil && len(vals) != len(keys) {
 		return ErrMismatchedValues
@@ -984,76 +1014,100 @@ func (t *tier) bulkLoad(keys, vals []uint64) error {
 	}
 	t.tmu.Lock()
 	defer t.tmu.Unlock()
+	t.d.mu.Lock()
+	defer t.d.mu.Unlock()
+	return t.replaceLocked(keys, vals, t.d.commitSeq.Load())
+}
+
+// restore is the receiving half of snapshot bootstrap: a replace as of the
+// snapshot's commit sequence.
+func (t *tier) restore(keys, vals []uint64, asOfSeq uint64) error {
+	t.tmu.Lock()
+	defer t.tmu.Unlock()
+	t.d.mu.Lock()
+	defer t.d.mu.Unlock()
+	return t.replaceLocked(keys, vals, asOfSeq)
+}
+
+// replaceLocked replaces the tier's entire contents with the sorted run
+// (keys, vals) as of asOfSeq, which becomes the local commit sequence.
+//
+// Commit protocol (the manifest is the commit point, same as flush):
+//
+//  1. Write the run as one L1 segment and seal its directory entry.
+//  2. Create the successor WAL file and record its base (= asOfSeq) in the
+//     seq sidecar — WITHOUT swapping the live log (successorWALLocked).
+//     Until step 3 commits, the old log stays live and every acked write
+//     keeps its durable home.
+//  3. WriteManifest (FlushedSeq = asOfSeq) — its SyncDir seals the WAL
+//     dirent and the sidecar together with the commit.
+//  4. install the new segment set, retiring every old reader; swap the live
+//     log, reset the volatile tiers, adopt asOfSeq, and garbage-collect the
+//     previous state.
+//
+// A failure before step 3 aborts cleanly: the old state stays fully
+// authoritative and no new file is left behind. A failure after it poisons
+// — memory could no longer match the committed manifest. Callers hold t.tmu
+// and d.mu.
+func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err := d.usableLocked(); err != nil {
 		return err
 	}
+	if asOfSeq < d.commitSeq.Load() {
+		return fmt.Errorf("%w: snapshot at %d, local at %d", ErrRestoreBehind, asOfSeq, d.commitSeq.Load())
+	}
 
 	id := t.nextID.Load()
-	var segMetas []segment.Meta
+	var metas []segment.Meta
+	removeSeg := func() {
+		for _, m := range metas {
+			d.fs.Remove(filepath.Join(d.dir, segment.FileName(m.ID))) //nolint:errcheck
+		}
+	}
 	if len(keys) > 0 {
-		meta, err := segment.Create(d.fs, d.dir, keys, vals, nil, id, 1, d.commitSeq.Load(), t.eps)
+		meta, err := segment.Create(d.fs, d.dir, keys, vals, nil, id, 1, asOfSeq, t.eps)
 		if err != nil {
 			return err
 		}
+		metas = append(metas, meta)
+		id++
 		if err := d.fs.SyncDir(d.dir); err != nil {
-			d.fs.Remove(filepath.Join(d.dir, segment.FileName(id))) //nolint:errcheck
+			removeSeg()
 			return err
 		}
-		segMetas = append(segMetas, meta)
-		id++
 	}
-	if err := d.rotateWALLocked(); err != nil {
-		if len(segMetas) > 0 {
-			d.fs.Remove(filepath.Join(d.dir, segment.FileName(segMetas[0].ID))) //nolint:errcheck
-		}
+	next, abortWAL, err := d.successorWALLocked(asOfSeq)
+	if err != nil {
+		removeSeg()
 		return err
 	}
 	man := &segment.Manifest{
 		Gen:        t.gen.Load() + 1,
-		FlushedSeq: d.commitSeq.Load(),
+		FlushedSeq: asOfSeq,
 		LiveCount:  int64(len(keys)),
 		NextID:     id,
-		Segments:   segMetas,
+		Segments:   metas,
 	}
 	if err := segment.WriteManifest(d.fs, d.dir, man); err != nil {
+		abortWAL()
+		removeSeg()
 		return err
 	}
-	var readers []*segment.Reader
-	for i := range segMetas {
-		r, err := segment.Open(d.fs, filepath.Join(d.dir, segment.FileName(segMetas[i].ID)), &segMetas[i])
-		if err != nil {
-			d.poisonLocked(fmt.Errorf("bulk load: reopen committed segment: %w", err))
-			return d.fail
-		}
-		readers = append(readers, r)
-	}
-
-	// Commit in memory: reset volatile tiers, publish the new segment set,
-	// retire every old reader.
-	if err := d.ix.BulkLoad(nil, nil); err != nil {
-		d.poisonLocked(fmt.Errorf("bulk load reset: %w", err))
+	if err := t.install(man, metas, nil, t.segs.Load().readers); err != nil {
+		next.Close() //nolint:errcheck
+		d.poisonLocked(fmt.Errorf("replace: %w", err))
 		return d.fail
 	}
-	t.deadMu.Lock()
-	t.dead = make(map[uint64]struct{})
-	t.deadMu.Unlock()
-	old := t.segs.Load()
-	t.segs.Store(&segset{readers: readers})
+	d.swapWALLocked(next)
+	if err := t.resetMemtableLocked(); err != nil {
+		return err
+	}
 	t.frozen.Store(nil)
 	t.bumpVer()
-	t.segMu.Lock()
-	t.segMu.Unlock() //nolint:staticcheck // reader-retirement barrier
-	for _, r := range old.readers {
-		r.Close() //nolint:errcheck
-	}
-	t.gen.Store(man.Gen)
-	t.nextID.Store(man.NextID)
-	t.flushedSeq.Store(man.FlushedSeq)
-	t.flushedLive.Store(man.LiveCount)
 	t.liveCount.Store(int64(len(keys)))
+	d.commitSeq.Store(asOfSeq)
+	d.broadcastSeq()
 	t.gcInlineLocked()
 	return nil
 }

@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"chameleon/internal/faultfs"
@@ -337,6 +344,235 @@ func TestTieredWALGCCrashBetweenFlushAndTruncate(t *testing.T) {
 			}
 		}
 		re.Close() //nolint:errcheck
+	}
+}
+
+// manifestFailFS fails the creation of tier manifests while fail is set, so
+// a replace dies at its commit point.
+type manifestFailFS struct {
+	faultfs.FS
+	fail atomic.Bool
+}
+
+func (f *manifestFailFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	if f.fail.Load() && flag&os.O_CREATE != 0 && strings.HasPrefix(filepath.Base(name), "manifest-") {
+		return nil, errors.New("injected manifest failure")
+	}
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// TestTieredBulkLoadManifestFailureLeavesNoFiles: a bulk load whose manifest
+// write fails aborts cleanly — the error is returned, neither its segment
+// nor a successor WAL is left behind, the previous contents still serve, and
+// the handle keeps accepting writes and flushes.
+func TestTieredBulkLoadManifestFailureLeavesNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &manifestFailFS{FS: faultfs.OS}
+	d, err := openDirFS(dir, tieredOpts(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.BulkLoad([]uint64{10, 20, 30}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(40, 4); err != nil {
+		t.Fatal(err)
+	}
+	files := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			if n := e.Name(); strings.HasPrefix(n, "seg-") || strings.HasPrefix(n, walPrefix) {
+				names = append(names, n)
+			}
+		}
+		return names
+	}
+	before := files()
+
+	keys := make([]uint64, 10_000)
+	for i := range keys {
+		keys[i] = uint64(i)*3 + 1
+	}
+	fsys.fail.Store(true)
+	if err := d.BulkLoad(keys, nil); err == nil {
+		t.Fatal("BulkLoad succeeded with a failing manifest write")
+	}
+	fsys.fail.Store(false)
+	if after := files(); !slices.Equal(after, before) {
+		t.Fatalf("failed bulk load left files behind: %v, before %v", after, before)
+	}
+	if v, ok := d.Lookup(40); !ok || v != 4 || d.Len() != 4 {
+		t.Fatalf("after failed bulk load: key 40 = %d,%v, Len %d; want 4,true, 4", v, ok, d.Len())
+	}
+	if err := d.Insert(50, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.Lookup(50); !ok || v != 5 {
+		t.Fatalf("key 50 = %d,%v after flush, want 5,true", v, ok)
+	}
+}
+
+// replaceStart builds the non-empty tier TestTieredReplaceCrashSweep
+// replaces: a base, one flushed L0 run, memtable inserts, and a delete of a
+// base-resident key, the last two held only by unflushed WAL records.
+func replaceStart(d *DurableIndex) error {
+	base := make([]uint64, 64)
+	for i := range base {
+		base[i] = uint64(i+1) * 10
+	}
+	if err := d.BulkLoad(base, nil); err != nil {
+		return err
+	}
+	for i := uint64(0); i < 4; i++ {
+		if err := d.Insert(1000+i, i); err != nil {
+			return err
+		}
+	}
+	if err := d.Flush(); err != nil {
+		return err
+	}
+	for i := uint64(0); i < 4; i++ {
+		if err := d.Insert(2000+i, i); err != nil {
+			return err
+		}
+	}
+	return d.Delete(100)
+}
+
+func tierContents(d *DurableIndex) map[uint64]uint64 {
+	m := make(map[uint64]uint64)
+	d.Range(0, ^uint64(0), func(k, v uint64) bool {
+		m[k] = v
+		return true
+	})
+	return m
+}
+
+// TestTieredReplaceCrashSweep crashes both replaces — BulkLoad and a
+// RestoreSnapshot of a tiered bundle — of a non-empty tier at every
+// filesystem step × three tear modes. Recovery must hold exactly the old
+// contents at the old CommitSeq, or exactly the new contents at the new
+// one: the manifest is the one commit point, and neither the old WAL records
+// nor a pre-created successor log may leak into the other side.
+func TestTieredReplaceCrashSweep(t *testing.T) {
+	// Full reconstructions of the tiny memtable only cost time here.
+	opts := tieredOpts()
+	opts.ReconstructThreshold = -1
+	src, err := OpenDir(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := uint64(0); i < 48; i++ {
+		if err := src.Insert(i*7+3, i); err != nil {
+			t.Fatal(err)
+		}
+		if i == 39 {
+			if err := src.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := uint64(0); i < 4; i++ {
+		if err := src.Delete(i*7 + 3); err != nil { // segment-resident: a tombstone in the bundle
+			t.Fatal(err)
+		}
+	}
+	var bundle bytes.Buffer
+	asOf, _, err := src.SnapshotAt(&bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := tierContents(src)
+
+	bulk := make([]uint64, 32)
+	loaded := make(map[uint64]uint64)
+	for i := range bulk {
+		bulk[i] = uint64(i)*11 + 5
+		loaded[bulk[i]] = bulk[i]
+	}
+
+	for _, op := range []struct {
+		name   string
+		run    func(d *DurableIndex) error
+		want   map[uint64]uint64
+		newSeq func(oldSeq uint64) uint64
+	}{
+		{"BulkLoad", func(d *DurableIndex) error { return d.BulkLoad(bulk, nil) },
+			loaded, func(oldSeq uint64) uint64 { return oldSeq }},
+		{"RestoreSnapshot", func(d *DurableIndex) error {
+			return d.RestoreSnapshot(bytes.NewReader(bundle.Bytes()), asOf)
+		}, restored, func(uint64) uint64 { return asOf }},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			// Dry run: the steps the start state consumes, and the total.
+			cfs := faultfs.NewCrashFS(faultfs.OS, 1<<40)
+			d, err := openDirFS(t.TempDir(), opts, cfs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replaceStart(d); err != nil {
+				t.Fatal(err)
+			}
+			if d.CommitSeq() >= asOf {
+				t.Fatalf("test setup: local clock %d not behind the snapshot's %d", d.CommitSeq(), asOf)
+			}
+			before := cfs.Steps()
+			if err := op.run(d); err != nil {
+				t.Fatal(err)
+			}
+			after := cfs.Steps()
+			d.Close() //nolint:errcheck
+			if after-before < 10 {
+				t.Fatalf("replace consumed only %d steps — sweep degenerate", after-before)
+			}
+
+			for k := before; k <= after; k++ {
+				for tear := 0; tear < 3; tear++ {
+					dir := t.TempDir()
+					cfs := faultfs.NewCrashFS(faultfs.OS, k)
+					cfs.Tear = tear
+					d, err := openDirFS(dir, opts, cfs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := replaceStart(d); err != nil {
+						t.Fatalf("crash@%d: start state: %v", k, err)
+					}
+					old, oldSeq := tierContents(d), d.CommitSeq()
+					op.run(d) //nolint:errcheck // the crash lands in here
+					d.Close() //nolint:errcheck
+
+					re, err := OpenDir(dir, opts)
+					if err != nil {
+						t.Fatalf("crash@%d tear %d: recovery failed: %v", k, tear, err)
+					}
+					got, seq := tierContents(re), re.CommitSeq()
+					re.Close() //nolint:errcheck
+					switch {
+					case maps.Equal(got, old):
+						if seq != oldSeq {
+							t.Fatalf("crash@%d tear %d: old contents at CommitSeq %d, want %d", k, tear, seq, oldSeq)
+						}
+					case maps.Equal(got, op.want):
+						if want := op.newSeq(oldSeq); seq != want {
+							t.Fatalf("crash@%d tear %d: new contents at CommitSeq %d, want %d", k, tear, seq, want)
+						}
+					default:
+						t.Fatalf("crash@%d tear %d: recovered %d keys, neither the old %d nor the new %d",
+							k, tear, len(got), len(old), len(op.want))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -733,41 +969,43 @@ func TestTieredSnapshotBundleRoundTrip(t *testing.T) {
 		verify(t, dst)
 	})
 
-	t.Run("legacy-to-tiered", func(t *testing.T) {
-		// A legacy primary's structure snapshot lands on a tiered follower.
-		leg, err := OpenDir(t.TempDir(), durableOpts())
-		if err != nil {
+	// A legacy primary's structure snapshot, for both kinds of follower.
+	leg, err := OpenDir(t.TempDir(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leg.Close()
+	for i := uint64(1); i <= 100; i++ {
+		if err := leg.Insert(i*3, i); err != nil {
 			t.Fatal(err)
 		}
-		defer leg.Close()
-		for i := uint64(1); i <= 100; i++ {
-			if err := leg.Insert(i*3, i); err != nil {
+	}
+	var lbuf bytes.Buffer
+	lAsOf, _, err := leg.SnapshotAt(&lbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]DirOptions{"legacy-to-tiered": tieredOpts(), "legacy-to-legacy": durableOpts()} {
+		t.Run(name, func(t *testing.T) {
+			dst, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		var lbuf bytes.Buffer
-		lAsOf, _, err := leg.SnapshotAt(&lbuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst, err := OpenDir(t.TempDir(), tieredOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dst.Close()
-		if err := dst.RestoreSnapshot(bytes.NewReader(lbuf.Bytes()), lAsOf); err != nil {
-			t.Fatal(err)
-		}
-		if dst.Len() != 100 {
-			t.Fatalf("Len = %d, want 100", dst.Len())
-		}
-		if v, ok := dst.Lookup(30); !ok || v != 10 {
-			t.Fatalf("key 30 = %d,%v want 10,true", v, ok)
-		}
-		if got := dst.CommitSeq(); got != lAsOf {
-			t.Fatalf("CommitSeq = %d, want %d", got, lAsOf)
-		}
-	})
+			defer dst.Close()
+			if err := dst.RestoreSnapshot(bytes.NewReader(lbuf.Bytes()), lAsOf); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Len() != 100 {
+				t.Fatalf("Len = %d, want 100", dst.Len())
+			}
+			if v, ok := dst.Lookup(30); !ok || v != 10 {
+				t.Fatalf("key 30 = %d,%v want 10,true", v, ok)
+			}
+			if got := dst.CommitSeq(); got != lAsOf {
+				t.Fatalf("CommitSeq = %d, want %d", got, lAsOf)
+			}
+		})
+	}
 }
 
 // TestTieredRestoreBehindRefused: rewinding a tiered directory is refused —

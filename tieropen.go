@@ -48,20 +48,14 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 
 	// Open every referenced segment strictly: the manifest's Meta doubles as
 	// the integrity cross-check.
-	readers := make([]*segment.Reader, 0, len(man.Segments))
+	readers, err := openSegments(fsys, dir, man.Segments)
+	if err != nil {
+		return nil, fmt.Errorf("tier recovery: %w", err)
+	}
 	closeAll := func() {
 		for _, r := range readers {
 			r.Close() //nolint:errcheck
 		}
-	}
-	for i := range man.Segments {
-		m := man.Segments[i]
-		r, err := segment.Open(fsys, filepath.Join(dir, segment.FileName(m.ID)), &m)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("tier recovery: %s: %w", segment.FileName(m.ID), err)
-		}
-		readers = append(readers, r)
 	}
 
 	// Replay the delta. liveCount starts from the manifest's exact count and
@@ -161,9 +155,8 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 		return nil, err
 	}
 
-	if opts.RetrainEvery > 0 {
-		ix.inner.StartRetrainer(opts.RetrainEvery)
-	}
+	// No retrainer: a tier's memtable is maintained only by writer-inline
+	// reconstruction (DirOptions.Tiered).
 	d := &DurableIndex{
 		ix: ix, fs: fsys, dir: dir, log: log, seq: liveSeq, opts: opts,
 		space:      make(chan struct{}),

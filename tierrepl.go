@@ -5,11 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"chameleon/internal/segment"
-	"chameleon/internal/wal"
 )
 
 // Replication bootstrap for tiered directories. A legacy snapshot stream
@@ -29,10 +27,12 @@ import (
 //	[8]  magic "CHAMTBN1" again (end marker)
 //
 // The receiver dispatches on the leading 8 bytes, so either snapshot format
-// can land on either kind of follower: a tiered follower folds a legacy
-// stream into one L1 segment, and a legacy follower flattens a bundle into
-// its in-memory index. Every layer of the bundle carries its own CRC; the
-// manifest's per-segment Meta doubles as the cross-check on each run.
+// can land on either kind of follower: a legacy follower flattens a bundle
+// into its in-memory index, and a tiered follower flattens either stream to
+// one sorted run and lands it through the tier's one replace protocol
+// (tier.replaceLocked, the same commit BulkLoad makes). Every layer of the
+// bundle carries its own CRC; the manifest's per-segment Meta doubles as the
+// cross-check on each run.
 const bundleMagic = "CHAMTBN1"
 
 // maxBundleManifest bounds the manifest envelope a decoder will buffer
@@ -88,16 +88,7 @@ func (t *tier) writeBundle(w io.Writer) (int64, error) {
 		}
 		virt = append(virt, virtualRun{meta, buf.Bytes()})
 	}
-	keys, vals := d.ix.AppendPairs(nil, nil)
-	t.deadMu.RLock()
-	dk := make([]uint64, 0, len(t.dead))
-	for k := range t.dead {
-		dk = append(dk, k)
-	}
-	t.deadMu.RUnlock()
-	if len(keys) > 0 || len(dk) > 0 {
-		sort.Slice(dk, func(i, j int) bool { return dk[i] < dk[j] })
-		mk, mv, mt := mergeLiveDead(keys, vals, dk)
+	if mk, mv, mt := t.captureLocked(); len(mk) > 0 {
 		var buf bytes.Buffer
 		meta, err := segment.Write(&buf, mk, mv, mt, id+1, 0, d.commitSeq.Load(), t.eps)
 		if err != nil {
@@ -246,136 +237,4 @@ func readBundleFlat(r io.Reader) (keys, vals []uint64, err error) {
 			errBadBundle, len(keys), man.LiveCount)
 	}
 	return keys, vals, nil
-}
-
-// restoreFlat replaces the tier's entire contents with the sorted run
-// (keys, vals) as of asOfSeq — the receiving half of snapshot bootstrap.
-//
-// Commit protocol (the manifest is the commit point, same as flush):
-//
-//  1. Write the run as one L1 segment and seal its directory entry.
-//  2. Create the successor WAL file and record its base (= asOfSeq) in
-//     seq.meta — WITHOUT swapping the live log. Until step 3 commits, the
-//     old log stays live and every acked write keeps its durable home; the
-//     stray empty WAL is harmless to recovery because empty logs never
-//     advance the recovered commit clock past what manifests and non-empty
-//     logs prove.
-//  3. WriteManifest (FlushedSeq = asOfSeq) — its SyncDir seals the WAL
-//     dirent and the seq.meta rename together with the commit.
-//  4. Swap the live log, reset the volatile tiers, publish the new segment
-//     set, adopt asOfSeq, and garbage-collect the previous state.
-//
-// A failure before step 3 aborts cleanly (old state fully authoritative); a
-// failure after it poisons, exactly like bulk load — memory could no longer
-// match the committed manifest.
-func (t *tier) restoreFlat(keys, vals []uint64, asOfSeq uint64) error {
-	t.tmu.Lock()
-	defer t.tmu.Unlock()
-	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usableLocked(); err != nil {
-		return err
-	}
-	if asOfSeq < d.commitSeq.Load() {
-		return fmt.Errorf("%w: snapshot at %d, local at %d", ErrRestoreBehind, asOfSeq, d.commitSeq.Load())
-	}
-
-	id := t.nextID.Load()
-	var segMetas []segment.Meta
-	removeSeg := func() {
-		for i := range segMetas {
-			d.fs.Remove(filepath.Join(d.dir, segment.FileName(segMetas[i].ID))) //nolint:errcheck
-		}
-	}
-	if len(keys) > 0 {
-		meta, err := segment.Create(d.fs, d.dir, keys, vals, nil, id, 1, asOfSeq, t.eps)
-		if err != nil {
-			return err
-		}
-		segMetas = append(segMetas, meta)
-		id++
-		if err := d.fs.SyncDir(d.dir); err != nil {
-			removeSeg()
-			return err
-		}
-	}
-
-	newSeq := d.seq + 1
-	walPath := filepath.Join(d.dir, walName(newSeq))
-	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs), nil)
-	if err != nil {
-		removeSeg()
-		return err
-	}
-	if d.seqMeta == nil {
-		d.seqMeta = make(map[uint64]uint64)
-	}
-	d.seqMeta[newSeq] = asOfSeq
-	abortWAL := func() {
-		delete(d.seqMeta, newSeq)
-		newLog.Close()       //nolint:errcheck
-		d.fs.Remove(walPath) //nolint:errcheck
-		d.writeSeqMetaLocked() //nolint:errcheck // best-effort shrink; a stale entry is harmless (no such file)
-	}
-	if err := d.writeSeqMetaLocked(); err != nil {
-		abortWAL()
-		removeSeg()
-		return err
-	}
-	man := &segment.Manifest{
-		Gen:        t.gen.Load() + 1,
-		FlushedSeq: asOfSeq,
-		LiveCount:  int64(len(keys)),
-		NextID:     id,
-		Segments:   segMetas,
-	}
-	if err := segment.WriteManifest(d.fs, d.dir, man); err != nil {
-		abortWAL()
-		removeSeg()
-		return err
-	}
-
-	// Committed. Open the new segment for serving; failure now poisons.
-	var readers []*segment.Reader
-	for i := range segMetas {
-		r, err := segment.Open(d.fs, filepath.Join(d.dir, segment.FileName(segMetas[i].ID)), &segMetas[i])
-		if err != nil {
-			d.poisonLocked(fmt.Errorf("snapshot restore: reopen committed segment: %w", err))
-			return d.fail
-		}
-		readers = append(readers, r)
-	}
-	oldLog := d.log
-	d.log = newLog
-	d.seq = newSeq
-	if oldLog != nil {
-		oldLog.Close() //nolint:errcheck
-	}
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
-	if err := d.ix.BulkLoad(nil, nil); err != nil {
-		d.poisonLocked(fmt.Errorf("snapshot restore reset: %w", err))
-		return d.fail
-	}
-	t.deadMu.Lock()
-	t.dead = make(map[uint64]struct{})
-	t.deadMu.Unlock()
-	old := t.segs.Load()
-	t.segs.Store(&segset{readers: readers})
-	t.frozen.Store(nil)
-	t.bumpVer()
-	t.segMu.Lock()
-	t.segMu.Unlock() //nolint:staticcheck // reader-retirement barrier
-	for _, r := range old.readers {
-		r.Close() //nolint:errcheck
-	}
-	t.gen.Store(man.Gen)
-	t.nextID.Store(man.NextID)
-	t.flushedSeq.Store(man.FlushedSeq)
-	t.flushedLive.Store(man.LiveCount)
-	t.liveCount.Store(int64(len(keys)))
-	d.commitSeq.Store(asOfSeq)
-	t.gcInlineLocked()
-	return nil
 }
