@@ -62,8 +62,9 @@ type Options struct {
 	// UseTrainedAgents, when non-nil, replaces the deterministic cost-model
 	// policies with trained RL agents (see cmd/chameleon-train).
 	UseTrainedAgents *Agents
-	// Workers bounds the goroutines used by parallel bulk load. Zero means
-	// one per available CPU; 1 forces the serial path.
+	// Workers bounds the goroutines used by parallel bulk load, including
+	// the construction search that chooses the upper levels. Zero means one
+	// per available CPU; 1 forces the serial path.
 	// The built structure is bit-identical for any worker count.
 	Workers int
 	// LockedReads disables the versioned optimistic read path (DESIGN.md
@@ -131,6 +132,7 @@ func New(opts Options) *Index {
 		if opts.Seed != 0 {
 			dcfg.Seed = opts.Seed
 		}
+		dcfg.GA.Workers = opts.Workers
 		env := dcfg.Env
 		if opts.Tau > 0 && opts.Tau < 1 {
 			env.Tau = opts.Tau

@@ -44,6 +44,7 @@ func (ix *Index) build(t *tree, keys, vals []uint64) *node {
 		cfg := rl.DefaultDAREConfig()
 		cfg.Env = ix.env
 		cfg.Seed = ix.cfg.Seed
+		cfg.GA.Workers = ix.cfg.Workers
 		dare = rl.NewCostDARE(cfg)
 	}
 	p0, m := dare.Parameters(keys, t.h, ix.cfg.L)

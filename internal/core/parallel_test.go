@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"chameleon/internal/dataset"
@@ -16,6 +17,7 @@ func workerIndex(workers int) *Index {
 	dcfg.GA.Generations = 5
 	dcfg.GA.Pop = 8
 	dcfg.SampleCap = 8192
+	dcfg.GA.Workers = workers
 	return New(Config{
 		Name:    "Chameleon",
 		Dare:    rl.NewCostDARE(dcfg),
@@ -25,47 +27,76 @@ func workerIndex(workers int) *Index {
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract of the parallel
-// bulk load: for every evaluation dataset, the tree built with 8 workers must
-// be indistinguishable from the serial build — same lookups, same structural
-// stats, and a byte-identical serialized snapshot (the strongest equality the
-// public surface can express: it covers node intervals, fanouts, gate bases,
-// and every leaf's geometry and entries).
+// bulk load: for every evaluation dataset, the trees built with 8 workers and
+// with one per CPU (Workers: 0) must be indistinguishable from the serial
+// build — same lookups, same structural stats, and a byte-identical
+// serialized snapshot (the strongest equality the public surface can
+// express: it covers node intervals, fanouts, gate bases, and every leaf's
+// geometry and entries). The worker count reaches the construction search
+// too, so this also pins the parallel GA to the serial one.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	for _, name := range dataset.Names {
 		keys := dataset.Generate(name, 30_000, 11)
 		serial := workerIndex(1)
-		parallel := workerIndex(8)
 		if err := serial.BulkLoad(keys, nil); err != nil {
 			t.Fatalf("%s: serial BulkLoad: %v", name, err)
 		}
-		if err := parallel.BulkLoad(keys, nil); err != nil {
-			t.Fatalf("%s: parallel BulkLoad: %v", name, err)
-		}
-		if serial.Len() != parallel.Len() {
-			t.Fatalf("%s: Len %d vs %d", name, serial.Len(), parallel.Len())
-		}
-		if ss, ps := serial.Stats(), parallel.Stats(); ss != ps {
-			t.Fatalf("%s: stats diverge:\nserial   %+v\nparallel %+v", name, ss, ps)
-		}
-		for i := 0; i < len(keys); i += 37 {
-			sv, sok := serial.Lookup(keys[i])
-			pv, pok := parallel.Lookup(keys[i])
-			if sv != pv || sok != pok {
-				t.Fatalf("%s: Lookup(%d) serial=(%d,%v) parallel=(%d,%v)",
-					name, keys[i], sv, sok, pv, pok)
-			}
-		}
-		var sbuf, pbuf bytes.Buffer
+		var sbuf bytes.Buffer
 		if _, err := serial.WriteTo(&sbuf); err != nil {
 			t.Fatalf("%s: serial WriteTo: %v", name, err)
 		}
-		if _, err := parallel.WriteTo(&pbuf); err != nil {
-			t.Fatalf("%s: parallel WriteTo: %v", name, err)
+		for _, workers := range []int{8, 0} {
+			parallel := workerIndex(workers)
+			if err := parallel.BulkLoad(keys, nil); err != nil {
+				t.Fatalf("%s: %d-worker BulkLoad: %v", name, workers, err)
+			}
+			if serial.Len() != parallel.Len() {
+				t.Fatalf("%s: Len %d vs %d", name, serial.Len(), parallel.Len())
+			}
+			if ss, ps := serial.Stats(), parallel.Stats(); ss != ps {
+				t.Fatalf("%s: stats diverge:\nserial    %+v\n%d workers %+v", name, ss, workers, ps)
+			}
+			for i := 0; i < len(keys); i += 37 {
+				sv, sok := serial.Lookup(keys[i])
+				pv, pok := parallel.Lookup(keys[i])
+				if sv != pv || sok != pok {
+					t.Fatalf("%s: Lookup(%d) serial=(%d,%v) %d workers=(%d,%v)",
+						name, keys[i], sv, sok, workers, pv, pok)
+				}
+			}
+			var pbuf bytes.Buffer
+			if _, err := parallel.WriteTo(&pbuf); err != nil {
+				t.Fatalf("%s: %d-worker WriteTo: %v", name, workers, err)
+			}
+			if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
+				t.Fatalf("%s: serialized snapshots differ at %d workers (%d vs %d bytes)",
+					name, workers, sbuf.Len(), pbuf.Len())
+			}
 		}
-		if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
-			t.Fatalf("%s: serialized snapshots differ (%d vs %d bytes)",
-				name, sbuf.Len(), pbuf.Len())
-		}
+	}
+}
+
+// TestReconstructAllocations bounds what a runtime reconstruction of a
+// memtable-sized index allocates: the default reduced-budget search over a
+// 16,384-key FACE index. Its cost-model walk reuses one slot buffer and
+// never materialises empty children, so the whole rebuild stays a few MB;
+// a walk that allocated per child of a 2^20-way root cost ~124 MB here.
+func TestReconstructAllocations(t *testing.T) {
+	keys := dataset.Generate(dataset.FACE, 16_384, 42)
+	ix := New(Config{Policy: rl.NewCostPolicy(rl.DefaultEnv())})
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix.Reconstruct()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("Reconstruct allocated %.1f MB, want <= 8 MB", float64(got)/(1<<20))
+	}
+	if ix.Len() != len(keys) {
+		t.Fatalf("Len %d after Reconstruct, want %d", ix.Len(), len(keys))
 	}
 }
 

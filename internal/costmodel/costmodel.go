@@ -45,6 +45,13 @@ const CacheFactor = 0.15
 // rather than a balls-in-bins approximation, so integer-gap aliasing with α
 // is captured.
 func Leaf(keys []uint64, lo, hi uint64, tau, alpha float64) Cost {
+	var counts []int32
+	return leafCost(keys, lo, hi, tau, alpha, &counts)
+}
+
+// leafCost is Leaf with a caller-owned slot-count buffer, so a tree walk pays
+// one allocation for all its leaves instead of one per leaf.
+func leafCost(keys []uint64, lo, hi uint64, tau, alpha float64, buf *[]int32) Cost {
 	n := len(keys)
 	if n == 0 {
 		return Cost{Query: 1, Memory: 0}
@@ -60,7 +67,7 @@ func Leaf(keys []uint64, lo, hi uint64, tau, alpha float64) Cost {
 		c = 8
 	}
 	span := hi - lo
-	counts := make([]int32, c)
+	counts := slotCounts(buf, c)
 	cf := float64(c)
 	invC := 1 / cf
 	var scale float64
@@ -90,6 +97,17 @@ func Leaf(keys []uint64, lo, hi uint64, tau, alpha float64) Cost {
 		Query:  1 + probeSum/float64(n) + CacheFactor*math.Log2(float64(c)),
 		Memory: float64(c) / float64(n),
 	}
+}
+
+// slotCounts returns c zeroed counters, reusing *buf when it is large enough.
+func slotCounts(buf *[]int32, c int) []int32 {
+	if cap(*buf) < c {
+		*buf = make([]int32, c)
+		return *buf
+	}
+	counts := (*buf)[:c]
+	clear(counts)
+	return counts
 }
 
 // LeafAnalytic is the closed-form approximation of Leaf for callers that
@@ -181,6 +199,55 @@ func ChildInterval(lo, hi uint64, fanout, j int) (clo, chi uint64) {
 	return clo, chi
 }
 
+// forEachChild calls visit(start, end, j) for every non-empty child j of the
+// node over [lo, hi] with fanout f > 1, in child order, where keys[start:end]
+// is exactly what Partition assigns to child j — including its residue rule
+// when rounding makes the child index fall. Empty children are never
+// visited or allocated, so a call costs O(len(keys)) whatever f is. The
+// Eq. (1) factor f/span is computed once per node and multiplied exactly as
+// ChildIndex does, so every key lands in the same child bit for bit.
+func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j int)) {
+	span := hi - lo
+	if span == 0 {
+		visit(0, len(keys), 0)
+		return
+	}
+	scale := float64(f) / float64(span)
+	child := func(k uint64) int {
+		j := int(scale * float64(k-lo))
+		if j >= f {
+			j = f - 1
+		}
+		if j < 0 {
+			j = 0
+		}
+		return j
+	}
+	for start := 0; start < len(keys); {
+		j := child(keys[start])
+		end := start + 1
+		for end < len(keys) {
+			c := child(keys[end])
+			if c == j {
+				end++
+				continue
+			}
+			if c < j {
+				// Partition stops matching at a falling index and hands the
+				// rest of the keys to the last child.
+				if j < f-1 {
+					visit(start, end, j)
+					start, j = end, f-1
+				}
+				end = len(keys)
+			}
+			break
+		}
+		visit(start, end, j)
+		start = end
+	}
+}
+
 // FanoutFn supplies the fanout of the node covering [lo, hi] at the given
 // level (root = 1). Returning 1 or less makes the node a leaf.
 type FanoutFn func(level int, lo, hi uint64, n int) int
@@ -190,11 +257,16 @@ type FanoutFn func(level int, lo, hi uint64, n int) int
 // of inner nodes (deeper nodes become leaves). Query cost is the key-count-
 // weighted mean over all leaves of (depth + leaf cost); memory sums leaf
 // slabs and inner child arrays, normalized per key.
+//
+// The walk visits only non-empty children: an empty child is a leaf that
+// adds exactly +0 to both sums, so skipping it leaves the result bitwise
+// unchanged and fan is never asked about it.
 func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
 	var qSum, mUnits float64
+	var counts []int32
 	var walk func(ks []uint64, lo, hi uint64, level int)
 	walk = func(ks []uint64, lo, hi uint64, level int) {
 		f := 1
@@ -202,17 +274,16 @@ func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, al
 			f = fan(level, lo, hi, len(ks))
 		}
 		if f <= 1 || len(ks) <= 1 {
-			leaf := Leaf(ks, lo, hi, tau, alpha)
+			leaf := leafCost(ks, lo, hi, tau, alpha, &counts)
 			qSum += float64(len(ks)) * (float64(level-1) + leaf.Query)
 			mUnits += leaf.Memory * float64(len(ks))
 			return
 		}
 		mUnits += innerNodeUnits * float64(f)
-		parts := Partition(ks, lo, hi, f)
-		for j, p := range parts {
+		forEachChild(ks, lo, hi, f, func(start, end, j int) {
 			clo, chi := ChildInterval(lo, hi, f, j)
-			walk(ks[p[0]:p[1]], clo, chi, level+1)
-		}
+			walk(ks[start:end], clo, chi, level+1)
+		})
 	}
 	walk(keys, lo, hi, 1)
 	n := float64(len(keys))

@@ -18,11 +18,17 @@ import (
 // keys[i]; they need not be normalized). Memory is unweighted — it is paid
 // regardless of access pattern.
 func WeightedLeaf(keys []uint64, weights []float64, lo, hi uint64, tau, alpha float64) Cost {
+	var counts []int32
+	return weightedLeafCost(keys, weights, lo, hi, tau, alpha, &counts)
+}
+
+// weightedLeafCost is WeightedLeaf with a caller-owned slot-count buffer.
+func weightedLeafCost(keys []uint64, weights []float64, lo, hi uint64, tau, alpha float64, buf *[]int32) Cost {
 	n := len(keys)
 	if n == 0 {
 		return Cost{Query: 1, Memory: 0}
 	}
-	base := Leaf(keys, lo, hi, tau, alpha) // slot simulation for probe costs
+	base := leafCost(keys, lo, hi, tau, alpha, buf) // slot simulation for probe costs
 	if weights == nil {
 		return base
 	}
@@ -38,7 +44,7 @@ func WeightedLeaf(keys []uint64, weights []float64, lo, hi uint64, tau, alpha fl
 		}
 		scale = alpha * cf / float64(span)
 	}
-	counts := make([]int32, c)
+	counts := slotCounts(buf, c)
 	var probeSum, wSum float64
 	for i, k := range keys {
 		var home int
@@ -67,7 +73,9 @@ func WeightedLeaf(keys []uint64, weights []float64, lo, hi uint64, tau, alpha fl
 }
 
 // WeightedTreeCost is TreeCost with query weights: the per-leaf costs are
-// weighted by the query mass under each leaf instead of its key count.
+// weighted by the query mass under each leaf instead of its key count. It
+// walks the tree exactly as TreeCost does, skipping empty children (which
+// carry no keys and no weight).
 func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
@@ -76,6 +84,7 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 		return TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
 	}
 	var qSum, wTotal, mUnits float64
+	var counts []int32
 	var walk func(ks []uint64, ws []float64, lo, hi uint64, level int)
 	walk = func(ks []uint64, ws []float64, lo, hi uint64, level int) {
 		f := 1
@@ -83,7 +92,7 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 			f = fan(level, lo, hi, len(ks))
 		}
 		if f <= 1 || len(ks) <= 1 {
-			leaf := WeightedLeaf(ks, ws, lo, hi, tau, alpha)
+			leaf := weightedLeafCost(ks, ws, lo, hi, tau, alpha, &counts)
 			var w float64
 			for _, x := range ws {
 				w += x
@@ -94,11 +103,10 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 			return
 		}
 		mUnits += innerNodeUnits * float64(f)
-		parts := Partition(ks, lo, hi, f)
-		for j, p := range parts {
+		forEachChild(ks, lo, hi, f, func(start, end, j int) {
 			clo, chi := ChildInterval(lo, hi, f, j)
-			walk(ks[p[0]:p[1]], ws[p[0]:p[1]], clo, chi, level+1)
-		}
+			walk(ks[start:end], ws[start:end], clo, chi, level+1)
+		})
 	}
 	walk(keys, weights, lo, hi, 1)
 	if wTotal == 0 {

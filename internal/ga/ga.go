@@ -5,9 +5,19 @@
 // treat each value as a chromosome"). Fitness is supplied by the caller
 // (DARE uses its DQN critic Q_D(s_D, a_D); tests and the deterministic cost
 // policy use the analytic cost model directly).
+//
+// Each generation's newcomers are scored concurrently through the shared
+// internal/par pool, so Fitness may run on several goroutines at once and
+// must be safe for that. Every random draw happens before scoring starts,
+// so the search, and the genome it returns, do not depend on the worker
+// count.
 package ga
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+
+	"chameleon/internal/par"
+)
 
 // Bound is the inclusive value range of one chromosome.
 type Bound struct{ Lo, Hi float64 }
@@ -23,6 +33,7 @@ type Config struct {
 	MutScale    float64 // slight-mutation magnitude relative to the bound span
 	Patience    int     // generations without improvement before "converged"
 	Seed        uint64
+	Workers     int // goroutines scoring a generation: 0 = one per CPU, 1 = serial
 }
 
 // Defaults fills unset Config fields with workable values.
@@ -80,11 +91,16 @@ func Optimize(cfg Config, bounds []Bound, fit Fitness) ([]float64, float64) {
 		return v
 	}
 
+	workers := par.Workers(cfg.Workers)
+	score := func(inds []individual) {
+		par.Do(len(inds), workers, func(i int) { inds[i].score = fit(inds[i].genome) })
+	}
+
 	pop := make([]individual, 0, 5*cfg.Pop)
 	for i := 0; i < cfg.Pop; i++ {
-		g := random()
-		pop = append(pop, individual{g, fit(g)})
+		pop = append(pop, individual{genome: random()})
 	}
+	score(pop)
 	sortPop(pop)
 
 	best := pop[0]
@@ -130,9 +146,7 @@ func Optimize(cfg Config, bounds []Bound, fit Fitness) ([]float64, float64) {
 		}
 
 		// Evaluate the newcomers (survivors keep their cached score).
-		for i := cfg.Pop; i < len(next); i++ {
-			next[i].score = fit(next[i].genome)
-		}
+		score(next[cfg.Pop:])
 		sortPop(next)
 		pop = next[:cfg.Pop]
 
@@ -146,8 +160,8 @@ func Optimize(cfg Config, bounds []Bound, fit Fitness) ([]float64, float64) {
 	return best.genome, best.score
 }
 
-// sortPop orders individuals by descending score (insertion sort: the
-// populations are tiny and this keeps the package dependency-free).
+// sortPop orders individuals by descending score, ties in index order
+// (insertion sort: the populations are tiny).
 func sortPop(pop []individual) {
 	for i := 1; i < len(pop); i++ {
 		x := pop[i]

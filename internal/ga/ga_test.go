@@ -2,6 +2,8 @@ package ga
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +79,35 @@ func TestDeterministicForSeed(t *testing.T) {
 	b, sb := Optimize(Config{Seed: 9}, bounds, fit)
 	if sa != sb || a[0] != b[0] || a[1] != b[1] {
 		t.Fatal("same seed produced different optimization results")
+	}
+}
+
+// TestWorkersDoNotChangeTheSearch: scoring in parallel must return the same
+// genome and score as the serial search, and Workers: 1 must never call the
+// fitness function concurrently.
+func TestWorkersDoNotChangeTheSearch(t *testing.T) {
+	bounds := []Bound{{0, 20}, {0, 10}, {0, 10}, {0, 10}}
+	var inFlight, peak atomic.Int32
+	fit := func(g []float64) float64 {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		s := 0.0
+		for i, v := range g {
+			s -= math.Abs(math.Sin(v*float64(i+1)) - 0.3)
+		}
+		return s
+	}
+	serial, ss := Optimize(Config{Seed: 5, Workers: 1}, bounds, fit)
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("Workers: 1 ran %d fitness calls at once", p)
+	}
+	for _, w := range []int{0, 2, 8} {
+		g, s := Optimize(Config{Seed: 5, Workers: w}, bounds, fit)
+		if s != ss || !slices.Equal(g, serial) {
+			t.Fatalf("Workers %d: %v (%v), serial %v (%v)", w, g, s, serial, ss)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package par is the shared bounded worker pool behind every parallel path
 // in the repository: MARL bulk load and structural retraining fan subtrees
-// out through it, and benchmarks scale it with -cpu. It exists because those
-// paths nest (a parallel upper-level build
-// spawns parallel lower-level builds), and naive per-call goroutine fan-out
-// either oversubscribes the machine or — with a fixed-size pool whose workers
-// block on subtasks — deadlocks.
+// out through it, the construction GA scores each generation through it, and
+// benchmarks scale it with -cpu. It exists because those paths nest (a
+// parallel upper-level build spawns parallel lower-level builds), and naive
+// per-call goroutine fan-out either oversubscribes the machine or — with a
+// fixed-size pool whose workers block on subtasks — deadlocks.
 //
 // The design avoids both: Do always runs work on the calling goroutine and
 // only *borrows* extra workers from a global token bucket sized by

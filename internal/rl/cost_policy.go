@@ -67,15 +67,18 @@ func NewCostDARE(cfg DAREConfig) *CostDARE {
 	return &CostDARE{Cfg: cfg, Seed: cfg.Seed}
 }
 
-// Parameters implements DAREPolicy.
+// Parameters implements DAREPolicy. The sample is drawn once and every
+// genome is scored on it; cfg.GA.Workers bounds how many are scored at once
+// (the result does not depend on it).
 func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 	cfg := d.Cfg
 	cfg.L = L
 	bounds := genomeBounds(h, L)
 	gaCfg := cfg.GA
 	gaCfg.Seed = d.Seed
+	sample := newCostSample(cfg, keys)
 	genome, _ := ga.Optimize(gaCfg, bounds, func(g []float64) float64 {
-		c := measureCost(cfg, keys, h, g)
+		c := measureCost(cfg, sample, h, g)
 		return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
 	})
 	return DecodeGenome(genome, h, L)

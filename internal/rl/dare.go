@@ -98,31 +98,44 @@ func UpperFanoutFn(p0 int, m [][]float64, mk, Mk uint64, L int) costmodel.Fanout
 	}
 }
 
-// measureCost is the DARE ground truth: build the upper-level tree the
-// genome describes over (a sample of) the keys and evaluate it with the
-// analytic cost model. This is what the paper's "Instantiate
-// Chameleon-Index" step measures (Algorithm 2, line 11).
-func measureCost(cfg DAREConfig, keys []uint64, h int, genome []float64) costmodel.Cost {
-	sample := keys
+// costSample is the key sample DARE's ground truth is measured on, with its
+// per-key query weights (nil for uniform queries). It is drawn once per
+// decision or episode and shared, read-only, by every genome scored on it.
+type costSample struct {
+	keys    []uint64
+	weights []float64
+}
+
+// newCostSample strides keys down to at most cfg.SampleCap keys and asks
+// cfg.QueryWeights, once, for their weights.
+func newCostSample(cfg DAREConfig, keys []uint64) costSample {
+	s := costSample{keys: keys}
 	if cfg.SampleCap > 0 && len(keys) > cfg.SampleCap {
 		stride := len(keys) / cfg.SampleCap
-		s := make([]uint64, 0, cfg.SampleCap+1)
+		s.keys = make([]uint64, 0, cfg.SampleCap+1)
 		for i := 0; i < len(keys); i += stride {
-			s = append(s, keys[i])
+			s.keys = append(s.keys, keys[i])
 		}
-		sample = s
 	}
-	if len(sample) == 0 {
+	if cfg.QueryWeights != nil && len(s.keys) > 0 {
+		s.weights = cfg.QueryWeights(s.keys)
+	}
+	return s
+}
+
+// measureCost is the DARE ground truth: build the upper-level tree the
+// genome describes over the sample and evaluate it with the analytic cost
+// model. This is what the paper's "Instantiate Chameleon-Index" step
+// measures (Algorithm 2, line 11). It is safe for concurrent use.
+func measureCost(cfg DAREConfig, s costSample, h int, genome []float64) costmodel.Cost {
+	if len(s.keys) == 0 {
 		return costmodel.Cost{}
 	}
 	p0, m := DecodeGenome(genome, h, cfg.L)
-	mk, Mk := sample[0], sample[len(sample)-1]
+	mk, Mk := s.keys[0], s.keys[len(s.keys)-1]
 	fan := UpperFanoutFn(p0, m, mk, Mk, cfg.L)
-	if cfg.QueryWeights != nil {
-		ws := cfg.QueryWeights(sample)
-		return costmodel.WeightedTreeCost(sample, ws, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
-	}
-	return costmodel.TreeCost(sample, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
+	// Nil weights make WeightedTreeCost the plain TreeCost.
+	return costmodel.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
 }
 
 // DARE is the Dynamic-Reward RL agent: a GA actor over the parameter space
@@ -217,7 +230,7 @@ func (d *DARE) TrainEpisode(keys []uint64, er float64) float64 {
 	for i := range aD {
 		aD[i] = (1-er)*aBest[i] + er*aRand[i]
 	}
-	truth := measureCost(d.cfg, keys, d.h, aD)
+	truth := measureCost(d.cfg, newCostSample(d.cfg, keys), d.h, aD)
 	xs := [][]float64{d.criticInput(state, aD)}
 	ys := [][]float64{{truth.Query, truth.Memory}}
 	return d.critic.TrainBatch(xs, ys, d.cfg.LR, mlp.MAE)
