@@ -88,41 +88,52 @@ func inspectOneTierDir(dir string, check bool) bool {
 		}
 		return "delta"
 	}
-	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %5s %6s %10s  %s\n",
-		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "EPS", "MODEL", "BYTES", "STATUS")
+	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %5s %6s %10s %7s %3s  %s\n",
+		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "EPS", "MODEL", "BYTES", "B/ENTRY", "FMT", "STATUS")
 	for i := range metas {
 		m := metas[i]
-		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %5d %6d %10d  %s\n",
+		status, format := segStatus(dir, &m, check)
+		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %5d %6d %10d %7s %3s  %s\n",
 			m.ID, m.Level, role(&m), m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq, m.Eps, m.ModelPieces,
-			m.Bytes, segStatus(dir, &m, check))
+			m.Bytes, bytesPerEntry(m), format, status)
 	}
 	return true
+}
+
+// bytesPerEntry is a segment's file length over its entry count.
+func bytesPerEntry(m segment.Meta) string {
+	if m.Count == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f", float64(m.Bytes)/float64(m.Count))
 }
 
 // segStatus opens the named segment against its manifest record: "ok" means
 // the full-file CRC and header cross-check passed; with check it also probes
 // the learned model against every on-disk key and reports the worst rank
-// error against the promised ε.
-func segStatus(dir string, m *segment.Meta, check bool) string {
+// error against the promised ε. format is the file's format version (v2 for
+// CHAMSEG2, v1 for CHAMSEG1), "?" when it does not open.
+func segStatus(dir string, m *segment.Meta, check bool) (status, format string) {
 	r, err := segment.Open(faultfs.OS, filepath.Join(dir, segment.FileName(m.ID)), m)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return "MISSING"
+			return "MISSING", "?"
 		}
-		return fmt.Sprintf("CORRUPT: %v", err)
+		return fmt.Sprintf("CORRUPT: %v", err), "?"
 	}
 	defer r.Close() //nolint:errcheck
+	format = fmt.Sprintf("v%d", r.Version())
 	if !check {
-		return "ok"
+		return "ok", format
 	}
 	worst, err := r.ModelMaxError()
 	if err != nil {
-		return fmt.Sprintf("MODEL-PROBE-FAILED: %v", err)
+		return fmt.Sprintf("MODEL-PROBE-FAILED: %v", err), format
 	}
 	if worst > m.Eps {
-		return fmt.Sprintf("MODEL-ERROR %d > eps %d", worst, m.Eps)
+		return fmt.Sprintf("MODEL-ERROR %d > eps %d", worst, m.Eps), format
 	}
-	return fmt.Sprintf("ok (model max err %d <= eps %d)", worst, m.Eps)
+	return fmt.Sprintf("ok (model max err %d <= eps %d)", worst, m.Eps), format
 }
 
 // inspectSegFile dumps one segment file with no manifest cross-check (the
@@ -143,7 +154,8 @@ func inspectSegFile(path string) {
 	fmt.Printf("entries:      %d (%d live, %d tombstones)\n", m.Count, m.Live, m.Count-m.Live)
 	fmt.Printf("key range:    [%d, %d]\n", m.MinKey, m.MaxKey)
 	fmt.Printf("seq:          %d\n", m.Seq)
-	fmt.Printf("bytes:        %d\n", m.Bytes)
+	fmt.Printf("format:       v%d\n", r.Version())
+	fmt.Printf("bytes:        %d (%s per entry)\n", m.Bytes, bytesPerEntry(m))
 	fmt.Printf("model:        %d pieces (%d bytes), promised eps %d\n",
 		m.ModelPieces, m.ModelPieces*24, m.Eps)
 	worst, err := r.ModelMaxError()

@@ -76,7 +76,7 @@ func main() {
 		foPeers      = flag.String("failover-peers", "", "comma-separated addresses of the OTHER detector-enabled followers (checked before promoting, fenced after)")
 		tiered       = flag.Bool("tier", false, "tiered disk-resident storage: background flush to learned-index segments + leveled compaction instead of monolithic checkpoints (sticky: a directory with a tier manifest always reopens tiered)")
 		memtableMB   = flag.Int("tier-memtable-mb", 4, "tiered mode: memtable budget in MiB before a background flush is triggered")
-		segmentEps   = flag.Int("tier-eps", 0, "tiered mode: segment model error bound ε (0 = default 32); a cold read preads at most 2ε+1 keys")
+		segmentEps   = flag.Int("tier-eps", 0, "tiered mode: segment model error bound ε (0 = default 32); a cold read fetches the blocks holding 2ε+1 ranks in one pread")
 		compactL0    = flag.Int("tier-compact-l0", 0, "tiered mode: L0 segment count that triggers compaction into L1 (0 = default 4)")
 	)
 	flag.Parse()

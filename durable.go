@@ -76,7 +76,8 @@ type DirOptions struct {
 	// background flush (default 4 MiB). Entries are accounted at 16 bytes.
 	MemtableBytes int64
 	// SegmentEps is the learned-model error bound ε for written segments
-	// (default segment.DefaultEps): a cold lookup preads at most 2ε+1 keys.
+	// (default segment.DefaultEps): a cold lookup reads the data blocks
+	// holding 2ε+1 ranks, two at the default, with one pread.
 	SegmentEps int
 	// CompactL0 is how many L0 segments accumulate before a compaction
 	// merges them (plus the older runs small enough to be worth rewriting;

@@ -57,26 +57,51 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 	}
 }
 
-// TestSegmentHostileCount: a header whose Count was inflated to the largest
-// value the geometry check admits must be refused because the file is not
-// that long — before anything is sized from it. The first cut of the filter
-// allocated Count × 10 bits here and died.
+// TestSegmentHostileCount: a header whose Count, data-section length or
+// block count (Count again, with the data length shrunk so the file length
+// still adds up) was inflated must be refused — before anything is sized
+// from it. The first cut of the filter allocated Count × 10 bits here and
+// died.
 func TestSegmentHostileCount(t *testing.T) {
-	data := hostileCountSegment(t)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := OpenBytes(data, nil)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("inflated Count: err = %v, want ErrCorrupt", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing the header allocated %d bytes", grew)
+	valid := hostileCountSegment(t)
+	binary.LittleEndian.PutUint64(valid[16:], 30)
+	binary.LittleEndian.PutUint64(valid[48:], 30)
+	dataLen := binary.LittleEndian.Uint64(valid[headerSizeV1:])
+	for name, mut := range map[string]func(d []byte){
+		"count": func(d []byte) {
+			binary.LittleEndian.PutUint64(d[16:], 1<<55)
+			binary.LittleEndian.PutUint64(d[48:], 1<<55)
+		},
+		"data length": func(d []byte) { binary.LittleEndian.PutUint64(d[headerSizeV1:], 1<<60) },
+		"data length within the count's bounds": func(d []byte) {
+			_, hi := dataBounds(30)
+			binary.LittleEndian.PutUint64(d[headerSizeV1:], hi)
+		},
+		"block count": func(d []byte) {
+			// One more block: +8 bytes of offset table, +8 of bitmap.
+			binary.LittleEndian.PutUint64(d[16:], 30+64)
+			binary.LittleEndian.PutUint64(d[48:], 30+64)
+			binary.LittleEndian.PutUint64(d[headerSizeV1:], dataLen-16)
+		},
+	} {
+		data := append([]byte(nil), valid...)
+		mut(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenBytes(data, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("inflated %s: err = %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing an inflated %s allocated %d bytes", name, grew)
+		}
 	}
 }
 
-// hostileCountSegment is a valid small segment with Count and Live
-// overwritten by 2⁵⁵ (the CRC is not fixed up: the length check comes first).
+// hostileCountSegment is a valid 30-entry segment with Count and Live
+// overwritten by 2⁵⁵ (the CRC is not fixed up: the geometry checks come
+// first).
 func hostileCountSegment(t testing.TB) []byte {
 	keys, vals, _ := buildRun(30, 5, 0)
 	var buf bytes.Buffer
@@ -90,7 +115,8 @@ func hostileCountSegment(t testing.TB) []byte {
 }
 
 // TestGetDoesNotAllocate: a cold probe of an on-disk run — hit, filtered
-// miss, or a miss that reads its window — allocates nothing.
+// miss, or a miss that reads its window — allocates nothing, also when the
+// window straddles two blocks and the key sits in either.
 func TestGetDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -105,12 +131,23 @@ func TestGetDoesNotAllocate(t *testing.T) {
 			break
 		}
 	}
+	// The first and last ranks of block 1: their windows reach into blocks
+	// 0 and 2, so each read spans two blocks, with the key in the second
+	// and in the first respectively.
+	edges := []uint64{keys[blockRanks], keys[2*blockRanks-1]}
+	for _, k := range edges {
+		if _, lo, hi, _ := r.window(k); lo/blockRanks == hi/blockRanks {
+			t.Fatalf("window of %d is [%d, %d], inside one block", k, lo, hi)
+		}
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := keys[i%len(keys)]
 		i++
-		if _, _, ok, _, err := r.Get(k); err != nil || !ok {
-			t.Fatalf("Get(%d) = ok %v, err %v", k, ok, err)
+		for _, k := range [...]uint64{edges[0], edges[1], k} {
+			if _, _, ok, _, err := r.Get(k); err != nil || !ok {
+				t.Fatalf("Get(%d) = ok %v, err %v", k, ok, err)
+			}
 		}
 		if _, _, ok, _, err := r.Get(k + 1<<40); err != nil || ok {
 			t.Fatalf("Get(out of range) = ok %v, err %v", ok, err)
@@ -120,7 +157,7 @@ func TestGetDoesNotAllocate(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Get allocates %.1f times per three probes, want 0", allocs)
+		t.Fatalf("Get allocates %.1f times per five probes, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -27,7 +28,8 @@ func (m *memFile) Truncate(int64) error        { return errors.New("read-only") 
 
 // FuzzSegmentDecode feeds hostile bytes through the full segment open path:
 // it must never panic, never accept a torn or mutated envelope as valid, and
-// for inputs it does accept, re-encoding the decoded run must round-trip.
+// for inputs it does accept — CHAMSEG2 or CHAMSEG1 — re-encoding the
+// decoded run (as CHAMSEG2) must round-trip.
 func FuzzSegmentDecode(f *testing.F) {
 	seed := func(keys, vals []uint64, tombs []bool, eps int) []byte {
 		var buf bytes.Buffer
@@ -38,10 +40,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	// Seeds stay small (a few hundred bytes): the mutation engine's
 	// throughput degrades sharply with corpus entry size, and a 30-entry
-	// ε=1 run already exercises multi-piece models and every section.
+	// ε=1 run already exercises multi-piece models and every section; a
+	// 70-entry one has a second, short block.
 	k, v, tb := buildRun(30, 5, 4)
 	valid := seed(k, v, tb, 1)
 	f.Add(valid)
+	k, v, tb = buildRun(70, 6, 5)
+	f.Add(seed(k, v, tb, 1))
 	f.Add(seed(nil, nil, nil, 0))
 	f.Add(seed([]uint64{5}, []uint64{50}, []bool{true}, 1))
 	f.Add(valid[:len(valid)-5])
@@ -52,6 +57,12 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A Count far beyond the file's length: nothing may be sized from it.
 	f.Add(hostileCountSegment(f))
+	// The CHAMSEG1 fixture (5 KB, 300 entries): the read-only decoder.
+	v1, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := openMem(data)

@@ -3,17 +3,16 @@
 // CRC-checked, versioned envelope, each carrying its own tiny learned model
 // — an ε-bounded piecewise-linear approximation of the run's rank function
 // (internal/pla) — so a cold point lookup is one model evaluation plus one
-// bounded pread and binary search, with no full-run scan. The SOSD line of
-// work shows per-run models this small are accurate enough to replace
-// conventional per-block fence pointers; here the model *is* the fence
-// structure. A model cannot say "absent" without that read, so each open
-// run also keeps an in-memory membership filter (filter.go) that is asked
-// first.
+// bounded pread, with no full-run scan. The SOSD line of work shows per-run
+// models this small are accurate enough to replace conventional per-block
+// fence pointers; here the model *is* the fence structure. A model cannot
+// say "absent" without that read, so each open run also keeps an in-memory
+// membership filter (filter.go) that is asked first.
 //
-// File layout (CHAMSEG1, all little-endian):
+// File layout (CHAMSEG2, all little-endian):
 //
-//	[8]  magic "CHAMSEG1"
-//	[4]  version (1)
+//	[8]  magic "CHAMSEG2"
+//	[4]  version (2)
 //	[4]  level
 //	[8]  count n           — entries, tombstones included
 //	[8]  minKey
@@ -22,20 +21,32 @@
 //	[8]  live              — non-tombstone entries
 //	[4]  ε                 — model error bound (|predicted − true rank| ≤ ε)
 //	[4]  model piece count m
-//	[n*8]        keys, strictly ascending
-//	[n*8]        values (tombstones carry 0)
+//	[8]  data-section length d
+//	[d]          data: ⌈n/64⌉ blocks of 64 consecutive ranks (the last may
+//	             be short), each its first key as a u64, uvarint deltas
+//	             (≥ 1, shortest form) for the rest of its keys, then its
+//	             values as u64s (tombstones carry 0)
+//	[(⌈n/64⌉+1)*8] block-offset table: block b is data bytes [t[b], t[b+1])
 //	[⌈n/8⌉]      tombstone bitmap, bit r set ⇒ entry r is a delete marker
 //	[m*24]       model pieces: firstKey u64, slope f64 bits, start rank u64
 //	[4]  CRC32C (Castagnoli) over everything above
-//	[8]  magic "CHAMSEG1" again (end marker: a torn tail cannot masquerade)
+//	[8]  magic "CHAMSEG2" again (end marker: a torn tail cannot masquerade)
+//
+// A key costs its delta (1–2 bytes on dense data) plus its value, so a run
+// takes ~10 bytes a key where fixed-width keys took 16; and since a block's
+// values sit beside its keys, a hit reads one contiguous span. Files written
+// before this layout (CHAMSEG1: version 1, a 64-byte header, then n×8 keys,
+// n×8 values, the same bitmap and model) still open read-only (v1.go); the
+// writer produces CHAMSEG2 only, so a compaction rewrites them.
 //
 // Segments are immutable once written: the full-file CRC is verified by one
-// sequential pass at Open (which also retains the header, model, and
-// tombstone bitmap in memory and builds the membership filter — the keys and
-// values stay on disk and are fetched by pread). Durability ordering is the
-// caller's job: segment files are fsynced and their directory entry sealed
-// with SyncDir *before* the manifest that references them is written, so a
-// manifest never names a file that a crash could lose.
+// sequential pass at Open, which also decodes every key, retains the header,
+// model, tombstone bitmap and block-offset table in memory, and builds the
+// membership filter — the keys and values stay on disk and are fetched by
+// pread. Durability ordering is the caller's job: segment files are fsynced
+// and their directory entry sealed with SyncDir *before* the manifest that
+// references them is written, so a manifest never names a file that a crash
+// could lose.
 package segment
 
 import (
@@ -43,11 +54,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync/atomic"
 
 	"chameleon/internal/faultfs"
@@ -55,19 +66,31 @@ import (
 )
 
 const (
-	magic      = "CHAMSEG1"
-	version    = 1
-	headerSize = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 // 64
-	footerSize = 4 + 8                                 // CRC + end magic
-	pieceSize  = 24                                    // firstKey + slope bits + start
+	magic      = "CHAMSEG2"
+	version    = 2
+	headerSize = headerSizeV1 + 8 // the v1 fields, then the data-section length
+	footerSize = 4 + 8            // CRC + end magic
+	pieceSize  = 24               // firstKey + slope bits + start
+
+	// blockRanks is how many consecutive ranks one data block holds: the
+	// unit a read fetches and decodes. A constant of the format, chosen by
+	// measurement on the benchmark's keys: 32 / 64 / 128 ranks per block
+	// cost 10.22 / 9.99 / 9.88 bytes a key, and at 64 a window of
+	// 2·DefaultEps+1 ranks spans at most two blocks.
+	blockRanks = 64
+
+	// maxBlockBytes bounds one block: its first key, blockRanks−1 deltas of
+	// at most MaxVarintLen64 bytes, and the values.
+	maxBlockBytes = 8 + (blockRanks-1)*binary.MaxVarintLen64 + blockRanks*8
 
 	// DefaultEps is the model error bound used when the caller passes 0: a
-	// cold lookup preads at most 2ε+1 keys (520 bytes) — one page.
+	// cold lookup's window of 2ε+1 ranks spans at most two blocks, read by
+	// one pread of ~1.3 KB (2.3 KB at worst).
 	DefaultEps = 32
 
-	// stackWindow is the key window a probe reads into without allocating:
-	// enough for ε ≤ DefaultEps, larger ε falls back to the heap.
-	stackWindow = (2*DefaultEps + 1) * 8
+	// stackWindow is the span a probe reads into without allocating: two
+	// blocks, enough for ε ≤ DefaultEps; larger ε falls back to the heap.
+	stackWindow = 2 * maxBlockBytes
 
 	// iterChunk is how many entries an iterator fetches per pread.
 	iterChunk = 1024
@@ -75,6 +98,11 @@ const (
 	// maxModelPieces rejects absurd model sizes before allocation during
 	// decode; a valid model never has more pieces than keys.
 	maxModelPieces = 1 << 28
+
+	// A window of 2·DefaultEps+1 ranks must fit two blocks, and a chunk
+	// must hold whole blocks: these fail to compile otherwise.
+	_ uint = blockRanks - 2*DefaultEps
+	_ uint = -(iterChunk % blockRanks)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -86,6 +114,10 @@ var ErrCorrupt = errors.New("segment: corrupt or torn segment file")
 
 // ErrClosed is returned by reads on a closed Reader.
 var ErrClosed = errors.New("segment: reader closed")
+
+// errChanged reports block bytes that no longer decode as they did when
+// Open verified them: the file changed under the reader.
+var errChanged = fmt.Errorf("%w: block bytes changed since open", ErrCorrupt)
 
 // Entry is one logical record of a run: a live key→value pair or a
 // tombstone (a persisted delete marker that shadows older runs until
@@ -142,14 +174,37 @@ func ParseFileName(name string) (uint64, bool) {
 	return id, true
 }
 
+// numBlocks is how many data blocks hold n entries.
+func numBlocks(n uint64) uint64 { return (n + blockRanks - 1) / blockRanks }
+
+// fileSize is the length of a CHAMSEG2 file of n entries, a d-byte data
+// section and m model pieces. Callers bound n and d first.
+func fileSize(n, d uint64, m int) int64 {
+	return headerSize + int64(d) + int64(numBlocks(n)+1)*8 + int64((n+7)/8) + int64(m)*pieceSize + footerSize
+}
+
+// dataBounds is the range a data section of n entries can span: every
+// delta takes 1 to MaxVarintLen64 bytes, every block 8 for its first key
+// and 8 per value.
+func dataBounds(n uint64) (lo, hi uint64) {
+	nb := numBlocks(n)
+	return 9*n + 7*nb, (8+binary.MaxVarintLen64)*n - (binary.MaxVarintLen64-8)*nb
+}
+
 // Reader serves point and range reads from one immutable segment file. The
-// header, learned model, tombstone bitmap, and membership filter live in
-// memory; keys and values are fetched by pread. Safe for concurrent use.
+// header, learned model, tombstone bitmap, block-offset table and membership
+// filter live in memory; keys and values are fetched by pread. Safe for
+// concurrent use.
 type Reader struct {
 	meta   Meta
 	model  []pla.Segment
 	tombs  []byte
 	filter filter
+	// blocks is the block-offset table, data-section offsets of every
+	// block and of the section's end. v1 marks a CHAMSEG1 file, which has
+	// none: its keys and values are fixed-width arrays (v1.go).
+	blocks []uint64
+	v1     bool
 
 	f faultfs.File
 	// osf is f when f is a plain *os.File: calling ReadAt on the concrete
@@ -162,25 +217,17 @@ type Reader struct {
 // Open reads path sequentially once — verifying the envelope, the CRC, key
 // order, and the model's invariants — and returns a Reader holding the
 // metadata in memory. want, when non-nil, is the manifest's record of this
-// segment; any disagreement (count, range, watermark, level) is corruption.
+// segment; any disagreement with the file (its header fields, its length,
+// its model size) is corruption.
 func Open(fsys faultfs.FS, path string, want *Meta) (*Reader, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
-	r, err := load(f, path)
+	r, err := open(f, path, want)
 	if err != nil {
 		f.Close() //nolint:errcheck
 		return nil, err
-	}
-	if want != nil {
-		m := r.meta
-		if m.Count != want.Count || m.Live != want.Live || m.MinKey != want.MinKey ||
-			m.MaxKey != want.MaxKey || m.Seq != want.Seq || m.Level != want.Level || m.Eps != want.Eps {
-			f.Close() //nolint:errcheck
-			return nil, fmt.Errorf("%w: %s header disagrees with manifest", ErrCorrupt, path)
-		}
-		r.meta.ID = want.ID
 	}
 	return r, nil
 }
@@ -197,18 +244,22 @@ func (bytesFile) Truncate(int64) error        { return errors.New("segment: read
 // OpenBytes is Open over an in-memory encoded segment (with the same
 // manifest cross-check when want is non-nil).
 func OpenBytes(data []byte, want *Meta) (*Reader, error) {
-	r, err := load(bytesFile{bytes.NewReader(data)}, "(bytes)")
-	if err != nil {
-		return nil, err
+	return open(bytesFile{bytes.NewReader(data)}, "(bytes)", want)
+}
+
+// open loads f and holds it to want, the manifest's record of it: every
+// field but the ID, which the file does not carry, must agree.
+func open(f faultfs.File, path string, want *Meta) (*Reader, error) {
+	r, err := load(f, path)
+	if err != nil || want == nil {
+		return r, err
 	}
-	if want != nil {
-		m := r.meta
-		if m.Count != want.Count || m.Live != want.Live || m.MinKey != want.MinKey ||
-			m.MaxKey != want.MaxKey || m.Seq != want.Seq || m.Level != want.Level || m.Eps != want.Eps {
-			return nil, fmt.Errorf("%w: in-memory segment disagrees with manifest", ErrCorrupt)
-		}
-		r.meta.ID = want.ID
+	got := r.meta
+	got.ID = want.ID
+	if got != *want {
+		return nil, fmt.Errorf("%w: %s disagrees with manifest: file %+v, manifest %+v", ErrCorrupt, path, got, *want)
 	}
+	r.meta.ID = want.ID
 	return r, nil
 }
 
@@ -235,24 +286,50 @@ func (r *Reader) WriteRaw(w io.Writer) (int64, error) {
 	return written, nil
 }
 
+// loader is the state of the one sequential verification pass: every byte
+// read before the footer also goes into the CRC.
+type loader struct {
+	f    io.Reader
+	crc  hash.Hash32
+	path string
+}
+
+func (l *loader) corrupt(why string) error {
+	return fmt.Errorf("%w: %s: %s", ErrCorrupt, l.path, why)
+}
+
+// read fills b from the file and the CRC; a short read is corruption.
+func (l *loader) read(b []byte, what string) error {
+	if _, err := io.ReadFull(l.f, b); err != nil {
+		return l.corrupt("short " + what)
+	}
+	l.crc.Write(b) //nolint:errcheck
+	return nil
+}
+
 // load performs the single verification pass. The file is read start to
 // finish in chunks: the CRC accumulates over everything before the footer,
-// keys are checked strictly ascending (and added to the membership filter)
-// as they stream past, and the model and tombstone bitmap are captured for
-// retention.
+// keys are decoded and checked strictly ascending (and added to the
+// membership filter) as they stream past, and the model, tombstone bitmap
+// and block-offset table are captured for retention. The magic selects the
+// format; only the data section's layout differs between the two.
 func load(f faultfs.File, path string) (*Reader, error) {
-	corrupt := func(why string) error {
-		return fmt.Errorf("%w: %s: %s", ErrCorrupt, path, why)
-	}
+	l := &loader{f: f, crc: crc32.New(castagnoli), path: path}
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, corrupt("short header")
+	if _, err := io.ReadFull(f, hdr[:headerSizeV1]); err != nil {
+		return nil, l.corrupt("short header")
 	}
-	if string(hdr[:8]) != magic {
-		return nil, corrupt("bad magic")
+	var v1 bool
+	wantVersion := uint32(version)
+	switch string(hdr[:8]) {
+	case magic:
+	case magicV1:
+		v1, wantVersion = true, versionV1
+	default:
+		return nil, l.corrupt("bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != version {
-		return nil, corrupt(fmt.Sprintf("unsupported version %d", v))
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != wantVersion {
+		return nil, l.corrupt(fmt.Sprintf("unsupported version %d", v))
 	}
 	m := Meta{
 		Level:       int(int32(binary.LittleEndian.Uint32(hdr[12:]))),
@@ -265,112 +342,82 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		ModelPieces: int(int32(binary.LittleEndian.Uint32(hdr[60:]))),
 	}
 	if m.Level < 0 || m.Eps < 1 || m.ModelPieces < 0 || m.ModelPieces > maxModelPieces {
-		return nil, corrupt("impossible geometry")
+		return nil, l.corrupt("impossible geometry")
 	}
 	if m.Count > (1<<55) || m.Live > m.Count {
-		return nil, corrupt("impossible count")
+		return nil, l.corrupt("impossible count")
 	}
 	if m.Count > 0 && m.MinKey > m.MaxKey {
-		return nil, corrupt("min > max")
+		return nil, l.corrupt("min > max")
 	}
 	if m.Count > 0 && m.ModelPieces < 1 {
-		return nil, corrupt("non-empty run with no model")
+		return nil, l.corrupt("non-empty run with no model")
 	}
 	if uint64(m.ModelPieces) > m.Count {
-		return nil, corrupt("more model pieces than keys")
+		return nil, l.corrupt("more model pieces than keys")
 	}
-	tombLen := int((m.Count + 7) / 8)
-	m.Bytes = headerSize + int64(m.Count)*16 + int64(tombLen) + int64(m.ModelPieces)*pieceSize + footerSize
+	hlen := headerSizeV1
+	var dataLen uint64
+	if v1 {
+		m.Bytes = fileSizeV1(m.Count, m.ModelPieces)
+	} else {
+		hlen = headerSize
+		if _, err := io.ReadFull(f, hdr[headerSizeV1:]); err != nil {
+			return nil, l.corrupt("short header")
+		}
+		dataLen = binary.LittleEndian.Uint64(hdr[headerSizeV1:])
+		if lo, hi := dataBounds(m.Count); dataLen < lo || dataLen > hi {
+			return nil, l.corrupt("data-section length impossible for the entry count")
+		}
+		m.Bytes = fileSize(m.Count, dataLen, m.ModelPieces)
+	}
 
 	// The header is not yet trusted (the CRC comes last), and everything
-	// sized from it below — the filter, the bitmap, the model — must not be
-	// allocated until the file has proved it is that long: a Count of 2⁵⁵
-	// in a 100-byte file is a corrupt file, not a 2⁵⁵-key filter.
+	// sized from it below — the filter, the offset table, the bitmap, the
+	// model — must not be allocated until the file has proved it is that
+	// long: a Count of 2⁵⁵ in a 100-byte file is a corrupt file, not a
+	// 2⁵⁵-key filter.
 	end, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
-		_, err = f.Seek(headerSize, io.SeekStart)
+		_, err = f.Seek(int64(hlen), io.SeekStart)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
 	if end != m.Bytes {
-		return nil, corrupt("file length disagrees with header geometry")
+		return nil, l.corrupt("file length disagrees with header geometry")
 	}
+	l.crc.Write(hdr[:hlen]) //nolint:errcheck
 
-	crc := crc32.New(castagnoli)
-	crc.Write(hdr[:]) //nolint:errcheck
-
-	// Keys: stream, CRC, verify strictly ascending and within [min, max].
 	flt := newFilter(m.Count)
-	buf := make([]byte, iterChunk*8)
-	var prev uint64
-	first := true
-	remaining := m.Count
-	for remaining > 0 {
-		n := uint64(iterChunk)
-		if remaining < n {
-			n = remaining
-		}
-		b := buf[:n*8]
-		if _, err := io.ReadFull(f, b); err != nil {
-			return nil, corrupt("short key section")
-		}
-		crc.Write(b) //nolint:errcheck
-		region := flt.region(m.Count - remaining)
-		for i := uint64(0); i < n; i++ {
-			k := binary.LittleEndian.Uint64(b[i*8:])
-			if first {
-				if k != m.MinKey {
-					return nil, corrupt("first key differs from header min")
-				}
-				first = false
-			} else if k <= prev {
-				return nil, corrupt("keys not strictly ascending")
-			}
-			prev = k
-			region.add(k)
-		}
-		remaining -= n
+	var blocks []uint64
+	if v1 {
+		err = l.keysV1(&m, flt)
+	} else {
+		blocks, err = l.blocks(&m, dataLen, flt)
 	}
-	if m.Count > 0 && prev != m.MaxKey {
-		return nil, corrupt("last key differs from header max")
-	}
-
-	// Values: stream and CRC only.
-	remaining = m.Count
-	for remaining > 0 {
-		n := uint64(iterChunk)
-		if remaining < n {
-			n = remaining
-		}
-		b := buf[:n*8]
-		if _, err := io.ReadFull(f, b); err != nil {
-			return nil, corrupt("short value section")
-		}
-		crc.Write(b) //nolint:errcheck
-		remaining -= n
+	if err != nil {
+		return nil, err
 	}
 
 	// Tombstone bitmap: retained.
-	tombs := make([]byte, tombLen)
-	if _, err := io.ReadFull(f, tombs); err != nil {
-		return nil, corrupt("short tombstone bitmap")
+	tombs := make([]byte, (m.Count+7)/8)
+	if err := l.read(tombs, "tombstone bitmap"); err != nil {
+		return nil, err
 	}
-	crc.Write(tombs) //nolint:errcheck
 	live := m.Count
 	for _, b := range tombs {
 		live -= uint64(popcount(b))
 	}
 	if live != m.Live {
-		return nil, corrupt("tombstone bitmap disagrees with header live count")
+		return nil, l.corrupt("tombstone bitmap disagrees with header live count")
 	}
 
 	// Model: retained, with invariants checked.
 	mb := make([]byte, m.ModelPieces*pieceSize)
-	if _, err := io.ReadFull(f, mb); err != nil {
-		return nil, corrupt("short model section")
+	if err := l.read(mb, "model section"); err != nil {
+		return nil, err
 	}
-	crc.Write(mb) //nolint:errcheck
 	model := make([]pla.Segment, m.ModelPieces)
 	for i := range model {
 		off := i * pieceSize
@@ -378,37 +425,148 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		slope := math.Float64frombits(binary.LittleEndian.Uint64(mb[off+8:]))
 		start := binary.LittleEndian.Uint64(mb[off+16:])
 		if math.IsNaN(slope) || math.IsInf(slope, 0) || slope < 0 {
-			return nil, corrupt("model slope not finite")
+			return nil, l.corrupt("model slope not finite")
 		}
 		if start >= m.Count && m.Count > 0 {
-			return nil, corrupt("model start rank out of range")
+			return nil, l.corrupt("model start rank out of range")
 		}
 		if i > 0 && fk <= model[i-1].FirstKey {
-			return nil, corrupt("model pieces not ascending")
+			return nil, l.corrupt("model pieces not ascending")
 		}
 		if i > 0 && start < uint64(model[i-1].Start) {
-			return nil, corrupt("model ranks not monotonic")
+			return nil, l.corrupt("model ranks not monotonic")
 		}
 		model[i] = pla.Segment{FirstKey: fk, Slope: slope, Start: int(start)}
 	}
 	if m.ModelPieces > 0 && model[0].FirstKey != m.MinKey {
-		return nil, corrupt("model does not start at min key")
+		return nil, l.corrupt("model does not start at min key")
 	}
 
 	var foot [footerSize]byte
 	if _, err := io.ReadFull(f, foot[:]); err != nil {
-		return nil, corrupt("short footer")
+		return nil, l.corrupt("short footer")
 	}
-	if binary.LittleEndian.Uint32(foot[:4]) != crc.Sum32() {
-		return nil, corrupt("CRC mismatch")
+	if binary.LittleEndian.Uint32(foot[:4]) != l.crc.Sum32() {
+		return nil, l.corrupt("CRC mismatch")
 	}
-	if string(foot[4:]) != magic {
-		return nil, corrupt("bad end magic")
+	if string(foot[4:]) != string(hdr[:8]) {
+		return nil, l.corrupt("bad end magic")
 	}
 	// The length check above already pinned the footer to the file's end,
 	// so there are no trailing bytes to look for.
 	osf, _ := f.(*os.File)
-	return &Reader{meta: m, model: model, tombs: tombs, filter: flt, f: f, osf: osf}, nil
+	return &Reader{meta: m, model: model, tombs: tombs, filter: flt, blocks: blocks, v1: v1, f: f, osf: osf}, nil
+}
+
+// blocks streams the data section and the block-offset table after it. It
+// decodes every block, checks the keys strictly ascending from the header's
+// min to its max and adds them to the filter, and returns the table once
+// each of its entries has matched the offset at which a block decoded to
+// its end.
+func (l *loader) blocks(m *Meta, dataLen uint64, flt filter) ([]uint64, error) {
+	nb := numBlocks(m.Count)
+	offs := make([]uint64, nb+1)
+	buf := make([]byte, 64<<10)
+	var keys [blockRanks]uint64
+	var pos, have int     // buf[pos:have] is read but not yet decoded
+	var read, prev uint64 // data bytes read so far; the last key decoded
+	for b := uint64(0); b < nb; b++ {
+		// Keep a whole block in view while the section has more.
+		if have-pos < maxBlockBytes && read < dataLen {
+			have = copy(buf, buf[pos:have])
+			pos = 0
+			n := min(uint64(len(buf)-have), dataLen-read)
+			if err := l.read(buf[have:have+int(n)], "data section"); err != nil {
+				return nil, err
+			}
+			have += int(n)
+			read += n
+		}
+		k := min(blockRanks, m.Count-b*blockRanks)
+		n, why := decodeBlock(buf[pos:have], keys[:k], nil)
+		if why != "" {
+			return nil, l.corrupt(fmt.Sprintf("block %d: %s", b, why))
+		}
+		if b == 0 && keys[0] != m.MinKey {
+			return nil, l.corrupt("first key differs from header min")
+		}
+		if b > 0 && keys[0] <= prev {
+			return nil, l.corrupt(fmt.Sprintf("block %d: keys not strictly ascending", b))
+		}
+		region := flt.region(b * blockRanks)
+		for _, key := range keys[:k] {
+			region.add(key)
+		}
+		prev = keys[k-1]
+		pos += n
+		offs[b+1] = offs[b] + uint64(n)
+	}
+	if nb > 0 && prev != m.MaxKey {
+		return nil, l.corrupt("last key differs from header max")
+	}
+	if offs[nb] != dataLen {
+		return nil, l.corrupt("blocks do not fill the data section")
+	}
+	for i := uint64(0); i <= nb; {
+		n := min(uint64(len(buf)/8), nb+1-i)
+		if err := l.read(buf[:n*8], "block-offset table"); err != nil {
+			return nil, err
+		}
+		for j := uint64(0); j < n; j++ {
+			if binary.LittleEndian.Uint64(buf[j*8:]) != offs[i+j] {
+				return nil, l.corrupt(fmt.Sprintf("block-offset table entry %d disagrees with the block ends", i+j))
+			}
+		}
+		i += n
+	}
+	return offs, nil
+}
+
+// decodeBlock decodes the block at the start of p into keys, whose length
+// is the block's entry count, and into vals unless it is nil, and returns
+// the block's length. why is non-empty when no block Write produces could be
+// read that way: the block runs past p, a delta is zero or carries a key
+// past 2⁶⁴, or a varint is not in its shortest form.
+func decodeBlock(p []byte, keys, vals []uint64) (n int, why string) {
+	if len(p) < 8 {
+		return 0, "runs past the data section"
+	}
+	key := binary.LittleEndian.Uint64(p)
+	keys[0] = key
+	n = 8
+	for j := 1; j < len(keys); j++ {
+		d, w := uvarint(p[n:])
+		switch {
+		case w <= 0:
+			return 0, "delta runs past the data section"
+		case w > 1 && p[n+w-1] == 0:
+			return 0, "delta not in shortest form"
+		case d == 0 || key+d < key:
+			return 0, "keys not strictly ascending"
+		}
+		key += d
+		keys[j] = key
+		n += w
+	}
+	if len(p)-n < 8*len(keys) {
+		return 0, "values run past the data section"
+	}
+	for j := range vals {
+		vals[j] = binary.LittleEndian.Uint64(p[n+8*j:])
+	}
+	return n + 8*len(keys), ""
+}
+
+// uvarint is binary.Uvarint with the one- and two-byte cases — nearly every
+// delta of a dense run — inline.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 1 && b[1] < 0x80 {
+		if b[0] < 0x80 {
+			return uint64(b[0]), 1
+		}
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	}
+	return binary.Uvarint(b)
 }
 
 func popcount(b byte) int {
@@ -421,6 +579,15 @@ func popcount(b byte) int {
 
 // Meta returns the segment's summary record.
 func (r *Reader) Meta() Meta { return r.meta }
+
+// Version is the file's format version: 2 for CHAMSEG2, which Write
+// produces, 1 for a CHAMSEG1 file written before it.
+func (r *Reader) Version() int {
+	if r.v1 {
+		return versionV1
+	}
+	return version
+}
 
 // ModelMaxError probes the model against the on-disk keys and returns the
 // worst |predicted − true| rank error (the inspect tool's verification;
@@ -494,9 +661,10 @@ func (r *Reader) readAtCopy(b []byte, off int64) (int, error) {
 	return n, err
 }
 
-func (r *Reader) keyOff(rank uint64) int64 { return headerSize + int64(rank)*8 }
-func (r *Reader) valOff(rank uint64) int64 {
-	return headerSize + int64(r.meta.Count)*8 + int64(rank)*8
+// blockLen is how many entries block b holds: blockRanks, but the last
+// block may be short.
+func (r *Reader) blockLen(b int) int {
+	return min(blockRanks, int(r.meta.Count)-b*blockRanks)
 }
 
 // tomb reports whether entry rank carries the delete marker.
@@ -529,8 +697,9 @@ func (r *Reader) window(key uint64) (pred, lo, hi int, ok bool) {
 }
 
 // Get resolves key against this run: the in-memory checks (min/max, model,
-// membership filter), then one pread of the ≤ 2ε+1 candidate keys, a binary
-// search inside that window, and (on a hit) one pread for the value. dist is
+// membership filter), then one pread of the blocks holding the rank window —
+// at most two at the default ε — and a decode of the one block that can hold
+// key, up to key; a hit's value comes from the same read. dist is
 // |predicted − actual| rank error on hits (the cold-read model-error signal
 // Health aggregates); tomb reports a tombstone hit — the key is
 // authoritatively deleted as of this run.
@@ -539,37 +708,68 @@ func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error
 	if !may {
 		return 0, false, false, 0, nil
 	}
-	n := hi - lo + 1
-	var win [stackWindow]byte
-	buf := win[:]
-	if n*8 <= len(win) {
-		buf = buf[:n*8]
+	var rank int
+	if r.v1 {
+		rank, val, ok, err = r.findV1(key, lo, hi)
 	} else {
-		buf = make([]byte, n*8)
+		rank, val, ok, err = r.find(key, lo, hi)
 	}
-	if err := r.pread(buf, r.keyOff(uint64(lo))); err != nil {
+	if err != nil || !ok {
 		return 0, false, false, 0, err
 	}
-	// Binary search the window for key.
-	i := sort.Search(n, func(i int) bool {
-		return binary.LittleEndian.Uint64(buf[i*8:]) >= key
-	})
-	if i == n || binary.LittleEndian.Uint64(buf[i*8:]) != key {
-		return 0, false, false, 0, nil
-	}
-	rank := uint64(lo + i)
-	dist = pred - int(rank)
+	dist = pred - rank
 	if dist < 0 {
 		dist = -dist
 	}
-	if r.tomb(rank) {
+	if r.tomb(uint64(rank)) {
 		return 0, true, true, dist, nil
 	}
-	var vb [8]byte
-	if err := r.pread(vb[:], r.valOff(rank)); err != nil {
-		return 0, false, false, dist, err
+	return val, false, true, dist, nil
+}
+
+// find looks key up among ranks [lo, hi] of a CHAMSEG2 run: one pread of
+// blocks lo/blockRanks through hi/blockRanks, then, since every block's
+// first key is fixed-width, a decode of only the last block starting at or
+// below key.
+func (r *Reader) find(key uint64, lo, hi int) (rank int, val uint64, ok bool, err error) {
+	b0, b1 := lo/blockRanks, hi/blockRanks
+	start := r.blocks[b0]
+	n := int(r.blocks[b1+1] - start)
+	var win [stackWindow]byte
+	buf := win[:]
+	if n <= len(win) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
 	}
-	return binary.LittleEndian.Uint64(vb[:]), false, true, dist, nil
+	if err := r.pread(buf, headerSize+int64(start)); err != nil {
+		return 0, 0, false, err
+	}
+	b := b1
+	for b > b0 && binary.LittleEndian.Uint64(buf[r.blocks[b]-start:]) > key {
+		b--
+	}
+	blk := buf[r.blocks[b]-start : r.blocks[b+1]-start]
+	k := r.blockLen(b)
+	vals := len(blk) - 8*k
+	cur, i := binary.LittleEndian.Uint64(blk), 8
+	for j := 0; ; j++ {
+		if cur >= key {
+			if cur != key {
+				return 0, 0, false, nil
+			}
+			return b*blockRanks + j, binary.LittleEndian.Uint64(blk[vals+8*j:]), true, nil
+		}
+		if j == k-1 {
+			return 0, 0, false, nil
+		}
+		d, w := uvarint(blk[i:max(vals, i)])
+		if w <= 0 {
+			return 0, 0, false, errChanged
+		}
+		cur += d
+		i += w
+	}
 }
 
 // Close releases the file. In-flight reads finish or fail with ErrClosed.
@@ -580,131 +780,127 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// startRank returns the rank of the first key ≥ lo, resolved with the model
-// and one bounded window read. The ε bound only holds for indexed keys, so
-// for an arbitrary lo the window is additionally clamped to the covering
-// model piece's rank span — piece Start ranks are exact by construction, so
-// the insertion point provably lies in [pred−ε, pred+ε+1] ∩ [pieceStart,
-// nextPieceStart].
-func (r *Reader) startRank(lo uint64) (uint64, error) {
+// startRank returns a rank at or below that of the first key ≥ lo, from the
+// model alone. The ε bound only holds for indexed keys, but the model is
+// monotone inside a piece and piece Start ranks are exact, so for an
+// arbitrary lo the first key ≥ lo provably sits in [pred−ε, pred+ε+1] ∩
+// [pieceStart, nextPieceStart]; the iterator skips the keys below lo from
+// there.
+func (r *Reader) startRank(lo uint64) uint64 {
 	m := &r.meta
 	if m.Count == 0 || lo <= m.MinKey {
-		return 0, nil
+		return 0
 	}
 	if lo > m.MaxKey {
-		return m.Count, nil
+		return m.Count
 	}
 	pi := pla.Find(r.model, lo)
-	pieceLo := r.model[pi].Start
 	pieceHi := int(m.Count)
 	if pi+1 < len(r.model) {
 		pieceHi = r.model[pi+1].Start
 	}
-	pred := r.model[pi].Predict(lo)
-	wlo := pred - m.Eps
-	if wlo < pieceLo {
-		wlo = pieceLo
-	}
-	whi := pred + m.Eps + 1
-	if whi > pieceHi {
-		whi = pieceHi
-	}
-	if whi < wlo {
-		whi = wlo // defensive: cannot happen for a writer-produced model
-	}
-	n := whi - wlo
-	if n <= 0 {
-		return uint64(whi), nil
-	}
-	var win [stackWindow]byte
-	buf := win[:]
-	if n*8 <= len(win) {
-		buf = buf[:n*8]
-	} else {
-		buf = make([]byte, n*8)
-	}
-	if err := r.pread(buf, r.keyOff(uint64(wlo))); err != nil {
-		return 0, err
-	}
-	i := sort.Search(n, func(i int) bool {
-		return binary.LittleEndian.Uint64(buf[i*8:]) >= lo
-	})
-	// i == n means every window key is < lo; the bounds above then pin the
-	// insertion point to exactly whi.
-	return uint64(wlo + i), nil
+	return uint64(min(max(r.model[pi].Predict(lo)-m.Eps, r.model[pi].Start), pieceHi))
 }
 
 // Iter returns an iterator over entries with keys in [lo, hi], ascending.
-// Entries stream in chunks of iterChunk preads; tombstones are yielded (the
-// merge layers above decide their meaning).
+// Entries stream iterChunk at a time, one pread per chunk, and are decoded
+// a block at a time; tombstones are yielded (the merge layers above decide
+// their meaning).
 func (r *Reader) Iter(lo, hi uint64) *Iter {
-	start, err := r.startRank(lo)
-	return &Iter{r: r, next: start, hi: hi, err: err}
+	it := &Iter{r: r, lo: lo, hi: hi, nb: int(numBlocks(r.meta.Count))}
+	if start := r.startRank(lo); lo <= hi && start < r.meta.Count {
+		it.next = int(start / blockRanks)
+	} else {
+		it.next = it.nb
+	}
+	return it
 }
 
 // Iter streams one segment's entries in key order.
 type Iter struct {
-	r    *Reader
-	next uint64 // next rank to yield
-	hi   uint64 // inclusive key bound
-	err  error
+	r      *Reader
+	lo, hi uint64 // inclusive key bounds
+	err    error
+	cur    Entry
 
-	cur Entry
+	nb    int    // blocks in the run
+	next  int    // next block to decode
+	chunk []byte // raw bytes of blocks [first, last) from the last pread
+	first int
+	last  int
 
-	keys, vals []byte // current chunk
-	base       uint64 // rank of chunk start
-	n          int    // entries in chunk
-	i          int    // cursor within chunk
+	keys, vals [blockRanks]uint64 // the current block, decoded
+	rank0      uint64             // rank of keys[0]
+	n, i       int                // entries in the block; cursor
 }
 
 // Next advances to the next entry, reporting false at the end of the range
 // or on error (check Err).
 func (it *Iter) Next() bool {
-	if it.err != nil {
-		return false
+	for it.err == nil {
+		if it.i == it.n {
+			if it.next == it.nb {
+				return false
+			}
+			it.err = it.decode()
+			continue
+		}
+		k := it.keys[it.i]
+		if k > it.hi {
+			it.i, it.n, it.next = 0, 0, it.nb // past the bound: exhausted
+			return false
+		}
+		it.i++
+		if k < it.lo {
+			continue
+		}
+		it.cur = Entry{Key: k, Val: it.vals[it.i-1], Tomb: it.r.tomb(it.rank0 + uint64(it.i-1))}
+		return true
 	}
+	return false
+}
+
+// decode makes block it.next the current block, fetching the next chunk
+// first when the block is not in the one held.
+func (it *Iter) decode() error {
+	r, b := it.r, it.next
+	if b >= it.last {
+		if err := it.fetch(b, min(b+iterChunk/blockRanks, it.nb)); err != nil {
+			return err
+		}
+	}
+	k := r.blockLen(b)
+	if r.v1 {
+		it.decodeV1(b, k)
+	} else {
+		base := r.blocks[it.first]
+		blk := it.chunk[r.blocks[b]-base : r.blocks[b+1]-base]
+		if n, why := decodeBlock(blk, it.keys[:k], it.vals[:k]); why != "" || n != len(blk) {
+			return errChanged
+		}
+	}
+	it.rank0 = uint64(b) * blockRanks
+	it.n, it.i = k, 0
+	it.next++
+	return nil
+}
+
+// fetch reads blocks [first, last) into it.chunk.
+func (it *Iter) fetch(first, last int) error {
 	r := it.r
-	if it.i >= it.n {
-		if it.next >= r.meta.Count {
-			return false
-		}
-		n := r.meta.Count - it.next
-		if n > iterChunk {
-			n = iterChunk
-		}
-		if cap(it.keys) < int(n*8) {
-			it.keys = make([]byte, n*8)
-			it.vals = make([]byte, n*8)
-		}
-		it.keys = it.keys[:n*8]
-		it.vals = it.vals[:n*8]
-		if err := r.pread(it.keys, r.keyOff(it.next)); err != nil {
-			it.err = err
-			return false
-		}
-		if err := r.pread(it.vals, r.valOff(it.next)); err != nil {
-			it.err = err
-			return false
-		}
-		it.base = it.next
-		it.n = int(n)
-		it.i = 0
-		it.next += n
+	if r.v1 {
+		return it.fetchV1(first, last)
 	}
-	k := binary.LittleEndian.Uint64(it.keys[it.i*8:])
-	if k > it.hi {
-		it.i = it.n
-		it.next = r.meta.Count // past the bound: exhausted
-		return false
+	n := int(r.blocks[last] - r.blocks[first])
+	if cap(it.chunk) < n {
+		it.chunk = make([]byte, n)
 	}
-	rank := it.base + uint64(it.i)
-	it.cur = Entry{
-		Key:  k,
-		Val:  binary.LittleEndian.Uint64(it.vals[it.i*8:]),
-		Tomb: r.tomb(rank),
+	it.chunk = it.chunk[:n]
+	if err := r.pread(it.chunk, headerSize+int64(r.blocks[first])); err != nil {
+		return err
 	}
-	it.i++
-	return true
+	it.first, it.last = first, last
+	return nil
 }
 
 // Entry returns the current entry after a true Next.

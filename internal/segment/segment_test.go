@@ -2,12 +2,17 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"chameleon/internal/faultfs"
@@ -241,11 +246,92 @@ func TestSegmentDetectsCorruption(t *testing.T) {
 	check("trailing garbage", append(append([]byte(nil), orig...), 0))
 	check("empty", nil)
 
-	// Manifest disagreement is corruption even when the file itself is fine.
-	bad := m
-	bad.Count++
-	if _, err := Open(faultfs.OS, path, &bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("manifest disagreement: err = %v, want ErrCorrupt", err)
+	// Manifest disagreement is corruption even when the file itself is fine
+	// — in the length and the model size too, which the header's count no
+	// longer determines.
+	for name, mut := range map[string]func(*Meta){
+		"count":        func(m *Meta) { m.Count++ },
+		"bytes":        func(m *Meta) { m.Bytes += 8 },
+		"model pieces": func(m *Meta) { m.ModelPieces++ },
+	} {
+		bad := m
+		mut(&bad)
+		if _, err := Open(faultfs.OS, path, &bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("manifest disagrees on %s: Open err = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := OpenBytes(orig, &bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("manifest disagrees on %s: OpenBytes err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// reseal recomputes a mutated file's CRC, so only the structural checks
+// can catch the mutation.
+func reseal(data []byte) []byte {
+	body := len(data) - footerSize
+	binary.LittleEndian.PutUint32(data[body:], crc32.Checksum(data[:body], castagnoli))
+	return data
+}
+
+// TestSegmentV2HostileStructure: data sections and offset tables that no
+// writer produces are refused by Open even under a valid CRC.
+func TestSegmentV2HostileStructure(t *testing.T) {
+	keys := make([]uint64, 300) // five blocks, the last of 44 entries
+	vals := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i)*3 + 1 // every delta one byte
+		vals[i] = uint64(i) + 1000
+	}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, keys, vals, nil, 1, 0, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	orig := buf.Bytes()
+	dataLen := binary.LittleEndian.Uint64(orig[headerSizeV1:])
+	tableAt := headerSize + int(dataLen)
+	table := func(b int) uint64 { return binary.LittleEndian.Uint64(orig[tableAt+8*b:]) }
+	blockAt := func(b int) int { return headerSize + int(table(b)) }
+
+	for _, c := range []struct {
+		name, why string
+		mut       func(d []byte)
+	}{
+		{"table decreases", "block-offset table", func(d []byte) {
+			binary.LittleEndian.PutUint64(d[tableAt+16:], table(1)-1)
+		}},
+		{"table points past the data section", "block-offset table", func(d []byte) {
+			binary.LittleEndian.PutUint64(d[tableAt+24:], dataLen+64)
+		}},
+		{"last table entry past the data section", "block-offset table", func(d []byte) {
+			binary.LittleEndian.PutUint64(d[tableAt+40:], dataLen+8)
+		}},
+		{"last block's varints run past its extent", "past the data section", func(d []byte) {
+			d[blockAt(5)-8*44-1] |= 0x80 // its last delta now swallows value bytes
+		}},
+		{"first block's varints run past its extent", "", func(d []byte) {
+			d[blockAt(1)-8*64-1] |= 0x80
+		}},
+		{"zero delta", "keys not strictly ascending", func(d []byte) {
+			d[blockAt(1)+8+5] = 0
+		}},
+		{"block starts below its predecessor", "keys not strictly ascending", func(d []byte) {
+			binary.LittleEndian.PutUint64(d[blockAt(2):], keys[127])
+		}},
+		{"delta not in shortest form", "shortest form", func(d []byte) {
+			// Block 3's first two deltas (3, 3) as one two-byte encoding of
+			// 6: the same length, a key fewer.
+			copy(d[blockAt(3)+8:], []byte{0x86, 0x00})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := append([]byte(nil), orig...)
+			c.mut(d)
+			_, err := OpenBytes(reseal(d), nil)
+			t.Log(err)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("err = %v, want ErrCorrupt naming %q", err, c.why)
+			}
+		})
 	}
 }
 
@@ -498,5 +584,145 @@ func TestSegmentMergeAcrossFiles(t *testing.T) {
 	}
 	if i != len(k1) {
 		t.Fatalf("merged %d keys, want %d", i, len(k1))
+	}
+}
+
+// countingFS counts the positional reads of the files it opens.
+type countingFS struct {
+	faultfs.FS
+	reads atomic.Int64
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{f, &c.reads}, nil
+}
+
+type countingFile struct {
+	faultfs.File
+	reads *atomic.Int64
+}
+
+func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// TestSegmentOneReadPerColdGet pins the read path's I/O: a hit and a miss
+// the filter lets through cost exactly one pread, a miss the filter or the
+// key range rejects costs none, and an iterator one per chunk.
+func TestSegmentOneReadPerColdGet(t *testing.T) {
+	keys, vals, tombs := buildRun(5_000, 8, 7)
+	dir := t.TempDir()
+	m, err := Create(faultfs.OS, dir, keys, vals, tombs, 1, 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs := &countingFS{FS: faultfs.OS}
+	r, err := Open(cfs, filepath.Join(dir, FileName(1)), &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	reads := func(f func()) int64 {
+		before := cfs.reads.Load()
+		f()
+		return cfs.reads.Load() - before
+	}
+	get := func(k uint64, want bool) func() {
+		return func() {
+			if _, _, ok, _, err := r.Get(k); err != nil || ok != want {
+				t.Fatalf("Get(%d) = ok %v, err %v; want ok %v", k, ok, err, want)
+			}
+		}
+	}
+
+	for _, k := range keys {
+		if n := reads(get(k, true)); n != 1 {
+			t.Fatalf("hit on %d took %d reads, want 1", k, n)
+		}
+	}
+	passed, filtered := 0, 0
+	for i := 1; i < len(keys); i++ {
+		mid := keys[i-1] + (keys[i]-keys[i-1])/2
+		if mid == keys[i-1] {
+			continue
+		}
+		want := int64(0)
+		if r.MayContain(mid) {
+			want = 1
+			passed++
+		} else {
+			filtered++
+		}
+		if n := reads(get(mid, false)); n != want {
+			t.Fatalf("miss on %d (filter passes: %v) took %d reads, want %d", mid, want == 1, n, want)
+		}
+	}
+	if passed == 0 || filtered == 0 {
+		t.Fatalf("%d misses passed the filter and %d did not: want both kinds", passed, filtered)
+	}
+	if n := reads(get(keys[len(keys)-1]+1, false)); n != 0 {
+		t.Fatalf("a miss above the key range took %d reads", n)
+	}
+
+	chunks := int64((len(keys) + iterChunk - 1) / iterChunk)
+	if n := reads(func() {
+		if got, err := r.LoadEntries(); err != nil || len(got) != len(keys) {
+			t.Fatalf("LoadEntries: %d entries, err %v", len(got), err)
+		}
+	}); n != chunks {
+		t.Fatalf("a full scan took %d reads, want one per chunk: %d", n, chunks)
+	}
+	if n := reads(func() {
+		it := r.Iter(keys[2000], keys[2100])
+		for it.Next() {
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+	}); n != 1 {
+		t.Fatalf("a 101-entry scan took %d reads, want 1", n)
+	}
+}
+
+// BenchmarkSegmentGet times cold probes of an on-disk 200 k-entry run:
+// hits, and misses on keys between the run's keys (most of which the
+// filter answers without a read).
+func BenchmarkSegmentGet(b *testing.B) {
+	keys, vals, _ := buildRun(200_000, 1, 0)
+	dir := b.TempDir()
+	m, err := Create(faultfs.OS, dir, keys, vals, nil, 1, 0, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := Open(faultfs.OS, filepath.Join(dir, FileName(1)), &m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	var misses []uint64
+	for i := 1; i < len(keys); i++ {
+		if mid := keys[i-1] + (keys[i]-keys[i-1])/2; mid != keys[i-1] {
+			misses = append(misses, mid)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		probe []uint64
+		hit   bool
+	}{{"hit", keys, true}, {"miss", misses, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// A multiplicative stride spreads the probes over the run.
+				k := c.probe[uint64(i)*2654435761%uint64(len(c.probe))]
+				if _, _, ok, _, err := r.Get(k); err != nil || ok != c.hit {
+					b.Fatalf("Get(%d) = ok %v, err %v", k, ok, err)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,131 @@
+package segment
+
+import (
+	"encoding/binary"
+	"sort"
+)
+
+// CHAMSEG1, the format before CHAMSEG2, read-only: a 64-byte header (the
+// CHAMSEG2 header without the data-section length), then n×8 keys, n×8
+// values, and the same tombstone bitmap, model and footer. Only the steps
+// that touch the key and value arrays live here; the window, filter,
+// tombstone and model code is shared. Nothing writes this format any more:
+// a compaction that takes a CHAMSEG1 file writes its entries as CHAMSEG2.
+
+const (
+	magicV1      = "CHAMSEG1"
+	versionV1    = 1
+	headerSizeV1 = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 // 64
+)
+
+// fileSizeV1 is the length of a CHAMSEG1 file of n entries and m model
+// pieces.
+func fileSizeV1(n uint64, m int) int64 {
+	return headerSizeV1 + int64(n)*16 + int64((n+7)/8) + int64(m)*pieceSize + footerSize
+}
+
+// keysV1 streams the key section — checking the keys strictly ascending
+// from the header's min to its max and adding them to the filter — and then
+// the value section, which only the CRC reads.
+func (l *loader) keysV1(m *Meta, flt filter) error {
+	buf := make([]byte, iterChunk*8)
+	var prev uint64
+	for done := uint64(0); done < m.Count; {
+		n := min(iterChunk, m.Count-done)
+		b := buf[:n*8]
+		if err := l.read(b, "key section"); err != nil {
+			return err
+		}
+		region := flt.region(done)
+		for i := uint64(0); i < n; i++ {
+			k := binary.LittleEndian.Uint64(b[i*8:])
+			if done+i == 0 {
+				if k != m.MinKey {
+					return l.corrupt("first key differs from header min")
+				}
+			} else if k <= prev {
+				return l.corrupt("keys not strictly ascending")
+			}
+			prev = k
+			region.add(k)
+		}
+		done += n
+	}
+	if m.Count > 0 && prev != m.MaxKey {
+		return l.corrupt("last key differs from header max")
+	}
+	for done := uint64(0); done < m.Count; {
+		n := min(iterChunk, m.Count-done)
+		if err := l.read(buf[:n*8], "value section"); err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
+}
+
+// findV1 looks key up among ranks [lo, hi] of a CHAMSEG1 run: one pread of
+// the window's keys, a binary search, and on a live hit a second pread for
+// the value.
+func (r *Reader) findV1(key uint64, lo, hi int) (rank int, val uint64, ok bool, err error) {
+	n := hi - lo + 1
+	var win [stackWindow]byte
+	buf := win[:]
+	if n*8 <= len(win) {
+		buf = buf[:n*8]
+	} else {
+		buf = make([]byte, n*8)
+	}
+	if err := r.pread(buf, headerSizeV1+int64(lo)*8); err != nil {
+		return 0, 0, false, err
+	}
+	i := sort.Search(n, func(i int) bool {
+		return binary.LittleEndian.Uint64(buf[i*8:]) >= key
+	})
+	if i == n || binary.LittleEndian.Uint64(buf[i*8:]) != key {
+		return 0, 0, false, nil
+	}
+	rank = lo + i
+	if r.tomb(uint64(rank)) {
+		return rank, 0, true, nil
+	}
+	var vb [8]byte
+	if err := r.pread(vb[:], r.valOffV1(rank)); err != nil {
+		return 0, 0, false, err
+	}
+	return rank, binary.LittleEndian.Uint64(vb[:]), true, nil
+}
+
+func (r *Reader) valOffV1(rank int) int64 {
+	return headerSizeV1 + int64(r.meta.Count)*8 + int64(rank)*8
+}
+
+// fetchV1 reads the keys, then the values, of the ranks blocks [first,
+// last) cover into it.chunk, keys first.
+func (it *Iter) fetchV1(first, last int) error {
+	r := it.r
+	lo, hi := first*blockRanks, min(last*blockRanks, int(r.meta.Count))
+	n := (hi - lo) * 8
+	if cap(it.chunk) < 2*n {
+		it.chunk = make([]byte, 2*n)
+	}
+	it.chunk = it.chunk[:2*n]
+	if err := r.pread(it.chunk[:n], headerSizeV1+int64(lo)*8); err != nil {
+		return err
+	}
+	if err := r.pread(it.chunk[n:], r.valOffV1(lo)); err != nil {
+		return err
+	}
+	it.first, it.last = first, last
+	return nil
+}
+
+// decodeV1 copies block b's k keys and values out of the chunk.
+func (it *Iter) decodeV1(b, k int) {
+	keys, vals := it.chunk[:len(it.chunk)/2], it.chunk[len(it.chunk)/2:]
+	off := (b - it.first) * blockRanks * 8
+	for j := 0; j < k; j++ {
+		it.keys[j] = binary.LittleEndian.Uint64(keys[off+8*j:])
+		it.vals[j] = binary.LittleEndian.Uint64(vals[off+8*j:])
+	}
+}

@@ -20,12 +20,12 @@ import (
 // the bounded search) rests on.
 var ErrUnsortedRun = errors.New("segment: run keys not strictly ascending")
 
-// Write encodes one immutable run to w: keys (strictly ascending), parallel
-// values, and parallel tombstone flags (tombs may be nil for an all-live
-// run). The learned model is built here with error bound eps (0 selects
-// DefaultEps) and written after the data so the whole envelope is sealed by
-// one CRC. Returns the Meta the manifest should record. Write does not sync;
-// Create is the durable variant.
+// Write encodes one immutable run to w as CHAMSEG2: keys (strictly
+// ascending), parallel values, and parallel tombstone flags (tombs may be
+// nil for an all-live run). The learned model is built here with error
+// bound eps (0 selects DefaultEps) and written after the data so the whole
+// envelope is sealed by one CRC. Returns the Meta the manifest should
+// record. Write does not sync; Create is the durable variant.
 func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int, seq uint64, eps int) (Meta, error) {
 	if eps <= 0 {
 		eps = DefaultEps
@@ -35,12 +35,20 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 		return Meta{}, fmt.Errorf("segment: mismatched run sections: %d keys, %d vals, %d tombs",
 			len(keys), len(vals), len(tombs))
 	}
-	live := n
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
+	// One pass checks the order and sizes the data section, which the
+	// header carries ahead of it.
+	var dataLen uint64
+	for i := range keys {
+		switch {
+		case i > 0 && keys[i] <= keys[i-1]:
 			return Meta{}, ErrUnsortedRun
+		case i%blockRanks == 0:
+			dataLen += 16
+		default:
+			dataLen += uint64(uvarintLen(keys[i]-keys[i-1])) + 8
 		}
 	}
+	live := n
 	tombBytes := make([]byte, (n+7)/8)
 	if tombs != nil {
 		for i, t := range tombs {
@@ -53,12 +61,11 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	model := pla.Build(keys, eps)
 	m := Meta{
 		ID: id, Level: level, Count: n, Live: live, Seq: seq,
-		Eps: eps, ModelPieces: len(model),
+		Eps: eps, ModelPieces: len(model), Bytes: fileSize(n, dataLen, len(model)),
 	}
 	if n > 0 {
 		m.MinKey, m.MaxKey = keys[0], keys[n-1]
 	}
-	m.Bytes = headerSize + int64(n)*16 + int64(len(tombBytes)) + int64(len(model))*pieceSize + footerSize
 
 	crc := crc32.New(castagnoli)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
@@ -74,21 +81,24 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	binary.LittleEndian.PutUint64(hdr[48:], live)
 	binary.LittleEndian.PutUint32(hdr[56:], uint32(eps))
 	binary.LittleEndian.PutUint32(hdr[60:], uint32(len(model)))
+	binary.LittleEndian.PutUint64(hdr[64:], dataLen)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return Meta{}, err
 	}
-	var u8 [8]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(u8[:], k)
-		if _, err := bw.Write(u8[:]); err != nil {
+	table := make([]byte, 8, (numBlocks(n)+1)*8) // entry 0: offset 0
+	var blk []byte
+	var off uint64
+	for lo := 0; lo < len(keys); lo += blockRanks {
+		hi := min(lo+blockRanks, len(keys))
+		blk = appendBlock(blk[:0], keys[lo:hi], vals[lo:hi])
+		if _, err := bw.Write(blk); err != nil {
 			return Meta{}, err
 		}
+		off += uint64(len(blk))
+		table = binary.LittleEndian.AppendUint64(table, off)
 	}
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		if _, err := bw.Write(u8[:]); err != nil {
-			return Meta{}, err
-		}
+	if _, err := bw.Write(table); err != nil {
+		return Meta{}, err
 	}
 	if _, err := bw.Write(tombBytes); err != nil {
 		return Meta{}, err
@@ -114,6 +124,29 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 		return Meta{}, err
 	}
 	return m, nil
+}
+
+// appendBlock appends the data block of keys and their values to dst: the
+// first key as a u64, each later key's delta from its predecessor as a
+// uvarint, then the values as u64s.
+func appendBlock(dst []byte, keys, vals []uint64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, keys[0])
+	for i := 1; i < len(keys); i++ {
+		dst = binary.AppendUvarint(dst, keys[i]-keys[i-1])
+	}
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // Create writes the run as FileName(id) in dir, fsyncs the file, and closes

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
@@ -1118,4 +1119,114 @@ func TestTieredSegmentMetasSorted(t *testing.T) {
 	}) {
 		t.Fatalf("segment set not newest-first: %+v", metas)
 	}
+}
+
+// TestTieredV1SegmentBase: a tiered directory whose base is a CHAMSEG1 file
+// (written before CHAMSEG2) opens and serves; a flush stacks a CHAMSEG2 run
+// on it, and a snapshot bundle carrying both formats flattens to the same
+// contents; Compact rewrites everything as CHAMSEG2 without changing them.
+func TestTieredV1SegmentBase(t *testing.T) {
+	data, err := os.ReadFile("internal/segment/testdata/seg-v1.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := segment.OpenBytes(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := base.Meta()
+	meta.ID = 1
+	entries, err := base.LoadEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make(map[uint64]uint64)
+	for _, e := range entries {
+		if !e.Tomb {
+			oracle[e.Key] = e.Val
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segment.FileName(1)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := segment.WriteManifest(faultfs.OS, dir, &segment.Manifest{
+		Gen: 1, FlushedSeq: meta.Seq, LiveCount: int64(meta.Live), NextID: 2, Segments: []segment.Meta{meta},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := OpenDir(dir, tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	compareWithOracle(t, d, oracle, "CHAMSEG1 base")
+	versions := func() (v []int) {
+		for _, r := range d.tier.segs.Load().readers {
+			v = append(v, r.Version())
+		}
+		return v
+	}
+
+	// Overwrite, delete and insert around the base's keys, flush, and leave
+	// more in the memtable.
+	for i, e := range entries {
+		switch {
+		case i%5 == 0 && !e.Tomb:
+			if err := d.Delete(e.Key); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, e.Key)
+		case i%5 == 1:
+			if err := d.Insert(e.Key+1, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[e.Key+1] = uint64(i)
+		}
+		if i == len(entries)/2 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if v := versions(); !slices.Equal(v, []int{2, 1}) {
+		t.Fatalf("segment versions newest first = %v, want [2 1]", v)
+	}
+	compareWithOracle(t, d, oracle, "CHAMSEG2 run over the CHAMSEG1 base")
+
+	var bundle bytes.Buffer
+	if _, _, err := d.SnapshotAt(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	keys, vals, err := readBundleFlat(bytes.NewReader(bundle.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(oracle) {
+		t.Fatalf("bundle flattened to %d keys, want %d", len(keys), len(oracle))
+	}
+	for i, k := range keys {
+		if v, ok := oracle[k]; !ok || v != vals[i] {
+			t.Fatalf("bundle key %d = %d, oracle %d,%v", k, vals[i], v, ok)
+		}
+	}
+
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if v := versions(); !slices.Equal(v, []int{2}) {
+		t.Fatalf("segment versions after Compact = %v, want [2]", v)
+	}
+	compareWithOracle(t, d, oracle, "after Compact")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDir(dir, tieredOpts()); err != nil {
+		t.Fatal(err)
+	}
+	compareWithOracle(t, d, oracle, "after reopen")
 }

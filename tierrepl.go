@@ -15,7 +15,7 @@ import (
 // and leaf geometry, with leaf slots re-placed on load. A tiered primary
 // instead ships its state as a *segment bundle* — the published segment files
 // verbatim plus the volatile tiers (memtable, dead set, frozen run) encoded
-// as in-memory CHAMSEG1 runs — so a multi-gigabyte tier streams straight off
+// as in-memory CHAMSEG2 runs — so a multi-gigabyte tier streams straight off
 // disk without materializing a monolithic structure snapshot.
 //
 // Bundle layout (CHAMTBN1, lengths little-endian):
@@ -23,7 +23,8 @@ import (
 //	[8]  magic "CHAMTBN1"
 //	[4]  manifest envelope length | EncodeManifest bytes (self-CRC'd)
 //	per manifest segment, in manifest order:
-//	     [8] file length | raw CHAMSEG1 bytes (each self-CRC'd)
+//	     [8] file length | raw segment bytes (each self-CRC'd: CHAMSEG2, or
+//	         CHAMSEG1 for a file written before it and not yet compacted)
 //	[8]  magic "CHAMTBN1" again (end marker)
 //
 // The receiver dispatches on the leading 8 bytes, so either snapshot format
