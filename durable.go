@@ -49,8 +49,9 @@ type DirOptions struct {
 	// for space when BlockOnFull is set. Zero means unbounded.
 	MaxPending int
 	// MaxPendingBytes bounds the queue by WAL footprint instead of op count
-	// (each mutation costs wal.FrameSize bytes). Zero means unbounded; when
-	// both bounds are set, either one rejects.
+	// (each mutation costs its frame: 21 bytes for an insert, 13 for a
+	// delete). Zero means unbounded; when both bounds are set, either one
+	// rejects.
 	MaxPendingBytes int64
 	// BlockOnFull makes a full queue apply backpressure: mutations wait for
 	// space (respecting their context deadline) instead of failing fast with
@@ -540,7 +541,7 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 			d.qmu.Unlock()
 			return ErrIndexClosed
 		}
-		if d.admitLocked() {
+		if d.admitLocked(rec) {
 			break
 		}
 		if !d.opts.BlockOnFull {
@@ -560,7 +561,7 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 	}
 	d.queue = append(d.queue, op)
 	d.pendingOps++
-	d.pendingBytes += wal.FrameSize
+	d.pendingBytes += int64(rec.FrameSize())
 	if d.pendingOps > d.highWater {
 		d.highWater = d.pendingOps
 	}
@@ -597,12 +598,13 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 	return op.err
 }
 
-// admitLocked checks the queue bounds. Callers hold qmu.
-func (d *DurableIndex) admitLocked() bool {
+// admitLocked checks whether rec fits within the queue bounds. Callers hold
+// qmu.
+func (d *DurableIndex) admitLocked(rec wal.Record) bool {
 	if d.opts.MaxPending > 0 && d.pendingOps >= d.opts.MaxPending {
 		return false
 	}
-	if d.opts.MaxPendingBytes > 0 && d.pendingBytes+wal.FrameSize > d.opts.MaxPendingBytes {
+	if d.opts.MaxPendingBytes > 0 && d.pendingBytes+int64(rec.FrameSize()) > d.opts.MaxPendingBytes {
 		return false
 	}
 	return true
@@ -636,7 +638,7 @@ func (d *DurableIndex) waitFollower(ctx context.Context, op *pendingOp) error {
 		// The op itself stays in d.queue until the next claim pass drops it.
 		d.qmu.Lock()
 		d.pendingOps--
-		d.pendingBytes -= wal.FrameSize
+		d.pendingBytes -= int64(op.rec.FrameSize())
 		d.signalSpaceLocked()
 		d.updateRetrainPauseLocked()
 		d.qmu.Unlock()
@@ -708,7 +710,9 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	defer func() {
 		d.qmu.Lock()
 		d.pendingOps -= len(batch)
-		d.pendingBytes -= int64(len(batch)) * wal.FrameSize
+		for _, op := range batch {
+			d.pendingBytes -= int64(op.rec.FrameSize())
+		}
 		d.signalSpaceLocked()
 		d.updateRetrainPauseLocked()
 		d.qmu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -181,6 +182,37 @@ func TestRangeOrderedAndComplete(t *testing.T) {
 	}
 	// Empty and inverted ranges.
 	ix.Range(hi, lo, func(k, v uint64) bool { t.Fatal("inverted range emitted"); return false })
+}
+
+// TestRangeOnGatelessIndexAllocatesResult: a 100-key Range over a 200 k-key
+// tree with no gates (a p0 = 1 build, all partitioning below the gate level)
+// allocates for its result and the leaves it reads, not for the whole index.
+func TestRangeOnGatelessIndexAllocatesResult(t *testing.T) {
+	ix := New(Config{Name: "Chameleon", Dare: rl.FixedDARE{Root: 1}, Policy: rl.FixedFanout{F: 1024}})
+	keys := dataset.Uniform(200_000, 3)
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.tree.Load().gates); n != 0 {
+		t.Fatalf("tree registered %d gates, want none", n)
+	}
+	lo, hi := keys[100_000], keys[100_099]
+	const runs = 10
+	n := 0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ix.Range(lo, hi, func(k, v uint64) bool { n++; return true })
+	}
+	runtime.ReadMemStats(&after)
+	if n != 100*runs {
+		t.Fatalf("ranges emitted %d keys, want %d", n, 100*runs)
+	}
+	// Sized to the index, one Range would allocate 200 k × 16 B = 3.2 MB.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Fatalf("a 100-key Range allocated %d bytes", per)
+	}
 }
 
 func TestStatsShape(t *testing.T) {

@@ -108,14 +108,15 @@ func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	// interval overlaps [lo, hi] bounds how many entries the scan can emit, so
 	// out almost never regrows. The counts are maintenance-time approximations
 	// (exact at build, drifting with updates), which is fine for a capacity
-	// hint.
+	// hint. A gateless tree gives no hint: out grows with the result instead
+	// of being sized to the whole index.
 	capHint := 0
 	for _, g := range t.gates {
 		if g.hi >= lo && g.lo <= hi {
 			capHint += int(g.keys.Load())
 		}
 	}
-	if n := int(ix.count.Load()); len(t.gates) == 0 || capHint > n {
+	if n := int(ix.count.Load()); capHint > n {
 		capHint = n
 	}
 	out := make([]kv, 0, capHint)

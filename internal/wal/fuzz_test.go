@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"os"
 	"testing"
 )
 
@@ -9,23 +10,42 @@ import (
 // apply on the caller's) must report the same record sequence and the same
 // torn-tail truncation point as the serial Scan. A divergence would mean
 // recovery depends on which reader ran — the pipelining would have changed
-// semantics, not just overlap.
+// semantics, not just overlap. Every accepted record, from a v1 or a v2
+// frame, must also re-encode as a v2 frame that decodes back to itself, so
+// a v1 log extended with v2 frames loses nothing.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, Record{Op: OpDelete, Key: 9}))
-
-	// A log big enough to cross Replay's pipelining threshold, plus torn and
-	// corrupted variants of it, so the fuzzer explores both the serial and the
-	// pipelined path from the first generation.
-	var big []byte
-	for i := 0; i < 4*replayBatch; i++ {
-		big = appendFrame(big, Record{Op: OpInsert, Key: uint64(i), Val: uint64(i * 3)})
+	f.Add(appendV1Frame(nil, Record{Op: OpDelete, Key: 9}))
+	if v1, err := os.ReadFile(v1FixturePath); err == nil {
+		f.Add(v1) // v1 frames ending in a tear
+		f.Add(appendFrame(append([]byte(nil), v1[:len(v1)-14]...), Record{OpInsert, 5, 6}))
 	}
-	f.Add(big)
-	f.Add(big[:len(big)-7]) // torn mid-frame
-	flipped := append([]byte(nil), big...)
-	flipped[len(flipped)/2] ^= 0x40 // CRC mismatch mid-log
-	f.Add(flipped)
+
+	// Logs big enough to cross Replay's pipelining threshold — all v2, and v1
+	// and v2 frames interleaved — plus torn and corrupted variants, so the
+	// fuzzer explores both the serial and the pipelined path from the first
+	// generation.
+	var big, mixed []byte
+	for i := 0; i < 4*replayBatch; i++ {
+		r := Record{Op: OpInsert, Key: uint64(i), Val: uint64(i * 3)}
+		if i%4 == 3 {
+			r = Record{Op: OpDelete, Key: uint64(i - 1)}
+		}
+		big = appendFrame(big, r)
+		if i%2 == 0 {
+			mixed = appendV1Frame(mixed, r)
+		} else {
+			mixed = appendFrame(mixed, r)
+		}
+	}
+	for _, log := range [][]byte{big, mixed} {
+		f.Add(log)
+		f.Add(log[:len(log)-7]) // torn mid-frame
+		flipped := append([]byte(nil), log...)
+		flipped[len(flipped)/2] ^= 0x40 // CRC mismatch mid-log
+		f.Add(flipped)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantValid := Scan(data)
@@ -38,9 +58,21 @@ func FuzzReplay(f *testing.F) {
 		if len(got) != len(want) {
 			t.Fatalf("Replay applied %d records, Scan parsed %d", len(got), len(want))
 		}
+		var v2 []byte
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("record %d: Replay applied %+v, Scan parsed %+v", i, got[i], want[i])
+			}
+			v2 = appendFrame(v2, want[i])
+		}
+		again, againValid := Scan(v2)
+		if len(again) != len(want) || againValid != len(v2) {
+			t.Fatalf("v2 re-encoding scanned %d records to %d of %d, want %d",
+				len(again), againValid, len(v2), len(want))
+		}
+		for i := range want {
+			if again[i] != want[i] {
+				t.Fatalf("record %d: v2 re-encoding decoded %+v, want %+v", i, again[i], want[i])
 			}
 		}
 	})

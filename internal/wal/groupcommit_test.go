@@ -9,8 +9,7 @@ import (
 
 // TestAppendAllReplayCompatible pins the group-commit frame layout: a batched
 // AppendAll writes bytes indistinguishable from the same records appended one
-// at a time, so logs written by either path replay identically — including on
-// binaries from before AppendAll existed.
+// at a time, so logs written by either path replay identically.
 func TestAppendAllReplayCompatible(t *testing.T) {
 	recs := []Record{
 		{OpInsert, 1, 100},

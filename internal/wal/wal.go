@@ -4,17 +4,30 @@
 // caller was told succeeded (under the every-op sync policy; the interval and
 // none policies trade that window for throughput, and say so).
 //
-// Frame format (all little-endian):
+// Frame format (all little-endian). The writer emits v2 frames, sized to the
+// record, with the op byte first:
 //
-//	[4] payload length
-//	[4] CRC32C of the payload (Castagnoli)
-//	[n] payload: [1] op  [8] key  [8] value
+//	insert: [1] op=1  [8] key  [8] value  [4] CRC32C of the preceding 17 bytes
+//	delete: [1] op=2  [8] key             [4] CRC32C of the preceding 9 bytes
 //
-// Replay reads frames until the first torn or corrupt one — a short header, a
-// length beyond the file, a CRC mismatch, or an unknown op — and truncates
-// the log there instead of failing: a torn tail is the expected signature of
-// a crash mid-append, not corruption worth refusing to start over. Everything
-// before the tear is intact by CRC, so recovery is exact up to the last
+// so an insert costs 21 bytes and a delete 13; the op implies the length.
+// Logs written before v2 hold v1 frames, which stay readable:
+//
+//	[4] payload length, always 17  [4] CRC32C of the payload
+//	[17] payload: [1] op  [8] key  [8] value
+//
+// The first byte of a frame tells the two apart: a v1 frame starts with 0x11,
+// the low byte of its constant length, and a v2 frame with its op, 1 or 2. A
+// log is a sequence of frames of either kind — a v1 log reopened by this
+// package simply continues with v2 frames — so there is no file header and
+// no migration.
+//
+// Replay reads frames until the first torn or corrupt one — a short frame, an
+// unknown first byte, a CRC mismatch, or an undecodable payload — and
+// truncates the log there instead of failing: a torn tail is the expected
+// signature of a crash mid-append, not corruption worth refusing to start
+// over. Everything before the tear is intact by CRC (which covers the op byte,
+// and so the frame's kind and length), so recovery is exact up to the last
 // fully-acknowledged record.
 package wal
 
@@ -49,6 +62,15 @@ type Record struct {
 	Val uint64
 }
 
+// FrameSize is r's on-disk cost: its v2 frame length, 21 bytes for an insert
+// and 13 for a delete. The admission layer above budgets queue bytes with it.
+func (r Record) FrameSize() int {
+	if r.Op == OpDelete {
+		return deleteFrame
+	}
+	return insertFrame
+}
+
 // SyncPolicy picks when appends are fsynced.
 type SyncPolicy int
 
@@ -77,17 +99,18 @@ type Options struct {
 }
 
 const (
-	frameHeader = 8  // length + CRC
-	payloadLen  = 17 // op + key + val
-	// maxFrame rejects absurd length prefixes before any allocation; real
-	// payloads are exactly payloadLen, but replay stays lenient to one frame
-	// size class so the format can grow.
-	maxFrame = 1 << 16
+	crcLen      = 4
+	deleteFrame = 1 + 8 + crcLen     // op + key + CRC
+	insertFrame = 1 + 8 + 8 + crcLen // op + key + val + CRC
+
+	v1Header  = 8  // length + CRC
+	v1Payload = 17 // op + key + val; also a v1 frame's first byte
+	v1Frame   = v1Header + v1Payload
 )
 
-// FrameSize is the on-disk cost of one record: frame header plus payload.
-// The admission layer above budgets queue bytes with it.
-const FrameSize = frameHeader + payloadLen
+// FrameSize is the largest frame the writer emits (an insert's). A record's
+// own cost is Record.FrameSize.
+const FrameSize = insertFrame
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -176,27 +199,56 @@ func Scan(data []byte) (records []Record, valid int) {
 }
 
 // parseFrame decodes the frame starting at off, returning the record, the
-// frame's total byte length, and whether it was intact. Any short, oversized,
-// CRC-mismatched, or undecodable frame reports ok=false — the caller treats
-// off as the torn tail.
+// frame's total byte length, and whether it was intact. The first byte picks
+// the frame kind (package comment); a short, CRC-mismatched, or undecodable
+// frame, or any other first byte, reports ok=false — the caller treats off as
+// the torn tail.
 func parseFrame(data []byte, off int) (r Record, n int, ok bool) {
-	if off+frameHeader > len(data) {
+	if off >= len(data) {
 		return Record{}, 0, false
 	}
-	plen := binary.LittleEndian.Uint32(data[off:])
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if plen == 0 || plen > maxFrame || off+frameHeader+int(plen) > len(data) {
+	switch data[off] {
+	case byte(OpInsert), byte(OpDelete):
+		r.Op = Op(data[off])
+		n = r.FrameSize()
+		if off+n > len(data) {
+			return Record{}, 0, false
+		}
+		body := data[off : off+n-crcLen]
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[off+n-crcLen:]) {
+			return Record{}, 0, false
+		}
+		r.Key = binary.LittleEndian.Uint64(body[1:])
+		if r.Op == OpInsert {
+			r.Val = binary.LittleEndian.Uint64(body[9:])
+		}
+		return r, n, true
+	case v1Payload:
+		return parseV1Frame(data, off)
+	}
+	return Record{}, 0, false
+}
+
+// parseV1Frame decodes a v1 frame: [4 length = 17][4 CRC32C][op, key, val].
+// A v1 delete's value bytes were always zero; they are ignored, so every
+// record this returns re-encodes losslessly as a v2 frame.
+func parseV1Frame(data []byte, off int) (r Record, n int, ok bool) {
+	if off+v1Frame > len(data) || binary.LittleEndian.Uint32(data[off:]) != v1Payload {
 		return Record{}, 0, false
 	}
-	payload := data[off+frameHeader : off+frameHeader+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	payload := data[off+v1Header : off+v1Frame]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
 		return Record{}, 0, false
 	}
-	r, ok = decodePayload(payload)
-	if !ok {
+	r = Record{Op: Op(payload[0]), Key: binary.LittleEndian.Uint64(payload[1:])}
+	switch r.Op {
+	case OpInsert:
+		r.Val = binary.LittleEndian.Uint64(payload[9:])
+	case OpDelete:
+	default:
 		return Record{}, 0, false
 	}
-	return r, frameHeader + int(plen), true
+	return r, v1Frame, true
 }
 
 // replayBatch is how many decoded records the pipelined replay hands to the
@@ -214,7 +266,7 @@ const replayBatch = 512
 // returns the count of intact records and the byte offset of the first torn
 // frame; a nil apply degrades to a plain scan.
 func Replay(data []byte, apply func(Record)) (records, valid int) {
-	if apply == nil || len(data) < 4*replayBatch*(frameHeader+payloadLen) {
+	if apply == nil || len(data) < 4*replayBatch*FrameSize {
 		recs, valid := Scan(data)
 		for _, r := range recs {
 			if apply != nil {
@@ -255,41 +307,25 @@ func Replay(data []byte, apply func(Record)) (records, valid int) {
 	return records, tail
 }
 
-func decodePayload(p []byte) (Record, bool) {
-	if len(p) != payloadLen {
-		return Record{}, false
-	}
-	op := Op(p[0])
-	if op != OpInsert && op != OpDelete {
-		return Record{}, false
-	}
-	return Record{
-		Op:  op,
-		Key: binary.LittleEndian.Uint64(p[1:]),
-		Val: binary.LittleEndian.Uint64(p[9:]),
-	}, true
-}
-
-// appendFrame encodes r as one frame onto dst and returns the extended
-// buffer. The layout is byte-identical to what Append has always written, so
-// multi-record batches stay replay-compatible with existing logs: a batch is
-// nothing but consecutive frames, and Scan cannot tell (and need not care)
-// where one append ended and the next began.
+// appendFrame encodes r as one v2 frame onto dst and returns the extended
+// buffer: r.FrameSize() bytes, a delete's value omitted. Append writes
+// exactly this, so multi-record batches are byte-identical to serial appends:
+// a batch is nothing but consecutive frames, and Scan cannot tell (and need
+// not care) where one append ended and the next began.
 func appendFrame(dst []byte, r Record) []byte {
-	var frame [frameHeader + payloadLen]byte
-	binary.LittleEndian.PutUint32(frame[0:], payloadLen)
-	frame[frameHeader] = byte(r.Op)
-	binary.LittleEndian.PutUint64(frame[frameHeader+1:], r.Key)
-	binary.LittleEndian.PutUint64(frame[frameHeader+9:], r.Val)
-	binary.LittleEndian.PutUint32(frame[4:],
-		crc32.Checksum(frame[frameHeader:], castagnoli))
-	return append(dst, frame[:]...)
+	start := len(dst)
+	dst = append(dst, byte(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.Key)
+	if r.Op != OpDelete {
+		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // Append frames, checksums, and writes r, fsyncing per the sync policy. When
 // it returns nil under SyncEveryOp, the record is durable.
 func (l *Log) Append(r Record) error {
-	var buf [frameHeader + payloadLen]byte
+	var buf [FrameSize]byte
 	return l.write(appendFrame(buf[:0], r))
 }
 
@@ -305,7 +341,7 @@ func (l *Log) AppendAll(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	buf := make([]byte, 0, len(recs)*(frameHeader+payloadLen))
+	buf := make([]byte, 0, len(recs)*FrameSize)
 	for _, r := range recs {
 		buf = appendFrame(buf, r)
 	}

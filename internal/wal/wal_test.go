@@ -36,13 +36,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		{OpDelete, 1, 0},
 		{OpInsert, 1 << 60, ^uint64(0)},
 	}
+	size := 0
 	for _, r := range want {
 		if err := l.Append(r); err != nil {
 			t.Fatalf("Append(%+v): %v", r, err)
 		}
+		size += r.FrameSize()
 	}
-	if l.Size() != int64(len(want)*(frameHeader+payloadLen)) {
-		t.Fatalf("Size = %d", l.Size())
+	if size != 3*insertFrame+deleteFrame || l.Size() != int64(size) {
+		t.Fatalf("Size = %d, want %d", l.Size(), size)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -63,10 +65,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestReplayTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openCollect(t, path, Options{})
-	for i := uint64(0); i < 5; i++ {
+	for i := uint64(0); i < 4; i++ {
 		if err := l.AppendInsert(i, i*10); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.AppendDelete(3); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -76,9 +81,12 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A torn tail at every byte offset of the last frame: replay keeps the
-	// first four records and truncates the rest.
-	frame := frameHeader + payloadLen
+	// A torn tail at every byte offset of the last frame, a delete: replay
+	// keeps the first four records and truncates the rest.
+	frame := Record{Op: OpDelete}.FrameSize()
+	if len(intact) != 4*insertFrame+frame {
+		t.Fatalf("log is %d bytes, want 4 inserts and a delete", len(intact))
+	}
 	for cut := len(intact) - frame + 1; cut < len(intact); cut++ {
 		if err := os.WriteFile(path, intact[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -103,33 +111,45 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayStopsAtCorruptFrame corrupts the second of three frames, in a v2
+// log and in a v1 log: Scan keeps the first record and stops there.
 func TestReplayStopsAtCorruptFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := openCollect(t, path, Options{})
-	for i := uint64(0); i < 3; i++ {
-		if err := l.AppendInsert(i, i); err != nil {
-			t.Fatal(err)
-		}
+	recs := []Record{{OpInsert, 0, 0}, {Op: OpDelete, Key: 0}, {OpInsert, 2, 2}}
+	var v2, v1 []byte
+	for _, r := range recs {
+		v2 = appendFrame(v2, r)
+		v1 = appendV1Frame(v1, r)
 	}
-	l.Close()
-	data, _ := os.ReadFile(path)
-	frame := frameHeader + payloadLen
-
-	cases := map[string]func([]byte){
-		"payload bit flip":    func(d []byte) { d[frame+frameHeader+3] ^= 0x40 },
-		"crc bit flip":        func(d []byte) { d[frame+5] ^= 0x01 },
-		"zero length":         func(d []byte) { binary.LittleEndian.PutUint32(d[frame:], 0) },
-		"absurd length":       func(d []byte) { binary.LittleEndian.PutUint32(d[frame:], 1<<30) },
-		"unknown op":          func(d []byte) { d[frame+frameHeader] = 0xEE },
-		"length past the end": func(d []byte) { binary.LittleEndian.PutUint32(d[frame:], uint32(2*frame)) },
+	f2 := recs[0].FrameSize() // the second frame's offset, and Scan's stop
+	v2Cases := map[string]func([]byte){
+		"key bit flip": func(d []byte) { d[f2+3] ^= 0x40 },
+		"crc bit flip": func(d []byte) { d[f2+deleteFrame-2] ^= 0x01 },
+		"unknown op":   func(d []byte) { d[f2] = 0xEE },
+		"zero op":      func(d []byte) { d[f2] = 0 },
 	}
-	for name, corrupt := range cases {
-		d := append([]byte(nil), data...)
-		corrupt(d)
-		records, valid := Scan(d)
-		if len(records) != 1 || valid != frame {
-			t.Errorf("%s: Scan kept %d records to offset %d, want 1 record to %d",
-				name, len(records), valid, frame)
+	v1Cases := map[string]func([]byte){
+		"payload bit flip":    func(d []byte) { d[v1Frame+v1Header+3] ^= 0x40 },
+		"crc bit flip":        func(d []byte) { d[v1Frame+5] ^= 0x01 },
+		"zero length":         func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], 0) },
+		"absurd length":       func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], 1<<30) },
+		"length 18":           func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], v1Payload+1) },
+		"unknown op":          func(d []byte) { d[v1Frame+v1Header] = 0xEE },
+		"length past the end": func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], uint32(2*v1Frame)) },
+	}
+	for _, log := range []struct {
+		name  string
+		data  []byte
+		stop  int
+		cases map[string]func([]byte)
+	}{{"v2", v2, f2, v2Cases}, {"v1", v1, v1Frame, v1Cases}} {
+		for name, corrupt := range log.cases {
+			d := append([]byte(nil), log.data...)
+			corrupt(d)
+			records, valid := Scan(d)
+			if len(records) != 1 || valid != log.stop {
+				t.Errorf("%s %s: Scan kept %d records to offset %d, want 1 record to %d",
+					log.name, name, len(records), valid, log.stop)
+			}
 		}
 	}
 }
@@ -183,25 +203,34 @@ func TestAppendAfterCloseFails(t *testing.T) {
 func TestShortWriteSticksAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	frame := int64(frameHeader + payloadLen)
-	for budget := int64(0); budget <= 3*frame; budget += 7 {
+	recs := []Record{{OpInsert, 1, 1}, {Op: OpDelete, Key: 1}, {OpInsert, 2, 2}, {Op: OpDelete, Key: 2}}
+	total := int64(0)
+	for _, r := range recs {
+		total += int64(r.FrameSize())
+	}
+	for budget := int64(0); budget <= total; budget++ {
 		os.Remove(path) //nolint:errcheck
 		fsys := &shortWriteFS{budget: budget}
 		l, _, err := Open(path, Options{Policy: SyncNone, FS: fsys}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acked := 0
-		for i := uint64(0); i < 4; i++ {
-			if err := l.AppendInsert(i, i); err != nil {
+		acked, fit, used := 0, 0, int64(0)
+		for _, r := range recs {
+			if used += int64(r.FrameSize()); used <= budget {
+				fit++
+			}
+		}
+		for _, r := range recs {
+			if err := l.Append(r); err != nil {
 				break
 			}
 			acked++
 		}
-		if acked != int(budget/frame) {
-			t.Fatalf("budget %d: acked %d appends, want %d", budget, acked, budget/frame)
+		if acked != fit {
+			t.Fatalf("budget %d: acked %d appends, want %d", budget, acked, fit)
 		}
-		if acked < 4 {
+		if acked < len(recs) {
 			if err := l.AppendInsert(9, 9); err == nil {
 				t.Fatalf("budget %d: append succeeded after sticky error", budget)
 			}

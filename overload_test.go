@@ -14,6 +14,12 @@ import (
 	"chameleon/internal/wal"
 )
 
+// insFrame and delFrame are the WAL bytes one insert and one delete cost.
+var (
+	insFrame = int64(wal.Record{Op: wal.OpInsert}.FrameSize())
+	delFrame = int64(wal.Record{Op: wal.OpDelete}.FrameSize())
+)
+
 // waitUntil polls cond until it holds or the deadline passes. The stall-based
 // tests use it to wait for the queue/device to reach a known state instead of
 // sleeping blind.
@@ -120,6 +126,62 @@ func TestOverloadShedFastFail(t *testing.T) {
 	}
 }
 
+// TestOverloadShedByFrameBytes: MaxPendingBytes charges each op its own
+// frame, so a bound of one insert plus one delete admits exactly that behind
+// a stalled fsync and sheds the next op of either kind.
+func TestOverloadShedByFrameBytes(t *testing.T) {
+	dir := t.TempDir()
+	stall := faultfs.NewStallFS(faultfs.OS)
+	opts := durableOpts()
+	opts.MaxPendingBytes = insFrame + delFrame
+	d, err := openDirFS(dir, opts, stall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(5, 50); err != nil {
+		t.Fatal(err)
+	}
+	stall.StallSyncs()
+
+	var leaderErr, followerErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); leaderErr = d.Insert(1, 10) }()
+	waitUntil(t, "leader stalled in fsync", func() bool { return stall.Stalled() == 1 })
+	wg.Add(1)
+	go func() { defer wg.Done(); followerErr = d.Delete(5) }()
+	waitUntil(t, "delete enqueued", func() bool { return d.Health().QueueDepth == 2 })
+	if h := d.Health(); h.QueueBytes != insFrame+delFrame {
+		t.Fatalf("QueueBytes = %d, want %d", h.QueueBytes, insFrame+delFrame)
+	}
+	if err := d.Delete(1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-bound delete = %v, want ErrOverloaded", err)
+	}
+	if err := d.Insert(2, 20); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-bound insert = %v, want ErrOverloaded", err)
+	}
+
+	stall.Release()
+	wg.Wait()
+	if leaderErr != nil || followerErr != nil {
+		t.Fatalf("queued writers failed after release: %v / %v", leaderErr, followerErr)
+	}
+	if h := d.Health(); h.QueueBytes != 0 || h.ShedOps != 2 {
+		t.Fatalf("after drain QueueBytes/ShedOps = %d/%d, want 0/2", h.QueueBytes, h.ShedOps)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDir(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, ok := r.Lookup(1); !ok || r.Len() != 1 {
+		t.Fatalf("recovered Len = %d, want only key 1", r.Len())
+	}
+}
+
 // TestOverloadBlockOnFull checks the backpressure mode: a full queue makes
 // writers wait for space instead of shedding, and they complete once the
 // device recovers.
@@ -172,7 +234,7 @@ func TestOverloadBlockOnFull(t *testing.T) {
 // again after AddCapacity, and recovery sees exactly the acked set.
 func TestDiskFullRetryableAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	q := faultfs.NewQuotaFS(faultfs.OS, 4*wal.FrameSize+wal.FrameSize/2)
+	q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
 	opts := durableOpts()
 	opts.Sync = SyncNone
 	d, err := openDirFS(dir, opts, q)
@@ -262,7 +324,7 @@ func TestDiskFullCheckpointRotationRecovers(t *testing.T) {
 	// the log fills it. Insert/delete of the same key keeps the index (and
 	// so the next snapshot) the same size while the WAL grows two frames per
 	// round — the "WAL dwarfs the data" shape where rotation is the cure.
-	budget := int64(4000) * wal.FrameSize
+	budget := 2000 * (insFrame + delFrame)
 	q.AddCapacity(base + budget - initial)
 	churn := uint64(999_999)
 	present := false
@@ -305,8 +367,8 @@ func TestDiskFullCheckpointRotationRecovers(t *testing.T) {
 
 	// Writes flow again on the same handle, well beyond what the headroom
 	// alone could hold.
-	extra := int(budget / (2 * wal.FrameSize))
-	if int64(extra)*wal.FrameSize <= headroom {
+	extra := int(budget / (2 * insFrame))
+	if int64(extra)*insFrame <= headroom {
 		t.Fatalf("test geometry broken: %d frames don't exceed headroom %d", extra, headroom)
 	}
 	for i := 0; i < extra; i++ {
@@ -690,9 +752,10 @@ type nopWriter struct{}
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestWALSizeUnderConcurrentWriters checks that WALSize stays consistent
-// while writers race it: always a whole number of frames, never decreasing
-// (ops move from queue accounting into the log, counted exactly once), and
-// exact once the dust settles.
+// while writers of inserts and deletes race it: always a whole number of
+// frames (some inserts and at most as many deletes), never decreasing (ops
+// move from queue accounting into the log, counted exactly once), and exact
+// once the dust settles.
 func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts()
@@ -703,7 +766,15 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 	}
 	defer d.Close()
 
-	const writers, perWriter = 8, 200
+	const writers, perWriter = 8, 200 // per writer: 200 inserts, 100 deletes
+	wholeFrames := func(s int64) bool {
+		for dels := int64(0); dels*(insFrame+delFrame) <= s; dels++ {
+			if (s-dels*delFrame)%insFrame == 0 {
+				return true
+			}
+		}
+		return false
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var sampleErr atomic.Value
@@ -716,8 +787,8 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 			default:
 			}
 			s := d.WALSize()
-			if s%wal.FrameSize != 0 {
-				sampleErr.Store(fmt.Errorf("WALSize %d not a frame multiple", s))
+			if !wholeFrames(s) {
+				sampleErr.Store(fmt.Errorf("WALSize %d is not a sum of whole frames", s))
 				return
 			}
 			if s < prev {
@@ -735,9 +806,16 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := d.Insert(uint64(w*perWriter+i), 1); err != nil {
+				key := uint64(w*perWriter + i)
+				if err := d.Insert(key, 1); err != nil {
 					t.Errorf("insert: %v", err)
 					return
+				}
+				if i%2 == 1 {
+					if err := d.Delete(key - 1); err != nil {
+						t.Errorf("delete: %v", err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -747,7 +825,7 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 	if err, _ := sampleErr.Load().(error); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.WALSize(), int64(writers*perWriter)*wal.FrameSize; got != want {
+	if got, want := d.WALSize(), writers*(perWriter*insFrame+perWriter/2*delFrame); got != want {
 		t.Fatalf("final WALSize = %d, want %d", got, want)
 	}
 }
@@ -758,7 +836,7 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 // if its write returned nil. This is the CI -race soak.
 func TestOverloadSoak(t *testing.T) {
 	dir := t.TempDir()
-	q := faultfs.NewQuotaFS(faultfs.OS, 40*wal.FrameSize)
+	q := faultfs.NewQuotaFS(faultfs.OS, 40*insFrame)
 	opts := durableOpts()
 	opts.Sync = SyncNone
 	opts.MaxPending = 8
@@ -806,7 +884,7 @@ func TestOverloadSoak(t *testing.T) {
 	go func() {
 		defer close(opDone)
 		for i := 0; i < 200; i++ {
-			q.AddCapacity(10 * wal.FrameSize)
+			q.AddCapacity(10 * insFrame)
 			if i%10 == 0 {
 				d.Checkpoint() //nolint:errcheck // may legitimately hit ENOSPC
 			}
