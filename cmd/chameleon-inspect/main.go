@@ -5,11 +5,11 @@
 //
 // With -dir it instead inspects a tiered durable directory: the tier
 // manifest (generation, flushed watermark, live count) and every segment's
-// metadata — level, key range, sequence watermark, learned-model size and
-// error bound, and per-file integrity status. A sharded root recurses into
-// every shard. -check additionally re-verifies each segment end to end
-// (full-file CRC plus a probe of the model against the on-disk keys); -seg
-// dumps one segment file with no manifest cross-check.
+// metadata — level, key range, sequence watermark, size and format — with
+// each file's integrity status: opening a segment verifies its full-file CRC
+// and key order and cross-checks it against the manifest. A sharded root
+// recurses into every shard. -seg dumps one segment file with no manifest
+// cross-check.
 //
 // Usage:
 //
@@ -17,7 +17,6 @@
 //	chameleon-inspect -sosd data/face_1000000.sosd          # build then inspect
 //	chameleon-inspect -sosd data/face_1000000.sosd -save idx.cham
 //	chameleon-inspect -dir /data/chameleon                  # tier manifest + segments
-//	chameleon-inspect -dir /data/chameleon -check           # + CRC/model verification
 //	chameleon-inspect -seg /data/chameleon/seg-0000000000000003.seg
 package main
 
@@ -39,8 +38,7 @@ func main() {
 		savePath  = flag.String("save", "", "write the (built or loaded) index here")
 		seed      = flag.Uint64("seed", 1, "construction seed")
 		dirPath   = flag.String("dir", "", "tiered durable directory: dump the tier manifest and segment metadata")
-		segPath   = flag.String("seg", "", "single segment file: dump its header and model (no manifest cross-check)")
-		check     = flag.Bool("check", false, "with -dir: re-verify every segment (CRC pass + model probe against on-disk keys)")
+		segPath   = flag.String("seg", "", "single segment file: dump its header (no manifest cross-check)")
 	)
 	flag.Parse()
 
@@ -49,7 +47,7 @@ func main() {
 		return
 	}
 	if *dirPath != "" {
-		if !inspectTierDir(*dirPath, *check) {
+		if !inspectTierDir(*dirPath) {
 			os.Exit(1)
 		}
 		return

@@ -11,13 +11,12 @@ import (
 )
 
 // Tiered-directory inspection: dump the tier manifest and every segment's
-// metadata, and optionally re-verify each file (full CRC pass plus a probe
-// of the learned model against the on-disk keys).
+// metadata, with each file's integrity status.
 
 // inspectTierDir prints the tier state of dir. A sharded root (shard-NNNN
 // subdirectories) recurses into every shard. Returns false if dir holds no
 // tier manifest anywhere.
-func inspectTierDir(dir string, check bool) bool {
+func inspectTierDir(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		fatal(err)
@@ -33,17 +32,17 @@ func inspectTierDir(dir string, check bool) bool {
 		any := false
 		for _, sd := range shardDirs {
 			fmt.Printf("== %s ==\n", sd)
-			if inspectOneTierDir(filepath.Join(dir, sd), check) {
+			if inspectOneTierDir(filepath.Join(dir, sd)) {
 				any = true
 			}
 			fmt.Println()
 		}
 		return any
 	}
-	return inspectOneTierDir(dir, check)
+	return inspectOneTierDir(dir)
 }
 
-func inspectOneTierDir(dir string, check bool) bool {
+func inspectOneTierDir(dir string) bool {
 	man, err := segment.LoadManifest(faultfs.OS, dir)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", dir, err))
@@ -88,13 +87,13 @@ func inspectOneTierDir(dir string, check bool) bool {
 		}
 		return "delta"
 	}
-	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %5s %6s %10s %7s %3s  %s\n",
-		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "EPS", "MODEL", "BYTES", "B/ENTRY", "FMT", "STATUS")
+	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %10s %7s %3s  %s\n",
+		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "BYTES", "B/ENTRY", "FMT", "STATUS")
 	for i := range metas {
 		m := metas[i]
-		status, format := segStatus(dir, &m, check)
-		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %5d %6d %10d %7s %3s  %s\n",
-			m.ID, m.Level, role(&m), m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq, m.Eps, m.ModelPieces,
+		status, format := segStatus(dir, &m)
+		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %10d %7s %3s  %s\n",
+			m.ID, m.Level, role(&m), m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq,
 			m.Bytes, bytesPerEntry(m), format, status)
 	}
 	return true
@@ -109,11 +108,10 @@ func bytesPerEntry(m segment.Meta) string {
 }
 
 // segStatus opens the named segment against its manifest record: "ok" means
-// the full-file CRC and header cross-check passed; with check it also probes
-// the learned model against every on-disk key and reports the worst rank
-// error against the promised ε. format is the file's format version (v2 for
-// CHAMSEG2, v1 for CHAMSEG1), "?" when it does not open.
-func segStatus(dir string, m *segment.Meta, check bool) (status, format string) {
+// the full-file CRC, key order and header cross-check passed. format is the
+// file's format version (v2 for CHAMSEG2, v1 for CHAMSEG1), "?" when it does
+// not open.
+func segStatus(dir string, m *segment.Meta) (status, format string) {
 	r, err := segment.Open(faultfs.OS, filepath.Join(dir, segment.FileName(m.ID)), m)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -122,18 +120,7 @@ func segStatus(dir string, m *segment.Meta, check bool) (status, format string) 
 		return fmt.Sprintf("CORRUPT: %v", err), "?"
 	}
 	defer r.Close() //nolint:errcheck
-	format = fmt.Sprintf("v%d", r.Version())
-	if !check {
-		return "ok", format
-	}
-	worst, err := r.ModelMaxError()
-	if err != nil {
-		return fmt.Sprintf("MODEL-PROBE-FAILED: %v", err), format
-	}
-	if worst > m.Eps {
-		return fmt.Sprintf("MODEL-ERROR %d > eps %d", worst, m.Eps), format
-	}
-	return fmt.Sprintf("ok (model max err %d <= eps %d)", worst, m.Eps), format
+	return "ok", fmt.Sprintf("v%d", r.Version())
 }
 
 // inspectSegFile dumps one segment file with no manifest cross-check (the
@@ -155,12 +142,5 @@ func inspectSegFile(path string) {
 	fmt.Printf("key range:    [%d, %d]\n", m.MinKey, m.MaxKey)
 	fmt.Printf("seq:          %d\n", m.Seq)
 	fmt.Printf("format:       v%d\n", r.Version())
-	fmt.Printf("bytes:        %d (%s per entry)\n", m.Bytes, bytesPerEntry(m))
-	fmt.Printf("model:        %d pieces (%d bytes), promised eps %d\n",
-		m.ModelPieces, m.ModelPieces*24, m.Eps)
-	worst, err := r.ModelMaxError()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("model error:  max %d (CRC and key order verified at open)\n", worst)
+	fmt.Printf("bytes:        %d (%s per entry; CRC and key order verified at open)\n", m.Bytes, bytesPerEntry(m))
 }

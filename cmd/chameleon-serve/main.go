@@ -74,9 +74,8 @@ func main() {
 		probeCount   = flag.Int("failover-probes", 3, "consecutive failed probes (while stalled) that declare the primary dead")
 		foRank       = flag.Int("failover-rank", 0, "this detector's priority among detector-enabled followers (each must be distinct; rank claims epochs ≡ rank mod group so concurrent promotions can never collide)")
 		foPeers      = flag.String("failover-peers", "", "comma-separated addresses of the OTHER detector-enabled followers (checked before promoting, fenced after)")
-		tiered       = flag.Bool("tier", false, "tiered disk-resident storage: background flush to learned-index segments + leveled compaction instead of monolithic checkpoints (sticky: a directory with a tier manifest always reopens tiered)")
+		tiered       = flag.Bool("tier", false, "tiered disk-resident storage: background flush to immutable sorted segments + leveled compaction instead of monolithic checkpoints (sticky: a directory with a tier manifest always reopens tiered)")
 		memtableMB   = flag.Int("tier-memtable-mb", 4, "tiered mode: memtable budget in MiB before a background flush is triggered")
-		segmentEps   = flag.Int("tier-eps", 0, "tiered mode: segment model error bound ε (0 = default 32); a cold read fetches the blocks holding 2ε+1 ranks in one pread")
 		compactL0    = flag.Int("tier-compact-l0", 0, "tiered mode: L0 segment count that triggers compaction into L1 (0 = default 4)")
 	)
 	flag.Parse()
@@ -94,7 +93,6 @@ func main() {
 		BlockOnFull:   *blockOnFull,
 		Tiered:        *tiered,
 		MemtableBytes: int64(*memtableMB) << 20,
-		SegmentEps:    *segmentEps,
 		CompactL0:     *compactL0,
 	}
 	switch *sync {

@@ -76,10 +76,6 @@ type DirOptions struct {
 	// MemtableBytes is the approximate in-memory delta size that triggers a
 	// background flush (default 4 MiB). Entries are accounted at 16 bytes.
 	MemtableBytes int64
-	// SegmentEps is the learned-model error bound ε for written segments
-	// (default segment.DefaultEps): a cold lookup reads the data blocks
-	// holding 2ε+1 ranks, two at the default, with one pread.
-	SegmentEps int
 	// CompactL0 is how many L0 segments accumulate before a compaction
 	// merges them (plus the older runs small enough to be worth rewriting;
 	// see pickCompaction) into a level-1 run (default 4).

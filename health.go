@@ -173,12 +173,8 @@ type TierHealth struct {
 
 	// ColdReads counts lookups resolved from a segment (hit or tombstone);
 	// ColdReadErrs counts segment I/O failures on the read path.
-	// ColdRankErrorSum accumulates |model-predicted − actual| rank distance
-	// across cold reads: ColdRankErrorSum/ColdReads is the mean model error,
-	// bounded by the configured ε.
-	ColdReads        uint64
-	ColdReadErrs     uint64
-	ColdRankErrorSum uint64
+	ColdReads    uint64
+	ColdReadErrs uint64
 
 	// LastFlushErr is the most recent flush failure, nil after any success.
 	LastFlushErr error
@@ -253,7 +249,6 @@ func (t *tier) health() *TierHealth {
 		LastCompactMicros: t.lastCompactUS.Load(),
 		ColdReads:         t.coldReads.Load(),
 		ColdReadErrs:      t.coldErrs.Load(),
-		ColdRankErrorSum:  t.coldDist.Load(),
 	}
 	t.deadMu.RLock()
 	th.DeadKeys = len(t.dead)
@@ -311,7 +306,6 @@ func mergeTierHealth(agg *TierHealth, th *TierHealth) *TierHealth {
 	}
 	agg.ColdReads += th.ColdReads
 	agg.ColdReadErrs += th.ColdReadErrs
-	agg.ColdRankErrorSum += th.ColdRankErrorSum
 	if agg.LastFlushErr == nil {
 		agg.LastFlushErr = th.LastFlushErr
 	}

@@ -209,6 +209,7 @@ func (pr *probe) home(k uint64) int {
 func (pr *probe) occupied(i int) bool {
 	return pr.occ[uint(i)>>6].Load()&(1<<(uint(i)&63)) != 0
 }
+
 // setOcc/clrOcc are load+store rather than atomic RMW: mutators hold the
 // interval's exclusive lock, so no two of them race, and the store itself is
 // atomic for the benefit of lock-free readers.

@@ -30,7 +30,7 @@ func startServer(t *testing.T, ix server.Index, sopts server.Options) *server.Se
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	go s.Serve() //nolint:errcheck
+	go s.Serve()                    //nolint:errcheck
 	t.Cleanup(func() { s.Close() }) //nolint:errcheck
 	return s
 }

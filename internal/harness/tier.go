@@ -22,9 +22,9 @@ import (
 //     should be linear in the delta — the property that replaces the legacy
 //     checkpoint's rewrite-everything cliff.
 //  2. What does a cold read cost? After a flush the memtable is empty and
-//     every lookup is a segment read: learned-model rank prediction, one
-//     bounded pread, binary search within ε. Reported as p50/p99 alongside
-//     the mean rank error the model actually achieved.
+//     every lookup is a segment read: a fence-key search that names one
+//     block, the run's membership filter, and one pread of that block.
+//     Reported as p50/p99.
 //  3. What is the write amplification of checkpoint-every-K versus
 //     flush-every-K on the same insert stream? The legacy checkpoint
 //     serializes the whole index each time (bytes written grow
@@ -66,8 +66,6 @@ type tierMetric struct {
 	NsPerEntry float64 `json:"ns_per_entry,omitempty"`
 	// WriteAmp is bytes written to disk per logical entry byte.
 	WriteAmp float64 `json:"write_amp,omitempty"`
-	// RankErr is the mean learned-model rank error over the cold reads.
-	RankErr float64 `json:"rank_err,omitempty"`
 	// Runs is the most sorted runs (L0 files, deltas, base) published at once.
 	Runs int `json:"runs,omitempty"`
 }
@@ -144,12 +142,11 @@ func tierFlushLatency(cfg Config, out *tierReport) *report.Table {
 }
 
 // tierColdGet bulk loads, flushes everything into segments, and measures
-// lookup latency with an empty memtable: every probe is a learned-model
-// prediction plus a bounded segment read.
+// lookup latency with an empty memtable: every probe is a segment read.
 func tierColdGet(cfg Config, out *tierReport) *report.Table {
 	t := &report.Table{
 		Title: "Tier — cold get latency (all keys segment-resident)",
-		Cols:  []string{"segments", "probes", "p50", "p99", "mean", "model rank err"},
+		Cols:  []string{"segments", "probes", "p50", "p99", "mean"},
 	}
 	d, dir := openTier(chameleon.DirOptions{
 		Options: chameleon.Options{Seed: cfg.Seed},
@@ -195,23 +192,16 @@ func tierColdGet(cfg Config, out *tierReport) *report.Table {
 	for _, s := range samples {
 		sum += s
 	}
-	h := d.Health().Tier
-	var rankErr float64
-	if h.ColdReads > 0 {
-		rankErr = float64(h.ColdRankErrorSum) / float64(h.ColdReads)
-	}
 	m := tierMetric{
 		Name:    "cold_get",
 		Entries: probes,
 		P50Ns:   report.Percentile(samples, 0.50),
 		P99Ns:   report.Percentile(samples, 0.99),
 		MeanNs:  sum / float64(len(samples)),
-		RankErr: rankErr,
 	}
 	out.Metrics = append(out.Metrics, m)
-	t.AddRow(strconv.Itoa(h.Segments), strconv.Itoa(probes),
-		report.NsF(m.P50Ns), report.NsF(m.P99Ns), report.NsF(m.MeanNs),
-		fmt.Sprintf("%.1f", rankErr))
+	t.AddRow(strconv.Itoa(d.Health().Tier.Segments), strconv.Itoa(probes),
+		report.NsF(m.P50Ns), report.NsF(m.P99Ns), report.NsF(m.MeanNs))
 	return t
 }
 

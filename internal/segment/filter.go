@@ -4,8 +4,8 @@ package segment
 // memory while Open decodes the keys past the CRC. It is deliberately not
 // persisted: at 10 bits a key it would add 1.25 B/key to the file, 12 % of a
 // CHAMSEG2 run's ~10 B, to save ~22 ms of reopening a 2 M-key run — the
-// rank-ordered build below is cheap. A learned rank model says where a key
-// would sit but not whether it is there, so without the filter every run
+// rank-ordered build below is cheap. The fence keys say which block a key
+// would sit in but not whether it is there, so without the filter every run
 // whose [min, max] covers a key costs a pread to answer "absent" — which is
 // the common answer for fresh-key inserts and for every run above the one
 // that holds a key.
@@ -18,10 +18,10 @@ package segment
 // streams past, so the build walks the filter front to back with one 5 KB
 // region in L1 at a time — a purely hashed layout took a cache miss per key
 // and cost four times the rest of Open on a 2 M-key run. A lookup does not
-// know the rank, but the run's model bounds it: a key that is present has
-// its rank within ε of the prediction, so the regions covering
-// [pred−ε, pred+ε] — one, or two at a boundary — are the only places it can
-// have been added.
+// know the rank, but the fences name its region: a region is 64 whole
+// blocks, so the last region whose first key is at or below the key is the
+// only place it can have been added. A lookup asks that region before it
+// searches the region's fences for the block.
 //
 // At filterBitsPerKey = 10 the measured false-positive rate is 1.2 %
 // (TestFilterFalsePositiveRate). There are no false negatives, which is what
@@ -88,14 +88,9 @@ func (f filter) add(key uint64) {
 	block[w2] |= m2
 }
 
-// has reports whether key may have been added at some rank in [lo, hi];
-// false is exact. hi must be a valid rank.
-func (f filter) has(lo, hi, key uint64) bool {
-	for rank := lo / filterRegionKeys * filterRegionKeys; rank <= hi; rank += filterRegionKeys {
-		block, w1, w2, m1, m2 := f.region(rank).probe(key)
-		if block[w1]&m1 == m1 && block[w2]&m2 == m2 {
-			return true
-		}
-	}
-	return false
+// has reports whether key may have been added to f, which must be one
+// region; false is exact.
+func (f filter) has(key uint64) bool {
+	block, w1, w2, m1, m2 := f.probe(key)
+	return block[w1]&m1 == m1 && block[w2]&m2 == m2
 }

@@ -14,46 +14,43 @@ import (
 	"chameleon/internal/faultfs"
 )
 
-// TestFilterFalsePositiveRate: no key of the run is ever rejected — whatever
-// ε the model was built with, so whichever regions a lookup has to consult —
-// and of keys not in it (gap midpoints inside [min, max], the shape of a
-// fresh-key insert) about one in a hundred passes.
+// TestFilterFalsePositiveRate: no key of the run is ever rejected — the
+// fences always name the region it was added to — and of keys not in it (gap
+// midpoints inside [min, max], the shape of a fresh-key insert) about one in
+// a hundred passes.
 func TestFilterFalsePositiveRate(t *testing.T) {
 	keys, vals, _ := buildRun(200_000, 11, 0)
-	for _, eps := range []int{1, DefaultEps, 3000} {
-		var buf bytes.Buffer
-		if _, err := Write(&buf, keys, vals, nil, 1, 1, 1, eps); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if _, err := Write(&buf, keys, vals, nil, 1, 1, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBytes(buf.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := len(r.filter)*64, len(keys)*filterBitsPerKey; got < want || got > want+filterBlockBits {
+		t.Fatalf("filter is %d bits for %d keys, want %d bits/key", got, len(keys), filterBitsPerKey)
+	}
+	absent, passed := 0, 0
+	for i := 1; i < len(keys); i++ {
+		if !r.MayContain(keys[i]) {
+			t.Fatalf("false negative on key %d (rank %d)", keys[i], i)
 		}
-		r, err := OpenBytes(buf.Bytes(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if got, want := len(r.filter)*64, len(keys)*filterBitsPerKey; got < want || got > want+filterBlockBits {
-			t.Fatalf("filter is %d bits for %d keys, want %d bits/key", got, len(keys), filterBitsPerKey)
-		}
-		absent, passed := 0, 0
-		for i := 1; i < len(keys); i++ {
-			if !r.MayContain(keys[i]) {
-				t.Fatalf("eps %d: false negative on key %d (rank %d)", eps, keys[i], i)
-			}
-			if mid := keys[i-1] + (keys[i]-keys[i-1])/2; mid != keys[i-1] {
-				absent++
-				if r.MayContain(mid) {
-					passed++
-				}
+		if mid := keys[i-1] + (keys[i]-keys[i-1])/2; mid != keys[i-1] {
+			absent++
+			if r.MayContain(mid) {
+				passed++
 			}
 		}
-		rate := float64(passed) / float64(absent)
-		t.Logf("eps %d: false positives: %d of %d absent keys (%.2f %%)", eps, passed, absent, 100*rate)
-		// A window wider than a region consults two, so doubles its chances.
-		if limit := 0.02 * float64(1+2*eps/filterRegionKeys); rate > limit {
-			t.Fatalf("eps %d: false-positive rate %.3f, want ≤ %.2f at %d bits/key", eps, rate, limit, filterBitsPerKey)
-		}
-		if r.MayContain(keys[0]-1) || r.MayContain(keys[len(keys)-1]+1) {
-			t.Fatal("key outside [min, max] passed MayContain")
-		}
+	}
+	rate := float64(passed) / float64(absent)
+	t.Logf("false positives: %d of %d absent keys (%.2f %%)", passed, absent, 100*rate)
+	if rate > 0.02 {
+		t.Fatalf("false-positive rate %.3f, want ≤ 0.02 at %d bits/key", rate, filterBitsPerKey)
+	}
+	if r.MayContain(keys[0]-1) || r.MayContain(keys[len(keys)-1]+1) {
+		t.Fatal("key outside [min, max] passed MayContain")
 	}
 }
 
@@ -105,7 +102,7 @@ func TestSegmentHostileCount(t *testing.T) {
 func hostileCountSegment(t testing.TB) []byte {
 	keys, vals, _ := buildRun(30, 5, 0)
 	var buf bytes.Buffer
-	if _, err := Write(&buf, keys, vals, nil, 1, 0, 7, 1); err != nil {
+	if _, err := Write(&buf, keys, vals, nil, 1, 0, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -115,15 +112,15 @@ func hostileCountSegment(t testing.TB) []byte {
 }
 
 // TestGetDoesNotAllocate: a cold probe of an on-disk run — hit, filtered
-// miss, or a miss that reads its window — allocates nothing, also when the
-// window straddles two blocks and the key sits in either.
+// miss, or a miss that reads its block — allocates nothing, also for the
+// first and last key of a block.
 func TestGetDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	keys, vals, tombs := buildRun(5_000, 3, 7)
 	_, r := createRun(t, t.TempDir(), keys, vals, tombs, 1, 1, 0)
-	// An absent key the filter lets through, so one probe reads its window
+	// An absent key the filter lets through, so one probe reads its block
 	// and still misses.
 	missing := keys[0] + 1
 	for ; missing < keys[len(keys)-1]; missing++ {
@@ -131,15 +128,9 @@ func TestGetDoesNotAllocate(t *testing.T) {
 			break
 		}
 	}
-	// The first and last ranks of block 1: their windows reach into blocks
-	// 0 and 2, so each read spans two blocks, with the key in the second
-	// and in the first respectively.
+	// The first and last keys of block 1: its fence, and the key just below
+	// the next one.
 	edges := []uint64{keys[blockRanks], keys[2*blockRanks-1]}
-	for _, k := range edges {
-		if _, lo, hi, _ := r.window(k); lo/blockRanks == hi/blockRanks {
-			t.Fatalf("window of %d is [%d, %d], inside one block", k, lo, hi)
-		}
-	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := keys[i%len(keys)]

@@ -31,24 +31,24 @@ func (m *memFile) Truncate(int64) error        { return errors.New("read-only") 
 // for inputs it does accept — CHAMSEG2 or CHAMSEG1 — re-encoding the
 // decoded run (as CHAMSEG2) must round-trip.
 func FuzzSegmentDecode(f *testing.F) {
-	seed := func(keys, vals []uint64, tombs []bool, eps int) []byte {
+	seed := func(keys, vals []uint64, tombs []bool) []byte {
 		var buf bytes.Buffer
-		if _, err := Write(&buf, keys, vals, tombs, 1, 0, 7, eps); err != nil {
+		if _, err := Write(&buf, keys, vals, tombs, 1, 0, 7, 0); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	// Seeds stay small (a few hundred bytes): the mutation engine's
-	// throughput degrades sharply with corpus entry size, and a 30-entry
-	// ε=1 run already exercises multi-piece models and every section; a
-	// 70-entry one has a second, short block.
+	// throughput degrades sharply with corpus entry size, and a 30-entry run
+	// already exercises every section; a 70-entry one has a second, short
+	// block.
 	k, v, tb := buildRun(30, 5, 4)
-	valid := seed(k, v, tb, 1)
+	valid := seed(k, v, tb)
 	f.Add(valid)
 	k, v, tb = buildRun(70, 6, 5)
-	f.Add(seed(k, v, tb, 1))
-	f.Add(seed(nil, nil, nil, 0))
-	f.Add(seed([]uint64{5}, []uint64{50}, []bool{true}, 1))
+	f.Add(seed(k, v, tb))
+	f.Add(seed(nil, nil, nil))
+	f.Add(seed([]uint64{5}, []uint64{50}, []bool{true}))
 	f.Add(valid[:len(valid)-5])
 	mut := append([]byte(nil), valid...)
 	mut[40] ^= 0xff
@@ -57,12 +57,15 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A Count far beyond the file's length: nothing may be sized from it.
 	f.Add(hostileCountSegment(f))
-	// The CHAMSEG1 fixture (5 KB, 300 entries): the read-only decoder.
-	v1, err := os.ReadFile(v1FixturePath)
-	if err != nil {
-		f.Fatal(err)
+	// The fixtures (3–5 KB, 300 entries): the read-only CHAMSEG1 decoder,
+	// and a CHAMSEG2 file whose model section Open skips.
+	for _, path := range []string{v1FixturePath, v2ModelFixturePath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := openMem(data)
@@ -84,6 +87,12 @@ func FuzzSegmentDecode(f *testing.F) {
 		if uint64(len(entries)) != m.Count {
 			t.Fatalf("iterated %d entries, header says %d", len(entries), m.Count)
 		}
+		for _, e := range entries {
+			val, tomb, ok, _, err := r.Get(e.Key)
+			if err != nil || !ok || tomb != e.Tomb || (!tomb && val != e.Val) {
+				t.Fatalf("Get(%d) = %d, tomb %v, ok %v, err %v; iterated %+v", e.Key, val, tomb, ok, err, e)
+			}
+		}
 		keys := make([]uint64, len(entries))
 		vals := make([]uint64, len(entries))
 		tombs := make([]bool, len(entries))
@@ -91,12 +100,12 @@ func FuzzSegmentDecode(f *testing.F) {
 			keys[i], vals[i], tombs[i] = e.Key, e.Val, e.Tomb
 		}
 		var buf bytes.Buffer
-		m2, err := Write(&buf, keys, vals, tombs, m.ID, m.Level, m.Seq, m.Eps)
+		m2, err := Write(&buf, keys, vals, tombs, m.ID, m.Level, m.Seq, 0)
 		if err != nil {
 			t.Fatalf("re-encode of accepted segment failed: %v", err)
 		}
 		if m2.Count != m.Count || m2.Live != m.Live || m2.MinKey != m.MinKey ||
-			m2.MaxKey != m.MaxKey || m2.Seq != m.Seq || m2.Eps != m.Eps {
+			m2.MaxKey != m.MaxKey || m2.Seq != m.Seq {
 			t.Fatalf("re-encode meta drifted: %+v vs %+v", m2, m)
 		}
 		r2, err := openMem(buf.Bytes())
@@ -113,18 +122,18 @@ func FuzzSegmentDecode(f *testing.F) {
 
 // FuzzSegmentDecodeBijective asserts the stronger property for
 // writer-produced files: decode∘encode is the identity on bytes, because the
-// model construction is deterministic.
+// encoding is deterministic.
 func FuzzSegmentDecodeBijective(f *testing.F) {
-	f.Add(uint64(1), 100, 8, 3)
-	f.Add(uint64(99), 1, 1, 0)
-	f.Add(uint64(7), 0, 16, 0)
-	f.Fuzz(func(t *testing.T, seed uint64, n, eps, tombEvery int) {
-		if n < 0 || n > 2000 || eps < 0 || eps > 256 || tombEvery < 0 {
+	f.Add(uint64(1), 100, 3)
+	f.Add(uint64(99), 1, 0)
+	f.Add(uint64(7), 0, 0)
+	f.Fuzz(func(t *testing.T, seed uint64, n, tombEvery int) {
+		if n < 0 || n > 2000 || tombEvery < 0 {
 			t.Skip()
 		}
 		keys, vals, tombs := buildRun(n, int64(seed), tombEvery)
 		var buf bytes.Buffer
-		if _, err := Write(&buf, keys, vals, tombs, 3, 1, seed, eps); err != nil {
+		if _, err := Write(&buf, keys, vals, tombs, 3, 1, seed, 0); err != nil {
 			t.Fatal(err)
 		}
 		r, err := openMem(buf.Bytes())
@@ -143,7 +152,7 @@ func FuzzSegmentDecodeBijective(f *testing.F) {
 			k2[i], v2[i], t2[i] = e.Key, e.Val, e.Tomb
 		}
 		var buf2 bytes.Buffer
-		if _, err := Write(&buf2, k2, v2, t2, 3, 1, seed, r.Meta().Eps); err != nil {
+		if _, err := Write(&buf2, k2, v2, t2, 3, 1, seed, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -157,7 +166,7 @@ func FuzzSegmentDecodeBijective(f *testing.F) {
 func FuzzManifestDecode(f *testing.F) {
 	valid, err := EncodeManifest(&Manifest{
 		Gen: 3, FlushedSeq: 77, LiveCount: 5, NextID: 9,
-		Segments: []Meta{{ID: 1, Count: 5, Live: 5, MinKey: 1, MaxKey: 9, Seq: 77, Eps: 16, ModelPieces: 1, Bytes: 200}},
+		Segments: []Meta{{ID: 1, Count: 5, Live: 5, MinKey: 1, MaxKey: 9, Seq: 77, Bytes: 200}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -166,6 +175,12 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(valid[:12])
 	f.Add([]byte(manMagic))
 	f.Add([]byte{})
+	// A manifest written while segments carried a model: "eps" included.
+	fixture, err := os.ReadFile(v2ModelManifestPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
 		if err != nil {

@@ -125,7 +125,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		if s.Count > 0 && s.MinKey > s.MaxKey {
 			return nil, corrupt("segment min > max")
 		}
-		if s.Live > s.Count || s.Level < 0 || s.Eps < 1 {
+		if s.Live > s.Count || s.Level < 0 {
 			return nil, corrupt("impossible segment geometry")
 		}
 	}

@@ -52,9 +52,9 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].prio < h[j].prio
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
+func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // Merge is a k-way merge over key-sorted sources with newest-first
 // shadowing: sources are given newest first, and when several sources carry

@@ -1,13 +1,13 @@
 // Package segment implements the immutable on-disk runs of the tiered
 // storage engine (DESIGN.md §15): sorted key/value/tombstone files in a
-// CRC-checked, versioned envelope, each carrying its own tiny learned model
-// — an ε-bounded piecewise-linear approximation of the run's rank function
-// (internal/pla) — so a cold point lookup is one model evaluation plus one
-// bounded pread, with no full-run scan. The SOSD line of work shows per-run
-// models this small are accurate enough to replace conventional per-block
-// fence pointers; here the model *is* the fence structure. A model cannot
-// say "absent" without that read, so each open run also keeps an in-memory
-// membership filter (filter.go) that is asked first.
+// CRC-checked, versioned envelope. A run is a sequence of 64-rank data
+// blocks, each starting with its first key in full, and an open run keeps
+// every block's first key in memory — its fence keys — so a cold point
+// lookup is a binary search over the fences plus one pread of the one block
+// they name, with no full-run scan. Fences cannot say "absent" without that
+// read, so each open run also keeps an in-memory membership filter
+// (filter.go) in regions of 64 blocks, and a lookup asks the key's region
+// before it searches that region's fences: most misses end at the filter.
 //
 // File layout (CHAMSEG2, all little-endian):
 //
@@ -19,8 +19,8 @@
 //	[8]  maxKey
 //	[8]  seq watermark     — highest commit sequence folded into this run
 //	[8]  live              — non-tombstone entries
-//	[4]  ε                 — model error bound (|predicted − true rank| ≤ ε)
-//	[4]  model piece count m
+//	[4]  ε                 — 0; ignored on read
+//	[4]  model piece count m — 0 (see below)
 //	[8]  data-section length d
 //	[d]          data: ⌈n/64⌉ blocks of 64 consecutive ranks (the last may
 //	             be short), each its first key as a u64, uvarint deltas
@@ -28,22 +28,26 @@
 //	             values as u64s (tombstones carry 0)
 //	[(⌈n/64⌉+1)*8] block-offset table: block b is data bytes [t[b], t[b+1])
 //	[⌈n/8⌉]      tombstone bitmap, bit r set ⇒ entry r is a delete marker
-//	[m*24]       model pieces: firstKey u64, slope f64 bits, start rank u64
+//	[m*24]       model section: empty
 //	[4]  CRC32C (Castagnoli) over everything above
 //	[8]  magic "CHAMSEG2" again (end marker: a torn tail cannot masquerade)
 //
 // A key costs its delta (1–2 bytes on dense data) plus its value, so a run
 // takes ~10 bytes a key where fixed-width keys took 16; and since a block's
 // values sit beside its keys, a hit reads one contiguous span. Files written
-// before this layout (CHAMSEG1: version 1, a 64-byte header, then n×8 keys,
-// n×8 values, the same bitmap and model) still open read-only (v1.go); the
-// writer produces CHAMSEG2 only, so a compaction rewrites them.
+// before fence-key lookup carry a learned model — a greedy ε-bounded PLA of
+// the rank function — in the model section, with its ε and piece count in
+// the header: Open checks the section's size and CRC and skips it, so they
+// open as they are. Files written before this layout (CHAMSEG1: version 1, a
+// 64-byte header, then n×8 keys, n×8 values, the same bitmap and model
+// section) still open read-only (v1.go); the writer produces CHAMSEG2 with
+// no model only, so a compaction rewrites both kinds.
 //
 // Segments are immutable once written: the full-file CRC is verified by one
 // sequential pass at Open, which also decodes every key, retains the header,
-// model, tombstone bitmap and block-offset table in memory, and builds the
-// membership filter — the keys and values stay on disk and are fetched by
-// pread. Durability ordering is the caller's job: segment files are fsynced
+// fence keys, tombstone bitmap and block-offset table in memory, and builds
+// the membership filter — the keys and values stay on disk and are fetched
+// by pread. Durability ordering is the caller's job: segment files are fsynced
 // and their directory entry sealed with SyncDir *before* the manifest that
 // references them is written, so a manifest never names a file that a crash
 // could lose.
@@ -62,7 +66,6 @@ import (
 	"sync/atomic"
 
 	"chameleon/internal/faultfs"
-	"chameleon/internal/pla"
 )
 
 const (
@@ -70,46 +73,43 @@ const (
 	version    = 2
 	headerSize = headerSizeV1 + 8 // the v1 fields, then the data-section length
 	footerSize = 4 + 8            // CRC + end magic
-	pieceSize  = 24               // firstKey + slope bits + start
+
+	// pieceSize is one piece of an older file's model section: first key,
+	// slope bits, start rank.
+	pieceSize = 24
 
 	// blockRanks is how many consecutive ranks one data block holds: the
-	// unit a read fetches and decodes. A constant of the format, chosen by
-	// measurement on the benchmark's keys: 32 / 64 / 128 ranks per block
-	// cost 10.22 / 9.99 / 9.88 bytes a key, and at 64 a window of
-	// 2·DefaultEps+1 ranks spans at most two blocks.
+	// unit a read fetches and decodes, and what one fence key spans. A
+	// constant of the format, chosen by bytes per key on the benchmark's
+	// keys: 32 / 64 / 128 ranks per block cost 10.22 / 9.99 / 9.88 bytes a
+	// key on disk plus 0.25 / 0.125 / 0.0625 of fences in memory, and a hit
+	// reads one block, ~0.65 KB at 64.
 	blockRanks = 64
 
 	// maxBlockBytes bounds one block: its first key, blockRanks−1 deltas of
-	// at most MaxVarintLen64 bytes, and the values.
+	// at most MaxVarintLen64 bytes, and the values. A probe reads its block
+	// into a stack buffer this long.
 	maxBlockBytes = 8 + (blockRanks-1)*binary.MaxVarintLen64 + blockRanks*8
 
-	// DefaultEps is the model error bound used when the caller passes 0: a
-	// cold lookup's window of 2ε+1 ranks spans at most two blocks, read by
-	// one pread of ~1.3 KB (2.3 KB at worst).
-	DefaultEps = 32
-
-	// stackWindow is the span a probe reads into without allocating: two
-	// blocks, enough for ε ≤ DefaultEps; larger ε falls back to the heap.
-	stackWindow = 2 * maxBlockBytes
+	// regionBlocks is how many blocks one filter region spans.
+	regionBlocks = filterRegionKeys / blockRanks
 
 	// iterChunk is how many entries an iterator fetches per pread.
 	iterChunk = 1024
 
-	// maxModelPieces rejects absurd model sizes before allocation during
-	// decode; a valid model never has more pieces than keys.
+	// maxModelPieces rejects an older file's absurd model-section size
+	// before the file length is checked; a valid model never has more
+	// pieces than keys.
 	maxModelPieces = 1 << 28
 
-	// A window of 2·DefaultEps+1 ranks must fit two blocks, and a chunk
-	// must hold whole blocks: these fail to compile otherwise.
-	_ uint = blockRanks - 2*DefaultEps
+	// A chunk must hold whole blocks: this fails to compile otherwise.
 	_ uint = -(iterChunk % blockRanks)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is returned when a segment file fails its integrity checks
-// (bad magic, impossible geometry, CRC mismatch, unsorted keys, or a model
-// that violates its own invariants).
+// (bad magic, impossible geometry, CRC mismatch, or unsorted keys).
 var ErrCorrupt = errors.New("segment: corrupt or torn segment file")
 
 // ErrClosed is returned by reads on a closed Reader.
@@ -146,9 +146,10 @@ type Meta struct {
 	// run committed at or before it. Newer runs have strictly greater
 	// watermarks, which is what makes newest-first shadowing well defined.
 	Seq uint64 `json:"seq"`
-	// Eps is the model error bound; ModelPieces the learned model's size in
-	// linear pieces (ModelPieces*24 bytes on disk).
-	Eps         int   `json:"eps"`
+	// ModelPieces is the size, in 24-byte pieces, of the learned model an
+	// older file carries and Open skips; 0 for every file Write produces.
+	// It stays because the benchmark harness (bench/), which changes only
+	// with the benchmark, reads it.
 	ModelPieces int   `json:"model_pieces"`
 	Bytes       int64 `json:"bytes"`
 }
@@ -178,7 +179,7 @@ func ParseFileName(name string) (uint64, bool) {
 func numBlocks(n uint64) uint64 { return (n + blockRanks - 1) / blockRanks }
 
 // fileSize is the length of a CHAMSEG2 file of n entries, a d-byte data
-// section and m model pieces. Callers bound n and d first.
+// section and an m-piece model section. Callers bound n and d first.
 func fileSize(n, d uint64, m int) int64 {
 	return headerSize + int64(d) + int64(numBlocks(n)+1)*8 + int64((n+7)/8) + int64(m)*pieceSize + footerSize
 }
@@ -192,14 +193,16 @@ func dataBounds(n uint64) (lo, hi uint64) {
 }
 
 // Reader serves point and range reads from one immutable segment file. The
-// header, learned model, tombstone bitmap, block-offset table and membership
+// header, fence keys, tombstone bitmap, block-offset table and membership
 // filter live in memory; keys and values are fetched by pread. Safe for
 // concurrent use.
 type Reader struct {
 	meta   Meta
-	model  []pla.Segment
 	tombs  []byte
 	filter filter
+	// fences holds every block's first key: the last fence at or below a
+	// key names the one block that can hold it.
+	fences []uint64
 	// blocks is the block-offset table, data-section offsets of every
 	// block and of the section's end. v1 marks a CHAMSEG1 file, which has
 	// none: its keys and values are fixed-width arrays (v1.go).
@@ -214,11 +217,11 @@ type Reader struct {
 	closed atomic.Bool
 }
 
-// Open reads path sequentially once — verifying the envelope, the CRC, key
-// order, and the model's invariants — and returns a Reader holding the
-// metadata in memory. want, when non-nil, is the manifest's record of this
-// segment; any disagreement with the file (its header fields, its length,
-// its model size) is corruption.
+// Open reads path sequentially once — verifying the envelope, the CRC and
+// key order — and returns a Reader holding the metadata in memory. want,
+// when non-nil, is the manifest's record of this segment; any disagreement
+// with the file (its header fields, its length, its model-section size) is
+// corruption.
 func Open(fsys faultfs.FS, path string, want *Meta) (*Reader, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -292,6 +295,7 @@ type loader struct {
 	f    io.Reader
 	crc  hash.Hash32
 	path string
+	buf  []byte // what the sections stream through
 }
 
 func (l *loader) corrupt(why string) error {
@@ -307,14 +311,27 @@ func (l *loader) read(b []byte, what string) error {
 	return nil
 }
 
+// skip passes the next n bytes of the file through the CRC, keeping none.
+func (l *loader) skip(n int, what string) error {
+	for n > 0 {
+		k := min(n, len(l.buf))
+		if err := l.read(l.buf[:k], what); err != nil {
+			return err
+		}
+		n -= k
+	}
+	return nil
+}
+
 // load performs the single verification pass. The file is read start to
 // finish in chunks: the CRC accumulates over everything before the footer,
 // keys are decoded and checked strictly ascending (and added to the
-// membership filter) as they stream past, and the model, tombstone bitmap
-// and block-offset table are captured for retention. The magic selects the
-// format; only the data section's layout differs between the two.
+// membership filter) as they stream past, and the fence keys, tombstone
+// bitmap and block-offset table are captured for retention. The magic
+// selects the format; only the data section's layout differs between the
+// two.
 func load(f faultfs.File, path string) (*Reader, error) {
-	l := &loader{f: f, crc: crc32.New(castagnoli), path: path}
+	l := &loader{f: f, crc: crc32.New(castagnoli), path: path, buf: make([]byte, 64<<10)}
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(f, hdr[:headerSizeV1]); err != nil {
 		return nil, l.corrupt("short header")
@@ -338,10 +355,10 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		MaxKey:      binary.LittleEndian.Uint64(hdr[32:]),
 		Seq:         binary.LittleEndian.Uint64(hdr[40:]),
 		Live:        binary.LittleEndian.Uint64(hdr[48:]),
-		Eps:         int(int32(binary.LittleEndian.Uint32(hdr[56:]))),
 		ModelPieces: int(int32(binary.LittleEndian.Uint32(hdr[60:]))),
 	}
-	if m.Level < 0 || m.Eps < 1 || m.ModelPieces < 0 || m.ModelPieces > maxModelPieces {
+	// hdr[56:60] is an older file's model ε, which nothing reads.
+	if m.Level < 0 || m.ModelPieces < 0 || m.ModelPieces > maxModelPieces {
 		return nil, l.corrupt("impossible geometry")
 	}
 	if m.Count > (1<<55) || m.Live > m.Count {
@@ -349,9 +366,6 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	}
 	if m.Count > 0 && m.MinKey > m.MaxKey {
 		return nil, l.corrupt("min > max")
-	}
-	if m.Count > 0 && m.ModelPieces < 1 {
-		return nil, l.corrupt("non-empty run with no model")
 	}
 	if uint64(m.ModelPieces) > m.Count {
 		return nil, l.corrupt("more model pieces than keys")
@@ -373,8 +387,8 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	}
 
 	// The header is not yet trusted (the CRC comes last), and everything
-	// sized from it below — the filter, the offset table, the bitmap, the
-	// model — must not be allocated until the file has proved it is that
+	// sized from it below — the filter, the fences, the offset table, the
+	// bitmap — must not be allocated until the file has proved it is that
 	// long: a Count of 2⁵⁵ in a 100-byte file is a corrupt file, not a
 	// 2⁵⁵-key filter.
 	end, err := f.Seek(0, io.SeekEnd)
@@ -390,11 +404,11 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	l.crc.Write(hdr[:hlen]) //nolint:errcheck
 
 	flt := newFilter(m.Count)
-	var blocks []uint64
+	var blocks, fences []uint64
 	if v1 {
-		err = l.keysV1(&m, flt)
+		fences, err = l.keysV1(&m, flt)
 	} else {
-		blocks, err = l.blocks(&m, dataLen, flt)
+		blocks, fences, err = l.blocks(&m, dataLen, flt)
 	}
 	if err != nil {
 		return nil, err
@@ -413,33 +427,9 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		return nil, l.corrupt("tombstone bitmap disagrees with header live count")
 	}
 
-	// Model: retained, with invariants checked.
-	mb := make([]byte, m.ModelPieces*pieceSize)
-	if err := l.read(mb, "model section"); err != nil {
+	// An older file's model: sealed by the CRC, not kept.
+	if err := l.skip(m.ModelPieces*pieceSize, "model section"); err != nil {
 		return nil, err
-	}
-	model := make([]pla.Segment, m.ModelPieces)
-	for i := range model {
-		off := i * pieceSize
-		fk := binary.LittleEndian.Uint64(mb[off:])
-		slope := math.Float64frombits(binary.LittleEndian.Uint64(mb[off+8:]))
-		start := binary.LittleEndian.Uint64(mb[off+16:])
-		if math.IsNaN(slope) || math.IsInf(slope, 0) || slope < 0 {
-			return nil, l.corrupt("model slope not finite")
-		}
-		if start >= m.Count && m.Count > 0 {
-			return nil, l.corrupt("model start rank out of range")
-		}
-		if i > 0 && fk <= model[i-1].FirstKey {
-			return nil, l.corrupt("model pieces not ascending")
-		}
-		if i > 0 && start < uint64(model[i-1].Start) {
-			return nil, l.corrupt("model ranks not monotonic")
-		}
-		model[i] = pla.Segment{FirstKey: fk, Slope: slope, Start: int(start)}
-	}
-	if m.ModelPieces > 0 && model[0].FirstKey != m.MinKey {
-		return nil, l.corrupt("model does not start at min key")
 	}
 
 	var foot [footerSize]byte
@@ -455,18 +445,19 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	// The length check above already pinned the footer to the file's end,
 	// so there are no trailing bytes to look for.
 	osf, _ := f.(*os.File)
-	return &Reader{meta: m, model: model, tombs: tombs, filter: flt, blocks: blocks, v1: v1, f: f, osf: osf}, nil
+	return &Reader{meta: m, tombs: tombs, filter: flt, fences: fences, blocks: blocks, v1: v1, f: f, osf: osf}, nil
 }
 
 // blocks streams the data section and the block-offset table after it. It
 // decodes every block, checks the keys strictly ascending from the header's
-// min to its max and adds them to the filter, and returns the table once
+// min to its max and adds them to the filter, and returns the table, once
 // each of its entries has matched the offset at which a block decoded to
-// its end.
-func (l *loader) blocks(m *Meta, dataLen uint64, flt filter) ([]uint64, error) {
+// its end, and the fence keys.
+func (l *loader) blocks(m *Meta, dataLen uint64, flt filter) ([]uint64, []uint64, error) {
 	nb := numBlocks(m.Count)
 	offs := make([]uint64, nb+1)
-	buf := make([]byte, 64<<10)
+	fences := make([]uint64, nb)
+	buf := l.buf
 	var keys [blockRanks]uint64
 	var pos, have int     // buf[pos:have] is read but not yet decoded
 	var read, prev uint64 // data bytes read so far; the last key decoded
@@ -477,7 +468,7 @@ func (l *loader) blocks(m *Meta, dataLen uint64, flt filter) ([]uint64, error) {
 			pos = 0
 			n := min(uint64(len(buf)-have), dataLen-read)
 			if err := l.read(buf[have:have+int(n)], "data section"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			have += int(n)
 			read += n
@@ -485,41 +476,42 @@ func (l *loader) blocks(m *Meta, dataLen uint64, flt filter) ([]uint64, error) {
 		k := min(blockRanks, m.Count-b*blockRanks)
 		n, why := decodeBlock(buf[pos:have], keys[:k], nil)
 		if why != "" {
-			return nil, l.corrupt(fmt.Sprintf("block %d: %s", b, why))
+			return nil, nil, l.corrupt(fmt.Sprintf("block %d: %s", b, why))
 		}
 		if b == 0 && keys[0] != m.MinKey {
-			return nil, l.corrupt("first key differs from header min")
+			return nil, nil, l.corrupt("first key differs from header min")
 		}
 		if b > 0 && keys[0] <= prev {
-			return nil, l.corrupt(fmt.Sprintf("block %d: keys not strictly ascending", b))
+			return nil, nil, l.corrupt(fmt.Sprintf("block %d: keys not strictly ascending", b))
 		}
 		region := flt.region(b * blockRanks)
 		for _, key := range keys[:k] {
 			region.add(key)
 		}
+		fences[b] = keys[0]
 		prev = keys[k-1]
 		pos += n
 		offs[b+1] = offs[b] + uint64(n)
 	}
 	if nb > 0 && prev != m.MaxKey {
-		return nil, l.corrupt("last key differs from header max")
+		return nil, nil, l.corrupt("last key differs from header max")
 	}
 	if offs[nb] != dataLen {
-		return nil, l.corrupt("blocks do not fill the data section")
+		return nil, nil, l.corrupt("blocks do not fill the data section")
 	}
 	for i := uint64(0); i <= nb; {
 		n := min(uint64(len(buf)/8), nb+1-i)
 		if err := l.read(buf[:n*8], "block-offset table"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for j := uint64(0); j < n; j++ {
 			if binary.LittleEndian.Uint64(buf[j*8:]) != offs[i+j] {
-				return nil, l.corrupt(fmt.Sprintf("block-offset table entry %d disagrees with the block ends", i+j))
+				return nil, nil, l.corrupt(fmt.Sprintf("block-offset table entry %d disagrees with the block ends", i+j))
 			}
 		}
 		i += n
 	}
-	return offs, nil
+	return offs, fences, nil
 }
 
 // decodeBlock decodes the block at the start of p into keys, whose length
@@ -589,42 +581,6 @@ func (r *Reader) Version() int {
 	return version
 }
 
-// ModelMaxError probes the model against the on-disk keys and returns the
-// worst |predicted − true| rank error (the inspect tool's verification;
-// costs one sequential pass).
-func (r *Reader) ModelMaxError() (int, error) {
-	worst := 0
-	it := r.Iter(0, math.MaxUint64)
-	rank := 0
-	for it.Next() {
-		pred := r.predict(it.Entry().Key)
-		d := pred - rank
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-		rank++
-	}
-	return worst, it.Err()
-}
-
-// predict returns the model's rank estimate for key, clamped to [0, n-1].
-func (r *Reader) predict(key uint64) int {
-	if len(r.model) == 0 {
-		return 0
-	}
-	p := r.model[pla.Find(r.model, key)].Predict(key)
-	if p < 0 {
-		p = 0
-	}
-	if max := int(r.meta.Count) - 1; p > max {
-		p = max
-	}
-	return p
-}
-
 // pread fills b from the file at off with one positional read — no shared
 // offset, so concurrent probes of one run do not serialize. A read that
 // loses a race with Close fails with ErrClosed.
@@ -676,80 +632,80 @@ func (r *Reader) tomb(rank uint64) bool {
 // [min, max], or rejected by the membership filter), true is right except
 // for the filter's ~1 % false positives. No I/O.
 func (r *Reader) MayContain(key uint64) bool {
-	_, _, _, ok := r.window(key)
+	_, ok := r.window(key)
 	return ok
 }
 
-// window is the in-memory part of a probe: the predicted rank of key and
-// the rank window [lo, hi] (at most 2ε+1 wide) a read must cover to find it.
+// window is the in-memory part of a probe: the one block that can hold key.
 // ok false means key is not in this run and nothing needs reading: it is
-// outside [min, max], or the membership filter has no trace of it at any
-// rank of the window.
-func (r *Reader) window(key uint64) (pred, lo, hi int, ok bool) {
+// outside [min, max], or the filter region key would have been added to has
+// no trace of it. The region comes first, from the fences that start
+// regions, and is asked before the search narrows to its ≤ regionBlocks
+// fences, so a filtered miss touches a few cache lines and no more.
+func (r *Reader) window(key uint64) (b int, ok bool) {
 	m := &r.meta
 	if m.Count == 0 || key < m.MinKey || key > m.MaxKey {
-		return 0, 0, 0, false
+		return 0, false
 	}
-	pred = r.predict(key)
-	lo = max(pred-m.Eps, 0)
-	hi = min(pred+m.Eps, int(m.Count)-1)
-	return pred, lo, hi, r.filter.has(uint64(lo), uint64(hi), key)
+	reg := lastAtMost(r.fences, regionBlocks, key)
+	if !r.filter.region(uint64(reg) * filterRegionKeys).has(key) {
+		return 0, false
+	}
+	first := reg * regionBlocks
+	return first + lastAtMost(r.fences[first:min(first+regionBlocks, len(r.fences))], 1, key), true
 }
 
-// Get resolves key against this run: the in-memory checks (min/max, model,
-// membership filter), then one pread of the blocks holding the rank window —
-// at most two at the default ε — and a decode of the one block that can hold
-// key, up to key; a hit's value comes from the same read. dist is
-// |predicted − actual| rank error on hits (the cold-read model-error signal
-// Health aggregates); tomb reports a tombstone hit — the key is
-// authoritatively deleted as of this run.
+// lastAtMost returns the largest i with f[i*stride] ≤ key among the i with
+// i*stride < len(f); f[0] ≤ key must hold.
+func lastAtMost(f []uint64, stride int, key uint64) int {
+	lo, hi := 0, (len(f)+stride-1)/stride
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if f[mid*stride] <= key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Get resolves key against this run: the in-memory checks (min/max, the
+// membership filter, the fences), then one pread of the one block that can
+// hold key and a decode of it up to key; a hit's value comes from the same
+// read. tomb reports a tombstone hit — the key is authoritatively deleted as
+// of this run. dist is always 0: it reported a learned model's rank error,
+// and stays because the benchmark harness (bench/), which changes only with
+// the benchmark, reads it.
 func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error) {
-	pred, lo, hi, may := r.window(key)
+	b, may := r.window(key)
 	if !may {
 		return 0, false, false, 0, nil
 	}
 	var rank int
 	if r.v1 {
-		rank, val, ok, err = r.findV1(key, lo, hi)
+		rank, val, ok, err = r.findV1(key, b)
 	} else {
-		rank, val, ok, err = r.find(key, lo, hi)
+		rank, val, ok, err = r.find(key, b)
 	}
 	if err != nil || !ok {
 		return 0, false, false, 0, err
 	}
-	dist = pred - rank
-	if dist < 0 {
-		dist = -dist
-	}
 	if r.tomb(uint64(rank)) {
-		return 0, true, true, dist, nil
+		return 0, true, true, 0, nil
 	}
-	return val, false, true, dist, nil
+	return val, false, true, 0, nil
 }
 
-// find looks key up among ranks [lo, hi] of a CHAMSEG2 run: one pread of
-// blocks lo/blockRanks through hi/blockRanks, then, since every block's
-// first key is fixed-width, a decode of only the last block starting at or
-// below key.
-func (r *Reader) find(key uint64, lo, hi int) (rank int, val uint64, ok bool, err error) {
-	b0, b1 := lo/blockRanks, hi/blockRanks
-	start := r.blocks[b0]
-	n := int(r.blocks[b1+1] - start)
-	var win [stackWindow]byte
-	buf := win[:]
-	if n <= len(win) {
-		buf = buf[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if err := r.pread(buf, headerSize+int64(start)); err != nil {
+// find looks key up in block b of a CHAMSEG2 run: one pread of the block,
+// then a decode of its keys up to key. Open decoded every block, so the
+// block fits the stack buffer.
+func (r *Reader) find(key uint64, b int) (rank int, val uint64, ok bool, err error) {
+	var buf [maxBlockBytes]byte
+	blk := buf[:r.blocks[b+1]-r.blocks[b]]
+	if err := r.pread(blk, headerSize+int64(r.blocks[b])); err != nil {
 		return 0, 0, false, err
 	}
-	b := b1
-	for b > b0 && binary.LittleEndian.Uint64(buf[r.blocks[b]-start:]) > key {
-		b--
-	}
-	blk := buf[r.blocks[b]-start : r.blocks[b+1]-start]
 	k := r.blockLen(b)
 	vals := len(blk) - 8*k
 	cur, i := binary.LittleEndian.Uint64(blk), 8
@@ -780,38 +736,19 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// startRank returns a rank at or below that of the first key ≥ lo, from the
-// model alone. The ε bound only holds for indexed keys, but the model is
-// monotone inside a piece and piece Start ranks are exact, so for an
-// arbitrary lo the first key ≥ lo provably sits in [pred−ε, pred+ε+1] ∩
-// [pieceStart, nextPieceStart]; the iterator skips the keys below lo from
-// there.
-func (r *Reader) startRank(lo uint64) uint64 {
-	m := &r.meta
-	if m.Count == 0 || lo <= m.MinKey {
-		return 0
-	}
-	if lo > m.MaxKey {
-		return m.Count
-	}
-	pi := pla.Find(r.model, lo)
-	pieceHi := int(m.Count)
-	if pi+1 < len(r.model) {
-		pieceHi = r.model[pi+1].Start
-	}
-	return uint64(min(max(r.model[pi].Predict(lo)-m.Eps, r.model[pi].Start), pieceHi))
-}
-
 // Iter returns an iterator over entries with keys in [lo, hi], ascending.
 // Entries stream iterChunk at a time, one pread per chunk, and are decoded
 // a block at a time; tombstones are yielded (the merge layers above decide
 // their meaning).
 func (r *Reader) Iter(lo, hi uint64) *Iter {
-	it := &Iter{r: r, lo: lo, hi: hi, nb: int(numBlocks(r.meta.Count))}
-	if start := r.startRank(lo); lo <= hi && start < r.meta.Count {
-		it.next = int(start / blockRanks)
-	} else {
-		it.next = it.nb
+	it := &Iter{r: r, lo: lo, hi: hi}
+	switch m := &r.meta; {
+	case lo > hi || m.Count == 0 || lo > m.MaxKey:
+		it.next = len(r.fences)
+	case lo > m.MinKey:
+		// The last block starting at or below lo: the first key ≥ lo is in
+		// it or, when all its keys are below lo, at the next one's start.
+		it.next = lastAtMost(r.fences, 1, lo)
 	}
 	return it
 }
@@ -823,7 +760,6 @@ type Iter struct {
 	err    error
 	cur    Entry
 
-	nb    int    // blocks in the run
 	next  int    // next block to decode
 	chunk []byte // raw bytes of blocks [first, last) from the last pread
 	first int
@@ -839,7 +775,7 @@ type Iter struct {
 func (it *Iter) Next() bool {
 	for it.err == nil {
 		if it.i == it.n {
-			if it.next == it.nb {
+			if it.next == len(it.r.fences) {
 				return false
 			}
 			it.err = it.decode()
@@ -847,7 +783,7 @@ func (it *Iter) Next() bool {
 		}
 		k := it.keys[it.i]
 		if k > it.hi {
-			it.i, it.n, it.next = 0, 0, it.nb // past the bound: exhausted
+			it.i, it.n, it.next = 0, 0, len(it.r.fences) // past the bound: exhausted
 			return false
 		}
 		it.i++
@@ -865,7 +801,7 @@ func (it *Iter) Next() bool {
 func (it *Iter) decode() error {
 	r, b := it.r, it.next
 	if b >= it.last {
-		if err := it.fetch(b, min(b+iterChunk/blockRanks, it.nb)); err != nil {
+		if err := it.fetch(b, min(b+iterChunk/blockRanks, len(r.fences))); err != nil {
 			return err
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"chameleon/internal/dataset"
 	"chameleon/internal/faultfs"
 )
 
@@ -52,74 +53,81 @@ func createRun(t *testing.T, dir string, keys, vals []uint64, tombs []bool, id, 
 	return m, r
 }
 
+// TestSegmentRoundTrip: runs of every size around the block (64 ranks) and
+// filter-region (4096 ranks) edges, and one of 5000, read back exactly:
+// every key hits with its value or tombstone, every midpoint between keys
+// and every key just past one misses, and iterators started one key either
+// side of each block boundary yield exactly the entries in their bounds.
 func TestSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	keys, vals, tombs := buildRun(5000, 1, 7)
-	m, r := createRun(t, dir, keys, vals, tombs, 42, 99, 16)
+	for id, n := range []int{1, 63, 64, 65, 4095, 4096, 4097, 5000, 8193} {
+		keys, vals, tombs := buildRun(n, int64(n), 7)
+		m, r := createRun(t, dir, keys, vals, tombs, uint64(id+1), 99, 0)
 
-	if m.Count != 5000 || m.MinKey != keys[0] || m.MaxKey != keys[len(keys)-1] || m.Seq != 99 {
-		t.Fatalf("bad meta: %+v", m)
-	}
-	wantLive := uint64(0)
-	for _, tb := range tombs {
-		if !tb {
-			wantLive++
-		}
-	}
-	if m.Live != wantLive {
-		t.Fatalf("live = %d, want %d", m.Live, wantLive)
-	}
-
-	// Every indexed key resolves with the right value/tombstone and an error
-	// distance within ε.
-	for i, k := range keys {
-		val, tomb, ok, dist, err := r.Get(k)
-		if err != nil || !ok {
-			t.Fatalf("Get(%d): ok=%v err=%v", k, ok, err)
-		}
-		if tomb != tombs[i] || (!tomb && val != vals[i]) {
-			t.Fatalf("Get(%d) = (%d, %v), want (%d, %v)", k, val, tomb, vals[i], tombs[i])
-		}
-		if dist > m.Eps {
-			t.Fatalf("Get(%d): model error %d > ε %d", k, dist, m.Eps)
-		}
-	}
-	// Absent keys (gaps and out of range) miss cleanly.
-	for i := 0; i < len(keys)-1; i++ {
-		if keys[i]+1 < keys[i+1] {
-			if _, _, ok, _, err := r.Get(keys[i] + 1); ok || err != nil {
-				t.Fatalf("Get(gap %d): ok=%v err=%v", keys[i]+1, ok, err)
+		wantLive := uint64(0)
+		for _, tb := range tombs {
+			if !tb {
+				wantLive++
 			}
 		}
-	}
-	if _, _, ok, _, _ := r.Get(keys[0] - 1); ok {
-		t.Fatal("hit below min")
-	}
-	if _, _, ok, _, _ := r.Get(keys[len(keys)-1] + 1); ok {
-		t.Fatal("hit above max")
-	}
-
-	// Full iteration reproduces the run exactly.
-	got, err := r.LoadEntries()
-	if err != nil {
-		t.Fatalf("LoadEntries: %v", err)
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("iterated %d entries, want %d", len(got), len(keys))
-	}
-	for i, e := range got {
-		if e.Key != keys[i] || e.Val != vals[i] || e.Tomb != tombs[i] {
-			t.Fatalf("entry %d = %+v, want (%d,%d,%v)", i, e, keys[i], vals[i], tombs[i])
+		if m.Count != uint64(n) || m.Live != wantLive || m.MinKey != keys[0] || m.MaxKey != keys[n-1] ||
+			m.Seq != 99 || m.ModelPieces != 0 {
+			t.Fatalf("n=%d: bad meta: %+v", n, m)
 		}
-	}
 
-	// The realized model error respects the declared bound.
-	worst, err := r.ModelMaxError()
-	if err != nil {
-		t.Fatalf("ModelMaxError: %v", err)
-	}
-	if worst > m.Eps {
-		t.Fatalf("model max error %d > ε %d", worst, m.Eps)
+		for i, k := range keys {
+			val, tomb, ok, dist, err := r.Get(k)
+			if err != nil || !ok || dist != 0 {
+				t.Fatalf("n=%d: Get(%d): ok=%v dist=%d err=%v", n, k, ok, dist, err)
+			}
+			if tomb != tombs[i] || (!tomb && val != vals[i]) {
+				t.Fatalf("n=%d: Get(%d) = (%d, %v), want (%d, %v)", n, k, val, tomb, vals[i], tombs[i])
+			}
+		}
+		for i := 1; i < n; i++ {
+			for _, k := range []uint64{keys[i-1] + (keys[i]-keys[i-1])/2, keys[i-1] + 1} {
+				if k == keys[i-1] || k == keys[i] {
+					continue
+				}
+				if _, _, ok, _, err := r.Get(k); ok || err != nil {
+					t.Fatalf("n=%d: Get(gap %d): ok=%v err=%v", n, k, ok, err)
+				}
+			}
+		}
+		for _, k := range []uint64{0, keys[0] - 1, keys[n-1] + 1, math.MaxUint64} {
+			if _, _, ok, _, _ := r.Get(k); ok {
+				t.Fatalf("n=%d: hit out of range at %d", n, k)
+			}
+		}
+
+		got, err := r.LoadEntries()
+		if err != nil {
+			t.Fatalf("n=%d: LoadEntries: %v", n, err)
+		}
+		if len(got) != n {
+			t.Fatalf("n=%d: iterated %d entries", n, len(got))
+		}
+		for i, e := range got {
+			if e.Key != keys[i] || e.Val != vals[i] || e.Tomb != tombs[i] {
+				t.Fatalf("n=%d: entry %d = %+v, want (%d,%d,%v)", n, i, e, keys[i], vals[i], tombs[i])
+			}
+		}
+
+		for b := blockRanks; b < n; b += blockRanks {
+			for _, lo := range []uint64{keys[b-1], keys[b-1] + 1, keys[b] - 1, keys[b], keys[b] + 1} {
+				hi := keys[min(b+blockRanks, n-1)]
+				it := r.Iter(lo, hi)
+				i := sort.Search(n, func(i int) bool { return keys[i] >= lo })
+				for ; it.Next(); i++ {
+					if e := it.Entry(); i >= n || keys[i] > hi || e != (Entry{keys[i], vals[i], tombs[i]}) {
+						t.Fatalf("n=%d: Iter(%d, %d) yielded %+v at rank %d", n, lo, hi, e, i)
+					}
+				}
+				if it.Err() != nil || (i < n && keys[i] <= hi) {
+					t.Fatalf("n=%d: Iter(%d, %d) stopped at rank %d, err %v", n, lo, hi, i, it.Err())
+				}
+			}
+		}
 	}
 }
 
@@ -339,8 +347,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
 		Gen: 12, FlushedSeq: 3456, LiveCount: 789, NextID: 5,
 		Segments: []Meta{
-			{ID: 2, Level: 0, Count: 10, Live: 9, MinKey: 1, MaxKey: 100, Seq: 3456, Eps: 16, ModelPieces: 1, Bytes: 300},
-			{ID: 4, Level: 1, Count: 20, Live: 20, MinKey: 5, MaxKey: 900, Seq: 3000, Eps: 16, ModelPieces: 2, Bytes: 500},
+			{ID: 2, Level: 0, Count: 10, Live: 9, MinKey: 1, MaxKey: 100, Seq: 3456, Bytes: 300},
+			{ID: 4, Level: 1, Count: 20, Live: 20, MinKey: 5, MaxKey: 900, Seq: 3000, ModelPieces: 2, Bytes: 500},
 		},
 	}
 	data, err := EncodeManifest(m)
@@ -689,13 +697,26 @@ func TestSegmentOneReadPerColdGet(t *testing.T) {
 	}
 }
 
-// BenchmarkSegmentGet times cold probes of an on-disk 200 k-entry run:
-// hits, and misses on keys between the run's keys (most of which the
-// filter answers without a read).
+// BenchmarkSegmentGet times cold probes of an on-disk run: hits, and misses
+// on the midpoints between the run's keys (most of which the filter answers
+// without a read). Two key sets: "gaps", 200 k keys with uniformly random
+// gaps, the near-uniform shape a per-run linear model fits best, and
+// "face", the 2 M FACE keys every workload of the repo benchmark loads.
 func BenchmarkSegmentGet(b *testing.B) {
-	keys, vals, _ := buildRun(200_000, 1, 0)
+	for _, set := range []struct {
+		name string
+		keys func() []uint64
+	}{
+		{"gaps", func() []uint64 { keys, _, _ := buildRun(200_000, 1, 0); return keys }},
+		{"face", func() []uint64 { return dataset.Generate(dataset.FACE, 2_000_000, 1) }},
+	} {
+		b.Run(set.name, func(b *testing.B) { benchmarkGet(b, set.keys()) })
+	}
+}
+
+func benchmarkGet(b *testing.B, keys []uint64) {
 	dir := b.TempDir()
-	m, err := Create(faultfs.OS, dir, keys, vals, nil, 1, 0, 1, 0)
+	m, err := Create(faultfs.OS, dir, keys, keys, nil, 1, 0, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //	cp internal/segment/testdata/mkv1.go "$tmp"/
 //	(cd "$tmp" && go run ./mkv1.go) > internal/segment/testdata/seg-v1.seg
 //
-// The entries are v1FixtureEntries in v1_test.go: keep the two in step.
+// The entries are fixtureEntries in v1_test.go: keep the two in step.
 package main
 
 import (

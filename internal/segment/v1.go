@@ -7,10 +7,12 @@ import (
 
 // CHAMSEG1, the format before CHAMSEG2, read-only: a 64-byte header (the
 // CHAMSEG2 header without the data-section length), then n×8 keys, n×8
-// values, and the same tombstone bitmap, model and footer. Only the steps
-// that touch the key and value arrays live here; the window, filter,
-// tombstone and model code is shared. Nothing writes this format any more:
-// a compaction that takes a CHAMSEG1 file writes its entries as CHAMSEG2.
+// values, and the same tombstone bitmap, model section and footer. Only the
+// steps that touch the key and value arrays live here; the fence, filter
+// and tombstone code is shared (a v1 file's fences are every 64th key, the
+// first keys of the blocks an iterator decodes). Nothing writes this format
+// any more: a compaction that takes a CHAMSEG1 file writes its entries as
+// CHAMSEG2.
 
 const (
 	magicV1      = "CHAMSEG1"
@@ -18,33 +20,38 @@ const (
 	headerSizeV1 = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4 // 64
 )
 
-// fileSizeV1 is the length of a CHAMSEG1 file of n entries and m model
-// pieces.
+// fileSizeV1 is the length of a CHAMSEG1 file of n entries and an m-piece
+// model section.
 func fileSizeV1(n uint64, m int) int64 {
 	return headerSizeV1 + int64(n)*16 + int64((n+7)/8) + int64(m)*pieceSize + footerSize
 }
 
 // keysV1 streams the key section — checking the keys strictly ascending
-// from the header's min to its max and adding them to the filter — and then
-// the value section, which only the CRC reads.
-func (l *loader) keysV1(m *Meta, flt filter) error {
-	buf := make([]byte, iterChunk*8)
+// from the header's min to its max, adding them to the filter and taking
+// every blockRanks-th as a fence — and then the value section, which only
+// the CRC reads. It returns the fences.
+func (l *loader) keysV1(m *Meta, flt filter) ([]uint64, error) {
+	buf := l.buf[:iterChunk*8]
+	fences := make([]uint64, numBlocks(m.Count))
 	var prev uint64
 	for done := uint64(0); done < m.Count; {
 		n := min(iterChunk, m.Count-done)
 		b := buf[:n*8]
 		if err := l.read(b, "key section"); err != nil {
-			return err
+			return nil, err
 		}
 		region := flt.region(done)
 		for i := uint64(0); i < n; i++ {
 			k := binary.LittleEndian.Uint64(b[i*8:])
 			if done+i == 0 {
 				if k != m.MinKey {
-					return l.corrupt("first key differs from header min")
+					return nil, l.corrupt("first key differs from header min")
 				}
 			} else if k <= prev {
-				return l.corrupt("keys not strictly ascending")
+				return nil, l.corrupt("keys not strictly ascending")
+			}
+			if r := done + i; r%blockRanks == 0 {
+				fences[r/blockRanks] = k
 			}
 			prev = k
 			region.add(k)
@@ -52,30 +59,21 @@ func (l *loader) keysV1(m *Meta, flt filter) error {
 		done += n
 	}
 	if m.Count > 0 && prev != m.MaxKey {
-		return l.corrupt("last key differs from header max")
+		return nil, l.corrupt("last key differs from header max")
 	}
-	for done := uint64(0); done < m.Count; {
-		n := min(iterChunk, m.Count-done)
-		if err := l.read(buf[:n*8], "value section"); err != nil {
-			return err
-		}
-		done += n
+	if err := l.skip(int(m.Count)*8, "value section"); err != nil {
+		return nil, err
 	}
-	return nil
+	return fences, nil
 }
 
-// findV1 looks key up among ranks [lo, hi] of a CHAMSEG1 run: one pread of
-// the window's keys, a binary search, and on a live hit a second pread for
-// the value.
-func (r *Reader) findV1(key uint64, lo, hi int) (rank int, val uint64, ok bool, err error) {
-	n := hi - lo + 1
-	var win [stackWindow]byte
-	buf := win[:]
-	if n*8 <= len(win) {
-		buf = buf[:n*8]
-	} else {
-		buf = make([]byte, n*8)
-	}
+// findV1 looks key up in block b of a CHAMSEG1 run: one pread of the
+// block's keys, a binary search, and on a live hit a second pread for the
+// value.
+func (r *Reader) findV1(key uint64, b int) (rank int, val uint64, ok bool, err error) {
+	lo, n := b*blockRanks, r.blockLen(b)
+	var keys [blockRanks * 8]byte
+	buf := keys[:n*8]
 	if err := r.pread(buf, headerSizeV1+int64(lo)*8); err != nil {
 		return 0, 0, false, err
 	}

@@ -7,29 +7,27 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"chameleon/internal/faultfs"
-	"chameleon/internal/pla"
 )
 
 // ErrUnsortedRun is returned by Write when keys are not strictly ascending —
-// a run's sort order is the invariant everything else (the model, the merge,
-// the bounded search) rests on.
+// a run's sort order is the invariant everything else (the fences, the
+// merge, the block search) rests on.
 var ErrUnsortedRun = errors.New("segment: run keys not strictly ascending")
 
 // Write encodes one immutable run to w as CHAMSEG2: keys (strictly
 // ascending), parallel values, and parallel tombstone flags (tombs may be
-// nil for an all-live run). The learned model is built here with error
-// bound eps (0 selects DefaultEps) and written after the data so the whole
-// envelope is sealed by one CRC. Returns the Meta the manifest should
-// record. Write does not sync; Create is the durable variant.
+// nil for an all-live run). The whole envelope is sealed by one CRC.
+// Returns the Meta the manifest should record. Write does not sync; Create
+// is the durable variant.
+//
+// eps is ignored: it was the error bound of a learned model the file no
+// longer carries, and stays because the benchmark harness (bench/), which
+// changes only with the benchmark, passes it.
 func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int, seq uint64, eps int) (Meta, error) {
-	if eps <= 0 {
-		eps = DefaultEps
-	}
 	n := uint64(len(keys))
 	if uint64(len(vals)) != n || (tombs != nil && uint64(len(tombs)) != n) {
 		return Meta{}, fmt.Errorf("segment: mismatched run sections: %d keys, %d vals, %d tombs",
@@ -58,11 +56,7 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 			}
 		}
 	}
-	model := pla.Build(keys, eps)
-	m := Meta{
-		ID: id, Level: level, Count: n, Live: live, Seq: seq,
-		Eps: eps, ModelPieces: len(model), Bytes: fileSize(n, dataLen, len(model)),
-	}
+	m := Meta{ID: id, Level: level, Count: n, Live: live, Seq: seq, Bytes: fileSize(n, dataLen, 0)}
 	if n > 0 {
 		m.MinKey, m.MaxKey = keys[0], keys[n-1]
 	}
@@ -79,8 +73,7 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	binary.LittleEndian.PutUint64(hdr[32:], m.MaxKey)
 	binary.LittleEndian.PutUint64(hdr[40:], seq)
 	binary.LittleEndian.PutUint64(hdr[48:], live)
-	binary.LittleEndian.PutUint32(hdr[56:], uint32(eps))
-	binary.LittleEndian.PutUint32(hdr[60:], uint32(len(model)))
+	// hdr[56:64], ε and the model piece count, stay 0: no model.
 	binary.LittleEndian.PutUint64(hdr[64:], dataLen)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return Meta{}, err
@@ -102,15 +95,6 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	}
 	if _, err := bw.Write(tombBytes); err != nil {
 		return Meta{}, err
-	}
-	var piece [pieceSize]byte
-	for _, p := range model {
-		binary.LittleEndian.PutUint64(piece[:8], p.FirstKey)
-		binary.LittleEndian.PutUint64(piece[8:16], math.Float64bits(p.Slope))
-		binary.LittleEndian.PutUint64(piece[16:], uint64(p.Start))
-		if _, err := bw.Write(piece[:]); err != nil {
-			return Meta{}, err
-		}
 	}
 	// The footer is written past the CRC accumulator: flush the data first
 	// so the digest is complete, then append CRC + end magic directly.
@@ -150,9 +134,9 @@ func uvarintLen(v uint64) int {
 }
 
 // Create writes the run as FileName(id) in dir, fsyncs the file, and closes
-// it. It does NOT SyncDir: the flush/compaction commit protocol seals every
-// new segment's directory entry with one SyncDir immediately before the
-// manifest that references them is written.
+// it; eps is ignored, as in Write. It does NOT SyncDir: the flush/compaction
+// commit protocol seals every new segment's directory entry with one SyncDir
+// immediately before the manifest that references them is written.
 func Create(fsys faultfs.FS, dir string, keys, vals []uint64, tombs []bool, id uint64, level int, seq uint64, eps int) (Meta, error) {
 	path := filepath.Join(dir, FileName(id))
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

@@ -910,7 +910,6 @@ func (s *Server) statsJSON() []byte {
 			LastCompactMicros: th.LastCompactMicros,
 			ColdReads:         th.ColdReads,
 			ColdReadErrs:      th.ColdReadErrs,
-			ColdRankErrorSum:  th.ColdRankErrorSum,
 		}
 		if th.LastFlushErr != nil {
 			reply.Tier.LastFlushErr = th.LastFlushErr.Error()

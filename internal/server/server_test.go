@@ -618,7 +618,7 @@ func TestServeHostileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc2.Close() //nolint:errcheck
+	defer nc2.Close()                               //nolint:errcheck
 	bad := append([]byte{0x6f}, make([]byte, 8)...) // opcode 0x6f, id 0
 	binary.LittleEndian.PutUint64(bad[1:], 77)
 	frame := wireTestFrame(bad)

@@ -18,23 +18,23 @@ type StatsReply struct {
 
 	// Group-commit queue counters, cumulative since OpenDir (see
 	// chameleon.Health for exact semantics).
-	QueueDepth      int      `json:"queue_depth"`
-	QueueHighWater  int      `json:"queue_high_water"`
-	ShedOps         uint64   `json:"shed_ops"`
-	CancelledOps    uint64   `json:"cancelled_ops"`
-	Batches         uint64   `json:"batches"`
-	BatchedOps      uint64   `json:"batched_ops"`
-	MaxBatch        int      `json:"max_batch"`
-	DiskFullBatches uint64   `json:"disk_full_batches"`
+	QueueDepth      int    `json:"queue_depth"`
+	QueueHighWater  int    `json:"queue_high_water"`
+	ShedOps         uint64 `json:"shed_ops"`
+	CancelledOps    uint64 `json:"cancelled_ops"`
+	Batches         uint64 `json:"batches"`
+	BatchedOps      uint64 `json:"batched_ops"`
+	MaxBatch        int    `json:"max_batch"`
+	DiskFullBatches uint64 `json:"disk_full_batches"`
 	// GET coalescing (server-side read batching): GetBatches counts
 	// multi-GET handler runs, BatchedGets the GETs they carried. Omitted
 	// when zero for byte-compatibility with pre-batching clients.
-	GetBatches  uint64 `json:"get_batches,omitempty"`
-	BatchedGets uint64 `json:"batched_gets,omitempty"`
-	FsyncHist       []uint64 `json:"fsync_hist"`
-	FsyncBounds     []string `json:"fsync_bounds"`
-	RetrainPauses   uint64   `json:"retrain_pauses"`
-	RetrainPaused   bool     `json:"retrain_paused"`
+	GetBatches    uint64   `json:"get_batches,omitempty"`
+	BatchedGets   uint64   `json:"batched_gets,omitempty"`
+	FsyncHist     []uint64 `json:"fsync_hist"`
+	FsyncBounds   []string `json:"fsync_bounds"`
+	RetrainPauses uint64   `json:"retrain_pauses"`
+	RetrainPaused bool     `json:"retrain_paused"`
 
 	// Sharding: Shards is the number of range partitions behind the served
 	// handle (0 when unsharded) and ShardStates each partition's health state
@@ -108,9 +108,8 @@ type TierStats struct {
 	LastFlushMicros   int64 `json:"last_flush_us,omitempty"`
 	LastCompactMicros int64 `json:"last_compact_us,omitempty"`
 
-	ColdReads        uint64 `json:"cold_reads"`
-	ColdReadErrs     uint64 `json:"cold_read_errs,omitempty"`
-	ColdRankErrorSum uint64 `json:"cold_rank_error_sum,omitempty"`
+	ColdReads    uint64 `json:"cold_reads"`
+	ColdReadErrs uint64 `json:"cold_read_errs,omitempty"`
 
 	LastFlushErr string `json:"last_flush_err,omitempty"`
 }

@@ -30,7 +30,7 @@ import (
 //
 // Read path (newest wins): memtable → dead-set (tombstones awaiting flush) →
 // frozen run (flush in progress) → segments newest-to-oldest, pruned by
-// min/max and each run's membership filter, resolved by its learned model.
+// min/max and each run's membership filter, resolved by one block read.
 // Cold lookups are lock-free and use a version counter (tierVer) to detect
 // racing memtable↔dead transitions: a key being re-inserted over a flushed
 // tombstone momentarily exists in neither the memtable nor the dead set, and
@@ -89,7 +89,6 @@ type tier struct {
 
 	// Tunables resolved from DirOptions.
 	memBytes  int64
-	eps       int
 	compactL0 int
 
 	// Health counters.
@@ -103,7 +102,6 @@ type tier struct {
 	lastCompactUS atomic.Int64
 	coldReads     atomic.Uint64 // lookups resolved from a segment (hit or tombstone)
 	coldErrs      atomic.Uint64 // segment I/O failures on the read path
-	coldDist      atomic.Uint64 // cumulative |predicted − actual| rank error
 	lastFlushErrv atomic.Value  // errBox
 }
 
@@ -183,14 +181,10 @@ func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, 
 		flushCh:   make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		memBytes:  d.opts.MemtableBytes,
-		eps:       d.opts.SegmentEps,
 		compactL0: d.opts.CompactL0,
 	}
 	if t.memBytes <= 0 {
 		t.memBytes = defaultMemtableBytes
-	}
-	if t.eps <= 0 {
-		t.eps = segment.DefaultEps
 	}
 	if t.compactL0 <= 0 {
 		t.compactL0 = defaultCompactL0
@@ -288,13 +282,12 @@ func (t *tier) segGet(key uint64) (val uint64, tomb, ok bool, err error) {
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
 	for _, r := range t.segs.Load().readers {
-		v, tb, hit, dist, gerr := r.Get(key)
+		v, tb, hit, _, gerr := r.Get(key)
 		if gerr != nil {
 			return 0, false, false, gerr
 		}
 		if hit {
 			t.coldReads.Add(1)
-			t.coldDist.Add(uint64(dist))
 			return v, tb, true, nil
 		}
 	}
@@ -684,7 +677,7 @@ func (t *tier) flushLocked() (err error) {
 	}
 	start := time.Now()
 	id := t.nextID.Load()
-	meta, err := segment.Create(d.fs, d.dir, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, t.eps)
+	meta, err := segment.Create(d.fs, d.dir, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, 0)
 	if err == nil {
 		// Seal the segment's directory entry before the manifest that
 		// references it can be written.
@@ -888,7 +881,7 @@ func (t *tier) compactLocked(full bool) (err error) {
 	vs := make([]uint64, 0, bufCap)
 	ts := make([]bool, 0, bufCap)
 	cut := func() error {
-		meta, err := segment.Create(d.fs, d.dir, ks, vs, ts, id, 1, outSeq, t.eps)
+		meta, err := segment.Create(d.fs, d.dir, ks, vs, ts, id, 1, outSeq, 0)
 		if err != nil {
 			return err
 		}
@@ -1066,7 +1059,7 @@ func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 		}
 	}
 	if len(keys) > 0 {
-		meta, err := segment.Create(d.fs, d.dir, keys, vals, nil, id, 1, asOfSeq, t.eps)
+		meta, err := segment.Create(d.fs, d.dir, keys, vals, nil, id, 1, asOfSeq, 0)
 		if err != nil {
 			return err
 		}

@@ -1121,12 +1121,29 @@ func TestTieredSegmentMetasSorted(t *testing.T) {
 	}
 }
 
-// TestTieredV1SegmentBase: a tiered directory whose base is a CHAMSEG1 file
-// (written before CHAMSEG2) opens and serves; a flush stacks a CHAMSEG2 run
-// on it, and a snapshot bundle carrying both formats flattens to the same
-// contents; Compact rewrites everything as CHAMSEG2 without changing them.
+// TestTieredV1SegmentBase: a tiered directory whose base is a segment file
+// of an older kind opens and serves — a CHAMSEG1 file (written before
+// CHAMSEG2), or a CHAMSEG2 file carrying the learned model runs had before
+// fence-key lookup, under the manifest written with it; a flush stacks a new
+// run on it, and a snapshot bundle carrying both flattens to the same
+// contents; Compact rewrites everything as model-less CHAMSEG2 without
+// changing them, and the directory reopens.
 func TestTieredV1SegmentBase(t *testing.T) {
-	data, err := os.ReadFile("internal/segment/testdata/seg-v1.seg")
+	const testdata = "internal/segment/testdata/"
+	for _, c := range []struct {
+		name, seg string
+		manifest  string // "" writes one from the file's header
+		version   int
+	}{
+		{"v1", testdata + "seg-v1.seg", "", 1},
+		{"v2-model", testdata + "seg-v2-model.seg", testdata + "manifest-v2-model.mft", 2},
+	} {
+		t.Run(c.name, func(t *testing.T) { testTieredOldSegmentBase(t, c.seg, c.manifest, c.version) })
+	}
+}
+
+func testTieredOldSegmentBase(t *testing.T, seg, manifest string, version int) {
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1150,9 +1167,17 @@ func TestTieredV1SegmentBase(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segment.FileName(1)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := segment.WriteManifest(faultfs.OS, dir, &segment.Manifest{
-		Gen: 1, FlushedSeq: meta.Seq, LiveCount: int64(meta.Live), NextID: 2, Segments: []segment.Meta{meta},
-	}); err != nil {
+	if manifest == "" {
+		err = segment.WriteManifest(faultfs.OS, dir, &segment.Manifest{
+			Gen: 1, FlushedSeq: meta.Seq, LiveCount: int64(meta.Live), NextID: 2, Segments: []segment.Meta{meta},
+		})
+	} else {
+		var raw []byte
+		if raw, err = os.ReadFile(manifest); err == nil {
+			err = os.WriteFile(filepath.Join(dir, segment.ManifestFileName(1)), raw, 0o644)
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -1161,7 +1186,7 @@ func TestTieredV1SegmentBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { d.Close() }()
-	compareWithOracle(t, d, oracle, "CHAMSEG1 base")
+	compareWithOracle(t, d, oracle, "old base")
 	versions := func() (v []int) {
 		for _, r := range d.tier.segs.Load().readers {
 			v = append(v, r.Version())
@@ -1190,10 +1215,10 @@ func TestTieredV1SegmentBase(t *testing.T) {
 			}
 		}
 	}
-	if v := versions(); !slices.Equal(v, []int{2, 1}) {
-		t.Fatalf("segment versions newest first = %v, want [2 1]", v)
+	if v := versions(); !slices.Equal(v, []int{2, version}) {
+		t.Fatalf("segment versions newest first = %v, want [2 %d]", v, version)
 	}
-	compareWithOracle(t, d, oracle, "CHAMSEG2 run over the CHAMSEG1 base")
+	compareWithOracle(t, d, oracle, "new run over the old base")
 
 	var bundle bytes.Buffer
 	if _, _, err := d.SnapshotAt(&bundle); err != nil {
@@ -1220,6 +1245,11 @@ func TestTieredV1SegmentBase(t *testing.T) {
 	}
 	if v := versions(); !slices.Equal(v, []int{2}) {
 		t.Fatalf("segment versions after Compact = %v, want [2]", v)
+	}
+	for _, m := range d.tier.segs.Load().metas() {
+		if m.ModelPieces != 0 {
+			t.Fatalf("Compact wrote a model: %+v", m)
+		}
 	}
 	compareWithOracle(t, d, oracle, "after Compact")
 	if err := d.Close(); err != nil {

@@ -83,7 +83,7 @@ func (t *tier) writeBundle(w io.Writer) (int64, error) {
 	var virt []virtualRun
 	if fr := t.frozen.Load(); fr != nil && len(fr.keys) > 0 {
 		var buf bytes.Buffer
-		meta, err := segment.Write(&buf, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, t.eps)
+		meta, err := segment.Write(&buf, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, 0)
 		if err != nil {
 			return cw.n, err
 		}
@@ -91,7 +91,7 @@ func (t *tier) writeBundle(w io.Writer) (int64, error) {
 	}
 	if mk, mv, mt := t.captureLocked(); len(mk) > 0 {
 		var buf bytes.Buffer
-		meta, err := segment.Write(&buf, mk, mv, mt, id+1, 0, d.commitSeq.Load(), t.eps)
+		meta, err := segment.Write(&buf, mk, mv, mt, id+1, 0, d.commitSeq.Load(), 0)
 		if err != nil {
 			return cw.n, err
 		}
