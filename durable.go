@@ -60,8 +60,8 @@ type DirOptions struct {
 
 	// Tiered switches the directory to tiered disk-resident storage
 	// (tier.go): hot writes stay in the in-memory index backed by the WAL,
-	// and a background flusher freezes the memtable into immutable learned-
-	// index segments instead of Checkpoint rewriting monolithic snapshots. A
+	// and a background flusher freezes the memtable into immutable sorted
+	// segments instead of Checkpoint rewriting monolithic snapshots. A
 	// directory that already has a tier manifest always opens tiered,
 	// regardless of this flag; a legacy directory opened with Tiered set
 	// migrates on its first flush.
@@ -101,7 +101,7 @@ type DurableIndex struct {
 	fs     faultfs.FS
 	dir    string
 	log    *wal.Log
-	seq    uint64 // highest snapshot/WAL sequence seen or written
+	seq    uint64 // highest snapshot/WAL rotation seen or written
 	opts   DirOptions
 	closed bool
 	fail   error // sticky: set when on-disk and in-memory state may diverge
@@ -112,14 +112,12 @@ type DurableIndex struct {
 
 	// Replication plumbing (replseq.go). commitSeq counts records ever
 	// durably committed — the monotonic clock replication sequences on; it is
-	// advanced under d.mu and persisted via the seq.meta sidecar (seqMeta,
-	// also guarded by d.mu) plus WAL replay counting at recovery. commitHook,
-	// when set, runs inside commitBatch after durability, before acks.
-	// seqWaitCh broadcasts commit-sequence advancement to WaitSeq waiters
-	// (close-and-replace under seqWaitMu, which nests inside any other lock).
+	// advanced under d.mu and recovered from the bases snapshot and WAL
+	// names carry (replayChain). commitHook, when set, runs inside
+	// commitBatch after durability, before acks. seqWaitCh broadcasts
+	// commit-sequence advancement to WaitSeq waiters (close-and-replace under
+	// seqWaitMu, which nests inside any other lock).
 	commitSeq  atomic.Uint64
-	seqMeta    map[uint64]uint64
-	seqMetaGen uint64 // newest sidecar generation on disk; next write is gen+1
 	commitHook func(firstSeq uint64, recs []wal.Record) error
 	seqWaitMu  sync.Mutex
 	seqWaitCh  chan struct{}
@@ -216,8 +214,65 @@ const (
 	walSuffix  = ".log"
 )
 
-func snapName(seq uint64) string { return fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix) }
-func walName(seq uint64) string  { return fmt.Sprintf("%s%016d%s", walPrefix, seq, walSuffix) }
+// A snapshot or WAL file is named by its rotation number and the commit
+// sequence it starts at, its base: snapshot-<rot>-<base>.ckpt holds the
+// state as of commit base, and record i (1-based) of wal-<rot>-<base>.log is
+// commit base+i. The directory listing is the commit clock's map.
+func snapName(rot, base uint64) string {
+	return fmt.Sprintf("%s%016d-%016d%s", snapPrefix, rot, base, snapSuffix)
+}
+
+func walName(rot, base uint64) string {
+	return fmt.Sprintf("%s%016d-%016d%s", walPrefix, rot, base, walSuffix)
+}
+
+// fileID is the rotation and base a snapshot or WAL name carries.
+type fileID struct{ rot, base uint64 }
+
+// parseName splits a snapshot-<rot>-<base>.ckpt / wal-<rot>-<base>.log name.
+func parseName(name, prefix, suffix string) (fileID, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return fileID{}, false
+	}
+	r, b, found := strings.Cut(name[len(prefix):len(name)-len(suffix)], "-")
+	rot, err1 := strconv.ParseUint(r, 10, 64)
+	base, err2 := strconv.ParseUint(b, 10, 64)
+	return fileID{rot, base}, found && err1 == nil && err2 == nil
+}
+
+// listFiles returns dir's WALs oldest first and its snapshots newest first,
+// each ordered by rotation, then base.
+func listFiles(fsys faultfs.FS, dir string) (logs, snaps []fileID, err error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range entries {
+		if id, ok := parseName(e.Name(), walPrefix, walSuffix); ok {
+			logs = append(logs, id)
+		}
+		if id, ok := parseName(e.Name(), snapPrefix, snapSuffix); ok {
+			snaps = append(snaps, id)
+		}
+	}
+	older := func(a, b fileID) bool { return a.rot < b.rot || (a.rot == b.rot && a.base < b.base) }
+	sort.Slice(logs, func(i, j int) bool { return older(logs[i], logs[j]) })
+	sort.Slice(snaps, func(i, j int) bool { return older(snaps[j], snaps[i]) })
+	return logs, snaps, nil
+}
+
+// isStateFile reports whether name is a snapshot or a WAL, named with its
+// base or, as in a directory migrateNames has not yet opened, without.
+func isStateFile(name string) bool {
+	for _, p := range [][2]string{{snapPrefix, snapSuffix}, {walPrefix, walSuffix}} {
+		_, cur := parseName(name, p[0], p[1])
+		_, old := parseSeq(name, p[0], p[1])
+		if cur || old {
+			return true
+		}
+	}
+	return false
+}
 
 // walOptions is the single place DirOptions maps onto wal.Options — both the
 // initial OpenDir and every checkpoint rotation go through it, so the sync
@@ -233,8 +288,8 @@ func walOptions(opts DirOptions, fsys faultfs.FS) wal.Options {
 	return wal.Options{Policy: wal.SyncPolicy(opts.Sync), Interval: interval, FS: fsys}
 }
 
-// parseSeq extracts the sequence number from snapshot-<seq>.ckpt /
-// wal-<seq>.log style names.
+// parseSeq extracts the number from a name written before names carried a
+// base: snapshot-<rot>.ckpt, wal-<rot>.log, and the sidecar's seq-<gen>.meta.
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
@@ -263,6 +318,13 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if err := migrateNames(fsys, dir); err != nil {
+		return nil, fmt.Errorf("chameleon: naming files by commit sequence: %w", err)
+	}
+	logs, snaps, err := listFiles(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
 	// A directory with a tier manifest is tiered, whatever the options say:
 	// opening it through the legacy path would ignore the segments entirely.
 	man, err := segment.LoadManifest(fsys, dir)
@@ -270,125 +332,134 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 		return nil, err
 	}
 	if man != nil {
-		return openTieredDir(dir, opts, fsys, man)
+		return openTieredDir(dir, opts, fsys, man, logs, snaps)
 	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var snapSeqs, walSeqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
-			snapSeqs = append(snapSeqs, seq)
-		}
-		if seq, ok := parseSeq(e.Name(), walPrefix, walSuffix); ok {
-			walSeqs = append(walSeqs, seq)
-		}
-	}
-	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] > snapSeqs[j] }) // newest first
-	sort.Slice(walSeqs, func(i, j int) bool { return walSeqs[i] < walSeqs[j] })    // oldest first
 
 	// Load the newest snapshot that checks out, falling back past corrupt
 	// ones — but never silently: if snapshots exist and none loads, refuse to
 	// open. Proceeding from an empty base would ack fresh writes on top of a
 	// near-total loss the caller never agreed to.
 	ix := New(opts.Options)
-	chosen := uint64(0)
-	loaded := len(snapSeqs) == 0
+	var chosen fileID
+	loaded := len(snaps) == 0
 	var snapErr error
-	for _, seq := range snapSeqs {
-		if err := loadSnapshot(fsys, filepath.Join(dir, snapName(seq)), ix); err != nil {
+	for _, s := range snaps {
+		if err := loadSnapshot(fsys, filepath.Join(dir, snapName(s.rot, s.base)), ix); err != nil {
 			if snapErr == nil {
-				snapErr = fmt.Errorf("%s: %w", snapName(seq), err)
+				snapErr = fmt.Errorf("%s: %w", snapName(s.rot, s.base), err)
 			}
 			continue
 		}
-		chosen = seq
-		loaded = true
+		chosen, loaded = s, true
 		break
 	}
 	if !loaded {
 		return nil, fmt.Errorf("%w: %d candidate(s), newest: %v",
-			ErrSnapshotsUnreadable, len(snapSeqs), snapErr)
+			ErrSnapshotsUnreadable, len(snaps), snapErr)
 	}
 
-	// Every replayed WAL record is one commit after the chosen snapshot, so
-	// counting them (plus the snapshot's recorded base from seq.meta)
-	// reconstructs the commit-sequence clock across restarts.
-	var replayed uint64
-	apply := func(r wal.Record) {
-		replayed++
-		// Replay tolerates redundancy: a record already reflected in the
-		// snapshot (possible only on fallback paths) must not fail recovery.
+	// Replay tolerates redundancy: a record already reflected in the
+	// snapshot (possible only on fallback paths) must not fail recovery.
+	log, live, clock, err := replayChain(fsys, dir, opts, logs, chosen.rot, chosen.base, func(r wal.Record) {
 		switch r.Op {
 		case wal.OpInsert:
 			ix.inner.Insert(r.Key, r.Val) //nolint:errcheck
 		case wal.OpDelete:
 			ix.inner.Delete(r.Key) //nolint:errcheck
 		}
-	}
-
-	// Replay logs at or after the loaded snapshot, oldest first. Each wal-<n>
-	// starts exactly at snapshot-<n>'s state, so the ascending chain from
-	// `chosen` reconstructs the pre-crash state; replaying records the
-	// snapshot already holds (fallback paths) is harmless because the
-	// conditional insert/delete semantics make in-order re-application
-	// idempotent. Logs *older* than the snapshot are skipped, not replayed:
-	// their records are all contained in it, and if GC removed a successor
-	// log but left an older one (Remove errors are best-effort), replaying
-	// the survivor would resurrect keys the missing log deleted — phantoms.
-	// The newest log becomes the live one (wal.Open truncates its torn
-	// tail); older logs are read-only.
-	liveSeq := chosen
-	for _, seq := range walSeqs {
-		if seq > liveSeq {
-			liveSeq = seq
-		}
-	}
-	for _, seq := range walSeqs {
-		if seq < chosen || seq == liveSeq {
-			continue
-		}
-		if err := replayReadOnly(fsys, filepath.Join(dir, walName(seq)), apply); err != nil {
-			return nil, err
-		}
-	}
-	log, _, err := wal.Open(filepath.Join(dir, walName(liveSeq)), walOptions(opts, fsys), apply)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// The live WAL may have just been created: fsync the directory so its
-	// entry survives a crash. Without this, power loss could drop the file
-	// itself and with it every write acked to it — even under SyncEveryOp.
-	if err := fsys.SyncDir(dir); err != nil {
-		log.Close() //nolint:errcheck
-		return nil, err
-	}
-
-	seq := liveSeq
-	if len(snapSeqs) > 0 && snapSeqs[0] > seq {
-		seq = snapSeqs[0] // never reuse the name of a corrupt newer snapshot
+	seq := live.rot
+	if len(snaps) > 0 && snaps[0].rot > seq {
+		seq = snaps[0].rot // never reuse the rotation of a corrupt newer snapshot
 	}
 	if opts.RetrainEvery > 0 {
 		ix.inner.StartRetrainer(opts.RetrainEvery)
 	}
-	seqMeta, seqMetaGen := readSeqMeta(fsys, dir)
-	d := &DurableIndex{
-		ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts,
-		space:      make(chan struct{}),
-		seqMeta:    seqMeta,
-		seqMetaGen: seqMetaGen,
-	}
-	// Commit clock: the chosen snapshot's recorded commit sequence (zero for
-	// pre-replication directories — the documented legacy fallback) plus one
-	// for every record replayed after it.
-	d.commitSeq.Store(d.seqMeta[chosen] + replayed)
+	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts, space: make(chan struct{})}
+	d.commitSeq.Store(clock)
 	if opts.Tiered {
 		// Legacy directory explicitly opened tiered: migration. The recovered
 		// state is the memtable; the first flush moves it into an L0 segment.
 		attachEmptyTier(d)
 	}
 	return d, nil
+}
+
+// replayChain is the one WAL replay both engines recover through, onto a
+// base state that holds every commit up to w: a loaded snapshot (w its
+// base) or the segments a tier manifest names (w its FlushedSeq). The WALs
+// at rotation minRot or later are replayed oldest first; record i of
+// wal-<rot>-<base> is commit base+i and reaches apply iff that is above w.
+// A log older than minRot, the loaded snapshot's rotation, is never
+// replayed: its records are all in the snapshot, and if GC removed its
+// successor (removal is best-effort), replaying it would resurrect the keys
+// that successor deleted — phantoms.
+//
+// The recovered clock is max(w, base + records) over the non-empty logs. An
+// empty log never advances it: a replace pre-creates its successor under
+// the new base before the commit that adopts that base, and a crash in
+// between leaves exactly such a log. The newest log becomes the live one
+// (wal.Open truncates its torn tail). If none is left at or after minRot a
+// fresh wal-<minRot>-<clock> is created, and an empty live log whose base is
+// not the clock is renamed to carry it: records appended to it replay from
+// that base. The directory fsync before returning makes a created or
+// renamed live log's entry durable; without it, power loss could drop the
+// file and every write acked to it, even under SyncEveryOp.
+func replayChain(fsys faultfs.FS, dir string, opts DirOptions, logs []fileID, minRot, w uint64, apply func(wal.Record)) (*wal.Log, fileID, uint64, error) {
+	clock := w
+	live := fileID{rot: minRot}
+	var log *wal.Log
+	liveRecs := 0
+	for i, id := range logs {
+		if id.rot < minRot {
+			continue
+		}
+		seq := id.base
+		step := func(r wal.Record) {
+			seq++
+			if seq > w {
+				apply(r)
+			}
+		}
+		path := filepath.Join(dir, walName(id.rot, id.base))
+		var n int
+		var err error
+		if i == len(logs)-1 {
+			live = id
+			log, n, err = wal.Open(path, walOptions(opts, fsys), step)
+			liveRecs = n
+		} else {
+			n, err = replayReadOnly(fsys, path, step)
+		}
+		if err != nil {
+			return nil, fileID{}, 0, err
+		}
+		if n > 0 {
+			clock = max(clock, id.base+uint64(n))
+		}
+	}
+	if log == nil || (liveRecs == 0 && live.base != clock) {
+		path := filepath.Join(dir, walName(live.rot, clock))
+		if log != nil {
+			log.Close() //nolint:errcheck // empty, and about to be reopened
+			if err := fsys.Rename(filepath.Join(dir, walName(live.rot, live.base)), path); err != nil {
+				return nil, fileID{}, 0, err
+			}
+		}
+		live.base = clock
+		var err error
+		if log, _, err = wal.Open(path, walOptions(opts, fsys), nil); err != nil {
+			return nil, fileID{}, 0, err
+		}
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		log.Close() //nolint:errcheck
+		return nil, fileID{}, 0, err
+	}
+	return log, live, clock, nil
 }
 
 // loadSnapshot streams one snapshot file into ix, failing on any integrity
@@ -438,22 +509,22 @@ func writeBytes(data []byte) func(io.Writer) error {
 }
 
 // replayReadOnly applies every intact record of a rotated-out log without
-// opening it for writing.
-func replayReadOnly(fsys faultfs.FS, path string, apply func(wal.Record)) error {
+// opening it for writing, and reports how many there were.
+func replayReadOnly(fsys faultfs.FS, path string, apply func(wal.Record)) (int, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return 0, nil
 		}
-		return err
+		return 0, err
 	}
 	data, err := io.ReadAll(f)
 	f.Close() //nolint:errcheck
 	if err != nil {
-		return err
+		return 0, err
 	}
-	wal.Replay(data, apply)
-	return nil
+	n, _ := wal.Replay(data, apply)
+	return n, nil
 }
 
 // usableLocked gates mutations: a poisoned handle reports its sticky failure,
@@ -763,52 +834,17 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 		return
 	}
 
-	// One contiguous write, at most one fsync, for the whole batch. On
-	// failure nothing is applied in memory and every accepted op reports the
-	// error. Disk full is the retryable case: the WAL rolled itself back to
-	// the last frame boundary, nothing diverged, and the handle goes
-	// degraded-read-only until space is freed or a checkpoint rotates the
-	// log. Any other failure is sticky in the log and stops future appends;
-	// some frames may still have reached disk — those ops were *not* acked,
-	// and an unacked op surfacing after recovery is within contract (same as
-	// a failed single append always was).
-	start := time.Now()
-	err := d.log.AppendAll(recs)
-	d.observeFsync(time.Since(start))
+	// Every accepted op the tail did not apply reports its error: after a
+	// failed append that is all of them (some frames may still have reached
+	// disk; an unacked op surfacing after recovery is within contract), after
+	// a poison the rest.
+	first := d.commitSeq.Load() + 1
+	n, err := d.logApplyLocked(recs)
 	if err != nil {
-		if errors.Is(err, wal.ErrDiskFull) {
-			d.diskFullBatches.Add(1)
-		} else {
-			d.walErrv.Store(errBox{err}) // sticky until a checkpoint rotates
-		}
-		d.degraded.Store(true)
-		for _, op := range accepted {
+		for _, op := range accepted[n:] {
 			op.err = err
 		}
 		return
-	}
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
-	d.batches.Add(1)
-	d.batchedOps.Add(uint64(len(recs)))
-	if n := int64(len(batch)); n > d.maxBatch.Load() {
-		d.maxBatch.Store(n) // only the leader writes this, under d.mu
-	}
-
-	// Apply in log order. Validation above makes rejection impossible here,
-	// so any failure means memory no longer matches what was just made
-	// durable — fail-stop.
-	for i, op := range accepted {
-		if err := d.applyRecordLocked(op.rec); err != nil {
-			d.poisonLocked(fmt.Errorf("group commit apply: %w", err))
-			for _, rest := range accepted[i:] {
-				rest.err = d.fail
-			}
-			return
-		}
-	}
-	if d.tier != nil {
-		d.tier.maybeSignalFlush()
 	}
 
 	// The batch's records now carry commit sequences [first, first+len-1].
@@ -816,8 +852,6 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	// deferred acks: a non-nil hook error is reported to every writer in the
 	// batch instead of nil — the write is durable locally, so this is the
 	// documented ambiguous-fate outcome (see SetCommitHook).
-	first := d.commitSeq.Load() + 1
-	d.advanceCommitSeq(uint64(len(recs)))
 	if d.commitHook != nil {
 		if err := d.commitHook(first, recs); err != nil {
 			for _, op := range accepted {
@@ -825,6 +859,50 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 			}
 		}
 	}
+}
+
+// logApplyLocked is the tail both write paths share, group commit and
+// replicated batches: one contiguous WAL write and at most one fsync for
+// recs, then apply in log order, advance the commit clock and nudge the
+// flusher. It returns how many records it applied. On a failed append that
+// is 0 and the error is the append's: disk full is the retryable case (the
+// WAL rolled itself back to the last frame boundary, nothing diverged, and
+// the handle goes degraded-read-only until space is freed or a rotation);
+// any other failure is sticky in the log and stops future appends until a
+// rotation. The caller validated recs, so an apply failure means memory no
+// longer matches what was just made durable: the handle is poisoned and
+// d.fail returned. Callers hold d.mu.
+func (d *DurableIndex) logApplyLocked(recs []wal.Record) (int, error) {
+	start := time.Now()
+	err := d.log.AppendAll(recs)
+	d.observeFsync(time.Since(start))
+	if err != nil {
+		if errors.Is(err, wal.ErrDiskFull) {
+			d.diskFullBatches.Add(1)
+		} else {
+			d.walErrv.Store(errBox{err}) // sticky until a rotation
+		}
+		d.degraded.Store(true)
+		return 0, err
+	}
+	d.degraded.Store(false)
+	d.walErrv.Store(errBox{})
+	d.batches.Add(1)
+	d.batchedOps.Add(uint64(len(recs)))
+	if n := int64(len(recs)); n > d.maxBatch.Load() {
+		d.maxBatch.Store(n) // written only under d.mu
+	}
+	for i, r := range recs {
+		if err := d.applyRecordLocked(r); err != nil {
+			d.poisonLocked(fmt.Errorf("apply after log: %w", err))
+			return i, d.fail
+		}
+	}
+	d.advanceCommitSeq(uint64(len(recs)))
+	if d.tier != nil {
+		d.tier.maybeSignalFlush()
+	}
+	return len(recs), nil
 }
 
 // BulkLoad rebuilds the index from sorted keys and immediately makes the
@@ -897,8 +975,8 @@ func (d *DurableIndex) CheckpointCtx(ctx context.Context) error {
 }
 
 func (d *DurableIndex) checkpointLocked() error {
-	newSeq := d.seq + 1
-	final := filepath.Join(d.dir, snapName(newSeq))
+	newSeq, base := d.seq+1, d.commitSeq.Load()
+	final := filepath.Join(d.dir, snapName(newSeq, base))
 	tmp := final + snapTemp
 
 	f, err := d.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -923,25 +1001,10 @@ func (d *DurableIndex) checkpointLocked() error {
 	// dirent is not yet durable would silently lose every write acked to it
 	// if a crash dropped the file — even under SyncEveryOp. Failing here is
 	// safe: nothing has committed, the old snapshot + WAL stay authoritative.
-	walPath := filepath.Join(d.dir, walName(newSeq))
+	walPath := filepath.Join(d.dir, walName(newSeq, base))
 	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs), nil)
 	if err != nil {
 		d.fs.Remove(tmp) //nolint:errcheck
-		return err
-	}
-	// Record the new snapshot's commit sequence in the sidecar before the
-	// rename commits, so the directory fsync below seals snapshot, successor
-	// WAL, and sidecar together. Failing here is still safe to abort: the old
-	// snapshot stays authoritative and keeps its own sidecar entry.
-	if d.seqMeta == nil {
-		d.seqMeta = make(map[uint64]uint64)
-	}
-	d.seqMeta[newSeq] = d.commitSeq.Load()
-	if err := d.writeSeqMetaLocked(); err != nil {
-		delete(d.seqMeta, newSeq)
-		newLog.Close()       //nolint:errcheck
-		d.fs.Remove(walPath) //nolint:errcheck
-		d.fs.Remove(tmp)     //nolint:errcheck
 		return err
 	}
 	// The rename is the commit point: before it, recovery uses the previous
@@ -954,10 +1017,10 @@ func (d *DurableIndex) checkpointLocked() error {
 		return err
 	}
 	// One directory fsync seals the commit: the snapshot's final name and the
-	// successor WAL's entry become durable together. Past the rename there is
-	// no undo — if this fsync fails, recovery might load the new snapshot yet
-	// skip the old WAL that future writes would land in, so the handle is
-	// poisoned instead of limping on.
+	// successor WAL's entry, each carrying the clock, become durable
+	// together. Past the rename there is no undo — if this fsync fails,
+	// recovery might load the new snapshot yet skip the old WAL that future
+	// writes would land in, so the handle is poisoned instead of limping on.
 	if err := d.fs.SyncDir(d.dir); err != nil {
 		newLog.Close() //nolint:errcheck
 		d.poisonLocked(fmt.Errorf("checkpoint commit fsync: %w", err))
@@ -981,14 +1044,10 @@ func (d *DurableIndex) checkpointLocked() error {
 	// the next checkpoint retries.
 	if entries, err := d.fs.ReadDir(d.dir); err == nil {
 		for _, e := range entries {
-			if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok && seq < newSeq {
-				d.fs.Remove(filepath.Join(d.dir, e.Name())) //nolint:errcheck
-				delete(d.seqMeta, seq)                      // stale entry; rewritten next checkpoint
-			}
-			if seq, ok := parseSeq(e.Name(), walPrefix, walSuffix); ok && seq < newSeq {
-				d.fs.Remove(filepath.Join(d.dir, e.Name())) //nolint:errcheck
-			}
-			if strings.HasSuffix(e.Name(), snapSuffix+snapTemp) && e.Name() != filepath.Base(tmp) {
+			snap, isSnap := parseName(e.Name(), snapPrefix, snapSuffix)
+			log, isWAL := parseName(e.Name(), walPrefix, walSuffix)
+			if (isSnap && snap.rot < newSeq) || (isWAL && log.rot < newSeq) ||
+				(strings.HasSuffix(e.Name(), snapSuffix+snapTemp) && e.Name() != filepath.Base(tmp)) {
 				d.fs.Remove(filepath.Join(d.dir, e.Name())) //nolint:errcheck
 			}
 		}
@@ -1076,7 +1135,8 @@ func (d *DurableIndex) Close() error {
 
 // Lookup returns the value stored for key. In tiered mode a memtable miss
 // falls through to the frozen run and then the segments, newest first — one
-// model evaluation and one bounded pread per consulted run.
+// filter probe, a fence-key search and at most one block pread per
+// consulted run.
 func (d *DurableIndex) Lookup(key uint64) (uint64, bool) {
 	if d.readsClosed.Load() {
 		return 0, false

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,10 +110,10 @@ func TestDurableCheckpointRotatesAndRecovers(t *testing.T) {
 	}
 	var snaps, wals int
 	for _, e := range entries {
-		if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
+		if _, ok := parseName(e.Name(), snapPrefix, snapSuffix); ok {
 			snaps++
 		}
-		if _, ok := parseSeq(e.Name(), walPrefix, walSuffix); ok {
+		if _, ok := parseName(e.Name(), walPrefix, walSuffix); ok {
 			wals++
 		}
 	}
@@ -130,6 +131,24 @@ func TestDurableCheckpointRotatesAndRecovers(t *testing.T) {
 	if re.Len() != 5+30 {
 		t.Fatalf("Len = %d after reopen", re.Len())
 	}
+}
+
+// rotPath returns the path of the snapshot (prefix snapPrefix) or WAL
+// (walPrefix) at rotation rot in dir, whatever base its name carries.
+func rotPath(t *testing.T, dir, prefix string, rot uint64) string {
+	t.Helper()
+	suffix := map[string]string{snapPrefix: snapSuffix, walPrefix: walSuffix}[prefix]
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if id, ok := parseName(e.Name(), prefix, suffix); ok && id.rot == rot {
+			return filepath.Join(dir, e.Name())
+		}
+	}
+	t.Fatalf("no %s…%s at rotation %d in %s", prefix, suffix, rot, dir)
+	return ""
 }
 
 // corruptFile flips one byte in the middle of path.
@@ -164,11 +183,12 @@ func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 		}
 	}
 	// Preserve generation 1 before the next checkpoint GCs it.
-	savedSnap, err := os.ReadFile(filepath.Join(dir, snapName(1)))
+	snap1, wal1 := rotPath(t, dir, snapPrefix, 1), rotPath(t, dir, walPrefix, 1)
+	savedSnap, err := os.ReadFile(snap1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	savedWal, err := os.ReadFile(filepath.Join(dir, walName(1)))
+	savedWal, err := os.ReadFile(wal1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +204,13 @@ func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 
 	// Restore generation 1 (a crash mid-GC leaves exactly this) and corrupt
 	// the newest snapshot.
-	if err := os.WriteFile(filepath.Join(dir, snapName(1)), savedSnap, 0o644); err != nil {
+	if err := os.WriteFile(snap1, savedSnap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walName(1)), savedWal, 0o644); err != nil {
+	if err := os.WriteFile(wal1, savedWal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, filepath.Join(dir, snapName(2)))
+	corruptFile(t, rotPath(t, dir, snapPrefix, 2))
 
 	re, err := OpenDir(dir, durableOpts())
 	if err != nil {
@@ -223,7 +243,7 @@ func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, filepath.Join(dir, snapName(1)))
+	corruptFile(t, rotPath(t, dir, snapPrefix, 1))
 	if _, err := OpenDir(dir, durableOpts()); !errors.Is(err, ErrSnapshotsUnreadable) {
 		t.Fatalf("OpenDir with only a corrupt snapshot: %v, want ErrSnapshotsUnreadable", err)
 	}
@@ -232,50 +252,58 @@ func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 // TestDurableStaleLogNoPhantom reproduces the GC hazard: a log older than the
 // loaded snapshot survives (GC Remove is best-effort) while its successor —
 // which deleted a key — is gone. Replay must skip the stale log, or the
-// deleted key is resurrected.
+// deleted key is resurrected. In a directory from before replication every
+// base migrates as 0, so the stale log's records are not below the
+// snapshot's clock: only its rotation keeps it out.
 func TestDurableStaleLogNoPhantom(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.BulkLoad([]uint64{10, 20}, nil); err != nil { // → snapshot-1, wal-1
-		t.Fatal(err)
-	}
-	if err := d.Insert(111, 1); err != nil { // → wal-1
-		t.Fatal(err)
-	}
-	savedWal, err := os.ReadFile(filepath.Join(dir, walName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil { // snapshot-2 holds 111; GC removes wal-1
-		t.Fatal(err)
-	}
-	if err := d.Delete(111); err != nil { // → wal-2
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil { // snapshot-3 without 111; GC removes wal-2
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, preReplication := range []bool{false, true} {
+		dir := t.TempDir()
+		d, err := OpenDir(dir, durableOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.BulkLoad([]uint64{10, 20}, nil); err != nil { // → snapshot-1, wal-1
+			t.Fatal(err)
+		}
+		if err := d.Insert(111, 1); err != nil { // → wal-1
+			t.Fatal(err)
+		}
+		wal1 := rotPath(t, dir, walPrefix, 1)
+		savedWal, err := os.ReadFile(wal1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil { // snapshot-2 holds 111; GC removes wal-1
+			t.Fatal(err)
+		}
+		if err := d.Delete(111); err != nil { // → wal-2
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil { // snapshot-3 without 111; GC removes wal-2
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Resurrect wal-1 — the insert of 111 with no trace of its deletion.
-	if err := os.WriteFile(filepath.Join(dir, walName(1)), savedWal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, ok := re.Lookup(111); ok {
-		t.Fatal("stale pre-snapshot log replayed: deleted key 111 resurrected")
-	}
-	if re.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", re.Len())
+		// Resurrect wal-1 — the insert of 111 with no trace of its deletion.
+		if err := os.WriteFile(wal1, savedWal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if preReplication {
+			stripBases(t, dir)
+		}
+		re, err := OpenDir(dir, durableOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := re.Lookup(111); ok {
+			t.Fatalf("pre-replication %v: stale pre-snapshot log replayed: deleted key 111 resurrected", preReplication)
+		}
+		if re.Len() != 2 {
+			t.Fatalf("pre-replication %v: Len = %d, want 2", preReplication, re.Len())
+		}
+		re.Close()
 	}
 }
 
@@ -333,7 +361,7 @@ func TestDurableBulkLoadCheckpointFailurePoisons(t *testing.T) {
 // outcomes.
 func TestDurableCrashMatrix(t *testing.T) {
 	// One clean dry run sizes the matrix.
-	total := runCrashWorkload(t, t.TempDir(), 1<<40, 0, nil)
+	total := runCrashWorkload(t, t.TempDir(), 1<<40, 0, nil, nil)
 	if total < 20 {
 		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
 	}
@@ -344,8 +372,32 @@ func TestDurableCrashMatrix(t *testing.T) {
 	for k := int64(0); k < total; k += stride {
 		dir := t.TempDir()
 		acked := make(map[uint64]ackState)
-		runCrashWorkload(t, dir, k, int(k%3), acked)
-		verifyRecovered(t, dir, k, acked)
+		var b seqBounds
+		runCrashWorkload(t, dir, k, int(k%3), acked, &b)
+		verifyRecovered(t, dir, k, acked, &b)
+	}
+}
+
+// seqBounds counts a crash workload's mutations. Each committed record is
+// one tick of the commit clock, so a recovered CommitSeq must cover every
+// acked mutation and may not exceed the attempted ones (an errored write may
+// or may not have reached the log).
+type seqBounds struct{ acked, attempted atomic.Uint64 }
+
+func (b *seqBounds) note(err error) {
+	if b == nil {
+		return
+	}
+	b.attempted.Add(1)
+	if err == nil {
+		b.acked.Add(1)
+	}
+}
+
+func (b *seqBounds) check(t *testing.T, k int64, d *DurableIndex) {
+	t.Helper()
+	if got, lo, hi := d.CommitSeq(), b.acked.Load(), b.attempted.Load(); got < lo || got > hi {
+		t.Fatalf("crash@%d: recovered CommitSeq %d outside [acked %d, attempted %d]", k, got, lo, hi)
 	}
 }
 
@@ -363,8 +415,9 @@ type ackState struct {
 
 // runCrashWorkload executes the fixed mutation sequence against dir through a
 // CrashFS with the given step budget, recording acknowledged writes into
-// acked (nil to skip). It returns the number of steps consumed.
-func runCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState) int64 {
+// acked and counting mutations into b (nil to skip). It returns the number
+// of steps consumed.
+func runCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState, b *seqBounds) int64 {
 	t.Helper()
 	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
 	cfs.Tear = tear
@@ -373,6 +426,7 @@ func runCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked ma
 		return cfs.Steps() // crashed during initial open: empty dir, nothing acked
 	}
 	ack := func(key, val uint64, present bool, err error) {
+		b.note(err)
 		if acked == nil {
 			return
 		}
@@ -408,14 +462,15 @@ func runCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked ma
 }
 
 // verifyRecovered reopens dir with the real filesystem and checks the
-// durability invariant against the oracle.
-func verifyRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState) {
+// durability invariant against the oracle, and the clock against b.
+func verifyRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState, b *seqBounds) {
 	t.Helper()
 	re, err := OpenDir(dir, durableOpts())
 	if err != nil {
 		t.Fatalf("crash@%d: recovery failed: %v", k, err)
 	}
 	defer re.Close()
+	b.check(t, k, re)
 	for key, st := range acked {
 		if st.unstable {
 			continue
@@ -471,7 +526,7 @@ func TestDurableOpensV2Snapshot(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapName(1)), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName(1, 0)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, err := OpenDir(dir, durableOpts())
@@ -492,7 +547,7 @@ func TestDurableOpensV2Snapshot(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapName(2)))
+	snap, err := os.ReadFile(rotPath(t, dir, snapPrefix, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

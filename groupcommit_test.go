@@ -154,7 +154,7 @@ type wAck struct {
 // its key is present it holds exactly the attempted value, and no key outside
 // the attempted set exists (no phantom from a torn multi-record frame).
 func TestGroupCommitCrashMatrix(t *testing.T) {
-	total := runGroupCommitWorkload(t, t.TempDir(), 1<<40, 0, nil)
+	total := runGroupCommitWorkload(t, t.TempDir(), 1<<40, 0, nil, nil)
 	if total < 20 {
 		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
 	}
@@ -168,8 +168,9 @@ func TestGroupCommitCrashMatrix(t *testing.T) {
 	for k := int64(0); k < total; k += stride {
 		dir := t.TempDir()
 		acked := make(map[uint64]wAck)
-		runGroupCommitWorkload(t, dir, k, int(k%3), acked)
-		verifyGroupCommitRecovered(t, dir, k, acked)
+		var b seqBounds
+		runGroupCommitWorkload(t, dir, k, int(k%3), acked, &b)
+		verifyGroupCommitRecovered(t, dir, k, acked, &b)
 	}
 }
 
@@ -184,9 +185,10 @@ const (
 // runGroupCommitWorkload drives gcWriters concurrent inserters (disjoint key
 // ranges) plus one flip-flop writer that alternately inserts and deletes one
 // key, all through a CrashFS with the given step budget. Acked state merges
-// into acked (nil to skip). Each writer also asserts the no-ack-after-failure
-// invariant: once one of its ops errors, no later op may succeed.
-func runGroupCommitWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]wAck) int64 {
+// into acked and mutation counts into b (nil to skip). Each writer also
+// asserts the no-ack-after-failure invariant: once one of its ops errors, no
+// later op may succeed.
+func runGroupCommitWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]wAck, b *seqBounds) int64 {
 	t.Helper()
 	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
 	cfs.Tear = tear
@@ -213,6 +215,7 @@ func runGroupCommitWorkload(t *testing.T, dir string, budget int64, tear int, ac
 			for i := uint64(0); i < gcOpsPer; i++ {
 				k := base + i
 				err := d.Insert(k, k+7)
+				b.note(err)
 				if err == nil {
 					if failed {
 						t.Errorf("writer %d: Insert(%d) acked after an earlier failure", w, k)
@@ -239,6 +242,7 @@ func runGroupCommitWorkload(t *testing.T, dir string, budget int64, tear int, ac
 				err = d.Delete(gcFlipKey)
 				st.present = false
 			}
+			b.note(err)
 			if err != nil {
 				failed = true
 			}
@@ -256,14 +260,16 @@ func runGroupCommitWorkload(t *testing.T, dir string, budget int64, tear int, ac
 
 // verifyGroupCommitRecovered reopens dir on the real filesystem and checks
 // the oracle: acked stable keys exact, unstable keys either-way but never
-// half-applied, and no phantoms outside the attempted key space.
-func verifyGroupCommitRecovered(t *testing.T, dir string, k int64, acked map[uint64]wAck) {
+// half-applied, no phantoms outside the attempted key space, and the clock
+// within b.
+func verifyGroupCommitRecovered(t *testing.T, dir string, k int64, acked map[uint64]wAck, b *seqBounds) {
 	t.Helper()
 	re, err := OpenDir(dir, durableOpts())
 	if err != nil {
 		t.Fatalf("crash@%d: recovery failed: %v", k, err)
 	}
 	defer re.Close()
+	b.check(t, k, re)
 	for key, st := range acked {
 		v, ok := re.Lookup(key)
 		if st.unstable {

@@ -61,7 +61,7 @@ func TestCommitSeqSurvivesRestart(t *testing.T) {
 	d2 := openRepl(t, dir)
 	defer d2.Close() //nolint:errcheck
 	if got := d2.CommitSeq(); got != 65 {
-		t.Fatalf("CommitSeq after restart = %d, want 65 (seq.meta + replayed tail)", got)
+		t.Fatalf("CommitSeq after restart = %d, want 65 (snapshot base + replayed tail)", got)
 	}
 	// The clock keeps counting from where it left off, not from the live
 	// record count (deletes consumed sequences too).
@@ -73,10 +73,11 @@ func TestCommitSeqSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestCommitSeqLegacyDirectory: a directory from before replication has no
-// seq.meta sidecar. Reopening must not fail — the clock falls back to the
-// replayed WAL count (documented regression that followers detect), and the
-// next checkpoint writes the sidecar so the regression never repeats.
+// TestCommitSeqLegacyDirectory: a directory from before replication names
+// its files by rotation alone (snapshot-<rot>.ckpt, wal-<rot>.log) and has no
+// seq sidecar. Opening migrates it with base 0, so the clock is the replayed
+// WAL tail alone (the documented regression followers detect), and from then
+// on the names carry that clock: a checkpoint and a reopen keep it.
 func TestCommitSeqLegacyDirectory(t *testing.T) {
 	dir := t.TempDir()
 	d := openRepl(t, dir)
@@ -96,24 +97,16 @@ func TestCommitSeqLegacyDirectory(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sidecars, err := filepath.Glob(filepath.Join(dir, "seq*.meta"))
-	if err != nil || len(sidecars) == 0 {
-		t.Fatalf("no seq sidecar found to remove (err=%v)", err)
-	}
-	for _, p := range sidecars {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stripBases(t, dir)
 
 	d2 := openRepl(t, dir)
 	if got := d2.CommitSeq(); got != 3 {
-		t.Fatalf("CommitSeq without sidecar = %d, want 3 (replayed tail only)", got)
+		t.Fatalf("CommitSeq of a pre-replication directory = %d, want 3 (replayed tail only)", got)
 	}
 	if d2.Len() != 23 {
 		t.Fatalf("Len = %d, want 23 — the data itself is intact", d2.Len())
 	}
-	// A checkpoint re-seals the sidecar; from here the clock is durable again.
+	checkNamesCarryBase(t, dir)
 	if err := d2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +116,56 @@ func TestCommitSeqLegacyDirectory(t *testing.T) {
 	d3 := openRepl(t, dir)
 	defer d3.Close() //nolint:errcheck
 	if got := d3.CommitSeq(); got != 3 {
-		t.Fatalf("CommitSeq after sidecar rewrite = %d, want 3", got)
+		t.Fatalf("CommitSeq after checkpoint and reopen = %d, want 3", got)
+	}
+}
+
+// TestCommitSeqEmptyLogWithStaleBase: an empty newest WAL whose name claims
+// a base the clock never reached — what a crash leaves when a replace's
+// pre-created successor reached disk but its commit did not — neither
+// advances the recovered clock nor lends its base to the records written
+// after the reopen.
+func TestCommitSeqEmptyLogWithStaleBase(t *testing.T) {
+	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+		dir := t.TempDir()
+		d, err := OpenDir(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(1); k <= 5; k++ {
+			if err := d.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Checkpoint(); err != nil { // tiered: the first manifest
+			t.Fatal(err)
+		}
+		stray := filepath.Join(dir, walName(d.seq+1, 105))
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stray, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for round, want := range []uint64{5, 6} {
+			d, err = OpenDir(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.CommitSeq(); got != want {
+				t.Fatalf("%s, reopen %d: CommitSeq = %d, want %d", name, round, got, want)
+			}
+			if d.Len() != int(want) {
+				t.Fatalf("%s, reopen %d: Len = %d, want %d", name, round, d.Len(), want)
+			}
+			if err := d.Insert(6, 6); err != nil && !errors.Is(err, ErrDuplicateKey) {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkNamesCarryBase(t, dir)
 	}
 }
 
@@ -244,7 +286,7 @@ func TestReplicateBatchInternalOverlay(t *testing.T) {
 
 // TestSnapshotRoundTripAdoptsSeq: SnapshotAt → RestoreSnapshot moves both
 // the data and the commit clock, and the restored clock survives a restart
-// (RestoreSnapshot checkpoints, sealing seq.meta).
+// (RestoreSnapshot checkpoints under the adopted clock).
 func TestSnapshotRoundTripAdoptsSeq(t *testing.T) {
 	src := openRepl(t, t.TempDir())
 	defer src.Close() //nolint:errcheck

@@ -10,7 +10,7 @@ import (
 )
 
 // replMetaName is the sidecar persisting the node's replication epoch and
-// fenced verdict, next to seq.meta. Fencing that lives only in process
+// fenced verdict. Fencing that lives only in process
 // memory evaporates on restart: a deposed primary that crashed after being
 // fenced would come back believing it is still primary and accept writes at
 // a stale epoch — exactly the split-brain fencing exists to prevent. The
@@ -48,8 +48,8 @@ func readReplMeta(fsys faultfs.FS, dir string) (epoch uint64, fenced bool) {
 }
 
 // writeReplMeta persists the sidecar with the snapshot discipline, including
-// its own directory fsync (unlike seq.meta it is not sealed by a checkpoint's
-// rename, so it must make its own rename durable).
+// its own directory fsync (no checkpoint's rename seals it, so it must make
+// its own rename durable).
 func writeReplMeta(fsys faultfs.FS, dir string, epoch uint64, fenced bool) error {
 	data, err := json.Marshal(replMeta{Epoch: epoch, Fenced: fenced})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"time"
 
 	"chameleon/internal/faultfs"
 	"chameleon/internal/wal"
@@ -22,8 +21,9 @@ import (
 // path, and consistent snapshot streaming. The wire protocol and the
 // replication state machine live in internal/wire and internal/repl; this
 // layer only guarantees that commit sequences are monotonic, durable across
-// restarts (the seq.meta sidecar), and that replicated batches apply in
-// exactly the order the upstream committed them.
+// restarts (every snapshot and WAL names the commit sequence it starts at),
+// and that replicated batches apply in exactly the order the upstream
+// committed them.
 
 // ErrReplDivergence is returned by ReplicateBatch when a replicated record
 // cannot replay cleanly against local state (inserting a key that is already
@@ -33,133 +33,80 @@ import (
 // stays readable, but the replication link must fail-stop.
 var ErrReplDivergence = errors.New("chameleon: replicated batch diverges from local state")
 
-// seqMetaName is the legacy sidecar name mapping snapshot/rotation sequence
-// → commit sequence. It was rewritten in place (tmp + fsync + rename), which
-// is not crash-safe: losing the directory block after the rename destroys
-// the old version without durably installing the new one. It is still read
-// for directories written by older versions, but never written.
-const seqMetaName = "seq.meta"
-
-// Current sidecar versions are written under fresh generation-numbered
-// names (seq-<gen>.meta) and the newest decodable one wins, exactly like
-// the tier manifest: a crash can only lose the not-yet-sealed newest file,
-// never a previously durable one. Old generations are garbage-collected
-// after each successful write.
-const (
-	seqMetaPrefix = "seq-"
-	seqMetaSuffix = ".meta"
-)
-
-func seqMetaFileName(gen uint64) string {
-	return fmt.Sprintf("%s%016d%s", seqMetaPrefix, gen, seqMetaSuffix)
-}
-
-// decodeSeqMeta parses one sidecar payload. A nil map means undecodable.
-func decodeSeqMeta(data []byte) map[uint64]uint64 {
-	var raw map[string]uint64
-	if json.Unmarshal(data, &raw) != nil {
-		return nil
+// migrateNames brings a directory written before snapshot and WAL names
+// carried their base to the current layout, once, at open. There the names
+// were snapshot-<rot>.ckpt and wal-<rot>.log, and a sidecar mapped each
+// rotation to its base: generations seq-<gen>.meta, newest decodable wins,
+// then the older in-place seq.meta. Each old name is renamed to carry the
+// base the sidecar recorded for its rotation — 0 where none did, the
+// fallback a pre-replication directory always had — then the directory is
+// fsynced, the sidecars removed and the directory fsynced again. Renames
+// are atomic and the sidecars go last, so a crash anywhere leaves the old
+// names that remain next to the sidecar that maps them, and the next open
+// finishes the renames with the same bases.
+func migrateNames(fsys faultfs.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return err
 	}
-	meta := make(map[uint64]uint64, len(raw))
-	for k, v := range raw {
-		if seq, err := strconv.ParseUint(k, 10, 64); err == nil {
-			meta[seq] = v
+	type oldName struct {
+		name string
+		rot  uint64
+		snap bool
+	}
+	var old []oldName
+	var sidecars []string
+	inPlace := false
+	for _, e := range entries {
+		name := e.Name()
+		if rot, ok := parseSeq(name, snapPrefix, snapSuffix); ok {
+			old = append(old, oldName{name, rot, true})
+		} else if rot, ok := parseSeq(name, walPrefix, walSuffix); ok {
+			old = append(old, oldName{name, rot, false})
+		} else if _, ok := parseSeq(name, "seq-", ".meta"); ok {
+			sidecars = append(sidecars, name)
+		} else if name == "seq.meta" {
+			inPlace = true
 		}
 	}
-	return meta
-}
-
-func readSeqMetaFile(fsys faultfs.FS, path string) map[uint64]uint64 {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
+	if len(old) == 0 && len(sidecars) == 0 && !inPlace {
 		return nil
 	}
-	data, err := io.ReadAll(f)
-	f.Close() //nolint:errcheck
-	if err != nil {
-		return nil
+	// Generation numbers are zero-padded: descending names are newest first.
+	sort.Sort(sort.Reverse(sort.StringSlice(sidecars)))
+	if inPlace {
+		sidecars = append(sidecars, "seq.meta")
 	}
-	return decodeSeqMeta(data)
-}
-
-// readSeqMeta loads the sidecar: newest decodable generation wins, falling
-// back to the legacy in-place file, tolerating absence and corruption (both
-// mean "no recorded commit sequences" — commit sequences may then regress,
-// which followers detect and fail-stop on rather than silently re-numbering
-// history). The returned generation is the highest seen in the directory,
-// decodable or not, so the next write is guaranteed to be the newest file.
-func readSeqMeta(fsys faultfs.FS, dir string) (map[uint64]uint64, uint64) {
-	var gens []uint64
-	var maxGen uint64
-	if entries, err := fsys.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if g, ok := parseSeq(e.Name(), seqMetaPrefix, seqMetaSuffix); ok {
-				gens = append(gens, g)
-				if g > maxGen {
-					maxGen = g
-				}
-			}
+	var bases map[string]uint64 // rotation in decimal → base
+	for _, name := range sidecars {
+		f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDONLY, 0)
+		if err != nil {
+			continue
 		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, g := range gens {
-		if meta := readSeqMetaFile(fsys, filepath.Join(dir, seqMetaFileName(g))); meta != nil {
-			return meta, maxGen
-		}
-	}
-	if meta := readSeqMetaFile(fsys, filepath.Join(dir, seqMetaName)); meta != nil {
-		return meta, maxGen
-	}
-	return make(map[uint64]uint64), maxGen
-}
-
-// writeSeqMetaLocked persists d.seqMeta as a fresh generation file (create,
-// write, fsync). The caller's subsequent SyncDir seals the new directory
-// entry; a crash before that loses only the new generation, and recovery
-// falls back to the previous one — the state the caller's commit point had
-// not yet superseded. Superseded generations (and any legacy in-place file)
-// are removed best-effort after the new file is down. Callers hold d.mu.
-func (d *DurableIndex) writeSeqMetaLocked() error {
-	raw := make(map[string]uint64, len(d.seqMeta))
-	for k, v := range d.seqMeta {
-		raw[strconv.FormatUint(k, 10)] = v
-	}
-	data, err := json.Marshal(raw)
-	if err != nil {
-		return err
-	}
-	gen := d.seqMetaGen + 1
-	path := filepath.Join(d.dir, seqMetaFileName(gen))
-	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()         //nolint:errcheck
-		d.fs.Remove(path) //nolint:errcheck
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()         //nolint:errcheck
-		d.fs.Remove(path) //nolint:errcheck
-		return err
-	}
-	if err := f.Close(); err != nil {
-		d.fs.Remove(path) //nolint:errcheck
-		return err
-	}
-	d.seqMetaGen = gen
-	for g := gen - 1; g > 0 && g+8 > gen; g-- { // recent stragglers; older ones fell to earlier passes
-		if d.fs.Remove(filepath.Join(d.dir, seqMetaFileName(g))) != nil {
+		data, err := io.ReadAll(f)
+		f.Close() //nolint:errcheck // read-only
+		if err == nil && json.Unmarshal(data, &bases) == nil {
 			break
 		}
+		bases = nil
 	}
-	if gen == 1 {
-		// First versioned generation in this directory: retire the legacy
-		// in-place file, if any, so it can never shadow a future state.
-		d.fs.Remove(filepath.Join(d.dir, seqMetaName)) //nolint:errcheck
+	for _, o := range old {
+		base := bases[strconv.FormatUint(o.rot, 10)]
+		to := walName(o.rot, base)
+		if o.snap {
+			to = snapName(o.rot, base)
+		}
+		if err := fsys.Rename(filepath.Join(dir, o.name), filepath.Join(dir, to)); err != nil {
+			return err
+		}
 	}
-	return nil
+	if err := fsys.SyncDir(dir); err != nil {
+		return err
+	}
+	for _, name := range sidecars {
+		fsys.Remove(filepath.Join(dir, name)) //nolint:errcheck // a survivor maps no old name; the next open retries
+	}
+	return fsys.SyncDir(dir)
 }
 
 // CommitSeq reports the number of records ever durably committed through
@@ -167,7 +114,8 @@ func (d *DurableIndex) writeSeqMetaLocked() error {
 // Record k of history carries sequence k (1-based); a follower's CommitSeq
 // is therefore exactly the highest upstream sequence it has applied, because
 // replicated records apply 1:1 in commit order. The value survives restarts
-// via the seq.meta sidecar plus WAL replay counting.
+// in the names of the snapshot and WAL files (each carries the commit
+// sequence it starts at) plus WAL replay counting.
 func (d *DurableIndex) CommitSeq() uint64 { return d.commitSeq.Load() }
 
 // seqWaitChan returns the current broadcast channel for commit-sequence
@@ -306,37 +254,8 @@ func (d *DurableIndex) ReplicateBatch(firstSeq uint64, recs []wal.Record) error 
 		}
 		overlay[r.Key] = r.Op == wal.OpInsert
 	}
-
-	start := time.Now()
-	err = d.log.AppendAll(fresh)
-	d.observeFsync(time.Since(start))
-	if err != nil {
-		if errors.Is(err, wal.ErrDiskFull) {
-			d.diskFullBatches.Add(1)
-		} else {
-			d.walErrv.Store(errBox{err})
-		}
-		d.degraded.Store(true)
-		return err
-	}
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
-	d.batches.Add(1)
-	d.batchedOps.Add(uint64(len(fresh)))
-
-	for _, r := range fresh {
-		if aerr := d.applyRecordLocked(r); aerr != nil {
-			// Validated above, so this can only be an internal failure after
-			// the records are durable: memory and disk may now disagree.
-			d.poisonLocked(fmt.Errorf("replicated apply: %w", aerr))
-			return d.fail
-		}
-	}
-	d.advanceCommitSeq(uint64(len(fresh)))
-	if d.tier != nil {
-		d.tier.maybeSignalFlush()
-	}
-	return nil
+	_, err = d.logApplyLocked(fresh)
+	return err
 }
 
 // SnapshotAt streams a consistent snapshot of the current contents to w and

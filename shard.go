@@ -257,12 +257,7 @@ func loadLegacyUnsharded(dir string, opts DirOptions, fsys faultfs.FS) (keys, va
 		return nil, nil, false, err
 	}
 	for _, e := range entries {
-		if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
-			found = true
-		}
-		if _, ok := parseSeq(e.Name(), walPrefix, walSuffix); ok {
-			found = true
-		}
+		found = found || isStateFile(e.Name())
 	}
 	if !found {
 		return nil, nil, false, nil
@@ -294,12 +289,9 @@ func removeLegacyUnsharded(dir string, fsys faultfs.FS) {
 		return
 	}
 	for _, e := range entries {
-		_, isSnap := parseSeq(e.Name(), snapPrefix, snapSuffix)
-		_, isWAL := parseSeq(e.Name(), walPrefix, walSuffix)
 		_, isSeg := segment.ParseFileName(e.Name())
 		_, isMan := segment.ParseManifestName(e.Name())
-		_, isSeqMeta := parseSeq(e.Name(), seqMetaPrefix, seqMetaSuffix)
-		if isSnap || isWAL || isSeg || isMan || isSeqMeta || e.Name() == seqMetaName {
+		if isStateFile(e.Name()) || isSeg || isMan {
 			fsys.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck
 		}
 	}

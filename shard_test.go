@@ -408,11 +408,8 @@ func TestShardedMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
-			t.Fatalf("legacy snapshot %s survived migration", e.Name())
-		}
-		if _, ok := parseSeq(e.Name(), walPrefix, walSuffix); ok {
-			t.Fatalf("legacy WAL %s survived migration", e.Name())
+		if isStateFile(e.Name()) {
+			t.Fatalf("legacy snapshot or WAL %s survived migration", e.Name())
 		}
 	}
 

@@ -453,34 +453,22 @@ func (t *tier) maybeSignalFlush() {
 // ---------------------------------------------------------------------------
 // Commit pieces: the steps flush, compaction and replace share
 
-// successorWALLocked creates wal-<seq+1> and records base as its commit
-// sequence in the seq sidecar, leaving the live log alone: the old log stays
-// live and authoritative until the caller's commit point has passed and
-// swapWALLocked makes the new one live, and abort undoes the creation. A
-// stray empty successor left by a crash is harmless — an empty log never
-// advances the recovered commit clock (openTieredDir). Callers hold d.mu.
+// successorWALLocked creates wal-<seq+1>-<base>, leaving the live log alone:
+// the old log stays live and authoritative until the caller's commit point
+// has passed and swapWALLocked makes the new one live, and abort removes the
+// file. A stray empty successor left by a crash is harmless — an empty log
+// never advances the recovered commit clock (replayChain). Callers hold
+// d.mu.
 func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort func(), err error) {
-	seq := d.seq + 1
-	path := filepath.Join(d.dir, walName(seq))
+	path := filepath.Join(d.dir, walName(d.seq+1, base))
 	next, _, err = wal.Open(path, walOptions(d.opts, d.fs), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if d.seqMeta == nil {
-		d.seqMeta = make(map[uint64]uint64)
-	}
-	d.seqMeta[seq] = base
-	abort = func() {
-		delete(d.seqMeta, seq)
-		next.Close()           //nolint:errcheck
-		d.fs.Remove(path)      //nolint:errcheck
-		d.writeSeqMetaLocked() //nolint:errcheck // best-effort shrink; a stale entry names no file
-	}
-	if err := d.writeSeqMetaLocked(); err != nil {
-		abort()
-		return nil, nil, err
-	}
-	return next, abort, nil
+	return next, func() {
+		next.Close()      //nolint:errcheck
+		d.fs.Remove(path) //nolint:errcheck
+	}, nil
 }
 
 // swapWALLocked makes next, from successorWALLocked, the live log. A fresh,
@@ -1028,12 +1016,12 @@ func (t *tier) restore(keys, vals []uint64, asOfSeq uint64) error {
 // Commit protocol (the manifest is the commit point, same as flush):
 //
 //  1. Write the run as one L1 segment and seal its directory entry.
-//  2. Create the successor WAL file and record its base (= asOfSeq) in the
-//     seq sidecar — WITHOUT swapping the live log (successorWALLocked).
-//     Until step 3 commits, the old log stays live and every acked write
-//     keeps its durable home.
+//  2. Create the successor WAL file, named with its base (= asOfSeq) —
+//     WITHOUT swapping the live log (successorWALLocked). Until step 3
+//     commits, the old log stays live and every acked write keeps its
+//     durable home.
 //  3. WriteManifest (FlushedSeq = asOfSeq) — its SyncDir seals the WAL
-//     dirent and the sidecar together with the commit.
+//     dirent together with the commit.
 //  4. install the new segment set, retiring every old reader; swap the live
 //     log, reset the volatile tiers, adopt asOfSeq, and garbage-collect the
 //     previous state.
@@ -1107,11 +1095,13 @@ func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 
 // gcInlineLocked removes files the current manifest generation has made
 // garbage: superseded manifests, unreferenced segment files, legacy
-// snapshots fully covered by the flushed watermark, and WAL files removable
-// because some later rotation's recorded base commit sequence is at or
-// under the watermark — never because a checkpoint "succeeded". Best-effort
-// (a crash mid-GC leaves garbage the next pass retries). Callers hold t.tmu
-// and d.mu.
+// snapshots whose base the flushed watermark covers, and — once it covers
+// the live log's base too — every other WAL, since they hold only commits
+// up to that base, all of which the segments now carry. WALs go because the
+// watermark covers them, never because a checkpoint "succeeded"; and only
+// the live log's base decides, because a stray successor an abort failed to
+// remove names a base no record ever had. Best-effort (a crash mid-GC
+// leaves garbage the next pass retries). Callers hold t.tmu and d.mu.
 func (t *tier) gcInlineLocked() {
 	d := t.d
 	f := t.flushedSeq.Load()
@@ -1120,40 +1110,21 @@ func (t *tier) gcInlineLocked() {
 	for _, r := range t.segs.Load().readers {
 		live[r.Meta().ID] = true
 	}
-	// The newest rotation whose base is covered by the watermark: every WAL
-	// file strictly older than it holds only records ≤ F, all of which the
-	// segments now carry.
-	var cutoff uint64
-	for rot, base := range d.seqMeta {
-		if base <= f && rot > cutoff {
-			cutoff = rot
-		}
-	}
+	liveLog := filepath.Base(d.log.Path())
+	cur, _ := parseName(liveLog, walPrefix, walSuffix)
 	entries, err := d.fs.ReadDir(d.dir)
 	if err != nil {
 		return
 	}
-	pruned := false
 	for _, e := range entries {
 		name := e.Name()
-		if s, ok := parseSeq(name, walPrefix, walSuffix); ok && s < cutoff && s != d.seq {
-			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
-			delete(d.seqMeta, s)
-			pruned = true
-		}
-		if s, ok := parseSeq(name, snapPrefix, snapSuffix); ok && d.seqMeta[s] <= f {
-			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
-			delete(d.seqMeta, s)
-			pruned = true
-		}
-		if g, ok := segment.ParseManifestName(name); ok && g < gen {
+		_, isWAL := parseName(name, walPrefix, walSuffix)
+		snap, isSnap := parseName(name, snapPrefix, snapSuffix)
+		g, isMan := segment.ParseManifestName(name)
+		id, isSeg := segment.ParseFileName(name)
+		if (isWAL && name != liveLog && cur.base <= f) || (isSnap && snap.base <= f) ||
+			(isMan && g < gen) || (isSeg && !live[id] && id < t.nextID.Load()) {
 			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
 		}
-		if id, ok := segment.ParseFileName(name); ok && !live[id] && id < t.nextID.Load() {
-			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
-		}
-	}
-	if pruned {
-		d.writeSeqMetaLocked() //nolint:errcheck // best-effort shrink
 	}
 }

@@ -146,7 +146,7 @@ func TestTieredWriteToRefused(t *testing.T) {
 // point between a manifest commit and its WAL truncation — the coupling the
 // legacy checkpoint path got wrong.
 func TestTieredCrashMatrix(t *testing.T) {
-	total := runTieredCrashWorkload(t, t.TempDir(), 1<<40, 0, nil)
+	total := runTieredCrashWorkload(t, t.TempDir(), 1<<40, 0, nil, nil)
 	if total < 30 {
 		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
 	}
@@ -157,8 +157,9 @@ func TestTieredCrashMatrix(t *testing.T) {
 	for k := int64(0); k < total; k += stride {
 		dir := t.TempDir()
 		acked := make(map[uint64]ackState)
-		runTieredCrashWorkload(t, dir, k, int(k%3), acked)
-		verifyTieredRecovered(t, dir, k, acked)
+		var b seqBounds
+		runTieredCrashWorkload(t, dir, k, int(k%3), acked, &b)
+		verifyTieredRecovered(t, dir, k, acked, &b)
 	}
 }
 
@@ -173,7 +174,7 @@ func crashBase() []uint64 {
 	return base
 }
 
-func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState) int64 {
+func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState, b *seqBounds) int64 {
 	t.Helper()
 	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
 	cfs.Tear = tear
@@ -184,6 +185,7 @@ func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, ac
 		return cfs.Steps()
 	}
 	ack := func(key, val uint64, present bool, err error) {
+		b.note(err)
 		if acked == nil {
 			return
 		}
@@ -242,13 +244,14 @@ func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, ac
 	return cfs.Steps()
 }
 
-func verifyTieredRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState) {
+func verifyTieredRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState, b *seqBounds) {
 	t.Helper()
 	re, err := OpenDir(dir, tieredOpts())
 	if err != nil {
 		t.Fatalf("crash@%d: recovery failed: %v", k, err)
 	}
 	defer re.Close()
+	b.check(t, k, re)
 	for key, st := range acked {
 		if st.unstable {
 			continue
@@ -312,6 +315,7 @@ func TestTieredWALGCCrashBetweenFlushAndTruncate(t *testing.T) {
 		}
 		return acked
 	}
+	const attempted = 16 // seed's inserts
 	seed(d)
 	before := cfs.Steps()
 	if err := d.Flush(); err != nil {
@@ -343,6 +347,9 @@ func TestTieredWALGCCrashBetweenFlushAndTruncate(t *testing.T) {
 			if v, ok := re.Lookup(key); !ok || v != want {
 				t.Fatalf("crash@%d in flush: acked key %d = %d,%v want %d,true", k, key, v, ok, want)
 			}
+		}
+		if got := re.CommitSeq(); got < uint64(len(acked)) || got > attempted {
+			t.Fatalf("crash@%d in flush: recovered CommitSeq %d outside [acked %d, attempted %d]", k, got, len(acked), attempted)
 		}
 		re.Close() //nolint:errcheck
 	}
@@ -419,6 +426,53 @@ func TestTieredBulkLoadManifestFailureLeavesNoFiles(t *testing.T) {
 	if v, ok := d.Lookup(50); !ok || v != 5 {
 		t.Fatalf("key 50 = %d,%v after flush, want 5,true", v, ok)
 	}
+}
+
+// TestTieredGCKeepsLogsAboveWatermark: a flush whose manifest write fails
+// has already rotated the WAL, so the log before the live one holds commits
+// above the flushed watermark, kept only in the frozen run in memory. A
+// compaction's GC pass in that state must leave that log alone: the
+// commits it holds recover after a close without another flush.
+func TestTieredGCKeepsLogsAboveWatermark(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &manifestFailFS{FS: faultfs.OS}
+	d, err := openDirFS(dir, tieredOpts(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[uint64]uint64{}
+	for _, k := range []uint64{10, 20, 30} {
+		oracle[k] = k
+	}
+	if err := d.BulkLoad([]uint64{10, 20, 30}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 2; round++ {
+		for i := uint64(0); i < 5; i++ {
+			k := 1000*(round+1) + i
+			if err := d.Insert(k, i); err != nil {
+				t.Fatal(err)
+			}
+			oracle[k] = i
+		}
+		fsys.fail.Store(round == 1) // the second flush freezes, then fails
+		if err := d.Flush(); (err != nil) != (round == 1) {
+			t.Fatalf("flush %d: %v", round, err)
+		}
+	}
+	fsys.fail.Store(false)
+	if err := d.Compact(); err != nil { // merges the first flush's L0 run, then GCs
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	compareWithOracle(t, re, oracle, "reopened after a failed flush and a compaction")
 }
 
 // replaceStart builds the non-empty tier TestTieredReplaceCrashSweep
@@ -759,7 +813,7 @@ func TestTieredMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if _, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
+		if _, ok := parseName(e.Name(), snapPrefix, snapSuffix); ok {
 			t.Fatalf("legacy snapshot %s survived the flush that covers it", e.Name())
 		}
 	}

@@ -79,7 +79,7 @@ func TestDurableV1WAL(t *testing.T) {
 	dir := t.TempDir()
 	oracle := map[uint64]uint64{}
 	raw, n, intact := v1WALOracle(t, oracle)
-	live := filepath.Join(dir, walName(1))
+	live := filepath.Join(dir, walName(1, 0))
 	if err := os.WriteFile(live, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTieredV1WAL(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	live := filepath.Join(dir, walName(d.seq))
+	live := d.log.Path()
 	if size := fileSize(t, live); size != 0 {
 		t.Fatalf("live WAL after bulk load is %d bytes, want empty", size)
 	}
