@@ -67,11 +67,6 @@ type Options struct {
 	// per available CPU; 1 forces the serial path.
 	// The built structure is bit-identical for any worker count.
 	Workers int
-	// LockedReads disables the versioned optimistic read path (DESIGN.md
-	// §13): every Lookup/Range takes the shared interval lock instead of a
-	// seqlock-validated lock-free probe. Benchmarking baseline and escape
-	// hatch; leave false in production.
-	LockedReads bool
 }
 
 // Agents carries trained RL agents loaded from disk.
@@ -122,7 +117,6 @@ func New(opts Options) *Index {
 		RetrainEvery:         opts.RetrainEvery,
 		ReconstructThreshold: opts.ReconstructThreshold,
 		Workers:              opts.Workers,
-		LockedReads:          opts.LockedReads,
 	}
 	if a := opts.UseTrainedAgents; a != nil {
 		cfg.Dare = a.DARE
@@ -169,7 +163,7 @@ func (ix *Index) LookupBatch(keys, vals []uint64, found []bool) {
 }
 
 // ReadFallbacks reports how many lookups exhausted their optimistic retries
-// and fell back to the shared interval lock (always 0 under LockedReads).
+// and fell back to the shared interval lock.
 func (ix *Index) ReadFallbacks() uint64 { return ix.inner.ReadFallbacks() }
 
 // Insert adds key→val; it returns ErrDuplicateKey if key is present.

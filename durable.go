@@ -48,11 +48,6 @@ type DirOptions struct {
 	// bound is hit, further mutations are shed with ErrOverloaded — or block
 	// for space when BlockOnFull is set. Zero means unbounded.
 	MaxPending int
-	// MaxPendingBytes bounds the queue by WAL footprint instead of op count
-	// (each mutation costs its frame: 21 bytes for an insert, 13 for a
-	// delete). Zero means unbounded; when both bounds are set, either one
-	// rejects.
-	MaxPendingBytes int64
 	// BlockOnFull makes a full queue apply backpressure: mutations wait for
 	// space (respecting their context deadline) instead of failing fast with
 	// ErrOverloaded.
@@ -189,9 +184,9 @@ const (
 var ErrIndexClosed = errors.New("chameleon: durable index closed")
 
 // ErrOverloaded is returned by mutations shed at admission when the
-// group-commit queue is at its configured bound (DirOptions.MaxPending /
-// MaxPendingBytes) and BlockOnFull is off. A shed mutation was never logged
-// and never applied — retrying later is always safe.
+// group-commit queue is at its configured bound (DirOptions.MaxPending) and
+// BlockOnFull is off. A shed mutation was never logged and never applied —
+// retrying later is always safe.
 var ErrOverloaded = errors.New("chameleon: durable index overloaded: group-commit queue full")
 
 // ErrDiskFull marks a mutation rejected because the WAL's disk is full. It is
@@ -608,7 +603,7 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 			d.qmu.Unlock()
 			return ErrIndexClosed
 		}
-		if d.admitLocked(rec) {
+		if d.opts.MaxPending <= 0 || d.pendingOps < d.opts.MaxPending {
 			break
 		}
 		if !d.opts.BlockOnFull {
@@ -663,18 +658,6 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 	// follower behind it.
 	<-op.done
 	return op.err
-}
-
-// admitLocked checks whether rec fits within the queue bounds. Callers hold
-// qmu.
-func (d *DurableIndex) admitLocked(rec wal.Record) bool {
-	if d.opts.MaxPending > 0 && d.pendingOps >= d.opts.MaxPending {
-		return false
-	}
-	if d.opts.MaxPendingBytes > 0 && d.pendingBytes+int64(rec.FrameSize()) > d.opts.MaxPendingBytes {
-		return false
-	}
-	return true
 }
 
 // claimLocked moves every still-queued op into a batch, skipping (and

@@ -44,19 +44,20 @@ type Options struct {
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// MaxRetries bounds how many times a call is re-sent after a typed
-	// retryable rejection (default 2; 0 disables retry).
+	// retryable rejection. Zero, the value the replication dialer and the
+	// failure detector's probes use, means no retry (bench/ passes 2); a
+	// negative value counts as zero.
 	MaxRetries int
-	// RetryBackoff seeds the full-jitter retry window: before attempt k the
-	// client sleeps a uniform draw from [0, min(RetryBackoffCap,
-	// RetryBackoff<<k)] (default 2ms). A server retry-after hint overrides
-	// the draw. Full jitter (not plain exponential) is what keeps a thundering
-	// herd of rejected clients from re-arriving in lockstep and re-tripping
-	// the same overload that rejected them.
-	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the jitter window however many attempts have
-	// failed (default 250ms).
-	RetryBackoffCap time.Duration
 }
+
+// Full-jitter retry window: before attempt k the client sleeps a uniform
+// draw from [0, min(retryBackoffCap, retryBackoff<<k)]. Full jitter (not
+// plain exponential) keeps a thundering herd of rejected clients from
+// re-arriving in lockstep and re-tripping the overload that rejected them.
+const (
+	retryBackoff    = 2 * time.Millisecond
+	retryBackoffCap = 250 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Conns <= 0 {
@@ -70,12 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.RetryBackoffCap <= 0 {
-		o.RetryBackoffCap = 250 * time.Millisecond
 	}
 	return o
 }
@@ -417,7 +412,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request) (*wire.Response, err
 			return nil, rerr
 		}
 		lastErr = rerr
-		backoff := retryDelay(c.opts.RetryBackoff, c.opts.RetryBackoffCap, attempt, res.RetryAfterMS, rand.Int64N)
+		backoff := retryDelay(retryBackoff, retryBackoffCap, attempt, res.RetryAfterMS, rand.Int64N)
 		t := time.NewTimer(backoff)
 		select {
 		case <-t.C:

@@ -107,7 +107,7 @@ func (ix *Index) buildUpper(t *tree, keys, vals []uint64, lo, hi uint64, level i
 // depth budget is relative to it).
 func (ix *Index) buildLower(keys, vals []uint64, lo, hi uint64, level, h int) *node {
 	f := 1
-	if ix.cfg.Policy != nil && level < h+ix.cfg.MaxLowerDepth && len(keys) > 1 {
+	if ix.cfg.Policy != nil && level < h+maxLowerDepth && len(keys) > 1 {
 		f = ix.cfg.Policy.Fanout(keys, lo, hi, level)
 	}
 	if f <= 1 || len(keys) <= 1 {

@@ -48,32 +48,15 @@ type Config struct {
 	Alpha float64
 	// L is the DARE parameter-matrix row width (default 64).
 	L int
-	// MaxLowerDepth bounds the TSMDP refinement recursion below level h
-	// (default 3).
-	MaxLowerDepth int
 	// Dare chooses the upper-level parameters. Nil selects the analytic
 	// CostDARE policy.
 	Dare rl.DAREPolicy
-	// ReconstructDare is the policy used for runtime full reconstructions.
-	// The paper's online DARE invocation is cheap trained-critic inference;
-	// the deterministic default here is a reduced-budget CostDARE (10 × 8
-	// generations over a sample of about 16 k keys) so in-path rebuilds
-	// stay bounded: a whole Reconstruct of a 16,384-key index takes ~20 ms
-	// and allocates ~4 MB on a 2-vCPU Xeon. Nil selects that default; set
-	// it to a trained agent for the paper-faithful variant.
-	ReconstructDare rl.DAREPolicy
 	// Policy decides lower-level fanouts (TSMDP's role). Nil means level-h
 	// nodes become leaves directly (the ChaDA ablation).
 	Policy rl.FanoutPolicy
 	// RetrainEvery is the background retraining period (the paper evaluates
 	// 10s). Zero disables the retrainer; it can still be started manually.
 	RetrainEvery time.Duration
-	// LightThreshold is the updates/keys ratio that triggers a leaf-level
-	// retrain of a subtree (capacity restore, no sorting). Default 0.25.
-	LightThreshold float64
-	// StructThreshold is the ratio that triggers a structural rebuild of the
-	// subtree via the fanout policy. Default 1.0.
-	StructThreshold float64
 	// ReconstructThreshold triggers a full DARE reconstruction once
 	// cumulative updates since the last build exceed this multiple of the
 	// built size (Section V, Limitation 1: "when the number of updated data
@@ -90,11 +73,18 @@ type Config struct {
 	// independent genomes, never what is computed). A caller-supplied Dare
 	// carries its own worker count.
 	Workers int
-	// LockedReads disables the versioned optimistic read path: every Lookup
-	// and Range takes the shared interval lock, as before DESIGN.md §13.
-	// Intended for benchmarking the locked baseline and as an escape hatch.
-	LockedReads bool
 }
+
+const (
+	// maxLowerDepth bounds the TSMDP refinement recursion below level h.
+	maxLowerDepth = 3
+	// lightThreshold is the updates/keys ratio that triggers a leaf-level
+	// retrain of a subtree (capacity restore, no sorting).
+	lightThreshold = 0.25
+	// structThreshold is the ratio that triggers a structural rebuild of
+	// the subtree via the fanout policy.
+	structThreshold = 1.0
+)
 
 // Defaults returns cfg with unset fields filled in.
 func (cfg Config) Defaults() Config {
@@ -110,26 +100,8 @@ func (cfg Config) Defaults() Config {
 	if cfg.L <= 0 {
 		cfg.L = 64
 	}
-	if cfg.MaxLowerDepth <= 0 {
-		cfg.MaxLowerDepth = 3
-	}
-	if cfg.LightThreshold <= 0 {
-		cfg.LightThreshold = 0.25
-	}
-	if cfg.StructThreshold <= 0 {
-		cfg.StructThreshold = 1.0
-	}
 	if cfg.ReconstructThreshold == 0 {
 		cfg.ReconstructThreshold = 4.0
-	}
-	if cfg.ReconstructDare == nil {
-		dcfg := rl.DefaultDAREConfig()
-		dcfg.Seed = cfg.Seed
-		dcfg.GA.Generations = 8
-		dcfg.GA.Pop = 10
-		dcfg.SampleCap = 1 << 14
-		dcfg.GA.Workers = cfg.Workers
-		cfg.ReconstructDare = rl.NewCostDARE(dcfg)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -198,6 +170,14 @@ type Index struct {
 	env  rl.Env
 	tree atomic.Pointer[tree]
 
+	// reconstructDare is the policy runtime full reconstructions use. The
+	// paper's online DARE invocation is cheap trained-critic inference; here
+	// it is a reduced-budget CostDARE (10 × 8 generations over a sample of
+	// about 16 k keys) so in-path rebuilds stay bounded: a whole Reconstruct
+	// of a 16,384-key index takes ~20 ms and allocates ~4 MB on a 2-vCPU
+	// Xeon. Bulk loads keep cfg.Dare.
+	reconstructDare rl.DAREPolicy
+
 	count atomic.Int64 // stored keys
 
 	// Full-reconstruction bookkeeping.
@@ -256,10 +236,17 @@ var _ index.StatsProvider = (*Index)(nil)
 
 // New creates an empty index.
 func New(cfg Config) *Index {
+	// Built before Defaults: the reconstruction policy keeps Seed 0 as 0.
+	dcfg := rl.DefaultDAREConfig()
+	dcfg.Seed = cfg.Seed
+	dcfg.GA.Generations = 8
+	dcfg.GA.Pop = 10
+	dcfg.SampleCap = 1 << 14
+	dcfg.GA.Workers = cfg.Workers
 	cfg = cfg.Defaults()
 	env := rl.DefaultEnv()
 	env.Tau, env.Alpha = cfg.Tau, cfg.Alpha
-	ix := &Index{cfg: cfg, env: env}
+	ix := &Index{cfg: cfg, env: env, reconstructDare: rl.NewCostDARE(dcfg)}
 	ix.installTree(ix.buildTree(nil, nil), 0)
 	return ix
 }

@@ -135,20 +135,17 @@ func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	// guardedCollect scans one interval's subtree under its lock ID,
 	// optimistically first (probe with no lock, validate the seqlock
 	// version, roll the output back and retry locked if a writer raced us —
-	// the same protocol as Lookup, amortized over a whole subtree), unless
-	// Config.LockedReads forces the locked baseline.
+	// the same protocol as Lookup, amortized over a whole subtree).
 	var walk func(n *node, guarded bool)
 	guardedCollect := func(resolve func() *node, id uint64) {
-		if !ix.cfg.LockedReads {
-			mark := len(out)
-			if ver, ok := t.locks.ReadBegin(id); ok {
-				walk(resolve(), true)
-				if t.locks.ReadValidate(id, ver) {
-					return
-				}
+		mark := len(out)
+		if ver, ok := t.locks.ReadBegin(id); ok {
+			walk(resolve(), true)
+			if t.locks.ReadValidate(id, ver) {
+				return
 			}
-			out = out[:mark] // discard the possibly-torn partial collect
 		}
+		out = out[:mark] // discard the possibly-torn partial collect
 		t.locks.LockRead(id)
 		// Resolve again under the lock: the retrainer may have swapped the
 		// gate's child slot since the optimistic attempt.

@@ -71,14 +71,9 @@ func gcSlot(k uint64) int {
 // Lookup implements index.Index with the paper's O(H_C + 1) path: exact
 // inner routing (Eq. 1), then a conflict-degree-bounded probe in the EBH
 // leaf — executed optimistically under the interval seqlock, with the shared
-// read lock as the bounded-retry fallback. Config.LockedReads forces the old
-// always-locked behavior (the harness uses it as the A/B baseline).
+// read lock as the bounded-retry fallback.
 func (ix *Index) Lookup(k uint64) (uint64, bool) {
-	t := ix.tree.Load()
-	if ix.cfg.LockedReads {
-		return ix.lockedLookup(t, k)
-	}
-	return ix.lookupOn(t, k)
+	return ix.lookupOn(ix.tree.Load(), k)
 }
 
 // LookupBatch resolves keys[i] into vals[i], found[i], loading the tree
@@ -87,12 +82,6 @@ func (ix *Index) Lookup(k uint64) (uint64, bool) {
 // vals and found must be at least len(keys) long.
 func (ix *Index) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 	t := ix.tree.Load()
-	if ix.cfg.LockedReads {
-		for i, k := range keys {
-			vals[i], found[i] = ix.lockedLookup(t, k)
-		}
-		return
-	}
 	for i, k := range keys {
 		vals[i], found[i] = ix.lookupOn(t, k)
 	}
@@ -173,9 +162,8 @@ func (ix *Index) lookupOn(t *tree, k uint64) (uint64, bool) {
 	return ix.fallbackLookup(t, k)
 }
 
-// lockedLookup is the pre-seqlock read path: descend under the shared
-// interval lock. It serves Config.LockedReads and the retry-exhaustion
-// fallback.
+// lockedLookup descends under the shared interval lock: the paper's
+// Interval-Lock reader, taken once the optimistic retries run out.
 func (ix *Index) lockedLookup(t *tree, k uint64) (uint64, bool) {
 	leaf, _, id := t.descend(k, false)
 	v, ok := leaf.leaf.Lookup(k)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,16 +139,18 @@ func TestOptimisticTornReadOracle(t *testing.T) {
 }
 
 // TestLookupFallbackOnHeldWriteLock pins a key's interval under an exclusive
-// write lock and checks that an optimistic Lookup exhausts its retries,
-// takes the locked fallback (blocking until release), still returns the
-// right answer, and accounts the fallback.
+// write lock and checks, for Lookup and for a Range over that interval, that
+// the optimistic attempt gives up and takes the locked path (blocking until
+// release), still returns exactly the right answer, and — for Lookup —
+// accounts the fallback.
 func TestLookupFallbackOnHeldWriteLock(t *testing.T) {
 	keys := dataset.Uniform(50_000, 11)
 	ix := New(Config{ReconstructThreshold: -1})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
-	k := keys[len(keys)/2]
+	m := len(keys) / 2
+	k := keys[m]
 
 	// Find the interval guarding k the same way the read path does.
 	tr := ix.tree.Load()
@@ -160,58 +163,68 @@ func TestLookupFallbackOnHeldWriteLock(t *testing.T) {
 		id = n.gateBase + uint64(route(k, n))
 	}
 
-	tr.locks.LockWrite(id)
-	before := ix.ReadFallbacks()
-	got := make(chan [2]uint64, 1)
-	go func() {
-		v, ok := ix.Lookup(k)
-		f := uint64(0)
-		if ok {
-			f = 1
-		}
-		got <- [2]uint64{v, f}
-	}()
-	// The lookup must be blocked in the locked fallback now, not returning
-	// a value probed during the exclusive section.
-	select {
-	case r := <-got:
-		tr.locks.UnlockWrite(id)
-		t.Fatalf("Lookup returned (%d, %v) while the interval was write-locked", r[0], r[1] == 1)
-	case <-time.After(50 * time.Millisecond):
-	}
-	tr.locks.UnlockWrite(id)
-	select {
-	case r := <-got:
-		if r[1] != 1 || r[0] != k {
-			t.Fatalf("fallback Lookup = (%d, %v), want (%d, true)", r[0], r[1] == 1, k)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Lookup never completed after the write lock was released")
-	}
-	if after := ix.ReadFallbacks(); after <= before {
-		t.Fatalf("ReadFallbacks = %d, want > %d (retry exhaustion must be accounted)", after, before)
-	}
-}
-
-// TestLockedReadsConfig forces the locked baseline and checks lookups still
-// answer correctly and never touch the optimistic machinery's fallback
-// counter (they ARE the locked path).
-func TestLockedReadsConfig(t *testing.T) {
-	keys := dataset.Uniform(10_000, 5)
-	ix := New(Config{LockedReads: true, ReconstructThreshold: -1})
-	if err := ix.BulkLoad(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys[:100] {
-		if v, ok := ix.Lookup(k); !ok || v != k {
-			t.Fatalf("Lookup(%d) = (%d, %v)", k, v, ok)
-		}
-	}
-	if _, ok := ix.Lookup(keys[len(keys)-1] + 12345); ok {
-		t.Fatal("absent key found")
-	}
-	if ix.ReadFallbacks() != 0 {
-		t.Fatalf("locked reads incremented the fallback counter: %d", ix.ReadFallbacks())
+	for _, tc := range []struct {
+		name      string
+		read      func() []uint64 // flattened (key, value) pairs found
+		want      []uint64
+		fallbacks bool // the read is accounted in ReadFallbacks
+	}{
+		{
+			name: "Lookup",
+			read: func() []uint64 {
+				if v, ok := ix.Lookup(k); ok {
+					return []uint64{k, v}
+				}
+				return nil
+			},
+			want:      []uint64{k, k},
+			fallbacks: true,
+		},
+		{
+			name: "Range",
+			read: func() []uint64 {
+				var got []uint64
+				ix.Range(keys[m-5], keys[m+5], func(key, val uint64) bool {
+					got = append(got, key, val)
+					return true
+				})
+				return got
+			},
+			want: func() []uint64 {
+				var w []uint64
+				for _, key := range keys[m-5 : m+6] {
+					w = append(w, key, key)
+				}
+				return w
+			}(),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr.locks.LockWrite(id)
+			before := ix.ReadFallbacks()
+			got := make(chan []uint64, 1)
+			go func() { got <- tc.read() }()
+			// The read must be blocked in the locked path now, not returning
+			// what it probed during the exclusive section.
+			select {
+			case r := <-got:
+				tr.locks.UnlockWrite(id)
+				t.Fatalf("%s returned %v while the interval was write-locked", tc.name, r)
+			case <-time.After(50 * time.Millisecond):
+			}
+			tr.locks.UnlockWrite(id)
+			select {
+			case r := <-got:
+				if !slices.Equal(r, tc.want) {
+					t.Fatalf("locked-path %s = %v, want %v", tc.name, r, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s never completed after the write lock was released", tc.name)
+			}
+			if after := ix.ReadFallbacks(); tc.fallbacks && after <= before {
+				t.Fatalf("ReadFallbacks = %d, want > %d (retry exhaustion must be accounted)", after, before)
+			}
+		})
 	}
 }
 

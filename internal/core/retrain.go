@@ -174,10 +174,10 @@ func (ix *Index) RetrainPass() int {
 		}
 		ratio := float64(upd) / float64(keys)
 		switch {
-		case ratio >= ix.cfg.StructThreshold:
+		case ratio >= structThreshold:
 			ix.retrainStructural(t, g)
 			retrained++
-		case ratio >= ix.cfg.LightThreshold:
+		case ratio >= lightThreshold:
 			ix.retrainLight(t, g)
 			retrained++
 		}
@@ -357,7 +357,7 @@ func (ix *Index) Reconstruct() {
 		// Runtime rebuilds use the (cheaper) reconstruction policy; bulk
 		// loads keep the full-budget one.
 		saved := ix.cfg.Dare
-		ix.cfg.Dare = ix.cfg.ReconstructDare
+		ix.cfg.Dare = ix.reconstructDare
 		defer func() { ix.cfg.Dare = saved }()
 		nt := ix.buildTree(ks, vs)
 		ix.installTree(nt, len(ks))
@@ -380,7 +380,7 @@ func (ix *Index) DriftedGates() int {
 		if keys < 1 {
 			keys = 1
 		}
-		if float64(g.updates.Load())/float64(keys) >= ix.cfg.LightThreshold {
+		if float64(g.updates.Load())/float64(keys) >= lightThreshold {
 			n++
 		}
 	}

@@ -69,10 +69,9 @@ type Options struct {
 	// it well above the pull long-poll interval, or a healthy idle link
 	// looks suspicious.
 	SuspectAfter time.Duration
-	// ProbeInterval is the detector's tick (default 500ms).
+	// ProbeInterval is the detector's tick (default 500ms). It also bounds
+	// each dial, PING probe and fence.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one dial+PING probe (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// Probes is how many consecutive failed probes (while stalled) declare
 	// the primary dead (default 3). With the defaults, failover triggers
 	// roughly SuspectAfter + Probes×ProbeInterval ≈ 3.5s after the primary
@@ -113,9 +112,6 @@ func (o Options) withDefaults(node *repl.Node) Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.ProbeInterval
-	}
 	if o.Probes <= 0 {
 		o.Probes = 3
 	}
@@ -124,7 +120,7 @@ func (o Options) withDefaults(node *repl.Node) Options {
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (*client.Client, error) {
-			return client.Dial(addr, client.Options{Conns: 1, DialTimeout: o.ProbeTimeout})
+			return client.Dial(addr, client.Options{Conns: 1, DialTimeout: o.ProbeInterval})
 		}
 	}
 	if o.Logf == nil {
@@ -252,7 +248,7 @@ func (d *Detector) probe(ctx context.Context) bool {
 		return false
 	}
 	defer c.Close() //nolint:errcheck
-	pctx, cancel := context.WithTimeout(ctx, d.opts.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 	defer cancel()
 	return c.Ping(pctx) == nil
 }
@@ -276,7 +272,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	d.opts.Logf("failover: declaring primary %s dead (silent %v); fencing and promoting (claiming epoch %d)",
 		d.opts.Upstream, silence.Round(time.Millisecond), claim)
 	if c, err := d.opts.Dial(d.opts.Upstream); err == nil {
-		fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeTimeout)
+		fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 		c.Fence(fctx, claim) //nolint:errcheck
 		cancel()
 		c.Close() //nolint:errcheck
@@ -301,7 +297,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	// highest-epoch-wins resolution are the correctness mechanism.
 	for _, addr := range d.opts.Peers {
 		if c, err := d.opts.Dial(addr); err == nil {
-			fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeTimeout)
+			fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 			c.Fence(fctx, newEpoch) //nolint:errcheck
 			cancel()
 			c.Close() //nolint:errcheck

@@ -12,10 +12,9 @@ import (
 	"chameleon/internal/report"
 )
 
-// Read measures the optimistic read path (DESIGN.md §13) against its two
-// reference points: the always-locked baseline (Options.LockedReads) and a
-// raw Go map as the no-structure floor. The local sweep crosses
-// {optimistic, locked, map} × {1, 4 readers} × {0, 2 writers} × {uniform,
+// Read measures the optimistic read path (DESIGN.md §13) against a raw Go
+// map as the no-structure floor. The local sweep crosses
+// {optimistic, map} × {1, 4 readers} × {0, 2 writers} × {uniform,
 // hot-16 keys} and reports per-op p50/p99/p999 plus the retry-exhaustion
 // fallback count. Its results are BENCH_read.json's. The remote read path
 // (GET coalescing over a real socket) is the repo benchmark's remote_get
@@ -31,7 +30,7 @@ func Read(cfg Config) ([]*report.Table, any) {
 		Cols:  []string{"mode", "dist", "readers", "writers", "ops/s", "p50", "p99", "p999", "fallbacks"},
 	}
 
-	for _, mode := range []string{"optimistic", "locked", "map"} {
+	for _, mode := range []string{"optimistic", "map"} {
 		// One build per mode: the sweep points reuse the index (rebuilding
 		// per point would cost a full DARE training run each and measure
 		// nothing different — the read path has no cross-point state beyond
@@ -68,7 +67,7 @@ type readReport struct {
 }
 
 type readRow struct {
-	Mode      string  `json:"mode"` // optimistic | locked | map
+	Mode      string  `json:"mode"` // optimistic | map
 	Dist      string  `json:"dist"` // uniform | hot
 	Readers   int     `json:"readers"`
 	Writers   int     `json:"writers"`
@@ -100,7 +99,7 @@ func buildReadTarget(keys []uint64, mode string) readTarget {
 			fallbacks: func() uint64 { return 0 },
 		}
 	}
-	ix := chameleon.New(chameleon.Options{Seed: 1, LockedReads: mode == "locked"})
+	ix := chameleon.New(chameleon.Options{Seed: 1})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		panic(err)
 	}

@@ -183,7 +183,7 @@ func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, force
 		}
 		from := n.ix.ShardCommitSeq(shard) + 1
 		pctx, cancel := context.WithTimeout(ctx, n.opts.PullWait+5*time.Second)
-		pr, err := c.ReplPull(pctx, shard, from, n.opts.PullMax, n.opts.PullWait, epoch, peerGen)
+		pr, err := c.ReplPull(pctx, shard, from, pullMax, n.opts.PullWait, epoch, peerGen)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {

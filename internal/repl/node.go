@@ -75,6 +75,9 @@ var ErrUnknownSnapshot = errors.New("repl: unknown or expired snapshot stream")
 // ErrNodeClosed is returned by operations on a closed Node.
 var ErrNodeClosed = errors.New("repl: node closed")
 
+// pullMax caps records per pull reply; followers ask for exactly this many.
+const pullMax = 4096
+
 // Options tunes a Node. The zero value plus defaults gives an async primary.
 type Options struct {
 	// ReplicaOf is the upstream address to follow; empty starts the node as
@@ -91,8 +94,6 @@ type Options struct {
 	// catch-up, per shard (default 65536); a follower further behind
 	// bootstraps from a snapshot.
 	RingCap int
-	// PullMax caps records per pull reply (default 4096).
-	PullMax int
 	// PullWait is the follower's long-poll duration (default 1s); it doubles
 	// as the heartbeat interval, since even an empty pull proves the link.
 	PullWait time.Duration
@@ -120,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RingCap <= 0 {
 		o.RingCap = 65536
-	}
-	if o.PullMax <= 0 {
-		o.PullMax = 4096
 	}
 	if o.PullWait <= 0 {
 		o.PullWait = time.Second
@@ -481,8 +479,8 @@ func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, ma
 	if fromSeq == 0 {
 		fromSeq = 1
 	}
-	if max <= 0 || max > n.opts.PullMax {
-		max = n.opts.PullMax
+	if max <= 0 || max > pullMax {
+		max = pullMax
 	}
 	deadline := time.Now().Add(wait)
 	st := n.streams[shard]

@@ -3,7 +3,6 @@ package server_test
 import (
 	"bufio"
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -28,11 +27,7 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	s := startServer(t, ix, server.Options{})
 	defer s.Close() //nolint:errcheck
 
-	nc, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer nc.Close() //nolint:errcheck
+	nc := dialHello(t, s)
 
 	// One write carrying 32 GETs (even ids probe present keys, odd ids
 	// absent ones) plus a PING, so the whole burst is buffered server-side

@@ -131,11 +131,11 @@ func TestHelloVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestReplOpsRequireNegotiation: the REPL_* family is fenced twice — a
-// server without replication refuses outright, and a replication-enabled
-// server refuses connections that skipped HELLO. Both come back as typed
-// malformed rejections, not hangs or internal errors. A connection that
-// never sends HELLO is otherwise still served, with zero features.
+// TestReplOpsRequireNegotiation: the REPL_* family is served iff the server
+// runs replication. A server without it refuses with a typed malformed
+// rejection, not a hang or an internal error; a replicating server serves a
+// client that went through HELLO. (A connection that skips HELLO is refused
+// before any op runs: TestHelloRequired.)
 func TestReplOpsRequireNegotiation(t *testing.T) {
 	ctx := context.Background()
 
@@ -152,47 +152,72 @@ func TestReplOpsRequireNegotiation(t *testing.T) {
 		t.Fatalf("REPL_PULL without replication: %v, want ErrCodeMalformed", err)
 	}
 
-	// Replication configured, but the connection never negotiated FeatRepl:
-	// raw frames, since the client always sends HELLO.
+	// Replication configured: the same call is served.
 	node := repl.New(ix, repl.Options{})
 	defer node.Close()
 	s2 := startServer(t, ix, server.Options{Repl: node})
 	defer s2.Close() //nolint:errcheck
-	nc, err := net.Dial("tcp", s2.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close() //nolint:errcheck
-	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	rawCall := func(req *wire.Request) *wire.Response {
-		t.Helper()
-		if _, err := nc.Write(wire.AppendRequest(nil, req)); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := wire.ReadFrame(nc)
-		if err != nil {
-			t.Fatalf("%s reply: %v", req.Op, err)
-		}
-		res, err := wire.DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if res := rawCall(&wire.Request{ID: 1, Op: wire.OpReplPull, Seq: 1, Limit: 10}); res.OK || res.Err != wire.ErrCodeMalformed {
-		t.Fatalf("REPL_PULL without HELLO answered %+v, want ErrCodeMalformed", res)
-	}
-	if res := rawCall(&wire.Request{ID: 2, Op: wire.OpInsert, Key: 5, Val: 6}); !res.OK || res.HasSeq {
-		t.Fatalf("INSERT without HELLO answered %+v, want OK with no sequence token", res)
-	}
-
-	// A negotiated client on the same server works.
 	good := dialClient(t, s2, client.Options{})
 	defer good.Close() //nolint:errcheck
 	if _, err := good.ReplPull(ctx, 0, 1, 10, 0, 0, 0); err != nil {
 		t.Fatalf("negotiated REPL_PULL: %v", err)
+	}
+}
+
+// TestHelloRequired: HELLO is mandatory. A raw connection whose first
+// request is anything else — a GET, an INSERT, or a REPL_PULL on a
+// replicating server — gets the typed version-mismatch refusal under its own
+// request id, nothing runs, and the server hangs up. After a HELLO, every
+// successful INSERT, DELETE and BATCH reply carries the commit-sequence
+// token its write landed at.
+func TestHelloRequired(t *testing.T) {
+	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
+	defer ix.Close() //nolint:errcheck
+	node := repl.New(ix, repl.Options{})
+	defer node.Close()
+	s := startServer(t, ix, server.Options{Repl: node})
+	defer s.Close() //nolint:errcheck
+
+	for _, first := range []*wire.Request{
+		{ID: 1, Op: wire.OpGet, Key: 5},
+		{ID: 2, Op: wire.OpInsert, Key: 5, Val: 6},
+		{ID: 3, Op: wire.OpReplPull, Seq: 1, Limit: 10},
+	} {
+		t.Run(first.Op.String(), func(t *testing.T) {
+			nc, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()                                //nolint:errcheck
+			nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			res := rawRoundTrip(t, nc, first)
+			if res.OK || res.Err != wire.ErrCodeVersionMismatch || res.ID != first.ID {
+				t.Fatalf("%s before HELLO answered %+v, want ErrCodeVersionMismatch for id %d", first.Op, res, first.ID)
+			}
+			if _, err := wire.ReadFrame(nc); err == nil {
+				t.Fatal("server kept the HELLO-less connection open")
+			}
+		})
+	}
+	if n := ix.Len(); n != 0 {
+		t.Fatalf("a refused request ran: Len = %d, want 0", n)
+	}
+
+	nc := dialHello(t, s)
+	nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	for _, req := range []*wire.Request{
+		{ID: 1, Op: wire.OpInsert, Key: 5, Val: 6},
+		{ID: 2, Op: wire.OpInsert, Key: 7, Val: 8},
+		{ID: 3, Op: wire.OpDelete, Key: 5},
+		{ID: 4, Op: wire.OpBatch, Batch: []wire.BatchOp{{Op: wire.OpInsert, Key: 9, Val: 10}, {Op: wire.OpDelete, Key: 7}}},
+	} {
+		res := rawRoundTrip(t, nc, req)
+		if !res.OK || !res.HasSeq || res.Seq != ix.CommitSeq() {
+			t.Fatalf("%s after HELLO answered %+v, want OK with token %d", req.Op, res, ix.CommitSeq())
+		}
+	}
+	if got := ix.CommitSeq(); got != 5 {
+		t.Fatalf("CommitSeq = %d after 5 writes", got)
 	}
 }
 

@@ -83,18 +83,9 @@ type Options struct {
 	// When a client over-pipelines, the server simply stops reading its
 	// socket until a slot frees — TCP backpressure, no error.
 	MaxPipeline int
-	// IdleTimeout closes a connection that sends no frame for this long
-	// (default 5m; 0 disables).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush (default 30s).
-	WriteTimeout time.Duration
 	// RangeLimit caps pairs per RANGE response (default 4096, hard-capped
 	// so the response fits MaxFrame). Clients page with More + lo=last+1.
 	RangeLimit int
-	// OverloadedRetryMS / DiskFullRetryMS are the retry-after hints sent
-	// with the two retryable rejections (defaults 2 and 200).
-	OverloadedRetryMS uint32
-	DiskFullRetryMS   uint32
 	// OwnsIndex makes Shutdown checkpoint and close the index after the
 	// drain. cmd/chameleon-serve sets it; tests that reuse the index don't.
 	OwnsIndex bool
@@ -103,10 +94,21 @@ type Options struct {
 	// ex-primaries reject with ErrCodeNotPrimary), HELLO advertises FeatRepl,
 	// and STATS grows the repl_* fields. Nil = replication off.
 	Repl *repl.Node
-	// MaxPullWait caps a REPL_PULL/GET_SEQ long-poll so a drain is never
-	// stuck behind one (default 30s).
-	MaxPullWait time.Duration
 }
+
+const (
+	// idleTimeout closes a connection that sends no frame for this long.
+	idleTimeout = 5 * time.Minute
+	// writeTimeout bounds each response flush.
+	writeTimeout = 30 * time.Second
+	// overloadedRetryMS and diskFullRetryMS are the retry-after hints sent
+	// with the two retryable rejections.
+	overloadedRetryMS = 2
+	diskFullRetryMS   = 200
+	// maxPullWait caps a REPL_PULL/GET_SEQ long-poll so a drain is never
+	// stuck behind one.
+	maxPullWait = 30 * time.Second
+)
 
 // maxRangePairs keeps a full RANGE response inside one MaxFrame.
 const maxRangePairs = (wire.MaxFrame - 64) / 16
@@ -123,27 +125,12 @@ func (o Options) withDefaults() Options {
 	if o.MaxPipeline <= 0 {
 		o.MaxPipeline = 128
 	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
 	if o.RangeLimit <= 0 || o.RangeLimit > maxRangePairs {
 		if o.RangeLimit > maxRangePairs {
 			o.RangeLimit = maxRangePairs
 		} else {
 			o.RangeLimit = 4096
 		}
-	}
-	if o.OverloadedRetryMS == 0 {
-		o.OverloadedRetryMS = 2
-	}
-	if o.DiskFullRetryMS == 0 {
-		o.DiskFullRetryMS = 200
-	}
-	if o.MaxPullWait <= 0 {
-		o.MaxPullWait = 30 * time.Second
 	}
 	return o
 }
@@ -385,10 +372,6 @@ type conn struct {
 	slots    chan struct{}
 	handlers sync.WaitGroup
 	wdone    chan struct{}
-	// features holds the HELLO-negotiated feature bits (0 until a HELLO
-	// succeeds — a pre-negotiation client keeps the exact legacy byte
-	// stream: no sequence tokens ever appear on its replies).
-	features atomic.Uint64
 }
 
 func (c *conn) run() {
@@ -403,14 +386,13 @@ func (c *conn) run() {
 	// hits the pipeline cap. Coalescing therefore never ADDS latency — a
 	// lone GET is dispatched on the very next loop iteration.
 	var getBatch []*wire.Request
+	helloed := false
 	for {
 		if len(getBatch) > 0 && !wire.FullFrameBuffered(br) {
 			c.dispatchGets(getBatch)
 			getBatch = nil
 		}
-		if idle := c.srv.opts.IdleTimeout; idle > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(idle)) //nolint:errcheck
-		}
+		c.nc.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// A framing-level error (bad CRC, absurd length) means the
@@ -438,16 +420,17 @@ func (c *conn) run() {
 			c.out <- &wire.Response{ID: id, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: derr.Error()}
 			continue
 		}
-		// HELLO is handled inline, before any pipelined handler can race the
-		// feature bits: a version mismatch answers with the typed code and
-		// hangs up (fail-fast — nothing after a failed negotiation can be
-		// interpreted safely).
-		if req.Op == wire.OpHello {
-			res := c.srv.handleHello(c, req)
+		// HELLO must be the first request, and is handled inline: a version
+		// mismatch, or any other request in its place, answers with the
+		// typed code and hangs up (fail-fast — nothing after a failed
+		// negotiation can be interpreted safely).
+		if !helloed || req.Op == wire.OpHello {
+			res := c.srv.handleHello(req)
 			c.out <- res
 			if !res.OK {
 				break
 			}
+			helloed = true
 			continue
 		}
 		if req.Op == wire.OpGet {
@@ -471,7 +454,7 @@ func (c *conn) run() {
 		c.handlers.Add(1)
 		go func() {
 			defer c.handlers.Done()
-			c.out <- c.srv.dispatch(c.srv.baseCtx, c, req)
+			c.out <- c.srv.dispatch(c.srv.baseCtx, req)
 			<-c.slots
 		}()
 	}
@@ -498,7 +481,7 @@ func (c *conn) dispatchGets(reqs []*wire.Request) {
 		c.handlers.Add(1)
 		go func() {
 			defer c.handlers.Done()
-			c.out <- c.srv.dispatch(c.srv.baseCtx, c, req)
+			c.out <- c.srv.dispatch(c.srv.baseCtx, req)
 			<-c.slots
 		}()
 		return
@@ -553,7 +536,7 @@ func (c *conn) writer() {
 			continue // keep draining so handlers never block on a dead conn
 		}
 		buf = wire.AppendResponse(buf[:0], res)
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout)) //nolint:errcheck
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 		if _, err := bw.Write(buf); err != nil {
 			dead = true
 			c.nc.Close() //nolint:errcheck
@@ -567,33 +550,35 @@ func (c *conn) writer() {
 		}
 	}
 	if !dead {
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout)) //nolint:errcheck
-		bw.Flush()                                                     //nolint:errcheck
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+		bw.Flush()                                          //nolint:errcheck
 	}
 }
 
-// handleHello answers protocol negotiation. A version mismatch is the one
-// hard failure: the typed code goes back and the caller hangs up the
-// connection. On success the connection's feature set becomes the
-// intersection of what the client offered and what this server grants.
-func (s *Server) handleHello(c *conn, req *wire.Request) *wire.Response {
+// handleHello answers protocol negotiation. A version mismatch, or a
+// request other than HELLO where HELLO must come first, is the one hard
+// failure: the typed code goes back and the caller hangs up the connection.
+// On success the reply grants the intersection of what the client offered
+// and what this server serves.
+func (s *Server) handleHello(req *wire.Request) *wire.Response {
 	s.requests.Add(1)
-	res := &wire.Response{ID: req.ID, Op: wire.OpHello, OK: true}
-	if req.Version != wire.ProtocolVersion {
+	res := &wire.Response{ID: req.ID, Op: req.Op, OK: true}
+	if req.Op != wire.OpHello || req.Version != wire.ProtocolVersion {
 		s.reqErrors.Add(1)
 		res.OK = false
 		res.Err = wire.ErrCodeVersionMismatch
 		res.Msg = fmt.Sprintf("server speaks protocol v%d, client offered v%d", wire.ProtocolVersion, req.Version)
+		if req.Op != wire.OpHello {
+			res.Msg = fmt.Sprintf("server speaks protocol v%d and requires HELLO first, got %s", wire.ProtocolVersion, req.Op)
+		}
 		return res
 	}
 	granted := wire.FeatSeqTokens
 	if s.opts.Repl != nil {
 		granted |= wire.FeatRepl
 	}
-	feats := req.Features & granted
-	c.features.Store(feats)
 	res.Version = wire.ProtocolVersion
-	res.Features = feats
+	res.Features = req.Features & granted
 	if s.opts.Repl != nil {
 		role, epoch := s.opts.Repl.Role()
 		res.Role, res.Epoch = byte(role), epoch
@@ -601,11 +586,9 @@ func (s *Server) handleHello(c *conn, req *wire.Request) *wire.Response {
 	return res
 }
 
-// addSeqToken stamps a successful write reply with the commit clock on
-// token-negotiated connections. Pre-HELLO connections get the byte-identical
-// legacy reply — HasSeq stays false.
-func (s *Server) addSeqToken(c *conn, res *wire.Response) *wire.Response {
-	if res.OK && c.features.Load()&wire.FeatSeqTokens != 0 {
+// addSeqToken stamps a successful write reply with the commit clock.
+func (s *Server) addSeqToken(res *wire.Response) *wire.Response {
+	if res.OK {
 		res.Seq = s.ix.CommitSeq()
 		res.HasSeq = true
 	}
@@ -621,13 +604,11 @@ func (s *Server) writeGateErr() error {
 	return nil
 }
 
-// pollCtx bounds a long-poll by the request's WaitMS, capped at MaxPullWait
+// pollCtx bounds a long-poll by the request's WaitMS, capped at maxPullWait
 // so a drain never waits behind one.
 func (s *Server) pollCtx(ctx context.Context, waitMS uint32) (context.Context, context.CancelFunc, time.Duration) {
 	wait := time.Duration(waitMS) * time.Millisecond
-	if wait > s.opts.MaxPullWait {
-		wait = s.opts.MaxPullWait
-	}
+	wait = min(wait, maxPullWait)
 	if wait <= 0 {
 		return ctx, func() {}, 0
 	}
@@ -636,7 +617,7 @@ func (s *Server) pollCtx(ctx context.Context, waitMS uint32) (context.Context, c
 }
 
 // dispatch executes one request against the index and builds its response.
-func (s *Server) dispatch(ctx context.Context, c *conn, req *wire.Request) *wire.Response {
+func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response {
 	s.requests.Add(1)
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
@@ -671,12 +652,12 @@ func (s *Server) dispatch(ctx context.Context, c *conn, req *wire.Request) *wire
 		if err := s.writeGateErr(); err != nil {
 			return s.fail(res, err)
 		}
-		return s.addSeqToken(c, s.fail(res, s.ix.InsertCtx(ctx, req.Key, req.Val)))
+		return s.addSeqToken(s.fail(res, s.ix.InsertCtx(ctx, req.Key, req.Val)))
 	case wire.OpDelete:
 		if err := s.writeGateErr(); err != nil {
 			return s.fail(res, err)
 		}
-		return s.addSeqToken(c, s.fail(res, s.ix.DeleteCtx(ctx, req.Key)))
+		return s.addSeqToken(s.fail(res, s.ix.DeleteCtx(ctx, req.Key)))
 	case wire.OpBatch:
 		if err := s.writeGateErr(); err != nil {
 			return s.fail(res, err)
@@ -688,11 +669,11 @@ func (s *Server) dispatch(ctx context.Context, c *conn, req *wire.Request) *wire
 				break
 			}
 		}
-		return s.addSeqToken(c, res)
+		return s.addSeqToken(res)
 	case wire.OpGetSeq:
 		return s.handleGetSeq(ctx, req, res)
 	case wire.OpReplPull, wire.OpReplSnap, wire.OpReplFence, wire.OpPromote:
-		return s.handleRepl(ctx, c, req, res)
+		return s.handleRepl(ctx, req, res)
 	default:
 		// DecodeRequest only emits known opcodes; this is future-proofing.
 		return s.fail(res, wire.ErrMalformed)
@@ -734,13 +715,10 @@ func (s *Server) waitSeqBounded(ctx context.Context, seq uint64, d time.Duration
 }
 
 // handleRepl dispatches the replication opcodes into the node.
-func (s *Server) handleRepl(ctx context.Context, c *conn, req *wire.Request, res *wire.Response) *wire.Response {
+func (s *Server) handleRepl(ctx context.Context, req *wire.Request, res *wire.Response) *wire.Response {
 	node := s.opts.Repl
 	if node == nil {
 		return s.fail(res, fmt.Errorf("%w: replication not enabled on this server", wire.ErrMalformed))
-	}
-	if c.features.Load()&wire.FeatRepl == 0 {
-		return s.fail(res, fmt.Errorf("%w: %s requires a HELLO negotiating FeatRepl", wire.ErrMalformed, req.Op))
 	}
 	switch req.Op {
 	case wire.OpReplPull:
@@ -845,9 +823,9 @@ func (s *Server) fail(res *wire.Response, err error) *wire.Response {
 	res.Msg = err.Error()
 	switch res.Err {
 	case wire.ErrCodeOverloaded:
-		res.RetryAfterMS = s.opts.OverloadedRetryMS
+		res.RetryAfterMS = overloadedRetryMS
 	case wire.ErrCodeDiskFull:
-		res.RetryAfterMS = s.opts.DiskFullRetryMS
+		res.RetryAfterMS = diskFullRetryMS
 	}
 	return res
 }

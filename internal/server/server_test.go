@@ -55,6 +55,47 @@ func dialClient(t *testing.T, s *server.Server, copts client.Options) *client.Cl
 	return c
 }
 
+// helloID is the request id dialHello's HELLO uses; tests number their own
+// requests from 1, so it never collides.
+const helloID = ^uint64(0)
+
+// dialHello opens a raw socket to s and completes the mandatory HELLO, for
+// tests that write frames by hand. The connection closes with the test.
+func dialHello(t *testing.T, s *server.Server) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })                 //nolint:errcheck
+	nc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	res := rawRoundTrip(t, nc, &wire.Request{
+		ID: helloID, Op: wire.OpHello, Version: wire.ProtocolVersion, Features: wire.LocalFeatures,
+	})
+	if !res.OK || res.ID != helloID || res.Op != wire.OpHello {
+		t.Fatalf("HELLO answered %+v", res)
+	}
+	nc.SetDeadline(time.Time{}) //nolint:errcheck
+	return nc
+}
+
+// rawRoundTrip writes one request frame to nc and reads back one response.
+func rawRoundTrip(t *testing.T, nc net.Conn, req *wire.Request) *wire.Response {
+	t.Helper()
+	if _, err := nc.Write(wire.AppendRequest(nil, req)); err != nil {
+		t.Fatalf("write %s: %v", req.Op, err)
+	}
+	payload, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatalf("%s reply: %v", req.Op, err)
+	}
+	res, err := wire.DecodeResponse(payload)
+	if err != nil {
+		t.Fatalf("decode %s reply: %v", req.Op, err)
+	}
+	return res
+}
+
 // TestServeBasicOps drives every opcode end-to-end over a real socket and
 // checks the error mapping round-trips to the in-process sentinels.
 func TestServeBasicOps(t *testing.T) {
@@ -614,11 +655,7 @@ func TestServeHostileBytes(t *testing.T) {
 
 	// Well-framed garbage: unknown opcode inside a valid frame. The request
 	// fails typed; the connection survives and serves the next request.
-	nc2, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()                               //nolint:errcheck
+	nc2 := dialHello(t, s)
 	bad := append([]byte{0x6f}, make([]byte, 8)...) // opcode 0x6f, id 0
 	binary.LittleEndian.PutUint64(bad[1:], 77)
 	frame := wireTestFrame(bad)

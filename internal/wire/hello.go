@@ -1,17 +1,19 @@
 package wire
 
-// HELLO is the first frame a feature-aware client (or replication follower)
-// sends on a fresh connection: its protocol version and the feature bits it
-// implements. The server replies with its own version and the negotiated
-// intersection, plus its replication role and epoch so a redirecting client
-// learns the topology for free.
+// HELLO is the first frame every client (and replication follower) sends on
+// a fresh connection: its protocol version and the feature bits it
+// implements. The server replies with its own version and the intersection
+// of the offered bits with what it serves, plus its replication role and
+// epoch so a redirecting client learns the topology for free.
 //
 // Compatibility:
 //
-//   - A peer that never sends HELLO (a pre-negotiation client, or a raw
-//     tool) is still served, with zero features — in particular no
-//     commit-sequence tokens and no replication ops, so responses are
-//     byte-identical to the pre-HELLO protocol.
+//   - HELLO is mandatory. A first request that decodes but is not HELLO (a
+//     pre-negotiation v1 peer, or a raw tool) gets the typed
+//     ErrCodeVersionMismatch and a hang-up; a frame that does not decode
+//     gets the per-request malformed reply, as anywhere in the stream.
+//   - After HELLO every write reply carries its commit-sequence token, and
+//     the REPL_* family is served iff the server runs replication.
 //   - The client always sends HELLO and never falls back: a server that
 //     rejects it (as malformed or as a version mismatch) fails the dial
 //     with the typed error.

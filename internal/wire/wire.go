@@ -62,8 +62,8 @@ const (
 	// (unknown opcode), which fails the client's dial.
 	OpHello Op = 0x08
 
-	// The REPL_* family is the replication stream; see internal/repl. All
-	// of it is feature-gated behind FeatRepl. The two bytes below
+	// The REPL_* family is the replication stream; see internal/repl. It is
+	// served iff the server runs replication. The two bytes below
 	// OpReplFence carried protocol v2's unsharded pull and snapshot ops;
 	// they are retired and decode as unknown opcodes.
 
@@ -173,8 +173,9 @@ const (
 	// ErrCodeInternal: anything else; see the message.
 	ErrCodeInternal ErrCode = 10
 	// ErrCodeVersionMismatch: the peer's HELLO carried a protocol version
-	// this node does not speak. Sent in the HELLO reply; the connection is
-	// then closed. Not retryable against the same binary.
+	// this node does not speak, or the peer's first request was not HELLO.
+	// Sent in reply to that request; the connection is then closed. Not
+	// retryable against the same binary.
 	ErrCodeVersionMismatch ErrCode = 11
 	// ErrCodeNotPrimary: a write (or replication-control op) was sent to a
 	// node that is a follower or has been fenced. Redirect to the current
@@ -331,9 +332,9 @@ type Response struct {
 	Stats []byte
 
 	// Seq is the commit-sequence token: on INSERT/DELETE/BATCH OK replies it
-	// is present only when HasSeq is set (the server adds it exactly on
-	// HELLO-negotiated connections with FeatSeqTokens, so pre-HELLO clients
-	// never see an unexpected body); on GET_SEQ replies it is always present.
+	// is present only when HasSeq is set (the server sets it on every OK
+	// write reply; HELLO is mandatory, so every peer expects the body); on
+	// GET_SEQ replies it is always present.
 	Seq    uint64
 	HasSeq bool
 
@@ -483,8 +484,8 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	case OpStats:
 		payload = append(payload, r.Stats...)
 	case OpInsert, OpDelete:
-		// The commit-sequence token is the only body, and only when
-		// negotiated: legacy replies stay empty.
+		// The commit-sequence token is the only body, present iff HasSeq
+		// (see Response.Seq).
 		if r.HasSeq {
 			payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
 		}
@@ -795,7 +796,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		count := binary.LittleEndian.Uint32(body)
 		body = body[4:]
 		// The per-op codes may be followed by an 8-byte commit-sequence
-		// token (HELLO-negotiated conns only; see Response.Seq).
+		// token (see Response.Seq).
 		switch int64(len(body)) {
 		case int64(count):
 		case int64(count) + 8:

@@ -126,14 +126,15 @@ func TestOverloadShedFastFail(t *testing.T) {
 	}
 }
 
-// TestOverloadShedByFrameBytes: MaxPendingBytes charges each op its own
-// frame, so a bound of one insert plus one delete admits exactly that behind
-// a stalled fsync and sheds the next op of either kind.
-func TestOverloadShedByFrameBytes(t *testing.T) {
+// TestOverloadQueueBytesPerFrame: the queue charges each admitted op its own
+// WAL frame, so an insert and a delete queued behind a stalled fsync show as
+// exactly their two frame sizes in Health().QueueBytes, the next op of
+// either kind is shed at MaxPending 2, and the drain returns the bytes to 0.
+func TestOverloadQueueBytesPerFrame(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
 	opts := durableOpts()
-	opts.MaxPendingBytes = insFrame + delFrame
+	opts.MaxPending = 2
 	d, err := openDirFS(dir, opts, stall)
 	if err != nil {
 		t.Fatal(err)

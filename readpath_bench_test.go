@@ -1,9 +1,8 @@
 package chameleon_test
 
 // Read-path micro-benchmarks for the optimistic seqlock lookup (DESIGN.md
-// §13): the versioned lock-free path vs the always-locked baseline
-// (Options.LockedReads) vs a raw Go map as the no-structure floor, serial
-// and with RunParallel. The full read experiment with percentiles and writer
+// §13) against a raw Go map as the no-structure floor, serial and with
+// RunParallel. The full read experiment with percentiles and writer
 // interference is `-exp read` (BENCH_read.json); remote pipelined GETs are
 // the repo benchmark's remote_get workload (bench/).
 
@@ -15,18 +14,19 @@ import (
 	"chameleon/internal/harness"
 )
 
-func buildReadBench(b *testing.B, locked bool) *chameleon.Index {
+func buildReadBench(b *testing.B) *chameleon.Index {
 	b.Helper()
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
-	ix := chameleon.New(chameleon.Options{Seed: 1, LockedReads: locked})
+	ix := chameleon.New(chameleon.Options{Seed: 1})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		b.Fatal(err)
 	}
 	return ix
 }
 
-func benchLookupPath(b *testing.B, locked bool) {
-	ix := buildReadBench(b, locked)
+// BenchmarkLookupOptimistic is the versioned lock-free read path.
+func BenchmarkLookupOptimistic(b *testing.B) {
+	ix := buildReadBench(b)
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
 	probes := harness.Probes(keys, 1<<16, 7)
 	b.ResetTimer()
@@ -34,13 +34,6 @@ func benchLookupPath(b *testing.B, locked bool) {
 		ix.Lookup(probes[i&(1<<16-1)])
 	}
 }
-
-// BenchmarkLookupOptimistic is the default versioned lock-free read path.
-func BenchmarkLookupOptimistic(b *testing.B) { benchLookupPath(b, false) }
-
-// BenchmarkLookupLocked forces the pre-optimization shared-lock read path;
-// the delta against BenchmarkLookupOptimistic is the seqlock win.
-func BenchmarkLookupLocked(b *testing.B) { benchLookupPath(b, true) }
 
 // BenchmarkLookupMap is the floor: a plain map probe with zero index
 // structure, ordering, or concurrency safety.
@@ -57,8 +50,10 @@ func BenchmarkLookupMap(b *testing.B) {
 	}
 }
 
-func benchLookupParallel(b *testing.B, locked bool) {
-	ix := buildReadBench(b, locked)
+// BenchmarkLookupOptimisticParallel exercises reader scaling: optimistic
+// readers share nothing, so no lock word bounces between them.
+func BenchmarkLookupOptimisticParallel(b *testing.B) {
+	ix := buildReadBench(b)
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
 	probes := harness.Probes(keys, 1<<16, 7)
 	b.ResetTimer()
@@ -71,14 +66,11 @@ func benchLookupParallel(b *testing.B, locked bool) {
 	})
 }
 
-// BenchmarkLookupOptimisticParallel exercises reader scaling: optimistic
-// readers share nothing, while the locked baseline bounces every interval's
-// lock word between readers.
-func BenchmarkLookupOptimisticParallel(b *testing.B) { benchLookupParallel(b, false) }
-func BenchmarkLookupLockedParallel(b *testing.B)     { benchLookupParallel(b, true) }
-
-func benchLookupHot(b *testing.B, locked bool) {
-	ix := buildReadBench(b, locked)
+// BenchmarkLookupHotOptimistic measures the model-cache fast path: a cached
+// hot key costs one seqlock version check and zero tree or leaf memory
+// touches.
+func BenchmarkLookupHotOptimistic(b *testing.B) {
+	ix := buildReadBench(b)
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
 	// 16 hot keys spread across the keyspace: small enough that the model
 	// cache holds them all, the shape of a skewed read-mostly workload.
@@ -91,9 +83,3 @@ func benchLookupHot(b *testing.B, locked bool) {
 		ix.Lookup(hot[i&15])
 	}
 }
-
-// BenchmarkLookupHotOptimistic measures the model-cache fast path: a cached
-// hot key costs one seqlock version check and zero tree or leaf memory
-// touches. BenchmarkLookupHotLocked pays the full locked descend every time.
-func BenchmarkLookupHotOptimistic(b *testing.B) { benchLookupHot(b, false) }
-func BenchmarkLookupHotLocked(b *testing.B)     { benchLookupHot(b, true) }

@@ -55,8 +55,8 @@ type ShardedIndex struct {
 }
 
 // ShardDirOptions configures OpenShardedDir. The embedded DirOptions apply to
-// every shard individually — in particular MaxPending/MaxPendingBytes bound
-// each shard's own group-commit queue, so the aggregate admission capacity is
+// every shard individually — in particular MaxPending bounds each shard's
+// own group-commit queue, so the aggregate admission capacity is
 // Shards × MaxPending.
 type ShardDirOptions struct {
 	DirOptions

@@ -170,8 +170,9 @@ const (
 	compactRunMax = 1 << 19
 )
 
-// ErrNotTiered is returned by tier-only operations (Compact, SegmentMetas)
-// on a directory opened in legacy snapshot mode.
+// ErrNotTiered is returned by Compact on a directory opened in legacy
+// snapshot mode, and by DurableIndex.WriteTo on a tiered one, whose segments
+// one snapshot stream cannot represent (use SnapshotAt).
 var ErrNotTiered = errors.New("chameleon: directory is not in tiered mode")
 
 func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, dead map[uint64]struct{}, live int64) *tier {
