@@ -216,14 +216,6 @@ type Index struct {
 	// RetrainPass calls are not gated — a caller asking directly gets a pass.
 	retrainPaused atomic.Bool
 
-	// gcache is the model cache of DESIGN.md §13: fully resolved hot-key
-	// answers, each validated against its interval's seqlock version on hit.
-	// gcand holds each slot's candidate key for two-touch admission: a key
-	// is only cached (allocated + published) after its second sighting, so
-	// cold uniform streams never pay per-lookup allocation.
-	gcache [gcSlots]atomic.Pointer[gcEntry]
-	gcand  [gcSlots]atomic.Uint64
-
 	// fallbackReads counts lookups that exhausted their optimistic retries
 	// and took the shared lock. Optimistic hits are deliberately not counted
 	// (a shared hit counter would bounce between cores exactly like the lock

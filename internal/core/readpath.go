@@ -47,27 +47,6 @@ func setGateChild(n *node, j int, c *node) {
 	atomic.StorePointer(p, unsafe.Pointer(c))
 }
 
-// gcSlots sizes the model cache; a power of two so the multiplicative hash's
-// top bits index it directly.
-const gcSlots = 128
-
-// gcEntry is one model-cache entry: the fully resolved answer for one hot
-// key, valid exactly as long as the tree snapshot is current AND the
-// interval's seqlock version is unchanged since the (validated) read that
-// produced it. Entries are immutable once published.
-type gcEntry struct {
-	t     *tree
-	g     *gate
-	key   uint64
-	val   uint64
-	ver   uint32
-	found bool
-}
-
-func gcSlot(k uint64) int {
-	return int((k * 0x9E3779B97F4A7C15) >> 57) // top 7 bits → [0, 128)
-}
-
 // Lookup implements index.Index with the paper's O(H_C + 1) path: exact
 // inner routing (Eq. 1), then a conflict-degree-bounded probe in the EBH
 // leaf — executed optimistically under the interval seqlock, with the shared
@@ -78,7 +57,7 @@ func (ix *Index) Lookup(k uint64) (uint64, bool) {
 
 // LookupBatch resolves keys[i] into vals[i], found[i], loading the tree
 // snapshot once for the whole batch — the server's GET coalescing calls this
-// so a pipelined burst pays one snapshot load and shares the hot-key cache.
+// so a pipelined burst pays one snapshot load.
 // vals and found must be at least len(keys) long.
 func (ix *Index) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 	t := ix.tree.Load()
@@ -89,95 +68,54 @@ func (ix *Index) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 
 // lookupOn runs one optimistic lookup against a loaded snapshot.
 func (ix *Index) lookupOn(t *tree, k uint64) (uint64, bool) {
-	// Model cache: if this exact key resolved recently and its interval's
-	// version is untouched, the cached answer is still THE answer — no
-	// walk, no probe. ReadBegin alone suffices: we read no shared leaf
-	// memory, so there is nothing to validate after the fact.
-	si := gcSlot(k)
-	slot := &ix.gcache[si]
-	resident := slot.Load()
-	if resident != nil && resident.key == k && resident.t == t {
-		if ver, ok := t.locks.ReadBegin(resident.g.id); ok && ver == resident.ver {
-			return resident.val, resident.found
-		}
-	}
-
 	// Upper walk: immutable above the gate level, no protection needed.
 	n := t.root
 	for n.leaf == nil && n.gateBase == noGate {
 		n = n.children[route(k, n)]
 	}
 
-	if n.leaf != nil {
-		// Gateless path (empty or degenerate tree): the fallback interval
-		// guards this leaf.
-		id := t.fallbackID()
-		for try := 0; try < optimisticRetries; try++ {
-			if try > 0 {
-				runtime.Gosched()
-			}
-			ver, ok := t.locks.ReadBegin(id)
-			if !ok {
-				continue
-			}
-			v, found := n.leaf.Lookup(k)
-			if t.locks.ReadValidate(id, ver) {
-				return v, found
-			}
-		}
-		return ix.fallbackLookup(t, k)
+	// A leaf reached above the gate level (empty or degenerate tree) is
+	// guarded by the fallback interval; otherwise the gate crossed next owns
+	// everything below it.
+	id, j := t.fallbackID(), 0
+	if n.leaf == nil {
+		j = route(k, n)
+		id = n.gateBase + uint64(j)
 	}
-
-	j := route(k, n)
-	g := t.gates[n.gateBase+uint64(j)]
 	for try := 0; try < optimisticRetries; try++ {
 		if try > 0 {
 			runtime.Gosched()
 		}
-		ver, ok := t.locks.ReadBegin(g.id)
+		ver, ok := t.locks.ReadBegin(id)
 		if !ok {
 			continue
 		}
-		c := gateChild(n, j)
-		for c.leaf == nil {
-			c = c.children[route(k, c)]
+		c := n
+		if c.leaf == nil {
+			c = gateChild(n, j) // re-read every try: the retrainer swaps this slot
+			for c.leaf == nil {
+				c = c.children[route(k, c)]
+			}
 		}
 		v, found := c.leaf.Lookup(k)
-		if t.locks.ReadValidate(g.id, ver) {
-			// Two-touch admission: allocating and publishing a cache entry
-			// per lookup would cost more than it saves on cold keys (one
-			// heap object + a GC write barrier each), so a key is cached
-			// only once it has been seen twice in its slot — a stale
-			// resident for the same key, or a matching candidate mark. Cold
-			// keys pay one plain atomic store; hot keys are cached from
-			// their second access on.
-			if (resident != nil && resident.key == k) || ix.gcand[si].Load() == k {
-				slot.Store(&gcEntry{t: t, g: g, key: k, val: v, found: found, ver: ver})
-			} else {
-				ix.gcand[si].Store(k)
-			}
+		if t.locks.ReadValidate(id, ver) {
 			return v, found
 		}
 	}
 	return ix.fallbackLookup(t, k)
 }
 
-// lockedLookup descends under the shared interval lock: the paper's
-// Interval-Lock reader, taken once the optimistic retries run out.
-func (ix *Index) lockedLookup(t *tree, k uint64) (uint64, bool) {
+// fallbackLookup descends under the shared interval lock — the paper's
+// Interval-Lock reader, taken once the optimistic retries run out. It is
+// deliberately the ONLY place the read path touches a shared counter:
+// counting every optimistic hit would reintroduce the cache-line bouncing
+// this path exists to remove.
+func (ix *Index) fallbackLookup(t *tree, k uint64) (uint64, bool) {
+	ix.fallbackReads.Add(1)
 	leaf, _, id := t.descend(k, false)
 	v, ok := leaf.leaf.Lookup(k)
 	t.locks.UnlockRead(id)
 	return v, ok
-}
-
-// fallbackLookup is lockedLookup plus accounting; it is deliberately the
-// ONLY place the read path touches a shared counter — counting every
-// optimistic hit would reintroduce the cache-line bouncing this path exists
-// to remove.
-func (ix *Index) fallbackLookup(t *tree, k uint64) (uint64, bool) {
-	ix.fallbackReads.Add(1)
-	return ix.lockedLookup(t, k)
 }
 
 // ReadFallbacks reports how many lookups exhausted their optimistic retries

@@ -21,9 +21,34 @@ const tornSalt = 0x9E3779B97F4A7C15
 // value from another, or a half-applied rescatter) can produce nothing of
 // that shape. Stable keys must always be found; keys never inserted must
 // never be found (no phantoms). Run under -race: the race detector
-// additionally proves every racing access is atomic.
+// additionally proves every racing access is atomic. It runs once over a
+// gated tree and once over a tree whose root is a leaf, so both ways into
+// the optimistic loop (gate interval and fallback interval) are raced.
 func TestOptimisticTornReadOracle(t *testing.T) {
-	const n = 20_000
+	for _, tc := range []struct {
+		name  string
+		n     int
+		gated bool
+	}{
+		{"Gated", 20_000, true},
+		{"Gateless", 100, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tornReadOracle(t, tc.n, tc.gated) })
+	}
+}
+
+// requireShape fails the test unless ix's tree has gates exactly when gated
+// is set, so a table row cannot silently change shape.
+func requireShape(t *testing.T, ix *Index, gated bool) {
+	t.Helper()
+	if g := len(ix.tree.Load().gates); (g > 0) != gated {
+		t.Fatalf("tree over %d keys has %d gates, want gated=%v", ix.Len(), g, gated)
+	}
+}
+
+// tornReadOracle runs the oracle over n stable keys; gated says whether the
+// bulk-loaded tree must have gates.
+func tornReadOracle(t *testing.T, n int, gated bool) {
 	// Stable keys: even multiples of 4. Churn keys: multiples of 4 plus 2
 	// (inserted and deleted forever). Odd keys: never present (phantoms).
 	base := make([]uint64, n)
@@ -38,6 +63,7 @@ func TestOptimisticTornReadOracle(t *testing.T) {
 	if err := ix.BulkLoad(base, vals); err != nil {
 		t.Fatal(err)
 	}
+	requireShape(t, ix, gated)
 
 	dur := 1200 * time.Millisecond
 	if testing.Short() {
@@ -135,32 +161,50 @@ func TestOptimisticTornReadOracle(t *testing.T) {
 	if lookups.Load() == 0 {
 		t.Fatal("oracle performed no lookups")
 	}
-	t.Logf("oracle: %d validated lookups, %d fallbacks", lookups.Load(), ix.ReadFallbacks())
+	t.Logf("oracle: %d validated lookups, %d fallbacks, %d gates at the end",
+		lookups.Load(), ix.ReadFallbacks(), len(ix.tree.Load().gates))
 }
 
 // TestLookupFallbackOnHeldWriteLock pins a key's interval under an exclusive
 // write lock and checks, for Lookup and for a Range over that interval, that
 // the optimistic attempt gives up and takes the locked path (blocking until
 // release), still returns exactly the right answer, and — for Lookup —
-// accounts the fallback.
+// accounts the fallback. It runs over a gated tree (the interval is a gate)
+// and over a tree whose root is a leaf (the interval is the fallback one).
 func TestLookupFallbackOnHeldWriteLock(t *testing.T) {
-	keys := dataset.Uniform(50_000, 11)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		gated bool
+	}{
+		{"Gated", 50_000, true},
+		{"Gateless", 100, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { fallbackOnHeldWriteLock(t, tc.n, tc.gated) })
+	}
+}
+
+// fallbackOnHeldWriteLock runs the held-lock check over n uniform keys;
+// gated says whether the bulk-loaded tree must have gates.
+func fallbackOnHeldWriteLock(t *testing.T, n int, gated bool) {
+	keys := dataset.Uniform(n, 11)
 	ix := New(Config{ReconstructThreshold: -1})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
+	requireShape(t, ix, gated)
 	m := len(keys) / 2
 	k := keys[m]
 
 	// Find the interval guarding k the same way the read path does.
 	tr := ix.tree.Load()
-	n := tr.root
-	for n.leaf == nil && n.gateBase == noGate {
-		n = n.children[route(k, n)]
+	nd := tr.root
+	for nd.leaf == nil && nd.gateBase == noGate {
+		nd = nd.children[route(k, nd)]
 	}
 	id := tr.fallbackID()
-	if n.leaf == nil {
-		id = n.gateBase + uint64(route(k, n))
+	if nd.leaf == nil {
+		id = nd.gateBase + uint64(route(k, nd))
 	}
 
 	for _, tc := range []struct {

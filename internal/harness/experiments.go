@@ -45,7 +45,7 @@ var Experiments = []Experiment{
 	{"shard", "range-partitioned shards: insert and mixed throughput vs shard count (emits BENCH_shard.json)", Shard},
 	{"repl", "primary/follower replication: ack latency, lag, read-your-writes, failover time (emits BENCH_repl.json)", Repl},
 	{"failover", "automatic failover: crash the primary, detector promotes, pool client follows (emits BENCH_failover.json)", Failover},
-	{"read", "optimistic vs locked vs raw-map lookup percentiles (emits BENCH_read.json)", Read},
+	{"read", "optimistic vs raw-map lookup percentiles (emits BENCH_read.json)", Read},
 	{"tier", "tiered storage: flush latency vs delta size, cold-get percentiles, checkpoint-vs-flush bytes, steady-state total write amplification (emits BENCH_tier.json)", Tier},
 	{"ablation", "design-choice ablations: τ sweep, α sweep, interval-lock overhead", tablesOnly(Ablations)},
 }

@@ -33,8 +33,7 @@ func Read(cfg Config) ([]*report.Table, any) {
 	for _, mode := range []string{"optimistic", "map"} {
 		// One build per mode: the sweep points reuse the index (rebuilding
 		// per point would cost a full DARE training run each and measure
-		// nothing different — the read path has no cross-point state beyond
-		// the model cache, whose carry-over is the workload being modeled).
+		// nothing different — the read path keeps no cross-point state).
 		tgt := buildReadTarget(keys, mode)
 		for _, dist := range []string{"uniform", "hot"} {
 			for _, readers := range []int{1, 4} {

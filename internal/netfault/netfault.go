@@ -69,9 +69,6 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // Partition blackholes (true) or heals (false) the link.
 func (p *Proxy) Partition(on bool) { p.partitioned.Store(on) }
 
-// Partitioned reports the current partition state.
-func (p *Proxy) Partitioned() bool { return p.partitioned.Load() }
-
 // SetDelay makes every forwarded chunk wait d per direction (0 = none).
 func (p *Proxy) SetDelay(d time.Duration) { p.delayNS.Store(int64(d)) }
 

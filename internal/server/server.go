@@ -136,8 +136,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is a TCP front-end over one durable index. Create with New, start
-// with ListenAndServe or Listen+Serve, stop with Shutdown (graceful) or
-// Close (abrupt).
+// with Listen+Serve, stop with Shutdown (graceful) or Close (abrupt).
 type Server struct {
 	ix   Index
 	opts Options
@@ -204,14 +203,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// ListenAndServe binds addr and serves until Shutdown or Close.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // Serve accepts connections on the listener bound by Listen. It returns nil

@@ -66,14 +66,14 @@ func BenchmarkLookupOptimisticParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkLookupHotOptimistic measures the model-cache fast path: a cached
-// hot key costs one seqlock version check and zero tree or leaf memory
-// touches.
+// BenchmarkLookupHotOptimistic measures the optimistic path on 16 hot keys:
+// the same walk and probe as a uniform lookup, but over tree and leaf lines
+// that stay resident in the CPU cache.
 func BenchmarkLookupHotOptimistic(b *testing.B) {
 	ix := buildReadBench(b)
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
-	// 16 hot keys spread across the keyspace: small enough that the model
-	// cache holds them all, the shape of a skewed read-mostly workload.
+	// 16 hot keys spread across the keyspace: the shape of a skewed
+	// read-mostly workload.
 	hot := make([]uint64, 16)
 	for i := range hot {
 		hot[i] = keys[(i*len(keys))/len(hot)+7]

@@ -679,7 +679,7 @@ func (s *ShardedIndex) WALSize() int64 {
 // CommitSeq sums the shards' commit-sequence clocks. The sum is monotonic
 // (each shard's clock is), so it works as a read-your-writes token: a write
 // acked by any shard advances the sum past every token issued before it.
-// There is no cross-shard ordering claim — replication v1 ships unsharded —
+// Each shard keeps its own clock, so the sum carries no cross-shard order,
 // but the token contract ("wait until at least this much history is
 // committed") holds.
 func (s *ShardedIndex) CommitSeq() uint64 {

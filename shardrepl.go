@@ -1,7 +1,6 @@
 package chameleon
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -67,15 +66,6 @@ func (s *ShardedIndex) RestoreShardSnapshot(i int, r io.Reader, asOfSeq uint64) 
 		return err
 	}
 	return s.shards[i].RestoreSnapshot(r, asOfSeq)
-}
-
-// WaitShardSeq blocks until shard i's commit clock reaches seq (the
-// per-shard read-your-writes wait, used by catch-up orchestration).
-func (s *ShardedIndex) WaitShardSeq(ctx context.Context, i int, seq uint64) error {
-	if err := s.checkShard(i); err != nil {
-		return err
-	}
-	return s.shards[i].WaitSeq(ctx, seq)
 }
 
 // ManifestGen reports the durable layout generation: it increments on every
