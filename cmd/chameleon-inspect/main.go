@@ -5,7 +5,7 @@
 //
 // With -dir it instead inspects a tiered durable directory: the tier
 // manifest (generation, flushed watermark, live count) and every segment's
-// metadata — level, key range, sequence watermark, size and format — with
+// metadata — level, key range, sequence watermark and size — with
 // each file's integrity status: opening a segment verifies its full-file CRC
 // and key order and cross-checks it against the manifest. A sharded root
 // recurses into every shard. -seg dumps one segment file with no manifest

@@ -87,14 +87,13 @@ func inspectOneTierDir(dir string) bool {
 		}
 		return "delta"
 	}
-	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %10s %7s %3s  %s\n",
-		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "BYTES", "B/ENTRY", "FMT", "STATUS")
+	fmt.Printf("\n%16s %5s %5s %10s %10s %20s %20s %12s %10s %7s  %s\n",
+		"ID", "LVL", "RUN", "COUNT", "LIVE", "MINKEY", "MAXKEY", "SEQ", "BYTES", "B/ENTRY", "STATUS")
 	for i := range metas {
 		m := metas[i]
-		status, format := segStatus(dir, &m)
-		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %10d %7s %3s  %s\n",
+		fmt.Printf("%16d %5d %5s %10d %10d %20d %20d %12d %10d %7s  %s\n",
 			m.ID, m.Level, role(&m), m.Count, m.Live, m.MinKey, m.MaxKey, m.Seq,
-			m.Bytes, bytesPerEntry(m), format, status)
+			m.Bytes, bytesPerEntry(m), segStatus(dir, &m))
 	}
 	return true
 }
@@ -108,19 +107,17 @@ func bytesPerEntry(m segment.Meta) string {
 }
 
 // segStatus opens the named segment against its manifest record: "ok" means
-// the full-file CRC, key order and header cross-check passed. format is the
-// file's format version (v2 for CHAMSEG2, v1 for CHAMSEG1), "?" when it does
-// not open.
-func segStatus(dir string, m *segment.Meta) (status, format string) {
+// the full-file CRC, key order and header cross-check passed.
+func segStatus(dir string, m *segment.Meta) string {
 	r, err := segment.Open(faultfs.OS, filepath.Join(dir, segment.FileName(m.ID)), m)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return "MISSING", "?"
+			return "MISSING"
 		}
-		return fmt.Sprintf("CORRUPT: %v", err), "?"
+		return fmt.Sprintf("CORRUPT: %v", err)
 	}
-	defer r.Close() //nolint:errcheck
-	return "ok", fmt.Sprintf("v%d", r.Version())
+	r.Close() //nolint:errcheck
+	return "ok"
 }
 
 // inspectSegFile dumps one segment file with no manifest cross-check (the
@@ -141,6 +138,5 @@ func inspectSegFile(path string) {
 	fmt.Printf("entries:      %d (%d live, %d tombstones)\n", m.Count, m.Live, m.Count-m.Live)
 	fmt.Printf("key range:    [%d, %d]\n", m.MinKey, m.MaxKey)
 	fmt.Printf("seq:          %d\n", m.Seq)
-	fmt.Printf("format:       v%d\n", r.Version())
 	fmt.Printf("bytes:        %d (%s per entry; CRC and key order verified at open)\n", m.Bytes, bytesPerEntry(m))
 }

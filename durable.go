@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/format"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
@@ -201,6 +202,14 @@ var ErrDiskFull = wal.ErrDiskFull
 // whether to restore from backup or wipe the directory and accept the loss.
 var ErrSnapshotsUnreadable = errors.New("chameleon: snapshot files present but none readable")
 
+// ErrNeedsUpgrade is returned by OpenDir and OpenShardedDir for a file an
+// older build wrote in a format this one no longer reads: a snapshot, WAL,
+// segment or directory layout that a later format replaced. The open
+// refuses before it changes anything on disk, and the error names the file.
+// To carry such a directory forward, open it with the last build that reads
+// it, BulkLoad what Range returns, and close it (DESIGN.md §7).
+var ErrNeedsUpgrade = format.ErrNeedsUpgrade
+
 const (
 	snapPrefix = "snapshot-"
 	snapSuffix = ".ckpt"
@@ -256,17 +265,38 @@ func listFiles(fsys faultfs.FS, dir string) (logs, snaps []fileID, err error) {
 	return logs, snaps, nil
 }
 
-// isStateFile reports whether name is a snapshot or a WAL, named with its
-// base or, as in a directory migrateNames has not yet opened, without.
+// isStateFile reports whether name is a snapshot or a WAL.
 func isStateFile(name string) bool {
-	for _, p := range [][2]string{{snapPrefix, snapSuffix}, {walPrefix, walSuffix}} {
-		_, cur := parseName(name, p[0], p[1])
-		_, old := parseSeq(name, p[0], p[1])
-		if cur || old {
-			return true
+	_, snap := parseName(name, snapPrefix, snapSuffix)
+	_, log := parseName(name, walPrefix, walSuffix)
+	return snap || log
+}
+
+// refuseOldLayout fails with ErrNeedsUpgrade if dir is in the layout from
+// before snapshot and WAL names carried their base: snapshot-<rot>.ckpt and
+// wal-<rot>.log, with the bases in a seq-<gen>.meta or seq.meta sidecar.
+func refuseOldLayout(fsys faultfs.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name == "seq.meta" || isOldName(name, "seq-", ".meta") ||
+			isOldName(name, snapPrefix, snapSuffix) || isOldName(name, walPrefix, walSuffix) {
+			return fmt.Errorf("chameleon: %s is in the layout from before names carried a commit sequence: %w",
+				filepath.Join(dir, name), ErrNeedsUpgrade)
 		}
 	}
-	return false
+	return nil
+}
+
+// isOldName reports whether name is prefix, a number, then suffix.
+func isOldName(name, prefix, suffix string) bool {
+	mid, ok1 := strings.CutPrefix(name, prefix)
+	mid, ok2 := strings.CutSuffix(mid, suffix)
+	_, err := strconv.ParseUint(mid, 10, 64)
+	return ok1 && ok2 && err == nil
 }
 
 // walOptions is the single place DirOptions maps onto wal.Options — both the
@@ -283,26 +313,13 @@ func walOptions(opts DirOptions, fsys faultfs.FS) wal.Options {
 	return wal.Options{Policy: wal.SyncPolicy(opts.Sync), Interval: interval, FS: fsys}
 }
 
-// parseSeq extracts the number from a name written before names carried a
-// base: snapshot-<rot>.ckpt, wal-<rot>.log, and the sidecar's seq-<gen>.meta.
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	seq, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
 // OpenDir opens (or initializes) a durable index rooted at dir. Recovery runs
 // first: the newest snapshot that passes its integrity checks is loaded —
 // corrupt or torn snapshots are skipped, falling back to older ones — and
 // every write-ahead log at or after that snapshot is replayed in order. The
 // returned index reflects every acknowledged write the configured sync policy
-// promised to keep.
+// promised to keep. A file in a retired format fails the open with
+// ErrNeedsUpgrade before anything on disk changes.
 func OpenDir(dir string, opts DirOptions) (*DurableIndex, error) {
 	return openDirFS(dir, opts, faultfs.OS)
 }
@@ -313,8 +330,8 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := migrateNames(fsys, dir); err != nil {
-		return nil, fmt.Errorf("chameleon: naming files by commit sequence: %w", err)
+	if err := refuseOldLayout(fsys, dir); err != nil {
+		return nil, err
 	}
 	logs, snaps, err := listFiles(fsys, dir)
 	if err != nil {
@@ -339,7 +356,11 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	loaded := len(snaps) == 0
 	var snapErr error
 	for _, s := range snaps {
-		if err := loadSnapshot(fsys, filepath.Join(dir, snapName(s.rot, s.base)), ix); err != nil {
+		path := filepath.Join(dir, snapName(s.rot, s.base))
+		if err := loadSnapshot(fsys, path, ix); err != nil {
+			if errors.Is(err, ErrNeedsUpgrade) {
+				return nil, fmt.Errorf("%s: %w", path, err)
+			}
 			if snapErr == nil {
 				snapErr = fmt.Errorf("%s: %w", snapName(s.rot, s.base), err)
 			}
@@ -427,7 +448,7 @@ func replayChain(fsys faultfs.FS, dir string, opts DirOptions, logs []fileID, mi
 			log, n, err = wal.Open(path, walOptions(opts, fsys), step)
 			liveRecs = n
 		} else {
-			n, err = replayReadOnly(fsys, path, step)
+			n, err = wal.ReplayFile(fsys, path, step)
 		}
 		if err != nil {
 			return nil, fileID{}, 0, err
@@ -501,25 +522,6 @@ func writeBytes(data []byte) func(io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	}
-}
-
-// replayReadOnly applies every intact record of a rotated-out log without
-// opening it for writing, and reports how many there were.
-func replayReadOnly(fsys faultfs.FS, path string, apply func(wal.Record)) (int, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	data, err := io.ReadAll(f)
-	f.Close() //nolint:errcheck
-	if err != nil {
-		return 0, err
-	}
-	n, _ := wal.Replay(data, apply)
-	return n, nil
 }
 
 // usableLocked gates mutations: a poisoned handle reports its sticky failure,

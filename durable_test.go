@@ -252,58 +252,51 @@ func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 // TestDurableStaleLogNoPhantom reproduces the GC hazard: a log older than the
 // loaded snapshot survives (GC Remove is best-effort) while its successor —
 // which deleted a key — is gone. Replay must skip the stale log, or the
-// deleted key is resurrected. In a directory from before replication every
-// base migrates as 0, so the stale log's records are not below the
-// snapshot's clock: only its rotation keeps it out.
+// deleted key is resurrected.
 func TestDurableStaleLogNoPhantom(t *testing.T) {
-	for _, preReplication := range []bool{false, true} {
-		dir := t.TempDir()
-		d, err := OpenDir(dir, durableOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.BulkLoad([]uint64{10, 20}, nil); err != nil { // → snapshot-1, wal-1
-			t.Fatal(err)
-		}
-		if err := d.Insert(111, 1); err != nil { // → wal-1
-			t.Fatal(err)
-		}
-		wal1 := rotPath(t, dir, walPrefix, 1)
-		savedWal, err := os.ReadFile(wal1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Checkpoint(); err != nil { // snapshot-2 holds 111; GC removes wal-1
-			t.Fatal(err)
-		}
-		if err := d.Delete(111); err != nil { // → wal-2
-			t.Fatal(err)
-		}
-		if err := d.Checkpoint(); err != nil { // snapshot-3 without 111; GC removes wal-2
-			t.Fatal(err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	d, err := OpenDir(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.BulkLoad([]uint64{10, 20}, nil); err != nil { // → snapshot-1, wal-1
+		t.Fatal(err)
+	}
+	if err := d.Insert(111, 1); err != nil { // → wal-1
+		t.Fatal(err)
+	}
+	wal1 := rotPath(t, dir, walPrefix, 1)
+	savedWal, err := os.ReadFile(wal1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil { // snapshot-2 holds 111; GC removes wal-1
+		t.Fatal(err)
+	}
+	if err := d.Delete(111); err != nil { // → wal-2
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil { // snapshot-3 without 111; GC removes wal-2
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		// Resurrect wal-1 — the insert of 111 with no trace of its deletion.
-		if err := os.WriteFile(wal1, savedWal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if preReplication {
-			stripBases(t, dir)
-		}
-		re, err := OpenDir(dir, durableOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := re.Lookup(111); ok {
-			t.Fatalf("pre-replication %v: stale pre-snapshot log replayed: deleted key 111 resurrected", preReplication)
-		}
-		if re.Len() != 2 {
-			t.Fatalf("pre-replication %v: Len = %d, want 2", preReplication, re.Len())
-		}
-		re.Close()
+	// Resurrect wal-1 — the insert of 111 with no trace of its deletion.
+	if err := os.WriteFile(wal1, savedWal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, ok := re.Lookup(111); ok {
+		t.Fatal("stale pre-snapshot log replayed: deleted key 111 resurrected")
+	}
+	if re.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", re.Len())
 	}
 }
 
@@ -501,70 +494,6 @@ func verifyRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackStat
 		}
 		return true
 	})
-}
-
-// TestDurableOpensV2Snapshot: a legacy directory whose snapshot an older
-// build wrote as CHAMSNP2 opens with its keys, and its next Checkpoint writes
-// CHAMSNP3. The fixture and the key set it holds are described in
-// internal/core/testdata/mkv2.go.
-func TestDurableOpensV2Snapshot(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "snapshot-v2.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[uint64]bool{}
-	for i := 0; i < 2048; i++ {
-		want[uint64(i/64)<<24|uint64(i%64)*3] = true
-	}
-	for i := 0; i < 2048; i++ {
-		k := uint64(i/64)<<24 | uint64(i%64)*3
-		if i%3 == 0 {
-			want[k+1] = true
-		}
-		if i%5 == 0 {
-			delete(want, k)
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapName(1, 0)), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(want))
-	}
-	for k := range want {
-		if v, ok := d.Lookup(k); !ok || v != k^0x5A5A {
-			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
-		}
-	}
-	if err := d.Insert(1<<40, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := os.ReadFile(rotPath(t, dir, snapPrefix, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(snap[:8]); got != "CHAMSNP3" {
-		t.Fatalf("checkpoint wrote %q", got)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != len(want)+1 {
-		t.Fatalf("Len = %d after reopen, want %d", re.Len(), len(want)+1)
-	}
 }
 
 // TestSaveCrashKeepsPreviousFile kills a Save over an existing file at every

@@ -168,9 +168,16 @@ type conn struct {
 
 // Dial connects to addr and verifies liveness with a PING.
 func Dial(addr string, opts Options) (*Client, error) {
+	return DialContext(context.Background(), addr, opts)
+}
+
+// DialContext is Dial under ctx: cancelling ctx abandons the connect, HELLO
+// or PING in flight, so a caller shutting down never waits out DialTimeout
+// on a peer that accepted the connection but never answers.
+func DialContext(ctx context.Context, addr string, opts Options) (*Client, error) {
 	c := &Client{addr: addr, opts: opts.withDefaults()}
 	c.conns = make([]*conn, c.opts.Conns)
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.DialTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	defer cancel()
 	if err := c.Ping(ctx); err != nil {
 		return nil, err
@@ -178,9 +185,13 @@ func Dial(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// dialConn establishes one pooled connection.
-func (c *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+// dialConn establishes one pooled connection; DialTimeout bounds the
+// connect and the HELLO together, and ctx can cut both short.
+func (c *Client) dialConn(ctx context.Context) (*conn, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
+	defer cancel()
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +205,7 @@ func (c *Client) dialConn() (*conn, error) {
 		pending: make(map[uint64]chan *wire.Response),
 	}
 	go cn.readLoop()
-	if err := c.hello(cn); err != nil {
+	if err := c.hello(ctx, cn); err != nil {
 		// A rejected HELLO — a version mismatch, or a server too old to know
 		// the opcode — is a permanent incompatibility: surface it.
 		cn.nc.Close() //nolint:errcheck
@@ -204,9 +215,7 @@ func (c *Client) dialConn() (*conn, error) {
 }
 
 // hello negotiates protocol version and features on a fresh connection.
-func (c *Client) hello(cn *conn) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.DialTimeout)
-	defer cancel()
+func (c *Client) hello(ctx context.Context, cn *conn) error {
 	req := &wire.Request{ID: c.ids.Add(1), Op: wire.OpHello,
 		Version: wire.ProtocolVersion, Features: wire.LocalFeatures}
 	res, err := cn.roundTrip(ctx, req)
@@ -250,8 +259,8 @@ func (c *Client) noteSeq(seq uint64) {
 }
 
 // pick returns a live pooled connection, redialing a broken or not-yet-
-// dialed slot.
-func (c *Client) pick() (*conn, error) {
+// dialed slot under ctx.
+func (c *Client) pick(ctx context.Context) (*conn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
@@ -265,7 +274,7 @@ func (c *Client) pick() (*conn, error) {
 	if cn != nil && cn.broken() == nil {
 		return cn, nil
 	}
-	fresh, err := c.dialConn()
+	fresh, err := c.dialConn(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +401,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request) (*wire.Response, err
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
-		cn, err := c.pick()
+		cn, err := c.pick(ctx)
 		if err != nil {
 			return nil, err
 		}

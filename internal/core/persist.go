@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"chameleon/internal/ebh"
+	"chameleon/internal/format"
 	"chameleon/internal/ilock"
 )
 
@@ -45,7 +46,8 @@ import (
 // decode error instead of a structurally-plausible-but-wrong index, which is
 // what lets the checkpointer trust rename-based recovery: a snapshot either
 // verifies end to end or is skipped in favor of the previous one. ReadFrom
-// also reads CHAMSNP2, the gob format before this one (persist_v2.go).
+// refuses CHAMSNP2, the gob format before this one, with
+// format.ErrNeedsUpgrade.
 //
 // WriteTo is safe during live writes: it holds the rebuild lock shared (no
 // structure swap mid-walk) and copies each gate subtree's leaves under that
@@ -480,11 +482,11 @@ func (r *snapReader) snapshot() (*snapshot, error) {
 	}
 	magic, version := string(hdr[:len(snapMagic)]), binary.LittleEndian.Uint32(hdr[len(snapMagic):])
 	switch {
-	case magic == snapMagicV2 && version == 2:
-		return r.snapshotV2()
-	case magic != snapMagic && magic != snapMagicV2:
+	case magic == "CHAMSNP2":
+		return nil, fmt.Errorf("core: CHAMSNP2 snapshot: %w", format.ErrNeedsUpgrade)
+	case magic != snapMagic:
 		return nil, corruptf("not a chameleon index snapshot")
-	case magic != snapMagic || version != snapVersion:
+	case version != snapVersion:
 		return nil, fmt.Errorf("core: unsupported index snapshot version %d", version)
 	}
 	r.sum = r.pos // the header is outside the CRC

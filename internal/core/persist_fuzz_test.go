@@ -20,8 +20,8 @@ func fuzzIndex() *Index {
 }
 
 // FuzzReadFrom feeds arbitrary bytes — seeded with valid CHAMSNP3 snapshots,
-// bit-flipped and truncated variants, and the CHAMSNP2 fixture — into
-// ReadFrom. The contract under
+// bit-flipped and truncated variants, and the retired CHAMSNP2 fixture and
+// magic — into ReadFrom. The contract under
 // fuzzing: never panic, never allocate unboundedly, and when a file is
 // (necessarily validly) accepted, leave behind a usable index.
 func FuzzReadFrom(f *testing.F) {
@@ -51,8 +51,8 @@ func FuzzReadFrom(f *testing.F) {
 		f.Add(flipped)
 	}
 	// The CHAMSNP2 fixture an older build wrote, whole and torn, so the
-	// read-only v2 decoder is fuzzed too.
-	v2, err := os.ReadFile(v2Fixture)
+	// refusal of a retired snapshot is fuzzed too.
+	v2, err := os.ReadFile("testdata/snapshot-v2.ckpt")
 	if err != nil {
 		f.Fatal(err)
 	}

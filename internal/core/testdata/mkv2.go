@@ -1,14 +1,13 @@
 //go:build ignore
 
-// mkv2 writes snapshot-v2.ckpt, the CHAMSNP2 fixture persist_v2_test.go
-// loads. It must run against a commit whose WriteTo still writes CHAMSNP2;
-// the committed file was made from 6d3019c with:
+// mkv2 writes snapshot-v2.ckpt, a CHAMSNP2 snapshot: the root package's
+// TestRetiredFormatsRefused expects OpenDir to refuse it, and FuzzReadFrom
+// seeds with it. It must run against a commit whose WriteTo still writes
+// CHAMSNP2; the committed file was made from 6d3019c with:
 //
-//	mkdir -p /root/scratch/v2 && git archive 6d3019c | tar -x -C /root/scratch/v2
-//	cp internal/core/testdata/mkv2.go /root/scratch/v2/
-//	(cd /root/scratch/v2 && go run ./mkv2.go) > internal/core/testdata/snapshot-v2.ckpt
-//
-// The key set is v2FixtureKeys in persist_v2_test.go: keep the two in step.
+//	tmp=$(mktemp -d) && git archive 6d3019c | tar -x -C "$tmp"
+//	cp internal/core/testdata/mkv2.go "$tmp"/
+//	(cd "$tmp" && go run ./mkv2.go) > internal/core/testdata/snapshot-v2.ckpt
 package main
 
 import (

@@ -43,9 +43,9 @@
 // shrink the overlap window to nearly nothing: ranks act staggered (each
 // rank waits Rank extra probe windows before declaring death, so rank 0
 // normally wins alone), a detector checks its sibling followers right
-// before promoting and stands down if one already claims primary at a
-// newer epoch, and a successful promotion best-effort fences every sibling
-// at the new epoch so a lower-epoch rival steps down at once.
+// before promoting and stands down if one already claims primary at its own
+// epoch or a newer one, and a successful promotion best-effort fences every
+// sibling at the new epoch so a lower-epoch rival steps down at once.
 package failover
 
 import (
@@ -89,11 +89,13 @@ type Options struct {
 	// Peers are the OTHER detector-enabled followers' addresses (not the
 	// primary, not this node). The group size for epoch claims is
 	// len(Peers)+1. Right before promoting, the detector probes each peer
-	// and stands down if one already claims primary at a newer epoch; after
-	// promoting, it best-effort fences every peer at the new epoch.
+	// and stands down if one already claims primary at this node's epoch or
+	// a newer one; after promoting, it best-effort fences every peer at the
+	// new epoch.
 	Peers []string
-	// Dial overrides how probes reach the primary (tests).
-	Dial func(addr string) (*client.Client, error)
+	// Dial overrides how probes reach the primary (tests). It must give up
+	// when ctx ends.
+	Dial func(ctx context.Context, addr string) (*client.Client, error)
 	// OnPromoted, when set, is called after a successful automatic promotion
 	// with the new epoch, how long the primary had been silent when death
 	// was declared, and how long the promotion itself took.
@@ -119,8 +121,8 @@ func (o Options) withDefaults(node *repl.Node) Options {
 		o.Rank = 0
 	}
 	if o.Dial == nil {
-		o.Dial = func(addr string) (*client.Client, error) {
-			return client.Dial(addr, client.Options{Conns: 1, DialTimeout: o.ProbeInterval})
+		o.Dial = func(ctx context.Context, addr string) (*client.Client, error) {
+			return client.DialContext(ctx, addr, client.Options{Conns: 1, DialTimeout: o.ProbeInterval})
 		}
 	}
 	if o.Logf == nil {
@@ -243,7 +245,7 @@ func (d *Detector) run(ctx context.Context) {
 // connection per probe, deliberately: a cached one could be the single
 // broken path while the server is fine.
 func (d *Detector) probe(ctx context.Context) bool {
-	c, err := d.opts.Dial(d.opts.Upstream)
+	c, err := d.opts.Dial(ctx, d.opts.Upstream)
 	if err != nil {
 		return false
 	}
@@ -259,11 +261,11 @@ func (d *Detector) probe(ctx context.Context) bool {
 // fence is best-effort and expected to fail against a dead peer.
 func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	// A sibling may already have won while this rank waited out its
-	// stagger: a peer claiming primary at a newer epoch means the failover
-	// already happened, and promoting beside it would start a (transient,
+	// stagger: a peer claiming primary at this node's epoch or a newer one
+	// means the failover already happened, and promoting beside it would start a (transient,
 	// epoch-resolved, but pointless) rivalry. Retire instead; re-pointing
 	// this follower at the winner is the operator's move.
-	if addr, peerEpoch, ok := d.peerPromoted(); ok {
+	if addr, peerEpoch, ok := d.peerPromoted(ctx); ok {
 		d.opts.Logf("failover: peer %s already promoted at epoch %d; standing down", addr, peerEpoch)
 		return true
 	}
@@ -271,7 +273,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	claim := d.opts.claimEpoch(epoch)
 	d.opts.Logf("failover: declaring primary %s dead (silent %v); fencing and promoting (claiming epoch %d)",
 		d.opts.Upstream, silence.Round(time.Millisecond), claim)
-	if c, err := d.opts.Dial(d.opts.Upstream); err == nil {
+	if c, err := d.opts.Dial(ctx, d.opts.Upstream); err == nil {
 		fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 		c.Fence(fctx, claim) //nolint:errcheck
 		cancel()
@@ -296,7 +298,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	// followers just adopt the epoch. Best-effort — unique claims plus
 	// highest-epoch-wins resolution are the correctness mechanism.
 	for _, addr := range d.opts.Peers {
-		if c, err := d.opts.Dial(addr); err == nil {
+		if c, err := d.opts.Dial(ctx, addr); err == nil {
 			fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 			c.Fence(fctx, newEpoch) //nolint:errcheck
 			cancel()
@@ -310,17 +312,19 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 }
 
 // peerPromoted sweeps the sibling followers for one that already claims the
-// primary role at an epoch newer than this node's.
-func (d *Detector) peerPromoted() (addr string, epoch uint64, ok bool) {
+// primary role at this node's epoch or a newer one. An equal epoch counts:
+// a winning sibling fences every peer at the epoch it claimed, so by the
+// time this node looks, it has usually adopted the winner's epoch already.
+func (d *Detector) peerPromoted(ctx context.Context) (addr string, epoch uint64, ok bool) {
 	_, cur := d.node.Role()
 	for _, peer := range d.opts.Peers {
-		c, err := d.opts.Dial(peer)
+		c, err := d.opts.Dial(ctx, peer)
 		if err != nil {
 			continue
 		}
 		role, e := c.ServerRole(), c.ServerEpoch()
 		c.Close() //nolint:errcheck
-		if role == chameleon.RolePrimary && e > cur {
+		if role == chameleon.RolePrimary && e >= cur {
 			return peer, e, true
 		}
 	}

@@ -47,7 +47,7 @@ func (n *Node) runFollower(ctx context.Context, done chan struct{}) {
 
 	backoff := n.opts.ReconnectMin
 	for ctx.Err() == nil {
-		c, err := n.opts.Dial(n.opts.ReplicaOf)
+		c, err := n.opts.Dial(ctx, n.opts.ReplicaOf)
 		if err == nil {
 			n.connected.Store(true)
 			n.opts.Logf("repl: following %s", n.opts.ReplicaOf)

@@ -109,8 +109,9 @@ type Options struct {
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
 	// Dial overrides how the follower reaches upstream (tests). Default is a
-	// single-connection wire client.
-	Dial func(addr string) (*client.Client, error)
+	// single-connection wire client. It must give up when ctx ends: a
+	// promotion waits for the follower loop, which may be dialing.
+	Dial func(ctx context.Context, addr string) (*client.Client, error)
 	// Logf, when set, receives replication lifecycle events.
 	Logf func(format string, args ...any)
 }
@@ -138,8 +139,8 @@ func (o Options) withDefaults() Options {
 		o.ReconnectMax = 2 * time.Second
 	}
 	if o.Dial == nil {
-		o.Dial = func(addr string) (*client.Client, error) {
-			return client.Dial(addr, client.Options{Conns: 1})
+		o.Dial = func(ctx context.Context, addr string) (*client.Client, error) {
+			return client.DialContext(ctx, addr, client.Options{Conns: 1})
 		}
 	}
 	if o.Logf == nil {
@@ -746,14 +747,14 @@ func (n *Node) fenceUpstream(addr string, epoch uint64) {
 	if addr == "" {
 		return
 	}
-	c, err := n.opts.Dial(addr)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	c, err := n.opts.Dial(ctx, addr)
 	if err != nil {
 		n.opts.Logf("repl: fence of old primary %s undeliverable: %v", addr, err)
 		return
 	}
 	defer c.Close() //nolint:errcheck
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
 	if _, _, err := c.Fence(ctx, epoch); err != nil {
 		n.opts.Logf("repl: fence of old primary %s failed: %v", addr, err)
 		return

@@ -37,10 +37,10 @@ const (
 	filterRegionKeys   = 4096
 	filterRegionBlocks = filterRegionKeys * filterBitsPerKey / filterBlockBits
 
-	// Open adds keys a data block (CHAMSEG1: a read chunk) at a time to
-	// its region, so neither may straddle two: this fails to compile
-	// unless iterChunk, which blockRanks divides, divides filterRegionKeys.
-	_ uint = -(filterRegionKeys % iterChunk)
+	// Open adds keys a data block at a time to its region, so a block may
+	// not straddle two: this fails to compile unless blockRanks divides
+	// filterRegionKeys.
+	_ uint = -(filterRegionKeys % blockRanks)
 )
 
 // newFilter sizes a filter for n keys. Callers must have bounded n by the

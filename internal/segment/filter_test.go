@@ -63,22 +63,22 @@ func TestSegmentHostileCount(t *testing.T) {
 	valid := hostileCountSegment(t)
 	binary.LittleEndian.PutUint64(valid[16:], 30)
 	binary.LittleEndian.PutUint64(valid[48:], 30)
-	dataLen := binary.LittleEndian.Uint64(valid[headerSizeV1:])
+	dataLen := binary.LittleEndian.Uint64(valid[headerSize-8:])
 	for name, mut := range map[string]func(d []byte){
 		"count": func(d []byte) {
 			binary.LittleEndian.PutUint64(d[16:], 1<<55)
 			binary.LittleEndian.PutUint64(d[48:], 1<<55)
 		},
-		"data length": func(d []byte) { binary.LittleEndian.PutUint64(d[headerSizeV1:], 1<<60) },
+		"data length": func(d []byte) { binary.LittleEndian.PutUint64(d[headerSize-8:], 1<<60) },
 		"data length within the count's bounds": func(d []byte) {
 			_, hi := dataBounds(30)
-			binary.LittleEndian.PutUint64(d[headerSizeV1:], hi)
+			binary.LittleEndian.PutUint64(d[headerSize-8:], hi)
 		},
 		"block count": func(d []byte) {
 			// One more block: +8 bytes of offset table, +8 of bitmap.
 			binary.LittleEndian.PutUint64(d[16:], 30+64)
 			binary.LittleEndian.PutUint64(d[48:], 30+64)
-			binary.LittleEndian.PutUint64(d[headerSizeV1:], dataLen-16)
+			binary.LittleEndian.PutUint64(d[headerSize-8:], dataLen-16)
 		},
 	} {
 		data := append([]byte(nil), valid...)

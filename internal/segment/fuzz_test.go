@@ -6,6 +6,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"chameleon/internal/format"
 )
 
 // memFile adapts a byte slice to faultfs.File so the fuzzers can exercise
@@ -27,9 +29,10 @@ func (m *memFile) Sync() error                 { return nil }
 func (m *memFile) Truncate(int64) error        { return errors.New("read-only") }
 
 // FuzzSegmentDecode feeds hostile bytes through the full segment open path:
-// it must never panic, never accept a torn or mutated envelope as valid, and
-// for inputs it does accept — CHAMSEG2 or CHAMSEG1 — re-encoding the
-// decoded run (as CHAMSEG2) must round-trip.
+// it must never panic, never accept a torn or mutated envelope as valid —
+// every error is ErrCorrupt, or format.ErrNeedsUpgrade for a header of a
+// retired kind — and for inputs it does accept, re-encoding the decoded run
+// must round-trip.
 func FuzzSegmentDecode(f *testing.F) {
 	seed := func(keys, vals []uint64, tombs []bool) []byte {
 		var buf bytes.Buffer
@@ -57,20 +60,16 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A Count far beyond the file's length: nothing may be sized from it.
 	f.Add(hostileCountSegment(f))
-	// The fixtures (3–5 KB, 300 entries): the read-only CHAMSEG1 decoder,
-	// and a CHAMSEG2 file whose model section Open skips.
-	for _, path := range []string{v1FixturePath, v2ModelFixturePath} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	// The retired kinds: a CHAMSEG1 magic, and a header announcing a model.
+	f.Add([]byte("CHAMSEG1"))
+	model := append([]byte(nil), valid...)
+	model[60] = 2
+	f.Add(model)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := openMem(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, format.ErrNeedsUpgrade) {
 				t.Fatalf("non-corrupt error on hostile input: %v", err)
 			}
 			return
@@ -176,7 +175,7 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add([]byte(manMagic))
 	f.Add([]byte{})
 	// A manifest written while segments carried a model: "eps" included.
-	fixture, err := os.ReadFile(v2ModelManifestPath)
+	fixture, err := os.ReadFile("testdata/manifest-v2-model.mft")
 	if err != nil {
 		f.Fatal(err)
 	}

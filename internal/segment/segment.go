@@ -20,7 +20,7 @@
 //	[8]  seq watermark     — highest commit sequence folded into this run
 //	[8]  live              — non-tombstone entries
 //	[4]  ε                 — 0; ignored on read
-//	[4]  model piece count m — 0 (see below)
+//	[4]  model piece count — 0 (see below)
 //	[8]  data-section length d
 //	[d]          data: ⌈n/64⌉ blocks of 64 consecutive ranks (the last may
 //	             be short), each its first key as a u64, uvarint deltas
@@ -28,20 +28,16 @@
 //	             values as u64s (tombstones carry 0)
 //	[(⌈n/64⌉+1)*8] block-offset table: block b is data bytes [t[b], t[b+1])
 //	[⌈n/8⌉]      tombstone bitmap, bit r set ⇒ entry r is a delete marker
-//	[m*24]       model section: empty
 //	[4]  CRC32C (Castagnoli) over everything above
 //	[8]  magic "CHAMSEG2" again (end marker: a torn tail cannot masquerade)
 //
 // A key costs its delta (1–2 bytes on dense data) plus its value, so a run
 // takes ~10 bytes a key where fixed-width keys took 16; and since a block's
-// values sit beside its keys, a hit reads one contiguous span. Files written
-// before fence-key lookup carry a learned model — a greedy ε-bounded PLA of
-// the rank function — in the model section, with its ε and piece count in
-// the header: Open checks the section's size and CRC and skips it, so they
-// open as they are. Files written before this layout (CHAMSEG1: version 1, a
-// 64-byte header, then n×8 keys, n×8 values, the same bitmap and model
-// section) still open read-only (v1.go); the writer produces CHAMSEG2 with
-// no model only, so a compaction rewrites both kinds.
+// values sit beside its keys, a hit reads one contiguous span. Two older
+// kinds of file are refused with format.ErrNeedsUpgrade: CHAMSEG1, the
+// layout before this one, and a CHAMSEG2 file written before fence-key
+// lookup, whose non-zero piece count announces a learned-model section
+// before the footer.
 //
 // Segments are immutable once written: the full-file CRC is verified by one
 // sequential pass at Open, which also decodes every key, retains the header,
@@ -66,17 +62,14 @@ import (
 	"sync/atomic"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/format"
 )
 
 const (
 	magic      = "CHAMSEG2"
 	version    = 2
-	headerSize = headerSizeV1 + 8 // the v1 fields, then the data-section length
-	footerSize = 4 + 8            // CRC + end magic
-
-	// pieceSize is one piece of an older file's model section: first key,
-	// slope bits, start rank.
-	pieceSize = 24
+	headerSize = 8 + 4 + 4 + 5*8 + 4 + 4 + 8 // the 72-byte header laid out above
+	footerSize = 4 + 8                       // CRC + end magic
 
 	// blockRanks is how many consecutive ranks one data block holds: the
 	// unit a read fetches and decodes, and what one fence key spans. A
@@ -96,11 +89,6 @@ const (
 
 	// iterChunk is how many entries an iterator fetches per pread.
 	iterChunk = 1024
-
-	// maxModelPieces rejects an older file's absurd model-section size
-	// before the file length is checked; a valid model never has more
-	// pieces than keys.
-	maxModelPieces = 1 << 28
 
 	// A chunk must hold whole blocks: this fails to compile otherwise.
 	_ uint = -(iterChunk % blockRanks)
@@ -146,10 +134,9 @@ type Meta struct {
 	// run committed at or before it. Newer runs have strictly greater
 	// watermarks, which is what makes newest-first shadowing well defined.
 	Seq uint64 `json:"seq"`
-	// ModelPieces is the size, in 24-byte pieces, of the learned model an
-	// older file carries and Open skips; 0 for every file Write produces.
-	// It stays because the benchmark harness (bench/), which changes only
-	// with the benchmark, reads it.
+	// ModelPieces is always 0: it sized the learned model older files
+	// carried, which Open refuses. It stays because the benchmark harness
+	// (bench/), which changes only with the benchmark, reads it.
 	ModelPieces int   `json:"model_pieces"`
 	Bytes       int64 `json:"bytes"`
 }
@@ -178,10 +165,10 @@ func ParseFileName(name string) (uint64, bool) {
 // numBlocks is how many data blocks hold n entries.
 func numBlocks(n uint64) uint64 { return (n + blockRanks - 1) / blockRanks }
 
-// fileSize is the length of a CHAMSEG2 file of n entries, a d-byte data
-// section and an m-piece model section. Callers bound n and d first.
-func fileSize(n, d uint64, m int) int64 {
-	return headerSize + int64(d) + int64(numBlocks(n)+1)*8 + int64((n+7)/8) + int64(m)*pieceSize + footerSize
+// fileSize is the length of a CHAMSEG2 file of n entries and a d-byte data
+// section. Callers bound n and d first.
+func fileSize(n, d uint64) int64 {
+	return headerSize + int64(d) + int64(numBlocks(n)+1)*8 + int64((n+7)/8) + footerSize
 }
 
 // dataBounds is the range a data section of n entries can span: every
@@ -204,10 +191,8 @@ type Reader struct {
 	// key names the one block that can hold it.
 	fences []uint64
 	// blocks is the block-offset table, data-section offsets of every
-	// block and of the section's end. v1 marks a CHAMSEG1 file, which has
-	// none: its keys and values are fixed-width arrays (v1.go).
+	// block and of the section's end.
 	blocks []uint64
-	v1     bool
 
 	f faultfs.File
 	// osf is f when f is a plain *os.File: calling ReadAt on the concrete
@@ -220,8 +205,8 @@ type Reader struct {
 // Open reads path sequentially once — verifying the envelope, the CRC and
 // key order — and returns a Reader holding the metadata in memory. want,
 // when non-nil, is the manifest's record of this segment; any disagreement
-// with the file (its header fields, its length, its model-section size) is
-// corruption.
+// with the file (its header fields, its length) is corruption. A file in a
+// retired format (package comment) fails with format.ErrNeedsUpgrade.
 func Open(fsys faultfs.FS, path string, want *Meta) (*Reader, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -311,54 +296,40 @@ func (l *loader) read(b []byte, what string) error {
 	return nil
 }
 
-// skip passes the next n bytes of the file through the CRC, keeping none.
-func (l *loader) skip(n int, what string) error {
-	for n > 0 {
-		k := min(n, len(l.buf))
-		if err := l.read(l.buf[:k], what); err != nil {
-			return err
-		}
-		n -= k
-	}
-	return nil
-}
-
 // load performs the single verification pass. The file is read start to
 // finish in chunks: the CRC accumulates over everything before the footer,
 // keys are decoded and checked strictly ascending (and added to the
 // membership filter) as they stream past, and the fence keys, tombstone
-// bitmap and block-offset table are captured for retention. The magic
-// selects the format; only the data section's layout differs between the
-// two.
+// bitmap and block-offset table are captured for retention.
 func load(f faultfs.File, path string) (*Reader, error) {
 	l := &loader{f: f, crc: crc32.New(castagnoli), path: path, buf: make([]byte, 64<<10)}
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:headerSizeV1]); err != nil {
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, l.corrupt("short header")
 	}
-	var v1 bool
-	wantVersion := uint32(version)
 	switch string(hdr[:8]) {
 	case magic:
-	case magicV1:
-		v1, wantVersion = true, versionV1
+	case "CHAMSEG1":
+		return nil, fmt.Errorf("segment: %s is CHAMSEG1: %w", path, format.ErrNeedsUpgrade)
 	default:
 		return nil, l.corrupt("bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != wantVersion {
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != version {
 		return nil, l.corrupt(fmt.Sprintf("unsupported version %d", v))
 	}
-	m := Meta{
-		Level:       int(int32(binary.LittleEndian.Uint32(hdr[12:]))),
-		Count:       binary.LittleEndian.Uint64(hdr[16:]),
-		MinKey:      binary.LittleEndian.Uint64(hdr[24:]),
-		MaxKey:      binary.LittleEndian.Uint64(hdr[32:]),
-		Seq:         binary.LittleEndian.Uint64(hdr[40:]),
-		Live:        binary.LittleEndian.Uint64(hdr[48:]),
-		ModelPieces: int(int32(binary.LittleEndian.Uint32(hdr[60:]))),
-	}
 	// hdr[56:60] is an older file's model ε, which nothing reads.
-	if m.Level < 0 || m.ModelPieces < 0 || m.ModelPieces > maxModelPieces {
+	if pieces := binary.LittleEndian.Uint32(hdr[60:]); pieces != 0 {
+		return nil, fmt.Errorf("segment: %s carries a %d-piece model section: %w", path, pieces, format.ErrNeedsUpgrade)
+	}
+	m := Meta{
+		Level:  int(int32(binary.LittleEndian.Uint32(hdr[12:]))),
+		Count:  binary.LittleEndian.Uint64(hdr[16:]),
+		MinKey: binary.LittleEndian.Uint64(hdr[24:]),
+		MaxKey: binary.LittleEndian.Uint64(hdr[32:]),
+		Seq:    binary.LittleEndian.Uint64(hdr[40:]),
+		Live:   binary.LittleEndian.Uint64(hdr[48:]),
+	}
+	if m.Level < 0 {
 		return nil, l.corrupt("impossible geometry")
 	}
 	if m.Count > (1<<55) || m.Live > m.Count {
@@ -367,24 +338,11 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if m.Count > 0 && m.MinKey > m.MaxKey {
 		return nil, l.corrupt("min > max")
 	}
-	if uint64(m.ModelPieces) > m.Count {
-		return nil, l.corrupt("more model pieces than keys")
+	dataLen := binary.LittleEndian.Uint64(hdr[64:])
+	if lo, hi := dataBounds(m.Count); dataLen < lo || dataLen > hi {
+		return nil, l.corrupt("data-section length impossible for the entry count")
 	}
-	hlen := headerSizeV1
-	var dataLen uint64
-	if v1 {
-		m.Bytes = fileSizeV1(m.Count, m.ModelPieces)
-	} else {
-		hlen = headerSize
-		if _, err := io.ReadFull(f, hdr[headerSizeV1:]); err != nil {
-			return nil, l.corrupt("short header")
-		}
-		dataLen = binary.LittleEndian.Uint64(hdr[headerSizeV1:])
-		if lo, hi := dataBounds(m.Count); dataLen < lo || dataLen > hi {
-			return nil, l.corrupt("data-section length impossible for the entry count")
-		}
-		m.Bytes = fileSize(m.Count, dataLen, m.ModelPieces)
-	}
+	m.Bytes = fileSize(m.Count, dataLen)
 
 	// The header is not yet trusted (the CRC comes last), and everything
 	// sized from it below — the filter, the fences, the offset table, the
@@ -393,7 +351,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	// 2⁵⁵-key filter.
 	end, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
-		_, err = f.Seek(int64(hlen), io.SeekStart)
+		_, err = f.Seek(headerSize, io.SeekStart)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
@@ -401,15 +359,10 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if end != m.Bytes {
 		return nil, l.corrupt("file length disagrees with header geometry")
 	}
-	l.crc.Write(hdr[:hlen]) //nolint:errcheck
+	l.crc.Write(hdr[:]) //nolint:errcheck
 
 	flt := newFilter(m.Count)
-	var blocks, fences []uint64
-	if v1 {
-		fences, err = l.keysV1(&m, flt)
-	} else {
-		blocks, fences, err = l.blocks(&m, dataLen, flt)
-	}
+	blocks, fences, err := l.blocks(&m, dataLen, flt)
 	if err != nil {
 		return nil, err
 	}
@@ -427,11 +380,6 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		return nil, l.corrupt("tombstone bitmap disagrees with header live count")
 	}
 
-	// An older file's model: sealed by the CRC, not kept.
-	if err := l.skip(m.ModelPieces*pieceSize, "model section"); err != nil {
-		return nil, err
-	}
-
 	var foot [footerSize]byte
 	if _, err := io.ReadFull(f, foot[:]); err != nil {
 		return nil, l.corrupt("short footer")
@@ -439,13 +387,13 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if binary.LittleEndian.Uint32(foot[:4]) != l.crc.Sum32() {
 		return nil, l.corrupt("CRC mismatch")
 	}
-	if string(foot[4:]) != string(hdr[:8]) {
+	if string(foot[4:]) != magic {
 		return nil, l.corrupt("bad end magic")
 	}
 	// The length check above already pinned the footer to the file's end,
 	// so there are no trailing bytes to look for.
 	osf, _ := f.(*os.File)
-	return &Reader{meta: m, tombs: tombs, filter: flt, fences: fences, blocks: blocks, v1: v1, f: f, osf: osf}, nil
+	return &Reader{meta: m, tombs: tombs, filter: flt, fences: fences, blocks: blocks, f: f, osf: osf}, nil
 }
 
 // blocks streams the data section and the block-offset table after it. It
@@ -572,15 +520,6 @@ func popcount(b byte) int {
 // Meta returns the segment's summary record.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Version is the file's format version: 2 for CHAMSEG2, which Write
-// produces, 1 for a CHAMSEG1 file written before it.
-func (r *Reader) Version() int {
-	if r.v1 {
-		return versionV1
-	}
-	return version
-}
-
 // pread fills b from the file at off with one positional read — no shared
 // offset, so concurrent probes of one run do not serialize. A read that
 // loses a race with Close fails with ErrClosed.
@@ -682,12 +621,7 @@ func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error
 	if !may {
 		return 0, false, false, 0, nil
 	}
-	var rank int
-	if r.v1 {
-		rank, val, ok, err = r.findV1(key, b)
-	} else {
-		rank, val, ok, err = r.find(key, b)
-	}
+	rank, val, ok, err := r.find(key, b)
 	if err != nil || !ok {
 		return 0, false, false, 0, err
 	}
@@ -697,7 +631,7 @@ func (r *Reader) Get(key uint64) (val uint64, tomb, ok bool, dist int, err error
 	return val, false, true, 0, nil
 }
 
-// find looks key up in block b of a CHAMSEG2 run: one pread of the block,
+// find looks key up in block b: one pread of the block,
 // then a decode of its keys up to key. Open decoded every block, so the
 // block fits the stack buffer.
 func (r *Reader) find(key uint64, b int) (rank int, val uint64, ok bool, err error) {
@@ -806,14 +740,10 @@ func (it *Iter) decode() error {
 		}
 	}
 	k := r.blockLen(b)
-	if r.v1 {
-		it.decodeV1(b, k)
-	} else {
-		base := r.blocks[it.first]
-		blk := it.chunk[r.blocks[b]-base : r.blocks[b+1]-base]
-		if n, why := decodeBlock(blk, it.keys[:k], it.vals[:k]); why != "" || n != len(blk) {
-			return errChanged
-		}
+	base := r.blocks[it.first]
+	blk := it.chunk[r.blocks[b]-base : r.blocks[b+1]-base]
+	if n, why := decodeBlock(blk, it.keys[:k], it.vals[:k]); why != "" || n != len(blk) {
+		return errChanged
 	}
 	it.rank0 = uint64(b) * blockRanks
 	it.n, it.i = k, 0
@@ -824,9 +754,6 @@ func (it *Iter) decode() error {
 // fetch reads blocks [first, last) into it.chunk.
 func (it *Iter) fetch(first, last int) error {
 	r := it.r
-	if r.v1 {
-		return it.fetchV1(first, last)
-	}
 	n := int(r.blocks[last] - r.blocks[first])
 	if cap(it.chunk) < n {
 		it.chunk = make([]byte, n)

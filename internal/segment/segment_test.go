@@ -295,7 +295,7 @@ func TestSegmentV2HostileStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
-	dataLen := binary.LittleEndian.Uint64(orig[headerSizeV1:])
+	dataLen := binary.LittleEndian.Uint64(orig[headerSize-8:])
 	tableAt := headerSize + int(dataLen)
 	table := func(b int) uint64 { return binary.LittleEndian.Uint64(orig[tableAt+8*b:]) }
 	blockAt := func(b int) int { return headerSize + int(table(b)) }

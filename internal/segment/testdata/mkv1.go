@@ -1,14 +1,12 @@
 //go:build ignore
 
-// mkv1 writes seg-v1.seg, the CHAMSEG1 fixture v1_test.go and the root
-// package's tier test open. It must run against a commit whose Write still
-// produces CHAMSEG1; the committed file was made from 5c21d14 with:
+// mkv1 writes seg-v1.seg, a CHAMSEG1 segment: the root package's
+// TestRetiredFormatsRefused expects OpenDir to refuse it. It must run
+// against a commit whose Write still produces CHAMSEG1; the committed file was made from 5c21d14 with:
 //
 //	tmp=$(mktemp -d) && git archive 5c21d14 | tar -x -C "$tmp"
 //	cp internal/segment/testdata/mkv1.go "$tmp"/
 //	(cd "$tmp" && go run ./mkv1.go) > internal/segment/testdata/seg-v1.seg
-//
-// The entries are fixtureEntries in v1_test.go: keep the two in step.
 package main
 
 import (

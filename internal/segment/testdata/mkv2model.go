@@ -4,16 +4,14 @@
 // per-run learned model (a greedy ε-bounded PLA) that files written before
 // fence-key lookup have, and manifest-v2-model.mft, the CHAMMAN1 envelope of
 // the manifest that names it as segment 1 (its Meta records "eps": 4), into
-// the current directory. It must run against a commit whose Write still
-// builds the model; the committed files were made from c8189b6 with:
+// the current directory. The root package's TestRetiredFormatsRefused
+// expects OpenDir to refuse the pair. It must run against a commit whose
+// Write still builds the model; the committed files were made from c8189b6 with:
 //
 //	tmp=$(mktemp -d) && git archive c8189b6 | tar -x -C "$tmp"
 //	cp internal/segment/testdata/mkv2model.go "$tmp"/
 //	(cd "$tmp" && go run ./mkv2model.go)
 //	cp "$tmp"/seg-v2-model.seg "$tmp"/manifest-v2-model.mft internal/segment/testdata/
-//
-// The entries are fixtureEntries in v1_test.go, the same as mkv1.go's: keep
-// the three in step.
 package main
 
 import (

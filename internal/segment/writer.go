@@ -56,7 +56,7 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 			}
 		}
 	}
-	m := Meta{ID: id, Level: level, Count: n, Live: live, Seq: seq, Bytes: fileSize(n, dataLen, 0)}
+	m := Meta{ID: id, Level: level, Count: n, Live: live, Seq: seq, Bytes: fileSize(n, dataLen)}
 	if n > 0 {
 		m.MinKey, m.MaxKey = keys[0], keys[n-1]
 	}

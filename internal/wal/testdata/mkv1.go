@@ -1,15 +1,15 @@
 //go:build ignore
 
-// mkv1 writes wal-v1.log, the v1-frame WAL fixture that v1_test.go and the
-// root package's v1-WAL tests replay. It must run against a commit whose wal
-// package still writes v1 frames ([4 len][4 CRC32C][1 op][8 key][8 val]); the
-// committed file was made from 30ae0e2 with:
+// mkv1 writes wal-v1.log, a WAL of v1 frames ending in a torn frame: the
+// root package's TestRetiredFormatsRefused expects OpenDir to refuse it as
+// a live and as a rotated log, and FuzzReplay seeds with it. It must run
+// against a commit whose wal package still writes v1 frames
+// ([4 len][4 CRC32C][1 op][8 key][8 val]); the committed file was made from
+// 30ae0e2 with:
 //
 //	tmp=$(mktemp -d) && git archive 30ae0e2 | tar -x -C "$tmp"
 //	cp internal/wal/testdata/mkv1.go "$tmp"/
 //	(cd "$tmp" && go run ./mkv1.go) > internal/wal/testdata/wal-v1.log
-//
-// The records are v1FixtureRecords in v1_test.go: keep the two in step.
 package main
 
 import (

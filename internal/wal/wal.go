@@ -11,24 +11,17 @@
 //	delete: [1] op=2  [8] key             [4] CRC32C of the preceding 9 bytes
 //
 // so an insert costs 21 bytes and a delete 13; the op implies the length.
-// Logs written before v2 hold v1 frames, which stay readable:
-//
-//	[4] payload length, always 17  [4] CRC32C of the payload
-//	[17] payload: [1] op  [8] key  [8] value
-//
-// The first byte of a frame tells the two apart: a v1 frame starts with 0x11,
-// the low byte of its constant length, and a v2 frame with its op, 1 or 2. A
-// log is a sequence of frames of either kind — a v1 log reopened by this
-// package simply continues with v2 frames — so there is no file header and
-// no migration.
+// There is no file header. Logs written before v2 start with a v1 frame
+// ([4] length 17, [4] CRC32C, then op, key and value): Open and ReplayFile
+// refuse them with format.ErrNeedsUpgrade before they read a record or
+// change a byte.
 //
 // Replay reads frames until the first torn or corrupt one — a short frame, an
-// unknown first byte, a CRC mismatch, or an undecodable payload — and
-// truncates the log there instead of failing: a torn tail is the expected
-// signature of a crash mid-append, not corruption worth refusing to start
-// over. Everything before the tear is intact by CRC (which covers the op byte,
-// and so the frame's kind and length), so recovery is exact up to the last
-// fully-acknowledged record.
+// unknown first byte, or a CRC mismatch — and truncates the log there instead
+// of failing: a torn tail is the expected signature of a crash mid-append,
+// not corruption worth refusing to start over. Everything before the tear is
+// intact by CRC (which covers the op byte, and so the frame's length), so
+// recovery is exact up to the last fully-acknowledged record.
 package wal
 
 import (
@@ -43,6 +36,7 @@ import (
 	"time"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/format"
 )
 
 // Op tags a WAL record.
@@ -103,9 +97,10 @@ const (
 	deleteFrame = 1 + 8 + crcLen     // op + key + CRC
 	insertFrame = 1 + 8 + 8 + crcLen // op + key + val + CRC
 
-	v1Header  = 8  // length + CRC
-	v1Payload = 17 // op + key + val; also a v1 frame's first byte
-	v1Frame   = v1Header + v1Payload
+	// v1Payload is a v1 frame's length field, and v1Frame its size: the
+	// length, a CRC32C, then the payload of op, key and value.
+	v1Payload = 17
+	v1Frame   = 8 + v1Payload
 )
 
 // FrameSize is the largest frame the writer emits (an insert's). A record's
@@ -143,7 +138,8 @@ type Log struct {
 // Open opens or creates the log at path, replays every intact record into
 // apply (which must not fail — recovery tolerates redundant ops), truncates
 // any torn tail, and leaves the log ready for appends. The number of replayed
-// records is returned.
+// records is returned. A log that starts with a v1 frame is refused before
+// any of that (package comment).
 func Open(path string, opts Options, apply func(Record)) (*Log, int, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -154,6 +150,9 @@ func Open(path string, opts Options, apply func(Record)) (*Log, int, error) {
 		return nil, 0, err
 	}
 	data, err := io.ReadAll(f)
+	if err == nil {
+		err = refuseV1(path, data)
+	}
 	if err != nil {
 		f.Close() //nolint:errcheck
 		return nil, 0, err
@@ -182,6 +181,41 @@ func Open(path string, opts Options, apply func(Record)) (*Log, int, error) {
 	return l, nrec, nil
 }
 
+// ReplayFile applies every intact record of the log at path without opening
+// it for writing — a rotated-out log — and reports how many there were. A
+// missing file holds none.
+func ReplayFile(fsys faultfs.FS, path string, apply func(Record)) (int, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	data, err := io.ReadAll(f)
+	f.Close() //nolint:errcheck // read-only
+	if err == nil {
+		err = refuseV1(path, data)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n, _ := Replay(data, apply)
+	return n, nil
+}
+
+// refuseV1 fails if data starts with a CRC-valid v1 frame. Every log an
+// older build wrote does, whether or not a later build extended it with v2
+// frames; replaying it would stop at that first frame and truncate the whole
+// log as a torn tail.
+func refuseV1(path string, data []byte) error {
+	if len(data) >= v1Frame && binary.LittleEndian.Uint32(data) == v1Payload &&
+		crc32.Checksum(data[8:v1Frame], castagnoli) == binary.LittleEndian.Uint32(data[4:]) {
+		return fmt.Errorf("wal: %s starts with a v1 frame: %w", path, format.ErrNeedsUpgrade)
+	}
+	return nil
+}
+
 // Scan parses data as a frame sequence, returning the intact records and the
 // byte offset of the first torn or corrupt frame (== len(data) when the whole
 // buffer is intact). It never fails: everything after the first bad frame is
@@ -199,10 +233,10 @@ func Scan(data []byte) (records []Record, valid int) {
 }
 
 // parseFrame decodes the frame starting at off, returning the record, the
-// frame's total byte length, and whether it was intact. The first byte picks
-// the frame kind (package comment); a short, CRC-mismatched, or undecodable
-// frame, or any other first byte, reports ok=false — the caller treats off as
-// the torn tail.
+// frame's total byte length, and whether it was intact. The first byte is
+// the op, which implies the length; a short or CRC-mismatched frame, or any
+// other first byte, reports ok=false — the caller treats off as the torn
+// tail.
 func parseFrame(data []byte, off int) (r Record, n int, ok bool) {
 	if off >= len(data) {
 		return Record{}, 0, false
@@ -223,32 +257,8 @@ func parseFrame(data []byte, off int) (r Record, n int, ok bool) {
 			r.Val = binary.LittleEndian.Uint64(body[9:])
 		}
 		return r, n, true
-	case v1Payload:
-		return parseV1Frame(data, off)
 	}
 	return Record{}, 0, false
-}
-
-// parseV1Frame decodes a v1 frame: [4 length = 17][4 CRC32C][op, key, val].
-// A v1 delete's value bytes were always zero; they are ignored, so every
-// record this returns re-encodes losslessly as a v2 frame.
-func parseV1Frame(data []byte, off int) (r Record, n int, ok bool) {
-	if off+v1Frame > len(data) || binary.LittleEndian.Uint32(data[off:]) != v1Payload {
-		return Record{}, 0, false
-	}
-	payload := data[off+v1Header : off+v1Frame]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
-		return Record{}, 0, false
-	}
-	r = Record{Op: Op(payload[0]), Key: binary.LittleEndian.Uint64(payload[1:])}
-	switch r.Op {
-	case OpInsert:
-		r.Val = binary.LittleEndian.Uint64(payload[9:])
-	case OpDelete:
-	default:
-		return Record{}, 0, false
-	}
-	return r, v1Frame, true
 }
 
 // replayBatch is how many decoded records the pipelined replay hands to the

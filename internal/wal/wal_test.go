@@ -3,12 +3,16 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/format"
 )
 
 func openCollect(t *testing.T, path string, opts Options) (*Log, []Record) {
@@ -111,46 +115,134 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 }
 
-// TestReplayStopsAtCorruptFrame corrupts the second of three frames, in a v2
-// log and in a v1 log: Scan keeps the first record and stops there.
+// TestReplayStopsAtCorruptFrame corrupts the second of three frames: Scan
+// keeps the first record and stops there.
 func TestReplayStopsAtCorruptFrame(t *testing.T) {
 	recs := []Record{{OpInsert, 0, 0}, {Op: OpDelete, Key: 0}, {OpInsert, 2, 2}}
-	var v2, v1 []byte
+	var log []byte
 	for _, r := range recs {
-		v2 = appendFrame(v2, r)
-		v1 = appendV1Frame(v1, r)
+		log = appendFrame(log, r)
 	}
 	f2 := recs[0].FrameSize() // the second frame's offset, and Scan's stop
-	v2Cases := map[string]func([]byte){
+	for name, corrupt := range map[string]func([]byte){
 		"key bit flip": func(d []byte) { d[f2+3] ^= 0x40 },
 		"crc bit flip": func(d []byte) { d[f2+deleteFrame-2] ^= 0x01 },
 		"unknown op":   func(d []byte) { d[f2] = 0xEE },
 		"zero op":      func(d []byte) { d[f2] = 0 },
+	} {
+		d := append([]byte(nil), log...)
+		corrupt(d)
+		records, valid := Scan(d)
+		if len(records) != 1 || valid != f2 {
+			t.Errorf("%s: Scan kept %d records to offset %d, want 1 record to %d",
+				name, len(records), valid, f2)
+		}
 	}
-	v1Cases := map[string]func([]byte){
-		"payload bit flip":    func(d []byte) { d[v1Frame+v1Header+3] ^= 0x40 },
-		"crc bit flip":        func(d []byte) { d[v1Frame+5] ^= 0x01 },
-		"zero length":         func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], 0) },
-		"absurd length":       func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], 1<<30) },
-		"length 18":           func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], v1Payload+1) },
-		"unknown op":          func(d []byte) { d[v1Frame+v1Header] = 0xEE },
-		"length past the end": func(d []byte) { binary.LittleEndian.PutUint32(d[v1Frame:], uint32(2*v1Frame)) },
+}
+
+// TestLogTearAtEveryOffset cuts a log of inserts and deletes at every byte
+// offset: Scan recovers exactly the frames that end at or before the cut,
+// and stops at the last such boundary.
+func TestLogTearAtEveryOffset(t *testing.T) {
+	var data []byte
+	var recs []Record
+	var ends []int
+	for i := uint64(0); i < 12; i++ {
+		r := Record{OpInsert, i << 50, i}
+		if i%3 == 2 {
+			r = Record{Op: OpDelete, Key: (i - 1) << 50}
+		}
+		data = appendFrame(data, r)
+		recs = append(recs, r)
+		ends = append(ends, len(data))
 	}
-	for _, log := range []struct {
-		name  string
-		data  []byte
-		stop  int
-		cases map[string]func([]byte)
-	}{{"v2", v2, f2, v2Cases}, {"v1", v1, v1Frame, v1Cases}} {
-		for name, corrupt := range log.cases {
-			d := append([]byte(nil), log.data...)
-			corrupt(d)
-			records, valid := Scan(d)
-			if len(records) != 1 || valid != log.stop {
-				t.Errorf("%s %s: Scan kept %d records to offset %d, want 1 record to %d",
-					log.name, name, len(records), valid, log.stop)
+	whole := 0
+	for cut := 0; cut <= len(data); cut++ {
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		boundary := 0
+		if whole > 0 {
+			boundary = ends[whole-1]
+		}
+		got, valid := Scan(data[:cut])
+		if len(got) != whole || valid != boundary {
+			t.Fatalf("cut=%d: Scan kept %d records to %d, want %d to %d", cut, len(got), valid, whole, boundary)
+		}
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("cut=%d: record %d = %+v, want %+v", cut, i, got[i], recs[i])
 			}
 		}
+	}
+}
+
+// TestFlippedOpNeverDecodes rewrites the op byte of one frame to every other
+// value and checks that the frame never decodes as a record: the CRC covers
+// the op byte, and with it the frame's length. Scan stops at the mutated
+// frame.
+func TestFlippedOpNeverDecodes(t *testing.T) {
+	// An insert whose value starts with the CRC of its bare key: read as a
+	// delete, its first 13 bytes would be a valid frame if the CRC skipped
+	// the op byte.
+	var key [8]byte
+	binary.LittleEndian.PutUint64(key[:], 0x1234_0000_0000_0000)
+	bare := uint64(crc32.Checksum(key[:], castagnoli))
+	head := appendFrame(nil, Record{OpInsert, 1, 1})
+	tail := appendFrame(nil, Record{Op: OpDelete, Key: 1})
+	for name, frame := range map[string][]byte{
+		"insert":                       appendFrame(nil, Record{OpInsert, 0x1234_0000_0000_0000, 9}),
+		"insert, value = bare key CRC": appendFrame(nil, Record{OpInsert, 0x1234_0000_0000_0000, bare}),
+		"delete":                       appendFrame(nil, Record{Op: OpDelete, Key: 0x1234_0000_0000_0000}),
+	} {
+		for b := 0; b < 256; b++ {
+			if byte(b) == frame[0] {
+				continue
+			}
+			mid := append([]byte{byte(b)}, frame[1:]...)
+			data := append(append(append([]byte(nil), head...), mid...), tail...)
+			got, valid := Scan(data)
+			if len(got) != 1 || valid != len(head) {
+				t.Fatalf("%s, op byte %#x: Scan kept %d records to %d (%+v), want 1 to %d",
+					name, b, len(got), valid, got, len(head))
+			}
+		}
+	}
+}
+
+// TestRefusesV1Log: a log that starts with a v1 frame — the format before
+// v2 — is refused by Open and by ReplayFile with format.ErrNeedsUpgrade,
+// naming the file and leaving it as it was; a v1 frame anywhere later is
+// only a torn tail.
+func TestRefusesV1Log(t *testing.T) {
+	v1 := appendV1Frame(nil, Record{Op: OpInsert})
+	path := filepath.Join(t.TempDir(), "wal.log")
+	for name, data := range map[string][]byte{
+		"v1 frame":                 v1,
+		"v1 frame, then v2 frames": appendFrame(append([]byte(nil), v1...), Record{OpInsert, 5, 6}),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(path, Options{}, nil); !errors.Is(err, format.ErrNeedsUpgrade) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: Open err = %v, want ErrNeedsUpgrade naming %s", name, err, path)
+		}
+		if _, err := ReplayFile(faultfs.OS, path, nil); !errors.Is(err, format.ErrNeedsUpgrade) {
+			t.Fatalf("%s: ReplayFile err = %v, want ErrNeedsUpgrade", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: refused log changed (err %v)", name, err)
+		}
+	}
+
+	// After a v2 frame a v1 frame is a tear, truncated like any other.
+	if err := os.WriteFile(path, append(appendFrame(nil, Record{OpInsert, 5, 6}), v1...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, got := openCollect(t, path, Options{})
+	defer l.Close()
+	if len(got) != 1 || l.Size() != insertFrame {
+		t.Fatalf("replayed %d records to %d bytes, want 1 to %d", len(got), l.Size(), insertFrame)
 	}
 }
 

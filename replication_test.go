@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/faultfs"
 	"chameleon/internal/wal"
 )
 
@@ -70,53 +71,6 @@ func TestCommitSeqSurvivesRestart(t *testing.T) {
 	}
 	if got := d2.CommitSeq(); got != 66 {
 		t.Fatalf("CommitSeq after one more insert = %d, want 66", got)
-	}
-}
-
-// TestCommitSeqLegacyDirectory: a directory from before replication names
-// its files by rotation alone (snapshot-<rot>.ckpt, wal-<rot>.log) and has no
-// seq sidecar. Opening migrates it with base 0, so the clock is the replayed
-// WAL tail alone (the documented regression followers detect), and from then
-// on the names carry that clock: a checkpoint and a reopen keep it.
-func TestCommitSeqLegacyDirectory(t *testing.T) {
-	dir := t.TempDir()
-	d := openRepl(t, dir)
-	for k := uint64(1); k <= 20; k++ {
-		if err := d.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(21); k <= 23; k++ {
-		if err := d.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stripBases(t, dir)
-
-	d2 := openRepl(t, dir)
-	if got := d2.CommitSeq(); got != 3 {
-		t.Fatalf("CommitSeq of a pre-replication directory = %d, want 3 (replayed tail only)", got)
-	}
-	if d2.Len() != 23 {
-		t.Fatalf("Len = %d, want 23 — the data itself is intact", d2.Len())
-	}
-	checkNamesCarryBase(t, dir)
-	if err := d2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d3 := openRepl(t, dir)
-	defer d3.Close() //nolint:errcheck
-	if got := d3.CommitSeq(); got != 3 {
-		t.Fatalf("CommitSeq after checkpoint and reopen = %d, want 3", got)
 	}
 }
 
@@ -444,5 +398,69 @@ func TestMergeReplHealth(t *testing.T) {
 		if tc.wantErr == nil && got.Err != nil {
 			t.Errorf("%s: Err = %v, want nil", tc.name, got.Err)
 		}
+	}
+}
+
+// checkNamesCarryBase fails if dir holds a seq sidecar, or a snapshot or WAL
+// named without its base.
+func checkNamesCarryBase(t *testing.T, dir string) {
+	t.Helper()
+	if err := refuseOldLayout(faultfs.OS, dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNamesCarryBase: every operation that writes or rotates a snapshot or
+// WAL, on a fresh legacy and a fresh tiered directory, leaves no seq sidecar
+// and names every snapshot and WAL with its base.
+func TestNamesCarryBase(t *testing.T) {
+	src, err := OpenDir(t.TempDir(), tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for k := uint64(1); k <= 20; k++ {
+		if err := src.Insert(k<<20, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bundle bytes.Buffer
+	asOf, _, err := src.SnapshotAt(&bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDir(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { d.Close() }()
+			steps := []func() error{
+				func() error { return d.BulkLoad([]uint64{1, 2, 3}, nil) },
+				func() error { return d.Insert(10, 1) },
+				d.Checkpoint,
+				func() error { return d.Insert(11, 1) },
+				d.Flush,
+				d.Compact,
+				func() error { return d.RestoreSnapshot(bytes.NewReader(bundle.Bytes()), asOf) },
+				func() error { return d.Insert(12, 1) },
+				d.Close,
+			}
+			for i, step := range steps {
+				if err := step(); err != nil && !errors.Is(err, ErrNotTiered) {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				checkNamesCarryBase(t, dir)
+			}
+			if d, err = OpenDir(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.CommitSeq(); got != asOf+1 {
+				t.Fatalf("CommitSeq after reopen = %d, want %d", got, asOf+1)
+			}
+			checkNamesCarryBase(t, dir)
+		})
 	}
 }

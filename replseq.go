@@ -3,16 +3,10 @@ package chameleon
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 
-	"chameleon/internal/faultfs"
 	"chameleon/internal/wal"
 )
 
@@ -32,82 +26,6 @@ import (
 // rejected before anything is logged — the local index is unchanged and
 // stays readable, but the replication link must fail-stop.
 var ErrReplDivergence = errors.New("chameleon: replicated batch diverges from local state")
-
-// migrateNames brings a directory written before snapshot and WAL names
-// carried their base to the current layout, once, at open. There the names
-// were snapshot-<rot>.ckpt and wal-<rot>.log, and a sidecar mapped each
-// rotation to its base: generations seq-<gen>.meta, newest decodable wins,
-// then the older in-place seq.meta. Each old name is renamed to carry the
-// base the sidecar recorded for its rotation — 0 where none did, the
-// fallback a pre-replication directory always had — then the directory is
-// fsynced, the sidecars removed and the directory fsynced again. Renames
-// are atomic and the sidecars go last, so a crash anywhere leaves the old
-// names that remain next to the sidecar that maps them, and the next open
-// finishes the renames with the same bases.
-func migrateNames(fsys faultfs.FS, dir string) error {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	type oldName struct {
-		name string
-		rot  uint64
-		snap bool
-	}
-	var old []oldName
-	var sidecars []string
-	inPlace := false
-	for _, e := range entries {
-		name := e.Name()
-		if rot, ok := parseSeq(name, snapPrefix, snapSuffix); ok {
-			old = append(old, oldName{name, rot, true})
-		} else if rot, ok := parseSeq(name, walPrefix, walSuffix); ok {
-			old = append(old, oldName{name, rot, false})
-		} else if _, ok := parseSeq(name, "seq-", ".meta"); ok {
-			sidecars = append(sidecars, name)
-		} else if name == "seq.meta" {
-			inPlace = true
-		}
-	}
-	if len(old) == 0 && len(sidecars) == 0 && !inPlace {
-		return nil
-	}
-	// Generation numbers are zero-padded: descending names are newest first.
-	sort.Sort(sort.Reverse(sort.StringSlice(sidecars)))
-	if inPlace {
-		sidecars = append(sidecars, "seq.meta")
-	}
-	var bases map[string]uint64 // rotation in decimal → base
-	for _, name := range sidecars {
-		f, err := fsys.OpenFile(filepath.Join(dir, name), os.O_RDONLY, 0)
-		if err != nil {
-			continue
-		}
-		data, err := io.ReadAll(f)
-		f.Close() //nolint:errcheck // read-only
-		if err == nil && json.Unmarshal(data, &bases) == nil {
-			break
-		}
-		bases = nil
-	}
-	for _, o := range old {
-		base := bases[strconv.FormatUint(o.rot, 10)]
-		to := walName(o.rot, base)
-		if o.snap {
-			to = snapName(o.rot, base)
-		}
-		if err := fsys.Rename(filepath.Join(dir, o.name), filepath.Join(dir, to)); err != nil {
-			return err
-		}
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return err
-	}
-	for _, name := range sidecars {
-		fsys.Remove(filepath.Join(dir, name)) //nolint:errcheck // a survivor maps no old name; the next open retries
-	}
-	return fsys.SyncDir(dir)
-}
 
 // CommitSeq reports the number of records ever durably committed through
 // this index — the monotonic commit-sequence clock replication is built on.

@@ -156,6 +156,11 @@ func openShardedDirFS(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Shard
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// Before loadLegacyUnsharded, which would take an old-layout directory
+	// for an empty one.
+	if err := refuseOldLayout(fsys, dir); err != nil {
+		return nil, err
+	}
 
 	man, err := readShardManifest(fsys, dir)
 	if err != nil {

@@ -11,8 +11,8 @@
 //	(cd "$tmp" && go run ./mkseqmeta.go)
 //	cp -r "$tmp"/seqmeta-legacy "$tmp"/seqmeta-tiered testdata/
 //
-// seqMetaFixtures in migrate_test.go replays both workloads into oracles:
-// keep the two in step.
+// TestRetiredFormatsRefused expects OpenDir to refuse both, and
+// OpenShardedDir seqmeta-legacy.
 package main
 
 import (

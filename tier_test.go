@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"chameleon/internal/faultfs"
-	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
@@ -1173,144 +1172,4 @@ func TestTieredSegmentMetasSorted(t *testing.T) {
 	}) {
 		t.Fatalf("segment set not newest-first: %+v", metas)
 	}
-}
-
-// TestTieredV1SegmentBase: a tiered directory whose base is a segment file
-// of an older kind opens and serves — a CHAMSEG1 file (written before
-// CHAMSEG2), or a CHAMSEG2 file carrying the learned model runs had before
-// fence-key lookup, under the manifest written with it; a flush stacks a new
-// run on it, and a snapshot bundle carrying both flattens to the same
-// contents; Compact rewrites everything as model-less CHAMSEG2 without
-// changing them, and the directory reopens.
-func TestTieredV1SegmentBase(t *testing.T) {
-	const testdata = "internal/segment/testdata/"
-	for _, c := range []struct {
-		name, seg string
-		manifest  string // "" writes one from the file's header
-		version   int
-	}{
-		{"v1", testdata + "seg-v1.seg", "", 1},
-		{"v2-model", testdata + "seg-v2-model.seg", testdata + "manifest-v2-model.mft", 2},
-	} {
-		t.Run(c.name, func(t *testing.T) { testTieredOldSegmentBase(t, c.seg, c.manifest, c.version) })
-	}
-}
-
-func testTieredOldSegmentBase(t *testing.T, seg, manifest string, version int) {
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := segment.OpenBytes(data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := base.Meta()
-	meta.ID = 1
-	entries, err := base.LoadEntries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make(map[uint64]uint64)
-	for _, e := range entries {
-		if !e.Tomb {
-			oracle[e.Key] = e.Val
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segment.FileName(1)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if manifest == "" {
-		err = segment.WriteManifest(faultfs.OS, dir, &segment.Manifest{
-			Gen: 1, FlushedSeq: meta.Seq, LiveCount: int64(meta.Live), NextID: 2, Segments: []segment.Meta{meta},
-		})
-	} else {
-		var raw []byte
-		if raw, err = os.ReadFile(manifest); err == nil {
-			err = os.WriteFile(filepath.Join(dir, segment.ManifestFileName(1)), raw, 0o644)
-		}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := OpenDir(dir, tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { d.Close() }()
-	compareWithOracle(t, d, oracle, "old base")
-	versions := func() (v []int) {
-		for _, r := range d.tier.segs.Load().readers {
-			v = append(v, r.Version())
-		}
-		return v
-	}
-
-	// Overwrite, delete and insert around the base's keys, flush, and leave
-	// more in the memtable.
-	for i, e := range entries {
-		switch {
-		case i%5 == 0 && !e.Tomb:
-			if err := d.Delete(e.Key); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, e.Key)
-		case i%5 == 1:
-			if err := d.Insert(e.Key+1, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-			oracle[e.Key+1] = uint64(i)
-		}
-		if i == len(entries)/2 {
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if v := versions(); !slices.Equal(v, []int{2, version}) {
-		t.Fatalf("segment versions newest first = %v, want [2 %d]", v, version)
-	}
-	compareWithOracle(t, d, oracle, "new run over the old base")
-
-	var bundle bytes.Buffer
-	if _, _, err := d.SnapshotAt(&bundle); err != nil {
-		t.Fatal(err)
-	}
-	keys, vals, err := readBundleFlat(bytes.NewReader(bundle.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != len(oracle) {
-		t.Fatalf("bundle flattened to %d keys, want %d", len(keys), len(oracle))
-	}
-	for i, k := range keys {
-		if v, ok := oracle[k]; !ok || v != vals[i] {
-			t.Fatalf("bundle key %d = %d, oracle %d,%v", k, vals[i], v, ok)
-		}
-	}
-
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if v := versions(); !slices.Equal(v, []int{2}) {
-		t.Fatalf("segment versions after Compact = %v, want [2]", v)
-	}
-	for _, m := range d.tier.segs.Load().metas() {
-		if m.ModelPieces != 0 {
-			t.Fatalf("Compact wrote a model: %+v", m)
-		}
-	}
-	compareWithOracle(t, d, oracle, "after Compact")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if d, err = OpenDir(dir, tieredOpts()); err != nil {
-		t.Fatal(err)
-	}
-	compareWithOracle(t, d, oracle, "after reopen")
 }

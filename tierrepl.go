@@ -23,8 +23,7 @@ import (
 //	[8]  magic "CHAMTBN1"
 //	[4]  manifest envelope length | EncodeManifest bytes (self-CRC'd)
 //	per manifest segment, in manifest order:
-//	     [8] file length | raw segment bytes (each self-CRC'd: CHAMSEG2, or
-//	         CHAMSEG1 for a file written before it and not yet compacted)
+//	     [8] file length | raw segment bytes (each a self-CRC'd CHAMSEG2 file)
 //	[8]  magic "CHAMTBN1" again (end marker)
 //
 // The receiver dispatches on the leading 8 bytes, so either snapshot format
