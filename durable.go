@@ -324,7 +324,7 @@ func OpenDir(dir string, opts DirOptions) (*DurableIndex, error) {
 	return openDirFS(dir, opts, faultfs.OS)
 }
 
-// openDirFS is OpenDir over an injectable filesystem; the crash-matrix test
+// openDirFS is OpenDir over an injectable filesystem; TestCrashSweep
 // recovers with the real one after crashing a faultfs.CrashFS workload.
 func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {

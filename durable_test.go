@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 	"chameleon/internal/wal"
 )
 
-// durableOpts keeps construction cheap: recovery in the crash matrix rebuilds
+// durableOpts keeps construction cheap: TestCrashSweep's recoveries rebuild
 // the index hundreds of times.
 func durableOpts() DirOptions {
 	return DirOptions{Options: Options{Seed: 7}}
@@ -337,211 +336,6 @@ func TestDurableBulkLoadCheckpointFailurePoisons(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 0 {
 		t.Fatalf("Len = %d after failed bulk load, want 0", re.Len())
-	}
-}
-
-// TestDurableCrashMatrix is the acceptance test of the durability stack: a
-// fixed workload (bulk load, inserts, deletes, a checkpoint mid-stream) runs
-// on a crash-injecting filesystem that kills the process at step k, for every
-// interesting k, with all three tear modes. After each crash the directory is
-// reopened with the real filesystem and checked against the oracle:
-//
-//   - every acknowledged write is present (no acked-data loss),
-//   - no key that was never attempted appears (no phantoms),
-//   - acknowledged deletes stay deleted.
-//
-// Unacknowledged writes may or may not appear — both are legal crash
-// outcomes.
-func TestDurableCrashMatrix(t *testing.T) {
-	// One clean dry run sizes the matrix.
-	total := runCrashWorkload(t, t.TempDir(), 1<<40, 0, nil, nil)
-	if total < 20 {
-		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
-	}
-	stride := int64(1)
-	if testing.Short() {
-		stride = 7
-	}
-	for k := int64(0); k < total; k += stride {
-		dir := t.TempDir()
-		acked := make(map[uint64]ackState)
-		var b seqBounds
-		runCrashWorkload(t, dir, k, int(k%3), acked, &b)
-		verifyRecovered(t, dir, k, acked, &b)
-	}
-}
-
-// seqBounds counts a crash workload's mutations. Each committed record is
-// one tick of the commit clock, so a recovered CommitSeq must cover every
-// acked mutation and may not exceed the attempted ones (an errored write may
-// or may not have reached the log).
-type seqBounds struct{ acked, attempted atomic.Uint64 }
-
-func (b *seqBounds) note(err error) {
-	if b == nil {
-		return
-	}
-	b.attempted.Add(1)
-	if err == nil {
-		b.acked.Add(1)
-	}
-}
-
-func (b *seqBounds) check(t *testing.T, k int64, d *DurableIndex) {
-	t.Helper()
-	if got, lo, hi := d.CommitSeq(), b.acked.Load(), b.attempted.Load(); got < lo || got > hi {
-		t.Fatalf("crash@%d: recovered CommitSeq %d outside [acked %d, attempted %d]", k, got, lo, hi)
-	}
-}
-
-type ackState struct {
-	val     uint64
-	present bool // acknowledged as inserted (true) or deleted (false)
-	// unstable marks a key whose later mutation attempt FAILED (the crash hit
-	// mid-operation). Like a timed-out commit, a failed op may or may not
-	// have reached the log before the kill — its frame can be complete on
-	// disk even though the caller saw an error — so recovery may legally
-	// surface either the pre-op or post-op state. Only the phantom check
-	// applies to such keys.
-	unstable bool
-}
-
-// runCrashWorkload executes the fixed mutation sequence against dir through a
-// CrashFS with the given step budget, recording acknowledged writes into
-// acked and counting mutations into b (nil to skip). It returns the number
-// of steps consumed.
-func runCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState, b *seqBounds) int64 {
-	t.Helper()
-	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
-	cfs.Tear = tear
-	d, err := openDirFS(dir, durableOpts(), cfs)
-	if err != nil {
-		return cfs.Steps() // crashed during initial open: empty dir, nothing acked
-	}
-	ack := func(key, val uint64, present bool, err error) {
-		b.note(err)
-		if acked == nil {
-			return
-		}
-		if err != nil {
-			if st, ok := acked[key]; ok {
-				st.unstable = true
-				acked[key] = st
-			}
-			return
-		}
-		acked[key] = ackState{val: val, present: present}
-	}
-	base := []uint64{100, 200, 300, 400, 500, 600, 700, 800}
-	if err := d.BulkLoad(base, nil); err == nil && acked != nil {
-		for _, k := range base {
-			acked[k] = ackState{val: k, present: true}
-		}
-	}
-	for i := uint64(0); i < 6; i++ {
-		k := 1000 + i
-		ack(k, i, true, d.Insert(k, i))
-	}
-	ack(200, 0, false, d.Delete(200))
-	d.Checkpoint() //nolint:errcheck // a failed checkpoint must not lose anything either
-	for i := uint64(0); i < 6; i++ {
-		k := 2000 + i
-		ack(k, i+50, true, d.Insert(k, i+50))
-	}
-	ack(1002, 0, false, d.Delete(1002))
-	ack(300, 0, false, d.Delete(300))
-	d.Close() //nolint:errcheck
-	return cfs.Steps()
-}
-
-// verifyRecovered reopens dir with the real filesystem and checks the
-// durability invariant against the oracle, and the clock against b.
-func verifyRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState, b *seqBounds) {
-	t.Helper()
-	re, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatalf("crash@%d: recovery failed: %v", k, err)
-	}
-	defer re.Close()
-	b.check(t, k, re)
-	for key, st := range acked {
-		if st.unstable {
-			continue
-		}
-		v, ok := re.Lookup(key)
-		if st.present && !ok {
-			t.Fatalf("crash@%d: acked key %d lost", k, key)
-		}
-		if st.present && v != st.val {
-			t.Fatalf("crash@%d: acked key %d has value %d, want %d", k, key, v, st.val)
-		}
-		if !st.present && ok {
-			t.Fatalf("crash@%d: acked delete of %d undone", k, key)
-		}
-	}
-	// No phantoms: every present key was at least attempted by the workload.
-	attempted := func(key uint64) bool {
-		for _, b := range []uint64{100, 200, 300, 400, 500, 600, 700, 800} {
-			if key == b {
-				return true
-			}
-		}
-		return (key >= 1000 && key < 1006) || (key >= 2000 && key < 2006)
-	}
-	re.Range(0, ^uint64(0), func(key, _ uint64) bool {
-		if !attempted(key) {
-			t.Fatalf("crash@%d: phantom key %d", k, key)
-		}
-		return true
-	})
-}
-
-// TestSaveCrashKeepsPreviousFile kills a Save over an existing file at every
-// filesystem step, tearing unsynced data each of the three ways: the file
-// left behind always loads, and holds the previous save unless the crash
-// came after the rename was made durable.
-func TestSaveCrashKeepsPreviousFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ix.cham")
-	old := New(durableOpts().Options)
-	if err := old.BulkLoad([]uint64{1, 2, 3}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]uint64, 5_000)
-	for i := range keys {
-		keys[i] = uint64(i)*7 + 100
-	}
-	next := New(durableOpts().Options)
-	if err := next.BulkLoad(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	for tear := 0; tear < 3; tear++ {
-		for budget := int64(0); ; budget++ {
-			if err := old.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			fsys := faultfs.NewCrashFS(faultfs.OS, budget)
-			fsys.Tear = tear
-			err := next.save(fsys, path)
-			if err != nil && !errors.Is(err, faultfs.ErrCrashed) {
-				t.Fatalf("tear %d budget %d: %v", tear, budget, err)
-			}
-			got, lerr := Load(path, durableOpts().Options)
-			if lerr != nil {
-				t.Fatalf("tear %d: crash at step %d left an unloadable file: %v", tear, budget, lerr)
-			}
-			switch {
-			case err == nil && got.Len() != len(keys):
-				t.Fatalf("tear %d: completed save loads %d keys", tear, got.Len())
-			case got.Len() != 3 && got.Len() != len(keys):
-				t.Fatalf("tear %d: crash at step %d loads %d keys", tear, budget, got.Len())
-			}
-			if err == nil {
-				break
-			}
-		}
 	}
 }
 

@@ -17,10 +17,10 @@
 //     any file it replaced), a removed file comes back. Every operation after
 //     the crash fails with ErrCrashed.
 //
-// The crash-matrix test in the root package drives CrashFS through every step
-// of a live workload (WAL appends, checkpoint writes, renames) and then
-// reopens the directory with the real OS filesystem, as a rebooted process
-// would.
+// TestCrashSweep in the root package drives CrashFS through the steps of
+// every storage configuration's workloads (WAL appends, checkpoints,
+// flushes, compactions, replaces, renames) and then reopens the directory
+// with the real OS filesystem, as a rebooted process would.
 package faultfs
 
 import (

@@ -144,8 +144,8 @@ func OpenShardedDir(dir string, opts ShardDirOptions) (*ShardedIndex, error) {
 	return openShardedDirFS(dir, opts, faultfs.OS)
 }
 
-// openShardedDirFS is OpenShardedDir over an injectable filesystem; the shard
-// crash matrix recovers with the real one after crashing a faultfs workload.
+// openShardedDirFS is OpenShardedDir over an injectable filesystem;
+// TestCrashSweep recovers with the real one after crashing a faultfs workload.
 func openShardedDirFS(dir string, opts ShardDirOptions, fsys faultfs.FS) (*ShardedIndex, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 4

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"chameleon/internal/faultfs"
 )
 
 // shardOpts mirrors durableOpts for the sharded layer: cheap construction,
@@ -465,122 +463,6 @@ func TestShardedHealthAggregation(t *testing.T) {
 	if err := s.Err(); !errors.Is(err, ErrIndexClosed) {
 		t.Fatalf("Err after Close = %v, want ErrIndexClosed", err)
 	}
-}
-
-// TestShardedCrashMatrix is the sharded counterpart of TestDurableCrashMatrix:
-// a workload spanning all four shards — with a scatter-gather checkpoint
-// mid-stream — is killed at every interesting step with every tear mode, and
-// recovery must preserve each shard's acked writes independently. The
-// interesting new failure geometry is a crash between one shard's commit and
-// another's: the acked shard's WAL must still carry its write, and the
-// unacked shard must not surface a phantom.
-func TestShardedCrashMatrix(t *testing.T) {
-	total := runShardedCrashWorkload(t, t.TempDir(), 1<<40, 0, nil)
-	if total < 40 {
-		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
-	}
-	// The sharded workload consumes several times the steps of the unsharded
-	// one (four directories' worth of file creation); stride the matrix to
-	// keep the full run minutes-scale and the short run seconds-scale.
-	stride := int64(3)
-	if testing.Short() {
-		stride = 17
-	}
-	for k := int64(0); k < total; k += stride {
-		dir := t.TempDir()
-		acked := make(map[uint64]ackState)
-		runShardedCrashWorkload(t, dir, k, int(k%3), acked)
-		verifyShardedRecovered(t, dir, k, acked)
-	}
-}
-
-// shardedCrashBounds spread the crash workload's keys across four shards.
-var shardedCrashBounds = []uint64{1 << 16, 1 << 32, 1 << 48}
-
-// shardedCrashKey places logical key i in shard (i%4): consecutive operations
-// alternate shards, so every crash point falls between two different shards'
-// commits.
-func shardedCrashKey(i uint64) uint64 {
-	base := []uint64{0, 1 << 16, 1 << 32, 1 << 48}[i%4]
-	return base + 100 + i
-}
-
-func runShardedCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState) int64 {
-	t.Helper()
-	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
-	cfs.Tear = tear
-	opts := shardOpts(4)
-	opts.Boundaries = shardedCrashBounds
-	s, err := openShardedDirFS(dir, opts, cfs)
-	if err != nil {
-		return cfs.Steps() // crashed during init: nothing acked
-	}
-	ack := func(key, val uint64, present bool, err error) {
-		if acked == nil {
-			return
-		}
-		if err != nil {
-			if st, ok := acked[key]; ok {
-				st.unstable = true
-				acked[key] = st
-			}
-			return
-		}
-		acked[key] = ackState{val: val, present: present}
-	}
-	for i := uint64(0); i < 8; i++ {
-		k := shardedCrashKey(i)
-		ack(k, i+1, true, s.Insert(k, i+1))
-	}
-	ack(shardedCrashKey(1), 0, false, s.Delete(shardedCrashKey(1)))
-	s.Checkpoint() //nolint:errcheck // a failed checkpoint must not lose anything either
-	for i := uint64(8); i < 16; i++ {
-		k := shardedCrashKey(i)
-		ack(k, i+50, true, s.Insert(k, i+50))
-	}
-	ack(shardedCrashKey(2), 0, false, s.Delete(shardedCrashKey(2)))
-	ack(shardedCrashKey(8), 0, false, s.Delete(shardedCrashKey(8)))
-	s.Close() //nolint:errcheck
-	return cfs.Steps()
-}
-
-func verifyShardedRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState) {
-	t.Helper()
-	// Recovery must succeed whether the crash hit before the manifest (empty
-	// or partial layout → re-init) or after (per-shard WAL replay).
-	opts := shardOpts(4)
-	opts.Boundaries = shardedCrashBounds
-	re, err := OpenShardedDir(dir, opts)
-	if err != nil {
-		t.Fatalf("crash@%d: recovery failed: %v", k, err)
-	}
-	defer re.Close() //nolint:errcheck
-	for key, st := range acked {
-		if st.unstable {
-			continue
-		}
-		v, ok := re.Lookup(key)
-		if st.present && !ok {
-			t.Fatalf("crash@%d: acked key %d lost", k, key)
-		}
-		if st.present && v != st.val {
-			t.Fatalf("crash@%d: acked key %d has value %d, want %d", k, key, v, st.val)
-		}
-		if !st.present && ok {
-			t.Fatalf("crash@%d: acked delete of %d undone", k, key)
-		}
-	}
-	// No phantoms: every recovered key was attempted by the workload.
-	attempted := make(map[uint64]bool)
-	for i := uint64(0); i < 16; i++ {
-		attempted[shardedCrashKey(i)] = true
-	}
-	re.Range(0, ^uint64(0), func(key, _ uint64) bool {
-		if !attempted[key] {
-			t.Fatalf("crash@%d: phantom key %d", k, key)
-		}
-		return true
-	})
 }
 
 // TestShardedSoak hammers a sharded index from concurrent writers with an

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -134,226 +133,6 @@ func TestTieredWriteToRefused(t *testing.T) {
 	}
 }
 
-// TestTieredCrashMatrix is the tiered twin of TestDurableCrashMatrix: the
-// workload exercises flush, the dead-set delete path, a flush-triggered
-// merge that stops above the base (carrying a tombstone the base still
-// needs), a full merge that reaches it, and post-compaction writes, crashing
-// at every filesystem step with all three tear modes, then recovering
-// through the manifest + WAL-delta path and checking the same oracle (acked
-// writes survive, acked deletes stay deleted, no phantoms). Because flushes rotate the WAL and garbage-collect
-// old logs keyed off the flushed watermark, the sweep covers every crash
-// point between a manifest commit and its WAL truncation — the coupling the
-// legacy checkpoint path got wrong.
-func TestTieredCrashMatrix(t *testing.T) {
-	total := runTieredCrashWorkload(t, t.TempDir(), 1<<40, 0, nil, nil)
-	if total < 30 {
-		t.Fatalf("workload consumed only %d steps — matrix degenerate", total)
-	}
-	stride := int64(1)
-	if testing.Short() {
-		stride = 7
-	}
-	for k := int64(0); k < total; k += stride {
-		dir := t.TempDir()
-		acked := make(map[uint64]ackState)
-		var b seqBounds
-		runTieredCrashWorkload(t, dir, k, int(k%3), acked, &b)
-		verifyTieredRecovered(t, dir, k, acked, &b)
-	}
-}
-
-// crashBase is the crash workload's bulk load: eight keys the workload
-// deletes from, plus enough bulk that the base outweighs compactRatio × two
-// flushes, so the second flush's merge stops above it.
-func crashBase() []uint64 {
-	base := []uint64{100, 200, 300, 400, 500, 600, 700, 800}
-	for i := uint64(0); i < 256; i++ {
-		base = append(base, 10_000+10*i)
-	}
-	return base
-}
-
-func runTieredCrashWorkload(t *testing.T, dir string, budget int64, tear int, acked map[uint64]ackState, b *seqBounds) int64 {
-	t.Helper()
-	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
-	cfs.Tear = tear
-	opts := tieredOpts()
-	opts.CompactL0 = 2 // the second flush merges L0 into a delta
-	d, err := openDirFS(dir, opts, cfs)
-	if err != nil {
-		return cfs.Steps()
-	}
-	ack := func(key, val uint64, present bool, err error) {
-		b.note(err)
-		if acked == nil {
-			return
-		}
-		if err != nil {
-			if st, ok := acked[key]; ok {
-				st.unstable = true
-				acked[key] = st
-			}
-			return
-		}
-		acked[key] = ackState{val: val, present: present}
-	}
-	base := crashBase()
-	if err := d.BulkLoad(base, nil); err == nil && acked != nil {
-		for _, k := range base {
-			acked[k] = ackState{val: k, present: true}
-		}
-	}
-	for i := uint64(0); i < 6; i++ {
-		k := 1000 + i
-		ack(k, i, true, d.Insert(k, i))
-	}
-	ack(200, 0, false, d.Delete(200)) // bulk-loaded key: segment-resident, dead-set path
-	d.Flush()                         //nolint:errcheck // a failed flush must not lose anything either
-	for i := uint64(0); i < 6; i++ {
-		k := 2000 + i
-		ack(k, i+50, true, d.Insert(k, i+50))
-	}
-	ack(1002, 0, false, d.Delete(1002)) // flushed in the L0 segment above
-	ack(300, 0, false, d.Delete(300))
-	// Second L0 run: this flush also merges both into a delta run, leaving
-	// the base alone — the tombstones of 200 and 300 must ride along.
-	d.Flush() //nolint:errcheck
-	if acked == nil {
-		if th := d.Health().Tier; th.Compactions != 1 || th.Runs != 2 || th.L0Segments != 0 {
-			t.Fatalf("second flush: %d compactions, %d runs, %d L0 — want a delta above an untouched base",
-				th.Compactions, th.Runs, th.L0Segments)
-		}
-	}
-	for i := uint64(0); i < 3; i++ {
-		k := 3000 + i
-		ack(k, i+90, true, d.Insert(k, i+90))
-	}
-	d.Flush()   //nolint:errcheck
-	d.Compact() //nolint:errcheck // full merge: L0 + delta + base
-	if acked == nil {
-		if th := d.Health().Tier; th.Compactions != 2 || th.Runs != 1 {
-			t.Fatalf("full merge: %d compactions, %d runs — want one run", th.Compactions, th.Runs)
-		}
-	}
-	for i := uint64(0); i < 3; i++ {
-		k := 4000 + i
-		ack(k, i+70, true, d.Insert(k, i+70))
-	}
-	d.Close() //nolint:errcheck
-	return cfs.Steps()
-}
-
-func verifyTieredRecovered(t *testing.T, dir string, k int64, acked map[uint64]ackState, b *seqBounds) {
-	t.Helper()
-	re, err := OpenDir(dir, tieredOpts())
-	if err != nil {
-		t.Fatalf("crash@%d: recovery failed: %v", k, err)
-	}
-	defer re.Close()
-	b.check(t, k, re)
-	for key, st := range acked {
-		if st.unstable {
-			continue
-		}
-		v, ok := re.Lookup(key)
-		if st.present && !ok {
-			t.Fatalf("crash@%d: acked key %d lost", k, key)
-		}
-		if st.present && v != st.val {
-			t.Fatalf("crash@%d: acked key %d has value %d, want %d", k, key, v, st.val)
-		}
-		if !st.present && ok {
-			t.Fatalf("crash@%d: acked delete of %d undone", k, key)
-		}
-	}
-	base := crashBase()
-	attempted := func(key uint64) bool {
-		for _, b := range base {
-			if key == b {
-				return true
-			}
-		}
-		return (key >= 1000 && key < 1006) || (key >= 2000 && key < 2006) ||
-			(key >= 3000 && key < 3003) || (key >= 4000 && key < 4003)
-	}
-	re.Range(0, ^uint64(0), func(key, _ uint64) bool {
-		if !attempted(key) {
-			t.Fatalf("crash@%d: phantom key %d", k, key)
-		}
-		return true
-	})
-}
-
-// TestTieredWALGCCrashBetweenFlushAndTruncate is the directed regression for
-// the checkpoint/WAL-GC coupling: WAL files must only be removed because the
-// flushed commit-sequence watermark covers them, never because an operation
-// "succeeded". The sweep crashes at every filesystem step inside a flush —
-// including every point between its manifest commit and the WAL removals
-// that follow — and proves every previously-acked write recovers.
-func TestTieredWALGCCrashBetweenFlushAndTruncate(t *testing.T) {
-	// Dry run: measure the step budget consumed before the second flush
-	// starts, and the total, so the sweep brackets exactly that flush.
-	dir := t.TempDir()
-	cfs := faultfs.NewCrashFS(faultfs.OS, 1<<40)
-	d, err := openDirFS(dir, tieredOpts(), cfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := func(d *DurableIndex) map[uint64]uint64 {
-		acked := make(map[uint64]uint64)
-		for i := uint64(0); i < 8; i++ {
-			if err := d.Insert(10+i, i); err == nil {
-				acked[10+i] = i
-			}
-		}
-		d.Flush() //nolint:errcheck
-		for i := uint64(0); i < 8; i++ {
-			if err := d.Insert(100+i, i+5); err == nil {
-				acked[100+i] = i + 5
-			}
-		}
-		return acked
-	}
-	const attempted = 16 // seed's inserts
-	seed(d)
-	before := cfs.Steps()
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	after := cfs.Steps()
-	d.Close() //nolint:errcheck
-	if after <= before {
-		t.Fatalf("flush consumed no steps (%d..%d)", before, after)
-	}
-
-	for k := before; k <= after; k++ {
-		dir := t.TempDir()
-		cfs := faultfs.NewCrashFS(faultfs.OS, k)
-		cfs.Tear = int(k % 3)
-		d, err := openDirFS(dir, tieredOpts(), cfs)
-		if err != nil {
-			continue
-		}
-		acked := seed(d)
-		d.Flush() //nolint:errcheck // the crash lands in here
-		d.Close() //nolint:errcheck
-
-		re, err := OpenDir(dir, tieredOpts())
-		if err != nil {
-			t.Fatalf("crash@%d: recovery failed: %v", k, err)
-		}
-		for key, want := range acked {
-			if v, ok := re.Lookup(key); !ok || v != want {
-				t.Fatalf("crash@%d in flush: acked key %d = %d,%v want %d,true", k, key, v, ok, want)
-			}
-		}
-		if got := re.CommitSeq(); got < uint64(len(acked)) || got > attempted {
-			t.Fatalf("crash@%d in flush: recovered CommitSeq %d outside [acked %d, attempted %d]", k, got, len(acked), attempted)
-		}
-		re.Close() //nolint:errcheck
-	}
-}
-
 // manifestFailFS fails the creation of tier manifests while fail is set, so
 // a replace dies at its commit point.
 type manifestFailFS struct {
@@ -472,162 +251,6 @@ func TestTieredGCKeepsLogsAboveWatermark(t *testing.T) {
 	}
 	defer re.Close()
 	compareWithOracle(t, re, oracle, "reopened after a failed flush and a compaction")
-}
-
-// replaceStart builds the non-empty tier TestTieredReplaceCrashSweep
-// replaces: a base, one flushed L0 run, memtable inserts, and a delete of a
-// base-resident key, the last two held only by unflushed WAL records.
-func replaceStart(d *DurableIndex) error {
-	base := make([]uint64, 64)
-	for i := range base {
-		base[i] = uint64(i+1) * 10
-	}
-	if err := d.BulkLoad(base, nil); err != nil {
-		return err
-	}
-	for i := uint64(0); i < 4; i++ {
-		if err := d.Insert(1000+i, i); err != nil {
-			return err
-		}
-	}
-	if err := d.Flush(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < 4; i++ {
-		if err := d.Insert(2000+i, i); err != nil {
-			return err
-		}
-	}
-	return d.Delete(100)
-}
-
-func tierContents(d *DurableIndex) map[uint64]uint64 {
-	m := make(map[uint64]uint64)
-	d.Range(0, ^uint64(0), func(k, v uint64) bool {
-		m[k] = v
-		return true
-	})
-	return m
-}
-
-// TestTieredReplaceCrashSweep crashes both replaces — BulkLoad and a
-// RestoreSnapshot of a tiered bundle — of a non-empty tier at every
-// filesystem step × three tear modes. Recovery must hold exactly the old
-// contents at the old CommitSeq, or exactly the new contents at the new
-// one: the manifest is the one commit point, and neither the old WAL records
-// nor a pre-created successor log may leak into the other side.
-func TestTieredReplaceCrashSweep(t *testing.T) {
-	// Full reconstructions of the tiny memtable only cost time here.
-	opts := tieredOpts()
-	opts.ReconstructThreshold = -1
-	src, err := OpenDir(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for i := uint64(0); i < 48; i++ {
-		if err := src.Insert(i*7+3, i); err != nil {
-			t.Fatal(err)
-		}
-		if i == 39 {
-			if err := src.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for i := uint64(0); i < 4; i++ {
-		if err := src.Delete(i*7 + 3); err != nil { // segment-resident: a tombstone in the bundle
-			t.Fatal(err)
-		}
-	}
-	var bundle bytes.Buffer
-	asOf, _, err := src.SnapshotAt(&bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := tierContents(src)
-
-	bulk := make([]uint64, 32)
-	loaded := make(map[uint64]uint64)
-	for i := range bulk {
-		bulk[i] = uint64(i)*11 + 5
-		loaded[bulk[i]] = bulk[i]
-	}
-
-	for _, op := range []struct {
-		name   string
-		run    func(d *DurableIndex) error
-		want   map[uint64]uint64
-		newSeq func(oldSeq uint64) uint64
-	}{
-		{"BulkLoad", func(d *DurableIndex) error { return d.BulkLoad(bulk, nil) },
-			loaded, func(oldSeq uint64) uint64 { return oldSeq }},
-		{"RestoreSnapshot", func(d *DurableIndex) error {
-			return d.RestoreSnapshot(bytes.NewReader(bundle.Bytes()), asOf)
-		}, restored, func(uint64) uint64 { return asOf }},
-	} {
-		t.Run(op.name, func(t *testing.T) {
-			// Dry run: the steps the start state consumes, and the total.
-			cfs := faultfs.NewCrashFS(faultfs.OS, 1<<40)
-			d, err := openDirFS(t.TempDir(), opts, cfs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := replaceStart(d); err != nil {
-				t.Fatal(err)
-			}
-			if d.CommitSeq() >= asOf {
-				t.Fatalf("test setup: local clock %d not behind the snapshot's %d", d.CommitSeq(), asOf)
-			}
-			before := cfs.Steps()
-			if err := op.run(d); err != nil {
-				t.Fatal(err)
-			}
-			after := cfs.Steps()
-			d.Close() //nolint:errcheck
-			if after-before < 10 {
-				t.Fatalf("replace consumed only %d steps — sweep degenerate", after-before)
-			}
-
-			for k := before; k <= after; k++ {
-				for tear := 0; tear < 3; tear++ {
-					dir := t.TempDir()
-					cfs := faultfs.NewCrashFS(faultfs.OS, k)
-					cfs.Tear = tear
-					d, err := openDirFS(dir, opts, cfs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := replaceStart(d); err != nil {
-						t.Fatalf("crash@%d: start state: %v", k, err)
-					}
-					old, oldSeq := tierContents(d), d.CommitSeq()
-					op.run(d) //nolint:errcheck // the crash lands in here
-					d.Close() //nolint:errcheck
-
-					re, err := OpenDir(dir, opts)
-					if err != nil {
-						t.Fatalf("crash@%d tear %d: recovery failed: %v", k, tear, err)
-					}
-					got, seq := tierContents(re), re.CommitSeq()
-					re.Close() //nolint:errcheck
-					switch {
-					case maps.Equal(got, old):
-						if seq != oldSeq {
-							t.Fatalf("crash@%d tear %d: old contents at CommitSeq %d, want %d", k, tear, seq, oldSeq)
-						}
-					case maps.Equal(got, op.want):
-						if want := op.newSeq(oldSeq); seq != want {
-							t.Fatalf("crash@%d tear %d: new contents at CommitSeq %d, want %d", k, tear, seq, want)
-						}
-					default:
-						t.Fatalf("crash@%d tear %d: recovered %d keys, neither the old %d nor the new %d",
-							k, tear, len(got), len(old), len(op.want))
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestTieredOracleUnderConcurrency is the merged-read property test:
