@@ -43,10 +43,6 @@ import (
 // Options configures a Chameleon index. The zero value selects the paper's
 // defaults (τ = 0.45, α = 131, cost-model construction policies).
 type Options struct {
-	// Tau is the EBH collision-probability target τ of Theorem 1.
-	Tau float64
-	// Alpha is the hash factor α of Eq. (2).
-	Alpha float64
 	// Seed makes construction deterministic.
 	Seed uint64
 	// RetrainEvery, when positive, starts the background retrainer
@@ -111,8 +107,6 @@ var (
 // New creates an empty index.
 func New(opts Options) *Index {
 	cfg := core.Config{
-		Tau:                  opts.Tau,
-		Alpha:                opts.Alpha,
 		Seed:                 opts.Seed,
 		RetrainEvery:         opts.RetrainEvery,
 		ReconstructThreshold: opts.ReconstructThreshold,
@@ -127,13 +121,8 @@ func New(opts Options) *Index {
 			dcfg.Seed = opts.Seed
 		}
 		dcfg.GA.Workers = opts.Workers
-		env := dcfg.Env
-		if opts.Tau > 0 && opts.Tau < 1 {
-			env.Tau = opts.Tau
-			dcfg.Env = env
-		}
 		cfg.Dare = rl.NewCostDARE(dcfg)
-		cfg.Policy = rl.NewCostPolicy(env)
+		cfg.Policy = rl.NewCostPolicy(dcfg.Env)
 	}
 	return &Index{inner: core.New(cfg), opts: opts}
 }
@@ -206,10 +195,6 @@ func (ix *Index) LocalSkewness() float64 { return ix.inner.LocalSkewness() }
 // period (Section V; the paper evaluates 10s). No-op if already running.
 func (ix *Index) StartRetrainer(period time.Duration) { ix.inner.StartRetrainer(period) }
 
-// StopRetrainer halts the background goroutine, waiting for any in-flight
-// subtree retrain to finish.
-func (ix *Index) StopRetrainer() { ix.inner.StopRetrainer() }
-
 // PauseRetrainer suspends background maintenance (timer-driven retrain passes
 // and threshold-triggered full reconstructions) without stopping the
 // goroutine — a cheap atomic flip the durable layer uses while its write
@@ -219,9 +204,6 @@ func (ix *Index) PauseRetrainer() { ix.inner.PauseRetrainer() }
 
 // ResumeRetrainer re-enables background maintenance after PauseRetrainer.
 func (ix *Index) ResumeRetrainer() { ix.inner.ResumeRetrainer() }
-
-// RetrainerPaused reports whether background maintenance is suspended.
-func (ix *Index) RetrainerPaused() bool { return ix.inner.RetrainerPaused() }
 
 // RetrainStats reports how many subtree retrains have run and the total time
 // spent retraining.

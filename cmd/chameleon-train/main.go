@@ -1,7 +1,8 @@
 // Command chameleon-train runs Algorithm 2 ("Train Chameleon"): it trains
 // the TSMDP and DARE agents over randomized synthetic datasets and saves
-// them for use via chameleon.LoadAgents / the -agents flags of downstream
-// tools. The paper trains on a GPU; this pure-Go run is laptop scale — the
+// them to -out. A program uses them by passing chameleon.LoadAgents' result
+// as Options.UseTrainedAgents (README, "Training the RL agents"). The paper
+// trains on a GPU; this pure-Go run is laptop scale — the
 // deterministic cost-model policies remain the reproducible default, and
 // trained agents are the paper-faithful alternative.
 //

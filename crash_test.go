@@ -493,7 +493,7 @@ func crashRows(t *testing.T) []crashRow {
 	}
 	sharded = slices.Concat(sharded, del(shardKey(2)), del(shardKey(8)))
 	sopts := shardOpts(4)
-	sopts.Boundaries = []uint64{1 << 16, 1 << 32, 1 << 48}
+	sopts.boundaries = []uint64{1 << 16, 1 << 32, 1 << 48}
 
 	// *_writers: four writers inserting their own keys, and a fifth flipping
 	// one key between inserted and deleted, with mid after its fourth op; a

@@ -938,27 +938,6 @@ func (d *DurableIndex) Checkpoint() error {
 	return d.checkpointLocked()
 }
 
-// CheckpointCtx is Checkpoint honoring a context deadline while waiting for
-// in-flight batches and for the snapshot write itself. A checkpoint cannot be
-// abandoned mid-commit (the rename either happened or it didn't), so on
-// cancellation the checkpoint keeps running to completion in the background
-// and ctx.Err() means only "stopped waiting" — the handle stays consistent
-// either way, and a subsequent WALSize or Health call shows whether the
-// rotation landed.
-func (d *DurableIndex) CheckpointCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- d.Checkpoint() }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (d *DurableIndex) checkpointLocked() error {
 	newSeq, base := d.seq+1, d.commitSeq.Load()
 	final := filepath.Join(d.dir, snapName(newSeq, base))
@@ -1059,9 +1038,6 @@ func (d *DurableIndex) WALSize() int64 {
 	d.qmu.Unlock()
 	return size
 }
-
-// Dir reports the directory backing the index.
-func (d *DurableIndex) Dir() string { return d.dir }
 
 // Close stops the retrainer and closes the WAL (with a final sync unless the
 // policy is SyncNone). It does not checkpoint: the log already holds
@@ -1180,53 +1156,12 @@ func (d *DurableIndex) Len() int {
 	return d.ix.Len()
 }
 
-// Bytes estimates resident size in bytes.
-func (d *DurableIndex) Bytes() int {
-	if d.readsClosed.Load() {
-		return 0
-	}
-	return d.ix.Bytes()
-}
-
 // Stats reports the structural metrics of the paper's Table V.
 func (d *DurableIndex) Stats() Stats {
 	if d.readsClosed.Load() {
 		return Stats{}
 	}
 	return d.ix.Stats()
-}
-
-// Height reports the deepest root-to-leaf path length.
-func (d *DurableIndex) Height() int {
-	if d.readsClosed.Load() {
-		return 0
-	}
-	return d.ix.Height()
-}
-
-// LocalSkewness computes the lsn statistic over the current contents.
-func (d *DurableIndex) LocalSkewness() float64 {
-	if d.readsClosed.Load() {
-		return 0
-	}
-	return d.ix.LocalSkewness()
-}
-
-// RetrainStats reports how many subtree retrains have run and the total time
-// spent retraining.
-func (d *DurableIndex) RetrainStats() (count int64, total time.Duration) {
-	if d.readsClosed.Load() {
-		return 0, 0
-	}
-	return d.ix.RetrainStats()
-}
-
-// Reconstructions reports how many full MARL rebuilds have run.
-func (d *DurableIndex) Reconstructions() int {
-	if d.readsClosed.Load() {
-		return 0
-	}
-	return d.ix.Reconstructions()
 }
 
 // WriteTo serializes the current contents (read-only; it does not rotate the

@@ -13,7 +13,6 @@ import (
 	"math/rand/v2"
 	"sort"
 
-	"chameleon/internal/dataset"
 	"chameleon/internal/index"
 )
 
@@ -229,10 +228,6 @@ func (t *Index) Lookup(k uint64) (uint64, bool) {
 	return 0, false
 }
 
-// HashPartitions reports how many partitions the agent chose to hash
-// (observability for tests: dense regions should prefer hashing).
-func (t *Index) HashPartitions() int { return t.hashParts }
-
 // Bytes implements index.Index.
 func (t *Index) Bytes() int {
 	total := 64 + 8*len(t.bounds)
@@ -245,24 +240,4 @@ func (t *Index) Bytes() int {
 		}
 	}
 	return total
-}
-
-// LocalSkewness exposes the lsn of the loaded data (observability parity
-// with the other structures).
-func (t *Index) LocalSkewness() float64 {
-	var ks []uint64
-	for i := range t.parts {
-		p := &t.parts[i]
-		if p.hash {
-			for s, ok := range p.occ {
-				if ok {
-					ks = append(ks, p.hk[s])
-				}
-			}
-		} else {
-			ks = append(ks, p.keys...)
-		}
-	}
-	ks = dataset.SortDedup(ks)
-	return dataset.LocalSkewness(ks)
 }

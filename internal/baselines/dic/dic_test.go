@@ -21,7 +21,7 @@ func TestAgentPrefersHashForDensePartitions(t *testing.T) {
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ix.HashPartitions() == 0 {
+	if ix.hashParts == 0 {
 		t.Fatal("agent never chose the hash structure on dense data")
 	}
 	for i := 0; i < len(keys); i += 97 {

@@ -266,9 +266,8 @@ func (s *segment) merge(eps int) {
 	}
 }
 
-// Merges reports the total number of segment merge-retrains (observability
-// for the Fig. 14 accounting).
-func (t *Index) Merges() int {
+// merges reports the total number of segment merge-retrains.
+func (t *Index) merges() int {
 	n := 0
 	for _, s := range t.segs {
 		n += s.merges

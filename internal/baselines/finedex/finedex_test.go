@@ -30,7 +30,7 @@ func TestSmallBinsForceMerges(t *testing.T) {
 			inserted++
 		}
 	}
-	if ix.Merges() == 0 {
+	if ix.merges() == 0 {
 		t.Fatal("no segment merges despite tiny bins")
 	}
 	if ix.Len() != len(keys)+inserted {

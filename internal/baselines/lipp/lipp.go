@@ -256,9 +256,6 @@ func (nd *Node) Delete(k uint64) bool {
 	return true
 }
 
-// Len reports the number of stored keys.
-func (nd *Node) Len() int { return nd.n }
-
 // Bytes estimates resident size.
 func (nd *Node) Bytes() int {
 	if nd.dense {

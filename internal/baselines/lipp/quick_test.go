@@ -16,7 +16,7 @@ func TestBuildRetrievesEverything(t *testing.T) {
 			return true
 		}
 		nd := NewNode(keys, nil)
-		if nd.Len() != len(keys) {
+		if nd.n != len(keys) {
 			return false
 		}
 		for _, k := range keys {

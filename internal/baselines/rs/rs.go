@@ -215,9 +215,6 @@ func (t *Index) Bytes() int {
 	return 16*len(t.keys) + 16*len(t.knots) + 4*len(t.radix) + 64
 }
 
-// Knots reports the spline size (for tests and reports).
-func (t *Index) Knots() int { return len(t.knots) }
-
 // Range implements index.RangeIndex over the static sorted array.
 func (t *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	if hi < lo || len(t.keys) == 0 {

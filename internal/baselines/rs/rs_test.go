@@ -51,8 +51,8 @@ func TestSmallerEpsilonMoreKnots(t *testing.T) {
 	if err := loose.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tight.Knots() <= loose.Knots() {
-		t.Fatalf("ε=4 knots %d not above ε=128 knots %d", tight.Knots(), loose.Knots())
+	if len(tight.knots) <= len(loose.knots) {
+		t.Fatalf("ε=4 knots %d not above ε=128 knots %d", len(tight.knots), len(loose.knots))
 	}
 }
 

@@ -241,9 +241,6 @@ func (c *Client) ServerRole() chameleon.ReplRole {
 // ServerEpoch reports the server's fencing epoch as of the latest HELLO.
 func (c *Client) ServerEpoch() uint64 { return c.epoch.Load() }
 
-// Features reports the server-granted feature bits from negotiation.
-func (c *Client) Features() uint64 { return c.features.Load() }
-
 // LastSeq is the highest commit-sequence token this client has observed on
 // any reply — pass it to a follower's GetAtLeast for read-your-writes.
 func (c *Client) LastSeq() uint64 { return c.lastSeq.Load() }

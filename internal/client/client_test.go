@@ -208,7 +208,7 @@ func TestClientSeqTokenWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close() //nolint:errcheck
-	if got := c.Features(); got != wire.FeatSeqTokens {
+	if got := c.features.Load(); got != wire.FeatSeqTokens {
 		t.Fatalf("negotiated features %#x, want FeatSeqTokens", got)
 	}
 	ctx := context.Background()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"chameleon"
-	"chameleon/internal/wire"
 )
 
 // ErrNoPrimary is returned when a resolve sweep found no reachable node
@@ -34,8 +33,8 @@ type FailoverOptions struct {
 	// sweeps (defaults 25ms and 1s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// Logf, when set, receives failover lifecycle events.
-	Logf func(format string, args ...any)
+	// logf, when set, receives failover lifecycle events; only tests set it.
+	logf func(format string, args ...any)
 }
 
 func (o FailoverOptions) withDefaults() FailoverOptions {
@@ -48,8 +47,8 @@ func (o FailoverOptions) withDefaults() FailoverOptions {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = time.Second
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+	if o.logf == nil {
+		o.logf = func(string, ...any) {}
 	}
 	return o
 }
@@ -67,14 +66,12 @@ func (o FailoverOptions) withDefaults() FailoverOptions {
 // HELLO, and adopts the primary with the HIGHEST epoch: during a failover
 // window an unfenced old primary and the freshly promoted one can both claim
 // the role, and the epoch ordering is exactly what disambiguates them.
-//
-// The commit-sequence watermark (LastSeq) is pool-level: it survives primary
-// switches, so read-your-writes via GetAtLeast keeps working across a
-// failover. Safe for concurrent use.
+// Safe for concurrent use.
 type FailoverClient struct {
 	opts FailoverOptions
 
-	lastSeq   atomic.Uint64
+	// failovers counts primary switches, including re-resolves that landed
+	// on the same address after a reconnect.
 	failovers atomic.Uint64
 	closed    atomic.Bool
 
@@ -105,23 +102,6 @@ func (f *FailoverClient) Primary() string {
 	return f.curAddr
 }
 
-// Failovers counts how many times the pool switched primaries (including
-// re-resolves that landed on the same address after a reconnect).
-func (f *FailoverClient) Failovers() uint64 { return f.failovers.Load() }
-
-// LastSeq is the pool-level read-your-writes watermark: the highest commit
-// sequence observed on any reply from any primary this pool has used.
-func (f *FailoverClient) LastSeq() uint64 { return f.lastSeq.Load() }
-
-func (f *FailoverClient) noteSeq(seq uint64) {
-	for {
-		cur := f.lastSeq.Load()
-		if seq <= cur || f.lastSeq.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
 // primary returns the cached primary connection, resolving one if absent.
 func (f *FailoverClient) primary(ctx context.Context) (*Client, error) {
 	if f.closed.Load() {
@@ -141,7 +121,7 @@ func (f *FailoverClient) primary(ctx context.Context) (*Client, error) {
 	}
 	f.cur, f.curAddr = c, addr
 	f.failovers.Add(1)
-	f.opts.Logf("client: primary resolved to %s (epoch %d)", addr, c.ServerEpoch())
+	f.opts.logf("client: primary resolved to %s (epoch %d)", addr, c.ServerEpoch())
 	return c, nil
 }
 
@@ -174,7 +154,7 @@ func (f *FailoverClient) resolveLocked(ctx context.Context) (*Client, string, er
 				best, bestAddr = c, addr
 				continue
 			case c.ServerEpoch() == best.ServerEpoch():
-				f.opts.Logf("client: SPLIT BRAIN SUSPECTED: %s and %s both claim primary at epoch %d; tie-breaking to lowest address",
+				f.opts.logf("client: SPLIT BRAIN SUSPECTED: %s and %s both claim primary at epoch %d; tie-breaking to lowest address",
 					bestAddr, addr, c.ServerEpoch())
 				if addr < bestAddr {
 					best.Close() //nolint:errcheck
@@ -257,27 +237,14 @@ func (f *FailoverClient) withPrimary(ctx context.Context, op func(c *Client) err
 			continue
 		}
 		err = op(c)
-		if err == nil {
-			f.noteSeq(c.LastSeq())
-			return nil
-		}
-		if !needsFailover(err) {
+		if err == nil || !needsFailover(err) {
 			return err
 		}
 		lastErr = err
-		f.opts.Logf("client: primary %s rejected/broke (%v); re-resolving", f.Primary(), err)
+		f.opts.logf("client: primary %s rejected/broke (%v); re-resolving", f.Primary(), err)
 		f.invalidate(c)
 	}
 	return fmt.Errorf("client: failover attempts exhausted: %w", lastErr)
-}
-
-// Get looks up key on the current primary.
-func (f *FailoverClient) Get(ctx context.Context, key uint64) (val uint64, found bool, err error) {
-	err = f.withPrimary(ctx, func(c *Client) error {
-		val, found, err = c.Get(ctx, key)
-		return err
-	})
-	return val, found, err
 }
 
 // Insert adds key→val on the current primary, following the role across
@@ -285,33 +252,6 @@ func (f *FailoverClient) Get(ctx context.Context, key uint64) (val uint64, found
 // primary when it acked.
 func (f *FailoverClient) Insert(ctx context.Context, key, val uint64) error {
 	return f.withPrimary(ctx, func(c *Client) error { return c.Insert(ctx, key, val) })
-}
-
-// Delete removes key on the current primary, with Insert's contract.
-func (f *FailoverClient) Delete(ctx context.Context, key uint64) error {
-	return f.withPrimary(ctx, func(c *Client) error { return c.Delete(ctx, key) })
-}
-
-// GetAtLeast is the pool's read-your-writes lookup: it forwards the
-// pool-level LastSeq watermark to the current primary's seq-gated read, so
-// a Get issued right after a failover waits (up to wait) until the new
-// primary has caught up to every write this pool has seen acknowledged —
-// instead of silently reading a stale pre-failover state.
-func (f *FailoverClient) GetAtLeast(ctx context.Context, key uint64, wait time.Duration) (val uint64, found bool, err error) {
-	err = f.withPrimary(ctx, func(c *Client) error {
-		val, found, err = c.GetAtLeast(ctx, key, f.lastSeq.Load(), wait)
-		return err
-	})
-	return val, found, err
-}
-
-// Range scans [lo, hi] on the current primary.
-func (f *FailoverClient) Range(ctx context.Context, lo, hi uint64, limit int) (pairs []wire.Pair, more bool, err error) {
-	err = f.withPrimary(ctx, func(c *Client) error {
-		pairs, more, err = c.Range(ctx, lo, hi, limit)
-		return err
-	})
-	return pairs, more, err
 }
 
 // Close tears down the pool's current connection.

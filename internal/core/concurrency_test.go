@@ -185,7 +185,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 	}()
 	wg.Wait()
 	ix.StopRetrainer()
-	if ix.RetrainerRunning() {
+	if ix.retrainerRunning() {
 		t.Fatal("retrainer still running after final Stop")
 	}
 	for i := 0; i < len(keys); i += 97 {

@@ -283,7 +283,7 @@ func TestRetrainPassLightAndStructural(t *testing.T) {
 			inserted = append(inserted, k)
 		}
 	}
-	if ix.DriftedGates() == 0 {
+	if ix.driftedGates() == 0 {
 		t.Fatal("no gate registered drift after 60k localized inserts")
 	}
 	if got := ix.RetrainPass(); got == 0 {
@@ -493,7 +493,7 @@ func TestRootLeafNoGates(t *testing.T) {
 		t.Fatalf("degenerate tree registered %d gates", n)
 	}
 	ix.StartRetrainer(time.Millisecond) // must be a no-op without gates
-	if ix.RetrainerRunning() {
+	if ix.retrainerRunning() {
 		t.Fatal("retrainer started without gates")
 	}
 	for _, k := range keys[:100] {

@@ -56,7 +56,7 @@ func TestPersistRoundTripStructure(t *testing.T) {
 	if err := loaded.Delete(keys[0]); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.DriftedGates() < 0 {
+	if loaded.driftedGates() < 0 {
 		t.Fatal("gate registry broken")
 	}
 	loaded.RetrainPass()

@@ -65,12 +65,8 @@ func (ix *Index) PauseRetrainer() { ix.retrainPaused.Store(true) }
 // ResumeRetrainer re-enables background maintenance after PauseRetrainer.
 func (ix *Index) ResumeRetrainer() { ix.retrainPaused.Store(false) }
 
-// RetrainerPaused reports whether background maintenance is suspended.
-func (ix *Index) RetrainerPaused() bool { return ix.retrainPaused.Load() }
-
-// RetrainerRunning reports whether the background goroutine is live;
-// intended for tests and introspection.
-func (ix *Index) RetrainerRunning() bool {
+// retrainerRunning reports whether the background goroutine is live.
+func (ix *Index) retrainerRunning() bool {
 	ix.lifecycle.Lock()
 	defer ix.lifecycle.Unlock()
 	return ix.stop != nil
@@ -148,10 +144,6 @@ func (ix *Index) guardedRetrainPass() (ok bool) {
 	ix.RetrainPass()
 	return true
 }
-
-// RetrainPanics reports how many retraining or reconstruction attempts ended
-// in a recovered panic — the graceful-degradation counter operators alarm on.
-func (ix *Index) RetrainPanics() int64 { return ix.retrainPanics.Load() }
 
 // RetrainPass runs one scan over all gates, retraining the drifted subtrees.
 // It is exported so the harness can trigger retraining deterministically
@@ -371,9 +363,9 @@ func (ix *Index) Reconstruct() {
 // Reconstructions reports how many full rebuilds have run.
 func (ix *Index) Reconstructions() int { return int(ix.reconstructions.Load()) }
 
-// DriftedGates counts gates whose update ratio currently exceeds the light
-// threshold — an observability hook used by examples and tests.
-func (ix *Index) DriftedGates() int {
+// driftedGates counts gates whose update ratio currently exceeds the light
+// threshold.
+func (ix *Index) driftedGates() int {
 	n := 0
 	for _, g := range ix.tree.Load().gates {
 		keys := g.keys.Load()

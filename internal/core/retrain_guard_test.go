@@ -40,15 +40,15 @@ func TestRetrainerSurvivesPanics(t *testing.T) {
 	}
 
 	deadline := time.After(30 * time.Second)
-	for ix.RetrainPanics() < faults || calls.Load() <= faults {
+	for ix.retrainPanics.Load() < faults || calls.Load() <= faults {
 		select {
 		case <-deadline:
 			t.Fatalf("retrainer did not recover: %d panics, %d passes",
-				ix.RetrainPanics(), calls.Load())
+				ix.retrainPanics.Load(), calls.Load())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if !ix.RetrainerRunning() {
+	if !ix.retrainerRunning() {
 		t.Fatal("retrainer goroutine died")
 	}
 
@@ -91,7 +91,7 @@ func TestReconstructPanicReleasesLocks(t *testing.T) {
 	// Cross the threshold: the elected writer's reconstruction panics and is
 	// recovered; the insert itself must still succeed.
 	k := uint64(1 << 33)
-	for ix.RetrainPanics() == 0 {
+	for ix.retrainPanics.Load() == 0 {
 		if err := ix.Insert(k, k); err != nil && !errors.Is(err, index.ErrDuplicateKey) {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestPauseRetrainerSkipsPasses(t *testing.T) {
 	defer func() { retrainFailpoint = nil }()
 
 	ix.PauseRetrainer()
-	if !ix.RetrainerPaused() {
+	if !ix.retrainPaused.Load() {
 		t.Fatal("RetrainerPaused = false after Pause")
 	}
 	ix.StartRetrainer(time.Millisecond)

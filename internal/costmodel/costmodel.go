@@ -110,24 +110,6 @@ func slotCounts(buf *[]int32, c int) []int32 {
 	return counts
 }
 
-// LeafAnalytic is the closed-form approximation of Leaf for callers that
-// have only a key count: at the Theorem 1 load factor λ = −ln(1−τ), the
-// expected extra probes per key are about λ/2.
-func LeafAnalytic(n int, tau float64) Cost {
-	if n == 0 {
-		return Cost{Query: 1, Memory: 0}
-	}
-	if tau <= 0 || tau >= 1 {
-		tau = ebh.DefaultTau
-	}
-	lambda := -math.Log(1 - tau)
-	c := ebh.CapacityFor(n, tau)
-	return Cost{
-		Query:  1 + lambda/2 + CacheFactor*math.Log2(float64(c)),
-		Memory: float64(c) / float64(n),
-	}
-}
-
 // Partition splits sorted keys into fanout contiguous child ranges using the
 // inner-node model of Eq. (1): child j covers keys with
 // floor(f·(k−lo)/(hi−lo)) = j. The returned slice has fanout entries of

@@ -97,18 +97,6 @@ func TestLeafCostSane(t *testing.T) {
 	}
 }
 
-func TestLeafAnalyticTracksSimulation(t *testing.T) {
-	keys := dataset.Generate(dataset.LOGN, 50_000, 3)
-	sim := Leaf(keys, keys[0], keys[len(keys)-1], 0.45, 131)
-	ana := LeafAnalytic(len(keys), 0.45)
-	if d := sim.Query - ana.Query; d > 1.5 || d < -1.5 {
-		t.Fatalf("analytic query %.3f far from simulated %.3f", ana.Query, sim.Query)
-	}
-	if sim.Memory != ana.Memory {
-		t.Fatalf("memory mismatch: %v vs %v", sim.Memory, ana.Memory)
-	}
-}
-
 func TestTreeCostPrefersPartitioningSkewedData(t *testing.T) {
 	// On locally skewed data, a 256-way split should beat one giant leaf in
 	// query cost — the signal the RL agents learn from.
@@ -161,14 +149,14 @@ func TestWeightedLeafMatchesUniformWeights(t *testing.T) {
 		uni[i] = 1
 	}
 	a := Leaf(keys, lo, hi, 0.45, 131)
-	b := WeightedLeaf(keys, uni, lo, hi, 0.45, 131)
+	b := weightedLeafCost(keys, uni, lo, hi, 0.45, 131, new([]int32))
 	if d := a.Query - b.Query; d > 1e-9 || d < -1e-9 {
 		t.Fatalf("uniform weights differ from unweighted: %v vs %v", a.Query, b.Query)
 	}
 	if a.Memory != b.Memory {
 		t.Fatalf("memory mismatch: %v vs %v", a.Memory, b.Memory)
 	}
-	if c := WeightedLeaf(keys, nil, lo, hi, 0.45, 131); c != a {
+	if c := weightedLeafCost(keys, nil, lo, hi, 0.45, 131, new([]int32)); c != a {
 		t.Fatalf("nil weights must fall back to Leaf")
 	}
 }

@@ -54,7 +54,7 @@ func refWeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLev
 			f = fan(level, lo, hi, len(ks))
 		}
 		if f <= 1 || len(ks) <= 1 {
-			leaf := WeightedLeaf(ks, ws, lo, hi, tau, alpha)
+			leaf := weightedLeafCost(ks, ws, lo, hi, tau, alpha, new([]int32))
 			var w float64
 			for _, x := range ws {
 				w += x

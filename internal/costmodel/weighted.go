@@ -8,21 +8,15 @@ import (
 
 // This file implements the extension Section IV-B2 sketches: "other factors
 // such as the query distribution can be added to the reward function
-// according to application requirements." WeightedLeaf and WeightedTreeCost
+// according to application requirements." weightedLeafCost and WeightedTreeCost
 // mirror Leaf/TreeCost but weight each key's lookup cost by its query
 // frequency, so the construction policies can shape the tree for a known
 // (e.g. Zipfian) access pattern: hot regions get shallower, better-provisioned
 // subtrees.
 
-// WeightedLeaf is Leaf with per-key query weights (weights[i] belongs to
-// keys[i]; they need not be normalized). Memory is unweighted — it is paid
-// regardless of access pattern.
-func WeightedLeaf(keys []uint64, weights []float64, lo, hi uint64, tau, alpha float64) Cost {
-	var counts []int32
-	return weightedLeafCost(keys, weights, lo, hi, tau, alpha, &counts)
-}
-
-// weightedLeafCost is WeightedLeaf with a caller-owned slot-count buffer.
+// weightedLeafCost is Leaf with per-key query weights (weights[i] belongs to
+// keys[i]; they need not be normalized) and a caller-owned slot-count
+// buffer. Memory is unweighted — it is paid regardless of access pattern.
 func weightedLeafCost(keys []uint64, weights []float64, lo, hi uint64, tau, alpha float64, buf *[]int32) Cost {
 	n := len(keys)
 	if n == 0 {

@@ -163,17 +163,8 @@ func NewFromSorted(lo, hi uint64, keys, vals []uint64, tau, alpha float64) *Node
 	return n
 }
 
-// Interval reports the key range [lo, hi] this leaf covers.
-func (nd *Node) Interval() (lo, hi uint64) {
-	pr := nd.p.Load()
-	return pr.lo, pr.hi
-}
-
 // Len reports the number of stored keys.
 func (nd *Node) Len() int { return nd.n }
-
-// Cap reports the slot capacity.
-func (nd *Node) Cap() int { return nd.p.Load().c }
 
 // ConflictDegree reports the recorded maximum offset cd.
 func (nd *Node) ConflictDegree() int { return int(nd.p.Load().cd.Load()) }
@@ -482,10 +473,6 @@ func (nd *Node) rescatter(expected int, lo, hi uint64) {
 	}
 	nd.p.Store(np)
 }
-
-// Retrain rebuilds the leaf at the Theorem 1 capacity for its current
-// population, restoring the collision target after heavy churn.
-func (nd *Node) Retrain() { nd.rebuild(nd.n) }
 
 // RetrainFor rebuilds the leaf provisioned for an expected future
 // population (at least the current one) — the background retrainer uses the

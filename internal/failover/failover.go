@@ -93,9 +93,6 @@ type Options struct {
 	// a newer one; after promoting, it best-effort fences every peer at the
 	// new epoch.
 	Peers []string
-	// Dial overrides how probes reach the primary (tests). It must give up
-	// when ctx ends.
-	Dial func(ctx context.Context, addr string) (*client.Client, error)
 	// OnPromoted, when set, is called after a successful automatic promotion
 	// with the new epoch, how long the primary had been silent when death
 	// was declared, and how long the promotion itself took.
@@ -119,11 +116,6 @@ func (o Options) withDefaults(node *repl.Node) Options {
 	}
 	if o.Rank < 0 {
 		o.Rank = 0
-	}
-	if o.Dial == nil {
-		o.Dial = func(ctx context.Context, addr string) (*client.Client, error) {
-			return client.DialContext(ctx, addr, client.Options{Conns: 1, DialTimeout: o.ProbeInterval})
-		}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -178,9 +170,11 @@ func Start(node *repl.Node, opts Options) *Detector {
 	return d
 }
 
-// Promotions reports how many automatic promotions this detector performed
-// (0 or 1; the detector retires after one).
-func (d *Detector) Promotions() uint64 { return d.promotions.Load() }
+// dial opens a one-connection client for a probe; it gives up when ctx
+// ends.
+func (d *Detector) dial(ctx context.Context, addr string) (*client.Client, error) {
+	return client.DialContext(ctx, addr, client.Options{Conns: 1, DialTimeout: d.opts.ProbeInterval})
+}
 
 // Stop halts the detector and waits for its loop to exit.
 func (d *Detector) Stop() {
@@ -245,7 +239,7 @@ func (d *Detector) run(ctx context.Context) {
 // connection per probe, deliberately: a cached one could be the single
 // broken path while the server is fine.
 func (d *Detector) probe(ctx context.Context) bool {
-	c, err := d.opts.Dial(ctx, d.opts.Upstream)
+	c, err := d.dial(ctx, d.opts.Upstream)
 	if err != nil {
 		return false
 	}
@@ -273,7 +267,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	claim := d.opts.claimEpoch(epoch)
 	d.opts.Logf("failover: declaring primary %s dead (silent %v); fencing and promoting (claiming epoch %d)",
 		d.opts.Upstream, silence.Round(time.Millisecond), claim)
-	if c, err := d.opts.Dial(ctx, d.opts.Upstream); err == nil {
+	if c, err := d.dial(ctx, d.opts.Upstream); err == nil {
 		fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 		c.Fence(fctx, claim) //nolint:errcheck
 		cancel()
@@ -298,7 +292,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 	// followers just adopt the epoch. Best-effort — unique claims plus
 	// highest-epoch-wins resolution are the correctness mechanism.
 	for _, addr := range d.opts.Peers {
-		if c, err := d.opts.Dial(ctx, addr); err == nil {
+		if c, err := d.dial(ctx, addr); err == nil {
 			fctx, cancel := context.WithTimeout(ctx, d.opts.ProbeInterval)
 			c.Fence(fctx, newEpoch) //nolint:errcheck
 			cancel()
@@ -318,7 +312,7 @@ func (d *Detector) failover(ctx context.Context, silence time.Duration) bool {
 func (d *Detector) peerPromoted(ctx context.Context) (addr string, epoch uint64, ok bool) {
 	_, cur := d.node.Role()
 	for _, peer := range d.opts.Peers {
-		c, err := d.opts.Dial(ctx, peer)
+		c, err := d.dial(ctx, peer)
 		if err != nil {
 			continue
 		}

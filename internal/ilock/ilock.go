@@ -202,24 +202,3 @@ func (t *Table) ReadValidate(id uint64, ver uint32) bool {
 	w := t.slot(id).Load()
 	return seqOf(w) == ver && stateOf(w) >= 0
 }
-
-// Held reports whether the interval is currently locked (any kind);
-// intended for tests and introspection only.
-func (t *Table) Held(id uint64) bool {
-	return stateOf(t.slot(id).Load()) != free
-}
-
-// Readers reports the number of shared holders (0 when free or exclusively
-// held); intended for tests and introspection only.
-func (t *Table) Readers(id uint64) int {
-	if v := stateOf(t.slot(id).Load()); v > 0 {
-		return int(v)
-	}
-	return 0
-}
-
-// Seq reports the interval's current sequence number; intended for tests and
-// introspection only.
-func (t *Table) Seq(id uint64) uint32 {
-	return seqOf(t.slot(id).Load())
-}

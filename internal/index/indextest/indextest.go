@@ -16,11 +16,13 @@ import (
 
 // Options tunes the battery for a structure's capabilities.
 type Options struct {
-	N        int    // bulk-load size (default 20_000)
-	Ops      int    // oracle operation count (default 40_000)
-	Seed     uint64 // default 42
-	ReadOnly bool   // structure rejects Insert/Delete with ErrReadOnly
+	N        int  // bulk-load size (default 20_000)
+	Ops      int  // oracle operation count (default 40_000)
+	ReadOnly bool // structure rejects Insert/Delete with ErrReadOnly
 }
+
+// seed drives every generated key set and operation stream.
+const seed = 42
 
 func (o Options) defaults() Options {
 	if o.N == 0 {
@@ -28,9 +30,6 @@ func (o Options) defaults() Options {
 	}
 	if o.Ops == 0 {
 		o.Ops = 40_000
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
 	}
 	return o
 }
@@ -55,7 +54,7 @@ func Run(t *testing.T, build index.Builder, o Options) {
 func bulkLookup(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
 	for _, name := range dataset.Names {
-		keys := dataset.Generate(name, o.N, o.Seed)
+		keys := dataset.Generate(name, o.N, seed)
 		ix := build()
 		if err := ix.BulkLoad(keys, nil); err != nil {
 			t.Fatalf("%s/%s: BulkLoad: %v", ix.Name(), name, err)
@@ -115,7 +114,7 @@ func empty(t *testing.T, build index.Builder, o Options) {
 
 func oracle(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
-	keys := dataset.Generate(dataset.OSMC, o.N, o.Seed)
+	keys := dataset.Generate(dataset.OSMC, o.N, seed)
 	ix := build()
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func oracle(t *testing.T, build index.Builder, o Options) {
 	for _, k := range keys {
 		oracle[k] = k
 	}
-	rng := rand.New(rand.NewPCG(o.Seed, o.Seed^0x1234))
+	rng := rand.New(rand.NewPCG(seed, seed^0x1234))
 	span := keys[len(keys)-1] + (keys[len(keys)-1]-keys[0])/8
 	for op := 0; op < o.Ops; op++ {
 		k := rng.Uint64N(span)
@@ -179,7 +178,7 @@ func oracle(t *testing.T, build index.Builder, o Options) {
 
 func values(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
-	keys := dataset.Uniform(o.N/4, o.Seed)
+	keys := dataset.Uniform(o.N/4, seed)
 	vals := make([]uint64, len(keys))
 	for i := range vals {
 		vals[i] = uint64(i)*13 + 5
@@ -198,10 +197,10 @@ func values(t *testing.T, build index.Builder, o Options) {
 func bytes(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
 	small, big := build(), build()
-	if err := small.BulkLoad(dataset.Uniform(1000, o.Seed), nil); err != nil {
+	if err := small.BulkLoad(dataset.Uniform(1000, seed), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := big.BulkLoad(dataset.Uniform(o.N, o.Seed), nil); err != nil {
+	if err := big.BulkLoad(dataset.Uniform(o.N, seed), nil); err != nil {
 		t.Fatal(err)
 	}
 	if small.Bytes() <= 0 || big.Bytes() <= small.Bytes() {
@@ -211,7 +210,7 @@ func bytes(t *testing.T, build index.Builder, o Options) {
 
 func ranges(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
-	keys := dataset.Generate(dataset.LOGN, o.N, o.Seed)
+	keys := dataset.Generate(dataset.LOGN, o.N, seed)
 	ix := build().(index.RangeIndex)
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
@@ -240,7 +239,7 @@ func ranges(t *testing.T, build index.Builder, o Options) {
 // update stream (only for updatable structures with Range support).
 func rangeAfterChurn(t *testing.T, build index.Builder, o Options) {
 	t.Helper()
-	keys := dataset.Generate(dataset.FACE, o.N/2, o.Seed)
+	keys := dataset.Generate(dataset.FACE, o.N/2, seed)
 	ix := build().(index.RangeIndex)
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
@@ -249,7 +248,7 @@ func rangeAfterChurn(t *testing.T, build index.Builder, o Options) {
 	for _, k := range keys {
 		oracle[k] = k
 	}
-	rng := rand.New(rand.NewPCG(o.Seed, o.Seed^0x77))
+	rng := rand.New(rand.NewPCG(seed, seed^0x77))
 	span := keys[len(keys)-1] + 1<<16
 	for op := 0; op < o.Ops/2; op++ {
 		k := rng.Uint64N(span)

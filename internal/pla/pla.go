@@ -9,8 +9,6 @@
 // practical choice.)
 package pla
 
-import "sort"
-
 // Segment is one linear piece: rank(k) ≈ Start + Slope·(k − FirstKey) for
 // keys in [FirstKey, next segment's FirstKey).
 type Segment struct {
@@ -71,31 +69,4 @@ func Build(keys []uint64, eps int) []Segment {
 		i = j
 	}
 	return segs
-}
-
-// Find returns the index of the segment responsible for k (the last segment
-// whose FirstKey ≤ k), or 0 if k precedes all segments.
-func Find(segs []Segment, k uint64) int {
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].FirstKey > k })
-	if i > 0 {
-		i--
-	}
-	return i
-}
-
-// MaxError verifies the construction invariant, returning the largest
-// |Predict − rank| over all keys (tests assert it ≤ ε).
-func MaxError(segs []Segment, keys []uint64) int {
-	worst := 0
-	for rank, k := range keys {
-		s := segs[Find(segs, k)]
-		d := s.Predict(k) - rank
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -1,6 +1,7 @@
 package pla
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -100,4 +101,31 @@ func TestDegenerate(t *testing.T) {
 	if segs[0].Predict(42) != 0 {
 		t.Fatal("single-key prediction wrong")
 	}
+}
+
+// MaxError returns the largest |Predict − rank| over all keys; the
+// construction invariant is that it stays ≤ ε.
+func MaxError(segs []Segment, keys []uint64) int {
+	worst := 0
+	for rank, k := range keys {
+		s := segs[Find(segs, k)]
+		d := s.Predict(k) - rank
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// Find returns the index of the segment responsible for k (the last segment
+// whose FirstKey ≤ k), or 0 if k precedes all segments.
+func Find(segs []Segment, k uint64) int {
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].FirstKey > k })
+	if i > 0 {
+		i--
+	}
+	return i
 }

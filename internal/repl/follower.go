@@ -39,6 +39,12 @@ func (e *errManifest) Error() string {
 	return fmt.Sprintf("repl: upstream shard layout changed (gen %d)", e.gen)
 }
 
+// dial opens a single-connection wire client to addr. It gives up when ctx
+// ends: a promotion waits for the follower loop, which may be dialing.
+func dial(ctx context.Context, addr string) (*client.Client, error) {
+	return client.DialContext(ctx, addr, client.Options{Conns: 1})
+}
+
 // runFollower is the follower's life: dial upstream, pull until the link or
 // the protocol fails, reconnect with jittered bounded backoff — forever,
 // until promoted, closed, or diverged.
@@ -47,7 +53,7 @@ func (n *Node) runFollower(ctx context.Context, done chan struct{}) {
 
 	backoff := n.opts.ReconnectMin
 	for ctx.Err() == nil {
-		c, err := n.opts.Dial(ctx, n.opts.ReplicaOf)
+		c, err := dial(ctx, n.opts.ReplicaOf)
 		if err == nil {
 			n.connected.Store(true)
 			n.opts.Logf("repl: following %s", n.opts.ReplicaOf)

@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"chameleon"
-	"chameleon/internal/client"
 	"chameleon/internal/wal"
 )
 
@@ -90,58 +89,49 @@ type Options struct {
 	// AckTimeout bounds a semi-sync wait (default 2s); on expiry the write
 	// errors with chameleon.ErrReplicaLagging but remains locally durable.
 	AckTimeout time.Duration
-	// RingCap is how many committed records the primary retains for pull
-	// catch-up, per shard (default 65536); a follower further behind
-	// bootstraps from a snapshot.
-	RingCap int
 	// PullWait is the follower's long-poll duration (default 1s); it doubles
 	// as the heartbeat interval, since even an empty pull proves the link.
 	PullWait time.Duration
-	// SnapChunk is the snapshot-stream chunk size in bytes (default 256KiB).
-	SnapChunk int
-	// StallAfter is the health threshold: a primary with unacked semi-sync
-	// commits and no pull for this long, or a follower with no successful
-	// pull for this long, reports Stalled. Default 2×PullWait — two missed
-	// heartbeats, the degraded threshold operators alarm on.
-	StallAfter time.Duration
 	// ReconnectMin/ReconnectMax bound the follower's jittered redial backoff
 	// (defaults 50ms and 2s).
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
-	// Dial overrides how the follower reaches upstream (tests). Default is a
-	// single-connection wire client. It must give up when ctx ends: a
-	// promotion waits for the follower loop, which may be dialing.
-	Dial func(ctx context.Context, addr string) (*client.Client, error)
 	// Logf, when set, receives replication lifecycle events.
 	Logf func(format string, args ...any)
+
+	// ringCap is how many committed records the primary retains for pull
+	// catch-up, per shard (65536; tests shrink it); a follower further
+	// behind bootstraps from a snapshot.
+	ringCap int
+	// snapChunk is the snapshot-stream chunk size in bytes (256KiB; tests
+	// shrink it).
+	snapChunk int
+	// stallAfter is the health threshold, 2×PullWait — two missed
+	// heartbeats: a primary with unacked semi-sync commits and no pull for
+	// this long, or a follower with no successful pull for this long,
+	// reports Stalled.
+	stallAfter time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 2 * time.Second
 	}
-	if o.RingCap <= 0 {
-		o.RingCap = 65536
+	if o.ringCap <= 0 {
+		o.ringCap = 65536
 	}
 	if o.PullWait <= 0 {
 		o.PullWait = time.Second
 	}
-	if o.SnapChunk <= 0 {
-		o.SnapChunk = 256 << 10
+	if o.snapChunk <= 0 {
+		o.snapChunk = 256 << 10
 	}
-	if o.StallAfter <= 0 {
-		o.StallAfter = 2 * o.PullWait
-	}
+	o.stallAfter = 2 * o.PullWait
 	if o.ReconnectMin <= 0 {
 		o.ReconnectMin = 50 * time.Millisecond
 	}
 	if o.ReconnectMax <= 0 {
 		o.ReconnectMax = 2 * time.Second
-	}
-	if o.Dial == nil {
-		o.Dial = func(ctx context.Context, addr string) (*client.Client, error) {
-			return client.DialContext(ctx, addr, client.Options{Conns: 1})
-		}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -346,9 +336,6 @@ func (n *Node) AllowWrites() bool {
 	return n.role == chameleon.RolePrimary
 }
 
-// Shards reports how many replication streams the node drives.
-func (n *Node) Shards() int { return len(n.streams) }
-
 // commitHook builds shard's commit hook: it runs under the index lock after
 // a batch is durable and applied, appends the batch to the shard's pull
 // ring, and (semi-sync) waits for a follower ack.
@@ -369,7 +356,7 @@ func (n *Node) commitHook(shard int) func(uint64, []wal.Record) error {
 			st.baseSeq = firstSeq - 1
 		}
 		st.ring = append(st.ring, recs...)
-		if over := len(st.ring) - n.opts.RingCap; over > 0 {
+		if over := len(st.ring) - n.opts.ringCap; over > 0 {
 			st.baseSeq += uint64(over)
 			st.ring = append(st.ring[:0], st.ring[over:]...)
 		}
@@ -595,7 +582,7 @@ func (n *Node) chunk(s *snapshot, offset uint64) (SnapReply, error) {
 	if offset > total {
 		return SnapReply{}, fmt.Errorf("%w: offset %d past total %d", ErrUnknownSnapshot, offset, total)
 	}
-	end := offset + uint64(n.opts.SnapChunk)
+	end := offset + uint64(n.opts.snapChunk)
 	if end > total {
 		end = total
 	}
@@ -749,7 +736,7 @@ func (n *Node) fenceUpstream(addr string, epoch uint64) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	c, err := n.opts.Dial(ctx, addr)
+	c, err := dial(ctx, addr)
 	if err != nil {
 		n.opts.Logf("repl: fence of old primary %s undeliverable: %v", addr, err)
 		return
@@ -828,7 +815,7 @@ func (n *Node) Health() chameleon.ReplHealth {
 		if n.opts.SemiSync && n.role == chameleon.RolePrimary && lag > 0 {
 			h.Lag = lag
 			ref := n.lastPull
-			h.Stalled = ref.IsZero() || now.Sub(ref) > n.opts.StallAfter
+			h.Stalled = ref.IsZero() || now.Sub(ref) > n.opts.stallAfter
 		}
 		if sharded {
 			h.ShardLags = make([]uint64, len(n.streams))
@@ -838,7 +825,7 @@ func (n *Node) Health() chameleon.ReplHealth {
 				}
 			}
 		}
-		h.Connected = !n.lastPull.IsZero() && now.Sub(n.lastPull) <= n.opts.StallAfter
+		h.Connected = !n.lastPull.IsZero() && now.Sub(n.lastPull) <= n.opts.stallAfter
 	case chameleon.RoleFollower:
 		h.LastApplied = applied
 		if sharded {
@@ -855,7 +842,7 @@ func (n *Node) Health() chameleon.ReplHealth {
 			h.Lag = h.UpstreamSeq - applied
 		}
 		h.Connected = n.connected.Load()
-		h.Stalled = now.Sub(time.Unix(0, n.lastProgress.Load())) > n.opts.StallAfter
+		h.Stalled = now.Sub(time.Unix(0, n.lastProgress.Load())) > n.opts.stallAfter
 	}
 	n.mu.Unlock()
 	return h

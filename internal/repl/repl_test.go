@@ -128,7 +128,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 
 func TestRingTrimForcesSnapshot(t *testing.T) {
 	ix := openIx(t)
-	n := New(ix, Options{RingCap: 4})
+	n := New(ix, Options{ringCap: 4})
 	defer n.Close()
 	for k := uint64(1); k <= 10; k++ {
 		if err := ix.Insert(k, k); err != nil {
@@ -256,7 +256,7 @@ func TestPromoteFenceStateMachine(t *testing.T) {
 
 func TestServeSnapStreamRestores(t *testing.T) {
 	ix := openIx(t)
-	n := New(ix, Options{SnapChunk: 64})
+	n := New(ix, Options{snapChunk: 64})
 	defer n.Close()
 	for k := uint64(1); k <= 200; k++ {
 		if err := ix.Insert(k, k^0xFF); err != nil {
@@ -396,7 +396,7 @@ func TestPullLoopFailsStopOnRegression(t *testing.T) {
 // snapshot's sequence.
 func TestPullLoopBootstraps(t *testing.T) {
 	primary := openIx(t)
-	pn := New(primary, Options{SnapChunk: 128})
+	pn := New(primary, Options{snapChunk: 128})
 	defer pn.Close()
 	for k := uint64(1); k <= 100; k++ {
 		if err := primary.Insert(k, k+1000); err != nil {

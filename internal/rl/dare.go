@@ -168,12 +168,6 @@ func NewDARE(cfg DAREConfig, h int) *DARE {
 	}
 }
 
-// Config returns the agent's configuration.
-func (d *DARE) Config() DAREConfig { return d.cfg }
-
-// Height returns the tree height the agent is shaped for.
-func (d *DARE) Height() int { return d.h }
-
 // criticInput concatenates the normalized state and genome.
 func (d *DARE) criticInput(state, genome []float64) []float64 {
 	in := make([]float64, 0, len(state)+len(genome))

@@ -77,9 +77,6 @@ func NewTSMDP(cfg TSMDPConfig) *TSMDP {
 	}
 }
 
-// Config returns the agent's configuration.
-func (a *TSMDP) Config() TSMDPConfig { return a.cfg }
-
 // Fanout implements FanoutPolicy: the greedy action of the policy network,
 // with small nodes forced to terminate (a practical floor; the action space
 // itself contains the terminal action 1).
@@ -158,12 +155,6 @@ func (a *TSMDP) TrainStep() float64 {
 		a.target.CopyFrom(a.policy)
 	}
 	return loss
-}
-
-// QValues exposes the policy network's Q-values for a state (used by tests
-// and the training harness).
-func (a *TSMDP) QValues(keys []uint64) []float64 {
-	return a.policy.Forward(a.cfg.Env.State(keys))
 }
 
 // Net returns the policy network for persistence.

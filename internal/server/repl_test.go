@@ -274,26 +274,28 @@ func TestReplicationCatchUpAndReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestSnapshotBootstrapConvergence: a follower born after the primary's ring
-// has already trimmed its history cannot catch up record-by-record; it must
-// bootstrap from a streamed snapshot over the wire and then tail the ring.
+// TestSnapshotBootstrapConvergence: a follower whose primary's history lies
+// outside the pull ring cannot catch up record-by-record; it must bootstrap
+// from a streamed snapshot over the wire and then tail the ring. The ring
+// starts at the commit sequence the node is created at, so every write made
+// before repl.New is out of its reach.
 func TestSnapshotBootstrapConvergence(t *testing.T) {
 	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer ix.Close() //nolint:errcheck
-	node := repl.New(ix, repl.Options{RingCap: 32, SnapChunk: 1024})
+	const n = 500
+	for k := uint64(1); k <= n; k++ {
+		if err := ix.Insert(k, valOf(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := repl.New(ix, repl.Options{})
 	defer node.Close()
 	s := startServer(t, ix, server.Options{Repl: node})
 	defer s.Close() //nolint:errcheck
 
-	const n = 500 // far beyond the 32-record ring
 	pc := dialClient(t, s, client.Options{})
 	defer pc.Close() //nolint:errcheck
 	ctx := context.Background()
-	for k := uint64(1); k <= n; k++ {
-		if err := pc.Insert(ctx, k, valOf(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	fix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer fix.Close() //nolint:errcheck
@@ -690,7 +692,7 @@ const (
 func TestFailoverSoak(t *testing.T) {
 	rp := startReplPair(t,
 		repl.Options{SemiSync: true, AckTimeout: time.Second},
-		repl.Options{StallAfter: time.Second},
+		repl.Options{},
 	)
 	ctx := context.Background()
 
@@ -867,7 +869,7 @@ func TestShardedFailoverSoak(t *testing.T) {
 	const shards = 4
 	rp := startShardedReplPair(t, shards,
 		repl.Options{SemiSync: true, AckTimeout: time.Second},
-		repl.Options{PullWait: 50 * time.Millisecond, StallAfter: time.Second},
+		repl.Options{PullWait: 50 * time.Millisecond},
 	)
 	ctx := context.Background()
 

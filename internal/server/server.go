@@ -83,9 +83,6 @@ type Options struct {
 	// When a client over-pipelines, the server simply stops reading its
 	// socket until a slot frees — TCP backpressure, no error.
 	MaxPipeline int
-	// RangeLimit caps pairs per RANGE response (default 4096, hard-capped
-	// so the response fits MaxFrame). Clients page with More + lo=last+1.
-	RangeLimit int
 	// OwnsIndex makes Shutdown checkpoint and close the index after the
 	// drain. cmd/chameleon-serve sets it; tests that reuse the index don't.
 	OwnsIndex bool
@@ -110,8 +107,9 @@ const (
 	maxPullWait = 30 * time.Second
 )
 
-// maxRangePairs keeps a full RANGE response inside one MaxFrame.
-const maxRangePairs = (wire.MaxFrame - 64) / 16
+// rangeLimit caps pairs per RANGE response, 16 B each, so a full response
+// (64 KiB) fits one MaxFrame. Clients page with More + lo=last+1.
+const rangeLimit = 4096
 
 // batchWorkers bounds the goroutines fanning one BATCH request into the
 // commit queue. More would not help: the queue serializes into batches
@@ -124,13 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPipeline <= 0 {
 		o.MaxPipeline = 128
-	}
-	if o.RangeLimit <= 0 || o.RangeLimit > maxRangePairs {
-		if o.RangeLimit > maxRangePairs {
-			o.RangeLimit = maxRangePairs
-		} else {
-			o.RangeLimit = 4096
-		}
 	}
 	return o
 }
@@ -627,8 +618,8 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response
 			return s.fail(res, err)
 		}
 		limit := int(req.Limit)
-		if limit <= 0 || limit > s.opts.RangeLimit {
-			limit = s.opts.RangeLimit
+		if limit <= 0 || limit > rangeLimit {
+			limit = rangeLimit
 		}
 		res.Pairs = make([]wire.Pair, 0, min(limit, 1024))
 		s.ix.Range(req.Key, req.Val, func(k, v uint64) bool {

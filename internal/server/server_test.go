@@ -428,14 +428,17 @@ func TestServeForcedShutdown(t *testing.T) {
 // (c) never lose a key acked before the scan began, and (d) once writers
 // quiesce, agree exactly with the in-process index.
 func TestServeRangeConsistency(t *testing.T) {
-	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
+	// No fsync: the writes only need to race the scans, and the storm is
+	// large enough that each writer's key space outgrows one RANGE page.
+	ix := openIx(t, t.TempDir(), chameleon.DirOptions{Sync: chameleon.SyncNone})
 	defer ix.Close() //nolint:errcheck
-	// A small RangeLimit forces the remote scan to page mid-write-storm.
-	s := startServer(t, ix, server.Options{RangeLimit: 64})
+	s := startServer(t, ix, server.Options{})
 	defer s.Close() //nolint:errcheck
 
+	// Each writer's key space outgrows one RANGE response (4096 pairs), so
+	// the remote scans page mid-write-storm.
 	const writers = 4
-	const perWriter = 1500
+	const perWriter = 4500
 	var ackedN, submittedN [writers]atomic.Uint64
 	var wwg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -874,10 +877,7 @@ func isCleanRejection(err error) bool {
 // stitch correctly, and STATS reports the shard count with per-shard states.
 func TestServeShardedIndex(t *testing.T) {
 	dir := t.TempDir()
-	ix, err := chameleon.OpenShardedDir(dir, chameleon.ShardDirOptions{
-		Shards:     4,
-		Boundaries: []uint64{1 << 16, 1 << 32, 1 << 48},
-	})
+	ix, err := chameleon.OpenShardedDir(dir, chameleon.ShardDirOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,9 +888,10 @@ func TestServeShardedIndex(t *testing.T) {
 	defer c.Close() //nolint:errcheck
 	ctx := context.Background()
 
-	// One key per shard plus both extremes; every write must land in its own
-	// shard's WAL and read back through the router.
-	keys := []uint64{0, 1 << 16, 1 << 20, 1 << 32, 1 << 40, 1 << 48, ^uint64(0)}
+	// Keys in every shard of the default equi-width split (boundaries just
+	// below 1<<62, 2<<62 and 3<<62) plus both extremes; every write must land in its
+	// own shard's WAL and read back through the router.
+	keys := []uint64{0, 1 << 62, 1<<62 + 1<<40, 2 << 62, 2<<62 + 1<<40, 3 << 62, ^uint64(0)}
 	for _, k := range keys {
 		if err := c.Insert(ctx, k, valOf(k)); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)

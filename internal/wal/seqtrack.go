@@ -27,10 +27,6 @@ type SeqTracker struct {
 	Applied uint64
 }
 
-// NextSeq is the sequence the tracker expects the next batch to contain (or
-// overlap from below).
-func (t *SeqTracker) NextSeq() uint64 { return t.Applied + 1 }
-
 // Admit inspects a batch covering commit sequences [firstSeq,
 // firstSeq+n-1] and reports how many leading records are duplicates of
 // already-applied history (the caller applies recs[skip:]). It errors

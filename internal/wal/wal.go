@@ -332,13 +332,6 @@ func appendFrame(dst []byte, r Record) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// Append frames, checksums, and writes r, fsyncing per the sync policy. When
-// it returns nil under SyncEveryOp, the record is durable.
-func (l *Log) Append(r Record) error {
-	var buf [FrameSize]byte
-	return l.write(appendFrame(buf[:0], r))
-}
-
 // AppendAll frames and writes every record as one contiguous write followed
 // by at most one fsync — the group-commit primitive. Under SyncEveryOp a nil
 // return means every record in the batch is durable; the fsync cost is paid
@@ -419,16 +412,6 @@ func (l *Log) rollbackLocked(size int64, resync bool) error {
 	return nil
 }
 
-// AppendInsert logs Insert(key, val).
-func (l *Log) AppendInsert(key, val uint64) error {
-	return l.Append(Record{Op: OpInsert, Key: key, Val: val})
-}
-
-// AppendDelete logs Delete(key).
-func (l *Log) AppendDelete(key uint64) error {
-	return l.Append(Record{Op: OpDelete, Key: key})
-}
-
 // Sync forces an fsync regardless of policy (the durable layer calls it
 // before a checkpoint).
 func (l *Log) Sync() error {
@@ -460,13 +443,6 @@ func (l *Log) Size() int64 {
 
 // Path reports the log's file path.
 func (l *Log) Path() string { return l.path }
-
-// Err reports the sticky I/O error, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
 
 // Close stops the group-commit goroutine, performs a final best-effort sync
 // (unless the policy is SyncNone), and closes the file.

@@ -64,12 +64,10 @@ type ShardDirOptions struct {
 	// when the directory already holds a shard manifest: the stored layout
 	// wins, because data is already partitioned by it.
 	Shards int
-	// Boundaries, when non-nil, pins the partition boundaries explicitly
-	// (len = Shards-1, strictly ascending; boundary keys route to the upper
-	// shard). Nil selects boundaries automatically: equi-depth over existing
-	// data when migrating an unsharded directory, equi-width over the full
-	// uint64 space when the directory is empty.
-	Boundaries []uint64
+	// boundaries, when non-nil, pins the partition boundaries (len =
+	// Shards-1, strictly ascending) in place of the automatic choice; only
+	// tests set it.
+	boundaries []uint64
 }
 
 const (
@@ -133,7 +131,7 @@ func (r *shardRouter) route(key uint64) int {
 // through its own snapshot-plus-WAL-replay path.
 //
 // Boundary selection: an existing manifest always wins (the data is already
-// partitioned by it, so opts.Shards/Boundaries are ignored). Without a
+// partitioned by it, so opts.Shards is ignored). Without a
 // manifest, a directory holding an existing unsharded DurableIndex is
 // migrated: its keys are sampled and equi-depth boundaries split them into
 // shards of near-equal cardinality; the unsharded files are removed only
@@ -216,7 +214,7 @@ func initShardedDir(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Sharded
 		return nil, err
 	}
 
-	bounds := opts.Boundaries
+	bounds := opts.boundaries
 	switch {
 	case bounds != nil:
 		if err := validateBounds(bounds, opts.Shards); err != nil {
@@ -543,23 +541,6 @@ func (s *ShardedIndex) Checkpoint() error {
 	return errors.Join(errs...)
 }
 
-// CheckpointCtx is Checkpoint honoring a context, with DurableIndex's
-// semantics per shard: a ctx.Err() return means only "stopped waiting" —
-// shard checkpoints already in flight run to completion in the background.
-func (s *ShardedIndex) CheckpointCtx(ctx context.Context) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DurableIndex) {
-			defer wg.Done()
-			errs[i] = sh.CheckpointCtx(ctx)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // Close closes every shard in parallel. Per-shard Close semantics apply:
 // writers caught in flight resolve deterministically and acked writes are
 // durable before their shard's Close returns.
@@ -661,15 +642,6 @@ func (s *ShardedIndex) Len() int {
 	return n
 }
 
-// Bytes sums the shards' resident-size estimates.
-func (s *ShardedIndex) Bytes() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Bytes()
-	}
-	return n
-}
-
 // WALSize sums the shards' write-ahead log sizes — the total replay debt a
 // crash right now would cost recovery (recovered in parallel, one goroutine
 // per shard).
@@ -742,16 +714,6 @@ func (s *ShardedIndex) Stats() Stats {
 	return agg
 }
 
-// RetrainStats sums retrain counts and durations across shards.
-func (s *ShardedIndex) RetrainStats() (count int64, total time.Duration) {
-	for _, sh := range s.shards {
-		c, d := sh.RetrainStats()
-		count += c
-		total += d
-	}
-	return count, total
-}
-
 // Shards reports the number of range partitions.
 func (s *ShardedIndex) Shards() int { return len(s.shards) }
 
@@ -764,6 +726,3 @@ func (s *ShardedIndex) Bounds() []uint64 {
 	copy(out, b)
 	return out
 }
-
-// Dir reports the root directory backing the sharded index.
-func (s *ShardedIndex) Dir() string { return s.dir }

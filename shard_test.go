@@ -20,7 +20,7 @@ func shardOpts(shards int) ShardDirOptions {
 func TestShardedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opts := shardOpts(4)
-	opts.Boundaries = []uint64{1000, 2000, 3000}
+	opts.boundaries = []uint64{1000, 2000, 3000}
 	s, err := OpenShardedDir(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestStitchRangeEarlyStop(t *testing.T) {
 func TestShardedRangeProperty(t *testing.T) {
 	dir := t.TempDir()
 	opts := shardOpts(4)
-	opts.Boundaries = []uint64{4000, 8000, 12000}
+	opts.boundaries = []uint64{4000, 8000, 12000}
 	s, err := OpenShardedDir(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestShardedMigration(t *testing.T) {
 func TestShardedHealthAggregation(t *testing.T) {
 	dir := t.TempDir()
 	opts := shardOpts(2)
-	opts.Boundaries = []uint64{1000}
+	opts.boundaries = []uint64{1000}
 	s, err := OpenShardedDir(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -543,11 +543,11 @@ func TestShardedSoak(t *testing.T) {
 func TestShardedBoundsValidation(t *testing.T) {
 	dir := t.TempDir()
 	opts := shardOpts(4)
-	opts.Boundaries = []uint64{100, 100, 300} // not strictly ascending
+	opts.boundaries = []uint64{100, 100, 300} // not strictly ascending
 	if _, err := OpenShardedDir(dir, opts); err == nil {
 		t.Fatal("non-ascending boundaries accepted")
 	}
-	opts.Boundaries = []uint64{100} // wrong count
+	opts.boundaries = []uint64{100} // wrong count
 	if _, err := OpenShardedDir(dir, opts); err == nil {
 		t.Fatal("wrong boundary count accepted")
 	}
