@@ -14,7 +14,9 @@
 //	chameleon-serve -stats -addr localhost:9431        # one-line health JSON
 //
 // A directory that already holds a shard manifest reopens sharded no matter
-// what -shards says (the stored layout owns the data). -stats exits 0 only
+// what -shards says (the stored layout owns the data). A directory does not
+// change layout: -shards on an unsharded directory, or -tier on one holding
+// a legacy snapshot, fails the open (DESIGN.md §7). -stats exits 0 only
 // for a reachable, non-draining server; an unreachable or draining one gets
 // a one-line error on stderr and a non-zero exit, so probes can alarm on the
 // exit code alone.
@@ -58,7 +60,7 @@ func main() {
 		sync         = flag.String("sync", "everyop", "WAL sync policy: everyop | interval | none")
 		syncEvery    = flag.Duration("sync-every", 10*time.Millisecond, "fsync interval for -sync interval")
 		maxPending   = flag.Int("max-pending", 4096, "admission bound: max queued mutations (per shard when sharded)")
-		shards       = flag.Int("shards", 0, "range partitions, each with its own WAL and commit queue (0 = unsharded; ignored when the directory already has a shard manifest)")
+		shards       = flag.Int("shards", 0, "range partitions, each with its own WAL and commit queue (0 = unsharded; ignored when the directory already has a shard manifest; an unsharded directory is refused)")
 		blockOnFull  = flag.Bool("block-on-full", true, "block writers at the bound instead of shedding with overloaded")
 		maxConns     = flag.Int("max-conns", 256, "max concurrent connections")
 		pipeline     = flag.Int("pipeline", 128, "max in-flight requests per connection")
@@ -74,7 +76,7 @@ func main() {
 		probeCount   = flag.Int("failover-probes", 3, "consecutive failed probes (while stalled) that declare the primary dead")
 		foRank       = flag.Int("failover-rank", 0, "this detector's priority among detector-enabled followers (each must be distinct; rank claims epochs ≡ rank mod group so concurrent promotions can never collide)")
 		foPeers      = flag.String("failover-peers", "", "comma-separated addresses of the OTHER detector-enabled followers (checked before promoting, fenced after)")
-		tiered       = flag.Bool("tier", false, "tiered disk-resident storage: background flush to immutable sorted segments + leveled compaction instead of monolithic checkpoints (sticky: a directory with a tier manifest always reopens tiered)")
+		tiered       = flag.Bool("tier", false, "tiered disk-resident storage: background flush to immutable sorted segments + leveled compaction instead of monolithic checkpoints (sticky: a directory with a tier manifest always reopens tiered; one with a legacy snapshot is refused)")
 		memtableMB   = flag.Int("tier-memtable-mb", 4, "tiered mode: memtable budget in MiB before a background flush is triggered")
 		compactL0    = flag.Int("tier-compact-l0", 0, "tiered mode: L0 segment count that triggers compaction into L1 (0 = default 4)")
 	)

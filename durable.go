@@ -59,8 +59,8 @@ type DirOptions struct {
 	// and a background flusher freezes the memtable into immutable sorted
 	// segments instead of Checkpoint rewriting monolithic snapshots. A
 	// directory that already has a tier manifest always opens tiered,
-	// regardless of this flag; a legacy directory opened with Tiered set
-	// migrates on its first flush.
+	// regardless of this flag; one that holds a legacy snapshot is refused
+	// with ErrLayoutMismatch when the flag is set.
 	//
 	// A tier's memtable runs no retrainer, whatever RetrainEvery says: every
 	// flush and bulk load empties it, and the retrainer starts only on a
@@ -210,6 +210,15 @@ var ErrSnapshotsUnreadable = errors.New("chameleon: snapshot files present but n
 // it, BulkLoad what Range returns, and close it (DESIGN.md §7).
 var ErrNeedsUpgrade = format.ErrNeedsUpgrade
 
+// ErrLayoutMismatch is returned when a directory or snapshot stream is in
+// another layout than the one asked for: OpenDir on a sharded root or,
+// with Tiered set, on a directory holding a legacy snapshot; OpenShardedDir
+// on an unsharded directory; RestoreSnapshot of the other engine's stream.
+// Nothing on disk or in memory has changed when it is returned. Layouts do
+// not convert in place: BulkLoad what Range returns into a fresh directory
+// of the wanted layout (DESIGN.md §7).
+var ErrLayoutMismatch = errors.New("chameleon: directory or snapshot stream is in another layout")
+
 const (
 	snapPrefix = "snapshot-"
 	snapSuffix = ".ckpt"
@@ -272,10 +281,13 @@ func isStateFile(name string) bool {
 	return snap || log
 }
 
-// refuseOldLayout fails with ErrNeedsUpgrade if dir is in the layout from
+// refuseLayout fails with ErrNeedsUpgrade if dir is in the layout from
 // before snapshot and WAL names carried their base: snapshot-<rot>.ckpt and
-// wal-<rot>.log, with the bases in a seq-<gen>.meta or seq.meta sidecar.
-func refuseOldLayout(fsys faultfs.FS, dir string) error {
+// wal-<rot>.log, with the bases in a seq-<gen>.meta or seq.meta sidecar. It
+// fails with ErrLayoutMismatch if dir holds the layout not asked for: a
+// shard manifest when sharded is false, an unsharded index's snapshots,
+// WALs, segments or tier manifests when it is true.
+func refuseLayout(fsys faultfs.FS, dir string, sharded bool) error {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return err
@@ -286,6 +298,17 @@ func refuseOldLayout(fsys faultfs.FS, dir string) error {
 			isOldName(name, snapPrefix, snapSuffix) || isOldName(name, walPrefix, walSuffix) {
 			return fmt.Errorf("chameleon: %s is in the layout from before names carried a commit sequence: %w",
 				filepath.Join(dir, name), ErrNeedsUpgrade)
+		}
+	}
+	for _, e := range entries {
+		name := e.Name()
+		_, isSeg := segment.ParseFileName(name)
+		_, isMan := segment.ParseManifestName(name)
+		if sharded && (isStateFile(name) || isSeg || isMan) {
+			return fmt.Errorf("chameleon: %s belongs to an unsharded index: %w", filepath.Join(dir, name), ErrLayoutMismatch)
+		}
+		if !sharded && name == shardManifestName {
+			return fmt.Errorf("chameleon: %s makes this a sharded root: %w", filepath.Join(dir, name), ErrLayoutMismatch)
 		}
 	}
 	return nil
@@ -319,7 +342,8 @@ func walOptions(opts DirOptions, fsys faultfs.FS) wal.Options {
 // every write-ahead log at or after that snapshot is replayed in order. The
 // returned index reflects every acknowledged write the configured sync policy
 // promised to keep. A file in a retired format fails the open with
-// ErrNeedsUpgrade before anything on disk changes.
+// ErrNeedsUpgrade, and a directory in another layout with ErrLayoutMismatch,
+// before anything on disk changes.
 func OpenDir(dir string, opts DirOptions) (*DurableIndex, error) {
 	return openDirFS(dir, opts, faultfs.OS)
 }
@@ -330,7 +354,7 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := refuseOldLayout(fsys, dir); err != nil {
+	if err := refuseLayout(fsys, dir, false); err != nil {
 		return nil, err
 	}
 	logs, snaps, err := listFiles(fsys, dir)
@@ -345,6 +369,10 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	}
 	if man != nil {
 		return openTieredDir(dir, opts, fsys, man, logs, snaps)
+	}
+	if opts.Tiered && len(snaps) > 0 {
+		return nil, fmt.Errorf("chameleon: %s is a legacy snapshot, so the directory cannot open tiered: %w",
+			filepath.Join(dir, snapName(snaps[0].rot, snaps[0].base)), ErrLayoutMismatch)
 	}
 
 	// Load the newest snapshot that checks out, falling back past corrupt
@@ -397,9 +425,9 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts, space: make(chan struct{})}
 	d.commitSeq.Store(clock)
 	if opts.Tiered {
-		// Legacy directory explicitly opened tiered: migration. The recovered
-		// state is the memtable; the first flush moves it into an L0 segment.
-		attachEmptyTier(d)
+		// A tiered directory before its first flush: the recovered WAL tail
+		// is the memtable.
+		d.tier = newTier(d, nil, nil, nil, int64(ix.Len()))
 	}
 	return d, nil
 }

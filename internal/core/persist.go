@@ -58,10 +58,11 @@ import (
 // self-consistent even while concurrent writers advance other intervals.
 
 const (
-	snapMagic     = "CHAMSNP3"
+	// SnapMagic leads every snapshot stream WriteTo writes.
+	SnapMagic     = "CHAMSNP3"
 	snapEndMagic  = "CHAMEND3"
 	snapVersion   = 3
-	snapHeaderLen = len(snapMagic) + 4
+	snapHeaderLen = len(SnapMagic) + 4
 	snapFooterLen = 8 + 4 + len(snapEndMagic)
 
 	tagLeaf  = 0
@@ -102,8 +103,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("core: index name of %d bytes exceeds %d", len(name), maxNameLen)
 	}
 	var hdr [snapHeaderLen]byte
-	copy(hdr[:], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic):], snapVersion)
+	copy(hdr[:], SnapMagic)
+	binary.LittleEndian.PutUint32(hdr[len(SnapMagic):], snapVersion)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -480,11 +481,11 @@ func (r *snapReader) snapshot() (*snapshot, error) {
 	if hdr == nil {
 		return nil, r.err
 	}
-	magic, version := string(hdr[:len(snapMagic)]), binary.LittleEndian.Uint32(hdr[len(snapMagic):])
+	magic, version := string(hdr[:len(SnapMagic)]), binary.LittleEndian.Uint32(hdr[len(SnapMagic):])
 	switch {
 	case magic == "CHAMSNP2":
 		return nil, fmt.Errorf("core: CHAMSNP2 snapshot: %w", format.ErrNeedsUpgrade)
-	case magic != snapMagic:
+	case magic != SnapMagic:
 		return nil, corruptf("not a chameleon index snapshot")
 	case version != snapVersion:
 		return nil, fmt.Errorf("core: unsupported index snapshot version %d", version)

@@ -418,14 +418,7 @@ func TestPullLoopBootstraps(t *testing.T) {
 					Recs: []wal.Record{{Op: wal.OpInsert, Key: 500, Val: 501}}}, nil
 			},
 		},
-		snap: func(snapID, offset uint64) (client.SnapChunk, error) {
-			sr, err := pn.ServeShardSnap(0, snapID, offset)
-			if err != nil {
-				return client.SnapChunk{}, err
-			}
-			return client.SnapChunk{SnapID: sr.SnapID, AsOfSeq: sr.AsOfSeq,
-				Offset: sr.Offset, Total: sr.Total, Data: sr.Data}, nil
-		},
+		snap: serveSnap(pn),
 	}
 	err := n.shardSyncLoop(context.Background(), fc)
 	if !errors.Is(err, errScriptDone) {
@@ -445,6 +438,67 @@ func TestPullLoopBootstraps(t *testing.T) {
 	}
 	if h := n.Health(); h.Diverged {
 		t.Fatalf("unexpected divergence: %+v", h)
+	}
+}
+
+// serveSnap answers a follower's ReplSnap from pn's shard 0.
+func serveSnap(pn *Node) func(snapID, offset uint64) (client.SnapChunk, error) {
+	return func(snapID, offset uint64) (client.SnapChunk, error) {
+		sr, err := pn.ServeShardSnap(0, snapID, offset)
+		if err != nil {
+			return client.SnapChunk{}, err
+		}
+		return client.SnapChunk{SnapID: sr.SnapID, AsOfSeq: sr.AsOfSeq,
+			Offset: sr.Offset, Total: sr.Total, Data: sr.Data}, nil
+	}
+}
+
+// TestPullLoopRefusesOtherLayout: a tiered follower bootstrapping from a
+// legacy primary's snapshot fail-stops after one download, its state
+// untouched, instead of downloading it again on every reconnect.
+func TestPullLoopRefusesOtherLayout(t *testing.T) {
+	primary := openIx(t)
+	pn := New(primary, Options{snapChunk: 128})
+	defer pn.Close()
+	for k := uint64(1); k <= 100; k++ {
+		if err := primary.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ix, err := chameleon.OpenDir(t.TempDir(), chameleon.DirOptions{Tiered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for k := uint64(1); k <= 3; k++ {
+		if err := ix.Insert(k<<32, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
+	fc := &fakeClient{
+		pulls: []func(uint64, uint64) (client.PullResult, error){
+			func(uint64, uint64) (client.PullResult, error) {
+				return client.PullResult{UpstreamSeq: 100, Epoch: 1, SnapshotNeeded: true}, nil
+			},
+		},
+		snap: serveSnap(pn),
+	}
+	err = n.shardSyncLoop(context.Background(), fc)
+	var fe *errFatal
+	if !errors.As(err, &fe) || !errors.Is(err, chameleon.ErrLayoutMismatch) {
+		t.Fatalf("want a fatal ErrLayoutMismatch, got %v", err)
+	}
+	if n.bootstraps.Load() != 1 {
+		t.Fatalf("bootstraps %d, want 1", n.bootstraps.Load())
+	}
+	n.failStop(fe.err)
+	if h := n.Health(); !h.Diverged {
+		t.Fatalf("post-failstop health: %+v", h)
+	}
+	if ix.Len() != 3 || ix.CommitSeq() != 3 {
+		t.Fatalf("refused bootstrap left Len %d, CommitSeq %d; want 3, 3", ix.Len(), ix.CommitSeq())
 	}
 }
 

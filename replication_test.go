@@ -405,7 +405,7 @@ func TestMergeReplHealth(t *testing.T) {
 // named without its base.
 func checkNamesCarryBase(t *testing.T, dir string) {
 	t.Helper()
-	if err := refuseOldLayout(faultfs.OS, dir); err != nil {
+	if err := refuseLayout(faultfs.OS, dir, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -414,23 +414,23 @@ func checkNamesCarryBase(t *testing.T, dir string) {
 // WAL, on a fresh legacy and a fresh tiered directory, leaves no seq sidecar
 // and names every snapshot and WAL with its base.
 func TestNamesCarryBase(t *testing.T) {
-	src, err := OpenDir(t.TempDir(), tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for k := uint64(1); k <= 20; k++ {
-		if err := src.Insert(k<<20, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var bundle bytes.Buffer
-	asOf, _, err := src.SnapshotAt(&bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
 		t.Run(name, func(t *testing.T) {
+			src, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			for k := uint64(1); k <= 20; k++ {
+				if err := src.Insert(k<<20, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var snap bytes.Buffer
+			asOf, _, err := src.SnapshotAt(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dir := t.TempDir()
 			d, err := OpenDir(dir, opts)
 			if err != nil {
@@ -444,7 +444,7 @@ func TestNamesCarryBase(t *testing.T) {
 				func() error { return d.Insert(11, 1) },
 				d.Flush,
 				d.Compact,
-				func() error { return d.RestoreSnapshot(bytes.NewReader(bundle.Bytes()), asOf) },
+				func() error { return d.RestoreSnapshot(bytes.NewReader(snap.Bytes()), asOf) },
 				func() error { return d.Insert(12, 1) },
 				d.Close,
 			}

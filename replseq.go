@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"chameleon/internal/core"
 	"chameleon/internal/wal"
 )
 
@@ -181,9 +182,9 @@ func (d *DurableIndex) ReplicateBatch(firstSeq uint64, recs []wal.Record) error 
 // duration, so no batch can commit mid-stream: the bytes written correspond
 // exactly to the returned sequence. Used by the primary to bootstrap
 // followers that are behind WAL retention. A legacy directory streams the
-// learned structure (core.WriteTo); a tiered one streams a CHAMTBN1 segment
-// bundle (see tierrepl.go) — RestoreSnapshot accepts either on either kind
-// of receiver.
+// learned structure (CHAMSNP3, core.WriteTo); a tiered one streams a
+// CHAMTBN1 segment bundle (see tierrepl.go). Each restores only on a
+// directory of its own engine.
 func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -212,30 +213,26 @@ func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err err
 // the local commit sequence, making the restored state and its sequence
 // durable together (legacy: a checkpoint; tiered: the replace BulkLoad also
 // makes, one fresh L1 segment behind a manifest commit — see
-// tier.replaceLocked). The stream's leading 8 bytes
-// select the decoder, so a tiered follower can bootstrap from a legacy
-// primary and vice versa. On a decode failure the local state is unchanged;
-// on a durability failure after the in-memory install the handle is
-// poisoned, exactly like BulkLoad — the restored state would otherwise have
-// no durable counterpart.
+// tier.replaceLocked). A stream from the other engine, named by its leading
+// 8 bytes, fails with ErrLayoutMismatch. On that or a decode failure the
+// local state is unchanged; on a durability failure after the in-memory
+// install the handle is poisoned, exactly like BulkLoad — the restored state
+// would otherwise have no durable counterpart.
 func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(8)
-	isBundle := len(head) == 8 && string(head) == bundleMagic
+	other := bundleMagic
+	if d.tier != nil {
+		other = core.SnapMagic
+	}
+	if string(head) == other {
+		return fmt.Errorf("chameleon: a %s snapshot stream is the other engine's: %w", other, ErrLayoutMismatch)
+	}
 
 	if d.tier != nil {
 		// Decode to a flat sorted run before taking any locks: a slow or
 		// corrupt stream must not stall commits.
-		var keys, vals []uint64
-		var err error
-		if isBundle {
-			keys, vals, err = readBundleFlat(br)
-		} else {
-			scratch := New(d.opts.Options)
-			if _, err = scratch.inner.ReadFrom(br); err == nil {
-				keys, vals = scratch.AppendPairs(nil, nil)
-			}
-		}
+		keys, vals, err := readBundleFlat(br)
 		if err != nil {
 			return err
 		}
@@ -247,25 +244,13 @@ func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
 	if err := d.usableLocked(); err != nil {
 		return err
 	}
-	if isBundle {
-		// Flatten the bundle into the in-memory index; the validated merge
-		// output is strictly ascending, exactly what BulkLoad wants.
-		keys, vals, err := readBundleFlat(br)
-		if err != nil {
-			return err
-		}
-		if err := d.ix.BulkLoad(keys, vals); err != nil {
-			return err
-		}
-	} else {
-		if _, err := d.ix.inner.ReadFrom(br); err != nil {
-			return err
-		}
-		// inner.ReadFrom stops any running retrainer; restart it like openDirFS
-		// does, so a bootstrap mid-life doesn't silently end maintenance.
-		if d.opts.RetrainEvery > 0 {
-			d.ix.inner.StartRetrainer(d.opts.RetrainEvery)
-		}
+	if _, err := d.ix.inner.ReadFrom(br); err != nil {
+		return err
+	}
+	// inner.ReadFrom stops any running retrainer; restart it like openDirFS
+	// does, so a bootstrap mid-life doesn't silently end maintenance.
+	if d.opts.RetrainEvery > 0 {
+		d.ix.inner.StartRetrainer(d.opts.RetrainEvery)
 	}
 	d.commitSeq.Store(asOfSeq)
 	if err := d.checkpointLocked(); err != nil {

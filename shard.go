@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"chameleon/internal/faultfs"
-	"chameleon/internal/segment"
 )
 
 // ShardedIndex range-partitions the key space into N independent DurableIndex
@@ -131,13 +130,10 @@ func (r *shardRouter) route(key uint64) int {
 // through its own snapshot-plus-WAL-replay path.
 //
 // Boundary selection: an existing manifest always wins (the data is already
-// partitioned by it, so opts.Shards is ignored). Without a
-// manifest, a directory holding an existing unsharded DurableIndex is
-// migrated: its keys are sampled and equi-depth boundaries split them into
-// shards of near-equal cardinality; the unsharded files are removed only
-// after every shard has checkpointed and the manifest is durable, so a crash
-// mid-migration just redoes it from the intact original. An empty directory
-// gets equi-width boundaries over the full uint64 space.
+// partitioned by it, so opts.Shards is ignored). A directory without one
+// gets equi-width boundaries over the full uint64 space; BulkLoad re-shards
+// equi-depth. A directory holding an unsharded index is refused with
+// ErrLayoutMismatch before anything on disk changes.
 func OpenShardedDir(dir string, opts ShardDirOptions) (*ShardedIndex, error) {
 	return openShardedDirFS(dir, opts, faultfs.OS)
 }
@@ -154,9 +150,7 @@ func openShardedDirFS(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Shard
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// Before loadLegacyUnsharded, which would take an old-layout directory
-	// for an empty one.
-	if err := refuseOldLayout(fsys, dir); err != nil {
+	if err := refuseLayout(fsys, dir, true); err != nil {
 		return nil, err
 	}
 
@@ -165,8 +159,7 @@ func openShardedDirFS(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Shard
 		return nil, err
 	}
 	if man == nil {
-		// No manifest yet: this open creates the layout (possibly migrating
-		// an existing unsharded directory into it).
+		// No manifest yet: this open creates the layout.
 		return initShardedDir(dir, opts, fsys)
 	}
 	s := &ShardedIndex{dir: dir, fs: fsys}
@@ -205,100 +198,26 @@ func (s *ShardedIndex) openShards(n int, opts DirOptions) error {
 
 // initShardedDir creates the sharded layout in a directory with no manifest.
 // The manifest is the commit point of initialization: it is written only
-// after every shard directory exists (and, on the migration path, after every
-// shard holds its checkpointed slice of the original data), so "manifest
-// present" always implies "shards authoritative".
+// after every shard directory exists, so "manifest present" always implies
+// "shards authoritative".
 func initShardedDir(dir string, opts ShardDirOptions, fsys faultfs.FS) (*ShardedIndex, error) {
-	legacyKeys, legacyVals, hasLegacy, err := loadLegacyUnsharded(dir, opts.DirOptions, fsys)
-	if err != nil {
+	bounds := opts.boundaries
+	if bounds == nil {
+		bounds = equiWidthBounds(opts.Shards)
+	} else if err := validateBounds(bounds, opts.Shards); err != nil {
 		return nil, err
 	}
-
-	bounds := opts.boundaries
-	switch {
-	case bounds != nil:
-		if err := validateBounds(bounds, opts.Shards); err != nil {
-			return nil, err
-		}
-	case hasLegacy && len(legacyKeys) >= opts.Shards:
-		bounds = equiDepthBounds(legacyKeys, opts.Shards)
-	default:
-		bounds = equiWidthBounds(opts.Shards)
-	}
-
 	s := &ShardedIndex{dir: dir, fs: fsys}
 	s.rt.Store(newShardRouter(bounds))
 	if err := s.openShards(opts.Shards, opts.DirOptions); err != nil {
 		return nil, err
-	}
-	if hasLegacy {
-		if err := s.loadPartitioned(legacyKeys, legacyVals, bounds); err != nil {
-			s.Close() //nolint:errcheck
-			return nil, fmt.Errorf("chameleon: migrating unsharded directory: %w", err)
-		}
 	}
 	if err := writeShardManifest(fsys, dir, shardManifest{Version: 1, Shards: opts.Shards, Bounds: bounds, Gen: 1}); err != nil {
 		s.Close() //nolint:errcheck
 		return nil, err
 	}
 	s.gen.Store(1)
-	if hasLegacy {
-		// The manifest is durable and every shard has checkpointed its slice:
-		// the unsharded files are now garbage. Removal is best-effort — a
-		// leftover is ignored (the manifest wins on every future open).
-		removeLegacyUnsharded(dir, fsys)
-	}
 	return s, nil
-}
-
-// loadLegacyUnsharded detects an unsharded DurableIndex at the top level of
-// dir (snapshot/WAL files, the pre-sharding layout) and extracts its full
-// contents for migration. The original files are left untouched.
-func loadLegacyUnsharded(dir string, opts DirOptions, fsys faultfs.FS) (keys, vals []uint64, found bool, err error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	for _, e := range entries {
-		found = found || isStateFile(e.Name())
-	}
-	if !found {
-		return nil, nil, false, nil
-	}
-	// Open read-only in spirit: recover, walk, close. The retrainer is
-	// pointless for this lifetime.
-	ropts := opts
-	ropts.RetrainEvery = 0
-	legacy, err := openDirFS(dir, ropts, fsys)
-	if err != nil {
-		return nil, nil, true, fmt.Errorf("chameleon: opening unsharded directory for migration: %w", err)
-	}
-	defer legacy.Close() //nolint:errcheck
-	keys = make([]uint64, 0, legacy.Len())
-	vals = make([]uint64, 0, legacy.Len())
-	legacy.Range(0, ^uint64(0), func(k, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return true
-	})
-	return keys, vals, true, nil
-}
-
-// removeLegacyUnsharded deletes the top-level snapshot/WAL files after a
-// migration has committed.
-func removeLegacyUnsharded(dir string, fsys faultfs.FS) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		_, isSeg := segment.ParseFileName(e.Name())
-		_, isMan := segment.ParseManifestName(e.Name())
-		if isStateFile(e.Name()) || isSeg || isMan {
-			fsys.Remove(filepath.Join(dir, e.Name())) //nolint:errcheck
-		}
-	}
-	fsys.SyncDir(dir) //nolint:errcheck
 }
 
 // equiDepthBounds picks Shards-1 boundaries splitting the sorted keys into

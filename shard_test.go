@@ -346,82 +346,6 @@ func TestShardedBulkLoadRebalances(t *testing.T) {
 	}
 }
 
-// TestShardedMigration: opening an existing unsharded directory sharded must
-// carry every key over, pick equi-depth boundaries from the data, and remove
-// the legacy top-level files once the manifest is durable.
-func TestShardedMigration(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Locally skewed data: two dense clusters far apart — the case where
-	// equi-width boundaries would leave shards empty.
-	const n = 1200
-	for i := uint64(0); i < n/2; i++ {
-		if err := d.Insert(1_000_000+i, i); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Insert(9_000_000_000+i, i+7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenShardedDir(dir, shardOpts(4))
-	if err != nil {
-		t.Fatalf("migration: %v", err)
-	}
-	if s.Len() != n {
-		t.Fatalf("migrated Len = %d, want %d", s.Len(), n)
-	}
-	for i := uint64(0); i < n/2; i++ {
-		if v, ok := s.Lookup(1_000_000 + i); !ok || v != i {
-			t.Fatalf("migrated Lookup(%d) = %d,%v", 1_000_000+i, v, ok)
-		}
-		if v, ok := s.Lookup(9_000_000_000 + i); !ok || v != i+7 {
-			t.Fatalf("migrated Lookup(%d) = %d,%v", 9_000_000_000+i, v, ok)
-		}
-	}
-	// Equi-depth boundaries: every shard holds a meaningful slice of the
-	// skewed data.
-	for i, sh := range s.shards {
-		if l := sh.Len(); l < n/8 || l > n/2 {
-			t.Fatalf("shard %d holds %d of %d keys — boundaries not equi-depth", i, l, n)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The legacy top-level snapshot/WAL files are gone; only the manifest and
-	// shard directories remain.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if isStateFile(e.Name()) {
-			t.Fatalf("legacy snapshot or WAL %s survived migration", e.Name())
-		}
-	}
-
-	// Reopening sees the sharded layout, not a re-migration.
-	re, err := OpenShardedDir(dir, shardOpts(2)) // ignored: manifest wins
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close() //nolint:errcheck
-	if re.Shards() != 4 || re.Len() != n {
-		t.Fatalf("reopen: %d shards, %d keys; want 4, %d", re.Shards(), re.Len(), n)
-	}
-}
-
 // TestShardedHealthAggregation: counters sum across shards, the state is the
 // worst across shards, and a fully closed sharded index reports closed.
 func TestShardedHealthAggregation(t *testing.T) {

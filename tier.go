@@ -1095,14 +1095,14 @@ func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 }
 
 // gcInlineLocked removes files the current manifest generation has made
-// garbage: superseded manifests, unreferenced segment files, legacy
-// snapshots whose base the flushed watermark covers, and — once it covers
-// the live log's base too — every other WAL, since they hold only commits
-// up to that base, all of which the segments now carry. WALs go because the
-// watermark covers them, never because a checkpoint "succeeded"; and only
-// the live log's base decides, because a stray successor an abort failed to
-// remove names a base no record ever had. Best-effort (a crash mid-GC
-// leaves garbage the next pass retries). Callers hold t.tmu and d.mu.
+// garbage: superseded manifests, unreferenced segment files, and — once the
+// flushed watermark covers the live log's base — every other WAL, since
+// they hold only commits up to that base, all of which the segments now
+// carry. WALs go because the watermark covers them, never because a
+// checkpoint "succeeded"; and only the live log's base decides, because a
+// stray successor an abort failed to remove names a base no record ever
+// had. Best-effort (a crash mid-GC leaves garbage the next pass retries).
+// Callers hold t.tmu and d.mu.
 func (t *tier) gcInlineLocked() {
 	d := t.d
 	f := t.flushedSeq.Load()
@@ -1120,11 +1120,10 @@ func (t *tier) gcInlineLocked() {
 	for _, e := range entries {
 		name := e.Name()
 		_, isWAL := parseName(name, walPrefix, walSuffix)
-		snap, isSnap := parseName(name, snapPrefix, snapSuffix)
 		g, isMan := segment.ParseManifestName(name)
 		id, isSeg := segment.ParseFileName(name)
-		if (isWAL && name != liveLog && cur.base <= f) || (isSnap && snap.base <= f) ||
-			(isMan && g < gen) || (isSeg && !live[id] && id < t.nextID.Load()) {
+		if (isWAL && name != liveLog && cur.base <= f) || (isMan && g < gen) ||
+			(isSeg && !live[id] && id < t.nextID.Load()) {
 			d.fs.Remove(filepath.Join(d.dir, name)) //nolint:errcheck
 		}
 	}

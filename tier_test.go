@@ -393,10 +393,10 @@ func compareWithOracle(t *testing.T, d tieredReadSurface, oracle map[uint64]uint
 	}
 }
 
-// TestTieredMigration: a legacy checkpoint directory opened with Tiered set
-// keeps serving its data, the first flush moves it into segments, and the
-// legacy snapshot (now covered by the watermark) is garbage-collected; the
-// directory reopens tiered from then on, flag or no flag.
+// TestTieredMigration: a legacy directory holding only write-ahead logs,
+// opened with Tiered set, keeps serving its data (a checkpointed one is
+// refused; see TestRetiredFormatsRefused); the first flush moves it into
+// segments, and the directory reopens tiered from then on, flag or no flag.
 func TestTieredMigration(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDir(dir, durableOpts())
@@ -404,8 +404,10 @@ func TestTieredMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []uint64{5, 10, 15, 20, 25}
-	if err := d.BulkLoad(keys, nil); err != nil {
-		t.Fatal(err)
+	for _, k := range keys {
+		if err := d.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Insert(30, 99); err != nil {
 		t.Fatal(err)
@@ -419,7 +421,7 @@ func TestTieredMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if td.tier == nil {
-		t.Fatal("Tiered flag did not attach a tier to a legacy directory")
+		t.Fatal("Tiered flag did not attach a tier to a log-only legacy directory")
 	}
 	if v, ok := td.Lookup(30); !ok || v != 99 {
 		t.Fatalf("migrated lookup = %d,%v want 99,true", v, ok)
@@ -429,15 +431,6 @@ func TestTieredMigration(t *testing.T) {
 	}
 	if err := td.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	entries, err := faultfs.OS.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if _, ok := parseName(e.Name(), snapPrefix, snapSuffix); ok {
-			t.Fatalf("legacy snapshot %s survived the flush that covers it", e.Name())
-		}
 	}
 	if err := td.Close(); err != nil {
 		t.Fatal(err)
@@ -545,10 +538,10 @@ func TestTieredReplicateBatch(t *testing.T) {
 	}
 }
 
-// TestTieredSnapshotBundleRoundTrip: every pairing of snapshot producer and
-// consumer (tiered→tiered, tiered→legacy, legacy→tiered) restores the exact
-// contents and adopts the as-of sequence, including tombstones pending in
-// the dead set at capture time.
+// TestTieredSnapshotBundleRoundTrip: each engine's snapshot restores on its
+// own engine with the exact contents and the as-of sequence, including
+// tombstones pending in the dead set at capture time; on the other engine it
+// is refused with the receiver unchanged.
 func TestTieredSnapshotBundleRoundTrip(t *testing.T) {
 	src, err := OpenDir(t.TempDir(), tieredOpts())
 	if err != nil {
@@ -634,19 +627,29 @@ func TestTieredSnapshotBundleRoundTrip(t *testing.T) {
 		}
 	})
 
-	t.Run("tiered-to-legacy", func(t *testing.T) {
-		dst, err := OpenDir(t.TempDir(), durableOpts())
+	// refused restores stream on a receiver of the other engine holding
+	// three commits, which must keep them.
+	refused := func(t *testing.T, opts DirOptions, stream []byte, asOf uint64) {
+		dst, err := OpenDir(t.TempDir(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer dst.Close()
-		if err := dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf); err != nil {
-			t.Fatal(err)
+		for k := uint64(1); k <= 3; k++ {
+			if err := dst.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
 		}
-		verify(t, dst)
-	})
+		if err := dst.RestoreSnapshot(bytes.NewReader(stream), asOf); !errors.Is(err, ErrLayoutMismatch) {
+			t.Fatalf("restore err = %v, want ErrLayoutMismatch", err)
+		}
+		if dst.Len() != 3 || dst.CommitSeq() != 3 {
+			t.Fatalf("refused restore left Len %d, CommitSeq %d; want 3, 3", dst.Len(), dst.CommitSeq())
+		}
+	}
+	t.Run("tiered-to-legacy", func(t *testing.T) { refused(t, durableOpts(), buf.Bytes(), asOf) })
 
-	// A legacy primary's structure snapshot, for both kinds of follower.
+	// A legacy primary's structure snapshot.
 	leg, err := OpenDir(t.TempDir(), durableOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -662,27 +665,26 @@ func TestTieredSnapshotBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]DirOptions{"legacy-to-tiered": tieredOpts(), "legacy-to-legacy": durableOpts()} {
-		t.Run(name, func(t *testing.T) {
-			dst, err := OpenDir(t.TempDir(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dst.Close()
-			if err := dst.RestoreSnapshot(bytes.NewReader(lbuf.Bytes()), lAsOf); err != nil {
-				t.Fatal(err)
-			}
-			if dst.Len() != 100 {
-				t.Fatalf("Len = %d, want 100", dst.Len())
-			}
-			if v, ok := dst.Lookup(30); !ok || v != 10 {
-				t.Fatalf("key 30 = %d,%v want 10,true", v, ok)
-			}
-			if got := dst.CommitSeq(); got != lAsOf {
-				t.Fatalf("CommitSeq = %d, want %d", got, lAsOf)
-			}
-		})
-	}
+	t.Run("legacy-to-legacy", func(t *testing.T) {
+		dst, err := OpenDir(t.TempDir(), durableOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dst.Close()
+		if err := dst.RestoreSnapshot(bytes.NewReader(lbuf.Bytes()), lAsOf); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Len() != 100 {
+			t.Fatalf("Len = %d, want 100", dst.Len())
+		}
+		if v, ok := dst.Lookup(30); !ok || v != 10 {
+			t.Fatalf("key 30 = %d,%v want 10,true", v, ok)
+		}
+		if got := dst.CommitSeq(); got != lAsOf {
+			t.Fatalf("CommitSeq = %d, want %d", got, lAsOf)
+		}
+	})
+	t.Run("legacy-to-tiered", func(t *testing.T) { refused(t, tieredOpts(), lbuf.Bytes(), lAsOf) })
 }
 
 // TestTieredRestoreBehindRefused: rewinding a tiered directory is refused —

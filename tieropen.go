@@ -2,32 +2,24 @@ package chameleon
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
-// ErrTierStateMixed is returned by OpenDir when a tiered directory also
-// holds a legacy snapshot whose base commit sequence is AHEAD of the
-// manifest's flushed watermark. The tiered recovery path replays the WAL
-// delta on top of segments only; a newer snapshot would mean some acked
-// state lives nowhere the replay looks, so opening must refuse rather than
-// silently lose it. (Normal operation never produces this state: snapshots
-// are only ever garbage-collected once the watermark covers them.)
-var ErrTierStateMixed = fmt.Errorf("chameleon: snapshot newer than tier manifest watermark")
-
 // openTieredDir recovers a directory that has a tier manifest. The manifest
 // is the base: every referenced segment must open (the commit protocol made
 // them durable before the manifest named them — failure here is corruption,
 // not a crash signature), and replayChain replays the WAL delta above the
-// flushed watermark on top, rebuilding the memtable and dead set.
+// flushed watermark on top, rebuilding the memtable and dead set. A legacy
+// snapshot beside the manifest is what the retired in-place migration from
+// legacy to tiered left until its flush covered it: ErrNeedsUpgrade.
 func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Manifest, logs, snaps []fileID) (*DurableIndex, error) {
-	for _, s := range snaps {
-		if s.base > man.FlushedSeq {
-			return nil, fmt.Errorf("%w: %s at commit %d, watermark %d",
-				ErrTierStateMixed, snapName(s.rot, s.base), s.base, man.FlushedSeq)
-		}
+	if len(snaps) > 0 {
+		return nil, fmt.Errorf("chameleon: %s beside a tier manifest is left from an unfinished legacy-to-tiered migration: %w",
+			filepath.Join(dir, snapName(snaps[0].rot, snaps[0].base)), ErrNeedsUpgrade)
 	}
 	// Open every referenced segment strictly: the manifest's Meta doubles as
 	// the integrity cross-check.
@@ -67,12 +59,4 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 	d.commitSeq.Store(clock)
 	d.tier = newTier(d, man, readers, dead, live)
 	return d, nil
-}
-
-// attachEmptyTier migrates a legacy directory opened with Tiered set: the
-// recovered in-memory state stays the memtable, and the first flush moves it
-// wholesale into an L0 segment (after which the legacy snapshot is covered
-// by the watermark and garbage-collected).
-func attachEmptyTier(d *DurableIndex) {
-	d.tier = newTier(d, nil, nil, nil, int64(d.ix.Len()))
 }

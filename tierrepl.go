@@ -26,13 +26,11 @@ import (
 //	     [8] file length | raw segment bytes (each a self-CRC'd CHAMSEG2 file)
 //	[8]  magic "CHAMTBN1" again (end marker)
 //
-// The receiver dispatches on the leading 8 bytes, so either snapshot format
-// can land on either kind of follower: a legacy follower flattens a bundle
-// into its in-memory index, and a tiered follower flattens either stream to
-// one sorted run and lands it through the tier's one replace protocol
-// (tier.replaceLocked, the same commit BulkLoad makes). Every layer of the
-// bundle carries its own CRC; the manifest's per-segment Meta doubles as the
-// cross-check on each run.
+// Only a tiered follower restores a bundle: it flattens it to one sorted run
+// and lands it through the tier's one replace protocol (tier.replaceLocked,
+// the same commit BulkLoad makes). Every layer of the bundle carries its own
+// CRC; the manifest's per-segment Meta doubles as the cross-check on each
+// run.
 const bundleMagic = "CHAMTBN1"
 
 // maxBundleManifest bounds the manifest envelope a decoder will buffer

@@ -62,9 +62,10 @@ func dirState(t *testing.T, dir string) map[string]string {
 
 // TestRetiredFormatsRefused: a directory holding a file in a format this
 // build no longer reads — written by an older build, kept under testdata
-// with the mk*.go note that made it — fails to open with ErrNeedsUpgrade,
-// the error names the file, and the directory is byte for byte what it was:
-// nothing truncated, renamed, removed or created.
+// with the mk*.go note that made it — fails to open with ErrNeedsUpgrade;
+// one in another layout than the open asks for fails with
+// ErrLayoutMismatch. The error names the file, and the directory is byte
+// for byte what it was: nothing truncated, renamed, removed or created.
 func TestRetiredFormatsRefused(t *testing.T) {
 	const (
 		snapV2   = "internal/core/testdata/snapshot-v2.ckpt"
@@ -123,29 +124,76 @@ func TestRetiredFormatsRefused(t *testing.T) {
 			return dir
 		}
 	}
+	// legacy writes three inserts to a fresh legacy directory, then
+	// checkpoints if asked: wal-0-0 alone, or snapshot-1-3 beside wal-1-3.
+	legacy := func(checkpoint bool) func(*testing.T) string {
+		return func(t *testing.T) string {
+			dir := t.TempDir()
+			d, err := OpenDir(dir, durableOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k <= 3; k++ {
+				if err := d.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if checkpoint {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}
+	}
+	sharded := func(t *testing.T) string {
+		dir := t.TempDir()
+		s, err := OpenShardedDir(dir, shardOpts(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 10; k++ {
+			if err := s.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
 	for _, c := range []struct {
 		name  string
 		setup func(*testing.T) string
 		open  func(string) error
+		want  error
 		file  string // the name the error must carry
 	}{
-		{"seq sidecar", fixture("seqmeta-legacy"), openDir(durableOpts()), sidecar},
-		{"seq sidecar, tiered", fixture("seqmeta-tiered"), openDir(tieredOpts()), sidecar4},
-		{"seq sidecar, sharded", fixture("seqmeta-legacy"), openSharded, sidecar},
-		{"CHAMSNP2 snapshot", files(snapV2, snapName(1, 0)), openDir(durableOpts()), snapName(1, 0)},
-		{"v1 live log", files(walV1, walName(1, 0)), openDir(durableOpts()), walName(1, 0)},
-		{"v1 rotated log", files(walV1, walName(1, 0), "", walName(2, 66)), openDir(durableOpts()), walName(1, 0)},
-		{"CHAMSEG1 segment", withManifest(files(segData+"seg-v1.seg", segment.FileName(1))), openDir(tieredOpts()), segment.FileName(1)},
+		{"seq sidecar", fixture("seqmeta-legacy"), openDir(durableOpts()), ErrNeedsUpgrade, sidecar},
+		{"seq sidecar, tiered", fixture("seqmeta-tiered"), openDir(tieredOpts()), ErrNeedsUpgrade, sidecar4},
+		{"seq sidecar, sharded", fixture("seqmeta-legacy"), openSharded, ErrNeedsUpgrade, sidecar},
+		{"CHAMSNP2 snapshot", files(snapV2, snapName(1, 0)), openDir(durableOpts()), ErrNeedsUpgrade, snapName(1, 0)},
+		{"v1 live log", files(walV1, walName(1, 0)), openDir(durableOpts()), ErrNeedsUpgrade, walName(1, 0)},
+		{"v1 rotated log", files(walV1, walName(1, 0), "", walName(2, 66)), openDir(durableOpts()), ErrNeedsUpgrade, walName(1, 0)},
+		{"CHAMSEG1 segment", withManifest(files(segData+"seg-v1.seg", segment.FileName(1))), openDir(tieredOpts()),
+			ErrNeedsUpgrade, segment.FileName(1)},
 		{"CHAMSEG2 segment with a model",
 			files(segData+"seg-v2-model.seg", segment.FileName(1), segData+"manifest-v2-model.mft", segment.ManifestFileName(1)),
-			openDir(tieredOpts()), segment.FileName(1)},
+			openDir(tieredOpts()), ErrNeedsUpgrade, segment.FileName(1)},
+		{"manifest beside a snapshot", withManifest(legacy(true)), openDir(tieredOpts()), ErrNeedsUpgrade, snapName(1, 3)},
+		{"legacy snapshot, opened tiered", legacy(true), openDir(tieredOpts()), ErrLayoutMismatch, snapName(1, 3)},
+		{"unsharded, opened sharded", legacy(false), openSharded, ErrLayoutMismatch, walName(0, 0)},
+		{"sharded, opened with OpenDir", sharded, openDir(durableOpts()), ErrLayoutMismatch, shardManifestName},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := c.setup(t)
 			before := dirState(t, dir)
 			err := c.open(dir)
-			if !errors.Is(err, ErrNeedsUpgrade) {
-				t.Fatalf("open err = %v, want ErrNeedsUpgrade", err)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("open err = %v, want %v", err, c.want)
 			}
 			if !strings.Contains(err.Error(), c.file) {
 				t.Fatalf("error %q does not name %s", err, c.file)
