@@ -1,11 +1,8 @@
 package chameleon_test
 
-// One testing.B benchmark per paper table and figure (plus per-operation
-// micro-benchmarks). Each BenchmarkFigN runs the corresponding harness
-// experiment once per b.N at a reduced scale and reports its wall time; the
-// micro-benchmarks at the bottom give per-op numbers for the core structures.
-//
-// Full-scale reproductions with printed tables come from
+// Per-operation micro-benchmarks for the core structures: lookup per index
+// and dataset, insert, a mixed stream, and bulk load. The paper's tables and
+// figures come from the experiments, not from here:
 //
 //	go run ./cmd/chameleon-bench -exp all -n 1000000
 //
@@ -17,61 +14,8 @@ import (
 	"chameleon"
 	"chameleon/internal/dataset"
 	"chameleon/internal/harness"
-	"chameleon/internal/report"
 	"chameleon/internal/workload"
 )
-
-// benchCfg is the reduced scale used inside testing.B loops (full-scale
-// reproductions come from cmd/chameleon-bench; see the file comment).
-func benchCfg() harness.Config {
-	return harness.Config{N: 50_000, Ops: 25_000, Seed: 42}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := benchCfg()
-	var run func(harness.Config) ([]*report.Table, any)
-	for _, e := range harness.Experiments {
-		if e.ID == id {
-			run = e.Run
-		}
-	}
-	if run == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tables, _ := run(cfg); len(tables) == 0 {
-			b.Fatal("experiment produced no tables")
-		}
-	}
-}
-
-func BenchmarkFig1Motivation(b *testing.B)    { runExperiment(b, "fig1") }
-func BenchmarkFig8ReadOnly(b *testing.B)      { runExperiment(b, "fig8") }
-func BenchmarkFig9Skewness(b *testing.B)      { runExperiment(b, "fig9") }
-func BenchmarkFig10Construction(b *testing.B) { runExperiment(b, "fig10") }
-func BenchmarkTable5Structure(b *testing.B)   { runExperiment(b, "table5") }
-func BenchmarkFig11ReadWrite(b *testing.B)    { runExperiment(b, "fig11") }
-func BenchmarkFig12UpdateRatio(b *testing.B)  { runExperiment(b, "fig12") }
-func BenchmarkFig13Batched(b *testing.B)      { runExperiment(b, "fig13") }
-func BenchmarkFig14Retraining(b *testing.B)   { runExperiment(b, "fig14") }
-func BenchmarkFig15RetrainThread(b *testing.B) {
-	runExperiment(b, "fig15")
-}
-func BenchmarkConcThroughput(b *testing.B) { runExperiment(b, "conc") }
-
-// BenchmarkScaling runs the group-commit / parallel-build / recovery
-// experiment once per iteration. It writes no file: BENCH_scaling.json
-// comes from `chameleon-bench -exp scaling`.
-func BenchmarkScaling(b *testing.B) { runExperiment(b, "scaling") }
-
-// BenchmarkShard runs the shard-count sweep (insert and mixed throughput at
-// 1/2/4/8 range partitions) once per iteration. It writes no file:
-// BENCH_shard.json comes from `chameleon-bench -exp shard`.
-func BenchmarkShard(b *testing.B) { runExperiment(b, "shard") }
-
-// ---- per-operation micro-benchmarks ----
 
 // benchLookup measures mean point-query latency per index on one dataset.
 func benchLookup(b *testing.B, indexName, ds string) {

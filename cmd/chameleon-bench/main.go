@@ -12,17 +12,15 @@
 // laptop scale. Latency ratios between the indexes — not absolute numbers —
 // are the reproduced quantity (see EXPERIMENTS.md).
 //
-// An experiment that records results (scaling, overload, shard, repl,
-// failover, read, tier) also writes them to BENCH_<id>.json in the current
-// directory, under an environment block naming the run's size, machine, Go
-// version and commit.
+// An experiment that records results (-list marks which) also writes them
+// to BENCH_<id>.json in the current directory, under an environment block
+// naming the run's size, machine, Go version and commit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -31,24 +29,20 @@ import (
 )
 
 func main() {
+	ids := make([]string, len(harness.Experiments))
+	for i, e := range harness.Experiments {
+		ids[i] = e.ID
+	}
 	var (
-		exp     = flag.String("exp", "", "experiment ID (fig1, fig8..fig15, table5, conc, durability, scaling, overload, shard, repl, failover, read, tier) or 'all'")
-		n       = flag.Int("n", 400_000, "dataset cardinality")
-		ops     = flag.Int("ops", 200_000, "mixed-workload operation count")
-		seed    = flag.Uint64("seed", 42, "generator seed")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		readers = flag.String("readers", "1,2,4,8", "conc: reader-count scaling curve")
-		writers = flag.Int("writers", 1, "conc: concurrent writer goroutines")
-		dur     = flag.Duration("dur", 500*time.Millisecond, "conc: measurement window per point")
+		exp  = flag.String("exp", "", "experiment ID ("+strings.Join(ids, ", ")+") or 'all'")
+		n    = flag.Int("n", 400_000, "dataset cardinality")
+		ops  = flag.Int("ops", 200_000, "mixed-workload operation count")
+		seed = flag.Uint64("seed", 42, "generator seed")
+		list = flag.Bool("list", false, "list experiment IDs and exit")
+		csv  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		dur  = flag.Duration("dur", 500*time.Millisecond, "repl: measurement window per mode")
 	)
 	flag.Parse()
-
-	curve, err := parseCurve(*readers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -readers: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
@@ -61,10 +55,7 @@ func main() {
 		return
 	}
 
-	cfg := harness.Config{
-		N: *n, Ops: *ops, Seed: *seed, Out: os.Stdout,
-		Conc: harness.ConcurrencyConfig{Readers: curve, Writers: *writers, Duration: *dur},
-	}
+	cfg := harness.Config{N: *n, Ops: *ops, Seed: *seed, Dur: *dur}
 	ran := 0
 	for _, e := range harness.Experiments {
 		if *exp != "all" && !strings.EqualFold(e.ID, *exp) {
@@ -96,24 +87,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
 		os.Exit(2)
 	}
-}
-
-// parseCurve parses a comma-separated list of positive goroutine counts.
-func parseCurve(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("%q is not a positive count", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty curve")
-	}
-	return out, nil
 }

@@ -38,14 +38,11 @@ var Experiments = []Experiment{
 	{"fig13", "read/write latency on batched workloads", tablesOnly(Fig13Batched)},
 	{"fig14", "insertion time and retraining share", tablesOnly(Fig14Retraining)},
 	{"fig15", "query latency with vs without the retraining thread", tablesOnly(Fig15RetrainThread)},
-	{"conc", "aggregate throughput vs concurrent reader count", tablesOnly(ConcThroughput)},
-	{"durability", "insert throughput vs WAL sync policy; recovery time vs WAL length", tablesOnly(Durability)},
 	{"scaling", "group-commit writers, parallel bulk load, snapshot load and WAL replay (emits BENCH_scaling.json)", Scaling},
 	{"overload", "bounded admission: shed/block/deadline behavior past disk saturation (emits BENCH_overload.json)", Overload},
 	{"shard", "range-partitioned shards: insert and mixed throughput vs shard count (emits BENCH_shard.json)", Shard},
 	{"repl", "primary/follower replication: ack latency, lag, read-your-writes, failover time (emits BENCH_repl.json)", Repl},
 	{"failover", "automatic failover: crash the primary, detector promotes, pool client follows (emits BENCH_failover.json)", Failover},
-	{"read", "optimistic vs raw-map lookup percentiles (emits BENCH_read.json)", Read},
 	{"tier", "tiered storage: flush latency vs delta size, cold-get percentiles, checkpoint-vs-flush bytes, steady-state total write amplification (emits BENCH_tier.json)", Tier},
 	{"ablation", "design-choice ablations: τ sweep, α sweep, interval-lock overhead", tablesOnly(Ablations)},
 }

@@ -1,12 +1,12 @@
 // Package harness drives the paper's evaluation (Section VI): it builds
 // every index over the SOSD-style datasets, replays the workloads of
 // Figs. 8–15 and Table V, and renders report tables whose rows correspond
-// to the paper's plotted series. cmd/chameleon-bench is a thin CLI over this
-// package, and bench_test.go wires the same experiments into testing.B.
+// to the paper's plotted series. It also holds the repo's own sweeps beyond
+// the paper (Experiments lists every one); cmd/chameleon-bench is the one
+// command that runs them.
 package harness
 
 import (
-	"io"
 	"strconv"
 	"time"
 
@@ -28,11 +28,10 @@ import (
 // Config scopes an experiment run. The paper uses 50–200M keys on a 128 GB
 // machine; the default here is laptop scale, raisable with -n.
 type Config struct {
-	N    int               // full dataset cardinality (default 400_000)
-	Ops  int               // mixed-workload stream length (default 200_000)
-	Seed uint64            // default 42
-	Out  io.Writer         // report destination
-	Conc ConcurrencyConfig // concurrent-throughput mode (see concurrent.go)
+	N    int           // full dataset cardinality (default 400_000)
+	Ops  int           // mixed-workload stream length (default 200_000)
+	Seed uint64        // default 42
+	Dur  time.Duration // repl's measurement window per mode (default 500ms)
 }
 
 // Defaults fills unset fields.
@@ -45,6 +44,9 @@ func (c Config) Defaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.Dur <= 0 {
+		c.Dur = 500 * time.Millisecond
 	}
 	return c
 }
@@ -181,13 +183,6 @@ func opsKeys(ops []workload.Op) []uint64 {
 func stopRetraining(ix index.Index) {
 	if c, ok := ix.(*core.Index); ok {
 		c.StopRetrainer()
-	}
-}
-
-// startRetraining launches the background retrainer if the index has one.
-func startRetraining(ix index.Index, period time.Duration) {
-	if c, ok := ix.(*core.Index); ok {
-		c.StartRetrainer(period)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,13 +14,13 @@ import (
 	"chameleon/internal/workload"
 )
 
+// repoRoot holds the committed BENCH_<id>.json files.
+const repoRoot = "../.."
+
 // toyCfg is the smoke-test size: large enough that every experiment runs
 // each of its phases, small enough that none measures anything.
 func toyCfg() Config {
-	return Config{
-		N: 2_000, Ops: 100, Seed: 7,
-		Conc: ConcurrencyConfig{Readers: []int{1, 2}, Duration: 10 * time.Millisecond},
-	}
+	return Config{N: 2_000, Ops: 100, Seed: 7, Dur: 10 * time.Millisecond}
 }
 
 func TestBuildersCoverAllNames(t *testing.T) {
@@ -62,12 +63,36 @@ func TestThroughputPositive(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRuns smoke-tests each experiment at toy size: the
-// emitted tables are well formed, and results, where an experiment records
-// them, go through the BENCH file writer and parse back under the
+// TestEveryExperimentRuns checks that every committed BENCH_<id>.json at
+// the repo root parses and names an experiment that exists, then smoke-tests
+// each experiment at toy size: the emitted tables are well formed, an
+// experiment returns results exactly when its BENCH file is committed, and
+// results go through the BENCH file writer and parse back under the
 // environment block. At toy size nothing is measured, so the experiments
 // share the CPUs.
 func TestEveryExperimentRuns(t *testing.T) {
+	ids := map[string]bool{}
+	for _, exp := range Experiments {
+		ids[exp.ID] = true
+	}
+	committed, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f report.BenchFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatalf("%s does not parse: %v", path, err)
+		}
+		if id := f.Env.Experiment; !ids[id] || filepath.Base(path) != "BENCH_"+id+".json" {
+			t.Errorf("%s: environment names experiment %q, which is not its file's or not in Experiments", path, id)
+		}
+	}
+
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
@@ -76,6 +101,10 @@ func TestEveryExperimentRuns(t *testing.T) {
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
 			tables, results := exp.Run(cfg)
+			_, err := os.Stat(filepath.Join(repoRoot, "BENCH_"+exp.ID+".json"))
+			if isCommitted := err == nil; isCommitted != (results != nil) {
+				t.Errorf("returns results: %t, BENCH_%s.json committed: %t", results != nil, exp.ID, isCommitted)
+			}
 			checkBenchFile(t, exp.ID, cfg, results)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
@@ -104,7 +133,7 @@ func checkBenchFile(t *testing.T, id string, cfg Config, results any) {
 	if results == nil {
 		return
 	}
-	env := report.Env{Experiment: id, N: cfg.N, Ops: cfg.Ops, Seed: cfg.Seed, DurationS: cfg.Conc.Duration.Seconds()}
+	env := report.Env{Experiment: id, N: cfg.N, Ops: cfg.Ops, Seed: cfg.Seed, DurationS: cfg.Dur.Seconds()}
 	path, err := report.WriteBench(t.TempDir(), env, results)
 	if err != nil {
 		t.Fatal(err)

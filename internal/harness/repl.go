@@ -24,15 +24,14 @@ import (
 // Its results are BENCH_repl.json's.
 func Repl(cfg Config) ([]*report.Table, any) {
 	cfg = cfg.Defaults()
-	dur := cfg.Conc.Defaults().Duration
 	out := &replReport{}
 
 	lag := &report.Table{
-		Title: fmt.Sprintf("repl — primary/follower over TCP loopback (%s per mode)", dur),
+		Title: fmt.Sprintf("repl — primary/follower over TCP loopback (%s per mode)", cfg.Dur),
 		Cols:  []string{"mode", "acked wr/s", "ack p50", "ack p99", "lag p50 (recs)", "lag p99 (recs)", "lag max", "ryw p50", "ryw p99"},
 	}
 	for _, semiSync := range []bool{false, true} {
-		row := runReplLagPoint(dur, semiSync)
+		row := runReplLagPoint(cfg.Dur, semiSync)
 		out.Lag = append(out.Lag, row)
 		lag.AddRow(row.Mode,
 			report.F2(row.AckedWPS),

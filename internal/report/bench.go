@@ -60,8 +60,11 @@ func commit() string {
 	return strings.TrimSpace(string(out))
 }
 
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending slice by
-// nearest rank — p = 1 is the maximum — or the zero value if it is empty.
+// Percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending slice as
+// element ⌊p·(n−1)⌋: the lower neighbour, without interpolation (not nearest
+// rank, which reads one element higher at p = 0.99 of 10 samples). p = 1 is
+// the maximum. An empty slice yields the zero value. Recorded BENCH numbers
+// use this formula, so it stays.
 func Percentile[T cmp.Ordered](sorted []T, p float64) T {
 	if len(sorted) == 0 {
 		var zero T

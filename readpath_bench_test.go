@@ -1,10 +1,12 @@
 package chameleon_test
 
 // Read-path micro-benchmarks for the optimistic seqlock lookup (DESIGN.md
-// §13) against a raw Go map as the no-structure floor, serial and with
-// RunParallel. The full read experiment with percentiles and writer
-// interference is `-exp read` (BENCH_read.json); remote pipelined GETs are
-// the repo benchmark's remote_get workload (bench/).
+// §13) against a raw Go map as the no-structure floor: serial, with
+// RunParallel, and on 16 hot keys. They are the repo's one measure of the
+// in-process lookup path outside bench/, whose core.lookup_ns and
+// core.read_fallbacks cover it under the embed_mem workload; remote
+// pipelined GETs are bench/'s remote_get workload. Read-path safety under
+// writers is TestOptimisticTornReadOracle's (internal/core), not a timing's.
 
 import (
 	"testing"
