@@ -135,8 +135,6 @@ type Client struct {
 	ids    atomic.Uint64 // request ids (never 0: 0 is the conn-level slot)
 	closed atomic.Bool
 
-	// features is the server-granted feature set from the latest HELLO.
-	features atomic.Uint64
 	// lastSeq is the highest commit-sequence token observed on any reply: the
 	// client's read-your-writes watermark (see LastSeq).
 	lastSeq atomic.Uint64
@@ -214,10 +212,9 @@ func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 	return cn, nil
 }
 
-// hello negotiates protocol version and features on a fresh connection.
+// hello opens a fresh connection with the protocol version.
 func (c *Client) hello(ctx context.Context, cn *conn) error {
-	req := &wire.Request{ID: c.ids.Add(1), Op: wire.OpHello,
-		Version: wire.ProtocolVersion, Features: wire.LocalFeatures}
+	req := &wire.Request{ID: c.ids.Add(1), Op: wire.OpHello, Version: wire.ProtocolVersion}
 	res, err := cn.roundTrip(ctx, req)
 	if err != nil {
 		return err
@@ -225,8 +222,6 @@ func (c *Client) hello(ctx context.Context, cn *conn) error {
 	if !res.OK {
 		return &wire.RemoteError{Code: res.Err, RetryAfterMS: res.RetryAfterMS, Msg: res.Msg}
 	}
-	// Intersect defensively: a feature is on only when both sides claim it.
-	c.features.Store(res.Features & wire.LocalFeatures)
 	c.role.Store(uint32(res.Role))
 	c.epoch.Store(res.Epoch)
 	return nil
@@ -491,30 +486,6 @@ func (c *Client) RangeAll(ctx context.Context, lo, hi uint64) ([]wire.Pair, erro
 		}
 		lo = last + 1
 	}
-}
-
-// Batch submits many mutations in one frame. The returned slice has one
-// entry per op, nil for success; ops within a batch are unordered relative
-// to each other (they fan into the server's group-commit queue
-// concurrently). The call errors only when the batch itself could not run.
-func (c *Client) Batch(ctx context.Context, ops []wire.BatchOp) ([]error, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	res, err := c.do(ctx, &wire.Request{Op: wire.OpBatch, Batch: ops})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.BatchErrs) != len(ops) {
-		return nil, fmt.Errorf("%w: batch reply has %d codes for %d ops", wire.ErrMalformed, len(res.BatchErrs), len(ops))
-	}
-	errs := make([]error, len(ops))
-	for i, code := range res.BatchErrs {
-		if code != wire.ErrCodeNone {
-			errs[i] = &wire.RemoteError{Code: code}
-		}
-	}
-	return errs, nil
 }
 
 // Stats fetches the server's health and counter snapshot — the same

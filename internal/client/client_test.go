@@ -197,7 +197,7 @@ func TestClientSeqTokenWatermark(t *testing.T) {
 	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
 		switch req.Op {
 		case wire.OpHello:
-			return &wire.Response{Op: req.Op, OK: true, Version: wire.ProtocolVersion, Features: wire.FeatSeqTokens}
+			return &wire.Response{Op: req.Op, OK: true, Version: wire.ProtocolVersion}
 		case wire.OpInsert:
 			return &wire.Response{Op: req.Op, OK: true, Seq: seq.Add(1), HasSeq: true}
 		}
@@ -208,9 +208,6 @@ func TestClientSeqTokenWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close() //nolint:errcheck
-	if got := c.features.Load(); got != wire.FeatSeqTokens {
-		t.Fatalf("negotiated features %#x, want FeatSeqTokens", got)
-	}
 	ctx := context.Background()
 	for k := uint64(1); k <= 5; k++ {
 		if err := c.Insert(ctx, k, k); err != nil {

@@ -32,10 +32,9 @@ func newRoleServer(t *testing.T, role chameleon.ReplRole, epoch uint64) *roleSer
 		switch req.Op {
 		case wire.OpHello:
 			return &wire.Response{Op: req.Op, OK: true,
-				Version:  wire.ProtocolVersion,
-				Features: wire.LocalFeatures,
-				Role:     byte(rs.role.Load()),
-				Epoch:    rs.epoch.Load(),
+				Version: wire.ProtocolVersion,
+				Role:    byte(rs.role.Load()),
+				Epoch:   rs.epoch.Load(),
 			}
 		case wire.OpInsert, wire.OpDelete:
 			if chameleon.ReplRole(rs.role.Load()) != chameleon.RolePrimary {
@@ -237,8 +236,8 @@ func TestFailoverClientNonTopologyErrorsPassThrough(t *testing.T) {
 		switch req.Op {
 		case wire.OpHello:
 			return &wire.Response{Op: req.Op, OK: true,
-				Version: wire.ProtocolVersion, Features: wire.LocalFeatures,
-				Role: byte(rs.role.Load()), Epoch: rs.epoch.Load()}
+				Version: wire.ProtocolVersion,
+				Role:    byte(rs.role.Load()), Epoch: rs.epoch.Load()}
 		case wire.OpInsert:
 			return &wire.Response{Op: req.Op, Err: wire.ErrCodeDuplicateKey}
 		default:

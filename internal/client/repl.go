@@ -16,8 +16,8 @@ import (
 // an operator or failover controller uses to move the primary role
 // (Promote/Fence), and what an application uses to read its own writes from
 // a follower (WaitSeq/GetAtLeast). The replication ops require a server that
-// runs replication (it grants FeatRepl at HELLO); any other server refuses
-// them with a typed malformed rejection rather than misbehaving.
+// runs replication; any other server refuses them with a typed malformed
+// rejection rather than misbehaving.
 
 // PullResult is one REPL_PULL answer for one shard: Recs are committed
 // records carrying the shard's commit sequences FirstSeq, FirstSeq+1, …;

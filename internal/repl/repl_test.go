@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -393,51 +395,69 @@ func TestPullLoopFailsStopOnRegression(t *testing.T) {
 
 // TestPullLoopBootstraps: a snapshot-needed pull drives a full chunked
 // bootstrap through RestoreSnapshot, after which pulling resumes from the
-// snapshot's sequence.
+// snapshot's sequence — for each engine, primary and follower alike.
 func TestPullLoopBootstraps(t *testing.T) {
-	primary := openIx(t)
-	pn := New(primary, Options{snapChunk: 128})
-	defer pn.Close()
-	for k := uint64(1); k <= 100; k++ {
-		if err := primary.Insert(k, k+1000); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, tc := range []struct {
+		name string
+		opts chameleon.DirOptions
+	}{
+		{"legacy", chameleon.DirOptions{}},
+		{"tiered", chameleon.DirOptions{Tiered: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func() *chameleon.DurableIndex {
+				d, err := chameleon.OpenDir(t.TempDir(), tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { d.Close() }) //nolint:errcheck
+				return d
+			}
+			primary := open()
+			pn := New(primary, Options{snapChunk: 128})
+			defer pn.Close()
+			for k := uint64(1); k <= 100; k++ {
+				if err := primary.Insert(k, k+1000); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	ix := openIx(t)
-	n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
-	var resumedFrom uint64
-	fc := &fakeClient{
-		pulls: []func(uint64, uint64) (client.PullResult, error){
-			func(uint64, uint64) (client.PullResult, error) {
-				return client.PullResult{UpstreamSeq: 100, Epoch: 1, SnapshotNeeded: true}, nil
-			},
-			func(fromSeq, _ uint64) (client.PullResult, error) {
-				resumedFrom = fromSeq
-				return client.PullResult{FirstSeq: 101, UpstreamSeq: 101, Epoch: 1,
-					Recs: []wal.Record{{Op: wal.OpInsert, Key: 500, Val: 501}}}, nil
-			},
-		},
-		snap: serveSnap(pn),
-	}
-	err := n.shardSyncLoop(context.Background(), fc)
-	if !errors.Is(err, errScriptDone) {
-		t.Fatal(err)
-	}
-	if resumedFrom != 101 {
-		t.Fatalf("post-bootstrap pull resumed from %d, want 101", resumedFrom)
-	}
-	if ix.CommitSeq() != 101 || ix.Len() != 101 {
-		t.Fatalf("bootstrapped follower: seq %d len %d", ix.CommitSeq(), ix.Len())
-	}
-	if v, ok := ix.Lookup(42); !ok || v != 1042 {
-		t.Fatalf("bootstrapped lookup: %d %v", v, ok)
-	}
-	if n.bootstraps.Load() != 1 {
-		t.Fatalf("bootstraps %d, want 1", n.bootstraps.Load())
-	}
-	if h := n.Health(); h.Diverged {
-		t.Fatalf("unexpected divergence: %+v", h)
+			ix := open()
+			n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
+			var resumedFrom uint64
+			fc := &fakeClient{
+				pulls: []func(uint64, uint64) (client.PullResult, error){
+					func(uint64, uint64) (client.PullResult, error) {
+						return client.PullResult{UpstreamSeq: 100, Epoch: 1, SnapshotNeeded: true}, nil
+					},
+					func(fromSeq, _ uint64) (client.PullResult, error) {
+						resumedFrom = fromSeq
+						return client.PullResult{FirstSeq: 101, UpstreamSeq: 101, Epoch: 1,
+							Recs: []wal.Record{{Op: wal.OpInsert, Key: 500, Val: 501}}}, nil
+					},
+				},
+				snap: serveSnap(pn),
+			}
+			err := n.shardSyncLoop(context.Background(), fc)
+			if !errors.Is(err, errScriptDone) {
+				t.Fatal(err)
+			}
+			if resumedFrom != 101 {
+				t.Fatalf("post-bootstrap pull resumed from %d, want 101", resumedFrom)
+			}
+			if ix.CommitSeq() != 101 || ix.Len() != 101 {
+				t.Fatalf("bootstrapped follower: seq %d len %d", ix.CommitSeq(), ix.Len())
+			}
+			if v, ok := ix.Lookup(42); !ok || v != 1042 {
+				t.Fatalf("bootstrapped lookup: %d %v", v, ok)
+			}
+			if n.bootstraps.Load() != 1 {
+				t.Fatalf("bootstraps %d, want 1", n.bootstraps.Load())
+			}
+			if h := n.Health(); h.Diverged {
+				t.Fatalf("unexpected divergence: %+v", h)
+			}
+		})
 	}
 }
 
@@ -674,5 +694,83 @@ func TestPromoteWithRankUniqueClaims(t *testing.T) {
 	}
 	if epoch != 4 { // cur 1 → smallest e>1 with e≡1 (mod 3)
 		t.Fatalf("rank claim promoted at %d, want 4", epoch)
+	}
+}
+
+// blockingRestoreIx is a replIndex whose RestoreShardSnapshot blocks until
+// released: the context-less index call a promotion can find the pull loop
+// inside.
+type blockingRestoreIx struct {
+	replIndex
+	entered, release chan struct{}
+}
+
+func (b *blockingRestoreIx) RestoreShardSnapshot(i int, r io.Reader, asOfSeq uint64) error {
+	close(b.entered)
+	<-b.release
+	return b.replIndex.RestoreShardSnapshot(i, r, asOfSeq)
+}
+
+// TestPromoteBoundsPullLoopWait: a promotion that finds the pull loop stuck
+// in a snapshot restore gives up after promoteDrainWait with an error naming
+// the stage and the bound, leaving the node a follower with nothing
+// persisted; once the restore returns, a retried Promote goes through.
+func TestPromoteBoundsPullLoopWait(t *testing.T) {
+	primary := openIx(t)
+	pn := New(primary, Options{})
+	defer pn.Close()
+	for k := uint64(1); k <= 10; k++ {
+		if err := primary.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bx := &blockingRestoreIx{replIndex: soloIndex{openIx(t)}, entered: make(chan struct{}), release: make(chan struct{})}
+	var saves atomic.Int32
+	hx := &hookedIx{replIndex: bx, onSave: func(uint64, bool) { saves.Add(1) }}
+	n := newShellWith(hx, Options{ReplicaOf: "scripted"})
+	n.epoch = 1
+	defer n.Close()
+	fc := &fakeClient{
+		pulls: []func(uint64, uint64) (client.PullResult, error){
+			func(uint64, uint64) (client.PullResult, error) {
+				return client.PullResult{UpstreamSeq: 10, Epoch: 1, SnapshotNeeded: true}, nil
+			},
+		},
+		snap: serveSnap(pn),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	n.cancel, n.done = cancel, done
+	go func() {
+		defer close(done)
+		n.shardSyncLoop(ctx, fc) //nolint:errcheck
+	}()
+	<-bx.entered
+
+	start := time.Now()
+	_, err := n.Promote()
+	if took := time.Since(start); took > promoteDrainWait+2*time.Second {
+		t.Fatalf("Promote returned after %v, bound %v", took, promoteDrainWait)
+	}
+	if err == nil || !strings.Contains(err.Error(), "pull loop") || !strings.Contains(err.Error(), promoteDrainWait.String()) {
+		t.Fatalf("Promote against a stuck pull loop: %v, want an error naming the pull loop and %v", err, promoteDrainWait)
+	}
+	if role, _ := n.Role(); role != chameleon.RoleFollower || saves.Load() != 0 {
+		t.Fatalf("after the bounded wait: role %v, %d repl.meta writes; want follower, none", role, saves.Load())
+	}
+	n.mu.Lock()
+	handedBack := n.done == done
+	n.mu.Unlock()
+	if !handedBack {
+		t.Fatal("the stuck pull loop was not handed back for Close and a retried Promote")
+	}
+
+	close(bx.release)
+	epoch, err := n.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if role, e := n.Role(); role != chameleon.RolePrimary || e != epoch || epoch != 2 {
+		t.Fatalf("retried Promote: role %v epoch %d (returned %d), want primary at 2", role, e, epoch)
 	}
 }

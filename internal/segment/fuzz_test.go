@@ -56,7 +56,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[40] ^= 0xff
 	f.Add(mut)
-	f.Add([]byte(magic))
+	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	// A Count far beyond the file's length: nothing may be sized from it.
 	f.Add(hostileCountSegment(f))
@@ -79,7 +79,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		// Accepted: the run must be internally consistent and re-encodable to
 		// an equivalent segment.
 		m := r.Meta()
-		entries, err := r.LoadEntries()
+		entries, err := loadEntries(r)
 		if err != nil {
 			t.Fatalf("accepted segment failed to iterate: %v", err)
 		}
@@ -112,7 +112,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			t.Fatalf("re-encoded segment rejected: %v", err)
 		}
 		defer r2.Close()
-		entries2, err := r2.LoadEntries()
+		entries2, err := loadEntries(r2)
 		if err != nil || !reflect.DeepEqual(entries, entries2) {
 			t.Fatalf("re-encode round trip drifted (err=%v)", err)
 		}
@@ -140,7 +140,7 @@ func FuzzSegmentDecodeBijective(f *testing.F) {
 			t.Fatalf("writer output rejected: %v", err)
 		}
 		defer r.Close()
-		entries, err := r.LoadEntries()
+		entries, err := loadEntries(r)
 		if err != nil {
 			t.Fatal(err)
 		}

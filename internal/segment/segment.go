@@ -57,7 +57,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -65,8 +64,11 @@ import (
 	"chameleon/internal/format"
 )
 
+// Magic leads (and ends) every segment, on disk and in a tiered snapshot
+// stream.
+const Magic = "CHAMSEG2"
+
 const (
-	magic      = "CHAMSEG2"
 	version    = 2
 	headerSize = 8 + 4 + 4 + 5*8 + 4 + 4 + 8 // the 72-byte header laid out above
 	footerSize = 4 + 8                       // CRC + end magic
@@ -221,7 +223,7 @@ func Open(fsys faultfs.FS, path string, want *Meta) (*Reader, error) {
 }
 
 // bytesFile adapts an in-memory byte slice to the faultfs.File surface so
-// decode can run without touching disk (snapshot-bundle decoding, fuzzing).
+// decode can run without touching disk (a tiered snapshot stream, fuzzing).
 type bytesFile struct{ *bytes.Reader }
 
 func (bytesFile) Write(p []byte) (int, error) { return 0, errors.New("segment: read-only") }
@@ -229,8 +231,9 @@ func (bytesFile) Close() error                { return nil }
 func (bytesFile) Sync() error                 { return nil }
 func (bytesFile) Truncate(int64) error        { return errors.New("segment: read-only") }
 
-// OpenBytes is Open over an in-memory encoded segment (with the same
-// manifest cross-check when want is non-nil).
+// OpenBytes is Open over an in-memory encoded segment, such as a tiered
+// snapshot stream (with the same manifest cross-check when want is
+// non-nil).
 func OpenBytes(data []byte, want *Meta) (*Reader, error) {
 	return open(bytesFile{bytes.NewReader(data)}, "(bytes)", want)
 }
@@ -249,29 +252,6 @@ func open(f faultfs.File, path string, want *Meta) (*Reader, error) {
 	}
 	r.meta.ID = want.ID
 	return r, nil
-}
-
-// WriteRaw copies the segment's exact on-disk bytes to w (the snapshot
-// bundle's segment-streaming path). The copy preads in chunks, so it is safe
-// against concurrent Gets.
-func (r *Reader) WriteRaw(w io.Writer) (int64, error) {
-	var written int64
-	buf := make([]byte, 1<<16)
-	for written < r.meta.Bytes {
-		n := r.meta.Bytes - written
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		if err := r.pread(buf[:n], written); err != nil {
-			return written, err
-		}
-		wn, err := w.Write(buf[:n])
-		written += int64(wn)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // loader is the state of the one sequential verification pass: every byte
@@ -308,7 +288,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		return nil, l.corrupt("short header")
 	}
 	switch string(hdr[:8]) {
-	case magic:
+	case Magic:
 	case "CHAMSEG1":
 		return nil, fmt.Errorf("segment: %s is CHAMSEG1: %w", path, format.ErrNeedsUpgrade)
 	default:
@@ -387,7 +367,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if binary.LittleEndian.Uint32(foot[:4]) != l.crc.Sum32() {
 		return nil, l.corrupt("CRC mismatch")
 	}
-	if string(foot[4:]) != magic {
+	if string(foot[4:]) != Magic {
 		return nil, l.corrupt("bad end magic")
 	}
 	// The length check above already pinned the footer to the file's end,
@@ -547,7 +527,7 @@ func (r *Reader) pread(b []byte, off int64) error {
 }
 
 // readAtCopy is pread for the files that are not *os.File (fault-injection
-// wrappers, in-memory bundles): it reads into a buffer of its own because
+// wrappers, in-memory segments): it reads into a buffer of its own because
 // passing b to an interface method would make every caller's b escape.
 func (r *Reader) readAtCopy(b []byte, off int64) (int, error) {
 	tmp := make([]byte, len(b))
@@ -771,14 +751,3 @@ func (it *Iter) Entry() Entry { return it.cur }
 
 // Err reports the first I/O failure the iteration hit, if any.
 func (it *Iter) Err() error { return it.err }
-
-// LoadEntries reads the whole run into memory — the inspect tool's and the
-// tests' convenience, not a serving path.
-func (r *Reader) LoadEntries() ([]Entry, error) {
-	out := make([]Entry, 0, r.meta.Count)
-	it := r.Iter(0, math.MaxUint64)
-	for it.Next() {
-		out = append(out, it.Entry())
-	}
-	return out, it.Err()
-}

@@ -100,9 +100,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 
-		got, err := r.LoadEntries()
+		got, err := loadEntries(r)
 		if err != nil {
-			t.Fatalf("n=%d: LoadEntries: %v", n, err)
+			t.Fatalf("n=%d: loadEntries: %v", n, err)
 		}
 		if len(got) != n {
 			t.Fatalf("n=%d: iterated %d entries", n, len(got))
@@ -679,8 +679,8 @@ func TestSegmentOneReadPerColdGet(t *testing.T) {
 
 	chunks := int64((len(keys) + iterChunk - 1) / iterChunk)
 	if n := reads(func() {
-		if got, err := r.LoadEntries(); err != nil || len(got) != len(keys) {
-			t.Fatalf("LoadEntries: %d entries, err %v", len(got), err)
+		if got, err := loadEntries(r); err != nil || len(got) != len(keys) {
+			t.Fatalf("loadEntries: %d entries, err %v", len(got), err)
 		}
 	}); n != chunks {
 		t.Fatalf("a full scan took %d reads, want one per chunk: %d", n, chunks)
@@ -746,4 +746,14 @@ func benchmarkGet(b *testing.B, keys []uint64) {
 			}
 		})
 	}
+}
+
+// loadEntries reads the whole run into memory.
+func loadEntries(r *Reader) ([]Entry, error) {
+	out := make([]Entry, 0, r.meta.Count)
+	it := r.Iter(0, math.MaxUint64)
+	for it.Next() {
+		out = append(out, it.Entry())
+	}
+	return out, it.Err()
 }

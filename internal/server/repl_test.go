@@ -93,41 +93,51 @@ func waitFollowerSeq(t *testing.T, ix *chameleon.DurableIndex, seq uint64, d tim
 	}
 }
 
-// TestHelloVersionMismatch drives the raw socket: a HELLO with an alien
+// TestHelloVersionMismatch drives the raw socket: a HELLO with another
 // protocol version must get the typed rejection and then a hangup — fail
-// fast, never decode garbage mid-stream.
+// fast, never decode garbage mid-stream. One row is an alien version in this
+// version's shape; the other is a v3 peer's HELLO byte for byte (version 3,
+// then 8 bytes of feature bits).
 func TestHelloVersionMismatch(t *testing.T) {
 	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer ix.Close() //nolint:errcheck
 	s := startServer(t, ix, server.Options{})
 	defer s.Close() //nolint:errcheck
 
-	nc, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close() //nolint:errcheck
-	frame := wire.AppendRequest(nil, &wire.Request{
-		ID: 1, Op: wire.OpHello, Version: 99, Features: wire.LocalFeatures,
-	})
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatalf("reading mismatch reply: %v", err)
-	}
-	res, err := wire.DecodeResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK || res.Err != wire.ErrCodeVersionMismatch {
-		t.Fatalf("HELLO v99 answered %+v, want ErrCodeVersionMismatch", res)
-	}
-	// The server hangs up after the rejection.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	if _, err := wire.ReadFrame(nc); err == nil {
-		t.Fatal("server kept the mismatched connection open")
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"v99", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 99})},
+		// [1] op [8] id, then v3's body: [2] version [8] feature bits.
+		{"v3 shape", wireTestFrame([]byte{byte(wire.OpHello), 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close() //nolint:errcheck
+			if _, err := nc.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			payload, err := wire.ReadFrame(nc)
+			if err != nil {
+				t.Fatalf("reading mismatch reply: %v", err)
+			}
+			res, err := wire.DecodeResponse(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OK || res.Err != wire.ErrCodeVersionMismatch || res.ID != 1 {
+				t.Fatalf("HELLO %s answered %+v, want ErrCodeVersionMismatch for id 1", tc.name, res)
+			}
+			// The server hangs up after the rejection.
+			if _, err := wire.ReadFrame(nc); err == nil {
+				t.Fatal("server kept the mismatched connection open")
+			}
+		})
 	}
 }
 
@@ -168,8 +178,8 @@ func TestReplOpsRequireNegotiation(t *testing.T) {
 // request is anything else — a GET, an INSERT, or a REPL_PULL on a
 // replicating server — gets the typed version-mismatch refusal under its own
 // request id, nothing runs, and the server hangs up. After a HELLO, every
-// successful INSERT, DELETE and BATCH reply carries the commit-sequence
-// token its write landed at.
+// successful INSERT and DELETE reply carries the commit-sequence token its
+// write landed at.
 func TestHelloRequired(t *testing.T) {
 	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer ix.Close() //nolint:errcheck
@@ -209,15 +219,14 @@ func TestHelloRequired(t *testing.T) {
 		{ID: 1, Op: wire.OpInsert, Key: 5, Val: 6},
 		{ID: 2, Op: wire.OpInsert, Key: 7, Val: 8},
 		{ID: 3, Op: wire.OpDelete, Key: 5},
-		{ID: 4, Op: wire.OpBatch, Batch: []wire.BatchOp{{Op: wire.OpInsert, Key: 9, Val: 10}, {Op: wire.OpDelete, Key: 7}}},
 	} {
 		res := rawRoundTrip(t, nc, req)
 		if !res.OK || !res.HasSeq || res.Seq != ix.CommitSeq() {
 			t.Fatalf("%s after HELLO answered %+v, want OK with token %d", req.Op, res, ix.CommitSeq())
 		}
 	}
-	if got := ix.CommitSeq(); got != 5 {
-		t.Fatalf("CommitSeq = %d after 5 writes", got)
+	if got := ix.CommitSeq(); got != 3 {
+		t.Fatalf("CommitSeq = %d after 3 writes", got)
 	}
 }
 

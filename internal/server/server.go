@@ -41,10 +41,10 @@ import (
 
 // Index is the handle surface the server drives — satisfied by both
 // *chameleon.DurableIndex and *chameleon.ShardedIndex. Serving a sharded
-// handle changes nothing in the server itself: per-key requests (and every
-// op inside a BATCH frame) route inside InsertCtx/DeleteCtx to the owning
-// shard's group-commit queue, so concurrent remote writes touching different
-// ranges fan out onto independent WAL/fsync pipelines for free.
+// handle changes nothing in the server itself: per-key requests route
+// inside InsertCtx/DeleteCtx to the owning shard's group-commit queue, so
+// concurrent remote writes touching different ranges fan out onto
+// independent WAL/fsync pipelines for free.
 type Index interface {
 	Lookup(key uint64) (uint64, bool)
 	// LookupBatch resolves keys[i] into vals[i], found[i] against one tree
@@ -88,8 +88,9 @@ type Options struct {
 	OwnsIndex bool
 	// Repl attaches a replication controller: REPL_* / PROMOTE ops dispatch
 	// into it, writes are gated on its role (followers and fenced
-	// ex-primaries reject with ErrCodeNotPrimary), HELLO advertises FeatRepl,
-	// and STATS grows the repl_* fields. Nil = replication off.
+	// ex-primaries reject with ErrCodeNotPrimary), HELLO reports the node's
+	// role and epoch, and STATS grows the repl_* fields. Nil = replication
+	// off.
 	Repl *repl.Node
 }
 
@@ -110,11 +111,6 @@ const (
 // rangeLimit caps pairs per RANGE response, 16 B each, so a full response
 // (64 KiB) fits one MaxFrame. Clients page with More + lo=last+1.
 const rangeLimit = 4096
-
-// batchWorkers bounds the goroutines fanning one BATCH request into the
-// commit queue. More would not help: the queue serializes into batches
-// anyway, and 64 concurrent enqueues saturate group commit.
-const batchWorkers = 64
 
 func (o Options) withDefaults() Options {
 	if o.MaxConns <= 0 {
@@ -395,10 +391,18 @@ func (c *conn) run() {
 		}
 		req, derr := wire.DecodeRequest(payload)
 		if derr != nil {
-			// The frame was intact, so framing is still in sync: fail just
-			// this request and keep the connection.
 			id, _ := wire.PeekID(payload)
 			c.srv.reqErrors.Add(1)
+			if !helloed {
+				// A first request that does not decode is a peer of another
+				// protocol version (an older HELLO is longer than this
+				// one's): refuse it as such and hang up.
+				c.out <- &wire.Response{ID: id, Op: wire.Op(payload[0]), Err: wire.ErrCodeVersionMismatch,
+					Msg: fmt.Sprintf("server speaks protocol v%d; first request does not decode: %v", wire.ProtocolVersion, derr)}
+				break
+			}
+			// The frame was intact, so framing is still in sync: fail just
+			// this request and keep the connection.
 			c.out <- &wire.Response{ID: id, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: derr.Error()}
 			continue
 		}
@@ -540,8 +544,8 @@ func (c *conn) writer() {
 // handleHello answers protocol negotiation. A version mismatch, or a
 // request other than HELLO where HELLO must come first, is the one hard
 // failure: the typed code goes back and the caller hangs up the connection.
-// On success the reply grants the intersection of what the client offered
-// and what this server serves.
+// On success the reply carries the version and, with replication on, the
+// node's role and epoch.
 func (s *Server) handleHello(req *wire.Request) *wire.Response {
 	s.requests.Add(1)
 	res := &wire.Response{ID: req.ID, Op: req.Op, OK: true}
@@ -555,12 +559,7 @@ func (s *Server) handleHello(req *wire.Request) *wire.Response {
 		}
 		return res
 	}
-	granted := wire.FeatSeqTokens
-	if s.opts.Repl != nil {
-		granted |= wire.FeatRepl
-	}
 	res.Version = wire.ProtocolVersion
-	res.Features = req.Features & granted
 	if s.opts.Repl != nil {
 		role, epoch := s.opts.Repl.Role()
 		res.Role, res.Epoch = byte(role), epoch
@@ -640,18 +639,6 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response
 			return s.fail(res, err)
 		}
 		return s.addSeqToken(s.fail(res, s.ix.DeleteCtx(ctx, req.Key)))
-	case wire.OpBatch:
-		if err := s.writeGateErr(); err != nil {
-			return s.fail(res, err)
-		}
-		res.BatchErrs = s.runBatch(ctx, req.Batch)
-		for _, code := range res.BatchErrs {
-			if code != wire.ErrCodeNone {
-				s.reqErrors.Add(1)
-				break
-			}
-		}
-		return s.addSeqToken(res)
 	case wire.OpGetSeq:
 		return s.handleGetSeq(ctx, req, res)
 	case wire.OpReplPull, wire.OpReplSnap, wire.OpReplFence, wire.OpPromote:
@@ -738,39 +725,6 @@ func (s *Server) handleRepl(ctx context.Context, req *wire.Request, res *wire.Re
 		res.Epoch, res.Role = epoch, byte(role)
 	}
 	return res
-}
-
-// runBatch fans a BATCH's mutations into the commit queue concurrently, so
-// one frame's worth of writes group-commits exactly like the same writes
-// pipelined individually. Ops inside one batch are therefore unordered
-// relative to each other — a batch touching the same key twice gets
-// whichever serialization the queue picks.
-func (s *Server) runBatch(ctx context.Context, ops []wire.BatchOp) []wire.ErrCode {
-	codes := make([]wire.ErrCode, len(ops))
-	workers := min(batchWorkers, len(ops))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ops) {
-					return
-				}
-				var err error
-				if ops[i].Op == wire.OpInsert {
-					err = s.ix.InsertCtx(ctx, ops[i].Key, ops[i].Val)
-				} else {
-					err = s.ix.DeleteCtx(ctx, ops[i].Key)
-				}
-				codes[i] = s.writeCode(err)
-			}
-		}()
-	}
-	wg.Wait()
-	return codes
 }
 
 // readableErr gates the read surface: a closed index must answer "closed",
@@ -897,7 +851,6 @@ func (s *Server) statsJSON() []byte {
 		reply.ReplSnapshotBootstraps = rh.SnapshotBootstraps
 		reply.ReplStalled = rh.Stalled
 		reply.ReplDiverged = rh.Diverged
-		reply.ReplLagSeqs = rh.Lag
 		reply.ReplShardLagSeqs = rh.ShardLags
 	}
 	for _, b := range chameleon.FsyncBucketBounds {

@@ -70,7 +70,7 @@ func dialHello(t *testing.T, s *server.Server) net.Conn {
 	t.Cleanup(func() { nc.Close() })                 //nolint:errcheck
 	nc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
 	res := rawRoundTrip(t, nc, &wire.Request{
-		ID: helloID, Op: wire.OpHello, Version: wire.ProtocolVersion, Features: wire.LocalFeatures,
+		ID: helloID, Op: wire.OpHello, Version: wire.ProtocolVersion,
 	})
 	if !res.OK || res.ID != helloID || res.Op != wire.OpHello {
 		t.Fatalf("HELLO answered %+v", res)
@@ -163,23 +163,6 @@ func TestServeBasicOps(t *testing.T) {
 	}
 	if len(paged) != len(want) {
 		t.Fatalf("paged Range returned %d pairs, want %d", len(paged), len(want))
-	}
-
-	// Batch: mixed outcomes, one code per op, order preserved in the reply.
-	errs, err := c.Batch(ctx, []wire.BatchOp{
-		{Op: wire.OpInsert, Key: 100, Val: valOf(100)},
-		{Op: wire.OpInsert, Key: 11, Val: 0}, // duplicate
-		{Op: wire.OpDelete, Key: 19},
-		{Op: wire.OpDelete, Key: 5000}, // absent
-	})
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("batch successes errored: %v", errs)
-	}
-	if !errors.Is(errs[1], chameleon.ErrDuplicateKey) || !errors.Is(errs[3], chameleon.ErrKeyNotFound) {
-		t.Fatalf("batch failures mapped wrong: %v, %v", errs[1], errs[3])
 	}
 
 	stats, raw, err := c.Stats(ctx)
@@ -903,28 +886,13 @@ func TestServeShardedIndex(t *testing.T) {
 			t.Fatalf("Get(%d) = %d, %v, %v", k, v, ok, err)
 		}
 	}
-	// A batch spanning all four shards fans out to per-shard queues; every op
-	// must ack individually.
-	var batch []wire.BatchOp
-	for i, k := range keys {
-		batch = append(batch, wire.BatchOp{Op: wire.OpInsert, Key: k + 7, Val: uint64(i)})
-	}
-	errs, err := c.Batch(ctx, batch)
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("batch op %d: %v", i, e)
-		}
-	}
 	// Cross-shard range: everything, ascending.
 	pairs, err := c.RangeAll(ctx, 0, ^uint64(0))
 	if err != nil {
 		t.Fatalf("RangeAll: %v", err)
 	}
-	if len(pairs) != 2*len(keys) {
-		t.Fatalf("RangeAll returned %d pairs, want %d", len(pairs), 2*len(keys))
+	if len(pairs) != len(keys) {
+		t.Fatalf("RangeAll returned %d pairs, want %d", len(pairs), len(keys))
 	}
 	for i := 1; i < len(pairs); i++ {
 		if pairs[i].Key <= pairs[i-1].Key {
@@ -947,7 +915,7 @@ func TestServeShardedIndex(t *testing.T) {
 			t.Fatalf("shard %d state = %q, want ok", i, st)
 		}
 	}
-	if stats.Len != 2*len(keys) {
-		t.Fatalf("stats.Len = %d, want %d", stats.Len, 2*len(keys))
+	if stats.Len != len(keys) {
+		t.Fatalf("stats.Len = %d, want %d", stats.Len, len(keys))
 	}
 }

@@ -19,6 +19,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(AppendResponse(nil, rs))
 	}
 	f.Add(appendFrame(nil, retiredReplRequests()[0]))
+	hello, batch, batchReply := retiredV3Payloads()
+	f.Add(appendFrame(nil, hello))
+	f.Add(appendFrame(nil, batch))
+	f.Add(appendFrame(nil, batchReply))
 	f.Add([]byte{})
 	f.Add(make([]byte, frameHeader))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSeqTokenCompat pins the compatibility contract around commit-sequence
-// tokens: a legacy (empty-body) INSERT/DELETE/BATCH reply and a
+// tokens: a legacy (empty-body) INSERT/DELETE reply and a
 // token-carrying one must both decode, anything else must not, and the
 // encoder must emit the token exactly when HasSeq says so — this is what
 // lets a pre-HELLO client and a token-aware server share one wire format.
@@ -47,11 +47,10 @@ func TestSeqTokenCompat(t *testing.T) {
 }
 
 // TestHelloVersioning pins the fail-fast negotiation shape: a mismatch reply
-// carries the typed code, and the round-tripped HELLO preserves version and
-// feature bits exactly (a dropped bit would silently disable a feature the
-// peer thinks is on).
+// carries the typed code, and the round-tripped HELLO preserves the
+// version.
 func TestHelloVersioning(t *testing.T) {
-	req := &Request{ID: 7, Op: OpHello, Version: ProtocolVersion, Features: LocalFeatures}
+	req := &Request{ID: 7, Op: OpHello, Version: ProtocolVersion}
 	p, _, err := DecodeFrame(AppendRequest(nil, req))
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +59,8 @@ func TestHelloVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != ProtocolVersion || got.Features != LocalFeatures {
-		t.Fatalf("HELLO round trip: version %d features %#x", got.Version, got.Features)
+	if got.Version != ProtocolVersion {
+		t.Fatalf("HELLO round trip: version %d", got.Version)
 	}
 
 	rej := &Response{ID: 7, Op: OpHello, Err: ErrCodeVersionMismatch, Msg: "server speaks v2"}

@@ -28,7 +28,7 @@ type StatsReply struct {
 	DiskFullBatches uint64 `json:"disk_full_batches"`
 	// GET coalescing (server-side read batching): GetBatches counts
 	// multi-GET handler runs, BatchedGets the GETs they carried. Omitted
-	// when zero for byte-compatibility with pre-batching clients.
+	// when zero.
 	GetBatches    uint64   `json:"get_batches,omitempty"`
 	BatchedGets   uint64   `json:"batched_gets,omitempty"`
 	FsyncHist     []uint64 `json:"fsync_hist"`
@@ -62,10 +62,9 @@ type StatsReply struct {
 	ReplStalled            bool   `json:"repl_stalled,omitempty"`
 	ReplDiverged           bool   `json:"repl_diverged,omitempty"`
 	// ReplShardLagSeqs is the per-shard lag vector of a sharded follower
-	// (upstream seq minus last applied, in shard order); ReplLagSeqs mirrors
-	// the aggregate so dashboards have one name for both layouts.
+	// (upstream seq minus last applied, in shard order); ReplLag is their
+	// aggregate.
 	ReplShardLagSeqs []uint64 `json:"repl_shard_lag_seqs,omitempty"`
-	ReplLagSeqs      uint64   `json:"repl_lag_seqs,omitempty"`
 
 	// Tier is the tiered-storage snapshot (segment counts, flush/compaction
 	// counters, cold-read telemetry); absent in legacy checkpoint mode. On a

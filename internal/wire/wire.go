@@ -49,17 +49,16 @@ const (
 	// OpRange scans [lo, hi] ascending. Body: [8] lo [8] hi [4] limit
 	// (0 = server default cap).
 	OpRange Op = 0x04
-	// OpBatch carries many mutations in one frame. Body: [4] count, then
-	// count × ([1] sub-op (OpInsert|OpDelete) [8] key [8] val).
-	OpBatch Op = 0x05
+	// Byte 0x05 carried protocol v3's BATCH; it is retired and decodes as
+	// an unknown opcode.
+
 	// OpStats asks for the server's health/counter snapshot. No body.
 	OpStats Op = 0x06
 	// OpPing is a liveness no-op. No body.
 	OpPing Op = 0x07
-	// OpHello negotiates protocol version and features; see hello.go. Body:
-	// [2] version [8] feature bits. Reply body: [2] version [8] features
-	// [1] role [8] epoch. A pre-HELLO server answers with ErrCodeMalformed
-	// (unknown opcode), which fails the client's dial.
+	// OpHello opens every connection with the protocol version; see
+	// hello.go. Body: [2] version. Reply body: [2] version [1] role
+	// [8] epoch.
 	OpHello Op = 0x08
 
 	// The REPL_* family is the replication stream; see internal/repl. It is
@@ -109,8 +108,6 @@ func (o Op) String() string {
 		return "DELETE"
 	case OpRange:
 		return "RANGE"
-	case OpBatch:
-		return "BATCH"
 	case OpStats:
 		return "STATS"
 	case OpPing:
@@ -237,15 +234,15 @@ func (c ErrCode) String() string {
 }
 
 const (
-	frameHeader = 8 // length + CRC
-	msgHeader   = 9 // type + request id
-	batchOpSize = 17
+	frameHeader = 8  // length + CRC
+	msgHeader   = 9  // type + request id
+	recSize     = 17 // one REPL_PULL record: [1] op [8] key [8] val
 	pairSize    = 16
 
 	// MaxFrame bounds one frame's payload: the decoder refuses larger
 	// length prefixes before allocating anything, so a hostile 4 GB length
 	// costs the peer a rejected frame, not the server 4 GB. Large enough
-	// for a 64k-pair RANGE response or a 61k-op BATCH.
+	// for a 64k-pair RANGE response or a 61k-record REPL_PULL reply.
 	MaxFrame = 1 << 20
 )
 
@@ -273,13 +270,6 @@ type Pair struct {
 	Key, Val uint64
 }
 
-// BatchOp is one mutation of a BATCH request. Op must be OpInsert or
-// OpDelete; Val is ignored for deletes.
-type BatchOp struct {
-	Op       Op
-	Key, Val uint64
-}
-
 // Request is a decoded client→server message.
 type Request struct {
 	ID uint64
@@ -290,12 +280,8 @@ type Request struct {
 	// Limit caps a RANGE response's pair count (0 = server default) and a
 	// REPL_PULL's record count.
 	Limit uint32
-	// Batch carries OpBatch's mutations.
-	Batch []BatchOp
-
-	// Version/Features carry HELLO's negotiation offer (see hello.go).
-	Version  uint16
-	Features uint64
+	// Version is HELLO's protocol version (see hello.go).
+	Version uint16
 	// Seq is REPL_PULL's from-sequence, GET_SEQ's wait target, and
 	// REPL_SNAP's chunk offset. WaitMS bounds a long-poll (REPL_PULL,
 	// GET_SEQ); Epoch carries the fencing token (REPL_PULL, REPL_FENCE);
@@ -326,25 +312,22 @@ type Response struct {
 	// keys remaining.
 	Pairs []Pair
 	More  bool
-	// BatchErrs answers BATCH: one code per submitted op, in order.
-	BatchErrs []ErrCode
 	// Stats answers STATS with a JSON document (see StatsReply).
 	Stats []byte
 
-	// Seq is the commit-sequence token: on INSERT/DELETE/BATCH OK replies it
+	// Seq is the commit-sequence token: on INSERT/DELETE OK replies it
 	// is present only when HasSeq is set (the server sets it on every OK
 	// write reply; HELLO is mandatory, so every peer expects the body); on
 	// GET_SEQ replies it is always present.
 	Seq    uint64
 	HasSeq bool
 
-	// Version/Features/Role/Epoch answer HELLO (Role mirrors
-	// chameleon.ReplRole's numeric values; Epoch is the fencing token).
-	// Role/Epoch also answer REPL_FENCE and PROMOTE.
-	Version  uint16
-	Features uint64
-	Role     byte
-	Epoch    uint64
+	// Version/Role/Epoch answer HELLO (Role mirrors chameleon.ReplRole's
+	// numeric values; Epoch is the fencing token). Role/Epoch also answer
+	// REPL_FENCE and PROMOTE.
+	Version uint16
+	Role    byte
+	Epoch   uint64
 
 	// REPL_PULL reply: Recs are the shard's committed records starting at
 	// commit sequence FirstSeq; UpstreamSeq is the shard's commit sequence at
@@ -388,7 +371,7 @@ func appendFrame(dst, payload []byte) []byte {
 
 // AppendRequest encodes r as one complete frame onto dst.
 func AppendRequest(dst []byte, r *Request) []byte {
-	payload := make([]byte, 0, msgHeader+8+8+4+len(r.Batch)*batchOpSize)
+	payload := make([]byte, 0, msgHeader+8+8+4)
 	payload = append(payload, byte(r.Op))
 	payload = binary.LittleEndian.AppendUint64(payload, r.ID)
 	switch r.Op {
@@ -401,18 +384,10 @@ func AppendRequest(dst []byte, r *Request) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, r.Key)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Val)
 		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
-	case OpBatch:
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Batch)))
-		for _, b := range r.Batch {
-			payload = append(payload, byte(b.Op))
-			payload = binary.LittleEndian.AppendUint64(payload, b.Key)
-			payload = binary.LittleEndian.AppendUint64(payload, b.Val)
-		}
 	case OpStats, OpPing, OpPromote:
 		// no body
 	case OpHello:
 		payload = binary.LittleEndian.AppendUint16(payload, r.Version)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Features)
 	case OpReplFence:
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
 	case OpGetSeq:
@@ -435,8 +410,8 @@ func AppendRequest(dst []byte, r *Request) []byte {
 
 // AppendResponse encodes r as one complete frame onto dst.
 func AppendResponse(dst []byte, r *Response) []byte {
-	size := msgHeader + 1 + 8 + len(r.Pairs)*pairSize + len(r.BatchErrs) + len(r.Stats) + len(r.Msg) +
-		len(r.Recs)*batchOpSize + len(r.Snap) + len(r.Bounds)*8 + 48
+	size := msgHeader + 1 + 8 + len(r.Pairs)*pairSize + len(r.Stats) + len(r.Msg) +
+		len(r.Recs)*recSize + len(r.Snap) + len(r.Bounds)*8 + 48
 	payload := make([]byte, 0, size)
 	if !r.OK {
 		payload = append(payload, statusErr)
@@ -473,14 +448,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 			payload = binary.LittleEndian.AppendUint64(payload, p.Key)
 			payload = binary.LittleEndian.AppendUint64(payload, p.Val)
 		}
-	case OpBatch:
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.BatchErrs)))
-		for _, c := range r.BatchErrs {
-			payload = append(payload, byte(c))
-		}
-		if r.HasSeq {
-			payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-		}
 	case OpStats:
 		payload = append(payload, r.Stats...)
 	case OpInsert, OpDelete:
@@ -493,7 +460,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		// no body
 	case OpHello:
 		payload = binary.LittleEndian.AppendUint16(payload, r.Version)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Features)
 		payload = append(payload, r.Role)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
 	case OpReplPull:
@@ -659,41 +625,15 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.Key = binary.LittleEndian.Uint64(body)
 		r.Val = binary.LittleEndian.Uint64(body[8:])
 		r.Limit = binary.LittleEndian.Uint32(body[16:])
-	case OpBatch:
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: BATCH body %d bytes", ErrMalformed, len(body))
-		}
-		count := binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		if int64(count)*batchOpSize != int64(len(body)) {
-			return nil, fmt.Errorf("%w: BATCH count %d vs %d body bytes", ErrMalformed, count, len(body))
-		}
-		if count == 0 {
-			break
-		}
-		r.Batch = make([]BatchOp, count)
-		for i := range r.Batch {
-			op := Op(body[0])
-			if op != OpInsert && op != OpDelete {
-				return nil, fmt.Errorf("%w: BATCH sub-op 0x%02x", ErrMalformed, byte(op))
-			}
-			r.Batch[i] = BatchOp{
-				Op:  op,
-				Key: binary.LittleEndian.Uint64(body[1:]),
-				Val: binary.LittleEndian.Uint64(body[9:]),
-			}
-			body = body[batchOpSize:]
-		}
 	case OpStats, OpPing, OpPromote:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("%w: %s carries a body", ErrMalformed, r.Op)
 		}
 	case OpHello:
-		if len(body) != 10 {
+		if len(body) != 2 {
 			return nil, fmt.Errorf("%w: HELLO body %d bytes", ErrMalformed, len(body))
 		}
 		r.Version = binary.LittleEndian.Uint16(body)
-		r.Features = binary.LittleEndian.Uint64(body[2:])
 	case OpReplFence:
 		if len(body) != 8 {
 			return nil, fmt.Errorf("%w: REPL_FENCE body %d bytes", ErrMalformed, len(body))
@@ -789,30 +729,6 @@ func DecodeResponse(payload []byte) (*Response, error) {
 			}
 			body = body[pairSize:]
 		}
-	case OpBatch:
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: BATCH reply body %d bytes", ErrMalformed, len(body))
-		}
-		count := binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		// The per-op codes may be followed by an 8-byte commit-sequence
-		// token (see Response.Seq).
-		switch int64(len(body)) {
-		case int64(count):
-		case int64(count) + 8:
-			r.Seq = binary.LittleEndian.Uint64(body[count:])
-			r.HasSeq = true
-			body = body[:count]
-		default:
-			return nil, fmt.Errorf("%w: BATCH reply count %d vs %d body bytes", ErrMalformed, count, len(body))
-		}
-		if count == 0 {
-			break
-		}
-		r.BatchErrs = make([]ErrCode, count)
-		for i := range r.BatchErrs {
-			r.BatchErrs[i] = ErrCode(body[i])
-		}
 	case OpStats:
 		r.Stats = append([]byte(nil), body...)
 	case OpInsert, OpDelete:
@@ -830,13 +746,12 @@ func DecodeResponse(payload []byte) (*Response, error) {
 			return nil, fmt.Errorf("%w: %s reply carries a body", ErrMalformed, r.Op)
 		}
 	case OpHello:
-		if len(body) != 19 {
+		if len(body) != 11 {
 			return nil, fmt.Errorf("%w: HELLO reply body %d bytes", ErrMalformed, len(body))
 		}
 		r.Version = binary.LittleEndian.Uint16(body)
-		r.Features = binary.LittleEndian.Uint64(body[2:])
-		r.Role = body[10]
-		r.Epoch = binary.LittleEndian.Uint64(body[11:])
+		r.Role = body[2]
+		r.Epoch = binary.LittleEndian.Uint64(body[3:])
 	case OpReplPull:
 		if len(body) < 37 || body[32] > 3 {
 			return nil, fmt.Errorf("%w: REPL_PULL reply body %d bytes", ErrMalformed, len(body))
@@ -849,7 +764,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		r.ManifestChanged = body[32]&2 != 0
 		count := binary.LittleEndian.Uint32(body[33:])
 		body = body[37:]
-		recBytes := int64(count) * batchOpSize
+		recBytes := int64(count) * recSize
 		if recBytes > int64(len(body)) {
 			return nil, fmt.Errorf("%w: REPL_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
 		}
@@ -865,7 +780,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 					Key: binary.LittleEndian.Uint64(body[1:]),
 					Val: binary.LittleEndian.Uint64(body[9:]),
 				}
-				body = body[batchOpSize:]
+				body = body[recSize:]
 			}
 		}
 		if !r.ManifestChanged {

@@ -22,15 +22,10 @@ func requestCases() []*Request {
 		{ID: 2, Op: OpInsert, Key: 7, Val: 99},
 		{ID: 3, Op: OpDelete, Key: 7},
 		{ID: 4, Op: OpRange, Key: 10, Val: 20, Limit: 128},
-		{ID: 5, Op: OpBatch, Batch: []BatchOp{
-			{Op: OpInsert, Key: 1, Val: 2},
-			{Op: OpDelete, Key: 3},
-			{Op: OpInsert, Key: ^uint64(0), Val: 0},
-		}},
 		{ID: 6, Op: OpStats},
 		{ID: 7, Op: OpPing},
 		{ID: ^uint64(0), Op: OpGet, Key: ^uint64(0)},
-		{ID: 8, Op: OpHello, Version: ProtocolVersion, Features: LocalFeatures},
+		{ID: 8, Op: OpHello, Version: ProtocolVersion},
 		// A one-shard follower's steady-state pull and snapshot open.
 		{ID: 9, Op: OpReplPull, Shard: 0, Seq: 1000, Limit: 512, WaitMS: 250, Epoch: 3},
 		{ID: 10, Op: OpReplSnap, Shard: 0, SnapID: 7, Seq: 1 << 20},
@@ -54,6 +49,18 @@ func retiredReplRequests() [][]byte {
 	}
 }
 
+// retiredV3Payloads are protocol v3 payloads that v4 no longer decodes,
+// byte for byte as a v3 peer framed them: a HELLO carrying feature bits, a
+// one-insert BATCH (opcode 0x05, retired) and a one-code BATCH reply.
+func retiredV3Payloads() (hello, batch, batchReply []byte) {
+	id := make([]byte, 8)
+	hello = append(append([]byte{byte(OpHello)}, id...), 3, 0, 3, 0, 0, 0, 0, 0, 0, 0)
+	batch = append(append([]byte{0x05}, id...), 1, 0, 0, 0, byte(OpInsert))
+	batch = append(batch, make([]byte, 16)...)
+	batchReply = append(append([]byte{statusOK}, id...), 0x05, 1, 0, 0, 0, 0)
+	return hello, batch, batchReply
+}
+
 func responseCases() []*Response {
 	return []*Response{
 		{ID: 1, Op: OpGet, OK: true, Found: true, Val: 99},
@@ -62,7 +69,6 @@ func responseCases() []*Response {
 		{ID: 4, Op: OpDelete, OK: true},
 		{ID: 5, Op: OpRange, OK: true, More: true, Pairs: []Pair{{1, 2}, {3, 4}}},
 		{ID: 6, Op: OpRange, OK: true},
-		{ID: 7, Op: OpBatch, OK: true, BatchErrs: []ErrCode{ErrCodeNone, ErrCodeDuplicateKey}},
 		{ID: 8, Op: OpStats, OK: true, Stats: []byte(`{"state":"ok"}`)},
 		{ID: 9, Op: OpPing, OK: true},
 		{ID: 10, Op: OpInsert, Err: ErrCodeOverloaded, RetryAfterMS: 5, Msg: "queue full"},
@@ -70,8 +76,7 @@ func responseCases() []*Response {
 		{ID: 0, Op: OpPing, Err: ErrCodeConnLimit, Msg: "connection limit"},
 		{ID: 12, Op: OpInsert, OK: true, Seq: 4242, HasSeq: true},
 		{ID: 13, Op: OpDelete, OK: true, Seq: 4243, HasSeq: true},
-		{ID: 14, Op: OpBatch, OK: true, BatchErrs: []ErrCode{ErrCodeNone, ErrCodeKeyNotFound}, Seq: 4250, HasSeq: true},
-		{ID: 15, Op: OpHello, OK: true, Version: ProtocolVersion, Features: FeatSeqTokens, Role: 1, Epoch: 2},
+		{ID: 15, Op: OpHello, OK: true, Version: ProtocolVersion, Role: 1, Epoch: 2},
 		{ID: 16, Op: OpHello, Err: ErrCodeVersionMismatch, Msg: "speak v2"},
 		// A one-shard primary's replies: generation 0, no manifest section.
 		{ID: 17, Op: OpReplPull, OK: true, FirstSeq: 100, UpstreamSeq: 103, Epoch: 2, Recs: []wal.Record{
@@ -215,6 +220,7 @@ func TestMalformedInputs(t *testing.T) {
 
 	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 	id := make([]byte, 8)
+	v3Hello, v3Batch, v3BatchReply := retiredV3Payloads()
 	payloadCases := []struct {
 		name    string
 		payload []byte
@@ -225,13 +231,9 @@ func TestMalformedInputs(t *testing.T) {
 		{"INSERT long body", append(append([]byte{byte(OpInsert)}, id...), make([]byte, 24)...)},
 		{"RANGE short body", append(append([]byte{byte(OpRange)}, id...), make([]byte, 12)...)},
 		{"PING with body", append(append([]byte{byte(OpPing)}, id...), 0)},
-		{"BATCH no count", append([]byte{byte(OpBatch)}, id...)},
-		// Count says 2^32/17 ops but zero bytes follow: the decoder must
-		// reject before allocating anything count-sized.
-		{"BATCH count overflows body", append(append([]byte{byte(OpBatch)}, id...), le32(0xfffffff0)...)},
-		{"BATCH count short of body", append(append(append([]byte{byte(OpBatch)}, id...), le32(2)...), make([]byte, batchOpSize)...)},
-		{"BATCH bad sub-op", append(append(append([]byte{byte(OpBatch)}, id...), le32(1)...),
-			append([]byte{byte(OpStats)}, make([]byte, 16)...)...)},
+		{"HELLO no version", append([]byte{byte(OpHello)}, id...)},
+		{"v3 HELLO with feature bits", v3Hello},
+		{"retired v3 BATCH", v3Batch},
 		{"retired v2 REPL_PULL", retiredReplRequests()[0]},
 		{"retired v2 REPL_SNAP", retiredReplRequests()[1]},
 	}
@@ -256,7 +258,7 @@ func TestMalformedInputs(t *testing.T) {
 	}{
 		{"unknown status", append([]byte{0x55}, make([]byte, 9)...)},
 		{"RANGE count overflows body", append(append(append([]byte{statusOK}, id...), byte(OpRange), 0), le32(0xffffff00)...)},
-		{"BATCH reply count mismatch", append(append(append([]byte{statusOK}, id...), byte(OpBatch)), le32(7)...)},
+		{"retired v3 BATCH reply", v3BatchReply},
 		{"error code zero", append(append(append([]byte{statusErr}, id...), byte(OpPing), 0), le32(0)[:4]...)},
 		{"error msg length lies", func() []byte {
 			p := append(append([]byte{statusErr}, id...), byte(OpPing), byte(ErrCodeInternal))

@@ -8,17 +8,19 @@ import (
 	"io"
 
 	"chameleon/internal/core"
+	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
 // This file is the DurableIndex's replication surface: commit-sequence
 // numbers, the primary-side commit hook, the follower-side ordered replay
-// path, and consistent snapshot streaming. The wire protocol and the
-// replication state machine live in internal/wire and internal/repl; this
-// layer only guarantees that commit sequences are monotonic, durable across
-// restarts (every snapshot and WAL names the commit sequence it starts at),
-// and that replicated batches apply in exactly the order the upstream
-// committed them.
+// path, and consistent snapshot streaming (a legacy directory's structure
+// snapshot here, a tiered one's single-run snapshot in tierrepl.go). The
+// wire protocol and the replication state machine live in internal/wire and
+// internal/repl; this layer only guarantees that commit sequences are
+// monotonic, durable across restarts (every snapshot and WAL names the
+// commit sequence it starts at), and that replicated batches apply in
+// exactly the order the upstream committed them.
 
 // ErrReplDivergence is returned by ReplicateBatch when a replicated record
 // cannot replay cleanly against local state (inserting a key that is already
@@ -178,30 +180,24 @@ func (d *DurableIndex) ReplicateBatch(firstSeq uint64, recs []wal.Record) error 
 }
 
 // SnapshotAt streams a consistent snapshot of the current contents to w and
-// reports the commit sequence it is as-of. It holds the commit lock for the
-// duration, so no batch can commit mid-stream: the bytes written correspond
+// reports the commit sequence it is as-of: the bytes written correspond
 // exactly to the returned sequence. Used by the primary to bootstrap
 // followers that are behind WAL retention. A legacy directory streams the
-// learned structure (CHAMSNP3, core.WriteTo); a tiered one streams a
-// CHAMTBN1 segment bundle (see tierrepl.go). Each restores only on a
-// directory of its own engine.
+// learned structure (CHAMSNP3, core.WriteTo) under the commit lock, so no
+// batch commits mid-stream; a tiered one writes its visible contents as one
+// CHAMSEG2 run, holding the commit lock only while it captures them (see
+// tierrepl.go). Each restores only on a directory of its own engine.
 func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err error) {
+	if d.tier != nil {
+		return d.tier.snapshotAt(w)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return 0, 0, ErrIndexClosed
+	if err := d.usableLocked(); err != nil {
+		// Poisoned memory may match no durable state: never ship it.
+		return 0, 0, err
 	}
-	if d.fail != nil {
-		// A poisoned index still serves reads, but its memory may not match
-		// any durable state — shipping it to a follower would replicate the
-		// divergence.
-		return 0, 0, d.fail
-	}
-	if d.tier != nil {
-		n, err = d.tier.writeBundle(w)
-	} else {
-		n, err = d.ix.WriteTo(w)
-	}
+	n, err = d.ix.WriteTo(w)
 	if err != nil {
 		return 0, n, err
 	}
@@ -221,7 +217,7 @@ func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err err
 func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(8)
-	other := bundleMagic
+	other := segment.Magic
 	if d.tier != nil {
 		other = core.SnapMagic
 	}
@@ -230,9 +226,9 @@ func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
 	}
 
 	if d.tier != nil {
-		// Decode to a flat sorted run before taking any locks: a slow or
-		// corrupt stream must not stall commits.
-		keys, vals, err := readBundleFlat(br)
+		// Decode the run before taking any locks: a slow or corrupt stream
+		// must not stall commits.
+		keys, vals, err := readSnapshotRun(br, asOfSeq)
 		if err != nil {
 			return err
 		}

@@ -334,7 +334,20 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 		return
 	}
 	t.d.mu.Lock()
-	var mem []segment.Entry
+	mem, fr := t.captureRangeLocked(lo, hi)
+	t.d.mu.Unlock()
+
+	t.segMu.RLock()
+	defer t.segMu.RUnlock()
+	if err := mergeRange(mem, fr, t.segs.Load(), lo, hi, fn); err != nil {
+		t.coldErrs.Add(1)
+	}
+}
+
+// captureRangeLocked captures the volatile tiers' share of [lo, hi]: the
+// memtable's pairs and the dead set's tombstones, unsorted, and the frozen
+// run. Callers hold d.mu.
+func (t *tier) captureRangeLocked(lo, hi uint64) (mem []segment.Entry, fr *frozenRun) {
 	t.d.ix.Range(lo, hi, func(k, v uint64) bool {
 		mem = append(mem, segment.Entry{Key: k, Val: v})
 		return true
@@ -346,13 +359,14 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 		}
 	}
 	t.deadMu.RUnlock()
-	fr := t.frozen.Load()
-	t.d.mu.Unlock()
+	return mem, t.frozen.Load()
+}
 
-	t.segMu.RLock()
-	defer t.segMu.RUnlock()
-	set := t.segs.Load()
-
+// mergeRange streams the visible pairs of [lo, hi] ascending from a capture
+// (captureRangeLocked) over the segment set, newest wins, tombstones
+// dropped, until fn returns false. It sorts mem in place. Callers hold
+// segMu.RLock, which keeps set's readers open.
+func mergeRange(mem []segment.Entry, fr *frozenRun, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
 	// The memtable and dead set are disjoint, so appending tombstones and
 	// re-sorting yields one strictly-ascending newest source.
 	sort.Slice(mem, func(i, j int) bool { return mem[i].Key < mem[j].Key })
@@ -376,12 +390,10 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 			continue
 		}
 		if !fn(e.Key, e.Val) {
-			return
+			return nil
 		}
 	}
-	if err := m.Err(); err != nil {
-		t.coldErrs.Add(1)
-	}
+	return m.Err()
 }
 
 // ---------------------------------------------------------------------------

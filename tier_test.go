@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
@@ -538,94 +539,142 @@ func TestTieredReplicateBatch(t *testing.T) {
 	}
 }
 
-// TestTieredSnapshotBundleRoundTrip: each engine's snapshot restores on its
-// own engine with the exact contents and the as-of sequence, including
-// tombstones pending in the dead set at capture time; on the other engine it
-// is refused with the receiver unchanged.
-func TestTieredSnapshotBundleRoundTrip(t *testing.T) {
+// TestTieredSnapshotRoundTrip: each engine's snapshot restores on its own
+// engine with the exact contents and the as-of sequence; on the other engine
+// it is refused with the receiver unchanged. A tiered snapshot is one
+// tombstone-free CHAMSEG2 run at the as-of sequence, whatever tiers hold the
+// contents: rows cover an empty tier, a tier before its first flush
+// (memtable and dead set only), and a flushed tier with a hot delta whose
+// deletes shadow segment-resident keys.
+func TestTieredSnapshotRoundTrip(t *testing.T) {
+	insert := func(t *testing.T, d *DurableIndex, want map[uint64]uint64, k, v uint64) {
+		t.Helper()
+		if err := d.Insert(k, v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	remove := func(t *testing.T, d *DurableIndex, want map[uint64]uint64, k uint64) {
+		t.Helper()
+		if err := d.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, k)
+	}
+	for _, tc := range []struct {
+		name string
+		fill func(t *testing.T, d *DurableIndex, want map[uint64]uint64)
+	}{
+		{"empty", func(*testing.T, *DurableIndex, map[uint64]uint64) {}},
+		{"memtable-only", func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
+			for i := uint64(0); i < 100; i++ {
+				insert(t, d, want, i*5, i)
+			}
+			for i := uint64(0); i < 10; i++ {
+				remove(t, d, want, i*15)
+			}
+		}},
+		{"flushed-with-delta", func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
+			for i := uint64(0); i < 400; i++ {
+				insert(t, d, want, i*7, i)
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 50; i++ {
+				insert(t, d, want, 100_000+i, i+3)
+			}
+			for i := uint64(0); i < 20; i++ {
+				remove(t, d, want, i*7*4)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := OpenDir(t.TempDir(), tieredOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			want := make(map[uint64]uint64)
+			tc.fill(t, src, want)
+
+			var buf bytes.Buffer
+			asOf, n, err := src.SnapshotAt(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asOf != src.CommitSeq() || n != int64(buf.Len()) {
+				t.Fatalf("asOf %d, n %d; want CommitSeq %d, %d bytes", asOf, n, src.CommitSeq(), buf.Len())
+			}
+			if !bytes.HasPrefix(buf.Bytes(), []byte(segment.Magic)) {
+				t.Fatalf("tiered snapshot is not a segment (starts %q)", buf.Bytes()[:8])
+			}
+			sr, err := segment.OpenBytes(buf.Bytes(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := sr.Meta(); m.Seq != asOf || m.Live != m.Count || m.Count != uint64(len(want)) {
+				t.Fatalf("snapshot run %+v; want Seq %d and %d live entries, no tombstones", m, asOf, len(want))
+			}
+			sr.Close() //nolint:errcheck
+
+			verify := func(t *testing.T, d *DurableIndex) {
+				t.Helper()
+				if got := d.CommitSeq(); got != asOf {
+					t.Fatalf("CommitSeq = %d, want %d", got, asOf)
+				}
+				if d.Len() != len(want) {
+					t.Fatalf("Len = %d, want %d", d.Len(), len(want))
+				}
+				for k, v := range want {
+					if gv, ok := d.Lookup(k); !ok || gv != v {
+						t.Fatalf("key %d = %d,%v want %d,true", k, gv, ok, v)
+					}
+				}
+			}
+			dst, err := OpenDir(t.TempDir(), tieredOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			if err := dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf); err != nil {
+				t.Fatal(err)
+			}
+			verify(t, dst)
+			// Durability: the restore's manifest commit must survive reopen.
+			dir := dst.dir
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDir(dir, tieredOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			verify(t, re)
+			// And the restored follower keeps accepting replicated history.
+			if err := re.ReplicateBatch(asOf+1, []wal.Record{{Op: wal.OpInsert, Key: 999_999, Val: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	// A tiered primary's snapshot, for the cross-engine refusal.
 	src, err := OpenDir(t.TempDir(), tieredOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	want := make(map[uint64]uint64)
-	for i := uint64(0); i < 400; i++ {
+	for i := uint64(1); i <= 100; i++ {
 		if err := src.Insert(i*7, i); err != nil {
 			t.Fatal(err)
 		}
-		want[i*7] = i
 	}
-	if err := src.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-flush delta: hot inserts plus deletes of segment-resident keys,
-	// so the bundle must carry memtable and dead-set state too.
-	for i := uint64(0); i < 50; i++ {
-		if err := src.Insert(100_000+i, i+3); err != nil {
-			t.Fatal(err)
-		}
-		want[100_000+i] = i + 3
-	}
-	for i := uint64(0); i < 20; i++ {
-		if err := src.Delete(i * 7 * 4); err != nil {
-			t.Fatal(err)
-		}
-		delete(want, i*7*4)
-	}
-
 	var buf bytes.Buffer
 	asOf, _, err := src.SnapshotAt(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asOf != src.CommitSeq() {
-		t.Fatalf("asOf %d != CommitSeq %d", asOf, src.CommitSeq())
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("CHAMTBN1")) {
-		t.Fatalf("tiered snapshot is not a bundle (starts %q)", buf.Bytes()[:8])
-	}
-
-	verify := func(t *testing.T, d *DurableIndex) {
-		t.Helper()
-		if got := d.CommitSeq(); got != asOf {
-			t.Fatalf("CommitSeq = %d, want %d", got, asOf)
-		}
-		if d.Len() != len(want) {
-			t.Fatalf("Len = %d, want %d", d.Len(), len(want))
-		}
-		for k, v := range want {
-			if gv, ok := d.Lookup(k); !ok || gv != v {
-				t.Fatalf("key %d = %d,%v want %d,true", k, gv, ok, v)
-			}
-		}
-	}
-
-	t.Run("tiered-to-tiered", func(t *testing.T) {
-		dst, err := OpenDir(t.TempDir(), tieredOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dst.Close()
-		if err := dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf); err != nil {
-			t.Fatal(err)
-		}
-		verify(t, dst)
-		// Durability: the restore's manifest commit must survive reopen.
-		dir := dst.dir
-		if err := dst.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenDir(dir, tieredOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		verify(t, re)
-		// And the restored follower keeps accepting replicated history.
-		if err := re.ReplicateBatch(asOf+1, []wal.Record{{Op: wal.OpInsert, Key: 999_999, Val: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	})
 
 	// refused restores stream on a receiver of the other engine holding
 	// three commits, which must keep them.
@@ -727,10 +776,12 @@ func TestTieredRestoreBehindRefused(t *testing.T) {
 	}
 }
 
-// TestTieredBundleDecodeRejectsCorruption: bit flips anywhere in a bundle
-// are detected (manifest CRC, per-segment CRC, framing, or the live-count
-// cross-check) — never silently restored.
-func TestTieredBundleDecodeRejectsCorruption(t *testing.T) {
+// TestTieredSnapshotRejectsCorruption: bit flips anywhere in a tiered
+// snapshot are refused by RestoreSnapshot (the run's CRC, framing or
+// geometry checks) — never silently restored — and so is a valid segment
+// at another sequence or with a tombstone. Each refusal leaves the
+// receiver's contents and commit sequence as they were.
+func TestTieredSnapshotRejectsCorruption(t *testing.T) {
 	src, err := OpenDir(t.TempDir(), tieredOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -745,24 +796,51 @@ func TestTieredBundleDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, _, err := src.SnapshotAt(&buf); err != nil {
+	asOf, _, err := src.SnapshotAt(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	dst, err := OpenDir(t.TempDir(), tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	for k := uint64(1); k <= 3; k++ {
+		if err := dst.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data := buf.Bytes()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 64; trial++ {
 		mut := append([]byte(nil), data...)
-		mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-		if bytes.Equal(mut, data) {
-			continue
+		off := rng.Intn(len(mut))
+		mut[off] ^= 1 << uint(rng.Intn(8))
+		if err := dst.RestoreSnapshot(bytes.NewReader(mut), asOf); err == nil {
+			t.Fatalf("trial %d: bit flip at offset %d restored cleanly", trial, off)
 		}
-		if _, _, err := readBundleFlat(bytes.NewReader(mut)); err == nil {
-			// A flip confined to padding-free regions must fail; locate it
-			// for the report.
-			i := 0
-			for ; i < len(mut) && mut[i] == data[i]; i++ {
-			}
-			t.Fatalf("trial %d: bit flip at offset %d decoded cleanly", trial, i)
+		if dst.Len() != 3 || dst.CommitSeq() != 3 {
+			t.Fatalf("trial %d: refused restore left Len %d, CommitSeq %d; want 3, 3", trial, dst.Len(), dst.CommitSeq())
+		}
+	}
+	// Well-formed segments that are not this snapshot: another sequence, or
+	// a run holding a tombstone.
+	var tombRun bytes.Buffer
+	if _, err := segment.Write(&tombRun, []uint64{5, 6}, []uint64{1, 0}, []bool{false, true}, 0, 1, asOf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		stream []byte
+		asOf   uint64
+	}{
+		"other as-of": {data, asOf + 1},
+		"tombstone":   {tombRun.Bytes(), asOf},
+	} {
+		if err := dst.RestoreSnapshot(bytes.NewReader(tc.stream), tc.asOf); err == nil {
+			t.Fatalf("%s: restored cleanly", name)
+		}
+		if dst.Len() != 3 || dst.CommitSeq() != 3 {
+			t.Fatalf("%s: refused restore left Len %d, CommitSeq %d; want 3, 3", name, dst.Len(), dst.CommitSeq())
 		}
 	}
 }

@@ -1,44 +1,22 @@
 package chameleon
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"chameleon/internal/segment"
 )
 
 // Replication bootstrap for tiered directories. A legacy snapshot stream
 // (CHAMSNP3, core.WriteTo) carries the learned structure: tree shape, gates
-// and leaf geometry, with leaf slots re-placed on load. A tiered primary
-// instead ships its state as a *segment bundle* — the published segment files
-// verbatim plus the volatile tiers (memtable, dead set, frozen run) encoded
-// as in-memory CHAMSEG2 runs — so a multi-gigabyte tier streams straight off
-// disk without materializing a monolithic structure snapshot.
-//
-// Bundle layout (CHAMTBN1, lengths little-endian):
-//
-//	[8]  magic "CHAMTBN1"
-//	[4]  manifest envelope length | EncodeManifest bytes (self-CRC'd)
-//	per manifest segment, in manifest order:
-//	     [8] file length | raw segment bytes (each a self-CRC'd CHAMSEG2 file)
-//	[8]  magic "CHAMTBN1" again (end marker)
-//
-// Only a tiered follower restores a bundle: it flattens it to one sorted run
-// and lands it through the tier's one replace protocol (tier.replaceLocked,
-// the same commit BulkLoad makes). Every layer of the bundle carries its own
-// CRC; the manifest's per-segment Meta doubles as the cross-check on each
-// run.
-const bundleMagic = "CHAMTBN1"
-
-// maxBundleManifest bounds the manifest envelope a decoder will buffer
-// before the CRC check can reject it.
-const maxBundleManifest = 64 << 20
-
-// errBadBundle wraps bundle-stream framing violations.
-var errBadBundle = fmt.Errorf("chameleon: corrupt snapshot bundle")
+// and leaf geometry, with leaf slots re-placed on load. A tiered node ships
+// its visible contents as one tombstone-free CHAMSEG2 run — the sorted-run
+// format its segments already are — whose Seq is the commit sequence the
+// snapshot is exact as of. The segment's own CRC and key-order checks guard
+// the stream; only a tiered receiver restores it, landing the run through
+// the tier's one replace protocol (tier.replaceLocked, the same commit
+// BulkLoad makes).
 
 // ErrRestoreBehind is returned by RestoreSnapshot on a tiered directory when
 // the snapshot's commit sequence is behind the local one. Rewinding a tiered
@@ -49,190 +27,74 @@ var errBadBundle = fmt.Errorf("chameleon: corrupt snapshot bundle")
 // re-bootstrapped into an empty directory instead.
 var ErrRestoreBehind = fmt.Errorf("chameleon: snapshot is behind local commit sequence")
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// writeBundle streams the tier's full visible state as a CHAMTBN1 bundle.
-// The caller holds d.mu, so the volatile capture is coherent and no commit
-// can land mid-stream; the published segment set is pinned under segMu.RLock
-// (the allowed d.mu → segMu.RLock order) while its files are copied raw.
-func (t *tier) writeBundle(w io.Writer) (int64, error) {
+// snapshotAt writes the tier's visible contents, as of the commit sequence
+// it returns, to w as one CHAMSEG2 run. d.mu covers the capture only: the
+// volatile tiers and the published segment set are taken together under it
+// (the allowed d.mu → segMu.RLock order), so no flush can publish a later
+// memtable between the two and the run is exact as of that sequence. The
+// merge and the encode run after d.mu is released, with segMu.RLock keeping
+// the captured set's readers open.
+func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
 	d := t.d
-	cw := &countingWriter{w: w}
-
-	// Encode the volatile tiers as in-memory runs. IDs only order ties: the
-	// memtable run gets the highest (it can only tie the frozen run's
-	// watermark when both are empty, but newest-wins must hold regardless),
-	// the frozen run the next, both above every disk segment.
-	id := t.nextID.Load()
-	type virtualRun struct {
-		meta segment.Meta
-		data []byte
+	d.mu.Lock()
+	if err := d.usableLocked(); err != nil {
+		// A poisoned index still serves reads, but its memory may not match
+		// any durable state — shipping it to a follower would replicate the
+		// divergence.
+		d.mu.Unlock()
+		return 0, 0, err
 	}
-	var virt []virtualRun
-	if fr := t.frozen.Load(); fr != nil && len(fr.keys) > 0 {
-		var buf bytes.Buffer
-		meta, err := segment.Write(&buf, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, 0)
-		if err != nil {
-			return cw.n, err
-		}
-		virt = append(virt, virtualRun{meta, buf.Bytes()})
-	}
-	if mk, mv, mt := t.captureLocked(); len(mk) > 0 {
-		var buf bytes.Buffer
-		meta, err := segment.Write(&buf, mk, mv, mt, id+1, 0, d.commitSeq.Load(), 0)
-		if err != nil {
-			return cw.n, err
-		}
-		virt = append(virt, virtualRun{meta, buf.Bytes()})
-	}
-
+	asOf, live := d.commitSeq.Load(), t.liveCount.Load()
+	mem, fr := t.captureRangeLocked(0, math.MaxUint64)
 	t.segMu.RLock()
-	defer t.segMu.RUnlock()
 	set := t.segs.Load()
+	d.mu.Unlock()
 
-	man := &segment.Manifest{
-		Gen:        t.gen.Load(),
-		FlushedSeq: d.commitSeq.Load(),
-		LiveCount:  t.liveCount.Load(),
-		NextID:     id + 2,
-		Segments:   set.metas(),
-	}
-	for _, v := range virt {
-		man.Segments = append(man.Segments, v.meta)
-	}
-	env, err := segment.EncodeManifest(man)
+	keys := make([]uint64, 0, live)
+	vals := make([]uint64, 0, live)
+	err = mergeRange(mem, fr, set, 0, math.MaxUint64, func(k, v uint64) bool {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		return true
+	})
+	t.segMu.RUnlock()
 	if err != nil {
-		return cw.n, err
+		return 0, 0, err
 	}
-	if _, err := cw.Write([]byte(bundleMagic)); err != nil {
-		return cw.n, err
+	if int64(len(keys)) != live {
+		return 0, 0, fmt.Errorf("chameleon: snapshot merged %d live keys, live count says %d", len(keys), live)
 	}
-	var len4 [4]byte
-	binary.LittleEndian.PutUint32(len4[:], uint32(len(env)))
-	if _, err := cw.Write(len4[:]); err != nil {
-		return cw.n, err
+	meta, err := segment.Write(w, keys, vals, nil, 0, 1, asOf, 0)
+	if err != nil {
+		return 0, 0, err
 	}
-	if _, err := cw.Write(env); err != nil {
-		return cw.n, err
-	}
-	var len8 [8]byte
-	for _, r := range set.readers {
-		binary.LittleEndian.PutUint64(len8[:], uint64(r.Meta().Bytes))
-		if _, err := cw.Write(len8[:]); err != nil {
-			return cw.n, err
-		}
-		if _, err := r.WriteRaw(cw); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, v := range virt {
-		binary.LittleEndian.PutUint64(len8[:], uint64(len(v.data)))
-		if _, err := cw.Write(len8[:]); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(v.data); err != nil {
-			return cw.n, err
-		}
-	}
-	if _, err := cw.Write([]byte(bundleMagic)); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return asOf, meta.Bytes, nil
 }
 
-// readBundleFlat decodes a CHAMTBN1 stream (positioned at the leading magic)
-// and flattens it: runs merge newest-first with tombstone elision, yielding
-// the strictly-ascending live contents as of the bundle's watermark.
-func readBundleFlat(r io.Reader) (keys, vals []uint64, err error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:]) != bundleMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic", errBadBundle)
-	}
-	var len4 [4]byte
-	if _, err := io.ReadFull(r, len4[:]); err != nil {
-		return nil, nil, fmt.Errorf("%w: short manifest length", errBadBundle)
-	}
-	manLen := binary.LittleEndian.Uint32(len4[:])
-	if manLen < 16 || manLen > maxBundleManifest {
-		return nil, nil, fmt.Errorf("%w: manifest length %d", errBadBundle, manLen)
-	}
-	env := make([]byte, manLen)
-	if _, err := io.ReadFull(r, env); err != nil {
-		return nil, nil, fmt.Errorf("%w: short manifest", errBadBundle)
-	}
-	man, err := segment.DecodeManifest(env)
+// readSnapshotRun decodes a tiered snapshot stream: one tombstone-free
+// CHAMSEG2 run whose watermark is asOfSeq.
+func readSnapshotRun(r io.Reader, asOfSeq uint64) (keys, vals []uint64, err error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	type run struct {
-		meta    segment.Meta
-		entries []segment.Entry
+	sr, err := segment.OpenBytes(data, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	runs := make([]run, 0, len(man.Segments))
-	var len8 [8]byte
-	for i := range man.Segments {
-		m := man.Segments[i]
-		if _, err := io.ReadFull(r, len8[:]); err != nil {
-			return nil, nil, fmt.Errorf("%w: short segment length", errBadBundle)
-		}
-		if n := binary.LittleEndian.Uint64(len8[:]); n != uint64(m.Bytes) {
-			return nil, nil, fmt.Errorf("%w: segment %d length %d, manifest says %d",
-				errBadBundle, m.ID, n, m.Bytes)
-		}
-		data := make([]byte, m.Bytes)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, nil, fmt.Errorf("%w: short segment %d", errBadBundle, m.ID)
-		}
-		sr, err := segment.OpenBytes(data, &m)
-		if err != nil {
-			return nil, nil, err
-		}
-		entries, err := sr.LoadEntries()
-		sr.Close() //nolint:errcheck
-		if err != nil {
-			return nil, nil, err
-		}
-		runs = append(runs, run{m, entries})
+	defer sr.Close() //nolint:errcheck
+	m := sr.Meta()
+	if m.Live != m.Count || m.Seq != asOfSeq {
+		return nil, nil, fmt.Errorf("chameleon: snapshot run at seq %d holds %d tombstones, want seq %d and none",
+			m.Seq, m.Count-m.Live, asOfSeq)
 	}
-	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:]) != bundleMagic {
-		return nil, nil, fmt.Errorf("%w: bad end marker", errBadBundle)
-	}
-
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].meta.Seq != runs[j].meta.Seq {
-			return runs[i].meta.Seq > runs[j].meta.Seq
-		}
-		return runs[i].meta.ID > runs[j].meta.ID
-	})
-	sources := make([]segment.Iterator, len(runs))
-	for i := range runs {
-		sources[i] = segment.NewSliceIter(runs[i].entries)
-	}
-	m := segment.NewMerge(sources...)
-	for m.Next() {
-		e := m.Entry()
-		if e.Tomb {
-			continue
-		}
+	keys = make([]uint64, 0, m.Count)
+	vals = make([]uint64, 0, m.Count)
+	it := sr.Iter(0, math.MaxUint64)
+	for it.Next() {
+		e := it.Entry()
 		keys = append(keys, e.Key)
 		vals = append(vals, e.Val)
 	}
-	if err := m.Err(); err != nil {
-		return nil, nil, err
-	}
-	if int64(len(keys)) != man.LiveCount {
-		return nil, nil, fmt.Errorf("%w: flattened to %d live keys, manifest says %d",
-			errBadBundle, len(keys), man.LiveCount)
-	}
-	return keys, vals, nil
+	return keys, vals, it.Err()
 }
