@@ -248,7 +248,10 @@ func (m *crashModel) apply(op crashOp) {
 				m.kv[k] = op.vals[i]
 			}
 		}
-		if op.kind == opRestore {
+		switch op.kind {
+		case opBulkLoad:
+			m.seq++ // a replace is one commit
+		case opRestore:
 			m.seq = op.val
 		}
 	}

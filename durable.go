@@ -919,13 +919,14 @@ func (d *DurableIndex) logApplyLocked(recs []wal.Record) (int, error) {
 }
 
 // BulkLoad rebuilds the index from sorted keys and immediately makes the
-// data durable — in legacy mode as an atomic snapshot, in tiered mode as the
-// same replace a snapshot restore makes, as of the local commit sequence:
-// one fresh L1 segment behind a manifest commit replaces all tier state
-// (tier.replaceLocked). Bulk data never passes through the WAL, so a failure
-// after the commit point poisons the handle (fail-stop) rather than letting
-// acked state diverge; a tiered failure before it leaves the previous state
-// and no new file.
+// data durable. A replace is one commit: it advances the commit clock by
+// one, and the state it writes carries the new base — in legacy mode an
+// atomic snapshot, in tiered mode the same replace a snapshot restore makes,
+// one fresh L1 segment behind a manifest commit (tier.replaceLocked). The
+// commit hook then sees the replace as a call with no records. Bulk data
+// never passes through the WAL, so a failure after the commit point poisons
+// the handle (fail-stop) rather than letting acked state diverge; a tiered
+// failure before it leaves the previous state and no new file.
 func (d *DurableIndex) BulkLoad(keys, vals []uint64) error {
 	if d.tier != nil {
 		return d.tier.bulkLoad(keys, vals)
@@ -938,11 +939,25 @@ func (d *DurableIndex) BulkLoad(keys, vals []uint64) error {
 	if err := d.ix.BulkLoad(keys, vals); err != nil {
 		return err
 	}
+	d.commitSeq.Add(1)
 	if err := d.checkpointLocked(); err != nil {
 		d.poisonLocked(fmt.Errorf("bulk-load checkpoint: %w", err))
 		return d.fail
 	}
+	d.broadcastSeq()
+	d.replaceHookLocked()
 	return nil
+}
+
+// replaceHookLocked hands the commit hook a replace that just became the
+// commit at the current clock: its sequence, with no records. A replace is
+// acknowledged locally only — a follower crosses it by a snapshot bootstrap,
+// which needs d.mu, so waiting here for its acknowledgement could never
+// succeed. Callers hold d.mu.
+func (d *DurableIndex) replaceHookLocked() {
+	if d.commitHook != nil {
+		d.commitHook(d.commitSeq.Load(), nil) //nolint:errcheck
+	}
 }
 
 // Checkpoint writes the current contents as an atomic snapshot (temp file,
@@ -1190,20 +1205,4 @@ func (d *DurableIndex) Stats() Stats {
 		return Stats{}
 	}
 	return d.ix.Stats()
-}
-
-// WriteTo serializes the current contents (read-only; it does not rotate the
-// WAL — use Checkpoint for durable snapshots). Unlike the query surface it
-// returns an explicit error on a closed handle: silently writing an empty
-// snapshot would look like data loss. In tiered mode the in-memory format
-// cannot represent the segment tiers, so WriteTo refuses (SnapshotAt streams
-// the full tier instead) rather than silently serializing the memtable only.
-func (d *DurableIndex) WriteTo(w io.Writer) (int64, error) {
-	if d.readsClosed.Load() {
-		return 0, ErrIndexClosed
-	}
-	if d.tier != nil {
-		return 0, fmt.Errorf("%w: WriteTo cannot represent segments; use SnapshotAt", ErrNotTiered)
-	}
-	return d.ix.WriteTo(w)
 }

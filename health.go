@@ -112,9 +112,10 @@ type Health struct {
 	RetrainPauses uint64
 	RetrainPaused bool
 
-	// CommitSeq is the commit-sequence clock: the number of records ever
-	// durably committed through this index (see DurableIndex.CommitSeq). On a
-	// follower it equals the highest upstream sequence applied.
+	// CommitSeq is the commit-sequence clock: the number of commits (one per
+	// record, one per replace) ever durably made through this index (see
+	// DurableIndex.CommitSeq). On a follower it equals the highest upstream
+	// sequence applied.
 	CommitSeq uint64
 
 	// Tier is the tiered-storage slice of the snapshot; nil when the
@@ -409,10 +410,10 @@ type ReplHealth struct {
 	Stalled  bool
 	Diverged bool
 
-	// ShardLags, on a sharded node, is the per-shard staleness vector: for a
-	// follower, each shard's upstream commit clock minus its local one; for a
-	// primary, each shard's ring head minus its acked cursor. Nil on
-	// unsharded nodes.
+	// ShardLags is the per-shard staleness vector, one entry per shard (one
+	// on an unsharded node): for a follower, each shard's upstream commit
+	// clock minus its local one; for a primary, each shard's ring head minus
+	// its acked cursor.
 	ShardLags []uint64
 }
 

@@ -212,15 +212,7 @@ func (f *FailoverClient) withPrimary(ctx context.Context, op func(c *Client) err
 	var lastErr error
 	for attempt := 0; attempt < f.opts.MaxResolves; attempt++ {
 		if attempt > 0 {
-			window := f.opts.BackoffMax
-			// Cap the shift: past ~30 doublings the window is pinned at max
-			// anyway, and an unchecked shift would overflow negative.
-			if shift := attempt - 1; shift < 30 {
-				if w := f.opts.BackoffMin << uint(shift); w > 0 && w < window {
-					window = w
-				}
-			}
-			t := time.NewTimer(time.Duration(rand.Int64N(int64(window) + 1)))
+			t := time.NewTimer(retryDelay(f.opts.BackoffMin, f.opts.BackoffMax, attempt-1, 0, rand.Int64N))
 			select {
 			case <-t.C:
 			case <-ctx.Done():

@@ -25,18 +25,16 @@ import (
 // (lag = UpstreamSeq − last applied); Epoch is the primary's fencing epoch.
 // SnapshotNeeded means the requested from-sequence predates the primary's
 // record retention and the puller must bootstrap from a snapshot instead.
-// Gen is the primary's shard-manifest generation; when ManifestChanged is set
-// the caller's view of the layout is stale and Bounds carries the primary's
-// boundary array (nil for a one-shard layout).
+// When HasLayout is set Bounds carries the primary's boundary array (nil for
+// a one-shard layout), which the caller must hold before applying records.
 type PullResult struct {
-	FirstSeq        uint64
-	UpstreamSeq     uint64
-	Epoch           uint64
-	SnapshotNeeded  bool
-	Recs            []wal.Record
-	Gen             uint64
-	Bounds          []uint64
-	ManifestChanged bool
+	FirstSeq       uint64
+	UpstreamSeq    uint64
+	Epoch          uint64
+	SnapshotNeeded bool
+	Recs           []wal.Record
+	Bounds         []uint64
+	HasLayout      bool
 }
 
 // SnapChunk is one REPL_SNAP answer: Data covers [Offset, Offset+len(Data))
@@ -69,11 +67,10 @@ func clampMS(d time.Duration) uint32 {
 // sequence fromSeq onward: up to max records (0 = server default), waiting
 // up to wait for new data before returning an empty batch. epoch is the
 // highest primary epoch the caller has seen — the server fences itself if
-// the caller knows a newer one. gen is the caller's view of the shard
-// manifest generation; pass 0 to force the reply to carry the current
-// generation and boundary array (ManifestChanged set). Pulling from fromSeq
-// acknowledges every sequence below it.
-func (c *Client) ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (PullResult, error) {
+// the caller knows a newer one. layout asks the reply to carry the primary's
+// boundary array (HasLayout set); snapshot-needed replies carry it anyway.
+// Pulling from fromSeq acknowledges every sequence below it.
+func (c *Client) ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch uint64, layout bool) (PullResult, error) {
 	if max < 0 {
 		max = 0
 	}
@@ -82,19 +79,18 @@ func (c *Client) ReplPull(ctx context.Context, shard int, fromSeq uint64, max in
 		lim = uint32(max)
 	}
 	res, err := c.do(ctx, &wire.Request{Op: wire.OpReplPull, Shard: uint32(shard),
-		Seq: fromSeq, Limit: lim, WaitMS: clampMS(wait), Epoch: epoch, Gen: gen})
+		Seq: fromSeq, Limit: lim, WaitMS: clampMS(wait), Epoch: epoch, WantLayout: layout})
 	if err != nil {
 		return PullResult{}, err
 	}
 	return PullResult{
-		FirstSeq:        res.FirstSeq,
-		UpstreamSeq:     res.UpstreamSeq,
-		Epoch:           res.Epoch,
-		SnapshotNeeded:  res.SnapshotNeeded,
-		Recs:            res.Recs,
-		Gen:             res.Gen,
-		Bounds:          res.Bounds,
-		ManifestChanged: res.ManifestChanged,
+		FirstSeq:       res.FirstSeq,
+		UpstreamSeq:    res.UpstreamSeq,
+		Epoch:          res.Epoch,
+		SnapshotNeeded: res.SnapshotNeeded,
+		Recs:           res.Recs,
+		Bounds:         res.Bounds,
+		HasLayout:      res.HasLayout,
 	}, nil
 }
 

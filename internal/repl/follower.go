@@ -26,19 +26,6 @@ func fatalf(format string, args ...any) error {
 	return &errFatal{err: fmt.Errorf(format, args...)}
 }
 
-// errManifest signals a shard pull observed a layout the follower does not
-// hold: the sync loop adopts it and re-bootstraps every shard (or, when the
-// shard counts differ, fail-stops). Not a failure in itself — a coordination
-// signal that unwinds the per-shard pullers.
-type errManifest struct {
-	gen    uint64
-	bounds []uint64
-}
-
-func (e *errManifest) Error() string {
-	return fmt.Sprintf("repl: upstream shard layout changed (gen %d)", e.gen)
-}
-
 // dial opens a single-connection wire client to addr. It gives up when ctx
 // ends: a promotion waits for the follower loop, which may be dialing.
 func dial(ctx context.Context, addr string) (*client.Client, error) {
@@ -117,79 +104,53 @@ func (n *Node) adoptEpoch(peer uint64) error {
 }
 
 // replClient is the slice of the wire client the follower uses: per-shard
-// pulls carrying the manifest generation, per-shard snapshot streams. An
-// interface so repl tests can drive the loop without a TCP server.
+// pulls, per-shard snapshot streams. An interface so repl tests can drive the
+// loop without a TCP server.
 type replClient interface {
-	ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch, gen uint64) (client.PullResult, error)
+	ReplPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, epoch uint64, layout bool) (client.PullResult, error)
 	ReplSnap(ctx context.Context, shard int, snapID, offset uint64) (client.SnapChunk, error)
 }
 
 // shardSyncLoop drives one connection for every follower, sharded or not (an
-// unsharded node is one shard with generation 0 and no bounds): one pull
-// loop per shard over the pipelined connection, plus manifest coordination.
-// A nil return means the context ended; a plain error means reconnect; an
-// errFatal means divergence fail-stop. When any puller observes a layout
-// change (errManifest), all pullers unwind, the follower adopts the new
-// boundary array, re-bootstraps every shard (an upstream re-shard rewrote
-// contents without advancing clocks — the streams alone cannot express it),
-// and the pullers restart. Each shard's first pull on a connection carries
-// gen 0 so the upstream answers with its layout before any record is
-// applied: a freshly initialized follower's generation can collide with the
-// primary's while the boundary arrays differ, and a follower whose shard
-// count differs from the primary's must fail-stop, never apply a partial
-// copy and report itself caught up.
+// unsharded node is one shard with no bounds): one pull loop per shard over
+// the pipelined connection. The first error unwinds them all. A nil return
+// means the context ended; a plain error means reconnect; an errFatal means
+// divergence fail-stop.
 func (n *Node) shardSyncLoop(ctx context.Context, c replClient) error {
-	forceManifest := true
-	for ctx.Err() == nil {
-		sctx, cancel := context.WithCancel(ctx)
-		errc := make(chan error, len(n.streams))
-		for i := range n.streams {
-			go func(i int, force bool) {
-				errc <- n.shardPullLoop(sctx, c, i, force)
-			}(i, forceManifest)
-		}
-		var first error
-		for range n.streams {
-			if e := <-errc; e != nil && first == nil {
-				first = e
-				cancel()
-			}
-		}
-		cancel()
-		if ctx.Err() != nil {
-			return nil
-		}
-		forceManifest = false
-		var mc *errManifest
-		if errors.As(first, &mc) {
-			if err := n.adoptLayout(ctx, c, mc); err != nil {
-				return err
-			}
-			continue
-		}
-		return first
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errc := make(chan error, len(n.streams))
+	for i := range n.streams {
+		go func(i int) { errc <- n.shardPullLoop(sctx, c, i) }(i)
 	}
-	return nil
+	var first error
+	for range n.streams {
+		if e := <-errc; e != nil && first == nil {
+			first = e
+			cancel()
+		}
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	return first
 }
 
 // shardPullLoop replicates one shard's stream: pull, validate, apply,
-// repeat. Returns errManifest when the upstream's layout view differs from
-// the local one.
-func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, forceManifest bool) error {
+// repeat. Its first pull on a connection, and its first after a bootstrap,
+// asks for the upstream's layout, so shard counts are checked before any
+// record is applied and the bounds a bootstrap's contents were cut by are
+// the last ones this shard adopts.
+func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int) error {
 	st := n.streams[shard]
-	healthy := false
+	healthy, wantLayout := false, true
 	for ctx.Err() == nil {
 		n.mu.Lock()
 		epoch := n.epoch
 		n.mu.Unlock()
-		gen := n.ix.ManifestGen()
-		peerGen := gen
-		if forceManifest {
-			peerGen = 0
-		}
 		from := n.ix.ShardCommitSeq(shard) + 1
 		pctx, cancel := context.WithTimeout(ctx, n.opts.PullWait+5*time.Second)
-		pr, err := c.ReplPull(pctx, shard, from, pullMax, n.opts.PullWait, epoch, peerGen)
+		pr, err := c.ReplPull(pctx, shard, from, pullMax, n.opts.PullWait, epoch, wantLayout)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -197,7 +158,7 @@ func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, force
 			}
 			return err
 		}
-		forceManifest = false
+		wantLayout = false
 		n.lastProgress.Store(time.Now().UnixNano())
 
 		// The upstream's epoch may only grow (a new primary was promoted and
@@ -207,8 +168,21 @@ func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, force
 			return err
 		}
 
-		if pr.ManifestChanged && (pr.Gen != gen || !slices.Equal(pr.Bounds, n.ix.Bounds())) {
-			return &errManifest{gen: pr.Gen, bounds: pr.Bounds}
+		// A shard-count mismatch is divergence-class: the processes were
+		// configured with different -shards and no amount of retrying
+		// converges them. Different bounds of the same count are an upstream
+		// re-shard, adopted in place; its new contents arrive as a replace on
+		// every shard's own stream.
+		if pr.HasLayout {
+			if len(pr.Bounds) != len(n.streams)-1 {
+				return fatalf("upstream has %d shards, local node has %d: shard counts must match", len(pr.Bounds)+1, len(n.streams))
+			}
+			if !slices.Equal(pr.Bounds, n.ix.Bounds()) {
+				n.opts.Logf("repl: adopting upstream shard bounds %v", pr.Bounds)
+				if err := n.ix.AdoptManifest(pr.Bounds); err != nil {
+					return fmt.Errorf("repl: adopting upstream shard bounds: %w", err)
+				}
+			}
 		}
 
 		// The upstream's commit clock may only grow, and must never be
@@ -225,7 +199,7 @@ func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, force
 			if err := n.bootstrapShard(ctx, c, shard); err != nil {
 				return err
 			}
-			healthy = true
+			healthy, wantLayout = true, true
 			continue
 		}
 		if len(pr.Recs) > 0 {
@@ -243,31 +217,6 @@ func (n *Node) shardPullLoop(ctx context.Context, c replClient, shard int, force
 			healthy = true
 			n.opts.Logf("repl: shard %d caught up to %s at seq %d (epoch %d)", shard, n.opts.ReplicaOf, pr.UpstreamSeq, pr.Epoch)
 		}
-	}
-	return nil
-}
-
-// adoptLayout installs an upstream shard layout and re-bootstraps every
-// shard from it. A shard-count mismatch is divergence-class: the processes
-// were configured with different -shards and no amount of retrying converges
-// them.
-func (n *Node) adoptLayout(ctx context.Context, c replClient, mc *errManifest) error {
-	if len(mc.bounds) != len(n.streams)-1 {
-		return fatalf("upstream has %d shards, local node has %d: shard counts must match", len(mc.bounds)+1, len(n.streams))
-	}
-	n.opts.Logf("repl: adopting upstream shard layout gen %d; re-bootstrapping %d shards", mc.gen, len(n.streams))
-	if err := n.ix.AdoptManifest(mc.gen, mc.bounds); err != nil {
-		return fmt.Errorf("repl: adopting shard manifest gen %d: %w", mc.gen, err)
-	}
-	for i := range n.streams {
-		if err := n.bootstrapShard(ctx, c, i); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		// The old stream cursor is meaningless under the new layout.
-		n.streams[i].upstream.Store(n.ix.ShardCommitSeq(i))
 	}
 	return nil
 }

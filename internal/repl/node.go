@@ -29,14 +29,14 @@
 // Streams: a Node drives one replication stream per shard — per-shard rings
 // on the primary, per-shard pull loops on the follower — with ONE role and
 // ONE epoch for the whole node (split-brain is a node-level property; shards
-// fail over together). An unsharded node is a one-shard node with manifest
-// generation 0 and no bounds; there is no separate unsharded path. The shard
-// manifest travels the stream too: every pull reply can carry the primary's
-// layout generation and bounds, and a follower observing a new layout adopts
-// the boundary array and re-bootstraps every shard (an upstream re-shard
-// rewrote shard contents without advancing commit clocks, so the per-shard
-// streams alone cannot express it). A follower whose shard count differs from
-// the primary's fail-stops.
+// fail over together). An unsharded node is a one-shard node with no bounds;
+// there is no separate unsharded path. A replace (BulkLoad) is a commit on
+// its shard's clock that the ring cannot carry: the ring restarts past it, so
+// a follower crosses it only by a snapshot bootstrap. A re-shard is a replace
+// on every shard, so only the boundary array must travel besides: it rides a
+// shard's first pull on each connection and every snapshot-needed reply, and
+// a follower adopts different bounds in place. A follower whose shard count
+// differs from the primary's fail-stops.
 //
 // Topology is a star (v1): followers replicate from one primary; chained
 // followers are not supported (a follower answers ServeShardPull with
@@ -148,9 +148,10 @@ func (o Options) withDefaults() Options {
 
 // replIndex is the slice of a durable index the state machine drives: one
 // commit clock, hook, replay path, and snapshot stream per shard, plus the
-// layout manifest and the persisted role sidecar. An unsharded DurableIndex
-// fits through the soloIndex adapter (one shard, no manifest); a
-// ShardedIndex implements it directly.
+// boundary array and the persisted role sidecar. An unsharded DurableIndex
+// fits through the soloIndex adapter (one shard, no bounds); a ShardedIndex
+// implements it directly. Bounds is a lock-free read, so it may be called
+// under Node.mu.
 type replIndex interface {
 	Shards() int
 	ShardCommitSeq(i int) uint64
@@ -158,9 +159,8 @@ type replIndex interface {
 	ReplicateShardBatch(i int, firstSeq uint64, recs []wal.Record) error
 	ShardSnapshotAt(i int, w io.Writer) (asOfSeq uint64, n int64, err error)
 	RestoreShardSnapshot(i int, r io.Reader, asOfSeq uint64) error
-	ManifestGen() uint64
 	Bounds() []uint64
-	AdoptManifest(gen uint64, bounds []uint64) error
+	AdoptManifest(bounds []uint64) error
 	LoadReplState() (epoch uint64, fenced bool)
 	SaveReplState(epoch uint64, fenced bool) error
 	CommitSeq() uint64
@@ -170,13 +170,12 @@ type replIndex interface {
 // soloIndex adapts an unsharded DurableIndex to the one-shard view.
 type soloIndex struct{ d *chameleon.DurableIndex }
 
-func (s soloIndex) Shards() int                          { return 1 }
-func (s soloIndex) ShardCommitSeq(int) uint64            { return s.d.CommitSeq() }
-func (s soloIndex) ManifestGen() uint64                  { return 0 }
-func (s soloIndex) Bounds() []uint64                     { return nil }
-func (s soloIndex) AdoptManifest(uint64, []uint64) error { return nil }
-func (s soloIndex) CommitSeq() uint64                    { return s.d.CommitSeq() }
-func (s soloIndex) Err() error                           { return s.d.Err() }
+func (s soloIndex) Shards() int                  { return 1 }
+func (s soloIndex) ShardCommitSeq(int) uint64    { return s.d.CommitSeq() }
+func (s soloIndex) Bounds() []uint64             { return nil }
+func (s soloIndex) AdoptManifest([]uint64) error { return nil }
+func (s soloIndex) CommitSeq() uint64            { return s.d.CommitSeq() }
+func (s soloIndex) Err() error                   { return s.d.Err() }
 func (s soloIndex) SetShardCommitHook(_ int, fn func(uint64, []wal.Record) error) {
 	s.d.SetCommitHook(fn)
 }
@@ -345,12 +344,23 @@ func (n *Node) AllowWrites() bool {
 
 // commitHook builds shard's commit hook: it runs under the index lock after
 // a batch is durable and applied, appends the batch to the shard's pull
-// ring, and (semi-sync) waits for a follower ack.
+// ring, and (semi-sync) waits for a follower ack. An empty batch is a replace
+// at firstSeq: the ring restarts past it, so every follower crosses it by a
+// snapshot bootstrap, and nothing waits for an ack (the bootstrap needs the
+// index lock this hook runs under).
 func (n *Node) commitHook(shard int) func(uint64, []wal.Record) error {
 	return func(firstSeq uint64, recs []wal.Record) error {
 		st := n.streams[shard]
 		n.mu.Lock()
 		if n.closed {
+			n.mu.Unlock()
+			return nil
+		}
+		if len(recs) == 0 {
+			st.ring = st.ring[:0]
+			st.baseSeq = firstSeq
+			close(st.dataCh)
+			st.dataCh = make(chan struct{})
 			n.mu.Unlock()
 			return nil
 		}
@@ -408,16 +418,15 @@ func (n *Node) waitAcked(shard int, seq uint64) error {
 }
 
 // PullReply is ServeShardPull's answer; field semantics match
-// client.PullResult. Bounds is set only when ManifestChanged.
+// client.PullResult. Bounds is set only when HasLayout.
 type PullReply struct {
-	FirstSeq        uint64
-	Recs            []wal.Record
-	UpstreamSeq     uint64
-	Epoch           uint64
-	SnapshotNeeded  bool
-	Gen             uint64
-	Bounds          []uint64
-	ManifestChanged bool
+	FirstSeq       uint64
+	Recs           []wal.Record
+	UpstreamSeq    uint64
+	Epoch          uint64
+	SnapshotNeeded bool
+	Bounds         []uint64
+	HasLayout      bool
 }
 
 // maybeFence applies a strictly newer peer epoch and persists the verdict
@@ -445,31 +454,23 @@ func (n *Node) maybeFence(peerEpoch uint64) error {
 // ServeShardPull answers one REPL_PULL against shard's stream: records from
 // fromSeq (bounded by max), long-polling up to wait when the puller is
 // caught up. peerEpoch is the highest primary epoch the puller knows —
-// learning of a newer one fences this node (durably). peerGen is the
-// puller's view of the shard-manifest generation: when it is stale (or 0 =
-// unknown), the reply carries the current generation and boundary array so
-// layout changes ship through the stream. A shard this node does not have
-// gets the layout and nothing else, so a puller with more shards than the
-// primary detects the mismatch instead of retrying. Pulling from fromSeq
-// acknowledges every sequence below it.
-func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, peerEpoch, peerGen uint64) (PullReply, error) {
+// learning of a newer one fences this node (durably). The reply carries the
+// boundary array when the puller asks for it (wantLayout), when it is
+// snapshot-needed, and for a shard this node does not have (then with
+// nothing else, so a puller with more shards than the primary detects the
+// mismatch instead of retrying). The bounds are read as the reply is built,
+// so a pull parked across a re-shard answers with the new ones. Pulling from
+// fromSeq acknowledges every sequence below it.
+func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, max int, wait time.Duration, peerEpoch uint64, wantLayout bool) (PullReply, error) {
 	if err := n.maybeFence(peerEpoch); err != nil {
 		// The fence stands in memory but is not durable; refuse the pull so
 		// the puller retries (and this path retries the persist) rather than
 		// serving records under an unrecorded epoch.
 		return PullReply{}, err
 	}
-	// Layout reads are index calls — resolved before taking Node.mu.
-	gen := n.ix.ManifestGen()
-	noShard := shard < 0 || shard >= len(n.streams)
-	var bounds []uint64
-	manifestChanged := peerGen != gen || peerGen == 0 || noShard
-	if manifestChanged {
-		bounds = n.ix.Bounds()
-	}
-	if noShard {
+	if shard < 0 || shard >= len(n.streams) {
 		_, epoch := n.Role()
-		return PullReply{Epoch: epoch, Gen: gen, Bounds: bounds, ManifestChanged: true}, nil
+		return PullReply{Epoch: epoch, Bounds: n.ix.Bounds(), HasLayout: true}, nil
 	}
 	if fromSeq == 0 {
 		fromSeq = 1
@@ -492,13 +493,14 @@ func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, ma
 	n.lastPull = time.Now()
 	for {
 		last := st.baseSeq + uint64(len(st.ring))
-		reply := PullReply{UpstreamSeq: last, Epoch: n.epoch,
-			Gen: gen, Bounds: bounds, ManifestChanged: manifestChanged}
+		reply := PullReply{UpstreamSeq: last, Epoch: n.epoch}
 		switch {
 		case fromSeq <= st.baseSeq:
-			// The requested records predate ring retention (or this node is
-			// a follower, whose ring is never fed): bootstrap instead.
+			// The requested records predate ring retention or a replace (or
+			// this node is a follower, whose ring is never fed): bootstrap
+			// instead.
 			reply.SnapshotNeeded = true
+			reply.Bounds, reply.HasLayout = n.ix.Bounds(), true
 			return reply, nil
 		case fromSeq <= last:
 			count := int(last - fromSeq + 1)
@@ -508,28 +510,31 @@ func (n *Node) ServeShardPull(ctx context.Context, shard int, fromSeq uint64, ma
 			i := int(fromSeq - st.baseSeq - 1)
 			reply.FirstSeq = fromSeq
 			reply.Recs = append([]wal.Record(nil), st.ring[i:i+count]...)
-			return reply, nil
 		default:
 			// Caught up (or the puller claims records we do not have — its
 			// problem to detect via UpstreamSeq): long-poll for new data.
-			if time.Now().After(deadline) || ctx.Err() != nil {
-				return reply, nil
-			}
-			ch := st.dataCh
-			n.mu.Unlock()
-			t := time.NewTimer(time.Until(deadline))
-			select {
-			case <-ch:
-				t.Stop()
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-			}
-			n.mu.Lock()
-			if n.closed {
-				return PullReply{}, ErrNodeClosed
+			if !time.Now().After(deadline) && ctx.Err() == nil {
+				ch := st.dataCh
+				n.mu.Unlock()
+				t := time.NewTimer(time.Until(deadline))
+				select {
+				case <-ch:
+					t.Stop()
+				case <-t.C:
+				case <-ctx.Done():
+					t.Stop()
+				}
+				n.mu.Lock()
+				if n.closed {
+					return PullReply{}, ErrNodeClosed
+				}
+				continue
 			}
 		}
+		if wantLayout {
+			reply.Bounds, reply.HasLayout = n.ix.Bounds(), true
+		}
+		return reply, nil
 	}
 }
 
@@ -794,9 +799,9 @@ func (n *Node) fenceLocked(epoch uint64) {
 	}
 }
 
-// Health snapshots replication health for the merged STATS surface. On a
-// node with more than one shard ShardLags carries the per-shard staleness
-// vector (follower: upstream clock − applied; primary: ring head − acked).
+// Health snapshots replication health for the merged STATS surface.
+// ShardLags carries the per-shard staleness vector, one entry per shard
+// (follower: upstream clock − applied; primary: ring head − acked).
 func (n *Node) Health() chameleon.ReplHealth {
 	// Index calls outside n.mu.
 	applied := n.ix.CommitSeq()
@@ -804,7 +809,6 @@ func (n *Node) Health() chameleon.ReplHealth {
 	for i := range shardApplied {
 		shardApplied[i] = n.ix.ShardCommitSeq(i)
 	}
-	sharded := len(n.streams) > 1
 	now := time.Now()
 	n.mu.Lock()
 	var acked uint64
@@ -818,15 +822,17 @@ func (n *Node) Health() chameleon.ReplHealth {
 		Reconnects:         n.reconnects.Load(),
 		SnapshotBootstraps: n.bootstraps.Load(),
 		Diverged:           n.divergedErr != nil,
+		ShardLags:          make([]uint64, len(n.streams)),
 	}
 	switch n.role {
 	case chameleon.RolePrimary, chameleon.RoleFenced:
 		h.LastApplied = applied
 		h.UpstreamSeq = applied
 		var lag uint64
-		for _, st := range n.streams {
+		for i, st := range n.streams {
 			if last := st.baseSeq + uint64(len(st.ring)); last > st.ackedSeq {
-				lag += last - st.ackedSeq
+				h.ShardLags[i] = last - st.ackedSeq
+				lag += h.ShardLags[i]
 			}
 		}
 		if n.opts.SemiSync && n.role == chameleon.RolePrimary && lag > 0 {
@@ -834,24 +840,13 @@ func (n *Node) Health() chameleon.ReplHealth {
 			ref := n.lastPull
 			h.Stalled = ref.IsZero() || now.Sub(ref) > n.opts.stallAfter
 		}
-		if sharded {
-			h.ShardLags = make([]uint64, len(n.streams))
-			for i, st := range n.streams {
-				if last := st.baseSeq + uint64(len(st.ring)); last > st.ackedSeq {
-					h.ShardLags[i] = last - st.ackedSeq
-				}
-			}
-		}
 		h.Connected = !n.lastPull.IsZero() && now.Sub(n.lastPull) <= n.opts.stallAfter
 	case chameleon.RoleFollower:
 		h.LastApplied = applied
-		if sharded {
-			h.ShardLags = make([]uint64, len(n.streams))
-		}
 		for i, st := range n.streams {
 			u := st.upstream.Load()
 			h.UpstreamSeq += u
-			if sharded && u > shardApplied[i] {
+			if u > shardApplied[i] {
 				h.ShardLags[i] = u - shardApplied[i]
 			}
 		}

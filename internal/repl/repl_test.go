@@ -42,24 +42,24 @@ func newFollowerShell(ix *chameleon.DurableIndex, opts Options) *Node {
 }
 
 // fakeClient scripts shard 0's ReplPull/ReplSnap answers for follower-loop
-// tests, recording the manifest generation each pull carried.
+// tests, recording whether each pull asked for the layout.
 type fakeClient struct {
-	pulls []func(fromSeq, epoch uint64) (client.PullResult, error)
-	snap  func(snapID, offset uint64) (client.SnapChunk, error)
-	gens  []uint64
-	i     int
+	pulls   []func(fromSeq, epoch uint64) (client.PullResult, error)
+	snap    func(snapID, offset uint64) (client.SnapChunk, error)
+	layouts []bool
+	i       int
 }
 
 var errScriptDone = errors.New("script exhausted")
 
-func (f *fakeClient) ReplPull(_ context.Context, shard int, fromSeq uint64, _ int, _ time.Duration, epoch, gen uint64) (client.PullResult, error) {
+func (f *fakeClient) ReplPull(_ context.Context, shard int, fromSeq uint64, _ int, _ time.Duration, epoch uint64, layout bool) (client.PullResult, error) {
 	if shard != 0 {
 		return client.PullResult{}, fmt.Errorf("one-shard follower pulled shard %d", shard)
 	}
 	if f.i >= len(f.pulls) {
 		return client.PullResult{}, errScriptDone
 	}
-	f.gens = append(f.gens, gen)
+	f.layouts = append(f.layouts, layout)
 	fn := f.pulls[f.i]
 	f.i++
 	return fn(fromSeq, epoch)
@@ -88,7 +88,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		}
 	}
 
-	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, 0)
+	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		t.Fatalf("record 3 is %+v", pr.Recs[2])
 	}
 	// Pulling from 6 acknowledges 1..5 and long-polls empty.
-	pr, err = n.ServeShardPull(context.Background(), 0, 6, 0, 10*time.Millisecond, 0, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 6, 0, 10*time.Millisecond, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 		t.Fatalf("acked seq %d, want 5 (pulls are acks)", h.AckedSeq)
 	}
 	// max bounds the batch.
-	pr, err = n.ServeShardPull(context.Background(), 0, 1, 2, 0, 0, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 1, 2, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestPrimaryRingAndServePull(t *testing.T) {
 	}
 	// A shard this one-shard node does not have gets its layout, no records:
 	// that is how a puller holding more shards learns of the mismatch.
-	pr, err = n.ServeShardPull(context.Background(), 1, 1, 0, 0, 0, 1)
+	pr, err = n.ServeShardPull(context.Background(), 1, 1, 0, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.ManifestChanged || pr.Gen != 0 || pr.Bounds != nil || len(pr.Recs) != 0 || pr.Epoch != 1 {
+	if !pr.HasLayout || pr.Bounds != nil || len(pr.Recs) != 0 || pr.Epoch != 1 {
 		t.Fatalf("pull of a missing shard: %+v", pr)
 	}
 }
@@ -137,7 +137,7 @@ func TestRingTrimForcesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, 0)
+	pr, err := n.ServeShardPull(context.Background(), 0, 1, 0, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,59 @@ func TestRingTrimForcesSnapshot(t *testing.T) {
 		t.Fatalf("trimmed ring served seq 1: %+v", pr)
 	}
 	// The retained tail is still pullable.
-	pr, err = n.ServeShardPull(context.Background(), 0, 7, 0, 0, 0, 0)
+	pr, err = n.ServeShardPull(context.Background(), 0, 7, 0, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.SnapshotNeeded || pr.FirstSeq != 7 || len(pr.Recs) != 4 {
 		t.Fatalf("tail pull: %+v", pr)
+	}
+}
+
+// TestReplaceRestartsRing: a BulkLoad on a semi-sync primary is one commit
+// that the ring cannot carry. It returns without waiting for an ack, wakes a
+// pull parked past the old head, and answers it snapshot-needed with the
+// layout attached; the next sequence tails as usual.
+func TestReplaceRestartsRing(t *testing.T) {
+	ix := openIx(t)
+	for k := uint64(1); k <= 10; k++ {
+		if err := ix.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := New(ix, Options{SemiSync: true, AckTimeout: time.Minute})
+	defer n.Close()
+
+	parked := make(chan PullReply, 1)
+	go func() {
+		pr, _ := n.ServeShardPull(context.Background(), 0, 11, 0, 10*time.Second, 0, false)
+		parked <- pr
+	}()
+	time.Sleep(20 * time.Millisecond) // let the pull park
+	start := time.Now()
+	if err := ix.BulkLoad([]uint64{100, 200, 300}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("BulkLoad waited %v for a semi-sync ack", d)
+	}
+	if got := ix.CommitSeq(); got != 11 {
+		t.Fatalf("CommitSeq after BulkLoad = %d, want 11", got)
+	}
+	select {
+	case pr := <-parked:
+		if !pr.SnapshotNeeded || !pr.HasLayout || pr.UpstreamSeq != 11 || len(pr.Recs) != 0 {
+			t.Fatalf("parked pull across the replace: %+v", pr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replace did not wake the parked pull")
+	}
+	pr, err := n.ServeShardPull(context.Background(), 0, 12, 0, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.SnapshotNeeded || pr.HasLayout || pr.UpstreamSeq != 11 {
+		t.Fatalf("pull past the replace: %+v", pr)
 	}
 }
 
@@ -180,7 +227,7 @@ func TestSemiSyncAckAndLagging(t *testing.T) {
 				return
 			default:
 			}
-			n.ServeShardPull(context.Background(), 0, ix.CommitSeq()+1, 0, 20*time.Millisecond, 0, 0) //nolint:errcheck
+			n.ServeShardPull(context.Background(), 0, ix.CommitSeq()+1, 0, 20*time.Millisecond, 0, false) //nolint:errcheck
 		}
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -306,8 +353,8 @@ func TestServeSnapStreamRestores(t *testing.T) {
 // TestPullLoopAppliesIdempotently drives the follower loop with a scripted
 // upstream: a batch, the same batch re-delivered, then script end. The
 // re-delivery must be a no-op (SeqTracker dedupe), not an error or a
-// double-apply. The first pull on the connection asks for the layout (gen
-// 0); later pulls carry the follower's own generation.
+// double-apply. The first pull on the connection asks for the layout; later
+// pulls do not.
 func TestPullLoopAppliesIdempotently(t *testing.T) {
 	ix := openIx(t)
 	n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
@@ -326,11 +373,11 @@ func TestPullLoopAppliesIdempotently(t *testing.T) {
 	if _, epoch := n.Role(); epoch != 1 {
 		t.Fatalf("adopted epoch %d, want 1", epoch)
 	}
-	if h := n.Health(); h.UpstreamSeq != 2 || h.Lag != 0 || h.ShardLags != nil {
+	if h := n.Health(); h.UpstreamSeq != 2 || h.Lag != 0 || len(h.ShardLags) != 1 || h.ShardLags[0] != 0 {
 		t.Fatalf("one-shard follower health: %+v", h)
 	}
-	if len(fc.gens) != 2 || fc.gens[0] != 0 {
-		t.Fatalf("pull generations %v: the first pull must force a manifest reply", fc.gens)
+	if len(fc.layouts) != 2 || !fc.layouts[0] || fc.layouts[1] {
+		t.Fatalf("pulls asked for the layout %v: only the first must", fc.layouts)
 	}
 }
 
@@ -367,8 +414,8 @@ func TestPullLoopFailsStopOnRegression(t *testing.T) {
 		}},
 		{"shard count mismatch", []func(uint64, uint64) (client.PullResult, error){
 			func(uint64, uint64) (client.PullResult, error) {
-				return client.PullResult{FirstSeq: 1, UpstreamSeq: 1, Epoch: 1, Gen: 1,
-					ManifestChanged: true, Bounds: []uint64{1 << 63},
+				return client.PullResult{FirstSeq: 1, UpstreamSeq: 1, Epoch: 1,
+					HasLayout: true, Bounds: []uint64{1 << 63},
 					Recs: []wal.Record{{Op: wal.OpInsert, Key: 1, Val: 1}}}, nil
 			},
 		}},

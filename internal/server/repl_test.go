@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,26 +22,82 @@ import (
 
 // End-to-end replication tests: HELLO negotiation at the socket level, the
 // primary/follower pair over real servers, snapshot bootstrap, read-your-
-// writes tokens, and the fault-injected failover soak whose oracle is the
-// acceptance criterion for DESIGN.md §12.
+// writes tokens, replaces crossing the stream, and the fault-injected
+// failover soak whose oracle is the acceptance criterion for DESIGN.md §12.
+// The pair tests run one row per layout: replication is one stream shape for
+// every node, and the rows hold it to one oracle.
+
+// layout names one replicated configuration.
+type layout struct {
+	name   string
+	shards int  // 1 opens a plain DurableIndex, as chameleon-serve does without -shards
+	tiered bool // a small memtable, so the rows flush and compact
+}
+
+var replLayouts = []layout{
+	{name: "legacy", shards: 1},
+	{name: "tiered", shards: 1, tiered: true},
+	{name: "sharded", shards: 4},
+}
+
+// replIx is what the pair tests drive on either handle.
+type replIx interface {
+	server.Index
+	BulkLoad(keys, vals []uint64) error
+}
+
+// boundsOf reports ix's shard boundaries (nil for an unsharded handle).
+func boundsOf(ix replIx) []uint64 {
+	if s, ok := ix.(*chameleon.ShardedIndex); ok {
+		return s.Bounds()
+	}
+	return nil
+}
+
+// openLayout opens (or reopens) the index at dir in layout l and, unless
+// opts is nil, wires a replication node to it.
+func openLayout(t *testing.T, dir string, l layout, opts *repl.Options) (replIx, *repl.Node) {
+	t.Helper()
+	dopts := chameleon.DirOptions{}
+	if l.tiered {
+		dopts.Tiered, dopts.MemtableBytes = true, 64<<10
+	}
+	if l.shards == 1 {
+		ix := openIx(t, dir, dopts)
+		if opts == nil {
+			return ix, nil
+		}
+		return ix, repl.New(ix, *opts)
+	}
+	ix, err := chameleon.OpenShardedDir(dir, chameleon.ShardDirOptions{DirOptions: dopts, Shards: l.shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts == nil {
+		return ix, nil
+	}
+	return ix, repl.NewSharded(ix, *opts)
+}
 
 // replPair is a primary server and a follower server replicating from it
 // through a netfault proxy, with a client dialed to each.
 type replPair struct {
-	primaryIx, followerIx     *chameleon.DurableIndex
+	l                         layout
+	pdir                      string
+	popts                     repl.Options
+	primaryIx, followerIx     replIx
 	primaryNode, followerNode *repl.Node
 	primary, follower         *server.Server
 	proxy                     *netfault.Proxy
 	pc, fc                    *client.Client
 }
 
-// startReplPair wires primary ← proxy ← follower and dials both servers.
-// popts/fopts default sensibly for tests (fast pulls, fast reconnects).
-func startReplPair(t *testing.T, popts, fopts repl.Options) *replPair {
+// startReplPair wires primary ← proxy ← follower in layout l and dials both
+// servers. fopts defaults sensibly for tests (fast pulls, fast reconnects).
+func startReplPair(t *testing.T, l layout, popts, fopts repl.Options) *replPair {
 	t.Helper()
-	rp := &replPair{}
-	rp.primaryIx = openIx(t, t.TempDir(), chameleon.DirOptions{})
-	rp.primaryNode = repl.New(rp.primaryIx, popts)
+	rp := &replPair{l: l, pdir: t.TempDir(), popts: popts}
+	rp.primaryIx, rp.primaryNode = openLayout(t, rp.pdir, l, &popts)
 	rp.primary = startServer(t, rp.primaryIx, server.Options{Repl: rp.primaryNode})
 
 	proxy, err := netfault.New(rp.primary.Addr().String())
@@ -59,8 +116,7 @@ func startReplPair(t *testing.T, popts, fopts repl.Options) *replPair {
 	if fopts.ReconnectMax == 0 {
 		fopts.ReconnectMax = 100 * time.Millisecond
 	}
-	rp.followerIx = openIx(t, t.TempDir(), chameleon.DirOptions{})
-	rp.followerNode = repl.New(rp.followerIx, fopts)
+	rp.followerIx, rp.followerNode = openLayout(t, t.TempDir(), l, &fopts)
 	rp.follower = startServer(t, rp.followerIx, server.Options{Repl: rp.followerNode})
 
 	rp.pc = dialClient(t, rp.primary, client.Options{})
@@ -80,6 +136,59 @@ func startReplPair(t *testing.T, popts, fopts repl.Options) *replPair {
 	return rp
 }
 
+// restartPrimary stops the primary, runs offline against its directory with
+// no replication node attached, and brings it back on the same address.
+func (rp *replPair) restartPrimary(t *testing.T, offline func(ix replIx) error) {
+	t.Helper()
+	addr := rp.primary.Addr().String()
+	rp.pc.Close()      //nolint:errcheck
+	rp.primary.Close() //nolint:errcheck
+	rp.primaryNode.Close()
+	if err := rp.primaryIx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := openLayout(t, rp.pdir, rp.l, nil)
+	if err := offline(ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rp.primaryIx, rp.primaryNode = openLayout(t, rp.pdir, rp.l, &rp.popts)
+	rp.primary = server.New(rp.primaryIx, server.Options{Repl: rp.primaryNode})
+	if err := rp.primary.Listen(addr); err != nil {
+		t.Fatalf("relisten on %s: %v", addr, err)
+	}
+	go rp.primary.Serve() //nolint:errcheck
+	rp.pc = dialClient(t, rp.primary, client.Options{})
+}
+
+// waitConverged polls until the follower holds the primary's commit clock,
+// size and bounds. Every follower shard is at or behind its primary shard,
+// so equal clock sums mean every shard caught up.
+func waitConverged(t *testing.T, rp *replPair, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for {
+		if rp.followerIx.CommitSeq() == rp.primaryIx.CommitSeq() &&
+			rp.followerIx.Len() == rp.primaryIx.Len() &&
+			slices.Equal(boundsOf(rp.followerIx), boundsOf(rp.primaryIx)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never converged: seq %d/%d len %d/%d bounds %v/%v health %+v",
+				rp.followerIx.CommitSeq(), rp.primaryIx.CommitSeq(),
+				rp.followerIx.Len(), rp.primaryIx.Len(),
+				boundsOf(rp.followerIx), boundsOf(rp.primaryIx), rp.followerNode.Health())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// spread maps j to a key with an odd multiplier — bijective and uniform
+// over the key space, so every shard sees traffic.
+func spread(j uint64) uint64 { return j * 0x9E3779B97F4A7C15 }
+
 // waitFollowerSeq polls the follower index until its commit clock reaches
 // seq or the deadline passes.
 func waitFollowerSeq(t *testing.T, ix *chameleon.DurableIndex, seq uint64, d time.Duration) {
@@ -96,8 +205,8 @@ func waitFollowerSeq(t *testing.T, ix *chameleon.DurableIndex, seq uint64, d tim
 // TestHelloVersionMismatch drives the raw socket: a HELLO with another
 // protocol version must get the typed rejection and then a hangup — fail
 // fast, never decode garbage mid-stream. One row is an alien version in this
-// version's shape; the other is a v3 peer's HELLO byte for byte (version 3,
-// then 8 bytes of feature bits).
+// version's shape, one a v4 peer's HELLO (same shape, version 4), and one a v3
+// peer's HELLO byte for byte (version 3, then 8 bytes of feature bits).
 func TestHelloVersionMismatch(t *testing.T) {
 	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer ix.Close() //nolint:errcheck
@@ -109,6 +218,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		frame []byte
 	}{
 		{"v99", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 99})},
+		{"v4", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 4})},
 		// [1] op [8] id, then v3's body: [2] version [8] feature bits.
 		{"v3 shape", wireTestFrame([]byte{byte(wire.OpHello), 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0})},
 	} {
@@ -156,7 +266,7 @@ func TestReplOpsRequireNegotiation(t *testing.T) {
 	defer s.Close() //nolint:errcheck
 	c := dialClient(t, s, client.Options{})
 	defer c.Close() //nolint:errcheck
-	_, err := c.ReplPull(ctx, 0, 1, 10, 0, 0, 0)
+	_, err := c.ReplPull(ctx, 0, 1, 10, 0, 0, false)
 	var re *wire.RemoteError
 	if !errors.As(err, &re) || re.Code != wire.ErrCodeMalformed {
 		t.Fatalf("REPL_PULL without replication: %v, want ErrCodeMalformed", err)
@@ -169,7 +279,7 @@ func TestReplOpsRequireNegotiation(t *testing.T) {
 	defer s2.Close() //nolint:errcheck
 	good := dialClient(t, s2, client.Options{})
 	defer good.Close() //nolint:errcheck
-	if _, err := good.ReplPull(ctx, 0, 1, 10, 0, 0, 0); err != nil {
+	if _, err := good.ReplPull(ctx, 0, 1, 10, 0, 0, false); err != nil {
 		t.Fatalf("negotiated REPL_PULL: %v", err)
 	}
 }
@@ -230,56 +340,75 @@ func TestHelloRequired(t *testing.T) {
 	}
 }
 
-// TestReplicationCatchUpAndReadYourWrites: the bread-and-butter pair. Writes
-// land on the primary, the follower converges, write replies carry commit-
-// sequence tokens, and GetAtLeast on the follower blocks until the token's
-// write is visible — read-your-writes across the replication gap. Writes to
-// the follower bounce with ErrNotPrimary.
-func TestReplicationCatchUpAndReadYourWrites(t *testing.T) {
-	rp := startReplPair(t, repl.Options{}, repl.Options{})
-	ctx := context.Background()
+// TestReplicationConverges: the bread-and-butter pair, on every layout.
+// Writes spread over the key space land on the primary, the follower
+// converges, write replies carry commit-sequence tokens, and GetAtLeast on
+// the follower blocks until the token's write is visible — read-your-writes
+// across the replication gap. STATS reports one lag entry per shard on both
+// roles, and writes to the follower bounce with ErrNotPrimary.
+func TestReplicationConverges(t *testing.T) {
+	for _, l := range replLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			rp := startReplPair(t, l, repl.Options{}, repl.Options{})
+			ctx := context.Background()
 
-	const n = 200
-	for k := uint64(1); k <= n; k++ {
-		if err := rp.pc.Insert(ctx, k, valOf(k)); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
-		}
-	}
-	if got := rp.pc.LastSeq(); got != n {
-		t.Fatalf("client seq token = %d, want %d", got, n)
-	}
+			const n = 400
+			for j := uint64(1); j <= n; j++ {
+				if err := rp.pc.Insert(ctx, spread(j), valOf(spread(j))); err != nil {
+					t.Fatalf("Insert(%d): %v", spread(j), err)
+				}
+			}
+			if got := rp.pc.LastSeq(); got != n {
+				t.Fatalf("client seq token = %d, want %d", got, n)
+			}
 
-	// Read-your-writes: ask the follower for the last write at its token.
-	v, found, err := rp.fc.GetAtLeast(ctx, n, rp.pc.LastSeq(), 5*time.Second)
-	if err != nil || !found || v != valOf(n) {
-		t.Fatalf("GetAtLeast(%d, seq %d) = %d,%v,%v", uint64(n), rp.pc.LastSeq(), v, found, err)
-	}
-	waitFollowerSeq(t, rp.followerIx, n, 10*time.Second)
+			// Read-your-writes: ask the follower for the last write at its
+			// token. Nothing is written after it, so the token is the whole
+			// clock on every layout.
+			v, found, err := rp.fc.GetAtLeast(ctx, spread(n), rp.pc.LastSeq(), 5*time.Second)
+			if err != nil || !found || v != valOf(spread(n)) {
+				t.Fatalf("GetAtLeast(%d, seq %d) = %d,%v,%v", spread(n), rp.pc.LastSeq(), v, found, err)
+			}
+			waitConverged(t, rp, 15*time.Second)
+			for j := uint64(1); j <= n; j++ {
+				if v, ok := rp.followerIx.Lookup(spread(j)); !ok || v != valOf(spread(j)) {
+					t.Fatalf("follower Lookup(%d) = %d,%v", spread(j), v, ok)
+				}
+			}
 
-	// Fail-fast WaitSeq: a token far beyond the stream with no wait budget.
-	if _, err := rp.fc.WaitSeq(ctx, n+1000, 0); !errors.Is(err, chameleon.ErrReplicaLagging) {
-		t.Fatalf("WaitSeq(fail-fast) = %v, want ErrReplicaLagging", err)
-	}
+			// Fail-fast WaitSeq: a token far beyond the stream with no wait
+			// budget.
+			if _, err := rp.fc.WaitSeq(ctx, n+1000, 0); !errors.Is(err, chameleon.ErrReplicaLagging) {
+				t.Fatalf("WaitSeq(fail-fast) = %v, want ErrReplicaLagging", err)
+			}
 
-	// The follower is read-only.
-	if err := rp.fc.Insert(ctx, 7777, 1); !errors.Is(err, chameleon.ErrNotPrimary) {
-		t.Fatalf("Insert on follower: %v, want ErrNotPrimary", err)
-	}
+			// The follower is read-only.
+			if err := rp.fc.Insert(ctx, 7777, 1); !errors.Is(err, chameleon.ErrNotPrimary) {
+				t.Fatalf("Insert on follower: %v, want ErrNotPrimary", err)
+			}
 
-	// Stats surfaces the replication fields on both sides.
-	ps, _, err := rp.pc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.ReplRole != "primary" || ps.ReplEpoch != 1 || ps.CommitSeq != n {
-		t.Fatalf("primary stats = role %q epoch %d seq %d", ps.ReplRole, ps.ReplEpoch, ps.CommitSeq)
-	}
-	fs, _, err := rp.fc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.ReplRole != "follower" || !fs.ReplConnected || fs.ReplLastApplied != n {
-		t.Fatalf("follower stats = %+v", fs)
+			// Stats surfaces the replication fields on both sides.
+			ps, _, err := rp.pc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.ReplRole != "primary" || ps.ReplEpoch != 1 || ps.CommitSeq != n || len(ps.ReplShardLagSeqs) != l.shards {
+				t.Fatalf("primary stats = role %q epoch %d seq %d shard lags %v",
+					ps.ReplRole, ps.ReplEpoch, ps.CommitSeq, ps.ReplShardLagSeqs)
+			}
+			fs, _, err := rp.fc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs.ReplRole != "follower" || !fs.ReplConnected || fs.ReplLastApplied != n || len(fs.ReplShardLagSeqs) != l.shards {
+				t.Fatalf("follower stats = %+v", fs)
+			}
+			for i, lag := range fs.ReplShardLagSeqs {
+				if lag != 0 {
+					t.Fatalf("converged follower reports lag %d on shard %d", lag, i)
+				}
+			}
+		})
 	}
 }
 
@@ -336,256 +465,82 @@ func TestSnapshotBootstrapConvergence(t *testing.T) {
 	waitFollowerSeq(t, fix, n+1, 10*time.Second)
 }
 
-// shardedReplPair is the sharded analogue of replPair: a sharded primary and
-// a sharded follower (same shard count) replicating through a netfault proxy,
-// one pull stream per shard.
-type shardedReplPair struct {
-	primaryIx, followerIx     *chameleon.ShardedIndex
-	primaryNode, followerNode *repl.Node
-	primary, follower         *server.Server
-	proxy                     *netfault.Proxy
-	pc, fc                    *client.Client
-}
-
-func startShardedReplPair(t *testing.T, shards int, popts, fopts repl.Options) *shardedReplPair {
-	t.Helper()
-	rp := &shardedReplPair{}
-	var err error
-	rp.primaryIx, err = chameleon.OpenShardedDir(t.TempDir(), chameleon.ShardDirOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.primaryNode = repl.NewSharded(rp.primaryIx, popts)
-	rp.primary = startServer(t, rp.primaryIx, server.Options{Repl: rp.primaryNode})
-
-	proxy, err := netfault.New(rp.primary.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.proxy = proxy
-
-	fopts.ReplicaOf = proxy.Addr()
-	if fopts.PullWait == 0 {
-		fopts.PullWait = 100 * time.Millisecond
-	}
-	if fopts.ReconnectMin == 0 {
-		fopts.ReconnectMin = 10 * time.Millisecond
-	}
-	if fopts.ReconnectMax == 0 {
-		fopts.ReconnectMax = 100 * time.Millisecond
-	}
-	rp.followerIx, err = chameleon.OpenShardedDir(t.TempDir(), chameleon.ShardDirOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.followerNode = repl.NewSharded(rp.followerIx, fopts)
-	rp.follower = startServer(t, rp.followerIx, server.Options{Repl: rp.followerNode})
-
-	rp.pc = dialClient(t, rp.primary, client.Options{})
-	rp.fc = dialClient(t, rp.follower, client.Options{})
-
-	t.Cleanup(func() {
-		rp.pc.Close() //nolint:errcheck
-		rp.fc.Close() //nolint:errcheck
-		rp.followerNode.Close()
-		rp.primaryNode.Close()
-		rp.follower.Close() //nolint:errcheck
-		rp.primary.Close()  //nolint:errcheck
-		proxy.Close()
-		rp.followerIx.Close() //nolint:errcheck
-		rp.primaryIx.Close()  //nolint:errcheck
-	})
-	return rp
-}
-
-// waitShardedConverged polls until the follower's manifest generation and
-// bounds match the primary's and every shard's commit clock has caught up.
-func waitShardedConverged(t *testing.T, rp *shardedReplPair, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for {
-		ok := rp.followerIx.ManifestGen() == rp.primaryIx.ManifestGen() &&
-			equalBounds(rp.followerIx.Bounds(), rp.primaryIx.Bounds())
-		if ok {
-			for i := 0; i < rp.primaryIx.Shards(); i++ {
-				if rp.followerIx.ShardCommitSeq(i) < rp.primaryIx.ShardCommitSeq(i) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok && rp.followerIx.Len() == rp.primaryIx.Len() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sharded follower never converged: gen %d/%d len %d/%d bounds %v/%v",
-				rp.followerIx.ManifestGen(), rp.primaryIx.ManifestGen(),
-				rp.followerIx.Len(), rp.primaryIx.Len(),
-				rp.followerIx.Bounds(), rp.primaryIx.Bounds())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func equalBounds(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestShardedReplicationConverges: the sharded bread-and-butter. Writes route
-// across all shards on the primary; the follower pulls every shard's stream
-// and converges, per-shard lag surfaces in STATS, and the follower stays
-// read-only.
-func TestShardedReplicationConverges(t *testing.T) {
-	const shards = 4
-	rp := startShardedReplPair(t, shards, repl.Options{}, repl.Options{})
-	ctx := context.Background()
-
-	// Spread keys over the whole key space so every shard sees traffic.
-	const n = 400
-	for j := uint64(1); j <= n; j++ {
-		k := j * 0x9E3779B97F4A7C15 // odd multiplier: bijective, uniform
-		if err := rp.pc.Insert(ctx, k, valOf(k)); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
-		}
-	}
-	waitShardedConverged(t, rp, 15*time.Second)
-
-	for j := uint64(1); j <= n; j++ {
-		k := j * 0x9E3779B97F4A7C15
-		if v, ok := rp.followerIx.Lookup(k); !ok || v != valOf(k) {
-			t.Fatalf("follower Lookup(%d) = %d,%v", k, v, ok)
-		}
-	}
-	for i := 0; i < shards; i++ {
-		if got, want := rp.followerIx.ShardCommitSeq(i), rp.primaryIx.ShardCommitSeq(i); got != want {
-			t.Fatalf("shard %d follower seq %d, primary %d", i, got, want)
-		}
-	}
-
-	// STATS carries the per-shard lag vector on both roles.
-	fs, _, err := rp.fc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.ReplRole != "follower" || len(fs.ReplShardLagSeqs) != shards {
-		t.Fatalf("follower stats: role %q shard lags %v", fs.ReplRole, fs.ReplShardLagSeqs)
-	}
-	for i, lag := range fs.ReplShardLagSeqs {
-		if lag != 0 {
-			t.Fatalf("converged follower reports lag %d on shard %d", lag, i)
-		}
-	}
-	ps, _, err := rp.pc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.ReplRole != "primary" || len(ps.ReplShardLagSeqs) != shards {
-		t.Fatalf("primary stats: role %q shard lags %v", ps.ReplRole, ps.ReplShardLagSeqs)
-	}
-
-	if err := rp.fc.Insert(ctx, 7777, 1); !errors.Is(err, chameleon.ErrNotPrimary) {
-		t.Fatalf("Insert on sharded follower: %v, want ErrNotPrimary", err)
-	}
-}
-
-// TestShardedManifestReshardConvergence (the boundary-replication test):
-// BulkLoad on the primary rewrites the manifest — new generation, new
-// equi-depth bounds — while the follower is still mid-catch-up on the old
-// layout. The follower must notice the generation change, adopt the new
-// layout, re-bootstrap every shard, and converge to exactly the bulk-loaded
-// contents under the new bounds.
-func TestShardedManifestReshardConvergence(t *testing.T) {
-	const shards = 4
-	rp := startShardedReplPair(t, shards,
-		repl.Options{},
-		repl.Options{PullWait: 50 * time.Millisecond},
-	)
-	ctx := context.Background()
-
-	// Slow the link so the follower is genuinely mid-catch-up when the
-	// re-shard lands.
-	rp.proxy.SetDelay(10 * time.Millisecond)
-	const seed = 300
-	for j := uint64(1); j <= seed; j++ {
-		k := j * 0x9E3779B97F4A7C15
-		if err := rp.pc.Insert(ctx, k, valOf(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Re-shard: skewed keys so the equi-depth bounds move far from the
-	// uniform initial split. BulkLoad requires quiescent writers; the seeding
-	// loop above has returned.
-	const bulk = 1000
+// TestReplaceReachesFollower: a replace (BulkLoad) is a commit, so it
+// reaches a follower through the commit clock on every layout. The follower
+// is seeded over a delayed link, then the primary bulk-loads skewed keys —
+// once with the node up while the follower may still be catching up, once
+// offline after the follower caught up, followed by a primary restart — and a
+// write after it must tail through.
+// The follower must end holding exactly the bulk contents plus that write,
+// none of the seed, and on the sharded row the primary's new bounds.
+func TestReplaceReachesFollower(t *testing.T) {
+	const seed, bulk = 300, 1000
 	keys := make([]uint64, bulk)
 	vals := make([]uint64, bulk)
 	for i := range keys {
-		keys[i] = uint64(i) * (1 << 20) // all in the lowest sliver of key space
+		keys[i] = uint64(i+1) * (1 << 20) // all in the lowest sliver of key space
 		vals[i] = valOf(keys[i])
 	}
-	oldBounds := rp.primaryIx.Bounds()
-	if err := rp.primaryIx.BulkLoad(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	if gen := rp.primaryIx.ManifestGen(); gen != 2 {
-		t.Fatalf("primary gen after BulkLoad = %d, want 2", gen)
-	}
-	if equalBounds(rp.primaryIx.Bounds(), oldBounds) {
-		t.Fatalf("BulkLoad of skewed keys kept bounds %v; the test exercises nothing", oldBounds)
-	}
+	for _, l := range replLayouts {
+		for _, offline := range []bool{false, true} {
+			name := l.name + "/online"
+			if offline {
+				name = l.name + "/offline+restart"
+			}
+			t.Run(name, func(t *testing.T) {
+				rp := startReplPair(t, l, repl.Options{}, repl.Options{PullWait: 50 * time.Millisecond})
+				ctx := context.Background()
 
-	rp.proxy.SetDelay(0)
-	waitShardedConverged(t, rp, 20*time.Second)
+				// Slow the link so the follower is genuinely mid-catch-up
+				// when the replace lands.
+				rp.proxy.SetDelay(10 * time.Millisecond)
+				for j := uint64(1); j <= seed; j++ {
+					if err := rp.pc.Insert(ctx, spread(j), valOf(spread(j))); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-	// The follower holds exactly the bulk-loaded contents: every loaded key
-	// with its value, nothing else (the pre-load seed keys are gone).
-	if got := rp.followerIx.Len(); got != bulk {
-		t.Fatalf("follower Len = %d, want %d", got, bulk)
-	}
-	for _, i := range []int{0, bulk / 2, bulk - 1} {
-		if v, ok := rp.followerIx.Lookup(keys[i]); !ok || v != vals[i] {
-			t.Fatalf("follower Lookup(%d) = %d,%v, want %d", keys[i], v, ok, vals[i])
+				// BulkLoad requires quiescent writers; the seeding loop has
+				// returned.
+				oldBounds := boundsOf(rp.primaryIx)
+				load := func(ix replIx) error { return ix.BulkLoad(keys, vals) }
+				if offline {
+					// A follower caught up to the old clock is the one a
+					// replace that skipped the clock would strand.
+					waitConverged(t, rp, 20*time.Second)
+					rp.restartPrimary(t, load)
+				} else if err := load(rp.primaryIx); err != nil {
+					t.Fatal(err)
+				}
+				if l.shards > 1 && slices.Equal(boundsOf(rp.primaryIx), oldBounds) {
+					t.Fatalf("BulkLoad of skewed keys kept bounds %v; the row exercises nothing", oldBounds)
+				}
+
+				// The stream stays live across the replace: a fresh write
+				// tails through.
+				if err := rp.pc.Insert(ctx, 42, valOf(42)); err != nil {
+					t.Fatal(err)
+				}
+				rp.proxy.SetDelay(0)
+				waitConverged(t, rp, 20*time.Second)
+
+				if got := rp.followerIx.Len(); got != bulk+1 {
+					t.Fatalf("follower Len = %d, want %d", got, bulk+1)
+				}
+				for i := range keys {
+					if v, ok := rp.followerIx.Lookup(keys[i]); !ok || v != vals[i] {
+						t.Fatalf("follower Lookup(%d) = %d,%v, want %d", keys[i], v, ok, vals[i])
+					}
+				}
+				if v, ok := rp.followerIx.Lookup(42); !ok || v != valOf(42) {
+					t.Fatalf("post-replace write: follower Lookup(42) = %d,%v", v, ok)
+				}
+				if h := rp.followerNode.Health(); h.Diverged || h.SnapshotBootstraps == 0 {
+					t.Fatalf("follower crossed the replace without a bootstrap, or diverged: %+v", h)
+				}
+			})
 		}
 	}
-
-	// The stream stays live across the adoption: a fresh write tails through.
-	if err := rp.pc.Insert(ctx, 42, 4242); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if v, ok := rp.followerIx.Lookup(42); ok && v == 4242 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("post-reshard write never reached the follower")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// openLayout opens a fresh index with the given shard count — 1 is a plain
-// DurableIndex, as chameleon-serve opens it without -shards — and wires a
-// replication node to it.
-func openLayout(t *testing.T, shards int, opts repl.Options) (server.Index, *repl.Node) {
-	t.Helper()
-	if shards == 1 {
-		ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
-		return ix, repl.New(ix, opts)
-	}
-	ix, err := chameleon.OpenShardedDir(t.TempDir(), chameleon.ShardDirOptions{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, repl.NewSharded(ix, opts)
 }
 
 // TestShardedReplicationLayoutMatrix: every pairing of an unsharded and a
@@ -600,7 +555,7 @@ func TestShardedReplicationLayoutMatrix(t *testing.T) {
 		for _, fs := range []int{1, 2} {
 			t.Run(fmt.Sprintf("primary=%d/follower=%d", ps, fs), func(t *testing.T) {
 				ctx := context.Background()
-				pix, pnode := openLayout(t, ps, repl.Options{})
+				pix, pnode := openLayout(t, t.TempDir(), layout{shards: ps}, &repl.Options{})
 				primary := startServer(t, pix, server.Options{Repl: pnode})
 				for j := uint64(1); j <= n; j++ {
 					k := j * 0x9E3779B97F4A7C15 // spread over both halves of the key space
@@ -611,7 +566,7 @@ func TestShardedReplicationLayoutMatrix(t *testing.T) {
 
 				var logMu sync.Mutex
 				var logs []string
-				fix, fnode := openLayout(t, fs, repl.Options{
+				fix, fnode := openLayout(t, t.TempDir(), layout{shards: fs}, &repl.Options{
 					ReplicaOf:    primary.Addr().String(),
 					PullWait:     50 * time.Millisecond,
 					ReconnectMin: 10 * time.Millisecond,
@@ -683,214 +638,34 @@ const (
 	fateMaybe                 // transport error / replica-lagging: fate unknown
 )
 
-// TestFailoverSoak is the fault-injected failover oracle (the tentpole's
-// acceptance test). A semi-sync primary takes writes while the follower's
-// replication link suffers drops, delays, and corrupted frames; then the
-// link partitions, the follower is promoted, and the deposed primary is
-// fenced. The oracle:
+// TestFailoverSoak is the fault-injected failover oracle, one row per layout
+// with the same phases and one fate oracle:
 //
-//   - every acked write reads back on the promoted follower (semi-sync means
-//     an ack implies the follower applied it),
-//   - every key present on the promoted follower was actually submitted (no
-//     phantoms),
-//   - writes rejected with a retryable typed error left no durable trace,
+//  1. seed writes, then a replace (BulkLoad) while the follower is still
+//     catching up — a seed write that fails ErrReplicaLagging is ignored,
+//     because the replace supersedes it;
+//  2. semi-sync writers while the follower's link suffers drops, delays and
+//     corrupted frames;
+//  3. partition the link and promote the follower — each row names its
+//     promotion: wire PROMOTE, or the failure detector with no operator.
+//
+// The oracle:
+//
 //   - link faults never diverge the follower (frame CRCs turn corruption
-//     into reconnects),
-//   - the deposed primary refuses writes once fenced, and the promoted
-//     follower accepts them.
-func TestFailoverSoak(t *testing.T) {
-	rp := startReplPair(t,
-		repl.Options{SemiSync: true, AckTimeout: time.Second},
-		repl.Options{},
-	)
-	ctx := context.Background()
-
-	var (
-		mu    sync.Mutex
-		fates = make(map[uint64]keyFate)
-		vals  = make(map[uint64]uint64)
-	)
-	classify := func(key uint64, err error) {
-		f := fateMaybe
-		switch {
-		case err == nil:
-			f = fateAcked
-		case errors.Is(err, chameleon.ErrReplicaLagging):
-			f = fateMaybe // durable locally, unconfirmed remotely
-		default:
-			var re *wire.RemoteError
-			if errors.As(err, &re) && re.Retryable() {
-				f = fateAbsent
-			}
-		}
-		mu.Lock()
-		fates[key] = f
-		vals[key] = valOf(key)
-		mu.Unlock()
-	}
-
-	// Writers: 3 goroutines on disjoint key ranges, each write on a fresh
-	// deadline so a dead link surfaces as an error rather than a stall.
-	const soak = 2 * time.Second
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc := dialClient(t, rp.primary, client.Options{MaxRetries: 1})
-			defer wc.Close() //nolint:errcheck
-			for k := uint64(w)*1_000_000 + 1; ; k++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				wctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-				classify(k, wc.Insert(wctx, k, valOf(k)))
-				cancel()
-			}
-		}(w)
-	}
-
-	// Fault injector: cycle drops, delay, and corruption on the link.
-	faultDone := make(chan struct{})
-	go func() {
-		defer close(faultDone)
-		deadline := time.Now().Add(soak)
-		for i := 0; time.Now().Before(deadline); i++ {
-			switch i % 4 {
-			case 0:
-				rp.proxy.DropConns()
-			case 1:
-				rp.proxy.SetDelay(20 * time.Millisecond)
-			case 2:
-				rp.proxy.CorruptChunks(1)
-			case 3:
-				rp.proxy.SetDelay(0)
-			}
-			time.Sleep(250 * time.Millisecond)
-		}
-		rp.proxy.SetDelay(0)
-	}()
-	<-faultDone
-
-	// Partition, let a few more writes land in the ambiguous window, then
-	// stop the writers.
-	rp.proxy.Partition(true)
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	// Failover: promote the follower over the wire while the old primary is
-	// unreachable from it.
-	epoch, role, err := rp.fc.Promote(ctx)
-	if err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
-	if role != chameleon.RolePrimary || epoch != 2 {
-		t.Fatalf("Promote = role %v epoch %d, want primary epoch 2", role, epoch)
-	}
-
-	// Oracle 1: link faults never diverged the follower.
-	if h := rp.followerNode.Health(); h.Diverged {
-		t.Fatalf("follower diverged during link faults: %+v", h)
-	}
-
-	// Oracle 2: every acked write survives the failover, with its exact
-	// value; every retryable-rejected write left no trace.
-	mu.Lock()
-	defer mu.Unlock()
-	var acked, absent, maybe int
-	for k, f := range fates {
-		v, ok := rp.followerIx.Lookup(k)
-		switch f {
-		case fateAcked:
-			acked++
-			if !ok || v != vals[k] {
-				t.Fatalf("acked write %d lost across failover (found=%v val=%d)", k, ok, v)
-			}
-		case fateAbsent:
-			absent++
-			if ok {
-				t.Fatalf("retryable-rejected write %d appeared on the follower", k)
-			}
-		case fateMaybe:
-			maybe++
-		}
-	}
-	if acked == 0 {
-		t.Fatal("soak produced zero acked writes; the oracle proved nothing")
-	}
-	t.Logf("soak fates: %d acked, %d guaranteed-absent, %d ambiguous", acked, absent, maybe)
-
-	// Oracle 3: no phantoms — everything on the promoted follower was
-	// actually submitted.
-	phantom := 0
-	rp.followerIx.Range(0, ^uint64(0), func(k, v uint64) bool {
-		if _, submitted := fates[k]; !submitted {
-			phantom++
-		}
-		return true
-	})
-	if phantom > 0 {
-		t.Fatalf("%d phantom keys on the promoted follower", phantom)
-	}
-
-	// Oracle 4: the new primary accepts writes; the deposed one, once the
-	// fencing epoch reaches it, refuses them.
-	if err := rp.fc.Insert(ctx, 42_000_000, 42); err != nil {
-		t.Fatalf("write on promoted follower: %v", err)
-	}
-	rp.proxy.Partition(false)
-	if _, _, err := rp.pc.Fence(ctx, epoch); err != nil {
-		t.Fatalf("Fence(old primary, %d): %v", epoch, err)
-	}
-	if err := rp.pc.Insert(ctx, 43_000_000, 43); !errors.Is(err, chameleon.ErrNotPrimary) {
-		t.Fatalf("write on deposed primary: %v, want ErrNotPrimary", err)
-	}
-	ps, _, err := rp.pc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.ReplRole != "fenced" || ps.ReplEpoch != epoch {
-		t.Fatalf("deposed primary stats = role %q epoch %d, want fenced epoch %d", ps.ReplRole, ps.ReplEpoch, epoch)
-	}
-}
-
-// TestShardedFailoverSoak is the sharded tentpole oracle. Phase 1: seed
-// writes across all shards, then BulkLoad a re-shard (new generation, new
-// bounds) while the follower is still catching up — the manifest itself is a
-// replicated, fenced commit point. Phase 2: fault-injected writers (drops,
-// delay, corruption on the link) against the semi-sync primary. Phase 3:
-// partition the primary away and let the failure detector promote the
-// follower automatically. The oracle, per shard:
-//
-//   - every write acked after the re-shard reads back on the promoted
-//     follower with its exact value,
-//   - every retryable-rejected write left no trace,
-//   - no phantoms: everything present was either bulk-loaded or submitted,
-//   - the follower's manifest generation and bounds match the primary's, and
-//     it never diverged,
+//     into reconnects), and its bounds match the primary's;
+//   - every acked write reads back on the promoted follower with its exact
+//     value (semi-sync means an ack implies the follower applied it);
+//   - every write rejected with a retryable typed error left no trace;
+//   - every bulk-loaded key survived, and no phantoms: everything present
+//     was bulk-loaded or submitted;
 //   - the promoted follower accepts writes at epoch 2; the deposed primary,
-//     once fenced, refuses them.
-func TestShardedFailoverSoak(t *testing.T) {
-	const shards = 4
-	rp := startShardedReplPair(t, shards,
-		repl.Options{SemiSync: true, AckTimeout: time.Second},
-		repl.Options{PullWait: 50 * time.Millisecond},
+//     once fenced, refuses them and reports itself fenced.
+func TestFailoverSoak(t *testing.T) {
+	const (
+		seed = 200
+		bulk = 1024
+		soak = 2 * time.Second
 	)
-	ctx := context.Background()
-
-	// Phase 1: seed traffic, then re-shard mid-catch-up.
-	const seed = 200
-	for j := uint64(1); j <= seed; j++ {
-		k := j * 0x9E3779B97F4A7C15
-		if err := rp.pc.Insert(ctx, k, valOf(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const bulk = 1024
 	bulkSet := make(map[uint64]uint64, bulk)
 	keys := make([]uint64, bulk)
 	vals := make([]uint64, bulk)
@@ -901,194 +676,210 @@ func TestShardedFailoverSoak(t *testing.T) {
 		vals[i] = valOf(keys[i])
 		bulkSet[keys[i]] = vals[i]
 	}
-	if err := rp.primaryIx.BulkLoad(keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	waitShardedConverged(t, rp, 20*time.Second)
-
-	// Phase 2: fault-injected soak. Writer keys are hash-spread so every
-	// post-re-shard shard sees traffic; any (astronomically unlikely)
-	// collision with the bulk-loaded set is skipped outright so the two
-	// oracles never claim the same key.
-	var (
-		mu    sync.Mutex
-		fates = make(map[uint64]keyFate)
-		wvals = make(map[uint64]uint64)
-	)
-	classify := func(key uint64, err error) {
-		f := fateMaybe
-		switch {
-		case err == nil:
-			f = fateAcked
-		case errors.Is(err, chameleon.ErrReplicaLagging):
-			f = fateMaybe
-		default:
-			var re *wire.RemoteError
-			if errors.As(err, &re) && re.Retryable() {
-				f = fateAbsent
-			}
+	for _, tc := range []struct {
+		l        layout
+		detector bool
+	}{
+		{replLayouts[0], false},
+		{replLayouts[1], true},
+		{replLayouts[2], true},
+	} {
+		promotion := "wire PROMOTE"
+		if tc.detector {
+			promotion = "detector"
 		}
-		mu.Lock()
-		fates[key] = f
-		wvals[key] = valOf(key)
-		mu.Unlock()
-	}
+		t.Run(tc.l.name+"/"+promotion, func(t *testing.T) {
+			rp := startReplPair(t, tc.l,
+				repl.Options{SemiSync: true, AckTimeout: time.Second},
+				repl.Options{PullWait: 50 * time.Millisecond},
+			)
+			ctx := context.Background()
 
-	const soak = 2 * time.Second
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc := dialClient(t, rp.primary, client.Options{MaxRetries: 1})
-			defer wc.Close() //nolint:errcheck
-			for j := uint64(1); ; j++ {
-				select {
-				case <-stop:
-					return
-				default:
+			// Phase 1: seed, then replace mid-catch-up.
+			for j := uint64(1); j <= seed; j++ {
+				if err := rp.pc.Insert(ctx, spread(j), valOf(spread(j))); err != nil && !errors.Is(err, chameleon.ErrReplicaLagging) {
+					t.Fatal(err)
 				}
-				k := (j*3+uint64(w)+1)*0x9E3779B97F4A7C15 + 1 // uniform, disjoint across writers
-				if _, isBulk := bulkSet[k]; isBulk {
-					continue
+			}
+			if err := rp.primaryIx.BulkLoad(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+			waitConverged(t, rp, 20*time.Second)
+
+			// Phase 2: fault-injected soak. Writer keys are hash-spread and
+			// disjoint across writers; any collision with the bulk-loaded
+			// set is skipped so the two oracles never claim the same key.
+			var (
+				mu    sync.Mutex
+				fates = make(map[uint64]keyFate)
+			)
+			classify := func(key uint64, err error) {
+				f := fateMaybe // transport error, or durable locally but unconfirmed remotely
+				var re *wire.RemoteError
+				switch {
+				case err == nil:
+					f = fateAcked
+				case errors.Is(err, chameleon.ErrReplicaLagging):
+				case errors.As(err, &re) && re.Retryable():
+					f = fateAbsent
 				}
-				wctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-				classify(k, wc.Insert(wctx, k, valOf(k)))
-				cancel()
+				mu.Lock()
+				fates[key] = f
+				mu.Unlock()
 			}
-		}(w)
-	}
-
-	faultDone := make(chan struct{})
-	go func() {
-		defer close(faultDone)
-		deadline := time.Now().Add(soak)
-		for i := 0; time.Now().Before(deadline); i++ {
-			switch i % 4 {
-			case 0:
-				rp.proxy.DropConns()
-			case 1:
-				rp.proxy.SetDelay(20 * time.Millisecond)
-			case 2:
-				rp.proxy.CorruptChunks(1)
-			case 3:
-				rp.proxy.SetDelay(0)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					wc := dialClient(t, rp.primary, client.Options{MaxRetries: 1})
+					defer wc.Close() //nolint:errcheck
+					for j := uint64(1); ; j++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						k := spread(j*3+uint64(w)+1) + 1
+						if _, isBulk := bulkSet[k]; isBulk {
+							continue
+						}
+						// A fresh deadline per write, so a dead link surfaces
+						// as an error rather than a stall.
+						wctx, cancel := context.WithTimeout(ctx, 3*time.Second)
+						classify(k, wc.Insert(wctx, k, valOf(k)))
+						cancel()
+					}
+				}(w)
 			}
-			time.Sleep(250 * time.Millisecond)
-		}
-		rp.proxy.SetDelay(0)
-	}()
-	<-faultDone
-
-	// Phase 3: partition and let the detector do the promotion — no operator.
-	promoted := make(chan uint64, 1)
-	det := failover.Start(rp.followerNode, failover.Options{
-		Upstream:      rp.proxy.Addr(),
-		SuspectAfter:  300 * time.Millisecond,
-		ProbeInterval: 50 * time.Millisecond,
-		Probes:        3,
-		OnPromoted:    func(epoch uint64, _, _ time.Duration) { promoted <- epoch },
-	})
-	defer det.Stop()
-	rp.proxy.Partition(true)
-	time.Sleep(300 * time.Millisecond) // ambiguous-window writes
-	close(stop)
-	wg.Wait()
-
-	select {
-	case epoch := <-promoted:
-		if epoch != 2 {
-			t.Fatalf("auto-promoted at epoch %d, want 2", epoch)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("detector never promoted the sharded follower")
-	}
-	if role, epoch := rp.followerNode.Role(); role != chameleon.RolePrimary || epoch != 2 {
-		t.Fatalf("post-failover role %v epoch %d", role, epoch)
-	}
-
-	// Oracle: layout converged, never diverged.
-	if h := rp.followerNode.Health(); h.Diverged {
-		t.Fatalf("sharded follower diverged during link faults: %+v", h)
-	}
-	if fg, pg := rp.followerIx.ManifestGen(), rp.primaryIx.ManifestGen(); fg != pg {
-		t.Fatalf("manifest generation diverged: follower %d, primary %d", fg, pg)
-	}
-	if !equalBounds(rp.followerIx.Bounds(), rp.primaryIx.Bounds()) {
-		t.Fatalf("bounds diverged: follower %v, primary %v", rp.followerIx.Bounds(), rp.primaryIx.Bounds())
-	}
-
-	// Oracle: exists-iff-acked, accounted per shard so a localized stream bug
-	// names its shard.
-	bounds := rp.followerIx.Bounds()
-	shardOf := func(k uint64) int {
-		i := 0
-		for i < len(bounds) && k >= bounds[i] {
-			i++
-		}
-		return i
-	}
-	ackedBy := make([]int, shards)
-	mu.Lock()
-	defer mu.Unlock()
-	var acked, absent, maybe int
-	for k, f := range fates {
-		v, ok := rp.followerIx.Lookup(k)
-		switch f {
-		case fateAcked:
-			acked++
-			ackedBy[shardOf(k)]++
-			if !ok || v != wvals[k] {
-				t.Fatalf("acked write %d (shard %d) lost across sharded failover (found=%v val=%d)",
-					k, shardOf(k), ok, v)
+			deadline := time.Now().Add(soak)
+			for i := 0; time.Now().Before(deadline); i++ {
+				switch i % 4 {
+				case 0:
+					rp.proxy.DropConns()
+				case 1:
+					rp.proxy.SetDelay(20 * time.Millisecond)
+				case 2:
+					rp.proxy.CorruptChunks(1)
+				case 3:
+					rp.proxy.SetDelay(0)
+				}
+				time.Sleep(250 * time.Millisecond)
 			}
-		case fateAbsent:
-			absent++
-			if ok {
-				t.Fatalf("retryable-rejected write %d (shard %d) appeared on the follower", k, shardOf(k))
+			rp.proxy.SetDelay(0)
+
+			// Phase 3: partition, let a few more writes land in the
+			// ambiguous window, stop the writers, and promote.
+			promoted := make(chan uint64, 1)
+			if tc.detector {
+				det := failover.Start(rp.followerNode, failover.Options{
+					Upstream:      rp.proxy.Addr(),
+					SuspectAfter:  300 * time.Millisecond,
+					ProbeInterval: 50 * time.Millisecond,
+					Probes:        3,
+					OnPromoted:    func(epoch uint64, _, _ time.Duration) { promoted <- epoch },
+				})
+				defer det.Stop()
 			}
-		case fateMaybe:
-			maybe++
-		}
-	}
-	if acked == 0 {
-		t.Fatal("soak produced zero acked writes; the oracle proved nothing")
-	}
-	t.Logf("sharded soak fates: %d acked %v, %d guaranteed-absent, %d ambiguous", acked, ackedBy, absent, maybe)
+			rp.proxy.Partition(true)
+			time.Sleep(300 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+			if !tc.detector {
+				epoch, role, err := rp.fc.Promote(ctx)
+				if err != nil {
+					t.Fatalf("Promote: %v", err)
+				}
+				if role != chameleon.RolePrimary {
+					t.Fatalf("Promote = role %v", role)
+				}
+				promoted <- epoch
+			}
+			select {
+			case epoch := <-promoted:
+				if epoch != 2 {
+					t.Fatalf("promoted at epoch %d, want 2", epoch)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("the follower was never promoted")
+			}
+			if role, epoch := rp.followerNode.Role(); role != chameleon.RolePrimary || epoch != 2 {
+				t.Fatalf("post-failover role %v epoch %d", role, epoch)
+			}
 
-	// Oracle: bulk-loaded contents survived the catch-up and the failover.
-	for _, i := range []int{0, bulk / 2, bulk - 1} {
-		if v, ok := rp.followerIx.Lookup(keys[i]); !ok || v != vals[i] {
-			t.Fatalf("bulk-loaded key %d lost (found=%v val=%d)", keys[i], ok, v)
-		}
-	}
+			// Oracle: never diverged, bounds converged.
+			if h := rp.followerNode.Health(); h.Diverged {
+				t.Fatalf("follower diverged during link faults: %+v", h)
+			}
+			if fb, pb := boundsOf(rp.followerIx), boundsOf(rp.primaryIx); !slices.Equal(fb, pb) {
+				t.Fatalf("bounds diverged: follower %v, primary %v", fb, pb)
+			}
 
-	// Oracle: no phantoms anywhere in the key space.
-	phantom := 0
-	rp.followerIx.Range(0, ^uint64(0), func(k, v uint64) bool {
-		if _, isBulk := bulkSet[k]; isBulk {
-			return true
-		}
-		if _, submitted := fates[k]; !submitted {
-			phantom++
-		}
-		return true
-	})
-	if phantom > 0 {
-		t.Fatalf("%d phantom keys on the promoted sharded follower", phantom)
-	}
+			// Oracle: exists-iff-acked.
+			mu.Lock()
+			defer mu.Unlock()
+			var acked, absent, maybe int
+			for k, f := range fates {
+				v, ok := rp.followerIx.Lookup(k)
+				switch f {
+				case fateAcked:
+					acked++
+					if !ok || v != valOf(k) {
+						t.Fatalf("acked write %d lost across failover (found=%v val=%d)", k, ok, v)
+					}
+				case fateAbsent:
+					absent++
+					if ok {
+						t.Fatalf("retryable-rejected write %d appeared on the follower", k)
+					}
+				case fateMaybe:
+					maybe++
+				}
+			}
+			if acked == 0 {
+				t.Fatal("soak produced zero acked writes; the oracle proved nothing")
+			}
+			t.Logf("soak fates: %d acked, %d guaranteed-absent, %d ambiguous", acked, absent, maybe)
 
-	// Oracle: the new primary accepts writes; the deposed one, fenced, refuses.
-	if err := rp.fc.Insert(ctx, 42_000_000, 42); err != nil {
-		t.Fatalf("write on auto-promoted sharded follower: %v", err)
-	}
-	rp.proxy.Partition(false)
-	if _, _, err := rp.pc.Fence(ctx, 2); err != nil {
-		t.Fatalf("Fence(old primary, 2): %v", err)
-	}
-	if err := rp.pc.Insert(ctx, 43_000_000, 43); !errors.Is(err, chameleon.ErrNotPrimary) {
-		t.Fatalf("write on deposed sharded primary: %v, want ErrNotPrimary", err)
+			// Oracle: the bulk-loaded contents survived; no phantoms.
+			for i := range keys {
+				if v, ok := rp.followerIx.Lookup(keys[i]); !ok || v != vals[i] {
+					t.Fatalf("bulk-loaded key %d lost (found=%v val=%d)", keys[i], ok, v)
+				}
+			}
+			phantom := 0
+			rp.followerIx.Range(0, ^uint64(0), func(k, v uint64) bool {
+				_, isBulk := bulkSet[k]
+				if _, submitted := fates[k]; !isBulk && !submitted {
+					phantom++
+				}
+				return true
+			})
+			if phantom > 0 {
+				t.Fatalf("%d phantom keys on the promoted follower", phantom)
+			}
+
+			// Oracle: the new primary accepts writes; the deposed one, once
+			// the fencing epoch reaches it, refuses them.
+			if err := rp.fc.Insert(ctx, 42_000_000, 42); err != nil {
+				t.Fatalf("write on promoted follower: %v", err)
+			}
+			rp.proxy.Partition(false)
+			if _, _, err := rp.pc.Fence(ctx, 2); err != nil {
+				t.Fatalf("Fence(old primary, 2): %v", err)
+			}
+			if err := rp.pc.Insert(ctx, 43_000_000, 43); !errors.Is(err, chameleon.ErrNotPrimary) {
+				t.Fatalf("write on deposed primary: %v, want ErrNotPrimary", err)
+			}
+			ps, _, err := rp.pc.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.ReplRole != "fenced" || ps.ReplEpoch != 2 {
+				t.Fatalf("deposed primary stats = role %q epoch %d, want fenced epoch 2", ps.ReplRole, ps.ReplEpoch)
+			}
+		})
 	}
 }
 

@@ -692,7 +692,7 @@ func (s *Server) handleRepl(ctx context.Context, req *wire.Request, res *wire.Re
 	switch req.Op {
 	case wire.OpReplPull:
 		wctx, cancel, wait := s.pollCtx(ctx, req.WaitMS)
-		pr, err := node.ServeShardPull(wctx, int(req.Shard), req.Seq, int(req.Limit), wait, req.Epoch, req.Gen)
+		pr, err := node.ServeShardPull(wctx, int(req.Shard), req.Seq, int(req.Limit), wait, req.Epoch, req.WantLayout)
 		cancel()
 		if err != nil {
 			return s.fail(res, err)
@@ -700,7 +700,7 @@ func (s *Server) handleRepl(ctx context.Context, req *wire.Request, res *wire.Re
 		res.FirstSeq, res.Recs = pr.FirstSeq, pr.Recs
 		res.UpstreamSeq, res.Epoch = pr.UpstreamSeq, pr.Epoch
 		res.SnapshotNeeded = pr.SnapshotNeeded
-		res.Gen, res.Bounds, res.ManifestChanged = pr.Gen, pr.Bounds, pr.ManifestChanged
+		res.Bounds, res.HasLayout = pr.Bounds, pr.HasLayout
 	case wire.OpReplSnap:
 		sr, err := node.ServeShardSnap(int(req.Shard), req.SnapID, req.Seq)
 		if err != nil {

@@ -23,6 +23,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendFrame(nil, hello))
 	f.Add(appendFrame(nil, batch))
 	f.Add(appendFrame(nil, batchReply))
+	pull, pullReply := retiredV4Pull()
+	f.Add(appendFrame(nil, pull))
+	f.Add(appendFrame(nil, pullReply))
 	f.Add([]byte{})
 	f.Add(make([]byte, frameHeader))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -21,7 +21,10 @@ package wire
 // ProtocolVersion is the wire version this build speaks. Version 1 was the
 // implicit pre-HELLO protocol; version 2 added HELLO, commit-sequence tokens
 // and the REPL_* family; version 3 made the shard-tagged pull and snapshot
-// ops the only replication stream. Version 4 drops BATCH and HELLO's feature
-// bits, and a tiered node's snapshot stream is one CHAMSEG2 segment: a v3
-// peer differs in both, so it is refused at HELLO rather than mid-bootstrap.
-const ProtocolVersion uint16 = 4
+// ops the only replication stream. Version 4 dropped BATCH and HELLO's
+// feature bits and made a tiered node's snapshot stream one CHAMSEG2 segment.
+// Version 5 drops the shard-manifest generation from REPL_PULL: the request
+// carries a one-byte send-layout flag in its place, and the reply loses the
+// generation. A peer of another version is refused at HELLO rather than
+// misparsing the stream.
+const ProtocolVersion uint16 = 5

@@ -108,12 +108,12 @@ func TestReplErrMapping(t *testing.T) {
 
 // TestReplPullMalformed feeds the pull decoder hostile shapes: truncated
 // headers, a record count that contradicts the body, an invalid record op,
-// an undefined flag bit, and a manifest flag with no bounds behind it.
+// an undefined flag bit, and a layout flag with no bounds behind it.
 // Replication runs over untrusted links (that is the point of the fault
 // injection), so the decoder is the only thing between a corrupted frame
 // and a diverged replica.
 func TestReplPullMalformed(t *testing.T) {
-	good := &Response{ID: 1, Op: OpReplPull, OK: true, FirstSeq: 10, UpstreamSeq: 12, Epoch: 1, Gen: 1,
+	good := &Response{ID: 1, Op: OpReplPull, OK: true, FirstSeq: 10, UpstreamSeq: 12, Epoch: 1,
 		Recs: []wal.Record{{Op: wal.OpInsert, Key: 5, Val: 6}, {Op: wal.OpDelete, Key: 7}}}
 	p, _, err := DecodeFrame(AppendResponse(nil, good))
 	if err != nil {
@@ -127,21 +127,21 @@ func TestReplPullMalformed(t *testing.T) {
 		name string
 		mut  func([]byte) []byte
 	}{
-		{"truncated header", func(b []byte) []byte { return b[:msgHeader+1+30] }},
+		{"truncated header", func(b []byte) []byte { return b[:msgHeader+1+22] }},
 		{"count over body", func(b []byte) []byte {
-			b[msgHeader+1+33]++ // count low byte
+			b[msgHeader+1+25]++ // count low byte
 			return b
 		}},
 		{"bad record op", func(b []byte) []byte {
-			b[msgHeader+1+37] = 0x7F // first record's op byte
+			b[msgHeader+1+29] = 0x7F // first record's op byte
 			return b
 		}},
 		{"undefined flag bit", func(b []byte) []byte {
-			b[msgHeader+1+32] = 0x04 // flags byte
+			b[msgHeader+1+24] = 0x04 // flags byte
 			return b
 		}},
-		{"manifest flag without bounds", func(b []byte) []byte {
-			b[msgHeader+1+32] = 0x02
+		{"layout flag without bounds", func(b []byte) []byte {
+			b[msgHeader+1+24] = 0x02
 			return b
 		}},
 	}

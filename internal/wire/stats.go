@@ -61,9 +61,9 @@ type StatsReply struct {
 	ReplSnapshotBootstraps uint64 `json:"repl_snapshot_bootstraps,omitempty"`
 	ReplStalled            bool   `json:"repl_stalled,omitempty"`
 	ReplDiverged           bool   `json:"repl_diverged,omitempty"`
-	// ReplShardLagSeqs is the per-shard lag vector of a sharded follower
-	// (upstream seq minus last applied, in shard order); ReplLag is their
-	// aggregate.
+	// ReplShardLagSeqs is the per-shard lag vector, one entry per shard (one
+	// on an unsharded node): on a follower upstream seq minus last applied,
+	// on a primary ring head minus acked, in shard order.
 	ReplShardLagSeqs []uint64 `json:"repl_shard_lag_seqs,omitempty"`
 
 	// Tier is the tiered-storage snapshot (segment counts, flush/compaction

@@ -80,15 +80,16 @@ const (
 	// OpReplPull asks the primary for one shard's committed records (an
 	// unsharded node is shard 0 of one). Body: [4] shard [8] fromSeq [4] max
 	// [4] waitMS [8] epoch (the puller's view of the primary epoch; 0 =
-	// unknown) [8] gen (the puller's view of the shard-manifest generation;
-	// 0 = unknown, forces a manifest reply). The pull doubles as the
+	// unknown) [1] send-layout (0 or 1). The pull doubles as the
 	// acknowledgement: asking from fromSeq confirms everything below it is
-	// applied. Reply body: [8] firstSeq [8] upstreamSeq [8] epoch [8] gen
-	// [1] flags (bit0 = snapshot-needed: fromSeq predates retention, bit1 =
-	// manifest-changed) [4] count, count × ([1] op [8] key [8] val); when
-	// bit1 is set the records are followed by [4] nbounds, nbounds × [8]
-	// bound — the primary's current shard boundaries, shipped so re-sharding
-	// and layout mismatches travel the stream.
+	// applied. Reply body: [8] firstSeq [8] upstreamSeq [8] epoch [1] flags
+	// (bit0 = snapshot-needed: fromSeq predates retention or a replace,
+	// bit1 = layout attached) [4] count, count × ([1] op [8] key [8] val);
+	// when bit1 is set the records are followed by [4] nbounds, nbounds × [8]
+	// bound — the primary's current shard boundaries. The primary attaches
+	// them when asked, to every snapshot-needed reply, and to a pull for a
+	// shard it lacks, so re-sharding and layout mismatches travel the
+	// stream.
 	OpReplPull Op = 0x15
 	// OpReplSnap streams a bootstrap snapshot chunk for one shard. Body:
 	// [4] shard [8] snapID (0 = open a fresh snapshot) [8] offset. Reply
@@ -290,11 +291,11 @@ type Request struct {
 	WaitMS uint32
 	Epoch  uint64
 	SnapID uint64
-	// Shard addresses one partition's stream (REPL_PULL, REPL_SNAP); Gen is
-	// the puller's view of the shard-manifest generation (REPL_PULL, 0 =
-	// unknown).
-	Shard uint32
-	Gen   uint64
+	// Shard addresses one partition's stream (REPL_PULL, REPL_SNAP);
+	// WantLayout asks the REPL_PULL reply to attach the primary's shard
+	// boundaries.
+	Shard      uint32
+	WantLayout bool
 }
 
 // Response is a decoded server→client message. Op echoes the request's
@@ -333,17 +334,15 @@ type Response struct {
 	// commit sequence FirstSeq; UpstreamSeq is the shard's commit sequence at
 	// reply time (the lag reference); SnapshotNeeded means the requested
 	// from-sequence predates retention and the puller must bootstrap via
-	// REPL_SNAP. Gen is the primary's shard-manifest generation; when
-	// ManifestChanged is set Bounds carries the primary's current shard
-	// boundaries (len = shards-1, empty for one shard) and the puller must
-	// adopt them before applying more records.
-	Recs            []wal.Record
-	FirstSeq        uint64
-	UpstreamSeq     uint64
-	SnapshotNeeded  bool
-	Gen             uint64
-	Bounds          []uint64
-	ManifestChanged bool
+	// REPL_SNAP. When HasLayout is set Bounds carries the primary's current
+	// shard boundaries (len = shards-1, empty for one shard) and the puller
+	// must adopt them before applying more records.
+	Recs           []wal.Record
+	FirstSeq       uint64
+	UpstreamSeq    uint64
+	SnapshotNeeded bool
+	Bounds         []uint64
+	HasLayout      bool
 
 	// REPL_SNAP reply: chunk Snap of a snapshot stream SnapID consistent
 	// as-of AsOfSeq, covering [Offset, Offset+len(Snap)) of Total bytes.
@@ -399,7 +398,11 @@ func AppendRequest(dst []byte, r *Request) []byte {
 		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
 		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Gen)
+		var layout byte
+		if r.WantLayout {
+			layout = 1
+		}
+		payload = append(payload, layout)
 	case OpReplSnap:
 		payload = binary.LittleEndian.AppendUint32(payload, r.Shard)
 		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
@@ -466,12 +469,11 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, r.FirstSeq)
 		payload = binary.LittleEndian.AppendUint64(payload, r.UpstreamSeq)
 		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Gen)
 		var flags byte
 		if r.SnapshotNeeded {
 			flags |= 1
 		}
-		if r.ManifestChanged {
+		if r.HasLayout {
 			flags |= 2
 		}
 		payload = append(payload, flags)
@@ -481,7 +483,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 			payload = binary.LittleEndian.AppendUint64(payload, rec.Key)
 			payload = binary.LittleEndian.AppendUint64(payload, rec.Val)
 		}
-		if r.ManifestChanged {
+		if r.HasLayout {
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Bounds)))
 			for _, b := range r.Bounds {
 				payload = binary.LittleEndian.AppendUint64(payload, b)
@@ -646,15 +648,18 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.Seq = binary.LittleEndian.Uint64(body)
 		r.WaitMS = binary.LittleEndian.Uint32(body[8:])
 	case OpReplPull:
-		if len(body) != 36 {
+		if len(body) != 29 {
 			return nil, fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
+		}
+		if body[28] > 1 {
+			return nil, fmt.Errorf("%w: REPL_PULL send-layout byte %d", ErrMalformed, body[28])
 		}
 		r.Shard = binary.LittleEndian.Uint32(body)
 		r.Seq = binary.LittleEndian.Uint64(body[4:])
 		r.Limit = binary.LittleEndian.Uint32(body[12:])
 		r.WaitMS = binary.LittleEndian.Uint32(body[16:])
 		r.Epoch = binary.LittleEndian.Uint64(body[20:])
-		r.Gen = binary.LittleEndian.Uint64(body[28:])
+		r.WantLayout = body[28] == 1
 	case OpReplSnap:
 		if len(body) != 20 {
 			return nil, fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
@@ -753,17 +758,16 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		r.Role = body[2]
 		r.Epoch = binary.LittleEndian.Uint64(body[3:])
 	case OpReplPull:
-		if len(body) < 37 || body[32] > 3 {
+		if len(body) < 29 || body[24] > 3 {
 			return nil, fmt.Errorf("%w: REPL_PULL reply body %d bytes", ErrMalformed, len(body))
 		}
 		r.FirstSeq = binary.LittleEndian.Uint64(body)
 		r.UpstreamSeq = binary.LittleEndian.Uint64(body[8:])
 		r.Epoch = binary.LittleEndian.Uint64(body[16:])
-		r.Gen = binary.LittleEndian.Uint64(body[24:])
-		r.SnapshotNeeded = body[32]&1 != 0
-		r.ManifestChanged = body[32]&2 != 0
-		count := binary.LittleEndian.Uint32(body[33:])
-		body = body[37:]
+		r.SnapshotNeeded = body[24]&1 != 0
+		r.HasLayout = body[24]&2 != 0
+		count := binary.LittleEndian.Uint32(body[25:])
+		body = body[29:]
 		recBytes := int64(count) * recSize
 		if recBytes > int64(len(body)) {
 			return nil, fmt.Errorf("%w: REPL_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
@@ -783,7 +787,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 				body = body[recSize:]
 			}
 		}
-		if !r.ManifestChanged {
+		if !r.HasLayout {
 			if len(body) != 0 {
 				return nil, fmt.Errorf("%w: REPL_PULL trailing %d bytes", ErrMalformed, len(body))
 			}

@@ -32,8 +32,8 @@ func requestCases() []*Request {
 		{ID: 11, Op: OpReplFence, Epoch: 4},
 		{ID: 12, Op: OpPromote},
 		{ID: 13, Op: OpGetSeq, Seq: 999, WaitMS: 100},
-		{ID: 14, Op: OpReplPull, Shard: 3, Seq: 2000, Limit: 256, WaitMS: 100, Epoch: 5, Gen: 2},
-		{ID: 15, Op: OpReplPull, Shard: 0, Seq: 1, Gen: 0},
+		{ID: 14, Op: OpReplPull, Shard: 3, Seq: 2000, Limit: 256, WaitMS: 100, Epoch: 5},
+		{ID: 15, Op: OpReplPull, Shard: 0, Seq: 1, WantLayout: true},
 		{ID: 16, Op: OpReplSnap, Shard: 2, SnapID: 9, Seq: 1 << 18},
 	}
 }
@@ -61,6 +61,19 @@ func retiredV3Payloads() (hello, batch, batchReply []byte) {
 	return hello, batch, batchReply
 }
 
+// retiredV4Pull is protocol v4's REPL_PULL, byte for byte as a v4 peer framed
+// it: a request ending in an 8-byte manifest generation (here 1), and a
+// one-shard reply carrying generation 0 before its flags and an empty record
+// set. v5 carries a one-byte layout flag instead, so neither decodes.
+func retiredV4Pull() (pull, pullReply []byte) {
+	id := make([]byte, 8)
+	pull = append(append([]byte{byte(OpReplPull)}, id...), make([]byte, 28)...) // shard, fromSeq, max, waitMS, epoch
+	pull = append(pull, 1, 0, 0, 0, 0, 0, 0, 0)
+	pullReply = append(append([]byte{statusOK}, id...), byte(OpReplPull))
+	pullReply = append(pullReply, make([]byte, 37)...) // firstSeq, upstreamSeq, epoch, gen, flags, count
+	return pull, pullReply
+}
+
 func responseCases() []*Response {
 	return []*Response{
 		{ID: 1, Op: OpGet, OK: true, Found: true, Val: 99},
@@ -78,7 +91,7 @@ func responseCases() []*Response {
 		{ID: 13, Op: OpDelete, OK: true, Seq: 4243, HasSeq: true},
 		{ID: 15, Op: OpHello, OK: true, Version: ProtocolVersion, Role: 1, Epoch: 2},
 		{ID: 16, Op: OpHello, Err: ErrCodeVersionMismatch, Msg: "speak v2"},
-		// A one-shard primary's replies: generation 0, no manifest section.
+		// A one-shard primary's replies: no layout section.
 		{ID: 17, Op: OpReplPull, OK: true, FirstSeq: 100, UpstreamSeq: 103, Epoch: 2, Recs: []wal.Record{
 			{Op: wal.OpInsert, Key: 1, Val: 2},
 			{Op: wal.OpDelete, Key: 3},
@@ -91,14 +104,14 @@ func responseCases() []*Response {
 		{ID: 22, Op: OpGetSeq, OK: true, Seq: 1234},
 		{ID: 23, Op: OpInsert, Err: ErrCodeNotPrimary, Msg: "fenced at epoch 4"},
 		{ID: 24, Op: OpInsert, Err: ErrCodeLagging, RetryAfterMS: 50},
-		{ID: 25, Op: OpReplPull, OK: true, FirstSeq: 50, UpstreamSeq: 60, Epoch: 3, Gen: 4, Recs: []wal.Record{
+		{ID: 25, Op: OpReplPull, OK: true, FirstSeq: 50, UpstreamSeq: 60, Epoch: 3, Recs: []wal.Record{
 			{Op: wal.OpInsert, Key: 11, Val: 12},
 			{Op: wal.OpDelete, Key: 13},
 		}},
-		{ID: 26, Op: OpReplPull, OK: true, FirstSeq: 1, UpstreamSeq: 90, Epoch: 3, Gen: 5,
-			ManifestChanged: true, Bounds: []uint64{1000, 2000, 3000}},
-		{ID: 27, Op: OpReplPull, OK: true, FirstSeq: 7, UpstreamSeq: 7, Epoch: 2, Gen: 1,
-			SnapshotNeeded: true, ManifestChanged: true},
+		{ID: 26, Op: OpReplPull, OK: true, FirstSeq: 1, UpstreamSeq: 90, Epoch: 3,
+			HasLayout: true, Bounds: []uint64{1000, 2000, 3000}},
+		{ID: 27, Op: OpReplPull, OK: true, FirstSeq: 7, UpstreamSeq: 7, Epoch: 2,
+			SnapshotNeeded: true, HasLayout: true},
 		{ID: 28, Op: OpReplSnap, OK: true, SnapID: 9, AsOfSeq: 55, Offset: 0, Total: 128, Snap: []byte{9, 8, 7}},
 	}
 }
@@ -221,6 +234,7 @@ func TestMalformedInputs(t *testing.T) {
 	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 	id := make([]byte, 8)
 	v3Hello, v3Batch, v3BatchReply := retiredV3Payloads()
+	v4Pull, v4PullReply := retiredV4Pull()
 	payloadCases := []struct {
 		name    string
 		payload []byte
@@ -236,6 +250,12 @@ func TestMalformedInputs(t *testing.T) {
 		{"retired v3 BATCH", v3Batch},
 		{"retired v2 REPL_PULL", retiredReplRequests()[0]},
 		{"retired v2 REPL_SNAP", retiredReplRequests()[1]},
+		{"v4 REPL_PULL with generation", v4Pull},
+		{"REPL_PULL layout byte 2", func() []byte {
+			p := AppendRequest(nil, &Request{ID: 1, Op: OpReplPull, WantLayout: true})[frameHeader:]
+			p[len(p)-1] = 2
+			return p
+		}()},
 	}
 	for _, tc := range payloadCases {
 		if _, err := DecodeRequest(tc.payload); !errors.Is(err, ErrMalformed) {
@@ -267,6 +287,7 @@ func TestMalformedInputs(t *testing.T) {
 		}()},
 		// A v2 primary's reply to the retired unsharded pull: empty record set.
 		{"reply for retired v2 REPL_PULL", append(append(append([]byte{statusOK}, id...), 0x10), make([]byte, 29)...)},
+		{"v4 REPL_PULL reply with generation", v4PullReply},
 	}
 	for _, tc := range respCases {
 		if _, err := DecodeResponse(tc.payload); !errors.Is(err, ErrMalformed) {

@@ -725,9 +725,6 @@ func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("closed Stats = %+v, want zero", s)
 	}
-	if _, err := c.WriteTo(nopWriter{}); !errors.Is(err, ErrIndexClosed) {
-		t.Fatalf("closed WriteTo = %v, want ErrIndexClosed", err)
-	}
 	if !errors.Is(c.Err(), ErrIndexClosed) {
 		t.Fatalf("closed Err() = %v, want ErrIndexClosed", c.Err())
 	}
@@ -747,10 +744,6 @@ func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 		t.Fatalf("reopened Lookup(7) = %d,%v", v, ok)
 	}
 }
-
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestWALSizeUnderConcurrentWriters checks that WALSize stays consistent
 // while writers of inserts and deletes race it: always a whole number of

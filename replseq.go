@@ -30,11 +30,13 @@ import (
 // stays readable, but the replication link must fail-stop.
 var ErrReplDivergence = errors.New("chameleon: replicated batch diverges from local state")
 
-// CommitSeq reports the number of records ever durably committed through
-// this index — the monotonic commit-sequence clock replication is built on.
-// Record k of history carries sequence k (1-based); a follower's CommitSeq
-// is therefore exactly the highest upstream sequence it has applied, because
-// replicated records apply 1:1 in commit order. The value survives restarts
+// CommitSeq reports the number of commits ever durably made through this
+// index — the monotonic commit-sequence clock replication is built on. Each
+// record takes one sequence and each replace (BulkLoad) takes one; commit k
+// of history carries sequence k (1-based). A follower's CommitSeq is
+// therefore exactly the highest upstream sequence it has applied: records
+// apply 1:1 in commit order, and a replace is crossed by a snapshot
+// bootstrap that adopts the upstream's sequence. The value survives restarts
 // in the names of the snapshot and WAL files (each carries the commit
 // sequence it starts at) plus WAL replay counting.
 func (d *DurableIndex) CommitSeq() uint64 { return d.commitSeq.Load() }
@@ -101,6 +103,10 @@ func (d *DurableIndex) WaitSeq(ctx context.Context, seq uint64) error {
 // the documented exception to the two-state cancellation contract: a write
 // failed by the hook has ambiguous fate from the client's perspective and
 // must be treated as "may exist".
+//
+// A replace (BulkLoad) reaches fn too, as a call with the replace's
+// sequence and no records, after it is durable. Its return is ignored: a
+// replace is acknowledged locally only.
 //
 // The hook runs under the index's commit lock: it serializes against
 // checkpoints and Close, and it must not call back into the index.

@@ -47,9 +47,8 @@ type ShardedIndex struct {
 	// exactly like DurableIndex.BulkLoad — the atomic swap keeps concurrent
 	// readers memory-safe, not linearizable across the reload).
 	rt atomic.Pointer[shardRouter]
-	// gen mirrors the durable manifest's layout generation; manMu serializes
-	// manifest rewrites (BulkLoad re-shard vs. follower AdoptManifest).
-	gen   atomic.Uint64
+	// manMu serializes manifest rewrites (BulkLoad re-shard vs. follower
+	// AdoptManifest).
 	manMu sync.Mutex
 }
 
@@ -76,16 +75,11 @@ const (
 )
 
 // shardManifest is the on-disk layout record: without it, nothing says which
-// key range lives in which shard directory. Gen is the layout generation —
-// it increments every time the boundary array is rewritten (BulkLoad
-// re-shard, follower adoption), so replication can detect a boundary change
-// without comparing arrays. Manifests written before generations existed
-// decode as Gen 0 and are normalized to 1 on read.
+// key range lives in which shard directory.
 type shardManifest struct {
 	Version int      `json:"version"`
 	Shards  int      `json:"shards"`
 	Bounds  []uint64 `json:"bounds"`
-	Gen     uint64   `json:"gen,omitempty"`
 }
 
 func shardDirName(i int) string { return fmt.Sprintf("%s%04d", shardDirPrefix, i) }
@@ -164,7 +158,6 @@ func openShardedDirFS(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Shard
 	}
 	s := &ShardedIndex{dir: dir, fs: fsys}
 	s.rt.Store(newShardRouter(man.Bounds))
-	s.gen.Store(man.Gen)
 	if err := s.openShards(man.Shards, opts.DirOptions); err != nil {
 		return nil, err
 	}
@@ -212,11 +205,10 @@ func initShardedDir(dir string, opts ShardDirOptions, fsys faultfs.FS) (*Sharded
 	if err := s.openShards(opts.Shards, opts.DirOptions); err != nil {
 		return nil, err
 	}
-	if err := writeShardManifest(fsys, dir, shardManifest{Version: 1, Shards: opts.Shards, Bounds: bounds, Gen: 1}); err != nil {
+	if err := writeShardManifest(fsys, dir, shardManifest{Version: 1, Shards: opts.Shards, Bounds: bounds}); err != nil {
 		s.Close() //nolint:errcheck
 		return nil, err
 	}
-	s.gen.Store(1)
 	return s, nil
 }
 
@@ -289,9 +281,6 @@ func readShardManifest(fsys faultfs.FS, dir string) (*shardManifest, error) {
 	}
 	if err := validateBounds(man.Bounds, man.Shards); err != nil {
 		return nil, fmt.Errorf("chameleon: shard manifest: %w", err)
-	}
-	if man.Gen == 0 {
-		man.Gen = 1 // pre-generation manifests count as the first layout
 	}
 	return &man, nil
 }
@@ -413,8 +402,9 @@ func stitchRange(rt *shardRouter, lo, hi uint64, fn func(key, val uint64) bool, 
 // BulkLoad replaces the entire contents: boundaries are re-selected
 // equi-depth over the new keys (so shard cardinalities stay balanced no
 // matter how skewed the data), the manifest is rewritten, and every shard
-// bulk loads its slice in parallel (each checkpointing, so the load is
-// durable when BulkLoad returns). Like DurableIndex.BulkLoad this replaces
+// bulk loads its slice in parallel (each a replace, one commit on its own
+// clock — that is how the re-shard reaches a follower — and durable when
+// BulkLoad returns). Like DurableIndex.BulkLoad this replaces
 // state wholesale and requires quiescent writers; a crash mid-load can leave
 // shards mixed between old and new contents — rerun BulkLoad to converge.
 func (s *ShardedIndex) BulkLoad(keys, vals []uint64) error {
@@ -428,17 +418,9 @@ func (s *ShardedIndex) BulkLoad(keys, vals []uint64) error {
 			return err // non-ascending keys surface here before any shard loads
 		}
 	}
-	s.manMu.Lock()
-	gen := s.gen.Load() + 1
-	if err := writeShardManifest(s.fs, s.dir, shardManifest{
-		Version: 1, Shards: len(s.shards), Bounds: bounds, Gen: gen,
-	}); err != nil {
-		s.manMu.Unlock()
+	if err := s.setLayout(bounds); err != nil {
 		return err
 	}
-	s.rt.Store(newShardRouter(bounds))
-	s.gen.Store(gen)
-	s.manMu.Unlock()
 	return s.loadPartitioned(keys, vals, bounds)
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the ShardedIndex's replication surface: the per-shard
-// projections of the DurableIndex primitives in replseq.go, plus manifest
-// adoption so boundary changes ship through the replication stream. Each
+// projections of the DurableIndex primitives in replseq.go, plus adoption of
+// the upstream's boundary array, which rides the replication stream. Each
 // shard is a full DurableIndex with its own commit clock, WAL, and snapshot
 // path, so a sharded follower is N independent single-index replication
 // streams behind one handle — there is no cross-shard ordering, and none is
@@ -68,43 +68,36 @@ func (s *ShardedIndex) RestoreShardSnapshot(i int, r io.Reader, asOfSeq uint64) 
 	return s.shards[i].RestoreSnapshot(r, asOfSeq)
 }
 
-// ManifestGen reports the durable layout generation: it increments on every
-// boundary rewrite (BulkLoad re-shard, AdoptManifest), so a replication
-// stream detects boundary changes by comparing one number.
-func (s *ShardedIndex) ManifestGen() uint64 { return s.gen.Load() }
-
 // AdoptManifest installs the upstream's boundary array as this follower's
-// layout at generation gen, durably (manifest rewrite with the snapshot
-// discipline) and atomically for readers (router pointer swap). The shard
-// count is fixed at open time: bounds must describe exactly len(shards)
-// partitions. Adoption never moves the generation backward: a stale gen is a
-// no-op, so re-delivered manifests are harmless. An EQUAL gen with different
-// bounds still adopts — a freshly initialized follower and primary both sit
-// at generation 1, possibly with different boundary arrays, and the
-// upstream's layout wins.
+// layout, durably (manifest rewrite with the snapshot discipline) and
+// atomically for readers (router pointer swap); bounds equal to the local
+// ones are a no-op. The shard count is fixed at open time: bounds must
+// describe exactly len(shards) partitions.
 //
 // Adoption changes only the routing layout — shard contents are not
-// re-partitioned locally. The caller (the replication state machine) must
-// follow adoption by re-bootstrapping every shard from the upstream, because
-// a boundary change upstream came from a BulkLoad that rewrote shard
-// contents without advancing commit clocks.
-func (s *ShardedIndex) AdoptManifest(gen uint64, bounds []uint64) error {
+// re-partitioned locally. They need not be: an upstream re-shard is a
+// replace on every shard, so each shard's own stream carries its new
+// contents (a snapshot bootstrap).
+func (s *ShardedIndex) AdoptManifest(bounds []uint64) error {
 	if err := validateBounds(bounds, len(s.shards)); err != nil {
 		return err
 	}
-	s.manMu.Lock()
-	defer s.manMu.Unlock()
-	if gen < s.gen.Load() || (gen == s.gen.Load() && slices.Equal(bounds, s.Bounds())) {
+	if slices.Equal(bounds, s.rt.Load().bounds) {
 		return nil
 	}
-	b := make([]uint64, len(bounds))
-	copy(b, bounds)
+	return s.setLayout(slices.Clone(bounds))
+}
+
+// setLayout commits bounds as the layout: the manifest rewrite first, then
+// the router swap.
+func (s *ShardedIndex) setLayout(bounds []uint64) error {
+	s.manMu.Lock()
+	defer s.manMu.Unlock()
 	if err := writeShardManifest(s.fs, s.dir, shardManifest{
-		Version: 1, Shards: len(s.shards), Bounds: b, Gen: gen,
+		Version: 1, Shards: len(s.shards), Bounds: bounds,
 	}); err != nil {
 		return err
 	}
-	s.rt.Store(newShardRouter(b))
-	s.gen.Store(gen)
+	s.rt.Store(newShardRouter(bounds))
 	return nil
 }

@@ -171,8 +171,7 @@ const (
 )
 
 // ErrNotTiered is returned by Compact on a directory opened in legacy
-// snapshot mode, and by DurableIndex.WriteTo on a tiered one, whose segments
-// one snapshot stream cannot represent (use SnapshotAt).
+// snapshot mode.
 var ErrNotTiered = errors.New("chameleon: directory is not in tiered mode")
 
 func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, dead map[uint64]struct{}, live int64) *tier {
@@ -991,9 +990,9 @@ func (t *tier) stop() {
 // ---------------------------------------------------------------------------
 // Replace: bulk load and snapshot restore
 
-// bulkLoad rebuilds the tier from sorted keys. It is a replace as of the
-// local commit sequence: bulk data never passes through the WAL, so the
-// manifest commit is its durability point.
+// bulkLoad rebuilds the tier from sorted keys. It is a replace, and so one
+// commit: the manifest commit is its durability point (bulk data never
+// passes through the WAL), and it lands at the next commit sequence.
 func (t *tier) bulkLoad(keys, vals []uint64) error {
 	if vals != nil && len(vals) != len(keys) {
 		return ErrMismatchedValues
@@ -1010,7 +1009,11 @@ func (t *tier) bulkLoad(keys, vals []uint64) error {
 	defer t.tmu.Unlock()
 	t.d.mu.Lock()
 	defer t.d.mu.Unlock()
-	return t.replaceLocked(keys, vals, t.d.commitSeq.Load())
+	if err := t.replaceLocked(keys, vals, t.d.commitSeq.Load()+1); err != nil {
+		return err
+	}
+	t.d.replaceHookLocked()
+	return nil
 }
 
 // restore is the receiving half of snapshot bootstrap: a replace as of the

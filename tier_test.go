@@ -120,20 +120,6 @@ func TestTieredRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTieredWriteToRefused: the legacy monolithic serializer cannot
-// represent segments, so tiered handles refuse it rather than silently
-// truncating state.
-func TestTieredWriteToRefused(t *testing.T) {
-	d, err := OpenDir(t.TempDir(), tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := d.WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrNotTiered) {
-		t.Fatalf("WriteTo on tiered handle: %v, want ErrNotTiered", err)
-	}
-}
-
 // manifestFailFS fails the creation of tier manifests while fail is set, so
 // a replace dies at its commit point.
 type manifestFailFS struct {
