@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"chameleon/internal/dataset"
+	"chameleon/internal/ebh"
 	"chameleon/internal/index"
 	"chameleon/internal/rl"
 )
@@ -531,5 +532,52 @@ func TestBulkLoadReplacesContents(t *testing.T) {
 		if _, ok := ix.Lookup(first[i]); ok && !newSet[first[i]] {
 			t.Fatalf("stale key %d survived reload", first[i])
 		}
+	}
+}
+
+// TestFACEBulkLoadAtTheorem1Size: a FACE bulk load with the public
+// package's default policies keeps every leaf at its Theorem 1 size (about
+// 1.67 slots, 27 B, per key at τ = 0.45) and inside the conflict-degree
+// bound, because a leaf the configured α cannot flatten climbs the α ladder
+// instead of doubling its capacity.
+func TestFACEBulkLoadAtTheorem1Size(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 M-key bulk load")
+	}
+	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
+	dcfg := rl.DefaultDAREConfig()
+	ix := New(Config{Dare: rl.NewCostDARE(dcfg), Policy: rl.NewCostPolicy(dcfg.Env)})
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	var leaves, over, saturated, slots int
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf == nil {
+			for _, c := range n.children {
+				walk(c)
+			}
+			return
+		}
+		g := n.leaf.Geometry()
+		leaves++
+		slots += g.Cap
+		if g.Cap > max(ebh.CapacityFor(n.leaf.Len(), g.Tau), 8) {
+			over++
+		}
+		if g.Saturated {
+			saturated++
+		}
+	}
+	walk(ix.tree.Load().root)
+	perKey := float64(ix.Bytes()) / float64(ix.Len())
+	st := ix.Stats()
+	t.Logf("%d leaves: %.2f slots/key, %.1f B/key, %d above Theorem 1 capacity, %d saturated, MaxError %d",
+		leaves, float64(slots)/float64(ix.Len()), perKey, over, saturated, st.MaxError)
+	if perKey > 30 {
+		t.Errorf("Bytes/Len = %.1f B/key, want ≤ 30 (Theorem 1 sizing is ~27)", perKey)
+	}
+	if st.MaxError > 128 {
+		t.Errorf("MaxError = %d, want ≤ 128 (the conflict-degree bound)", st.MaxError)
 	}
 }

@@ -397,6 +397,7 @@ type snapReader struct {
 	err      error  // first failure; reads after it return zeros
 
 	ks, vs []uint64 // one leaf's entries, reused: Restore copies them
+	alpha  float64  // the index's configured α, which leaf α must be a rung of
 	keys   uint64   // keys decoded
 }
 
@@ -499,6 +500,7 @@ func (r *snapReader) snapshot() (*snapshot, error) {
 	}
 	s.name = string(r.take(int(nameLen)))
 	s.tau, s.alpha = r.f64(), r.f64()
+	r.alpha = s.alpha
 	h := r.uv()
 	s.h = int(min(h, maxHeight+1))
 	s.baseN = r.uv()
@@ -592,7 +594,7 @@ func (r *snapReader) node(depth int) *node {
 			r.fail(corruptf("saturated flag %d", sat))
 			return nil
 		}
-		leaf, err := ebh.Restore(g, r.ks, r.vs)
+		leaf, err := ebh.Restore(g, r.alpha, r.ks, r.vs)
 		if err != nil {
 			r.fail(fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err))
 			return nil

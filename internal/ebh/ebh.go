@@ -29,16 +29,23 @@ import (
 )
 
 // DefaultAlpha is the hash factor α of Eq. (2); the paper's worked example
-// uses 131.
+// uses 131. It is the configured α: a leaf whose keys the configured α
+// cannot spread within the conflict-degree bound climbs alphaLadder.
 const DefaultAlpha = 131
 
 // DefaultTau is the target collision probability τ for Theorem 1 capacity
 // sizing; the paper's worked example uses 0.45.
 const DefaultTau = 0.45
 
-// maxConflictDegree triggers a rebuild at a larger capacity when probing has
-// pushed some key this far from its home slot; it bounds the lookup window.
+// maxConflictDegree bounds the lookup window: once probing has pushed some
+// key this far from its home slot, the leaf re-scatters (see settle).
 const maxConflictDegree = 128
+
+// alphaLadder lists the multiples of the configured α a leaf may hash with.
+// A larger α wraps the hash more times over the interval, which spreads a
+// dense run that the configured α leaves crowded. The rungs are multiples of
+// the configured α, never of each other, so α cannot compound.
+var alphaLadder = [...]float64{1, 4, 16}
 
 // CapacityFor returns the minimum slot count that keeps the collision
 // probability at or below tau for n keys (Theorem 1):
@@ -59,6 +66,12 @@ func CapacityFor(n int, tau float64) int {
 	}
 	return c
 }
+
+// growthFor is the population a full leaf is rebuilt for: a quarter more
+// than it holds, and at least 16 more, so a growing leaf rebuilds O(log n)
+// times yet stays within a quarter (or 16 keys) of its Theorem 1 size. An
+// appending leaf grows to twice its population instead (see grownCap).
+func growthFor(n int) int { return n + max(n/4, 16) }
 
 // probe is the immutable geometry of one trained leaf: interval, capacity,
 // cached hash factors, and the slot slabs. A rebuild or re-scatter builds a
@@ -87,14 +100,22 @@ type probe struct {
 // Node is one EBH leaf. The zero value is not usable; construct with New.
 type Node struct {
 	p     atomic.Pointer[probe]
-	alpha float64
+	alpha float64 // hash factor of the live probe: a rung of alphaLadder
+	base  float64 // the configured α the ladder multiplies
 	tau   float64
 
 	n int // stored keys; mutated and read only under the interval lock
 
+	// The growth rule's view of the insert stream, also under the interval
+	// lock: the smallest and largest key the leaf has held (deletes leave
+	// them wide), and since the last growth, how many inserts there were
+	// and how many of them fell outside [kmin, kmax].
+	kmin, kmax       uint64
+	inserts, appends int
+
 	// saturated marks a distribution the hash cannot flatten within the
-	// conflict-degree bound, suppressing futile re-scatter attempts until
-	// the next capacity growth.
+	// conflict-degree bound at any rung of the ladder, suppressing futile
+	// re-scatter attempts until the next capacity growth.
 	saturated bool
 }
 
@@ -114,6 +135,10 @@ func newProbe(lo, hi uint64, c int, alpha float64) *probe {
 	return pr
 }
 
+// capFor is the slot count a leaf is built with for expected keys: the
+// Theorem 1 capacity, and never fewer than 8 slots.
+func (nd *Node) capFor(expected int) int { return max(CapacityFor(expected, nd.tau), 8) }
+
 // New creates a leaf covering the key interval [lo, hi] sized for expected
 // keys with collision target tau and hash factor alpha. Passing 0 for tau or
 // alpha selects the defaults.
@@ -124,41 +149,42 @@ func New(lo, hi uint64, expected int, tau, alpha float64) *Node {
 	if tau <= 0 || tau >= 1 {
 		tau = DefaultTau
 	}
-	if expected < 1 {
-		expected = 1
-	}
-	c := CapacityFor(expected, tau)
-	if c < 8 {
-		c = 8
-	}
-	nd := &Node{alpha: alpha, tau: tau}
-	nd.p.Store(newProbe(lo, hi, c, alpha))
+	nd := &Node{alpha: alpha, base: alpha, tau: tau, kmin: math.MaxUint64}
+	nd.p.Store(newProbe(lo, hi, nd.capFor(max(expected, 1)), alpha))
 	return nd
 }
 
 // NewFromSorted builds a leaf and bulk-inserts the given sorted keys. The
 // hash interval is fit to the keys' min/max (Table II defines N.lk/N.uk as
 // the node's minimum and maximum key); [lo, hi] is only used when keys is
-// empty. vals may be nil, meaning value-equals-key.
+// empty. vals may be nil, meaning value-equals-key. The leaf keeps its
+// Theorem 1 capacity unless no rung of the α ladder meets the
+// conflict-degree bound (see climb).
 func NewFromSorted(lo, hi uint64, keys, vals []uint64, tau, alpha float64) *Node {
 	if len(keys) > 0 {
 		lo, hi = keys[0], keys[len(keys)-1]
 	}
 	n := New(lo, hi, len(keys), tau, alpha)
-	pr := n.p.Load()
-	for i, k := range keys {
-		v := k
-		if vals != nil {
-			v = vals[i]
-		}
-		n.place(pr, k, v)
+	n.n = len(keys)
+	if len(keys) > 0 {
+		n.kmin, n.kmax = keys[0], keys[len(keys)-1]
 	}
-	// One re-scatter attempt if bulk placement blew the probe bound.
-	if int(pr.cd.Load()) > maxConflictDegree {
-		n.rebuild(2 * n.n)
-		if int(n.p.Load().cd.Load()) > maxConflictDegree {
-			n.saturated = true
+	src := func(yield func(k, v uint64) bool) {
+		for i, k := range keys {
+			v := k
+			if vals != nil {
+				v = vals[i]
+			}
+			if !yield(k, v) {
+				return
+			}
 		}
+	}
+	// A placement that breaks the bound is abandoned: the leaf will be
+	// re-scattered from the keys anyway, and the rest of a crowded
+	// placement is its slowest part.
+	if !n.p.Load().fill(src, maxConflictDegree+1) {
+		n.climb(src, nil)
 	}
 	return n
 }
@@ -286,105 +312,167 @@ func (nd *Node) Lookup(k uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Insert stores k→v. It reports false if k is already present. The leaf
-// rebuilds per Theorem 1 when the capacity no longer satisfies the collision
-// target, and re-scatters once when probing exceeded the conflict-degree
-// bound; a distribution the hash cannot flatten at any reasonable capacity
-// (e.g. a dense cluster plus a far outlier) marks the node saturated and is
-// served with a wide probe window instead of unbounded growth.
+// Insert stores k→v. It reports false if k is already present. Capacity
+// follows the population: a leaf whose capacity no longer meets the
+// collision target for n+1 keys (Theorem 1) is rebuilt for more keys (see
+// grownCap). A key outside [lo, hi] widens the interval first, at the same
+// capacity unless the leaf is taking an append stream. If the placement
+// then pushes the conflict degree past its bound, settle re-scatters the
+// leaf with another rung of the α ladder before it grows capacity; a
+// distribution no rung flattens (e.g. a dense cluster plus a far outlier)
+// marks the node saturated and is served with a wide probe window instead
+// of unbounded growth.
 func (nd *Node) Insert(k, v uint64) bool {
 	pr := nd.p.Load()
 	if pr.search(k) >= 0 {
 		return false
 	}
-	needCap := pr.c < CapacityFor(nd.n+1, nd.tau)
-	if k < pr.lo || k > pr.hi {
+	grow := pr.c < CapacityFor(nd.n+1, nd.tau)
+	switch {
+	case k < pr.lo || k > pr.hi:
 		// Out-of-interval key (the routing cell is wider than the fitted
 		// [lo, hi], or a rebuild refit the interval to the stored min/max):
 		// extend the interval to cover it BEFORE hashing — k−lo on a key
 		// below lo wraps to a huge uint64 and degenerates the hash. The
 		// extension adds a full span of geometric slack on the crossed side
 		// so a monotone stream of out-of-interval inserts re-scatters
-		// O(log n) times, not every insert; α keeps keys well spread over a
-		// wider-than-data interval.
-		lo, hi := pr.lo, pr.hi
-		span := hi - lo
-		if k < lo {
-			ext := span
-			if over := lo - k; over > ext {
-				ext = over
-			}
-			if ext > lo {
-				lo = 0
-			} else {
-				lo -= ext
-			}
+		// O(log n) times, not every insert. Capacity stays as it is: α wraps
+		// the hash many times over the interval, so stored keys that now
+		// cover part of a wider span still spread over every slot. An
+		// appending leaf grows here all the same, since its stream will
+		// fill the headroom: one re-scatter instead of this one and a
+		// growth soon after.
+		lo, hi := extend(pr.lo, pr.hi, k)
+		c := pr.c
+		if grow || nd.appending() {
+			c = max(c, nd.grownCap())
 		}
-		if k > hi {
-			ext := span
-			if over := k - hi; over > ext {
-				ext = over
-			}
-			if hi+ext < hi { // overflow
-				hi = ^uint64(0)
-			} else {
-				hi += ext
-			}
+		nd.rescatter(c, lo, hi)
+	case grow:
+		// Growth keeps the interval and its slack: refitting it to the keys
+		// would make a monotone stream extend it again after every growth.
+		// It refits only when the keys have come to cover less than a
+		// quarter of the interval, the density drift rebuild guards against.
+		lo, hi := pr.keyRange()
+		if hi-lo >= (pr.hi-pr.lo)/4 {
+			lo, hi = pr.lo, pr.hi
 		}
-		if nd.n == 0 {
-			// Re-publish at the same capacity over the wider interval; the
-			// slabs are empty, so nothing needs re-placing.
-			nd.p.Store(newProbe(lo, hi, pr.c, nd.alpha))
-		} else {
-			// Grow capacity with the interval so the occupied region keeps
-			// its slot density: doubling the span alone would halve the slot
-			// range the stored keys hash into and probes would pile up
-			// regardless of the clamp. Capped at 4× per extension — a far
-			// outlier that blows past the cap lands in the saturation path
-			// like any other distribution the hash cannot flatten.
-			ratio := float64(hi-lo) / float64(span)
-			if ratio > 4 || ratio != ratio { // cap, and span==0 gives +Inf
-				ratio = 4
-			}
-			exp := int(float64(nd.n+1) * ratio)
-			if needCap && 2*(nd.n+1) > exp {
-				exp = 2 * (nd.n + 1)
-			}
-			nd.rescatter(exp, lo, hi)
-			needCap = false
-		}
-		pr = nd.p.Load()
+		nd.rescatter(nd.grownCap(), lo, hi)
 	}
-	if needCap {
-		nd.rebuild(2 * (nd.n + 1))
-		pr = nd.p.Load()
+	nd.p.Load().place(k, v)
+	nd.n++
+	nd.inserts++
+	if k < nd.kmin || k > nd.kmax {
+		nd.appends++
+		nd.kmin, nd.kmax = min(nd.kmin, k), max(nd.kmax, k)
 	}
-	nd.place(pr, k, v)
-	if int(pr.cd.Load()) > maxConflictDegree && !nd.saturated {
-		nd.rebuild(2 * nd.n)
-		if int(nd.p.Load().cd.Load()) > maxConflictDegree {
-			nd.saturated = true
-		}
-	}
+	nd.settle()
 	return true
+}
+
+// grownCap is the capacity a full leaf grows to, and starts the count of
+// inserts toward its next growth. The leaf grows for growthFor(n) keys, so
+// it stays near its Theorem 1 size; but when most inserts since the last
+// growth fell outside the key range the leaf had held — an append stream,
+// which fills any headroom it is given — it grows for twice its population,
+// so an append stream rebuilds the leaf once per doubling, not every
+// quarter.
+func (nd *Node) grownCap() int {
+	expected := growthFor(nd.n)
+	if nd.appending() {
+		expected = max(expected, 2*nd.n)
+	}
+	nd.inserts, nd.appends = 0, 0
+	return nd.capFor(expected)
+}
+
+// appending reports whether most inserts since the last growth fell
+// outside the key range the leaf had held.
+func (nd *Node) appending() bool { return 2*nd.appends > nd.inserts }
+
+// extend widens [lo, hi] to cover k, adding at least one span of slack on
+// the side k crossed.
+func extend(lo, hi, k uint64) (uint64, uint64) {
+	span := hi - lo
+	if k < lo {
+		ext := max(span, lo-k)
+		if ext > lo {
+			lo = 0
+		} else {
+			lo -= ext
+		}
+	}
+	if k > hi {
+		ext := max(span, k-hi)
+		if hi+ext < hi { // overflow
+			hi = ^uint64(0)
+		} else {
+			hi += ext
+		}
+	}
+	return lo, hi
+}
+
+// settle restores the conflict-degree bound after a placement into the live
+// probe broke it, unless the leaf is saturated (see climb).
+func (nd *Node) settle() {
+	pr := nd.p.Load()
+	if nd.saturated || int(pr.cd.Load()) <= maxConflictDegree {
+		return
+	}
+	nd.climb(pr.each, pr)
+}
+
+// climb tries the hash factor before the capacity: the entries of src, all
+// of the leaf's keys, are re-scattered at the live probe's capacity and
+// interval with each other rung of the α ladder, and whichever probe has the
+// smallest conflict degree wins — the best rung, not the first that meets
+// the bound, since every absent-key search scans the whole window. cur is
+// the probe at the current rung, or nil when its placement was abandoned
+// once it broke the bound. Only if no rung meets the bound is the leaf
+// re-scattered at twice its population with the best rung known, over the
+// same interval so an extension's slack survives, and marked saturated if
+// even that fails.
+func (nd *Node) climb(src entries, cur *probe) {
+	live := nd.p.Load()
+	best, alpha, stop := cur, nd.alpha, int32(maxConflictDegree+1)
+	if cur != nil {
+		stop = cur.cd.Load()
+	}
+	for _, m := range alphaLadder {
+		if a := m * nd.base; a != nd.alpha {
+			if np := newProbe(live.lo, live.hi, live.c, a); np.fill(src, stop) {
+				best, alpha, stop = np, a, np.cd.Load()
+			}
+		}
+	}
+	nd.alpha = alpha
+	if int(stop) > maxConflictDegree {
+		best = newProbe(live.lo, live.hi, nd.capFor(2*nd.n), alpha)
+		best.fill(src, math.MaxInt32)
+		nd.saturated = int(best.cd.Load()) > maxConflictDegree
+	}
+	if best != live {
+		nd.p.Store(best)
+	}
 }
 
 // place stores a key assumed absent into pr. It probes within the
 // conflict-degree bound first and falls back to an unbounded probe —
 // capacity always exceeds the population, so a free slot exists within
 // c/2+1 steps. It never rebuilds; Insert owns that policy.
-func (nd *Node) place(pr *probe, k, v uint64) {
+func (pr *probe) place(k, v uint64) {
 	h := pr.home(k)
 	limit := pr.c/2 + 1
 	for d := 0; d <= limit; d++ {
 		i := pr.slotAt(h + d)
 		if !pr.occupied(i) {
-			nd.put(pr, i, k, v, d)
+			pr.put(i, k, v, d)
 			return
 		}
 		if d > 0 {
 			if j := pr.slotAt(h - d); !pr.occupied(j) {
-				nd.put(pr, j, k, v, d)
+				pr.put(j, k, v, d)
 				return
 			}
 		}
@@ -392,17 +480,42 @@ func (nd *Node) place(pr *probe, k, v uint64) {
 	panic("ebh: no free slot despite capacity > population")
 }
 
-func (nd *Node) put(pr *probe, i int, k, v uint64, d int) {
+func (pr *probe) put(i int, k, v uint64, d int) {
 	// Value before key before occupancy bit: an optimistic reader that races
 	// this (and will fail validation anyway) can match the key only after
 	// the value is in place.
 	pr.slots[uint(i)<<1|1].Store(v)
 	pr.slots[uint(i)<<1].Store(k)
 	pr.setOcc(i)
-	nd.n++
 	if int32(d) > pr.cd.Load() {
 		pr.cd.Store(int32(d))
 	}
+}
+
+// entries calls yield with each of a leaf's key/value pairs until yield
+// returns false.
+type entries func(yield func(k, v uint64) bool)
+
+// each is the entries of pr, in slot order.
+func (pr *probe) each(yield func(k, v uint64) bool) {
+	for i := 0; i < pr.c; i++ {
+		if pr.occupied(i) && !yield(pr.key(i), pr.val(i)) {
+			return
+		}
+	}
+}
+
+// fill places the entries of src into pr and reports whether it placed them
+// all: it gives up as soon as pr's conflict degree reaches stop, so a trial
+// that cannot beat a known conflict degree stops early.
+func (pr *probe) fill(src entries, stop int32) bool {
+	ok := true
+	src(func(k, v uint64) bool {
+		pr.place(k, v)
+		ok = pr.cd.Load() < stop
+		return ok
+	})
+	return ok
 }
 
 // Delete removes k, reporting whether it was present. The conflict degree is
@@ -424,66 +537,52 @@ func (nd *Node) Delete(k uint64) bool {
 // degenerates the hash. The paper's Fig. 14 discussion notes EBH retraining
 // needs no sorting — this is that operation.
 func (nd *Node) rebuild(expected int) {
-	pr := nd.p.Load()
-	lo, hi := pr.lo, pr.hi
-	if nd.n > 0 {
-		first := true
-		for i := 0; i < pr.c; i++ {
-			if !pr.occupied(i) {
-				continue
-			}
-			k := pr.key(i)
-			if first {
-				lo, hi = k, k
-				first = false
-				continue
-			}
-			if k < lo {
-				lo = k
-			}
-			if k > hi {
-				hi = k
-			}
-		}
-	}
-	nd.rescatter(expected, lo, hi)
+	lo, hi := nd.p.Load().keyRange()
+	nd.rescatter(nd.capFor(max(expected, nd.n)), lo, hi)
 }
 
-// rescatter re-creates the slot array like rebuild but keeps the given hash
-// interval instead of refitting it to the stored keys — the Insert path uses
-// it to extend the interval over an out-of-range key with slack. The new
-// probe is filled off-line and published atomically, so a concurrent
-// optimistic reader sees either the old slabs or the finished new ones.
-func (nd *Node) rescatter(expected int, lo, hi uint64) {
-	if expected < nd.n {
-		expected = nd.n
-	}
-	old := nd.p.Load()
-	c := CapacityFor(expected, nd.tau)
-	if c < 8 {
-		c = 8
-	}
-	np := newProbe(lo, hi, c, nd.alpha)
-	nd.n = 0
-	nd.saturated = false
-	for i := 0; i < old.c; i++ {
-		if old.occupied(i) {
-			nd.place(np, old.key(i), old.val(i))
+// keyRange returns the smallest and largest stored key, or the interval of
+// an empty probe.
+func (pr *probe) keyRange() (lo, hi uint64) {
+	lo, hi = math.MaxUint64, 0
+	empty := true
+	for i := 0; i < pr.c; i++ {
+		if pr.occupied(i) {
+			lo, hi, empty = min(lo, pr.key(i)), max(hi, pr.key(i)), false
 		}
 	}
+	if empty {
+		return pr.lo, pr.hi
+	}
+	return lo, hi
+}
+
+// rescatter re-creates the slot array at capacity c like rebuild but keeps
+// the given hash interval instead of refitting it to the stored keys — the
+// Insert path uses it to extend the interval over an out-of-range key with
+// slack. The new probe is filled off-line and published atomically, so a
+// concurrent optimistic reader sees either the old slabs or the finished
+// new ones. Only a larger capacity clears the saturation flag: at the same
+// capacity a wider interval crowds the keys no less.
+func (nd *Node) rescatter(c int, lo, hi uint64) {
+	old := nd.p.Load()
+	np := newProbe(lo, hi, c, nd.alpha)
+	np.fill(old.each, math.MaxInt32)
 	nd.p.Store(np)
+	if c > old.c {
+		nd.saturated = false
+	}
 }
 
 // RetrainFor rebuilds the leaf provisioned for an expected future
 // population (at least the current one) — the background retrainer uses the
 // observed drift rate here so upcoming inserts land without inline
 // expansion spikes ("maintains a relatively stable leaf node density",
-// Section VI-C5).
+// Section VI-C5). A refit that breaks the conflict-degree bound is settled
+// like an insert that does.
 func (nd *Node) RetrainFor(expected int) {
-	if expected < nd.n {
-		expected = nd.n
-	}
 	nd.rebuild(expected)
+	nd.settle()
 }
 
 // AppendEntries appends every stored (key, value) pair to dst in slot order

@@ -329,7 +329,7 @@ func TestOutOfIntervalInsertAfterRefit(t *testing.T) {
 	// every out-of-interval key quantized onto the same clamped edge slot and
 	// the probe distance grew linearly with each insert (cd ≈ 57 on this
 	// workload before the fix, 0 after). The fix extends the interval with
-	// slack — and capacity in proportion — before hashing.
+	// slack before hashing.
 	const n, stride = 2000, 20
 	base := uint64(1) << 30
 	keys := make([]uint64, n)
@@ -386,4 +386,216 @@ func TestLeafPersistRoundTrip(t *testing.T) {
 	if !back.Insert(keys[len(keys)-1]+77, 1) {
 		t.Fatal("insert into restored leaf failed")
 	}
+}
+
+// runPlusSpread is one leaf's worth of locally skewed keys: a dense run of
+// consecutive keys beside evenly spread ones. Under the configured α the
+// run's slots crowd into one stretch and the bulk placement overflows the
+// conflict-degree bound.
+func runPlusSpread() []uint64 {
+	var keys []uint64
+	for i := uint64(0); i < 1000; i++ {
+		keys = append(keys, 1<<20+i)
+	}
+	for i := uint64(0); i < 2000; i++ {
+		keys = append(keys, 1<<21+i*997)
+	}
+	return keys
+}
+
+func TestClusteredBulkLoadKeepsTheorem1Capacity(t *testing.T) {
+	keys := runPlusSpread()
+	nd := NewFromSorted(0, 0, keys, nil, 0, 0)
+	g := nd.Geometry()
+	if want := CapacityFor(len(keys), DefaultTau); g.Cap != want {
+		t.Errorf("capacity %d, want the Theorem 1 capacity %d", g.Cap, want)
+	}
+	if cd := nd.ConflictDegree(); cd > maxConflictDegree || g.Saturated {
+		t.Errorf("cd %d (saturated %v), want ≤ %d and not saturated", cd, g.Saturated, maxConflictDegree)
+	}
+	if maxErr, _ := nd.ErrorStats(); maxErr > nd.ConflictDegree() {
+		t.Fatalf("cd %d below a placement error of %d", nd.ConflictDegree(), maxErr)
+	}
+	for _, k := range keys {
+		if v, ok := nd.Lookup(k); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
+		}
+	}
+}
+
+func TestChurnAcrossIntervalKeepsGrowthRule(t *testing.T) {
+	// Balanced churn: every insert is paired with a delete, and every 40th
+	// insert lands just outside the bulk-loaded key range, alternating
+	// sides, so the leaf widens its interval with slack. The capacity must
+	// stay within the growth rule for the largest population the leaf held.
+	rng := rand.New(rand.NewPCG(5, 5))
+	keys := dataset.Uniform(5000, 5)
+	for i := range keys {
+		keys[i] += 1 << 40
+	}
+	nd := NewFromSorted(0, 0, keys, nil, 0, 0)
+	lo0, hi0 := nd.Interval()
+	span := hi0 - lo0
+	live := append([]uint64(nil), keys...)
+	present := map[uint64]bool{}
+	for _, k := range keys {
+		present[k] = true
+	}
+	peak, outside := nd.Len(), 0
+	for i := 0; i < 20_000; i++ {
+		k := lo0 + rng.Uint64N(span)
+		switch i % 80 {
+		case 0:
+			k = lo0 - 1 - rng.Uint64N(span/8)
+		case 40:
+			k = hi0 + 1 + rng.Uint64N(span/8)
+		}
+		if present[k] {
+			continue
+		}
+		if lo, hi := nd.Interval(); k < lo || k > hi {
+			outside++
+		}
+		if !nd.Insert(k, k) {
+			t.Fatalf("Insert(%d) reported a duplicate", k)
+		}
+		present[k] = true
+		live = append(live, k)
+		peak = max(peak, nd.Len())
+		j := rng.IntN(len(live))
+		if !nd.Delete(live[j]) {
+			t.Fatalf("Delete(%d) missed", live[j])
+		}
+		delete(present, live[j])
+		live[j] = live[len(live)-1]
+		live = live[:len(live)-1]
+		if c, bound := nd.Cap(), CapacityFor(peak+max(peak/4, 16), DefaultTau); c > bound {
+			t.Fatalf("op %d: capacity %d above %d, the growth rule's for a peak of %d keys", i, c, bound, peak)
+		}
+	}
+	if outside < 2 {
+		t.Fatalf("only %d inserts outside the leaf's interval", outside)
+	}
+	for _, k := range live {
+		if v, ok := nd.Lookup(k); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d,%v after churn", k, v, ok)
+		}
+	}
+}
+
+func TestAlphaLadderNeverCompounds(t *testing.T) {
+	// A configured α of 1 keeps the hash order-preserving, so a dense run
+	// crowds its own stretch of slots and overflows the bound; the leaf
+	// climbs the ladder, and repeated overflows move it between the rungs,
+	// never past 16× the configured α. playTape and checkLeaf check the rung,
+	// the conflict degree and the capacity after every operation.
+	const base = 1.0
+	if nd := playTape(t, denseRunTape(), base); nd.Geometry().Alpha == base {
+		t.Error("the dense-run tape left the leaf at the configured α")
+	}
+	// Forty dense runs far apart over a 2^40 interval.
+	nd := New(0, 1<<40, 16, 0, base)
+	climbs, prev := 0, base
+	for r := uint64(0); r < 40; r++ {
+		start := (r * 7919 % 40) << 34
+		for i := uint64(0); i < 400; i++ {
+			k := start + i
+			if !nd.Insert(k, k) {
+				t.Fatalf("Insert(%d) reported a duplicate", k)
+			}
+			checkLeaf(t, nd, base, nd.Len())
+			if a := nd.Geometry().Alpha; a != prev {
+				climbs, prev = climbs+1, a
+			}
+		}
+	}
+	if climbs < 2 {
+		t.Fatalf("α changed %d times over 40 dense runs, want repeated changes", climbs)
+	}
+	t.Logf("α changed %d times; final α %v, cap %d for %d keys", climbs, nd.Geometry().Alpha, nd.Cap(), nd.Len())
+	for r := uint64(0); r < 40; r++ {
+		start := (r * 7919 % 40) << 34
+		for i := uint64(0); i < 400; i += 7 {
+			if _, ok := nd.Lookup(start + i); !ok {
+				t.Fatalf("key %d lost", start+i)
+			}
+		}
+	}
+}
+
+func TestSaturatedLeafAppendsRescatterRarely(t *testing.T) {
+	// A dense run plus a far outlier is a distribution no rung of the
+	// ladder spreads, so the leaf is saturated. Ascending keys past its
+	// interval then extend the interval with slack at the same capacity,
+	// which must leave the leaf saturated rather than re-run the futile
+	// ladder trials and a rebuild on every insert. Counted here: the keys
+	// every newly published probe re-placed.
+	keys := make([]uint64, 0, 1001)
+	for i := uint64(0); i < 1000; i++ {
+		keys = append(keys, i)
+	}
+	keys = append(keys, 1<<50)
+	nd := NewFromSorted(0, 0, keys, nil, 0, 0)
+	if !nd.Geometry().Saturated {
+		t.Fatalf("dense run plus outlier not saturated (cd %d)", nd.ConflictDegree())
+	}
+	const appends = 4000
+	var stream []uint64
+	for i := uint64(1); i <= appends; i++ {
+		stream = append(stream, 1<<50+i<<30)
+	}
+	replaced := insertAll(t, nd, stream)
+	if bound := 4 * nd.Len(); replaced > bound {
+		t.Fatalf("%d appends re-placed %d keys, want at most %d", appends, replaced, bound)
+	}
+	t.Logf("%d appends re-placed %d keys; cap %d for %d keys, saturated %v", appends, replaced, nd.Cap(), nd.Len(), nd.Geometry().Saturated)
+	for _, k := range keys {
+		if _, ok := nd.Lookup(k); !ok {
+			t.Fatalf("key %d lost", k)
+		}
+	}
+}
+
+func TestAppendStreamRegrowsOncePerDoubling(t *testing.T) {
+	// An ascending stream fills whatever headroom a leaf is given, so the
+	// leaf grows for twice its population, and does so when it widens its
+	// interval: it re-places about as many keys as it ends with. Growing
+	// by a quarter at a time would re-place several times that.
+	keys := make([]uint64, 1000)
+	for i := range keys {
+		keys[i] = uint64(i) * 1000
+	}
+	nd := NewFromSorted(0, 0, keys, nil, 0, 0)
+	var stream []uint64
+	for i := uint64(1000); i < 30_000; i++ {
+		stream = append(stream, i*1000)
+	}
+	replaced := insertAll(t, nd, stream)
+	if bound := 2 * nd.Len(); replaced > bound {
+		t.Fatalf("%d ascending inserts re-placed %d keys, want at most %d", len(stream), replaced, bound)
+	}
+	t.Logf("%d ascending inserts re-placed %d keys; cap %d for %d keys", len(stream), replaced, nd.Cap(), nd.Len())
+}
+
+// insertAll inserts keys in order, checking the leaf after each, and
+// returns how many keys the leaf re-placed into the probes it published
+// along the way.
+func insertAll(t *testing.T, nd *Node, keys []uint64) (replaced int) {
+	t.Helper()
+	pr := nd.p.Load()
+	for _, k := range keys {
+		if !nd.Insert(k, k) {
+			t.Fatalf("Insert(%d) reported a duplicate", k)
+		}
+		if p := nd.p.Load(); p != pr {
+			replaced, pr = replaced+nd.Len()-1, p
+		}
+		checkLeaf(t, nd, nd.base, nd.Len())
+	}
+	for _, k := range keys {
+		if v, ok := nd.Lookup(k); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
+		}
+	}
+	return replaced
 }

@@ -11,4 +11,4 @@ func (nd *Node) Cap() int { return nd.p.Load().c }
 
 // Retrain rebuilds the leaf at the Theorem 1 capacity for its current
 // population, restoring the collision target after heavy churn.
-func (nd *Node) Retrain() { nd.rebuild(nd.n) }
+func (nd *Node) Retrain() { nd.RetrainFor(nd.n) }

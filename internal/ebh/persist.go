@@ -6,8 +6,9 @@ import (
 )
 
 // Geometry is what a snapshot keeps of a leaf besides its entries: the hash
-// interval, the slot capacity, the hash factor α, the collision target τ and
-// the saturation flag. The slot layout is not kept; Restore re-places the
+// interval, the slot capacity, the leaf's hash factor α (a rung of the α
+// ladder over the index's configured α), the collision target τ and the
+// saturation flag. The slot layout is not kept; Restore re-places the
 // keys, so a snapshot stores n pairs rather than a c-slot slab.
 type Geometry struct {
 	Lo, Hi     uint64
@@ -28,29 +29,32 @@ func (nd *Node) Geometry() Geometry {
 
 // maxCapSlack bounds a restored leaf's capacity at this multiple of the
 // Theorem 1 capacity its key count needs at the default τ. Legitimate growth
-// stays inside it (an insert grows a leaf at most 4× per interval extension,
-// the retrainer provisions under 2×); a capacity beyond it is what a heavily
-// deleted leaf keeps, or what a corrupt snapshot claims, and either way
-// Restore loads the leaf at the bound instead of allocating the saved size.
-// The leaf's own τ does not enter the bound, so a damaged τ near 0 cannot
-// lift it.
+// stays inside it (a leaf grows to growthFor(n) keys, 2n under an append
+// stream or when no α rung meets the conflict-degree bound, and the
+// retrainer provisions under 2×);
+// a capacity beyond it is what a heavily deleted leaf keeps, or what a
+// corrupt snapshot claims, and either way Restore loads the leaf at the
+// bound instead of allocating the saved size. The leaf's own τ does not
+// enter the bound, so a damaged τ near 0 cannot lift it.
 const maxCapSlack = 8
 
-// Restore rebuilds a persisted leaf from its geometry and its entries in
-// strictly ascending key order, placing the keys into a probe of the saved
-// capacity exactly as NewFromSorted places a bulk load. The conflict degree is
-// re-derived by the placement. Everything a damaged snapshot could get wrong
-// is checked first, so a leaf Restore returns can never panic ("no free
-// slot") or scan unboundedly later inside Lookup or Insert.
-func Restore(g Geometry, keys, vals []uint64) (*Node, error) {
+// Restore rebuilds a persisted leaf from its geometry, the index's
+// configured hash factor alpha, and its entries in strictly ascending key
+// order, placing the keys into a probe of the saved capacity exactly as
+// NewFromSorted places a bulk load. The conflict degree is re-derived by the
+// placement. Everything a damaged snapshot could get wrong is checked first
+// — including a leaf α that is no rung of alpha's ladder — so a leaf Restore
+// returns can never panic ("no free slot") or scan unboundedly later inside
+// Lookup or Insert.
+func Restore(g Geometry, alpha float64, keys, vals []uint64) (*Node, error) {
 	n := len(keys)
 	switch {
 	case len(vals) != n:
 		return nil, fmt.Errorf("ebh: %d keys but %d values", n, len(vals))
 	case g.Lo > g.Hi:
 		return nil, fmt.Errorf("ebh: corrupt leaf (lo=%d > hi=%d)", g.Lo, g.Hi)
-	case !(g.Tau > 0 && g.Tau < 1), math.IsNaN(g.Alpha), math.IsInf(g.Alpha, 0), g.Alpha <= 0:
-		return nil, fmt.Errorf("ebh: corrupt leaf (tau=%v alpha=%v)", g.Tau, g.Alpha)
+	case !(g.Tau > 0 && g.Tau < 1), !onLadder(g.Alpha, alpha):
+		return nil, fmt.Errorf("ebh: corrupt leaf (tau=%v alpha=%v, configured alpha %v)", g.Tau, g.Alpha, alpha)
 	case g.Cap < 1 || g.Cap < n:
 		return nil, fmt.Errorf("ebh: corrupt leaf (capacity %d for %d keys)", g.Cap, n)
 	}
@@ -66,11 +70,29 @@ func Restore(g Geometry, keys, vals []uint64) (*Node, error) {
 	if bound := maxCapSlack * max(CapacityFor(n, DefaultTau), 8); c > bound {
 		c = bound
 	}
-	nd := &Node{alpha: g.Alpha, tau: g.Tau, saturated: g.Saturated}
+	nd := &Node{alpha: g.Alpha, base: alpha, tau: g.Tau, saturated: g.Saturated, n: n, kmin: math.MaxUint64}
+	if n > 0 {
+		nd.kmin, nd.kmax = keys[0], keys[n-1]
+	}
 	pr := newProbe(g.Lo, g.Hi, c, g.Alpha)
 	for i, k := range keys {
-		nd.place(pr, k, vals[i])
+		pr.place(k, vals[i])
 	}
 	nd.p.Store(pr)
 	return nd, nil
+}
+
+// onLadder reports whether a is a rung of the α ladder over a positive,
+// finite configured α. The rungs are power-of-two multiples, exact in
+// floating point, so equality is the right test.
+func onLadder(a, base float64) bool {
+	if !(base > 0) || math.IsInf(base, 0) {
+		return false
+	}
+	for _, m := range alphaLadder {
+		if r := m * base; a == r && !math.IsInf(r, 0) {
+			return true
+		}
+	}
+	return false
 }

@@ -32,7 +32,7 @@ func sortedEntries(nd *Node) (ks, vs []uint64) {
 func restore(t *testing.T, nd *Node) *Node {
 	t.Helper()
 	ks, vs := sortedEntries(nd)
-	back, err := Restore(nd.Geometry(), ks, vs)
+	back, err := Restore(nd.Geometry(), nd.base, ks, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestLeafRoundTrip(t *testing.T) {
 }
 
 // TestRestoreKeepsKeyOutsideInterval: an insert that triggers a capacity
-// rebuild refits the interval to the keys stored before it, so the new key
-// can sit just outside [lo, hi]. Such a leaf is legitimate and must survive a
+// rebuild refits the interval to the keys stored before it when they cover
+// less than a quarter of it, so the new key can sit just outside [lo, hi]. Such a leaf is legitimate and must survive a
 // save and load (a checkpoint the next open rejected would lose the
 // directory).
 func TestRestoreKeepsKeyOutsideInterval(t *testing.T) {
-	nd := New(0, 1000, 1, 0, 0)
+	nd := New(0, 1<<20, 1, 0, 0)
 	for k := uint64(100); k <= 500; k += 100 {
 		nd.Insert(k, k)
 	}
@@ -109,6 +109,8 @@ func TestRestoreRejectsInvariantViolations(t *testing.T) {
 		"nan alpha":         func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { g.Alpha = math.NaN(); return ks, vs },
 		"inf alpha":         func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { g.Alpha = math.Inf(1); return ks, vs },
 		"negative alpha":    func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { g.Alpha = -1; return ks, vs },
+		"alpha off ladder":  func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { g.Alpha *= 2; return ks, vs },
+		"alpha compounded":  func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { g.Alpha *= 64; return ks, vs },
 		"unsorted keys":     func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { ks[0], ks[1] = ks[1], ks[0]; return ks, vs },
 		"duplicate key":     func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { ks[1] = ks[0]; return ks, vs },
 		"missing value":     func(g *Geometry, ks, vs []uint64) ([]uint64, []uint64) { return ks, vs[1:] },
@@ -116,12 +118,12 @@ func TestRestoreRejectsInvariantViolations(t *testing.T) {
 	for name, mutate := range cases {
 		g := nd.Geometry()
 		mk, mv := mutate(&g, slices.Clone(ks), slices.Clone(vs))
-		if _, err := Restore(g, mk, mv); err == nil {
+		if _, err := Restore(g, DefaultAlpha, mk, mv); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// The untouched input still restores: the harness itself is sound.
-	if _, err := Restore(nd.Geometry(), ks, vs); err != nil {
+	if _, err := Restore(nd.Geometry(), DefaultAlpha, ks, vs); err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
 }
@@ -130,7 +132,7 @@ func TestRestoreRejectsInvariantViolations(t *testing.T) {
 // needs (a heavily deleted leaf, or a hostile snapshot) loads at the bound
 // instead of allocating it, and the leaf works.
 func TestRestoreBoundsCapacity(t *testing.T) {
-	nd, err := Restore(Geometry{Lo: 0, Hi: 1 << 30, Cap: 1 << 40, Alpha: DefaultAlpha, Tau: DefaultTau}, nil, nil)
+	nd, err := Restore(Geometry{Lo: 0, Hi: 1 << 30, Cap: 1 << 40, Alpha: DefaultAlpha, Tau: DefaultTau}, DefaultAlpha, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestRestoreBoundsCapacity(t *testing.T) {
 		t.Fatalf("empty leaf restored at capacity %d", nd.Cap())
 	}
 	ks := []uint64{10, 20, 30}
-	nd, err = Restore(Geometry{Lo: 10, Hi: 30, Cap: 1 << 40, Alpha: DefaultAlpha, Tau: DefaultTau}, ks, ks)
+	nd, err = Restore(Geometry{Lo: 10, Hi: 30, Cap: 1 << 40, Alpha: DefaultAlpha, Tau: DefaultTau}, DefaultAlpha, ks, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestRestoreBoundsCapacity(t *testing.T) {
 	}
 	// A τ near 0 asks for an enormous Theorem 1 capacity; it does not lift
 	// the bound.
-	tiny, err := Restore(Geometry{Lo: 10, Hi: 30, Cap: 1 << 30, Alpha: DefaultAlpha, Tau: 1e-12}, ks, ks)
+	tiny, err := Restore(Geometry{Lo: 10, Hi: 30, Cap: 1 << 30, Alpha: DefaultAlpha, Tau: 1e-12}, DefaultAlpha, ks, ks)
 	if err != nil {
 		t.Fatal(err)
 	}

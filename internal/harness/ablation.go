@@ -16,8 +16,9 @@ import (
 //
 //  1. the Theorem 1 collision target τ trades leaf memory against probe
 //     length (Eq. capacity ≈ (n−1)/−ln(1−τ));
-//  2. the hash factor α must scatter dense runs — α=1 (pure interpolation)
-//     degrades to a clustered layout on skewed data;
+//  2. the hash factor α must scatter dense runs — a configured α=1 (pure
+//     interpolation) clusters skewed data until an overflowing leaf climbs
+//     the α ladder to 4 or 16 (ebh.alphaLadder);
 //  3. the Interval Lock costs two atomic operations per crossing, only paid
 //     while the retraining goroutine is active.
 func Ablations(cfg Config) []*report.Table {
@@ -45,7 +46,7 @@ func Ablations(cfg Config) []*report.Table {
 	}
 
 	alpha := &report.Table{
-		Title: "Ablation — hash factor α (FACE): α=1 is pure interpolation",
+		Title: "Ablation — configured hash factor α (FACE): α=1 is pure interpolation until a leaf climbs the α ladder",
 		Cols:  []string{"alpha", "lookup", "max cd", "avg err"},
 	}
 	for _, a := range []float64{1, 7, 131, 1031} {

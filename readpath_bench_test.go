@@ -2,13 +2,14 @@ package chameleon_test
 
 // Read-path micro-benchmarks for the optimistic seqlock lookup (DESIGN.md
 // §13) against a raw Go map as the no-structure floor: serial, with
-// RunParallel, and on 16 hot keys. They are the repo's one measure of the
-// in-process lookup path outside bench/, whose core.lookup_ns and
-// core.read_fallbacks cover it under the embed_mem workload; remote
+// RunParallel, on 16 hot keys, and on absent keys. They are the repo's one
+// measure of the in-process lookup path outside bench/, whose core.lookup_ns
+// and core.read_fallbacks cover it under the embed_mem workload; remote
 // pipelined GETs are bench/'s remote_get workload. Read-path safety under
 // writers is TestOptimisticTornReadOracle's (internal/core), not a timing's.
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"chameleon"
@@ -83,5 +84,31 @@ func BenchmarkLookupHotOptimistic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Lookup(hot[i&15])
+	}
+}
+
+// BenchmarkLookupMiss probes absent keys, gap midpoints of a 2 M-key FACE
+// load (the repo benchmark's data). A miss scans the whole window [P̂−cd,
+// P̂+cd] of its leaf, as does Insert's absent-key search, so this is the
+// lookup that pays for a leaf's conflict degree.
+func BenchmarkLookupMiss(b *testing.B) {
+	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
+	ix := chameleon.New(chameleon.Options{Seed: 1})
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	misses := make([]uint64, 0, 1<<16)
+	for len(misses) < cap(misses) {
+		i := rng.IntN(len(keys) - 1)
+		if keys[i+1]-keys[i] > 1 {
+			misses = append(misses, keys[i]+(keys[i+1]-keys[i])/2)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ix.Lookup(misses[i&(1<<16-1)]); ok {
+			b.Fatal("absent key found")
+		}
 	}
 }
