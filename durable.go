@@ -111,8 +111,9 @@ type DurableIndex struct {
 	// advanced under d.mu and recovered from the bases snapshot and WAL
 	// names carry (replayChain). commitHook, when set, runs inside
 	// commitBatch after durability, before acks. seqWaitCh broadcasts
-	// commit-sequence advancement to WaitSeq waiters (close-and-replace under
-	// seqWaitMu, which nests inside any other lock).
+	// commit-sequence advancement to WaitSeq waiters (made by the first
+	// waiter, closed and cleared by the next advance, under seqWaitMu, which
+	// nests inside any other lock).
 	commitSeq  atomic.Uint64
 	commitHook func(firstSeq uint64, recs []wal.Record) error
 	seqWaitMu  sync.Mutex
@@ -121,23 +122,34 @@ type DurableIndex struct {
 	// Group-commit queue. Writers enqueue under qmu (held only for the
 	// append); the first writer to find no leader becomes one and drains the
 	// queue batch by batch, paying one WAL write + one fsync per batch and
-	// fanning acks back over each op's done channel. qmu orders only the
-	// queue; d.mu still orders every batch against checkpoints and Close.
-	// Lock order is d.mu → qmu, never the reverse.
+	// fanning acks back over each follower's done channel. qmu orders only
+	// the queue; d.mu still orders every batch against checkpoints and Close.
+	// Lock order is d.mu → qmu, never the reverse. The queue's backing array
+	// and the leader's batch trade places on every claim (claimLocked), so a
+	// steady stream of writers reuses two arrays instead of growing new ones.
 	qmu     sync.Mutex
 	queue   []*pendingOp
 	leader  bool
-	qclosed bool // Close observed; admission refuses, space stays closed
+	qclosed bool // Close observed; admission refuses
+	// soloRun counts the batches since the last one that acked followers;
+	// only the current leader touches it (leadership passes under qmu).
+	soloRun uint
 
 	// Admission accounting: ops admitted but not yet committed (queued plus
 	// the batch in flight). Enqueue increments; a batch's commit or an op's
-	// cancellation decrements. space is closed-and-replaced to broadcast
-	// "room freed" to writers blocked by BlockOnFull; after Close it stays
-	// closed so waiters wake once and see qclosed.
+	// cancellation decrements. space broadcasts "room freed" to writers
+	// blocked by BlockOnFull: the first such waiter makes it, the next
+	// release (or Close) closes it and clears it. A waiter re-checks qclosed
+	// under qmu before it makes or waits on one, so none waits after Close.
 	pendingOps   int
 	pendingBytes int64
 	highWater    int
 	space        chan struct{}
+
+	// Batch scratch, reused by every commitBatch under d.mu: the records a
+	// batch logs and the ops they belong to.
+	recs     []wal.Record
+	accepted []*pendingOp
 
 	// Health counters (see Health); readsClosed flips the read surface to
 	// zero values after Close without taking d.mu on every Lookup. failv
@@ -160,7 +172,8 @@ type DurableIndex struct {
 
 // pendingOp is one enqueued mutation awaiting group commit. The committing
 // leader sets err (nil = acked durable per the sync policy) before closing
-// done.
+// done. done exists only for a follower, made under qmu when it queues
+// behind a leader: a leader resolves its own op and never waits on it.
 //
 // state arbitrates the race between the leader claiming the op into a batch
 // and the op's own goroutine cancelling on context expiry: exactly one CAS
@@ -422,7 +435,7 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if opts.RetrainEvery > 0 {
 		ix.inner.StartRetrainer(opts.RetrainEvery)
 	}
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts, space: make(chan struct{})}
+	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts}
 	d.commitSeq.Store(clock)
 	if opts.Tiered {
 		// A tiered directory before its first flush: the recovered WAL tail
@@ -617,6 +630,11 @@ func (d *DurableIndex) DeleteCtx(ctx context.Context, key uint64) error {
 	return d.commit(ctx, wal.Record{Op: wal.OpDelete, Key: key})
 }
 
+// soloYieldEvery is how many batches in a row that acked no follower make a
+// lone writer, and how often a lone writer's leader still yields (see
+// commit).
+const soloYieldEvery = 16
+
 // commit admits, enqueues, and blocks until a leader has committed (or
 // rejected) rec. The first writer to find no active leader becomes the leader
 // and drains the queue until it is empty — including ops enqueued while
@@ -626,7 +644,7 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err // dead context: reject before touching the queue
 	}
-	op := &pendingOp{rec: rec, done: make(chan struct{})}
+	op := &pendingOp{rec: rec}
 	d.qmu.Lock()
 	for {
 		if d.qclosed {
@@ -640,6 +658,9 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 			d.shedOps.Add(1)
 			d.qmu.Unlock()
 			return ErrOverloaded
+		}
+		if d.space == nil {
+			d.space = make(chan struct{})
 		}
 		wait := d.space
 		d.qmu.Unlock()
@@ -659,12 +680,14 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 	}
 	d.updateRetrainPauseLocked()
 	if d.leader {
+		op.done = make(chan struct{})
 		d.qmu.Unlock()
 		return d.waitFollower(ctx, op)
 	}
 	d.leader = true
+	var batch []*pendingOp
 	for {
-		batch := d.claimLocked()
+		batch = d.claimLocked(batch)
 		if len(batch) == 0 {
 			d.leader = false
 			d.updateRetrainPauseLocked()
@@ -673,33 +696,51 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 		}
 		d.qmu.Unlock()
 		d.commitBatch(batch)
-		// Yield before collecting the next batch: the followers just acked
-		// are runnable but may not have re-enqueued yet (on few cores they
-		// only run when this goroutine pauses). One scheduler hop here lets
-		// the next batch fill, trading nanoseconds of leader latency for
-		// fsyncs amortized over whole batches instead of stragglers.
-		runtime.Gosched()
+		// Yield before collecting the next batch, so that writers acked by
+		// this one, which are runnable but may not have re-enqueued yet (on
+		// few cores they only run when this goroutine pauses), land in the
+		// next batch: one scheduler hop of leader latency buys a write(2),
+		// an fsync under SyncEveryOp, and a d.mu hold shared by a whole
+		// batch instead of paid by stragglers. Only a run of more than
+		// soloYieldEvery batches that acked nobody marks a lone writer,
+		// which then yields only every soloYieldEvery-th batch: often
+		// enough that writers the leader cannot see (runnable but not yet
+		// enqueued) get in and end the run, rarely enough that a lone
+		// writer pays a fraction of the hop. Under SyncEveryOp the hop is a
+		// rounding error next to the fsync it may share, so the leader
+		// always yields.
+		if batch[len(batch)-1] == op { // the leader's op alone: nobody acked
+			d.soloRun++
+		} else {
+			d.soloRun = 0
+		}
+		if d.opts.Sync == SyncEveryOp || d.soloRun <= soloYieldEvery || d.soloRun%soloYieldEvery == 0 {
+			runtime.Gosched()
+		}
 		d.qmu.Lock()
 	}
 	// The leader's own op is always claimed into its first batch (nothing
 	// can cancel it — cancellation is done by the op's own goroutine, which
-	// is busy leading), so it is resolved by now. The leader deliberately
-	// ignores ctx while draining: abandoning the queue would strand every
-	// follower behind it.
-	<-op.done
+	// is busy leading), so commitBatch resolved it on this goroutine. The
+	// leader deliberately ignores ctx while draining: abandoning the queue
+	// would strand every follower behind it.
 	return op.err
 }
 
 // claimLocked moves every still-queued op into a batch, skipping (and
-// dropping) ops whose canceller won the CAS race. Callers hold qmu.
-func (d *DurableIndex) claimLocked() []*pendingOp {
+// dropping) ops whose canceller won the CAS race. The batch is filtered in
+// place in the queue's array, and spent, the previous batch, becomes the
+// new queue once its ops are cleared. Callers hold qmu.
+func (d *DurableIndex) claimLocked(spent []*pendingOp) []*pendingOp {
 	batch := d.queue[:0]
 	for _, op := range d.queue {
 		if op.state.CompareAndSwap(opQueued, opClaimed) {
 			batch = append(batch, op)
 		}
 	}
-	d.queue = nil
+	clear(d.queue[len(batch):])
+	clear(spent)
+	d.queue = spent[:0]
 	return batch
 }
 
@@ -730,15 +771,14 @@ func (d *DurableIndex) waitFollower(ctx context.Context, op *pendingOp) error {
 }
 
 // signalSpaceLocked broadcasts "queue space freed" to writers blocked in
-// admission by closing and replacing the space channel. After Close the
-// channel stays closed so late waiters wake immediately and observe qclosed.
-// Callers hold qmu.
+// admission by closing the space channel, if one of them made it; the next
+// waiter makes a fresh one. Callers hold qmu.
 func (d *DurableIndex) signalSpaceLocked() {
-	if d.qclosed {
+	if d.space == nil {
 		return
 	}
 	close(d.space)
-	d.space = make(chan struct{})
+	d.space = nil
 }
 
 // pauseThreshold is the queue depth at which background retraining stops
@@ -779,7 +819,9 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	defer d.mu.Unlock()
 	defer func() {
 		for _, op := range batch {
-			close(op.done)
+			if op.done != nil {
+				close(op.done)
+			}
 		}
 	}()
 	// Release the batch's admission accounting while still holding d.mu
@@ -810,10 +852,17 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	// insert would materialize as a phantom key on replay. Validation of op k
 	// must see the effects of ops 0..k−1 of the same batch (a duplicate
 	// insert inside one batch fails exactly as it would have serially), so
-	// earlier accepts are tracked in a batch-local presence overlay.
-	overlay := make(map[uint64]bool, len(batch))
-	accepted := batch[:0:0]
-	recs := make([]wal.Record, 0, len(batch))
+	// earlier accepts are tracked in a batch-local presence overlay. A batch
+	// of one has no earlier op and needs none.
+	var overlay map[uint64]bool
+	if len(batch) > 1 {
+		overlay = make(map[uint64]bool, len(batch))
+	}
+	accepted, recs := d.accepted[:0], d.recs[:0]
+	defer func() {
+		clear(accepted) // the ops are acked; do not keep them reachable
+		d.accepted, d.recs = accepted[:0], recs[:0]
+	}()
 	for _, op := range batch {
 		key := op.rec.Key
 		present, known := overlay[key]
@@ -839,7 +888,9 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 				continue
 			}
 		}
-		overlay[key] = op.rec.Op == wal.OpInsert
+		if overlay != nil {
+			overlay[key] = op.rec.Op == wal.OpInsert
+		}
 		accepted = append(accepted, op)
 		recs = append(recs, op.rec)
 	}
@@ -898,8 +949,11 @@ func (d *DurableIndex) logApplyLocked(recs []wal.Record) (int, error) {
 		d.degraded.Store(true)
 		return 0, err
 	}
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
+	// walErrv is set only while degraded: clear it on the way out, not on
+	// every batch (boxing errBox{} into the atomic.Value allocates).
+	if d.degraded.Swap(false) {
+		d.walErrv.Store(errBox{})
+	}
 	d.batches.Add(1)
 	d.batchedOps.Add(uint64(len(recs)))
 	if n := int64(len(recs)); n > d.maxBatch.Load() {
@@ -1097,10 +1151,8 @@ func (d *DurableIndex) Close() error {
 	// waiter must not sleep on the space channel while Close itself is parked
 	// behind an in-flight (possibly stalled) batch.
 	d.qmu.Lock()
-	if !d.qclosed {
-		d.qclosed = true
-		close(d.space) // stays closed: every future waiter wakes instantly
-	}
+	d.signalSpaceLocked()
+	d.qclosed = true
 	d.qmu.Unlock()
 
 	// Stop the tier's background flusher before taking d.mu: a flush in

@@ -2,9 +2,13 @@ package chameleon
 
 import (
 	"errors"
+	"io/fs"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"chameleon/internal/faultfs"
 )
 
 // TestGroupCommitConcurrentWriters is the group-commit stress test (run under
@@ -135,5 +139,140 @@ func TestGroupCommitBatchValidation(t *testing.T) {
 		if err := d.Delete(key + 1000); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("Delete(absent) = %v, want ErrKeyNotFound", err)
 		}
+	}
+}
+
+// instantSyncFS makes every file's fsync return at once, so a writer never
+// blocks in the kernel and hands its P to another goroutine there.
+type instantSyncFS struct{ faultfs.FS }
+
+type instantSyncFile struct{ faultfs.File }
+
+func (f instantSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return instantSyncFile{file}, nil
+}
+
+func (instantSyncFile) Sync() error { return nil }
+
+// TestGroupCommitFormsBatches pins what the leader's yields buy, under every
+// sync policy: on one P, with fsyncs that never block, other writers run
+// only when the leader pauses. The handle first serves a lone writer long
+// enough to count as one, so under SyncNone and SyncInterval the 8 writers
+// that follow are seen only through a lone writer's periodic yield; from
+// then on, followers a batch just acked re-enqueue in time for the next
+// batch only because the leader yields after it. Without either yield
+// every batch would hold one op and pay its own write(2) (and fsync, under
+// SyncEveryOp, where the leader always yields).
+func TestGroupCommitFormsBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sync SyncPolicy
+	}{
+		{"every_op", SyncEveryOp},
+		{"interval", SyncInterval},
+		{"none", SyncNone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			opts := durableOpts()
+			opts.Sync = tc.sync
+			d, err := openDirFS(t.TempDir(), opts, instantSyncFS{faultfs.OS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for i := uint64(0); i < 4*soloYieldEvery; i++ {
+				if err := d.Insert(1<<63|i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lone := d.Health()
+			const writers, per = 8, 50
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						k := uint64(w)<<32 | uint64(i)
+						if err := d.Insert(k, k); err != nil {
+							t.Errorf("Insert(%d): %v", k, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			h := d.Health()
+			ops, batches := h.BatchedOps-lone.BatchedOps, h.Batches-lone.Batches
+			mean := float64(ops) / float64(batches)
+			t.Logf("%d ops in %d batches: %.1f per batch", ops, batches, mean)
+			if mean < 2 {
+				t.Fatalf("%d writers formed batches of %.2f ops on average, want at least 2", writers, mean)
+			}
+		})
+	}
+}
+
+// TestGroupCommitLoneWriterAllocs pins what an uncontended write allocates
+// on a SyncNone directory, legacy and tiered: the pending op and nothing
+// else. A lone writer leads a batch of one, so the follower's done channel,
+// the validation overlay, the batch slices, the WAL frame buffer and the
+// broadcast channels nobody waits on must not be made per write.
+func TestGroupCommitLoneWriterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tiered := range []bool{false, true} {
+		name := "legacy"
+		if tiered {
+			name = "tiered"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := durableOpts()
+			if tiered {
+				opts = tieredOpts()
+			}
+			opts.Sync = SyncNone
+			d, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			// Filled by writes, so the tiered engine's keys sit in its
+			// memtable as the legacy engine's sit in its index.
+			keys := make([]uint64, 20_000)
+			for i := range keys {
+				keys[i] = uint64(i) * 64
+				if err := d.Insert(keys[i], keys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Deletes take keys out and inserts put them back, so no leaf
+			// outgrows its capacity and no rebuild comes due: what is
+			// counted is the commit path, not the index's amortized growth.
+			var del, ins int
+			for _, op := range []struct {
+				name string
+				fn   func() error
+			}{
+				{"Delete", func() error { del++; return d.Delete(keys[del]) }},
+				{"Insert", func() error { ins++; return d.Insert(keys[ins], 1) }},
+			} {
+				allocs := testing.AllocsPerRun(2000, func() {
+					if err := op.fn(); err != nil {
+						t.Fatalf("%s: %v", op.name, err)
+					}
+				})
+				t.Logf("%s: %.2f allocations per call", op.name, allocs)
+				if allocs > 1 {
+					t.Errorf("%s allocates %.2f objects per call, want at most 1", op.name, allocs)
+				}
+			}
+		})
 	}
 }

@@ -24,6 +24,5 @@ func (t *SeqTracker) NextSeq() uint64 { return t.Applied + 1 }
 // Append frames, checksums, and writes r, fsyncing per the sync policy. When
 // it returns nil under SyncEveryOp, the record is durable.
 func (l *Log) Append(r Record) error {
-	var buf [FrameSize]byte
-	return l.write(appendFrame(buf[:0], r))
+	return l.AppendAll([]Record{r})
 }

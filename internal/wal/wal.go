@@ -133,6 +133,8 @@ type Log struct {
 
 	stop chan struct{} // interval-sync goroutine lifecycle
 	done chan struct{}
+
+	buf []byte // AppendAll's frame buffer, reused under mu
 }
 
 // Open opens or creates the log at path, replays every intact record into
@@ -344,21 +346,21 @@ func (l *Log) AppendAll(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	buf := make([]byte, 0, len(recs)*FrameSize)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = l.buf[:0]
 	for _, r := range recs {
-		buf = appendFrame(buf, r)
+		l.buf = appendFrame(l.buf, r)
 	}
-	return l.write(buf)
+	return l.writeLocked(l.buf)
 }
 
-// write appends pre-framed bytes and fsyncs per policy. Failures are
+// writeLocked appends pre-framed bytes and fsyncs per policy. Failures are
 // classified: disk-full that rolls back cleanly is retryable (the log keeps
 // accepting appends once space exists); anything else is sticky and kills the
 // log, because the bytes on disk can no longer be trusted to end at a frame
-// boundary the in-memory size agrees with.
-func (l *Log) write(buf []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// boundary the in-memory size agrees with. Callers hold l.mu.
+func (l *Log) writeLocked(buf []byte) error {
 	if l.closed {
 		return ErrClosed
 	}

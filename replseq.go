@@ -42,7 +42,8 @@ var ErrReplDivergence = errors.New("chameleon: replicated batch diverges from lo
 func (d *DurableIndex) CommitSeq() uint64 { return d.commitSeq.Load() }
 
 // seqWaitChan returns the current broadcast channel for commit-sequence
-// advancement, lazily created so zero-value-adjacent tests don't need setup.
+// advancement. Only a waiter makes one: a commit with nobody waiting has
+// nothing to close and nothing to replace.
 func (d *DurableIndex) seqWaitChan() chan struct{} {
 	d.seqWaitMu.Lock()
 	defer d.seqWaitMu.Unlock()
@@ -52,15 +53,18 @@ func (d *DurableIndex) seqWaitChan() chan struct{} {
 	return d.seqWaitCh
 }
 
-// broadcastSeq wakes every WaitSeq waiter (close-and-replace, like the
+// broadcastSeq wakes every WaitSeq waiter by closing the channel they
+// wait on, if any made one; the next waiter makes a fresh one (like the
 // admission space channel). Called after every commit-sequence advance and
-// on any transition that makes further waiting pointless (close, poison).
+// on any transition that makes further waiting pointless (close, poison):
+// a waiter that takes its channel after such a transition sees it on its
+// own re-check.
 func (d *DurableIndex) broadcastSeq() {
 	d.seqWaitMu.Lock()
 	if d.seqWaitCh != nil {
 		close(d.seqWaitCh)
+		d.seqWaitCh = nil
 	}
-	d.seqWaitCh = make(chan struct{})
 	d.seqWaitMu.Unlock()
 }
 
@@ -109,7 +113,9 @@ func (d *DurableIndex) WaitSeq(ctx context.Context, seq uint64) error {
 // replace is acknowledged locally only.
 //
 // The hook runs under the index's commit lock: it serializes against
-// checkpoints and Close, and it must not call back into the index.
+// checkpoints and Close, and it must not call back into the index. recs is
+// valid only during the call: the next batch reuses its array, so a hook
+// that keeps the records must copy them.
 func (d *DurableIndex) SetCommitHook(fn func(firstSeq uint64, recs []wal.Record) error) {
 	d.mu.Lock()
 	d.commitHook = fn

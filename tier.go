@@ -450,10 +450,16 @@ func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
 	return nil
 }
 
+// overBudgetLocked reports whether the memtable plus pending tombstones
+// have reached the configured budget. Callers hold d.mu.
+func (t *tier) overBudgetLocked() bool {
+	return int64(t.d.ix.Len()+len(t.dead))*memtableEntryBytes >= t.memBytes
+}
+
 // maybeSignalFlush nudges the background flusher when the memtable plus
 // pending tombstones cross the configured budget. Callers hold d.mu.
 func (t *tier) maybeSignalFlush() {
-	if int64(t.d.ix.Len()+len(t.dead))*memtableEntryBytes < t.memBytes {
+	if !t.overBudgetLocked() {
 		return
 	}
 	select {
@@ -965,7 +971,10 @@ func (t *tier) flusherLoop() {
 		case <-t.flushCh:
 		}
 		t.tmu.Lock()
-		err := t.flushLocked()
+		var err error
+		if t.flushDue() {
+			err = t.flushLocked()
+		}
 		t.tmu.Unlock()
 		if err != nil {
 			// Backoff: the trigger condition persists, so the next batch will
@@ -978,6 +987,20 @@ func (t *tier) flusherLoop() {
 			}
 		}
 	}
+}
+
+// flushDue re-checks a flush signal against the state it signalled: a
+// commit that lands between the flusher's wake-up and its freeze leaves a
+// token for keys that flush already took, and acting on it would write a
+// segment of the few keys written since. A failed flush's frozen run is
+// always due: the token is its retry. Callers hold t.tmu.
+func (t *tier) flushDue() bool {
+	if t.frozen.Load() != nil {
+		return true
+	}
+	t.d.mu.Lock()
+	defer t.d.mu.Unlock()
+	return t.overBudgetLocked()
 }
 
 // stop terminates the flusher (idempotent) and waits it out. Must be called

@@ -369,3 +369,29 @@ func TestTieredSteadyStateWriteAmp(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", d.Len(), 2*baseKeys)
 	}
 }
+
+// TestTieredFlusherIgnoresStaleSignal: a flush token whose budget is no
+// longer crossed is dropped. A commit landing between the flusher's wake-up
+// and its freeze leaves such a token behind; acting on it flushed the few
+// keys written since, one small segment after every real flush.
+func TestTieredFlusherIgnoresStaleSignal(t *testing.T) {
+	d, err := OpenDir(t.TempDir(), tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for k := uint64(1); k <= 10; k++ {
+		if err := d.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The channel holds one token, so the third send completes only once
+	// the flusher has taken the second, that is, once it is done with the
+	// first.
+	for i := 0; i < 3; i++ {
+		d.tier.flushCh <- struct{}{}
+	}
+	if n := d.Health().Tier.Flushes; n != 0 {
+		t.Fatalf("a stale signal flushed %d time(s) with 10 keys in a %d B memtable", n, d.tier.memBytes)
+	}
+}

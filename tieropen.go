@@ -55,7 +55,7 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 
 	// No retrainer: a tier's memtable is maintained only by writer-inline
 	// reconstruction (DirOptions.Tiered).
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts, space: make(chan struct{})}
+	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts}
 	d.commitSeq.Store(clock)
 	d.tier = newTier(d, man, readers, dead, live)
 	return d, nil
