@@ -162,15 +162,19 @@ func (ix *Index) Insert(key, val uint64) error { return ix.inner.Insert(key, val
 func (ix *Index) Delete(key uint64) error { return ix.inner.Delete(key) }
 
 // Range calls fn for every key in [lo, hi] in ascending order until fn
-// returns false. EBH leaves are unordered, so a range scan materializes and
-// sorts the overlapping leaves; point workloads are the design target.
+// returns false. It streams the window one interval (a level-h subtree) at
+// a time: the interval's leaves are copied as one cut (optimistically, else
+// under its read lock), then each leaf's copy is sorted, since EBH leaves
+// are unordered, and emitted. fn runs with no lock held, an early stop stops
+// reading, and each interval is seen atomically, though the scan as a whole
+// is not a snapshot (DESIGN.md §13).
 func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	ix.inner.Range(lo, hi, fn)
 }
 
 // AppendPairs appends the full contents to keys/vals in ascending key order
 // and returns the extended slices — the bulk dump the durable tier uses to
-// freeze a memtable into a sorted run.
+// freeze a memtable into a sorted run. It reads the index as Range does.
 func (ix *Index) AppendPairs(keys, vals []uint64) ([]uint64, []uint64) {
 	return ix.inner.AppendPairs(keys, vals)
 }

@@ -282,24 +282,6 @@ func (ix *Index) Name() string { return ix.cfg.Name }
 // Len implements index.Index.
 func (ix *Index) Len() int { return int(ix.count.Load()) }
 
-// Height reports the number of levels on the deepest path (root = 1).
-func (ix *Index) Height() int {
-	var depth func(n *node) int
-	depth = func(n *node) int {
-		if n.leaf != nil {
-			return 1
-		}
-		best := 0
-		for _, c := range n.children {
-			if d := depth(c); d > best {
-				best = d
-			}
-		}
-		return 1 + best
-	}
-	return depth(ix.tree.Load().root)
-}
-
 // buildTree constructs a fresh snapshot over the given sorted keys. It does
 // not publish it; callers install via installTree under the appropriate
 // locks.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,34 +188,70 @@ func TestRangeOrderedAndComplete(t *testing.T) {
 	ix.Range(hi, lo, func(k, v uint64) bool { t.Fatal("inverted range emitted"); return false })
 }
 
-// TestRangeOnGatelessIndexAllocatesResult: a 100-key Range over a 200 k-key
-// tree with no gates (a p0 = 1 build, all partitioning below the gate level)
-// allocates for its result and the leaves it reads, not for the whole index.
+// TestRangeOnGatelessIndexAllocatesResult: a Range allocates for its result
+// and the leaves it reads, not for the whole index. Gateless is a 100-key
+// Range over a 200 k-key tree with no gates (a p0 = 1 build, all
+// partitioning below the gate level). GatedEarlyStop is a whole-key-space
+// Range over a gated FACE 200 k tree that stops after 10 keys: it must stop
+// reading where it stops emitting.
 func TestRangeOnGatelessIndexAllocatesResult(t *testing.T) {
-	ix := New(Config{Name: "Chameleon", Dare: rl.FixedDARE{Root: 1}, Policy: rl.FixedFanout{F: 1024}})
-	keys := dataset.Uniform(200_000, 3)
-	if err := ix.BulkLoad(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(ix.tree.Load().gates); n != 0 {
-		t.Fatalf("tree registered %d gates, want none", n)
-	}
-	lo, hi := keys[100_000], keys[100_099]
-	const runs = 10
-	n := 0
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		ix.Range(lo, hi, func(k, v uint64) bool { n++; return true })
-	}
-	runtime.ReadMemStats(&after)
-	if n != 100*runs {
-		t.Fatalf("ranges emitted %d keys, want %d", n, 100*runs)
-	}
-	// Sized to the index, one Range would allocate 200 k × 16 B = 3.2 MB.
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
-		t.Fatalf("a 100-key Range allocated %d bytes", per)
+	for _, tc := range []struct {
+		name   string
+		ix     *Index
+		keys   []uint64
+		gated  bool
+		lo, hi func(keys []uint64) uint64
+		emit   int // keys emitted per call: the call stops after that many
+	}{
+		{
+			name: "Gateless",
+			ix:   New(Config{Name: "Chameleon", Dare: rl.FixedDARE{Root: 1}, Policy: rl.FixedFanout{F: 1024}}),
+			keys: dataset.Uniform(200_000, 3),
+			lo:   func(keys []uint64) uint64 { return keys[100_000] },
+			hi:   func(keys []uint64) uint64 { return keys[100_099] },
+			emit: 100,
+		},
+		{
+			name:  "GatedEarlyStop",
+			ix:    fastIndex("Chameleon"),
+			keys:  dataset.Generate(dataset.FACE, 200_000, 1),
+			gated: true,
+			lo:    func([]uint64) uint64 { return 0 },
+			hi:    func([]uint64) uint64 { return math.MaxUint64 },
+			emit:  10,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := tc.ix
+			if err := ix.BulkLoad(tc.keys, nil); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(ix.tree.Load().gates); (n > 0) != tc.gated {
+				t.Fatalf("tree registered %d gates, gated = %v", n, tc.gated)
+			}
+			lo, hi := tc.lo(tc.keys), tc.hi(tc.keys)
+			const runs = 10
+			n := 0
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				m := 0
+				ix.Range(lo, hi, func(k, v uint64) bool { m++; return m < tc.emit })
+				n += m
+			}
+			runtime.ReadMemStats(&after)
+			if n != tc.emit*runs {
+				t.Fatalf("ranges emitted %d keys, want %d", n, tc.emit*runs)
+			}
+			// Sized to the index, or reading all of it, one Range would
+			// allocate 200 k × 16 B = 3.2 MB.
+			per := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d gates: a Range emitting %d keys allocated %d bytes", len(ix.tree.Load().gates), tc.emit, per)
+			if per > 64<<10 {
+				t.Fatalf("a Range emitting %d keys allocated %d bytes", tc.emit, per)
+			}
+		})
 	}
 }
 
@@ -429,33 +468,136 @@ func TestFullReconstructionTrigger(t *testing.T) {
 }
 
 func TestConcurrentRangeAndStatsWithRetrainer(t *testing.T) {
-	// Range and Stats take per-gate Query-Locks, so they must be safe to
-	// run from the foreground while the retrainer goroutine works.
+	// Every read-only walk (Range, stopped early and run to the end,
+	// AppendPairs, Stats, Bytes, Height and LocalSkewness) reads gate child
+	// slots that structural retrains swap, so each must be safe beside them
+	// and beside reconstructions. The churner deletes and reinserts every
+	// even-indexed key twice, which pushes every gate past the structural
+	// ratio, then runs a retrain pass. The odd-indexed keys are never
+	// touched, so every walk must return each of them: one skipped interval,
+	// or a leaf lost across a subtree swap or a tree swap, shows.
 	keys := dataset.Generate(dataset.LOGN, 30_000, 6)
 	ix := fastIndex("Chameleon")
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
-	ix.StartRetrainer(time.Millisecond)
-	defer ix.StopRetrainer()
-	base := keys[len(keys)-1]
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		for i := 0; i < 1000; i++ {
-			base += 3
-			ix.Insert(base, base) //nolint:errcheck
+	stored := make(map[uint64]bool, len(keys))
+	for _, k := range keys {
+		stored[k] = true
+	}
+	// complete reports the first odd-indexed key in keys[lo:hi] missing from
+	// a walk's ascending output ks.
+	complete := func(ks []uint64, lo, hi int) string {
+		j := 0
+		for i := lo | 1; i < hi; i += 2 {
+			for j < len(ks) && ks[j] < keys[i] {
+				j++
+			}
+			if j == len(ks) || ks[j] != keys[i] {
+				return fmt.Sprintf("untouched key %d (index %d) missing from %d keys", keys[i], i, len(ks))
+			}
 		}
-		n := 0
-		ix.Range(keys[100], keys[5000], func(k, v uint64) bool {
-			n++
+		return ""
+	}
+	// ordered reports the first fault of a walk's output: a key out of
+	// order, one never stored, or a value other than the key.
+	ordered := func(ks, vs []uint64) string {
+		for i, k := range ks {
+			switch {
+			case i > 0 && k <= ks[i-1]:
+				return fmt.Sprintf("key %d after %d", k, ks[i-1])
+			case !stored[k]:
+				return fmt.Sprintf("phantom key %d", k)
+			case vs[i] != k:
+				return fmt.Sprintf("key %d has value %d", k, vs[i])
+			}
+		}
+		return ""
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func() string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if msg := read(); msg != "" {
+					t.Error(msg)
+					return
+				}
+			}
+		}()
+	}
+	reader(func() string {
+		var ks, vs []uint64
+		ix.Range(keys[100], keys[len(keys)-100], func(k, v uint64) bool {
+			ks, vs = append(ks, k), append(vs, v)
+			return len(ks) < 10
+		})
+		if len(ks) != 10 || ks[0] < keys[100] {
+			return fmt.Sprintf("early-stopped Range emitted %v", ks)
+		}
+		return ordered(ks, vs)
+	})
+	reader(func() string {
+		var ks, vs []uint64
+		ix.Range(keys[100], keys[len(keys)-100], func(k, v uint64) bool {
+			ks, vs = append(ks, k), append(vs, v)
 			return true
 		})
-		if n != 4901 {
-			t.Fatalf("range under retraining returned %d keys, want 4901", n)
+		if msg := ordered(ks, vs); msg != "" {
+			return "Range: " + msg
 		}
-		if s := ix.Stats(); s.Nodes < 1 {
-			t.Fatalf("stats under retraining: %+v", s)
+		return complete(ks, 100, len(keys)-99)
+	})
+	reader(func() string {
+		ks, vs := ix.AppendPairs(nil, nil)
+		if msg := ordered(ks, vs); msg != "" {
+			return "AppendPairs: " + msg
 		}
+		return complete(ks, 0, len(keys))
+	})
+	reader(func() string {
+		if s := ix.Stats(); s.Nodes < 1 || s.MaxHeight < 2 {
+			return fmt.Sprintf("Stats under retraining: %+v", s)
+		}
+		if h := ix.Height(); h < 2 {
+			return fmt.Sprintf("Height under retraining: %d", h)
+		}
+		if b := ix.Bytes(); b < 16*len(keys) {
+			return fmt.Sprintf("Bytes under retraining: %d", b)
+		}
+		if lsn := ix.LocalSkewness(); !(lsn >= 0) {
+			return fmt.Sprintf("LocalSkewness under retraining: %v", lsn)
+		}
+		return ""
+	})
+	for round := 0; round < 3; round++ {
+		rebuilt := ix.Reconstructions()
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < len(keys); i += 2 {
+				if err := ix.Delete(keys[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.Insert(keys[i], keys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// A reconstruction mid-round resets the drift counters.
+		if n := ix.RetrainPass(); n == 0 && ix.Reconstructions() == rebuilt {
+			t.Errorf("round %d: churned half the keys twice, yet no gate retrained", round)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if ix.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(keys))
 	}
 }
 

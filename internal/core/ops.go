@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math"
 
 	"chameleon/internal/index"
 )
@@ -93,100 +93,37 @@ func (ix *Index) Delete(k uint64) error {
 	return nil
 }
 
-// Range implements index.RangeIndex. EBH leaves are unordered, so the scan
-// collects matching entries per leaf and sorts them; this is the documented
-// trade-off of hash leaves (the paper evaluates point workloads only). Each
-// gate subtree is visited under its shared read lock, so a range scan never
-// blocks other readers and observes each interval atomically.
+// Range implements index.RangeIndex. It streams the window interval by
+// interval in key order: each interval's leaves that the window reaches are
+// copied optimistically (validated by the interval's sequence, else copied
+// again under its shared read lock), then sorted and emitted with no lock
+// held, so fn never runs under a lock, each interval is observed atomically,
+// and a Range that stops early stops reading. EBH leaves are
+// unordered, so each leaf's copy is sorted on its own; the tree orders the
+// leaves.
 func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	if hi < lo {
 		return
 	}
-	t := ix.tree.Load()
-	type kv struct{ k, v uint64 }
-	// Preallocate from the gate registry's key counts: every gate whose
-	// interval overlaps [lo, hi] bounds how many entries the scan can emit, so
-	// out almost never regrows. The counts are maintenance-time approximations
-	// (exact at build, drifting with updates), which is fine for a capacity
-	// hint. A gateless tree gives no hint: out grows with the result instead
-	// of being sized to the whole index.
-	capHint := 0
-	for _, g := range t.gates {
-		if g.hi >= lo && g.lo <= hi {
-			capHint += int(g.keys.Load())
-		}
-	}
-	if n := int(ix.count.Load()); capHint > n {
-		capHint = n
-	}
-	out := make([]kv, 0, capHint)
-	// One scratch pair reused across every leaf: AppendEntries appends into
-	// the slices we hand it, so resetting to [:0] keeps the backing arrays and
-	// the whole scan allocates O(largest leaf) instead of O(leaves).
-	var ks, vs []uint64
-	collect := func(n *node) {
-		ks, vs = n.leaf.AppendEntries(ks[:0], vs[:0])
-		for i, k := range ks {
-			if k >= lo && k <= hi {
-				out = append(out, kv{k, vs[i]})
+	var c cut
+	c.each(ix.tree.Load(), lo, hi, nil, func(c *cut) bool {
+		for i, k := range c.ks {
+			if !fn(k, c.vs[i]) {
+				return false
 			}
 		}
-	}
-	// guardedCollect scans one interval's subtree under its lock ID,
-	// optimistically first (probe with no lock, validate the seqlock
-	// version, roll the output back and retry locked if a writer raced us —
-	// the same protocol as Lookup, amortized over a whole subtree).
-	var walk func(n *node, guarded bool)
-	guardedCollect := func(resolve func() *node, id uint64) {
-		mark := len(out)
-		if ver, ok := t.locks.ReadBegin(id); ok {
-			walk(resolve(), true)
-			if t.locks.ReadValidate(id, ver) {
-				return
-			}
-		}
-		out = out[:mark] // discard the possibly-torn partial collect
-		t.locks.LockRead(id)
-		// Resolve again under the lock: the retrainer may have swapped the
-		// gate's child slot since the optimistic attempt.
-		walk(resolve(), true)
-		t.locks.UnlockRead(id)
-	}
-	walk = func(n *node, guarded bool) {
-		if n.leaf != nil {
-			if guarded {
-				collect(n)
-				return
-			}
-			guardedCollect(func() *node { return n }, t.fallbackID())
-			return
-		}
-		jLo, jHi := route(lo, n), route(hi, n)
-		for j := jLo; j <= jHi; j++ {
-			if !guarded && n.gateBase != noGate {
-				j := j
-				guardedCollect(func() *node { return gateChild(n, j) }, n.gateBase+uint64(j))
-			} else {
-				walk(n.children[j], guarded)
-			}
-		}
-	}
-	walk(t.root, false)
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	for _, e := range out {
-		if !fn(e.k, e.v) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // AppendPairs appends every stored (key, value) pair to keys/vals in
 // ascending key order and returns the extended slices — the bulk dump the
-// durable tier uses to freeze a memtable into a sorted run.
+// durable tier uses to freeze a memtable into a sorted run. It reads the
+// tree as Range does, interval by interval.
 func (ix *Index) AppendPairs(keys, vals []uint64) ([]uint64, []uint64) {
-	ix.Range(0, ^uint64(0), func(k, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
+	var c cut
+	c.each(ix.tree.Load(), 0, math.MaxUint64, nil, func(c *cut) bool {
+		keys, vals = append(keys, c.ks...), append(vals, c.vs...)
 		return true
 	})
 	return keys, vals

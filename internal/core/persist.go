@@ -1,14 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"chameleon/internal/ebh"
 	"chameleon/internal/format"
@@ -50,9 +48,10 @@ import (
 // format.ErrNeedsUpgrade.
 //
 // WriteTo is safe during live writes: it holds the rebuild lock shared (no
-// structure swap mid-walk) and copies each gate subtree's leaves under that
-// interval's read lock, which also excludes the retrainer, then sorts and
-// encodes them with the lock released. The snapshot is consistent per
+// structure swap mid-walk) and copies each gate subtree's leaves as Range
+// does (optimistically, validated by the interval's sequence, else under its
+// read lock, which also excludes the retrainer), then sorts and encodes them
+// with no lock held. The snapshot is consistent per
 // interval — each leaf is an atomic cut, no torn leaf states — and the key
 // count is summed from the encoded leaves themselves, so the file is always
 // self-consistent even while concurrent writers advance other intervals.
@@ -142,20 +141,7 @@ type snapWriter struct {
 	err  error
 	keys int // keys encoded
 
-	// The leaves of one interval, copied under its lock: geometry and the
-	// end of each leaf's entries in ks/vs, in pre-order. Reused per cut.
-	cuts   []leafCut
-	next   int
-	ks, vs []uint64
-
-	// sortLeaf's scratch.
-	starts []int
-	pairs  []kv
-}
-
-type leafCut struct {
-	g   ebh.Geometry
-	end int
+	c cut // the interval being encoded
 }
 
 // room flushes the chunk unless k more bytes fit in it.
@@ -191,73 +177,34 @@ func (sw *snapWriter) uv(v uint64) {
 	sw.buf = binary.AppendUvarint(sw.buf, v)
 }
 
-// tree encodes t in pre-order. Every leaf is copied under the read lock of
-// the interval that guards it — its gate's, or the fallback interval's for a
-// leaf no gate covers — and encoded after that lock is released.
+// tree encodes t in pre-order. Each interval's leaves are copied as a
+// validated cut and encoded with no lock held. Inner nodes below a gate
+// are never modified in place (a retrain swaps the whole gate child), so the
+// encode walks the copied subtree's shape unlocked.
 func (sw *snapWriter) tree(t *tree) {
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.leaf != nil {
-			sw.cut(t.locks, t.fallbackID(), func() *node { return nd })
-			return
-		}
-		sw.inner(nd)
-		for j := range nd.children {
-			if nd.gateBase == noGate {
-				walk(nd.children[j])
-				continue
+	inner := func(n *node, _ int) { sw.inner(n) }
+	sw.c.each(t, 0, math.MaxUint64, inner, func(c *cut) bool {
+		i := 0
+		visit(c.sub, 0, 0, math.MaxUint64, func(n *node, _ int) bool {
+			if n.leaf == nil {
+				sw.inner(n)
+			} else {
+				sw.leaf(n, c, i)
+				i++
 			}
-			// Re-read under the lock: retrain swaps this slot.
-			sw.cut(t.locks, nd.gateBase+uint64(j), func() *node { return gateChild(nd, j) })
-		}
-	}
-	walk(t.root)
+			return true
+		})
+		return true
+	})
 }
 
-// cut copies the leaves of one interval's subtree under its read lock, then
-// encodes the subtree. Inner nodes below a gate are never modified in place
-// (a retrain swaps the whole gate child), so only the leaf copies need the
-// lock; the encode walks the shape unlocked.
-func (sw *snapWriter) cut(locks *ilock.Table, id uint64, child func() *node) {
-	sw.cuts, sw.next, sw.ks, sw.vs = sw.cuts[:0], 0, sw.ks[:0], sw.vs[:0]
-	locks.LockRead(id)
-	sub := child()
-	sw.copyLeaves(sub)
-	locks.UnlockRead(id)
-	sw.subtree(sub)
-}
-
-func (sw *snapWriter) copyLeaves(nd *node) {
-	if nd.leaf == nil {
-		for _, c := range nd.children {
-			sw.copyLeaves(c)
-		}
-		return
-	}
-	g := nd.leaf.Geometry()
-	sw.ks, sw.vs = nd.leaf.AppendEntries(sw.ks, sw.vs)
-	sw.cuts = append(sw.cuts, leafCut{g: g, end: len(sw.ks)})
-}
-
-func (sw *snapWriter) subtree(nd *node) {
-	if nd.leaf == nil {
-		sw.inner(nd)
-		for _, c := range nd.children {
-			sw.subtree(c)
-		}
-		return
-	}
-	lc := sw.cuts[sw.next]
-	start := 0
-	if sw.next > 0 {
-		start = sw.cuts[sw.next-1].end
-	}
-	sw.next++
-	g := lc.g
-	pairs := sw.sortLeaf(g, sw.ks[start:lc.end], sw.vs[start:lc.end])
+// leaf encodes leaf node n, the i-th leaf of c.
+func (sw *snapWriter) leaf(n *node, c *cut, i int) {
+	g := c.leaves[i].g
+	ks, vs := c.run(i)
 	sw.u8(tagLeaf)
-	sw.u64(nd.lo)
-	sw.u64(nd.hi)
+	sw.u64(n.lo)
+	sw.u64(n.hi)
 	sw.u64(g.Lo)
 	sw.u64(g.Hi)
 	sw.uv(uint64(g.Cap))
@@ -268,56 +215,16 @@ func (sw *snapWriter) subtree(nd *node) {
 		sat = 1
 	}
 	sw.u8(sat)
-	sw.uv(uint64(len(pairs)))
+	sw.uv(uint64(len(ks)))
 	prev := uint64(0)
-	for _, p := range pairs {
-		sw.uv(p.k - prev)
-		prev = p.k
-	}
-	for _, p := range pairs {
-		sw.u64(p.v)
-	}
-	sw.keys += len(pairs)
-}
-
-type kv struct{ k, v uint64 }
-
-// sortLeaf returns one leaf's entries, copied in slot order, sorted by key.
-// Slot order is the hash order of Eq. (2), which wraps around the slab ⌈α⌉
-// times over [lo, hi]: the entries form ⌈α⌉ interleaved ascending runs, each
-// disturbed only by probe displacement. Dealing them into one bucket per run
-// by key leaves them nearly sorted, which the pattern-defeating sort then
-// finishes in close to linear time (~10× faster than sorting slot order
-// directly). The buckets only pre-order the input; the sort alone decides
-// the result.
-func (sw *snapWriter) sortLeaf(g ebh.Geometry, ks, vs []uint64) []kv {
-	n := len(ks)
-	nb := n
-	if a := math.Ceil(g.Alpha); a < float64(n) {
-		nb = int(a)
-	}
-	scale := float64(nb) / (float64(g.Hi-g.Lo) + 1)
-	bucket := func(k uint64) int {
-		if k <= g.Lo {
-			return 0
-		}
-		return min(int(scale*float64(k-g.Lo)), nb-1)
-	}
-	sw.starts = append(sw.starts[:0], make([]int, nb+1)...)
 	for _, k := range ks {
-		sw.starts[bucket(k)+1]++
+		sw.uv(k - prev)
+		prev = k
 	}
-	for b := 1; b <= nb; b++ {
-		sw.starts[b] += sw.starts[b-1]
+	for _, v := range vs {
+		sw.u64(v)
 	}
-	sw.pairs = slices.Grow(sw.pairs[:0], n)[:n]
-	for i, k := range ks {
-		b := bucket(k)
-		sw.pairs[sw.starts[b]] = kv{k, vs[i]}
-		sw.starts[b]++
-	}
-	slices.SortFunc(sw.pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
-	return sw.pairs
+	sw.keys += len(ks)
 }
 
 func (sw *snapWriter) inner(nd *node) {
@@ -631,12 +538,8 @@ func (r *snapReader) fixed(dst []uint64, n uint64) []uint64 {
 func rebuildGates(t *tree) error {
 	maxID := uint64(0)
 	totalChildren := 0
-	var scan func(n *node)
 	var collect []func(gates []*gate)
-	scan = func(n *node) {
-		if n.leaf != nil {
-			return
-		}
+	visit(t.root, 0, 0, math.MaxUint64, func(n *node, _ int) bool {
 		totalChildren += len(n.children)
 		if n.gateBase != noGate {
 			parent := n
@@ -660,11 +563,8 @@ func rebuildGates(t *tree) error {
 				})
 			}
 		}
-		for _, c := range n.children {
-			scan(c)
-		}
-	}
-	scan(t.root)
+		return true
+	})
 	if maxID > uint64(totalChildren) {
 		return corruptf("gate ID %d exceeds %d child slots", maxID, totalChildren)
 	}
@@ -685,12 +585,12 @@ func rebuildGates(t *tree) error {
 }
 
 func subtreeKeys(n *node) int {
-	if n.leaf != nil {
-		return n.leaf.Len()
-	}
 	total := 0
-	for _, c := range n.children {
-		total += subtreeKeys(c)
-	}
+	visit(n, 0, 0, math.MaxUint64, func(nd *node, _ int) bool {
+		if nd.leaf != nil {
+			total += nd.leaf.Len()
+		}
+		return true
+	})
 	return total
 }

@@ -167,9 +167,9 @@ func tornReadOracle(t *testing.T, n int, gated bool) {
 
 // TestLookupFallbackOnHeldWriteLock pins a key's interval under an exclusive
 // write lock and checks, for Lookup and for a Range over that interval, that
-// the optimistic attempt gives up and takes the locked path (blocking until
-// release), still returns exactly the right answer, and — for Lookup —
-// accounts the fallback. It runs over a gated tree (the interval is a gate)
+// the read blocks until release — Lookup once its optimistic attempts give
+// up, Range on its read lock — still returns exactly the right answer, and —
+// for Lookup — accounts the fallback. It runs over a gated tree (the interval is a gate)
 // and over a tree whose root is a leaf (the interval is the fallback one).
 func TestLookupFallbackOnHeldWriteLock(t *testing.T) {
 	for _, tc := range []struct {

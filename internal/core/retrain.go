@@ -2,7 +2,7 @@ package core
 
 import (
 	"log"
-	"sort"
+	"math"
 	"time"
 
 	"chameleon/internal/dataset"
@@ -194,72 +194,40 @@ func (ix *Index) retrainLight(t *tree, g *gate) {
 	}
 	growth := 1 + float64(g.updates.Load())/float64(keys)
 	n := 0
-	var walk func(nd *node)
-	walk = func(nd *node) {
+	visit(gateChild(g.parent, g.slot), 0, 0, math.MaxUint64, func(nd *node, _ int) bool {
 		if nd.leaf != nil {
 			nd.leaf.RetrainFor(int(growth * float64(nd.leaf.Len())))
 			n += nd.leaf.Len()
-			return
 		}
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(gateChild(g.parent, g.slot))
+		return true
+	})
 	g.keys.Store(int64(n))
 	g.updates.Store(0)
 	ix.retrains.Add(1)
 	ix.retrainNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// retrainStructural gathers the subtree's entries, re-runs the fanout policy
-// (the paper invokes TSMDP here: "we retrain the local structure by
-// employing TSMDP as the background thread"), and swaps the rebuilt subtree
-// into the parent slot — all under the interval's Retraining-Lock, so
-// foreground operations on other intervals proceed untouched.
+// retrainStructural gathers the subtree's entries in key order, re-runs the
+// fanout policy (the paper invokes TSMDP here: "we retrain the local
+// structure by employing TSMDP as the background thread"), and swaps the
+// rebuilt subtree into the parent slot — all under the interval's
+// Retraining-Lock, so foreground operations on other intervals proceed
+// untouched.
 func (ix *Index) retrainStructural(t *tree, g *gate) {
 	start := time.Now()
 	t.locks.LockRetrain(g.id)
 	defer t.locks.UnlockRetrain(g.id)
-	old := gateChild(g.parent, g.slot)
-	var ks, vs []uint64
-	var collect func(nd *node)
-	collect = func(nd *node) {
-		if nd.leaf != nil {
-			ks, vs = nd.leaf.AppendEntries(ks, vs)
-			return
-		}
-		for _, c := range nd.children {
-			collect(c)
-		}
-	}
-	collect(old)
-	sortPairs(ks, vs)
+	var c cut
+	c.copy(gateChild(g.parent, g.slot), 0, math.MaxUint64)
+	c.sort()
 	// Atomic store: optimistic readers load this slot with no lock held
 	// (their seqlock validation catches the swap, but the pointer itself
 	// must never tear).
-	setGateChild(g.parent, g.slot, ix.buildLower(ks, vs, g.lo, g.hi, t.h, t.h))
-	g.keys.Store(int64(len(ks)))
+	setGateChild(g.parent, g.slot, ix.buildLower(c.ks, c.vs, g.lo, g.hi, t.h, t.h))
+	g.keys.Store(int64(len(c.ks)))
 	g.updates.Store(0)
 	ix.retrains.Add(1)
 	ix.retrainNanos.Add(time.Since(start).Nanoseconds())
-}
-
-// pairSlice sorts parallel key/value slices by key via sort.Sort, replacing
-// the earlier hand-rolled quicksort whose adversarial worst case was O(n²)
-// with unbounded recursion; sort.Sort's introsort bounds both.
-type pairSlice struct{ ks, vs []uint64 }
-
-func (p pairSlice) Len() int           { return len(p.ks) }
-func (p pairSlice) Less(i, j int) bool { return p.ks[i] < p.ks[j] }
-func (p pairSlice) Swap(i, j int) {
-	p.ks[i], p.ks[j] = p.ks[j], p.ks[i]
-	p.vs[i], p.vs[j] = p.vs[j], p.vs[i]
-}
-
-// sortPairs sorts keys ascending, carrying values along.
-func sortPairs(ks, vs []uint64) {
-	sort.Sort(pairSlice{ks, vs})
 }
 
 // maybeReconstruct runs a full DARE reconstruction when cumulative updates
@@ -332,20 +300,8 @@ func (ix *Index) Reconstruct() {
 		if reconstructFailpoint != nil {
 			reconstructFailpoint()
 		}
-		t := ix.tree.Load()
-		var ks, vs []uint64
-		var collect func(nd *node)
-		collect = func(nd *node) {
-			if nd.leaf != nil {
-				ks, vs = nd.leaf.AppendEntries(ks, vs)
-				return
-			}
-			for _, c := range nd.children {
-				collect(c)
-			}
-		}
-		collect(t.root)
-		sortPairs(ks, vs)
+		n := ix.Len()
+		ks, vs := ix.AppendPairs(make([]uint64, 0, n), make([]uint64, 0, n))
 		// Runtime rebuilds use the (cheaper) reconstruction policy; bulk
 		// loads keep the full-budget one.
 		saved := ix.cfg.Dare
@@ -380,37 +336,13 @@ func (ix *Index) driftedGates() int {
 }
 
 // LocalSkewness recomputes the lsn statistic over the index's current
-// contents (Definition 3); exported for observability. Gate children are
-// read under shared interval locks so the walk is safe while the retrainer
-// and writers run.
+// contents (Definition 3); exported for observability. It reads the keys as
+// Range does, so it is safe while the retrainer and writers run.
 func (ix *Index) LocalSkewness() float64 {
-	t := ix.tree.Load()
-	var ks []uint64
-	var walk func(nd *node, guarded bool)
-	walk = func(nd *node, guarded bool) {
-		if nd.leaf != nil {
-			if guarded {
-				ks, _ = nd.leaf.AppendEntries(ks, nil)
-				return
-			}
-			fid := t.fallbackID()
-			t.locks.LockRead(fid)
-			ks, _ = nd.leaf.AppendEntries(ks, nil)
-			t.locks.UnlockRead(fid)
-			return
-		}
-		for j := range nd.children {
-			if !guarded && nd.gateBase != noGate {
-				id := nd.gateBase + uint64(j)
-				t.locks.LockRead(id)
-				walk(gateChild(nd, j), true)
-				t.locks.UnlockRead(id)
-			} else {
-				walk(nd.children[j], guarded)
-			}
-		}
-	}
-	walk(t.root, false)
-	ks = dataset.SortDedup(ks)
+	ks := make([]uint64, 0, ix.Len())
+	ix.Range(0, math.MaxUint64, func(k, _ uint64) bool {
+		ks = append(ks, k)
+		return true
+	})
 	return dataset.LocalSkewness(ks)
 }

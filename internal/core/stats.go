@@ -3,54 +3,24 @@ package core
 import "chameleon/internal/index"
 
 // Stats implements index.StatsProvider, producing the Table V metrics. It
-// takes each gate's shared read lock while visiting its subtree (and the
-// fallback lock for gate-less leaves), so it is safe to call while the
-// retrainer and concurrent writers run.
+// reads each interval under its shared read lock, so it is safe to call
+// while the retrainer and concurrent writers run.
 func (ix *Index) Stats() index.Stats {
-	t := ix.tree.Load()
 	var s index.Stats
 	var keySum int
 	var depthSum, errSum float64
-	leafStats := func(n *node, depth int) {
-		if depth > s.MaxHeight {
-			s.MaxHeight = depth
+	ix.tree.Load().eachNode(func(n *node, depth int) {
+		s.Nodes++
+		if n.leaf == nil {
+			return
 		}
+		s.MaxHeight = max(s.MaxHeight, depth)
 		maxE, sumE := n.leaf.ErrorStats()
-		if maxE > s.MaxError {
-			s.MaxError = maxE
-		}
+		s.MaxError = max(s.MaxError, maxE)
 		errSum += sumE
 		keySum += n.leaf.Len()
 		depthSum += float64(depth) * float64(n.leaf.Len())
-	}
-	var visit func(n *node, depth int, guarded bool)
-	visit = func(n *node, depth int, guarded bool) {
-		s.Nodes++
-		if n.leaf != nil {
-			if guarded {
-				leafStats(n, depth)
-				return
-			}
-			fid := t.fallbackID()
-			t.locks.LockRead(fid)
-			leafStats(n, depth)
-			t.locks.UnlockRead(fid)
-			return
-		}
-		for j := range n.children {
-			if !guarded && n.gateBase != noGate {
-				// The child pointer must be read under the interval lock:
-				// the retrainer swaps it.
-				id := n.gateBase + uint64(j)
-				t.locks.LockRead(id)
-				visit(gateChild(n, j), depth+1, true)
-				t.locks.UnlockRead(id)
-			} else {
-				visit(n.children[j], depth+1, guarded)
-			}
-		}
-	}
-	visit(t.root, 1, false)
+	})
 	if keySum > 0 {
 		s.AvgHeight = depthSum / float64(keySum)
 		s.AvgError = errSum / float64(keySum)
@@ -59,37 +29,25 @@ func (ix *Index) Stats() index.Stats {
 }
 
 // Bytes implements index.Index: leaf slabs plus inner-node child arrays and
-// headers, visited under the same locking discipline as Stats.
+// headers, read as Stats reads them.
 func (ix *Index) Bytes() int {
 	t := ix.tree.Load()
 	total := 0
-	var visit func(n *node, guarded bool)
-	visit = func(n *node, guarded bool) {
+	t.eachNode(func(n *node, _ int) {
 		if n.leaf != nil {
-			if guarded {
-				total += n.leaf.Bytes() + 64
-				return
-			}
-			fid := t.fallbackID()
-			t.locks.LockRead(fid)
 			total += n.leaf.Bytes() + 64
-			t.locks.UnlockRead(fid)
-			return
+		} else {
+			total += 64 + 8*len(n.children)
 		}
-		total += 64 + 8*len(n.children)
-		for j := range n.children {
-			if !guarded && n.gateBase != noGate {
-				id := n.gateBase + uint64(j)
-				t.locks.LockRead(id)
-				visit(gateChild(n, j), true)
-				t.locks.UnlockRead(id)
-			} else {
-				visit(n.children[j], guarded)
-			}
-		}
-	}
-	visit(t.root, false)
+	})
 	// Gate bookkeeping and the lock table.
 	total += len(t.gates)*64 + t.locks.Len()*4
 	return total
+}
+
+// Height reports the number of levels on the deepest path (root = 1).
+func (ix *Index) Height() int {
+	h := 0
+	ix.tree.Load().eachNode(func(_ *node, depth int) { h = max(h, depth) })
+	return h
 }

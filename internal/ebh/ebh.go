@@ -83,6 +83,8 @@ type probe struct {
 
 	c int // capacity (number of key slots)
 
+	alpha float64 // hash factor: a rung of alphaLadder
+
 	// cd is the conflict degree: max offset of any stored key
 	// (Definition 2). It grows in place under the writer lock and is read
 	// lock-free, hence atomic.
@@ -99,10 +101,9 @@ type probe struct {
 
 // Node is one EBH leaf. The zero value is not usable; construct with New.
 type Node struct {
-	p     atomic.Pointer[probe]
-	alpha float64 // hash factor of the live probe: a rung of alphaLadder
-	base  float64 // the configured α the ladder multiplies
-	tau   float64
+	p    atomic.Pointer[probe]
+	base float64 // the configured α the ladder multiplies
+	tau  float64
 
 	n int // stored keys; mutated and read only under the interval lock
 
@@ -115,15 +116,16 @@ type Node struct {
 
 	// saturated marks a distribution the hash cannot flatten within the
 	// conflict-degree bound at any rung of the ladder, suppressing futile
-	// re-scatter attempts until the next capacity growth.
-	saturated bool
+	// re-scatter attempts until the next capacity growth. Written under the
+	// interval lock; atomic so that Geometry can be read optimistically.
+	saturated atomic.Bool
 }
 
 // newProbe allocates a probe for capacity c over [lo, hi] with hash factor
 // alpha. The slabs start empty.
 func newProbe(lo, hi uint64, c int, alpha float64) *probe {
 	pr := &probe{
-		lo: lo, hi: hi, c: c,
+		lo: lo, hi: hi, c: c, alpha: alpha,
 		slots: make([]atomic.Uint64, 2*c),
 		occ:   make([]atomic.Uint64, (c+63)/64),
 	}
@@ -149,7 +151,7 @@ func New(lo, hi uint64, expected int, tau, alpha float64) *Node {
 	if tau <= 0 || tau >= 1 {
 		tau = DefaultTau
 	}
-	nd := &Node{alpha: alpha, base: alpha, tau: tau, kmin: math.MaxUint64}
+	nd := &Node{base: alpha, tau: tau, kmin: math.MaxUint64}
 	nd.p.Store(newProbe(lo, hi, nd.capFor(max(expected, 1)), alpha))
 	return nd
 }
@@ -417,7 +419,7 @@ func extend(lo, hi, k uint64) (uint64, uint64) {
 // probe broke it, unless the leaf is saturated (see climb).
 func (nd *Node) settle() {
 	pr := nd.p.Load()
-	if nd.saturated || int(pr.cd.Load()) <= maxConflictDegree {
+	if nd.saturated.Load() || int(pr.cd.Load()) <= maxConflictDegree {
 		return
 	}
 	nd.climb(pr.each, pr)
@@ -435,22 +437,21 @@ func (nd *Node) settle() {
 // even that fails.
 func (nd *Node) climb(src entries, cur *probe) {
 	live := nd.p.Load()
-	best, alpha, stop := cur, nd.alpha, int32(maxConflictDegree+1)
+	best, alpha, stop := cur, live.alpha, int32(maxConflictDegree+1)
 	if cur != nil {
 		stop = cur.cd.Load()
 	}
 	for _, m := range alphaLadder {
-		if a := m * nd.base; a != nd.alpha {
+		if a := m * nd.base; a != live.alpha {
 			if np := newProbe(live.lo, live.hi, live.c, a); np.fill(src, stop) {
 				best, alpha, stop = np, a, np.cd.Load()
 			}
 		}
 	}
-	nd.alpha = alpha
 	if int(stop) > maxConflictDegree {
 		best = newProbe(live.lo, live.hi, nd.capFor(2*nd.n), alpha)
 		best.fill(src, math.MaxInt32)
-		nd.saturated = int(best.cd.Load()) > maxConflictDegree
+		nd.saturated.Store(int(best.cd.Load()) > maxConflictDegree)
 	}
 	if best != live {
 		nd.p.Store(best)
@@ -566,11 +567,11 @@ func (pr *probe) keyRange() (lo, hi uint64) {
 // capacity a wider interval crowds the keys no less.
 func (nd *Node) rescatter(c int, lo, hi uint64) {
 	old := nd.p.Load()
-	np := newProbe(lo, hi, c, nd.alpha)
+	np := newProbe(lo, hi, c, old.alpha)
 	np.fill(old.each, math.MaxInt32)
 	nd.p.Store(np)
 	if c > old.c {
-		nd.saturated = false
+		nd.saturated.Store(false)
 	}
 }
 

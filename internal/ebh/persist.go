@@ -17,13 +17,14 @@ type Geometry struct {
 	Saturated  bool
 }
 
-// Geometry reports the leaf's persisted shape. Like every mutator, it needs
-// the interval lock (shared suffices): the saturation flag is not atomic.
+// Geometry reports the leaf's persisted shape. It reads only the live probe,
+// atomics and τ, which is fixed at construction, so an optimistic reader may
+// call it with no lock and validate afterwards, as it does AppendEntries.
 func (nd *Node) Geometry() Geometry {
 	pr := nd.p.Load()
 	return Geometry{
 		Lo: pr.lo, Hi: pr.hi, Cap: pr.c,
-		Alpha: nd.alpha, Tau: nd.tau, Saturated: nd.saturated,
+		Alpha: pr.alpha, Tau: nd.tau, Saturated: nd.saturated.Load(),
 	}
 }
 
@@ -70,7 +71,8 @@ func Restore(g Geometry, alpha float64, keys, vals []uint64) (*Node, error) {
 	if bound := maxCapSlack * max(CapacityFor(n, DefaultTau), 8); c > bound {
 		c = bound
 	}
-	nd := &Node{alpha: g.Alpha, base: alpha, tau: g.Tau, saturated: g.Saturated, n: n, kmin: math.MaxUint64}
+	nd := &Node{base: alpha, tau: g.Tau, n: n, kmin: math.MaxUint64}
+	nd.saturated.Store(g.Saturated)
 	if n > 0 {
 		nd.kmin, nd.kmax = keys[0], keys[n-1]
 	}

@@ -333,20 +333,20 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 		return
 	}
 	t.d.mu.Lock()
-	mem, fr := t.captureRangeLocked(lo, hi)
+	mem, dead, fr := t.captureRangeLocked(lo, hi)
 	t.d.mu.Unlock()
 
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
-	if err := mergeRange(mem, fr, t.segs.Load(), lo, hi, fn); err != nil {
+	if err := mergeRange(mem, dead, fr, t.segs.Load(), lo, hi, fn); err != nil {
 		t.coldErrs.Add(1)
 	}
 }
 
 // captureRangeLocked captures the volatile tiers' share of [lo, hi]: the
-// memtable's pairs and the dead set's tombstones, unsorted, and the frozen
-// run. Callers hold d.mu.
-func (t *tier) captureRangeLocked(lo, hi uint64) (mem []segment.Entry, fr *frozenRun) {
+// memtable's pairs and the dead set's tombstones, each ascending, and the
+// frozen run. Callers hold d.mu.
+func (t *tier) captureRangeLocked(lo, hi uint64) (mem, dead []segment.Entry, fr *frozenRun) {
 	t.d.ix.Range(lo, hi, func(k, v uint64) bool {
 		mem = append(mem, segment.Entry{Key: k, Val: v})
 		return true
@@ -354,24 +354,23 @@ func (t *tier) captureRangeLocked(lo, hi uint64) (mem []segment.Entry, fr *froze
 	t.deadMu.RLock()
 	for k := range t.dead {
 		if k >= lo && k <= hi {
-			mem = append(mem, segment.Entry{Key: k, Tomb: true})
+			dead = append(dead, segment.Entry{Key: k, Tomb: true})
 		}
 	}
 	t.deadMu.RUnlock()
-	return mem, t.frozen.Load()
+	sort.Slice(dead, func(i, j int) bool { return dead[i].Key < dead[j].Key })
+	return mem, dead, t.frozen.Load()
 }
 
 // mergeRange streams the visible pairs of [lo, hi] ascending from a capture
 // (captureRangeLocked) over the segment set, newest wins, tombstones
-// dropped, until fn returns false. It sorts mem in place. Callers hold
-// segMu.RLock, which keeps set's readers open.
-func mergeRange(mem []segment.Entry, fr *frozenRun, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
-	// The memtable and dead set are disjoint, so appending tombstones and
-	// re-sorting yields one strictly-ascending newest source.
-	sort.Slice(mem, func(i, j int) bool { return mem[i].Key < mem[j].Key })
-
-	sources := make([]segment.Iterator, 0, len(set.readers)+2)
-	sources = append(sources, segment.NewSliceIter(mem))
+// dropped, until fn returns false. Callers hold segMu.RLock, which keeps
+// set's readers open.
+func mergeRange(mem, dead []segment.Entry, fr *frozenRun, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
+	// The memtable and the dead set are disjoint and both shadow every older
+	// source; if they ever collide the live value wins, as in captureLocked.
+	sources := make([]segment.Iterator, 0, len(set.readers)+3)
+	sources = append(sources, segment.NewSliceIter(mem), segment.NewSliceIter(dead))
 	if fr != nil {
 		sources = append(sources, segment.NewSliceIter(fr.entries(lo, hi)))
 	}

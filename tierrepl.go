@@ -45,14 +45,14 @@ func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
 		return 0, 0, err
 	}
 	asOf, live := d.commitSeq.Load(), t.liveCount.Load()
-	mem, fr := t.captureRangeLocked(0, math.MaxUint64)
+	mem, dead, fr := t.captureRangeLocked(0, math.MaxUint64)
 	t.segMu.RLock()
 	set := t.segs.Load()
 	d.mu.Unlock()
 
 	keys := make([]uint64, 0, live)
 	vals := make([]uint64, 0, live)
-	err = mergeRange(mem, fr, set, 0, math.MaxUint64, func(k, v uint64) bool {
+	err = mergeRange(mem, dead, fr, set, 0, math.MaxUint64, func(k, v uint64) bool {
 		keys = append(keys, k)
 		vals = append(vals, v)
 		return true
