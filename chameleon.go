@@ -172,13 +172,6 @@ func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 	ix.inner.Range(lo, hi, fn)
 }
 
-// AppendPairs appends the full contents to keys/vals in ascending key order
-// and returns the extended slices — the bulk dump the durable tier uses to
-// freeze a memtable into a sorted run. It reads the index as Range does.
-func (ix *Index) AppendPairs(keys, vals []uint64) ([]uint64, []uint64) {
-	return ix.inner.AppendPairs(keys, vals)
-}
-
 // Len reports the number of stored keys.
 func (ix *Index) Len() int { return ix.inner.Len() }
 

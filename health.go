@@ -252,7 +252,7 @@ func (t *tier) health() *TierHealth {
 		ColdReadErrs:      t.coldErrs.Load(),
 	}
 	t.deadMu.RLock()
-	th.DeadKeys = len(t.dead)
+	th.DeadKeys = t.dead.Len()
 	t.deadMu.RUnlock()
 	if fr := t.frozen.Load(); fr != nil {
 		th.FrozenKeys = len(fr.keys)

@@ -3,10 +3,15 @@
 // search in inner and leaf nodes, in-place updates with node splits, and
 // borrow/merge rebalancing on deletes. It supports bulk loading from sorted
 // input and ordered range scans.
+//
+// The tiered engine also keeps its pending tombstones in one (the dead set,
+// DESIGN.md §15), which is why a descent allocates nothing: Insert and
+// Delete record their path in a slice the Tree keeps, and node edits move
+// keys within a node's own backing array.
 package bptree
 
 import (
-	"sort"
+	"slices"
 
 	"chameleon/internal/index"
 )
@@ -32,6 +37,7 @@ type Tree struct {
 	root  *node
 	order int
 	count int
+	path  []pathEntry // Insert's and Delete's descent, reused
 }
 
 var _ index.RangeIndex = (*Tree)(nil)
@@ -107,11 +113,18 @@ func minKey(n *node) uint64 {
 	return n.keys[0]
 }
 
-// findLeaf descends to the leaf responsible for k, recording the path.
+// findLeaf descends to the leaf responsible for k, recording the path in
+// *path (emptied first) when path is non-nil.
 func (t *Tree) findLeaf(k uint64, path *[]pathEntry) *node {
+	if path != nil {
+		*path = (*path)[:0]
+	}
 	n := t.root
 	for !n.isLeaf() {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > k })
+		i, found := slices.BinarySearch(n.keys, k)
+		if found {
+			i++ // keys[i] is the smallest key in children[i+1]
+		}
 		if path != nil {
 			*path = append(*path, pathEntry{n, i})
 		}
@@ -128,8 +141,7 @@ type pathEntry struct {
 // Lookup implements index.Index.
 func (t *Tree) Lookup(k uint64) (uint64, bool) {
 	n := t.findLeaf(k, nil)
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= k })
-	if i < len(n.keys) && n.keys[i] == k {
+	if i, ok := slices.BinarySearch(n.keys, k); ok {
 		return n.vals[i], true
 	}
 	return 0, false
@@ -137,17 +149,14 @@ func (t *Tree) Lookup(k uint64) (uint64, bool) {
 
 // Insert implements index.Index.
 func (t *Tree) Insert(k, v uint64) error {
-	var path []pathEntry
-	leaf := t.findLeaf(k, &path)
-	i := sort.Search(len(leaf.keys), func(i int) bool { return leaf.keys[i] >= k })
-	if i < len(leaf.keys) && leaf.keys[i] == k {
+	leaf := t.findLeaf(k, &t.path)
+	path := t.path
+	i, found := slices.BinarySearch(leaf.keys, k)
+	if found {
 		return index.ErrDuplicateKey
 	}
-	leaf.keys = append(leaf.keys, 0)
-	leaf.vals = append(leaf.vals, 0)
-	copy(leaf.keys[i+1:], leaf.keys[i:])
-	copy(leaf.vals[i+1:], leaf.vals[i:])
-	leaf.keys[i], leaf.vals[i] = k, v
+	leaf.keys = slices.Insert(leaf.keys, i, k)
+	leaf.vals = slices.Insert(leaf.vals, i, v)
 	t.count++
 
 	// Split upward while overfull.
@@ -182,12 +191,8 @@ func (t *Tree) Insert(k, v uint64) error {
 		p := path[len(path)-1]
 		path = path[:len(path)-1]
 		parent, at := p.n, p.idx
-		parent.keys = append(parent.keys, 0)
-		copy(parent.keys[at+1:], parent.keys[at:])
-		parent.keys[at] = sep
-		parent.children = append(parent.children, nil)
-		copy(parent.children[at+2:], parent.children[at+1:])
-		parent.children[at+1] = sib
+		parent.keys = slices.Insert(parent.keys, at, sep)
+		parent.children = slices.Insert(parent.children, at+1, sib)
 		child = parent
 	}
 	return nil
@@ -195,14 +200,14 @@ func (t *Tree) Insert(k, v uint64) error {
 
 // Delete implements index.Index with borrow/merge rebalancing.
 func (t *Tree) Delete(k uint64) error {
-	var path []pathEntry
-	leaf := t.findLeaf(k, &path)
-	i := sort.Search(len(leaf.keys), func(i int) bool { return leaf.keys[i] >= k })
-	if i >= len(leaf.keys) || leaf.keys[i] != k {
+	leaf := t.findLeaf(k, &t.path)
+	path := t.path
+	i, found := slices.BinarySearch(leaf.keys, k)
+	if !found {
 		return index.ErrKeyNotFound
 	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
+	leaf.keys = slices.Delete(leaf.keys, i, i+1)
+	leaf.vals = slices.Delete(leaf.vals, i, i+1)
 	t.count--
 
 	min := t.order / 2
@@ -231,21 +236,19 @@ func (t *Tree) rebalance(parent *node, at int) bool {
 	if at > 0 {
 		left := parent.children[at-1]
 		if len(left.keys) > t.order/2 {
+			last := len(left.keys) - 1
 			if child.isLeaf() {
-				last := len(left.keys) - 1
-				child.keys = append([]uint64{left.keys[last]}, child.keys...)
-				child.vals = append([]uint64{left.vals[last]}, child.vals...)
-				left.keys = left.keys[:last]
+				child.keys = slices.Insert(child.keys, 0, left.keys[last])
+				child.vals = slices.Insert(child.vals, 0, left.vals[last])
 				left.vals = left.vals[:last]
 				parent.keys[at-1] = child.keys[0]
 			} else {
-				child.keys = append([]uint64{parent.keys[at-1]}, child.keys...)
-				last := len(left.keys) - 1
+				child.keys = slices.Insert(child.keys, 0, parent.keys[at-1])
 				parent.keys[at-1] = left.keys[last]
-				child.children = append([]*node{left.children[last+1]}, child.children...)
-				left.keys = left.keys[:last]
-				left.children = left.children[:last+1]
+				child.children = slices.Insert(child.children, 0, left.children[last+1])
+				left.children = slices.Delete(left.children, last+1, last+2)
 			}
+			left.keys = left.keys[:last]
 			return false
 		}
 	}
@@ -256,16 +259,15 @@ func (t *Tree) rebalance(parent *node, at int) bool {
 			if child.isLeaf() {
 				child.keys = append(child.keys, right.keys[0])
 				child.vals = append(child.vals, right.vals[0])
-				right.keys = right.keys[1:]
-				right.vals = right.vals[1:]
-				parent.keys[at] = right.keys[0]
+				right.vals = slices.Delete(right.vals, 0, 1)
+				parent.keys[at] = right.keys[1]
 			} else {
 				child.keys = append(child.keys, parent.keys[at])
 				parent.keys[at] = right.keys[0]
 				child.children = append(child.children, right.children[0])
-				right.keys = right.keys[1:]
-				right.children = right.children[1:]
+				right.children = slices.Delete(right.children, 0, 1)
 			}
+			right.keys = slices.Delete(right.keys, 0, 1)
 			return false
 		}
 	}
@@ -287,8 +289,8 @@ func (t *Tree) rebalance(parent *node, at int) bool {
 		left.keys = append(left.keys, right.keys...)
 		left.children = append(left.children, right.children...)
 	}
-	parent.keys = append(parent.keys[:l], parent.keys[l+1:]...)
-	parent.children = append(parent.children[:l+1], parent.children[l+2:]...)
+	parent.keys = slices.Delete(parent.keys, l, l+1)
+	parent.children = slices.Delete(parent.children, l+1, l+2)
 	return true
 }
 

@@ -43,6 +43,7 @@ func Run(t *testing.T, build index.Builder, o Options) {
 	t.Run("Oracle", func(t *testing.T) { oracle(t, build, o) })
 	t.Run("Values", func(t *testing.T) { values(t, build, o) })
 	t.Run("Bytes", func(t *testing.T) { bytes(t, build, o) })
+	t.Run("LargeKeys", func(t *testing.T) { largeKeys(t, build, o) })
 	if _, ok := build().(index.RangeIndex); ok {
 		t.Run("Range", func(t *testing.T) { ranges(t, build, o) })
 		if !o.ReadOnly {
@@ -205,6 +206,77 @@ func bytes(t *testing.T, build index.Builder, o Options) {
 	}
 	if small.Bytes() <= 0 || big.Bytes() <= small.Bytes() {
 		t.Fatalf("%s: Bytes not monotone: %d vs %d", small.Name(), small.Bytes(), big.Bytes())
+	}
+}
+
+// largeKeys runs key sets where float64 loses precision: near 2⁶⁴−1,
+// around 2⁶³, and split between 0 and 2⁶⁴−1. Each bulk-loads half its keys
+// and inserts the other half (read-only structures only look up the loaded
+// half), then every key must be found and a full Range must yield them in
+// order.
+func largeKeys(t *testing.T, build index.Builder, o Options) {
+	t.Helper()
+	n := o.N / 4
+	const top = ^uint64(0)
+	shapes := []struct {
+		name string
+		key  func(i int) uint64
+	}{
+		{"near 2^64-1", func(i int) uint64 { return top - uint64(n-1-i)*37 }},
+		{"around 2^63", func(i int) uint64 { return 1<<63 + uint64(i-n/2)*37 }},
+		{"split 0 and 2^64-1", func(i int) uint64 {
+			if i < n/2 {
+				return uint64(i) * 37
+			}
+			return top - uint64(n-1-i)*37
+		}},
+	}
+	for _, sh := range shapes {
+		var loaded, inserted []uint64
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				loaded = append(loaded, sh.key(i))
+			} else {
+				inserted = append(inserted, sh.key(i))
+			}
+		}
+		ix := build()
+		if err := ix.BulkLoad(loaded, nil); err != nil {
+			t.Fatalf("%s/%s: BulkLoad: %v", ix.Name(), sh.name, err)
+		}
+		want := loaded
+		if !o.ReadOnly {
+			for _, k := range inserted {
+				if err := ix.Insert(k, k); err != nil {
+					t.Fatalf("%s/%s: Insert(%d): %v", ix.Name(), sh.name, k, err)
+				}
+			}
+			want = append(append([]uint64(nil), loaded...), inserted...)
+			sortU64(want)
+		}
+		if ix.Len() != len(want) {
+			t.Fatalf("%s/%s: Len = %d, want %d", ix.Name(), sh.name, ix.Len(), len(want))
+		}
+		for _, k := range want {
+			if v, ok := ix.Lookup(k); !ok || v != k {
+				t.Fatalf("%s/%s: Lookup(%d) = %d,%v", ix.Name(), sh.name, k, v, ok)
+			}
+		}
+		rix, ok := ix.(index.RangeIndex)
+		if !ok {
+			continue
+		}
+		i := 0
+		rix.Range(0, top, func(k, _ uint64) bool {
+			if i >= len(want) || k != want[i] {
+				t.Fatalf("%s/%s: Range yielded %d at position %d", ix.Name(), sh.name, k, i)
+			}
+			i++
+			return true
+		})
+		if i != len(want) {
+			t.Fatalf("%s/%s: Range yielded %d keys, want %d", ix.Name(), sh.name, i, len(want))
+		}
 	}
 }
 

@@ -3,12 +3,14 @@ package chameleon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"chameleon/internal/baselines/bptree"
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
@@ -50,12 +52,15 @@ type tier struct {
 	// d.mu, never after.
 	tmu sync.Mutex
 
-	// dead is the set of deleted keys not yet flushed: a delete of a key that
+	// dead holds the deleted keys not yet flushed, one tombstone per key in
+	// key order (so a RANGE takes only its window's): a delete of a key that
 	// (maybe) lives in a segment cannot just remove it from the memtable — a
 	// cold read would fall through and resurrect it. Invariant: a key is
-	// never in both the memtable and dead. Mutated only under d.mu.
+	// never in both the memtable and dead. Mutations hold d.mu and deadMu;
+	// lock-free readers take deadMu shared, and code under d.mu reads dead
+	// without deadMu.
 	deadMu sync.RWMutex
-	dead   map[uint64]struct{}
+	dead   *bptree.Tree
 
 	// frozen is the run captured by the last freeze and not yet durable as a
 	// segment; non-nil exactly while a flush is in progress (or has failed
@@ -174,7 +179,7 @@ const (
 // snapshot mode.
 var ErrNotTiered = errors.New("chameleon: directory is not in tiered mode")
 
-func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, dead map[uint64]struct{}, live int64) *tier {
+func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, dead *bptree.Tree, live int64) *tier {
 	t := &tier{
 		d:         d,
 		dead:      dead,
@@ -190,7 +195,7 @@ func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, 
 		t.compactL0 = defaultCompactL0
 	}
 	if t.dead == nil {
-		t.dead = make(map[uint64]struct{})
+		t.dead = bptree.New(0)
 	}
 	sortNewestFirst(readers)
 	t.segs.Store(&segset{readers: readers})
@@ -236,7 +241,7 @@ func (t *tier) lookupCold(key uint64) (uint64, bool) {
 			}
 		}
 		t.deadMu.RLock()
-		_, deadHit := t.dead[key]
+		_, deadHit := t.dead.Lookup(key)
 		t.deadMu.RUnlock()
 		if deadHit {
 			return 0, false
@@ -301,10 +306,7 @@ func (t *tier) visibleLocked(key uint64) (val uint64, ok bool, err error) {
 	if v, hit := t.d.ix.Lookup(key); hit {
 		return v, true, nil
 	}
-	t.deadMu.RLock()
-	_, deadHit := t.dead[key]
-	t.deadMu.RUnlock()
-	if deadHit {
+	if _, deadHit := t.dead.Lookup(key); deadHit {
 		return 0, false, nil
 	}
 	if fr := t.frozen.Load(); fr != nil {
@@ -333,7 +335,7 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 		return
 	}
 	t.d.mu.Lock()
-	mem, dead, fr := t.captureRangeLocked(lo, hi)
+	mem, dead, fr := t.captureRangeLocked(lo, hi, nil, nil)
 	t.d.mu.Unlock()
 
 	t.segMu.RLock()
@@ -344,21 +346,17 @@ func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 }
 
 // captureRangeLocked captures the volatile tiers' share of [lo, hi]: the
-// memtable's pairs and the dead set's tombstones, each ascending, and the
-// frozen run. Callers hold d.mu.
-func (t *tier) captureRangeLocked(lo, hi uint64) (mem, dead []segment.Entry, fr *frozenRun) {
+// memtable's pairs and the dead set's tombstones, each ascending, appended
+// to mem and dead, and the frozen run. Callers hold d.mu.
+func (t *tier) captureRangeLocked(lo, hi uint64, mem, dead []segment.Entry) ([]segment.Entry, []segment.Entry, *frozenRun) {
 	t.d.ix.Range(lo, hi, func(k, v uint64) bool {
 		mem = append(mem, segment.Entry{Key: k, Val: v})
 		return true
 	})
-	t.deadMu.RLock()
-	for k := range t.dead {
-		if k >= lo && k <= hi {
-			dead = append(dead, segment.Entry{Key: k, Tomb: true})
-		}
-	}
-	t.deadMu.RUnlock()
-	sort.Slice(dead, func(i, j int) bool { return dead[i].Key < dead[j].Key })
+	t.dead.Range(lo, hi, func(k, _ uint64) bool {
+		dead = append(dead, segment.Entry{Key: k, Tomb: true})
+		return true
+	})
 	return mem, dead, t.frozen.Load()
 }
 
@@ -368,7 +366,8 @@ func (t *tier) captureRangeLocked(lo, hi uint64) (mem, dead []segment.Entry, fr 
 // set's readers open.
 func mergeRange(mem, dead []segment.Entry, fr *frozenRun, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
 	// The memtable and the dead set are disjoint and both shadow every older
-	// source; if they ever collide the live value wins, as in captureLocked.
+	// source; if they ever collide the live value wins (the memtable is the
+	// newer source), as in captureLocked.
 	sources := make([]segment.Iterator, 0, len(set.readers)+3)
 	sources = append(sources, segment.NewSliceIter(mem), segment.NewSliceIter(dead))
 	if fr != nil {
@@ -409,41 +408,50 @@ func (d *DurableIndex) presentLocked(key uint64) (bool, error) {
 }
 
 // applyRecordLocked applies one validated, logged record to the in-memory
-// state. In tiered mode the orderings are load-bearing for lock-free
-// readers: a delete publishes its dead-set tombstone BEFORE removing the key
-// from the memtable (a reader that misses the memtable then finds the
-// tombstone — never falls through to a stale segment value), and an insert
-// lands in the memtable BEFORE clearing a dead-set tombstone (the version
-// bump catches the reader that raced past both). Callers hold d.mu.
+// state. Callers hold d.mu.
 func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
-	if d.tier == nil {
-		switch r.Op {
-		case wal.OpInsert:
-			return d.ix.Insert(r.Key, r.Val)
-		case wal.OpDelete:
-			return d.ix.Delete(r.Key)
-		}
-		return nil
+	if d.tier != nil {
+		return d.tier.applyLocked(d.ix, r)
 	}
-	t := d.tier
 	switch r.Op {
 	case wal.OpInsert:
-		if err := d.ix.Insert(r.Key, r.Val); err != nil {
+		return d.ix.Insert(r.Key, r.Val)
+	case wal.OpDelete:
+		return d.ix.Delete(r.Key)
+	}
+	return nil
+}
+
+// applyLocked applies one logged record to the memtable mem, the dead set
+// and the live count: the one tier apply for commit and for recovery. The
+// orderings are load-bearing for lock-free readers: a delete publishes its
+// dead-set tombstone BEFORE removing the key from the memtable (a reader
+// that misses the memtable then finds the tombstone — never falls through to
+// a stale segment value), and an insert lands in the memtable BEFORE
+// clearing a dead-set tombstone (the version bump catches the reader that
+// raced past both). Callers hold d.mu, or own the tier alone (recovery).
+func (t *tier) applyLocked(mem *Index, r wal.Record) error {
+	switch r.Op {
+	case wal.OpInsert:
+		if err := mem.Insert(r.Key, r.Val); err != nil {
 			return err
 		}
-		t.deadMu.Lock()
-		delete(t.dead, r.Key)
-		t.deadMu.Unlock()
+		// Most inserts are of fresh keys: probe before paying for a delete.
+		if _, ok := t.dead.Lookup(r.Key); ok {
+			t.deadMu.Lock()
+			t.dead.Delete(r.Key) //nolint:errcheck // present: just looked up
+			t.deadMu.Unlock()
+		}
 		t.bumpVer()
 		t.liveCount.Add(1)
 	case wal.OpDelete:
 		t.deadMu.Lock()
-		t.dead[r.Key] = struct{}{}
+		t.dead.Insert(r.Key, 0) //nolint:errcheck // absent: the key was visible
 		t.deadMu.Unlock()
 		t.bumpVer()
 		// The key may live only in frozen/segment tiers; a memtable miss is
 		// expected then — the dead-set tombstone above is what shadows it.
-		d.ix.inner.Delete(r.Key) //nolint:errcheck
+		mem.Delete(r.Key) //nolint:errcheck
 		t.liveCount.Add(-1)
 	}
 	return nil
@@ -452,7 +460,7 @@ func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
 // overBudgetLocked reports whether the memtable plus pending tombstones
 // have reached the configured budget. Callers hold d.mu.
 func (t *tier) overBudgetLocked() bool {
-	return int64(t.d.ix.Len()+len(t.dead))*memtableEntryBytes >= t.memBytes
+	return int64(t.d.ix.Len()+t.dead.Len())*memtableEntryBytes >= t.memBytes
 }
 
 // maybeSignalFlush nudges the background flusher when the memtable plus
@@ -502,40 +510,21 @@ func (d *DurableIndex) swapWALLocked(next *wal.Log) {
 }
 
 // captureLocked returns the memtable and the dead set as one ascending run,
-// tombstones flagged. The sets are disjoint by invariant; if they ever
-// collide the live value wins (failing open to data, not to loss). Callers
-// hold d.mu.
-func (t *tier) captureLocked() (mk, mv []uint64, mt []bool) {
-	keys, vals := t.d.ix.AppendPairs(nil, nil)
-	t.deadMu.RLock()
-	dk := make([]uint64, 0, len(t.dead))
-	for k := range t.dead {
-		dk = append(dk, k)
+// tombstones flagged: the whole-key-space capture a RANGE takes, merged.
+// The sets are disjoint by invariant; if they ever collide the live value
+// wins (failing open to data, not to loss). The capture is sized up front:
+// grown by appends over a whole memtable, its garbage raised the server's
+// peak RSS ~10 %. Callers hold d.mu.
+func (t *tier) captureLocked() (keys, vals []uint64, tombs []bool) {
+	mem, dead, _ := t.captureRangeLocked(0, math.MaxUint64,
+		make([]segment.Entry, 0, t.d.ix.Len()), make([]segment.Entry, 0, t.dead.Len()))
+	n := len(mem) + len(dead)
+	keys, vals, tombs = make([]uint64, 0, n), make([]uint64, 0, n), make([]bool, 0, n)
+	for m := segment.NewMerge(segment.NewSliceIter(mem), segment.NewSliceIter(dead)); m.Next(); {
+		e := m.Entry()
+		keys, vals, tombs = append(keys, e.Key), append(vals, e.Val), append(tombs, e.Tomb)
 	}
-	t.deadMu.RUnlock()
-	sort.Slice(dk, func(i, j int) bool { return dk[i] < dk[j] })
-	mk = make([]uint64, 0, len(keys)+len(dk))
-	mv = make([]uint64, 0, len(keys)+len(dk))
-	mt = make([]bool, 0, len(keys)+len(dk))
-	i, j := 0, 0
-	for i < len(keys) || j < len(dk) {
-		switch {
-		case j == len(dk) || (i < len(keys) && keys[i] <= dk[j]):
-			if j < len(dk) && keys[i] == dk[j] {
-				j++
-			}
-			mk = append(mk, keys[i])
-			mv = append(mv, vals[i])
-			mt = append(mt, false)
-			i++
-		default:
-			mk = append(mk, dk[j])
-			mv = append(mv, 0)
-			mt = append(mt, true)
-			j++
-		}
-	}
-	return mk, mv, mt
+	return keys, vals, tombs
 }
 
 // resetMemtableLocked empties the memtable and the dead set. Resetting an
@@ -549,7 +538,7 @@ func (t *tier) resetMemtableLocked() error {
 		return d.fail
 	}
 	t.deadMu.Lock()
-	t.dead = make(map[uint64]struct{})
+	t.dead = bptree.New(0)
 	t.deadMu.Unlock()
 	t.bumpVer()
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
@@ -257,6 +259,7 @@ func TestTieredOracleUnderConcurrency(t *testing.T) {
 
 	var mu sync.Mutex
 	oracle := make(map[uint64]uint64)
+	gone := make(map[uint64]bool) // deleted and not re-inserted
 
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
@@ -304,6 +307,7 @@ func TestTieredOracleUnderConcurrency(t *testing.T) {
 						if err := d.Delete(key); err == nil {
 							mu.Lock()
 							delete(oracle, key)
+							gone[key] = true
 							mu.Unlock()
 						}
 					} else {
@@ -311,6 +315,7 @@ func TestTieredOracleUnderConcurrency(t *testing.T) {
 						if err := d.Insert(key, val); err == nil {
 							mu.Lock()
 							oracle[key] = val
+							delete(gone, key)
 							mu.Unlock()
 						}
 					}
@@ -329,6 +334,7 @@ func TestTieredOracleUnderConcurrency(t *testing.T) {
 			}
 		}
 		compareWithOracle(t, d, oracle, fmt.Sprintf("round %d", round))
+		compareWindows(t, d, oracle, gone, fmt.Sprintf("round %d", round))
 	}
 	close(stop)
 	readerWG.Wait()
@@ -342,6 +348,7 @@ func TestTieredOracleUnderConcurrency(t *testing.T) {
 	}
 	defer re.Close()
 	compareWithOracle(t, re, oracle, "after reopen")
+	compareWindows(t, re, oracle, gone, "after reopen")
 }
 
 type tieredReadSurface interface {
@@ -377,6 +384,58 @@ func compareWithOracle(t *testing.T, d tieredReadSurface, oracle map[uint64]uint
 	}
 	if d.Len() != len(oracle) {
 		t.Fatalf("%s: Len = %d, oracle %d", phase, d.Len(), len(oracle))
+	}
+}
+
+// compareWindows checks 32 narrow Range windows of 64 oracle ranks each
+// against the sorted oracle, so the volatile tiers' window-bounded capture
+// is checked, not only the whole-key-space one. Window i starts on a live
+// key, or (odd i) on the first deleted key at or after it; it ends on a
+// live key, or (i&2 set) on the first deleted key at or after that.
+func compareWindows(t *testing.T, d tieredReadSurface, oracle map[uint64]uint64, gone map[uint64]bool, phase string) {
+	t.Helper()
+	live := make([]uint64, 0, len(oracle))
+	for k := range oracle {
+		live = append(live, k)
+	}
+	dead := make([]uint64, 0, len(gone))
+	for k := range gone {
+		dead = append(dead, k)
+	}
+	slices.Sort(live)
+	slices.Sort(dead)
+	if len(live) == 0 {
+		return
+	}
+	onDead := func(k uint64) uint64 {
+		if i, _ := slices.BinarySearch(dead, k); i < len(dead) {
+			return dead[i]
+		}
+		return k
+	}
+	for i := 0; i < 32; i++ {
+		r := i * len(live) / 32
+		lo, hi := live[r], live[min(r+63, len(live)-1)]
+		if i&1 != 0 {
+			lo = onDead(lo)
+		}
+		if i&2 != 0 {
+			hi = onDead(hi)
+		}
+		from, _ := slices.BinarySearch(live, lo)
+		to, _ := slices.BinarySearch(live, hi+1)
+		want := live[from:max(from, to)] // lo may pass hi when it moved onto a deleted key
+		var got []uint64
+		d.Range(lo, hi, func(k, v uint64) bool {
+			if v != oracle[k] {
+				t.Fatalf("%s: window [%d, %d]: key %d = %d, oracle %d", phase, lo, hi, k, v, oracle[k])
+			}
+			got = append(got, k)
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: window [%d, %d]: range gave %v, oracle %v", phase, lo, hi, got, want)
+		}
 	}
 }
 
@@ -860,5 +919,55 @@ func TestTieredSegmentMetasSorted(t *testing.T) {
 		return metas[i].ID > metas[j].ID
 	}) {
 		t.Fatalf("segment set not newest-first: %+v", metas)
+	}
+}
+
+// TestTieredRangeIgnoresDistantTombstones: a RANGE takes only its window's
+// pending tombstones, so its cost does not grow with the deletes elsewhere
+// in the key space since the last flush.
+func TestTieredRangeIgnoresDistantTombstones(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timings are not meaningful under the race detector")
+	}
+	const n, stride = 100_000, 8
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) * stride
+	}
+	lo, hi := keys[n/2], keys[n/2+127]
+	perRange := func(deletes int) time.Duration {
+		o := tieredOpts()
+		o.Sync = SyncNone
+		d, err := OpenDir(t.TempDir(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.BulkLoad(keys, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[n-deletes:] {
+			if err := d.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		best := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			for i := 0; i < 200; i++ {
+				got := 0
+				d.Range(lo, hi, func(_, _ uint64) bool { got++; return got < 100 })
+				if got != 100 {
+					t.Fatalf("range over %d live keys stopped after %d", 128, got)
+				}
+			}
+			best = min(best, time.Since(start)/200)
+		}
+		return best
+	}
+	few, many := perRange(256), perRange(32_768)
+	t.Logf("per Range: %v with 256 distant tombstones, %v with 32768", few, many)
+	if ratio := float64(many) / float64(few); ratio > 4 {
+		t.Fatalf("128× more distant tombstones made a Range %.1f× slower, want at most 4×", ratio)
 	}
 }

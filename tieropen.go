@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"chameleon/internal/baselines/bptree"
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
@@ -28,23 +29,15 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 		return nil, fmt.Errorf("tier recovery: %w", err)
 	}
 
-	// liveCount starts from the manifest's exact count and moves with every
-	// replayed record. Originally-validated operations replayed in commit
-	// order from the exact state at the watermark need no re-validation.
+	// Records replay through the commit path's apply into a tier nobody
+	// reads yet; its live count starts from the manifest's exact count.
+	// Originally-validated operations replayed in commit order from the exact
+	// state at the watermark need no re-validation.
 	ix := New(opts.Options)
-	dead := make(map[uint64]struct{})
-	live := man.LiveCount
+	rec := &tier{dead: bptree.New(0)}
+	rec.liveCount.Store(man.LiveCount)
 	log, cur, clock, err := replayChain(fsys, dir, opts, logs, 0, man.FlushedSeq, func(r wal.Record) {
-		switch r.Op {
-		case wal.OpInsert:
-			ix.inner.Insert(r.Key, r.Val) //nolint:errcheck
-			delete(dead, r.Key)
-			live++
-		case wal.OpDelete:
-			dead[r.Key] = struct{}{}
-			ix.inner.Delete(r.Key) //nolint:errcheck
-			live--
-		}
+		rec.applyLocked(ix, r) //nolint:errcheck
 	})
 	if err != nil {
 		for _, r := range readers {
@@ -57,6 +50,6 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 	// reconstruction (DirOptions.Tiered).
 	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts}
 	d.commitSeq.Store(clock)
-	d.tier = newTier(d, man, readers, dead, live)
+	d.tier = newTier(d, man, readers, rec.dead, rec.liveCount.Load())
 	return d, nil
 }

@@ -45,7 +45,7 @@ func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
 		return 0, 0, err
 	}
 	asOf, live := d.commitSeq.Load(), t.liveCount.Load()
-	mem, dead, fr := t.captureRangeLocked(0, math.MaxUint64)
+	mem, dead, fr := t.captureRangeLocked(0, math.MaxUint64, nil, nil)
 	t.segMu.RLock()
 	set := t.segs.Load()
 	d.mu.Unlock()
