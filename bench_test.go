@@ -90,6 +90,7 @@ func BenchmarkMixedThroughput(b *testing.B) {
 // Chameleon bar).
 func BenchmarkBulkLoadChameleon(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 100_000, 42)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := chameleon.New(chameleon.Options{Seed: 1})

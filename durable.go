@@ -1214,14 +1214,25 @@ func (d *DurableIndex) LookupBatch(keys, vals []uint64, found []bool) {
 		}
 		return
 	}
-	d.ix.LookupBatch(keys, vals, found)
 	if d.tier == nil {
+		d.ix.LookupBatch(keys, vals, found)
 		return
 	}
+	ver := d.tier.ver.Load()
+	d.ix.LookupBatch(keys, vals, found)
 	for i := range keys {
-		if !found[i] {
-			vals[i], found[i] = d.tier.lookupCold(keys[i])
+		if found[i] {
+			continue
 		}
+		// A transition since the batch's memtable probe would fail the cold
+		// path's first attempt: probe the memtable again under the new version.
+		if now := d.tier.ver.Load(); now != ver {
+			ver = now
+			if vals[i], found[i] = d.ix.Lookup(keys[i]); found[i] {
+				continue
+			}
+		}
+		vals[i], found[i] = d.tier.lookupCold(keys[i], ver)
 	}
 }
 

@@ -174,7 +174,7 @@ type Index struct {
 	// paper's online DARE invocation is cheap trained-critic inference; here
 	// it is a reduced-budget CostDARE (10 × 8 generations over a sample of
 	// about 16 k keys) so in-path rebuilds stay bounded: a whole Reconstruct
-	// of a 16,384-key index takes ~20 ms and allocates ~4 MB on a 2-vCPU
+	// of a 16,384-key index takes ~33 ms and allocates ~3 MB on a 2-vCPU
 	// Xeon. Bulk loads keep cfg.Dare.
 	reconstructDare rl.DAREPolicy
 

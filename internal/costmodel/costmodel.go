@@ -28,6 +28,13 @@ func Reward(c Cost, wt, wm float64) float64 {
 	return -(wt*c.Query + wm*c.Memory)
 }
 
+// StepReward is the immediate TSMDP reward of making an n-key node an inner
+// node of fanout f: every key below pays one more traversal step, and the f
+// child pointers are spread over the keys.
+func StepReward(f, n int, wt, wm float64) float64 {
+	return Reward(Cost{Query: 1, Memory: float64(f) / float64(n)}, wt, wm)
+}
+
 // innerNodeUnits is the normalized memory charge for one inner-node child
 // slot: an 8-byte pointer in 16-byte key/value units.
 const innerNodeUnits = 0.5
@@ -45,58 +52,99 @@ const CacheFactor = 0.15
 // rather than a balls-in-bins approximation, so integer-gap aliasing with α
 // is captured.
 func Leaf(keys []uint64, lo, hi uint64, tau, alpha float64) Cost {
-	var counts []int32
-	return leafCost(keys, lo, hi, tau, alpha, &counts)
+	m := newLeafModel(tau, alpha)
+	return m.cost(keys, lo, hi)
 }
 
-// leafCost is Leaf with a caller-owned slot-count buffer, so a tree walk pays
-// one allocation for all its leaves instead of one per leaf.
-func leafCost(keys []uint64, lo, hi uint64, tau, alpha float64, buf *[]int32) Cost {
-	n := len(keys)
-	if n == 0 {
-		return Cost{Query: 1, Memory: 0}
-	}
+// leafModel is what Leaf needs besides a leaf's keys: τ and α with their
+// defaults applied, Theorem 1's divisor −ln(1−τ) computed once, the cost of
+// a one-key leaf, and a slot-count buffer, so a walk over many leaves pays
+// for each of them only its own keys.
+type leafModel struct {
+	alpha  float64
+	sizing ebh.Sizing
+	one    Cost // cost of every one-key leaf
+	counts []int32
+}
+
+func newLeafModel(tau, alpha float64) leafModel {
 	if alpha == 0 {
 		alpha = ebh.DefaultAlpha
 	}
-	if tau <= 0 || tau >= 1 {
-		tau = ebh.DefaultTau
-	}
-	c := ebh.CapacityFor(n, tau)
-	if c < 8 {
-		c = 8
-	}
-	span := hi - lo
-	counts := slotCounts(buf, c)
-	cf := float64(c)
-	invC := 1 / cf
-	var scale float64
-	if span > 0 {
-		scale = alpha * cf / float64(span)
-	}
-	var probeSum float64
-	for _, k := range keys {
-		var home int
-		if span > 0 {
-			x := scale * float64(k-lo)
-			x -= math.Trunc(x*invC) * cf
-			home = int(x)
-			if home >= c {
-				home = c - 1
-			}
-			if home < 0 {
-				home = 0
-			}
-		}
-		// Each prior key in the same home slot forces roughly one extra
-		// probe step (alternating ±1, ±2, ... placement).
-		probeSum += float64(counts[home]+1) / 2
-		counts[home]++
-	}
+	m := leafModel{alpha: alpha, sizing: ebh.SizingFor(tau)}
+	// A lone key sits in its home slot whatever its hash: ½ probe.
+	m.one = leafCostOf(0.5, 1, m.capacity(1))
+	return m
+}
+
+// capacity is the slot count of an n-key leaf.
+func (m *leafModel) capacity(n int) int { return max(m.sizing.Capacity(n), 8) }
+
+// leafCostOf is the cost of an n-key leaf of c slots whose keys' probe
+// charges sum to probeSum.
+func leafCostOf(probeSum float64, n, c int) Cost {
 	return Cost{
 		Query:  1 + probeSum/float64(n) + CacheFactor*math.Log2(float64(c)),
 		Memory: float64(c) / float64(n),
 	}
+}
+
+// cost is Leaf over the model's τ and α.
+func (m *leafModel) cost(keys []uint64, lo, hi uint64) Cost {
+	n := len(keys)
+	switch n {
+	case 0:
+		return Cost{Query: 1, Memory: 0}
+	case 1:
+		return m.one
+	}
+	c := m.capacity(n)
+	counts := slotCounts(&m.counts, c)
+	hash := newSlotHash(lo, hi, c, m.alpha)
+	// Each prior key in the same home slot forces roughly one extra probe
+	// step (alternating ±1, ±2, ... placement), so a key is charged
+	// (prior + 1)/2.
+	var probeSum float64
+	for _, k := range keys {
+		h := hash.home(k)
+		probeSum += float64(counts[h]+1) / 2
+		counts[h]++
+	}
+	return leafCostOf(probeSum, n, c)
+}
+
+// slotHash is Eq. (2)'s home slot for the keys of a c-slot leaf over
+// [lo, hi] hashed with α.
+type slotHash struct {
+	lo              uint64
+	c               int
+	scale, cf, invC float64
+	flat            bool // zero span: every key's home is slot 0
+}
+
+func newSlotHash(lo, hi uint64, c int, alpha float64) slotHash {
+	span := hi - lo
+	if span == 0 {
+		return slotHash{flat: true}
+	}
+	cf := float64(c)
+	return slotHash{lo: lo, c: c, scale: alpha * cf / float64(span), cf: cf, invC: 1 / cf}
+}
+
+func (s slotHash) home(k uint64) int {
+	if s.flat {
+		return 0
+	}
+	x := s.scale * float64(k-s.lo)
+	x -= math.Trunc(x*s.invC) * s.cf
+	h := int(x)
+	if h >= s.c {
+		h = s.c - 1
+	}
+	if h < 0 {
+		h = 0
+	}
+	return h
 }
 
 // slotCounts returns c zeroed counters, reusing *buf when it is large enough.
@@ -185,7 +233,8 @@ func ChildInterval(lo, hi uint64, fanout, j int) (clo, chi uint64) {
 // node over [lo, hi] with fanout f > 1, in child order, where keys[start:end]
 // is exactly what Partition assigns to child j — including its residue rule
 // when rounding makes the child index fall. Empty children are never
-// visited or allocated, so a call costs O(len(keys)) whatever f is. The
+// visited or allocated, so a call costs O(len(keys)) whatever f is, and
+// O(log len(keys)) per child when the keys lie within [lo, hi]. The
 // Eq. (1) factor f/span is computed once per node and multiplied exactly as
 // ChildIndex does, so every key lands in the same child bit for bit.
 func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j int)) {
@@ -204,6 +253,30 @@ func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j 
 			j = 0
 		}
 		return j
+	}
+	if len(keys) > 0 && keys[0] >= lo && keys[len(keys)-1] <= hi {
+		// Inside [lo, hi] the child index never falls (each step of Eq. (1)
+		// is monotone in k), so a run's end is found by galloping: O(log run)
+		// index evaluations instead of one per key.
+		for start := 0; start < len(keys); {
+			j := child(keys[start])
+			// keys[in] is in child j; the run ends at or before out.
+			in, out := start, start+1
+			for step := 1; out < len(keys) && child(keys[out]) == j; step *= 2 {
+				in, out = out, min(out+step, len(keys))
+			}
+			for out-in > 1 {
+				mid := int(uint(in+out) >> 1)
+				if child(keys[mid]) == j {
+					in = mid
+				} else {
+					out = mid
+				}
+			}
+			visit(start, out, j)
+			start = out
+		}
+		return
 	}
 	for start := 0; start < len(keys); {
 		j := child(keys[start])
@@ -248,7 +321,7 @@ func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, al
 		return Cost{}
 	}
 	var qSum, mUnits float64
-	var counts []int32
+	leaves := newLeafModel(tau, alpha)
 	var walk func(ks []uint64, lo, hi uint64, level int)
 	walk = func(ks []uint64, lo, hi uint64, level int) {
 		f := 1
@@ -256,7 +329,7 @@ func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, al
 			f = fan(level, lo, hi, len(ks))
 		}
 		if f <= 1 || len(ks) <= 1 {
-			leaf := leafCost(ks, lo, hi, tau, alpha, &counts)
+			leaf := leaves.cost(ks, lo, hi)
 			qSum += float64(len(ks)) * (float64(level-1) + leaf.Query)
 			mUnits += leaf.Memory * float64(len(ks))
 			return

@@ -1,0 +1,55 @@
+package costmodel
+
+// Lookahead values a fanout decision one level deep: a fanout-f node over
+// [lo, hi] pays one traversal step and f child pointers, and each child is
+// valued as a terminal EBH leaf, weighted by its share of the keys. This is
+// the TSMDP reward with every child's value taken from the exact cost model;
+// CostPolicy takes the argmax over its action space. A Lookahead reuses one
+// slot-count buffer for every leaf it values, so it is not safe for
+// concurrent use.
+type Lookahead struct {
+	wt, wm float64
+	leaves leafModel
+}
+
+// Reset points l at an environment: EBH's τ and α, and the DRF weights w_t
+// and w_m. The slot buffer is kept.
+func (l *Lookahead) Reset(tau, alpha, wt, wm float64) {
+	counts := l.leaves.counts
+	l.wt, l.wm = wt, wm
+	l.leaves = newLeafModel(tau, alpha)
+	l.leaves.counts = counts
+}
+
+// Score is the lookahead reward of fanout f. For f ≤ 1, or at most one key,
+// the node itself is the leaf.
+func (l *Lookahead) Score(keys []uint64, lo, hi uint64, f int) float64 {
+	if f <= 1 || len(keys) <= 1 {
+		return Reward(l.leaves.cost(keys, lo, hi), l.wt, l.wm)
+	}
+	n := float64(len(keys))
+	r := StepReward(f, len(keys), l.wt, l.wm)
+	forEachChild(keys, lo, hi, f, func(start, end, j int) {
+		clo, chi := ChildInterval(lo, hi, f, j)
+		w := float64(end-start) / n
+		r += w * Reward(l.leaves.cost(keys[start:end], clo, chi), l.wt, l.wm)
+	})
+	return r
+}
+
+// Bound is an upper bound on Score(keys, lo, hi, f) for f > 1 and more than
+// one key, valid when w_t, w_m ≥ 0. It values each child at its best-case
+// leaf: the slot simulation charges every key at least ½ probe (a key alone
+// in its home slot), and the capacity, log and memory terms depend only on
+// the child's key count, so they are exact. It needs only the child sizes,
+// not the slot simulation.
+func (l *Lookahead) Bound(keys []uint64, lo, hi uint64, f int) float64 {
+	n := float64(len(keys))
+	r := StepReward(f, len(keys), l.wt, l.wm)
+	forEachChild(keys, lo, hi, f, func(start, end, _ int) {
+		m := end - start
+		w := float64(m) / n
+		r += w * Reward(leafCostOf(float64(m)/2, m, l.leaves.capacity(m)), l.wt, l.wm)
+	})
+	return r
+}

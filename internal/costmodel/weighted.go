@@ -1,67 +1,43 @@
 package costmodel
 
-import (
-	"math"
-
-	"chameleon/internal/ebh"
-)
+import "math"
 
 // This file implements the extension Section IV-B2 sketches: "other factors
 // such as the query distribution can be added to the reward function
-// according to application requirements." weightedLeafCost and WeightedTreeCost
-// mirror Leaf/TreeCost but weight each key's lookup cost by its query
-// frequency, so the construction policies can shape the tree for a known
-// (e.g. Zipfian) access pattern: hot regions get shallower, better-provisioned
-// subtrees.
+// according to application requirements." leafModel.weightedCost and
+// WeightedTreeCost mirror Leaf/TreeCost but weight each key's lookup cost by
+// its query frequency, so the construction policies can shape the tree for a
+// known (e.g. Zipfian) access pattern: hot regions get shallower,
+// better-provisioned subtrees.
 
-// weightedLeafCost is Leaf with per-key query weights (weights[i] belongs to
-// keys[i]; they need not be normalized) and a caller-owned slot-count
-// buffer. Memory is unweighted — it is paid regardless of access pattern.
-func weightedLeafCost(keys []uint64, weights []float64, lo, hi uint64, tau, alpha float64, buf *[]int32) Cost {
+// weightedCost is cost with per-key query weights (weights[i] belongs to
+// keys[i]; they need not be normalized). Memory is unweighted — it is paid
+// regardless of access pattern.
+func (m *leafModel) weightedCost(keys []uint64, weights []float64, lo, hi uint64) Cost {
 	n := len(keys)
 	if n == 0 {
 		return Cost{Query: 1, Memory: 0}
 	}
-	base := leafCost(keys, lo, hi, tau, alpha, buf) // slot simulation for probe costs
+	base := m.cost(keys, lo, hi) // slot simulation for probe costs
 	if weights == nil {
 		return base
 	}
 	// Re-run the placement simulation accumulating weighted probes.
-	c := capFor(n, tau)
-	span := hi - lo
-	cf := float64(c)
-	invC := 1 / cf
-	var scale float64
-	if span > 0 {
-		if alpha == 0 {
-			alpha = 131
-		}
-		scale = alpha * cf / float64(span)
-	}
-	counts := slotCounts(buf, c)
+	c := m.capacity(n)
+	counts := slotCounts(&m.counts, c)
+	hash := newSlotHash(lo, hi, c, m.alpha)
 	var probeSum, wSum float64
 	for i, k := range keys {
-		var home int
-		if span > 0 {
-			x := scale * float64(k-lo)
-			x -= math.Trunc(x*invC) * cf
-			home = int(x)
-			if home >= c {
-				home = c - 1
-			}
-			if home < 0 {
-				home = 0
-			}
-		}
-		probeSum += weights[i] * float64(counts[home]+1) / 2
-		counts[home]++
+		h := hash.home(k)
+		probeSum += weights[i] * float64(counts[h]+1) / 2
+		counts[h]++
 		wSum += weights[i]
 	}
 	if wSum == 0 {
 		return base
 	}
 	return Cost{
-		Query:  1 + probeSum/wSum + CacheFactor*math.Log2(cf),
+		Query:  1 + probeSum/wSum + CacheFactor*math.Log2(float64(c)),
 		Memory: base.Memory,
 	}
 }
@@ -78,7 +54,7 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 		return TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
 	}
 	var qSum, wTotal, mUnits float64
-	var counts []int32
+	leaves := newLeafModel(tau, alpha)
 	var walk func(ks []uint64, ws []float64, lo, hi uint64, level int)
 	walk = func(ks []uint64, ws []float64, lo, hi uint64, level int) {
 		f := 1
@@ -86,7 +62,7 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 			f = fan(level, lo, hi, len(ks))
 		}
 		if f <= 1 || len(ks) <= 1 {
-			leaf := weightedLeafCost(ks, ws, lo, hi, tau, alpha, &counts)
+			leaf := leaves.weightedCost(ks, ws, lo, hi)
 			var w float64
 			for _, x := range ws {
 				w += x
@@ -107,13 +83,4 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 		return TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
 	}
 	return Cost{Query: qSum / wTotal, Memory: mUnits / float64(len(keys))}
-}
-
-// capFor mirrors the capacity rule used by Leaf.
-func capFor(n int, tau float64) int {
-	c := ebh.CapacityFor(n, tau)
-	if c < 8 {
-		c = 8
-	}
-	return c
 }

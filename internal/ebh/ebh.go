@@ -52,13 +52,28 @@ var alphaLadder = [...]float64{1, 4, 16}
 //
 //	c ≥ (n − 1) / (−ln(1 − τ))
 func CapacityFor(n int, tau float64) int {
-	if n <= 1 {
-		return 1
-	}
+	return SizingFor(tau).Capacity(n)
+}
+
+// Sizing is Theorem 1 at one τ: its divisor −ln(1 − τ), computed once by a
+// caller that sizes many leaves.
+type Sizing float64
+
+// SizingFor returns the Sizing of tau (of DefaultTau when tau is outside
+// (0, 1)).
+func SizingFor(tau float64) Sizing {
 	if tau <= 0 || tau >= 1 {
 		tau = DefaultTau
 	}
-	c := int(math.Ceil(float64(n-1) / -math.Log(1-tau)))
+	return Sizing(-math.Log(1 - tau))
+}
+
+// Capacity is CapacityFor(n, τ) for the τ s was made from.
+func (s Sizing) Capacity(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	c := int(math.Ceil(float64(n-1) / float64(s)))
 	if c < n {
 		// A capacity below n cannot hold the keys at all; Theorem 1 only
 		// binds for τ small enough that c ≥ n.

@@ -1,6 +1,11 @@
 package rl
 
 import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+
 	"chameleon/internal/costmodel"
 	"chameleon/internal/ga"
 )
@@ -22,32 +27,84 @@ func NewCostPolicy(env Env) *CostPolicy {
 	return &CostPolicy{Fanouts: DefaultFanouts, MinSplit: 256, Env: env}
 }
 
-// Fanout implements FanoutPolicy.
-func (p *CostPolicy) Fanout(keys []uint64, lo, hi uint64, level int) int {
-	if len(keys) < p.MinSplit {
-		return 1
-	}
-	bestF, bestR := 1, p.score(keys, lo, hi, 1)
-	for _, f := range p.Fanouts {
-		if f == 1 {
-			continue
-		}
-		if r := p.score(keys, lo, hi, f); r > bestR {
-			bestF, bestR = f, r
-		}
-	}
-	return bestF
+// boundMargin is the relative slack a fanout's bound must clear before the
+// fanout is skipped. Score and Bound each sum one term per child, all of
+// one sign, so rounding moves each by at most about children·2^−53 of
+// itself; 1e-6 covers both for nodes of up to 2^31 children.
+const boundMargin = 1e-6
+
+// candidate is one fanout Fanout may take, with its position in Fanouts
+// (ties go to the earliest) and its bound.
+type candidate struct {
+	f, order int
+	bound    float64
 }
 
-// score computes the one-step-lookahead reward of choosing fanout f: the
-// immediate step reward plus each child valued as a terminal leaf.
-func (p *CostPolicy) score(keys []uint64, lo, hi uint64, f int) float64 {
-	reward, children := p.Env.Step(keys, lo, hi, f)
-	for _, c := range children {
-		leaf := costmodel.Leaf(c.Keys, c.Lo, c.Hi, p.Env.Tau, p.Env.Alpha)
-		reward += c.Weight * costmodel.Reward(leaf, p.Env.Wt, p.Env.Wm)
+// fanoutScratch is one Fanout call's reusable state.
+type fanoutScratch struct {
+	look  costmodel.Lookahead
+	cands []candidate
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
+
+// Fanout implements FanoutPolicy. It returns exactly the argmax of the
+// lookahead score over {1} ∪ Fanouts, ties going to fanout 1 and then to
+// the earliest in Fanouts, but scores fanout 1 and then only the fanouts
+// whose bound (costmodel.Lookahead.Bound) can still beat the best score
+// found, highest bound first. When w_t or w_m is negative the bound does not
+// hold and every fanout is scored.
+func (p *CostPolicy) Fanout(keys []uint64, lo, hi uint64, level int) int {
+	if len(keys) < p.MinSplit || len(keys) <= 1 {
+		return 1
 	}
-	return reward
+	sc := p.scratch()
+	defer scratchPool.Put(sc)
+	f, _ := p.decide(sc, keys, lo, hi)
+	return f
+}
+
+// decide is Fanout's search on scratch sc. It returns the fanout and how
+// many fanouts other than 1 it scored.
+func (p *CostPolicy) decide(sc *fanoutScratch, keys []uint64, lo, hi uint64) (int, int) {
+	prune := p.Env.Wt >= 0 && p.Env.Wm >= 0
+	sc.cands = sc.cands[:0]
+	for i, f := range p.Fanouts {
+		if f <= 1 {
+			continue // scores as fanout 1, which is never beaten by itself
+		}
+		c := candidate{f: f, order: i, bound: math.Inf(1)}
+		if prune {
+			c.bound = sc.look.Bound(keys, lo, hi, f)
+		}
+		sc.cands = append(sc.cands, c)
+	}
+	slices.SortStableFunc(sc.cands, func(a, b candidate) int { return cmp.Compare(b.bound, a.bound) })
+	bestF, bestOrder, best := 1, -1, sc.look.Score(keys, lo, hi, 1)
+	scored := 0
+	for _, c := range sc.cands {
+		if cannotBeat(c.bound, best) {
+			break // the bounds behind c are no higher
+		}
+		scored++
+		if r := sc.look.Score(keys, lo, hi, c.f); r > best || r == best && c.order < bestOrder {
+			bestF, bestOrder, best = c.f, c.order, r
+		}
+	}
+	return bestF, scored
+}
+
+// scratch returns pooled scratch set to the policy's environment.
+func (p *CostPolicy) scratch() *fanoutScratch {
+	sc := scratchPool.Get().(*fanoutScratch)
+	sc.look.Reset(p.Env.Tau, p.Env.Alpha, p.Env.Wt, p.Env.Wm)
+	return sc
+}
+
+// cannotBeat reports whether a candidate with this bound must score below
+// best, with boundMargin to spare for rounding.
+func cannotBeat(bound, best float64) bool {
+	return bound+boundMargin*math.Abs(bound) < best
 }
 
 // CostDARE is the deterministic stand-in for a trained DARE agent: the same
@@ -69,7 +126,8 @@ func NewCostDARE(cfg DAREConfig) *CostDARE {
 
 // Parameters implements DAREPolicy. The sample is drawn once and every
 // genome is scored on it; cfg.GA.Workers bounds how many are scored at once
-// (the result does not depend on it).
+// (the result does not depend on it). Every genome with p0 = 1 makes the
+// root one leaf, whose cost never reads M, so they share one score.
 func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 	cfg := d.Cfg
 	cfg.L = L
@@ -77,9 +135,19 @@ func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 	gaCfg := cfg.GA
 	gaCfg.Seed = d.Seed
 	sample := newCostSample(cfg, keys)
+	fitness := func(g []float64) float64 {
+		return costmodel.Reward(measureCost(cfg, sample, h, g), cfg.Env.Wt, cfg.Env.Wm)
+	}
+	var leafRoot struct {
+		once  sync.Once
+		score float64
+	}
 	genome, _ := ga.Optimize(gaCfg, bounds, func(g []float64) float64 {
-		c := measureCost(cfg, sample, h, g)
-		return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
+		if decodeP0(g[0]) > 1 {
+			return fitness(g)
+		}
+		leafRoot.once.Do(func() { leafRoot.score = fitness(g) })
+		return leafRoot.score
 	})
 	return DecodeGenome(genome, h, L)
 }

@@ -61,13 +61,7 @@ func genomeBounds(h, L int) []ga.Bound {
 // DecodeGenome converts a GA genome into the DARE outputs: the root fanout
 // p0 and the parameter matrix M (h−2 rows × L decoded fanout values).
 func DecodeGenome(genome []float64, h, L int) (p0 int, m [][]float64) {
-	p0 = int(math.Round(math.Exp2(genome[0])))
-	if p0 < 1 {
-		p0 = 1
-	}
-	if p0 > 1<<20 {
-		p0 = 1 << 20
-	}
+	p0 = decodeP0(genome[0])
 	rows := (len(genome) - 1) / max(L, 1)
 	m = make([][]float64, rows)
 	for r := 0; r < rows; r++ {
@@ -78,6 +72,12 @@ func DecodeGenome(genome []float64, h, L int) (p0 int, m [][]float64) {
 		m[r] = row
 	}
 	return p0, m
+}
+
+// decodeP0 is the root fanout gene 0 encodes: 2^g rounded, within
+// [1, 2^20].
+func decodeP0(g float64) int {
+	return min(max(int(math.Round(math.Exp2(g))), 1), 1<<20)
 }
 
 // UpperFanoutFn converts DARE parameters into a costmodel.FanoutFn: the root

@@ -45,10 +45,8 @@ func (e Env) Step(keys []uint64, lo, hi uint64, fanout int) (reward float64, chi
 		c := costmodel.Leaf(keys, lo, hi, e.Tau, e.Alpha)
 		return costmodel.Reward(c, e.Wt, e.Wm), nil
 	}
-	// Non-terminal: every key below pays one more traversal step, and the
-	// child-pointer array costs fanout units spread over the keys.
 	n := float64(len(keys))
-	reward = costmodel.Reward(costmodel.Cost{Query: 1, Memory: float64(fanout) / n}, e.Wt, e.Wm)
+	reward = costmodel.StepReward(fanout, len(keys), e.Wt, e.Wm)
 	parts := costmodel.Partition(keys, lo, hi, fanout)
 	for j, p := range parts {
 		if p[1] == p[0] {

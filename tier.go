@@ -72,8 +72,9 @@ type tier struct {
 	segMu sync.RWMutex // reader-retirement barrier; see package comment
 	segs  atomic.Pointer[segset]
 
-	// ver counts memtable/dead/frozen transitions; cold readers snapshot it
-	// before probing and retry if it moved (see lookupCold).
+	// ver counts memtable/dead/frozen transitions; readers snapshot it
+	// before their memtable probe and retry a miss if it moved (see
+	// lookupCold).
 	ver atomic.Uint64
 
 	// Durable-state mirrors, written under tmu, readable anywhere (Health).
@@ -219,23 +220,35 @@ func (t *tier) bumpVer() { t.ver.Add(1) }
 
 // lookup resolves key across every tier, lock-free. The probe order
 // (memtable, dead, frozen, segments) combined with the apply order in
-// applyRecordLocked makes delete races safe without coordination; insert
-// races (a key leaving the dead set) are caught by the version check.
+// applyLocked makes delete races safe without coordination; insert races
+// (a key leaving the dead set) are caught by the version check.
 func (t *tier) lookup(key uint64) (uint64, bool) {
+	ver := t.ver.Load()
 	if v, ok := t.d.ix.Lookup(key); ok {
 		return v, true
 	}
-	return t.lookupCold(key)
+	return t.lookupCold(key, ver)
 }
 
-// lookupCold resolves a memtable miss. Retries (rare: only under a racing
-// flush or a re-insert over a flushed tombstone) re-probe the memtable too;
-// after a few collisions it falls back to the serialized path under d.mu,
-// where no transition can interleave.
-func (t *tier) lookupCold(key uint64) (uint64, bool) {
+// coldLookupFailpoint, when non-nil, runs as lookupCold starts: after the
+// reader's memtable miss, before its cold probes. Tests use it to land a
+// write in that window.
+var coldLookupFailpoint func()
+
+// lookupCold resolves a memtable miss; ver is the version loaded before
+// that probe. applyLocked bumps the version between a re-insert's memtable
+// write and its tombstone clear, so a reader that missed the memtable and
+// then misses the tombstone sees the version move and retries. Retries
+// (rare: only under a racing flush or a re-insert over a flushed tombstone)
+// re-probe the memtable too; after a few collisions it falls back to the
+// serialized path under d.mu, where no transition can interleave.
+func (t *tier) lookupCold(key, ver uint64) (uint64, bool) {
+	if coldLookupFailpoint != nil {
+		coldLookupFailpoint()
+	}
 	for attempt := 0; attempt < 8; attempt++ {
-		ver := t.ver.Load()
 		if attempt > 0 {
+			ver = t.ver.Load()
 			if v, ok := t.d.ix.Lookup(key); ok {
 				return v, true
 			}
@@ -436,13 +449,16 @@ func (t *tier) applyLocked(mem *Index, r wal.Record) error {
 		if err := mem.Insert(r.Key, r.Val); err != nil {
 			return err
 		}
+		// The bump sits between the memtable write and the tombstone clear:
+		// a reader that missed the memtable before the write and misses the
+		// tombstone after the clear loaded the version before the bump.
+		t.bumpVer()
 		// Most inserts are of fresh keys: probe before paying for a delete.
 		if _, ok := t.dead.Lookup(r.Key); ok {
 			t.deadMu.Lock()
 			t.dead.Delete(r.Key) //nolint:errcheck // present: just looked up
 			t.deadMu.Unlock()
 		}
-		t.bumpVer()
 		t.liveCount.Add(1)
 	case wal.OpDelete:
 		t.deadMu.Lock()

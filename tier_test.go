@@ -971,3 +971,60 @@ func TestTieredRangeIgnoresDistantTombstones(t *testing.T) {
 		t.Fatalf("128× more distant tombstones made a Range %.1f× slower, want at most 4×", ratio)
 	}
 }
+
+// TestTieredColdReadSeesReinsert: a reader that misses the memtable just
+// before a deleted, flushed key is re-inserted must return the new value or
+// nothing, never the flushed one. The failpoint lands the re-insert between
+// the reader's memtable miss and its cold probes, through Lookup and through
+// LookupBatch.
+func TestTieredColdReadSeesReinsert(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		o := tieredOpts()
+		o.Sync = SyncNone
+		d, err := OpenDir(t.TempDir(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const key = 77
+		if err := d.Insert(key, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		fired := false
+		coldLookupFailpoint = func() {
+			if !fired {
+				fired = true
+				if err := d.Insert(key, 2); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		var v uint64
+		var ok bool
+		if batch {
+			vals, found := make([]uint64, 1), make([]bool, 1)
+			d.LookupBatch([]uint64{key}, vals, found)
+			v, ok = vals[0], found[0]
+		} else {
+			v, ok = d.Lookup(key)
+		}
+		coldLookupFailpoint = nil
+		if !fired {
+			t.Fatalf("batch %v: the read never reached the cold path", batch)
+		}
+		if ok && v != 2 {
+			t.Fatalf("batch %v: Lookup during the re-insert = %d, want 2 or absent (1 is the deleted value)", batch, v)
+		}
+		if v, ok := d.Lookup(key); !ok || v != 2 {
+			t.Fatalf("batch %v: Lookup after the re-insert = %d,%v want 2,true", batch, v, ok)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
