@@ -1197,16 +1197,20 @@ func (d *DurableIndex) Lookup(key uint64) (uint64, bool) {
 	if d.readsClosed.Load() {
 		return 0, false
 	}
-	if d.tier != nil {
-		return d.tier.lookup(key)
+	if d.tier == nil {
+		return d.ix.Lookup(key)
 	}
-	return d.ix.Lookup(key)
+	v, ok, err := d.tier.get(key)
+	if err != nil {
+		d.tier.coldErrs.Add(1)
+	}
+	return v, ok
 }
 
-// LookupBatch resolves keys[i] into vals[i], found[i] against one tree
-// snapshot; in tiered mode misses are then resolved against the cold tiers.
-// After Close every key reports clean not-found, matching Lookup. vals and
-// found must be at least len(keys) long.
+// LookupBatch resolves keys[i] into vals[i], found[i]: against one tree
+// snapshot in legacy mode, and key by key through the tiers, as Lookup
+// does, in tiered mode. After Close every key reports clean not-found,
+// matching Lookup. vals and found must be at least len(keys) long.
 func (d *DurableIndex) LookupBatch(keys, vals []uint64, found []bool) {
 	if d.readsClosed.Load() {
 		for i := range keys {
@@ -1218,21 +1222,11 @@ func (d *DurableIndex) LookupBatch(keys, vals []uint64, found []bool) {
 		d.ix.LookupBatch(keys, vals, found)
 		return
 	}
-	ver := d.tier.ver.Load()
-	d.ix.LookupBatch(keys, vals, found)
-	for i := range keys {
-		if found[i] {
-			continue
+	for i, k := range keys {
+		var err error
+		if vals[i], found[i], err = d.tier.get(k); err != nil {
+			d.tier.coldErrs.Add(1)
 		}
-		// A transition since the batch's memtable probe would fail the cold
-		// path's first attempt: probe the memtable again under the new version.
-		if now := d.tier.ver.Load(); now != ver {
-			ver = now
-			if vals[i], found[i] = d.ix.Lookup(keys[i]); found[i] {
-				continue
-			}
-		}
-		vals[i], found[i] = d.tier.lookupCold(keys[i], ver)
 	}
 }
 

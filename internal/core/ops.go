@@ -117,9 +117,9 @@ func (ix *Index) Range(lo, hi uint64, fn func(key, val uint64) bool) {
 }
 
 // AppendPairs appends every stored (key, value) pair to keys/vals in
-// ascending key order and returns the extended slices — the bulk dump the
-// durable tier uses to freeze a memtable into a sorted run. It reads the
-// tree as Range does, interval by interval.
+// ascending key order and returns the extended slices — the dump
+// Reconstruct rebuilds the tree from. It reads the tree as Range does,
+// interval by interval.
 func (ix *Index) AppendPairs(keys, vals []uint64) ([]uint64, []uint64) {
 	var c cut
 	c.each(ix.tree.Load(), 0, math.MaxUint64, nil, func(c *cut) bool {

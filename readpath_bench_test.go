@@ -5,8 +5,11 @@ package chameleon_test
 // RunParallel, on 16 hot keys, and on absent keys. They are the repo's one
 // measure of the in-process lookup path outside bench/, whose core.lookup_ns
 // and core.read_fallbacks cover it under the embed_mem workload; remote
-// pipelined GETs are bench/'s remote_get workload. Read-path safety under
-// writers is TestOptimisticTornReadOracle's (internal/core), not a timing's.
+// pipelined GETs are bench/'s remote_get workload. BenchmarkTieredLookup
+// times the tiered point read (a memtable hit, a segment hit) on its own.
+// Read-path safety under writers is TestOptimisticTornReadOracle's
+// (internal/core) and TestTieredLookupValuesUnderConcurrency's, not a
+// timing's.
 
 import (
 	"math/rand/v2"
@@ -111,4 +114,59 @@ func BenchmarkLookupMiss(b *testing.B) {
 			b.Fatal("absent key found")
 		}
 	}
+}
+
+// BenchmarkTieredLookup times DurableIndex.Lookup on a tiered directory: a
+// 200 k-key FACE bulk load, which lands as one segment, under a memtable of
+// 4,096 keys inserted into its gaps. "memtable" probes the inserted keys
+// (the lock-free hit), "cold" the loaded ones (a memtable miss, the
+// memtable and dead-set probes under the dead set's read lock, then the
+// segment: one filter probe and one pread from the page cache), and
+// "memtable-parallel" the inserted keys from every P, where a shared lock
+// word on the hit path would show.
+func BenchmarkTieredLookup(b *testing.B) {
+	keys := dataset.Generate(dataset.FACE, 200_000, 42)
+	d, err := chameleon.OpenDir(b.TempDir(), chameleon.DirOptions{
+		Options: chameleon.Options{Seed: 1}, Sync: chameleon.SyncNone, Tiered: true, MemtableBytes: 1 << 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.BulkLoad(keys, nil); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(7, 7))
+	hot := make([]uint64, 0, 1<<12)
+	for len(hot) < cap(hot) {
+		i := rng.IntN(len(keys) - 1)
+		k := keys[i] + (keys[i+1]-keys[i])/2
+		if k == keys[i] {
+			continue
+		}
+		if err := d.Insert(k, k); err == nil {
+			hot = append(hot, k)
+		}
+	}
+	cold := harness.Probes(keys, 1<<16, 7)
+	probe := func(b *testing.B, ks []uint64) {
+		mask := len(ks) - 1
+		for i := 0; i < b.N; i++ {
+			if _, ok := d.Lookup(ks[i&mask]); !ok {
+				b.Fatal("stored key not found")
+			}
+		}
+	}
+	b.Run("memtable", func(b *testing.B) { probe(b, hot) })
+	b.Run("cold", func(b *testing.B) { probe(b, cold) })
+	b.Run("memtable-parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if _, ok := d.Lookup(hot[i&(len(hot)-1)]); !ok {
+					b.Error("stored key not found")
+					return
+				}
+			}
+		})
+	})
 }

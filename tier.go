@@ -33,17 +33,18 @@ import (
 // Read path (newest wins): memtable → dead-set (tombstones awaiting flush) →
 // frozen run (flush in progress) → segments newest-to-oldest, pruned by
 // min/max and each run's membership filter, resolved by one block read.
-// Cold lookups are lock-free and use a version counter (tierVer) to detect
-// racing memtable↔dead transitions: a key being re-inserted over a flushed
-// tombstone momentarily exists in neither the memtable nor the dead set, and
-// without the version check a reader could fall through to a segment and
-// resurrect the previous incarnation's value.
+// A memtable hit is lock-free; a miss re-probes the memtable and probes the
+// dead set under one deadMu read hold (see get), so a key moving between
+// the two is seen on at least one side and never resurrected from a
+// segment.
 //
-// Lock order: t.tmu → d.mu → d.qmu. t.segMu is independent and nests inside
-// anything: readers hold segMu.RLock across segment I/O; retire takes
-// segMu.Lock only as an empty barrier (Lock; Unlock) after a new segment set
-// is published, so retired readers are closed only after every in-flight
-// cold read has drained. Nobody acquires other locks while holding segMu.
+// Lock order: t.tmu → d.mu → d.qmu, and d.mu → deadMu; deadMu is held only
+// across in-memory probes and edits, never across I/O. t.segMu is
+// independent and nests inside anything: readers hold segMu.RLock across
+// segment I/O; retire takes segMu.Lock only as an empty barrier (Lock;
+// Unlock) after a new segment set is published, so retired readers are
+// closed only after every in-flight cold read has drained. Nobody acquires
+// other locks while holding segMu.
 type tier struct {
 	d *DurableIndex
 
@@ -56,9 +57,9 @@ type tier struct {
 	// key order (so a RANGE takes only its window's): a delete of a key that
 	// (maybe) lives in a segment cannot just remove it from the memtable — a
 	// cold read would fall through and resurrect it. Invariant: a key is
-	// never in both the memtable and dead. Mutations hold d.mu and deadMu;
-	// lock-free readers take deadMu shared, and code under d.mu reads dead
-	// without deadMu.
+	// never in both the memtable and dead, except inside applyLocked, where
+	// the memtable wins. Mutations hold d.mu and deadMu; point reads take
+	// deadMu shared (get), and code under d.mu reads dead without deadMu.
 	deadMu sync.RWMutex
 	dead   *bptree.Tree
 
@@ -71,11 +72,6 @@ type tier struct {
 	// segs is the published segment set, newest first. Never nil.
 	segMu sync.RWMutex // reader-retirement barrier; see package comment
 	segs  atomic.Pointer[segset]
-
-	// ver counts memtable/dead/frozen transitions; readers snapshot it
-	// before their memtable probe and retry a miss if it moved (see
-	// lookupCold).
-	ver atomic.Uint64
 
 	// Durable-state mirrors, written under tmu, readable anywhere (Health).
 	gen         atomic.Uint64 // current manifest generation
@@ -215,82 +211,48 @@ func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, 
 // ---------------------------------------------------------------------------
 // Read path
 
-// bumpVer marks a memtable/dead/frozen transition. Callers hold d.mu.
-func (t *tier) bumpVer() { t.ver.Add(1) }
-
-// lookup resolves key across every tier, lock-free. The probe order
-// (memtable, dead, frozen, segments) combined with the apply order in
-// applyLocked makes delete races safe without coordination; insert races
-// (a key leaving the dead set) are caught by the version check.
-func (t *tier) lookup(key uint64) (uint64, bool) {
-	ver := t.ver.Load()
-	if v, ok := t.d.ix.Lookup(key); ok {
-		return v, true
-	}
-	return t.lookupCold(key, ver)
-}
-
-// coldLookupFailpoint, when non-nil, runs as lookupCold starts: after the
-// reader's memtable miss, before its cold probes. Tests use it to land a
+// getHoldFailpoint, when non-nil, runs inside get's deadMu hold, after the
+// memtable miss and before the dead-set probe. Tests use it to start a
 // write in that window.
-var coldLookupFailpoint func()
+var getHoldFailpoint func()
 
-// lookupCold resolves a memtable miss; ver is the version loaded before
-// that probe. applyLocked bumps the version between a re-insert's memtable
-// write and its tombstone clear, so a reader that missed the memtable and
-// then misses the tombstone sees the version move and retries. Retries
-// (rare: only under a racing flush or a re-insert over a flushed tombstone)
-// re-probe the memtable too; after a few collisions it falls back to the
-// serialized path under d.mu, where no transition can interleave.
-func (t *tier) lookupCold(key, ver uint64) (uint64, bool) {
-	if coldLookupFailpoint != nil {
-		coldLookupFailpoint()
+// get resolves key across every tier: the one point read behind Lookup,
+// LookupBatch and commit validation (presentLocked). A memtable hit returns
+// lock-free. A miss takes deadMu shared, probes the memtable again and then
+// the dead set, and loads the frozen run. Every dead-set change holds
+// deadMu exclusively, and applyLocked inserts into the memtable before it
+// clears a tombstone and adds a tombstone before it deletes from the
+// memtable, so under the hold a key in motion is in the memtable or in the
+// dead set when the reader looks: a miss in both is authoritative. The
+// frozen run and the segments are then asked with no lock held: freeze
+// publishes the frozen run before it empties the memtable, and flush drops
+// it only after the segment that holds it is published. err is a segment
+// read failure; the caller decides whether it counts in ColdReadErrs.
+func (t *tier) get(key uint64) (val uint64, ok bool, err error) {
+	if v, hit := t.d.ix.Lookup(key); hit {
+		return v, true, nil
 	}
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			ver = t.ver.Load()
-			if v, ok := t.d.ix.Lookup(key); ok {
-				return v, true
-			}
+	t.deadMu.RLock()
+	v, hit := t.d.ix.Lookup(key)
+	dead := false
+	if !hit {
+		if getHoldFailpoint != nil {
+			getHoldFailpoint()
 		}
-		t.deadMu.RLock()
-		_, deadHit := t.dead.Lookup(key)
-		t.deadMu.RUnlock()
-		if deadHit {
-			return 0, false
-		}
-		if fr := t.frozen.Load(); fr != nil {
-			if v, tomb, ok := fr.get(key); ok {
-				if tomb {
-					return 0, false
-				}
-				return v, true
-			}
-		}
-		if t.ver.Load() != ver {
-			continue // a transition may have moved the key under us
-		}
-		// The volatile tiers were stable across the probes, so a miss there
-		// is authoritative and the segments (logically immutable) decide.
-		v, tomb, ok, err := t.segGet(key)
-		if err != nil {
-			t.coldErrs.Add(1)
-			return 0, false
-		}
-		if !ok || tomb {
-			return 0, false
-		}
-		return v, true
+		_, dead = t.dead.Lookup(key)
 	}
-	// Contended: resolve under d.mu where transitions are serialized.
-	t.d.mu.Lock()
-	defer t.d.mu.Unlock()
-	v, ok, err := t.visibleLocked(key)
-	if err != nil {
-		t.coldErrs.Add(1)
-		return 0, false
+	fr := t.frozen.Load()
+	t.deadMu.RUnlock()
+	if hit || dead {
+		return v, hit, nil
 	}
-	return v, ok
+	if fr != nil {
+		if v, tomb, hit := fr.get(key); hit {
+			return v, !tomb, nil
+		}
+	}
+	v, tomb, hit, err := t.segGet(key)
+	return v, hit && !tomb, err
 }
 
 // segGet probes the published segments newest-to-oldest; a run whose
@@ -310,28 +272,6 @@ func (t *tier) segGet(key uint64) (val uint64, tomb, ok bool, err error) {
 		}
 	}
 	return 0, false, false, nil
-}
-
-// visibleLocked resolves key's visible value under d.mu (no concurrent
-// transitions). Shared by validation (presentLocked) and the contended
-// lookup fallback.
-func (t *tier) visibleLocked(key uint64) (val uint64, ok bool, err error) {
-	if v, hit := t.d.ix.Lookup(key); hit {
-		return v, true, nil
-	}
-	if _, deadHit := t.dead.Lookup(key); deadHit {
-		return 0, false, nil
-	}
-	if fr := t.frozen.Load(); fr != nil {
-		if v, tomb, hit := fr.get(key); hit {
-			return v, !tomb, nil
-		}
-	}
-	v, tomb, hit, err := t.segGet(key)
-	if err != nil {
-		return 0, false, err
-	}
-	return v, hit && !tomb, nil
 }
 
 // rangeMerged streams [lo, hi] ascending across every tier. The volatile
@@ -416,7 +356,7 @@ func (d *DurableIndex) presentLocked(key uint64) (bool, error) {
 		_, p := d.ix.Lookup(key)
 		return p, nil
 	}
-	_, ok, err := d.tier.visibleLocked(key)
+	_, ok, err := d.tier.get(key)
 	return ok, err
 }
 
@@ -436,23 +376,18 @@ func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
 }
 
 // applyLocked applies one logged record to the memtable mem, the dead set
-// and the live count: the one tier apply for commit and for recovery. The
-// orderings are load-bearing for lock-free readers: a delete publishes its
-// dead-set tombstone BEFORE removing the key from the memtable (a reader
-// that misses the memtable then finds the tombstone — never falls through to
-// a stale segment value), and an insert lands in the memtable BEFORE
-// clearing a dead-set tombstone (the version bump catches the reader that
-// raced past both). Callers hold d.mu, or own the tier alone (recovery).
+// and the live count: the one tier apply for commit and for recovery. Its
+// order is what makes get's miss under deadMu authoritative: a delete adds
+// the dead-set tombstone BEFORE removing the key from the memtable, and an
+// insert lands in the memtable BEFORE clearing a tombstone, so a key is
+// never absent from both while it moves. Callers hold d.mu, or own the tier
+// alone (recovery).
 func (t *tier) applyLocked(mem *Index, r wal.Record) error {
 	switch r.Op {
 	case wal.OpInsert:
 		if err := mem.Insert(r.Key, r.Val); err != nil {
 			return err
 		}
-		// The bump sits between the memtable write and the tombstone clear:
-		// a reader that missed the memtable before the write and misses the
-		// tombstone after the clear loaded the version before the bump.
-		t.bumpVer()
 		// Most inserts are of fresh keys: probe before paying for a delete.
 		if _, ok := t.dead.Lookup(r.Key); ok {
 			t.deadMu.Lock()
@@ -464,7 +399,6 @@ func (t *tier) applyLocked(mem *Index, r wal.Record) error {
 		t.deadMu.Lock()
 		t.dead.Insert(r.Key, 0) //nolint:errcheck // absent: the key was visible
 		t.deadMu.Unlock()
-		t.bumpVer()
 		// The key may live only in frozen/segment tiers; a memtable miss is
 		// expected then — the dead-set tombstone above is what shadows it.
 		mem.Delete(r.Key) //nolint:errcheck
@@ -556,7 +490,6 @@ func (t *tier) resetMemtableLocked() error {
 	t.deadMu.Lock()
 	t.dead = bptree.New(0)
 	t.deadMu.Unlock()
-	t.bumpVer()
 	return nil
 }
 
@@ -648,7 +581,6 @@ func (t *tier) freeze() (*frozenRun, error) {
 	}
 	d.swapWALLocked(next)
 	t.frozen.Store(fr)
-	t.bumpVer()
 	if err := t.resetMemtableLocked(); err != nil {
 		return nil, err
 	}
@@ -1123,12 +1055,14 @@ func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 		d.poisonLocked(fmt.Errorf("replace: %w", err))
 		return d.fail
 	}
+	// Drop the frozen run before the memtable and dead set that shadow it
+	// are reset: a reader that misses both emptied tiers must not find a
+	// value they had deleted or replaced.
+	t.frozen.Store(nil)
 	d.swapWALLocked(next)
 	if err := t.resetMemtableLocked(); err != nil {
 		return err
 	}
-	t.frozen.Store(nil)
-	t.bumpVer()
 	t.liveCount.Store(int64(len(keys)))
 	d.commitSeq.Store(asOfSeq)
 	d.broadcastSeq()

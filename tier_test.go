@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -974,10 +975,13 @@ func TestTieredRangeIgnoresDistantTombstones(t *testing.T) {
 
 // TestTieredColdReadSeesReinsert: a reader that misses the memtable just
 // before a deleted, flushed key is re-inserted must return the new value or
-// nothing, never the flushed one. The failpoint lands the re-insert between
-// the reader's memtable miss and its cold probes, through Lookup and through
-// LookupBatch.
+// nothing, never the flushed one. The hook runs inside the read's deadMu
+// hold, after its memtable miss and before its dead-set probe, and starts
+// the re-insert there: the insert must wait for the hold to end, since it
+// clears the key's tombstone, and the read must not find the flushed value.
+// Rows: Lookup and LookupBatch.
 func TestTieredColdReadSeesReinsert(t *testing.T) {
+	t.Cleanup(func() { getHoldFailpoint = nil })
 	for _, batch := range []bool{false, true} {
 		o := tieredOpts()
 		o.Sync = SyncNone
@@ -995,13 +999,20 @@ func TestTieredColdReadSeesReinsert(t *testing.T) {
 		if err := d.Delete(key); err != nil {
 			t.Fatal(err)
 		}
-		fired := false
-		coldLookupFailpoint = func() {
-			if !fired {
-				fired = true
-				if err := d.Insert(key, 2); err != nil {
-					t.Error(err)
-				}
+		var fired atomic.Bool
+		inserted := make(chan error, 1)
+		getHoldFailpoint = func() {
+			// The insert's own validation reads the key too; only the
+			// first read under test starts it.
+			if !fired.CompareAndSwap(false, true) {
+				return
+			}
+			go func() { inserted <- d.Insert(key, 2) }()
+			select {
+			case err := <-inserted:
+				t.Errorf("batch %v: the re-insert finished inside the read's hold (err %v)", batch, err)
+				inserted <- err
+			case <-time.After(100 * time.Millisecond):
 			}
 		}
 		var v uint64
@@ -1013,10 +1024,13 @@ func TestTieredColdReadSeesReinsert(t *testing.T) {
 		} else {
 			v, ok = d.Lookup(key)
 		}
-		coldLookupFailpoint = nil
-		if !fired {
-			t.Fatalf("batch %v: the read never reached the cold path", batch)
+		if !fired.Load() {
+			t.Fatalf("batch %v: the read never reached the dead-set probe", batch)
 		}
+		if err := <-inserted; err != nil {
+			t.Fatal(err)
+		}
+		getHoldFailpoint = nil
 		if ok && v != 2 {
 			t.Fatalf("batch %v: Lookup during the re-insert = %d, want 2 or absent (1 is the deleted value)", batch, v)
 		}
@@ -1026,5 +1040,120 @@ func TestTieredColdReadSeesReinsert(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTieredLookupValuesUnderConcurrency checks the values point reads
+// return while keys move between the memtable, the dead set, the frozen run
+// and the segments. Each writer cycles its own keys through insert and
+// delete with a strictly increasing value per key, over a memtable small
+// enough that background flushes and compactions run mid-test. A reader
+// loads a key's newest acknowledged delete and its newest acknowledged
+// insert before it reads, and its delete count after: a value must be newer
+// than the acknowledged delete (a resurrected value is not), and absence
+// needs a delete begun for the acknowledged insert (a lost value is not
+// absent). Both Lookup and LookupBatch are checked.
+func TestTieredLookupValuesUnderConcurrency(t *testing.T) {
+	o := tieredOpts()
+	o.Sync = SyncNone
+	o.MemtableBytes = 32 * memtableEntryBytes // flushes, and so compactions, keep firing
+	d, err := OpenDir(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const writers, keysPerWriter = 2, 8
+	const keys = writers * keysPerWriter
+	cycles := 1000
+	if testing.Short() {
+		cycles = 300
+	}
+	// Value c is the key's c-th incarnation (c from 1). insAcked is the newest
+	// acknowledged insert, delBegun the newest delete begun and delAcked the
+	// newest acknowledged one; filler keeps the memtable turning over.
+	var insAcked, delBegun, delAcked [keys]atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			filler := uint64(1_000_000 * (w + 1))
+			for c := uint64(1); c <= uint64(cycles); c++ {
+				for k := w; k < keys; k += writers {
+					if err := d.Insert(uint64(k), c); err != nil {
+						t.Error(err)
+						return
+					}
+					insAcked[k].Store(c)
+				}
+				for k := w; k < keys; k += writers {
+					delBegun[k].Store(c)
+					if err := d.Delete(uint64(k)); err != nil {
+						t.Error(err)
+						return
+					}
+					delAcked[k].Store(c)
+				}
+				for range 4 {
+					filler++
+					if err := d.Insert(filler, 0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	var reads atomic.Uint64
+	var rwg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		rwg.Add(1)
+		go func(batch bool) {
+			defer rwg.Done()
+			batchKeys := make([]uint64, keys)
+			for k := range batchKeys {
+				batchKeys[k] = uint64(k)
+			}
+			vals, found := make([]uint64, keys), make([]bool, keys)
+			var del, ins [keys]uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for k := range keys {
+					del[k], ins[k] = delAcked[k].Load(), insAcked[k].Load()
+				}
+				if batch {
+					d.LookupBatch(batchKeys, vals, found)
+				} else {
+					for k := range keys {
+						vals[k], found[k] = d.Lookup(uint64(k))
+					}
+				}
+				for k := range keys {
+					if found[k] && vals[k] <= del[k] {
+						t.Errorf("batch %v: key %d = %d after the delete of value %d was acknowledged", batch, k, vals[k], del[k])
+					}
+					if !found[k] && ins[k] > del[k] && delBegun[k].Load() < ins[k] {
+						t.Errorf("batch %v: key %d absent while its value %d was acknowledged and not deleted", batch, k, ins[k])
+					}
+				}
+				reads.Add(keys)
+				// Yield: a spinning reader holds a CPU until preempted, and
+				// on two cores that starves the writers' commit leader.
+				runtime.Gosched()
+			}
+		}(r == 1)
+	}
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	h := d.Health().Tier
+	t.Logf("%d point reads over %d flushes and %d compactions", reads.Load(), h.Flushes, h.Compactions)
+	if h.Flushes == 0 || h.Compactions == 0 {
+		t.Fatalf("no flush or no compaction ran mid-test: %+v", h)
 	}
 }
