@@ -6,13 +6,17 @@
 // is exactly the arrival pattern the server's group-commit queue amortizes
 // best.
 //
-// The call surface mirrors the durable index's context-aware one
-// (InsertCtx/DeleteCtx semantics): an error wrapping context.Canceled or
-// chameleon.ErrOverloaded means the mutation had no durable effect; nil
-// means it is durable per the server's sync policy. Retries are bounded and
-// happen only for typed retryable rejections (overloaded, disk-full,
-// cancelled-before-claim) — never for transport errors, whose outcome is
-// ambiguous and must stay the caller's decision.
+// The server's answers carry the durable index's context-aware contract
+// (InsertCtx/DeleteCtx semantics): nil means the mutation is durable per the
+// server's sync policy, and a typed retryable rejection (*wire.RemoteError:
+// overloaded, disk-full, or cancelled on the server, which unwraps to
+// context.Canceled) means it had no durable effect. The caller's own
+// context is not part of that contract. The protocol has no cancel frame,
+// so once a call's frame is buffered for the wire the server may apply it
+// whatever happens to ctx: a bare ctx.Err() from a write leaves its fate
+// unknown, as IsConnBroken does. Retries are bounded and happen only for
+// typed retryable rejections — never for transport or context errors, whose
+// outcome is ambiguous and must stay the caller's decision.
 package client
 
 import (
@@ -25,6 +29,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,10 +152,15 @@ type Client struct {
 
 	mu    sync.Mutex // guards pool slots during dial/redial
 	conns []*conn
+
+	// dial opens a pooled connection's socket: net.Dialer's DialContext,
+	// replaced by package tests that wrap the conn.
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
-// conn is one pooled connection: a writer side (mutex-serialized encode +
-// flush) and a reader goroutine that routes responses to waiters by id.
+// conn is one pooled connection: a writer side (mutex-serialized encode,
+// one flush per burst) and a reader goroutine that routes responses to
+// waiters by id.
 type conn struct {
 	nc    net.Conn
 	slots chan struct{}
@@ -158,6 +168,10 @@ type conn struct {
 	wmu sync.Mutex
 	bw  *bufio.Writer
 	enc []byte // reusable encode buffer, guarded by wmu
+	// led is set, under wmu, while frames sit in bw with a flush leader
+	// committed to writing them: a caller that finds it set appends and
+	// only waits for its reply.
+	led bool
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *wire.Response
@@ -173,8 +187,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // or PING in flight, so a caller shutting down never waits out DialTimeout
 // on a peer that accepted the connection but never answers.
 func DialContext(ctx context.Context, addr string, opts Options) (*Client, error) {
-	c := &Client{addr: addr, opts: opts.withDefaults()}
-	c.conns = make([]*conn, c.opts.Conns)
+	c := newClient(addr, opts)
 	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	defer cancel()
 	if err := c.Ping(ctx); err != nil {
@@ -183,13 +196,20 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	return c, nil
 }
 
+// newClient builds a Client with an empty pool; the first call dials.
+func newClient(addr string, opts Options) *Client {
+	c := &Client{addr: addr, opts: opts.withDefaults()}
+	c.conns = make([]*conn, c.opts.Conns)
+	c.dial = (&net.Dialer{}).DialContext
+	return c
+}
+
 // dialConn establishes one pooled connection; DialTimeout bounds the
 // connect and the HELLO together, and ctx can cut both short.
 func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.DialTimeout)
 	defer cancel()
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", c.addr)
+	nc, err := c.dial(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -338,6 +358,13 @@ func (cn *conn) readLoop() {
 // roundTrip sends one request on cn and waits for its response, honoring
 // ctx at every blocking point. On ctx expiry the caller deregisters and
 // returns; a late response is dropped by the read loop.
+//
+// Frames that arrive together share one write(2): the caller that appends
+// to an empty burst leads it, and everyone who appends before the leader
+// flushes rides along and just waits for its reply. The leader yields once
+// before the flush when other requests are in flight on the connection, so
+// that callers its reader has just woken, or that are runnable but have not
+// reached wmu, can join the burst; a lone request flushes at once.
 func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
 	select {
 	case cn.slots <- struct{}{}:
@@ -359,10 +386,20 @@ func (cn *conn) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	cn.wmu.Lock()
 	cn.enc = wire.AppendRequest(cn.enc[:0], req)
 	_, werr := cn.bw.Write(cn.enc)
-	if werr == nil {
-		werr = cn.bw.Flush()
+	lead := werr == nil && !cn.led
+	if lead {
+		cn.led = true
 	}
 	cn.wmu.Unlock()
+	if lead {
+		if len(cn.slots) > 1 {
+			runtime.Gosched()
+		}
+		cn.wmu.Lock()
+		werr = cn.bw.Flush()
+		cn.led = false
+		cn.wmu.Unlock()
+	}
 	if werr != nil {
 		cn.fail(werr)
 		// fail() already woke ch by closing it; fall through to the select
@@ -435,8 +472,9 @@ func (c *Client) Get(ctx context.Context, key uint64) (val uint64, found bool, e
 }
 
 // Insert adds key→val. A nil return means the write is durable per the
-// server's sync policy; a retryable or context error means it had no
-// durable effect (the two-state contract, over the wire).
+// server's sync policy; a typed retryable rejection means it had no durable
+// effect (the two-state contract, over the wire). An error from ctx itself,
+// like a broken connection, leaves the write's fate unknown.
 func (c *Client) Insert(ctx context.Context, key, val uint64) error {
 	_, err := c.do(ctx, &wire.Request{Op: wire.OpInsert, Key: key, Val: val})
 	return err

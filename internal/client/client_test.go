@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -426,5 +427,114 @@ func TestClientRangeLimitClamp(t *testing.T) {
 		var twoTo32 uint64 = 1 << 32
 		call(int(twoTo32), math.MaxUint32)
 		call(math.MaxInt, math.MaxUint32)
+	}
+}
+
+// countingConn counts the Write calls that reach the socket.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (cc countingConn) Write(p []byte) (int, error) {
+	cc.writes.Add(1)
+	return cc.Conn.Write(p)
+}
+
+// TestClientCoalescesPipelinedWrites pins the flush leader: requests
+// appended while a leader is pending share its one write(2). On one P, 64
+// callers released at once reach the socket in a handful of writes (one
+// each when every call flushes its own frame), and a lone call still takes
+// exactly one write, with no wait for company.
+func TestClientCoalescesPipelinedWrites(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fs := newFakeServer(t, okFor)
+	c := newClient(fs.ln.Addr().String(), Options{MaxPipeline: 64})
+	defer c.Close() //nolint:errcheck
+	var writes atomic.Int64
+	c.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		nc.(*net.TCPConn).SetNoDelay(true) //nolint:errcheck
+		return countingConn{Conn: nc, writes: &writes}, nil
+	}
+	ctx := context.Background()
+	if err := c.Ping(ctx); err != nil { // dials: HELLO, then the PING
+		t.Fatal(err)
+	}
+
+	before := writes.Load()
+	if _, _, err := c.Get(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes.Load() - before; got != 1 {
+		t.Fatalf("a lone Get took %d writes, want 1", got)
+	}
+
+	const callers = 64
+	before = writes.Load()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			if _, _, err := c.Get(ctx, key); err != nil {
+				errs <- err
+			}
+		}(uint64(i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("pipelined Get: %v", err)
+	}
+	got := writes.Load() - before
+	t.Logf("%d concurrent Gets on one connection took %d writes", callers, got)
+	if got > 8 {
+		t.Fatalf("%d concurrent Gets took %d writes, want at most 8", callers, got)
+	}
+}
+
+// TestClientDeadlineAfterSendLeavesWriteUnknown: the protocol has no cancel
+// frame, so a caller whose context expires after its INSERT went out gets
+// the bare context error while the server may well have applied the write.
+// The error must not pass for a typed rejection (which would promise no
+// durable effect): its fate is unknown, as after a broken connection.
+func TestClientDeadlineAfterSendLeavesWriteUnknown(t *testing.T) {
+	applied := make(chan uint64, 1)
+	release := make(chan struct{})
+	fs := newFakeServer(t, func(req *wire.Request) *wire.Response {
+		if req.Op == wire.OpInsert {
+			applied <- req.Key // the write takes effect...
+			<-release          // ...and its reply is held past the deadline
+		}
+		return okFor(req)
+	})
+	defer close(release)
+	c, err := Dial(fs.ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	err = c.Insert(ctx, 7, 70)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Insert with its reply held past the deadline: %v, want context.DeadlineExceeded", err)
+	}
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		t.Fatalf("deadline surfaced as typed rejection %v", err)
+	}
+	select {
+	case key := <-applied:
+		if key != 7 {
+			t.Fatalf("server applied key %d, want 7", key)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the INSERT never reached the server")
 	}
 }

@@ -133,10 +133,13 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*conn]struct{}
+	// draining is set once, by Shutdown, under mu and before it kicks the
+	// readers; Serve reads it under mu, so no conn joins after the kick.
+	// Readers load it without mu once per frame.
+	draining atomic.Bool
 
 	connWG sync.WaitGroup
 	start  time.Time
@@ -204,16 +207,13 @@ func (s *Server) Serve() error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
+			if s.draining.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			go s.refuse(nc, wire.ErrCodeClosed, "server draining")
 			continue
@@ -271,12 +271,13 @@ func (s *Server) removeConn(c *conn) {
 // holds every acked write) but the index is still closed cleanly.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	alreadyDraining := s.draining
-	s.draining = true
+	alreadyDraining := s.draining.Swap(true)
 	ln := s.ln
 	for c := range s.conns {
 		// Kick readers out of their blocking ReadFrame; the conn teardown
 		// then waits for in-flight handlers and flushes their responses.
+		// The flag is set first: a reader re-arming its deadline after this
+		// kick sees it (conn.run re-checks after arming).
 		c.nc.SetReadDeadline(time.Now()) //nolint:errcheck
 	}
 	s.mu.Unlock()
@@ -352,6 +353,11 @@ type conn struct {
 	wdone    chan struct{}
 }
 
+// rearmFailpoint, when non-nil, runs in every connection reader after it
+// dispatches what it has read and before it re-arms the read deadline for a
+// read that can block. Tests use it to start a drain in that window.
+var rearmFailpoint func()
+
 func (c *conn) run() {
 	defer c.srv.connWG.Done()
 	defer c.srv.removeConn(c)
@@ -363,14 +369,28 @@ func (c *conn) run() {
 	// complete frame left in the buffer), a non-GET arrives, or the batch
 	// hits the pipeline cap. Coalescing therefore never ADDS latency — a
 	// lone GET is dispatched on the very next loop iteration.
+	//
+	// The idle deadline is armed only before a read that can block: frames
+	// already buffered cost no deadline each.
 	var getBatch []*wire.Request
 	helloed := false
 	for {
-		if len(getBatch) > 0 && !wire.FullFrameBuffered(br) {
-			c.dispatchGets(getBatch)
-			getBatch = nil
+		if !wire.FullFrameBuffered(br) {
+			if len(getBatch) > 0 {
+				c.dispatchGets(getBatch)
+				getBatch = nil
+			}
+			if rearmFailpoint != nil {
+				rearmFailpoint()
+			}
+			c.nc.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
+			// Shutdown sets draining before it kicks this deadline to now:
+			// either the flag shows here, or the kick lands after the re-arm
+			// above and the read below returns at once.
+			if c.srv.draining.Load() {
+				break
+			}
 		}
-		c.nc.SetReadDeadline(time.Now().Add(idleTimeout)) //nolint:errcheck
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			// A framing-level error (bad CRC, absurd length) means the
@@ -383,10 +403,7 @@ func (c *conn) run() {
 			}
 			break
 		}
-		c.srv.mu.Lock()
-		draining := c.srv.draining
-		c.srv.mu.Unlock()
-		if draining {
+		if c.srv.draining.Load() {
 			break // stop consuming new work; in-flight finishes below
 		}
 		req, derr := wire.DecodeRequest(payload)
@@ -450,7 +467,7 @@ func (c *conn) run() {
 		c.dispatchGets(getBatch)
 	}
 	c.handlers.Wait() // every accepted request gets its response...
-	close(c.out)      // ...then the writer flushes the tail and exits
+	close(c.out)      // ...then the writer sends the last of them and exits
 	<-c.wdone
 	c.nc.Close() //nolint:errcheck
 }
@@ -511,7 +528,10 @@ func (s *Server) handleGetBatch(c *conn, reqs []*wire.Request) {
 
 // writer encodes and sends responses, coalescing: it flushes only when the
 // queue is momentarily empty, so responses completed close together — e.g.
-// a whole group-commit batch acking at once — share one syscall.
+// a whole group-commit batch acking at once — share one syscall. The write
+// deadline is armed once per flush: when a reply lands in an empty buffer,
+// and before a reply that would make bufio write on its own. The queue is
+// empty when c.out closes, so the last reply was flushed in the loop.
 func (c *conn) writer() {
 	defer close(c.wdone)
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
@@ -522,7 +542,9 @@ func (c *conn) writer() {
 			continue // keep draining so handlers never block on a dead conn
 		}
 		buf = wire.AppendResponse(buf[:0], res)
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+		if bw.Buffered() == 0 || len(buf) > bw.Available() {
+			c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+		}
 		if _, err := bw.Write(buf); err != nil {
 			dead = true
 			c.nc.Close() //nolint:errcheck
@@ -534,10 +556,6 @@ func (c *conn) writer() {
 				c.nc.Close() //nolint:errcheck
 			}
 		}
-	}
-	if !dead {
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-		bw.Flush()                                          //nolint:errcheck
 	}
 }
 
@@ -773,7 +791,6 @@ func (s *Server) statsJSON() []byte {
 	h := s.ix.Health()
 	s.mu.Lock()
 	conns := len(s.conns)
-	draining := s.draining
 	s.mu.Unlock()
 	reply := wire.StatsReply{
 		State:           h.State.String(),
@@ -797,7 +814,7 @@ func (s *Server) statsJSON() []byte {
 		GetBatches:      s.getBatches.Load(),
 		BatchedGets:     s.batchedGets.Load(),
 		InFlight:        int(s.inFlight.Load()),
-		Draining:        draining,
+		Draining:        s.draining.Load(),
 		UptimeSec:       time.Since(s.start).Seconds(),
 	}
 	if h.Err != nil {

@@ -336,6 +336,63 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServeDrainRearmRace pins the drain against a reader between
+// dispatching a request and re-arming its idle deadline. Shutdown runs
+// inside that window: it sets the drain flag and kicks the reader's
+// deadline before the reader re-arms it. Unless the reader re-checks the
+// flag after arming, it blocks in its next read until the client speaks or
+// the idle timeout passes, and the drain runs out its context: forced, no
+// checkpoint. The drain must instead return nil promptly, answer the
+// in-flight INSERT and checkpoint.
+func TestServeDrainRearmRace(t *testing.T) {
+	dir := t.TempDir()
+	ix := openIx(t, dir, chameleon.DirOptions{})
+	var s *server.Server
+	drained := make(chan error, 1)
+	var rearms atomic.Int32
+	// The one connection's reader re-arms before it reads HELLO, after
+	// HELLO, and after dispatching the INSERT: the third is the window.
+	server.SetRearmFailpoint(func() {
+		if rearms.Add(1) != 3 {
+			return
+		}
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained <- s.Shutdown(ctx)
+		}()
+		for !s.DrainKicked() {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	t.Cleanup(func() { server.SetRearmFailpoint(nil) })
+	s = startServer(t, ix, server.Options{OwnsIndex: true})
+
+	nc := dialHello(t, s)
+	nc.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	res := rawRoundTrip(t, nc, &wire.Request{ID: 1, Op: wire.OpInsert, Key: 42, Val: valOf(42)})
+	if !res.OK {
+		t.Fatalf("in-flight INSERT answered %+v", res)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain with the kick before the re-arm: %v, want a graceful nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("drain never returned")
+	}
+
+	reopened := openIx(t, dir, chameleon.DirOptions{})
+	defer reopened.Close() //nolint:errcheck
+	if v, ok := reopened.Lookup(42); !ok || v != valOf(42) {
+		t.Fatalf("acked INSERT lost across the drain (ok=%v v=%d)", ok, v)
+	}
+	if wal := reopened.WALSize(); wal != 0 {
+		t.Fatalf("drain did not checkpoint: reopened WAL is %d bytes", wal)
+	}
+}
+
 // TestServeForcedShutdown: when the drain deadline expires, in-flight
 // operations are cancelled (two-state: no durable effect) and blocked
 // admission waiters wake — nothing hangs, and recovery still satisfies
