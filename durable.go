@@ -47,7 +47,10 @@ type DirOptions struct {
 	// MaxPending bounds the number of mutations admitted into the
 	// group-commit queue (including the batch currently committing). When the
 	// bound is hit, further mutations are shed with ErrOverloaded — or block
-	// for space when BlockOnFull is set. Zero means unbounded.
+	// for space when BlockOnFull is set. Zero means unbounded. A
+	// WriteBatchCtx entry of n mutations needs room for all n; one larger
+	// than MaxPending is admitted only into an empty queue, which it then
+	// overfills alone.
 	MaxPending int
 	// BlockOnFull makes a full queue apply backpressure: mutations wait for
 	// space (respecting their context deadline) instead of failing fast with
@@ -119,16 +122,17 @@ type DurableIndex struct {
 	seqWaitMu  sync.Mutex
 	seqWaitCh  chan struct{}
 
-	// Group-commit queue. Writers enqueue under qmu (held only for the
-	// append); the first writer to find no leader becomes one and drains the
-	// queue batch by batch, paying one WAL write + one fsync per batch and
-	// fanning acks back over each follower's done channel. qmu orders only
-	// the queue; d.mu still orders every batch against checkpoints and Close.
-	// Lock order is d.mu → qmu, never the reverse. The queue's backing array
-	// and the leader's batch trade places on every claim (claimLocked), so a
-	// steady stream of writers reuses two arrays instead of growing new ones.
+	// Group-commit queue of entries (pendingEntry). Writers enqueue under qmu
+	// (held only for the append); the first writer to find no leader becomes
+	// one and drains the queue batch by batch, paying one WAL write + one
+	// fsync per batch and fanning acks back over each follower's done
+	// channel. qmu orders only the queue; d.mu still orders every batch
+	// against checkpoints and Close. Lock order is d.mu → qmu, never the
+	// reverse. The queue's backing array and the leader's batch trade places
+	// on every claim (claimLocked), so a steady stream of writers reuses two
+	// arrays instead of growing new ones.
 	qmu     sync.Mutex
-	queue   []*pendingOp
+	queue   []*pendingEntry
 	leader  bool
 	qclosed bool // Close observed; admission refuses
 	// soloRun counts the batches since the last one that acked followers;
@@ -136,8 +140,8 @@ type DurableIndex struct {
 	soloRun uint
 
 	// Admission accounting: ops admitted but not yet committed (queued plus
-	// the batch in flight). Enqueue increments; a batch's commit or an op's
-	// cancellation decrements. space broadcasts "room freed" to writers
+	// the batch in flight). Enqueue increments; a batch's commit or an
+	// entry's cancellation decrements. space broadcasts "room freed" to writers
 	// blocked by BlockOnFull: the first such waiter makes it, the next
 	// release (or Close) closes it and clears it. A waiter re-checks qclosed
 	// under qmu before it makes or waits on one, so none waits after Close.
@@ -147,9 +151,9 @@ type DurableIndex struct {
 	space        chan struct{}
 
 	// Batch scratch, reused by every commitBatch under d.mu: the records a
-	// batch logs and the ops they belong to.
+	// batch logs and the error slots of the ops they belong to.
 	recs     []wal.Record
-	accepted []*pendingOp
+	accepted []*error
 
 	// Health counters (see Health); readsClosed flips the read surface to
 	// zero values after Close without taking d.mu on every Lookup. failv
@@ -170,22 +174,36 @@ type DurableIndex struct {
 	retrainPauses   atomic.Uint64
 }
 
-// pendingOp is one enqueued mutation awaiting group commit. The committing
-// leader sets err (nil = acked durable per the sync policy) before closing
-// done. done exists only for a follower, made under qmu when it queues
-// behind a leader: a leader resolves its own op and never waits on it.
+// pendingEntry is one group-commit entry: the mutations of one call, a lone
+// Insert or Delete or a WriteBatchCtx run, queued, admitted, claimed and
+// withdrawn as a unit. The committing leader sets errs[i] (nil = acked
+// durable per the sync policy) for every recs[i] before closing done. done
+// exists only for a follower, made under qmu when it queues behind a
+// leader: a leader resolves its own entry and never waits on it.
 //
-// state arbitrates the race between the leader claiming the op into a batch
-// and the op's own goroutine cancelling on context expiry: exactly one CAS
-// from opQueued wins. A claimed op is (or is about to be) in a committing
-// batch, so its canceller must wait for the batch's real outcome — this is
-// what makes cancellation two-state (ctx.Err() with no durable effect, or
-// nil with the write durable; never anything in between).
-type pendingOp struct {
-	rec   wal.Record
-	err   error
+// state arbitrates the race between the leader claiming the entry into a
+// batch and the entry's own goroutine cancelling on context expiry: exactly
+// one CAS from opQueued wins. A claimed entry is (or is about to be) in a
+// committing batch, so its canceller must wait for the batch's real outcome
+// — this is what makes cancellation two-state for each op (ctx.Err() with no
+// durable effect, or its true outcome; never anything in between).
+type pendingEntry struct {
+	recs  []wal.Record
+	errs  []error
+	bytes int64 // the log frames recs take: pendingBytes' share
 	done  chan struct{}
 	state atomic.Int32
+	// one and oneErr back recs and errs for an entry of one, so a lone
+	// write allocates the entry and nothing else.
+	one    [1]wal.Record
+	oneErr [1]error
+}
+
+// fail resolves every op of an entry that never reached a batch.
+func (e *pendingEntry) fail(err error) {
+	for i := range e.errs {
+		e.errs[i] = err
+	}
 }
 
 const (
@@ -605,7 +623,7 @@ func (d *DurableIndex) poisonLocked(err error) {
 // is full it returns ErrDiskFull. Both are clean rejections: nothing was
 // logged or applied, and retrying is safe.
 func (d *DurableIndex) Insert(key, val uint64) error {
-	return d.commit(context.Background(), wal.Record{Op: wal.OpInsert, Key: key, Val: val})
+	return d.commitOne(context.Background(), wal.Record{Op: wal.OpInsert, Key: key, Val: val})
 }
 
 // InsertCtx is Insert honoring a context deadline or cancellation. The result
@@ -615,19 +633,50 @@ func (d *DurableIndex) Insert(key, val uint64) error {
 // committing batch, InsertCtx waits for the batch's outcome and reports it —
 // a write that may already be on disk is never reported as cancelled.
 func (d *DurableIndex) InsertCtx(ctx context.Context, key, val uint64) error {
-	return d.commit(ctx, wal.Record{Op: wal.OpInsert, Key: key, Val: val})
+	return d.commitOne(ctx, wal.Record{Op: wal.OpInsert, Key: key, Val: val})
 }
 
 // Delete logs the removal and then applies it. Like Insert it participates in
 // group commit and in admission control.
 func (d *DurableIndex) Delete(key uint64) error {
-	return d.commit(context.Background(), wal.Record{Op: wal.OpDelete, Key: key})
+	return d.commitOne(context.Background(), wal.Record{Op: wal.OpDelete, Key: key})
 }
 
 // DeleteCtx is Delete honoring a context deadline or cancellation, with the
 // same two-state contract as InsertCtx.
 func (d *DurableIndex) DeleteCtx(ctx context.Context, key uint64) error {
-	return d.commit(ctx, wal.Record{Op: wal.OpDelete, Key: key})
+	return d.commitOne(ctx, wal.Record{Op: wal.OpDelete, Key: key})
+}
+
+// WriteBatchCtx commits recs, each an OpInsert or OpDelete, as one
+// group-commit entry and sets errs[i] to the outcome of recs[i]; errs must
+// be at least len(recs) long, and neither slice may be touched until the
+// call returns. The entry is admitted or shed whole: it needs room for all
+// its ops under MaxPending (see DirOptions.MaxPending for one larger than
+// the bound), and a shed or refused entry reports the same error for every
+// op. Each op is validated as if the ops had been issued one after another
+// in slice order — a duplicate insert fails alone, an insert then a delete
+// of one key both succeed — so an entry is not a transaction: its ops
+// succeed or fail one by one, and all it promises beyond the single-op
+// calls is that they reach the log together and in order. Cancellation is
+// two-state per op, as for InsertCtx: an entry no leader has claimed is
+// withdrawn whole, every op reporting ctx.Err() with no durable effect; a
+// claimed entry reports each op's true outcome.
+func (d *DurableIndex) WriteBatchCtx(ctx context.Context, recs []wal.Record, errs []error) {
+	if len(recs) == 0 {
+		return
+	}
+	errs = errs[:len(recs)]
+	clear(errs)
+	d.commit(ctx, &pendingEntry{recs: recs, errs: errs})
+}
+
+// commitOne commits rec as an entry of one.
+func (d *DurableIndex) commitOne(ctx context.Context, rec wal.Record) error {
+	e := &pendingEntry{one: [1]wal.Record{rec}}
+	e.recs, e.errs = e.one[:], e.oneErr[:]
+	d.commit(ctx, e)
+	return e.errs[0]
 }
 
 // soloYieldEvery is how many batches in a row that acked no follower make a
@@ -635,29 +684,43 @@ func (d *DurableIndex) DeleteCtx(ctx context.Context, key uint64) error {
 // commit).
 const soloYieldEvery = 16
 
+// admitsLocked reports whether the queue has room for an entry of n ops: n
+// more fit under MaxPending, or nothing is pending (so an entry larger than
+// the bound is admitted alone rather than never). Callers hold qmu.
+func (d *DurableIndex) admitsLocked(n int) bool {
+	return d.opts.MaxPending <= 0 || d.pendingOps+n <= d.opts.MaxPending || d.pendingOps == 0
+}
+
 // commit admits, enqueues, and blocks until a leader has committed (or
-// rejected) rec. The first writer to find no active leader becomes the leader
-// and drains the queue until it is empty — including ops enqueued while
-// earlier batches were committing — then steps down. Followers wait; their
-// latency is at most one in-flight batch plus their own.
-func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
+// rejected) entry e. The first writer to find no active leader becomes the
+// leader and drains the queue until it is empty — including entries
+// enqueued while earlier batches were committing — then steps down.
+// Followers wait; their latency is at most one in-flight batch plus their
+// own.
+func (d *DurableIndex) commit(ctx context.Context, e *pendingEntry) {
 	if err := ctx.Err(); err != nil {
-		return err // dead context: reject before touching the queue
+		e.fail(err) // dead context: reject before touching the queue
+		return
 	}
-	op := &pendingOp{rec: rec}
+	n := len(e.recs)
+	for _, r := range e.recs {
+		e.bytes += int64(r.FrameSize())
+	}
 	d.qmu.Lock()
 	for {
 		if d.qclosed {
 			d.qmu.Unlock()
-			return ErrIndexClosed
+			e.fail(ErrIndexClosed)
+			return
 		}
-		if d.opts.MaxPending <= 0 || d.pendingOps < d.opts.MaxPending {
+		if d.admitsLocked(n) {
 			break
 		}
 		if !d.opts.BlockOnFull {
-			d.shedOps.Add(1)
+			d.shedOps.Add(uint64(n))
 			d.qmu.Unlock()
-			return ErrOverloaded
+			e.fail(ErrOverloaded)
+			return
 		}
 		if d.space == nil {
 			d.space = make(chan struct{})
@@ -667,25 +730,27 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 		select {
 		case <-wait:
 		case <-ctx.Done():
-			d.cancelledOps.Add(1)
-			return ctx.Err() // never admitted: trivially no durable effect
+			d.cancelledOps.Add(uint64(n))
+			e.fail(ctx.Err()) // never admitted: trivially no durable effect
+			return
 		}
 		d.qmu.Lock()
 	}
-	d.queue = append(d.queue, op)
-	d.pendingOps++
-	d.pendingBytes += int64(rec.FrameSize())
+	d.queue = append(d.queue, e)
+	d.pendingOps += n
+	d.pendingBytes += e.bytes
 	if d.pendingOps > d.highWater {
 		d.highWater = d.pendingOps
 	}
 	d.updateRetrainPauseLocked()
 	if d.leader {
-		op.done = make(chan struct{})
+		e.done = make(chan struct{})
 		d.qmu.Unlock()
-		return d.waitFollower(ctx, op)
+		d.waitFollower(ctx, e)
+		return
 	}
 	d.leader = true
-	var batch []*pendingOp
+	var batch []*pendingEntry
 	for {
 		batch = d.claimLocked(batch)
 		if len(batch) == 0 {
@@ -709,7 +774,7 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 		// writer pays a fraction of the hop. Under SyncEveryOp the hop is a
 		// rounding error next to the fsync it may share, so the leader
 		// always yields.
-		if batch[len(batch)-1] == op { // the leader's op alone: nobody acked
+		if batch[len(batch)-1] == e { // the leader's entry alone: nobody acked
 			d.soloRun++
 		} else {
 			d.soloRun = 0
@@ -719,23 +784,22 @@ func (d *DurableIndex) commit(ctx context.Context, rec wal.Record) error {
 		}
 		d.qmu.Lock()
 	}
-	// The leader's own op is always claimed into its first batch (nothing
-	// can cancel it — cancellation is done by the op's own goroutine, which
-	// is busy leading), so commitBatch resolved it on this goroutine. The
-	// leader deliberately ignores ctx while draining: abandoning the queue
-	// would strand every follower behind it.
-	return op.err
+	// The leader's own entry is always claimed into its first batch
+	// (nothing can cancel it — cancellation is done by the entry's own
+	// goroutine, which is busy leading), so commitBatch resolved it on this
+	// goroutine. The leader deliberately ignores ctx while draining:
+	// abandoning the queue would strand every follower behind it.
 }
 
-// claimLocked moves every still-queued op into a batch, skipping (and
-// dropping) ops whose canceller won the CAS race. The batch is filtered in
-// place in the queue's array, and spent, the previous batch, becomes the
-// new queue once its ops are cleared. Callers hold qmu.
-func (d *DurableIndex) claimLocked(spent []*pendingOp) []*pendingOp {
+// claimLocked moves every still-queued entry into a batch, skipping (and
+// dropping) entries whose canceller won the CAS race. The batch is filtered
+// in place in the queue's array, and spent, the previous batch, becomes the
+// new queue once its entries are cleared. Callers hold qmu.
+func (d *DurableIndex) claimLocked(spent []*pendingEntry) []*pendingEntry {
 	batch := d.queue[:0]
-	for _, op := range d.queue {
-		if op.state.CompareAndSwap(opQueued, opClaimed) {
-			batch = append(batch, op)
+	for _, e := range d.queue {
+		if e.state.CompareAndSwap(opQueued, opClaimed) {
+			batch = append(batch, e)
 		}
 	}
 	clear(d.queue[len(batch):])
@@ -744,30 +808,31 @@ func (d *DurableIndex) claimLocked(spent []*pendingOp) []*pendingOp {
 	return batch
 }
 
-// waitFollower blocks a non-leader writer until its op resolves or its
-// context dies. On cancellation the op is withdrawn only if the leader has
-// not claimed it; once claimed, the op's frame may already be durable, so the
-// follower must wait out the batch and report its true outcome.
-func (d *DurableIndex) waitFollower(ctx context.Context, op *pendingOp) error {
+// waitFollower blocks a non-leader writer until its entry resolves or its
+// context dies. On cancellation the entry is withdrawn, whole, only if the
+// leader has not claimed it; once claimed, its frames may already be
+// durable, so the follower must wait out the batch and report the true
+// outcomes.
+func (d *DurableIndex) waitFollower(ctx context.Context, e *pendingEntry) {
 	select {
-	case <-op.done:
-		return op.err
+	case <-e.done:
+		return
 	case <-ctx.Done():
 	}
-	if op.state.CompareAndSwap(opQueued, opCancelled) {
+	if e.state.CompareAndSwap(opQueued, opCancelled) {
 		// Withdrawn before any leader touched it: release its accounting.
-		// The op itself stays in d.queue until the next claim pass drops it.
+		// The entry stays in d.queue until the next claim pass drops it.
 		d.qmu.Lock()
-		d.pendingOps--
-		d.pendingBytes -= int64(op.rec.FrameSize())
+		d.pendingOps -= len(e.recs)
+		d.pendingBytes -= e.bytes
 		d.signalSpaceLocked()
 		d.updateRetrainPauseLocked()
 		d.qmu.Unlock()
-		d.cancelledOps.Add(1)
-		return ctx.Err()
+		d.cancelledOps.Add(uint64(len(e.recs)))
+		e.fail(ctx.Err())
+		return
 	}
-	<-op.done // claimed: in (or past) a committing batch — outcome is real
-	return op.err
+	<-e.done // claimed: in (or past) a committing batch — outcomes are real
 }
 
 // signalSpaceLocked broadcasts "queue space freed" to writers blocked in
@@ -809,18 +874,19 @@ func (d *DurableIndex) updateRetrainPauseLocked() {
 	}
 }
 
-// commitBatch validates, logs, applies, and acks one batch. It holds d.mu for
-// the whole batch so a checkpoint can never rotate the WAL between a batch's
-// append and its in-memory apply — the replay-order invariant (WAL order ==
-// apply order, and every logged record *is* applied before the log it lives
-// in can be superseded) is what recovery correctness rests on.
-func (d *DurableIndex) commitBatch(batch []*pendingOp) {
+// commitBatch validates, logs, applies, and acks one batch of entries. It
+// holds d.mu for the whole batch so a checkpoint can never rotate the WAL
+// between a batch's append and its in-memory apply — the replay-order
+// invariant (WAL order == apply order, and every logged record *is* applied
+// before the log it lives in can be superseded) is what recovery
+// correctness rests on.
+func (d *DurableIndex) commitBatch(batch []*pendingEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer func() {
-		for _, op := range batch {
-			if op.done != nil {
-				close(op.done)
+		for _, e := range batch {
+			if e.done != nil {
+				close(e.done)
 			}
 		}
 	}()
@@ -829,70 +895,75 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	// unlocks). WALSize also orders d.mu → qmu, so it observes either
 	// "queued, not yet in the log" or "in the log, accounting released" —
 	// never both, never neither.
+	ops, bytes := 0, int64(0)
+	for _, e := range batch {
+		ops += len(e.recs)
+		bytes += e.bytes
+	}
 	defer func() {
 		d.qmu.Lock()
-		d.pendingOps -= len(batch)
-		for _, op := range batch {
-			d.pendingBytes -= int64(op.rec.FrameSize())
-		}
+		d.pendingOps -= ops
+		d.pendingBytes -= bytes
 		d.signalSpaceLocked()
 		d.updateRetrainPauseLocked()
 		d.qmu.Unlock()
 	}()
 
 	if err := d.usableLocked(); err != nil {
-		for _, op := range batch {
-			op.err = err
+		for _, e := range batch {
+			e.fail(err)
 		}
 		return
 	}
 
-	// Validate in arrival order before logging anything, so the WAL records
-	// exactly the mutations that will be applied — a logged-but-rejected
-	// insert would materialize as a phantom key on replay. Validation of op k
-	// must see the effects of ops 0..k−1 of the same batch (a duplicate
-	// insert inside one batch fails exactly as it would have serially), so
-	// earlier accepts are tracked in a batch-local presence overlay. A batch
-	// of one has no earlier op and needs none.
+	// Validate in arrival order, entry by entry and op by op, before logging
+	// anything, so the WAL records exactly the mutations that will be
+	// applied — a logged-but-rejected insert would materialize as a phantom
+	// key on replay. Validation of op k must see the effects of the ops
+	// accepted before it in the same batch (a duplicate insert inside one
+	// batch fails exactly as it would have serially), so earlier accepts are
+	// tracked in a batch-local presence overlay. A batch of one op has no
+	// earlier op and needs none.
 	var overlay map[uint64]bool
-	if len(batch) > 1 {
-		overlay = make(map[uint64]bool, len(batch))
+	if ops > 1 {
+		overlay = make(map[uint64]bool, ops)
 	}
 	accepted, recs := d.accepted[:0], d.recs[:0]
 	defer func() {
-		clear(accepted) // the ops are acked; do not keep them reachable
+		clear(accepted) // the ops are acked; do not keep their slots reachable
 		d.accepted, d.recs = accepted[:0], recs[:0]
 	}()
-	for _, op := range batch {
-		key := op.rec.Key
-		present, known := overlay[key]
-		if !known {
-			var verr error
-			present, verr = d.presentLocked(key)
-			if verr != nil {
-				// A segment I/O failure during validation fails this op
-				// without logging it; the handle itself stays usable.
-				op.err = fmt.Errorf("validate: %w", verr)
+	for _, e := range batch {
+		for i, rec := range e.recs {
+			if rec.Op != wal.OpInsert && rec.Op != wal.OpDelete {
+				e.errs[i] = fmt.Errorf("chameleon: record op %d is neither an insert nor a delete", rec.Op)
 				continue
 			}
-		}
-		switch op.rec.Op {
-		case wal.OpInsert:
-			if present {
-				op.err = ErrDuplicateKey
+			present, known := overlay[rec.Key]
+			if !known {
+				var verr error
+				present, verr = d.presentLocked(rec.Key)
+				if verr != nil {
+					// A segment I/O failure during validation fails this op
+					// without logging it; the handle itself stays usable.
+					e.errs[i] = fmt.Errorf("validate: %w", verr)
+					continue
+				}
+			}
+			if rec.Op == wal.OpInsert && present {
+				e.errs[i] = ErrDuplicateKey
 				continue
 			}
-		case wal.OpDelete:
-			if !present {
-				op.err = ErrKeyNotFound
+			if rec.Op == wal.OpDelete && !present {
+				e.errs[i] = ErrKeyNotFound
 				continue
 			}
+			if overlay != nil {
+				overlay[rec.Key] = rec.Op == wal.OpInsert
+			}
+			accepted = append(accepted, &e.errs[i])
+			recs = append(recs, rec)
 		}
-		if overlay != nil {
-			overlay[key] = op.rec.Op == wal.OpInsert
-		}
-		accepted = append(accepted, op)
-		recs = append(recs, op.rec)
 	}
 	if len(recs) == 0 {
 		return
@@ -905,8 +976,8 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	first := d.commitSeq.Load() + 1
 	n, err := d.logApplyLocked(recs)
 	if err != nil {
-		for _, op := range accepted[n:] {
-			op.err = err
+		for _, slot := range accepted[n:] {
+			*slot = err
 		}
 		return
 	}
@@ -918,8 +989,8 @@ func (d *DurableIndex) commitBatch(batch []*pendingOp) {
 	// documented ambiguous-fate outcome (see SetCommitHook).
 	if d.commitHook != nil {
 		if err := d.commitHook(first, recs); err != nil {
-			for _, op := range accepted {
-				op.err = err
+			for _, slot := range accepted {
+				*slot = err
 			}
 		}
 	}

@@ -40,8 +40,9 @@ import (
 
 // Options tunes a Client. The zero value works.
 type Options struct {
-	// Conns is the connection-pool size (default 1). Calls are spread
-	// round-robin; more connections help once a single pipeline saturates.
+	// Conns is the connection-pool size (default 1). Each call takes a
+	// connection at random; more connections help once a single pipeline
+	// saturates.
 	Conns int
 	// MaxPipeline caps in-flight requests per connection (default 64).
 	// Callers beyond the cap wait for a slot (or their context).
@@ -136,7 +137,6 @@ type Client struct {
 	addr string
 	opts Options
 
-	next   atomic.Uint64 // round-robin pool cursor
 	ids    atomic.Uint64 // request ids (never 0: 0 is the conn-level slot)
 	closed atomic.Bool
 
@@ -271,12 +271,17 @@ func (c *Client) noteSeq(seq uint64) {
 }
 
 // pick returns a live pooled connection, redialing a broken or not-yet-
-// dialed slot under ctx.
+// dialed slot under ctx. The slot is drawn at random, not taken in turn:
+// turns tie a call's connection to its position in the caller's stream, so
+// a stream with a periodic pattern (every k-th call a write, say) sends
+// each of its ops down a fixed connection, and whether two writes meet in
+// one server-side write run, and share a commit, would hinge on the
+// parity of their distance rather than on their timing.
 func (c *Client) pick(ctx context.Context) (*conn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
-	i := int(c.next.Add(1)) % len(c.conns)
+	i := rand.IntN(len(c.conns))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -323,8 +328,9 @@ func (cn *conn) fail(cause error) {
 // the connection dies.
 func (cn *conn) readLoop() {
 	br := bufio.NewReaderSize(cn.nc, 64<<10)
+	var hdr [8]byte
 	for {
-		payload, err := wire.ReadFrame(br)
+		payload, err := wire.ReadFrame(br, &hdr)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF

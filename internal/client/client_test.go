@@ -64,7 +64,7 @@ func newFakeServer(t *testing.T, handle func(*wire.Request) *wire.Response) *fak
 func (fs *fakeServer) serveConn(nc net.Conn) {
 	defer nc.Close() //nolint:errcheck
 	for {
-		payload, err := wire.ReadFrame(nc)
+		payload, err := wire.ReadFrame(nc, new([8]byte))
 		if err != nil {
 			return
 		}
@@ -245,7 +245,7 @@ func TestClientOutOfOrderResponses(t *testing.T) {
 		}
 		defer nc.Close() //nolint:errcheck
 		for {
-			payload, err := wire.ReadFrame(nc)
+			payload, err := wire.ReadFrame(nc, new([8]byte))
 			if err != nil {
 				return
 			}
@@ -348,7 +348,7 @@ func TestClientRedialsBrokenConn(t *testing.T) {
 			go func(nc net.Conn) {
 				defer nc.Close() //nolint:errcheck
 				for {
-					payload, err := wire.ReadFrame(nc)
+					payload, err := wire.ReadFrame(nc, new([8]byte))
 					if err != nil {
 						return
 					}
@@ -495,6 +495,57 @@ func TestClientCoalescesPipelinedWrites(t *testing.T) {
 	t.Logf("%d concurrent Gets on one connection took %d writes", callers, got)
 	if got > 8 {
 		t.Fatalf("%d concurrent Gets took %d writes, want at most 8", callers, got)
+	}
+}
+
+// taggedConn records, in last, the tag of the connection that took the
+// latest Write.
+type taggedConn struct {
+	net.Conn
+	tag  int64
+	last *atomic.Int64
+}
+
+func (tc taggedConn) Write(p []byte) (int, error) {
+	tc.last.Store(tc.tag)
+	return tc.Conn.Write(p)
+}
+
+// TestClientPickIgnoresCallOrder: a pooled call's connection does not follow
+// from its position in the caller's stream. With the pool taken in turn,
+// every even-numbered call of a 2-connection pool went down one connection
+// and every odd-numbered call down the other, so two writes an even
+// distance apart in a periodic workload always reached the same server
+// reader (one write run, one commit) and two an odd distance apart never
+// did. Sequential calls each take one socket write, so the connection that
+// took the latest write is the call's.
+func TestClientPickIgnoresCallOrder(t *testing.T) {
+	fs := newFakeServer(t, okFor)
+	c := newClient(fs.ln.Addr().String(), Options{Conns: 2})
+	defer c.Close() //nolint:errcheck
+	var dials, last atomic.Int64
+	c.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return taggedConn{Conn: nc, tag: dials.Add(1), last: &last}, nil
+	}
+	ctx := context.Background()
+	var hits [2][3]int // [call parity][connection tag]
+	for i := 0; i < 200; i++ {
+		if _, _, err := c.Get(ctx, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		hits[i%2][last.Load()]++
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2 (one per pool slot)", n)
+	}
+	for parity, h := range hits {
+		if h[1] == 0 || h[2] == 0 {
+			t.Fatalf("calls of parity %d went to the connections %v times: one connection took all of them", parity, h[1:])
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package server serves a chameleon.DurableIndex over TCP with the wire
 // protocol. It is the network front-end the group-commit write path was
 // built for: every connection pipelines — the reader keeps accepting frames
-// while earlier requests are still executing, so many in-flight mutations
-// from many connections fan into the durable index's commit queue
-// concurrently and share WAL writes and fsyncs. Responses carry the
-// request's id and may return out of order; a per-connection writer
-// coalesces whatever responses are ready into one flush, so a batch of
-// writes acked by one fsync usually goes back to the client in one syscall
-// too.
+// while earlier requests are still executing. The INSERT/DELETE frames one
+// read brings in are one write run, committed as one group-commit entry,
+// and runs from many connections meet in the durable index's commit queue
+// and share WAL writes and fsyncs. Responses carry the request's id and may
+// return out of order; a run's replies reach the per-connection writer
+// together, and the writer coalesces whatever responses are ready into one
+// flush, so a run of writes goes back to the client in one syscall.
 //
 // Error surface: the durable index's admission and fault states map to
 // typed protocol errors (wire's mapping table) with a retry-after hint on
@@ -36,15 +36,20 @@ import (
 
 	"chameleon"
 	"chameleon/internal/repl"
+	"chameleon/internal/wal"
 	"chameleon/internal/wire"
 )
 
 // Index is the handle surface the server drives — satisfied by both
-// *chameleon.DurableIndex and *chameleon.ShardedIndex. Serving a sharded
-// handle changes nothing in the server itself: per-key requests route
-// inside InsertCtx/DeleteCtx to the owning shard's group-commit queue, so
-// concurrent remote writes touching different ranges fan out onto
-// independent WAL/fsync pipelines for free.
+// *chameleon.DurableIndex and *chameleon.ShardedIndex. A write run reaches
+// those two through their WriteBatchCtx, one group-commit entry per run
+// (per shard touched, on a sharded handle, so writes to different ranges
+// fan out onto independent WAL/fsync pipelines). The method is not part of
+// this interface: the server recognizes the two handles by their concrete
+// type, so that a wrapper embedding one of them (the benchmark's tracing
+// decorator) keeps seeing every write through its own InsertCtx/DeleteCtx.
+// Any other Index commits a run through concurrent InsertCtx/DeleteCtx
+// calls.
 type Index interface {
 	Lookup(key uint64) (uint64, bool)
 	// LookupBatch resolves keys[i] into vals[i], found[i] against one tree
@@ -79,9 +84,10 @@ type Options struct {
 	// MaxConns caps concurrent connections (default 256). Excess dials get
 	// an ErrCodeConnLimit frame (request id 0) and are closed.
 	MaxConns int
-	// MaxPipeline caps in-flight requests per connection (default 128).
-	// When a client over-pipelines, the server simply stops reading its
-	// socket until a slot frees — TCP backpressure, no error.
+	// MaxPipeline caps the in-flight handlers per connection, each running
+	// one request or one GET or write run, and the length of a run
+	// (default 128). When a client over-pipelines, the server simply stops
+	// reading its socket until a slot frees — TCP backpressure, no error.
 	MaxPipeline int
 	// OwnsIndex makes Shutdown checkpoint and close the index after the
 	// drain. cmd/chameleon-serve sets it; tests that reuse the index don't.
@@ -149,17 +155,20 @@ type Server struct {
 	reqErrors  atomic.Uint64
 	inFlight   atomic.Int64
 
-	// GET coalescing counters: getBatches counts multi-GET handler runs,
+	// Coalescing counters: getBatches counts multi-GET handler runs,
 	// batchedGets the GETs they carried (so batchedGets/getBatches is the
-	// mean coalesced depth; single GETs appear in neither).
-	getBatches  atomic.Uint64
-	batchedGets atomic.Uint64
+	// mean coalesced depth; single GETs appear in neither); writeBatches and
+	// batchedWrites count write runs of two or more the same way.
+	getBatches    atomic.Uint64
+	batchedGets   atomic.Uint64
+	writeBatches  atomic.Uint64
+	batchedWrites atomic.Uint64
 }
 
 // New wraps ix — a *chameleon.DurableIndex or *chameleon.ShardedIndex — in
 // a server. The index must already be open; the server never mutates it
-// except through the same InsertCtx/DeleteCtx surface any other caller would
-// use.
+// except through the write surface any other caller would use: WriteBatchCtx
+// on those two handles, InsertCtx/DeleteCtx on any other Index.
 func New(ix Index, opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -227,7 +236,7 @@ func (s *Server) Serve() error {
 		c := &conn{
 			srv:   s,
 			nc:    nc,
-			out:   make(chan *wire.Response, s.opts.MaxPipeline+8),
+			out:   make(chan []wire.Response, s.opts.MaxPipeline+8),
 			slots: make(chan struct{}, s.opts.MaxPipeline),
 			wdone: make(chan struct{}),
 		}
@@ -343,11 +352,13 @@ func (s *Server) Close() error {
 
 // conn is one client connection: a reader goroutine (frame decode +
 // dispatch), up to MaxPipeline handler goroutines, and a writer goroutine
-// that coalesces responses.
+// that coalesces responses. Each handler sends its replies on out as one
+// slice: one request's, or a whole run's. out has room for one slice per
+// slot plus a few of the reader's own replies (HELLO, malformed frames).
 type conn struct {
 	srv      *Server
 	nc       net.Conn
-	out      chan *wire.Response
+	out      chan []wire.Response
 	slots    chan struct{}
 	handlers sync.WaitGroup
 	wdone    chan struct{}
@@ -364,22 +375,23 @@ func (c *conn) run() {
 	go c.writer()
 
 	br := bufio.NewReaderSize(c.nc, 64<<10)
-	// getBatch accumulates consecutive pipelined GETs; they are flushed as
-	// one coalesced handler the moment the reader would otherwise block (no
-	// complete frame left in the buffer), a non-GET arrives, or the batch
-	// hits the pipeline cap. Coalescing therefore never ADDS latency — a
-	// lone GET is dispatched on the very next loop iteration.
+	// gets and writes accumulate the pipelined GETs and INSERT/DELETEs read
+	// so far, each dispatched as one run the moment the reader would
+	// otherwise block (no complete frame left in the buffer), when it hits
+	// the pipeline cap, or when the loop ends. Coalescing therefore never
+	// ADDS latency — a lone request is dispatched on the very next loop
+	// iteration. Every other request runs alone at once.
 	//
 	// The idle deadline is armed only before a read that can block: frames
 	// already buffered cost no deadline each.
-	var getBatch []*wire.Request
+	var gets, writes []*wire.Request
+	var hdr [8]byte
 	helloed := false
 	for {
 		if !wire.FullFrameBuffered(br) {
-			if len(getBatch) > 0 {
-				c.dispatchGets(getBatch)
-				getBatch = nil
-			}
+			c.dispatchGets(gets)
+			c.dispatchWrites(writes)
+			gets, writes = nil, nil
 			if rearmFailpoint != nil {
 				rearmFailpoint()
 			}
@@ -391,7 +403,7 @@ func (c *conn) run() {
 				break
 			}
 		}
-		payload, err := wire.ReadFrame(br)
+		payload, err := wire.ReadFrame(br, &hdr)
 		if err != nil {
 			// A framing-level error (bad CRC, absurd length) means the
 			// stream cannot be resynchronized: report once on the
@@ -399,7 +411,7 @@ func (c *conn) run() {
 			// hang up.
 			if errors.Is(err, wire.ErrFrameCRC) || errors.Is(err, wire.ErrFrameTooLarge) ||
 				errors.Is(err, wire.ErrFrameEmpty) {
-				c.out <- &wire.Response{ID: 0, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: err.Error()}
+				c.reply(wire.Response{ID: 0, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: err.Error()})
 			}
 			break
 		}
@@ -414,13 +426,13 @@ func (c *conn) run() {
 				// A first request that does not decode is a peer of another
 				// protocol version (an older HELLO is longer than this
 				// one's): refuse it as such and hang up.
-				c.out <- &wire.Response{ID: id, Op: wire.Op(payload[0]), Err: wire.ErrCodeVersionMismatch,
-					Msg: fmt.Sprintf("server speaks protocol v%d; first request does not decode: %v", wire.ProtocolVersion, derr)}
+				c.reply(wire.Response{ID: id, Op: wire.Op(payload[0]), Err: wire.ErrCodeVersionMismatch,
+					Msg: fmt.Sprintf("server speaks protocol v%d; first request does not decode: %v", wire.ProtocolVersion, derr)})
 				break
 			}
 			// The frame was intact, so framing is still in sync: fail just
 			// this request and keep the connection.
-			c.out <- &wire.Response{ID: id, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: derr.Error()}
+			c.reply(wire.Response{ID: id, Op: wire.OpPing, Err: wire.ErrCodeMalformed, Msg: derr.Error()})
 			continue
 		}
 		// HELLO must be the first request, and is handled inline: a version
@@ -429,73 +441,84 @@ func (c *conn) run() {
 		// negotiation can be interpreted safely).
 		if !helloed || req.Op == wire.OpHello {
 			res := c.srv.handleHello(req)
-			c.out <- res
+			c.reply(res)
 			if !res.OK {
 				break
 			}
 			helloed = true
 			continue
 		}
-		if req.Op == wire.OpGet {
-			getBatch = append(getBatch, req)
-			if len(getBatch) >= c.srv.opts.MaxPipeline {
-				c.dispatchGets(getBatch)
-				getBatch = nil
+		switch req.Op {
+		case wire.OpGet:
+			if gets = append(gets, req); len(gets) >= c.srv.opts.MaxPipeline {
+				c.dispatchGets(gets)
+				gets = nil
 			}
-			continue
+		case wire.OpInsert, wire.OpDelete:
+			if writes = append(writes, req); len(writes) >= c.srv.opts.MaxPipeline {
+				c.dispatchWrites(writes)
+				writes = nil
+			}
+		default:
+			c.dispatchOne(req)
 		}
-		// A non-GET flushes any pending coalesced GETs first, so replies
-		// stay roughly arrival-ordered and nothing is held across a write.
-		if len(getBatch) > 0 {
-			c.dispatchGets(getBatch)
-			getBatch = nil
-		}
-		// Pipelining: take an in-flight slot (blocking the reader is the
-		// backpressure) and execute concurrently. Responses are matched by
-		// id, so completion order is free to differ from arrival order.
-		c.slots <- struct{}{}
-		c.handlers.Add(1)
-		go func() {
-			defer c.handlers.Done()
-			c.out <- c.srv.dispatch(c.srv.baseCtx, req)
-			<-c.slots
-		}()
 	}
-	// Accepted-but-unflushed GETs (the loop broke on drain or a stream
+	// Accepted-but-undispatched runs (the loop broke on drain or a stream
 	// error) still get their responses.
-	if len(getBatch) > 0 {
-		c.dispatchGets(getBatch)
-	}
+	c.dispatchGets(gets)
+	c.dispatchWrites(writes)
 	c.handlers.Wait() // every accepted request gets its response...
 	close(c.out)      // ...then the writer sends the last of them and exits
 	<-c.wdone
 	c.nc.Close() //nolint:errcheck
 }
 
-// dispatchGets executes a run of pipelined GETs. A single GET takes the
-// ordinary per-request path; two or more share ONE in-flight slot and ONE
-// handler goroutine, resolve against one tree-snapshot load via
-// Index.LookupBatch, and their replies land on c.out back-to-back so the
-// coalescing writer flushes them with one syscall.
-func (c *conn) dispatchGets(reqs []*wire.Request) {
-	if len(reqs) == 1 {
-		req := reqs[0]
-		c.slots <- struct{}{}
-		c.handlers.Add(1)
-		go func() {
-			defer c.handlers.Done()
-			c.out <- c.srv.dispatch(c.srv.baseCtx, req)
-			<-c.slots
-		}()
-		return
-	}
+// reply queues one response the reader produced itself.
+func (c *conn) reply(res wire.Response) { c.out <- []wire.Response{res} }
+
+// spawn takes an in-flight slot (blocking the reader is the backpressure)
+// and runs fn on a handler goroutine, which frees the slot when fn is done.
+// Responses are matched by id, so completion order is free to differ from
+// arrival order.
+func (c *conn) spawn(fn func()) {
 	c.slots <- struct{}{}
 	c.handlers.Add(1)
 	go func() {
 		defer c.handlers.Done()
-		c.srv.handleGetBatch(c, reqs)
+		fn()
 		<-c.slots
 	}()
+}
+
+// dispatchOne executes one request on its own handler.
+func (c *conn) dispatchOne(req *wire.Request) {
+	c.spawn(func() {
+		rs := make([]wire.Response, 1)
+		c.srv.dispatch(c.srv.baseCtx, req, &rs[0])
+		c.out <- rs
+	})
+}
+
+// dispatchGets executes a run of pipelined GETs. A single GET takes the
+// ordinary per-request path; two or more share ONE in-flight slot and ONE
+// handler goroutine, resolve against one tree-snapshot load via
+// Index.LookupBatch, and their replies reach the writer together.
+func (c *conn) dispatchGets(reqs []*wire.Request) {
+	switch len(reqs) {
+	case 0:
+	case 1:
+		c.dispatchOne(reqs[0])
+	default:
+		c.spawn(func() { c.srv.handleGetBatch(c, reqs) })
+	}
+}
+
+// dispatchWrites executes a run of pipelined INSERT/DELETEs, of any length,
+// on one slot and one handler goroutine (handleWrites).
+func (c *conn) dispatchWrites(reqs []*wire.Request) {
+	if len(reqs) > 0 {
+		c.spawn(func() { c.srv.handleWrites(c, reqs) })
+	}
 }
 
 // handleGetBatch is the coalesced form of dispatch's OpGet arm: one
@@ -508,10 +531,15 @@ func (s *Server) handleGetBatch(c *conn, reqs []*wire.Request) {
 	defer s.inFlight.Add(-int64(n))
 	s.getBatches.Add(1)
 	s.batchedGets.Add(uint64(n))
+	rs := make([]wire.Response, n)
+	for i, req := range reqs {
+		rs[i] = wire.Response{ID: req.ID, Op: req.Op, OK: true}
+	}
 	if err := s.readableErr(); err != nil {
-		for _, req := range reqs {
-			c.out <- s.fail(&wire.Response{ID: req.ID, Op: req.Op, OK: true}, err)
+		for i := range rs {
+			s.fail(&rs[i], err)
 		}
+		c.out <- rs
 		return
 	}
 	keys := make([]uint64, n)
@@ -521,36 +549,110 @@ func (s *Server) handleGetBatch(c *conn, reqs []*wire.Request) {
 		keys[i] = req.Key
 	}
 	s.ix.LookupBatch(keys, vals, found)
+	for i := range rs {
+		rs[i].Val, rs[i].Found = vals[i], found[i]
+	}
+	c.out <- rs
+}
+
+// handleWrites executes a write run: one write-gate check, one commit of
+// the whole run in arrival order (commitRun), then a reply per request,
+// each OK one carrying the commit clock read once after the run, sent to
+// the writer together so they leave in one flush.
+func (s *Server) handleWrites(c *conn, reqs []*wire.Request) {
+	n := len(reqs)
+	s.requests.Add(uint64(n))
+	s.inFlight.Add(int64(n))
+	defer s.inFlight.Add(-int64(n))
+	if n > 1 {
+		s.writeBatches.Add(1)
+		s.batchedWrites.Add(uint64(n))
+	}
+	errs := make([]error, n)
+	if err := s.writeGateErr(); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+	} else {
+		recs := make([]wal.Record, n)
+		for i, req := range reqs {
+			op := wal.OpInsert
+			if req.Op == wire.OpDelete {
+				op = wal.OpDelete
+			}
+			recs[i] = wal.Record{Op: op, Key: req.Key, Val: req.Val}
+		}
+		s.commitRun(s.baseCtx, recs, errs)
+	}
+	seq := s.ix.CommitSeq()
+	rs := make([]wire.Response, n)
 	for i, req := range reqs {
-		c.out <- &wire.Response{ID: req.ID, Op: req.Op, OK: true, Val: vals[i], Found: found[i]}
+		rs[i] = wire.Response{ID: req.ID, Op: req.Op, OK: true}
+		if s.fail(&rs[i], errs[i]).OK {
+			rs[i].Seq, rs[i].HasSeq = seq, true
+		}
+	}
+	c.out <- rs
+}
+
+// commitRun commits a write run and sets errs[i] to the outcome of
+// recs[i]. The two handles the server knows commit it as group-commit
+// entries (WriteBatchCtx), recognized by type (see Index). Any other Index
+// gets one concurrent InsertCtx/DeleteCtx call per record, which its commit
+// queue batches as it would any concurrent writers.
+func (s *Server) commitRun(ctx context.Context, recs []wal.Record, errs []error) {
+	switch ix := s.ix.(type) {
+	case *chameleon.DurableIndex:
+		ix.WriteBatchCtx(ctx, recs, errs)
+	case *chameleon.ShardedIndex:
+		ix.WriteBatchCtx(ctx, recs, errs)
+	default:
+		var wg sync.WaitGroup
+		for i := 1; i < len(recs); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.writeOne(ctx, recs[i])
+			}()
+		}
+		errs[0] = s.writeOne(ctx, recs[0])
+		wg.Wait()
 	}
 }
 
+// writeOne commits one record through the Index's per-op surface.
+func (s *Server) writeOne(ctx context.Context, r wal.Record) error {
+	if r.Op == wal.OpDelete {
+		return s.ix.DeleteCtx(ctx, r.Key)
+	}
+	return s.ix.InsertCtx(ctx, r.Key, r.Val)
+}
+
 // writer encodes and sends responses, coalescing: it flushes only when the
-// queue is momentarily empty, so responses completed close together — e.g.
-// a whole group-commit batch acking at once — share one syscall. The write
-// deadline is armed once per flush: when a reply lands in an empty buffer,
-// and before a reply that would make bufio write on its own. The queue is
-// empty when c.out closes, so the last reply was flushed in the loop.
+// queue is momentarily empty, so responses completed close together — a
+// run's replies, which arrive as one slice, or several runs acked by one
+// group-commit batch — share one syscall. The write deadline is armed once
+// per flush: when a reply lands in an empty buffer, and before a reply that
+// would make bufio write on its own. The queue is empty when c.out closes,
+// so the last reply was flushed in the loop.
 func (c *conn) writer() {
 	defer close(c.wdone)
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var buf []byte
 	dead := false
-	for res := range c.out {
-		if dead {
-			continue // keep draining so handlers never block on a dead conn
+	for rs := range c.out {
+		for i := 0; i < len(rs) && !dead; i++ {
+			buf = wire.AppendResponse(buf[:0], &rs[i])
+			if bw.Buffered() == 0 || len(buf) > bw.Available() {
+				c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+			}
+			if _, err := bw.Write(buf); err != nil {
+				dead = true
+				c.nc.Close() //nolint:errcheck
+			}
 		}
-		buf = wire.AppendResponse(buf[:0], res)
-		if bw.Buffered() == 0 || len(buf) > bw.Available() {
-			c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-		}
-		if _, err := bw.Write(buf); err != nil {
-			dead = true
-			c.nc.Close() //nolint:errcheck
-			continue
-		}
-		if len(c.out) == 0 {
+		// A dead writer keeps draining so handlers never block on it.
+		if !dead && len(c.out) == 0 {
 			if err := bw.Flush(); err != nil {
 				dead = true
 				c.nc.Close() //nolint:errcheck
@@ -564,9 +666,9 @@ func (c *conn) writer() {
 // failure: the typed code goes back and the caller hangs up the connection.
 // On success the reply carries the version and, with replication on, the
 // node's role and epoch.
-func (s *Server) handleHello(req *wire.Request) *wire.Response {
+func (s *Server) handleHello(req *wire.Request) wire.Response {
 	s.requests.Add(1)
-	res := &wire.Response{ID: req.ID, Op: req.Op, OK: true}
+	res := wire.Response{ID: req.ID, Op: req.Op, OK: true}
 	if req.Op != wire.OpHello || req.Version != wire.ProtocolVersion {
 		s.reqErrors.Add(1)
 		res.OK = false
@@ -581,15 +683,6 @@ func (s *Server) handleHello(req *wire.Request) *wire.Response {
 	if s.opts.Repl != nil {
 		role, epoch := s.opts.Repl.Role()
 		res.Role, res.Epoch = byte(role), epoch
-	}
-	return res
-}
-
-// addSeqToken stamps a successful write reply with the commit clock.
-func (s *Server) addSeqToken(res *wire.Response) *wire.Response {
-	if res.OK {
-		res.Seq = s.ix.CommitSeq()
-		res.HasSeq = true
 	}
 	return res
 }
@@ -615,24 +708,27 @@ func (s *Server) pollCtx(ctx context.Context, waitMS uint32) (context.Context, c
 	return cctx, cancel, wait
 }
 
-// dispatch executes one request against the index and builds its response.
-func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response {
+// dispatch executes one request other than INSERT/DELETE (which are write
+// runs, handleWrites) against the index and fills in its response.
+func (s *Server) dispatch(ctx context.Context, req *wire.Request, res *wire.Response) {
 	s.requests.Add(1)
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	res := &wire.Response{ID: req.ID, Op: req.Op, OK: true}
+	*res = wire.Response{ID: req.ID, Op: req.Op, OK: true}
 	switch req.Op {
 	case wire.OpPing:
 	case wire.OpStats:
 		res.Stats = s.statsJSON()
 	case wire.OpGet:
 		if err := s.readableErr(); err != nil {
-			return s.fail(res, err)
+			s.fail(res, err)
+			return
 		}
 		res.Val, res.Found = s.ix.Lookup(req.Key)
 	case wire.OpRange:
 		if err := s.readableErr(); err != nil {
-			return s.fail(res, err)
+			s.fail(res, err)
+			return
 		}
 		limit := int(req.Limit)
 		if limit <= 0 || limit > rangeLimit {
@@ -647,25 +743,14 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Request) *wire.Response
 			res.Pairs = append(res.Pairs, wire.Pair{Key: k, Val: v})
 			return true
 		})
-	case wire.OpInsert:
-		if err := s.writeGateErr(); err != nil {
-			return s.fail(res, err)
-		}
-		return s.addSeqToken(s.fail(res, s.ix.InsertCtx(ctx, req.Key, req.Val)))
-	case wire.OpDelete:
-		if err := s.writeGateErr(); err != nil {
-			return s.fail(res, err)
-		}
-		return s.addSeqToken(s.fail(res, s.ix.DeleteCtx(ctx, req.Key)))
 	case wire.OpGetSeq:
-		return s.handleGetSeq(ctx, req, res)
+		s.handleGetSeq(ctx, req, res)
 	case wire.OpReplPull, wire.OpReplSnap, wire.OpReplFence, wire.OpPromote:
-		return s.handleRepl(ctx, req, res)
+		s.handleRepl(ctx, req, res)
 	default:
 		// DecodeRequest only emits known opcodes; this is future-proofing.
-		return s.fail(res, wire.ErrMalformed)
+		s.fail(res, wire.ErrMalformed)
 	}
-	return res
 }
 
 // handleGetSeq waits (bounded) for the commit clock to reach the requested
@@ -813,6 +898,8 @@ func (s *Server) statsJSON() []byte {
 		ReqErrors:       s.reqErrors.Load(),
 		GetBatches:      s.getBatches.Load(),
 		BatchedGets:     s.batchedGets.Load(),
+		WriteBatches:    s.writeBatches.Load(),
+		BatchedWrites:   s.batchedWrites.Load(),
 		InFlight:        int(s.inFlight.Load()),
 		Draining:        s.draining.Load(),
 		UptimeSec:       time.Since(s.start).Seconds(),

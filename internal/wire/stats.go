@@ -26,11 +26,14 @@ type StatsReply struct {
 	BatchedOps      uint64 `json:"batched_ops"`
 	MaxBatch        int    `json:"max_batch"`
 	DiskFullBatches uint64 `json:"disk_full_batches"`
-	// GET coalescing (server-side read batching): GetBatches counts
-	// multi-GET handler runs, BatchedGets the GETs they carried. Omitted
+	// Server-side coalescing: GetBatches counts multi-GET handler runs,
+	// BatchedGets the GETs they carried; WriteBatches counts INSERT/DELETE
+	// runs of two or more, BatchedWrites the writes they carried. Omitted
 	// when zero.
 	GetBatches    uint64   `json:"get_batches,omitempty"`
 	BatchedGets   uint64   `json:"batched_gets,omitempty"`
+	WriteBatches  uint64   `json:"write_batches,omitempty"`
+	BatchedWrites uint64   `json:"batched_writes,omitempty"`
 	FsyncHist     []uint64 `json:"fsync_hist"`
 	FsyncBounds   []string `json:"fsync_bounds"`
 	RetrainPauses uint64   `json:"retrain_pauses"`

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"chameleon/internal/wal"
 )
@@ -359,116 +360,126 @@ type Response struct {
 	Msg          string
 }
 
-// appendFrame wraps payload in the length+CRC envelope.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// beginFrame grows dst by room for a frame of up to size payload bytes and
+// reserves its length+CRC header; the payload is then appended in place and
+// endFrame fills the header in. start is where the frame begins in dst.
+func beginFrame(dst []byte, size int) (out []byte, start int) {
+	start = len(dst)
+	dst = slices.Grow(dst, frameHeader+size)
+	return append(dst, make([]byte, frameHeader)...), start
 }
 
-// AppendRequest encodes r as one complete frame onto dst.
+// endFrame seals the frame begun at start: the payload is everything
+// appended after its header.
+func endFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// AppendRequest encodes r as one complete frame onto dst, in place: it
+// allocates only when dst lacks the room.
 func AppendRequest(dst []byte, r *Request) []byte {
-	payload := make([]byte, 0, msgHeader+8+8+4)
-	payload = append(payload, byte(r.Op))
-	payload = binary.LittleEndian.AppendUint64(payload, r.ID)
+	dst, start := beginFrame(dst, msgHeader+29) // REPL_PULL has the longest body
+	dst = append(dst, byte(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
 	switch r.Op {
 	case OpGet, OpDelete:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Key)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
 	case OpInsert:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Key)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Val)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
 	case OpRange:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Key)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Val)
-		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Limit)
 	case OpStats, OpPing, OpPromote:
 		// no body
 	case OpHello:
-		payload = binary.LittleEndian.AppendUint16(payload, r.Version)
+		dst = binary.LittleEndian.AppendUint16(dst, r.Version)
 	case OpReplFence:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
 	case OpGetSeq:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
+		dst = binary.LittleEndian.AppendUint32(dst, r.WaitMS)
 	case OpReplPull:
-		payload = binary.LittleEndian.AppendUint32(payload, r.Shard)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-		payload = binary.LittleEndian.AppendUint32(payload, r.Limit)
-		payload = binary.LittleEndian.AppendUint32(payload, r.WaitMS)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Shard)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Limit)
+		dst = binary.LittleEndian.AppendUint32(dst, r.WaitMS)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
 		var layout byte
 		if r.WantLayout {
 			layout = 1
 		}
-		payload = append(payload, layout)
+		dst = append(dst, layout)
 	case OpReplSnap:
-		payload = binary.LittleEndian.AppendUint32(payload, r.Shard)
-		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Shard)
+		dst = binary.LittleEndian.AppendUint64(dst, r.SnapID)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	}
-	return appendFrame(dst, payload)
+	return endFrame(dst, start)
 }
 
-// AppendResponse encodes r as one complete frame onto dst.
+// AppendResponse encodes r as one complete frame onto dst, in place.
 func AppendResponse(dst []byte, r *Response) []byte {
 	size := msgHeader + 1 + 8 + len(r.Pairs)*pairSize + len(r.Stats) + len(r.Msg) +
 		len(r.Recs)*recSize + len(r.Snap) + len(r.Bounds)*8 + 48
-	payload := make([]byte, 0, size)
+	dst, start := beginFrame(dst, size)
 	if !r.OK {
-		payload = append(payload, statusErr)
-		payload = binary.LittleEndian.AppendUint64(payload, r.ID)
-		payload = append(payload, byte(r.Op), byte(r.Err))
-		payload = binary.LittleEndian.AppendUint32(payload, r.RetryAfterMS)
+		dst = append(dst, statusErr)
+		dst = binary.LittleEndian.AppendUint64(dst, r.ID)
+		dst = append(dst, byte(r.Op), byte(r.Err))
+		dst = binary.LittleEndian.AppendUint32(dst, r.RetryAfterMS)
 		msg := r.Msg
 		if len(msg) > 1<<16-1 {
 			msg = msg[:1<<16-1] // a diagnostic, not a transcript
 		}
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(msg)))
-		payload = append(payload, msg...)
-		return appendFrame(dst, payload)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
+		dst = append(dst, msg...)
+		return endFrame(dst, start)
 	}
-	payload = append(payload, statusOK)
-	payload = binary.LittleEndian.AppendUint64(payload, r.ID)
-	payload = append(payload, byte(r.Op))
+	dst = append(dst, statusOK)
+	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
+	dst = append(dst, byte(r.Op))
 	switch r.Op {
 	case OpGet:
 		var found byte
 		if r.Found {
 			found = 1
 		}
-		payload = append(payload, found)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Val)
+		dst = append(dst, found)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
 	case OpRange:
 		var more byte
 		if r.More {
 			more = 1
 		}
-		payload = append(payload, more)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Pairs)))
+		dst = append(dst, more)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Pairs)))
 		for _, p := range r.Pairs {
-			payload = binary.LittleEndian.AppendUint64(payload, p.Key)
-			payload = binary.LittleEndian.AppendUint64(payload, p.Val)
+			dst = binary.LittleEndian.AppendUint64(dst, p.Key)
+			dst = binary.LittleEndian.AppendUint64(dst, p.Val)
 		}
 	case OpStats:
-		payload = append(payload, r.Stats...)
+		dst = append(dst, r.Stats...)
 	case OpInsert, OpDelete:
 		// The commit-sequence token is the only body, present iff HasSeq
 		// (see Response.Seq).
 		if r.HasSeq {
-			payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
+			dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 		}
 	case OpPing:
 		// no body
 	case OpHello:
-		payload = binary.LittleEndian.AppendUint16(payload, r.Version)
-		payload = append(payload, r.Role)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
+		dst = binary.LittleEndian.AppendUint16(dst, r.Version)
+		dst = append(dst, r.Role)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
 	case OpReplPull:
-		payload = binary.LittleEndian.AppendUint64(payload, r.FirstSeq)
-		payload = binary.LittleEndian.AppendUint64(payload, r.UpstreamSeq)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
+		dst = binary.LittleEndian.AppendUint64(dst, r.FirstSeq)
+		dst = binary.LittleEndian.AppendUint64(dst, r.UpstreamSeq)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
 		var flags byte
 		if r.SnapshotNeeded {
 			flags |= 1
@@ -476,33 +487,33 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		if r.HasLayout {
 			flags |= 2
 		}
-		payload = append(payload, flags)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Recs)))
+		dst = append(dst, flags)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Recs)))
 		for _, rec := range r.Recs {
-			payload = append(payload, byte(rec.Op))
-			payload = binary.LittleEndian.AppendUint64(payload, rec.Key)
-			payload = binary.LittleEndian.AppendUint64(payload, rec.Val)
+			dst = append(dst, byte(rec.Op))
+			dst = binary.LittleEndian.AppendUint64(dst, rec.Key)
+			dst = binary.LittleEndian.AppendUint64(dst, rec.Val)
 		}
 		if r.HasLayout {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Bounds)))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Bounds)))
 			for _, b := range r.Bounds {
-				payload = binary.LittleEndian.AppendUint64(payload, b)
+				dst = binary.LittleEndian.AppendUint64(dst, b)
 			}
 		}
 	case OpReplSnap:
-		payload = binary.LittleEndian.AppendUint64(payload, r.SnapID)
-		payload = binary.LittleEndian.AppendUint64(payload, r.AsOfSeq)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Offset)
-		payload = binary.LittleEndian.AppendUint64(payload, r.Total)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Snap)))
-		payload = append(payload, r.Snap...)
+		dst = binary.LittleEndian.AppendUint64(dst, r.SnapID)
+		dst = binary.LittleEndian.AppendUint64(dst, r.AsOfSeq)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Offset)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Total)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Snap)))
+		dst = append(dst, r.Snap...)
 	case OpReplFence, OpPromote:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Epoch)
-		payload = append(payload, r.Role)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
+		dst = append(dst, r.Role)
 	case OpGetSeq:
-		payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
 	}
-	return appendFrame(dst, payload)
+	return endFrame(dst, start)
 }
 
 // DecodeFrame validates the frame starting at data[0] and returns its
@@ -553,12 +564,13 @@ func FullFrameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= frameHeader+int(plen)
 }
 
-// ReadFrame reads one frame's payload from r. The allocation is bounded by
-// the validated length prefix, never by what the peer claims beyond
-// MaxFrame. Returns io.EOF only on a clean boundary (no bytes read);
-// a frame cut off mid-way is io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
+// ReadFrame reads one frame's payload from r. hdr is the caller's buffer
+// for the length+CRC header, one per connection: a header read through an
+// io.Reader would otherwise be a heap allocation per frame. The payload's
+// allocation is bounded by the validated length prefix, never by what the
+// peer claims beyond MaxFrame. Returns io.EOF only on a clean boundary (no
+// bytes read); a frame cut off mid-way is io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader, hdr *[8]byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,7 +133,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", rq.Op, got, rq)
 		}
 		// The io.Reader path must agree with the byte-slice path.
-		p2, err := ReadFrame(bytes.NewReader(frame))
+		p2, err := ReadFrame(bytes.NewReader(frame), new([8]byte))
 		if err != nil || !bytes.Equal(p2, payload) {
 			t.Fatalf("%s: ReadFrame mismatch (err=%v)", rq.Op, err)
 		}
@@ -164,7 +166,7 @@ func TestStreamedFrames(t *testing.T) {
 	}
 	br := bytes.NewReader(stream)
 	for i, want := range requestCases() {
-		payload, err := ReadFrame(br)
+		payload, err := ReadFrame(br, new([8]byte))
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -176,7 +178,7 @@ func TestStreamedFrames(t *testing.T) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(br); err != io.EOF {
+	if _, err := ReadFrame(br, new([8]byte)); err != io.EOF {
 		t.Fatalf("stream end: want io.EOF, got %v", err)
 	}
 }
@@ -226,7 +228,7 @@ func TestMalformedInputs(t *testing.T) {
 		if len(tc.data) == 0 {
 			continue // clean EOF, not an error
 		}
-		if _, err := ReadFrame(bytes.NewReader(tc.data)); !errors.Is(err, readerWant(tc.want)) {
+		if _, err := ReadFrame(bytes.NewReader(tc.data), new([8]byte)); !errors.Is(err, readerWant(tc.want)) {
 			t.Errorf("ReadFrame %s: got %v, want %v", tc.name, err, readerWant(tc.want))
 		}
 	}
@@ -346,5 +348,46 @@ func TestErrMapRoundTrip(t *testing.T) {
 	}
 	if CodeFor(nil) != ErrCodeNone {
 		t.Fatal("CodeFor(nil)")
+	}
+}
+
+// appendFrame wraps a hand-built payload in the length+CRC envelope, the
+// way the encoders frame theirs.
+func appendFrame(dst, payload []byte) []byte {
+	dst, start := beginFrame(dst, len(payload))
+	return endFrame(append(dst, payload...), start)
+}
+
+// TestFramesByteIdentical pins every request and response case's frame to
+// testdata/frames.golden, one hex line per case (requests first), which the
+// encoders wrote when each built its payload in a separate buffer and copied
+// it behind the header. Encoding in place must not move a byte, at the
+// start of a buffer or after frames already in it.
+func TestFramesByteIdentical(t *testing.T) {
+	data, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(data))
+	var got []string
+	stream := []byte("prefix")
+	for _, rq := range requestCases() {
+		got = append(got, hex.EncodeToString(AppendRequest(nil, rq)))
+		stream = AppendRequest(stream, rq)
+	}
+	for _, rs := range responseCases() {
+		got = append(got, hex.EncodeToString(AppendResponse(nil, rs)))
+		stream = AppendResponse(stream, rs)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d cases, golden file has %d lines", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("case %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+	if string(stream[:6]) != "prefix" || hex.EncodeToString(stream[6:]) != strings.Join(want, "") {
+		t.Error("frames appended one after another behind a prefix differ from the golden stream")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/wal"
 )
 
 // ShardedIndex range-partitions the key space into N independent DurableIndex
@@ -346,6 +347,59 @@ func (s *ShardedIndex) Delete(key uint64) error { return s.shard(key).Delete(key
 // DeleteCtx is Delete honoring a context.
 func (s *ShardedIndex) DeleteCtx(ctx context.Context, key uint64) error {
 	return s.shard(key).DeleteCtx(ctx, key)
+}
+
+// WriteBatchCtx commits recs as one group-commit entry per shard they
+// touch, each holding its shard's ops in slice order, and sets errs[i] to
+// the outcome of recs[i]. The entries commit concurrently, each with
+// DurableIndex.WriteBatchCtx's contract: admitted or shed whole, withdrawn
+// whole, validated in order. The run as a whole has no such unity: one
+// shard's entry may commit while another's is shed or withdrawn.
+func (s *ShardedIndex) WriteBatchCtx(ctx context.Context, recs []wal.Record, errs []error) {
+	if len(recs) == 0 {
+		return
+	}
+	rt := s.rt.Load()
+	shardOf := make([]int, len(recs))
+	count := make([]int, len(s.shards)+1)
+	for i, r := range recs {
+		shardOf[i] = rt.route(r.Key)
+		count[shardOf[i]+1]++
+	}
+	if count[shardOf[0]+1] == len(recs) {
+		s.shards[shardOf[0]].WriteBatchCtx(ctx, recs, errs)
+		return
+	}
+	// Group the ops by shard, keeping run order within each: shard i's ops
+	// are byShard[count[i]:count[i+1]] once count holds prefix sums.
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	byShard := make([]wal.Record, len(recs))
+	shardErrs := make([]error, len(recs))
+	pos := make([]int, len(recs))
+	next := append([]int(nil), count[:len(s.shards)]...)
+	for i, r := range recs {
+		pos[i] = next[shardOf[i]]
+		byShard[pos[i]] = r
+		next[shardOf[i]]++
+	}
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		lo, hi := count[i], count[i+1]
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.WriteBatchCtx(ctx, byShard[lo:hi], shardErrs[lo:hi])
+		}()
+	}
+	wg.Wait()
+	for i := range recs {
+		errs[i] = shardErrs[pos[i]]
+	}
 }
 
 // Lookup routes the point query to key's shard.
