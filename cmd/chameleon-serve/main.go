@@ -57,7 +57,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":9431", "listen address (or target for -stats)")
 		dir          = flag.String("dir", "", "index directory (created if missing)")
-		sync         = flag.String("sync", "everyop", "WAL sync policy: everyop | interval | none")
+		sync         = flag.String("sync", "everyop", "WAL sync policy: everyop (write and fsync each commit; survives kill and OS crash) | interval (acked writes wait in a 64 KiB buffer, written and fsynced every -sync-every; a kill loses the buffer, an OS crash one interval) | none (the same buffer, never fsynced; a kill loses the buffer, an OS crash everything since the last checkpoint)")
 		syncEvery    = flag.Duration("sync-every", 10*time.Millisecond, "fsync interval for -sync interval")
 		maxPending   = flag.Int("max-pending", 4096, "admission bound: max queued mutations (per shard when sharded)")
 		shards       = flag.Int("shards", 0, "range partitions, each with its own WAL and commit queue (0 = unsharded; ignored when the directory already has a shard manifest; an unsharded directory is refused)")

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io/fs"
 	"maps"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/segment"
 )
 
 // TestCrashSweep is the crash test of every storage configuration: one table
@@ -61,6 +64,11 @@ type crashRow struct {
 	// allTears runs each step in all three tear modes; otherwise step k
 	// tears with mode k%3.
 	allTears bool
+	// kill runs each step in tear mode 2 only, a process kill: what the
+	// process wrote reaches the file, and what it buffered is lost. Such a
+	// row's recovery is held to checkPrefix, not check: a buffered sync
+	// policy loses the acked writes still in the WAL's buffer.
+	kill bool
 }
 
 func (r crashRow) sweep(t *testing.T) {
@@ -80,8 +88,11 @@ func (r crashRow) sweep(t *testing.T) {
 		stride = r.short
 	}
 	tears, tearDesc := []int{-1}, "k%3"
-	if r.allTears {
+	switch {
+	case r.allTears:
 		tears, tearDesc = []int{0, 1, 2}, "all three"
+	case r.kill:
+		tears, tearDesc = []int{2}, "2 (kill)"
 	}
 	cells := 0
 	for k := lo; k <= hi; k += stride {
@@ -91,7 +102,12 @@ func (r crashRow) sweep(t *testing.T) {
 			}
 			dir := t.TempDir()
 			traces, _ := r.run(t, dir, k, tear, false)
-			r.check(t, fmt.Sprintf("crash@%d tear %d", k, tear), dir, traces)
+			cell := fmt.Sprintf("crash@%d tear %d", k, tear)
+			if r.kill {
+				r.checkPrefix(t, cell, dir, traces[0])
+			} else {
+				r.check(t, cell, dir, traces)
+			}
 			cells++
 		}
 	}
@@ -101,9 +117,14 @@ func (r crashRow) sweep(t *testing.T) {
 // crashTrace is one script's history in a run: the model after its acked
 // prefix, and after that prefix plus the op in flight at the crash, the
 // first op to return an error. Without an error the two are the same.
+// history lists the mutations in commit order, the one in flight last, and
+// floor counts those the last acked bulk load, checkpoint or flush made
+// durable.
 type crashTrace struct {
 	acked, inflight crashModel
 	failed          string
+	history         []crashOp
+	floor           int
 }
 
 type crashModel struct {
@@ -119,8 +140,9 @@ func (r crashRow) run(t *testing.T, dir string, budget int64, tear int, clean bo
 	t.Helper()
 	cfs := faultfs.NewCrashFS(faultfs.OS, budget)
 	cfs.Tear = tear
+	hfs := &segHookFS{CrashFS: cfs}
 	traces := make([]crashTrace, len(r.writers)+1)
-	s, err := r.open(dir, cfs)
+	s, err := r.open(dir, hfs)
 	if err != nil {
 		if !cfs.Crashed() {
 			t.Fatalf("open: %v", err)
@@ -132,13 +154,13 @@ func (r crashRow) run(t *testing.T, dir string, budget int64, tear int, clean bo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			traces[i], _ = runScript(t, s, cfs, w, clean)
+			traces[i], _ = runScript(t, s, hfs, w, clean, false)
 		}()
 	}
 	wg.Wait()
 	var at []int64
-	traces[len(r.writers)], at = runScript(t, s, cfs, r.ops, clean)
-	s.Close() //nolint:errcheck // a crashed close loses nothing acked
+	traces[len(r.writers)], at = runScript(t, s, hfs, r.ops, clean, r.kill)
+	s.Close() //nolint:errcheck // what a crashed close loses, the row's oracle allows
 	if clean && t.Failed() {
 		t.FailNow()
 	}
@@ -146,28 +168,38 @@ func (r crashRow) run(t *testing.T, dir string, budget int64, tear int, clean bo
 }
 
 // runScript runs ops in order and traces them. Once an op has failed, a
-// later mutation may not be acked. It returns the trace and the steps
-// consumed before each op and after the last.
-func runScript(t *testing.T, s crashStore, cfs *faultfs.CrashFS, ops []crashOp, clean bool) (crashTrace, []int64) {
+// later mutation may not be acked. Under kill no op starts after the crash:
+// the process is dead, and a write that only fills the WAL's buffer would
+// be acked without touching the disk. A flush with during ops runs them when
+// it opens its segment file, after its WAL rotation and before its manifest
+// commit. It returns the trace and the steps consumed before each op and
+// after the last.
+func runScript(t *testing.T, s crashStore, hfs *segHookFS, ops []crashOp, clean, kill bool) (crashTrace, []int64) {
 	tr := crashTrace{acked: crashModel{kv: map[uint64]uint64{}}, failed: "no op"}
 	at := make([]int64, 0, len(ops)+1)
 	failed := false
-	for _, op := range ops {
-		at = append(at, cfs.Steps())
-		if op.kind == opShape {
-			if clean {
-				op.checkShape(t, s)
-			}
-			continue
+	var run func(op crashOp)
+	run = func(op crashOp) {
+		if kill && hfs.Crashed() {
+			return
 		}
+		if len(op.during) > 0 {
+			hfs.onSegment(func() {
+				for _, d := range op.during {
+					run(d)
+				}
+			})
+		}
+		before := len(tr.history)
 		err := op.apply(s)
 		switch {
 		case failed:
 			if err == nil && op.mutates() {
 				t.Errorf("%v acked after %s failed", op, tr.failed)
 			}
+			return
 		case err != nil:
-			if !cfs.Crashed() {
+			if !hfs.Crashed() {
 				t.Errorf("%v failed without a crash: %v", op, err)
 			}
 			failed, tr.failed = true, op.String()
@@ -176,11 +208,31 @@ func runScript(t *testing.T, s crashStore, cfs *faultfs.CrashFS, ops []crashOp, 
 		default:
 			tr.acked.apply(op)
 		}
+		if op.mutates() {
+			tr.history = append(tr.history, op)
+		}
+		switch {
+		case err != nil:
+		case op.kind == opBulkLoad || op.kind == opRestore || op.kind == opSave:
+			tr.floor = len(tr.history)
+		case op.kind == opCheckpoint || op.kind == opFlush:
+			tr.floor = before
+		}
+	}
+	for _, op := range ops {
+		at = append(at, hfs.Steps())
+		if op.kind == opShape {
+			if clean {
+				op.checkShape(t, s)
+			}
+			continue
+		}
+		run(op)
 	}
 	if !failed {
 		tr.inflight = tr.acked
 	}
-	return tr, append(at, cfs.Steps())
+	return tr, append(at, hfs.Steps())
 }
 
 // check reopens dir on the real filesystem and holds what it recovered to
@@ -229,6 +281,36 @@ func (r crashRow) check(t *testing.T, cell, dir string, traces []crashTrace) {
 	}
 	if got.seq < lo || got.seq > hi {
 		t.Fatalf("%s: recovered CommitSeq %d outside [acked %d, attempted %d]", cell, got.seq, lo, hi)
+	}
+}
+
+// checkPrefix reopens dir on the real filesystem and holds what it
+// recovered to a serial script's history: it must be the state after the
+// history's first n mutations, for one n from the floor to the end, with
+// CommitSeq n's. The floor keeps every bulk load, checkpoint and flush; a
+// prefix allows losing the tail a kill took from the WAL's buffer, but not a
+// hole in the middle, nor a write that was never attempted.
+func (r crashRow) checkPrefix(t *testing.T, cell, dir string, tr crashTrace) {
+	t.Helper()
+	re, err := r.open(dir, faultfs.OS)
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", cell, err)
+	}
+	got := crashModel{kv: map[uint64]uint64{}, seq: re.CommitSeq()}
+	re.Range(0, ^uint64(0), func(k, v uint64) bool {
+		got.kv[k] = v
+		return true
+	})
+	re.Close() //nolint:errcheck
+	// CommitSeq counts the commits, so it names the one prefix to compare.
+	m := crashModel{kv: map[uint64]uint64{}}
+	n := 0
+	for ; n < len(tr.history) && (n < tr.floor || m.seq < got.seq); n++ {
+		m.apply(tr.history[n])
+	}
+	if !got.equal(m) {
+		t.Fatalf("%s: recovered %v; the history's prefix of %d mutations (floor %d of %d, %s failed) is %v (%s)",
+			cell, got, n, tr.floor, len(tr.history), tr.failed, m, got.diff(m))
 	}
 }
 
@@ -310,6 +392,9 @@ type crashOp struct {
 	snap       []byte // a restore's SnapshotAt stream
 	ix         *Index // opSave: the index of keys, built once
 	shape      [3]int // opShape: compactions, runs, L0 segments
+	// during are a flush's ops to run between its WAL rotation and its
+	// manifest commit (runScript).
+	during []crashOp
 }
 
 // The script builders each return ops, so a script is a slices.Concat.
@@ -322,6 +407,9 @@ var (
 func ins(key, val uint64) []crashOp { return []crashOp{{kind: opInsert, key: key, val: val}} }
 func del(key uint64) []crashOp      { return []crashOp{{kind: opDelete, key: key}} }
 func bulk(keys []uint64) []crashOp  { return []crashOp{{kind: opBulkLoad, keys: keys}} }
+
+// flushDuring is a flush that runs ops while it writes its segment.
+func flushDuring(ops []crashOp) []crashOp { return []crashOp{{kind: opFlush, during: ops}} }
 
 // inserts is n inserts of keys from, from+1, … with values val, val+1, ….
 func inserts(from, n, val uint64) []crashOp {
@@ -419,6 +507,25 @@ func save(keys []uint64) []crashOp {
 		panic(err)
 	}
 	return []crashOp{{kind: opSave, keys: keys, ix: ix}}
+}
+
+// segHookFS is the CrashFS a run opens its store on. A hook armed by
+// onSegment runs once, on the goroutine creating the next segment file,
+// before the file is opened.
+type segHookFS struct {
+	*faultfs.CrashFS
+	hook atomic.Pointer[func()]
+}
+
+func (h *segHookFS) onSegment(fn func()) { h.hook.Store(&fn) }
+
+func (h *segHookFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	if _, isSeg := segment.ParseFileName(filepath.Base(name)); isSeg && flag&os.O_CREATE != 0 {
+		if fn := h.hook.Swap(nil); fn != nil {
+			(*fn)()
+		}
+	}
+	return h.CrashFS.OpenFile(name, flag, perm)
 }
 
 func openDurable(opts DirOptions) func(string, faultfs.FS) (crashStore, error) {
@@ -537,6 +644,20 @@ func crashRows(t *testing.T) []crashRow {
 	for i := range saved {
 		saved[i] = uint64(i)*7 + 100
 	}
+	// *_none: SyncNone, killed. More inserts than the WAL buffer holds make
+	// some of them reach the file mid-script; a checkpoint drops the old
+	// log's buffer, which its snapshot holds. The tiered flush runs a
+	// buffer's worth of inserts between its WAL rotation and its manifest
+	// commit, so the new log's frames reach the file while recovery still
+	// replays the old log under them: a rotation that lost the old log's
+	// buffer leaves a hole there.
+	const overBuffer = 4_000 // inserts: 84,000 B of frames, over the WAL's 64 KiB buffer
+	legacyNone := durableOpts()
+	legacyNone.Sync = SyncNone
+	tieredNone := tieredOpts()
+	tieredNone.Sync = SyncNone
+	tieredNone.ReconstructThreshold = -1
+
 	legacy := durableOpts()
 	replaceOpts := tieredOpts()
 	replaceOpts.ReconstructThreshold = -1 // reconstructing the tiny memtable only costs time
@@ -563,5 +684,11 @@ func crashRows(t *testing.T) []crashRow {
 			lastOnly: true, stride: 1, allTears: true},
 		{name: "tiered_writers", open: openDurable(tieredOpts()), writers: writers(flush), ops: checkpoint,
 			stride: 1, short: 4},
+		{name: "legacy_none", open: openDurable(legacyNone), stride: 1, short: 3, kill: true,
+			ops: slices.Concat(bulk(base), inserts(1000, 6, 0), del(200), checkpoint, inserts(2000, overBuffer, 50),
+				del(1002), del(300), checkpoint, inserts(9000, 5, 0), del(2001))},
+		{name: "tiered_none", open: openDurable(tieredNone), stride: 1, short: 3, kill: true,
+			ops: slices.Concat(bulk(tierBase), inserts(1000, 6, 0), del(200), flushDuring(inserts(2000, overBuffer, 50)),
+				del(1002), del(300), flush, inserts(9000, 3, 90), compact, inserts(9100, 3, 70), del(2001))},
 	}
 }

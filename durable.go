@@ -22,18 +22,28 @@ import (
 )
 
 // SyncPolicy picks when acknowledged writes reach stable storage.
+//
+// Under SyncInterval and SyncNone an acknowledged write's WAL frame waits in
+// the log's 64 KiB buffer, which is written in one write(2) when it fills,
+// at each SyncInterval tick, when a tiered flush rotates the log, and on
+// Close. A process kill loses that buffer: at most 64 KiB of frames, about
+// 3,800 writes of an even insert/delete mix. Close writes it and returns a
+// failed write; Checkpoint makes every acknowledged write durable under
+// every policy.
 type SyncPolicy int
 
 const (
-	// SyncEveryOp fsyncs the WAL before every Insert/Delete returns: an
-	// acknowledged write survives any crash. The default, and the slowest.
+	// SyncEveryOp writes and fsyncs the WAL before every Insert/Delete
+	// returns: an acknowledged write survives a process kill and an OS
+	// crash. The default, and the slowest.
 	SyncEveryOp SyncPolicy = iota
-	// SyncInterval group-commits: the WAL is fsynced every DirOptions.SyncEvery
-	// (default 10ms). A crash can lose up to one interval of acknowledged
-	// writes; everything older is safe.
+	// SyncInterval buffers, and writes and fsyncs the buffer every
+	// DirOptions.SyncEvery (default 10ms). A kill loses the buffer; an OS
+	// crash can lose up to one interval of acknowledged writes. Everything
+	// older is safe.
 	SyncInterval
-	// SyncNone leaves flushing to the OS. A crash can lose everything since
-	// the last Checkpoint.
+	// SyncNone buffers and leaves fsyncing to the OS. A kill loses the
+	// buffer; an OS crash can lose everything since the last Checkpoint.
 	SyncNone
 )
 
@@ -1159,11 +1169,15 @@ func (d *DurableIndex) checkpointLocked() error {
 		return d.fail
 	}
 
+	// The snapshot holds every acked record, the old log's pending frames
+	// included, so they are dropped rather than written to a file GC is
+	// about to remove. Writing them first would also need room a full disk
+	// does not have, and this rotation is how a full disk recovers.
 	oldLog := d.log
 	d.log = newLog
 	d.seq = newSeq
 	if oldLog != nil {
-		oldLog.Close() //nolint:errcheck
+		oldLog.Discard() //nolint:errcheck
 	}
 	// The fresh, empty log is the checkpoint-truncation recovery path out of
 	// degraded-read-only: whatever filled or wedged the old WAL is now
@@ -1207,9 +1221,10 @@ func (d *DurableIndex) WALSize() int64 {
 	return size
 }
 
-// Close stops the retrainer and closes the WAL (with a final sync unless the
-// policy is SyncNone). It does not checkpoint: the log already holds
-// everything, and the next OpenDir replays it.
+// Close stops the retrainer and closes the WAL: it writes the WAL's buffered
+// frames and fsyncs unless the policy is SyncNone, and returns the error if
+// that fails. It does not checkpoint: the log holds everything, and the next
+// OpenDir replays it.
 //
 // Writers caught in flight resolve deterministically, never hang, and are
 // never acked after Close returns without their write being durable: ops

@@ -276,3 +276,52 @@ func TestGroupCommitLoneWriterAllocs(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkDurableLoneWriter times an uncontended write on a SyncNone
+// directory, legacy and tiered: the group-commit entry, the WAL append (a
+// copy into the log's buffer, with one write(2) per 64 KiB of frames) and
+// the index update. Keys written in at setup are deleted and put back in
+// turn, as in TestGroupCommitLoneWriterAllocs, so the index stays the same
+// size and no leaf outgrows its capacity; writer-inline reconstruction is
+// off, since its rebuilds are the index's maintenance, not the write path.
+func BenchmarkDurableLoneWriter(b *testing.B) {
+	for _, tiered := range []bool{false, true} {
+		name := "legacy"
+		if tiered {
+			name = "tiered"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := durableOpts()
+			if tiered {
+				opts = tieredOpts()
+			}
+			opts.Sync = SyncNone
+			opts.ReconstructThreshold = -1
+			d, err := OpenDir(b.TempDir(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			keys := make([]uint64, 20_000)
+			for i := range keys {
+				keys[i] = uint64(i) * 64
+				if err := d.Insert(keys[i], keys[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				k := keys[(i/2)%len(keys)]
+				if i%2 == 0 {
+					err = d.Delete(k)
+				} else {
+					err = d.Insert(k, k)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -102,9 +102,11 @@ type Health struct {
 	// ErrDiskFull (each failed cleanly: nothing applied, nothing acked).
 	DiskFullBatches uint64
 
-	// FsyncLatency is a histogram of per-batch WAL write+fsync time.
+	// FsyncLatency is a histogram of per-batch WAL append time.
 	// FsyncLatency[i] counts batches under FsyncBucketBounds[i]; the final
-	// slot counts the rest. Under SyncEveryOp this is fsync-dominated.
+	// slot counts the rest. Under SyncEveryOp a batch's time is a write and
+	// an fsync, fsync-dominated; under SyncInterval and SyncNone it is a
+	// copy into the WAL's buffer, plus a write once per 64 KiB of frames.
 	FsyncLatency [len(FsyncBucketBounds) + 1]uint64
 
 	// RetrainPauses counts overload episodes that paused the background

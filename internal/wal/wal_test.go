@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -290,49 +291,95 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // TestShortWriteSticksAndRecovers drives appends through a faultfs short
-// writer: the failing append and all later ones error, and a reopened log
-// holds exactly the fully-written frames.
+// writer, under each policy: the failing write and every append after it
+// error, and a reopened log holds exactly the fully-written frames.
 func TestShortWriteSticksAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
 	recs := []Record{{OpInsert, 1, 1}, {Op: OpDelete, Key: 1}, {OpInsert, 2, 2}, {Op: OpDelete, Key: 2}}
 	total := int64(0)
 	for _, r := range recs {
 		total += int64(r.FrameSize())
 	}
-	for budget := int64(0); budget <= total; budget++ {
-		os.Remove(path) //nolint:errcheck
-		fsys := &shortWriteFS{budget: budget}
-		l, _, err := Open(path, Options{Policy: SyncNone, FS: fsys}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acked, fit, used := 0, 0, int64(0)
+	// fits is how many whole frames budget bytes hold.
+	fits := func(budget int64) int {
+		fit, used := 0, int64(0)
 		for _, r := range recs {
 			if used += int64(r.FrameSize()); used <= budget {
 				fit++
 			}
 		}
-		for _, r := range recs {
-			if err := l.Append(r); err != nil {
-				break
-			}
-			acked++
-		}
-		if acked != fit {
-			t.Fatalf("budget %d: acked %d appends, want %d", budget, acked, fit)
-		}
-		if acked < len(recs) {
-			if err := l.AppendInsert(9, 9); err == nil {
-				t.Fatalf("budget %d: append succeeded after sticky error", budget)
-			}
-		}
-		l.Close() //nolint:errcheck // close may surface the injected error
-		_, got := openCollect(t, path, Options{})
-		if len(got) < acked {
-			t.Fatalf("budget %d: acked %d but replayed %d", budget, acked, len(got))
-		}
+		return fit
 	}
+	t.Run("every_op", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.log")
+		for budget := int64(0); budget <= total; budget++ {
+			os.Remove(path) //nolint:errcheck
+			fsys := &shortWriteFS{budget: budget}
+			l, _, err := Open(path, Options{Policy: SyncEveryOp, FS: fsys}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked, fit := 0, fits(budget)
+			for _, r := range recs {
+				if err := l.Append(r); err != nil {
+					break
+				}
+				acked++
+			}
+			if acked != fit {
+				t.Fatalf("budget %d: acked %d appends, want %d", budget, acked, fit)
+			}
+			if acked < len(recs) {
+				if err := l.AppendInsert(9, 9); err == nil {
+					t.Fatalf("budget %d: append succeeded after sticky error", budget)
+				}
+			}
+			l.Close() //nolint:errcheck // close may surface the injected error
+			_, got := openCollect(t, path, Options{})
+			if len(got) < acked {
+				t.Fatalf("budget %d: acked %d but replayed %d", budget, acked, len(got))
+			}
+		}
+	})
+	// Under SyncNone every append only fills the buffer, so all are acked;
+	// the short write surfaces at the Sync that writes them, sticks, and
+	// Close reports it. The file keeps the frames the budget held whole.
+	t.Run("none", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.log")
+		for budget := int64(0); budget <= total; budget++ {
+			os.Remove(path) //nolint:errcheck
+			fsys := &shortWriteFS{budget: budget}
+			l, _, err := Open(path, Options{Policy: SyncNone, FS: fsys}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := l.Append(r); err != nil {
+					t.Fatalf("budget %d: buffered append = %v", budget, err)
+				}
+			}
+			fit := fits(budget)
+			err = l.Sync()
+			if (err == nil) != (fit == len(recs)) {
+				t.Fatalf("budget %d: Sync = %v with %d of %d frames in the budget", budget, err, fit, len(recs))
+			}
+			if fit < len(recs) {
+				if err := l.AppendInsert(9, 9); err == nil {
+					t.Fatalf("budget %d: append succeeded after sticky error", budget)
+				}
+				if err := l.Close(); err == nil {
+					t.Fatalf("budget %d: Close hid the sticky error", budget)
+				}
+			} else if err := l.Close(); err != nil {
+				t.Fatalf("budget %d: Close = %v", budget, err)
+			}
+			_, got := openCollect(t, path, Options{})
+			if !slices.Equal(got, recs[:fit]) {
+				t.Fatalf("budget %d: replayed %+v, want the %d whole frames", budget, got, fit)
+			}
+		}
+	})
 }
 
 // shortWriteFS wraps the real FS so each opened file short-writes once the
@@ -369,4 +416,91 @@ func TestScanEmptyAndGarbage(t *testing.T) {
 	if recs, valid := Scan(garbage); len(recs) != 0 || valid != 0 {
 		t.Fatalf("Scan(garbage) = %d records, offset %d", len(recs), valid)
 	}
+}
+
+// TestBufferedAppendsBatchWrites counts the file calls appends make. Under
+// SyncNone, 10,000 single-record appends cost one write per bufferBytes of
+// frames, plus Close's, and no fsync; under SyncEveryOp every AppendAll is
+// exactly one write and one fsync, as before buffering.
+func TestBufferedAppendsBatchWrites(t *testing.T) {
+	rec := func(i int) Record {
+		if i%2 == 1 {
+			return Record{Op: OpDelete, Key: uint64(i - 1)}
+		}
+		return Record{OpInsert, uint64(i), uint64(i)}
+	}
+	t.Run("none", func(t *testing.T) {
+		fsys := &countFS{FS: faultfs.OS}
+		l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{Policy: SyncNone, FS: fsys}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := int64(0)
+		for i := range 10_000 {
+			r := rec(i)
+			if err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
+			bytes += int64(r.FrameSize())
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if limit := (bytes+bufferBytes-1)/bufferBytes + 1; fsys.writes > limit || fsys.syncs != 0 {
+			t.Fatalf("%d bytes of frames took %d writes and %d fsyncs, want at most %d writes and no fsync",
+				bytes, fsys.writes, fsys.syncs, limit)
+		}
+	})
+	t.Run("every_op", func(t *testing.T) {
+		fsys := &countFS{FS: faultfs.OS}
+		l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{Policy: SyncEveryOp, FS: fsys}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var batch []Record
+		for i := range 200 {
+			batch = append(batch[:0], rec(i))
+			for j := range i % 7 {
+				batch = append(batch, Record{OpInsert, uint64(1<<20 + i*8 + j), 1})
+			}
+			w, s := fsys.writes, fsys.syncs
+			if err := l.AppendAll(batch); err != nil {
+				t.Fatal(err)
+			}
+			if fsys.writes-w != 1 || fsys.syncs-s != 1 {
+				t.Fatalf("AppendAll of %d records took %d writes and %d fsyncs, want 1 and 1",
+					len(batch), fsys.writes-w, fsys.syncs-s)
+			}
+		}
+	})
+}
+
+// countFS counts the writes and fsyncs of the files it opens.
+type countFS struct {
+	faultfs.FS
+	writes, syncs int64
+}
+
+func (c *countFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countFile{File: f, fs: c}, nil
+}
+
+type countFile struct {
+	faultfs.File
+	fs *countFS
+}
+
+func (f *countFile) Write(p []byte) (int, error) {
+	f.fs.writes++
+	return f.File.Write(p)
+}
+
+func (f *countFile) Sync() error {
+	f.fs.syncs++
+	return f.File.Sync()
 }

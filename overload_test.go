@@ -230,10 +230,85 @@ func TestOverloadBlockOnFull(t *testing.T) {
 }
 
 // TestDiskFullRetryableAndRecovers drives the WAL into ENOSPC and checks the
-// degraded-read-only contract, recovery arm A (operator frees space): no
-// acked write is lost, reads keep serving, the same handle accepts writes
-// again after AddCapacity, and recovery sees exactly the acked set.
+// degraded-read-only contract, recovery arm A (operator frees space), under
+// each sync policy: no acked write is lost, reads keep serving, the same
+// handle accepts writes again after AddCapacity, and recovery sees exactly
+// the acked set.
 func TestDiskFullRetryableAndRecovers(t *testing.T) {
+	t.Run("every_op", func(t *testing.T) {
+		dir := t.TempDir()
+		q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
+		opts := durableOpts()
+		opts.Sync = SyncEveryOp
+		d, err := openDirFS(dir, opts, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(1); k <= 4; k++ {
+			if err := d.Insert(k, k*10); err != nil {
+				t.Fatalf("insert %d = %v", k, err)
+			}
+		}
+		if err := d.Insert(5, 50); !errors.Is(err, ErrDiskFull) {
+			t.Fatalf("over-quota insert = %v, want ErrDiskFull", err)
+		}
+		h := d.Health()
+		if h.State != HealthDegraded {
+			t.Fatalf("state after ENOSPC = %v, want degraded", h.State)
+		}
+		if !errors.Is(h.Err, ErrDiskFull) {
+			t.Fatalf("Health.Err = %v, want ErrDiskFull", h.Err)
+		}
+		if h.DiskFullBatches == 0 {
+			t.Fatal("DiskFullBatches not counted")
+		}
+		// Degraded is read-only, not dead: every read keeps serving.
+		if v, ok := d.Lookup(3); !ok || v != 30 {
+			t.Fatalf("Lookup(3) = %d,%v while degraded", v, ok)
+		}
+		if d.Len() != 4 {
+			t.Fatalf("Len = %d while degraded, want 4", d.Len())
+		}
+		// Still full: the same clean, retryable failure.
+		if err := d.Insert(5, 50); !errors.Is(err, ErrDiskFull) {
+			t.Fatalf("retry while full = %v, want ErrDiskFull", err)
+		}
+		// Operator frees space: the same handle recovers, no reopen.
+		q.AddCapacity(1 << 20)
+		if err := d.Insert(5, 50); err != nil {
+			t.Fatalf("insert after freeing space = %v", err)
+		}
+		if h := d.Health(); h.State != HealthOK {
+			t.Fatalf("state after recovery = %v, want ok", h.State)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := OpenDir(dir, durableOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.Len() != 5 {
+			t.Fatalf("recovered Len = %d, want 5", r.Len())
+		}
+		for k := uint64(1); k <= 5; k++ {
+			if v, ok := r.Lookup(k); !ok || v != k*10 {
+				t.Fatalf("recovered Lookup(%d) = %d,%v", k, v, ok)
+			}
+		}
+	})
+	t.Run("none", testDiskFullBuffered)
+	t.Run("tiered_none", testDiskFullAtFlush)
+}
+
+// testDiskFullBuffered is the SyncNone row. Writes wait in the WAL's 64 KiB
+// buffer, so the disk-full surfaces at the insert whose frame fills it: that
+// insert alone is refused and not applied, the earlier ones stay acked and
+// pending (WALSize counts them), and the first write after space is freed
+// lands them all.
+func testDiskFullBuffered(t *testing.T) {
 	dir := t.TempDir()
 	q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
 	opts := durableOpts()
@@ -242,42 +317,46 @@ func TestDiskFullRetryableAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := uint64(1); k <= 4; k++ {
-		if err := d.Insert(k, k*10); err != nil {
-			t.Fatalf("insert %d = %v", k, err)
+	refused := uint64(1)
+	for ; ; refused++ {
+		if err := d.Insert(refused, refused*10); err != nil {
+			if !errors.Is(err, ErrDiskFull) {
+				t.Fatalf("insert %d = %v, want ErrDiskFull", refused, err)
+			}
+			break
 		}
 	}
-	if err := d.Insert(5, 50); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("over-quota insert = %v, want ErrDiskFull", err)
+	if int64(refused)*insFrame < 64<<10 {
+		t.Fatalf("ErrDiskFull at insert %d, before the WAL buffer filled", refused)
 	}
 	h := d.Health()
-	if h.State != HealthDegraded {
-		t.Fatalf("state after ENOSPC = %v, want degraded", h.State)
+	if h.State != HealthDegraded || !errors.Is(h.Err, ErrDiskFull) || h.DiskFullBatches != 1 {
+		t.Fatalf("Health after ENOSPC = %v, %v, %d disk-full batches; want degraded, ErrDiskFull, 1", h.State, h.Err, h.DiskFullBatches)
 	}
-	if !errors.Is(h.Err, ErrDiskFull) {
-		t.Fatalf("Health.Err = %v, want ErrDiskFull", h.Err)
+	acked := refused - 1
+	if v, ok := d.Lookup(acked); !ok || v != acked*10 || d.Len() != int(acked) {
+		t.Fatalf("Lookup(%d) = %d,%v, Len = %d while degraded; want the %d acked inserts", acked, v, ok, d.Len(), acked)
 	}
-	if h.DiskFullBatches == 0 {
-		t.Fatal("DiskFullBatches not counted")
+	if _, ok := d.Lookup(refused); ok {
+		t.Fatalf("the refused insert %d was applied", refused)
 	}
-	// Degraded is read-only, not dead: every read keeps serving.
-	if v, ok := d.Lookup(3); !ok || v != 30 {
-		t.Fatalf("Lookup(3) = %d,%v while degraded", v, ok)
-	}
-	if d.Len() != 4 {
-		t.Fatalf("Len = %d while degraded, want 4", d.Len())
+	if got, want := d.WALSize(), int64(acked)*insFrame; got != want {
+		t.Fatalf("WALSize = %d, want %d: the acked frames, pending", got, want)
 	}
 	// Still full: the same clean, retryable failure.
-	if err := d.Insert(5, 50); !errors.Is(err, ErrDiskFull) {
+	if err := d.Insert(refused, refused*10); !errors.Is(err, ErrDiskFull) {
 		t.Fatalf("retry while full = %v, want ErrDiskFull", err)
 	}
-	// Operator frees space: the same handle recovers, no reopen.
+	// Operator frees space: the retry writes every pending frame with its own.
 	q.AddCapacity(1 << 20)
-	if err := d.Insert(5, 50); err != nil {
+	if err := d.Insert(refused, refused*10); err != nil {
 		t.Fatalf("insert after freeing space = %v", err)
 	}
 	if h := d.Health(); h.State != HealthOK {
 		t.Fatalf("state after recovery = %v, want ok", h.State)
+	}
+	if got, want := q.Used(), int64(refused)*insFrame; got < want {
+		t.Fatalf("the disk holds %d bytes after the retry, want every acked frame: %d", got, want)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -288,10 +367,60 @@ func TestDiskFullRetryableAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 5 {
-		t.Fatalf("recovered Len = %d, want 5", r.Len())
+	if r.Len() != int(refused) {
+		t.Fatalf("recovered Len = %d, want %d", r.Len(), refused)
 	}
-	for k := uint64(1); k <= 5; k++ {
+	for k := uint64(1); k <= refused; k++ {
+		if v, ok := r.Lookup(k); !ok || v != k*10 {
+			t.Fatalf("recovered Lookup(%d) = %d,%v", k, v, ok)
+		}
+	}
+}
+
+// testDiskFullAtFlush is the tiered SyncNone row: a buffer short of full
+// meets the full disk at the Checkpoint (a flush) that must write it before
+// rotating the WAL. The flush fails and rotates nothing, no write is
+// refused, and the next flush lands every acked frame's record.
+func testDiskFullAtFlush(t *testing.T) {
+	dir := t.TempDir()
+	q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
+	opts := tieredOpts()
+	opts.Sync = SyncNone
+	d, err := openDirFS(dir, opts, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 100; k++ {
+		if err := d.Insert(k, k*10); err != nil {
+			t.Fatalf("buffered insert %d = %v", k, err)
+		}
+	}
+	if err := d.Checkpoint(); !errors.Is(err, ErrDiskFull) {
+		t.Fatalf("checkpoint on a full disk = %v, want ErrDiskFull", err)
+	}
+	if h := d.Health(); h.State != HealthOK || h.DiskFullBatches != 0 || h.Tier.FlushErrs != 1 {
+		t.Fatalf("Health after the failed flush = %v, %d disk-full batches, %d flush errors; want ok, 0, 1",
+			h.State, h.DiskFullBatches, h.Tier.FlushErrs)
+	}
+	if err := d.Insert(101, 1010); err != nil {
+		t.Fatalf("insert after the failed flush = %v", err)
+	}
+	q.AddCapacity(1 << 20)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after freeing space = %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDir(dir, tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != 101 {
+		t.Fatalf("recovered Len = %d, want 101", r.Len())
+	}
+	for k := uint64(1); k <= 101; k++ {
 		if v, ok := r.Lookup(k); !ok || v != k*10 {
 			t.Fatalf("recovered Lookup(%d) = %d,%v", k, v, ok)
 		}

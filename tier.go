@@ -448,10 +448,11 @@ func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort fun
 
 // swapWALLocked makes next, from successorWALLocked, the live log. A fresh,
 // empty log clears a wedged-WAL degradation, same as the legacy checkpoint
-// rotation. Callers hold d.mu.
+// rotation. The old log has nothing left to write: freeze flushed it, and a
+// replace's manifest holds every record it has. Callers hold d.mu.
 func (d *DurableIndex) swapWALLocked(next *wal.Log) {
 	if d.log != nil {
-		d.log.Close() //nolint:errcheck
+		d.log.Discard() //nolint:errcheck
 	}
 	d.log = next
 	d.seq++
@@ -569,8 +570,15 @@ func (t *tier) freeze() (*frozenRun, error) {
 		return nil, nil
 	}
 	fr := &frozenRun{keys: keys, vals: vals, tombs: tombs, seq: d.commitSeq.Load(), live: t.liveCount.Load()}
-	// The successor's dirent and base must be durable before it takes
-	// records. On failure nothing is captured and the old log stays live.
+	// The old log's pending frames reach its file before the successor
+	// exists: until the manifest commits, recovery replays the old log and
+	// then the new one, and a tail left in the old log's buffer would come
+	// back as a hole under the new log's frames. The successor's dirent and
+	// base must be durable before it takes records. On failure nothing is
+	// captured and the old log stays live.
+	if err := d.log.Flush(); err != nil {
+		return nil, err
+	}
 	next, abort, err := d.successorWALLocked(fr.seq)
 	if err != nil {
 		return nil, err
