@@ -134,19 +134,25 @@ type DurableIndex struct {
 
 	// Group-commit queue of entries (pendingEntry). Writers enqueue under qmu
 	// (held only for the append); the first writer to find no leader becomes
-	// one and drains the queue batch by batch, paying one WAL write + one
-	// fsync per batch and fanning acks back over each follower's done
-	// channel. qmu orders only the queue; d.mu still orders every batch
-	// against checkpoints and Close. Lock order is d.mu → qmu, never the
-	// reverse. The queue's backing array and the leader's batch trade places
-	// on every claim (claimLocked), so a steady stream of writers reuses two
-	// arrays instead of growing new ones.
+	// one and commits its own entry as a batch, paying one WAL write + one
+	// fsync; if writers queued meanwhile, a drainer goroutine takes over the
+	// leadership and commits them batch by batch, fanning acks back over
+	// each follower's done channel (see commit). qmu orders only the queue;
+	// d.mu still orders every batch against checkpoints and Close. Lock
+	// order is d.mu → qmu, never the reverse. The queue's backing array and
+	// the leader's batch trade places on every claim (claimLocked), and the
+	// batch a stint ends on is kept as spare for the next stint's first
+	// claim, so a steady stream of writers reuses two arrays instead of
+	// growing new ones.
 	qmu     sync.Mutex
 	queue   []*pendingEntry
+	spare   []*pendingEntry // nil while a leader holds it
 	leader  bool
-	qclosed bool // Close observed; admission refuses
+	qclosed bool          // Close observed; admission refuses
+	idle    chan struct{} // made by a Close waiting out a leader, closed when it resigns
 	// soloRun counts the batches since the last one that acked followers;
-	// only the current leader touches it (leadership passes under qmu).
+	// only the current leader touches it (leadership passes under qmu, or
+	// to a drainer at its start).
 	soloRun uint
 
 	// Admission accounting: ops admitted but not yet committed (queued plus
@@ -179,7 +185,7 @@ type DurableIndex struct {
 	batchedOps      atomic.Uint64
 	diskFullBatches atomic.Uint64
 	maxBatch        atomic.Int64
-	fsyncHist       [len(FsyncBucketBounds) + 1]atomic.Uint64
+	fsyncHist       *fsyncHist
 	retrainPaused   atomic.Bool
 	retrainPauses   atomic.Uint64
 }
@@ -369,12 +375,16 @@ func isOldName(name, prefix, suffix string) bool {
 // directory opens with and the logs it rotates to. A zero or negative
 // SyncEvery normalizes to the documented 10ms default here, in exactly one
 // place.
-func walOptions(opts DirOptions, fsys faultfs.FS) wal.Options {
+func walOptions(opts DirOptions, fsys faultfs.FS, hist *fsyncHist) wal.Options {
 	interval := opts.SyncEvery
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	return wal.Options{Policy: wal.SyncPolicy(opts.Sync), Interval: interval, FS: fsys}
+	wo := wal.Options{Policy: wal.SyncPolicy(opts.Sync), Interval: interval, FS: fsys}
+	if hist != nil {
+		wo.OnSync = hist.observe
+	}
+	return wo
 }
 
 // OpenDir opens (or initializes) a durable index rooted at dir. Recovery runs
@@ -445,7 +455,8 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 
 	// Replay tolerates redundancy: a record already reflected in the
 	// snapshot (possible only on fallback paths) must not fail recovery.
-	log, live, clock, err := replayChain(fsys, dir, opts, logs, chosen.rot, chosen.base, func(r wal.Record) {
+	hist := new(fsyncHist)
+	log, live, clock, err := replayChain(fsys, dir, walOptions(opts, fsys, hist), logs, chosen.rot, chosen.base, func(r wal.Record) {
 		switch r.Op {
 		case wal.OpInsert:
 			ix.inner.Insert(r.Key, r.Val) //nolint:errcheck
@@ -463,7 +474,7 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if opts.RetrainEvery > 0 {
 		ix.inner.StartRetrainer(opts.RetrainEvery)
 	}
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts}
+	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts, fsyncHist: hist}
 	d.commitSeq.Store(clock)
 	if opts.Tiered {
 		// A tiered directory before its first flush: the recovered WAL tail
@@ -493,7 +504,7 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 // that base. The directory fsync before returning makes a created or
 // renamed live log's entry durable; without it, power loss could drop the
 // file and every write acked to it, even under SyncEveryOp.
-func replayChain(fsys faultfs.FS, dir string, opts DirOptions, logs []fileID, minRot, w uint64, apply func(wal.Record)) (*wal.Log, fileID, uint64, error) {
+func replayChain(fsys faultfs.FS, dir string, wo wal.Options, logs []fileID, minRot, w uint64, apply func(wal.Record)) (*wal.Log, fileID, uint64, error) {
 	clock := w
 	live := fileID{rot: minRot}
 	var log *wal.Log
@@ -514,7 +525,7 @@ func replayChain(fsys faultfs.FS, dir string, opts DirOptions, logs []fileID, mi
 		var err error
 		if i == len(logs)-1 {
 			live = id
-			log, n, err = wal.Open(path, walOptions(opts, fsys), step)
+			log, n, err = wal.Open(path, wo, step)
 			liveRecs = n
 		} else {
 			n, err = wal.ReplayFile(fsys, path, step)
@@ -536,7 +547,7 @@ func replayChain(fsys faultfs.FS, dir string, opts DirOptions, logs []fileID, mi
 		}
 		live.base = clock
 		var err error
-		if log, _, err = wal.Open(path, walOptions(opts, fsys), nil); err != nil {
+		if log, _, err = wal.Open(path, wo, nil); err != nil {
 			return nil, fileID{}, 0, err
 		}
 	}
@@ -703,10 +714,13 @@ func (d *DurableIndex) admitsLocked(n int) bool {
 
 // commit admits, enqueues, and blocks until a leader has committed (or
 // rejected) entry e. The first writer to find no active leader becomes the
-// leader and drains the queue until it is empty — including entries
-// enqueued while earlier batches were committing — then steps down.
-// Followers wait; their latency is at most one in-flight batch plus their
-// own.
+// leader and commits a batch of its own entry alone: with no leader, the
+// queue was empty when e joined it. After that batch it yields (see
+// yieldAfter) and returns; if writers queued behind it meanwhile, it first
+// hands the leadership to a drainer goroutine that commits them (drain). So
+// a leader's caller waits for one batch, not for every batch queued while
+// it leads, and can join the next one sooner. Followers wait; their
+// latency is at most one in-flight batch plus their own.
 func (d *DurableIndex) commit(ctx context.Context, e *pendingEntry) {
 	if err := ctx.Err(); err != nil {
 		e.fail(err) // dead context: reject before touching the queue
@@ -760,45 +774,79 @@ func (d *DurableIndex) commit(ctx context.Context, e *pendingEntry) {
 		return
 	}
 	d.leader = true
-	var batch []*pendingEntry
+	batch := d.claimLocked(d.spare) // [e]: nothing else is queued, nothing can cancel e
+	d.spare = nil
+	d.qmu.Unlock()
+	d.commitBatch(batch) // resolves e on this goroutine
+	d.yieldAfter(true)   // nobody else was acked
+	d.qmu.Lock()
+	if len(d.queue) > 0 {
+		d.qmu.Unlock()
+		go d.drain(batch)
+		return
+	}
+	d.resignLocked(batch)
+	d.qmu.Unlock()
+}
+
+// drain leads the entries queued behind a leader that has returned: it
+// claims them, commits them as a batch and yields, until a claim comes back
+// empty, and then resigns. spent is the returned leader's batch. A drainer
+// ignores every writer's ctx: abandoning the queue would strand the
+// followers in it, and a claimed entry reports its true outcome anyway.
+func (d *DurableIndex) drain(spent []*pendingEntry) {
+	d.qmu.Lock()
 	for {
-		batch = d.claimLocked(batch)
+		batch := d.claimLocked(spent)
 		if len(batch) == 0 {
-			d.leader = false
-			d.updateRetrainPauseLocked()
+			d.resignLocked(batch)
 			d.qmu.Unlock()
-			break
+			return
 		}
 		d.qmu.Unlock()
 		d.commitBatch(batch)
-		// Yield before collecting the next batch, so that writers acked by
-		// this one, which are runnable but may not have re-enqueued yet (on
-		// few cores they only run when this goroutine pauses), land in the
-		// next batch: one scheduler hop of leader latency buys a write(2),
-		// an fsync under SyncEveryOp, and a d.mu hold shared by a whole
-		// batch instead of paid by stragglers. Only a run of more than
-		// soloYieldEvery batches that acked nobody marks a lone writer,
-		// which then yields only every soloYieldEvery-th batch: often
-		// enough that writers the leader cannot see (runnable but not yet
-		// enqueued) get in and end the run, rarely enough that a lone
-		// writer pays a fraction of the hop. Under SyncEveryOp the hop is a
-		// rounding error next to the fsync it may share, so the leader
-		// always yields.
-		if batch[len(batch)-1] == e { // the leader's entry alone: nobody acked
-			d.soloRun++
-		} else {
-			d.soloRun = 0
-		}
-		if d.opts.Sync == SyncEveryOp || d.soloRun <= soloYieldEvery || d.soloRun%soloYieldEvery == 0 {
-			runtime.Gosched()
-		}
+		d.yieldAfter(false) // a drainer's batches hold followers only
+		spent = batch
 		d.qmu.Lock()
 	}
-	// The leader's own entry is always claimed into its first batch
-	// (nothing can cancel it — cancellation is done by the entry's own
-	// goroutine, which is busy leading), so commitBatch resolved it on this
-	// goroutine. The leader deliberately ignores ctx while draining:
-	// abandoning the queue would strand every follower behind it.
+}
+
+// yieldAfter runs after each committed batch, before the leader looks at
+// the queue again. It yields so that writers acked by the batch, which are
+// runnable but may not have re-enqueued yet (on few cores they only run
+// when this goroutine pauses), land in the next batch: one scheduler hop of
+// leader latency buys a write(2), an fsync under SyncEveryOp, and a d.mu
+// hold shared by a whole batch instead of paid by stragglers. solo reports
+// that the batch acked no follower. Only a run of more than soloYieldEvery
+// solo batches marks a lone writer, which then yields only every
+// soloYieldEvery-th batch: often enough that writers the leader cannot see
+// (runnable but not yet enqueued) get in and end the run, rarely enough
+// that a lone writer pays a fraction of the hop. Under SyncEveryOp the hop
+// is a rounding error next to the fsync it may share, so the leader always
+// yields.
+func (d *DurableIndex) yieldAfter(solo bool) {
+	if solo {
+		d.soloRun++
+	} else {
+		d.soloRun = 0
+	}
+	if d.opts.Sync == SyncEveryOp || d.soloRun <= soloYieldEvery || d.soloRun%soloYieldEvery == 0 {
+		runtime.Gosched()
+	}
+}
+
+// resignLocked ends a leadership stint on an empty queue. spent, the
+// stint's last batch, becomes the spare the next leader claims into, and a
+// Close waiting for the stint to end wakes. Callers hold qmu.
+func (d *DurableIndex) resignLocked(spent []*pendingEntry) {
+	clear(spent)
+	d.spare = spent[:0]
+	d.leader = false
+	d.updateRetrainPauseLocked()
+	if d.idle != nil {
+		close(d.idle)
+		d.idle = nil
+	}
 }
 
 // claimLocked moves every still-queued entry into a batch, skipping (and
@@ -1018,10 +1066,7 @@ func (d *DurableIndex) commitBatch(batch []*pendingEntry) {
 // longer matches what was just made durable: the handle is poisoned and
 // d.fail returned. Callers hold d.mu.
 func (d *DurableIndex) logApplyLocked(recs []wal.Record) (int, error) {
-	start := time.Now()
-	err := d.log.AppendAll(recs)
-	d.observeFsync(time.Since(start))
-	if err != nil {
+	if err := d.log.AppendAll(recs); err != nil {
 		if errors.Is(err, wal.ErrDiskFull) {
 			d.diskFullBatches.Add(1)
 		} else {
@@ -1144,7 +1189,7 @@ func (d *DurableIndex) checkpointLocked() error {
 	// if a crash dropped the file — even under SyncEveryOp. Failing here is
 	// safe: nothing has committed, the old snapshot + WAL stay authoritative.
 	walPath := filepath.Join(d.dir, walName(newSeq, base))
-	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs), nil)
+	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs, d.fsyncHist), nil)
 	if err != nil {
 		d.fs.Remove(tmp) //nolint:errcheck
 		return err
@@ -1228,10 +1273,12 @@ func (d *DurableIndex) WALSize() int64 {
 //
 // Writers caught in flight resolve deterministically, never hang, and are
 // never acked after Close returns without their write being durable: ops
-// blocked in admission wake immediately with ErrIndexClosed; ops enqueued but
-// not yet claimed are failed with ErrIndexClosed by the leader's next batch;
-// a batch already committing finishes first — Close waits behind it on d.mu —
-// and its acks (nil, durable) land before Close returns.
+// blocked in admission wake immediately with ErrIndexClosed; a batch already
+// committing finishes first — Close waits behind it on d.mu — and its acks
+// (nil, durable) land before Close returns; ops enqueued but not yet claimed
+// are failed with ErrIndexClosed by the leader's next batch, and Close
+// returns only once that leader has resigned, so no group-commit goroutine
+// outlives it.
 func (d *DurableIndex) Close() error {
 	// Refuse new admissions and wake blocked ones before taking d.mu: a
 	// waiter must not sleep on the space channel while Close itself is parked
@@ -1249,8 +1296,8 @@ func (d *DurableIndex) Close() error {
 	}
 
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return nil
 	}
 	d.closed = true
@@ -1263,6 +1310,21 @@ func (d *DurableIndex) Close() error {
 		// drains the in-flight ones, then the files close.
 		d.tier.retire(d.tier.segs.Load().readers)
 	}
+	d.mu.Unlock()
+
+	// Admission is shut, so the queue only shrinks: the leader's remaining
+	// batches fail at once (usableLocked) and it resigns.
+	d.qmu.Lock()
+	if !d.leader {
+		d.qmu.Unlock()
+		return err
+	}
+	if d.idle == nil {
+		d.idle = make(chan struct{})
+	}
+	idle := d.idle
+	d.qmu.Unlock()
+	<-idle
 	return err
 }
 

@@ -370,6 +370,55 @@ func TestDurableSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestFsyncLatencyCountsCommitFsyncs pins what Health.FsyncLatency counts:
+// under SyncEveryOp one fsync per batch, on the log the handle opened with
+// and on the one a checkpoint or flush rotated to; under SyncNone nothing.
+func TestFsyncLatencyCountsCommitFsyncs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts DirOptions
+	}{
+		{"legacy", durableOpts()},
+		{"tiered", tieredOpts()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sync := range []SyncPolicy{SyncEveryOp, SyncNone} {
+				opts := tc.opts
+				opts.Sync = sync
+				d, err := OpenDir(t.TempDir(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(1); i <= 20; i++ {
+					if err := d.Insert(i, i); err != nil {
+						t.Fatal(err)
+					}
+					if i == 10 {
+						if err := d.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				h := d.Health()
+				var timed uint64
+				for _, n := range h.FsyncLatency {
+					timed += n
+				}
+				want := h.Batches
+				if sync == SyncNone {
+					want = 0
+				}
+				if h.Batches != 20 || timed != want {
+					t.Errorf("policy %d: %d batches, %d timed fsyncs; want 20 and %d", sync, h.Batches, timed, want)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestWALOptionsDefaults pins the single place WAL options are derived from
 // DirOptions (OpenDir and checkpoint rotation used to build them separately):
 // a zero or negative SyncEvery falls back to the 10ms default, a positive one
@@ -382,7 +431,7 @@ func TestWALOptionsDefaults(t *testing.T) {
 		{0, 10 * time.Millisecond},
 		{3 * time.Millisecond, 3 * time.Millisecond},
 	} {
-		got := walOptions(DirOptions{Sync: SyncInterval, SyncEvery: tc.in}, faultfs.OS)
+		got := walOptions(DirOptions{Sync: SyncInterval, SyncEvery: tc.in}, faultfs.OS, nil)
 		if got.Interval != tc.want {
 			t.Errorf("walOptions(SyncEvery=%v).Interval = %v, want %v", tc.in, got.Interval, tc.want)
 		}

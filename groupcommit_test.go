@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chameleon/internal/faultfs"
+	"chameleon/internal/wal"
 )
 
 // TestGroupCommitConcurrentWriters is the group-commit stress test (run under
@@ -138,6 +140,155 @@ func TestGroupCommitBatchValidation(t *testing.T) {
 		}
 		if err := d.Delete(key + 1000); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("Delete(absent) = %v, want ErrKeyNotFound", err)
+		}
+	}
+}
+
+// handoff stalls a handle's group commit at two points, through its commit
+// hook: the batch holding key 1, a leader's own, until first is closed, and
+// the batch holding key 2, queued behind it, until release is closed, after
+// closing stalled.
+type handoff struct {
+	first, stalled, release chan struct{}
+}
+
+func stallHandoff(d *DurableIndex) *handoff {
+	h := &handoff{first: make(chan struct{}), stalled: make(chan struct{}), release: make(chan struct{})}
+	d.SetCommitHook(func(_ uint64, recs []wal.Record) error {
+		for _, r := range recs {
+			switch r.Key {
+			case 1:
+				<-h.first
+			case 2:
+				close(h.stalled)
+				<-h.release
+			}
+		}
+		return nil
+	})
+	return h
+}
+
+// start has key 1's Insert lead a batch, queues key 2's Insert behind it,
+// lets the leader's batch finish and waits until key 2's batch stalls. It
+// returns each Insert's result channel.
+func (h *handoff) start(t *testing.T, d *DurableIndex) (leader, follower chan error) {
+	t.Helper()
+	leader, follower = make(chan error, 1), make(chan error, 1)
+	go func() { leader <- d.Insert(1, 1) }()
+	waitUntil(t, "leader's batch in the hook", func() bool { return d.Health().QueueDepth == 1 })
+	go func() { follower <- d.Insert(2, 2) }()
+	waitUntil(t, "follower queued", func() bool { return d.Health().QueueDepth == 2 })
+	close(h.first)
+	select {
+	case <-h.stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower's batch never reached the commit hook")
+	}
+	return leader, follower
+}
+
+// TestGroupCommitLeaderReturnsAfterOwnBatch pins the leader hand-off: a
+// writer that leads a batch returns once that batch, which holds its own
+// entry, is committed, while the batch queued behind it is still
+// committing. A leader that drained the queue itself would be the one
+// stalled in the second batch's hook.
+func TestGroupCommitLeaderReturnsAfterOwnBatch(t *testing.T) {
+	d, err := OpenDir(t.TempDir(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := stallHandoff(d)
+	leader, follower := h.start(t, d)
+	select {
+	case err := <-leader:
+		if err != nil {
+			t.Errorf("leader's Insert = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the leader's Insert did not return while the batch queued behind it committed")
+	}
+	select {
+	case err := <-follower:
+		t.Errorf("the follower's Insert returned %v while its batch was stalled", err)
+	default:
+	}
+	close(h.release)
+	if err := <-follower; err != nil {
+		t.Errorf("follower's Insert = %v", err)
+	}
+	select {
+	case <-leader: // only after a failure above
+	default:
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitCloseRacesDrainer closes a handle while the goroutine that
+// took over the leadership is stalled in a batch, with more writers queued
+// behind it. Every writer resolves, nil or ErrIndexClosed, the queue is
+// empty when Close returns, no goroutine of the handle is left, and a
+// reopen holds exactly the writes that were acknowledged.
+func TestGroupCommitCloseRacesDrainer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	d, err := OpenDir(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := stallHandoff(d)
+	leader, follower := h.start(t, d)
+	const queued = 8
+	errs := make([]error, 3+queued)
+	var wg sync.WaitGroup
+	for k := 3; k < 3+queued; k++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[k] = d.Insert(uint64(k), uint64(k)) }()
+	}
+	waitUntil(t, "writers queued behind the stalled batch", func() bool { return d.Health().QueueDepth == 1+queued })
+
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- d.Close() }()
+	waitUntil(t, "Close past admission", func() bool { return d.Health().State == HealthClosed })
+	close(h.release)
+	select {
+	case err := <-closeErr:
+		if err != nil {
+			t.Fatalf("Close = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if depth := d.Health().QueueDepth; depth != 0 {
+		t.Errorf("Close returned with %d writes still queued", depth)
+	}
+	errs[1], errs[2] = <-leader, <-follower
+	wg.Wait()
+	acked := map[uint64]bool{}
+	for k := 1; k < len(errs); k++ {
+		switch err := errs[k]; {
+		case err == nil:
+			acked[uint64(k)] = true
+		case errors.Is(err, ErrIndexClosed) && k >= 3:
+		default:
+			t.Errorf("Insert(%d) = %v, want nil or (queued behind the stall) ErrIndexClosed", k, err)
+		}
+	}
+	waitUntil(t, "the handle's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+
+	r, err := OpenDir(dir, durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != len(acked) {
+		t.Fatalf("recovered Len = %d, want the %d acknowledged writes", r.Len(), len(acked))
+	}
+	for k := range acked {
+		if _, ok := r.Lookup(k); !ok {
+			t.Fatalf("acknowledged key %d lost", k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package chameleon
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 )
 
@@ -102,11 +103,13 @@ type Health struct {
 	// ErrDiskFull (each failed cleanly: nothing applied, nothing acked).
 	DiskFullBatches uint64
 
-	// FsyncLatency is a histogram of per-batch WAL append time.
-	// FsyncLatency[i] counts batches under FsyncBucketBounds[i]; the final
-	// slot counts the rest. Under SyncEveryOp a batch's time is a write and
-	// an fsync, fsync-dominated; under SyncInterval and SyncNone it is a
-	// copy into the WAL's buffer, plus a write once per 64 KiB of frames.
+	// FsyncLatency is a histogram of WAL fsync time, each timed with the
+	// write(2) before it. FsyncLatency[i] counts fsyncs under
+	// FsyncBucketBounds[i]; the final slot counts the rest. Only the fsyncs
+	// that commit writes are timed: under SyncEveryOp one per batch, under
+	// SyncInterval one per interval tick; under SyncNone none, and a
+	// buffered append reads no clock. Checkpoint, flush and Close fsyncs
+	// are not counted.
 	FsyncLatency [len(FsyncBucketBounds) + 1]uint64
 
 	// RetrainPauses counts overload episodes that paused the background
@@ -473,13 +476,18 @@ func (d *DurableIndex) loadFail() error {
 	return b.err
 }
 
-// observeFsync records one batch's WAL write+fsync latency in the histogram.
-func (d *DurableIndex) observeFsync(dur time.Duration) {
+// fsyncHist is the histogram behind Health.FsyncLatency. A handle's logs
+// report their timed fsyncs into it (wal.Options.OnSync), the live log
+// recovery opens among them, so it is made before the handle.
+type fsyncHist [len(FsyncBucketBounds) + 1]atomic.Uint64
+
+// observe records one timed fsync.
+func (h *fsyncHist) observe(dur time.Duration) {
 	i := 0
 	for ; i < len(FsyncBucketBounds); i++ {
 		if dur < FsyncBucketBounds[i] {
 			break
 		}
 	}
-	d.fsyncHist[i].Add(1)
+	h[i].Add(1)
 }

@@ -689,9 +689,12 @@ func TestFACEBulkLoadAtTheorem1Size(t *testing.T) {
 	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
 	dcfg := rl.DefaultDAREConfig()
 	ix := New(Config{Dare: rl.NewCostDARE(dcfg), Policy: rl.NewCostPolicy(dcfg.Env)})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
+	runtime.ReadMemStats(&after)
 	var leaves, over, saturated, slots int
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -721,5 +724,13 @@ func TestFACEBulkLoadAtTheorem1Size(t *testing.T) {
 	}
 	if st.MaxError > 128 {
 		t.Errorf("MaxError = %d, want ≤ 128 (the conflict-degree bound)", st.MaxError)
+	}
+	// The bulk load allocates the leaves it keeps, not one per α rung its
+	// leaves tried (ebh's climb tries rungs on an occupancy bitmap): 1.46×
+	// Bytes() on a 2-vCPU VM, 3.3× when each rung tried built a slab.
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("BulkLoad allocated %.1f MB for %.1f MB of index (%.2f×)", alloc/1e6, float64(ix.Bytes())/1e6, alloc/float64(ix.Bytes()))
+	if alloc > 1.5*float64(ix.Bytes()) {
+		t.Errorf("BulkLoad allocated %.1f MB, want at most 1.5× Bytes() = %.1f MB", alloc/1e6, 1.5*float64(ix.Bytes())/1e6)
 	}
 }

@@ -140,16 +140,32 @@ type Node struct {
 // alpha. The slabs start empty.
 func newProbe(lo, hi uint64, c int, alpha float64) *probe {
 	pr := &probe{
-		lo: lo, hi: hi, c: c, alpha: alpha,
 		slots: make([]atomic.Uint64, 2*c),
 		occ:   make([]atomic.Uint64, (c+63)/64),
 	}
+	pr.shape(lo, hi, c, alpha)
+	return pr
+}
+
+// reset empties pr's slabs, which must fit capacity c, and its conflict
+// degree, and shapes it anew. Only a probe no reader can reach may be reset.
+func (pr *probe) reset(lo, hi uint64, c int, alpha float64) {
+	clear(pr.slots)
+	clear(pr.occ)
+	pr.cd.Store(0)
+	pr.shape(lo, hi, c, alpha)
+}
+
+// shape gives pr the interval [lo, hi], capacity c and hash factor alpha,
+// and the cached hash factors they make.
+func (pr *probe) shape(lo, hi uint64, c int, alpha float64) {
+	pr.lo, pr.hi, pr.c, pr.alpha = lo, hi, c, alpha
 	pr.cf = float64(c)
 	pr.invC = 1 / pr.cf
+	pr.scale = 0
 	if span := hi - lo; span > 0 {
 		pr.scale = alpha * pr.cf / float64(span)
 	}
-	return pr
 }
 
 // capFor is the slot count a leaf is built with for expected keys: the
@@ -442,35 +458,55 @@ func (nd *Node) settle() {
 
 // climb tries the hash factor before the capacity: the entries of src, all
 // of the leaf's keys, are re-scattered at the live probe's capacity and
-// interval with each other rung of the α ladder, and whichever probe has the
-// smallest conflict degree wins — the best rung, not the first that meets
-// the bound, since every absent-key search scans the whole window. cur is
-// the probe at the current rung, or nil when its placement was abandoned
-// once it broke the bound. Only if no rung meets the bound is the leaf
-// re-scattered at twice its population with the best rung known, over the
-// same interval so an extension's slack survives, and marked saturated if
-// even that fails.
+// interval with each other rung of the α ladder, and whichever rung gives
+// the smallest conflict degree wins — the best rung, not the first that
+// meets the bound, since every absent-key search scans the whole window.
+// Only if no rung meets the bound is the leaf re-scattered at twice its
+// population with the best rung known, over the same interval so an
+// extension's slack survives, and marked saturated if even that fails.
+//
+// The rungs are tried on a trial probe, which has an occupancy bitmap and
+// no slots: where an entry lands depends only on which slots are taken, so
+// a trial finds a rung's conflict degree without the slab, and only the
+// winner is built. cur is the probe at the current rung, or nil for a leaf
+// under construction (NewFromSorted) whose placement at the current rung
+// was abandoned once it broke the bound. No reader has seen such a leaf,
+// and src does not read its probe, so a winner at the same capacity is
+// placed into that probe's slabs.
 func (nd *Node) climb(src entries, cur *probe) {
 	live := nd.p.Load()
-	best, alpha, stop := cur, live.alpha, int32(maxConflictDegree+1)
+	alpha, stop := live.alpha, int32(maxConflictDegree+1)
 	if cur != nil {
 		stop = cur.cd.Load()
 	}
+	won := false
+	trial := &probe{occ: make([]atomic.Uint64, len(live.occ))}
 	for _, m := range alphaLadder {
 		if a := m * nd.base; a != live.alpha {
-			if np := newProbe(live.lo, live.hi, live.c, a); np.fill(src, stop) {
-				best, alpha, stop = np, a, np.cd.Load()
+			trial.reset(live.lo, live.hi, live.c, a)
+			if trial.fill(src, stop) {
+				alpha, stop, won = a, trial.cd.Load(), true
 			}
 		}
 	}
-	if int(stop) > maxConflictDegree {
-		best = newProbe(live.lo, live.hi, nd.capFor(2*nd.n), alpha)
-		best.fill(src, math.MaxInt32)
-		nd.saturated.Store(int(best.cd.Load()) > maxConflictDegree)
+	saturating := int(stop) > maxConflictDegree
+	var np *probe
+	switch {
+	case saturating:
+		np = newProbe(live.lo, live.hi, nd.capFor(2*nd.n), alpha)
+	case !won:
+		return // cur already has the smallest conflict degree
+	case cur == nil:
+		np = live
+		np.reset(live.lo, live.hi, live.c, alpha)
+	default:
+		np = newProbe(live.lo, live.hi, live.c, alpha)
 	}
-	if best != live {
-		nd.p.Store(best)
+	np.fill(src, math.MaxInt32)
+	if saturating {
+		nd.saturated.Store(int(np.cd.Load()) > maxConflictDegree)
 	}
+	nd.p.Store(np)
 }
 
 // place stores a key assumed absent into pr. It probes within the
@@ -478,18 +514,22 @@ func (nd *Node) climb(src entries, cur *probe) {
 // capacity always exceeds the population, so a free slot exists within
 // c/2+1 steps. It never rebuilds; Insert owns that policy.
 func (pr *probe) place(k, v uint64) {
+	i, d := pr.free(k)
+	pr.put(i, k, v, d)
+}
+
+// free returns the slot place stores k in, and its distance d from k's
+// home slot.
+func (pr *probe) free(k uint64) (i, d int) {
 	h := pr.home(k)
 	limit := pr.c/2 + 1
 	for d := 0; d <= limit; d++ {
-		i := pr.slotAt(h + d)
-		if !pr.occupied(i) {
-			pr.put(i, k, v, d)
-			return
+		if i := pr.slotAt(h + d); !pr.occupied(i) {
+			return i, d
 		}
 		if d > 0 {
 			if j := pr.slotAt(h - d); !pr.occupied(j) {
-				pr.put(j, k, v, d)
-				return
+				return j, d
 			}
 		}
 	}
@@ -502,6 +542,11 @@ func (pr *probe) put(i int, k, v uint64, d int) {
 	// the value is in place.
 	pr.slots[uint(i)<<1|1].Store(v)
 	pr.slots[uint(i)<<1].Store(k)
+	pr.take(i, d)
+}
+
+// take marks slot i occupied by a key d slots from its home.
+func (pr *probe) take(i, d int) {
 	pr.setOcc(i)
 	if int32(d) > pr.cd.Load() {
 		pr.cd.Store(int32(d))
@@ -523,11 +568,16 @@ func (pr *probe) each(yield func(k, v uint64) bool) {
 
 // fill places the entries of src into pr and reports whether it placed them
 // all: it gives up as soon as pr's conflict degree reaches stop, so a trial
-// that cannot beat a known conflict degree stops early.
+// that cannot beat a known conflict degree stops early. Into a trial probe
+// (no slots, see climb) it places only the occupancy bits.
 func (pr *probe) fill(src entries, stop int32) bool {
-	ok := true
+	ok, trial := true, pr.slots == nil
 	src(func(k, v uint64) bool {
-		pr.place(k, v)
+		if i, d := pr.free(k); trial {
+			pr.take(i, d)
+		} else {
+			pr.put(i, k, v, d)
+		}
 		ok = pr.cd.Load() < stop
 		return ok
 	})

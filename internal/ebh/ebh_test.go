@@ -3,6 +3,7 @@ package ebh
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -420,6 +421,31 @@ func TestClusteredBulkLoadKeepsTheorem1Capacity(t *testing.T) {
 		if v, ok := nd.Lookup(k); !ok || v != k {
 			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
 		}
+	}
+}
+
+// TestBulkLoadAllocatesWhatItKeeps pins what a bulk-built leaf that climbs
+// the α ladder allocates: the slab it keeps, which also held the abandoned
+// placement at the configured α, and a trial occupancy bitmap for the rungs
+// it tried. Built as a full probe per rung tried, the leaf allocated three
+// slabs.
+func TestBulkLoadAllocatesWhatItKeeps(t *testing.T) {
+	keys := runPlusSpread()
+	const builds = 10
+	var nd *Node
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range builds {
+		nd = NewFromSorted(0, 0, keys, nil, 0, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if g := nd.Geometry(); g.Alpha == DefaultAlpha || g.Saturated {
+		t.Fatalf("leaf at α %v (saturated %v): the test needs one that climbs to another rung", g.Alpha, g.Saturated)
+	}
+	perBuild := float64(after.TotalAlloc-before.TotalAlloc) / builds
+	t.Logf("%.0f B allocated per build, Bytes() %d", perBuild, nd.Bytes())
+	if perBuild > 1.5*float64(nd.Bytes()) {
+		t.Errorf("a bulk build allocates %.0f B for a leaf of %d B, want at most 1.5×", perBuild, nd.Bytes())
 	}
 }
 

@@ -97,6 +97,11 @@ type Options struct {
 	// FS overrides the filesystem; tests inject faults here. Nil means the
 	// real one.
 	FS faultfs.FS
+	// OnSync, if set, is called with how long each fsync that commits
+	// appends took, the write(2) before it included: a successful
+	// SyncEveryOp AppendAll, timed whole, and a SyncInterval tick. Sync and
+	// Close are not timed, and a buffered AppendAll reads no clock.
+	OnSync func(time.Duration)
 }
 
 const (
@@ -143,8 +148,9 @@ type Log struct {
 	err    error // sticky I/O failure; the log is dead once set
 	closed bool
 
-	stop chan struct{} // interval-sync goroutine lifecycle
-	done chan struct{}
+	stop   chan struct{} // interval-sync goroutine lifecycle
+	done   chan struct{}
+	onSync func(time.Duration) // Options.OnSync
 
 	// buf holds the frames not yet written, reused under mu: under a
 	// buffered policy the acked frames awaiting flushLocked, under
@@ -185,7 +191,7 @@ func Open(path string, opts Options, apply func(Record)) (*Log, int, error) {
 		f.Close() //nolint:errcheck
 		return nil, nrec, err
 	}
-	l := &Log{f: f, path: path, policy: opts.Policy, size: int64(valid)}
+	l := &Log{f: f, path: path, policy: opts.Policy, onSync: opts.OnSync, size: int64(valid)}
 	if opts.Policy != SyncEveryOp {
 		// Sized once, with room for the batch that fills it. Grown by
 		// appends instead, it took ~25 allocations per log, and a tiered
@@ -371,6 +377,18 @@ func (l *Log) AppendAll(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	if l.onSync == nil || l.policy != SyncEveryOp { // a buffered append has no fsync to time
+		return l.appendAll(recs)
+	}
+	start := time.Now()
+	err := l.appendAll(recs)
+	if err == nil {
+		l.onSync(time.Since(start))
+	}
+	return err
+}
+
+func (l *Log) appendAll(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -549,6 +567,7 @@ func (l *Log) syncLoop(interval time.Duration) {
 			return
 		case <-tick.C:
 			l.mu.Lock()
+			start, synced := time.Now(), false
 			if !l.closed && l.err == nil {
 				// A disk-full write keeps its frames pending for the next
 				// flush; the fsync still covers what the file holds.
@@ -556,10 +575,15 @@ func (l *Log) syncLoop(interval time.Duration) {
 				if l.err == nil {
 					if err := l.f.Sync(); err != nil {
 						l.err = fmt.Errorf("wal: sync: %w", err)
+					} else {
+						synced = true
 					}
 				}
 			}
 			l.mu.Unlock()
+			if synced && l.onSync != nil {
+				l.onSync(time.Since(start))
+			}
 		}
 	}
 }

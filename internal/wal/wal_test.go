@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,6 +473,86 @@ func TestBufferedAppendsBatchWrites(t *testing.T) {
 				t.Fatalf("AppendAll of %d records took %d writes and %d fsyncs, want 1 and 1",
 					len(batch), fsys.writes-w, fsys.syncs-s)
 			}
+		}
+	})
+}
+
+// TestOnSyncTimesCommitFsyncsOnly pins which fsyncs Options.OnSync times:
+// each SyncEveryOp AppendAll's and each SyncInterval tick's. A buffered
+// append, even one whose frames fill the buffer and are written, reads no
+// clock and reports nothing, and neither do Sync and Close.
+func TestOnSyncTimesCommitFsyncsOnly(t *testing.T) {
+	open := func(t *testing.T, policy SyncPolicy, interval time.Duration, calls *atomic.Int64) *Log {
+		t.Helper()
+		l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{
+			Policy: policy, Interval: interval,
+			OnSync: func(time.Duration) { calls.Add(1) },
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// 10,000 frames fill the 64 KiB buffer a few times over.
+	appendMany := func(t *testing.T, l *Log) {
+		t.Helper()
+		for i := range 10_000 {
+			if err := l.Append(Record{OpInsert, uint64(i), 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("none", func(t *testing.T) {
+		var calls atomic.Int64
+		appendMany(t, open(t, SyncNone, 0, &calls))
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("OnSync called %d times, want none", n)
+		}
+	})
+	t.Run("interval_buffered", func(t *testing.T) {
+		var calls atomic.Int64
+		appendMany(t, open(t, SyncInterval, time.Hour, &calls))
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("OnSync called %d times with no tick, want none", n)
+		}
+	})
+	t.Run("interval_tick", func(t *testing.T) {
+		var calls atomic.Int64
+		l := open(t, SyncInterval, time.Millisecond, &calls)
+		defer l.Close()
+		if err := l.Append(Record{OpInsert, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for calls.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no tick's fsync reached OnSync")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	t.Run("every_op", func(t *testing.T) {
+		var calls atomic.Int64
+		l := open(t, SyncEveryOp, 0, &calls)
+		for i := range 200 {
+			if err := l.AppendAll([]Record{{OpInsert, uint64(i), 1}, {OpDelete, uint64(i), 0}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 200 {
+			t.Fatalf("OnSync called %d times for 200 appends, want 200", n)
 		}
 	})
 }

@@ -436,7 +436,7 @@ func (t *tier) maybeSignalFlush() {
 // d.mu.
 func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort func(), err error) {
 	path := filepath.Join(d.dir, walName(d.seq+1, base))
-	next, _, err = wal.Open(path, walOptions(d.opts, d.fs), nil)
+	next, _, err = wal.Open(path, walOptions(d.opts, d.fs, d.fsyncHist), nil)
 	if err != nil {
 		return nil, nil, err
 	}

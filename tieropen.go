@@ -36,7 +36,8 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 	ix := New(opts.Options)
 	rec := &tier{dead: bptree.New(0)}
 	rec.liveCount.Store(man.LiveCount)
-	log, cur, clock, err := replayChain(fsys, dir, opts, logs, 0, man.FlushedSeq, func(r wal.Record) {
+	hist := new(fsyncHist)
+	log, cur, clock, err := replayChain(fsys, dir, walOptions(opts, fsys, hist), logs, 0, man.FlushedSeq, func(r wal.Record) {
 		rec.applyLocked(ix, r) //nolint:errcheck
 	})
 	if err != nil {
@@ -48,7 +49,7 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 
 	// No retrainer: a tier's memtable is maintained only by writer-inline
 	// reconstruction (DirOptions.Tiered).
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts}
+	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts, fsyncHist: hist}
 	d.commitSeq.Store(clock)
 	d.tier = newTier(d, man, readers, rec.dead, rec.liveCount.Load())
 	return d, nil
