@@ -75,12 +75,11 @@ type DirOptions struct {
 	// regardless of this flag; one that holds a legacy snapshot is refused
 	// with ErrLayoutMismatch when the flag is set.
 	//
-	// A tier's memtable runs no retrainer, whatever RetrainEvery says: every
-	// flush and bulk load empties it, and the retrainer starts only on a
-	// tree with gates. Writer-inline reconstruction (ReconstructThreshold)
-	// is its only maintenance. Measured with RetrainEvery 10ms, a 100 k-key
-	// bulk load and 20 k inserts flushed every 5 k: no retrainer after open,
-	// after BulkLoad or after any flush; 0 retrains, 20 reconstructions.
+	// A tier's memtable runs no retrainer, whatever RetrainEvery says;
+	// writer-inline reconstruction (ReconstructThreshold) is its only
+	// maintenance. Measured with RetrainEvery 10ms, a 100 k-key bulk load
+	// and 20 k inserts flushed every 5 k: no retrainer after open, after
+	// BulkLoad or after any flush; 0 retrains, 20 reconstructions.
 	Tiered bool
 	// MemtableBytes is the approximate in-memory delta size that triggers a
 	// background flush (default 4 MiB). Entries are accounted at 16 bytes.
@@ -104,7 +103,7 @@ type DirOptions struct {
 // embedded: promoted mutators (ReadFrom, BulkLoad, StartRetrainer) would
 // bypass the WAL and silently desynchronize memory from the log.
 type DurableIndex struct {
-	ix *Index
+	ix *Index // the legacy engine's index; nil when tiered (see tier.mem)
 
 	mu     sync.Mutex // serializes batch commits, checkpoints, and Close
 	fs     faultfs.FS
@@ -471,16 +470,18 @@ func openDirFS(dir string, opts DirOptions, fsys faultfs.FS) (*DurableIndex, err
 	if len(snaps) > 0 && snaps[0].rot > seq {
 		seq = snaps[0].rot // never reuse the rotation of a corrupt newer snapshot
 	}
-	if opts.RetrainEvery > 0 {
-		ix.inner.StartRetrainer(opts.RetrainEvery)
-	}
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: seq, opts: opts, fsyncHist: hist}
+	d := &DurableIndex{fs: fsys, dir: dir, log: log, seq: seq, opts: opts, fsyncHist: hist}
 	d.commitSeq.Store(clock)
 	if opts.Tiered {
 		// A tiered directory before its first flush: the recovered WAL tail
-		// is the memtable.
-		d.tier = newTier(d, nil, nil, nil, int64(ix.Len()))
+		// is the memtable, which runs no retrainer (DirOptions.Tiered).
+		d.tier = newTier(d, nil, nil, newMemtable(ix), int64(ix.Len()))
+		return d, nil
 	}
+	if opts.RetrainEvery > 0 {
+		ix.inner.StartRetrainer(opts.RetrainEvery)
+	}
+	d.ix = ix
 	return d, nil
 }
 
@@ -626,7 +627,7 @@ func (d *DurableIndex) poisonLocked(err error) {
 	}
 	d.fail = fmt.Errorf("chameleon: durable index failed: %w (in-memory and on-disk state may diverge; discard this handle and re-OpenDir)", err)
 	d.failv.Store(errBox{d.fail})
-	d.ix.inner.StopRetrainer()
+	d.index().inner.StopRetrainer()
 	if d.log != nil {
 		d.log.Close() //nolint:errcheck
 	}
@@ -925,10 +926,10 @@ func (d *DurableIndex) updateRetrainPauseLocked() {
 	case !d.retrainPaused.Load() && d.pendingOps >= hi:
 		d.retrainPaused.Store(true)
 		d.retrainPauses.Add(1)
-		d.ix.PauseRetrainer()
+		d.index().PauseRetrainer()
 	case d.retrainPaused.Load() && d.pendingOps <= hi/2:
 		d.retrainPaused.Store(false)
-		d.ix.ResumeRetrainer()
+		d.index().ResumeRetrainer()
 	}
 }
 
@@ -1303,7 +1304,7 @@ func (d *DurableIndex) Close() error {
 	d.closed = true
 	d.readsClosed.Store(true)
 	d.broadcastSeq() // WaitSeq waiters wake and observe ErrIndexClosed
-	d.ix.inner.StopRetrainer()
+	d.index().inner.StopRetrainer()
 	err := d.log.Close()
 	if d.tier != nil {
 		// readsClosed is set: no new cold read can start. retire's barrier
@@ -1404,10 +1405,19 @@ func (d *DurableIndex) Len() int {
 	return d.ix.Len()
 }
 
-// Stats reports the structural metrics of the paper's Table V.
+// Stats reports the structural metrics of the paper's Table V (the memtable's, when tiered).
 func (d *DurableIndex) Stats() Stats {
 	if d.readsClosed.Load() {
 		return Stats{}
 	}
-	return d.ix.Stats()
+	return d.index().Stats()
+}
+
+// index is the in-memory index writes land in: the legacy engine's, or the
+// tier's current memtable.
+func (d *DurableIndex) index() *Index {
+	if d.tier != nil {
+		return d.tier.mem.Load().ix
+	}
+	return d.ix
 }

@@ -147,8 +147,8 @@ type TierHealth struct {
 
 	// LiveKeys is the exact visible-key count across every tier.
 	// MemtableKeys and DeadKeys are the hot inserts and pending tombstones
-	// the next flush will fold in; FrozenKeys is the size of a capture
-	// currently being flushed (0 when no flush is in flight).
+	// the next flush will fold in; FrozenKeys, those of the memtable a flush
+	// in flight (or awaiting retry) is writing out, 0 when there is none.
 	LiveKeys     int64
 	MemtableKeys int
 	DeadKeys     int
@@ -242,7 +242,7 @@ func (d *DurableIndex) Health() Health {
 func (t *tier) health() *TierHealth {
 	th := &TierHealth{
 		LiveKeys:          t.liveCount.Load(),
-		MemtableKeys:      t.d.ix.Len(),
+		MemtableKeys:      t.mem.Load().ix.Len(),
 		FlushedSeq:        t.flushedSeq.Load(),
 		Gen:               t.gen.Load(),
 		Flushes:           t.flushes.Load(),
@@ -257,10 +257,10 @@ func (t *tier) health() *TierHealth {
 		ColdReadErrs:      t.coldErrs.Load(),
 	}
 	t.deadMu.RLock()
-	th.DeadKeys = t.dead.Len()
+	th.DeadKeys = t.mem.Load().dead.Len()
 	t.deadMu.RUnlock()
 	if fr := t.frozen.Load(); fr != nil {
-		th.FrozenKeys = len(fr.keys)
+		th.FrozenKeys = fr.ix.Len() + fr.dead.Len()
 	}
 	readers := t.segs.Load().readers
 	for _, r := range readers {

@@ -30,17 +30,17 @@ import (
 // either the old manifest + a WAL that still covers the delta, or the new
 // manifest with the delta inside segments.
 //
-// Read path (newest wins): memtable → dead-set (tombstones awaiting flush) →
-// frozen run (flush in progress) → segments newest-to-oldest, pruned by
-// min/max and each run's membership filter, resolved by one block read.
-// A memtable hit is lock-free; a miss re-probes the memtable and probes the
-// dead set under one deadMu read hold (see get), so a key moving between
-// the two is seen on at least one side and never resurrected from a
-// segment.
+// Read path (newest wins): memtable → dead set (tombstones awaiting flush) →
+// frozen run (the memtable a flush in progress swapped out) → segments
+// newest-to-oldest, pruned by min/max and each run's membership filter,
+// resolved by one block read. A memtable hit is lock-free; a miss re-probes
+// the memtable and probes the dead set under one deadMu read hold (see get),
+// so a key moving between the two is seen on at least one side and never
+// resurrected from a segment.
 //
-// Lock order: t.tmu → d.mu → d.qmu, and d.mu → deadMu; deadMu is held only
-// across in-memory probes and edits, never across I/O. t.segMu is
-// independent and nests inside anything: readers hold segMu.RLock across
+// Lock order: t.tmu → d.mu → d.qmu → deadMu; deadMu is held only across
+// in-memory probes, edits and the memtable swap, never across I/O. t.segMu
+// is independent and nests inside anything: readers hold segMu.RLock across
 // segment I/O; retire takes segMu.Lock only as an empty barrier (Lock;
 // Unlock) after a new segment set is published, so retired readers are
 // closed only after every in-flight cold read has drained. Nobody acquires
@@ -53,21 +53,17 @@ type tier struct {
 	// d.mu, never after.
 	tmu sync.Mutex
 
-	// dead holds the deleted keys not yet flushed, one tombstone per key in
-	// key order (so a RANGE takes only its window's): a delete of a key that
-	// (maybe) lives in a segment cannot just remove it from the memtable — a
-	// cold read would fall through and resurrect it. Invariant: a key is
-	// never in both the memtable and dead, except inside applyLocked, where
-	// the memtable wins. Mutations hold d.mu and deadMu; point reads take
-	// deadMu shared (get), and code under d.mu reads dead without deadMu.
+	// mem is the live memtable. Writes to it hold d.mu, and dead-set writes
+	// and the swap (swapMemtableLocked) deadMu too; point reads take deadMu
+	// shared (get), and code under d.mu reads mem without deadMu.
 	deadMu sync.RWMutex
-	dead   *bptree.Tree
+	mem    atomic.Pointer[memtable]
 
-	// frozen is the run captured by the last freeze and not yet durable as a
-	// segment; non-nil exactly while a flush is in progress (or has failed
-	// and awaits retry). Readers consult it between the memtable and the
-	// segments.
-	frozen atomic.Pointer[frozenRun]
+	// frozen is the memtable the last freeze swapped out, read-only and not
+	// yet durable as a segment; non-nil exactly while a flush is in progress
+	// (or has failed and awaits retry). Readers consult it between the
+	// memtable and the segments.
+	frozen atomic.Pointer[memtable]
 
 	// segs is the published segment set, newest first. Never nil.
 	segMu sync.RWMutex // reader-retirement barrier; see package comment
@@ -107,34 +103,68 @@ type tier struct {
 	lastFlushErrv atomic.Value  // errBox
 }
 
-// frozenRun is an immutable memtable capture: merged live pairs and dead-set
-// tombstones, key-ascending, with the commit-sequence watermark and exact
-// live count taken at freeze time.
-type frozenRun struct {
-	keys, vals []uint64
-	tombs      []bool
-	seq        uint64
-	live       int64
+// memtable is the paper's index over the hot writes, paired with the dead
+// set: the deleted keys not yet flushed, one tombstone per key in key order
+// (so a RANGE takes only its window's). A delete of a key that (maybe) lives
+// in a segment cannot just remove it from the index — a cold read would
+// fall through and resurrect it. Invariant: a key is never in both ix and
+// dead, except inside applyLocked, where ix wins. seq and live are the
+// commit-sequence watermark and the exact live count at the freeze that
+// swapped the memtable out.
+type memtable struct {
+	ix   *Index
+	dead *bptree.Tree
+	seq  uint64
+	live int64
 }
 
-// get resolves key against the frozen run. ok distinguishes "this run is
-// authoritative for key" (hit or tombstone) from "not present here".
-func (fr *frozenRun) get(key uint64) (val uint64, tomb, ok bool) {
-	i := sort.Search(len(fr.keys), func(i int) bool { return fr.keys[i] >= key })
-	if i == len(fr.keys) || fr.keys[i] != key {
-		return 0, false, false
-	}
-	return fr.vals[i], fr.tombs[i], true
+func newMemtable(ix *Index) *memtable {
+	return &memtable{ix: ix, dead: bptree.New(0)}
 }
 
-// entries materializes the [lo, hi] window as merge input.
-func (fr *frozenRun) entries(lo, hi uint64) []segment.Entry {
-	i := sort.Search(len(fr.keys), func(i int) bool { return fr.keys[i] >= lo })
-	var out []segment.Entry
-	for ; i < len(fr.keys) && fr.keys[i] <= hi; i++ {
-		out = append(out, segment.Entry{Key: fr.keys[i], Val: fr.vals[i], Tomb: fr.tombs[i]})
+// window appends m's share of [lo, hi] to srcs as two ascending merge
+// sources, its pairs, then its tombstones (so a collision keeps the pair);
+// a nil m (no frozen run) adds none. Callers hold d.mu for the live
+// memtable; a frozen one needs no lock.
+func (m *memtable) window(lo, hi uint64, srcs []segment.Iterator) []segment.Iterator {
+	if m == nil {
+		return srcs
 	}
-	return out
+	var pairs, tombs []segment.Entry
+	m.ix.Range(lo, hi, func(k, v uint64) bool {
+		pairs = append(pairs, segment.Entry{Key: k, Val: v})
+		return true
+	})
+	m.dead.Range(lo, hi, func(k, _ uint64) bool {
+		tombs = append(tombs, segment.Entry{Key: k, Tomb: true})
+		return true
+	})
+	return append(srcs, segment.NewSliceIter(pairs), segment.NewSliceIter(tombs))
+}
+
+// run returns a frozen memtable as one ascending run, tombstones flagged, in
+// the form segment.Create takes; a collision keeps the pair, as in window.
+func (m *memtable) run() (keys, vals []uint64, tombs []bool) {
+	dead := make([]uint64, 0, m.dead.Len())
+	m.dead.Range(0, math.MaxUint64, func(k, _ uint64) bool { dead = append(dead, k); return true })
+	n := m.ix.Len() + len(dead)
+	keys, vals, tombs = make([]uint64, 0, n), make([]uint64, 0, n), make([]bool, 0, n)
+	add := func(k, v uint64, tomb bool) {
+		keys, vals, tombs = append(keys, k), append(vals, v), append(tombs, tomb)
+	}
+	m.ix.Range(0, math.MaxUint64, func(k, v uint64) bool {
+		for ; len(dead) > 0 && dead[0] <= k; dead = dead[1:] {
+			if dead[0] < k {
+				add(dead[0], 0, true)
+			}
+		}
+		add(k, v, false)
+		return true
+	})
+	for _, k := range dead {
+		add(k, 0, true)
+	}
+	return keys, vals, tombs
 }
 
 // segset is the immutable published list of open segment readers, newest
@@ -176,10 +206,9 @@ const (
 // snapshot mode.
 var ErrNotTiered = errors.New("chameleon: directory is not in tiered mode")
 
-func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, dead *bptree.Tree, live int64) *tier {
+func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, mem *memtable, live int64) *tier {
 	t := &tier{
 		d:         d,
-		dead:      dead,
 		flushCh:   make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		memBytes:  d.opts.MemtableBytes,
@@ -191,9 +220,7 @@ func newTier(d *DurableIndex, man *segment.Manifest, readers []*segment.Reader, 
 	if t.compactL0 <= 0 {
 		t.compactL0 = defaultCompactL0
 	}
-	if t.dead == nil {
-		t.dead = bptree.New(0)
-	}
+	t.mem.Store(mem)
 	sortNewestFirst(readers)
 	t.segs.Store(&segset{readers: readers})
 	if man != nil {
@@ -219,37 +246,39 @@ var getHoldFailpoint func()
 // get resolves key across every tier: the one point read behind Lookup,
 // LookupBatch and commit validation (presentLocked). A memtable hit returns
 // lock-free. A miss takes deadMu shared, probes the memtable again and then
-// the dead set, and loads the frozen run. Every dead-set change holds
-// deadMu exclusively, and applyLocked inserts into the memtable before it
-// clears a tombstone and adds a tombstone before it deletes from the
-// memtable, so under the hold a key in motion is in the memtable or in the
-// dead set when the reader looks: a miss in both is authoritative. The
-// frozen run and the segments are then asked with no lock held: freeze
-// publishes the frozen run before it empties the memtable, and flush drops
-// it only after the segment that holds it is published. err is a segment
-// read failure; the caller decides whether it counts in ColdReadErrs.
+// its dead set, and loads the frozen run. Every dead-set change and memtable
+// swap holds deadMu exclusively, and applyLocked inserts into the memtable
+// before it clears a tombstone and adds a tombstone before it deletes from
+// the memtable, so under the hold a key in motion is in the memtable or in
+// the dead set when the reader looks: a miss in both is authoritative. The
+// frozen run (probed as a memtable is) and the segments are then asked with
+// no lock held: freeze publishes the frozen run before it swaps the memtable
+// out, and flush drops it only after the segment that holds it is
+// published. err is a segment read failure; the caller decides whether it
+// counts in ColdReadErrs.
 func (t *tier) get(key uint64) (val uint64, ok bool, err error) {
-	if v, hit := t.d.ix.Lookup(key); hit {
+	if v, hit := t.mem.Load().ix.Lookup(key); hit {
 		return v, true, nil
 	}
 	t.deadMu.RLock()
-	v, hit := t.d.ix.Lookup(key)
+	m := t.mem.Load()
+	v, hit := m.ix.Lookup(key)
 	dead := false
 	if !hit {
 		if getHoldFailpoint != nil {
 			getHoldFailpoint()
 		}
-		_, dead = t.dead.Lookup(key)
+		_, dead = m.dead.Lookup(key)
 	}
 	fr := t.frozen.Load()
 	t.deadMu.RUnlock()
+	if !hit && !dead && fr != nil {
+		if v, hit = fr.ix.Lookup(key); !hit {
+			_, dead = fr.dead.Lookup(key)
+		}
+	}
 	if hit || dead {
 		return v, hit, nil
-	}
-	if fr != nil {
-		if v, tomb, hit := fr.get(key); hit {
-			return v, !tomb, nil
-		}
 	}
 	v, tomb, hit, err := t.segGet(key)
 	return v, hit && !tomb, err
@@ -274,58 +303,36 @@ func (t *tier) segGet(key uint64) (val uint64, tomb, ok bool, err error) {
 	return 0, false, false, nil
 }
 
-// rangeMerged streams [lo, hi] ascending across every tier. The volatile
-// tiers (memtable, dead set, frozen run) are captured coherently under d.mu
-// — capture only, not the scan — then the k-way merge runs against the
-// immutable segments under segMu.RLock. The locks are NOT nested (the rule
-// that keeps the reader-retirement barrier deadlock-free): the segment set
-// consulted may be a flush or compaction ahead of the capture, which is
-// harmless because those operations preserve logical content at or below
-// the watermark, and any re-surfaced duplicate of captured data is shadowed
-// by the capture's higher merge priority.
+// rangeMerged streams [lo, hi] ascending across every tier. The memtable's
+// window and the frozen run are captured under d.mu — capture only, not the
+// scan, nor the read-only frozen run's window — then the k-way merge runs
+// against the immutable segments under segMu.RLock. The locks are NOT nested
+// (the rule that keeps the reader-retirement barrier deadlock-free): the
+// segment set consulted may be a flush or compaction ahead of the capture,
+// which is harmless because those operations preserve logical content at or
+// below the watermark, and any re-surfaced duplicate of captured data is
+// shadowed by the capture's higher merge priority.
 func (t *tier) rangeMerged(lo, hi uint64, fn func(key, val uint64) bool) {
 	if hi < lo {
 		return
 	}
 	t.d.mu.Lock()
-	mem, dead, fr := t.captureRangeLocked(lo, hi, nil, nil)
+	srcs, fr := t.mem.Load().window(lo, hi, nil), t.frozen.Load()
 	t.d.mu.Unlock()
+	srcs = fr.window(lo, hi, srcs)
 
 	t.segMu.RLock()
 	defer t.segMu.RUnlock()
-	if err := mergeRange(mem, dead, fr, t.segs.Load(), lo, hi, fn); err != nil {
+	if err := mergeRange(srcs, t.segs.Load(), lo, hi, fn); err != nil {
 		t.coldErrs.Add(1)
 	}
 }
 
-// captureRangeLocked captures the volatile tiers' share of [lo, hi]: the
-// memtable's pairs and the dead set's tombstones, each ascending, appended
-// to mem and dead, and the frozen run. Callers hold d.mu.
-func (t *tier) captureRangeLocked(lo, hi uint64, mem, dead []segment.Entry) ([]segment.Entry, []segment.Entry, *frozenRun) {
-	t.d.ix.Range(lo, hi, func(k, v uint64) bool {
-		mem = append(mem, segment.Entry{Key: k, Val: v})
-		return true
-	})
-	t.dead.Range(lo, hi, func(k, _ uint64) bool {
-		dead = append(dead, segment.Entry{Key: k, Tomb: true})
-		return true
-	})
-	return mem, dead, t.frozen.Load()
-}
-
-// mergeRange streams the visible pairs of [lo, hi] ascending from a capture
-// (captureRangeLocked) over the segment set, newest wins, tombstones
+// mergeRange streams the visible pairs of [lo, hi] ascending from memtable
+// windows (newest first) over the segment set, newest wins, tombstones
 // dropped, until fn returns false. Callers hold segMu.RLock, which keeps
 // set's readers open.
-func mergeRange(mem, dead []segment.Entry, fr *frozenRun, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
-	// The memtable and the dead set are disjoint and both shadow every older
-	// source; if they ever collide the live value wins (the memtable is the
-	// newer source), as in captureLocked.
-	sources := make([]segment.Iterator, 0, len(set.readers)+3)
-	sources = append(sources, segment.NewSliceIter(mem), segment.NewSliceIter(dead))
-	if fr != nil {
-		sources = append(sources, segment.NewSliceIter(fr.entries(lo, hi)))
-	}
+func mergeRange(sources []segment.Iterator, set *segset, lo, hi uint64, fn func(key, val uint64) bool) error {
 	for _, r := range set.readers {
 		m := r.Meta()
 		if m.Count == 0 || m.MaxKey < lo || m.MinKey > hi {
@@ -364,7 +371,7 @@ func (d *DurableIndex) presentLocked(key uint64) (bool, error) {
 // state. Callers hold d.mu.
 func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
 	if d.tier != nil {
-		return d.tier.applyLocked(d.ix, r)
+		return d.tier.applyLocked(r)
 	}
 	switch r.Op {
 	case wal.OpInsert:
@@ -375,33 +382,34 @@ func (d *DurableIndex) applyRecordLocked(r wal.Record) error {
 	return nil
 }
 
-// applyLocked applies one logged record to the memtable mem, the dead set
-// and the live count: the one tier apply for commit and for recovery. Its
-// order is what makes get's miss under deadMu authoritative: a delete adds
-// the dead-set tombstone BEFORE removing the key from the memtable, and an
+// applyLocked applies one logged record to the memtable, its dead set and
+// the live count: the one tier apply for commit and for recovery. Its order
+// is what makes get's miss under deadMu authoritative: a delete adds the
+// dead-set tombstone BEFORE removing the key from the memtable, and an
 // insert lands in the memtable BEFORE clearing a tombstone, so a key is
 // never absent from both while it moves. Callers hold d.mu, or own the tier
 // alone (recovery).
-func (t *tier) applyLocked(mem *Index, r wal.Record) error {
+func (t *tier) applyLocked(r wal.Record) error {
+	m := t.mem.Load()
 	switch r.Op {
 	case wal.OpInsert:
-		if err := mem.Insert(r.Key, r.Val); err != nil {
+		if err := m.ix.Insert(r.Key, r.Val); err != nil {
 			return err
 		}
 		// Most inserts are of fresh keys: probe before paying for a delete.
-		if _, ok := t.dead.Lookup(r.Key); ok {
+		if _, ok := m.dead.Lookup(r.Key); ok {
 			t.deadMu.Lock()
-			t.dead.Delete(r.Key) //nolint:errcheck // present: just looked up
+			m.dead.Delete(r.Key) //nolint:errcheck // present: just looked up
 			t.deadMu.Unlock()
 		}
 		t.liveCount.Add(1)
 	case wal.OpDelete:
 		t.deadMu.Lock()
-		t.dead.Insert(r.Key, 0) //nolint:errcheck // absent: the key was visible
+		m.dead.Insert(r.Key, 0) //nolint:errcheck // absent: the key was visible
 		t.deadMu.Unlock()
 		// The key may live only in frozen/segment tiers; a memtable miss is
 		// expected then — the dead-set tombstone above is what shadows it.
-		mem.Delete(r.Key) //nolint:errcheck
+		m.ix.Delete(r.Key) //nolint:errcheck
 		t.liveCount.Add(-1)
 	}
 	return nil
@@ -410,7 +418,8 @@ func (t *tier) applyLocked(mem *Index, r wal.Record) error {
 // overBudgetLocked reports whether the memtable plus pending tombstones
 // have reached the configured budget. Callers hold d.mu.
 func (t *tier) overBudgetLocked() bool {
-	return int64(t.d.ix.Len()+t.dead.Len())*memtableEntryBytes >= t.memBytes
+	m := t.mem.Load()
+	return int64(m.ix.Len()+m.dead.Len())*memtableEntryBytes >= t.memBytes
 }
 
 // maybeSignalFlush nudges the background flusher when the memtable plus
@@ -460,38 +469,20 @@ func (d *DurableIndex) swapWALLocked(next *wal.Log) {
 	d.walErrv.Store(errBox{})
 }
 
-// captureLocked returns the memtable and the dead set as one ascending run,
-// tombstones flagged: the whole-key-space capture a RANGE takes, merged.
-// The sets are disjoint by invariant; if they ever collide the live value
-// wins (failing open to data, not to loss). The capture is sized up front:
-// grown by appends over a whole memtable, its garbage raised the server's
-// peak RSS ~10 %. Callers hold d.mu.
-func (t *tier) captureLocked() (keys, vals []uint64, tombs []bool) {
-	mem, dead, _ := t.captureRangeLocked(0, math.MaxUint64,
-		make([]segment.Entry, 0, t.d.ix.Len()), make([]segment.Entry, 0, t.dead.Len()))
-	n := len(mem) + len(dead)
-	keys, vals, tombs = make([]uint64, 0, n), make([]uint64, 0, n), make([]bool, 0, n)
-	for m := segment.NewMerge(segment.NewSliceIter(mem), segment.NewSliceIter(dead)); m.Next(); {
-		e := m.Entry()
-		keys, vals, tombs = append(keys, e.Key), append(vals, e.Val), append(tombs, e.Tomb)
-	}
-	return keys, vals, tombs
-}
-
-// resetMemtableLocked empties the memtable and the dead set. Resetting an
-// index to empty cannot fail; if it somehow does, memory no longer matches
-// what the caller just captured or committed, and the handle fails stop.
-// Callers hold d.mu.
-func (t *tier) resetMemtableLocked() error {
+// swapMemtableLocked swaps in an empty memtable: under deadMu, so a hold in
+// get sees one memtable, and under qmu, so it starts paused if the write
+// queue has paused maintenance (updateRetrainPauseLocked). Callers hold d.mu.
+func (t *tier) swapMemtableLocked() {
 	d := t.d
-	if err := d.ix.BulkLoad(nil, nil); err != nil {
-		d.poisonLocked(fmt.Errorf("tier memtable reset: %w", err))
-		return d.fail
+	m := newMemtable(New(d.opts.Options))
+	d.qmu.Lock()
+	if d.retrainPaused.Load() {
+		m.ix.PauseRetrainer()
 	}
 	t.deadMu.Lock()
-	t.dead = bptree.New(0)
+	t.mem.Store(m)
 	t.deadMu.Unlock()
-	return nil
+	d.qmu.Unlock()
 }
 
 // openSegments opens the files metas names, each checked strictly against
@@ -554,32 +545,31 @@ func (t *tier) adopt(man *segment.Manifest) {
 // ---------------------------------------------------------------------------
 // Flush
 
-// freeze captures the memtable and dead set as an immutable frozen run at
-// the current commit sequence, rotates the WAL so the delta has a clean log
-// boundary, and resets the volatile tiers. Returns (nil, nil) when there is
+// freeze rotates the WAL so the delta has a clean log boundary, publishes
+// the memtable as the frozen run at the current commit sequence, and swaps
+// in an empty one: it copies nothing. Returns (nil, nil) when there is
 // nothing to flush. Callers hold t.tmu.
-func (t *tier) freeze() (*frozenRun, error) {
+func (t *tier) freeze() (*memtable, error) {
 	d := t.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.usableLocked(); err != nil {
 		return nil, err
 	}
-	keys, vals, tombs := t.captureLocked()
-	if len(keys) == 0 {
+	m := t.mem.Load()
+	if m.ix.Len()+m.dead.Len() == 0 {
 		return nil, nil
 	}
-	fr := &frozenRun{keys: keys, vals: vals, tombs: tombs, seq: d.commitSeq.Load(), live: t.liveCount.Load()}
 	// The old log's pending frames reach its file before the successor
 	// exists: until the manifest commits, recovery replays the old log and
 	// then the new one, and a tail left in the old log's buffer would come
 	// back as a hole under the new log's frames. The successor's dirent and
 	// base must be durable before it takes records. On failure nothing is
-	// captured and the old log stays live.
+	// frozen and the old log stays live.
 	if err := d.log.Flush(); err != nil {
 		return nil, err
 	}
-	next, abort, err := d.successorWALLocked(fr.seq)
+	next, abort, err := d.successorWALLocked(d.commitSeq.Load())
 	if err != nil {
 		return nil, err
 	}
@@ -588,11 +578,10 @@ func (t *tier) freeze() (*frozenRun, error) {
 		return nil, err
 	}
 	d.swapWALLocked(next)
-	t.frozen.Store(fr)
-	if err := t.resetMemtableLocked(); err != nil {
-		return nil, err
-	}
-	return fr, nil
+	m.seq, m.live = d.commitSeq.Load(), t.liveCount.Load()
+	t.frozen.Store(m) // before the swap: a reader missing the fresh memtable finds m here
+	t.swapMemtableLocked()
+	return m, nil
 }
 
 // Flush freezes the memtable at the current commit-sequence watermark and
@@ -627,7 +616,8 @@ func (t *tier) flushLocked() (err error) {
 	}
 	start := time.Now()
 	id := t.nextID.Load()
-	meta, err := segment.Create(d.fs, d.dir, fr.keys, fr.vals, fr.tombs, id, 0, fr.seq, 0)
+	keys, vals, tombs := fr.run()
+	meta, err := segment.Create(d.fs, d.dir, keys, vals, tombs, id, 0, fr.seq, 0)
 	if err == nil {
 		// Seal the segment's directory entry before the manifest that
 		// references it can be written.
@@ -1068,9 +1058,7 @@ func (t *tier) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 	// value they had deleted or replaced.
 	t.frozen.Store(nil)
 	d.swapWALLocked(next)
-	if err := t.resetMemtableLocked(); err != nil {
-		return err
-	}
+	t.swapMemtableLocked()
 	t.liveCount.Store(int64(len(keys)))
 	d.commitSeq.Store(asOfSeq)
 	d.broadcastSeq()

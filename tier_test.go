@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/dataset"
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
@@ -979,10 +980,15 @@ func TestTieredRangeIgnoresDistantTombstones(t *testing.T) {
 // hold, after its memtable miss and before its dead-set probe, and starts
 // the re-insert there: the insert must wait for the hold to end, since it
 // clears the key's tombstone, and the read must not find the flushed value.
-// Rows: Lookup and LookupBatch.
+// Rows: Lookup and LookupBatch, and a Lookup whose hook starts a Flush
+// instead: the flush must wait too, since it swaps the memtable out under
+// deadMu, and the read must return absent.
 func TestTieredColdReadSeesReinsert(t *testing.T) {
 	t.Cleanup(func() { getHoldFailpoint = nil })
-	for _, batch := range []bool{false, true} {
+	for _, row := range []struct {
+		name         string
+		batch, flush bool
+	}{{"Lookup", false, false}, {"LookupBatch", true, false}, {"LookupDuringFlush", false, true}} {
 		o := tieredOpts()
 		o.Sync = SyncNone
 		d, err := OpenDir(t.TempDir(), o)
@@ -1000,24 +1006,30 @@ func TestTieredColdReadSeesReinsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fired atomic.Bool
-		inserted := make(chan error, 1)
+		wrote := make(chan error, 1)
 		getHoldFailpoint = func() {
 			// The insert's own validation reads the key too; only the
 			// first read under test starts it.
 			if !fired.CompareAndSwap(false, true) {
 				return
 			}
-			go func() { inserted <- d.Insert(key, 2) }()
+			go func() {
+				if row.flush {
+					wrote <- d.Flush()
+				} else {
+					wrote <- d.Insert(key, 2)
+				}
+			}()
 			select {
-			case err := <-inserted:
-				t.Errorf("batch %v: the re-insert finished inside the read's hold (err %v)", batch, err)
-				inserted <- err
+			case err := <-wrote:
+				t.Errorf("%s: the write finished inside the read's hold (err %v)", row.name, err)
+				wrote <- err
 			case <-time.After(100 * time.Millisecond):
 			}
 		}
 		var v uint64
 		var ok bool
-		if batch {
+		if row.batch {
 			vals, found := make([]uint64, 1), make([]bool, 1)
 			d.LookupBatch([]uint64{key}, vals, found)
 			v, ok = vals[0], found[0]
@@ -1025,21 +1037,200 @@ func TestTieredColdReadSeesReinsert(t *testing.T) {
 			v, ok = d.Lookup(key)
 		}
 		if !fired.Load() {
-			t.Fatalf("batch %v: the read never reached the dead-set probe", batch)
+			t.Fatalf("%s: the read never reached the dead-set probe", row.name)
 		}
-		if err := <-inserted; err != nil {
+		if err := <-wrote; err != nil {
 			t.Fatal(err)
 		}
 		getHoldFailpoint = nil
-		if ok && v != 2 {
-			t.Fatalf("batch %v: Lookup during the re-insert = %d, want 2 or absent (1 is the deleted value)", batch, v)
+		want, wantOK := uint64(2), !row.flush
+		if ok && (v != want || row.flush) {
+			t.Fatalf("%s: Lookup during the write = %d, want %d or absent (1 is the deleted value)", row.name, v, want)
 		}
-		if v, ok := d.Lookup(key); !ok || v != 2 {
-			t.Fatalf("batch %v: Lookup after the re-insert = %d,%v want 2,true", batch, v, ok)
+		if v, ok := d.Lookup(key); ok != wantOK || (ok && v != want) {
+			t.Fatalf("%s: Lookup after the write = %d,%v want %d,%v", row.name, v, ok, want, wantOK)
 		}
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTieredFreezeAllocs: a freeze swaps the memtable out instead of
+// copying it, so what it allocates (the successor WAL's buffer and an empty
+// memtable) does not grow with the memtable: ~77 KB at both sizes, where
+// a copying freeze allocated 353,864 B and 2,989,728 B. Skipped under
+// -race, whose instrumentation allocates.
+func TestTieredFreezeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, n := range []int{4096, 65536} {
+		o := tieredOpts()
+		o.Sync = SyncNone
+		d, err := OpenDir(t.TempDir(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if err := d.Insert(uint64(i)*64, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every 8th key deleted: n entries, an eighth of them tombstones.
+		for i := 0; i < n; i += 8 {
+			if err := d.Delete(uint64(i) * 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.tier.tmu.Lock()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frozen, err := d.tier.freeze()
+		runtime.ReadMemStats(&after)
+		d.tier.tmu.Unlock()
+		if err != nil || frozen == nil {
+			t.Fatalf("freeze = %v, %v", frozen, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d entries: freeze allocated %d B", n, alloc)
+		if alloc > 128<<10 {
+			t.Errorf("%d entries: freeze allocated %d B, want at most %d", n, alloc, 128<<10)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.Len(), n-n/8; got != want {
+			t.Fatalf("%d entries: Len after the flush = %d, want %d", n, got, want)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTieredFlushBytes: a flush writes the frozen memtable as exactly the
+// segment segment.Write makes of its merged run — fresh inserts as pairs,
+// deletes of segment-resident keys as tombstones, a re-insert over a
+// tombstone as a pair — so how it builds the run cannot move the bytes on
+// disk.
+func TestTieredFlushBytes(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir, tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for k := uint64(10); k <= 1000; k += 10 {
+		if err := d.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]uint64{} // key → value; tombstones map to math.MaxUint64
+	for k := uint64(5); k <= 1005; k += 100 {
+		if err := d.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = k + 1
+	}
+	for k := uint64(20); k <= 1000; k += 70 {
+		if err := d.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = math.MaxUint64
+	}
+	for _, k := range []uint64{90, 160} { // deleted above; back over the tombstone
+		if err := d.Insert(k, 7); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = 7
+	}
+	seq := d.CommitSeq()
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var keys, vals []uint64
+	var tombs []bool
+	for k := range want {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		v, tomb := want[k], want[k] == math.MaxUint64
+		if tomb {
+			v = 0
+		}
+		vals, tombs = append(vals, v), append(tombs, tomb)
+	}
+	var meta segment.Meta
+	for _, m := range d.tier.segs.Load().metas() {
+		if m.Level == 0 && m.Seq == seq {
+			meta = m
+		}
+	}
+	var exp bytes.Buffer
+	if _, err := segment.Write(&exp, keys, vals, tombs, meta.ID, 0, seq, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segment.FileName(meta.ID)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, exp.Bytes()) {
+		t.Fatalf("flushed segment %d (%d B) differs from segment.Write of its run (%d B)", meta.ID, len(got), exp.Len())
+	}
+}
+
+// TestTieredReopenRunsNoRetrainer: a tiered directory reopened before its
+// first flush replays its WAL tail into the memtable, whose reconstructions
+// give it gates; the memtable must still run no retrainer (DirOptions.Tiered),
+// since nothing would stop one once a flush swaps the memtable out.
+func TestTieredReopenRunsNoRetrainer(t *testing.T) {
+	// retrainers waits out a window in which a just-started retrainer
+	// shows up in the dump, and counts the retrainer goroutines.
+	retrainers := func() (n int) {
+		for range 20 {
+			buf := make([]byte, 1<<20)
+			n = max(n, strings.Count(string(buf[:runtime.Stack(buf, true)]), ".retrainLoop("))
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	base := retrainers()
+	o := tieredOpts()
+	o.Sync = SyncNone
+	o.RetrainEvery = 10 * time.Millisecond
+	dir := t.TempDir()
+	d, err := OpenDir(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// FACE: skewed enough that the reconstructed tree has gates, which a
+	// retrainer needs to start (evenly spaced keys build none).
+	for _, k := range dataset.Generate(dataset.FACE, 100_000, 1) {
+		if err := d.Insert(k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDir(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if n := retrainers() - base; n != 0 {
+		t.Fatalf("the reopened memtable runs %d retrainer(s), want none", n)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := retrainers() - base; n != 0 {
+		t.Fatalf("after a flush %d retrainer(s) run, want none", n)
 	}
 }
 

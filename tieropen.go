@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"chameleon/internal/baselines/bptree"
 	"chameleon/internal/faultfs"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
@@ -33,12 +32,12 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 	// reads yet; its live count starts from the manifest's exact count.
 	// Originally-validated operations replayed in commit order from the exact
 	// state at the watermark need no re-validation.
-	ix := New(opts.Options)
-	rec := &tier{dead: bptree.New(0)}
+	rec := &tier{}
+	rec.mem.Store(newMemtable(New(opts.Options)))
 	rec.liveCount.Store(man.LiveCount)
 	hist := new(fsyncHist)
 	log, cur, clock, err := replayChain(fsys, dir, walOptions(opts, fsys, hist), logs, 0, man.FlushedSeq, func(r wal.Record) {
-		rec.applyLocked(ix, r) //nolint:errcheck
+		rec.applyLocked(r) //nolint:errcheck
 	})
 	if err != nil {
 		for _, r := range readers {
@@ -49,8 +48,8 @@ func openTieredDir(dir string, opts DirOptions, fsys faultfs.FS, man *segment.Ma
 
 	// No retrainer: a tier's memtable is maintained only by writer-inline
 	// reconstruction (DirOptions.Tiered).
-	d := &DurableIndex{ix: ix, fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts, fsyncHist: hist}
+	d := &DurableIndex{fs: fsys, dir: dir, log: log, seq: cur.rot, opts: opts, fsyncHist: hist}
 	d.commitSeq.Store(clock)
-	d.tier = newTier(d, man, readers, rec.dead, rec.liveCount.Load())
+	d.tier = newTier(d, man, readers, rec.mem.Load(), rec.liveCount.Load())
 	return d, nil
 }

@@ -29,11 +29,11 @@ var ErrRestoreBehind = fmt.Errorf("chameleon: snapshot is behind local commit se
 
 // snapshotAt writes the tier's visible contents, as of the commit sequence
 // it returns, to w as one CHAMSEG2 run. d.mu covers the capture only: the
-// volatile tiers and the published segment set are taken together under it
+// memtable, the frozen run and the segment set are taken together under it
 // (the allowed d.mu → segMu.RLock order), so no flush can publish a later
-// memtable between the two and the run is exact as of that sequence. The
-// merge and the encode run after d.mu is released, with segMu.RLock keeping
-// the captured set's readers open.
+// memtable between them and the run is exact as of that sequence. The
+// read-only frozen run's window, the merge and the encode run after d.mu is
+// released, with segMu.RLock keeping the captured set's readers open.
 func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
 	d := t.d
 	d.mu.Lock()
@@ -45,14 +45,15 @@ func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
 		return 0, 0, err
 	}
 	asOf, live := d.commitSeq.Load(), t.liveCount.Load()
-	mem, dead, fr := t.captureRangeLocked(0, math.MaxUint64, nil, nil)
+	srcs, fr := t.mem.Load().window(0, math.MaxUint64, nil), t.frozen.Load()
 	t.segMu.RLock()
 	set := t.segs.Load()
 	d.mu.Unlock()
+	srcs = fr.window(0, math.MaxUint64, srcs)
 
 	keys := make([]uint64, 0, live)
 	vals := make([]uint64, 0, live)
-	err = mergeRange(mem, dead, fr, set, 0, math.MaxUint64, func(k, v uint64) bool {
+	err = mergeRange(srcs, set, 0, math.MaxUint64, func(k, v uint64) bool {
 		keys = append(keys, k)
 		vals = append(vals, v)
 		return true
