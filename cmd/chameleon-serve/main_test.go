@@ -77,7 +77,7 @@ func fakeStatsServer(t *testing.T, reply wire.StatsReply) string {
 			go func(nc net.Conn) {
 				defer nc.Close() //nolint:errcheck
 				for {
-					payload, err := wire.ReadFrame(nc, new([8]byte))
+					payload, err := wire.ReadFrame(nc, nil)
 					if err != nil {
 						return
 					}

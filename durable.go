@@ -1223,7 +1223,7 @@ func (d *DurableIndex) checkpointLocked() error {
 	d.log = newLog
 	d.seq = newSeq
 	if oldLog != nil {
-		oldLog.Discard() //nolint:errcheck
+		oldLog.Discard(newLog) //nolint:errcheck
 	}
 	// The fresh, empty log is the checkpoint-truncation recovery path out of
 	// degraded-read-only: whatever filled or wedged the old WAL is now

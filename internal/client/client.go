@@ -328,9 +328,12 @@ func (cn *conn) fail(cause error) {
 // the connection dies.
 func (cn *conn) readLoop() {
 	br := bufio.NewReaderSize(cn.nc, 64<<10)
-	var hdr [8]byte
+	// Every reply is decoded (copied out) before the next is read, so one
+	// buffer serves them all; it holds a 100-pair RANGE reply, and a longer
+	// frame is read into its own allocation.
+	rbuf := make([]byte, 0, 4<<10)
 	for {
-		payload, err := wire.ReadFrame(br, &hdr)
+		payload, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF

@@ -64,7 +64,7 @@ func newFakeServer(t *testing.T, handle func(*wire.Request) *wire.Response) *fak
 func (fs *fakeServer) serveConn(nc net.Conn) {
 	defer nc.Close() //nolint:errcheck
 	for {
-		payload, err := wire.ReadFrame(nc, new([8]byte))
+		payload, err := wire.ReadFrame(nc, nil)
 		if err != nil {
 			return
 		}
@@ -245,7 +245,7 @@ func TestClientOutOfOrderResponses(t *testing.T) {
 		}
 		defer nc.Close() //nolint:errcheck
 		for {
-			payload, err := wire.ReadFrame(nc, new([8]byte))
+			payload, err := wire.ReadFrame(nc, nil)
 			if err != nil {
 				return
 			}
@@ -348,7 +348,7 @@ func TestClientRedialsBrokenConn(t *testing.T) {
 			go func(nc net.Conn) {
 				defer nc.Close() //nolint:errcheck
 				for {
-					payload, err := wire.ReadFrame(nc, new([8]byte))
+					payload, err := wire.ReadFrame(nc, nil)
 					if err != nil {
 						return
 					}

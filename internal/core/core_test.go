@@ -677,6 +677,35 @@ func TestBulkLoadReplacesContents(t *testing.T) {
 	}
 }
 
+// TestFACEBulkLoadAllocs: a 100 k-key FACE bulk load under the cost
+// policies allocates under 3× the index it builds: 1.95× with one GA
+// worker, 2.2× with two. The GA's cost walks reuse their slot counters
+// (costmodel.Counters, one set per worker, each grown to the largest leaf
+// its worker scored, ~1 MB); a fresh set per walk made it 40.9 MB for a
+// 5.0 MB index (8.2×). Two workers, whatever the machine's CPU count, so
+// the figure does not move with it. Skipped under -race, whose
+// instrumentation allocates.
+func TestFACEBulkLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	keys := dataset.Generate(dataset.FACE, 100_000, 42)
+	dcfg := rl.DefaultDAREConfig()
+	dcfg.GA.Workers = 2
+	ix := New(Config{Dare: rl.NewCostDARE(dcfg), Policy: rl.NewCostPolicy(dcfg.Env)})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("BulkLoad allocated %.1f MB for %.1f MB of index (%.2f×)", alloc/1e6, float64(ix.Bytes())/1e6, alloc/float64(ix.Bytes()))
+	if alloc > 3*float64(ix.Bytes()) {
+		t.Errorf("BulkLoad allocated %.1f MB, want under 3× Bytes() = %.1f MB", alloc/1e6, 3*float64(ix.Bytes())/1e6)
+	}
+}
+
 // TestFACEBulkLoadAtTheorem1Size: a FACE bulk load with the public
 // package's default policies keeps every leaf at its Theorem 1 size (about
 // 1.67 slots, 27 B, per key at τ = 0.45) and inside the conflict-degree
@@ -727,10 +756,12 @@ func TestFACEBulkLoadAtTheorem1Size(t *testing.T) {
 	}
 	// The bulk load allocates the leaves it keeps, not one per α rung its
 	// leaves tried (ebh's climb tries rungs on an occupancy bitmap): 1.46×
-	// Bytes() on a 2-vCPU VM, 3.3× when each rung tried built a slab.
+	// Bytes() on a 2-vCPU VM, 3.3× when each rung tried built a slab. The
+	// race detector's instrumentation allocates too (1.59×), so the bound
+	// is not checked under it; the size and error bounds above are.
 	alloc := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("BulkLoad allocated %.1f MB for %.1f MB of index (%.2f×)", alloc/1e6, float64(ix.Bytes())/1e6, alloc/float64(ix.Bytes()))
-	if alloc > 1.5*float64(ix.Bytes()) {
+	if !raceEnabled && alloc > 1.5*float64(ix.Bytes()) {
 		t.Errorf("BulkLoad allocated %.1f MB, want at most 1.5× Bytes() = %.1f MB", alloc/1e6, 1.5*float64(ix.Bytes())/1e6)
 	}
 }

@@ -303,6 +303,13 @@ func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j 
 	}
 }
 
+// Counters is the slot-counter buffer a cost walk reuses from leaf to leaf.
+// A caller that walks many trees keeps one per goroutine (the GA scores one
+// genome per walk, on several goroutines at once), so that its walks
+// allocate counters only when a leaf outgrows every leaf before it. The
+// zero value is ready to use; a Counters serves one walk at a time.
+type Counters struct{ counts []int32 }
+
 // FanoutFn supplies the fanout of the node covering [lo, hi] at the given
 // level (root = 1). Returning 1 or less makes the node a leaf.
 type FanoutFn func(level int, lo, hi uint64, n int) int
@@ -316,12 +323,13 @@ type FanoutFn func(level int, lo, hi uint64, n int) int
 // The walk visits only non-empty children: an empty child is a leaf that
 // adds exactly +0 to both sums, so skipping it leaves the result bitwise
 // unchanged and fan is never asked about it.
-func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
+func (c *Counters) TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
 	var qSum, mUnits float64
 	leaves := newLeafModel(tau, alpha)
+	leaves.counts = c.counts
 	var walk func(ks []uint64, lo, hi uint64, level int)
 	walk = func(ks []uint64, lo, hi uint64, level int) {
 		f := 1
@@ -341,6 +349,7 @@ func TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, al
 		})
 	}
 	walk(keys, lo, hi, 1)
+	c.counts = leaves.counts
 	n := float64(len(keys))
 	return Cost{Query: qSum / n, Memory: mUnits / n}
 }

@@ -162,13 +162,13 @@ func TestRunWalkMatchesPartitionWalk(t *testing.T) {
 			seed := uint64(s)*0x9e3779b97f4a7c15 + 1
 			fan := randomFanout(seed)
 			for _, maxLevels := range []int{1, 3} {
-				got := TreeCost(in.keys, in.lo, in.hi, maxLevels, fan, 0.45, 131)
+				got := new(Counters).TreeCost(in.keys, in.lo, in.hi, maxLevels, fan, 0.45, 131)
 				want := refTreeCost(in.keys, in.lo, in.hi, maxLevels, fan, 0.45, 131)
 				if !sameBits(got, want) {
 					t.Fatalf("%s seed %d levels %d: TreeCost %+v, reference %+v", in.name, s, maxLevels, got, want)
 				}
 				ws := weightsFor(in.keys, seed)
-				got = WeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, fan, 0.45, 131)
+				got = new(Counters).WeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, fan, 0.45, 131)
 				want = refWeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, fan, 0.45, 131)
 				if !sameBits(got, want) {
 					t.Fatalf("%s seed %d levels %d: WeightedTreeCost %+v, reference %+v", in.name, s, maxLevels, got, want)

@@ -46,15 +46,16 @@ func (m *leafModel) weightedCost(keys []uint64, weights []float64, lo, hi uint64
 // weighted by the query mass under each leaf instead of its key count. It
 // walks the tree exactly as TreeCost does, skipping empty children (which
 // carry no keys and no weight).
-func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
+func (c *Counters) WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
 	if weights == nil {
-		return TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
+		return c.TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
 	}
 	var qSum, wTotal, mUnits float64
 	leaves := newLeafModel(tau, alpha)
+	leaves.counts = c.counts
 	var walk func(ks []uint64, ws []float64, lo, hi uint64, level int)
 	walk = func(ks []uint64, ws []float64, lo, hi uint64, level int) {
 		f := 1
@@ -79,8 +80,9 @@ func WeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels
 		})
 	}
 	walk(keys, weights, lo, hi, 1)
+	c.counts = leaves.counts
 	if wTotal == 0 {
-		return TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
+		return c.TreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
 	}
 	return Cost{Query: qSum / wTotal, Memory: mUnits / float64(len(keys))}
 }

@@ -8,6 +8,7 @@ import (
 
 	"chameleon/internal/costmodel"
 	"chameleon/internal/ga"
+	"chameleon/internal/par"
 )
 
 // CostPolicy is the deterministic stand-in for a trained TSMDP agent: it
@@ -135,8 +136,23 @@ func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 	gaCfg := cfg.GA
 	gaCfg.Seed = d.Seed
 	sample := newCostSample(cfg, keys)
+	// Each genome's walk borrows slot counters from free and returns them:
+	// the GA scores at most one genome per worker at a time, so the
+	// workers' walks share that many buffers.
+	free := make(chan *costmodel.Counters, par.Workers(gaCfg.Workers))
 	fitness := func(g []float64) float64 {
-		return costmodel.Reward(measureCost(cfg, sample, h, g), cfg.Env.Wt, cfg.Env.Wm)
+		var counters *costmodel.Counters
+		select {
+		case counters = <-free:
+		default:
+			counters = new(costmodel.Counters)
+		}
+		cost := measureCost(cfg, sample, h, g, counters)
+		select {
+		case free <- counters:
+		default:
+		}
+		return costmodel.Reward(cost, cfg.Env.Wt, cfg.Env.Wm)
 	}
 	var leafRoot struct {
 		once  sync.Once

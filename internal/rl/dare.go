@@ -22,7 +22,7 @@ type DAREConfig struct {
 	Env       Env
 	// QueryWeights, when non-nil, supplies per-key query frequencies for a
 	// cost-model sample, enabling the query-distribution-aware reward the
-	// paper sketches in Section IV-B2 (see costmodel.WeightedTreeCost).
+	// paper sketches in Section IV-B2 (see costmodel.Counters.WeightedTreeCost).
 	QueryWeights func(sample []uint64) []float64
 }
 
@@ -126,8 +126,9 @@ func newCostSample(cfg DAREConfig, keys []uint64) costSample {
 // measureCost is the DARE ground truth: build the upper-level tree the
 // genome describes over the sample and evaluate it with the analytic cost
 // model. This is what the paper's "Instantiate Chameleon-Index" step
-// measures (Algorithm 2, line 11). It is safe for concurrent use.
-func measureCost(cfg DAREConfig, s costSample, h int, genome []float64) costmodel.Cost {
+// measures (Algorithm 2, line 11). It is safe for concurrent use with
+// distinct counters.
+func measureCost(cfg DAREConfig, s costSample, h int, genome []float64, counters *costmodel.Counters) costmodel.Cost {
 	if len(s.keys) == 0 {
 		return costmodel.Cost{}
 	}
@@ -135,7 +136,7 @@ func measureCost(cfg DAREConfig, s costSample, h int, genome []float64) costmode
 	mk, Mk := s.keys[0], s.keys[len(s.keys)-1]
 	fan := UpperFanoutFn(p0, m, mk, Mk, cfg.L)
 	// Nil weights make WeightedTreeCost the plain TreeCost.
-	return costmodel.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
+	return counters.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
 }
 
 // DARE is the Dynamic-Reward RL agent: a GA actor over the parameter space
@@ -224,7 +225,7 @@ func (d *DARE) TrainEpisode(keys []uint64, er float64) float64 {
 	for i := range aD {
 		aD[i] = (1-er)*aBest[i] + er*aRand[i]
 	}
-	truth := measureCost(d.cfg, newCostSample(d.cfg, keys), d.h, aD)
+	truth := measureCost(d.cfg, newCostSample(d.cfg, keys), d.h, aD, new(costmodel.Counters))
 	xs := [][]float64{d.criticInput(state, aD)}
 	ys := [][]float64{{truth.Query, truth.Memory}}
 	return d.critic.TrainBatch(xs, ys, d.cfg.LR, mlp.MAE)

@@ -200,8 +200,8 @@ func TestCostDAREProducesUsableParameters(t *testing.T) {
 	// The chosen parameters must beat a degenerate single-leaf structure.
 	mk, Mk := keys[0], keys[len(keys)-1]
 	fan := UpperFanoutFn(p0, m, mk, Mk, 16)
-	chosen := costmodel.TreeCost(keys, mk, Mk, 2, fan, 0.45, 131)
-	single := costmodel.TreeCost(keys, mk, Mk, 2,
+	chosen := new(costmodel.Counters).TreeCost(keys, mk, Mk, 2, fan, 0.45, 131)
+	single := new(costmodel.Counters).TreeCost(keys, mk, Mk, 2,
 		func(int, uint64, uint64, int) int { return 1 }, 0.45, 131)
 	env := cfg.Env
 	if costmodel.Reward(chosen, env.Wt, env.Wm) < costmodel.Reward(single, env.Wt, env.Wm)-0.5 {
@@ -344,7 +344,7 @@ func TestQueryWeightedConstruction(t *testing.T) {
 		fan := UpperFanoutFn(p0, m, mk, Mk, cfg.L)
 		sample := keys
 		ws := zipf(sample)
-		c := costmodel.WeightedTreeCost(sample, ws, mk, Mk, 2, fan, cfg.Env.Tau, cfg.Env.Alpha)
+		c := new(costmodel.Counters).WeightedTreeCost(sample, ws, mk, Mk, 2, fan, cfg.Env.Tau, cfg.Env.Alpha)
 		return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
 	}
 

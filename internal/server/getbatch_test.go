@@ -54,7 +54,7 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	br := bufio.NewReader(nc)
 	seen := 0
 	for seen < gets+1 {
-		payload, err := wire.ReadFrame(br, new([8]byte))
+		payload, err := wire.ReadFrame(br, nil)
 		if err != nil {
 			t.Fatalf("read response %d: %v", seen, err)
 		}

@@ -232,7 +232,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-			payload, err := wire.ReadFrame(nc, new([8]byte))
+			payload, err := wire.ReadFrame(nc, nil)
 			if err != nil {
 				t.Fatalf("reading mismatch reply: %v", err)
 			}
@@ -244,7 +244,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 				t.Fatalf("HELLO %s answered %+v, want ErrCodeVersionMismatch for id 1", tc.name, res)
 			}
 			// The server hangs up after the rejection.
-			if _, err := wire.ReadFrame(nc, new([8]byte)); err == nil {
+			if _, err := wire.ReadFrame(nc, nil); err == nil {
 				t.Fatal("server kept the mismatched connection open")
 			}
 		})
@@ -314,7 +314,7 @@ func TestHelloRequired(t *testing.T) {
 			if res.OK || res.Err != wire.ErrCodeVersionMismatch || res.ID != first.ID {
 				t.Fatalf("%s before HELLO answered %+v, want ErrCodeVersionMismatch for id %d", first.Op, res, first.ID)
 			}
-			if _, err := wire.ReadFrame(nc, new([8]byte)); err == nil {
+			if _, err := wire.ReadFrame(nc, nil); err == nil {
 				t.Fatal("server kept the HELLO-less connection open")
 			}
 		})

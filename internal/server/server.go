@@ -236,7 +236,7 @@ func (s *Server) Serve() error {
 		c := &conn{
 			srv:   s,
 			nc:    nc,
-			out:   make(chan []wire.Response, s.opts.MaxPipeline+8),
+			out:   make(chan *batch, s.opts.MaxPipeline+8),
 			slots: make(chan struct{}, s.opts.MaxPipeline),
 			wdone: make(chan struct{}),
 		}
@@ -353,15 +353,96 @@ func (s *Server) Close() error {
 // conn is one client connection: a reader goroutine (frame decode +
 // dispatch), up to MaxPipeline handler goroutines, and a writer goroutine
 // that coalesces responses. Each handler sends its replies on out as one
-// slice: one request's, or a whole run's. out has room for one slice per
+// batch: one request's, or a whole run's. out has room for one batch per
 // slot plus a few of the reader's own replies (HELLO, malformed frames).
 type conn struct {
 	srv      *Server
 	nc       net.Conn
-	out      chan []wire.Response
+	out      chan *batch
 	slots    chan struct{}
 	handlers sync.WaitGroup
 	wdone    chan struct{}
+}
+
+// batch is one unit of a connection's work — a GET run, a write run, one
+// other request, or a reply the reader produced itself — and owns every
+// buffer it needs: the decoded requests, a GET run's lookup keys, values
+// and found flags, a write run's WAL records and outcomes, and the
+// replies. Ownership moves
+// with the pointer, one goroutine at a time: the reader fills reqs and hands
+// the batch to a handler, the handler fills the rest and sends it on out,
+// and the writer encodes every reply and then returns the batch to
+// batchPool. Nothing touches a batch after its replies are encoded, so the
+// next run reuses its slices: a pipelined GET or write run costs the server
+// no heap allocation in steady state.
+type batch struct {
+	c    *conn
+	reqs []wire.Request
+	// rs holds one reply per request, except after a GET run read the
+	// index: the writer then encodes the replies from keys, vals and found.
+	rs         []wire.Response
+	keys, vals []uint64
+	found      []bool
+	recs       []wal.Record
+	errs       []error
+	// next and wg fan a write run out over InsertCtx/DeleteCtx for an Index
+	// the server does not know by type (commitRun).
+	next atomic.Int64
+	wg   sync.WaitGroup
+	// serve and commitNext are b.handle and b.commitOne, bound once: a go
+	// statement calling a func value without arguments allocates nothing,
+	// where one calling a method would allocate its closure.
+	serve, commitNext func()
+}
+
+var batchPool sync.Pool
+
+// newBatch returns an empty batch for c, reused when the pool has one.
+func (c *conn) newBatch() *batch {
+	b, _ := batchPool.Get().(*batch)
+	if b == nil {
+		b = new(batch)
+		b.serve, b.commitNext = b.handle, b.commitOne
+	}
+	b.c = c
+	return b
+}
+
+// release empties b, dropping what its replies and outcomes reference (a
+// RANGE's pairs, an error), and returns it to the pool.
+func (b *batch) release() {
+	clear(b.rs)
+	clear(b.errs)
+	b.c = nil
+	b.reqs, b.rs, b.errs = b.reqs[:0], b.rs[:0], b.errs[:0]
+	b.keys, b.vals, b.found, b.recs = b.keys[:0], b.vals[:0], b.found[:0], b.recs[:0]
+	batchPool.Put(b)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// replies is how many replies b carries.
+func (b *batch) replies() int {
+	if len(b.rs) > 0 {
+		return len(b.rs)
+	}
+	return len(b.reqs)
+}
+
+// appendReply encodes b's i-th reply onto dst.
+func (b *batch) appendReply(dst []byte, i int) []byte {
+	if len(b.rs) == 0 { // a GET run that read the index
+		res := wire.Response{ID: b.reqs[i].ID, Op: wire.OpGet, OK: true, Found: b.found[i], Val: b.vals[i]}
+		return wire.AppendResponse(dst, &res)
+	}
+	return wire.AppendResponse(dst, &b.rs[i])
 }
 
 // rearmFailpoint, when non-nil, runs in every connection reader after it
@@ -375,6 +456,7 @@ func (c *conn) run() {
 	go c.writer()
 
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	rbuf := make([]byte, 0, 64) // the longest request payload, REPL_PULL's, is 38 bytes
 	// gets and writes accumulate the pipelined GETs and INSERT/DELETEs read
 	// so far, each dispatched as one run the moment the reader would
 	// otherwise block (no complete frame left in the buffer), when it hits
@@ -384,13 +466,12 @@ func (c *conn) run() {
 	//
 	// The idle deadline is armed only before a read that can block: frames
 	// already buffered cost no deadline each.
-	var gets, writes []*wire.Request
-	var hdr [8]byte
+	var gets, writes *batch
 	helloed := false
 	for {
 		if !wire.FullFrameBuffered(br) {
-			c.dispatchGets(gets)
-			c.dispatchWrites(writes)
+			c.dispatchRun(gets)
+			c.dispatchRun(writes)
 			gets, writes = nil, nil
 			if rearmFailpoint != nil {
 				rearmFailpoint()
@@ -403,7 +484,7 @@ func (c *conn) run() {
 				break
 			}
 		}
-		payload, err := wire.ReadFrame(br, &hdr)
+		payload, err := wire.ReadFrame(br, rbuf)
 		if err != nil {
 			// A framing-level error (bad CRC, absurd length) means the
 			// stream cannot be resynchronized: report once on the
@@ -418,8 +499,8 @@ func (c *conn) run() {
 		if c.srv.draining.Load() {
 			break // stop consuming new work; in-flight finishes below
 		}
-		req, derr := wire.DecodeRequest(payload)
-		if derr != nil {
+		var req wire.Request
+		if derr := wire.DecodeRequestInto(payload, &req); derr != nil {
 			id, _ := wire.PeekID(payload)
 			c.srv.reqErrors.Add(1)
 			if !helloed {
@@ -440,7 +521,7 @@ func (c *conn) run() {
 		// typed code and hangs up (fail-fast — nothing after a failed
 		// negotiation can be interpreted safely).
 		if !helloed || req.Op == wire.OpHello {
-			res := c.srv.handleHello(req)
+			res := c.srv.handleHello(&req)
 			c.reply(res)
 			if !res.OK {
 				break
@@ -450,117 +531,116 @@ func (c *conn) run() {
 		}
 		switch req.Op {
 		case wire.OpGet:
-			if gets = append(gets, req); len(gets) >= c.srv.opts.MaxPipeline {
-				c.dispatchGets(gets)
+			gets = c.add(gets, &req)
+			if len(gets.reqs) >= c.srv.opts.MaxPipeline {
+				c.dispatchRun(gets)
 				gets = nil
 			}
 		case wire.OpInsert, wire.OpDelete:
-			if writes = append(writes, req); len(writes) >= c.srv.opts.MaxPipeline {
-				c.dispatchWrites(writes)
+			writes = c.add(writes, &req)
+			if len(writes.reqs) >= c.srv.opts.MaxPipeline {
+				c.dispatchRun(writes)
 				writes = nil
 			}
 		default:
-			c.dispatchOne(req)
+			c.spawn(c.add(nil, &req))
 		}
 	}
 	// Accepted-but-undispatched runs (the loop broke on drain or a stream
 	// error) still get their responses.
-	c.dispatchGets(gets)
-	c.dispatchWrites(writes)
+	c.dispatchRun(gets)
+	c.dispatchRun(writes)
 	c.handlers.Wait() // every accepted request gets its response...
 	close(c.out)      // ...then the writer sends the last of them and exits
 	<-c.wdone
 	c.nc.Close() //nolint:errcheck
 }
 
+// add appends req to the run b, starting a batch when b is nil, and
+// returns the run.
+func (c *conn) add(b *batch, req *wire.Request) *batch {
+	if b == nil {
+		b = c.newBatch()
+	}
+	b.reqs = append(b.reqs, *req)
+	return b
+}
+
 // reply queues one response the reader produced itself.
-func (c *conn) reply(res wire.Response) { c.out <- []wire.Response{res} }
+func (c *conn) reply(res wire.Response) {
+	b := c.newBatch()
+	b.rs = append(b.rs, res)
+	c.out <- b
+}
+
+// dispatchRun executes a run of pipelined GETs or writes, if there is one.
+// A run of either kind takes ONE in-flight slot and ONE handler goroutine.
+func (c *conn) dispatchRun(b *batch) {
+	if b != nil {
+		c.spawn(b)
+	}
+}
 
 // spawn takes an in-flight slot (blocking the reader is the backpressure)
-// and runs fn on a handler goroutine, which frees the slot when fn is done.
-// Responses are matched by id, so completion order is free to differ from
-// arrival order.
-func (c *conn) spawn(fn func()) {
+// and runs b on a handler goroutine, which frees the slot when it has sent
+// b's replies. Responses are matched by id, so completion order is free to
+// differ from arrival order.
+func (c *conn) spawn(b *batch) {
 	c.slots <- struct{}{}
 	c.handlers.Add(1)
-	go func() {
-		defer c.handlers.Done()
-		fn()
-		<-c.slots
-	}()
+	go b.serve()
 }
 
-// dispatchOne executes one request on its own handler.
-func (c *conn) dispatchOne(req *wire.Request) {
-	c.spawn(func() {
-		rs := make([]wire.Response, 1)
-		c.srv.dispatch(c.srv.baseCtx, req, &rs[0])
-		c.out <- rs
-	})
-}
-
-// dispatchGets executes a run of pipelined GETs. A single GET takes the
-// ordinary per-request path; two or more share ONE in-flight slot and ONE
-// handler goroutine, resolve against one tree-snapshot load via
-// Index.LookupBatch, and their replies reach the writer together.
-func (c *conn) dispatchGets(reqs []*wire.Request) {
-	switch len(reqs) {
-	case 0:
-	case 1:
-		c.dispatchOne(reqs[0])
+// handle is a handler goroutine's body: it executes b, hands it to the
+// writer, and frees the slot. b belongs to the writer once it is on out. A
+// lone GET takes the ordinary per-request path.
+func (b *batch) handle() {
+	c := b.c
+	defer c.handlers.Done()
+	switch op := b.reqs[0].Op; {
+	case op == wire.OpInsert || op == wire.OpDelete:
+		c.srv.handleWrites(b)
+	case op == wire.OpGet && len(b.reqs) > 1:
+		c.srv.handleGetBatch(b)
 	default:
-		c.spawn(func() { c.srv.handleGetBatch(c, reqs) })
+		b.rs = append(b.rs, wire.Response{})
+		c.srv.dispatch(c.srv.baseCtx, &b.reqs[0], &b.rs[0])
 	}
-}
-
-// dispatchWrites executes a run of pipelined INSERT/DELETEs, of any length,
-// on one slot and one handler goroutine (handleWrites).
-func (c *conn) dispatchWrites(reqs []*wire.Request) {
-	if len(reqs) > 0 {
-		c.spawn(func() { c.srv.handleWrites(c, reqs) })
-	}
+	c.out <- b
+	<-c.slots
 }
 
 // handleGetBatch is the coalesced form of dispatch's OpGet arm: one
-// readability check and one LookupBatch for the whole run, then a response
-// per request in arrival order.
-func (s *Server) handleGetBatch(c *conn, reqs []*wire.Request) {
-	n := len(reqs)
+// readability check and one LookupBatch for the whole run, whose values and
+// found flags the writer encodes as a reply per request in arrival order.
+func (s *Server) handleGetBatch(b *batch) {
+	n := len(b.reqs)
 	s.requests.Add(uint64(n))
 	s.inFlight.Add(int64(n))
 	defer s.inFlight.Add(-int64(n))
 	s.getBatches.Add(1)
 	s.batchedGets.Add(uint64(n))
-	rs := make([]wire.Response, n)
-	for i, req := range reqs {
-		rs[i] = wire.Response{ID: req.ID, Op: req.Op, OK: true}
-	}
 	if err := s.readableErr(); err != nil {
-		for i := range rs {
-			s.fail(&rs[i], err)
+		b.rs = resize(b.rs, n)
+		for i, req := range b.reqs {
+			b.rs[i] = wire.Response{ID: req.ID, Op: req.Op, OK: true}
+			s.fail(&b.rs[i], err)
 		}
-		c.out <- rs
 		return
 	}
-	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	found := make([]bool, n)
-	for i, req := range reqs {
-		keys[i] = req.Key
+	b.keys, b.vals, b.found = resize(b.keys, n), resize(b.vals, n), resize(b.found, n)
+	for i := range b.reqs {
+		b.keys[i] = b.reqs[i].Key
 	}
-	s.ix.LookupBatch(keys, vals, found)
-	for i := range rs {
-		rs[i].Val, rs[i].Found = vals[i], found[i]
-	}
-	c.out <- rs
+	s.ix.LookupBatch(b.keys, b.vals, b.found)
 }
 
 // handleWrites executes a write run: one write-gate check, one commit of
 // the whole run in arrival order (commitRun), then a reply per request,
 // each OK one carrying the commit clock read once after the run, sent to
 // the writer together so they leave in one flush.
-func (s *Server) handleWrites(c *conn, reqs []*wire.Request) {
-	n := len(reqs)
+func (s *Server) handleWrites(b *batch) {
+	n := len(b.reqs)
 	s.requests.Add(uint64(n))
 	s.inFlight.Add(int64(n))
 	defer s.inFlight.Add(-int64(n))
@@ -568,56 +648,63 @@ func (s *Server) handleWrites(c *conn, reqs []*wire.Request) {
 		s.writeBatches.Add(1)
 		s.batchedWrites.Add(uint64(n))
 	}
-	errs := make([]error, n)
+	b.errs = resize(b.errs, n)
 	if err := s.writeGateErr(); err != nil {
-		for i := range errs {
-			errs[i] = err
+		for i := range b.errs {
+			b.errs[i] = err
 		}
 	} else {
-		recs := make([]wal.Record, n)
-		for i, req := range reqs {
+		clear(b.errs)
+		b.recs = resize(b.recs, n)
+		for i := range b.reqs {
+			req := &b.reqs[i]
 			op := wal.OpInsert
 			if req.Op == wire.OpDelete {
 				op = wal.OpDelete
 			}
-			recs[i] = wal.Record{Op: op, Key: req.Key, Val: req.Val}
+			b.recs[i] = wal.Record{Op: op, Key: req.Key, Val: req.Val}
 		}
-		s.commitRun(s.baseCtx, recs, errs)
+		s.commitRun(b)
 	}
 	seq := s.ix.CommitSeq()
-	rs := make([]wire.Response, n)
-	for i, req := range reqs {
-		rs[i] = wire.Response{ID: req.ID, Op: req.Op, OK: true}
-		if s.fail(&rs[i], errs[i]).OK {
-			rs[i].Seq, rs[i].HasSeq = seq, true
+	b.rs = resize(b.rs, n)
+	for i := range b.reqs {
+		b.rs[i] = wire.Response{ID: b.reqs[i].ID, Op: b.reqs[i].Op, OK: true}
+		if s.fail(&b.rs[i], b.errs[i]).OK {
+			b.rs[i].Seq, b.rs[i].HasSeq = seq, true
 		}
 	}
-	c.out <- rs
 }
 
-// commitRun commits a write run and sets errs[i] to the outcome of
-// recs[i]. The two handles the server knows commit it as group-commit
+// commitRun commits a write run and sets b.errs[i] to the outcome of
+// b.recs[i]. The two handles the server knows commit it as group-commit
 // entries (WriteBatchCtx), recognized by type (see Index). Any other Index
 // gets one concurrent InsertCtx/DeleteCtx call per record, which its commit
 // queue batches as it would any concurrent writers.
-func (s *Server) commitRun(ctx context.Context, recs []wal.Record, errs []error) {
+func (s *Server) commitRun(b *batch) {
 	switch ix := s.ix.(type) {
 	case *chameleon.DurableIndex:
-		ix.WriteBatchCtx(ctx, recs, errs)
+		ix.WriteBatchCtx(s.baseCtx, b.recs, b.errs)
 	case *chameleon.ShardedIndex:
-		ix.WriteBatchCtx(ctx, recs, errs)
+		ix.WriteBatchCtx(s.baseCtx, b.recs, b.errs)
 	default:
-		var wg sync.WaitGroup
-		for i := 1; i < len(recs); i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = s.writeOne(ctx, recs[i])
-			}()
+		b.next.Store(0)
+		b.wg.Add(len(b.recs) - 1)
+		for i := 1; i < len(b.recs); i++ {
+			go b.commitNext()
 		}
-		errs[0] = s.writeOne(ctx, recs[0])
-		wg.Wait()
+		b.errs[0] = s.writeOne(s.baseCtx, b.recs[0])
+		b.wg.Wait()
 	}
+}
+
+// commitOne commits the next record of b's run that no other goroutine of
+// commitRun has claimed.
+func (b *batch) commitOne() {
+	defer b.wg.Done()
+	i := b.next.Add(1)
+	s := b.c.srv
+	b.errs[i] = s.writeOne(s.baseCtx, b.recs[i])
 }
 
 // writeOne commits one record through the Index's per-op surface.
@@ -630,9 +717,10 @@ func (s *Server) writeOne(ctx context.Context, r wal.Record) error {
 
 // writer encodes and sends responses, coalescing: it flushes only when the
 // queue is momentarily empty, so responses completed close together — a
-// run's replies, which arrive as one slice, or several runs acked by one
-// group-commit batch — share one syscall. The write deadline is armed once
-// per flush: when a reply lands in an empty buffer, and before a reply that
+// run's replies, which arrive as one batch, or several runs acked by one
+// group-commit batch — share one syscall. Once it has encoded a batch's
+// replies it releases the batch. The write deadline is armed once per
+// flush: when a reply lands in an empty buffer, and before a reply that
 // would make bufio write on its own. The queue is empty when c.out closes,
 // so the last reply was flushed in the loop.
 func (c *conn) writer() {
@@ -640,9 +728,9 @@ func (c *conn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var buf []byte
 	dead := false
-	for rs := range c.out {
-		for i := 0; i < len(rs) && !dead; i++ {
-			buf = wire.AppendResponse(buf[:0], &rs[i])
+	for b := range c.out {
+		for i, n := 0, b.replies(); i < n && !dead; i++ {
+			buf = b.appendReply(buf[:0], i)
 			if bw.Buffered() == 0 || len(buf) > bw.Available() {
 				c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 			}
@@ -651,6 +739,7 @@ func (c *conn) writer() {
 				c.nc.Close() //nolint:errcheck
 			}
 		}
+		b.release()
 		// A dead writer keeps draining so handlers never block on it.
 		if !dead && len(c.out) == 0 {
 			if err := bw.Flush(); err != nil {

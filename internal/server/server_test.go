@@ -85,7 +85,7 @@ func rawRoundTrip(t *testing.T, nc net.Conn, req *wire.Request) *wire.Response {
 	if _, err := nc.Write(wire.AppendRequest(nil, req)); err != nil {
 		t.Fatalf("write %s: %v", req.Op, err)
 	}
-	payload, err := wire.ReadFrame(nc, new([8]byte))
+	payload, err := wire.ReadFrame(nc, nil)
 	if err != nil {
 		t.Fatalf("%s reply: %v", req.Op, err)
 	}
@@ -683,7 +683,7 @@ func TestServeHostileBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	payload, err := wire.ReadFrame(nc, new([8]byte))
+	payload, err := wire.ReadFrame(nc, nil)
 	if err != nil {
 		t.Fatalf("no error frame before hangup: %v", err)
 	}
@@ -691,7 +691,7 @@ func TestServeHostileBytes(t *testing.T) {
 	if err != nil || res.ID != 0 || res.Err != wire.ErrCodeMalformed {
 		t.Fatalf("conn-level reply = %+v (%v), want id 0 malformed", res, err)
 	}
-	if _, err := wire.ReadFrame(nc, new([8]byte)); err == nil {
+	if _, err := wire.ReadFrame(nc, nil); err == nil {
 		t.Fatal("server kept the unframeable connection open")
 	}
 	nc.Close() //nolint:errcheck
@@ -706,7 +706,7 @@ func TestServeHostileBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc2.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	payload, err = wire.ReadFrame(nc2, new([8]byte))
+	payload, err = wire.ReadFrame(nc2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +718,7 @@ func TestServeHostileBytes(t *testing.T) {
 	if _, err := nc2.Write(ping); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = wire.ReadFrame(nc2, new([8]byte))
+	payload, err = wire.ReadFrame(nc2, nil)
 	if err != nil {
 		t.Fatalf("connection did not survive a malformed request: %v", err)
 	}

@@ -67,10 +67,9 @@ func sendBurst(t *testing.T, nc net.Conn, reqs []*wire.Request) []*wire.Response
 		t.Fatalf("write burst: %v", err)
 	}
 	br := bufio.NewReader(nc)
-	var hdr [8]byte
 	out := make([]*wire.Response, len(reqs))
 	for i := range out {
-		payload, err := wire.ReadFrame(br, &hdr)
+		payload, err := wire.ReadFrame(br, nil)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}

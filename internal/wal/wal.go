@@ -192,13 +192,6 @@ func Open(path string, opts Options, apply func(Record)) (*Log, int, error) {
 		return nil, nrec, err
 	}
 	l := &Log{f: f, path: path, policy: opts.Policy, onSync: opts.OnSync, size: int64(valid)}
-	if opts.Policy != SyncEveryOp {
-		// Sized once, with room for the batch that fills it. Grown by
-		// appends instead, it took ~25 allocations per log, and a tiered
-		// directory opens a log per flush: the repo benchmark's embed_tier
-		// peak RSS was 2-4 % higher on a 2-vCPU VM.
-		l.buf = make([]byte, 0, bufferBytes+4<<10)
-	}
 	if opts.Policy == SyncInterval {
 		interval := opts.Interval
 		if interval <= 0 {
@@ -397,6 +390,13 @@ func (l *Log) appendAll(recs []Record) error {
 	if l.err != nil {
 		return l.err
 	}
+	if l.buf == nil && l.policy != SyncEveryOp {
+		// Sized once, with room for the batch that fills it. Grown by
+		// appends instead, it took ~25 allocations per log, and the repo
+		// benchmark's embed_tier peak RSS was 2-4 % higher on a 2-vCPU VM.
+		// A rotated log is handed its predecessor's instead (Discard).
+		l.buf = make([]byte, 0, bufferBytes+4<<10)
+	}
 	mark := len(l.buf) // 0 under SyncEveryOp: nothing stays pending there
 	for _, r := range recs {
 		l.buf = appendFrame(l.buf, r)
@@ -549,12 +549,23 @@ func (l *Log) Close() error {
 
 // Discard closes a log whose records a committed snapshot or manifest
 // already holds, dropping its pending frames instead of writing them: the
-// caller is about to remove the file.
-func (l *Log) Discard() error {
+// caller is about to remove the file. The emptied buffer goes to next, the
+// log that succeeds l, when nothing has been appended to next yet, so a
+// rotation reuses one buffer instead of allocating another; next may be nil.
+func (l *Log) Discard(next *Log) error {
 	l.mu.Lock()
-	l.buf = l.buf[:0]
+	buf := l.buf[:0]
+	l.buf = nil
 	l.mu.Unlock()
-	return l.Close()
+	err := l.Close()
+	if next != nil {
+		next.mu.Lock()
+		if next.buf == nil {
+			next.buf = buf
+		}
+		next.mu.Unlock()
+	}
+	return err
 }
 
 func (l *Log) syncLoop(interval time.Duration) {

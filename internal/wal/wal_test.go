@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chameleon/internal/faultfs"
 	"chameleon/internal/format"
@@ -475,6 +476,47 @@ func TestBufferedAppendsBatchWrites(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDiscardHandsOffEmptyBuffer: Discard gives the successor log the
+// discarded log's buffer, emptied, so a rotation allocates no second buffer
+// and none of the old log's pending frames reach the new file.
+func TestDiscardHandsOffEmptyBuffer(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Policy: SyncNone}
+	old, _, err := Open(filepath.Join(dir, "old.log"), opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 100 {
+		if err := old.Append(Record{OpInsert, uint64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, _, err := Open(filepath.Join(dir, "next.log"), opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handed := unsafe.SliceData(old.buf)
+	if err := old.Discard(next); err != nil {
+		t.Fatal(err)
+	}
+	if next.buf == nil || unsafe.SliceData(next.buf) != handed || len(next.buf) != 0 {
+		t.Fatalf("successor's buffer: %d pending bytes, handed off %v; want the old log's, empty",
+			len(next.buf), unsafe.SliceData(next.buf) == handed)
+	}
+	want := Record{OpInsert, 7, 7}
+	if err := next.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, got := openCollect(t, filepath.Join(dir, "next.log"), opts)
+	defer l.Close()
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("successor replays %v, want only %v", got, want)
+	}
 }
 
 // TestOnSyncTimesCommitFsyncsOnly pins which fsyncs Options.OnSync times:

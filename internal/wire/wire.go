@@ -564,14 +564,21 @@ func FullFrameBuffered(br *bufio.Reader) bool {
 	return br.Buffered() >= frameHeader+int(plen)
 }
 
-// ReadFrame reads one frame's payload from r. hdr is the caller's buffer
-// for the length+CRC header, one per connection: a header read through an
-// io.Reader would otherwise be a heap allocation per frame. The payload's
-// allocation is bounded by the validated length prefix, never by what the
-// peer claims beyond MaxFrame. Returns io.EOF only on a clean boundary (no
-// bytes read); a frame cut off mid-way is io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, hdr *[8]byte) ([]byte, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one frame's payload from r. buf is the caller's buffer,
+// one per connection: the length+CRC header is read into it, and so is the
+// payload when it fits buf's capacity, so a connection's small frames cost
+// no allocation each. The returned payload then aliases buf and is valid
+// until the next ReadFrame into buf; a payload longer than cap(buf) gets its
+// own allocation, bounded by the validated length prefix, never by what the
+// peer claims beyond MaxFrame. A nil buf works and allocates both. Returns
+// io.EOF only on a clean boundary (no bytes read); a frame cut off mid-way
+// is io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
@@ -585,7 +592,12 @@ func ReadFrame(r io.Reader, hdr *[8]byte) ([]byte, error) {
 	if plen > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, plen)
+	var payload []byte
+	if int(plen) <= cap(buf) {
+		payload = buf[:plen]
+	} else {
+		payload = make([]byte, plen)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
@@ -612,10 +624,22 @@ func PeekID(payload []byte) (id uint64, ok bool) {
 // count is validated against the bytes present before any slice is
 // allocated from it.
 func DecodeRequest(payload []byte) (*Request, error) {
-	if len(payload) < msgHeader {
-		return nil, fmt.Errorf("%w: %d-byte payload", ErrMalformed, len(payload))
+	r := new(Request)
+	if err := DecodeRequestInto(payload, r); err != nil {
+		return nil, err
 	}
-	r := &Request{
+	return r, nil
+}
+
+// DecodeRequestInto is DecodeRequest into the caller's r, which it
+// overwrites whole, so a server decoding into a value it owns allocates
+// nothing per request. The payload is not retained. On error r holds no
+// meaningful request.
+func DecodeRequestInto(payload []byte, r *Request) error {
+	if len(payload) < msgHeader {
+		return fmt.Errorf("%w: %d-byte payload", ErrMalformed, len(payload))
+	}
+	*r = Request{
 		Op: Op(payload[0]),
 		ID: binary.LittleEndian.Uint64(payload[1:]),
 	}
@@ -623,48 +647,48 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	switch r.Op {
 	case OpGet, OpDelete:
 		if len(body) != 8 {
-			return nil, fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
+			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
 		}
 		r.Key = binary.LittleEndian.Uint64(body)
 	case OpInsert:
 		if len(body) != 16 {
-			return nil, fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
+			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
 		}
 		r.Key = binary.LittleEndian.Uint64(body)
 		r.Val = binary.LittleEndian.Uint64(body[8:])
 	case OpRange:
 		if len(body) != 20 {
-			return nil, fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
+			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
 		}
 		r.Key = binary.LittleEndian.Uint64(body)
 		r.Val = binary.LittleEndian.Uint64(body[8:])
 		r.Limit = binary.LittleEndian.Uint32(body[16:])
 	case OpStats, OpPing, OpPromote:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %s carries a body", ErrMalformed, r.Op)
+			return fmt.Errorf("%w: %s carries a body", ErrMalformed, r.Op)
 		}
 	case OpHello:
 		if len(body) != 2 {
-			return nil, fmt.Errorf("%w: HELLO body %d bytes", ErrMalformed, len(body))
+			return fmt.Errorf("%w: HELLO body %d bytes", ErrMalformed, len(body))
 		}
 		r.Version = binary.LittleEndian.Uint16(body)
 	case OpReplFence:
 		if len(body) != 8 {
-			return nil, fmt.Errorf("%w: REPL_FENCE body %d bytes", ErrMalformed, len(body))
+			return fmt.Errorf("%w: REPL_FENCE body %d bytes", ErrMalformed, len(body))
 		}
 		r.Epoch = binary.LittleEndian.Uint64(body)
 	case OpGetSeq:
 		if len(body) != 12 {
-			return nil, fmt.Errorf("%w: GET_SEQ body %d bytes", ErrMalformed, len(body))
+			return fmt.Errorf("%w: GET_SEQ body %d bytes", ErrMalformed, len(body))
 		}
 		r.Seq = binary.LittleEndian.Uint64(body)
 		r.WaitMS = binary.LittleEndian.Uint32(body[8:])
 	case OpReplPull:
 		if len(body) != 29 {
-			return nil, fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
+			return fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
 		}
 		if body[28] > 1 {
-			return nil, fmt.Errorf("%w: REPL_PULL send-layout byte %d", ErrMalformed, body[28])
+			return fmt.Errorf("%w: REPL_PULL send-layout byte %d", ErrMalformed, body[28])
 		}
 		r.Shard = binary.LittleEndian.Uint32(body)
 		r.Seq = binary.LittleEndian.Uint64(body[4:])
@@ -674,15 +698,15 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.WantLayout = body[28] == 1
 	case OpReplSnap:
 		if len(body) != 20 {
-			return nil, fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
+			return fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
 		}
 		r.Shard = binary.LittleEndian.Uint32(body)
 		r.SnapID = binary.LittleEndian.Uint64(body[4:])
 		r.Seq = binary.LittleEndian.Uint64(body[12:])
 	default:
-		return nil, fmt.Errorf("%w: unknown opcode 0x%02x", ErrMalformed, payload[0])
+		return fmt.Errorf("%w: unknown opcode 0x%02x", ErrMalformed, payload[0])
 	}
-	return r, nil
+	return nil
 }
 
 // DecodeResponse decodes a frame payload as a server→client message, with

@@ -119,6 +119,12 @@ func responseCases() []*Response {
 }
 
 func TestRequestRoundTrip(t *testing.T) {
+	// reused carries every field set, and then each case's leftovers:
+	// DecodeRequestInto must overwrite it whole. buf is a connection's read
+	// buffer, large enough for every request.
+	reused := Request{ID: 1, Op: OpReplPull, Key: 2, Val: 3, Limit: 4, Version: 5, Seq: 6,
+		WaitMS: 7, Epoch: 8, SnapID: 9, Shard: 10, WantLayout: true}
+	buf := make([]byte, 0, 64)
 	for _, rq := range requestCases() {
 		frame := AppendRequest(nil, rq)
 		payload, n, err := DecodeFrame(frame)
@@ -132,10 +138,18 @@ func TestRequestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, rq) {
 			t.Fatalf("%s: round trip\n got %+v\nwant %+v", rq.Op, got, rq)
 		}
-		// The io.Reader path must agree with the byte-slice path.
-		p2, err := ReadFrame(bytes.NewReader(frame), new([8]byte))
+		if err := DecodeRequestInto(payload, &reused); err != nil || reused != *rq {
+			t.Fatalf("%s: DecodeRequestInto over a used Request\n got %+v (err %v)\nwant %+v", rq.Op, reused, err, rq)
+		}
+		// The io.Reader path must agree with the byte-slice path, and read
+		// into the caller's buffer.
+		p2, err := ReadFrame(bytes.NewReader(frame), nil)
 		if err != nil || !bytes.Equal(p2, payload) {
 			t.Fatalf("%s: ReadFrame mismatch (err=%v)", rq.Op, err)
+		}
+		p3, err := ReadFrame(bytes.NewReader(frame), buf)
+		if err != nil || !bytes.Equal(p3, payload) || &p3[0] != &buf[:1][0] {
+			t.Fatalf("%s: ReadFrame into a %d-byte buffer: %v, in the buffer %v", rq.Op, cap(buf), err, err == nil && &p3[0] == &buf[:1][0])
 		}
 	}
 }
@@ -166,7 +180,7 @@ func TestStreamedFrames(t *testing.T) {
 	}
 	br := bytes.NewReader(stream)
 	for i, want := range requestCases() {
-		payload, err := ReadFrame(br, new([8]byte))
+		payload, err := ReadFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -178,7 +192,7 @@ func TestStreamedFrames(t *testing.T) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(br, new([8]byte)); err != io.EOF {
+	if _, err := ReadFrame(br, nil); err != io.EOF {
 		t.Fatalf("stream end: want io.EOF, got %v", err)
 	}
 }
@@ -228,7 +242,7 @@ func TestMalformedInputs(t *testing.T) {
 		if len(tc.data) == 0 {
 			continue // clean EOF, not an error
 		}
-		if _, err := ReadFrame(bytes.NewReader(tc.data), new([8]byte)); !errors.Is(err, readerWant(tc.want)) {
+		if _, err := ReadFrame(bytes.NewReader(tc.data), nil); !errors.Is(err, readerWant(tc.want)) {
 			t.Errorf("ReadFrame %s: got %v, want %v", tc.name, err, readerWant(tc.want))
 		}
 	}

@@ -461,7 +461,7 @@ func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort fun
 // replace's manifest holds every record it has. Callers hold d.mu.
 func (d *DurableIndex) swapWALLocked(next *wal.Log) {
 	if d.log != nil {
-		d.log.Discard() //nolint:errcheck
+		d.log.Discard(next) //nolint:errcheck
 	}
 	d.log = next
 	d.seq++
