@@ -1,6 +1,8 @@
-// Package surface holds one check: every exported name of the module has a
-// non-test caller, and every exported option field has a non-test setter
-// outside its own package, unless allowlist.txt names it with a reason.
+// Package surface holds two checks. This file's: every exported name of the
+// module has a non-test caller, and every exported option field has a
+// non-test setter outside its own package, unless allowlist.txt names it
+// with a reason. doc_test.go's: every name, path and section DESIGN.md and
+// README.md cite exists (TestDocNames).
 //
 // A caller is any non-test file of the module, of its examples and
 // commands, or of the nested benchmark module under bench/. Two kinds of
@@ -9,9 +11,14 @@
 //   - an exported function, method, type, variable or constant that no
 //     non-test file references. A method is not reported when its type
 //     satisfies a used interface that has the method: an interface the
-//     module names, an interface literal, error, the interfaces through
-//     which package errors calls Unwrap, Is and As, or any exported
-//     interface of a standard-library package the module imports.
+//     module names or an interface literal; or, if non-test code converts
+//     a value of the type (or of a struct embedding it) to some interface
+//     type, error, the interfaces through which package errors calls
+//     Unwrap, Is and As, or any exported interface of a standard-library
+//     package the module imports. The standard library reaches a method
+//     such as String or WriteTo only through a value the module has put in
+//     an interface, so a type never converted keeps no method alive that
+//     way.
 //   - an exported, non-embedded field of a struct type whose name ends in
 //     Options that no non-test file outside the declaring package sets, by
 //     a composite-literal key, an assignment, an increment or taking its
@@ -171,6 +178,7 @@ func (s *scanner) check(path string) (*types.Package, error) {
 	}
 	p.info = &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: s}
@@ -196,7 +204,12 @@ func origin(o types.Object) types.Object {
 func (s *scanner) report(paths []string) (map[string]string, int) {
 	used := map[types.Object]bool{}
 	set := map[*types.Var]bool{} // option fields set from outside their package
-	var ifaces []*types.Interface
+	// Interfaces in use. own: the module's interface literals and the named
+	// interfaces something references. std: error, package errors'
+	// interfaces, and every exported interface of an imported non-module
+	// package; the standard library calls String, Error, Read and the like
+	// through them, but only on a value the module put in an interface.
+	var own, std []*types.Interface
 	for _, path := range paths {
 		p := s.pkgs[path]
 		for _, o := range p.info.Uses {
@@ -204,7 +217,7 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 		}
 		for _, tv := range p.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
-				ifaces = append(ifaces, it)
+				own = append(own, it)
 			}
 		}
 		for _, f := range p.files {
@@ -238,12 +251,8 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 			})
 		}
 	}
-	// Interfaces in use: error, the module's named interfaces that something
-	// references, and every exported interface of an imported non-module
-	// package (the standard library calls String, Error, Read and the like
-	// through interfaces the module never names).
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	ifaces = append(ifaces, s.errorsInterfaces()...)
+	std = append(std, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	std = append(std, s.errorsInterfaces()...)
 	seen := map[*types.Package]bool{}
 	var walk func(tp *types.Package)
 	walk = func(tp *types.Package) {
@@ -251,14 +260,16 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 			return
 		}
 		seen[tp] = true
-		_, own := s.pkgs[tp.Path()]
+		_, mine := s.pkgs[tp.Path()]
 		for _, n := range tp.Scope().Names() {
 			tn, ok := tp.Scope().Lookup(n).(*types.TypeName)
-			if !ok || !tn.Exported() || (own && !used[tn]) {
+			if !ok || !tn.Exported() || (mine && !used[tn]) {
 				continue
 			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				ifaces = append(ifaces, it)
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok && mine {
+				own = append(own, it)
+			} else if ok {
+				std = append(std, it)
 			}
 		}
 		for _, imp := range tp.Imports() {
@@ -268,18 +279,22 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 	for _, path := range paths {
 		walk(s.pkgs[path].types)
 	}
-	viaInterface := func(t types.Type, m *types.Func) bool {
-		for _, it := range ifaces {
-			if !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
-				continue
-			}
-			for i := 0; i < it.NumMethods(); i++ {
-				if it.Method(i).Name() == m.Name() {
-					return true
+	converted := s.conversions(paths)
+	viaInterface := func(t *types.Named, m *types.Func) bool {
+		reaches := func(ifaces []*types.Interface) bool {
+			for _, it := range ifaces {
+				if !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					if it.Method(i).Name() == m.Name() {
+						return true
+					}
 				}
 			}
+			return false
 		}
-		return false
+		return reaches(own) || converted[t] && reaches(std)
 	}
 
 	const (
@@ -330,6 +345,162 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 		}
 	}
 	return entries, options
+}
+
+// conversions returns the named types a value of which (or of a pointer to
+// which) non-test code converts to an interface type: explicitly, or
+// implicitly as a call argument, an assigned or declared value, a result,
+// a composite-literal element or a channel send. A struct type carries the
+// types it embeds along, since their methods are promoted to it.
+func (s *scanner) conversions(paths []string) map[*types.Named]bool {
+	conv := map[*types.Named]bool{}
+	var mark func(t types.Type)
+	mark = func(t types.Type) {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		n, ok := t.(*types.Named)
+		if !ok || types.IsInterface(n) || conv[n.Origin()] {
+			return
+		}
+		conv[n.Origin()] = true
+		if st, ok := n.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Embedded() {
+					mark(st.Field(i).Type())
+				}
+			}
+		}
+	}
+	to := func(target, t types.Type) {
+		if target != nil && t != nil && types.IsInterface(target) && !types.IsInterface(t) {
+			mark(t)
+		}
+	}
+	for _, path := range paths {
+		p := s.pkgs[path]
+		// assign converts exprs to targets, spreading one multi-valued
+		// expression over several targets.
+		assign := func(targets []types.Type, exprs []ast.Expr) {
+			if tup, ok := p.info.TypeOf(exprs[0]).(*types.Tuple); ok && len(exprs) == 1 {
+				for i := 0; i < tup.Len() && i < len(targets); i++ {
+					to(targets[i], tup.At(i).Type())
+				}
+				return
+			}
+			for i, e := range exprs {
+				if i < len(targets) {
+					to(targets[i], p.info.TypeOf(e))
+				}
+			}
+		}
+		tuple := func(t *types.Tuple) []types.Type {
+			out := make([]types.Type, t.Len())
+			for i := range out {
+				out[i] = t.At(i).Type()
+			}
+			return out
+		}
+		for _, f := range p.files {
+			var funcs []*types.Signature // enclosing functions, innermost last
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					switch stack[len(stack)-1].(type) {
+					case *ast.FuncDecl, *ast.FuncLit:
+						funcs = funcs[:len(funcs)-1]
+					}
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					funcs = append(funcs, p.info.Defs[n.Name].Type().(*types.Signature))
+				case *ast.FuncLit:
+					funcs = append(funcs, p.info.TypeOf(n).(*types.Signature))
+				case *ast.ReturnStmt:
+					if len(n.Results) > 0 {
+						assign(tuple(funcs[len(funcs)-1].Results()), n.Results)
+					}
+				case *ast.CallExpr:
+					tv := p.info.Types[n.Fun]
+					if tv.IsType() {
+						if len(n.Args) == 1 {
+							to(tv.Type, p.info.TypeOf(n.Args[0]))
+						}
+						break
+					}
+					sig, ok := tv.Type.(*types.Signature)
+					if !ok || len(n.Args) == 0 {
+						break
+					}
+					targets := tuple(sig.Params())
+					if sig.Variadic() && !n.Ellipsis.IsValid() {
+						if sl, ok := targets[len(targets)-1].Underlying().(*types.Slice); ok {
+							targets = targets[:len(targets)-1]
+							for len(targets) < len(n.Args) {
+								targets = append(targets, sl.Elem())
+							}
+						}
+					}
+					assign(targets, n.Args)
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						targets := make([]types.Type, len(n.Lhs))
+						for i, l := range n.Lhs {
+							targets[i] = p.info.TypeOf(l)
+						}
+						assign(targets, n.Rhs)
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil && len(n.Values) > 0 {
+						targets := make([]types.Type, len(n.Names))
+						for i := range targets {
+							targets[i] = p.info.TypeOf(n.Type)
+						}
+						assign(targets, n.Values)
+					}
+				case *ast.SendStmt:
+					if ch, ok := p.info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+						to(ch.Elem(), p.info.TypeOf(n.Value))
+					}
+				case *ast.CompositeLit:
+					t := p.info.TypeOf(n)
+					if t == nil {
+						break
+					}
+					for i, elt := range n.Elts {
+						key, val := ast.Expr(nil), elt
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							key, val = kv.Key, kv.Value
+						}
+						switch u := t.Underlying().(type) {
+						case *types.Struct:
+							if id, ok := key.(*ast.Ident); ok {
+								if v, ok := p.info.Uses[id].(*types.Var); ok {
+									to(v.Type(), p.info.TypeOf(val))
+								}
+							} else if key == nil && i < u.NumFields() {
+								to(u.Field(i).Type(), p.info.TypeOf(val))
+							}
+						case *types.Slice:
+							to(u.Elem(), p.info.TypeOf(val))
+						case *types.Array:
+							to(u.Elem(), p.info.TypeOf(val))
+						case *types.Map:
+							if key != nil {
+								to(u.Key(), p.info.TypeOf(key))
+							}
+							to(u.Elem(), p.info.TypeOf(val))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return conv
 }
 
 // errorsSrc declares the unnamed interfaces through which package errors
@@ -423,16 +594,19 @@ func TestNoDeadSurface(t *testing.T) {
 }
 
 // TestScannerFixture pins what the scan reports on a fixture module with
-// one case of each kind: exactly the uncalled method and the field only a
-// test sets, not the method reached through an interface, the field the
-// caller module sets, or the names only the caller module uses.
+// one case of each kind: exactly the uncalled method, the field only a
+// test sets, and the method that satisfies a standard-library interface
+// (io.WriterTo) on a type no non-test code converts to an interface; not
+// the method reached through a module interface, the String method of a
+// type fmt receives as an interface, the field the caller module sets, or
+// the names only the caller module uses.
 func TestScannerFixture(t *testing.T) {
 	entries, _, err := scan("testdata/fixture", "testdata/fixture/bench")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(sortedKeys(entries), " ")
-	if want := "fixture/lib.Options.TestOnly fixture/lib.Store.Uncalled"; got != want {
+	if want := "fixture/lib.Blob.WriteTo fixture/lib.Options.TestOnly fixture/lib.Store.Uncalled"; got != want {
 		t.Fatalf("scan(fixture) = %q, want %q", got, want)
 	}
 }

@@ -5,5 +5,6 @@ import "fixture/lib"
 
 func main() {
 	var s lib.Sizer = lib.New(lib.Options{Size: 4})
-	println(s.Len(), lib.New(lib.Options{}).Get())
+	var b lib.Blob
+	println(s.Len(), lib.New(lib.Options{}).Get(), lib.Describe("x"), len(b.Bytes))
 }

@@ -1,10 +1,16 @@
 package lib
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 func TestStore(t *testing.T) {
 	s := New(Options{TestOnly: 2})
 	if s.Get() != 16 || s.Uncalled() != 0 {
 		t.Fatal(s.Get())
+	}
+	if n, err := (Blob{}).WriteTo(io.Discard); n != 0 || err != nil {
+		t.Fatal(n, err)
 	}
 }

@@ -382,6 +382,58 @@ func TestShortWriteSticksAndRecovers(t *testing.T) {
 			}
 		}
 	})
+	// Under a buffered policy a write error other than disk-full kills the
+	// log with acked frames still in its buffer, and they never reach the
+	// file. The first two frames are synced; the last two are acked into the
+	// buffer and meet the failure at Flush. Every later append, Flush and
+	// Sync returns that sticky error, and a reopen replays exactly the frames
+	// written before it: the synced ones and the whole frames the failing
+	// write got out.
+	t.Run("interval_sticky", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.log")
+		synced := int64(recs[0].FrameSize() + recs[1].FrameSize())
+		for budget := synced; budget < total; budget++ {
+			os.Remove(path) //nolint:errcheck
+			fsys := &shortWriteFS{budget: budget}
+			l, _, err := Open(path, Options{Policy: SyncInterval, Interval: time.Hour, FS: fsys}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendAll(recs[:2]); err != nil {
+				t.Fatalf("budget %d: append = %v", budget, err)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatalf("budget %d: Sync within the budget = %v", budget, err)
+			}
+			if err := l.AppendAll(recs[2:]); err != nil {
+				t.Fatalf("budget %d: buffered append = %v", budget, err)
+			}
+			sticky := l.Flush()
+			if !errors.Is(sticky, faultfs.ErrInjected) || errors.Is(sticky, ErrDiskFull) {
+				t.Fatalf("budget %d: Flush = %v, want the injected, non-disk-full error", budget, sticky)
+			}
+			for _, op := range []struct {
+				name string
+				call func() error
+			}{
+				{"append", func() error { return l.AppendInsert(9, 9) }},
+				{"Flush", l.Flush},
+				{"Sync", l.Sync},
+			} {
+				if err := op.call(); err != sticky {
+					t.Fatalf("budget %d: %s after the failure = %v, want the sticky %v", budget, op.name, err, sticky)
+				}
+			}
+			if err := l.Close(); err == nil {
+				t.Fatalf("budget %d: Close hid the sticky error", budget)
+			}
+			_, got := openCollect(t, path, Options{})
+			if fit := fits(budget); !slices.Equal(got, recs[:fit]) {
+				t.Fatalf("budget %d: replayed %+v, want the %d frames written before the failure", budget, got, fit)
+			}
+		}
+	})
 }
 
 // shortWriteFS wraps the real FS so each opened file short-writes once the
