@@ -28,6 +28,9 @@
 // wait for a follower ack (bounded by -repl-ack-timeout). Sharded layouts
 // replicate too (DESIGN.md §14): a sharded node runs one replication stream
 // per shard, and its follower must be started with the same shard count.
+// The engine may differ: a follower started with or without -tier
+// bootstraps from either kind of primary, so following and then promoting
+// moves a live node between engines.
 //
 // Failover (DESIGN.md §14): -failover-auto runs the failure detector beside
 // a follower — when the primary is both silent on the pull stream and

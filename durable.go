@@ -256,14 +256,14 @@ var ErrSnapshotsUnreadable = errors.New("chameleon: snapshot files present but n
 // it, BulkLoad what Range returns, and close it (DESIGN.md §7).
 var ErrNeedsUpgrade = format.ErrNeedsUpgrade
 
-// ErrLayoutMismatch is returned when a directory or snapshot stream is in
-// another layout than the one asked for: OpenDir on a sharded root or,
-// with Tiered set, on a directory holding a legacy snapshot; OpenShardedDir
-// on an unsharded directory; RestoreSnapshot of the other engine's stream.
-// Nothing on disk or in memory has changed when it is returned. Layouts do
-// not convert in place: BulkLoad what Range returns into a fresh directory
-// of the wanted layout (DESIGN.md §7).
-var ErrLayoutMismatch = errors.New("chameleon: directory or snapshot stream is in another layout")
+// ErrLayoutMismatch is returned when a directory is in another layout than
+// the one asked for: OpenDir on a sharded root or, with Tiered set, on a
+// directory holding a legacy snapshot; OpenShardedDir on an unsharded
+// directory. Nothing on disk or in memory has changed when it is returned.
+// Layouts do not convert in place: BulkLoad what Range returns into a fresh
+// directory of the wanted layout, or follow a primary of the old layout
+// with a node of the new one and promote it (DESIGN.md §7).
+var ErrLayoutMismatch = errors.New("chameleon: directory is in another layout")
 
 const (
 	snapPrefix = "snapshot-"
@@ -1101,12 +1101,11 @@ func (d *DurableIndex) logApplyLocked(recs []wal.Record) (int, error) {
 
 // BulkLoad rebuilds the index from sorted keys and immediately makes the
 // data durable. A replace is one commit: it advances the commit clock by
-// one, and the state it writes carries the new base — in legacy mode an
-// atomic snapshot, in tiered mode the same replace a snapshot restore makes,
-// one fresh L1 segment behind a manifest commit (tier.replaceLocked). The
-// commit hook then sees the replace as a call with no records. Bulk data
-// never passes through the WAL, so a failure after the commit point poisons
-// the handle (fail-stop) rather than letting acked state diverge; a tiered
+// one, and the state it writes carries the new base — the same replace a
+// snapshot restore makes (replaceLocked; tier.replaceLocked). The commit
+// hook then sees the replace as a call with no records. Bulk data never
+// passes through the WAL, so a failure after the commit point poisons the
+// handle (fail-stop) rather than letting acked state diverge; a tiered
 // failure before it leaves the previous state and no new file.
 func (d *DurableIndex) BulkLoad(keys, vals []uint64) error {
 	if d.tier != nil {
@@ -1114,19 +1113,35 @@ func (d *DurableIndex) BulkLoad(keys, vals []uint64) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.replaceLocked(keys, vals, d.commitSeq.Load()+1); err != nil {
+		return err
+	}
+	d.replaceHookLocked()
+	return nil
+}
+
+// replaceLocked replaces the legacy index's entire contents with the sorted
+// run (keys, vals) as of asOfSeq, which becomes the local commit sequence.
+// The atomic snapshot it writes under that sequence is the commit point. A
+// run behind the local clock fails with ErrRestoreBehind, and an invalid
+// one as the in-memory BulkLoad does, both before anything changes; a
+// failure after the index is rebuilt poisons. Callers hold d.mu.
+func (d *DurableIndex) replaceLocked(keys, vals []uint64, asOfSeq uint64) error {
 	if err := d.usableLocked(); err != nil {
 		return err
+	}
+	if asOfSeq < d.commitSeq.Load() {
+		return fmt.Errorf("%w: snapshot at %d, local at %d", ErrRestoreBehind, asOfSeq, d.commitSeq.Load())
 	}
 	if err := d.ix.BulkLoad(keys, vals); err != nil {
 		return err
 	}
-	d.commitSeq.Add(1)
+	d.commitSeq.Store(asOfSeq)
 	if err := d.checkpointLocked(); err != nil {
-		d.poisonLocked(fmt.Errorf("bulk-load checkpoint: %w", err))
+		d.poisonLocked(fmt.Errorf("replace checkpoint: %w", err))
 		return d.fail
 	}
 	d.broadcastSeq()
-	d.replaceHookLocked()
 	return nil
 }
 

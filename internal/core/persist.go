@@ -57,11 +57,11 @@ import (
 // self-consistent even while concurrent writers advance other intervals.
 
 const (
-	// SnapMagic leads every snapshot stream WriteTo writes.
-	SnapMagic     = "CHAMSNP3"
+	// snapMagic leads every snapshot WriteTo writes.
+	snapMagic     = "CHAMSNP3"
 	snapEndMagic  = "CHAMEND3"
 	snapVersion   = 3
-	snapHeaderLen = len(SnapMagic) + 4
+	snapHeaderLen = len(snapMagic) + 4
 	snapFooterLen = 8 + 4 + len(snapEndMagic)
 
 	tagLeaf  = 0
@@ -102,8 +102,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("core: index name of %d bytes exceeds %d", len(name), maxNameLen)
 	}
 	var hdr [snapHeaderLen]byte
-	copy(hdr[:], SnapMagic)
-	binary.LittleEndian.PutUint32(hdr[len(SnapMagic):], snapVersion)
+	copy(hdr[:], snapMagic)
+	binary.LittleEndian.PutUint32(hdr[len(snapMagic):], snapVersion)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -389,11 +389,11 @@ func (r *snapReader) snapshot() (*snapshot, error) {
 	if hdr == nil {
 		return nil, r.err
 	}
-	magic, version := string(hdr[:len(SnapMagic)]), binary.LittleEndian.Uint32(hdr[len(SnapMagic):])
+	magic, version := string(hdr[:len(snapMagic)]), binary.LittleEndian.Uint32(hdr[len(snapMagic):])
 	switch {
 	case magic == "CHAMSNP2":
 		return nil, fmt.Errorf("core: CHAMSNP2 snapshot: %w", format.ErrNeedsUpgrade)
-	case magic != SnapMagic:
+	case magic != snapMagic:
 		return nil, corruptf("not a chameleon index snapshot")
 	case version != snapVersion:
 		return nil, fmt.Errorf("core: unsupported index snapshot version %d", version)

@@ -292,7 +292,7 @@ func TestPersistRejectsAbsurdFields(t *testing.T) {
 // key count; the decoder allocates from the bytes that arrive, not from the
 // claim, so each of these fails as corrupt having allocated under 1 MB.
 func TestReadFromBoundsAllocation(t *testing.T) {
-	head := append([]byte(SnapMagic), 3, 0, 0, 0)
+	head := append([]byte(snapMagic), 3, 0, 0, 0)
 	head = append(head, 1, 'x')
 	head = append(head, f64Bytes(0.45)...)
 	head = append(head, f64Bytes(131)...)

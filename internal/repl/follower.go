@@ -255,14 +255,9 @@ func (n *Node) bootstrapShard(ctx context.Context, c replClient, shard int) erro
 		}
 	}
 	if err := n.ix.RestoreShardSnapshot(shard, io.Reader(&buf), asOf); err != nil {
-		// The other engine's stream never restores here: fail-stop rather
-		// than download it again on every reconnect. A corrupt stream fails
-		// validation with the index unchanged — retryable over a fresh
-		// connection. A poisoned/closed index is terminal and runFollower
-		// stops on it.
-		if errors.Is(err, chameleon.ErrLayoutMismatch) {
-			return fatalf("shard %d: installing snapshot: %w", shard, err)
-		}
+		// A corrupt stream fails validation with the index unchanged —
+		// retryable over a fresh connection. A poisoned/closed index is
+		// terminal and runFollower stops on it.
 		return fmt.Errorf("repl: installing snapshot: %w", err)
 	}
 	n.opts.Logf("repl: snapshot installed, shard %d commit seq %d", shard, asOf)

@@ -79,9 +79,10 @@ const pullMax = 4096
 
 // promoteDrainWait bounds how long a promotion waits for the follower pull
 // loop to stop. The loop can be inside an index call that takes no context;
-// the longest is RestoreShardSnapshot, which took at most 0.36 s on a 2 M-key
-// shard (legacy engine; tiered 0.25 s; 2-vCPU x86 VM, local SSD). The bound
-// leaves an order of magnitude for a loaded box or a slower disk.
+// the longest is RestoreShardSnapshot, which took 0.44 s on a 2 M-key shard
+// (legacy engine, which bulk-loads the run; tiered 0.11 s; 2-vCPU x86 VM,
+// local SSD). The bound leaves an order of magnitude for a loaded box or a
+// slower disk.
 const promoteDrainWait = 5 * time.Second
 
 // Options tunes a Node. The zero value plus defaults gives an async primary.

@@ -442,25 +442,29 @@ func TestPullLoopFailsStopOnRegression(t *testing.T) {
 
 // TestPullLoopBootstraps: a snapshot-needed pull drives a full chunked
 // bootstrap through RestoreSnapshot, after which pulling resumes from the
-// snapshot's sequence — for each engine, primary and follower alike.
+// snapshot's sequence — for each engine, and from a primary of either
+// engine to a follower of the other: the stream is the same.
 func TestPullLoopBootstraps(t *testing.T) {
+	legacy, tiered := chameleon.DirOptions{}, chameleon.DirOptions{Tiered: true}
 	for _, tc := range []struct {
-		name string
-		opts chameleon.DirOptions
+		name              string
+		primary, follower chameleon.DirOptions
 	}{
-		{"legacy", chameleon.DirOptions{}},
-		{"tiered", chameleon.DirOptions{Tiered: true}},
+		{"legacy", legacy, legacy},
+		{"tiered", tiered, tiered},
+		{"legacy-to-tiered", legacy, tiered},
+		{"tiered-to-legacy", tiered, legacy},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			open := func() *chameleon.DurableIndex {
-				d, err := chameleon.OpenDir(t.TempDir(), tc.opts)
+			open := func(opts chameleon.DirOptions) *chameleon.DurableIndex {
+				d, err := chameleon.OpenDir(t.TempDir(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { d.Close() }) //nolint:errcheck
 				return d
 			}
-			primary := open()
+			primary := open(tc.primary)
 			pn := New(primary, Options{snapChunk: 128})
 			defer pn.Close()
 			for k := uint64(1); k <= 100; k++ {
@@ -469,7 +473,7 @@ func TestPullLoopBootstraps(t *testing.T) {
 				}
 			}
 
-			ix := open()
+			ix := open(tc.follower)
 			n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
 			var resumedFrom uint64
 			fc := &fakeClient{
@@ -517,55 +521,6 @@ func serveSnap(pn *Node) func(snapID, offset uint64) (client.SnapChunk, error) {
 		}
 		return client.SnapChunk{SnapID: sr.SnapID, AsOfSeq: sr.AsOfSeq,
 			Offset: sr.Offset, Total: sr.Total, Data: sr.Data}, nil
-	}
-}
-
-// TestPullLoopRefusesOtherLayout: a tiered follower bootstrapping from a
-// legacy primary's snapshot fail-stops after one download, its state
-// untouched, instead of downloading it again on every reconnect.
-func TestPullLoopRefusesOtherLayout(t *testing.T) {
-	primary := openIx(t)
-	pn := New(primary, Options{snapChunk: 128})
-	defer pn.Close()
-	for k := uint64(1); k <= 100; k++ {
-		if err := primary.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ix, err := chameleon.OpenDir(t.TempDir(), chameleon.DirOptions{Tiered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	for k := uint64(1); k <= 3; k++ {
-		if err := ix.Insert(k<<32, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := newFollowerShell(ix, Options{ReplicaOf: "scripted"})
-	fc := &fakeClient{
-		pulls: []func(uint64, uint64) (client.PullResult, error){
-			func(uint64, uint64) (client.PullResult, error) {
-				return client.PullResult{UpstreamSeq: 100, Epoch: 1, SnapshotNeeded: true}, nil
-			},
-		},
-		snap: serveSnap(pn),
-	}
-	err = n.shardSyncLoop(context.Background(), fc)
-	var fe *errFatal
-	if !errors.As(err, &fe) || !errors.Is(err, chameleon.ErrLayoutMismatch) {
-		t.Fatalf("want a fatal ErrLayoutMismatch, got %v", err)
-	}
-	if n.bootstraps.Load() != 1 {
-		t.Fatalf("bootstraps %d, want 1", n.bootstraps.Load())
-	}
-	n.failStop(fe.err)
-	if h := n.Health(); !h.Diverged {
-		t.Fatalf("post-failstop health: %+v", h)
-	}
-	if ix.Len() != 3 || ix.CommitSeq() != 3 {
-		t.Fatalf("refused bootstrap left Len %d, CommitSeq %d; want 3, 3", ix.Len(), ix.CommitSeq())
 	}
 }
 

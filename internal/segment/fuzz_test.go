@@ -56,7 +56,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[40] ^= 0xff
 	f.Add(mut)
-	f.Add([]byte(Magic))
+	f.Add([]byte(magic))
 	f.Add([]byte{})
 	// A Count far beyond the file's length: nothing may be sized from it.
 	f.Add(hostileCountSegment(f))

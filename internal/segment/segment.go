@@ -64,9 +64,8 @@ import (
 	"chameleon/internal/format"
 )
 
-// Magic leads (and ends) every segment, on disk and in a tiered snapshot
-// stream.
-const Magic = "CHAMSEG2"
+// magic leads (and ends) every segment, on disk and in a snapshot stream.
+const magic = "CHAMSEG2"
 
 const (
 	version    = 2
@@ -288,7 +287,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 		return nil, l.corrupt("short header")
 	}
 	switch string(hdr[:8]) {
-	case Magic:
+	case magic:
 	case "CHAMSEG1":
 		return nil, fmt.Errorf("segment: %s is CHAMSEG1: %w", path, format.ErrNeedsUpgrade)
 	default:
@@ -367,7 +366,7 @@ func load(f faultfs.File, path string) (*Reader, error) {
 	if binary.LittleEndian.Uint32(foot[:4]) != l.crc.Sum32() {
 		return nil, l.corrupt("CRC mismatch")
 	}
-	if string(foot[4:]) != Magic {
+	if string(foot[4:]) != magic {
 		return nil, l.corrupt("bad end magic")
 	}
 	// The length check above already pinned the footer to the file's end,

@@ -65,7 +65,7 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
 
 	var hdr [headerSize]byte
-	copy(hdr[:8], Magic)
+	copy(hdr[:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:], version)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(level))
 	binary.LittleEndian.PutUint64(hdr[16:], n)
@@ -103,7 +103,7 @@ func Write(w io.Writer, keys, vals []uint64, tombs []bool, id uint64, level int,
 	}
 	var foot [footerSize]byte
 	binary.LittleEndian.PutUint32(foot[:4], crc.Sum32())
-	copy(foot[4:], Magic)
+	copy(foot[4:], magic)
 	if _, err := w.Write(foot[:]); err != nil {
 		return Meta{}, err
 	}

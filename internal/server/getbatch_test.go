@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -90,5 +91,41 @@ func TestPipelinedGetCoalescing(t *testing.T) {
 	}
 	if stats.BatchedGets > gets {
 		t.Fatalf("batched GETs %d exceeds GETs sent %d", stats.BatchedGets, gets)
+	}
+}
+
+// TestLoneGetIsRunOfOne: a GET with nothing pipelined behind it runs as a
+// GET run of one — it answers found and absent keys, a closed index answers
+// closed, and the coalescing counters, which count runs of two or more, stay
+// at zero.
+func TestLoneGetIsRunOfOne(t *testing.T) {
+	ctx := context.Background()
+	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
+	if err := ix.Insert(7, valOf(7)); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, ix, server.Options{})
+	defer s.Close() //nolint:errcheck
+	c := dialClient(t, s, client.Options{})
+	defer c.Close() //nolint:errcheck
+
+	if v, ok, err := c.Get(ctx, 7); err != nil || !ok || v != valOf(7) {
+		t.Fatalf("Get(7) = %d,%v,%v; want %d,true", v, ok, err, valOf(7))
+	}
+	if _, ok, err := c.Get(ctx, 8); err != nil || ok {
+		t.Fatalf("Get(8) = %v,%v; want absent", ok, err)
+	}
+	stats, _, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GetBatches != 0 || stats.BatchedGets != 0 {
+		t.Fatalf("lone GETs counted as coalesced: batches=%d batched=%d", stats.GetBatches, stats.BatchedGets)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(ctx, 7); !errors.Is(err, chameleon.ErrIndexClosed) {
+		t.Fatalf("Get on a closed index: %v, want ErrIndexClosed", err)
 	}
 }

@@ -205,8 +205,9 @@ func waitFollowerSeq(t *testing.T, ix *chameleon.DurableIndex, seq uint64, d tim
 // TestHelloVersionMismatch drives the raw socket: a HELLO with another
 // protocol version must get the typed rejection and then a hangup — fail
 // fast, never decode garbage mid-stream. One row is an alien version in this
-// version's shape, one a v4 peer's HELLO (same shape, version 4), and one a v3
-// peer's HELLO byte for byte (version 3, then 8 bytes of feature bits).
+// version's shape; two are a v5 and a v4 peer's HELLO (same shape; a v5
+// peer would otherwise take a snapshot stream it cannot restore); one is a
+// v3 peer's HELLO byte for byte (version 3, then 8 bytes of feature bits).
 func TestHelloVersionMismatch(t *testing.T) {
 	ix := openIx(t, t.TempDir(), chameleon.DirOptions{})
 	defer ix.Close() //nolint:errcheck
@@ -218,6 +219,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 		frame []byte
 	}{
 		{"v99", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 99})},
+		{"v5", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 5})},
 		{"v4", wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpHello, Version: 4})},
 		// [1] op [8] id, then v3's body: [2] version [8] feature bits.
 		{"v3 shape", wireTestFrame([]byte{byte(wire.OpHello), 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0})},
@@ -463,6 +465,103 @@ func TestSnapshotBootstrapConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFollowerSeq(t, fix, n+1, 10*time.Second)
+}
+
+// TestCrossEngineBootstrap: a node of one engine follows a primary of the
+// other — the way to move a deployment between layouts: follow, then
+// promote. The primary's early history is outside its pull ring, so the
+// follower bootstraps over REPL_SNAP, then catches up by pulls (inserts,
+// overwrites by delete and re-insert, deletes) without a second bootstrap.
+// Promoted, it serves every acknowledged key with its value and takes
+// writes.
+func TestCrossEngineBootstrap(t *testing.T) {
+	legacy := chameleon.DirOptions{}
+	tiered := chameleon.DirOptions{Tiered: true, MemtableBytes: 64 << 10}
+	for _, tc := range []struct {
+		name              string
+		primary, follower chameleon.DirOptions
+	}{
+		{"legacy-to-tiered", legacy, tiered},
+		{"tiered-to-legacy", tiered, legacy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			const early, late = 3000, 600
+			want := make(map[uint64]uint64)
+			ix := openIx(t, t.TempDir(), tc.primary)
+			defer ix.Close() //nolint:errcheck
+			for j := uint64(1); j <= early; j++ {
+				if err := ix.Insert(spread(j), valOf(j)); err != nil {
+					t.Fatal(err)
+				}
+				want[spread(j)] = valOf(j)
+			}
+			node := repl.New(ix, repl.Options{})
+			defer node.Close()
+			s := startServer(t, ix, server.Options{Repl: node})
+			defer s.Close() //nolint:errcheck
+			pc := dialClient(t, s, client.Options{})
+			defer pc.Close() //nolint:errcheck
+
+			fix := openIx(t, t.TempDir(), tc.follower)
+			defer fix.Close() //nolint:errcheck
+			fnode := repl.New(fix, repl.Options{
+				ReplicaOf:    s.Addr().String(),
+				PullWait:     50 * time.Millisecond,
+				ReconnectMin: 10 * time.Millisecond,
+				ReconnectMax: 100 * time.Millisecond,
+			})
+			defer fnode.Close()
+			fs := startServer(t, fix, server.Options{Repl: fnode})
+			defer fs.Close() //nolint:errcheck
+			fc := dialClient(t, fs, client.Options{})
+			defer fc.Close() //nolint:errcheck
+
+			waitFollowerSeq(t, fix, early, 15*time.Second)
+			if h := fnode.Health(); h.SnapshotBootstraps != 1 || h.Diverged {
+				t.Fatalf("follower reached seq %d without exactly one bootstrap: %+v", early, h)
+			}
+			for j := uint64(1); j <= late; j++ {
+				k := spread(early + j)
+				if err := pc.Insert(ctx, k, valOf(k)); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = valOf(k)
+				if j%3 == 0 { // delete an early key; re-insert every other one with a new value
+					old := spread(j)
+					if err := pc.Delete(ctx, old); err != nil {
+						t.Fatal(err)
+					}
+					delete(want, old)
+					if j%2 == 0 {
+						if err := pc.Insert(ctx, old, j); err != nil {
+							t.Fatal(err)
+						}
+						want[old] = j
+					}
+				}
+			}
+			waitFollowerSeq(t, fix, ix.CommitSeq(), 15*time.Second)
+			if h := fnode.Health(); h.SnapshotBootstraps != 1 || h.Diverged {
+				t.Fatalf("follower did not catch up by pulls alone: %+v", h)
+			}
+
+			if _, _, err := fc.Promote(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if fix.Len() != len(want) {
+				t.Fatalf("promoted node holds %d keys, want %d", fix.Len(), len(want))
+			}
+			for k, v := range want {
+				if got, ok, err := fc.Get(ctx, k); err != nil || !ok || got != v {
+					t.Fatalf("promoted Get(%d) = %d,%v,%v; want %d,true", k, got, ok, err, v)
+				}
+			}
+			if err := fc.Insert(ctx, 42, valOf(42)); err != nil {
+				t.Fatalf("promoted node refuses a write: %v", err)
+			}
+		})
+	}
 }
 
 // TestReplaceReachesFollower: a replace (BulkLoad) is a commit, so it

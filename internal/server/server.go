@@ -593,14 +593,14 @@ func (c *conn) spawn(b *batch) {
 
 // handle is a handler goroutine's body: it executes b, hands it to the
 // writer, and frees the slot. b belongs to the writer once it is on out. A
-// lone GET takes the ordinary per-request path.
+// lone GET is a run of one.
 func (b *batch) handle() {
 	c := b.c
 	defer c.handlers.Done()
-	switch op := b.reqs[0].Op; {
-	case op == wire.OpInsert || op == wire.OpDelete:
+	switch b.reqs[0].Op {
+	case wire.OpInsert, wire.OpDelete:
 		c.srv.handleWrites(b)
-	case op == wire.OpGet && len(b.reqs) > 1:
+	case wire.OpGet:
 		c.srv.handleGetBatch(b)
 	default:
 		b.rs = append(b.rs, wire.Response{})
@@ -610,16 +610,18 @@ func (b *batch) handle() {
 	<-c.slots
 }
 
-// handleGetBatch is the coalesced form of dispatch's OpGet arm: one
-// readability check and one LookupBatch for the whole run, whose values and
-// found flags the writer encodes as a reply per request in arrival order.
+// handleGetBatch executes a GET run, a lone GET included: one readability
+// check and one LookupBatch for the whole run, whose values and found flags
+// the writer encodes as a reply per request in arrival order.
 func (s *Server) handleGetBatch(b *batch) {
 	n := len(b.reqs)
 	s.requests.Add(uint64(n))
 	s.inFlight.Add(int64(n))
 	defer s.inFlight.Add(-int64(n))
-	s.getBatches.Add(1)
-	s.batchedGets.Add(uint64(n))
+	if n > 1 {
+		s.getBatches.Add(1)
+		s.batchedGets.Add(uint64(n))
+	}
 	if err := s.readableErr(); err != nil {
 		b.rs = resize(b.rs, n)
 		for i, req := range b.reqs {
@@ -797,8 +799,9 @@ func (s *Server) pollCtx(ctx context.Context, waitMS uint32) (context.Context, c
 	return cctx, cancel, wait
 }
 
-// dispatch executes one request other than INSERT/DELETE (which are write
-// runs, handleWrites) against the index and fills in its response.
+// dispatch executes one request other than GET, INSERT and DELETE (which
+// are runs, handleGetBatch and handleWrites) against the index and fills in
+// its response.
 func (s *Server) dispatch(ctx context.Context, req *wire.Request, res *wire.Response) {
 	s.requests.Add(1)
 	s.inFlight.Add(1)
@@ -808,12 +811,6 @@ func (s *Server) dispatch(ctx context.Context, req *wire.Request, res *wire.Resp
 	case wire.OpPing:
 	case wire.OpStats:
 		res.Stats = s.statsJSON()
-	case wire.OpGet:
-		if err := s.readableErr(); err != nil {
-			s.fail(res, err)
-			return
-		}
-		res.Val, res.Found = s.ix.Lookup(req.Key)
 	case wire.OpRange:
 		if err := s.readableErr(); err != nil {
 			s.fail(res, err)

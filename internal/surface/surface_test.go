@@ -9,7 +9,8 @@
 // entry are reported:
 //
 //   - an exported function, method, type, variable or constant that no
-//     non-test file references. A method is not reported when its type
+//     non-test file references; a method's receiver naming its own type is
+//     not a reference. A method is not reported when its type
 //     satisfies a used interface that has the method: an interface the
 //     module names or an interface literal; or, if non-test code converts
 //     a value of the type (or of a struct embedding it) to some interface
@@ -212,8 +213,24 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 	var own, std []*types.Interface
 	for _, path := range paths {
 		p := s.pkgs[path]
-		for _, o := range p.info.Uses {
-			used[origin(o)] = true
+		// A method's receiver names its own type; that is not a caller.
+		recv := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recv[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+		for id, o := range p.info.Uses {
+			if !recv[id] {
+				used[origin(o)] = true
+			}
 		}
 		for _, tv := range p.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
@@ -595,8 +612,9 @@ func TestNoDeadSurface(t *testing.T) {
 
 // TestScannerFixture pins what the scan reports on a fixture module with
 // one case of each kind: exactly the uncalled method, the field only a
-// test sets, and the method that satisfies a standard-library interface
-// (io.WriterTo) on a type no non-test code converts to an interface; not
+// test sets, the method that satisfies a standard-library interface
+// (io.WriterTo) on a type no non-test code converts to an interface, and
+// the type only its own method's receiver names (with that method); not
 // the method reached through a module interface, the String method of a
 // type fmt receives as an interface, the field the caller module sets, or
 // the names only the caller module uses.
@@ -606,7 +624,7 @@ func TestScannerFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := strings.Join(sortedKeys(entries), " ")
-	if want := "fixture/lib.Blob.WriteTo fixture/lib.Options.TestOnly fixture/lib.Store.Uncalled"; got != want {
+	if want := "fixture/lib.Blob.WriteTo fixture/lib.Options.TestOnly fixture/lib.Orphan fixture/lib.Orphan.Reset fixture/lib.Store.Uncalled"; got != want {
 		t.Fatalf("scan(fixture) = %q, want %q", got, want)
 	}
 }

@@ -25,6 +25,9 @@ package wire
 // feature bits and made a tiered node's snapshot stream one CHAMSEG2 segment.
 // Version 5 drops the shard-manifest generation from REPL_PULL: the request
 // carries a one-byte send-layout flag in its place, and the reply loses the
-// generation. A peer of another version is refused at HELLO rather than
-// misparsing the stream.
-const ProtocolVersion uint16 = 5
+// generation. Version 6 makes every node's snapshot stream one CHAMSEG2
+// segment, whichever engine it runs, so a follower of one engine bootstraps
+// from a primary of the other; the frames are v5's. A peer of another
+// version is refused at HELLO rather than diverging at its first bootstrap
+// or misparsing the stream.
+const ProtocolVersion uint16 = 6

@@ -187,54 +187,6 @@ const (
 	ErrCodeLagging ErrCode = 13
 )
 
-// Retryable reports whether the code guarantees the request had no durable
-// effect and a later retry may succeed — the only codes the client's bounded
-// retry loop is allowed to act on. Duplicate-key and not-found are final
-// answers, closed/poisoned need operator action on this server, and
-// malformed/internal would fail identically again.
-func (c ErrCode) Retryable() bool {
-	switch c {
-	case ErrCodeOverloaded, ErrCodeDiskFull, ErrCodeCancelled, ErrCodeConnLimit:
-		return true
-	}
-	return false
-}
-
-// String names the code.
-func (c ErrCode) String() string {
-	switch c {
-	case ErrCodeNone:
-		return "ok"
-	case ErrCodeOverloaded:
-		return "overloaded"
-	case ErrCodeDiskFull:
-		return "disk-full"
-	case ErrCodeClosed:
-		return "closed"
-	case ErrCodePoisoned:
-		return "poisoned"
-	case ErrCodeDuplicateKey:
-		return "duplicate-key"
-	case ErrCodeKeyNotFound:
-		return "key-not-found"
-	case ErrCodeMalformed:
-		return "malformed"
-	case ErrCodeCancelled:
-		return "cancelled"
-	case ErrCodeConnLimit:
-		return "conn-limit"
-	case ErrCodeInternal:
-		return "internal"
-	case ErrCodeVersionMismatch:
-		return "version-mismatch"
-	case ErrCodeNotPrimary:
-		return "not-primary"
-	case ErrCodeLagging:
-		return "lagging"
-	}
-	return fmt.Sprintf("ErrCode(%d)", byte(c))
-}
-
 const (
 	frameHeader = 8  // length + CRC
 	msgHeader   = 9  // type + request id
@@ -383,43 +335,9 @@ func endFrame(dst []byte, start int) []byte {
 func AppendRequest(dst []byte, r *Request) []byte {
 	dst, start := beginFrame(dst, msgHeader+29) // REPL_PULL has the longest body
 	dst = append(dst, byte(r.Op))
-	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
-	switch r.Op {
-	case OpGet, OpDelete:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
-	case OpInsert:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
-	case OpRange:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Key)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
-		dst = binary.LittleEndian.AppendUint32(dst, r.Limit)
-	case OpStats, OpPing, OpPromote:
-		// no body
-	case OpHello:
-		dst = binary.LittleEndian.AppendUint16(dst, r.Version)
-	case OpReplFence:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
-	case OpGetSeq:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-		dst = binary.LittleEndian.AppendUint32(dst, r.WaitMS)
-	case OpReplPull:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Shard)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-		dst = binary.LittleEndian.AppendUint32(dst, r.Limit)
-		dst = binary.LittleEndian.AppendUint32(dst, r.WaitMS)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
-		var layout byte
-		if r.WantLayout {
-			layout = 1
-		}
-		dst = append(dst, layout)
-	case OpReplSnap:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Shard)
-		dst = binary.LittleEndian.AppendUint64(dst, r.SnapID)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-	}
-	return endFrame(dst, start)
+	c := codec{buf: binary.LittleEndian.AppendUint64(dst, r.ID)}
+	r.fields(&c)
+	return endFrame(c.buf, start)
 }
 
 // AppendResponse encodes r as one complete frame onto dst, in place.
@@ -427,93 +345,15 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	size := msgHeader + 1 + 8 + len(r.Pairs)*pairSize + len(r.Stats) + len(r.Msg) +
 		len(r.Recs)*recSize + len(r.Snap) + len(r.Bounds)*8 + 48
 	dst, start := beginFrame(dst, size)
+	status := statusOK
 	if !r.OK {
-		dst = append(dst, statusErr)
-		dst = binary.LittleEndian.AppendUint64(dst, r.ID)
-		dst = append(dst, byte(r.Op), byte(r.Err))
-		dst = binary.LittleEndian.AppendUint32(dst, r.RetryAfterMS)
-		msg := r.Msg
-		if len(msg) > 1<<16-1 {
-			msg = msg[:1<<16-1] // a diagnostic, not a transcript
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
-		dst = append(dst, msg...)
-		return endFrame(dst, start)
+		status = statusErr
 	}
-	dst = append(dst, statusOK)
+	dst = append(dst, status)
 	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
-	dst = append(dst, byte(r.Op))
-	switch r.Op {
-	case OpGet:
-		var found byte
-		if r.Found {
-			found = 1
-		}
-		dst = append(dst, found)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Val)
-	case OpRange:
-		var more byte
-		if r.More {
-			more = 1
-		}
-		dst = append(dst, more)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Pairs)))
-		for _, p := range r.Pairs {
-			dst = binary.LittleEndian.AppendUint64(dst, p.Key)
-			dst = binary.LittleEndian.AppendUint64(dst, p.Val)
-		}
-	case OpStats:
-		dst = append(dst, r.Stats...)
-	case OpInsert, OpDelete:
-		// The commit-sequence token is the only body, present iff HasSeq
-		// (see Response.Seq).
-		if r.HasSeq {
-			dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-		}
-	case OpPing:
-		// no body
-	case OpHello:
-		dst = binary.LittleEndian.AppendUint16(dst, r.Version)
-		dst = append(dst, r.Role)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
-	case OpReplPull:
-		dst = binary.LittleEndian.AppendUint64(dst, r.FirstSeq)
-		dst = binary.LittleEndian.AppendUint64(dst, r.UpstreamSeq)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
-		var flags byte
-		if r.SnapshotNeeded {
-			flags |= 1
-		}
-		if r.HasLayout {
-			flags |= 2
-		}
-		dst = append(dst, flags)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Recs)))
-		for _, rec := range r.Recs {
-			dst = append(dst, byte(rec.Op))
-			dst = binary.LittleEndian.AppendUint64(dst, rec.Key)
-			dst = binary.LittleEndian.AppendUint64(dst, rec.Val)
-		}
-		if r.HasLayout {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Bounds)))
-			for _, b := range r.Bounds {
-				dst = binary.LittleEndian.AppendUint64(dst, b)
-			}
-		}
-	case OpReplSnap:
-		dst = binary.LittleEndian.AppendUint64(dst, r.SnapID)
-		dst = binary.LittleEndian.AppendUint64(dst, r.AsOfSeq)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Offset)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Total)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Snap)))
-		dst = append(dst, r.Snap...)
-	case OpReplFence, OpPromote:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Epoch)
-		dst = append(dst, r.Role)
-	case OpGetSeq:
-		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-	}
-	return endFrame(dst, start)
+	c := codec{buf: append(dst, byte(r.Op))}
+	r.fields(&c)
+	return endFrame(c.buf, start)
 }
 
 // DecodeFrame validates the frame starting at data[0] and returns its
@@ -643,70 +483,14 @@ func DecodeRequestInto(payload []byte, r *Request) error {
 		Op: Op(payload[0]),
 		ID: binary.LittleEndian.Uint64(payload[1:]),
 	}
-	body := payload[msgHeader:]
-	switch r.Op {
-	case OpGet, OpDelete:
-		if len(body) != 8 {
-			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
-		}
-		r.Key = binary.LittleEndian.Uint64(body)
-	case OpInsert:
-		if len(body) != 16 {
-			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
-		}
-		r.Key = binary.LittleEndian.Uint64(body)
-		r.Val = binary.LittleEndian.Uint64(body[8:])
-	case OpRange:
-		if len(body) != 20 {
-			return fmt.Errorf("%w: %s body %d bytes", ErrMalformed, r.Op, len(body))
-		}
-		r.Key = binary.LittleEndian.Uint64(body)
-		r.Val = binary.LittleEndian.Uint64(body[8:])
-		r.Limit = binary.LittleEndian.Uint32(body[16:])
-	case OpStats, OpPing, OpPromote:
-		if len(body) != 0 {
-			return fmt.Errorf("%w: %s carries a body", ErrMalformed, r.Op)
-		}
-	case OpHello:
-		if len(body) != 2 {
-			return fmt.Errorf("%w: HELLO body %d bytes", ErrMalformed, len(body))
-		}
-		r.Version = binary.LittleEndian.Uint16(body)
-	case OpReplFence:
-		if len(body) != 8 {
-			return fmt.Errorf("%w: REPL_FENCE body %d bytes", ErrMalformed, len(body))
-		}
-		r.Epoch = binary.LittleEndian.Uint64(body)
-	case OpGetSeq:
-		if len(body) != 12 {
-			return fmt.Errorf("%w: GET_SEQ body %d bytes", ErrMalformed, len(body))
-		}
-		r.Seq = binary.LittleEndian.Uint64(body)
-		r.WaitMS = binary.LittleEndian.Uint32(body[8:])
-	case OpReplPull:
-		if len(body) != 29 {
-			return fmt.Errorf("%w: REPL_PULL body %d bytes", ErrMalformed, len(body))
-		}
-		if body[28] > 1 {
-			return fmt.Errorf("%w: REPL_PULL send-layout byte %d", ErrMalformed, body[28])
-		}
-		r.Shard = binary.LittleEndian.Uint32(body)
-		r.Seq = binary.LittleEndian.Uint64(body[4:])
-		r.Limit = binary.LittleEndian.Uint32(body[12:])
-		r.WaitMS = binary.LittleEndian.Uint32(body[16:])
-		r.Epoch = binary.LittleEndian.Uint64(body[20:])
-		r.WantLayout = body[28] == 1
-	case OpReplSnap:
-		if len(body) != 20 {
-			return fmt.Errorf("%w: REPL_SNAP body %d bytes", ErrMalformed, len(body))
-		}
-		r.Shard = binary.LittleEndian.Uint32(body)
-		r.SnapID = binary.LittleEndian.Uint64(body[4:])
-		r.Seq = binary.LittleEndian.Uint64(body[12:])
-	default:
+	c := codec{buf: payload[msgHeader:], dec: true}
+	if !r.fields(&c) {
 		return fmt.Errorf("%w: unknown opcode 0x%02x", ErrMalformed, payload[0])
 	}
-	return nil
+	if c.ok() {
+		return nil
+	}
+	return c.err(r.Op, "body", len(payload)-msgHeader)
 }
 
 // DecodeResponse decodes a frame payload as a server→client message, with
@@ -716,163 +500,330 @@ func DecodeResponse(payload []byte) (*Response, error) {
 		return nil, fmt.Errorf("%w: %d-byte payload", ErrMalformed, len(payload))
 	}
 	status := payload[0]
+	if status != statusOK && status != statusErr {
+		return nil, fmt.Errorf("%w: unknown status 0x%02x", ErrMalformed, status)
+	}
 	r := &Response{
 		ID: binary.LittleEndian.Uint64(payload[1:]),
 		Op: Op(payload[msgHeader]),
+		OK: status == statusOK,
 	}
-	body := payload[msgHeader+1:]
-	switch status {
-	case statusErr:
-		if len(body) < 7 {
-			return nil, fmt.Errorf("%w: error body %d bytes", ErrMalformed, len(body))
-		}
-		r.Err = ErrCode(body[0])
-		r.RetryAfterMS = binary.LittleEndian.Uint32(body[1:])
-		msgLen := binary.LittleEndian.Uint16(body[5:])
-		if int(msgLen) != len(body)-7 {
-			return nil, fmt.Errorf("%w: error message %d vs %d body bytes", ErrMalformed, msgLen, len(body)-7)
-		}
-		r.Msg = string(body[7:])
-		if r.Err == ErrCodeNone {
-			return nil, fmt.Errorf("%w: error response with code 0", ErrMalformed)
-		}
-		return r, nil
-	case statusOK:
-		r.OK = true
+	c := codec{buf: payload[msgHeader+1:], dec: true}
+	if !r.fields(&c) {
+		return nil, fmt.Errorf("%w: reply for unknown opcode 0x%02x", ErrMalformed, byte(r.Op))
+	}
+	if !c.ok() {
+		return nil, c.err(r.Op, "reply body", len(payload)-msgHeader-1)
+	}
+	if !r.OK && r.Err == ErrCodeNone {
+		return nil, fmt.Errorf("%w: error response with code 0", ErrMalformed)
+	}
+	return r, nil
+}
+
+// fields is the one statement of each request's body layout: AppendRequest
+// walks it to encode and DecodeRequestInto to decode (the Op constants
+// document the same layouts). It reports false for an opcode this version
+// does not define.
+func (r *Request) fields(c *codec) bool {
+	switch r.Op {
+	case OpGet, OpDelete:
+		c.u64(&r.Key)
+	case OpInsert:
+		c.u64(&r.Key)
+		c.u64(&r.Val)
+	case OpRange:
+		c.u64(&r.Key)
+		c.u64(&r.Val)
+		c.u32(&r.Limit)
+	case OpStats, OpPing, OpPromote:
+	case OpHello:
+		c.u16(&r.Version)
+	case OpReplFence:
+		c.u64(&r.Epoch)
+	case OpGetSeq:
+		c.u64(&r.Seq)
+		c.u32(&r.WaitMS)
+	case OpReplPull:
+		c.u32(&r.Shard)
+		c.u64(&r.Seq)
+		c.u32(&r.Limit)
+		c.u32(&r.WaitMS)
+		c.u64(&r.Epoch)
+		c.flag(&r.WantLayout)
+	case OpReplSnap:
+		c.u32(&r.Shard)
+		c.u64(&r.SnapID)
+		c.u64(&r.Seq)
 	default:
-		return nil, fmt.Errorf("%w: unknown status 0x%02x", ErrMalformed, status)
+		return false
+	}
+	return true
+}
+
+// fields is the one statement of each response's body layout, after the
+// status, request id and opcode: an error's whatever its opcode, else its
+// opcode's. It reports false for an opcode this version does not define.
+func (r *Response) fields(c *codec) bool {
+	if !r.OK {
+		c.u8((*byte)(&r.Err))
+		c.u32(&r.RetryAfterMS)
+		c.str16(&r.Msg)
+		return true
 	}
 	switch r.Op {
 	case OpGet:
-		if len(body) != 9 || body[0] > 1 {
-			return nil, fmt.Errorf("%w: GET reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.Found = body[0] == 1
-		r.Val = binary.LittleEndian.Uint64(body[1:])
+		c.flag(&r.Found)
+		c.u64(&r.Val)
 	case OpRange:
-		if len(body) < 5 || body[0] > 1 {
-			return nil, fmt.Errorf("%w: RANGE reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.More = body[0] == 1
-		count := binary.LittleEndian.Uint32(body[1:])
-		body = body[5:]
-		if int64(count)*pairSize != int64(len(body)) {
-			return nil, fmt.Errorf("%w: RANGE count %d vs %d body bytes", ErrMalformed, count, len(body))
-		}
-		if count == 0 {
-			break
-		}
-		r.Pairs = make([]Pair, count)
-		for i := range r.Pairs {
-			r.Pairs[i] = Pair{
-				Key: binary.LittleEndian.Uint64(body),
-				Val: binary.LittleEndian.Uint64(body[8:]),
-			}
-			body = body[pairSize:]
-		}
+		c.flag(&r.More)
+		c.pairs(&r.Pairs)
 	case OpStats:
-		r.Stats = append([]byte(nil), body...)
+		c.rest(&r.Stats)
 	case OpInsert, OpDelete:
-		// Empty = legacy reply; 8 bytes = the commit-sequence token.
-		switch len(body) {
-		case 0:
-		case 8:
-			r.Seq = binary.LittleEndian.Uint64(body)
-			r.HasSeq = true
-		default:
-			return nil, fmt.Errorf("%w: %s reply body %d bytes", ErrMalformed, r.Op, len(body))
-		}
+		// The commit-sequence token is the only body, present iff HasSeq
+		// (see Response.Seq).
+		c.opt64(&r.Seq, &r.HasSeq)
 	case OpPing:
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %s reply carries a body", ErrMalformed, r.Op)
-		}
 	case OpHello:
-		if len(body) != 11 {
-			return nil, fmt.Errorf("%w: HELLO reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.Version = binary.LittleEndian.Uint16(body)
-		r.Role = body[2]
-		r.Epoch = binary.LittleEndian.Uint64(body[3:])
+		c.u16(&r.Version)
+		c.u8(&r.Role)
+		c.u64(&r.Epoch)
 	case OpReplPull:
-		if len(body) < 29 || body[24] > 3 {
-			return nil, fmt.Errorf("%w: REPL_PULL reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.FirstSeq = binary.LittleEndian.Uint64(body)
-		r.UpstreamSeq = binary.LittleEndian.Uint64(body[8:])
-		r.Epoch = binary.LittleEndian.Uint64(body[16:])
-		r.SnapshotNeeded = body[24]&1 != 0
-		r.HasLayout = body[24]&2 != 0
-		count := binary.LittleEndian.Uint32(body[25:])
-		body = body[29:]
-		recBytes := int64(count) * recSize
-		if recBytes > int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_PULL count %d vs %d body bytes", ErrMalformed, count, len(body))
-		}
-		if count > 0 {
-			r.Recs = make([]wal.Record, count)
-			for i := range r.Recs {
-				op := wal.Op(body[0])
-				if op != wal.OpInsert && op != wal.OpDelete {
-					return nil, fmt.Errorf("%w: REPL_PULL record op 0x%02x", ErrMalformed, byte(op))
-				}
-				r.Recs[i] = wal.Record{
-					Op:  op,
-					Key: binary.LittleEndian.Uint64(body[1:]),
-					Val: binary.LittleEndian.Uint64(body[9:]),
-				}
-				body = body[recSize:]
-			}
-		}
-		if !r.HasLayout {
-			if len(body) != 0 {
-				return nil, fmt.Errorf("%w: REPL_PULL trailing %d bytes", ErrMalformed, len(body))
-			}
-			break
-		}
-		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: REPL_PULL bounds header %d bytes", ErrMalformed, len(body))
-		}
-		nbounds := binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		if int64(nbounds)*8 != int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_PULL bounds %d vs %d body bytes", ErrMalformed, nbounds, len(body))
-		}
-		if nbounds > 0 {
-			r.Bounds = make([]uint64, nbounds)
-			for i := range r.Bounds {
-				r.Bounds[i] = binary.LittleEndian.Uint64(body)
-				body = body[8:]
-			}
+		c.u64(&r.FirstSeq)
+		c.u64(&r.UpstreamSeq)
+		c.u64(&r.Epoch)
+		c.bits(&r.SnapshotNeeded, &r.HasLayout)
+		c.recs(&r.Recs)
+		if r.HasLayout {
+			c.u64s(&r.Bounds)
 		}
 	case OpReplSnap:
-		if len(body) < 36 {
-			return nil, fmt.Errorf("%w: REPL_SNAP reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.SnapID = binary.LittleEndian.Uint64(body)
-		r.AsOfSeq = binary.LittleEndian.Uint64(body[8:])
-		r.Offset = binary.LittleEndian.Uint64(body[16:])
-		r.Total = binary.LittleEndian.Uint64(body[24:])
-		clen := binary.LittleEndian.Uint32(body[32:])
-		body = body[36:]
-		if int64(clen) != int64(len(body)) {
-			return nil, fmt.Errorf("%w: REPL_SNAP chunk %d vs %d body bytes", ErrMalformed, clen, len(body))
-		}
-		if clen > 0 {
-			r.Snap = append([]byte(nil), body...)
-		}
+		c.u64(&r.SnapID)
+		c.u64(&r.AsOfSeq)
+		c.u64(&r.Offset)
+		c.u64(&r.Total)
+		c.bytes32(&r.Snap)
 	case OpReplFence, OpPromote:
-		if len(body) != 9 {
-			return nil, fmt.Errorf("%w: %s reply body %d bytes", ErrMalformed, r.Op, len(body))
-		}
-		r.Epoch = binary.LittleEndian.Uint64(body)
-		r.Role = body[8]
+		c.u64(&r.Epoch)
+		c.u8(&r.Role)
 	case OpGetSeq:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("%w: GET_SEQ reply body %d bytes", ErrMalformed, len(body))
-		}
-		r.Seq = binary.LittleEndian.Uint64(body)
+		c.u64(&r.Seq)
 	default:
-		return nil, fmt.Errorf("%w: reply for unknown opcode 0x%02x", ErrMalformed, byte(r.Op))
+		return false
 	}
-	return r, nil
+	return true
+}
+
+// codec runs a field list in one direction. Encoding appends each field to
+// buf. Decoding reads each from the front of buf, the unread body; the
+// first field that does not fit, or holds a value the layout forbids, fails
+// the decode (fail), and every later read finds nothing. A count is checked
+// against the bytes left before anything is sized from it.
+type codec struct {
+	buf []byte
+	dec bool
+	why string // the first failure's reason
+}
+
+// fail ends a decode: it keeps the first reason and drops the unread body.
+func (c *codec) fail(why string) {
+	if c.why == "" {
+		c.why = why
+	}
+	c.buf = nil
+}
+
+// take returns the next n body bytes, or nil after failing a short body.
+func (c *codec) take(n int) []byte {
+	if n > len(c.buf) {
+		c.fail("short")
+		return nil
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+// count reads or writes a 4-byte element count; decoding returns -1 when
+// count elements of size bytes would overrun the body.
+func (c *codec) count(n, size int) int {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(n))
+		return n
+	}
+	b := c.take(4)
+	if b == nil {
+		return -1
+	}
+	m := int64(binary.LittleEndian.Uint32(b))
+	if m*int64(size) > int64(len(c.buf)) {
+		c.fail("count over body")
+		return -1
+	}
+	return int(m)
+}
+
+// ok reports whether a decode read the whole body and nothing failed.
+func (c *codec) ok() bool { return c.why == "" && len(c.buf) == 0 }
+
+// err reports a decode that was not ok as ErrMalformed; n is the body's
+// length.
+func (c *codec) err(op Op, what string, n int) error {
+	if c.why == "" {
+		c.why = "trailing bytes"
+	}
+	return fmt.Errorf("%w: %s %s of %d bytes: %s", ErrMalformed, op, what, n, c.why)
+}
+
+func (c *codec) u8(v *byte) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+func (c *codec) u16(v *uint16) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// flag is a bool as one byte, 0 or 1.
+func (c *codec) flag(v *bool) { c.bits(v, nil) }
+
+// bits is up to two bools as the low bits of one byte (a, then b; nil b
+// means one); a set bit above them is malformed.
+func (c *codec) bits(a, b *bool) {
+	var x byte
+	if !c.dec {
+		if *a {
+			x |= 1
+		}
+		if b != nil && *b {
+			x |= 2
+		}
+		c.buf = append(c.buf, x)
+		return
+	}
+	c.u8(&x)
+	max := byte(1)
+	if b != nil {
+		max = 3
+		*b = x&2 != 0
+	}
+	if x > max {
+		c.fail(fmt.Sprintf("flag byte 0x%02x", x))
+	}
+	*a = x&1 != 0
+}
+
+// opt64 is a trailing uint64 that is present iff *has: the body ends
+// before it or after it.
+func (c *codec) opt64(v *uint64, has *bool) {
+	if c.dec {
+		*has = len(c.buf) > 0
+	}
+	if *has {
+		c.u64(v)
+	}
+}
+
+// rest is the rest of the body; decoding copies it.
+func (c *codec) rest(v *[]byte) {
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	*v = append([]byte(nil), c.take(len(c.buf))...)
+}
+
+// bytes32 is a 4-byte length and that many bytes; decoding copies them
+// (nil when there are none).
+func (c *codec) bytes32(v *[]byte) {
+	n := c.count(len(*v), 1)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+	} else if n > 0 {
+		*v = append([]byte(nil), c.take(n)...)
+	}
+}
+
+// str16 is a 2-byte length and that many bytes. Encoding cuts a longer
+// string at 64 KiB - 1: it is a diagnostic, not a transcript.
+func (c *codec) str16(v *string) {
+	if !c.dec {
+		s := *v
+		if len(s) > 1<<16-1 {
+			s = s[:1<<16-1]
+		}
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(len(s)))
+		c.buf = append(c.buf, s...)
+		return
+	}
+	var n uint16
+	c.u16(&n)
+	if b := c.take(int(n)); b != nil {
+		*v = string(b)
+	}
+}
+
+// pairs is a count and that many key/value pairs (a RANGE reply).
+func (c *codec) pairs(v *[]Pair) {
+	n := c.count(len(*v), pairSize)
+	if n > 0 && c.dec {
+		*v = make([]Pair, n)
+	}
+	for i := range max(n, 0) {
+		c.u64(&(*v)[i].Key)
+		c.u64(&(*v)[i].Val)
+	}
+}
+
+// recs is a count and that many WAL records, each [1] op [8] key [8] val;
+// an op other than insert or delete is malformed.
+func (c *codec) recs(v *[]wal.Record) {
+	n := c.count(len(*v), recSize)
+	if n > 0 && c.dec {
+		*v = make([]wal.Record, n)
+	}
+	for i := range max(n, 0) {
+		r := &(*v)[i]
+		c.u8((*byte)(&r.Op))
+		if c.dec && r.Op != wal.OpInsert && r.Op != wal.OpDelete {
+			c.fail(fmt.Sprintf("record op 0x%02x", byte(r.Op)))
+		}
+		c.u64(&r.Key)
+		c.u64(&r.Val)
+	}
+}
+
+// u64s is a count and that many uint64s (a REPL_PULL reply's bounds).
+func (c *codec) u64s(v *[]uint64) {
+	n := c.count(len(*v), 8)
+	if n > 0 && c.dec {
+		*v = make([]uint64, n)
+	}
+	for i := range max(n, 0) {
+		c.u64(&(*v)[i])
+	}
 }

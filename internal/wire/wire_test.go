@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -326,6 +327,10 @@ func TestPeekID(t *testing.T) {
 	}
 }
 
+// TestErrMapRoundTrip walks the error table (codes): every code up to the
+// last has a distinct name and round-trips through the client, every error a
+// row lists maps to its code (wrapped too), and a code's unwrap sentinel
+// maps back to it. The expectations below pin the table itself.
 func TestErrMapRoundTrip(t *testing.T) {
 	cases := []struct {
 		in   error
@@ -336,32 +341,60 @@ func TestErrMapRoundTrip(t *testing.T) {
 		{chameleon.ErrIndexClosed, ErrCodeClosed},
 		{chameleon.ErrDuplicateKey, ErrCodeDuplicateKey},
 		{chameleon.ErrKeyNotFound, ErrCodeKeyNotFound},
+		{chameleon.ErrNotPrimary, ErrCodeNotPrimary},
+		{chameleon.ErrReplicaLagging, ErrCodeLagging},
+		{ErrMalformed, ErrCodeMalformed},
 		{context.Canceled, ErrCodeCancelled},
 		{context.DeadlineExceeded, ErrCodeCancelled},
 		{errors.New("mystery"), ErrCodeInternal},
+		{nil, ErrCodeNone},
 	}
 	for _, tc := range cases {
 		if got := CodeFor(tc.in); got != tc.code {
 			t.Errorf("CodeFor(%v) = %v, want %v", tc.in, got, tc.code)
 		}
 	}
-	// A code the server sent comes back as an error the in-process call
-	// sites already know how to branch on.
-	re := &RemoteError{Code: ErrCodeOverloaded, RetryAfterMS: 5, Msg: "queue full"}
-	if !errors.Is(re, chameleon.ErrOverloaded) {
-		t.Fatal("RemoteError(overloaded) does not unwrap to chameleon.ErrOverloaded")
+	retryable := map[ErrCode]bool{ErrCodeOverloaded: true, ErrCodeDiskFull: true, ErrCodeCancelled: true, ErrCodeConnLimit: true}
+	unwrapsTo := map[ErrCode]error{
+		ErrCodeOverloaded: chameleon.ErrOverloaded, ErrCodeDiskFull: chameleon.ErrDiskFull,
+		ErrCodeClosed: chameleon.ErrIndexClosed, ErrCodeDuplicateKey: chameleon.ErrDuplicateKey,
+		ErrCodeKeyNotFound: chameleon.ErrKeyNotFound, ErrCodeCancelled: context.Canceled,
+		ErrCodeNotPrimary: chameleon.ErrNotPrimary, ErrCodeLagging: chameleon.ErrReplicaLagging,
 	}
-	if !re.Retryable() {
-		t.Fatal("overloaded must be retryable")
+	if len(codes) != int(ErrCodeLagging)+1 {
+		t.Fatalf("the table has %d rows, want one per code up to %v", len(codes), ErrCodeLagging)
 	}
-	if errors.Is(&RemoteError{Code: ErrCodeDuplicateKey}, chameleon.ErrOverloaded) {
-		t.Fatal("duplicate-key unwrapped to the wrong sentinel")
+	names := map[string]bool{}
+	for i, row := range codes {
+		c := ErrCode(i)
+		if row.name == "" || names[row.name] || c.String() != row.name {
+			t.Errorf("code %d: name %q (String %q) is empty, repeated or not what String says", i, row.name, c)
+		}
+		names[row.name] = true
+		if c.Retryable() != retryable[c] {
+			t.Errorf("%v: Retryable = %v, want %v", c, c.Retryable(), retryable[c])
+		}
+		re := &RemoteError{Code: c, Msg: "m"}
+		if got := re.Unwrap(); got != unwrapsTo[c] {
+			t.Errorf("RemoteError(%v).Unwrap() = %v, want %v", c, got, unwrapsTo[c])
+		}
+		if re.Retryable() != c.Retryable() || !strings.Contains(re.Error(), row.name) {
+			t.Errorf("RemoteError(%v) = %q, retryable %v", c, re.Error(), re.Retryable())
+		}
+		for _, e := range row.from {
+			if got := CodeFor(fmt.Errorf("wrapped: %w", e)); got != c {
+				t.Errorf("CodeFor(wrapped %v) = %v, want %v", e, got, c)
+			}
+		}
+		if row.unwrap != nil && CodeFor(row.unwrap) != c {
+			t.Errorf("%v unwraps to %v, which CodeFor maps to %v", c, row.unwrap, CodeFor(row.unwrap))
+		}
 	}
-	if (&RemoteError{Code: ErrCodeDuplicateKey}).Retryable() {
-		t.Fatal("duplicate-key must not be retryable")
+	if s := ErrCode(len(codes)).String(); s != fmt.Sprintf("ErrCode(%d)", len(codes)) {
+		t.Errorf("an undefined code is named %q", s)
 	}
-	if CodeFor(nil) != ErrCodeNone {
-		t.Fatal("CodeFor(nil)")
+	if (&RemoteError{Code: ErrCode(200)}).Unwrap() != nil || ErrCode(200).Retryable() {
+		t.Error("an undefined code unwraps or retries")
 	}
 }
 

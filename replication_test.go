@@ -290,6 +290,60 @@ func TestSnapshotRoundTripAdoptsSeq(t *testing.T) {
 	}
 }
 
+// blockingWriter is a snapshot destination whose first Write runs an Insert
+// on the snapshotted handle and waits up to two seconds for it to return.
+type blockingWriter struct {
+	d       *DurableIndex
+	waited  bool
+	inserts error // the Insert's result, or a timeout
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if !w.waited {
+		w.waited = true
+		done := make(chan error, 1)
+		go func() { done <- w.d.Insert(1<<50, 7) }()
+		select {
+		case w.inserts = <-done:
+		case <-time.After(2 * time.Second):
+			w.inserts = errors.New("Insert still blocked after 2 s: the snapshot encodes under the commit lock")
+		}
+	}
+	return len(p), nil
+}
+
+// TestSnapshotAtHoldsLockForCaptureOnly: SnapshotAt takes the commit lock
+// only to capture the contents, so a write on the same handle commits while
+// the stream is being written, and the stream is exact as of the sequence
+// returned, without that write.
+func TestSnapshotAtHoldsLockForCaptureOnly(t *testing.T) {
+	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+		t.Run(name, func(t *testing.T) {
+			d, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for k := uint64(1); k <= 100; k++ {
+				if err := d.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := &blockingWriter{d: d}
+			asOf, _, err := d.SnapshotAt(w)
+			if err != nil || !w.waited {
+				t.Fatalf("SnapshotAt: %v (wrote %v)", err, w.waited)
+			}
+			if w.inserts != nil {
+				t.Fatal(w.inserts)
+			}
+			if asOf != 100 || d.CommitSeq() != 101 {
+				t.Fatalf("snapshot as of %d, clock %d after the Insert; want 100, 101", asOf, d.CommitSeq())
+			}
+		})
+	}
+}
+
 // TestWaitSeqWakesOnCommitAndClose: WaitSeq returns nil once the clock
 // reaches the target, honors its context, and unblocks with the terminal
 // error when the index closes underneath it — never a hang.

@@ -1,26 +1,24 @@
 package chameleon
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
-	"chameleon/internal/core"
 	"chameleon/internal/segment"
 	"chameleon/internal/wal"
 )
 
 // This file is the DurableIndex's replication surface: commit-sequence
 // numbers, the primary-side commit hook, the follower-side ordered replay
-// path, and consistent snapshot streaming (a legacy directory's structure
-// snapshot here, a tiered one's single-run snapshot in tierrepl.go). The
-// wire protocol and the replication state machine live in internal/wire and
-// internal/repl; this layer only guarantees that commit sequences are
-// monotonic, durable across restarts (every snapshot and WAL names the
-// commit sequence it starts at), and that replicated batches apply in
-// exactly the order the upstream committed them.
+// path, and consistent snapshot streaming (one sorted run for either
+// engine). The wire protocol and the replication state machine live in
+// internal/wire and internal/repl; this layer only guarantees that commit
+// sequences are monotonic, durable across restarts (every snapshot and WAL
+// names the commit sequence it starts at), and that replicated batches
+// apply in exactly the order the upstream committed them.
 
 // ErrReplDivergence is returned by ReplicateBatch when a replicated record
 // cannot replay cleanly against local state (inserting a key that is already
@@ -191,80 +189,99 @@ func (d *DurableIndex) ReplicateBatch(firstSeq uint64, recs []wal.Record) error 
 	return err
 }
 
+// ErrRestoreBehind is returned by RestoreSnapshot when the snapshot's commit
+// sequence is behind the local one. Rewinding a directory is unsafe: local
+// WAL files hold records with implicit sequences above the rewound
+// watermark, and a crash between the restore's commit and its WAL garbage
+// collection would replay them as phantoms on top of the restored state. A
+// diverged-ahead follower must be wiped and re-bootstrapped into an empty
+// directory instead.
+var ErrRestoreBehind = errors.New("chameleon: snapshot is behind local commit sequence")
+
 // SnapshotAt streams a consistent snapshot of the current contents to w and
 // reports the commit sequence it is as-of: the bytes written correspond
 // exactly to the returned sequence. Used by the primary to bootstrap
-// followers that are behind WAL retention. A legacy directory streams the
-// learned structure (CHAMSNP3, core.WriteTo) under the commit lock, so no
-// batch commits mid-stream; a tiered one writes its visible contents as one
-// CHAMSEG2 run, holding the commit lock only while it captures them (see
-// tierrepl.go). Each restores only on a directory of its own engine.
+// followers that are behind WAL retention. Either engine writes its visible
+// contents as one tombstone-free CHAMSEG2 run whose Seq is that sequence —
+// the sorted-run format a tier's segments already are — so either engine
+// restores either engine's stream. The commit lock covers the capture only
+// (the legacy index's pairs here, a tier's sources in tier.snapshotAt); the
+// encode runs after it is released.
 func (d *DurableIndex) SnapshotAt(w io.Writer) (asOfSeq uint64, n int64, err error) {
 	if d.tier != nil {
 		return d.tier.snapshotAt(w)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err := d.usableLocked(); err != nil {
 		// Poisoned memory may match no durable state: never ship it.
+		d.mu.Unlock()
 		return 0, 0, err
 	}
-	n, err = d.ix.WriteTo(w)
+	asOfSeq, live := d.commitSeq.Load(), d.ix.Len()
+	keys, vals := d.ix.inner.AppendPairs(make([]uint64, 0, live), make([]uint64, 0, live))
+	d.mu.Unlock()
+	return writeSnapshotRun(w, keys, vals, asOfSeq)
+}
+
+// writeSnapshotRun encodes a snapshot stream: the sorted pairs as one
+// tombstone-free CHAMSEG2 run whose watermark is asOfSeq.
+func writeSnapshotRun(w io.Writer, keys, vals []uint64, asOfSeq uint64) (uint64, int64, error) {
+	meta, err := segment.Write(w, keys, vals, nil, 0, 1, asOfSeq, 0)
 	if err != nil {
-		return 0, n, err
+		return 0, 0, err
 	}
-	return d.commitSeq.Load(), n, nil
+	return asOfSeq, meta.Bytes, nil
+}
+
+// readSnapshotRun decodes a snapshot stream: one tombstone-free CHAMSEG2
+// run whose watermark is asOfSeq. The segment's own CRC and key-order
+// checks guard it.
+func readSnapshotRun(r io.Reader, asOfSeq uint64) (keys, vals []uint64, err error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	sr, err := segment.OpenBytes(data, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sr.Close() //nolint:errcheck
+	m := sr.Meta()
+	if m.Live != m.Count || m.Seq != asOfSeq {
+		return nil, nil, fmt.Errorf("chameleon: snapshot run at seq %d holds %d tombstones, want seq %d and none",
+			m.Seq, m.Count-m.Live, asOfSeq)
+	}
+	keys = make([]uint64, 0, m.Count)
+	vals = make([]uint64, 0, m.Count)
+	it := sr.Iter(0, math.MaxUint64)
+	for it.Next() {
+		e := it.Entry()
+		keys = append(keys, e.Key)
+		vals = append(vals, e.Val)
+	}
+	return keys, vals, it.Err()
 }
 
 // RestoreSnapshot replaces the index's contents with a snapshot streamed
-// from an upstream (the bootstrap half of SnapshotAt) and adopts asOfSeq as
-// the local commit sequence, making the restored state and its sequence
-// durable together (legacy: a checkpoint; tiered: the replace BulkLoad also
-// makes, one fresh L1 segment behind a manifest commit — see
-// tier.replaceLocked). A stream from the other engine, named by its leading
-// 8 bytes, fails with ErrLayoutMismatch. On that or a decode failure the
-// local state is unchanged; on a durability failure after the in-memory
-// install the handle is poisoned, exactly like BulkLoad — the restored state
-// would otherwise have no durable counterpart.
+// from an upstream of either engine (the bootstrap half of SnapshotAt) and
+// adopts asOfSeq as the local commit sequence. It decodes the run before
+// taking any lock, so a slow or corrupt stream never stalls commits, then
+// makes the replace BulkLoad makes (replaceLocked: legacy, a checkpoint;
+// tiered, one fresh L1 segment behind a manifest commit), durable together
+// with its sequence. A run behind the local clock fails with
+// ErrRestoreBehind. On that or a decode failure the local state is
+// unchanged; on a durability failure after the in-memory install the handle
+// is poisoned, exactly like BulkLoad — the restored state would otherwise
+// have no durable counterpart.
 func (d *DurableIndex) RestoreSnapshot(r io.Reader, asOfSeq uint64) error {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(8)
-	other := segment.Magic
-	if d.tier != nil {
-		other = core.SnapMagic
+	keys, vals, err := readSnapshotRun(r, asOfSeq)
+	if err != nil {
+		return err
 	}
-	if string(head) == other {
-		return fmt.Errorf("chameleon: a %s snapshot stream is the other engine's: %w", other, ErrLayoutMismatch)
-	}
-
 	if d.tier != nil {
-		// Decode the run before taking any locks: a slow or corrupt stream
-		// must not stall commits.
-		keys, vals, err := readSnapshotRun(br, asOfSeq)
-		if err != nil {
-			return err
-		}
 		return d.tier.restore(keys, vals, asOfSeq)
 	}
-
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.usableLocked(); err != nil {
-		return err
-	}
-	if _, err := d.ix.inner.ReadFrom(br); err != nil {
-		return err
-	}
-	// inner.ReadFrom stops any running retrainer; restart it like openDirFS
-	// does, so a bootstrap mid-life doesn't silently end maintenance.
-	if d.opts.RetrainEvery > 0 {
-		d.ix.inner.StartRetrainer(d.opts.RetrainEvery)
-	}
-	d.commitSeq.Store(asOfSeq)
-	if err := d.checkpointLocked(); err != nil {
-		d.poisonLocked(fmt.Errorf("snapshot-restore checkpoint: %w", err))
-		return d.fail
-	}
-	d.broadcastSeq()
-	return nil
+	return d.replaceLocked(keys, vals, asOfSeq)
 }

@@ -3,6 +3,7 @@ package chameleon
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"sort"
@@ -945,7 +946,7 @@ func (t *tier) stop() {
 }
 
 // ---------------------------------------------------------------------------
-// Replace: bulk load and snapshot restore
+// Replace and snapshot: bulk load, snapshot stream and snapshot restore
 
 // bulkLoad rebuilds the tier from sorted keys. It is a replace, and so one
 // commit: the manifest commit is its durability point (bulk data never
@@ -971,6 +972,47 @@ func (t *tier) bulkLoad(keys, vals []uint64) error {
 	}
 	t.d.replaceHookLocked()
 	return nil
+}
+
+// snapshotAt writes the tier's visible contents, as of the commit sequence
+// it returns, to w as one CHAMSEG2 run. d.mu covers the capture only: the
+// memtable, the frozen run and the segment set are taken together under it
+// (the allowed d.mu → segMu.RLock order), so no flush can publish a later
+// memtable between them and the run is exact as of that sequence. The
+// read-only frozen run's window, the merge and the encode run after d.mu is
+// released, with segMu.RLock keeping the captured set's readers open.
+func (t *tier) snapshotAt(w io.Writer) (asOf uint64, n int64, err error) {
+	d := t.d
+	d.mu.Lock()
+	if err := d.usableLocked(); err != nil {
+		// A poisoned index still serves reads, but its memory may not match
+		// any durable state — shipping it to a follower would replicate the
+		// divergence.
+		d.mu.Unlock()
+		return 0, 0, err
+	}
+	asOf, live := d.commitSeq.Load(), t.liveCount.Load()
+	srcs, fr := t.mem.Load().window(0, math.MaxUint64, nil), t.frozen.Load()
+	t.segMu.RLock()
+	set := t.segs.Load()
+	d.mu.Unlock()
+	srcs = fr.window(0, math.MaxUint64, srcs)
+
+	keys := make([]uint64, 0, live)
+	vals := make([]uint64, 0, live)
+	err = mergeRange(srcs, set, 0, math.MaxUint64, func(k, v uint64) bool {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		return true
+	})
+	t.segMu.RUnlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	if int64(len(keys)) != live {
+		return 0, 0, fmt.Errorf("chameleon: snapshot merged %d live keys, live count says %d", len(keys), live)
+	}
+	return writeSnapshotRun(w, keys, vals, asOf)
 }
 
 // restore is the receiving half of snapshot bootstrap: a replace as of the

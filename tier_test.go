@@ -586,13 +586,15 @@ func TestTieredReplicateBatch(t *testing.T) {
 	}
 }
 
-// TestTieredSnapshotRoundTrip: each engine's snapshot restores on its own
-// engine with the exact contents and the as-of sequence; on the other engine
-// it is refused with the receiver unchanged. A tiered snapshot is one
-// tombstone-free CHAMSEG2 run at the as-of sequence, whatever tiers hold the
-// contents: rows cover an empty tier, a tier before its first flush
-// (memtable and dead set only), and a flushed tier with a hot delta whose
-// deletes shadow segment-resident keys.
+// TestTieredSnapshotRoundTrip: either engine's snapshot is one
+// tombstone-free CHAMSEG2 run at the as-of sequence, whatever holds the
+// contents, and restores on either engine with the exact contents and the
+// as-of sequence, durably. The first rows stay on the tiered engine and
+// cover an empty tier, a tier before its first flush (memtable and dead set
+// only), and a flushed tier with a hot delta whose deletes shadow
+// segment-resident keys; the last rows move that flushed-with-delta history
+// between engines. A receiver behind the snapshot holds three commits of
+// its own, which the restore replaces.
 func TestTieredSnapshotRoundTrip(t *testing.T) {
 	insert := func(t *testing.T, d *DurableIndex, want map[uint64]uint64, k, v uint64) {
 		t.Helper()
@@ -608,12 +610,27 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 		}
 		delete(want, k)
 	}
+	flushedWithDelta := func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
+		for i := uint64(0); i < 400; i++ {
+			insert(t, d, want, i*7, i)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 50; i++ {
+			insert(t, d, want, 100_000+i, i+3)
+		}
+		for i := uint64(0); i < 20; i++ {
+			remove(t, d, want, i*7*4)
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		fill func(t *testing.T, d *DurableIndex, want map[uint64]uint64)
+		name     string
+		src, dst DirOptions
+		fill     func(t *testing.T, d *DurableIndex, want map[uint64]uint64)
 	}{
-		{"empty", func(*testing.T, *DurableIndex, map[uint64]uint64) {}},
-		{"memtable-only", func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
+		{"empty", tieredOpts(), tieredOpts(), func(*testing.T, *DurableIndex, map[uint64]uint64) {}},
+		{"memtable-only", tieredOpts(), tieredOpts(), func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
 			for i := uint64(0); i < 100; i++ {
 				insert(t, d, want, i*5, i)
 			}
@@ -621,23 +638,13 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 				remove(t, d, want, i*15)
 			}
 		}},
-		{"flushed-with-delta", func(t *testing.T, d *DurableIndex, want map[uint64]uint64) {
-			for i := uint64(0); i < 400; i++ {
-				insert(t, d, want, i*7, i)
-			}
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < 50; i++ {
-				insert(t, d, want, 100_000+i, i+3)
-			}
-			for i := uint64(0); i < 20; i++ {
-				remove(t, d, want, i*7*4)
-			}
-		}},
+		{"flushed-with-delta", tieredOpts(), tieredOpts(), flushedWithDelta},
+		{"legacy-to-legacy", durableOpts(), durableOpts(), flushedWithDelta},
+		{"legacy-to-tiered", durableOpts(), tieredOpts(), flushedWithDelta},
+		{"tiered-to-legacy", tieredOpts(), durableOpts(), flushedWithDelta},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := OpenDir(t.TempDir(), tieredOpts())
+			src, err := OpenDir(t.TempDir(), tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -652,9 +659,6 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 			}
 			if asOf != src.CommitSeq() || n != int64(buf.Len()) {
 				t.Fatalf("asOf %d, n %d; want CommitSeq %d, %d bytes", asOf, n, src.CommitSeq(), buf.Len())
-			}
-			if !bytes.HasPrefix(buf.Bytes(), []byte(segment.Magic)) {
-				t.Fatalf("tiered snapshot is not a segment (starts %q)", buf.Bytes()[:8])
 			}
 			sr, err := segment.OpenBytes(buf.Bytes(), nil)
 			if err != nil {
@@ -679,21 +683,26 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			dst, err := OpenDir(t.TempDir(), tieredOpts())
+			dst, err := OpenDir(t.TempDir(), tc.dst)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer dst.Close()
+			for k := uint64(1); asOf >= 3 && k <= 3; k++ {
+				if err := dst.Insert(1<<40+k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf); err != nil {
 				t.Fatal(err)
 			}
 			verify(t, dst)
-			// Durability: the restore's manifest commit must survive reopen.
+			// Durability: the restore's commit must survive reopen.
 			dir := dst.dir
 			if err := dst.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := OpenDir(dir, tieredOpts())
+			re, err := OpenDir(dir, tc.dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -705,121 +714,51 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 			}
 		})
 	}
-
-	// A tiered primary's snapshot, for the cross-engine refusal.
-	src, err := OpenDir(t.TempDir(), tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	for i := uint64(1); i <= 100; i++ {
-		if err := src.Insert(i*7, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	asOf, _, err := src.SnapshotAt(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// refused restores stream on a receiver of the other engine holding
-	// three commits, which must keep them.
-	refused := func(t *testing.T, opts DirOptions, stream []byte, asOf uint64) {
-		dst, err := OpenDir(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dst.Close()
-		for k := uint64(1); k <= 3; k++ {
-			if err := dst.Insert(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := dst.RestoreSnapshot(bytes.NewReader(stream), asOf); !errors.Is(err, ErrLayoutMismatch) {
-			t.Fatalf("restore err = %v, want ErrLayoutMismatch", err)
-		}
-		if dst.Len() != 3 || dst.CommitSeq() != 3 {
-			t.Fatalf("refused restore left Len %d, CommitSeq %d; want 3, 3", dst.Len(), dst.CommitSeq())
-		}
-	}
-	t.Run("tiered-to-legacy", func(t *testing.T) { refused(t, durableOpts(), buf.Bytes(), asOf) })
-
-	// A legacy primary's structure snapshot.
-	leg, err := OpenDir(t.TempDir(), durableOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leg.Close()
-	for i := uint64(1); i <= 100; i++ {
-		if err := leg.Insert(i*3, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var lbuf bytes.Buffer
-	lAsOf, _, err := leg.SnapshotAt(&lbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("legacy-to-legacy", func(t *testing.T) {
-		dst, err := OpenDir(t.TempDir(), durableOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dst.Close()
-		if err := dst.RestoreSnapshot(bytes.NewReader(lbuf.Bytes()), lAsOf); err != nil {
-			t.Fatal(err)
-		}
-		if dst.Len() != 100 {
-			t.Fatalf("Len = %d, want 100", dst.Len())
-		}
-		if v, ok := dst.Lookup(30); !ok || v != 10 {
-			t.Fatalf("key 30 = %d,%v want 10,true", v, ok)
-		}
-		if got := dst.CommitSeq(); got != lAsOf {
-			t.Fatalf("CommitSeq = %d, want %d", got, lAsOf)
-		}
-	})
-	t.Run("legacy-to-tiered", func(t *testing.T) { refused(t, tieredOpts(), lbuf.Bytes(), lAsOf) })
 }
 
-// TestTieredRestoreBehindRefused: rewinding a tiered directory is refused —
-// stale WAL records above the rewound watermark could replay as phantoms.
+// TestTieredRestoreBehindRefused: rewinding a directory of either engine is
+// refused — stale WAL records above the rewound watermark could replay as
+// phantoms.
 func TestTieredRestoreBehindRefused(t *testing.T) {
-	src, err := OpenDir(t.TempDir(), tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if err := src.Insert(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	asOf, _, err := src.SnapshotAt(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+		t.Run(name, func(t *testing.T) {
+			src, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if err := src.Insert(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			asOf, _, err := src.SnapshotAt(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dst, err := OpenDir(t.TempDir(), tieredOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	for i := uint64(0); i < 10; i++ {
-		if err := dst.Insert(100+i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dst.CommitSeq() <= asOf {
-		t.Fatalf("test setup: dst clock %d not ahead of %d", dst.CommitSeq(), asOf)
-	}
-	err = dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf)
-	if !errors.Is(err, ErrRestoreBehind) {
-		t.Fatalf("backward restore: %v, want ErrRestoreBehind", err)
-	}
-	// The refusal left local state untouched.
-	if v, ok := dst.Lookup(105); !ok || v != 5 {
-		t.Fatalf("key 105 = %d,%v after refused restore, want 5,true", v, ok)
+			dst, err := OpenDir(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			for i := uint64(0); i < 10; i++ {
+				if err := dst.Insert(100+i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dst.CommitSeq() <= asOf {
+				t.Fatalf("test setup: dst clock %d not ahead of %d", dst.CommitSeq(), asOf)
+			}
+			err = dst.RestoreSnapshot(bytes.NewReader(buf.Bytes()), asOf)
+			if !errors.Is(err, ErrRestoreBehind) {
+				t.Fatalf("backward restore: %v, want ErrRestoreBehind", err)
+			}
+			// The refusal left local state untouched.
+			if v, ok := dst.Lookup(105); !ok || v != 5 || dst.Len() != 10 || dst.CommitSeq() != 10 {
+				t.Fatalf("after refused restore: key 105 = %d,%v, Len %d, CommitSeq %d; want 5,true, 10, 10",
+					v, ok, dst.Len(), dst.CommitSeq())
+			}
+		})
 	}
 }
 
