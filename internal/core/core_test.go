@@ -13,6 +13,7 @@ import (
 	"chameleon/internal/ebh"
 	"chameleon/internal/index"
 	"chameleon/internal/rl"
+	"chameleon/internal/workload"
 )
 
 // fastIndex builds a Chameleon with cheap analytic policies for tests.
@@ -703,6 +704,41 @@ func TestFACEBulkLoadAllocs(t *testing.T) {
 	t.Logf("BulkLoad allocated %.1f MB for %.1f MB of index (%.2f×)", alloc/1e6, float64(ix.Bytes())/1e6, alloc/float64(ix.Bytes()))
 	if alloc > 3*float64(ix.Bytes()) {
 		t.Errorf("BulkLoad allocated %.1f MB, want under 3× Bytes() = %.1f MB", alloc/1e6, 3*float64(ix.Bytes())/1e6)
+	}
+}
+
+// TestFirstInsertsAllocs: the first 5,000 inserts into a 400 k-key FACE
+// bulk load allocate under 0.1× the index. Every bulk-built leaf sits at
+// its Theorem 1 capacity; an EBH leaf grows only past growHeadroom times
+// that population, so these inserts land in place (0.03×) instead of
+// re-scattering each leaf they reach into a larger slab (0.38× when the
+// growth trigger was the build's τ). Skipped under -race, whose
+// instrumentation allocates.
+func TestFirstInsertsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	keys := dataset.Generate(dataset.FACE, 400_000, 42)
+	dcfg := rl.DefaultDAREConfig()
+	dcfg.GA.Workers = 2
+	ix := New(Config{Dare: rl.NewCostDARE(dcfg), Policy: rl.NewCostPolicy(dcfg.Env), ReconstructThreshold: -1})
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh := workload.FreshKeys(keys, 5000, 7)
+	built := ix.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, k := range fresh {
+		if err := ix.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d inserts allocated %.2f MB; Bytes() %.2f → %.2f MB", len(fresh), alloc/1e6, float64(built)/1e6, float64(ix.Bytes())/1e6)
+	if alloc > 0.1*float64(ix.Bytes()) {
+		t.Errorf("%d inserts allocated %.2f MB, want under 0.1× Bytes() = %.2f MB", len(fresh), alloc/1e6, 0.1*float64(ix.Bytes())/1e6)
 	}
 }
 

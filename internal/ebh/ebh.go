@@ -1,9 +1,11 @@
 // Package ebh implements the Error Bounded Hashing leaf node of Section III:
 // a slot array addressed by the hash function of Eq. (2), with the node's
 // conflict degree (Definition 2, the maximum placement offset) recorded so a
-// lookup never scans beyond [P̂−cd, P̂+cd]. Capacity is sized by Theorem 1 so
-// the collision probability stays below a target τ, which is what flattens
-// locally skewed key runs into near-uniform slot occupancy.
+// lookup never scans beyond [P̂−cd, P̂+cd]. Every build sizes capacity by
+// Theorem 1 so the collision probability starts at a target τ, which is
+// what flattens locally skewed key runs into near-uniform slot occupancy;
+// inserts may fill a leaf past it, to the load growHeadroom allows, before
+// it grows.
 //
 // Layout (cache-conscious, BLI-style): keys and values are interleaved in one
 // flat slab — key at slot 2i, value at 2i+1 — so the probe that finds a key
@@ -87,6 +89,30 @@ func (s Sizing) Capacity(n int) int {
 // times yet stays within a quarter (or 16 keys) of its Theorem 1 size. An
 // appending leaf grows to twice its population instead (see grownCap).
 func growthFor(n int) int { return n + max(n/4, 16) }
+
+// growHeadroom is the hysteresis between a leaf's build and its growth: τ
+// sizes every build and rebuild, but Insert grows a leaf of c slots only
+// once it holds more than growHeadroom times the keys Theorem 1 sizes c
+// for, c·(−ln(1 − τ)). So a bulk-built leaf, which sits exactly at its
+// Theorem 1 capacity, takes its first inserts in place instead of
+// re-scattering on the first one.
+//
+// The ratio comes from the cost model's leaf cost (internal/costmodel),
+// which charges each key (prior keys in its home slot + 1)/2 probe steps.
+// Eq. (2) spreads a leaf's keys near-uniformly, so the i-th of n keys finds
+// i/c prior keys in its home slot on average, and the leaf's expected probe
+// distance is
+//
+//	R(λ) = 1/2 + λ/4,  λ = (n − 1)/c.
+//
+// A build puts λ at −ln(1 − τ) = 0.598 for the default τ, so R = 0.649.
+// The bound: a leaf grows before R rises 5 % above its build-time value,
+// R ≤ 0.682, which is λ ≤ 0.728, 1.217 times the build load. growHeadroom
+// is the round ratio under that. (ALEX, internal/baselines/alex, builds at
+// density 0.7 and expands at 0.85: a ratio of 1.21.) A leaf grown for
+// growthFor(n) keys sits at 0.8 of its build load, so it takes half its
+// population again before it grows next.
+const growHeadroom = 1.2
 
 // probe is the immutable geometry of one trained leaf: interval, capacity,
 // cached hash factors, and the slot slabs. A rebuild or re-scatter builds a
@@ -346,21 +372,22 @@ func (nd *Node) Lookup(k uint64) (uint64, bool) {
 }
 
 // Insert stores k→v. It reports false if k is already present. Capacity
-// follows the population: a leaf whose capacity no longer meets the
-// collision target for n+1 keys (Theorem 1) is rebuilt for more keys (see
-// grownCap). A key outside [lo, hi] widens the interval first, at the same
-// capacity unless the leaf is taking an append stream. If the placement
-// then pushes the conflict degree past its bound, settle re-scatters the
-// leaf with another rung of the α ladder before it grows capacity; a
-// distribution no rung flattens (e.g. a dense cluster plus a far outlier)
-// marks the node saturated and is served with a wide probe window instead
-// of unbounded growth.
+// follows the population with hysteresis: a leaf that holds growHeadroom
+// times the keys Theorem 1 sizes its capacity for is rebuilt for more keys
+// (see full and grownCap), so between builds its collision rate may rise
+// from τ to that load. A key outside [lo, hi] widens the interval first, at
+// the same capacity unless the leaf is taking an append stream. If the
+// placement then pushes the conflict degree past its bound, settle
+// re-scatters the leaf with another rung of the α ladder before it grows
+// capacity; a distribution no rung flattens (e.g. a dense cluster plus a
+// far outlier) marks the node saturated and is served with a wide probe
+// window instead of unbounded growth.
 func (nd *Node) Insert(k, v uint64) bool {
 	pr := nd.p.Load()
 	if pr.search(k) >= 0 {
 		return false
 	}
-	grow := pr.c < CapacityFor(nd.n+1, nd.tau)
+	grow := nd.full(pr.c)
 	switch {
 	case k < pr.lo || k > pr.hi:
 		// Out-of-interval key (the routing cell is wider than the fitted
@@ -403,13 +430,20 @@ func (nd *Node) Insert(k, v uint64) bool {
 	return true
 }
 
+// full reports whether a leaf of c slots must grow before it takes another
+// key: it holds more than growHeadroom times the keys Theorem 1 sizes c for,
+// or it has no slot to spare.
+func (nd *Node) full(c int) bool {
+	return nd.n >= c || float64(nd.n) > growHeadroom*float64(SizingFor(nd.tau))*float64(c)
+}
+
 // grownCap is the capacity a full leaf grows to, and starts the count of
-// inserts toward its next growth. The leaf grows for growthFor(n) keys, so
-// it stays near its Theorem 1 size; but when most inserts since the last
-// growth fell outside the key range the leaf had held — an append stream,
-// which fills any headroom it is given — it grows for twice its population,
-// so an append stream rebuilds the leaf once per doubling, not every
-// quarter.
+// inserts toward its next growth. The leaf is rebuilt at the Theorem 1 size
+// for growthFor(n) keys, below its growth trigger; but when most inserts
+// since the last growth fell outside the key range the leaf had held — an
+// append stream, which fills any headroom it is given — it grows for twice
+// its population, so an append stream rebuilds the leaf once per doubling,
+// not every quarter.
 func (nd *Node) grownCap() int {
 	expected := growthFor(nd.n)
 	if nd.appending() {

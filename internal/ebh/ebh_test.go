@@ -185,6 +185,41 @@ func TestExpansionPreservesContents(t *testing.T) {
 	}
 }
 
+func TestBulkBuiltLeafGrowsWithHysteresis(t *testing.T) {
+	// A bulk-built leaf sits at its Theorem 1 capacity c. It takes in-range
+	// inserts into the same probe until it holds growHeadroom times the
+	// keys Theorem 1 sizes c for, and the insert after that grows it.
+	keys := dataset.Uniform(5000, 3)
+	nd := NewFromSorted(0, 0, keys, nil, 0, 0)
+	c := nd.Cap()
+	if want := CapacityFor(len(keys), DefaultTau); c != want {
+		t.Fatalf("bulk-built capacity %d, want the Theorem 1 capacity %d", c, want)
+	}
+	// The largest population that still takes a key in place.
+	last := min(c-1, int(growHeadroom*float64(SizingFor(DefaultTau))*float64(c)))
+	lo, hi := nd.Interval()
+	rng := rand.New(rand.NewPCG(3, 3))
+	insert := func() {
+		for !nd.Insert(lo+1+rng.Uint64N(hi-lo-1), 0) {
+		}
+	}
+	pr := nd.p.Load()
+	for nd.Len() <= last {
+		insert()
+		if nd.p.Load() != pr {
+			t.Fatalf("insert %d of %d published a new probe (capacity %d → %d)",
+				nd.Len()-len(keys), last+1-len(keys), c, nd.Cap())
+		}
+	}
+	insert()
+	if want := nd.capFor(growthFor(last + 1)); nd.Cap() != want {
+		t.Fatalf("after %d in-place inserts the next grew capacity %d → %d, want %d",
+			last+1-len(keys), c, nd.Cap(), want)
+	}
+	checkLeaf(t, nd, nd.base, nd.Len())
+	t.Logf("%d keys at %d slots took %d inserts in place", len(keys), c, last+1-len(keys))
+}
+
 func TestRetrainRestoresBound(t *testing.T) {
 	nd := New(0, 1<<30, 1<<14, 0, 0)
 	rng := rand.New(rand.NewPCG(7, 7))

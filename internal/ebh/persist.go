@@ -30,7 +30,8 @@ func (nd *Node) Geometry() Geometry {
 
 // maxCapSlack bounds a restored leaf's capacity at this multiple of the
 // Theorem 1 capacity its key count needs at the default τ. Legitimate growth
-// stays inside it (a leaf grows to growthFor(n) keys, 2n under an append
+// stays inside it (a leaf that holds growHeadroom times the keys Theorem 1
+// sizes its capacity for grows to growthFor(n) keys, 2n under an append
 // stream or when no α rung meets the conflict-degree bound, and the
 // retrainer provisions under 2×);
 // a capacity beyond it is what a heavily deleted leaf keeps, or what a
