@@ -73,21 +73,26 @@ func TestLeafRoundTrip(t *testing.T) {
 // directory).
 func TestRestoreKeepsKeyOutsideInterval(t *testing.T) {
 	nd := New(0, 1<<20, 1, 0, 0)
-	for k := uint64(100); k <= 500; k += 100 {
-		nd.Insert(k, k)
+	// Fill the leaf with keys 100, 200, … until the next insert must grow it
+	// (growHeadroom lets it take keys past its Theorem 1 load first).
+	last := uint64(0)
+	for !nd.full(nd.Cap()) {
+		last += 100
+		nd.Insert(last, last)
 	}
-	nd.Insert(999, 999) // needs capacity: rebuilds over [100, 500] first
-	if g := nd.Geometry(); g.Hi >= 999 {
+	far := 2 * last
+	nd.Insert(far, far) // needs capacity: rebuilds over [100, last] first
+	if g := nd.Geometry(); g.Hi >= far {
 		t.Skipf("interval %d..%d covers the key; the rebuild path changed", g.Lo, g.Hi)
 	}
 	back := restore(t, nd)
-	for k := uint64(100); k <= 500; k += 100 {
+	for k := uint64(100); k <= last; k += 100 {
 		if v, ok := back.Lookup(k); !ok || v != k {
 			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
 		}
 	}
-	if v, ok := back.Lookup(999); !ok || v != 999 {
-		t.Fatalf("Lookup(999) = %d,%v after restore", v, ok)
+	if v, ok := back.Lookup(far); !ok || v != far {
+		t.Fatalf("Lookup(%d) = %d,%v after restore", far, v, ok)
 	}
 }
 
