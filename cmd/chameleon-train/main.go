@@ -36,6 +36,7 @@ func main() {
 		seed     = flag.Uint64("seed", 7, "training seed")
 		verbose  = flag.Bool("v", false, "log per-episode progress")
 		eval     = flag.Bool("eval", false, "evaluate the trained agents on a held-out dataset")
+		regretN  = flag.Int("regret", 0, "if positive, compare trained and cost-model trees on this many held-out keys per dataset")
 	)
 	flag.Parse()
 
@@ -73,6 +74,9 @@ func main() {
 
 	if *eval {
 		evaluate(ts, da)
+	}
+	if *regretN > 0 {
+		regret(ts, da, *regretN, 1_000_000, 6)
 	}
 }
 
