@@ -6,12 +6,13 @@
 // are Error Bounded Hashing (EBH) nodes — hash tables whose capacity is
 // sized so the collision probability stays below a target τ, with the
 // maximum placement offset recorded so lookups probe a bounded window. The
-// structure is chosen by a multi-agent construction: a DARE agent shapes the
-// upper levels from the global distribution and a TSMDP agent refines each
-// lower subtree from its local distribution; both have deterministic
-// cost-model equivalents used by default. A background retraining goroutine,
-// synchronized through per-interval locks, keeps the structure healthy under
-// sustained inserts and deletes without blocking foreground operations.
+// structure is chosen by the paper's multi-agent construction, with each
+// agent's Q-network replaced by the cost model it approximates: a DARE
+// policy shapes the upper levels from the global distribution and a TSMDP
+// policy refines each lower subtree from its local distribution. A
+// background retraining goroutine, synchronized through per-interval locks,
+// keeps the structure healthy under sustained inserts and deletes without
+// blocking foreground operations.
 //
 // An Index is safe for concurrent use by multiple goroutines. The interval
 // locks are reader-shared and writer-exclusive: any number of Lookup and
@@ -55,33 +56,11 @@ type Options struct {
 	// paper's complete-rebuild threshold). Zero selects the default of 4;
 	// a negative value disables reconstruction.
 	ReconstructThreshold float64
-	// UseTrainedAgents, when non-nil, replaces the deterministic cost-model
-	// policies with trained RL agents (see cmd/chameleon-train).
-	UseTrainedAgents *Agents
 	// Workers bounds the goroutines used by parallel bulk load, including
 	// the construction search that chooses the upper levels. Zero means one
 	// per available CPU; 1 forces the serial path.
 	// The built structure is bit-identical for any worker count.
 	Workers int
-}
-
-// Agents carries trained RL agents loaded from disk.
-type Agents struct {
-	TSMDP *rl.TSMDP
-	DARE  *rl.DARE
-}
-
-// LoadAgents restores agents saved by cmd/chameleon-train.
-func LoadAgents(tsmdpPath, darePath string) (*Agents, error) {
-	ts, err := rl.LoadTSMDP(rl.DefaultTSMDPConfig(), tsmdpPath)
-	if err != nil {
-		return nil, err
-	}
-	da, err := rl.LoadDARE(rl.DefaultDAREConfig(), darePath)
-	if err != nil {
-		return nil, err
-	}
-	return &Agents{TSMDP: ts, DARE: da}, nil
 }
 
 // Index is the public handle. Construct with New.
@@ -112,18 +91,13 @@ func New(opts Options) *Index {
 		ReconstructThreshold: opts.ReconstructThreshold,
 		Workers:              opts.Workers,
 	}
-	if a := opts.UseTrainedAgents; a != nil {
-		cfg.Dare = a.DARE
-		cfg.Policy = a.TSMDP
-	} else {
-		dcfg := rl.DefaultDAREConfig()
-		if opts.Seed != 0 {
-			dcfg.Seed = opts.Seed
-		}
-		dcfg.GA.Workers = opts.Workers
-		cfg.Dare = rl.NewCostDARE(dcfg)
-		cfg.Policy = rl.NewCostPolicy(dcfg.Env)
+	dcfg := rl.DefaultDAREConfig()
+	if opts.Seed != 0 {
+		dcfg.Seed = opts.Seed
 	}
+	dcfg.GA.Workers = opts.Workers
+	cfg.Dare = rl.NewCostDARE(dcfg)
+	cfg.Policy = rl.NewCostPolicy(dcfg.Env)
 	return &Index{inner: core.New(cfg), opts: opts}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"chameleon"
 	"chameleon/internal/dataset"
-	"chameleon/internal/rl"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -83,41 +82,6 @@ func TestRangePublic(t *testing.T) {
 	ix.Range(keys[100], keys[200], func(k, v uint64) bool { n++; return true })
 	if n != 101 {
 		t.Fatalf("range visited %d keys, want 101", n)
-	}
-}
-
-func TestTrainedAgentsOption(t *testing.T) {
-	dir := t.TempDir()
-	tcfg := rl.DefaultTSMDPConfig()
-	tcfg.Env.BT = 16
-	ts := rl.NewTSMDP(tcfg)
-	dcfg := rl.DefaultDAREConfig()
-	dcfg.BD = 16
-	dcfg.L = 4
-	dcfg.GA.Generations = 3
-	dcfg.GA.Pop = 6
-	da := rl.NewDARE(dcfg, 2)
-	tsPath := filepath.Join(dir, "t.gob")
-	daPath := filepath.Join(dir, "d.gob")
-	if err := rl.SaveTSMDP(ts, tsPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := rl.SaveDARE(da, daPath); err != nil {
-		t.Fatal(err)
-	}
-	agents, err := chameleon.LoadAgents(tsPath, daPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := chameleon.New(chameleon.Options{UseTrainedAgents: agents})
-	keys := dataset.Uniform(10_000, 4)
-	if err := ix.BulkLoad(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(keys); i += 53 {
-		if _, ok := ix.Lookup(keys[i]); !ok {
-			t.Fatalf("agent-built index lost key %d", keys[i])
-		}
 	}
 }
 

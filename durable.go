@@ -1204,8 +1204,7 @@ func (d *DurableIndex) checkpointLocked() error {
 	// dirent is not yet durable would silently lose every write acked to it
 	// if a crash dropped the file — even under SyncEveryOp. Failing here is
 	// safe: nothing has committed, the old snapshot + WAL stay authoritative.
-	walPath := filepath.Join(d.dir, walName(newSeq, base))
-	newLog, _, err := wal.Open(walPath, walOptions(d.opts, d.fs, d.fsyncHist), nil)
+	next, abort, err := d.successorWALLocked(base)
 	if err != nil {
 		d.fs.Remove(tmp) //nolint:errcheck
 		return err
@@ -1214,9 +1213,8 @@ func (d *DurableIndex) checkpointLocked() error {
 	// snapshot + WAL; after it, the new snapshot is authoritative and the old
 	// WAL is redundant (its records are all inside the snapshot).
 	if err := d.fs.Rename(tmp, final); err != nil {
-		newLog.Close()       //nolint:errcheck
-		d.fs.Remove(walPath) //nolint:errcheck
-		d.fs.Remove(tmp)     //nolint:errcheck
+		abort()
+		d.fs.Remove(tmp) //nolint:errcheck
 		return err
 	}
 	// One directory fsync seals the commit: the snapshot's final name and the
@@ -1225,26 +1223,16 @@ func (d *DurableIndex) checkpointLocked() error {
 	// recovery might load the new snapshot yet skip the old WAL that future
 	// writes would land in, so the handle is poisoned instead of limping on.
 	if err := d.fs.SyncDir(d.dir); err != nil {
-		newLog.Close() //nolint:errcheck
+		next.Close() //nolint:errcheck
 		d.poisonLocked(fmt.Errorf("checkpoint commit fsync: %w", err))
 		return d.fail
 	}
-
 	// The snapshot holds every acked record, the old log's pending frames
-	// included, so they are dropped rather than written to a file GC is
+	// included, so the swap drops them rather than write them to a file GC is
 	// about to remove. Writing them first would also need room a full disk
-	// does not have, and this rotation is how a full disk recovers.
-	oldLog := d.log
-	d.log = newLog
-	d.seq = newSeq
-	if oldLog != nil {
-		oldLog.Discard(newLog) //nolint:errcheck
-	}
-	// The fresh, empty log is the checkpoint-truncation recovery path out of
-	// degraded-read-only: whatever filled or wedged the old WAL is now
-	// garbage, about to be collected below.
-	d.degraded.Store(false)
-	d.walErrv.Store(errBox{})
+	// does not have, and this rotation is how a full disk recovers; the
+	// fresh, empty log is the way out of degraded-read-only.
+	d.swapWALLocked(next)
 
 	// Best-effort GC: superseded snapshots, rotated-out logs, stray temp
 	// files. A crash mid-GC leaves garbage that the next recovery skips and

@@ -47,8 +47,8 @@ func (ix *Index) build(t *tree, keys, vals []uint64) *node {
 		cfg.GA.Workers = ix.cfg.Workers
 		dare = rl.NewCostDARE(cfg)
 	}
-	p0, m := dare.Parameters(keys, t.h, ix.cfg.L)
-	upperFan := rl.UpperFanoutFn(p0, m, mk, Mk, ix.cfg.L)
+	p0, m := dare.Parameters(keys, t.h, matrixWidth)
+	upperFan := rl.UpperFanoutFn(p0, m, mk, Mk, matrixWidth)
 	return ix.buildUpper(t, keys, vals, mk, Mk, 1, upperFan)
 }
 

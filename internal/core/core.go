@@ -46,8 +46,6 @@ type Config struct {
 	Tau float64
 	// Alpha is the EBH hash factor α (default 131).
 	Alpha float64
-	// L is the DARE parameter-matrix row width (default 64).
-	L int
 	// Dare chooses the upper-level parameters. Nil selects the analytic
 	// CostDARE policy.
 	Dare rl.DAREPolicy
@@ -76,6 +74,9 @@ type Config struct {
 }
 
 const (
+	// matrixWidth is L, the row width of DARE's parameter matrix M (Table
+	// IV: 256).
+	matrixWidth = 64
 	// maxLowerDepth bounds the TSMDP refinement recursion below level h.
 	maxLowerDepth = 3
 	// lightThreshold is the updates/keys ratio that triggers a leaf-level
@@ -96,9 +97,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.Alpha == 0 {
 		cfg.Alpha = ebh.DefaultAlpha
-	}
-	if cfg.L <= 0 {
-		cfg.L = 64
 	}
 	if cfg.ReconstructThreshold == 0 {
 		cfg.ReconstructThreshold = 4.0
@@ -171,8 +169,8 @@ type Index struct {
 	tree atomic.Pointer[tree]
 
 	// reconstructDare is the policy runtime full reconstructions use. The
-	// paper's online DARE invocation is cheap trained-critic inference; here
-	// it is a reduced-budget CostDARE (10 × 8 generations over a sample of
+	// paper's online DARE invocation is cheap critic inference; here it is
+	// a reduced-budget CostDARE (10 × 8 generations over a sample of
 	// about 16 k keys) so in-path rebuilds stay bounded: a whole Reconstruct
 	// of a 16,384-key index takes ~33 ms and allocates ~3 MB on a 2-vCPU
 	// Xeon. Bulk loads keep cfg.Dare.

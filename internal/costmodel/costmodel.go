@@ -3,8 +3,8 @@
 // of Section IV: R_t ("the cost of traversing the tree and secondary
 // searches within leaf nodes") and R_m ("the memory usage of the nodes after
 // taking actions"), combined by the dynamic reward function
-// r = −(w_t·R_t + w_m·R_m). The DQN critics learn to approximate these
-// values; the deterministic CostPolicy evaluates them directly.
+// r = −(w_t·R_t + w_m·R_m). The paper's Q-networks learn to approximate
+// these values; rl.CostPolicy and rl.CostDARE evaluate them directly.
 package costmodel
 
 import (

@@ -1,6 +1,6 @@
 // Package dataset provides the paper's data-distribution machinery: the
-// local-skewness statistic of Definition 3, PDF feature extraction used as
-// RL state (Section IV), and generators for the four evaluation datasets
+// local-skewness statistic of Definition 3 and generators for the four
+// evaluation datasets
 // (UDEN, OSMC, LOGN, FACE) plus the variable-skewness cluster generator used
 // by the Fig. 9 experiment.
 //
@@ -47,55 +47,6 @@ func LocalSkewness(sorted []uint64) float64 {
 	}
 	nm1 := float64(n - 1)
 	return math.Atan(sum / (nm1 * nm1))
-}
-
-// Features is the dataset summary both RL agents consume as state: a
-// bucketized PDF, the cardinality, and the local skewness (Section IV-B2:
-// "a state s ... contains PDF, the quantity of keys, and lsn").
-type Features struct {
-	PDF []float64 // bucketized, sums to 1 (all zeros for an empty dataset)
-	N   int       // |D|
-	LSN float64   // Definition 3 statistic
-}
-
-// Extract computes Features over a sorted dataset with the given number of
-// PDF buckets (b_T or b_D in the paper's Table IV).
-func Extract(sorted []uint64, buckets int) Features {
-	f := Features{
-		PDF: make([]float64, buckets),
-		N:   len(sorted),
-		LSN: LocalSkewness(sorted),
-	}
-	if len(sorted) == 0 || buckets == 0 {
-		return f
-	}
-	lo, hi := sorted[0], sorted[len(sorted)-1]
-	span := float64(hi-lo) + 1
-	for _, k := range sorted {
-		b := int(float64(k-lo) / span * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
-		}
-		f.PDF[b]++
-	}
-	inv := 1 / float64(len(sorted))
-	for i := range f.PDF {
-		f.PDF[i] *= inv
-	}
-	return f
-}
-
-// Vector flattens the features into the fixed-size state vector fed to the
-// neural networks: PDF buckets followed by a log-scaled cardinality and the
-// lsn normalized into [0, 1].
-func (f Features) Vector() []float64 {
-	v := make([]float64, len(f.PDF)+2)
-	copy(v, f.PDF)
-	// log10 scaling keeps cardinalities from 10^0..10^9 in a small range.
-	v[len(f.PDF)] = math.Log10(float64(f.N) + 1)
-	// lsn ∈ [π/4, π/2) → [0, 1).
-	v[len(f.PDF)+1] = (f.LSN - math.Pi/4) / (math.Pi / 4)
-	return v
 }
 
 // SortDedup sorts keys ascending and removes duplicates in place, returning

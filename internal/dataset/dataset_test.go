@@ -116,49 +116,6 @@ func TestClusterVarianceSkewSweep(t *testing.T) {
 	}
 }
 
-func TestExtractPDF(t *testing.T) {
-	keys := Uniform(10_000, 3)
-	f := Extract(keys, 64)
-	sum := 0.0
-	for _, p := range f.PDF {
-		if p < 0 {
-			t.Fatal("negative PDF bucket")
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("PDF sums to %v, want 1", sum)
-	}
-	if f.N != len(keys) {
-		t.Fatalf("N = %d, want %d", f.N, len(keys))
-	}
-	// A uniform dataset should have roughly even buckets.
-	for i, p := range f.PDF {
-		if p > 3.0/64 {
-			t.Fatalf("uniform PDF bucket %d too heavy: %v", i, p)
-		}
-	}
-}
-
-func TestExtractEmptyAndVector(t *testing.T) {
-	f := Extract(nil, 8)
-	for _, p := range f.PDF {
-		if p != 0 {
-			t.Fatal("empty dataset must have zero PDF")
-		}
-	}
-	v := f.Vector()
-	if len(v) != 10 {
-		t.Fatalf("vector length %d, want 10", len(v))
-	}
-	keys := Generate(FACE, 10_000, 1)
-	v = Extract(keys, 8).Vector()
-	lsnNorm := v[len(v)-1]
-	if lsnNorm < 0 || lsnNorm >= 1 {
-		t.Fatalf("normalized lsn %v out of [0,1)", lsnNorm)
-	}
-}
-
 func TestSortDedup(t *testing.T) {
 	got := SortDedup([]uint64{5, 1, 5, 3, 1, 9})
 	want := []uint64{1, 3, 5, 9}

@@ -2,9 +2,9 @@
 // ("GetOptimizedParameters"), the actor half of the DARE agent. A genome is
 // the flat parameter vector [p0, M(0,0..L−1), M(1,0..L−1), ...] — one
 // chromosome per value, exactly as the paper describes ("we can intuitively
-// treat each value as a chromosome"). Fitness is supplied by the caller
-// (DARE uses its DQN critic Q_D(s_D, a_D); tests and the deterministic cost
-// policy use the analytic cost model directly).
+// treat each value as a chromosome"). Fitness is supplied by the caller:
+// the paper's DARE uses its critic Q_D(s_D, a_D), rl.CostDARE the cost
+// model the critic approximates.
 //
 // Each generation's newcomers are scored concurrently through the shared
 // internal/par pool, so Fitness may run on several goroutines at once and
@@ -25,13 +25,16 @@ type Bound struct{ Lo, Hi float64 }
 // Fitness scores a genome; Optimize maximizes it.
 type Fitness func(genome []float64) float64
 
+const (
+	mutProb  = 0.2 // per-chromosome probability of a slight mutation
+	mutScale = 0.1 // slight-mutation magnitude relative to the bound span
+)
+
 // Config controls the search. Zero fields take the defaults in Defaults.
 type Config struct {
-	Pop         int     // X in Algorithm 1: survivors per generation
-	Generations int     // K in Algorithm 1: iteration budget
-	MutProb     float64 // per-chromosome probability of a slight mutation
-	MutScale    float64 // slight-mutation magnitude relative to the bound span
-	Patience    int     // generations without improvement before "converged"
+	Pop         int // X in Algorithm 1: survivors per generation
+	Generations int // K in Algorithm 1: iteration budget
+	Patience    int // generations without improvement before "converged"
 	Seed        uint64
 	Workers     int // goroutines scoring a generation: 0 = one per CPU, 1 = serial
 }
@@ -43,12 +46,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Generations <= 0 {
 		c.Generations = 30
-	}
-	if c.MutProb <= 0 {
-		c.MutProb = 0.2
-	}
-	if c.MutScale <= 0 {
-		c.MutScale = 0.1
 	}
 	if c.Patience <= 0 {
 		c.Patience = 5
@@ -117,9 +114,9 @@ func Optimize(cfg Config, bounds []Bound, fit Fitness) ([]float64, float64) {
 			src := pop[rng.IntN(len(pop))].genome
 			g := append([]float64(nil), src...)
 			for j := range g {
-				if rng.Float64() < cfg.MutProb {
+				if rng.Float64() < mutProb {
 					span := bounds[j].Hi - bounds[j].Lo
-					g[j] = clampAt(j, g[j]+(rng.Float64()*2-1)*cfg.MutScale*span)
+					g[j] = clampAt(j, g[j]+(rng.Float64()*2-1)*mutScale*span)
 				}
 			}
 			next = append(next, individual{genome: g})

@@ -11,12 +11,11 @@ import (
 	"chameleon/internal/par"
 )
 
-// CostPolicy is the deterministic stand-in for a trained TSMDP agent: it
-// scores every action in the fanout space with a one-level lookahead under
-// the exact cost model (each prospective child evaluated as an EBH leaf) and
+// CostPolicy decides fanouts in place of a trained TSMDP agent: it scores
+// every action in the fanout space with a one-level lookahead under the
+// exact cost model (each prospective child evaluated as an EBH leaf) and
 // takes the argmax. The paper's Q-network approximates precisely this
-// quantity, so CostPolicy provides reproducible construction quality without
-// a stochastic training run; benchmarks can use either (DESIGN.md §4).
+// quantity (DESIGN.md §4 item 2).
 type CostPolicy struct {
 	Fanouts  []int
 	MinSplit int // nodes with fewer keys terminate immediately
@@ -108,10 +107,10 @@ func cannotBeat(bound, best float64) bool {
 	return bound+boundMargin*math.Abs(bound) < best
 }
 
-// CostDARE is the deterministic stand-in for a trained DARE agent: the same
-// GA actor, but with fitness evaluated by instantiating the upper levels
-// over a key sample and measuring the exact cost model — the quantity the
-// DARE critic approximates.
+// CostDARE stands in for a trained DARE agent: the same GA actor, but with
+// fitness evaluated by instantiating the upper levels over a key sample and
+// measuring the exact cost model — the quantity the DARE critic
+// approximates.
 type CostDARE struct {
 	Cfg  DAREConfig
 	Seed uint64

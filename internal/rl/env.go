@@ -1,32 +1,20 @@
 package rl
 
-import (
-	"chameleon/internal/costmodel"
-	"chameleon/internal/dataset"
-)
+import "chameleon/internal/costmodel"
 
-// Env is the construction environment the agents are trained against. It
-// turns (node keys, interval, fanout action) into the reward of Section
-// IV-B2, r = −(w_t·R_t + w_m·R_m), using the cost model as ground truth.
+// Env is the construction environment of Section IV-B2. It turns (node
+// keys, interval, fanout action) into the reward r = −(w_t·R_t + w_m·R_m),
+// using the cost model as ground truth.
 type Env struct {
 	Tau   float64 // EBH collision target τ
 	Alpha float64 // EBH hash factor α
 	Wt    float64 // query-time weight w_t
 	Wm    float64 // memory weight w_m
-	BT    int     // PDF bucket count b_T for TSMDP states
 }
 
-// DefaultEnv returns the paper's Table IV weighting (w_t = w_m = 0.5) with a
-// laptop-scale b_T (the paper uses 256; 64 keeps tiny training runs fast —
-// it is a flag in cmd/chameleon-train).
+// DefaultEnv returns the paper's Table IV weighting (w_t = w_m = 0.5).
 func DefaultEnv() Env {
-	return Env{Tau: 0.45, Alpha: 131, Wt: 0.5, Wm: 0.5, BT: 64}
-}
-
-// State extracts the TSMDP state vector for a node: bucketized PDF, key
-// count, and lsn (Section IV-B2).
-func (e Env) State(keys []uint64) []float64 {
-	return dataset.Extract(keys, e.BT).Vector()
+	return Env{Tau: 0.45, Alpha: 131, Wt: 0.5, Wm: 0.5}
 }
 
 // Child is one child partition produced by a non-terminal action.
@@ -39,7 +27,8 @@ type Child struct {
 // Step applies fanout to the node covering [lo, hi]. For fanout ≤ 1 it
 // returns the terminal leaf reward; otherwise it returns the per-level
 // traversal cost as immediate reward plus the child partitions whose values
-// the Bellman backup of Eq. (3) folds in.
+// the Bellman backup of Eq. (3) folds in; CostPolicy's lookahead scores
+// exactly this (TestCostPolicyFanoutMatchesBruteForce).
 func (e Env) Step(keys []uint64, lo, hi uint64, fanout int) (reward float64, children []Child) {
 	if fanout <= 1 || len(keys) <= 1 {
 		c := costmodel.Leaf(keys, lo, hi, e.Tau, e.Alpha)

@@ -1,26 +1,26 @@
-// Package rl implements the paper's two reinforcement-learning agents and
-// the machinery they share:
+// Package rl holds the construction policies of the paper's two agents
+// (Section IV), as the exact quantities their Q-networks approximate:
 //
-//   - TSMDP (Section IV-B): a tree-structured DQN that decides per-node
-//     fanouts for the lower index levels, trained with experience replay,
-//     Boltzmann exploration, a target network, and the child-weighted MAE
-//     loss of Eq. (3).
-//   - DARE (Section IV-C): a single-step agent whose actor is the genetic
-//     algorithm of Algorithm 1 and whose critic is a DQN projecting
-//     (state, action) to the low-dimensional cost space used by the dynamic
-//     reward function (DRF), so changing the DRF weights needs no retraining.
+//   - CostPolicy stands in for TSMDP (Section IV-B): it decides per-node
+//     fanouts for the lower index levels by scoring every action of the
+//     fanout space {2^0..2^10} with a one-level lookahead under the cost
+//     model in internal/costmodel, the value the TSMDP DQN learns to
+//     predict.
+//   - CostDARE stands in for DARE (Section IV-C): the GA actor of
+//     Algorithm 1 searches the root fanout p0 and the parameter matrix M,
+//     with each genome's fitness the dynamic reward (DRF) of the upper
+//     levels it instantiates over a key sample, the cost the DARE critic
+//     is trained to predict.
 //
-// Both agents expose policy interfaces the index constructor consumes, and a
-// deterministic cost-model policy (CostPolicy / CostDARE) is provided as
-// well: the paper's Q-networks approximate exactly the cost model in
-// internal/costmodel, so the analytic policies give reproducible structure
-// quality without a long stochastic training run (DESIGN.md §4).
+// Env is the construction environment both share: Step turns a node and a
+// fanout action into the reward of Section IV-B2 and the child partitions.
+// FixedDARE and FixedFanout are the ablations' constant policies. The
+// repository reproduces the structures the Q-networks approximate, not the
+// networks (DESIGN.md §4 item 2; EXPERIMENTS.md has the measurement that
+// decided it).
 package rl
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math"
 
 // DefaultFanouts is the TSMDP action space {ξ_0..ξ_n} = {2^0, 2^1, ..., 2^10}
 // from Table IV. Index 0 (fanout 1) is the terminal "become a leaf" action.
@@ -38,40 +38,6 @@ type FanoutPolicy interface {
 // each an inner fanout in [2^0, 2^10] (Section IV-C).
 type DAREPolicy interface {
 	Parameters(keys []uint64, h, L int) (p0 int, m [][]float64)
-}
-
-// boltzmann samples an action index from Q-values with the Boltzmann
-// exploration strategy of Section IV-B3: P(a) ∝ exp(Q(a)/temp). A zero or
-// negative temperature degenerates to argmax.
-func boltzmann(rng *rand.Rand, q []float64, temp float64) int {
-	if temp <= 0 {
-		return argmax(q)
-	}
-	maxQ := q[argmax(q)]
-	var sum float64
-	w := make([]float64, len(q))
-	for i, v := range q {
-		w[i] = math.Exp((v - maxQ) / temp)
-		sum += w[i]
-	}
-	r := rng.Float64() * sum
-	for i, v := range w {
-		r -= v
-		if r <= 0 {
-			return i
-		}
-	}
-	return len(q) - 1
-}
-
-func argmax(q []float64) int {
-	best := 0
-	for i, v := range q {
-		if v > q[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // interpolateFanout applies Eq. (4): given a matrix row of decoded fanout

@@ -2,31 +2,11 @@ package rl
 
 import (
 	"math"
-	"math/rand/v2"
-	"path/filepath"
 	"testing"
 
 	"chameleon/internal/costmodel"
 	"chameleon/internal/dataset"
 )
-
-func TestBoltzmannDistribution(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	q := []float64{0, 1, 5}
-	counts := [3]int{}
-	for i := 0; i < 10000; i++ {
-		counts[boltzmann(rng, q, 1.0)]++
-	}
-	if counts[2] <= counts[1] || counts[1] <= counts[0] {
-		t.Fatalf("Boltzmann ordering violated: %v", counts)
-	}
-	// Zero temperature: pure argmax.
-	for i := 0; i < 100; i++ {
-		if boltzmann(rng, q, 0) != 2 {
-			t.Fatal("argmax not selected at temp 0")
-		}
-	}
-}
 
 func TestInterpolateFanoutEq4(t *testing.T) {
 	// Paper's worked example under Eq. (4): x = 0.5 between p_0 = 5.1 and
@@ -46,25 +26,6 @@ func TestInterpolateFanoutEq4(t *testing.T) {
 	}
 	if got := interpolateFanout([]float64{9999}, 0); got != 1<<10 {
 		t.Fatalf("clamp: got %d, want %d", got, 1<<10)
-	}
-}
-
-func TestReplayRing(t *testing.T) {
-	r := NewReplay(4)
-	for i := 0; i < 10; i++ {
-		r.Add(Transition{Action: i})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	rng := rand.New(rand.NewPCG(2, 2))
-	for _, tr := range r.Sample(rng, 50) {
-		if tr.Action < 6 {
-			t.Fatalf("evicted transition %d sampled", tr.Action)
-		}
-	}
-	if NewReplay(0).Sample(rng, 1) != nil {
-		t.Fatal("empty replay should sample nil")
 	}
 }
 
@@ -116,42 +77,6 @@ func TestCostPolicySplitsSkewTerminatesSmall(t *testing.T) {
 	f := p.Fanout(big, big[0], big[len(big)-1], 1)
 	if f <= 1 {
 		t.Fatalf("200k-key node fanout %d; policy refused to partition", f)
-	}
-}
-
-func TestTSMDPLearnsToTerminateSmallNodes(t *testing.T) {
-	// A brief training run must leave the agent functional: Q-values finite,
-	// greedy action within the action space, and replay populated.
-	cfg := DefaultTSMDPConfig()
-	cfg.MinSplit = 64
-	cfg.BatchSize = 8
-	cfg.Env.BT = 16
-	a := NewTSMDP(cfg)
-	for ep := 0; ep < 6; ep++ {
-		keys := dataset.Clustered(4000, uint64(ep+1), 0.5, 1, 128)
-		a.Explore(keys, keys[0], keys[len(keys)-1], 3)
-	}
-	if a.replay.Len() == 0 {
-		t.Fatal("exploration stored no transitions")
-	}
-	keys := dataset.Uniform(4000, 9)
-	for _, q := range a.QValues(keys) {
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			t.Fatalf("non-finite Q-value after training: %v", a.QValues(keys))
-		}
-	}
-	f := a.Fanout(keys, keys[0], keys[len(keys)-1], 1)
-	found := false
-	for _, x := range cfg.Fanouts {
-		if x == f {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fanout %d outside action space", f)
-	}
-	if f := a.Fanout(keys[:10], keys[0], keys[9], 1); f != 1 {
-		t.Fatalf("tiny node fanout %d, want forced 1", f)
 	}
 }
 
@@ -209,101 +134,6 @@ func TestCostDAREProducesUsableParameters(t *testing.T) {
 	}
 }
 
-func TestDARETrainEpisodeReducesCriticLoss(t *testing.T) {
-	cfg := DefaultDAREConfig()
-	cfg.BD = 16
-	cfg.L = 4
-	cfg.LR = 1e-2
-	cfg.GA.Generations = 3
-	cfg.GA.Pop = 6
-	cfg.SampleCap = 2048
-	d := NewDARE(cfg, 3)
-	keys := dataset.Uniform(5000, 11)
-	first := d.TrainEpisode(keys, 1)
-	var last float64
-	for i := 0; i < 60; i++ {
-		last = d.TrainEpisode(keys, 1)
-	}
-	if math.IsNaN(last) {
-		t.Fatal("critic loss became NaN")
-	}
-	if last > first*1.5+0.5 {
-		t.Fatalf("critic loss rose: first %.4f last %.4f", first, last)
-	}
-}
-
-func TestTrainAlgorithm2EndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training loop")
-	}
-	cfg := DefaultTrainConfig()
-	cfg.DatasetSize = 3000
-	cfg.EpisodesPer = 2
-	cfg.Epsilon = 0.4
-	cfg.TSMDP.Env.BT = 16
-	cfg.TSMDP.BatchSize = 8
-	cfg.DARE.BD = 16
-	cfg.DARE.L = 4
-	cfg.DARE.GA.Generations = 3
-	cfg.DARE.GA.Pop = 6
-	ts, da := Train(cfg)
-	keys := dataset.Generate(dataset.FACE, 20_000, 1)
-	if f := ts.Fanout(keys, keys[0], keys[len(keys)-1], 1); f < 1 {
-		t.Fatalf("trained TSMDP fanout %d", f)
-	}
-	p0, _ := da.Parameters(keys, 3, 4)
-	if p0 < 1 {
-		t.Fatalf("trained DARE p0 %d", p0)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-
-	tcfg := DefaultTSMDPConfig()
-	tcfg.Env.BT = 16
-	ts := NewTSMDP(tcfg)
-	keys := dataset.Uniform(2000, 1)
-	want := ts.QValues(keys)
-	tsPath := filepath.Join(dir, "tsmdp.gob")
-	if err := SaveTSMDP(ts, tsPath); err != nil {
-		t.Fatal(err)
-	}
-	ts2, err := LoadTSMDP(tcfg, tsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ts2.QValues(keys)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Q-values changed across save/load: %v vs %v", want, got)
-		}
-	}
-
-	dcfg := DefaultDAREConfig()
-	dcfg.BD = 16
-	dcfg.L = 4
-	da := NewDARE(dcfg, 3)
-	daPath := filepath.Join(dir, "dare.gob")
-	if err := SaveDARE(da, daPath); err != nil {
-		t.Fatal(err)
-	}
-	da2, err := LoadDARE(dcfg, daPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := make([]float64, dcfg.BD+2)
-	genome := make([]float64, len(genomeBounds(3, 4)))
-	a, b := da.PredictCost(state, genome), da2.PredictCost(state, genome)
-	if a != b {
-		t.Fatalf("critic changed across save/load: %+v vs %+v", a, b)
-	}
-
-	if _, err := LoadTSMDP(tcfg, daPath); err == nil {
-		t.Fatal("loading a DARE file as TSMDP must fail")
-	}
-}
-
 func TestNodePosition(t *testing.T) {
 	// Paper's worked example: node [0,1] of dataset [0,3] with L=4:
 	// x = ((0+1)/2 − 0)/(3 − 0)·3 = 0.5.
@@ -357,27 +187,5 @@ func TestQueryWeightedConstruction(t *testing.T) {
 	rw := score(weighted, p0w, mw)
 	if rw < ru-0.5 {
 		t.Fatalf("weighted-guided construction clearly loses under its own metric: %v vs %v", rw, ru)
-	}
-}
-
-func TestDoubleDQNTrainsStably(t *testing.T) {
-	cfg := DefaultTSMDPConfig()
-	cfg.DoubleDQN = true
-	cfg.MinSplit = 64
-	cfg.BatchSize = 8
-	cfg.Env.BT = 16
-	a := NewTSMDP(cfg)
-	for ep := 0; ep < 5; ep++ {
-		keys := dataset.Generate(dataset.FACE, 4000, uint64(ep+1))
-		a.Explore(keys, keys[0], keys[len(keys)-1], 3)
-	}
-	keys := dataset.Uniform(4000, 3)
-	for _, q := range a.QValues(keys) {
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			t.Fatalf("double-DQN produced non-finite Q: %v", a.QValues(keys))
-		}
-	}
-	if f := a.Fanout(keys, keys[0], keys[len(keys)-1], 1); f < 1 || f > 1<<10 {
-		t.Fatalf("fanout %d out of range", f)
 	}
 }

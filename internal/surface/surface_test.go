@@ -1,7 +1,7 @@
 // Package surface holds two checks. This file's: every exported name of the
-// module has a non-test caller, and every exported option field has a
-// non-test setter outside its own package, unless allowlist.txt names it
-// with a reason. doc_test.go's: every name, path and section DESIGN.md and
+// module has a non-test caller, and every exported *Options or *Config
+// field has a non-test setter outside its own package, unless allowlist.txt
+// names it with a reason. doc_test.go's: every name, path and section DESIGN.md and
 // README.md cite exists (TestDocNames).
 //
 // A caller is any non-test file of the module, of its examples and
@@ -21,10 +21,10 @@
 //     an interface, so a type never converted keeps no method alive that
 //     way.
 //   - an exported, non-embedded field of a struct type whose name ends in
-//     Options that no non-test file outside the declaring package sets, by
-//     a composite-literal key, an assignment, an increment or taking its
-//     address. The declaring package filling in its own defaults does not
-//     count.
+//     Options or Config that no non-test file outside the declaring package
+//     sets, by a composite-literal key, an assignment, an increment or
+//     taking its address; setting x.F.G sets F too. The declaring package
+//     filling in its own defaults does not count.
 //
 // The scan uses only go/parser and go/types; standard-library imports are
 // type-checked from source.
@@ -67,7 +67,7 @@ type scanner struct {
 // scan reports the dead surface of the module rooted at root, counting the
 // non-test files of the modules rooted at callers (nested under root or
 // not) as callers too. It returns the entries, each mapped to what it
-// lacks, and the number of exported *Options fields.
+// lacks, and the number of exported *Options and *Config fields.
 func scan(root string, callers ...string) (entries map[string]string, optionFields int, err error) {
 	s := &scanner{fset: token.NewFileSet(), pkgs: map[string]*pkg{}}
 	// The source importer reads build.Default. Without cgo it type-checks
@@ -253,15 +253,19 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 					}
 				}
 				for _, t := range targets {
-					if sel, ok := t.(*ast.SelectorExpr); ok {
-						t = sel.Sel
+					// Setting x.F.G sets F too: take every selector of the
+					// chain, or the bare key of a composite literal.
+					var ids []*ast.Ident
+					for sel, ok := t.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+						ids = append(ids, sel.Sel)
 					}
-					id, ok := t.(*ast.Ident)
-					if !ok {
-						continue
+					if id, ok := t.(*ast.Ident); ok {
+						ids = append(ids, id)
 					}
-					if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.types {
-						set[origin(v).(*types.Var)] = true
+					for _, id := range ids {
+						if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.types {
+							set[origin(v).(*types.Var)] = true
+						}
 					}
 				}
 				return true
@@ -316,7 +320,7 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 
 	const (
 		uncalled = "exported, and no non-test file references it"
-		unset    = "an option field that no non-test file outside its package sets"
+		unset    = "an *Options or *Config field that no non-test file outside its package sets"
 	)
 	entries := map[string]string{}
 	options := 0
@@ -346,7 +350,7 @@ func (s *scanner) report(paths []string) (map[string]string, int) {
 				}
 			}
 			st, ok := named.Underlying().(*types.Struct)
-			if !ok || !strings.HasSuffix(n, "Options") {
+			if !ok || !strings.HasSuffix(n, "Options") && !strings.HasSuffix(n, "Config") {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
@@ -607,24 +611,25 @@ func TestNoDeadSurface(t *testing.T) {
 			t.Errorf("%s: in allowlist.txt but no longer found; delete its line", e)
 		}
 	}
-	t.Logf("%d entries; %d exported *Options fields", len(entries), options)
+	t.Logf("%d entries; %d exported *Options and *Config fields", len(entries), options)
 }
 
 // TestScannerFixture pins what the scan reports on a fixture module with
-// one case of each kind: exactly the uncalled method, the field only a
-// test sets, the method that satisfies a standard-library interface
+// one case of each kind: exactly the uncalled method, the *Options and
+// *Config fields only a test or the package's own defaults set, the method that satisfies a standard-library interface
 // (io.WriterTo) on a type no non-test code converts to an interface, and
 // the type only its own method's receiver names (with that method); not
 // the method reached through a module interface, the String method of a
-// type fmt receives as an interface, the field the caller module sets, or
-// the names only the caller module uses.
+// type fmt receives as an interface, the fields the caller module sets
+// (Options.Grow only through Grow.Factor), or the names only the caller
+// module uses.
 func TestScannerFixture(t *testing.T) {
 	entries, _, err := scan("testdata/fixture", "testdata/fixture/bench")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(sortedKeys(entries), " ")
-	if want := "fixture/lib.Blob.WriteTo fixture/lib.Options.TestOnly fixture/lib.Orphan fixture/lib.Orphan.Reset fixture/lib.Store.Uncalled"; got != want {
+	if want := "fixture/lib.Blob.WriteTo fixture/lib.GrowConfig.Step fixture/lib.Options.TestOnly fixture/lib.Orphan fixture/lib.Orphan.Reset fixture/lib.Store.Uncalled"; got != want {
 		t.Fatalf("scan(fixture) = %q, want %q", got, want)
 	}
 }

@@ -14,7 +14,24 @@ type Options struct {
 	// TestOnly is set only by lib_test.go; New's default does not count as
 	// a setter, so the scan reports it.
 	TestOnly int
+	// Grow is set by the caller module only through one of its fields.
+	Grow GrowConfig
 }
+
+// GrowConfig is scanned like Options: a struct whose name ends in Config.
+type GrowConfig struct {
+	// Factor is set by the caller module, as Options.Grow.Factor.
+	Factor int
+	// Step is set only by DefaultGrowConfig, in this package, so the scan
+	// reports it.
+	Step int
+}
+
+// DefaultGrowConfig fills in both fields.
+func DefaultGrowConfig() GrowConfig { return GrowConfig{Factor: 2, Step: 1} }
+
+// Grow returns n grown by c.
+func Grow(n int, c GrowConfig) int { return n*max(c.Factor, 1) + c.Step }
 
 // Store is built by the caller module.
 type Store struct{ n int }
@@ -30,7 +47,7 @@ func New(o Options) *Store {
 	if o.TestOnly == 0 {
 		o.TestOnly = 1
 	}
-	return &Store{n: o.Size * o.TestOnly}
+	return &Store{n: Grow(o.Size, o.Grow) * o.TestOnly}
 }
 
 // Get is called only by the caller module.

@@ -4,7 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1053,4 +1058,146 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("recovered Len = %d, want %d acked", r.Len(), okCount)
 	}
 	t.Logf("soak: %d/%d acked, health=%+v", okCount, len(results), r.Health())
+}
+
+// walFailFS tears the live WAL's writes once armed: the write that crosses
+// the budget reaches the file only up to it and fails with
+// faultfs.ErrInjected, an I/O error and not a full disk, as does every later
+// write to that file. Logs created after the arming write normally.
+type walFailFS struct {
+	faultfs.FS
+	mu   sync.Mutex
+	live *walFailFile // the WAL file created last
+}
+
+func (f *walFailFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil || flag&os.O_CREATE == 0 || !strings.HasPrefix(filepath.Base(name), walPrefix) {
+		return file, err
+	}
+	wf := &walFailFile{File: file, w: file}
+	f.mu.Lock()
+	f.live = wf
+	f.mu.Unlock()
+	return wf, nil
+}
+
+// arm lets the live WAL file take budget more bytes.
+func (f *walFailFS) arm(budget int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.live.mu.Lock()
+	f.live.w = &faultfs.Writer{W: f.live.File, Budget: budget}
+	f.live.mu.Unlock()
+}
+
+type walFailFile struct {
+	faultfs.File
+	mu sync.Mutex
+	w  io.Writer // the file, or a faultfs.Writer over it once armed
+}
+
+func (f *walFailFile) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.w.Write(p)
+}
+
+// TestWALStickyErrorDropsBuffer pins DESIGN.md §7's "A sticky write error
+// drops the buffer" on a SyncNone directory of each engine. Inserts are
+// acked into the WAL's buffer until it fills; its write then tears after
+// `whole` frames and fails with an I/O error. That insert fails, and so does
+// every later one. On the tiered row every Flush returns the sticky error
+// (it must write the buffer before it rotates the log), and a reopen holds
+// exactly the base and the `whole` inserts whose frames reached the file:
+// the other acked inserts are lost. On the legacy row a Checkpoint puts
+// every acked insert in its snapshot, and its fresh log clears the
+// degradation and takes writes again.
+func TestWALStickyErrorDropsBuffer(t *testing.T) {
+	const whole = 100
+	base := make([]uint64, 1000)
+	for i := range base {
+		base[i] = uint64(i) * 2
+	}
+	for _, tiered := range []bool{true, false} {
+		name := "legacy"
+		if tiered {
+			name = "tiered"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := durableOpts()
+			if tiered {
+				opts = tieredOpts()
+			}
+			opts.Sync = SyncNone
+			fsys := &walFailFS{FS: faultfs.OS}
+			d, err := openDirFS(dir, opts, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.BulkLoad(base, nil); err != nil {
+				t.Fatal(err)
+			}
+			fsys.arm(whole*insFrame + insFrame/2)
+			var acked []uint64 // odd keys, in commit order
+			var sticky error
+			for k := uint64(1); sticky == nil; k += 2 {
+				if sticky = d.Insert(k, k); sticky == nil {
+					acked = append(acked, k)
+				}
+			}
+			if !errors.Is(sticky, faultfs.ErrInjected) || errors.Is(sticky, ErrDiskFull) {
+				t.Fatalf("insert that filled the buffer = %v, want the injected, non-disk-full error", sticky)
+			}
+			if len(acked) <= whole {
+				t.Fatalf("%d inserts acked before the buffer's write, want more than the %d whole frames it tears after", len(acked), whole)
+			}
+			if err := d.Insert(1<<40, 1); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("insert after the failure = %v, want the sticky error", err)
+			}
+			if h := d.Health(); h.State != HealthDegraded {
+				t.Fatalf("state after the failure = %v, want degraded", h.State)
+			}
+			want := acked[:whole]
+			if tiered {
+				for i := 0; i < 2; i++ {
+					if err := d.Flush(); !errors.Is(err, faultfs.ErrInjected) {
+						t.Fatalf("Flush %d after the failure = %v, want the sticky error", i, err)
+					}
+				}
+				if err := d.Close(); !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("Close = %v, want the sticky error", err)
+				}
+			} else {
+				if err := d.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint after the failure = %v", err)
+				}
+				if h := d.Health(); h.State != HealthOK {
+					t.Fatalf("state after the checkpoint = %v, want ok", h.State)
+				}
+				if err := d.Insert(1<<40, 1); err != nil {
+					t.Fatalf("insert after the checkpoint = %v", err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want = append(acked, 1<<40)
+			}
+
+			r, err := OpenDir(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Len() != len(base)+len(want) {
+				t.Fatalf("reopened Len = %d, want %d base keys + %d inserts", r.Len(), len(base), len(want))
+			}
+			for _, k := range want {
+				if _, ok := r.Lookup(k); !ok {
+					t.Fatalf("reopened index lacks insert %d", k)
+				}
+			}
+		})
+	}
 }

@@ -457,9 +457,9 @@ func (d *DurableIndex) successorWALLocked(base uint64) (next *wal.Log, abort fun
 }
 
 // swapWALLocked makes next, from successorWALLocked, the live log. A fresh,
-// empty log clears a wedged-WAL degradation, same as the legacy checkpoint
-// rotation. The old log has nothing left to write: freeze flushed it, and a
-// replace's manifest holds every record it has. Callers hold d.mu.
+// empty log clears a wedged-WAL degradation. The old log has nothing left
+// to write: freeze flushed it, and a checkpoint's snapshot or a replace's
+// manifest holds every record it has. Callers hold d.mu.
 func (d *DurableIndex) swapWALLocked(next *wal.Log) {
 	if d.log != nil {
 		d.log.Discard(next) //nolint:errcheck
