@@ -23,29 +23,29 @@ func TestBulkLoadGolden(t *testing.T) {
 		digest string
 	}{
 		{dataset.UDEN, 30_000,
-			"3a488538f805bf40d74d31c09cafc511d0d725eac2550f75664549260e28465c"},
+			"cbd2b2511ea4a6301eb98cce5ad61182a917b097e2b5d9efa92fb29d83d822ff"},
 		{dataset.OSMC, 30_000,
-			"b1bf592b00471a4c5b4a10fc1cb99d69faf64ae8a96430fd05a67760ecb273ff"},
+			"6fe791178e9902f95cd6f72813c4e60e8b2e2672c31ccf20363e613291d078e5"},
 		{dataset.LOGN, 30_000,
-			"385debf30ccedfa8f0bce198b88606a1486dfb66decdaf345f7fb34e84841428"},
+			"4e4c96b2dcf61319328ec53bbb77241649b1fc152840228664532981483cb69f"},
 		{dataset.FACE, 30_000,
-			"f323fda2a0094671548dedf75100790ead55edece0f7455cf2703c15d7624a83"},
+			"750a1245aff9109ba4d24c944a14793224b3556a96fed74a5577d9b421c72dad"},
 		{dataset.UDEN, 400_000,
-			"a212eda86cd6f35b21e6d10279b36286ed7c5598f24691a0ea2d28d0ff3ac80e"},
+			"6a05380da624cdbc2a8433216f9d00704c08cf1e8e800348406ba2e4b644b620"},
 		{dataset.OSMC, 400_000,
-			"238597539d48a139a705ba0b6d210b9ae7f052b12f3a24aa2cbe687b2ed898a2"},
+			"e441ae42a2e6ae476adebc39aab9cec757c9ab388700f1f9be55428fc24dbdf6"},
 		{dataset.LOGN, 400_000,
-			"8a6da18bd413d34b1e30e75743b1f51886f633cbe5e9e2eb1b59fe47b3bfbea9"},
+			"5a22685d2eb1fa1932209cd304a2452e2a14a9df3c5a9e1d25e3ea2c9476d942"},
 		{dataset.FACE, 400_000,
-			"9a040bffb629d31ae2259c663def79273bed0aa4a6623ad87dbe5c044def256d"},
+			"ad29e283ab4335f2d570ed83fbb29344b9ffc10c1d29b7eae1ab5162c022cef8"},
 		{dataset.UDEN, 2_000_000,
-			"ea133d7436fbfea72d9c1165292d4ab4fcd4f673b989ceff10dc79f3790c67e7"},
+			"627d9aa23e3e0fd66db1f764c958cf4b34d4306671808f5885ad4bcb950f1d84"},
 		{dataset.OSMC, 2_000_000,
-			"722fc5edb72b830bed8173a2c7848cfc2e1e56c0403bf49f855a488c58fb7e13"},
+			"c76d723f22aebf13ebbeaebea0ae886d1aa743d6c10274278da54b8f5c146836"},
 		{dataset.LOGN, 2_000_000,
 			"55cda917578d917b4b021807a335bdb86346145f6c5711c227cb76538631f3ec"},
 		{dataset.FACE, 2_000_000,
-			"bf8726fd61cc92c1cf370df07c75716aa34a19f549197d966837a424eb992163"},
+			"b0caaaa7a3f168db4d19bbe55c67d780c08ee32231be92d665d62101c75ca84e"},
 	}
 	for _, c := range cases {
 		if testing.Short() && c.n > 400_000 {

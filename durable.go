@@ -166,9 +166,11 @@ type DurableIndex struct {
 	space        chan struct{}
 
 	// Batch scratch, reused by every commitBatch under d.mu: the records a
-	// batch logs and the error slots of the ops they belong to.
+	// batch logs, the error slots of the ops they belong to, and the
+	// validation overlay of a batch of more than one op (see commitBatch).
 	recs     []wal.Record
 	accepted []*error
+	overlay  map[uint64]bool
 
 	// Health counters (see Health); readsClosed flips the read surface to
 	// zero values after Close without taking d.mu on every Lookup. failv
@@ -192,9 +194,10 @@ type DurableIndex struct {
 // pendingEntry is one group-commit entry: the mutations of one call, a lone
 // Insert or Delete or a WriteBatchCtx run, queued, admitted, claimed and
 // withdrawn as a unit. The committing leader sets errs[i] (nil = acked
-// durable per the sync policy) for every recs[i] before closing done. done
-// exists only for a follower, made under qmu when it queues behind a
-// leader: a leader resolves its own entry and never waits on it.
+// durable per the sync policy) for every recs[i] before it wakes a
+// follower with one send on done. follower marks an entry that queued
+// behind a leader, set under qmu before any claim can see the entry: a
+// leader resolves its own entry and never waits on it, so nothing is sent.
 //
 // state arbitrates the race between the leader claiming the entry into a
 // batch and the entry's own goroutine cancelling on context expiry: exactly
@@ -202,16 +205,38 @@ type DurableIndex struct {
 // committing batch, so its canceller must wait for the batch's real outcome
 // — this is what makes cancellation two-state for each op (ctx.Err() with no
 // durable effect, or its true outcome; never anything in between).
+//
+// Entries come from entryPool and go back to it once their call has read
+// the outcome (putEntry), so a steady write stream allocates none. done is
+// made the first time an entry waits as a follower and kept across its
+// lives: each send is received exactly once (waitFollower), so the slot is
+// empty whenever the entry returns to the pool.
 type pendingEntry struct {
-	recs  []wal.Record
-	errs  []error
-	bytes int64 // the log frames recs take: pendingBytes' share
-	done  chan struct{}
-	state atomic.Int32
-	// one and oneErr back recs and errs for an entry of one, so a lone
-	// write allocates the entry and nothing else.
+	recs     []wal.Record
+	errs     []error
+	bytes    int64 // the log frames recs take: pendingBytes' share
+	done     chan struct{}
+	follower bool
+	state    atomic.Int32
+	// one and oneErr back recs and errs for an entry of one.
 	one    [1]wal.Record
 	oneErr [1]error
+}
+
+var entryPool = sync.Pool{New: func() any { return new(pendingEntry) }}
+
+// putEntry returns e to the pool once its call has read the outcome. An
+// entry its canceller withdrew (opCancelled) is dropped instead: it stays
+// in d.queue until the next claim skips it, and a reuse before then could
+// be claimed there.
+func putEntry(e *pendingEntry) {
+	if e.state.Load() == opCancelled {
+		return
+	}
+	e.recs, e.errs, e.oneErr[0] = nil, nil, nil
+	e.bytes, e.follower = 0, false
+	e.state.Store(opQueued)
+	entryPool.Put(e)
 }
 
 // fail resolves every op of an entry that never reached a batch.
@@ -690,15 +715,21 @@ func (d *DurableIndex) WriteBatchCtx(ctx context.Context, recs []wal.Record, err
 	}
 	errs = errs[:len(recs)]
 	clear(errs)
-	d.commit(ctx, &pendingEntry{recs: recs, errs: errs})
+	e := entryPool.Get().(*pendingEntry)
+	e.recs, e.errs = recs, errs
+	d.commit(ctx, e)
+	putEntry(e)
 }
 
 // commitOne commits rec as an entry of one.
 func (d *DurableIndex) commitOne(ctx context.Context, rec wal.Record) error {
-	e := &pendingEntry{one: [1]wal.Record{rec}}
+	e := entryPool.Get().(*pendingEntry)
+	e.one[0] = rec
 	e.recs, e.errs = e.one[:], e.oneErr[:]
 	d.commit(ctx, e)
-	return e.errs[0]
+	err := e.errs[0]
+	putEntry(e)
+	return err
 }
 
 // soloYieldEvery is how many batches in a row that acked no follower make a
@@ -769,7 +800,10 @@ func (d *DurableIndex) commit(ctx context.Context, e *pendingEntry) {
 	}
 	d.updateRetrainPauseLocked()
 	if d.leader {
-		e.done = make(chan struct{})
+		if e.done == nil {
+			e.done = make(chan struct{}, 1)
+		}
+		e.follower = true
 		d.qmu.Unlock()
 		d.waitFollower(ctx, e)
 		return
@@ -933,6 +967,10 @@ func (d *DurableIndex) updateRetrainPauseLocked() {
 	}
 }
 
+// overlayKeep is the most keys a batch may put in the validation overlay
+// for the map to be kept for the next batch.
+const overlayKeep = 4096
+
 // commitBatch validates, logs, applies, and acks one batch of entries. It
 // holds d.mu for the whole batch so a checkpoint can never rotate the WAL
 // between a batch's append and its in-memory apply — the replay-order
@@ -943,9 +981,12 @@ func (d *DurableIndex) commitBatch(batch []*pendingEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer func() {
+		// The slot is empty (see pendingEntry), so no send blocks under
+		// d.mu. A woken follower may recycle its entry at once: read
+		// nothing of an entry after its send.
 		for _, e := range batch {
-			if e.done != nil {
-				close(e.done)
+			if e.follower {
+				e.done <- struct{}{}
 			}
 		}
 	}()
@@ -981,16 +1022,26 @@ func (d *DurableIndex) commitBatch(batch []*pendingEntry) {
 	// key on replay. Validation of op k must see the effects of the ops
 	// accepted before it in the same batch (a duplicate insert inside one
 	// batch fails exactly as it would have serially), so earlier accepts are
-	// tracked in a batch-local presence overlay. A batch of one op has no
-	// earlier op and needs none.
+	// tracked in a presence overlay, kept across batches and cleared after
+	// each. A batch of one op has no earlier op and needs none.
 	var overlay map[uint64]bool
 	if ops > 1 {
-		overlay = make(map[uint64]bool, ops)
+		if d.overlay == nil {
+			d.overlay = make(map[uint64]bool, ops)
+		}
+		overlay = d.overlay
 	}
 	accepted, recs := d.accepted[:0], d.recs[:0]
 	defer func() {
 		clear(accepted) // the ops are acked; do not keep their slots reachable
 		d.accepted, d.recs = accepted[:0], recs[:0]
+		// Clearing costs the map's capacity, not its entries: one that an
+		// unusually large batch grew is dropped rather than kept.
+		if len(overlay) > overlayKeep {
+			d.overlay = nil
+		} else {
+			clear(overlay)
+		}
 	}()
 	for _, e := range batch {
 		for i, rec := range e.recs {

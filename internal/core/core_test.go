@@ -742,6 +742,59 @@ func TestFirstInsertsAllocs(t *testing.T) {
 	}
 }
 
+// TestInGapChurnAllocs: a steady stream into a 400 k-key FACE bulk load,
+// 50,000 inserts into gaps between its keys, each also deleting the key
+// inserted 4,096 before it, allocates under 0.02× the index. A bulk-built
+// leaf hashes over its keys' range widened toward its routing cell's
+// edges, so a fresh key in the cell lands in place (~0.003×); with the
+// interval fitted to the keys, the first such key past a leaf's min or max
+// re-scattered the leaf into a new slab (0.25×). Skipped under -race,
+// whose instrumentation allocates.
+func TestInGapChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	keys := dataset.Generate(dataset.FACE, 400_000, 42)
+	dcfg := rl.DefaultDAREConfig()
+	dcfg.GA.Workers = 2
+	ix := New(Config{Dare: rl.NewCostDARE(dcfg), Policy: rl.NewCostPolicy(dcfg.Env), ReconstructThreshold: -1})
+	if err := ix.BulkLoad(keys, nil); err != nil {
+		t.Fatal(err)
+	}
+	const inserts, window = 50_000, 4096
+	rng := rand.New(rand.NewPCG(7, 7))
+	used := make(map[uint64]bool, inserts)
+	fresh := make([]uint64, 0, inserts)
+	for len(fresh) < inserts {
+		i := rng.IntN(len(keys) - 1)
+		if gap := keys[i+1] - keys[i]; gap > 1 {
+			if k := keys[i] + 1 + rng.Uint64N(gap-1); !used[k] {
+				used[k] = true
+				fresh = append(fresh, k)
+			}
+		}
+	}
+	built := ix.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, k := range fresh {
+		if err := ix.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if i >= window {
+			if err := ix.Delete(fresh[i-window]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d inserts and %d deletes allocated %.2f MB; Bytes() %.2f → %.2f MB", inserts, inserts-window, alloc/1e6, float64(built)/1e6, float64(ix.Bytes())/1e6)
+	if alloc > 0.02*float64(ix.Bytes()) {
+		t.Errorf("churn allocated %.2f MB, want under 0.02× Bytes() = %.2f MB", alloc/1e6, 0.02*float64(ix.Bytes())/1e6)
+	}
+}
+
 // TestFACEBulkLoadAtTheorem1Size: a FACE bulk load with the public
 // package's default policies keeps every leaf at its Theorem 1 size (about
 // 1.67 slots, 27 B, per key at τ = 0.45) and inside the conflict-degree

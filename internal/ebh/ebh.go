@@ -213,15 +213,20 @@ func New(lo, hi uint64, expected int, tau, alpha float64) *Node {
 	return nd
 }
 
-// NewFromSorted builds a leaf and bulk-inserts the given sorted keys. The
-// hash interval is fit to the keys' min/max (Table II defines N.lk/N.uk as
-// the node's minimum and maximum key); [lo, hi] is only used when keys is
-// empty. vals may be nil, meaning value-equals-key. The leaf keeps its
-// Theorem 1 capacity unless no rung of the α ladder meets the
-// conflict-degree bound (see climb).
+// NewFromSorted builds a leaf and bulk-inserts the given sorted keys. [lo,
+// hi] is the routing cell the leaf serves. The hash interval is the keys'
+// min/max (Table II defines N.lk/N.uk as the node's minimum and maximum
+// key) widened on each side by up to one key span, as far as the cell
+// reaches: the slack an insert outside [min, max] would add anyway (see
+// extend), given at build time so that the cell's fresh keys land in the
+// probe in place instead of re-scattering the leaf on the first one. A cell
+// that does not contain the keys (e.g. 0, 0 from a caller with none) adds
+// no slack, and an empty leaf takes [lo, hi]. vals may be nil, meaning
+// value-equals-key. The leaf keeps its Theorem 1 capacity unless no rung of
+// the α ladder meets the conflict-degree bound (see climb).
 func NewFromSorted(lo, hi uint64, keys, vals []uint64, tau, alpha float64) *Node {
 	if len(keys) > 0 {
-		lo, hi = keys[0], keys[len(keys)-1]
+		lo, hi = slack(lo, hi, keys[0], keys[len(keys)-1])
 	}
 	n := New(lo, hi, len(keys), tau, alpha)
 	n.n = len(keys)
@@ -246,6 +251,18 @@ func NewFromSorted(lo, hi uint64, keys, vals []uint64, tau, alpha float64) *Node
 		n.climb(src, nil)
 	}
 	return n
+}
+
+// slack is the build-time hash interval of keys spanning [kmin, kmax] in
+// the routing cell [lo, hi]: [kmin, kmax] widened by up to kmax − kmin on
+// each side, clamped to the cell, or [kmin, kmax] itself when the cell does
+// not contain it.
+func slack(lo, hi, kmin, kmax uint64) (uint64, uint64) {
+	if lo > kmin || hi < kmax {
+		return kmin, kmax
+	}
+	span := kmax - kmin
+	return kmin - min(span, kmin-lo), kmax + min(span, hi-kmax)
 }
 
 // Len reports the number of stored keys.
@@ -390,8 +407,9 @@ func (nd *Node) Insert(k, v uint64) bool {
 	grow := nd.full(pr.c)
 	switch {
 	case k < pr.lo || k > pr.hi:
-		// Out-of-interval key (the routing cell is wider than the fitted
-		// [lo, hi], or a rebuild refit the interval to the stored min/max):
+		// Out-of-interval key (the routing cell reaches more than a key
+		// span past the bulk-built [lo, hi], or a rebuild refit the
+		// interval to the stored min/max):
 		// extend the interval to cover it BEFORE hashing — k−lo on a key
 		// below lo wraps to a huge uint64 and degenerates the hash. The
 		// extension adds a full span of geometric slack on the crossed side

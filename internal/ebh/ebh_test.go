@@ -336,24 +336,72 @@ func TestPathologicalBimodalInsertsTerminate(t *testing.T) {
 }
 
 func TestRebuildRefitsInterval(t *testing.T) {
-	// Bulk interval fits the stored keys (Table II: lk/uk are the node's
-	// min/max keys), and rebuilds refit after churn.
+	// The bulk interval is the stored keys' min/max (Table II: lk/uk are the
+	// node's min/max keys) widened by up to one key span on each side, as
+	// far as the routing cell reaches, and rebuilds refit after churn.
 	keys := []uint64{100, 200, 300}
-	nd := NewFromSorted(0, 1<<60, keys, nil, 0, 0)
-	lo, hi := nd.Interval()
-	if lo != 100 || hi != 300 {
-		t.Fatalf("interval [%d,%d], want [100,300]", lo, hi)
+	for _, c := range []struct{ cellLo, cellHi, lo, hi uint64 }{
+		{0, 1 << 60, 0, 500},     // the low side stops at the cell's edge
+		{150, 1 << 60, 100, 300}, // a cell that does not contain the keys
+		{60, 420, 60, 420},
+	} {
+		lo, hi := NewFromSorted(c.cellLo, c.cellHi, keys, nil, 0, 0).Interval()
+		if lo != c.lo || hi != c.hi {
+			t.Fatalf("keys [100,300] in cell [%d,%d]: interval [%d,%d], want [%d,%d]", c.cellLo, c.cellHi, lo, hi, c.lo, c.hi)
+		}
 	}
+	nd := NewFromSorted(0, 1<<60, keys, nil, 0, 0)
 	nd.Delete(100)
 	nd.Insert(1<<50, 1)
 	nd.Retrain()
-	lo, hi = nd.Interval()
+	lo, hi := nd.Interval()
 	if lo != 200 || hi != 1<<50 {
 		t.Fatalf("refit interval [%d,%d], want [200,%d]", lo, hi, uint64(1)<<50)
 	}
 	for _, k := range []uint64{200, 300, 1 << 50} {
 		if _, ok := nd.Lookup(k); !ok {
 			t.Fatalf("key %d lost after refit", k)
+		}
+	}
+}
+
+func TestBulkBuiltLeafTakesCellInsertsInPlace(t *testing.T) {
+	// A leaf bulk-built inside a wider routing cell hashes over its keys'
+	// range widened toward the cell's edges, so inserts between its max key
+	// and the cell's edge (and below its min key, as far as one key span)
+	// land in the probe it was built with, where a leaf fitted to its keys
+	// re-scattered its whole slab on the first of them.
+	keys := dataset.Uniform(5000, 11)
+	for i := range keys {
+		keys[i] += 1 << 40
+	}
+	kmin, kmax := keys[0], keys[len(keys)-1]
+	span := kmax - kmin
+	cellLo, cellHi := kmin-3*span, kmax+span/2
+	nd := NewFromSorted(cellLo, cellHi, keys, nil, 0, 0)
+	if lo, hi := nd.Interval(); lo != kmin-span || hi != cellHi {
+		t.Fatalf("interval [%d,%d], want [%d,%d]", lo, hi, kmin-span, cellHi)
+	}
+	pr := nd.p.Load()
+	rng := rand.New(rand.NewPCG(11, 11))
+	var fresh []uint64
+	for len(fresh) < 400 {
+		k := kmax + 1 + rng.Uint64N(cellHi-kmax) // in (kmax, cellHi]
+		if len(fresh)%2 == 1 {
+			k = kmin - 1 - rng.Uint64N(span) // in [kmin − span, kmin)
+		}
+		if !nd.Insert(k, k) {
+			continue
+		}
+		fresh = append(fresh, k)
+		if nd.p.Load() != pr {
+			t.Fatalf("insert %d (key %d) published a new probe", len(fresh), k)
+		}
+	}
+	checkLeaf(t, nd, nd.base, nd.Len())
+	for _, k := range append(fresh, keys...) {
+		if v, ok := nd.Lookup(k); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d,%v", k, v, ok)
 		}
 	}
 }

@@ -394,55 +394,63 @@ func Fig15RetrainThread(cfg Config) []*report.Table {
 		Cols: []string{"dataset", "phase", "query no-rt", "query with-rt",
 			"insert no-rt", "insert with-rt", "retrains"},
 	}
-	builder := func() *core.Index {
-		dcfg := rl.DefaultDAREConfig()
-		dcfg.Seed = cfg.Seed
-		return core.New(core.Config{
-			Name: "Chameleon", Seed: cfg.Seed,
-			Dare:                 rl.NewCostDARE(dcfg),
-			Policy:               rl.NewCostPolicy(rl.DefaultEnv()),
-			ReconstructThreshold: -1, // isolate the retrainer's effect
-		})
-	}
 	for _, ds := range dataset.Names {
 		keys := dataset.Generate(ds, cfg.N, cfg.Seed)
 		base, rest := splitShuffled(keys, len(keys)/2, cfg.Seed^0x15)
 		const phases = 4
-		per := len(rest) / phases
-
-		run := func(withRetrainer bool) (qLat, iLat []float64, retrains int64) {
-			ix := builder()
-			if err := ix.BulkLoad(base, nil); err != nil {
-				panic(err)
-			}
-			present := append([]uint64(nil), base...)
-			for p := 0; p < phases; p++ {
-				wave := rest[p*per : (p+1)*per]
-				start := time.Now()
-				for _, k := range wave {
-					ix.Insert(k, k) //nolint:errcheck
-				}
-				iLat = append(iLat, float64(time.Since(start).Nanoseconds())/float64(len(wave)))
-				present = append(present, wave...)
-				if withRetrainer {
-					ix.RetrainPass()
-				}
-				probes := Probes(present, min(cfg.Ops/4, 50_000), cfg.Seed^uint64(p))
-				ns, _ := MeasureLookupNs(ix, probes)
-				qLat = append(qLat, ns)
-			}
-			retrains, _ = ix.RetrainStats()
-			return qLat, iLat, retrains
-		}
-		qOff, iOff, _ := run(false)
-		qOn, iOn, retrains := run(true)
+		qOff, iOff, _ := fig15Run(cfg, fig15Index(cfg.Seed), base, rest, phases, false)
+		qOn, iOn, retrains := fig15Run(cfg, fig15Index(cfg.Seed), base, rest, phases, true)
 		for p := 0; p < phases; p++ {
 			t.AddRow(ds, fmt.Sprintf("insert wave %d/%d", p+1, phases),
 				report.NsF(qOff[p]), report.NsF(qOn[p]),
-				report.NsF(iOff[p]), report.NsF(iOn[p]), strconv.Itoa(int(retrains)))
+				report.NsF(iOff[p]), report.NsF(iOn[p]), strconv.Itoa(int(retrains[p])))
 		}
 	}
 	return []*report.Table{t}
+}
+
+// fig15Index is the index both arms of Fig. 15 run on.
+func fig15Index(seed uint64) *core.Index {
+	dcfg := rl.DefaultDAREConfig()
+	dcfg.Seed = seed
+	return core.New(core.Config{
+		Name: "Chameleon", Seed: seed,
+		Dare:                 rl.NewCostDARE(dcfg),
+		Policy:               rl.NewCostPolicy(rl.DefaultEnv()),
+		ReconstructThreshold: -1, // isolate the retrainer's effect
+	})
+}
+
+// fig15Run bulk-loads base into ix and inserts rest in phases waves,
+// measuring each wave's insert latency and then the lookup latency over
+// every key present; withRetrainer runs a retraining pass between the
+// two. retrains[p] is how many leaves wave p retrained.
+func fig15Run(cfg Config, ix *core.Index, base, rest []uint64, phases int, withRetrainer bool) (qLat, iLat []float64, retrains []int64) {
+	if err := ix.BulkLoad(base, nil); err != nil {
+		panic(err)
+	}
+	per := len(rest) / phases
+	present := append([]uint64(nil), base...)
+	prev, _ := ix.RetrainStats()
+	for p := 0; p < phases; p++ {
+		wave := rest[p*per : (p+1)*per]
+		start := time.Now()
+		for _, k := range wave {
+			ix.Insert(k, k) //nolint:errcheck
+		}
+		iLat = append(iLat, float64(time.Since(start).Nanoseconds())/float64(len(wave)))
+		present = append(present, wave...)
+		if withRetrainer {
+			ix.RetrainPass()
+		}
+		probes := Probes(present, min(cfg.Ops/4, 50_000), cfg.Seed^uint64(p))
+		ns, _ := MeasureLookupNs(ix, probes)
+		qLat = append(qLat, ns)
+		n, _ := ix.RetrainStats()
+		retrains = append(retrains, n-prev)
+		prev = n
+	}
+	return qLat, iLat, retrains
 }
 
 // splitShuffled partitions a sorted key set into a sorted bulk-load base of

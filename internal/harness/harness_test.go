@@ -154,6 +154,25 @@ func checkBenchFile(t *testing.T, id string, cfg Config, results any) {
 	}
 }
 
+// TestFig15RetrainsPerWave: Fig. 15's "retrains" column counts each wave's
+// retrains, so a dataset's four rows sum to the index's total.
+func TestFig15RetrainsPerWave(t *testing.T) {
+	cfg := toyCfg()
+	keys := dataset.Generate(dataset.OSMC, 20_000, cfg.Seed)
+	base, rest := splitShuffled(keys, len(keys)/2, cfg.Seed)
+	ix := fig15Index(cfg.Seed)
+	_, _, retrains := fig15Run(cfg, ix, base, rest, 4, true)
+	total, _ := ix.RetrainStats()
+	var sum int64
+	for _, r := range retrains {
+		sum += r
+	}
+	t.Logf("retrains per wave %v, total %d", retrains, total)
+	if len(retrains) != 4 || sum != total || total == 0 {
+		t.Fatalf("retrains per wave %v sum to %d, want 4 waves summing to the total %d > 0", retrains, sum, total)
+	}
+}
+
 func TestSpikeTime(t *testing.T) {
 	samples := []time.Duration{10, 10, 10, 10, 10, 10, 10, 500, 10, 600}
 	// Median 10 → threshold 100 → spikes are 500 and 600.

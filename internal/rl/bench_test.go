@@ -12,12 +12,11 @@ import (
 // the parallel fitness scoring scale.
 func BenchmarkCostDAREDecide(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
-	cfg := DefaultDAREConfig()
-	d := NewCostDARE(cfg)
+	d := NewCostDARE(DefaultDAREConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Parameters(keys, 3, cfg.L)
+		d.Parameters(keys, 3, matrixWidth)
 	}
 }
 

@@ -118,9 +118,6 @@ type CostDARE struct {
 
 // NewCostDARE returns the analytic DARE policy.
 func NewCostDARE(cfg DAREConfig) *CostDARE {
-	if cfg.L <= 0 {
-		cfg = DefaultDAREConfig()
-	}
 	return &CostDARE{Cfg: cfg, Seed: cfg.Seed}
 }
 
@@ -130,7 +127,6 @@ func NewCostDARE(cfg DAREConfig) *CostDARE {
 // root one leaf, whose cost never reads M, so they share one score.
 func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 	cfg := d.Cfg
-	cfg.L = L
 	bounds := genomeBounds(h, L)
 	gaCfg := cfg.GA
 	gaCfg.Seed = d.Seed
@@ -146,7 +142,7 @@ func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 		default:
 			counters = new(costmodel.Counters)
 		}
-		cost := measureCost(cfg, sample, h, g, counters)
+		cost := measureCost(cfg, sample, h, L, g, counters)
 		select {
 		case free <- counters:
 		default:

@@ -9,7 +9,6 @@ import (
 
 // DAREConfig collects the DARE hyper-parameters of Table IV.
 type DAREConfig struct {
-	L         int // parameter-matrix row width (Table IV: 256)
 	Seed      uint64
 	GA        ga.Config
 	SampleCap int // max keys used when measuring ground-truth cost
@@ -20,10 +19,11 @@ type DAREConfig struct {
 	QueryWeights func(sample []uint64) []float64
 }
 
-// DefaultDAREConfig mirrors Table IV at laptop scale (L 256 → 64).
+// DefaultDAREConfig mirrors Table IV at laptop scale. The parameter
+// matrix's row width L (Table IV: 256) is not part of it: the caller passes
+// it to Parameters (internal/core builds with 64).
 func DefaultDAREConfig() DAREConfig {
 	return DAREConfig{
-		L:         64,
 		Seed:      1,
 		GA:        ga.Config{Pop: 20, Generations: 24, Patience: 8},
 		SampleCap: 1 << 16,
@@ -118,13 +118,13 @@ func newCostSample(cfg DAREConfig, keys []uint64) costSample {
 // model. This is what the paper's "Instantiate Chameleon-Index" step
 // measures (Algorithm 2, line 11). It is safe for concurrent use with
 // distinct counters.
-func measureCost(cfg DAREConfig, s costSample, h int, genome []float64, counters *costmodel.Counters) costmodel.Cost {
+func measureCost(cfg DAREConfig, s costSample, h, L int, genome []float64, counters *costmodel.Counters) costmodel.Cost {
 	if len(s.keys) == 0 {
 		return costmodel.Cost{}
 	}
-	p0, m := DecodeGenome(genome, h, cfg.L)
+	p0, m := DecodeGenome(genome, h, L)
 	mk, Mk := s.keys[0], s.keys[len(s.keys)-1]
-	fan := UpperFanoutFn(p0, m, mk, Mk, cfg.L)
+	fan := UpperFanoutFn(p0, m, mk, Mk, L)
 	// Nil weights make WeightedTreeCost the plain TreeCost.
 	return counters.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
 }

@@ -32,6 +32,10 @@ func matrixHash(m [][]float64) uint64 {
 	return h.Sum64()
 }
 
+// matrixWidth is the row width L of DARE's parameter matrix that
+// internal/core builds with (its matrixWidth).
+const matrixWidth = 64
+
 // TestCostDAREGolden pins the decisions CostDARE makes, at both budgets, on
 // every generator: p0 and a hash of M must match the recorded values, which
 // come from the serial search over a Partition-based cost walk. Any drift
@@ -79,7 +83,7 @@ func TestCostDAREGolden(t *testing.T) {
 		if c.budget == "reconstruct" {
 			cfg = reconstructBudget()
 		}
-		p0, m := NewCostDARE(cfg).Parameters(ks, h, cfg.L)
+		p0, m := NewCostDARE(cfg).Parameters(ks, h, matrixWidth)
 		if got := matrixHash(m); p0 != c.p0 || got != c.mHash {
 			t.Errorf("%s %d keys, %s budget: p0 %d, M hash %#x; want %d, %#x",
 				c.gen, c.n, c.budget, p0, got, c.p0, c.mHash)

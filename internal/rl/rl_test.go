@@ -171,7 +171,7 @@ func TestQueryWeightedConstruction(t *testing.T) {
 
 	score := func(cfg DAREConfig, p0 int, m [][]float64) float64 {
 		mk, Mk := keys[0], keys[len(keys)-1]
-		fan := UpperFanoutFn(p0, m, mk, Mk, cfg.L)
+		fan := UpperFanoutFn(p0, m, mk, Mk, matrixWidth)
 		sample := keys
 		ws := zipf(sample)
 		c := new(costmodel.Counters).WeightedTreeCost(sample, ws, mk, Mk, 2, fan, cfg.Env.Tau, cfg.Env.Alpha)
