@@ -21,7 +21,7 @@ import (
 func benchLookup(b *testing.B, indexName, ds string) {
 	b.Helper()
 	keys := dataset.Generate(ds, 200_000, 42)
-	ix, _ := harness.Build(indexName, keys, 42)
+	ix, _ := harness.Build(indexName, keys)
 	probes := harness.Probes(keys, 1<<16, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +39,7 @@ func BenchmarkLookupPGMFACE(b *testing.B)       { benchLookup(b, "PGM", dataset.
 // BenchmarkInsertChameleon measures in-place EBH insert latency.
 func BenchmarkInsertChameleon(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
-	ix := chameleon.New(chameleon.Options{Seed: 1})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func BenchmarkInsertChameleon(b *testing.B) {
 // BenchmarkInsertALEX is the baseline for the same insert stream.
 func BenchmarkInsertALEX(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
-	ix, _ := harness.Build("ALEX", keys, 42)
+	ix, _ := harness.Build("ALEX", keys)
 	fresh := workload.FreshKeys(keys, b.N, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +68,7 @@ func BenchmarkMixedThroughput(b *testing.B) {
 	ops := workload.Mixed(keys, workload.MixedConfig{
 		WriteFrac: 0.5, InsertFrac: 0.5, Ops: 1 << 17, Seed: 5,
 	})
-	ix := chameleon.New(chameleon.Options{Seed: 1})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkBulkLoadChameleon(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := chameleon.New(chameleon.Options{Seed: 1})
+		ix := chameleon.New(chameleon.Options{})
 		if err := ix.BulkLoad(keys, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -11,10 +11,10 @@ import (
 
 // TestBulkLoadGolden pins bulk-built trees bit for bit: the sha256 of the
 // CHAMSNP3 snapshot WriteTo emits after BulkLoad of each generator's keys
-// (seed 42) into New(Options{Seed: 42}). The digests cover every
-// construction decision — CostDARE's p0 and M, CostPolicy's fanout at every
-// lower node — and EBH placement in every leaf, so a change to the search
-// that moves any of them fails here. The 2 M-key rows are skipped under
+// (seed 42) into New(Options{}). The digests cover every construction
+// decision — CostDARE's p0 and M, CostPolicy's fanout at every lower node —
+// and EBH placement in every leaf, so a change to the search that moves any
+// of them fails here. The 2 M-key rows are skipped under
 // -short.
 func TestBulkLoadGolden(t *testing.T) {
 	cases := []struct {
@@ -23,35 +23,35 @@ func TestBulkLoadGolden(t *testing.T) {
 		digest string
 	}{
 		{dataset.UDEN, 30_000,
-			"cbd2b2511ea4a6301eb98cce5ad61182a917b097e2b5d9efa92fb29d83d822ff"},
+			"4d4498cb9d6b70a950b5a9fb10e0d696832ee1b6fe21e88f3e0a58ec6e2a0a7f"},
 		{dataset.OSMC, 30_000,
-			"6fe791178e9902f95cd6f72813c4e60e8b2e2672c31ccf20363e613291d078e5"},
+			"5dadd3b17e129e0322366ef32aaeb57645f9a81197d00aa6309752895fc95c8b"},
 		{dataset.LOGN, 30_000,
-			"4e4c96b2dcf61319328ec53bbb77241649b1fc152840228664532981483cb69f"},
+			"1d501740f0d40980a8a076e9b67ef904a72c946b935c86b5cef332ef943030f5"},
 		{dataset.FACE, 30_000,
-			"750a1245aff9109ba4d24c944a14793224b3556a96fed74a5577d9b421c72dad"},
+			"b66155c6362155b9b3480306d5d7a63f8205d9bf76322926ef2929ff196192d1"},
 		{dataset.UDEN, 400_000,
-			"6a05380da624cdbc2a8433216f9d00704c08cf1e8e800348406ba2e4b644b620"},
+			"d5355722d6a7c7dcd3dd264e14bf1c3d44c5d584bcea276ca6249b4df9819461"},
 		{dataset.OSMC, 400_000,
-			"e441ae42a2e6ae476adebc39aab9cec757c9ab388700f1f9be55428fc24dbdf6"},
+			"d0a42c4068f06bcd57a9260d4a0702bb54b6557eaaad15adfe1cf78e664c0f99"},
 		{dataset.LOGN, 400_000,
-			"5a22685d2eb1fa1932209cd304a2452e2a14a9df3c5a9e1d25e3ea2c9476d942"},
+			"307c467f89786bea9503801098aa08e63e4fca9c3be073ec709dbed57e03075d"},
 		{dataset.FACE, 400_000,
-			"ad29e283ab4335f2d570ed83fbb29344b9ffc10c1d29b7eae1ab5162c022cef8"},
+			"5140d2dd6f7c968a0798fdeb3d5fb7ef33dfdce2fc4df350e4a4945fa9c76604"},
 		{dataset.UDEN, 2_000_000,
-			"627d9aa23e3e0fd66db1f764c958cf4b34d4306671808f5885ad4bcb950f1d84"},
+			"148b321daf7e9b51fd46838f2919c03b43b67a7a31297603886a44a5b5657c2c"},
 		{dataset.OSMC, 2_000_000,
-			"c76d723f22aebf13ebbeaebea0ae886d1aa743d6c10274278da54b8f5c146836"},
+			"d307b6ff795ca06b935754009efc26e26c827ce46ebd46c53da69052c1d688fc"},
 		{dataset.LOGN, 2_000_000,
-			"55cda917578d917b4b021807a335bdb86346145f6c5711c227cb76538631f3ec"},
+			"3aa9b42bd0debdab93c15927f82bb31bab909b95a65f08c128ff01b98e4530b1"},
 		{dataset.FACE, 2_000_000,
-			"b0caaaa7a3f168db4d19bbe55c67d780c08ee32231be92d665d62101c75ca84e"},
+			"60e0f2c330fd5e5138020abb2f5bed650fab4ec2ab135f4bf9e7c26237ad8e3c"},
 	}
 	for _, c := range cases {
 		if testing.Short() && c.n > 400_000 {
 			continue
 		}
-		ix := New(Options{Seed: 42})
+		ix := New(Options{})
 		if err := ix.BulkLoad(dataset.Generate(c.gen, c.n, 42), nil); err != nil {
 			t.Fatalf("%s %d: BulkLoad: %v", c.gen, c.n, err)
 		}
@@ -77,7 +77,7 @@ func TestBulkLoadAllocations(t *testing.T) {
 	}
 	const n = 2_000_000
 	keys := dataset.Generate(dataset.FACE, n, 42)
-	ix := New(Options{Seed: 42})
+	ix := New(Options{})
 	defer ix.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

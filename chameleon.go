@@ -44,8 +44,6 @@ import (
 // Options configures a Chameleon index. The zero value selects the paper's
 // defaults (τ = 0.45, α = 131, cost-model construction policies).
 type Options struct {
-	// Seed makes construction deterministic.
-	Seed uint64
 	// RetrainEvery, when positive, starts the background retrainer
 	// automatically after each BulkLoad with this period. It does nothing
 	// for a tiered directory's memtable (DirOptions.Tiered), which runs no
@@ -86,18 +84,11 @@ var (
 // New creates an empty index.
 func New(opts Options) *Index {
 	cfg := core.Config{
-		Seed:                 opts.Seed,
 		RetrainEvery:         opts.RetrainEvery,
 		ReconstructThreshold: opts.ReconstructThreshold,
 		Workers:              opts.Workers,
+		Policy:               rl.NewCostPolicy(rl.DefaultEnv()),
 	}
-	dcfg := rl.DefaultDAREConfig()
-	if opts.Seed != 0 {
-		dcfg.Seed = opts.Seed
-	}
-	dcfg.GA.Workers = opts.Workers
-	cfg.Dare = rl.NewCostDARE(dcfg)
-	cfg.Policy = rl.NewCostPolicy(dcfg.Env)
 	return &Index{inner: core.New(cfg), opts: opts}
 }
 

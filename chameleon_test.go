@@ -13,7 +13,7 @@ import (
 
 func TestPublicAPIRoundTrip(t *testing.T) {
 	keys := dataset.Generate(dataset.FACE, 30_000, 1)
-	ix := chameleon.New(chameleon.Options{Seed: 7})
+	ix := chameleon.New(chameleon.Options{})
 	defer ix.Close()
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestLoadStartsRetrainer(t *testing.T) {
 	// index restored from disk silently ran without background retraining
 	// even though BulkLoad with the same options would have started it.
 	keys := dataset.Generate(dataset.UDEN, 20_000, 5)
-	ix := chameleon.New(chameleon.Options{Seed: 3})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoadStartsRetrainer(t *testing.T) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := chameleon.Load(path, chameleon.Options{Seed: 3, RetrainEvery: time.Millisecond})
+	loaded, err := chameleon.Load(path, chameleon.Options{RetrainEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestConcurrentStartStopClose(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	keys := dataset.Generate(dataset.LOGN, 20_000, 9)
-	ix := chameleon.New(chameleon.Options{Seed: 2})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := chameleon.Load(path, chameleon.Options{Seed: 2})
+	loaded, err := chameleon.Load(path, chameleon.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

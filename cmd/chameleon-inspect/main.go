@@ -36,7 +36,6 @@ func main() {
 		sosdPath  = flag.String("sosd", "", "SOSD key file to bulk load")
 		limit     = flag.Int("limit", 0, "max keys to read from the SOSD file (0 = all)")
 		savePath  = flag.String("save", "", "write the (built or loaded) index here")
-		seed      = flag.Uint64("seed", 1, "construction seed")
 		dirPath   = flag.String("dir", "", "tiered durable directory: dump the tier manifest and segment metadata")
 		segPath   = flag.String("seg", "", "single segment file: dump its header (no manifest cross-check)")
 	)
@@ -57,7 +56,7 @@ func main() {
 	switch {
 	case *indexPath != "":
 		start := time.Now()
-		loaded, err := chameleon.Load(*indexPath, chameleon.Options{Seed: *seed})
+		loaded, err := chameleon.Load(*indexPath, chameleon.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -68,7 +67,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ix = chameleon.New(chameleon.Options{Seed: *seed})
+		ix = chameleon.New(chameleon.Options{})
 		start := time.Now()
 		if err := ix.BulkLoad(keys, nil); err != nil {
 			fatal(err)

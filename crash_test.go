@@ -488,9 +488,9 @@ type savedFile struct {
 func openSaved(dir string, fsys faultfs.FS) (crashStore, error) {
 	f := &savedFile{fsys: fsys, path: filepath.Join(dir, "ix.cham")}
 	var err error
-	f.Index, err = Load(f.path, durableOpts().Options)
+	f.Index, err = Load(f.path, DirOptions{}.Options)
 	if errors.Is(err, fs.ErrNotExist) {
-		f.Index, err = New(durableOpts().Options), nil
+		f.Index, err = New(DirOptions{}.Options), nil
 	}
 	return f, err
 }
@@ -502,7 +502,7 @@ func (*savedFile) CommitSeq() uint64 { return 0 }
 // save saves an index of keys over a savedFile. The index is built here,
 // once for every cell.
 func save(keys []uint64) []crashOp {
-	ix := New(durableOpts().Options)
+	ix := New(DirOptions{}.Options)
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		panic(err)
 	}
@@ -652,13 +652,13 @@ func crashRows(t *testing.T) []crashRow {
 	// replays the old log under them: a rotation that lost the old log's
 	// buffer leaves a hole there.
 	const overBuffer = 4_000 // inserts: 84,000 B of frames, over the WAL's 64 KiB buffer
-	legacyNone := durableOpts()
+	legacyNone := DirOptions{}
 	legacyNone.Sync = SyncNone
 	tieredNone := tieredOpts()
 	tieredNone.Sync = SyncNone
 	tieredNone.ReconstructThreshold = -1
 
-	legacy := durableOpts()
+	legacy := DirOptions{}
 	replaceOpts := tieredOpts()
 	replaceOpts.ReconstructThreshold = -1 // reconstructing the tiny memtable only costs time
 

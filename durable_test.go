@@ -11,15 +11,9 @@ import (
 	"chameleon/internal/wal"
 )
 
-// durableOpts keeps construction cheap: TestCrashSweep's recoveries rebuild
-// the index hundreds of times.
-func durableOpts() DirOptions {
-	return DirOptions{Options: Options{Seed: 7}}
-}
-
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +47,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 	// Reopen: bulk keys (checkpointed), WAL inserts, and the delete must all
 	// have survived.
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +76,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 func TestDurableCheckpointRotatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +116,7 @@ func TestDurableCheckpointRotatesAndRecovers(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +163,7 @@ func corruptFile(t *testing.T, path string) {
 // nothing that chain holds.
 func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +205,7 @@ func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	corruptFile(t, rotPath(t, dir, snapPrefix, 2))
 
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +226,7 @@ func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 // serving a near-empty index.
 func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +237,7 @@ func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptFile(t, rotPath(t, dir, snapPrefix, 1))
-	if _, err := OpenDir(dir, durableOpts()); !errors.Is(err, ErrSnapshotsUnreadable) {
+	if _, err := OpenDir(dir, DirOptions{}); !errors.Is(err, ErrSnapshotsUnreadable) {
 		t.Fatalf("OpenDir with only a corrupt snapshot: %v, want ErrSnapshotsUnreadable", err)
 	}
 }
@@ -254,7 +248,7 @@ func TestDurableAllSnapshotsCorruptRefusesToOpen(t *testing.T) {
 // deleted key is resurrected.
 func TestDurableStaleLogNoPhantom(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +280,7 @@ func TestDurableStaleLogNoPhantom(t *testing.T) {
 	if err := os.WriteFile(wal1, savedWal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +306,7 @@ func (renameFailFS) Rename(oldpath, newpath string) error {
 // acking writes that recovery could never reconstruct.
 func TestDurableBulkLoadCheckpointFailurePoisons(t *testing.T) {
 	dir := t.TempDir()
-	d, err := openDirFS(dir, durableOpts(), renameFailFS{faultfs.OS})
+	d, err := openDirFS(dir, DirOptions{}, renameFailFS{faultfs.OS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +323,7 @@ func TestDurableBulkLoadCheckpointFailurePoisons(t *testing.T) {
 	d.Close() //nolint:errcheck
 
 	// Nothing was acked, so recovering an empty index is the honest outcome.
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +338,7 @@ func TestDurableBulkLoadCheckpointFailurePoisons(t *testing.T) {
 func TestDurableSyncPolicies(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncInterval, SyncNone} {
 		dir := t.TempDir()
-		opts := durableOpts()
+		opts := DirOptions{}
 		opts.Sync = pol
 		opts.SyncEvery = time.Millisecond
 		d, err := OpenDir(dir, opts)
@@ -378,7 +372,7 @@ func TestFsyncLatencyCountsCommitFsyncs(t *testing.T) {
 		name string
 		opts DirOptions
 	}{
-		{"legacy", durableOpts()},
+		{"legacy", DirOptions{}},
 		{"tiered", tieredOpts()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

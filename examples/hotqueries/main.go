@@ -27,8 +27,6 @@ func main() {
 
 	build := func(weighted bool) *core.Index {
 		dcfg := rl.DefaultDAREConfig()
-		dcfg.GA.Generations = 12
-		dcfg.GA.Pop = 14
 		dcfg.SampleCap = 1 << 15
 		if weighted {
 			dcfg.QueryWeights = func(sample []uint64) []float64 {

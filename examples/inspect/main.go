@@ -39,8 +39,6 @@ func main() {
 
 func fastDare() rl.DAREPolicy {
 	cfg := rl.DefaultDAREConfig()
-	cfg.GA.Generations = 10
-	cfg.GA.Pop = 12
 	cfg.SampleCap = 1 << 15
 	return rl.NewCostDARE(cfg)
 }

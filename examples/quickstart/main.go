@@ -15,7 +15,7 @@ func main() {
 	// paper's most locally skewed dataset).
 	keys := dataset.Generate(dataset.FACE, 1_000_000, 42)
 
-	ix := chameleon.New(chameleon.Options{Seed: 1})
+	ix := chameleon.New(chameleon.Options{})
 	defer ix.Close()
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		log.Fatal(err)

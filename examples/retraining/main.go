@@ -16,7 +16,7 @@ import (
 
 func main() {
 	base := dataset.Generate(dataset.OSMC, 400_000, 5)
-	ix := chameleon.New(chameleon.Options{Seed: 9})
+	ix := chameleon.New(chameleon.Options{})
 	defer ix.Close()
 	if err := ix.BulkLoad(base, nil); err != nil {
 		panic(err)

@@ -28,7 +28,7 @@ func main() {
 		bt := measure(bptree.New(0), keys, probes)
 		al := measure(alex.New(), keys, probes)
 
-		ch := chameleon.New(chameleon.Options{Seed: 3})
+		ch := chameleon.New(chameleon.Options{})
 		if err := ch.BulkLoad(keys, nil); err != nil {
 			panic(err)
 		}

@@ -22,7 +22,7 @@ import (
 // batch-vs-checkpoint interleaving under real scheduling pressure.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 // wins and the rest see ErrDuplicateKey — whether the attempts land in one
 // batch or several.
 func TestGroupCommitBatchValidation(t *testing.T) {
-	d, err := OpenDir(t.TempDir(), durableOpts())
+	d, err := OpenDir(t.TempDir(), DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func (h *handoff) start(t *testing.T, d *DurableIndex) (leader, follower chan er
 // committing. A leader that drained the queue itself would be the one
 // stalled in the second batch's hook.
 func TestGroupCommitLeaderReturnsAfterOwnBatch(t *testing.T) {
-	d, err := OpenDir(t.TempDir(), durableOpts())
+	d, err := OpenDir(t.TempDir(), DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestGroupCommitLeaderReturnsAfterOwnBatch(t *testing.T) {
 func TestGroupCommitCloseRacesDrainer(t *testing.T) {
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestGroupCommitCloseRacesDrainer(t *testing.T) {
 	}
 	waitUntil(t, "the handle's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestGroupCommitFormsBatches(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			opts := durableOpts()
+			opts := DirOptions{}
 			opts.Sync = tc.sync
 			d, err := openDirFS(t.TempDir(), opts, instantSyncFS{faultfs.OS})
 			if err != nil {
@@ -387,7 +387,7 @@ func TestGroupCommitLoneWriterAllocs(t *testing.T) {
 			name = "tiered"
 		}
 		t.Run(name, func(t *testing.T) {
-			opts := durableOpts()
+			opts := DirOptions{}
 			if tiered {
 				opts = tieredOpts()
 			}
@@ -442,7 +442,7 @@ func TestGroupCommitWriteBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	opts.ReconstructThreshold = -1
 	d, err := OpenDir(t.TempDir(), opts)
@@ -515,7 +515,7 @@ func TestGroupCommitWriteBatchAllocs(t *testing.T) {
 // committed. An entry claimed twice, claimed in a later life, or woken by a
 // send meant for an earlier one breaks that.
 func TestGroupCommitEntryReuse(t *testing.T) {
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	d, err := OpenDir(t.TempDir(), opts)
 	if err != nil {
@@ -685,7 +685,7 @@ func BenchmarkDurableLoneWriter(b *testing.B) {
 			name = "tiered"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := durableOpts()
+			opts := DirOptions{}
 			if tiered {
 				opts = tieredOpts()
 			}

@@ -14,8 +14,6 @@ import (
 func TestBattery(t *testing.T) {
 	build := func() index.Index {
 		dcfg := rl.DefaultDAREConfig()
-		dcfg.GA.Generations = 5
-		dcfg.GA.Pop = 8
 		dcfg.SampleCap = 8192
 		return core.New(core.Config{
 			Name:   "Chameleon",

@@ -16,8 +16,8 @@ import (
 //
 // Construction parallelizes across Config.Workers: gate-level subtrees cover
 // disjoint key ranges and every policy decision depends only on its own
-// subtree's keys and the seed, so the parallel build produces a tree
-// bit-identical to the serial one.
+// subtree's keys, so the parallel build produces a tree bit-identical to the
+// serial one.
 func (ix *Index) BulkLoad(keys, vals []uint64) error {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
@@ -43,8 +43,7 @@ func (ix *Index) build(t *tree, keys, vals []uint64) *node {
 	if dare == nil {
 		cfg := rl.DefaultDAREConfig()
 		cfg.Env = ix.env
-		cfg.Seed = ix.cfg.Seed
-		cfg.GA.Workers = ix.cfg.Workers
+		cfg.Workers = ix.cfg.Workers
 		dare = rl.NewCostDARE(cfg)
 	}
 	p0, m := dare.Parameters(keys, t.h, matrixWidth)

@@ -18,9 +18,6 @@ import (
 func TestConcurrentSoak(t *testing.T) {
 	base := dataset.Uniform(40_000, 21)
 	dcfg := rl.DefaultDAREConfig()
-	dcfg.GA = dcfg.GA.Defaults()
-	dcfg.GA.Generations = 5
-	dcfg.GA.Pop = 8
 	dcfg.SampleCap = 8192
 	ix := New(Config{
 		Name:                 "Chameleon",

@@ -62,14 +62,12 @@ type Config struct {
 	// overall index structure"). Zero selects the default of 4 (geometric
 	// rebuilds, amortized O(1) per update); a negative value disables it.
 	ReconstructThreshold float64
-	// Seed feeds the analytic policies' genetic algorithm.
-	Seed uint64
 	// Workers bounds the goroutines used by parallel bulk load, and by the
 	// default policies' construction search. Zero means one per available
 	// CPU; 1 forces the serial path (bit-identical results either way —
 	// parallelism only reorders work across disjoint key ranges and
-	// independent genomes, never what is computed). A caller-supplied Dare
-	// carries its own worker count.
+	// independent candidates, never what is computed). A caller-supplied
+	// Dare carries its own worker count.
 	Workers int
 }
 
@@ -100,9 +98,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.ReconstructThreshold == 0 {
 		cfg.ReconstructThreshold = 4.0
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	return cfg
 }
@@ -170,10 +165,8 @@ type Index struct {
 
 	// reconstructDare is the policy runtime full reconstructions use. The
 	// paper's online DARE invocation is cheap critic inference; here it is
-	// a reduced-budget CostDARE (10 × 8 generations over a sample of
-	// about 16 k keys) so in-path rebuilds stay bounded: a whole Reconstruct
-	// of a 16,384-key index takes ~33 ms and allocates ~3 MB on a 2-vCPU
-	// Xeon. Bulk loads keep cfg.Dare.
+	// CostDARE over a sample of about 16 k keys, a quarter of a bulk
+	// load's, so in-path rebuilds stay bounded. Bulk loads keep cfg.Dare.
 	reconstructDare rl.DAREPolicy
 
 	count atomic.Int64 // stored keys
@@ -226,13 +219,9 @@ var _ index.StatsProvider = (*Index)(nil)
 
 // New creates an empty index.
 func New(cfg Config) *Index {
-	// Built before Defaults: the reconstruction policy keeps Seed 0 as 0.
 	dcfg := rl.DefaultDAREConfig()
-	dcfg.Seed = cfg.Seed
-	dcfg.GA.Generations = 8
-	dcfg.GA.Pop = 10
 	dcfg.SampleCap = 1 << 14
-	dcfg.GA.Workers = cfg.Workers
+	dcfg.Workers = cfg.Workers
 	cfg = cfg.Defaults()
 	env := rl.DefaultEnv()
 	env.Tau, env.Alpha = cfg.Tau, cfg.Alpha

@@ -19,8 +19,6 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add(make([]byte, 48))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dcfg := rl.DefaultDAREConfig()
-		dcfg.GA.Generations = 2
-		dcfg.GA.Pop = 4
 		dcfg.SampleCap = 1024
 		ix := New(Config{
 			Name:                 "Chameleon",

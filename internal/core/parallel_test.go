@@ -13,11 +13,8 @@ import (
 // (Workers: 1) and parallel builds differ in nothing but parallelism.
 func workerIndex(workers int) *Index {
 	dcfg := rl.DefaultDAREConfig()
-	dcfg.GA = dcfg.GA.Defaults()
-	dcfg.GA.Generations = 5
-	dcfg.GA.Pop = 8
 	dcfg.SampleCap = 8192
-	dcfg.GA.Workers = workers
+	dcfg.Workers = workers
 	return New(Config{
 		Name:    "Chameleon",
 		Dare:    rl.NewCostDARE(dcfg),

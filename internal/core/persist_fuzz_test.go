@@ -13,8 +13,6 @@ import (
 // the fuzz loop.
 func fuzzIndex() *Index {
 	dcfg := rl.DefaultDAREConfig()
-	dcfg.GA.Generations = 1
-	dcfg.GA.Pop = 4
 	dcfg.SampleCap = 512
 	return New(Config{Name: "Chameleon", Dare: rl.NewCostDARE(dcfg)})
 }

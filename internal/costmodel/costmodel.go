@@ -304,10 +304,10 @@ func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j 
 }
 
 // Counters is the slot-counter buffer a cost walk reuses from leaf to leaf.
-// A caller that walks many trees keeps one per goroutine (the GA scores one
-// genome per walk, on several goroutines at once), so that its walks
-// allocate counters only when a leaf outgrows every leaf before it. The
-// zero value is ready to use; a Counters serves one walk at a time.
+// A caller that walks many trees keeps one per goroutine (the DARE search
+// scores one candidate per walk, on several goroutines at once), so that
+// its walks allocate counters only when a leaf outgrows every leaf before
+// it. The zero value is ready to use; a Counters serves one walk at a time.
 type Counters struct{ counts []int32 }
 
 // FanoutFn supplies the fanout of the node covering [lo, hi] at the given

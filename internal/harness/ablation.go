@@ -7,7 +7,6 @@ import (
 
 	"chameleon/internal/core"
 	"chameleon/internal/dataset"
-	"chameleon/internal/ebh"
 	"chameleon/internal/report"
 	"chameleon/internal/rl"
 )
@@ -31,11 +30,7 @@ func Ablations(cfg Config) []*report.Table {
 		Cols:  []string{"tau", "lookup", "bytes/key", "max cd"},
 	}
 	for _, t := range []float64{0.15, 0.30, 0.45, 0.60, 0.80} {
-		ix := core.New(core.Config{
-			Name: "Chameleon", Tau: t, Seed: cfg.Seed,
-			Dare:   rl.NewCostDARE(smallDARE(cfg.Seed, t)),
-			Policy: rl.NewCostPolicy(envWithTau(t)),
-		})
+		ix := core.New(core.Config{Name: "Chameleon", Tau: t, Policy: rl.NewCostPolicy(envWithTau(t))})
 		if err := ix.BulkLoad(keys, nil); err != nil {
 			panic(err)
 		}
@@ -50,9 +45,11 @@ func Ablations(cfg Config) []*report.Table {
 		Cols:  []string{"alpha", "lookup", "max cd", "avg err"},
 	}
 	for _, a := range []float64{1, 7, 131, 1031} {
+		// Both policies score with the default α: only the leaves' hash
+		// factor varies.
 		ix := core.New(core.Config{
-			Name: "Chameleon", Alpha: a, Seed: cfg.Seed,
-			Dare:   rl.NewCostDARE(smallDARE(cfg.Seed, ebh.DefaultTau)),
+			Name: "Chameleon", Alpha: a,
+			Dare:   rl.NewCostDARE(rl.DefaultDAREConfig()),
 			Policy: rl.NewCostPolicy(rl.DefaultEnv()),
 		})
 		if err := ix.BulkLoad(keys, nil); err != nil {
@@ -67,7 +64,7 @@ func Ablations(cfg Config) []*report.Table {
 		Title: "Ablation — Interval-Lock overhead on the query path",
 		Cols:  []string{"mode", "lookup"},
 	}
-	ix, _ := Build("Chameleon", keys, cfg.Seed)
+	ix, _ := Build("Chameleon", keys)
 	ch := ix.(*core.Index)
 	nsOff, _ := MeasureLookupNs(ix, probes)
 	ch.StartRetrainer(time.Hour) // arms the locks without retraining work
@@ -77,13 +74,6 @@ func Ablations(cfg Config) []*report.Table {
 	lock.AddRow("retrainer armed (CAS per gate)", report.NsF(nsOn))
 
 	return []*report.Table{tau, alpha, lock}
-}
-
-func smallDARE(seed uint64, tau float64) rl.DAREConfig {
-	dcfg := rl.DefaultDAREConfig()
-	dcfg.Seed = seed
-	dcfg.Env = envWithTau(tau)
-	return dcfg
 }
 
 func envWithTau(tau float64) rl.Env {

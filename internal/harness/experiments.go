@@ -68,7 +68,7 @@ func Fig1Motivation(cfg Config) []*report.Table {
 	per := len(rest) / windows
 	type series struct{ avg, max []time.Duration }
 	measure := func(name string) series {
-		ix, _ := Build(name, base, cfg.Seed)
+		ix, _ := Build(name, base)
 		defer stopRetraining(ix)
 		var s series
 		for w := 0; w < windows; w++ {
@@ -119,7 +119,7 @@ func Fig8ReadOnly(cfg Config) []*report.Table {
 			latRow := []string{ds, strconv.Itoa(n)}
 			sizeRow := []string{ds, strconv.Itoa(n)}
 			for _, name := range AllIndexes {
-				ix, _ := Build(name, keys, cfg.Seed)
+				ix, _ := Build(name, keys)
 				ns, _ := MeasureLookupNs(ix, probes)
 				latRow = append(latRow, report.NsF(ns))
 				sizeRow = append(sizeRow, report.MB(ix.Bytes()))
@@ -147,7 +147,7 @@ func Fig9Skewness(cfg Config) []*report.Table {
 		var base float64
 		row := []string{fmt.Sprintf("2^%d", intLog2(sigma)), report.F2(lsn)}
 		for _, name := range AllIndexes {
-			ix, _ := Build(name, keys, cfg.Seed)
+			ix, _ := Build(name, keys)
 			ns, _ := MeasureLookupNs(ix, probes)
 			stopRetraining(ix)
 			if name == "B+Tree" {
@@ -182,7 +182,7 @@ func Fig10Construction(cfg Config) []*report.Table {
 		keys := dataset.Generate(ds, cfg.N, cfg.Seed)
 		row := []string{ds}
 		for _, name := range AllIndexes {
-			ix, d := Build(name, keys, cfg.Seed)
+			ix, d := Build(name, keys)
 			stopRetraining(ix)
 			row = append(row, fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000))
 		}
@@ -202,7 +202,7 @@ func Table5Structure(cfg Config) []*report.Table {
 	for _, ds := range dataset.Names {
 		keys := dataset.Generate(ds, cfg.N, cfg.Seed)
 		for _, name := range AblationIndexes {
-			ix, _ := Build(name, keys, cfg.Seed)
+			ix, _ := Build(name, keys)
 			sp, ok := ix.(index.StatsProvider)
 			if !ok {
 				continue
@@ -250,7 +250,7 @@ func mixedThroughput(cfg Config, title, axis string, mk func(float64) workload.M
 			ops := workload.Mixed(keys, wcfg)
 			row := []string{report.F2(x)}
 			for _, name := range UpdatableIndexes {
-				ix, _ := Build(name, keys, cfg.Seed)
+				ix, _ := Build(name, keys)
 				row = append(row, report.Mops(Throughput(ix, ops)))
 				stopRetraining(ix)
 			}
@@ -288,7 +288,7 @@ func Fig13Batched(cfg Config) []*report.Table {
 			writeRows[b] = readRows[b][:1:1]
 		}
 		for _, name := range UpdatableIndexes {
-			ix := Builder(name, cfg.Seed)()
+			ix := Builder(name)()
 			if err := ix.BulkLoad(nil, nil); err != nil {
 				panic(err)
 			}
@@ -333,7 +333,7 @@ func Fig14Retraining(cfg Config) []*report.Table {
 		keys := dataset.Generate(ds, cfg.N, cfg.Seed)
 		base, rest := splitShuffled(keys, len(keys)/10, cfg.Seed^0x14)
 		for _, name := range UpdatableIndexes {
-			ix, _ := Build(name, base, cfg.Seed)
+			ix, _ := Build(name, base)
 			ch, isChameleon := ix.(*core.Index)
 			samples := make([]time.Duration, 0, len(rest))
 			start := time.Now()
@@ -398,8 +398,8 @@ func Fig15RetrainThread(cfg Config) []*report.Table {
 		keys := dataset.Generate(ds, cfg.N, cfg.Seed)
 		base, rest := splitShuffled(keys, len(keys)/2, cfg.Seed^0x15)
 		const phases = 4
-		qOff, iOff, _ := fig15Run(cfg, fig15Index(cfg.Seed), base, rest, phases, false)
-		qOn, iOn, retrains := fig15Run(cfg, fig15Index(cfg.Seed), base, rest, phases, true)
+		qOff, iOff, _ := fig15Run(cfg, fig15Index(), base, rest, phases, false)
+		qOn, iOn, retrains := fig15Run(cfg, fig15Index(), base, rest, phases, true)
 		for p := 0; p < phases; p++ {
 			t.AddRow(ds, fmt.Sprintf("insert wave %d/%d", p+1, phases),
 				report.NsF(qOff[p]), report.NsF(qOn[p]),
@@ -410,12 +410,9 @@ func Fig15RetrainThread(cfg Config) []*report.Table {
 }
 
 // fig15Index is the index both arms of Fig. 15 run on.
-func fig15Index(seed uint64) *core.Index {
-	dcfg := rl.DefaultDAREConfig()
-	dcfg.Seed = seed
+func fig15Index() *core.Index {
 	return core.New(core.Config{
-		Name: "Chameleon", Seed: seed,
-		Dare:                 rl.NewCostDARE(dcfg),
+		Name:                 "Chameleon",
 		Policy:               rl.NewCostPolicy(rl.DefaultEnv()),
 		ReconstructThreshold: -1, // isolate the retrainer's effect
 	})

@@ -62,23 +62,8 @@ var UpdatableIndexes = []string{"B+Tree", "PGM", "ALEX", "LIPP", "DILI", "FINEde
 // AblationIndexes is the Table V set.
 var AblationIndexes = []string{"DILI", "ALEX", "ChaB", "ChaDA", "ChaDATS"}
 
-// chameleonBuilder assembles the full system with the deterministic
-// cost-model policies at the default GA budget.
-func chameleonBuilder(name string, seed uint64) index.Builder {
-	return func() index.Index {
-		dcfg := rl.DefaultDAREConfig()
-		dcfg.Seed = seed
-		return core.New(core.Config{
-			Name:   name,
-			Seed:   seed,
-			Dare:   rl.NewCostDARE(dcfg),
-			Policy: rl.NewCostPolicy(rl.DefaultEnv()),
-		})
-	}
-}
-
 // Builder returns the constructor for a named index.
-func Builder(name string, seed uint64) index.Builder {
+func Builder(name string) index.Builder {
 	switch name {
 	case "B+Tree":
 		return func() index.Index { return bptree.New(0) }
@@ -97,15 +82,13 @@ func Builder(name string, seed uint64) index.Builder {
 	case "FINEdex":
 		return func() index.Index { return finedex.New(0, 0) }
 	case "Chameleon", "ChaDATS":
-		return chameleonBuilder(name, seed)
+		return func() index.Index {
+			return core.New(core.Config{Name: name, Policy: rl.NewCostPolicy(rl.DefaultEnv())})
+		}
 	case "ChaB":
 		return func() index.Index { return core.NewChaB() }
 	case "ChaDA":
-		return func() index.Index {
-			dcfg := rl.DefaultDAREConfig()
-			dcfg.Seed = seed
-			return core.New(core.Config{Name: "ChaDA", Seed: seed, Dare: rl.NewCostDARE(dcfg)})
-		}
+		return func() index.Index { return core.New(core.Config{Name: "ChaDA"}) }
 	default:
 		panic("harness: unknown index " + name)
 	}
@@ -113,8 +96,8 @@ func Builder(name string, seed uint64) index.Builder {
 
 // Build constructs and loads an index, returning it with the build time
 // (the Fig. 10 quantity).
-func Build(name string, keys []uint64, seed uint64) (index.Index, time.Duration) {
-	ix := Builder(name, seed)()
+func Build(name string, keys []uint64) (index.Index, time.Duration) {
+	ix := Builder(name)()
 	start := time.Now()
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		panic(name + ": " + err.Error())

@@ -27,7 +27,7 @@ func TestBuildersCoverAllNames(t *testing.T) {
 	keys := dataset.Uniform(5000, 1)
 	names := append(append([]string{}, AllIndexes...), "ChaB", "ChaDA", "ChaDATS")
 	for _, name := range names {
-		ix, d := Build(name, keys, 1)
+		ix, d := Build(name, keys)
 		if ix.Name() == "" || d < 0 {
 			t.Fatalf("%s: bad build", name)
 		}
@@ -51,12 +51,12 @@ func TestUnknownBuilderPanics(t *testing.T) {
 			t.Fatal("unknown index name did not panic")
 		}
 	}()
-	Builder("NoSuchIndex", 1)
+	Builder("NoSuchIndex")
 }
 
 func TestThroughputPositive(t *testing.T) {
 	keys := dataset.Uniform(10_000, 3)
-	ix, _ := Build("B+Tree", keys, 1)
+	ix, _ := Build("B+Tree", keys)
 	ops := workload.Mixed(keys, workload.MixedConfig{WriteFrac: 0.5, InsertFrac: 0.5, Ops: 5000, Seed: 4})
 	if tp := Throughput(ix, ops); tp <= 0 {
 		t.Fatalf("throughput %v", tp)
@@ -160,7 +160,7 @@ func TestFig15RetrainsPerWave(t *testing.T) {
 	cfg := toyCfg()
 	keys := dataset.Generate(dataset.OSMC, 20_000, cfg.Seed)
 	base, rest := splitShuffled(keys, len(keys)/2, cfg.Seed)
-	ix := fig15Index(cfg.Seed)
+	ix := fig15Index()
 	_, _, retrains := fig15Run(cfg, ix, base, rest, 4, true)
 	total, _ := ix.RetrainStats()
 	var sum int64

@@ -124,7 +124,7 @@ func scalingBulkLoad(cfg Config, out *scalingReport) *report.Table {
 		if workers == 0 {
 			label = fmt.Sprintf("%d (auto)", runtime.GOMAXPROCS(0))
 		}
-		ix := chameleon.New(chameleon.Options{Workers: workers, Seed: cfg.Seed})
+		ix := chameleon.New(chameleon.Options{Workers: workers})
 		runtime.GC() // keep collections of the previous tree out of the timed region
 		start := time.Now()
 		if err := ix.BulkLoad(keys, nil); err != nil {
@@ -150,7 +150,7 @@ func scalingRecovery(cfg Config, out *scalingReport) *report.Table {
 		Cols:  []string{"path", "workers", "time", "per second", "notes"},
 	}
 	keys := dataset.Generate(dataset.FACE, cfg.N, cfg.Seed)
-	src := chameleon.New(chameleon.Options{Seed: cfg.Seed})
+	src := chameleon.New(chameleon.Options{})
 	if err := src.BulkLoad(keys, nil); err != nil {
 		panic(err)
 	}
@@ -158,7 +158,7 @@ func scalingRecovery(cfg Config, out *scalingReport) *report.Table {
 	if _, err := src.WriteTo(&snap); err != nil {
 		panic(err)
 	}
-	ix := chameleon.New(chameleon.Options{Seed: cfg.Seed})
+	ix := chameleon.New(chameleon.Options{})
 	var before, after runtime.MemStats
 	runtime.GC() // keep collections of the source tree out of the timed region
 	runtime.ReadMemStats(&before)

@@ -101,8 +101,7 @@ func tierFlushLatency(cfg Config, out *tierReport) *report.Table {
 		Cols:  []string{"delta entries", "flush", "segment MB", "ns/entry", "disk total MB"},
 	}
 	d, dir := openTier(chameleon.DirOptions{
-		Options: chameleon.Options{Seed: cfg.Seed},
-		Sync:    chameleon.SyncNone, // isolate flush cost from per-op fsyncs
+		Sync: chameleon.SyncNone, // isolate flush cost from per-op fsyncs
 	})
 	defer os.RemoveAll(dir) //nolint:errcheck
 	defer d.Close()         //nolint:errcheck
@@ -149,8 +148,7 @@ func tierColdGet(cfg Config, out *tierReport) *report.Table {
 		Cols:  []string{"segments", "probes", "p50", "p99", "mean"},
 	}
 	d, dir := openTier(chameleon.DirOptions{
-		Options: chameleon.Options{Seed: cfg.Seed},
-		Sync:    chameleon.SyncNone,
+		Sync: chameleon.SyncNone,
 	})
 	defer os.RemoveAll(dir) //nolint:errcheck
 	defer d.Close()         //nolint:errcheck
@@ -226,8 +224,7 @@ func tierWriteAmp(cfg Config, out *tierReport) *report.Table {
 			panic(err)
 		}
 		d, err := chameleon.OpenDir(dir, chameleon.DirOptions{
-			Options: chameleon.Options{Seed: cfg.Seed},
-			Sync:    chameleon.SyncNone,
+			Sync: chameleon.SyncNone,
 		})
 		if err != nil {
 			panic(err)
@@ -258,8 +255,7 @@ func tierWriteAmp(cfg Config, out *tierReport) *report.Table {
 	// Tiered: the flush counter is exactly the segment bytes written.
 	{
 		d, dir := openTier(chameleon.DirOptions{
-			Options: chameleon.Options{Seed: cfg.Seed},
-			Sync:    chameleon.SyncNone,
+			Sync: chameleon.SyncNone,
 		})
 		next := uint64(1)
 		for r := 0; r < rounds; r++ {
@@ -302,7 +298,7 @@ func tierSteadyState(cfg Config, out *tierReport) *report.Table {
 	d, dir := openTier(chameleon.DirOptions{
 		// The memtable's own structure search re-runs as it regrows from
 		// empty after every flush; it is not what this sweep measures.
-		Options: chameleon.Options{Seed: cfg.Seed, ReconstructThreshold: -1},
+		Options: chameleon.Options{ReconstructThreshold: -1},
 		Sync:    chameleon.SyncNone,
 	})
 	defer os.RemoveAll(dir) //nolint:errcheck

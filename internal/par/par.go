@@ -1,7 +1,7 @@
 // Package par is the shared bounded worker pool behind every parallel path
 // in the repository: MARL bulk load and structural retraining fan subtrees
-// out through it, the construction GA scores each generation through it, and
-// benchmarks scale it with -cpu. It exists because those paths nest (a
+// out through it, the construction search scores its candidates through
+// it, and benchmarks scale it with -cpu. It exists because those paths nest (a
 // parallel upper-level build spawns parallel lower-level builds), and naive
 // per-call goroutine fan-out either oversubscribes the machine or — with a
 // fixed-size pool whose workers block on subtasks — deadlocks.

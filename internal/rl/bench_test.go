@@ -6,10 +6,10 @@ import (
 	"chameleon/internal/dataset"
 )
 
-// BenchmarkCostDAREDecide times one full-budget construction decision —
-// the GA search over the cost model that chooses p0 and M — for the 2M-key
-// FACE dataset the repository benchmark loads (h = 3). Run with -cpu to see
-// the parallel fitness scoring scale.
+// BenchmarkCostDAREDecide times one construction decision — the grid
+// search over the cost model that chooses p0 and M — for the 2M-key FACE
+// dataset the repository benchmark loads (h = 3). Run with -cpu to see the
+// parallel candidate scoring scale.
 func BenchmarkCostDAREDecide(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
 	d := NewCostDARE(DefaultDAREConfig())
@@ -20,10 +20,10 @@ func BenchmarkCostDAREDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkCostPolicyFanout times CostPolicy's decision at the root of the
-// same 2M-key FACE bulk load, where CostDARE picks p0 = 1 and the whole key
-// set reaches the fanout policy: fanout 1 scored as one leaf, the other ten
-// bounded and scored only while they can still win.
+// BenchmarkCostPolicyFanout times CostPolicy's decision over the whole
+// 2M-key FACE key set, the largest node it can be handed (a tree whose DARE
+// root is one leaf hands it every key): fanout 1 scored as one leaf, the
+// other ten bounded and scored only while they can still win.
 func BenchmarkCostPolicyFanout(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
 	p := NewCostPolicy(DefaultEnv())

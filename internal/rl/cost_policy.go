@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"chameleon/internal/costmodel"
-	"chameleon/internal/ga"
 	"chameleon/internal/par"
 )
 
@@ -107,60 +106,59 @@ func cannotBeat(bound, best float64) bool {
 	return bound+boundMargin*math.Abs(bound) < best
 }
 
-// CostDARE stands in for a trained DARE agent: the same GA actor, but with
-// fitness evaluated by instantiating the upper levels over a key sample and
+// CostDARE stands in for a trained DARE agent: it searches Algorithm 1's
+// genome space, the root fanout p0 and the parameter matrix M, scoring each
+// candidate by instantiating the upper levels over a key sample and
 // measuring the exact cost model — the quantity the DARE critic
-// approximates.
-type CostDARE struct {
-	Cfg  DAREConfig
-	Seed uint64
-}
+// approximates. With exact, cheap scores a fixed grid replaces the paper's
+// genetic algorithm (DESIGN.md §4 item 2).
+type CostDARE struct{ Cfg DAREConfig }
 
 // NewCostDARE returns the analytic DARE policy.
-func NewCostDARE(cfg DAREConfig) *CostDARE {
-	return &CostDARE{Cfg: cfg, Seed: cfg.Seed}
-}
+func NewCostDARE(cfg DAREConfig) *CostDARE { return &CostDARE{Cfg: cfg} }
 
-// Parameters implements DAREPolicy. The sample is drawn once and every
-// genome is scored on it; cfg.GA.Workers bounds how many are scored at once
-// (the result does not depend on it). Every genome with p0 = 1 makes the
-// root one leaf, whose cost never reads M, so they share one score.
+// Parameters implements DAREPolicy with a deterministic grid over the
+// genome space, every candidate scored by its reward on one key sample:
+//
+//  1. log2 p0 ∈ {0, 1, …, 20}, crossed (when h ≥ 3) with M ≡ 2^c for
+//     c ∈ {0, 1, …, 10};
+//  2. log2 p0 in steps of 1/16 up to 15 steps either side of the best,
+//     then in steps of 1/256 around the new best, M held at its c.
+//
+// Candidates that build the same tree are scored once (at most 81 walks at
+// h = 2 and 281 at h = 3), and ties go to the earliest candidate, so the
+// answer does not depend on cfg.Workers, which bounds how many are scored
+// at once.
 func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
-	cfg := d.Cfg
-	bounds := genomeBounds(h, L)
-	gaCfg := cfg.GA
-	gaCfg.Seed = d.Seed
-	sample := newCostSample(cfg, keys)
-	// Each genome's walk borrows slot counters from free and returns them:
-	// the GA scores at most one genome per worker at a time, so the
-	// workers' walks share that many buffers.
-	free := make(chan *costmodel.Counters, par.Workers(gaCfg.Workers))
-	fitness := func(g []float64) float64 {
-		var counters *costmodel.Counters
-		select {
-		case counters = <-free:
-		default:
-			counters = new(costmodel.Counters)
-		}
-		cost := measureCost(cfg, sample, h, L, g, counters)
-		select {
-		case free <- counters:
-		default:
-		}
-		return costmodel.Reward(cost, cfg.Env.Wt, cfg.Env.Wm)
+	s := &gridSearch{
+		cfg:    d.Cfg,
+		sample: newCostSample(d.Cfg, keys),
+		h:      h,
+		L:      L,
+		scores: make(map[shape]float64),
+		free:   make(chan *costmodel.Counters, par.Workers(d.Cfg.Workers)),
 	}
-	var leafRoot struct {
-		once  sync.Once
-		score float64
+	cs := 0
+	if h >= 3 {
+		cs = maxLogM
 	}
-	genome, _ := ga.Optimize(gaCfg, bounds, func(g []float64) float64 {
-		if decodeP0(g[0]) > 1 {
-			return fitness(g)
+	var pts []gridPoint
+	for g := 0; g <= maxLogP0; g++ {
+		for c := 0; c <= cs; c++ {
+			pts = append(pts, gridPoint{g: float64(g), c: c})
 		}
-		leafRoot.once.Do(func() { leafRoot.score = fitness(g) })
-		return leafRoot.score
-	})
-	return DecodeGenome(genome, h, L)
+	}
+	best := s.best(pts)
+	for _, step := range []float64{1.0 / 16, 1.0 / 256} {
+		pts = append(pts[:0], best)
+		for k := -refineSteps; k <= refineSteps; k++ {
+			if g := best.g + float64(k)*step; k != 0 && g >= 0 && g <= maxLogP0 {
+				pts = append(pts, gridPoint{g: g, c: best.c})
+			}
+		}
+		best = s.best(pts)
+	}
+	return best.shape().params(h, L)
 }
 
 // FixedDARE emits a constant root fanout with no matrix rows — the ablation

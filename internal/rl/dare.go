@@ -4,14 +4,13 @@ import (
 	"math"
 
 	"chameleon/internal/costmodel"
-	"chameleon/internal/ga"
+	"chameleon/internal/par"
 )
 
 // DAREConfig collects the DARE hyper-parameters of Table IV.
 type DAREConfig struct {
-	Seed      uint64
-	GA        ga.Config
 	SampleCap int // max keys used when measuring ground-truth cost
+	Workers   int // goroutines scoring candidates: 0 = one per CPU, 1 = serial
 	Env       Env
 	// QueryWeights, when non-nil, supplies per-key query frequencies for a
 	// cost-model sample, enabling the query-distribution-aware reward the
@@ -23,51 +22,59 @@ type DAREConfig struct {
 // matrix's row width L (Table IV: 256) is not part of it: the caller passes
 // it to Parameters (internal/core builds with 64).
 func DefaultDAREConfig() DAREConfig {
-	return DAREConfig{
-		Seed:      1,
-		GA:        ga.Config{Pop: 20, Generations: 24, Patience: 8},
-		SampleCap: 1 << 16,
-		Env:       DefaultEnv(),
-	}
+	return DAREConfig{SampleCap: 1 << 16, Env: DefaultEnv()}
 }
 
-// genomeBounds returns the GA search space for a given tree height: gene 0
-// is log2(p0) ∈ [0, 20] (root fanout up to 2^20) and the remaining
-// (h−2)·L genes are log2 of inner fanouts ∈ [0, 10] (up to 2^10), matching
-// the ranges of Section IV-C.
-func genomeBounds(h, L int) []ga.Bound {
-	rows := h - 2
-	if rows < 0 {
-		rows = 0
-	}
-	b := make([]ga.Bound, 1+rows*L)
-	b[0] = ga.Bound{Lo: 0, Hi: 20}
-	for i := 1; i < len(b); i++ {
-		b[i] = ga.Bound{Lo: 0, Hi: 10}
-	}
-	return b
+// The search space of Section IV-C: log2 p0 ∈ [0, 20] (root fanout up to
+// 2^20) and log2 of an inner fanout ∈ [0, 10] (up to 2^10).
+const (
+	maxLogP0 = 20
+	maxLogM  = 10
+	// refineSteps is how many steps either side of the best log2 p0 each
+	// refinement pass scores: 15 steps of 1/16 reach just short of the
+	// neighbouring integers, 15 of 1/256 just short of the neighbouring
+	// sixteenths, both scored already.
+	refineSteps = 15
+)
+
+// gridPoint is one candidate of the search: log2 p0 and c, with every
+// entry of M equal to 2^c.
+type gridPoint struct {
+	g float64
+	c int
 }
 
-// DecodeGenome converts a GA genome into the DARE outputs: the root fanout
-// p0 and the parameter matrix M (h−2 rows × L decoded fanout values).
-func DecodeGenome(genome []float64, h, L int) (p0 int, m [][]float64) {
-	p0 = decodeP0(genome[0])
-	rows := (len(genome) - 1) / max(L, 1)
-	m = make([][]float64, rows)
-	for r := 0; r < rows; r++ {
-		row := make([]float64, L)
-		for c := 0; c < L; c++ {
-			row[c] = math.Exp2(genome[1+r*L+c])
+// shape identifies the tree a point builds: points that round to the same
+// p0 build the same tree, and with p0 = 1 the root is one leaf whose cost
+// never reads M.
+func (pt gridPoint) shape() shape {
+	p0 := decodeP0(pt.g)
+	if p0 == 1 {
+		return shape{p0: 1}
+	}
+	return shape{p0: p0, c: pt.c}
+}
+
+// shape is a decoded grid point: the root fanout p0, and c with every entry
+// of M equal to 2^c.
+type shape struct{ p0, c int }
+
+// params returns the DARE outputs s stands for: p0 and the parameter matrix
+// M (h−2 rows × L entries).
+func (s shape) params(h, L int) (p0 int, m [][]float64) {
+	m = make([][]float64, max(h-2, 0))
+	for r := range m {
+		m[r] = make([]float64, L)
+		for j := range m[r] {
+			m[r][j] = math.Exp2(float64(s.c))
 		}
-		m[r] = row
 	}
-	return p0, m
+	return s.p0, m
 }
 
-// decodeP0 is the root fanout gene 0 encodes: 2^g rounded, within
-// [1, 2^20].
+// decodeP0 is the root fanout 2^g rounded, within [1, 2^20].
 func decodeP0(g float64) int {
-	return min(max(int(math.Round(math.Exp2(g))), 1), 1<<20)
+	return min(max(int(math.Round(math.Exp2(g))), 1), 1<<maxLogP0)
 }
 
 // UpperFanoutFn converts DARE parameters into a costmodel.FanoutFn: the root
@@ -90,7 +97,7 @@ func UpperFanoutFn(p0 int, m [][]float64, mk, Mk uint64, L int) costmodel.Fanout
 
 // costSample is the key sample DARE's ground truth is measured on, with its
 // per-key query weights (nil for uniform queries). It is drawn once per
-// decision and shared, read-only, by every genome scored on it.
+// decision and shared, read-only, by every candidate scored on it.
 type costSample struct {
 	keys    []uint64
 	weights []float64
@@ -113,18 +120,67 @@ func newCostSample(cfg DAREConfig, keys []uint64) costSample {
 	return s
 }
 
-// measureCost is the DARE ground truth: build the upper-level tree the
-// genome describes over the sample and evaluate it with the analytic cost
-// model. This is what the paper's "Instantiate Chameleon-Index" step
-// measures (Algorithm 2, line 11). It is safe for concurrent use with
-// distinct counters.
-func measureCost(cfg DAREConfig, s costSample, h, L int, genome []float64, counters *costmodel.Counters) costmodel.Cost {
+// measureCost is the DARE ground truth: build the upper-level tree p0 and M
+// describe over the sample and evaluate it with the analytic cost model.
+// This is what the paper's "Instantiate Chameleon-Index" step measures
+// (Algorithm 2, line 11). It is safe for concurrent use with distinct
+// counters.
+func measureCost(cfg DAREConfig, s costSample, h, L int, p0 int, m [][]float64, counters *costmodel.Counters) costmodel.Cost {
 	if len(s.keys) == 0 {
 		return costmodel.Cost{}
 	}
-	p0, m := DecodeGenome(genome, h, L)
 	mk, Mk := s.keys[0], s.keys[len(s.keys)-1]
 	fan := UpperFanoutFn(p0, m, mk, Mk, L)
 	// Nil weights make WeightedTreeCost the plain TreeCost.
 	return counters.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
+}
+
+// gridSearch is one Parameters call: the sample every candidate is scored
+// on, and the score of every tree scored so far.
+type gridSearch struct {
+	cfg    DAREConfig
+	sample costSample
+	h, L   int
+	scores map[shape]float64
+	// free holds the slot counters of walks not running: at most one walk
+	// per worker runs at a time, so the workers share that many buffers.
+	free chan *costmodel.Counters
+}
+
+// best scores the points whose trees were not scored before, concurrently,
+// and returns the highest-scoring point, ties going to the earliest in pts.
+func (s *gridSearch) best(pts []gridPoint) gridPoint {
+	var todo []shape
+	for _, pt := range pts {
+		k := pt.shape()
+		if _, ok := s.scores[k]; !ok {
+			s.scores[k] = 0 // a placeholder, so a repeat is not queued twice
+			todo = append(todo, k)
+		}
+	}
+	got := make([]float64, len(todo))
+	par.Do(len(todo), par.Workers(s.cfg.Workers), func(i int) {
+		var counters *costmodel.Counters
+		select {
+		case counters = <-s.free:
+		default:
+			counters = new(costmodel.Counters)
+		}
+		p0, m := todo[i].params(s.h, s.L)
+		got[i] = costmodel.Reward(measureCost(s.cfg, s.sample, s.h, s.L, p0, m, counters), s.cfg.Env.Wt, s.cfg.Env.Wm)
+		select {
+		case s.free <- counters:
+		default:
+		}
+	})
+	for i, k := range todo {
+		s.scores[k] = got[i]
+	}
+	best, bestScore := gridPoint{}, math.Inf(-1)
+	for _, pt := range pts {
+		if sc := s.scores[pt.shape()]; sc > bestScore {
+			best, bestScore = pt, sc
+		}
+	}
+	return best
 }

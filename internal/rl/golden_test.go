@@ -9,12 +9,10 @@ import (
 	"chameleon/internal/dataset"
 )
 
-// reconstructBudget is the reduced search core.Config.Defaults gives runtime
+// reconstructBudget is the smaller sample core.New gives runtime
 // reconstructions.
 func reconstructBudget() DAREConfig {
 	cfg := DefaultDAREConfig()
-	cfg.GA.Generations = 8
-	cfg.GA.Pop = 10
 	cfg.SampleCap = 1 << 14
 	return cfg
 }
@@ -36,35 +34,36 @@ func matrixHash(m [][]float64) uint64 {
 // internal/core builds with (its matrixWidth).
 const matrixWidth = 64
 
-// TestCostDAREGolden pins the decisions CostDARE makes, at both budgets, on
-// every generator: p0 and a hash of M must match the recorded values, which
-// come from the serial search over a Partition-based cost walk. Any drift
-// changes every tree, snapshot and segment built from these inputs. At h = 2
-// M has no rows, so its hash is FNV-1a's offset basis.
+// TestCostDAREGolden pins the decisions CostDARE makes, at both sample
+// sizes, on every generator: p0 and a hash of M must match the recorded
+// values, which come from the grid search over a Partition-based cost walk.
+// Any drift changes every tree, snapshot and segment built from these
+// inputs. At h = 2 M has no rows, so its hash is FNV-1a's offset basis; at
+// h = 3 every row picks M ≡ 1.
 func TestCostDAREGolden(t *testing.T) {
 	cases := []struct {
 		gen    string
 		n      int
-		budget string
+		sample string
 		p0     int
 		mHash  uint64
 	}{
-		{dataset.UDEN, 400_000, "full", 11127, 0xcbf29ce484222325},
-		{dataset.UDEN, 400_000, "reconstruct", 2898, 0xcbf29ce484222325},
-		{dataset.OSMC, 400_000, "full", 6380, 0xcbf29ce484222325},
-		{dataset.OSMC, 400_000, "reconstruct", 1823, 0xcbf29ce484222325},
-		{dataset.LOGN, 400_000, "full", 14785, 0xcbf29ce484222325},
-		{dataset.LOGN, 400_000, "reconstruct", 2947, 0xcbf29ce484222325},
-		{dataset.FACE, 400_000, "full", 5651, 0xcbf29ce484222325},
-		{dataset.FACE, 400_000, "reconstruct", 1503, 0xcbf29ce484222325},
-		{dataset.UDEN, 1_100_000, "full", 1, 0x227fad06388fbb31},
-		{dataset.UDEN, 1_100_000, "reconstruct", 1, 0x767a8836d57f5798},
-		{dataset.OSMC, 1_100_000, "full", 1, 0x227fad06388fbb31},
-		{dataset.OSMC, 1_100_000, "reconstruct", 1, 0x767a8836d57f5798},
-		{dataset.LOGN, 1_100_000, "full", 1, 0x227fad06388fbb31},
-		{dataset.LOGN, 1_100_000, "reconstruct", 1, 0x767a8836d57f5798},
-		{dataset.FACE, 1_100_000, "full", 1, 0x227fad06388fbb31},
-		{dataset.FACE, 1_100_000, "reconstruct", 1, 0x767a8836d57f5798},
+		{dataset.UDEN, 400_000, "full", 11124, 0xcbf29ce484222325},
+		{dataset.UDEN, 400_000, "reconstruct", 2744, 0xcbf29ce484222325},
+		{dataset.OSMC, 400_000, "full", 6266, 0xcbf29ce484222325},
+		{dataset.OSMC, 400_000, "reconstruct", 1888, 0xcbf29ce484222325},
+		{dataset.LOGN, 400_000, "full", 16340, 0xcbf29ce484222325},
+		{dataset.LOGN, 400_000, "reconstruct", 3272, 0xcbf29ce484222325},
+		{dataset.FACE, 400_000, "full", 6033, 0xcbf29ce484222325},
+		{dataset.FACE, 400_000, "reconstruct", 1512, 0xcbf29ce484222325},
+		{dataset.UDEN, 1_100_000, "full", 11399, 0xb6337f141f2fe725},
+		{dataset.UDEN, 1_100_000, "reconstruct", 2714, 0xb6337f141f2fe725},
+		{dataset.OSMC, 1_100_000, "full", 7573, 0xb6337f141f2fe725},
+		{dataset.OSMC, 1_100_000, "reconstruct", 2191, 0xb6337f141f2fe725},
+		{dataset.LOGN, 1_100_000, "full", 13193, 0xb6337f141f2fe725},
+		{dataset.LOGN, 1_100_000, "reconstruct", 2873, 0xb6337f141f2fe725},
+		{dataset.FACE, 1_100_000, "full", 6926, 0xb6337f141f2fe725},
+		{dataset.FACE, 1_100_000, "reconstruct", 2110, 0xb6337f141f2fe725},
 	}
 	var gen string // cases on one input are adjacent: generate it once
 	var ks []uint64
@@ -80,13 +79,13 @@ func TestCostDAREGolden(t *testing.T) {
 			h = 3
 		}
 		cfg := DefaultDAREConfig()
-		if c.budget == "reconstruct" {
+		if c.sample == "reconstruct" {
 			cfg = reconstructBudget()
 		}
 		p0, m := NewCostDARE(cfg).Parameters(ks, h, matrixWidth)
 		if got := matrixHash(m); p0 != c.p0 || got != c.mHash {
-			t.Errorf("%s %d keys, %s budget: p0 %d, M hash %#x; want %d, %#x",
-				c.gen, c.n, c.budget, p0, got, c.p0, c.mHash)
+			t.Errorf("%s %d keys, %s sample: p0 %d, M hash %#x; want %d, %#x",
+				c.gen, c.n, c.sample, p0, got, c.p0, c.mHash)
 		}
 	}
 }

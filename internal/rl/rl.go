@@ -6,11 +6,11 @@
 //     fanout space {2^0..2^10} with a one-level lookahead under the cost
 //     model in internal/costmodel, the value the TSMDP DQN learns to
 //     predict.
-//   - CostDARE stands in for DARE (Section IV-C): the GA actor of
-//     Algorithm 1 searches the root fanout p0 and the parameter matrix M,
-//     with each genome's fitness the dynamic reward (DRF) of the upper
-//     levels it instantiates over a key sample, the cost the DARE critic
-//     is trained to predict.
+//   - CostDARE stands in for DARE (Section IV-C): a fixed grid over the
+//     genome space of Algorithm 1 searches the root fanout p0 and the
+//     parameter matrix M, each candidate scored by the dynamic reward (DRF)
+//     of the upper levels it instantiates over a key sample, the cost the
+//     DARE critic is trained to predict.
 //
 // Env is the construction environment both share: Step turns a node and a
 // fanout action into the reward of Section IV-B2 and the child partitions.

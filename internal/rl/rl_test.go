@@ -82,16 +82,7 @@ func TestCostPolicySplitsSkewTerminatesSmall(t *testing.T) {
 
 func TestDecodeGenomeBoundsAndShape(t *testing.T) {
 	h, L := 3, 8
-	bounds := genomeBounds(h, L)
-	if len(bounds) != 1+L {
-		t.Fatalf("genome length %d, want %d", len(bounds), 1+L)
-	}
-	genome := make([]float64, len(bounds))
-	genome[0] = 20 // log2 p0
-	for i := 1; i < len(genome); i++ {
-		genome[i] = 10
-	}
-	p0, m := DecodeGenome(genome, h, L)
+	p0, m := gridPoint{g: maxLogP0, c: maxLogM}.shape().params(h, L)
 	if p0 != 1<<20 {
 		t.Fatalf("p0 = %d, want 2^20", p0)
 	}
@@ -104,14 +95,24 @@ func TestDecodeGenomeBoundsAndShape(t *testing.T) {
 		}
 	}
 	// h=2: no matrix rows.
-	if _, m := DecodeGenome([]float64{3}, 2, L); len(m) != 0 {
+	if _, m := (gridPoint{g: 3}).shape().params(2, L); len(m) != 0 {
 		t.Fatalf("h=2 produced %d matrix rows", len(m))
 	}
+	// p0 = 1 makes the root one leaf: M is never read, so every c is one tree.
+	if a, b := (gridPoint{g: 0, c: 7}).shape(), (gridPoint{g: 0.2, c: 0}).shape(); a != b {
+		t.Fatalf("p0 = 1 points differ: %+v, %+v", a, b)
+	}
+}
+
+// searchScore is the reward of (p0, m) on the sample a search with cfg
+// scores its candidates on.
+func searchScore(cfg DAREConfig, keys []uint64, h, L, p0 int, m [][]float64) float64 {
+	c := measureCost(cfg, newCostSample(cfg, keys), h, L, p0, m, new(costmodel.Counters))
+	return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
 }
 
 func TestCostDAREProducesUsableParameters(t *testing.T) {
 	cfg := DefaultDAREConfig()
-	cfg.GA.Generations = 8
 	cfg.SampleCap = 4096
 	d := NewCostDARE(cfg)
 	keys := dataset.Generate(dataset.LOGN, 50_000, 5)
@@ -122,15 +123,12 @@ func TestCostDAREProducesUsableParameters(t *testing.T) {
 	if len(m) != 1 || len(m[0]) != 16 {
 		t.Fatalf("matrix shape wrong: %d rows", len(m))
 	}
-	// The chosen parameters must beat a degenerate single-leaf structure.
-	mk, Mk := keys[0], keys[len(keys)-1]
-	fan := UpperFanoutFn(p0, m, mk, Mk, 16)
-	chosen := new(costmodel.Counters).TreeCost(keys, mk, Mk, 2, fan, 0.45, 131)
-	single := new(costmodel.Counters).TreeCost(keys, mk, Mk, 2,
-		func(int, uint64, uint64, int) int { return 1 }, 0.45, 131)
-	env := cfg.Env
-	if costmodel.Reward(chosen, env.Wt, env.Wm) < costmodel.Reward(single, env.Wt, env.Wm)-0.5 {
-		t.Fatalf("GA-chosen parameters (%+v) clearly lose to a single leaf (%+v)", chosen, single)
+	// The chosen parameters must score at least as well as a degenerate
+	// single-leaf structure, which is a grid point.
+	chosen := searchScore(cfg, keys, 3, 16, p0, m)
+	single := searchScore(cfg, keys, 3, 16, 1, m)
+	if chosen < single {
+		t.Fatalf("chosen parameters (p0 %d, reward %v) lose to a single leaf (%v)", p0, chosen, single)
 	}
 }
 
@@ -150,8 +148,8 @@ func TestNodePosition(t *testing.T) {
 
 func TestQueryWeightedConstruction(t *testing.T) {
 	// The Section IV-B2 extension: with a hot-head query distribution, the
-	// GA should pick parameters whose *weighted* cost is at least as good as
-	// the uniform-guided choice evaluated under the same weights.
+	// search should pick parameters whose *weighted* cost, on its own
+	// sample, is at least as good as the uniform-guided choice's.
 	keys := dataset.Generate(dataset.LOGN, 40_000, 8)
 	zipf := func(sample []uint64) []float64 {
 		w := make([]float64, len(sample))
@@ -162,30 +160,18 @@ func TestQueryWeightedConstruction(t *testing.T) {
 	}
 
 	base := DefaultDAREConfig()
-	base.GA.Generations = 8
-	base.GA.Pop = 10
 	base.SampleCap = 8192
 
 	weighted := base
 	weighted.QueryWeights = zipf
 
-	score := func(cfg DAREConfig, p0 int, m [][]float64) float64 {
-		mk, Mk := keys[0], keys[len(keys)-1]
-		fan := UpperFanoutFn(p0, m, mk, Mk, matrixWidth)
-		sample := keys
-		ws := zipf(sample)
-		c := new(costmodel.Counters).WeightedTreeCost(sample, ws, mk, Mk, 2, fan, cfg.Env.Tau, cfg.Env.Alpha)
-		return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
-	}
+	p0u, mu := NewCostDARE(base).Parameters(keys, 3, 16)
+	p0w, mw := NewCostDARE(weighted).Parameters(keys, 3, 16)
 
-	du := NewCostDARE(base)
-	p0u, mu := du.Parameters(keys, 3, 16)
-	dw := NewCostDARE(weighted)
-	p0w, mw := dw.Parameters(keys, 3, 16)
-
-	ru := score(base, p0u, mu)
-	rw := score(weighted, p0w, mw)
-	if rw < ru-0.5 {
-		t.Fatalf("weighted-guided construction clearly loses under its own metric: %v vs %v", rw, ru)
+	ru := searchScore(weighted, keys, 3, 16, p0u, mu)
+	rw := searchScore(weighted, keys, 3, 16, p0w, mw)
+	if rw < ru {
+		t.Fatalf("weighted-guided construction (p0 %d) loses under its own metric to uniform (p0 %d): %v vs %v",
+			p0w, p0u, rw, ru)
 	}
 }

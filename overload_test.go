@@ -47,7 +47,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestOverloadShedFastFail(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.MaxPending = 2
 	d, err := openDirFS(dir, opts, stall)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestOverloadShedFastFail(t *testing.T) {
 	}
 
 	// Shed ops must be invisible to recovery: neither applied nor logged.
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOverloadShedFastFail(t *testing.T) {
 func TestOverloadQueueBytesPerFrame(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.MaxPending = 2
 	d, err := openDirFS(dir, opts, stall)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestOverloadQueueBytesPerFrame(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestOverloadQueueBytesPerFrame(t *testing.T) {
 func TestOverloadBlockOnFull(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.MaxPending = 1
 	opts.BlockOnFull = true
 	d, err := openDirFS(dir, opts, stall)
@@ -224,7 +224,7 @@ func TestOverloadBlockOnFull(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDiskFullRetryableAndRecovers(t *testing.T) {
 	t.Run("every_op", func(t *testing.T) {
 		dir := t.TempDir()
 		q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
-		opts := durableOpts()
+		opts := DirOptions{}
 		opts.Sync = SyncEveryOp
 		d, err := openDirFS(dir, opts, q)
 		if err != nil {
@@ -290,7 +290,7 @@ func TestDiskFullRetryableAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		r, err := OpenDir(dir, durableOpts())
+		r, err := OpenDir(dir, DirOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestDiskFullRetryableAndRecovers(t *testing.T) {
 func testDiskFullBuffered(t *testing.T) {
 	dir := t.TempDir()
 	q := faultfs.NewQuotaFS(faultfs.OS, 4*insFrame+insFrame/2)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	d, err := openDirFS(dir, opts, q)
 	if err != nil {
@@ -367,7 +367,7 @@ func testDiskFullBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestDiskFullCheckpointRotationRecovers(t *testing.T) {
 	dir := t.TempDir()
 	const initial = int64(1 << 20)
 	q := faultfs.NewQuotaFS(faultfs.OS, initial)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	d, err := openDirFS(dir, opts, q)
 	if err != nil {
@@ -515,7 +515,7 @@ func TestDiskFullCheckpointRotationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestDiskFullCheckpointRotationRecovers(t *testing.T) {
 func TestInsertCtxCancelWhileQueued(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	d, err := openDirFS(dir, durableOpts(), stall)
+	d, err := openDirFS(dir, DirOptions{}, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestInsertCtxCancelWhileQueued(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func TestInsertCtxClaimedStillAcks(t *testing.T) {
 	// The slow layer keeps each released fsync dragging for a beat, closing
 	// the race between "previous batch released" and "stall re-armed".
 	stall := faultfs.NewStallFS(faultfs.NewSlowFS(faultfs.OS, 0, 30*time.Millisecond))
-	d, err := openDirFS(dir, durableOpts(), stall)
+	d, err := openDirFS(dir, DirOptions{}, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +655,7 @@ func TestInsertCtxClaimedStillAcks(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +672,7 @@ func TestInsertCtxClaimedStillAcks(t *testing.T) {
 func TestCloseWakesAdmissionWaiters(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.MaxPending = 1
 	opts.BlockOnFull = true
 	d, err := openDirFS(dir, opts, stall)
@@ -718,7 +718,7 @@ func TestCloseWakesAdmissionWaiters(t *testing.T) {
 	if leaderErr != nil {
 		t.Fatalf("in-flight leader = %v, want nil (its batch committed before Close)", leaderErr)
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +738,7 @@ func TestCloseWakesAdmissionWaiters(t *testing.T) {
 func TestCloseErrsBlockedWriters(t *testing.T) {
 	dir := t.TempDir()
 	stall := faultfs.NewStallFS(faultfs.OS)
-	d, err := openDirFS(dir, durableOpts(), stall)
+	d, err := openDirFS(dir, DirOptions{}, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +788,7 @@ func TestCloseErrsBlockedWriters(t *testing.T) {
 			t.Fatalf("writer %d resolved with %v, want nil or ErrIndexClosed", i, err)
 		}
 	}
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +810,7 @@ func TestCloseErrsBlockedWriters(t *testing.T) {
 func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 	// Poisoned: a failing checkpoint during BulkLoad fail-stops the handle.
 	dir := t.TempDir()
-	d, err := openDirFS(dir, durableOpts(), renameFailFS{faultfs.OS})
+	d, err := openDirFS(dir, DirOptions{}, renameFailFS{faultfs.OS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +835,7 @@ func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 
 	// Closed: a healthy handle, closed cleanly.
 	dir2 := t.TempDir()
-	c, err := OpenDir(dir2, durableOpts())
+	c, err := OpenDir(dir2, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -869,7 +869,7 @@ func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 		t.Fatalf("closed WALSize = %d, want 0", n)
 	}
 	// The data survived the close, of course — it's the handle that's done.
-	r, err := OpenDir(dir2, durableOpts())
+	r, err := OpenDir(dir2, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,7 +886,7 @@ func TestReadSurfacePoisonedAndClosed(t *testing.T) {
 // once the dust settles.
 func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	d, err := OpenDir(dir, opts)
 	if err != nil {
@@ -965,7 +965,7 @@ func TestWALSizeUnderConcurrentWriters(t *testing.T) {
 func TestOverloadSoak(t *testing.T) {
 	dir := t.TempDir()
 	q := faultfs.NewQuotaFS(faultfs.OS, 40*insFrame)
-	opts := durableOpts()
+	opts := DirOptions{}
 	opts.Sync = SyncNone
 	opts.MaxPending = 8
 	d, err := openDirFS(dir, opts, q)
@@ -1027,7 +1027,7 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1126,7 +1126,7 @@ func TestWALStickyErrorDropsBuffer(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := durableOpts()
+			opts := DirOptions{}
 			if tiered {
 				opts = tieredOpts()
 			}

@@ -23,7 +23,7 @@ import (
 func buildReadBench(b *testing.B) *chameleon.Index {
 	b.Helper()
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
-	ix := chameleon.New(chameleon.Options{Seed: 1})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkLookupHotOptimistic(b *testing.B) {
 // lookup that pays for a leaf's conflict degree.
 func BenchmarkLookupMiss(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 2_000_000, 42)
-	ix := chameleon.New(chameleon.Options{Seed: 1})
+	ix := chameleon.New(chameleon.Options{})
 	if err := ix.BulkLoad(keys, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 func BenchmarkTieredLookup(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, 200_000, 42)
 	d, err := chameleon.OpenDir(b.TempDir(), chameleon.DirOptions{
-		Options: chameleon.Options{Seed: 1}, Sync: chameleon.SyncNone, Tiered: true, MemtableBytes: 1 << 30,
+		Sync: chameleon.SyncNone, Tiered: true, MemtableBytes: 1 << 30,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -80,7 +80,7 @@ func TestCommitSeqSurvivesRestart(t *testing.T) {
 // advances the recovered clock nor lends its base to the records written
 // after the reopen.
 func TestCommitSeqEmptyLogWithStaleBase(t *testing.T) {
-	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+	for name, opts := range map[string]DirOptions{"legacy": DirOptions{}, "tiered": tieredOpts()} {
 		dir := t.TempDir()
 		d, err := OpenDir(dir, opts)
 		if err != nil {
@@ -317,7 +317,7 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 // the stream is being written, and the stream is exact as of the sequence
 // returned, without that write.
 func TestSnapshotAtHoldsLockForCaptureOnly(t *testing.T) {
-	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+	for name, opts := range map[string]DirOptions{"legacy": DirOptions{}, "tiered": tieredOpts()} {
 		t.Run(name, func(t *testing.T) {
 			d, err := OpenDir(t.TempDir(), opts)
 			if err != nil {
@@ -468,7 +468,7 @@ func checkNamesCarryBase(t *testing.T, dir string) {
 // WAL, on a fresh legacy and a fresh tiered directory, leaves no seq sidecar
 // and names every snapshot and WAL with its base.
 func TestNamesCarryBase(t *testing.T) {
-	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+	for name, opts := range map[string]DirOptions{"legacy": DirOptions{}, "tiered": tieredOpts()} {
 		t.Run(name, func(t *testing.T) {
 			src, err := OpenDir(t.TempDir(), opts)
 			if err != nil {

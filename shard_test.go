@@ -11,10 +11,9 @@ import (
 	"testing"
 )
 
-// shardOpts mirrors durableOpts for the sharded layer: cheap construction,
-// deterministic seed.
+// shardOpts is the default sharded layout with the given shard count.
 func shardOpts(shards int) ShardDirOptions {
-	return ShardDirOptions{DirOptions: durableOpts(), Shards: shards}
+	return ShardDirOptions{Shards: shards}
 }
 
 func TestShardedRoundTrip(t *testing.T) {

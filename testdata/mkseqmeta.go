@@ -25,7 +25,7 @@ func main() {
 	// Legacy: a bulk-loaded snapshot, a checkpoint after 30 inserts and 10
 	// deletes (snapshot-2 at commit 40), and a WAL tail of 11 more (commit
 	// 51), so the clock is neither the key count nor the tail length.
-	d, err := chameleon.OpenDir("seqmeta-legacy", chameleon.DirOptions{Options: chameleon.Options{Seed: 7}})
+	d, err := chameleon.OpenDir("seqmeta-legacy", chameleon.DirOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	// recorded in the sidecar with base 48), and an unflushed tail of 17
 	// more, deletes of segment-resident keys among them (commit 65).
 	d, err = chameleon.OpenDir("seqmeta-tiered", chameleon.DirOptions{
-		Options: chameleon.Options{Seed: 7}, Tiered: true, MemtableBytes: 1 << 30,
+		Tiered: true, MemtableBytes: 1 << 30,
 	})
 	if err != nil {
 		log.Fatal(err)

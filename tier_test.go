@@ -25,7 +25,7 @@ import (
 )
 
 func tieredOpts() DirOptions {
-	o := durableOpts()
+	o := DirOptions{}
 	o.Tiered = true
 	// Flushes are explicit in most tests (the background trigger would make
 	// crash budgets nondeterministic); the concurrency test lowers this.
@@ -447,7 +447,7 @@ func compareWindows(t *testing.T, d tieredReadSurface, oracle map[uint64]uint64,
 // segments, and the directory reopens tiered from then on, flag or no flag.
 func TestTieredMigration(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDir(dir, durableOpts())
+	d, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestTieredMigration(t *testing.T) {
 	}
 
 	// Reopen WITHOUT the flag: the manifest is sticky.
-	re, err := OpenDir(dir, durableOpts())
+	re, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,9 +639,9 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 			}
 		}},
 		{"flushed-with-delta", tieredOpts(), tieredOpts(), flushedWithDelta},
-		{"legacy-to-legacy", durableOpts(), durableOpts(), flushedWithDelta},
-		{"legacy-to-tiered", durableOpts(), tieredOpts(), flushedWithDelta},
-		{"tiered-to-legacy", tieredOpts(), durableOpts(), flushedWithDelta},
+		{"legacy-to-legacy", DirOptions{}, DirOptions{}, flushedWithDelta},
+		{"legacy-to-tiered", DirOptions{}, tieredOpts(), flushedWithDelta},
+		{"tiered-to-legacy", tieredOpts(), DirOptions{}, flushedWithDelta},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := OpenDir(t.TempDir(), tc.src)
@@ -720,7 +720,7 @@ func TestTieredSnapshotRoundTrip(t *testing.T) {
 // refused — stale WAL records above the rewound watermark could replay as
 // phantoms.
 func TestTieredRestoreBehindRefused(t *testing.T) {
-	for name, opts := range map[string]DirOptions{"legacy": durableOpts(), "tiered": tieredOpts()} {
+	for name, opts := range map[string]DirOptions{"legacy": DirOptions{}, "tiered": tieredOpts()} {
 		t.Run(name, func(t *testing.T) {
 			src, err := OpenDir(t.TempDir(), opts)
 			if err != nil {

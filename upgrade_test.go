@@ -84,7 +84,7 @@ func TestRetiredFormatsRefused(t *testing.T) {
 		}
 	}
 	openSharded := func(dir string) error {
-		s, err := OpenShardedDir(dir, ShardDirOptions{DirOptions: durableOpts()})
+		s, err := OpenShardedDir(dir, ShardDirOptions{})
 		if err == nil {
 			s.Close() //nolint:errcheck
 		}
@@ -129,7 +129,7 @@ func TestRetiredFormatsRefused(t *testing.T) {
 	legacy := func(checkpoint bool) func(*testing.T) string {
 		return func(t *testing.T) string {
 			dir := t.TempDir()
-			d, err := OpenDir(dir, durableOpts())
+			d, err := OpenDir(dir, DirOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,12 +172,12 @@ func TestRetiredFormatsRefused(t *testing.T) {
 		want  error
 		file  string // the name the error must carry
 	}{
-		{"seq sidecar", fixture("seqmeta-legacy"), openDir(durableOpts()), ErrNeedsUpgrade, sidecar},
+		{"seq sidecar", fixture("seqmeta-legacy"), openDir(DirOptions{}), ErrNeedsUpgrade, sidecar},
 		{"seq sidecar, tiered", fixture("seqmeta-tiered"), openDir(tieredOpts()), ErrNeedsUpgrade, sidecar4},
 		{"seq sidecar, sharded", fixture("seqmeta-legacy"), openSharded, ErrNeedsUpgrade, sidecar},
-		{"CHAMSNP2 snapshot", files(snapV2, snapName(1, 0)), openDir(durableOpts()), ErrNeedsUpgrade, snapName(1, 0)},
-		{"v1 live log", files(walV1, walName(1, 0)), openDir(durableOpts()), ErrNeedsUpgrade, walName(1, 0)},
-		{"v1 rotated log", files(walV1, walName(1, 0), "", walName(2, 66)), openDir(durableOpts()), ErrNeedsUpgrade, walName(1, 0)},
+		{"CHAMSNP2 snapshot", files(snapV2, snapName(1, 0)), openDir(DirOptions{}), ErrNeedsUpgrade, snapName(1, 0)},
+		{"v1 live log", files(walV1, walName(1, 0)), openDir(DirOptions{}), ErrNeedsUpgrade, walName(1, 0)},
+		{"v1 rotated log", files(walV1, walName(1, 0), "", walName(2, 66)), openDir(DirOptions{}), ErrNeedsUpgrade, walName(1, 0)},
 		{"CHAMSEG1 segment", withManifest(files(segData+"seg-v1.seg", segment.FileName(1))), openDir(tieredOpts()),
 			ErrNeedsUpgrade, segment.FileName(1)},
 		{"CHAMSEG2 segment with a model",
@@ -186,7 +186,7 @@ func TestRetiredFormatsRefused(t *testing.T) {
 		{"manifest beside a snapshot", withManifest(legacy(true)), openDir(tieredOpts()), ErrNeedsUpgrade, snapName(1, 3)},
 		{"legacy snapshot, opened tiered", legacy(true), openDir(tieredOpts()), ErrLayoutMismatch, snapName(1, 3)},
 		{"unsharded, opened sharded", legacy(false), openSharded, ErrLayoutMismatch, walName(0, 0)},
-		{"sharded, opened with OpenDir", sharded, openDir(durableOpts()), ErrLayoutMismatch, shardManifestName},
+		{"sharded, opened with OpenDir", sharded, openDir(DirOptions{}), ErrLayoutMismatch, shardManifestName},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := c.setup(t)

@@ -67,7 +67,7 @@ func stalledLeader(t *testing.T, dir string, opts DirOptions) (d *DurableIndex, 
 // reopenLacks reopens dir and fails if any of keys is present.
 func reopenLacks(t *testing.T, dir string, keys ...uint64) *DurableIndex {
 	t.Helper()
-	r, err := OpenDir(dir, durableOpts())
+	r, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestWriteBatchAdmittedWhole(t *testing.T) {
 	for _, block := range []bool{false, true} {
 		t.Run(fmt.Sprintf("BlockOnFull=%v", block), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := durableOpts()
+			opts := DirOptions{}
 			opts.MaxPending = 4
 			opts.BlockOnFull = block
 			d, release := stalledLeader(t, dir, opts)
@@ -151,7 +151,7 @@ func TestWriteBatchAdmittedWhole(t *testing.T) {
 // after the stall clears and the directory reopens none of its ops exists.
 func TestWriteBatchCancelledWhole(t *testing.T) {
 	dir := t.TempDir()
-	d, release := stalledLeader(t, dir, durableOpts())
+	d, release := stalledLeader(t, dir, DirOptions{})
 
 	recs := insRecs(10, 11, 12)
 	errs := make([]error, len(recs))
@@ -180,7 +180,7 @@ func TestWriteBatchCancelledWhole(t *testing.T) {
 // ops had been issued one after another, and is not a transaction — a
 // failing op fails alone.
 func TestWriteBatchSerialValidation(t *testing.T) {
-	d, err := OpenDir(t.TempDir(), durableOpts())
+	d, err := OpenDir(t.TempDir(), DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
