@@ -54,9 +54,10 @@ type Options struct {
 	// paper's complete-rebuild threshold). Zero selects the default of 4;
 	// a negative value disables reconstruction.
 	ReconstructThreshold float64
-	// Workers bounds the goroutines used by parallel bulk load, including
-	// the construction search that chooses the upper levels. Zero means one
-	// per available CPU; 1 forces the serial path.
+	// Workers bounds the goroutines used by parallel bulk load — the
+	// construction search that chooses the upper levels, and the build of
+	// every level-h subtree below them — and by a snapshot load's leaf
+	// restores. Zero means one per available CPU; 1 forces the serial path.
 	// The built structure is bit-identical for any worker count.
 	Workers int
 }

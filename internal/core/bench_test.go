@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
+	"chameleon/internal/dataset"
 	"chameleon/internal/rl"
 )
 
@@ -48,6 +51,72 @@ func BenchmarkInsertDenseRuns(b *testing.B) {
 				}
 				next++
 			}
+		})
+	}
+}
+
+// decided is a DAREPolicy that returns parameters decided before.
+type decided struct {
+	p0 int
+	m  [][]float64
+}
+
+func (d decided) Parameters([]uint64, int, int) (int, [][]float64) { return d.p0, d.m }
+
+// BenchmarkBulkLoadPhases times the phases of a legacy start over FACE keys
+// (2 M, or 400 k under -short), each reported in ns per key: grid is the
+// construction search (CostDARE.Parameters), build the BulkLoad with the
+// search's parameters fixed, write the snapshot's WriteTo to io.Discard and
+// read its ReadFrom into a fresh index. Every phase runs one worker per
+// GOMAXPROCS, so -cpu 1,2 sets the serial and the parallel paths side by
+// side.
+func BenchmarkBulkLoadPhases(b *testing.B) {
+	n := 2_000_000
+	if testing.Short() {
+		n = 400_000
+	}
+	keys := dataset.Generate(dataset.FACE, n, 42)
+	h := heightFor(n)
+	dare := rl.NewCostDARE(rl.DefaultDAREConfig())
+	p0, m := dare.Parameters(keys, h, matrixWidth)
+	newIndex := func() *Index {
+		return New(Config{Dare: decided{p0, m}, Policy: rl.NewCostPolicy(rl.DefaultEnv())})
+	}
+	built := newIndex()
+	if err := built.BulkLoad(keys, nil); err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := built.WriteTo(&snap); err != nil {
+		b.Fatal(err)
+	}
+	phases := []struct {
+		name string
+		run  func(b *testing.B)
+	}{
+		{"grid", func(*testing.B) { dare.Parameters(keys, h, matrixWidth) }},
+		{"build", func(b *testing.B) {
+			if err := newIndex().BulkLoad(keys, nil); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"write", func(b *testing.B) {
+			if _, err := built.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"read", func(b *testing.B) {
+			if _, err := newIndex().ReadFrom(bytes.NewReader(snap.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+	for _, ph := range phases {
+		b.Run(ph.name, func(b *testing.B) {
+			for range b.N {
+				ph.run(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
 		})
 	}
 }

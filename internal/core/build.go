@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"chameleon/internal/costmodel"
 	"chameleon/internal/ebh"
 	"chameleon/internal/par"
@@ -14,10 +16,12 @@ import (
 // off-line and swapped in atomically, so concurrent readers are never
 // blocked; concurrent writers are excluded only for the swap itself.
 //
-// Construction parallelizes across Config.Workers: gate-level subtrees cover
-// disjoint key ranges and every policy decision depends only on its own
-// subtree's keys, so the parallel build produces a tree bit-identical to the
-// serial one.
+// Construction parallelizes across Config.Workers: the DARE search scores
+// its candidates concurrently, and after a sequential pass shapes the upper
+// levels, every level-h subtree — under a gate or under a degenerate upper
+// node — is built in one parallel pass. The subtrees cover disjoint key
+// ranges and every policy decision depends only on its own subtree's keys,
+// so the parallel build produces a tree bit-identical to the serial one.
 func (ix *Index) BulkLoad(keys, vals []uint64) error {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
@@ -36,7 +40,12 @@ func (ix *Index) BulkLoad(keys, vals []uint64) error {
 	return nil
 }
 
-// build constructs the full tree and registers the level-h gates on t.
+// build constructs the full tree and registers the level-h gates on t. It
+// runs in two phases: shapeUpper, sequential, shapes levels 1..h−1 with the
+// DARE fanouts and registers the gates in key order; then one par.Do builds
+// every level-h subtree it left with buildLower. Those subtrees cover
+// disjoint key ranges and fill disjoint child slots, so the tree is the
+// serial one whatever the worker count.
 func (ix *Index) build(t *tree, keys, vals []uint64) *node {
 	mk, Mk := keys[0], keys[len(keys)-1]
 	dare := ix.cfg.Dare
@@ -48,56 +57,78 @@ func (ix *Index) build(t *tree, keys, vals []uint64) *node {
 	}
 	p0, m := dare.Parameters(keys, t.h, matrixWidth)
 	upperFan := rl.UpperFanoutFn(p0, m, mk, Mk, matrixWidth)
-	return ix.buildUpper(t, keys, vals, mk, Mk, 1, upperFan)
+	var root *node
+	var runs []lowerRun
+	total := ix.shapeUpper(t, &runs, &root, keys, vals, mk, Mk, 1, upperFan, 0)
+	par.Do(total, par.Workers(ix.cfg.Workers), func(i int) {
+		r := &runs[sort.Search(len(runs), func(r int) bool { return runs[r].first > i })-1]
+		if r.parts == nil {
+			*r.dst = ix.buildLower(r.keys, r.vals, r.lo, r.hi, t.h, t.h)
+			return
+		}
+		j := i - r.first
+		ck, cv := childKeys(r.keys, r.vals, r.parts[j])
+		clo, chi := costmodel.ChildInterval(r.lo, r.hi, r.n.fanout, j)
+		r.n.children[j] = ix.buildLower(ck, cv, clo, chi, t.h, t.h)
+	})
+	return root
 }
 
-// buildUpper builds levels 1..h−1 with the DARE fanouts; children at level h
-// are built by buildLower and registered as gates.
-func (ix *Index) buildUpper(t *tree, keys, vals []uint64, lo, hi uint64, level int, fan costmodel.FanoutFn) *node {
+// lowerRun is a run of level-h subtrees shapeUpper leaves to buildLower:
+// the children of gate-level node n over [lo, hi], which split keys as
+// parts says, or, when parts is nil, one degenerate upper node over
+// [lo, hi], whose subtree goes in *dst. first is the index of the run's
+// first subtree among all of them.
+type lowerRun struct {
+	keys, vals []uint64
+	lo, hi     uint64
+	parts      [][2]int
+	n          *node
+	dst        **node
+	first      int
+}
+
+// shapeUpper shapes the node at the given level over [lo, hi] into *dst,
+// and the upper levels below it, with the DARE fanouts, appending to runs the
+// level-h subtrees to build, the first of them numbered next. It returns
+// the number after the last. The children of a gate-level node are
+// registered as gates as they are appended; a degenerate upper node (no
+// partition at this level) is appended as a subtree with no gate: the
+// fallback interval guards it.
+func (ix *Index) shapeUpper(t *tree, runs *[]lowerRun, dst **node, keys, vals []uint64, lo, hi uint64, level int, fan costmodel.FanoutFn, next int) int {
 	f := fan(level, lo, hi, len(keys))
 	if f <= 1 || len(keys) <= 1 || level >= t.h {
-		// Degenerate upper node: no partition at this level; fall through to
-		// the lower builder (no gate — the fallback interval guards it).
-		return ix.buildLower(keys, vals, lo, hi, t.h, t.h)
+		*runs = append(*runs, lowerRun{keys: keys, vals: vals, lo: lo, hi: hi, dst: dst, first: next})
+		return next + 1
 	}
 	n := newInner(lo, hi, make([]*node, f))
+	*dst = n
 	parts := costmodel.Partition(keys, lo, hi, f)
-	if level+1 == t.h {
-		// Gate level: register all f gates sequentially first, so gate IDs and
-		// registry order are exactly what the serial build would produce, then
-		// fan the subtree construction out — the subtrees cover disjoint key
-		// ranges and write disjoint child slots.
-		n.gateBase = uint64(len(t.gates))
+	if level+1 < t.h {
 		for j := 0; j < f; j++ {
 			clo, chi := costmodel.ChildInterval(lo, hi, f, j)
-			g := &gate{id: n.gateBase + uint64(j), parent: n, slot: j, lo: clo, hi: chi}
-			g.keys.Store(int64(parts[j][1] - parts[j][0]))
-			t.gates = append(t.gates, g)
+			ck, cv := childKeys(keys, vals, parts[j])
+			next = ix.shapeUpper(t, runs, &n.children[j], ck, cv, clo, chi, level+1, fan, next)
 		}
-		par.Do(f, par.Workers(ix.cfg.Workers), func(j int) {
-			clo, chi := costmodel.ChildInterval(lo, hi, f, j)
-			ck := keys[parts[j][0]:parts[j][1]]
-			var cv []uint64
-			if vals != nil {
-				cv = vals[parts[j][0]:parts[j][1]]
-			}
-			n.children[j] = ix.buildLower(ck, cv, clo, chi, t.h, t.h)
-		})
-		return n
+		return next
 	}
-	// Above the gate level the recursion stays sequential: it only slices the
-	// key space (cheap), and sequential descent keeps gate registration
-	// ordered. All the heavy work happens at and below the gates.
+	n.gateBase = uint64(len(t.gates))
 	for j := 0; j < f; j++ {
 		clo, chi := costmodel.ChildInterval(lo, hi, f, j)
-		ck := keys[parts[j][0]:parts[j][1]]
-		var cv []uint64
-		if vals != nil {
-			cv = vals[parts[j][0]:parts[j][1]]
-		}
-		n.children[j] = ix.buildUpper(t, ck, cv, clo, chi, level+1, fan)
+		g := &gate{id: n.gateBase + uint64(j), parent: n, slot: j, lo: clo, hi: chi}
+		g.keys.Store(int64(parts[j][1] - parts[j][0]))
+		t.gates = append(t.gates, g)
 	}
-	return n
+	*runs = append(*runs, lowerRun{keys: keys, vals: vals, lo: lo, hi: hi, parts: parts, n: n, first: next})
+	return next + f
+}
+
+// childKeys is the keys and values (nil: value-equals-key) part selects.
+func childKeys(keys, vals []uint64, part [2]int) ([]uint64, []uint64) {
+	if vals == nil {
+		return keys[part[0]:part[1]], nil
+	}
+	return keys[part[0]:part[1]], vals[part[0]:part[1]]
 }
 
 // buildLower builds a level-h subtree: the fanout policy (TSMDP) decides
@@ -121,11 +152,7 @@ func (ix *Index) buildLower(keys, vals []uint64, lo, hi uint64, level, h int) *n
 	// the pool is saturated (par.Do's caller always participates).
 	par.Do(f, par.Workers(ix.cfg.Workers), func(j int) {
 		clo, chi := costmodel.ChildInterval(lo, hi, f, j)
-		ck := keys[parts[j][0]:parts[j][1]]
-		var cv []uint64
-		if vals != nil {
-			cv = vals[parts[j][0]:parts[j][1]]
-		}
+		ck, cv := childKeys(keys, vals, parts[j])
 		n.children[j] = ix.buildLower(ck, cv, clo, chi, level+1, h)
 	})
 	return n

@@ -62,10 +62,11 @@ type Config struct {
 	// overall index structure"). Zero selects the default of 4 (geometric
 	// rebuilds, amortized O(1) per update); a negative value disables it.
 	ReconstructThreshold float64
-	// Workers bounds the goroutines used by parallel bulk load, and by the
-	// default policies' construction search. Zero means one per available
-	// CPU; 1 forces the serial path (bit-identical results either way —
-	// parallelism only reorders work across disjoint key ranges and
+	// Workers bounds the goroutines used by parallel bulk load (every
+	// level-h subtree, see build), by the default policies' construction
+	// search, and by ReadFrom's leaf restores. Zero means one per
+	// available CPU; 1 forces the serial path (bit-identical results either
+	// way — parallelism only reorders work across disjoint key ranges and
 	// independent candidates, never what is computed). A caller-supplied
 	// Dare carries its own worker count.
 	Workers int

@@ -24,52 +24,89 @@ func workerIndex(workers int) *Index {
 }
 
 // TestParallelBuildMatchesSerial is the determinism contract of the parallel
-// bulk load: for every evaluation dataset, the trees built with 8 workers and
-// with one per CPU (Workers: 0) must be indistinguishable from the serial
-// build — same lookups, same structural stats, and a byte-identical
-// serialized snapshot (the strongest equality the public surface can
-// express: it covers node intervals, fanouts, gate bases, and every leaf's
-// geometry and entries). The worker count reaches the construction search
-// too, so this also pins the parallel GA to the serial one.
+// bulk load: for every evaluation dataset, the trees built with 2 and 8
+// workers and with one per CPU (Workers: 0) must be indistinguishable from
+// the serial build — same lookups, same structural stats, and a
+// byte-identical serialized snapshot (the strongest equality the public
+// surface can express: it covers node intervals, fanouts, gate bases, and
+// every leaf's geometry and entries). The worker count reaches the
+// construction search too, so this also pins the parallel search to the
+// serial one. The 30 k-key trees have height 2; the two FACE rows of
+// 1.1 M keys (skipped under -short) have height 3, where the level-h
+// subtrees sit under the root's children: with the default policies
+// (M ≡ 1, so those children are degenerate upper nodes and no gate
+// exists), and with FixedDARE's M ≡ 32, so the upper pass registers gates
+// under every root child.
 func TestParallelBuildMatchesSerial(t *testing.T) {
+	type row struct {
+		name, gen string
+		n         int
+		ix        func(workers int) *Index
+		gated     bool // the build must register gates
+	}
+	var rows []row
 	for _, name := range dataset.Names {
-		keys := dataset.Generate(name, 30_000, 11)
-		serial := workerIndex(1)
-		if err := serial.BulkLoad(keys, nil); err != nil {
-			t.Fatalf("%s: serial BulkLoad: %v", name, err)
-		}
-		var sbuf bytes.Buffer
-		if _, err := serial.WriteTo(&sbuf); err != nil {
-			t.Fatalf("%s: serial WriteTo: %v", name, err)
-		}
-		for _, workers := range []int{8, 0} {
-			parallel := workerIndex(workers)
-			if err := parallel.BulkLoad(keys, nil); err != nil {
-				t.Fatalf("%s: %d-worker BulkLoad: %v", name, workers, err)
+		rows = append(rows, row{name: name, gen: name, n: 30_000, ix: workerIndex, gated: true})
+	}
+	for _, dare := range []struct {
+		name string
+		p    rl.DAREPolicy
+	}{{"FACE-h3-default", nil}, {"FACE-h3-fixedDARE-M32", rl.FixedDARE{}}} {
+		rows = append(rows, row{name: dare.name, gen: dataset.FACE, n: 1_100_000, gated: dare.p != nil,
+			ix: func(workers int) *Index {
+				return New(Config{Dare: dare.p, Policy: rl.NewCostPolicy(rl.DefaultEnv()), Workers: workers})
+			}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if testing.Short() && r.n > 1<<20 {
+				t.Skip("builds 1.1 M-key trees")
 			}
-			if serial.Len() != parallel.Len() {
-				t.Fatalf("%s: Len %d vs %d", name, serial.Len(), parallel.Len())
+			keys := dataset.Generate(r.gen, r.n, 11)
+			serial := r.ix(1)
+			if err := serial.BulkLoad(keys, nil); err != nil {
+				t.Fatalf("serial BulkLoad: %v", err)
 			}
-			if ss, ps := serial.Stats(), parallel.Stats(); ss != ps {
-				t.Fatalf("%s: stats diverge:\nserial    %+v\n%d workers %+v", name, ss, workers, ps)
+			st := serial.tree.Load()
+			if want := heightFor(len(keys)); st.h != want {
+				t.Fatalf("height %d, want %d", st.h, want)
 			}
-			for i := 0; i < len(keys); i += 37 {
-				sv, sok := serial.Lookup(keys[i])
-				pv, pok := parallel.Lookup(keys[i])
-				if sv != pv || sok != pok {
-					t.Fatalf("%s: Lookup(%d) serial=(%d,%v) %d workers=(%d,%v)",
-						name, keys[i], sv, sok, workers, pv, pok)
+			if r.gated && len(st.gates) == 0 {
+				t.Fatal("no gates registered: the row does not reach the gated build")
+			}
+			var sbuf bytes.Buffer
+			if _, err := serial.WriteTo(&sbuf); err != nil {
+				t.Fatalf("serial WriteTo: %v", err)
+			}
+			for _, workers := range []int{2, 8, 0} {
+				parallel := r.ix(workers)
+				if err := parallel.BulkLoad(keys, nil); err != nil {
+					t.Fatalf("%d-worker BulkLoad: %v", workers, err)
+				}
+				if serial.Len() != parallel.Len() {
+					t.Fatalf("Len %d vs %d", serial.Len(), parallel.Len())
+				}
+				if ss, ps := serial.Stats(), parallel.Stats(); ss != ps {
+					t.Fatalf("stats diverge:\nserial    %+v\n%d workers %+v", ss, workers, ps)
+				}
+				for i := 0; i < len(keys); i += 37 {
+					sv, sok := serial.Lookup(keys[i])
+					pv, pok := parallel.Lookup(keys[i])
+					if sv != pv || sok != pok {
+						t.Fatalf("Lookup(%d) serial=(%d,%v) %d workers=(%d,%v)",
+							keys[i], sv, sok, workers, pv, pok)
+					}
+				}
+				var pbuf bytes.Buffer
+				if _, err := parallel.WriteTo(&pbuf); err != nil {
+					t.Fatalf("%d-worker WriteTo: %v", workers, err)
+				}
+				if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
+					t.Fatalf("serialized snapshots differ at %d workers (%d vs %d bytes)",
+						workers, sbuf.Len(), pbuf.Len())
 				}
 			}
-			var pbuf bytes.Buffer
-			if _, err := parallel.WriteTo(&pbuf); err != nil {
-				t.Fatalf("%s: %d-worker WriteTo: %v", name, workers, err)
-			}
-			if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
-				t.Fatalf("%s: serialized snapshots differ at %d workers (%d vs %d bytes)",
-					name, workers, sbuf.Len(), pbuf.Len())
-			}
-		}
+		})
 	}
 }
 

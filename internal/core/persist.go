@@ -11,6 +11,7 @@ import (
 	"chameleon/internal/ebh"
 	"chameleon/internal/format"
 	"chameleon/internal/ilock"
+	"chameleon/internal/par"
 )
 
 // Persistence: WriteTo streams the learned structure — tree shape, gate
@@ -69,6 +70,13 @@ const (
 
 	// snapBufSize is the writer's chunk and the reader's window.
 	snapBufSize = 64 << 10
+
+	// restoreKeys and restoreLeaves bound the window of decoded leaves the
+	// reader restores at once: it restores them before a leaf that would
+	// take them past restoreKeys keys, and once they number restoreLeaves
+	// or one leaf alone fills the window.
+	restoreKeys   = 1 << 15
+	restoreLeaves = 1 << 10
 
 	// maxHeight, maxFanout and maxNameLen bound decoded structure parameters;
 	// a corrupt or adversarial file fails fast instead of driving allocation
@@ -264,12 +272,14 @@ func (s *snapshot) check() error {
 // ReadFrom implements io.ReaderFrom: it replaces the index contents with a
 // structure written by WriteTo, verifying the CRC footer and rejecting absurd
 // structural parameters before anything is installed. On error the index is
-// unchanged. The receiver's construction policies are kept for future
-// retraining/reconstruction. Any running retrainer is stopped; restarting it
+// unchanged. The decode is serial; the decoded leaves are restored in
+// bounded windows, up to Config.Workers at a time. The receiver's
+// construction policies are kept for future retraining/reconstruction. Any
+// running retrainer is stopped; restarting it
 // is the caller's choice (the public chameleon.Load restarts it per
 // Options.RetrainEvery).
 func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	sr := &snapReader{src: r, buf: make([]byte, snapBufSize)}
+	sr := &snapReader{src: r, buf: make([]byte, snapBufSize), workers: ix.cfg.Workers}
 	s, err := sr.snapshot()
 	if err != nil {
 		return sr.consumed(), err
@@ -293,7 +303,9 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 // snapReader is the decoder's input: a refillable window over the source
 // that folds consumed bytes into the running CRC at each refill, so only
 // bytes the decoder has parsed are checksummed and the source is never read
-// more than one window ahead.
+// more than one window ahead. The decoder runs serially; the leaves it
+// decodes wait in a bounded window and are restored together, up to
+// workers at a time (see restore).
 type snapReader struct {
 	src      io.Reader
 	buf      []byte
@@ -303,9 +315,21 @@ type snapReader struct {
 	base     int64  // bytes consumed before buf[0]
 	err      error  // first failure; reads after it return zeros
 
-	ks, vs []uint64 // one leaf's entries, reused: Restore copies them
-	alpha  float64  // the index's configured α, which leaf α must be a rung of
-	keys   uint64   // keys decoded
+	ks, vs  []uint64      // the pending leaves' entries, reused: Restore copies them
+	pend    []pendingLeaf // decoded leaves not yet restored, in stream order
+	workers int           // bounds restore's goroutines, as Config.Workers
+	alpha   float64       // the index's configured α, which leaf α must be a rung of
+	keys    uint64        // keys decoded
+}
+
+// pendingLeaf is a decoded leaf waiting for restore: its node, its
+// geometry, its entries' span [start, end) in the reader's ks and vs, and
+// what ebh.Restore said of it.
+type pendingLeaf struct {
+	n          *node
+	g          ebh.Geometry
+	start, end int
+	err        error
 }
 
 func (r *snapReader) consumed() int64 { return r.base + int64(r.pos) }
@@ -417,7 +441,12 @@ func (r *snapReader) snapshot() (*snapshot, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
+	// The window holds at most restoreKeys keys unless one leaf holds more;
+	// baseN, which a damaged file may misstate, only sizes it below that.
+	r.ks = make([]uint64, 0, min(s.baseN, restoreKeys))
+	r.vs = make([]uint64, 0, cap(r.ks))
 	s.root = r.node(0)
+	r.restore()
 	s.count = r.uv()
 	if r.err != nil {
 		return nil, r.err
@@ -492,8 +521,14 @@ func (r *snapReader) node(depth int) *node {
 		sat := r.u8()
 		g.Saturated = sat == 1
 		n := r.uv()
-		r.ks = r.deltas(r.ks[:0], n)
-		r.vs = r.fixed(r.vs[:0], n)
+		if len(r.pend) > 0 && n > restoreKeys-uint64(len(r.ks)) {
+			if r.restore(); r.err != nil {
+				return nil
+			}
+		}
+		start := len(r.ks)
+		r.ks = r.deltas(r.ks, n)
+		r.vs = r.fixed(r.vs, n)
 		if r.err != nil {
 			return nil
 		}
@@ -501,16 +536,40 @@ func (r *snapReader) node(depth int) *node {
 			r.fail(corruptf("saturated flag %d", sat))
 			return nil
 		}
-		leaf, err := ebh.Restore(g, r.alpha, r.ks, r.vs)
-		if err != nil {
-			r.fail(fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err))
-			return nil
-		}
+		nd := &node{lo: lo, hi: hi, fanout: 1, gateBase: noGate}
+		r.pend = append(r.pend, pendingLeaf{n: nd, g: g, start: start, end: len(r.ks)})
 		r.keys += n
-		return &node{lo: lo, hi: hi, fanout: 1, gateBase: noGate, leaf: leaf}
+		if len(r.ks) >= restoreKeys || len(r.pend) >= restoreLeaves {
+			if r.restore(); r.err != nil {
+				return nil
+			}
+		}
+		return nd
 	}
 	r.fail(corruptf("node tag %d", tag))
 	return nil
+}
+
+// restore restores the pending leaves through ebh.Restore, up to r.workers
+// at a time, and empties the window. A leaf Restore refuses fails the
+// decode, the first such leaf in stream order, even when the decode failed
+// already: every pending leaf precedes the bytes that failed it.
+func (r *snapReader) restore() {
+	pend := r.pend
+	if len(pend) == 0 {
+		return
+	}
+	par.Do(len(pend), par.Workers(r.workers), func(i int) {
+		p := &pend[i]
+		p.n.leaf, p.err = ebh.Restore(p.g, r.alpha, r.ks[p.start:p.end], r.vs[p.start:p.end])
+	})
+	for _, p := range pend {
+		if p.err != nil {
+			r.err = fmt.Errorf("%w: %v", ErrSnapshotCorrupt, p.err)
+			break
+		}
+	}
+	r.pend, r.ks, r.vs = pend[:0], r.ks[:0], r.vs[:0]
 }
 
 // deltas appends n keys decoded from uv deltas, the first from 0.

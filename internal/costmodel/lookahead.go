@@ -53,3 +53,45 @@ func (l *Lookahead) Bound(keys []uint64, lo, hi uint64, f int) float64 {
 	})
 	return r
 }
+
+// RootSplit is how a root's children divide its keys: Singles children
+// hold one key each, and Multis children hold two or more, MultiKeys keys
+// between them. Empty children are not counted.
+type RootSplit struct{ Singles, Multis, MultiKeys int }
+
+// SplitRoot is the RootSplit of the fanout-f root over [lo, hi] that
+// TreeCost walks. It allocates nothing, whatever f is.
+func SplitRoot(keys []uint64, lo, hi uint64, f int) RootSplit {
+	var s RootSplit
+	forEachChild(keys, lo, hi, f, func(start, end, _ int) {
+		if m := end - start; m == 1 {
+			s.Singles++
+		} else {
+			s.Multis++
+			s.MultiKeys += m
+		}
+	})
+	return s
+}
+
+// DeepBound is a lower bound on both components of TreeCost over the keys
+// s splits, for any fan that gives the root (level 1) fanout f > 1 and
+// every level-2 node fanout g > 1, at any maxLevels ≥ 2. A one-key child is
+// a leaf at level 2 and is charged exactly what the walk charges it. Every
+// key of a child with two or more keys sits at level 3 or deeper, in a leaf
+// that costs at least a one-key leaf's query steps (every key is charged at
+// least ½ probe, and every leaf has at least 8 slots) and at least one slot
+// per key, and each such child adds g child pointers.
+func (s RootSplit) DeepBound(f, g int, tau, alpha float64) Cost {
+	if s.Singles+s.MultiKeys == 0 {
+		return Cost{}
+	}
+	one := newLeafModel(tau, alpha).one
+	n := float64(s.Singles + s.MultiKeys)
+	singles, multiKeys := float64(s.Singles), float64(s.MultiKeys)
+	return Cost{
+		Query: (singles*(1+one.Query) + multiKeys*(2+one.Query)) / n,
+		Memory: (innerNodeUnits*float64(f) + singles*one.Memory + multiKeys +
+			innerNodeUnits*float64(g)*float64(s.Multis)) / n,
+	}
+}

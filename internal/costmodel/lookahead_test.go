@@ -259,3 +259,50 @@ func TestLookaheadMatchesStepScore(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepBoundBoundsTreeCost checks that RootSplit.DeepBound is below
+// both components of the cost of every tree it bounds: root fanout f over
+// the keys, fanout 2^c at every level from 2 to maxLevels, on skewed and
+// spread keys, with the split SplitRoot reports matching Partition's. The
+// bound can be tight (every deep leaf holds one key), so it may exceed the
+// walk's sums by their rounding, a relative 10⁻⁹ here; the search's
+// cannotBeat leaves 10⁻⁶.
+func TestDeepBoundBoundsTreeCost(t *testing.T) {
+	var c Counters
+	for _, gen := range []string{dataset.FACE, dataset.LOGN, dataset.UDEN} {
+		keys := dataset.Generate(gen, 20_000, 5)
+		lo, hi := keys[0], keys[len(keys)-1]
+		for _, f := range []int{2, 16, 300, 4096, 1 << 16} {
+			split := SplitRoot(keys, lo, hi, f)
+			var want RootSplit
+			for _, p := range Partition(keys, lo, hi, f) {
+				switch m := p[1] - p[0]; {
+				case m == 1:
+					want.Singles++
+				case m > 1:
+					want.Multis++
+					want.MultiKeys += m
+				}
+			}
+			if split != want {
+				t.Fatalf("%s f=%d: SplitRoot %+v, Partition %+v", gen, f, split, want)
+			}
+			for logG := 1; logG <= 10; logG++ {
+				g := 1 << logG
+				bound := split.DeepBound(f, g, 0.45, 131)
+				for _, maxLevels := range []int{2, 3} {
+					fan := func(level int, _, _ uint64, _ int) int {
+						if level == 1 {
+							return f
+						}
+						return g
+					}
+					cost := c.TreeCost(keys, lo, hi, maxLevels, fan, 0.45, 131)
+					if bound.Query > cost.Query*(1+1e-9) || bound.Memory > cost.Memory*(1+1e-9) {
+						t.Fatalf("%s f=%d g=%d maxLevels=%d: bound %+v above cost %+v", gen, f, g, maxLevels, bound, cost)
+					}
+				}
+			}
+		}
+	}
+}

@@ -16,17 +16,21 @@
 //
 // Concurrency: the geometry (interval, capacity, hash factors, slabs) lives
 // in an immutable probe struct published through an atomic pointer; rebuilds
-// construct a fresh probe off-line and swap it in. Live slab words and the
-// conflict degree are accessed atomically on both sides. That makes Lookup
-// safe to run with NO lock at all, provided the caller brackets it with the
-// interval seqlock (ilock.ReadBegin/ReadValidate): a probe that raced a
-// writer may return a stale or missing answer, but never a torn one, and the
-// failed validation discards it. Mutators still require the caller to hold
-// the interval's exclusive lock, exactly as before.
+// construct a fresh probe off-line and swap it in. Readers load live slab
+// words and the conflict degree atomically, and a mutator of a live probe
+// stores them atomically. That makes Lookup safe to run with NO lock at all,
+// provided the caller brackets it with the interval seqlock
+// (ilock.ReadBegin/ReadValidate): a probe that raced a writer may return a
+// stale or missing answer, but never a torn one, and the failed validation
+// discards it. Mutators still require the caller to hold the interval's
+// exclusive lock, so the one writer may read the slabs plainly, and a probe
+// no reader can reach yet (a build, a re-scatter, a restore) is filled with
+// plain stores.
 package ebh
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -117,8 +121,10 @@ const growHeadroom = 1.2
 // probe is the immutable geometry of one trained leaf: interval, capacity,
 // cached hash factors, and the slot slabs. A rebuild or re-scatter builds a
 // new probe and publishes it through Node.p; the slab CONTENTS of a live
-// probe still change in place (put/clear under the interval's exclusive
-// lock), which is why every slab access is atomic.
+// probe still change in place (place/clrOcc under the interval's exclusive
+// lock), which is why readers load slab words with sync/atomic and a live
+// probe's mutators store them with it. fill writes a probe that is not yet
+// published with plain stores.
 type probe struct {
 	lo, hi uint64 // key interval [lo, hi] this leaf is responsible for
 
@@ -136,8 +142,8 @@ type probe struct {
 	// these and wrapping with Trunc instead of math.Mod is ~3× faster.
 	scale, cf, invC float64
 
-	slots []atomic.Uint64 // interleaved: key at [2i], value at [2i+1]
-	occ   []atomic.Uint64 // occupancy bitmap, 1 bit per key slot
+	slots []uint64 // interleaved: key at [2i], value at [2i+1]
+	occ   []uint64 // occupancy bitmap, 1 bit per key slot
 }
 
 // Node is one EBH leaf. The zero value is not usable; construct with New.
@@ -166,8 +172,8 @@ type Node struct {
 // alpha. The slabs start empty.
 func newProbe(lo, hi uint64, c int, alpha float64) *probe {
 	pr := &probe{
-		slots: make([]atomic.Uint64, 2*c),
-		occ:   make([]atomic.Uint64, (c+63)/64),
+		slots: make([]uint64, 2*c),
+		occ:   make([]uint64, (c+63)/64),
 	}
 	pr.shape(lo, hi, c, alpha)
 	return pr
@@ -233,17 +239,7 @@ func NewFromSorted(lo, hi uint64, keys, vals []uint64, tau, alpha float64) *Node
 	if len(keys) > 0 {
 		n.kmin, n.kmax = keys[0], keys[len(keys)-1]
 	}
-	src := func(yield func(k, v uint64) bool) {
-		for i, k := range keys {
-			v := k
-			if vals != nil {
-				v = vals[i]
-			}
-			if !yield(k, v) {
-				return
-			}
-		}
-	}
+	src := entries{keys: keys, vals: vals}
 	// A placement that breaks the bound is abandoned: the leaf will be
 	// re-scattered from the keys anyway, and the rest of a crowded
 	// placement is its slowest part.
@@ -299,8 +295,18 @@ func (pr *probe) home(k uint64) int {
 	return i
 }
 
+// occupied, key and val read slot i as a lock-free reader may.
 func (pr *probe) occupied(i int) bool {
-	return pr.occ[uint(i)>>6].Load()&(1<<(uint(i)&63)) != 0
+	return atomic.LoadUint64(&pr.occ[uint(i)>>6])&(1<<(uint(i)&63)) != 0
+}
+func (pr *probe) key(i int) uint64 { return atomic.LoadUint64(&pr.slots[uint(i)<<1]) }
+func (pr *probe) val(i int) uint64 { return atomic.LoadUint64(&pr.slots[uint(i)<<1|1]) }
+
+// taken is occupied for the probe's one writer: the holder of the
+// interval's exclusive lock, or the code filling a probe not yet published.
+// Nothing else stores into the slabs, so its plain load races with nothing.
+func (pr *probe) taken(i int) bool {
+	return pr.occ[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // setOcc/clrOcc are load+store rather than atomic RMW: mutators hold the
@@ -308,35 +314,23 @@ func (pr *probe) occupied(i int) bool {
 // atomic for the benefit of lock-free readers.
 func (pr *probe) setOcc(i int) {
 	w := &pr.occ[uint(i)>>6]
-	w.Store(w.Load() | 1<<(uint(i)&63))
+	atomic.StoreUint64(w, *w|1<<(uint(i)&63))
 }
 func (pr *probe) clrOcc(i int) {
 	w := &pr.occ[uint(i)>>6]
-	w.Store(w.Load() &^ (1 << (uint(i) & 63)))
+	atomic.StoreUint64(w, *w&^(1<<(uint(i)&63)))
 }
-
-func (pr *probe) key(i int) uint64 { return pr.slots[uint(i)<<1].Load() }
-func (pr *probe) val(i int) uint64 { return pr.slots[uint(i)<<1|1].Load() }
 
 // hit reports whether slot i holds exactly key k, as a branch-free
 // combination of the occupancy bit and the key comparison: the two loads
 // land on (at most) two cache lines, and no data-dependent branch sits in
 // the probe loop for the predictor to miss on.
 func (pr *probe) hit(i int, k uint64) bool {
-	bit := pr.occ[uint(i)>>6].Load() >> (uint(i) & 63) & 1
-	eq := pr.slots[uint(i)<<1].Load() ^ k
+	bit := atomic.LoadUint64(&pr.occ[uint(i)>>6]) >> (uint(i) & 63) & 1
+	eq := atomic.LoadUint64(&pr.slots[uint(i)<<1]) ^ k
 	// z is 1 iff eq == 0, computed without a comparison branch.
 	z := ((eq | -eq) >> 63) ^ 1
 	return bit&z != 0
-}
-
-// slotAt wraps a signed slot index into [0, c).
-func (pr *probe) slotAt(i int) int {
-	i %= pr.c
-	if i < 0 {
-		i += pr.c
-	}
-	return i
 }
 
 // search returns the slot holding key, or −1. It scans outward from the home
@@ -505,7 +499,7 @@ func (nd *Node) settle() {
 	if nd.saturated.Load() || int(pr.cd.Load()) <= maxConflictDegree {
 		return
 	}
-	nd.climb(pr.each, pr)
+	nd.climb(entries{from: pr}, pr)
 }
 
 // climb tries the hash factor before the capacity: the entries of src, all
@@ -532,7 +526,7 @@ func (nd *Node) climb(src entries, cur *probe) {
 		stop = cur.cd.Load()
 	}
 	won := false
-	trial := &probe{occ: make([]atomic.Uint64, len(live.occ))}
+	trial := &probe{occ: make([]uint64, len(live.occ))}
 	for _, m := range alphaLadder {
 		if a := m * nd.base; a != live.alpha {
 			trial.reset(live.lo, live.hi, live.c, a)
@@ -561,79 +555,105 @@ func (nd *Node) climb(src entries, cur *probe) {
 	nd.p.Store(np)
 }
 
-// place stores a key assumed absent into pr. It probes within the
-// conflict-degree bound first and falls back to an unbounded probe —
-// capacity always exceeds the population, so a free slot exists within
-// c/2+1 steps. It never rebuilds; Insert owns that policy.
+// place stores a key assumed absent into the live probe pr, for lock-free
+// readers to see. It never rebuilds; Insert owns that policy.
 func (pr *probe) place(k, v uint64) {
 	i, d := pr.free(k)
-	pr.put(i, k, v, d)
-}
-
-// free returns the slot place stores k in, and its distance d from k's
-// home slot.
-func (pr *probe) free(k uint64) (i, d int) {
-	h := pr.home(k)
-	limit := pr.c/2 + 1
-	for d := 0; d <= limit; d++ {
-		if i := pr.slotAt(h + d); !pr.occupied(i) {
-			return i, d
-		}
-		if d > 0 {
-			if j := pr.slotAt(h - d); !pr.occupied(j) {
-				return j, d
-			}
-		}
-	}
-	panic("ebh: no free slot despite capacity > population")
-}
-
-func (pr *probe) put(i int, k, v uint64, d int) {
 	// Value before key before occupancy bit: an optimistic reader that races
 	// this (and will fail validation anyway) can match the key only after
 	// the value is in place.
-	pr.slots[uint(i)<<1|1].Store(v)
-	pr.slots[uint(i)<<1].Store(k)
-	pr.take(i, d)
-}
-
-// take marks slot i occupied by a key d slots from its home.
-func (pr *probe) take(i, d int) {
+	atomic.StoreUint64(&pr.slots[uint(i)<<1|1], v)
+	atomic.StoreUint64(&pr.slots[uint(i)<<1], k)
 	pr.setOcc(i)
 	if int32(d) > pr.cd.Load() {
 		pr.cd.Store(int32(d))
 	}
 }
 
-// entries calls yield with each of a leaf's key/value pairs until yield
-// returns false.
-type entries func(yield func(k, v uint64) bool)
-
-// each is the entries of pr, in slot order.
-func (pr *probe) each(yield func(k, v uint64) bool) {
-	for i := 0; i < pr.c; i++ {
-		if pr.occupied(i) && !yield(pr.key(i), pr.val(i)) {
-			return
+// free returns the slot a key assumed absent goes in, and its distance d
+// from k's home slot: the first free slot of the probe order h, h+1, h−1,
+// h+2, h−2, … around its home slot h, wrapped by a conditional add or
+// subtract as search wraps. Capacity always exceeds the population, so a
+// free slot exists within c/2+1 steps. It reads the occupancy bitmap as the
+// probe's one writer (see taken).
+func (pr *probe) free(k uint64) (i, d int) {
+	h := pr.home(k)
+	if !pr.taken(h) {
+		return h, 0
+	}
+	c := pr.c
+	up, down := h, h
+	for d := 1; d <= c/2+1; d++ {
+		up++
+		if up == c {
+			up = 0
+		}
+		if !pr.taken(up) {
+			return up, d
+		}
+		down--
+		if down < 0 {
+			down = c - 1
+		}
+		if !pr.taken(down) {
+			return down, d
 		}
 	}
+	panic("ebh: no free slot despite capacity > population")
 }
 
-// fill places the entries of src into pr and reports whether it placed them
-// all: it gives up as soon as pr's conflict degree reaches stop, so a trial
-// that cannot beat a known conflict degree stops early. Into a trial probe
-// (no slots, see climb) it places only the occupancy bits.
+// entries is what fill places: the occupied slots of from, in slot order,
+// when from is set; otherwise keys with vals (nil: value-equals-key).
+type entries struct {
+	keys, vals []uint64
+	from       *probe
+}
+
+// fill places the entries of src into pr, a fresh probe no reader can reach
+// yet, with plain stores, in the slots and with the conflict degree that
+// placing them one at a time with place would give. It reports whether it
+// placed them all: it gives up as soon as pr's conflict degree reaches stop,
+// so a trial that cannot beat a known conflict degree stops early. Into a
+// trial probe (no slots, see climb) it places only the occupancy bits. A
+// from probe is read as its writer reads it (see taken).
 func (pr *probe) fill(src entries, stop int32) bool {
-	ok, trial := true, pr.slots == nil
-	src(func(k, v uint64) bool {
-		if i, d := pr.free(k); trial {
-			pr.take(i, d)
-		} else {
-			pr.put(i, k, v, d)
+	cd := int32(0)
+	if from := src.from; from != nil {
+		for w, word := range from.occ {
+			for ; word != 0; word &= word - 1 {
+				i := uint(w)<<6 | uint(bits.TrailingZeros64(word))
+				if cd = max(cd, pr.add(from.slots[i<<1], from.slots[i<<1|1])); cd >= stop {
+					pr.cd.Store(cd)
+					return false
+				}
+			}
 		}
-		ok = pr.cd.Load() < stop
-		return ok
-	})
-	return ok
+	} else {
+		for i, k := range src.keys {
+			v := k
+			if src.vals != nil {
+				v = src.vals[i]
+			}
+			if cd = max(cd, pr.add(k, v)); cd >= stop {
+				pr.cd.Store(cd)
+				return false
+			}
+		}
+	}
+	pr.cd.Store(cd)
+	return true
+}
+
+// add stores a key assumed absent into pr, which no reader can reach, with
+// plain stores, and returns its distance from its home slot.
+func (pr *probe) add(k, v uint64) int32 {
+	i, d := pr.free(k)
+	if pr.slots != nil {
+		pr.slots[uint(i)<<1] = k
+		pr.slots[uint(i)<<1|1] = v
+	}
+	pr.occ[uint(i)>>6] |= 1 << (uint(i) & 63)
+	return int32(d)
 }
 
 // Delete removes k, reporting whether it was present. The conflict degree is
@@ -685,7 +705,7 @@ func (pr *probe) keyRange() (lo, hi uint64) {
 func (nd *Node) rescatter(c int, lo, hi uint64) {
 	old := nd.p.Load()
 	np := newProbe(lo, hi, c, old.alpha)
-	np.fill(old.each, math.MaxInt32)
+	np.fill(entries{from: old}, math.MaxInt32)
 	nd.p.Store(np)
 	if c > old.c {
 		nd.saturated.Store(false)

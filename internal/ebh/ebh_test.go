@@ -1,9 +1,11 @@
 package ebh
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -707,4 +709,71 @@ func insertAll(t *testing.T, nd *Node, keys []uint64) (replaced int) {
 		}
 	}
 	return replaced
+}
+
+// TestFillMatchesLivePlace pins that fill, which writes a probe no reader
+// can reach with plain stores, leaves the slots, the occupancy bitmap and
+// the conflict degree exactly as placing the same entries one at a time
+// with the live place does: from sorted keys (a build or a restore) and
+// from another probe's slots (a re-scatter or a climb), at every rung of
+// the α ladder, on spread, crowded and saturating keys.
+func TestFillMatchesLivePlace(t *testing.T) {
+	saturating := make([]uint64, 0, 1001)
+	for i := uint64(0); i < 1000; i++ {
+		saturating = append(saturating, i)
+	}
+	saturating = append(saturating, 1<<50)
+	inputs := []struct {
+		name string
+		keys []uint64
+	}{
+		{"face", dataset.Generate(dataset.FACE, 3000, 3)},
+		{"runPlusSpread", runPlusSpread()},
+		{"saturating", saturating},
+	}
+	same := func(t *testing.T, got, want *probe) {
+		t.Helper()
+		if !slices.Equal(got.slots, want.slots) || !slices.Equal(got.occ, want.occ) {
+			t.Fatal("slots or occupancy differ from live placement")
+		}
+		if g, w := got.cd.Load(), want.cd.Load(); g != w {
+			t.Fatalf("conflict degree %d, live placement %d", g, w)
+		}
+	}
+	for _, in := range inputs {
+		keys := in.keys
+		vals := make([]uint64, len(keys))
+		for i, k := range keys {
+			vals[i] = 3*k + 1
+		}
+		lo, hi, c := keys[0], keys[len(keys)-1], CapacityFor(len(keys), DefaultTau)
+		for _, m := range alphaLadder {
+			a := m * DefaultAlpha
+			t.Run(fmt.Sprintf("%s/alpha%v", in.name, a), func(t *testing.T) {
+				live := newProbe(lo, hi, c, a)
+				for i, k := range keys {
+					live.place(k, vals[i])
+				}
+				if in.name == "saturating" && live.cd.Load() <= maxConflictDegree {
+					t.Fatalf("cd %d: the input does not saturate", live.cd.Load())
+				}
+				fresh := newProbe(lo, hi, c, a)
+				if !fresh.fill(entries{keys: keys, vals: vals}, math.MaxInt32) {
+					t.Fatal("fill stopped without a stop bound")
+				}
+				same(t, fresh, live)
+
+				// Re-scattered from a probe's slots, at twice the capacity.
+				live2 := newProbe(lo, hi, 2*c, a)
+				for i := 0; i < live.c; i++ {
+					if live.occupied(i) {
+						live2.place(live.key(i), live.val(i))
+					}
+				}
+				fresh2 := newProbe(lo, hi, 2*c, a)
+				fresh2.fill(entries{from: live}, math.MaxInt32)
+				same(t, fresh2, live2)
+			})
+		}
+	}
 }

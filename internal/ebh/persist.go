@@ -78,9 +78,7 @@ func Restore(g Geometry, alpha float64, keys, vals []uint64) (*Node, error) {
 		nd.kmin, nd.kmax = keys[0], keys[n-1]
 	}
 	pr := newProbe(g.Lo, g.Hi, c, g.Alpha)
-	for i, k := range keys {
-		pr.place(k, vals[i])
-	}
+	pr.fill(entries{keys: keys, vals: vals}, math.MaxInt32)
 	nd.p.Store(pr)
 	return nd, nil
 }

@@ -143,7 +143,8 @@ func scalingBulkLoad(cfg Config, out *scalingReport) *report.Table {
 }
 
 // scalingRecovery measures the two recovery paths: the snapshot load (a
-// sequential streamed decode) and pipelined WAL replay.
+// sequential streamed decode whose leaves are restored in windows, serially
+// (Workers: 1) and one per CPU (Workers: 0)) and pipelined WAL replay.
 func scalingRecovery(cfg Config, out *scalingReport) *report.Table {
 	t := &report.Table{
 		Title: "Scaling — recovery: snapshot load and WAL replay",
@@ -158,22 +159,28 @@ func scalingRecovery(cfg Config, out *scalingReport) *report.Table {
 	if _, err := src.WriteTo(&snap); err != nil {
 		panic(err)
 	}
-	ix := chameleon.New(chameleon.Options{})
-	var before, after runtime.MemStats
-	runtime.GC() // keep collections of the source tree out of the timed region
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if _, err := ix.ReadFrom(bytes.NewReader(snap.Bytes())); err != nil {
-		panic(err)
+	for _, workers := range []int{1, 0} {
+		effective := workers
+		if effective == 0 {
+			effective = runtime.GOMAXPROCS(0)
+		}
+		ix := chameleon.New(chameleon.Options{Workers: workers})
+		var before, after runtime.MemStats
+		runtime.GC() // keep collections of the source tree out of the timed region
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if _, err := ix.ReadFrom(bytes.NewReader(snap.Bytes())); err != nil {
+			panic(err)
+		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		m := out.add("snapshot_load", effective, len(keys), elapsed)
+		m.BytesPerKey = float64(snap.Len()) / float64(len(keys))
+		m.AllocBytes = after.TotalAlloc - before.TotalAlloc
+		t.AddRow("snapshot load", strconv.Itoa(effective), fmt.Sprintf("%.1fms", elapsed.Seconds()*1000),
+			fmt.Sprintf("%.0f keys/s", m.PerSecond),
+			fmt.Sprintf("%.1f B/key, %s allocated", m.BytesPerKey, report.MB(int(m.AllocBytes))))
 	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	m := out.add("snapshot_load", 1, len(keys), elapsed)
-	m.BytesPerKey = float64(snap.Len()) / float64(len(keys))
-	m.AllocBytes = after.TotalAlloc - before.TotalAlloc
-	t.AddRow("snapshot load", "1", fmt.Sprintf("%.1fms", elapsed.Seconds()*1000),
-		fmt.Sprintf("%.0f keys/s", m.PerSecond),
-		fmt.Sprintf("%.1f B/key, %s allocated", m.BytesPerKey, report.MB(int(m.AllocBytes))))
 
 	// WAL replay: write a pure log (no checkpoint), then time recovery, which
 	// is dominated by frame parse + CRC (producer goroutine) and re-insertion
@@ -197,17 +204,17 @@ func scalingRecovery(cfg Config, out *scalingReport) *report.Table {
 		panic(err)
 	}
 	runtime.GC()
-	start = time.Now()
+	start := time.Now()
 	re, err := chameleon.OpenDir(dir, chameleon.DirOptions{Sync: chameleon.SyncNone})
 	if err != nil {
 		panic(err)
 	}
-	elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	if re.Len() != replayOps {
 		panic(fmt.Sprintf("scaling: WAL replay recovered %d of %d records", re.Len(), replayOps))
 	}
-	re.Close()                                       //nolint:errcheck
-	m = out.add("wal_replay", 2, replayOps, elapsed) // 2: parse/verify + apply pipeline
+	re.Close()                                        //nolint:errcheck
+	m := out.add("wal_replay", 2, replayOps, elapsed) // 2: parse/verify + apply pipeline
 	t.AddRow("wal replay (pipelined)", "2", fmt.Sprintf("%.1fms", elapsed.Seconds()*1000),
 		fmt.Sprintf("%.0f rec/s", m.PerSecond), "-")
 	return t

@@ -128,8 +128,19 @@ func NewCostDARE(cfg DAREConfig) *CostDARE { return &CostDARE{Cfg: cfg} }
 // Candidates that build the same tree are scored once (at most 81 walks at
 // h = 2 and 281 at h = 3), and ties go to the earliest candidate, so the
 // answer does not depend on cfg.Workers, which bounds how many are scored
-// at once.
+// at once. The c = 0 column is scored first; a candidate with c ≥ 1 is
+// then skipped when a bound on its reward from the root's split of the
+// sample alone cannot beat the best score (gridSearch.cutsDeep), which
+// skips every one on the FACE, UDEN and OSMC samples of 2 M keys. The
+// answer is the argmax over the whole grid all the same.
 func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
+	best, _ := d.search(keys, h, L)
+	return best.shape().params(h, L)
+}
+
+// search is Parameters' grid search. It returns the best point and how
+// many trees it scored.
+func (d *CostDARE) search(keys []uint64, h, L int) (gridPoint, int) {
 	s := &gridSearch{
 		cfg:    d.Cfg,
 		sample: newCostSample(d.Cfg, keys),
@@ -137,12 +148,20 @@ func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 		L:      L,
 		scores: make(map[shape]float64),
 		free:   make(chan *costmodel.Counters, par.Workers(d.Cfg.Workers)),
+		top:    math.Inf(-1),
+		roots:  make(map[int]costmodel.RootSplit),
 	}
+	s.prune = len(s.sample.keys) > 0 && s.sample.weights == nil && d.Cfg.Env.Wt >= 0 && d.Cfg.Env.Wm >= 0
 	cs := 0
 	if h >= 3 {
 		cs = maxLogM
 	}
 	var pts []gridPoint
+	for g := 0; g <= maxLogP0; g++ {
+		pts = append(pts, gridPoint{g: float64(g)})
+	}
+	s.best(pts)
+	pts = pts[:0]
 	for g := 0; g <= maxLogP0; g++ {
 		for c := 0; c <= cs; c++ {
 			pts = append(pts, gridPoint{g: float64(g), c: c})
@@ -158,7 +177,7 @@ func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
 		}
 		best = s.best(pts)
 	}
-	return best.shape().params(h, L)
+	return best, s.scored
 }
 
 // FixedDARE emits a constant root fanout with no matrix rows — the ablation

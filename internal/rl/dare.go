@@ -145,19 +145,55 @@ type gridSearch struct {
 	// free holds the slot counters of walks not running: at most one walk
 	// per worker runs at a time, so the workers share that many buffers.
 	free chan *costmodel.Counters
+
+	// prune is whether deep trees are skipped by their bound (see
+	// cutsDeep), top the best score so far, scored how many trees were
+	// walked, and roots each root fanout's split of the sample.
+	prune  bool
+	top    float64
+	scored int
+	roots  map[int]costmodel.RootSplit
 }
 
-// best scores the points whose trees were not scored before, concurrently,
-// and returns the highest-scoring point, ties going to the earliest in pts.
+// cutsDeep reports whether the tree of k, whose level-2 nodes all have
+// fanout 2^k.c ≥ 2, must score below the best score so far: its reward is
+// at most that of costmodel.RootSplit.DeepBound, which needs only how the
+// root splits the sample. The bound holds for unweighted queries and
+// w_t, w_m ≥ 0.
+func (s *gridSearch) cutsDeep(k shape) bool {
+	if !s.prune || k.c < 1 || k.p0 < 2 || s.h < 3 {
+		return false
+	}
+	split, ok := s.roots[k.p0]
+	if !ok {
+		keys := s.sample.keys
+		split = costmodel.SplitRoot(keys, keys[0], keys[len(keys)-1], k.p0)
+		s.roots[k.p0] = split
+	}
+	env := s.cfg.Env
+	bound := costmodel.Reward(split.DeepBound(k.p0, 1<<k.c, env.Tau, env.Alpha), env.Wt, env.Wm)
+	return cannotBeat(bound, s.top)
+}
+
+// best scores the points whose trees were neither scored nor cut before,
+// concurrently, and returns the highest-scoring point, ties going to the
+// earliest in pts. A tree cut by its bound scores −∞: it could not have
+// tied the best score, so the answer is the one scoring it would give.
 func (s *gridSearch) best(pts []gridPoint) gridPoint {
 	var todo []shape
 	for _, pt := range pts {
 		k := pt.shape()
-		if _, ok := s.scores[k]; !ok {
-			s.scores[k] = 0 // a placeholder, so a repeat is not queued twice
-			todo = append(todo, k)
+		if _, ok := s.scores[k]; ok {
+			continue
 		}
+		if s.cutsDeep(k) {
+			s.scores[k] = math.Inf(-1)
+			continue
+		}
+		s.scores[k] = 0 // a placeholder, so a repeat is not queued twice
+		todo = append(todo, k)
 	}
+	s.scored += len(todo)
 	got := make([]float64, len(todo))
 	par.Do(len(todo), par.Workers(s.cfg.Workers), func(i int) {
 		var counters *costmodel.Counters
@@ -175,6 +211,7 @@ func (s *gridSearch) best(pts []gridPoint) gridPoint {
 	})
 	for i, k := range todo {
 		s.scores[k] = got[i]
+		s.top = max(s.top, got[i])
 	}
 	best, bestScore := gridPoint{}, math.Inf(-1)
 	for _, pt := range pts {

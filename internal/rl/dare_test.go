@@ -56,6 +56,7 @@ func TestCostDAREMatchesBruteForce(t *testing.T) {
 		h   int
 	}{
 		{dataset.FACE, 2}, {dataset.LOGN, 2}, {dataset.OSMC, 3}, {dataset.UDEN, 3},
+		{dataset.FACE, 3}, {dataset.LOGN, 3},
 	}
 	for _, c := range cases {
 		keys := dataset.Generate(c.gen, 60_000, 42)
@@ -87,4 +88,28 @@ func firstEntry(m [][]float64) float64 {
 		return 0
 	}
 	return m[0][0]
+}
+
+// TestCostDAREPrunesDeepTrees pins that the bound on trees with c ≥ 1
+// keeps skipping their walks on the 2 M-key samples: a FACE, UDEN or OSMC
+// search at h = 3 scores the c = 0 column and the two refinements, at most
+// 81 trees, where scoring every candidate takes 281. On LOGN, where some
+// deep trees come close, it skips 89 of the 200 with c ≥ 1.
+func TestCostDAREPrunesDeepTrees(t *testing.T) {
+	cases := []struct {
+		gen    string
+		atMost int
+	}{
+		{dataset.FACE, 81}, {dataset.UDEN, 81}, {dataset.OSMC, 81}, {dataset.LOGN, 192},
+	}
+	for _, c := range cases {
+		keys := dataset.Generate(c.gen, 2_000_000, 42)
+		cfg := DefaultDAREConfig()
+		cfg.Workers = 2
+		_, scored := NewCostDARE(cfg).search(keys, 3, matrixWidth)
+		t.Logf("%s h=3: %d trees scored", c.gen, scored)
+		if scored > c.atMost {
+			t.Errorf("%s h=3: %d trees scored, want at most %d", c.gen, scored, c.atMost)
+		}
+	}
 }
