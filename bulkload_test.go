@@ -12,7 +12,7 @@ import (
 // TestBulkLoadGolden pins bulk-built trees bit for bit: the sha256 of the
 // CHAMSNP3 snapshot WriteTo emits after BulkLoad of each generator's keys
 // (seed 42) into New(Options{}). The digests cover every construction
-// decision — CostDARE's p0 and M, CostPolicy's fanout at every lower node —
+// decision — CostDARE's p0 and g, CostPolicy's fanout at every lower node —
 // and EBH placement in every leaf, so a change to the search that moves any
 // of them fails here. The 2 M-key rows are skipped under
 // -short.

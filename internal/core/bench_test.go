@@ -56,12 +56,9 @@ func BenchmarkInsertDenseRuns(b *testing.B) {
 }
 
 // decided is a DAREPolicy that returns parameters decided before.
-type decided struct {
-	p0 int
-	m  [][]float64
-}
+type decided struct{ p0, g int }
 
-func (d decided) Parameters([]uint64, int, int) (int, [][]float64) { return d.p0, d.m }
+func (d decided) Parameters([]uint64, int) (int, int) { return d.p0, d.g }
 
 // BenchmarkBulkLoadPhases times the phases of a legacy start over FACE keys
 // (2 M, or 400 k under -short), each reported in ns per key: grid is the
@@ -78,9 +75,9 @@ func BenchmarkBulkLoadPhases(b *testing.B) {
 	keys := dataset.Generate(dataset.FACE, n, 42)
 	h := heightFor(n)
 	dare := rl.NewCostDARE(rl.DefaultDAREConfig())
-	p0, m := dare.Parameters(keys, h, matrixWidth)
+	p0, g := dare.Parameters(keys, h)
 	newIndex := func() *Index {
-		return New(Config{Dare: decided{p0, m}, Policy: rl.NewCostPolicy(rl.DefaultEnv())})
+		return New(Config{Dare: decided{p0, g}, Policy: rl.NewCostPolicy(rl.DefaultEnv())})
 	}
 	built := newIndex()
 	if err := built.BulkLoad(keys, nil); err != nil {
@@ -94,7 +91,7 @@ func BenchmarkBulkLoadPhases(b *testing.B) {
 		name string
 		run  func(b *testing.B)
 	}{
-		{"grid", func(*testing.B) { dare.Parameters(keys, h, matrixWidth) }},
+		{"grid", func(*testing.B) { dare.Parameters(keys, h) }},
 		{"build", func(b *testing.B) {
 			if err := newIndex().BulkLoad(keys, nil); err != nil {
 				b.Fatal(err)

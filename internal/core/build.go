@@ -11,7 +11,7 @@ import (
 
 // BulkLoad implements index.Index: it (re)builds the structure over sorted
 // unique keys using the MARL construction of Fig. 6 — DARE emits the root
-// fanout p0 and parameter matrix M for the upper h−1 levels; the fanout
+// fanout p0 and the inner fanout g for the upper h−1 levels; the fanout
 // policy (TSMDP) refines each level-h node. The new structure is built
 // off-line and swapped in atomically, so concurrent readers are never
 // blocked; concurrent writers are excluded only for the swap itself.
@@ -33,7 +33,7 @@ func (ix *Index) BulkLoad(keys, vals []uint64) error {
 	}
 	ix.lifecycle.Lock()
 	defer ix.lifecycle.Unlock()
-	t := ix.buildTree(keys, vals)
+	t := ix.buildTree(keys, vals, bulkLoadSample)
 	ix.rebuildMu.Lock()
 	ix.installTree(t, len(keys))
 	ix.rebuildMu.Unlock()
@@ -45,21 +45,22 @@ func (ix *Index) BulkLoad(keys, vals []uint64) error {
 // DARE fanouts and registers the gates in key order; then one par.Do builds
 // every level-h subtree it left with buildLower. Those subtrees cover
 // disjoint key ranges and fill disjoint child slots, so the tree is the
-// serial one whatever the worker count.
-func (ix *Index) build(t *tree, keys, vals []uint64) *node {
-	mk, Mk := keys[0], keys[len(keys)-1]
+// serial one whatever the worker count. Without a configured Dare, the
+// default CostDARE searches over the index's environment on a sample of at
+// most sampleCap keys.
+func (ix *Index) build(t *tree, keys, vals []uint64, sampleCap int) *node {
 	dare := ix.cfg.Dare
 	if dare == nil {
 		cfg := rl.DefaultDAREConfig()
+		cfg.SampleCap = sampleCap
 		cfg.Env = ix.env
 		cfg.Workers = ix.cfg.Workers
 		dare = rl.NewCostDARE(cfg)
 	}
-	p0, m := dare.Parameters(keys, t.h, matrixWidth)
-	upperFan := rl.UpperFanoutFn(p0, m, mk, Mk, matrixWidth)
+	p0, g := dare.Parameters(keys, t.h)
 	var root *node
 	var runs []lowerRun
-	total := ix.shapeUpper(t, &runs, &root, keys, vals, mk, Mk, 1, upperFan, 0)
+	total := ix.shapeUpper(t, &runs, &root, keys, vals, keys[0], keys[len(keys)-1], 1, p0, g, 0)
 	par.Do(total, par.Workers(ix.cfg.Workers), func(i int) {
 		r := &runs[sort.Search(len(runs), func(r int) bool { return runs[r].first > i })-1]
 		if r.parts == nil {
@@ -88,15 +89,14 @@ type lowerRun struct {
 	first      int
 }
 
-// shapeUpper shapes the node at the given level over [lo, hi] into *dst,
-// and the upper levels below it, with the DARE fanouts, appending to runs the
-// level-h subtrees to build, the first of them numbered next. It returns
-// the number after the last. The children of a gate-level node are
+// shapeUpper shapes the node at the given level over [lo, hi] into *dst
+// with fanout f, and the upper levels below it with fanout g, appending to
+// runs the level-h subtrees to build, the first of them numbered next. It
+// returns the number after the last. The children of a gate-level node are
 // registered as gates as they are appended; a degenerate upper node (no
 // partition at this level) is appended as a subtree with no gate: the
 // fallback interval guards it.
-func (ix *Index) shapeUpper(t *tree, runs *[]lowerRun, dst **node, keys, vals []uint64, lo, hi uint64, level int, fan costmodel.FanoutFn, next int) int {
-	f := fan(level, lo, hi, len(keys))
+func (ix *Index) shapeUpper(t *tree, runs *[]lowerRun, dst **node, keys, vals []uint64, lo, hi uint64, level, f, g, next int) int {
 	if f <= 1 || len(keys) <= 1 || level >= t.h {
 		*runs = append(*runs, lowerRun{keys: keys, vals: vals, lo: lo, hi: hi, dst: dst, first: next})
 		return next + 1
@@ -108,7 +108,7 @@ func (ix *Index) shapeUpper(t *tree, runs *[]lowerRun, dst **node, keys, vals []
 		for j := 0; j < f; j++ {
 			clo, chi := costmodel.ChildInterval(lo, hi, f, j)
 			ck, cv := childKeys(keys, vals, parts[j])
-			next = ix.shapeUpper(t, runs, &n.children[j], ck, cv, clo, chi, level+1, fan, next)
+			next = ix.shapeUpper(t, runs, &n.children[j], ck, cv, clo, chi, level+1, g, g, next)
 		}
 		return next
 	}

@@ -46,8 +46,9 @@ type Config struct {
 	Tau float64
 	// Alpha is the EBH hash factor α (default 131).
 	Alpha float64
-	// Dare chooses the upper-level parameters. Nil selects the analytic
-	// CostDARE policy.
+	// Dare chooses the upper-level parameters, for bulk loads and runtime
+	// reconstructions alike. Nil selects the analytic CostDARE search under
+	// Tau and Alpha (see bulkLoadSample).
 	Dare rl.DAREPolicy
 	// Policy decides lower-level fanouts (TSMDP's role). Nil means level-h
 	// nodes become leaves directly (the ChaDA ablation).
@@ -73,9 +74,13 @@ type Config struct {
 }
 
 const (
-	// matrixWidth is L, the row width of DARE's parameter matrix M (Table
-	// IV: 256).
-	matrixWidth = 64
+	// bulkLoadSample and reconstructSample are the key samples the default
+	// DARE search (a nil Config.Dare) scores its candidates on: a bulk
+	// load's, and a quarter of it for a runtime reconstruction, so in-path
+	// rebuilds stay bounded. The paper's online DARE invocation is cheap
+	// critic inference; here it is the CostDARE search.
+	bulkLoadSample    = 1 << 16
+	reconstructSample = 1 << 14
 	// maxLowerDepth bounds the TSMDP refinement recursion below level h.
 	maxLowerDepth = 3
 	// lightThreshold is the updates/keys ratio that triggers a leaf-level
@@ -164,12 +169,6 @@ type Index struct {
 	env  rl.Env
 	tree atomic.Pointer[tree]
 
-	// reconstructDare is the policy runtime full reconstructions use. The
-	// paper's online DARE invocation is cheap critic inference; here it is
-	// CostDARE over a sample of about 16 k keys, a quarter of a bulk
-	// load's, so in-path rebuilds stay bounded. Bulk loads keep cfg.Dare.
-	reconstructDare rl.DAREPolicy
-
 	count atomic.Int64 // stored keys
 
 	// Full-reconstruction bookkeeping.
@@ -220,14 +219,11 @@ var _ index.StatsProvider = (*Index)(nil)
 
 // New creates an empty index.
 func New(cfg Config) *Index {
-	dcfg := rl.DefaultDAREConfig()
-	dcfg.SampleCap = 1 << 14
-	dcfg.Workers = cfg.Workers
 	cfg = cfg.Defaults()
 	env := rl.DefaultEnv()
 	env.Tau, env.Alpha = cfg.Tau, cfg.Alpha
-	ix := &Index{cfg: cfg, env: env, reconstructDare: rl.NewCostDARE(dcfg)}
-	ix.installTree(ix.buildTree(nil, nil), 0)
+	ix := &Index{cfg: cfg, env: env}
+	ix.installTree(ix.buildTree(nil, nil, 0), 0)
 	return ix
 }
 
@@ -235,9 +231,6 @@ func New(cfg Config) *Index {
 // nil policy selects the analytic equivalents (DESIGN.md §4).
 func NewChaDATS(dare rl.DAREPolicy, policy rl.FanoutPolicy) *Index {
 	cfg := Config{Name: "ChaDATS", Dare: dare, Policy: policy}
-	if cfg.Dare == nil {
-		cfg.Dare = rl.NewCostDARE(rl.DefaultDAREConfig())
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = rl.NewCostPolicy(rl.DefaultEnv())
 	}
@@ -247,11 +240,7 @@ func NewChaDATS(dare rl.DAREPolicy, policy rl.FanoutPolicy) *Index {
 // NewChaDA is the Table V ablation with DARE but no TSMDP: level-h nodes
 // become EBH leaves directly.
 func NewChaDA(dare rl.DAREPolicy) *Index {
-	cfg := Config{Name: "ChaDA", Dare: dare}
-	if cfg.Dare == nil {
-		cfg.Dare = rl.NewCostDARE(rl.DefaultDAREConfig())
-	}
-	return New(cfg)
+	return New(Config{Name: "ChaDA", Dare: dare})
 }
 
 // NewChaB is the Table V ablation with EBH only (no DARE, no TSMDP): a fixed
@@ -270,10 +259,11 @@ func (ix *Index) Name() string { return ix.cfg.Name }
 // Len implements index.Index.
 func (ix *Index) Len() int { return int(ix.count.Load()) }
 
-// buildTree constructs a fresh snapshot over the given sorted keys. It does
+// buildTree constructs a fresh snapshot over the given sorted keys, a
+// default DARE search scoring a sample of at most sampleCap keys. It does
 // not publish it; callers install via installTree under the appropriate
 // locks.
-func (ix *Index) buildTree(keys, vals []uint64) *tree {
+func (ix *Index) buildTree(keys, vals []uint64, sampleCap int) *tree {
 	if len(keys) == 0 {
 		return &tree{
 			root: &node{
@@ -285,7 +275,7 @@ func (ix *Index) buildTree(keys, vals []uint64) *tree {
 		}
 	}
 	t := &tree{h: heightFor(len(keys))}
-	t.root = ix.build(t, keys, vals)
+	t.root = ix.build(t, keys, vals, sampleCap)
 	t.locks = ilock.New(len(t.gates) + 1)
 	return t
 }

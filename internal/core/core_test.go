@@ -461,6 +461,38 @@ func TestFullReconstructionTrigger(t *testing.T) {
 	ix.StopRetrainer()
 }
 
+// TestReconstructKeepsConstructionPolicy checks that a runtime
+// reconstruction builds with the index's own construction policy: ChaB's
+// FixedDARE keeps its 1,024-way root, and without a Dare the default
+// search runs under the index's τ, on the smaller reconstruction sample.
+func TestReconstructKeepsConstructionPolicy(t *testing.T) {
+	keys := dataset.Generate(dataset.FACE, 200_000, 42)
+	tauEnv := rl.DefaultEnv()
+	tauEnv.Tau = 0.3
+	search := rl.DefaultDAREConfig()
+	search.SampleCap = reconstructSample
+	search.Env = tauEnv
+	wantP0, _ := rl.NewCostDARE(search).Parameters(keys, heightFor(len(keys)))
+	for _, c := range []struct {
+		name   string
+		ix     *Index
+		wantP0 int
+	}{
+		{"ChaB", NewChaB(), 1 << 10},
+		{"default-tau0.3", New(Config{Tau: 0.3, Policy: rl.NewCostPolicy(tauEnv)}), wantP0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.ix.BulkLoad(keys, nil); err != nil {
+				t.Fatal(err)
+			}
+			c.ix.Reconstruct()
+			if got := c.ix.tree.Load().root.fanout; got != c.wantP0 {
+				t.Fatalf("root fanout %d after Reconstruct, want %d", got, c.wantP0)
+			}
+		})
+	}
+}
+
 func TestConcurrentRangeAndStatsWithRetrainer(t *testing.T) {
 	// Every read-only walk (Range, stopped early and run to the end,
 	// AppendPairs, Stats, Bytes, Height and LocalSkewness) reads gate child

@@ -34,9 +34,9 @@ func workerIndex(workers int) *Index {
 // serial one. The 30 k-key trees have height 2; the two FACE rows of
 // 1.1 M keys (skipped under -short) have height 3, where the level-h
 // subtrees sit under the root's children: with the default policies
-// (M ≡ 1, so those children are degenerate upper nodes and no gate
-// exists), and with FixedDARE's M ≡ 32, so the upper pass registers gates
-// under every root child.
+// (g = 1, so those children are degenerate upper nodes and no gate
+// exists), and with FixedDARE's (p0, g) = (1024, 32), so the upper pass
+// registers gates under every root child.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	type row struct {
 		name, gen string

@@ -302,12 +302,7 @@ func (ix *Index) Reconstruct() {
 		}
 		n := ix.Len()
 		ks, vs := ix.AppendPairs(make([]uint64, 0, n), make([]uint64, 0, n))
-		// Runtime rebuilds use the (cheaper) reconstruction policy; bulk
-		// loads keep the full-budget one.
-		saved := ix.cfg.Dare
-		ix.cfg.Dare = ix.reconstructDare
-		defer func() { ix.cfg.Dare = saved }()
-		nt := ix.buildTree(ks, vs)
+		nt := ix.buildTree(ks, vs, reconstructSample)
 		ix.installTree(nt, len(ks))
 	}()
 	ix.reconstructions.Add(1)

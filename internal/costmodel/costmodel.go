@@ -4,7 +4,10 @@
 // searches within leaf nodes") and R_m ("the memory usage of the nodes after
 // taking actions"), combined by the dynamic reward function
 // r = −(w_t·R_t + w_m·R_m). The paper's Q-networks learn to approximate
-// these values; rl.CostPolicy and rl.CostDARE evaluate them directly.
+// these values; rl.CostPolicy and rl.CostDARE evaluate them directly:
+// Lookahead values one node's fanout for CostPolicy, and TreeCost prices
+// the upper levels DARE's two numbers describe (root fanout p0, fanout g
+// of every inner node below it) for CostDARE.
 package costmodel
 
 import (
@@ -310,46 +313,57 @@ func forEachChild(keys []uint64, lo, hi uint64, f int, visit func(start, end, j 
 // it. The zero value is ready to use; a Counters serves one walk at a time.
 type Counters struct{ counts []int32 }
 
-// FanoutFn supplies the fanout of the node covering [lo, hi] at the given
-// level (root = 1). Returning 1 or less makes the node a leaf.
-type FanoutFn func(level int, lo, hi uint64, n int) int
-
-// TreeCost estimates the whole-structure cost of building a tree over the
-// sorted keys where each node's fanout comes from fan, capped at maxLevels
-// of inner nodes (deeper nodes become leaves). Query cost is the key-count-
-// weighted mean over all leaves of (depth + leaf cost); memory sums leaf
-// slabs and inner child arrays, normalized per key.
+// TreeCost estimates the whole-structure cost of the tree over the sorted
+// keys whose root (level 1) has fanout p0 and every inner node at levels 2
+// to maxLevels fanout g; nodes below maxLevels, of fanout 1 or of at most
+// one key are leaves. Query cost is the mean over all leaves of (depth +
+// leaf cost), each leaf weighted by the query mass under it: its key count
+// when weights is nil, else the sum of its keys' weights (weights[i]
+// belongs to keys[i]; weights summing to zero count as nil). Memory sums
+// leaf slabs and inner child arrays, normalized per key, whatever the
+// weights.
 //
 // The walk visits only non-empty children: an empty child is a leaf that
-// adds exactly +0 to both sums, so skipping it leaves the result bitwise
-// unchanged and fan is never asked about it.
-func (c *Counters) TreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
+// adds exactly +0 to every sum, so skipping it leaves the result bitwise
+// unchanged. With nil weights the summed mass is the exact integer
+// len(keys).
+func (c *Counters) TreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels, p0, g int, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
-	var qSum, mUnits float64
+	var qSum, wTotal, mUnits float64
 	leaves := newLeafModel(tau, alpha)
 	leaves.counts = c.counts
-	var walk func(ks []uint64, lo, hi uint64, level int)
-	walk = func(ks []uint64, lo, hi uint64, level int) {
-		f := 1
-		if level <= maxLevels {
-			f = fan(level, lo, hi, len(ks))
-		}
-		if f <= 1 || len(ks) <= 1 {
-			leaf := leaves.cost(ks, lo, hi)
-			qSum += float64(len(ks)) * (float64(level-1) + leaf.Query)
+	var walk func(ks []uint64, ws []float64, lo, hi uint64, level, f int)
+	walk = func(ks []uint64, ws []float64, lo, hi uint64, level, f int) {
+		if f <= 1 || len(ks) <= 1 || level > maxLevels {
+			leaf := leaves.weightedCost(ks, ws, lo, hi)
+			w := float64(len(ks))
+			if ws != nil {
+				w = 0
+				for _, x := range ws {
+					w += x
+				}
+			}
+			qSum += w * (float64(level-1) + leaf.Query)
+			wTotal += w
 			mUnits += leaf.Memory * float64(len(ks))
 			return
 		}
 		mUnits += innerNodeUnits * float64(f)
 		forEachChild(ks, lo, hi, f, func(start, end, j int) {
 			clo, chi := ChildInterval(lo, hi, f, j)
-			walk(ks[start:end], clo, chi, level+1)
+			var cws []float64
+			if ws != nil {
+				cws = ws[start:end]
+			}
+			walk(ks[start:end], cws, clo, chi, level+1, g)
 		})
 	}
-	walk(keys, lo, hi, 1)
+	walk(keys, weights, lo, hi, 1, p0)
 	c.counts = leaves.counts
-	n := float64(len(keys))
-	return Cost{Query: qSum / n, Memory: mUnits / n}
+	if wTotal == 0 {
+		return c.TreeCost(keys, nil, lo, hi, maxLevels, p0, g, tau, alpha)
+	}
+	return Cost{Query: qSum / wTotal, Memory: mUnits / float64(len(keys))}
 }

@@ -102,13 +102,8 @@ func TestTreeCostPrefersPartitioningSkewedData(t *testing.T) {
 	// query cost — the signal the RL agents learn from.
 	keys := dataset.Generate(dataset.FACE, 100_000, 4)
 	lo, hi := keys[0], keys[len(keys)-1]
-	leafOnly := new(Counters).TreeCost(keys, lo, hi, 3, func(int, uint64, uint64, int) int { return 1 }, 0.45, 131)
-	split := new(Counters).TreeCost(keys, lo, hi, 3, func(level int, _, _ uint64, n int) int {
-		if level == 1 {
-			return 256
-		}
-		return 1
-	}, 0.45, 131)
+	leafOnly := new(Counters).TreeCost(keys, nil, lo, hi, 3, 1, 1, 0.45, 131)
+	split := new(Counters).TreeCost(keys, nil, lo, hi, 3, 256, 1, 0.45, 131)
 	// The cache-depth term makes many small leaves cheaper to probe than
 	// one 100k-key slab even after paying a traversal step.
 	if split.Query >= leafOnly.Query {
@@ -122,8 +117,8 @@ func TestTreeCostPrefersPartitioningSkewedData(t *testing.T) {
 func TestTreeCostDepthAccounting(t *testing.T) {
 	keys := dataset.Uniform(4096, 9)
 	lo, hi := keys[0], keys[len(keys)-1]
-	depth1 := new(Counters).TreeCost(keys, lo, hi, 1, func(int, uint64, uint64, int) int { return 1 }, 0, 0)
-	depth3 := new(Counters).TreeCost(keys, lo, hi, 3, func(int, uint64, uint64, int) int { return 4 }, 0, 0)
+	depth1 := new(Counters).TreeCost(keys, nil, lo, hi, 1, 1, 1, 0, 0)
+	depth3 := new(Counters).TreeCost(keys, nil, lo, hi, 3, 4, 4, 0, 0)
 	// Three levels of fanout-4 inner nodes add 3 to the path length.
 	if depth3.Query < depth1.Query+2 {
 		t.Fatalf("deep tree query cost %.3f not above shallow %.3f + traversal", depth3.Query, depth1.Query)
@@ -170,14 +165,8 @@ func TestWeightedTreeCostFavorsHotRegions(t *testing.T) {
 	for i := 0; i < len(keys)/10; i++ {
 		hot[i] = 1
 	}
-	fan := func(level int, _, _ uint64, n int) int {
-		if level == 1 {
-			return 64
-		}
-		return 1
-	}
-	weighted := new(Counters).WeightedTreeCost(keys, hot, lo, hi, 2, fan, 0.45, 131)
-	uniform := new(Counters).TreeCost(keys, lo, hi, 2, fan, 0.45, 131)
+	weighted := new(Counters).TreeCost(keys, hot, lo, hi, 2, 64, 1, 0.45, 131)
+	uniform := new(Counters).TreeCost(keys, nil, lo, hi, 2, 64, 1, 0.45, 131)
 	if weighted.Query <= 0 || uniform.Query <= 0 {
 		t.Fatal("nonpositive costs")
 	}
@@ -187,7 +176,7 @@ func TestWeightedTreeCostFavorsHotRegions(t *testing.T) {
 	}
 	// Degenerate weights fall back to the unweighted cost.
 	zero := make([]float64, len(keys))
-	fb := new(Counters).WeightedTreeCost(keys, zero, lo, hi, 2, fan, 0.45, 131)
+	fb := new(Counters).TreeCost(keys, zero, lo, hi, 2, 64, 1, 0.45, 131)
 	if fb != uniform {
 		t.Fatalf("zero weights did not fall back: %+v vs %+v", fb, uniform)
 	}

@@ -75,8 +75,8 @@ func SplitRoot(keys []uint64, lo, hi uint64, f int) RootSplit {
 }
 
 // DeepBound is a lower bound on both components of TreeCost over the keys
-// s splits, for any fan that gives the root (level 1) fanout f > 1 and
-// every level-2 node fanout g > 1, at any maxLevels ≥ 2. A one-key child is
+// s splits, with unweighted queries, root fanout p0 = f > 1 and inner
+// fanout g > 1, at any maxLevels ≥ 2. A one-key child is
 // a leaf at level 2 and is charged exactly what the walk charges it. Every
 // key of a child with two or more keys sits at level 3 or deeper, in a leaf
 // that costs at least a one-key leaf's query steps (every key is charged at

@@ -291,13 +291,7 @@ func TestDeepBoundBoundsTreeCost(t *testing.T) {
 				g := 1 << logG
 				bound := split.DeepBound(f, g, 0.45, 131)
 				for _, maxLevels := range []int{2, 3} {
-					fan := func(level int, _, _ uint64, _ int) int {
-						if level == 1 {
-							return f
-						}
-						return g
-					}
-					cost := c.TreeCost(keys, lo, hi, maxLevels, fan, 0.45, 131)
+					cost := c.TreeCost(keys, nil, lo, hi, maxLevels, f, g, 0.45, 131)
 					if bound.Query > cost.Query*(1+1e-9) || bound.Memory > cost.Memory*(1+1e-9) {
 						t.Fatalf("%s f=%d g=%d maxLevels=%d: bound %+v above cost %+v", gen, f, g, maxLevels, bound, cost)
 					}

@@ -8,18 +8,18 @@ import (
 )
 
 // refTreeCost and refWeightedTreeCost are the Partition-based walks TreeCost
-// and WeightedTreeCost used before they learned to skip empty children,
-// kept verbatim as the reference the run walk must reproduce bit for bit.
-func refTreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
+// made, unweighted and weighted, before it learned to skip empty children,
+// kept as the reference the run walk must reproduce bit for bit: the root
+// has fanout p0 and every inner node at levels 2..maxLevels fanout g.
+func refTreeCost(keys []uint64, lo, hi uint64, maxLevels, p0, g int, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
 	var qSum, mUnits float64
-	var walk func(ks []uint64, lo, hi uint64, level int)
-	walk = func(ks []uint64, lo, hi uint64, level int) {
-		f := 1
-		if level <= maxLevels {
-			f = fan(level, lo, hi, len(ks))
+	var walk func(ks []uint64, lo, hi uint64, level, f int)
+	walk = func(ks []uint64, lo, hi uint64, level, f int) {
+		if level > maxLevels {
+			f = 1
 		}
 		if f <= 1 || len(ks) <= 1 {
 			leaf := Leaf(ks, lo, hi, tau, alpha)
@@ -31,27 +31,26 @@ func refTreeCost(keys []uint64, lo, hi uint64, maxLevels int, fan FanoutFn, tau,
 		parts := Partition(ks, lo, hi, f)
 		for j, p := range parts {
 			clo, chi := ChildInterval(lo, hi, f, j)
-			walk(ks[p[0]:p[1]], clo, chi, level+1)
+			walk(ks[p[0]:p[1]], clo, chi, level+1, g)
 		}
 	}
-	walk(keys, lo, hi, 1)
+	walk(keys, lo, hi, 1, p0)
 	n := float64(len(keys))
 	return Cost{Query: qSum / n, Memory: mUnits / n}
 }
 
-func refWeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels int, fan FanoutFn, tau, alpha float64) Cost {
+func refWeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLevels, p0, g int, tau, alpha float64) Cost {
 	if len(keys) == 0 {
 		return Cost{}
 	}
 	if weights == nil {
-		return refTreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
+		return refTreeCost(keys, lo, hi, maxLevels, p0, g, tau, alpha)
 	}
 	var qSum, wTotal, mUnits float64
-	var walk func(ks []uint64, ws []float64, lo, hi uint64, level int)
-	walk = func(ks []uint64, ws []float64, lo, hi uint64, level int) {
-		f := 1
-		if level <= maxLevels {
-			f = fan(level, lo, hi, len(ks))
+	var walk func(ks []uint64, ws []float64, lo, hi uint64, level, f int)
+	walk = func(ks []uint64, ws []float64, lo, hi uint64, level, f int) {
+		if level > maxLevels {
+			f = 1
 		}
 		if f <= 1 || len(ks) <= 1 {
 			leaf := weightedLeafCost(ks, ws, lo, hi, tau, alpha, new([]int32))
@@ -68,20 +67,17 @@ func refWeightedTreeCost(keys []uint64, weights []float64, lo, hi uint64, maxLev
 		parts := Partition(ks, lo, hi, f)
 		for j, p := range parts {
 			clo, chi := ChildInterval(lo, hi, f, j)
-			walk(ks[p[0]:p[1]], ws[p[0]:p[1]], clo, chi, level+1)
+			walk(ks[p[0]:p[1]], ws[p[0]:p[1]], clo, chi, level+1, g)
 		}
 	}
-	walk(keys, weights, lo, hi, 1)
+	walk(keys, weights, lo, hi, 1, p0)
 	if wTotal == 0 {
-		return refTreeCost(keys, lo, hi, maxLevels, fan, tau, alpha)
+		return refTreeCost(keys, lo, hi, maxLevels, p0, g, tau, alpha)
 	}
 	return Cost{Query: qSum / wTotal, Memory: mUnits / float64(len(keys))}
 }
 
-// mix is a splitmix64 finalizer: it turns a node's coordinates into a
-// pseudo-random fanout that is a pure function of them, so the reference
-// walk (which asks fan about empty children too) and the run walk see the
-// same tree.
+// mix is a splitmix64 finalizer, the test's source of pseudo-random draws.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -90,23 +86,20 @@ func mix(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// randomFanout returns a FanoutFn with root fanouts up to 2^20 and inner
-// fanouts up to 1024, a quarter of inner nodes terminating as leaves.
-func randomFanout(seed uint64) FanoutFn {
-	p0 := 1 + int(mix(seed)%(1<<20))
+// randomShape draws a tree shape: root fanouts up to 2^20 (a quarter of
+// them powers of two, including 1 and 2^20), inner fanouts up to 1024 (a
+// quarter of them 1, so every level-2 node is a leaf), and 1 to 3 levels of
+// inner nodes.
+func randomShape(seed uint64) (p0, g, maxLevels int) {
+	p0 = 1 + int(mix(seed)%(1<<20))
 	if seed%4 == 0 {
-		p0 = 1 << (mix(seed+1) % 21) // powers of two, including 1 and 2^20
+		p0 = 1 << (mix(seed+1) % 21)
 	}
-	return func(level int, lo, hi uint64, n int) int {
-		if level == 1 {
-			return p0
-		}
-		r := mix(seed ^ uint64(level)<<56 ^ mix(lo) ^ mix(hi+uint64(n)))
-		if r%4 == 0 {
-			return 1
-		}
-		return 1 + int(r>>8%1024)
+	g = 1
+	if r := mix(seed + 2); r%4 != 0 {
+		g = 1 + int(r>>8%1024)
 	}
+	return p0, g, 1 + int(mix(seed+3)%3)
 }
 
 func weightsFor(keys []uint64, seed uint64) []float64 {
@@ -123,9 +116,9 @@ func sameBits(a, b Cost) bool {
 }
 
 // TestRunWalkMatchesPartitionWalk is the bit-identity contract of the run
-// walk: on every generator, for random fanout functions, and on the edge
-// key sets, TreeCost and WeightedTreeCost return the same float64 bits as
-// the Partition-based reference.
+// walk: on every generator, for random tree shapes (p0, g, maxLevels), and
+// on the edge key sets, TreeCost returns the same float64 bits as the
+// Partition-based reference, with nil and with random weights.
 func TestRunWalkMatchesPartitionWalk(t *testing.T) {
 	type input struct {
 		name   string
@@ -153,26 +146,24 @@ func TestRunWalkMatchesPartitionWalk(t *testing.T) {
 		input{"boundaries", boundaryKeys(0, math.MaxUint64, 1000), 0, math.MaxUint64},
 	)
 
-	seeds := 12
+	seeds := 20
 	if testing.Short() {
-		seeds = 4
+		seeds = 6
 	}
 	for _, in := range inputs {
 		for s := 0; s < seeds; s++ {
 			seed := uint64(s)*0x9e3779b97f4a7c15 + 1
-			fan := randomFanout(seed)
-			for _, maxLevels := range []int{1, 3} {
-				got := new(Counters).TreeCost(in.keys, in.lo, in.hi, maxLevels, fan, 0.45, 131)
-				want := refTreeCost(in.keys, in.lo, in.hi, maxLevels, fan, 0.45, 131)
-				if !sameBits(got, want) {
-					t.Fatalf("%s seed %d levels %d: TreeCost %+v, reference %+v", in.name, s, maxLevels, got, want)
-				}
-				ws := weightsFor(in.keys, seed)
-				got = new(Counters).WeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, fan, 0.45, 131)
-				want = refWeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, fan, 0.45, 131)
-				if !sameBits(got, want) {
-					t.Fatalf("%s seed %d levels %d: WeightedTreeCost %+v, reference %+v", in.name, s, maxLevels, got, want)
-				}
+			p0, g, maxLevels := randomShape(seed)
+			got := new(Counters).TreeCost(in.keys, nil, in.lo, in.hi, maxLevels, p0, g, 0.45, 131)
+			want := refTreeCost(in.keys, in.lo, in.hi, maxLevels, p0, g, 0.45, 131)
+			if !sameBits(got, want) {
+				t.Fatalf("%s seed %d (p0 %d, g %d, levels %d): TreeCost %+v, reference %+v", in.name, s, p0, g, maxLevels, got, want)
+			}
+			ws := weightsFor(in.keys, seed)
+			got = new(Counters).TreeCost(in.keys, ws, in.lo, in.hi, maxLevels, p0, g, 0.45, 131)
+			want = refWeightedTreeCost(in.keys, ws, in.lo, in.hi, maxLevels, p0, g, 0.45, 131)
+			if !sameBits(got, want) {
+				t.Fatalf("%s seed %d (p0 %d, g %d, levels %d): weighted TreeCost %+v, reference %+v", in.name, s, p0, g, maxLevels, got, want)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkCostDAREDecide times one construction decision — the grid
-// search over the cost model that chooses p0 and M — for the 2M-key FACE
+// search over the cost model that chooses p0 and g — for the 2M-key FACE
 // dataset the repository benchmark loads (h = 3). Run with -cpu to see the
 // parallel candidate scoring scale.
 func BenchmarkCostDAREDecide(b *testing.B) {
@@ -16,7 +16,7 @@ func BenchmarkCostDAREDecide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Parameters(keys, 3, matrixWidth)
+		d.Parameters(keys, 3)
 	}
 }
 

@@ -107,7 +107,7 @@ func cannotBeat(bound, best float64) bool {
 }
 
 // CostDARE stands in for a trained DARE agent: it searches Algorithm 1's
-// genome space, the root fanout p0 and the parameter matrix M, scoring each
+// genome space, the root fanout p0 and the inner fanout g, scoring each
 // candidate by instantiating the upper levels over a key sample and
 // measuring the exact cost model — the quantity the DARE critic
 // approximates. With exact, cheap scores a fixed grid replaces the paper's
@@ -120,10 +120,10 @@ func NewCostDARE(cfg DAREConfig) *CostDARE { return &CostDARE{Cfg: cfg} }
 // Parameters implements DAREPolicy with a deterministic grid over the
 // genome space, every candidate scored by its reward on one key sample:
 //
-//  1. log2 p0 ∈ {0, 1, …, 20}, crossed (when h ≥ 3) with M ≡ 2^c for
+//  1. log2 p0 ∈ {0, 1, …, 20}, crossed (when h ≥ 3) with g = 2^c for
 //     c ∈ {0, 1, …, 10};
 //  2. log2 p0 in steps of 1/16 up to 15 steps either side of the best,
-//     then in steps of 1/256 around the new best, M held at its c.
+//     then in steps of 1/256 around the new best, g held.
 //
 // Candidates that build the same tree are scored once (at most 81 walks at
 // h = 2 and 281 at h = 3), and ties go to the earliest candidate, so the
@@ -133,19 +133,19 @@ func NewCostDARE(cfg DAREConfig) *CostDARE { return &CostDARE{Cfg: cfg} }
 // sample alone cannot beat the best score (gridSearch.cutsDeep), which
 // skips every one on the FACE, UDEN and OSMC samples of 2 M keys. The
 // answer is the argmax over the whole grid all the same.
-func (d *CostDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
-	best, _ := d.search(keys, h, L)
-	return best.shape().params(h, L)
+func (d *CostDARE) Parameters(keys []uint64, h int) (p0, g int) {
+	best, _ := d.search(keys, h)
+	k := best.shape()
+	return k.p0, k.g
 }
 
 // search is Parameters' grid search. It returns the best point and how
 // many trees it scored.
-func (d *CostDARE) search(keys []uint64, h, L int) (gridPoint, int) {
+func (d *CostDARE) search(keys []uint64, h int) (gridPoint, int) {
 	s := &gridSearch{
 		cfg:    d.Cfg,
 		sample: newCostSample(d.Cfg, keys),
 		h:      h,
-		L:      L,
 		scores: make(map[shape]float64),
 		free:   make(chan *costmodel.Counters, par.Workers(d.Cfg.Workers)),
 		top:    math.Inf(-1),
@@ -154,25 +154,25 @@ func (d *CostDARE) search(keys []uint64, h, L int) (gridPoint, int) {
 	s.prune = len(s.sample.keys) > 0 && s.sample.weights == nil && d.Cfg.Env.Wt >= 0 && d.Cfg.Env.Wm >= 0
 	cs := 0
 	if h >= 3 {
-		cs = maxLogM
+		cs = maxLogG
 	}
 	var pts []gridPoint
-	for g := 0; g <= maxLogP0; g++ {
-		pts = append(pts, gridPoint{g: float64(g)})
+	for lp := 0; lp <= maxLogP0; lp++ {
+		pts = append(pts, gridPoint{lp: float64(lp)})
 	}
 	s.best(pts)
 	pts = pts[:0]
-	for g := 0; g <= maxLogP0; g++ {
+	for lp := 0; lp <= maxLogP0; lp++ {
 		for c := 0; c <= cs; c++ {
-			pts = append(pts, gridPoint{g: float64(g), c: c})
+			pts = append(pts, gridPoint{lp: float64(lp), c: c})
 		}
 	}
 	best := s.best(pts)
 	for _, step := range []float64{1.0 / 16, 1.0 / 256} {
 		pts = append(pts[:0], best)
 		for k := -refineSteps; k <= refineSteps; k++ {
-			if g := best.g + float64(k)*step; k != 0 && g >= 0 && g <= maxLogP0 {
-				pts = append(pts, gridPoint{g: g, c: best.c})
+			if lp := best.lp + float64(k)*step; k != 0 && lp >= 0 && lp <= maxLogP0 {
+				pts = append(pts, gridPoint{lp: lp, c: best.c})
 			}
 		}
 		best = s.best(pts)
@@ -180,26 +180,18 @@ func (d *CostDARE) search(keys []uint64, h, L int) (gridPoint, int) {
 	return best, s.scored
 }
 
-// FixedDARE emits a constant root fanout with no matrix rows — the ablation
-// baseline ChaB of Table V uses it ("EBH only, no TSMDP and DARE"): the
-// upper structure degenerates to a single interpolation root.
+// FixedDARE emits a constant root fanout (2^10 when Root < 1) and inner
+// fanout 32 — the ablation baseline ChaB of Table V uses it ("EBH only, no
+// TSMDP and DARE"): at height 2 the upper structure is a single
+// interpolation root.
 type FixedDARE struct{ Root int }
 
 // Parameters implements DAREPolicy.
-func (f FixedDARE) Parameters(keys []uint64, h, L int) (int, [][]float64) {
-	root := f.Root
-	if root < 1 {
-		root = 1 << 10
+func (f FixedDARE) Parameters([]uint64, int) (p0, g int) {
+	if f.Root < 1 {
+		return 1 << 10, 1 << 5
 	}
-	m := make([][]float64, 0, h-2)
-	for i := 0; i < h-2; i++ {
-		row := make([]float64, L)
-		for j := range row {
-			row[j] = 1 << 5
-		}
-		m = append(m, row)
-	}
-	return root, m
+	return f.Root, 1 << 5
 }
 
 // FixedFanout is a FanoutPolicy that always returns the same fanout for

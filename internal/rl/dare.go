@@ -14,13 +14,11 @@ type DAREConfig struct {
 	Env       Env
 	// QueryWeights, when non-nil, supplies per-key query frequencies for a
 	// cost-model sample, enabling the query-distribution-aware reward the
-	// paper sketches in Section IV-B2 (see costmodel.Counters.WeightedTreeCost).
+	// paper sketches in Section IV-B2 (see costmodel.Counters.TreeCost).
 	QueryWeights func(sample []uint64) []float64
 }
 
-// DefaultDAREConfig mirrors Table IV at laptop scale. The parameter
-// matrix's row width L (Table IV: 256) is not part of it: the caller passes
-// it to Parameters (internal/core builds with 64).
+// DefaultDAREConfig mirrors Table IV at laptop scale.
 func DefaultDAREConfig() DAREConfig {
 	return DAREConfig{SampleCap: 1 << 16, Env: DefaultEnv()}
 }
@@ -29,7 +27,7 @@ func DefaultDAREConfig() DAREConfig {
 // 2^20) and log2 of an inner fanout ∈ [0, 10] (up to 2^10).
 const (
 	maxLogP0 = 20
-	maxLogM  = 10
+	maxLogG  = 10
 	// refineSteps is how many steps either side of the best log2 p0 each
 	// refinement pass scores: 15 steps of 1/16 reach just short of the
 	// neighbouring integers, 15 of 1/256 just short of the neighbouring
@@ -37,62 +35,29 @@ const (
 	refineSteps = 15
 )
 
-// gridPoint is one candidate of the search: log2 p0 and c, with every
-// entry of M equal to 2^c.
+// gridPoint is one candidate of the search: lp = log2 p0, and c = log2 g.
 type gridPoint struct {
-	g float64
-	c int
+	lp float64
+	c  int
 }
 
 // shape identifies the tree a point builds: points that round to the same
 // p0 build the same tree, and with p0 = 1 the root is one leaf whose cost
-// never reads M.
+// never reads g.
 func (pt gridPoint) shape() shape {
-	p0 := decodeP0(pt.g)
+	p0 := decodeP0(pt.lp)
 	if p0 == 1 {
-		return shape{p0: 1}
+		return shape{p0: 1, g: 1}
 	}
-	return shape{p0: p0, c: pt.c}
+	return shape{p0: p0, g: 1 << pt.c}
 }
 
-// shape is a decoded grid point: the root fanout p0, and c with every entry
-// of M equal to 2^c.
-type shape struct{ p0, c int }
+// shape is a decoded grid point: the DARE outputs p0 and g.
+type shape struct{ p0, g int }
 
-// params returns the DARE outputs s stands for: p0 and the parameter matrix
-// M (h−2 rows × L entries).
-func (s shape) params(h, L int) (p0 int, m [][]float64) {
-	m = make([][]float64, max(h-2, 0))
-	for r := range m {
-		m[r] = make([]float64, L)
-		for j := range m[r] {
-			m[r][j] = math.Exp2(float64(s.c))
-		}
-	}
-	return s.p0, m
-}
-
-// decodeP0 is the root fanout 2^g rounded, within [1, 2^20].
-func decodeP0(g float64) int {
-	return min(max(int(math.Round(math.Exp2(g))), 1), 1<<maxLogP0)
-}
-
-// UpperFanoutFn converts DARE parameters into a costmodel.FanoutFn: the root
-// uses p0, level i ∈ [2, h−1] uses row i−2 of M via the Eq. (4)
-// interpolation, and level h nodes terminate as leaves (the TSMDP refinement
-// is evaluated separately).
-func UpperFanoutFn(p0 int, m [][]float64, mk, Mk uint64, L int) costmodel.FanoutFn {
-	return func(level int, lo, hi uint64, n int) int {
-		if level == 1 {
-			return p0
-		}
-		row := level - 2
-		if row >= len(m) {
-			return 1
-		}
-		x := NodePosition(lo, hi, mk, Mk, L)
-		return interpolateFanout(m[row], x)
-	}
+// decodeP0 is the root fanout 2^lp rounded, within [1, 2^20].
+func decodeP0(lp float64) int {
+	return min(max(int(math.Round(math.Exp2(lp))), 1), 1<<maxLogP0)
 }
 
 // costSample is the key sample DARE's ground truth is measured on, with its
@@ -120,19 +85,18 @@ func newCostSample(cfg DAREConfig, keys []uint64) costSample {
 	return s
 }
 
-// measureCost is the DARE ground truth: build the upper-level tree p0 and M
-// describe over the sample and evaluate it with the analytic cost model.
-// This is what the paper's "Instantiate Chameleon-Index" step measures
-// (Algorithm 2, line 11). It is safe for concurrent use with distinct
-// counters.
-func measureCost(cfg DAREConfig, s costSample, h, L int, p0 int, m [][]float64, counters *costmodel.Counters) costmodel.Cost {
+// measureCost is the DARE ground truth: build the upper levels 1..h−1 that
+// p0 and g describe over the sample, level-h nodes terminating as leaves
+// (the TSMDP refinement is evaluated separately), and evaluate them with
+// the analytic cost model. This is what the paper's "Instantiate
+// Chameleon-Index" step measures (Algorithm 2, line 11). It is safe for
+// concurrent use with distinct counters.
+func measureCost(cfg DAREConfig, s costSample, h, p0, g int, counters *costmodel.Counters) costmodel.Cost {
 	if len(s.keys) == 0 {
 		return costmodel.Cost{}
 	}
 	mk, Mk := s.keys[0], s.keys[len(s.keys)-1]
-	fan := UpperFanoutFn(p0, m, mk, Mk, L)
-	// Nil weights make WeightedTreeCost the plain TreeCost.
-	return counters.WeightedTreeCost(s.keys, s.weights, mk, Mk, h-1, fan, cfg.Env.Tau, cfg.Env.Alpha)
+	return counters.TreeCost(s.keys, s.weights, mk, Mk, h-1, p0, g, cfg.Env.Tau, cfg.Env.Alpha)
 }
 
 // gridSearch is one Parameters call: the sample every candidate is scored
@@ -140,7 +104,7 @@ func measureCost(cfg DAREConfig, s costSample, h, L int, p0 int, m [][]float64, 
 type gridSearch struct {
 	cfg    DAREConfig
 	sample costSample
-	h, L   int
+	h      int
 	scores map[shape]float64
 	// free holds the slot counters of walks not running: at most one walk
 	// per worker runs at a time, so the workers share that many buffers.
@@ -156,12 +120,12 @@ type gridSearch struct {
 }
 
 // cutsDeep reports whether the tree of k, whose level-2 nodes all have
-// fanout 2^k.c ≥ 2, must score below the best score so far: its reward is
+// fanout k.g ≥ 2, must score below the best score so far: its reward is
 // at most that of costmodel.RootSplit.DeepBound, which needs only how the
 // root splits the sample. The bound holds for unweighted queries and
 // w_t, w_m ≥ 0.
 func (s *gridSearch) cutsDeep(k shape) bool {
-	if !s.prune || k.c < 1 || k.p0 < 2 || s.h < 3 {
+	if !s.prune || k.g < 2 || k.p0 < 2 || s.h < 3 {
 		return false
 	}
 	split, ok := s.roots[k.p0]
@@ -171,7 +135,7 @@ func (s *gridSearch) cutsDeep(k shape) bool {
 		s.roots[k.p0] = split
 	}
 	env := s.cfg.Env
-	bound := costmodel.Reward(split.DeepBound(k.p0, 1<<k.c, env.Tau, env.Alpha), env.Wt, env.Wm)
+	bound := costmodel.Reward(split.DeepBound(k.p0, k.g, env.Tau, env.Alpha), env.Wt, env.Wm)
 	return cannotBeat(bound, s.top)
 }
 
@@ -202,8 +166,8 @@ func (s *gridSearch) best(pts []gridPoint) gridPoint {
 		default:
 			counters = new(costmodel.Counters)
 		}
-		p0, m := todo[i].params(s.h, s.L)
-		got[i] = costmodel.Reward(measureCost(s.cfg, s.sample, s.h, s.L, p0, m, counters), s.cfg.Env.Wt, s.cfg.Env.Wm)
+		k := todo[i]
+		got[i] = costmodel.Reward(measureCost(s.cfg, s.sample, s.h, k.p0, k.g, counters), s.cfg.Env.Wt, s.cfg.Env.Wm)
 		select {
 		case s.free <- counters:
 		default:

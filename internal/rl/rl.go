@@ -8,9 +8,10 @@
 //     predict.
 //   - CostDARE stands in for DARE (Section IV-C): a fixed grid over the
 //     genome space of Algorithm 1 searches the root fanout p0 and the
-//     parameter matrix M, each candidate scored by the dynamic reward (DRF)
-//     of the upper levels it instantiates over a key sample, the cost the
-//     DARE critic is trained to predict.
+//     inner fanout g (the paper's parameter matrix M, every entry g), each
+//     candidate scored by the dynamic reward (DRF) of the upper levels it
+//     instantiates over a key sample, the cost the DARE critic is trained
+//     to predict.
 //
 // Env is the construction environment both share: Step turns a node and a
 // fanout action into the reward of Section IV-B2 and the child partitions.
@@ -19,8 +20,6 @@
 // networks (DESIGN.md §4 item 2; EXPERIMENTS.md has the measurement that
 // decided it).
 package rl
-
-import "math"
 
 // DefaultFanouts is the TSMDP action space {ξ_0..ξ_n} = {2^0, 2^1, ..., 2^10}
 // from Table IV. Index 0 (fanout 1) is the terminal "become a leaf" action.
@@ -33,49 +32,12 @@ type FanoutPolicy interface {
 	Fanout(keys []uint64, lo, hi uint64, level int) int
 }
 
-// DAREPolicy emits the upper-level construction parameters: the root fanout
-// p0 ∈ [2^0, 2^20] and the parameter matrix M with h−2 rows of L entries,
-// each an inner fanout in [2^0, 2^10] (Section IV-C).
+// DAREPolicy emits the upper-level construction parameters of Section
+// IV-C for an h-level tree over keys: the root fanout p0 ∈ [2^0, 2^20] and
+// g ∈ [2^0, 2^10], the fanout of every inner node at levels 2..h−1. The
+// paper emits a parameter matrix M instead, each node's fanout interpolated
+// from it by Eq. (4); every candidate here has a constant M, over which
+// Eq. (4) returns that constant, g (DESIGN.md §4 item 2).
 type DAREPolicy interface {
-	Parameters(keys []uint64, h, L int) (p0 int, m [][]float64)
-}
-
-// interpolateFanout applies Eq. (4): given a matrix row of decoded fanout
-// parameters and the node's normalized position x ∈ [0, L−1], it blends the
-// two enclosing entries and rounds.
-func interpolateFanout(row []float64, x float64) int {
-	if len(row) == 0 {
-		return 1
-	}
-	if x <= 0 {
-		return clampFanout(int(math.Round(row[0])))
-	}
-	last := float64(len(row) - 1)
-	if x >= last {
-		return clampFanout(int(math.Round(row[len(row)-1])))
-	}
-	l := int(x)
-	f := (x-float64(l))*row[l+1] + (float64(l)+1-x)*row[l]
-	return clampFanout(int(math.Round(f)))
-}
-
-func clampFanout(f int) int {
-	if f < 1 {
-		return 1
-	}
-	if f > 1<<10 {
-		return 1 << 10
-	}
-	return f
-}
-
-// NodePosition computes x, the mapping of a node's interval midpoint into
-// the parameter matrix of Section IV-C:
-// x = ((lk+uk)/2 − mk)/(Mk − mk) · (L−1).
-func NodePosition(lk, uk, mk, Mk uint64, L int) float64 {
-	if Mk == mk {
-		return 0
-	}
-	mid := lk/2 + uk/2
-	return float64(mid-mk) / float64(Mk-mk) * float64(L-1)
+	Parameters(keys []uint64, h int) (p0, g int)
 }

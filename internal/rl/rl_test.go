@@ -8,27 +8,6 @@ import (
 	"chameleon/internal/dataset"
 )
 
-func TestInterpolateFanoutEq4(t *testing.T) {
-	// Paper's worked example under Eq. (4): x = 0.5 between p_0 = 5.1 and
-	// p_1 = 1.3 gives (0.5−0)·1.3 + (1−0.5)·5.1 = 3.2 → 3.
-	row := []float64{5.1, 1.3, 2.0, 4.0}
-	if got := interpolateFanout(row, 0.5); got != 3 {
-		t.Fatalf("interpolateFanout = %d, want 3 (paper example)", got)
-	}
-	if got := interpolateFanout(row, 0); got != 5 {
-		t.Fatalf("x=0: got %d, want 5", got)
-	}
-	if got := interpolateFanout(row, 99); got != 4 {
-		t.Fatalf("x beyond end: got %d, want last entry", got)
-	}
-	if got := interpolateFanout(nil, 1); got != 1 {
-		t.Fatalf("empty row: got %d, want 1", got)
-	}
-	if got := interpolateFanout([]float64{9999}, 0); got != 1<<10 {
-		t.Fatalf("clamp: got %d, want %d", got, 1<<10)
-	}
-}
-
 func TestEnvStepTerminalAndSplit(t *testing.T) {
 	env := DefaultEnv()
 	keys := dataset.Uniform(10_000, 1)
@@ -81,33 +60,22 @@ func TestCostPolicySplitsSkewTerminatesSmall(t *testing.T) {
 }
 
 func TestDecodeGenomeBoundsAndShape(t *testing.T) {
-	h, L := 3, 8
-	p0, m := gridPoint{g: maxLogP0, c: maxLogM}.shape().params(h, L)
-	if p0 != 1<<20 {
-		t.Fatalf("p0 = %d, want 2^20", p0)
+	if k := (gridPoint{lp: maxLogP0, c: maxLogG}).shape(); k.p0 != 1<<20 || k.g != 1<<10 {
+		t.Fatalf("top corner decodes to p0 %d, g %d; want 2^20, 2^10", k.p0, k.g)
 	}
-	if len(m) != 1 || len(m[0]) != L {
-		t.Fatalf("matrix shape %dx%d, want 1x%d", len(m), len(m[0]), L)
+	if k := (gridPoint{lp: 9.5, c: 3}).shape(); k.p0 != 724 || k.g != 8 {
+		t.Fatalf("log2 p0 9.5, c 3 decodes to p0 %d, g %d; want 724, 8", k.p0, k.g)
 	}
-	for _, v := range m[0] {
-		if v != 1<<10 {
-			t.Fatalf("matrix entry %v, want 2^10", v)
-		}
-	}
-	// h=2: no matrix rows.
-	if _, m := (gridPoint{g: 3}).shape().params(2, L); len(m) != 0 {
-		t.Fatalf("h=2 produced %d matrix rows", len(m))
-	}
-	// p0 = 1 makes the root one leaf: M is never read, so every c is one tree.
-	if a, b := (gridPoint{g: 0, c: 7}).shape(), (gridPoint{g: 0.2, c: 0}).shape(); a != b {
+	// p0 = 1 makes the root one leaf: g is never read, so every c is one tree.
+	if a, b := (gridPoint{lp: 0, c: 7}).shape(), (gridPoint{lp: 0.2, c: 0}).shape(); a != b {
 		t.Fatalf("p0 = 1 points differ: %+v, %+v", a, b)
 	}
 }
 
-// searchScore is the reward of (p0, m) on the sample a search with cfg
+// searchScore is the reward of (p0, g) on the sample a search with cfg
 // scores its candidates on.
-func searchScore(cfg DAREConfig, keys []uint64, h, L, p0 int, m [][]float64) float64 {
-	c := measureCost(cfg, newCostSample(cfg, keys), h, L, p0, m, new(costmodel.Counters))
+func searchScore(cfg DAREConfig, keys []uint64, h, p0, g int) float64 {
+	c := measureCost(cfg, newCostSample(cfg, keys), h, p0, g, new(costmodel.Counters))
 	return costmodel.Reward(c, cfg.Env.Wt, cfg.Env.Wm)
 }
 
@@ -116,33 +84,19 @@ func TestCostDAREProducesUsableParameters(t *testing.T) {
 	cfg.SampleCap = 4096
 	d := NewCostDARE(cfg)
 	keys := dataset.Generate(dataset.LOGN, 50_000, 5)
-	p0, m := d.Parameters(keys, 3, 16)
+	p0, g := d.Parameters(keys, 3)
 	if p0 < 1 || p0 > 1<<20 {
 		t.Fatalf("p0 = %d out of range", p0)
 	}
-	if len(m) != 1 || len(m[0]) != 16 {
-		t.Fatalf("matrix shape wrong: %d rows", len(m))
+	if g < 1 || g > 1<<10 {
+		t.Fatalf("g = %d out of range", g)
 	}
 	// The chosen parameters must score at least as well as a degenerate
 	// single-leaf structure, which is a grid point.
-	chosen := searchScore(cfg, keys, 3, 16, p0, m)
-	single := searchScore(cfg, keys, 3, 16, 1, m)
+	chosen := searchScore(cfg, keys, 3, p0, g)
+	single := searchScore(cfg, keys, 3, 1, g)
 	if chosen < single {
 		t.Fatalf("chosen parameters (p0 %d, reward %v) lose to a single leaf (%v)", p0, chosen, single)
-	}
-}
-
-func TestNodePosition(t *testing.T) {
-	// Paper's worked example: node [0,1] of dataset [0,3] with L=4:
-	// x = ((0+1)/2 − 0)/(3 − 0)·3 = 0.5.
-	// (Integer midpoint arithmetic floors 1/2 to 0 for such tiny spans; use
-	// a scaled-up version of the same proportions.)
-	x := NodePosition(0, 1_000_000, 0, 3_000_000, 4)
-	if math.Abs(x-0.5) > 0.01 {
-		t.Fatalf("NodePosition = %v, want 0.5 (paper example)", x)
-	}
-	if NodePosition(5, 5, 5, 5, 4) != 0 {
-		t.Fatal("degenerate span must map to 0")
 	}
 }
 
@@ -165,11 +119,11 @@ func TestQueryWeightedConstruction(t *testing.T) {
 	weighted := base
 	weighted.QueryWeights = zipf
 
-	p0u, mu := NewCostDARE(base).Parameters(keys, 3, 16)
-	p0w, mw := NewCostDARE(weighted).Parameters(keys, 3, 16)
+	p0u, gu := NewCostDARE(base).Parameters(keys, 3)
+	p0w, gw := NewCostDARE(weighted).Parameters(keys, 3)
 
-	ru := searchScore(weighted, keys, 3, 16, p0u, mu)
-	rw := searchScore(weighted, keys, 3, 16, p0w, mw)
+	ru := searchScore(weighted, keys, 3, p0u, gu)
+	rw := searchScore(weighted, keys, 3, p0w, gw)
 	if rw < ru {
 		t.Fatalf("weighted-guided construction (p0 %d) loses under its own metric to uniform (p0 %d): %v vs %v",
 			p0w, p0u, rw, ru)

@@ -177,7 +177,7 @@ func Batched(keys []uint64, parts, queriesPer int, seed uint64) []Batch {
 // ZipfReads returns n point queries whose target ranks follow a Zipf
 // distribution with exponent s > 1 (hot head at the low ranks), the access
 // pattern for which the query-distribution-aware reward extension
-// (costmodel.Counters.WeightedTreeCost) optimizes.
+// (the weights of costmodel.Counters.TreeCost) optimizes.
 func ZipfReads(keys []uint64, n int, s float64, seed uint64) []Op {
 	if s <= 1 {
 		s = 1.2
